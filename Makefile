@@ -9,8 +9,9 @@ test:
 	$(GO) test ./...
 
 # Full health check: vet + errcheck + race-detector pass over the packages
-# that share phase-scoped scratch arenas across worker goroutines + the
-# fault-injection matrix under -race + full suite.
+# that share phase-scoped scratch arenas across host workers + the
+# fault-injection matrix under -race + the determinism gate (-cpu 1,2,8,
+# simdump twice) + full suite.
 check:
 	sh scripts/check.sh
 

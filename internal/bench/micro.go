@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -169,13 +170,16 @@ func BarrierStudy(maxSockets, coresPerSocket, rounds int) []BarrierPoint {
 func measureBarrier(k barrier.Kind, sockets, cpn, rounds int) float64 {
 	b := barrier.New(k, sockets, cpn)
 	pool := par.MustNewPool(sockets * cpn)
-	defer pool.Close()
 	start := time.Now()
-	pool.Run(func(th int) {
+	// A real barrier inside the phase: one goroutine per thread.
+	err := pool.RunConcurrent(context.Background(), func(th int) {
 		for r := 0; r < rounds; r++ {
 			b.Wait(th)
 		}
 	})
+	if err != nil {
+		panic(err) // only a barrier bug can get here
+	}
 	return time.Since(start).Seconds() / float64(rounds)
 }
 

@@ -71,11 +71,12 @@ func (e *Engine) AsyncTraverse(seeds []graph.Vertex, k AsyncKernel, h sg.Hints) 
 	}
 	counts := make([]asyncCounts, threads)
 
-	// A worker panic (recovered by the pool) would otherwise leave pending
-	// permanently non-zero and spin the surviving workers forever; the
-	// aborted flag lets them drain out.
+	// Threads spin on pending until every worklist drains, so each needs
+	// its own goroutine. A thread panic (recovered by the pool) would
+	// otherwise leave pending permanently non-zero and spin the survivors
+	// forever; the aborted flag lets them drain out.
 	var aborted atomic.Bool
-	e.runPhase(func(th int) {
+	e.dispatch(func(th int) {
 		defer func() {
 			if r := recover(); r != nil {
 				aborted.Store(true)
@@ -115,7 +116,7 @@ func (e *Engine) AsyncTraverse(seeds []graph.Vertex, k AsyncKernel, h sg.Hints) 
 			}
 			pending.Add(-1)
 		}
-	})
+	}, true)
 
 	if e.err != nil {
 		return // failed traversal charges nothing

@@ -257,7 +257,10 @@ func dataWS(e *Engine, h sg.Hints) int64 {
 }
 
 // edgeMapDensePush sweeps each node's source-keyed rows in rolling order:
-// active sources push updates to their local targets.
+// active sources push updates to their local targets. All threads of a
+// node run on the one host worker that owns it (par.Pool.Run), so a
+// target has a single writer — the plain Update path is used — and float
+// sums into it are applied in one fixed order at any GOMAXPROCS.
 func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	l := e.ensurePush()
 	collect := !h.NoOutput
@@ -304,7 +307,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 							continue
 						}
 						condChecks++
-						if k.UpdateAtomic(s, t, wts[j]) {
+						if k.Update(s, t, wts[j]) {
 							if collect {
 								b.SetIn(p, th, t) // push targets are node-local
 							}
@@ -318,7 +321,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 							continue
 						}
 						condChecks++
-						if k.UpdateAtomic(s, t, 0) {
+						if k.Update(s, t, 0) {
 							if collect {
 								b.SetIn(p, th, t)
 							}
@@ -361,7 +364,7 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 		b = state.NewBuilder(e.bounds, e.m.Threads(), true).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
 	}
 	ep := e.scr.beginPhase()
-	atomicUpdate := e.m.Nodes > 1 || e.m.CoresPerNode > 1
+	atomicUpdate := e.m.Nodes > 1 // a node's own threads share one host worker
 	full := a.Count() == int64(e.g.NumVertices())
 
 	e.runPhase(func(th int) {
@@ -445,7 +448,8 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 
 // edgeMapSparse iterates the active vertex lists (all nodes' leaves, read
 // through the lookup table) and processes, on each node, the local
-// portion of every active vertex's edges via the agent lookup.
+// portion of every active vertex's edges via the agent lookup. Targets
+// are node-local, so as in edgeMapDensePush each has a single writer.
 func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	l := e.ensurePush()
 	collect := !h.NoOutput
@@ -500,7 +504,7 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 					if weighted {
 						w = nl.wts[j]
 					}
-					if k.UpdateAtomic(s, t, w) {
+					if k.Update(s, t, w) {
 						if collect {
 							b.Add(th, t)
 						}
@@ -593,7 +597,7 @@ func (e *Engine) VertexMap(a *state.Subset, f sg.VertexFunc) *state.Subset {
 	return b.Build()
 }
 
-// addEdges accumulates the processed-edge metric from worker goroutines.
+// addEdges accumulates the processed-edge metric from the host workers.
 func (e *Engine) addEdges(n int64) {
 	e.edgesProcessed.Add(n)
 }

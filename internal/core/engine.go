@@ -17,9 +17,10 @@
 //     N-Barrier, and nodes process rows in a rolling order starting from
 //     their own partition to spread interconnect load.
 //
-// The engine runs real parallel computation on worker goroutines; its
-// memory traffic is charged to the simulated NUMA machine (see package
-// numa) to produce simulated runtimes.
+// The engine computes real results, its simulated threads scheduled onto
+// node-owning host workers (see package par); its memory traffic is
+// charged to the simulated NUMA machine (see package numa) to produce
+// simulated runtimes.
 package core
 
 import (
@@ -208,7 +209,7 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 		e.parts = partition.VertexBalanced(g.NumVertices(), m.Nodes)
 	}
 	e.bounds = partition.Bounds(e.parts)
-	pool, err := par.NewPool(m.Threads())
+	pool, err := par.NewNodePool(m.Nodes, m.CoresPerNode)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +220,6 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	// The engine keeps the construction-stage graph resident alongside
 	// its grouped per-node layouts (part of Table 5's footprint).
 	if err := m.Alloc().Grow("polymer/graph", g.TopologyBytes()); err != nil {
-		pool.Close()
 		return nil, err
 	}
 	e.initTier()
@@ -342,13 +342,12 @@ func (e *Engine) newArray64(label string) *mem.Array[float64] {
 	return a.BindTier(e.tierState).GrowTierDemand()
 }
 
-// Close stops the worker pool and releases simulated allocations.
+// Close releases simulated allocations.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	e.pool.Close()
 	e.m.Alloc().Release("polymer/graph", e.g.TopologyBytes())
 	for _, a := range e.arrays {
 		a.Free()
@@ -409,7 +408,12 @@ func (e *Engine) SetFaultHook(h func(th int) error) { e.pool.SetHook(h) }
 // failed (the failure is recorded on the engine) — callers must then skip
 // all simulated charging for the phase: a request cancelled mid-run stops
 // charging the simulated clock at the superstep boundary.
-func (e *Engine) runPhase(fn func(th int)) bool {
+func (e *Engine) runPhase(fn func(th int)) bool { return e.dispatch(fn, false) }
+
+// dispatch is runPhase with the choice of entry point: concurrent gives
+// every simulated thread its own goroutine, for the one traversal whose
+// thread bodies wait on each other (AsyncTraverse).
+func (e *Engine) dispatch(fn func(th int), concurrent bool) bool {
 	if e.err != nil {
 		return false
 	}
@@ -417,11 +421,15 @@ func (e *Engine) runPhase(fn func(th int)) bool {
 	if e.opt.PhaseTimeout > 0 {
 		start = time.Now()
 	}
+	ctx := e.ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	var err error
-	if e.ctx != nil {
-		err = e.pool.RunCtx(e.ctx, fn)
+	if concurrent {
+		err = e.pool.RunConcurrent(ctx, fn)
 	} else {
-		err = e.pool.Run(fn)
+		err = e.pool.RunCtx(ctx, fn)
 	}
 	if err != nil {
 		e.fail(err)

@@ -94,7 +94,7 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	if opt.Delta <= 0 {
 		opt.Delta = 8
 	}
-	pool, err := par.NewPool(m.Threads())
+	pool, err := par.NewNodePool(m.Nodes, m.CoresPerNode)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +111,6 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	// and reuses memory aggressively.
 	e.topoB = g.TopologyBytes() / 2
 	if err := m.Alloc().Grow("galois/topology", e.topoB); err != nil {
-		pool.Close()
 		return nil, err
 	}
 	e.initTier()
@@ -264,13 +263,12 @@ func (e *Engine) RunStats() numa.Stats { return e.ledger.Stats() }
 // EdgesProcessed returns total edge applications.
 func (e *Engine) EdgesProcessed() int64 { return e.edges.Load() }
 
-// Close stops the workers and releases simulated allocations.
+// Close releases simulated allocations.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	e.pool.Close()
 	e.m.Alloc().Release("galois/topology", e.topoB)
 	if e.dataB > 0 {
 		e.m.Alloc().Release("galois/data", e.dataB)

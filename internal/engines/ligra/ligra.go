@@ -107,7 +107,7 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	if opt.OverheadNsPerEdge <= 0 {
 		opt.OverheadNsPerEdge = 1.2
 	}
-	pool, err := par.NewPool(m.Threads())
+	pool, err := par.NewNodePool(m.Nodes, m.CoresPerNode)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +123,6 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	e.vSweep = par.MakeStrided(n, par.ChunkSize(n, m.Threads()), m.Threads())
 	e.vmWords = par.MakeStrided((n+63)/64, 64, m.Threads())
 	if err := m.Alloc().Grow("ligra/topology", g.TopologyBytes()); err != nil {
-		pool.Close()
 		return nil, err
 	}
 	e.initTier()
@@ -215,13 +214,12 @@ func (e *Engine) NewData32(label string) *mem.Array[uint32] {
 	return a
 }
 
-// Close stops the workers and releases simulated allocations.
+// Close releases simulated allocations.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	e.pool.Close()
 	for _, a := range e.arrays {
 		a.Free()
 	}

@@ -120,7 +120,7 @@ func New(g *graph.Graph, m *numa.Machine, opt Options, h sg.Hints) (*Engine, err
 	if opt.OverheadNsPerEdge <= 0 {
 		opt.OverheadNsPerEdge = 1.5
 	}
-	pool, err := par.NewPool(m.Threads())
+	pool, err := par.NewNodePool(m.Nodes, m.CoresPerNode)
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +142,6 @@ func New(g *graph.Graph, m *numa.Machine, opt Options, h sg.Hints) (*Engine, err
 	e.gatherCounts = make([][2]int64, m.Threads())
 	e.applyCounts = make([]int64, m.Threads())
 	if err := m.Alloc().Grow("xstream/topology", e.topoB); err != nil {
-		pool.Close()
 		return nil, err
 	}
 	e.initTier()
@@ -372,13 +371,12 @@ func (e *Engine) NewData32(label string) *mem.Array[uint32] {
 	return a
 }
 
-// Close stops the workers and releases simulated allocations.
+// Close releases simulated allocations.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	e.pool.Close()
 	for _, a := range e.arrays {
 		a.Free()
 	}

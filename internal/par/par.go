@@ -1,13 +1,15 @@
 // Package par provides the minimal parallel-execution machinery the
-// engines share: a pool of persistent worker goroutines (one per simulated
-// hardware thread) and a dynamic chunk scheduler for intra-node load
-// balancing (the paper's "each worker thread dynamically fetches a portion
-// of tasks after finishing its previous tasks").
+// engines share: a pool that schedules the machine's simulated hardware
+// threads onto node-owning host workers, and the deterministic strided
+// chunk schedule that stands in for intra-node dynamic load balancing
+// (the paper's "each worker thread dynamically fetches a portion of tasks
+// after finishing its previous tasks").
 package par
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -15,20 +17,23 @@ import (
 	"polymer/internal/obs"
 )
 
-// Pool runs phases across a fixed set of worker goroutines. Workers are
-// persistent: spawning happens once, and each Run dispatches one function
-// to every worker and waits for all of them — the join is the phase
-// barrier.
+// Pool runs phases of nodes×coresPerNode simulated threads. Simulated
+// threads are not goroutines: the simulated clock is a function of charged
+// counts, so the host schedule is free to be whatever is cheapest. Run
+// executes the thread bodies on W = min(GOMAXPROCS, nodes) host workers,
+// the caller being worker 0; worker w owns the whole simulated nodes
+// [w*nodes/W, (w+1)*nodes/W) and runs their threads in ascending thread
+// id. All threads of a node therefore run in one fixed sequence on one
+// goroutine at any GOMAXPROCS, and at W = 1 a phase is a plain loop.
+// Nothing is parked between phases; the join is the phase barrier.
 type Pool struct {
-	n     int
-	start []chan func(int)
-	wg    sync.WaitGroup
-	once  sync.Once
+	nodes, cpn int
+	wg         sync.WaitGroup
 
-	// hook, when set, runs on every worker at dispatch time before the
-	// phase function; a non-nil return aborts that worker's share of the
-	// phase (the fault injector uses it to take simulated nodes offline,
-	// panic or stall individual workers).
+	// hook, when set, runs before every simulated thread's body; a
+	// non-nil return aborts that thread's share of the phase (the fault
+	// injector uses it to take simulated nodes offline, panic or stall
+	// individual threads).
 	hook atomic.Pointer[func(th int) error]
 
 	// trace, when set, times each Run dispatch on the host clock and
@@ -40,7 +45,7 @@ type Pool struct {
 	runErr error
 }
 
-// PanicError is a worker panic recovered by Run, carrying the worker's
+// PanicError is a simulated thread's panic recovered by Run, carrying the
 // thread id and stack.
 type PanicError struct {
 	Thread int
@@ -60,24 +65,20 @@ func (p *PanicError) Unwrap() error {
 	return nil
 }
 
-// NewPool starts threads persistent workers. It returns an error for a
-// non-positive thread count instead of panicking, so callers constructing
-// pools from user-supplied configuration can fail gracefully.
-func NewPool(threads int) (*Pool, error) {
-	if threads < 1 {
-		return nil, fmt.Errorf("par: need at least one thread, got %d", threads)
+// NewPool builds a pool from a bare thread count: one simulated node of
+// threads cores, so Run is always a loop on the caller. It returns an
+// error for a non-positive count instead of panicking, so callers
+// constructing pools from user-supplied configuration can fail gracefully.
+func NewPool(threads int) (*Pool, error) { return NewNodePool(1, threads) }
+
+// NewNodePool builds a pool for a simulated machine of nodes NUMA nodes
+// with coresPerNode threads each; thread th belongs to node
+// th/coresPerNode.
+func NewNodePool(nodes, coresPerNode int) (*Pool, error) {
+	if nodes < 1 || coresPerNode < 1 {
+		return nil, fmt.Errorf("par: need at least one thread, got %d nodes of %d", nodes, coresPerNode)
 	}
-	p := &Pool{n: threads, start: make([]chan func(int), threads)}
-	for i := range p.start {
-		p.start[i] = make(chan func(int), 1)
-		go func(th int) {
-			for fn := range p.start[th] {
-				fn(th)
-				p.wg.Done()
-			}
-		}(i)
-	}
-	return p, nil
+	return &Pool{nodes: nodes, cpn: coresPerNode}, nil
 }
 
 // MustNewPool is NewPool panicking on error, for statically valid
@@ -90,13 +91,14 @@ func MustNewPool(threads int) *Pool {
 	return p
 }
 
-// Threads returns the worker count.
-func (p *Pool) Threads() int { return p.n }
+// Threads returns the simulated thread count.
+func (p *Pool) Threads() int { return p.nodes * p.cpn }
 
 // SetHook installs (or, with nil, removes) the per-dispatch fault hook.
-// The hook runs on each worker before the phase function: returning an
-// error makes that worker skip its share of the phase and Run report the
-// error; a panic inside the hook is recovered like any worker panic.
+// The hook runs before each simulated thread's body: returning an error
+// makes that thread skip its share of the phase and Run report the error;
+// a panic inside the hook is recovered like any thread panic. A hook that
+// sleeps delays the threads that follow on the same host worker.
 func (p *Pool) SetHook(h func(th int) error) {
 	if h == nil {
 		p.hook.Store(nil)
@@ -123,77 +125,108 @@ func (p *Pool) setErr(err error) {
 	p.errMu.Unlock()
 }
 
-// Run executes fn(th) on every worker and blocks until all finish. A
-// worker panic is recovered into a *PanicError (first failure wins) so one
-// crashing worker cannot take down the process; the remaining workers
-// still complete the phase, keeping the pool reusable.
+// Run executes fn(th) for every simulated thread on the node-owning host
+// workers and blocks until all finish. A panic in one thread's body is
+// recovered into a *PanicError (first failure wins) so one crashing
+// thread cannot take down the process; every other thread, including
+// those that follow it on the same host worker, still completes the
+// phase. Thread bodies must not wait on each other: threads sharing a
+// host worker run one after another (see RunConcurrent).
 func (p *Pool) Run(fn func(th int)) error {
-	p.runErr = nil
-	hook := p.hook.Load()
-	wrapped := func(th int) {
-		defer func() {
-			if r := recover(); r != nil {
-				p.setErr(&PanicError{Thread: th, Value: r, Stack: debug.Stack()})
-			}
-		}()
-		if hook != nil {
-			if err := (*hook)(th); err != nil {
-				p.setErr(err)
-				return
-			}
-		}
-		fn(th)
-	}
-	tr := p.trace.Load()
-	var dispatched float64
-	if tr != nil {
-		dispatched = obs.NowMicros()
-	}
-	p.wg.Add(p.n)
-	for i := range p.start {
-		p.start[i] <- wrapped
-	}
-	p.wg.Wait()
-	if tr != nil {
-		tr.Span("par", "pool.run", obs.PidHost, dispatched, obs.NowMicros()-dispatched,
-			-1, int64(p.n), "")
-	}
-	return p.runErr
+	return p.dispatch(fn, p.nodes, min(runtime.GOMAXPROCS(0), p.nodes))
 }
 
 // RunCtx is Run honouring context cancellation: a context already
 // cancelled skips the dispatch entirely, and a cancellation that arrives
-// during the phase is reported after the join (workers are cooperative;
-// they are never preempted mid-phase).
+// during the phase is reported after the join (thread bodies are
+// cooperative; they are never preempted mid-phase).
 func (p *Pool) RunCtx(ctx context.Context, fn func(th int)) error {
+	return p.dispatchCtx(ctx, fn, p.nodes, min(runtime.GOMAXPROCS(0), p.nodes))
+}
+
+// RunConcurrent is RunCtx with one goroutine per simulated thread, spawned
+// for this phase only. It is the entry point for bodies that wait on each
+// other mid-phase (a real barrier, a shared worklist) and so cannot share
+// a host worker.
+func (p *Pool) RunConcurrent(ctx context.Context, fn func(th int)) error {
+	return p.dispatchCtx(ctx, fn, p.Threads(), p.Threads())
+}
+
+func (p *Pool) dispatchCtx(ctx context.Context, fn func(th int), units, w int) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	runErr := p.Run(fn)
+	runErr := p.dispatch(fn, units, w)
 	if err := ctx.Err(); err != nil && runErr == nil {
 		return err
 	}
 	return runErr
 }
 
-// Close terminates the workers. The pool must be idle. Close is
-// idempotent.
-func (p *Pool) Close() {
-	p.once.Do(func() {
-		for i := range p.start {
-			close(p.start[i])
-		}
-	})
+// dispatch splits the threads into units equal blocks and runs them on w
+// host workers: worker i takes blocks [i*units/w, (i+1)*units/w).
+func (p *Pool) dispatch(fn func(th int), units, w int) error {
+	p.runErr = nil
+	hook := p.hook.Load()
+	tr := p.trace.Load()
+	var dispatched float64
+	if tr != nil {
+		dispatched = obs.NowMicros()
+	}
+	per := p.Threads() / units
+	p.wg.Add(w - 1)
+	for i := 1; i < w; i++ {
+		go func(lo, hi int) {
+			defer p.wg.Done()
+			p.runThreads(lo, hi, hook, fn)
+		}(i*units/w*per, (i+1)*units/w*per)
+	}
+	p.runThreads(0, units/w*per, hook, fn)
+	p.wg.Wait()
+	// The join is a scheduling point even when nothing was handed off:
+	// without it a run of phases is one unbroken loop, and on a single P
+	// the GC's fractional mark worker waits for the 10 ms preemption
+	// tick while the mutator allocates past the heap goal.
+	runtime.Gosched()
+	if tr != nil {
+		tr.Span("par", "pool.run", obs.PidHost, dispatched, obs.NowMicros()-dispatched,
+			-1, int64(p.Threads()), "")
+	}
+	return p.runErr
 }
+
+// runThreads is one host worker's share: threads [lo, hi) in ascending id.
+func (p *Pool) runThreads(lo, hi int, hook *func(th int) error, fn func(th int)) {
+	for th := lo; th < hi; th++ {
+		p.runThread(th, hook, fn)
+	}
+}
+
+func (p *Pool) runThread(th int, hook *func(th int) error, fn func(th int)) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.setErr(&PanicError{Thread: th, Value: r, Stack: debug.Stack()})
+		}
+	}()
+	if hook != nil {
+		if err := (*hook)(th); err != nil {
+			p.setErr(err)
+			return
+		}
+	}
+	fn(th)
+}
+
+// Close is a no-op: the pool holds no goroutines between phases.
+func (p *Pool) Close() {}
 
 // Strided deterministically assigns chunks of [0, n) to threads in
 // round-robin order: thread th processes chunks th, th+threads,
 // th+2*threads, ...
 //
-// Engines use this instead of the dynamic Chunker: on a host with fewer
-// CPUs than simulated threads, dynamic chunk grabbing degenerates (one
-// goroutine drains the queue before the others are scheduled), which
-// would concentrate the simulated charge on a single thread. Striding
+// Engines use this instead of dynamic chunk grabbing: simulated threads
+// that share a host worker run one after another, so the first would
+// drain the queue and concentrate the simulated charge on itself. Striding
 // reproduces the balanced distribution that dynamic scheduling achieves
 // on real hardware, and makes runs deterministic.
 type Strided struct {
@@ -201,16 +234,10 @@ type Strided struct {
 	threads  int
 }
 
-// NewStrided covers [0, n) in chunks of the given size (minimum 1) across
-// threads workers.
-func NewStrided(n, chunk int64, threads int) *Strided {
-	s := MakeStrided(n, chunk, threads)
-	return &s
-}
-
-// MakeStrided is NewStrided returning the schedule by value: phase hot
-// paths build one per phase without allocating (the schedule is three
-// words), and layouts embed cached schedules directly.
+// MakeStrided covers [0, n) in chunks of the given size (minimum 1) across
+// threads workers. The schedule is a three-word value: phase hot paths
+// build one per phase without allocating, and layouts embed cached
+// schedules directly.
 func MakeStrided(n, chunk int64, threads int) Strided {
 	if chunk < 1 {
 		chunk = 1
@@ -241,33 +268,4 @@ func ChunkSize(n int64, threads int) int64 {
 		c = 64
 	}
 	return c
-}
-
-// Chunker hands out [lo, hi) work chunks from [0, n) to competing
-// threads; Next is safe for concurrent use.
-type Chunker struct {
-	next  atomic.Int64
-	n     int64
-	chunk int64
-}
-
-// NewChunker covers [0, n) in chunks of the given size (minimum 1).
-func NewChunker(n, chunk int64) *Chunker {
-	if chunk < 1 {
-		chunk = 1
-	}
-	return &Chunker{n: n, chunk: chunk}
-}
-
-// Next returns the next chunk, or ok=false when the range is exhausted.
-func (c *Chunker) Next() (lo, hi int64, ok bool) {
-	lo = c.next.Add(c.chunk) - c.chunk
-	if lo >= c.n {
-		return 0, 0, false
-	}
-	hi = lo + c.chunk
-	if hi > c.n {
-		hi = c.n
-	}
-	return lo, hi, true
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 var errStub = errors.New("stub fault")
@@ -96,62 +95,5 @@ func TestPoolHookErrors(t *testing.T) {
 	p.SetHook(nil)
 	if err := p.Run(func(int) {}); err != nil {
 		t.Fatalf("cleared hook must not error: %v", err)
-	}
-}
-
-func TestChunkerCoversExactly(t *testing.T) {
-	f := func(nRaw, cRaw uint16) bool {
-		n := int64(nRaw % 2000)
-		chunk := int64(cRaw % 64)
-		c := NewChunker(n, chunk)
-		covered := make([]bool, n)
-		for {
-			lo, hi, ok := c.Next()
-			if !ok {
-				break
-			}
-			for i := lo; i < hi; i++ {
-				if covered[i] {
-					return false // overlap
-				}
-				covered[i] = true
-			}
-		}
-		for _, b := range covered {
-			if !b {
-				return false // gap
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChunkerConcurrent(t *testing.T) {
-	const n = 100000
-	c := NewChunker(n, 64)
-	p := MustNewPool(8)
-	defer p.Close()
-	var total atomic.Int64
-	p.Run(func(int) {
-		for {
-			lo, hi, ok := c.Next()
-			if !ok {
-				return
-			}
-			total.Add(hi - lo)
-		}
-	})
-	if total.Load() != n {
-		t.Fatalf("covered %d of %d", total.Load(), n)
-	}
-}
-
-func TestChunkerEmpty(t *testing.T) {
-	c := NewChunker(0, 16)
-	if _, _, ok := c.Next(); ok {
-		t.Fatal("empty chunker must yield nothing")
 	}
 }

@@ -10,7 +10,7 @@ func TestStridedCoversExactly(t *testing.T) {
 		n := int64(nRaw % 3000)
 		chunk := int64(cRaw % 100)
 		threads := 1 + int(tRaw%16)
-		s := NewStrided(n, chunk, threads)
+		s := MakeStrided(n, chunk, threads)
 		covered := make([]int, n)
 		for th := 0; th < threads; th++ {
 			s.Do(th, func(lo, hi int64) {
@@ -35,7 +35,7 @@ func TestStridedCoversExactly(t *testing.T) {
 }
 
 func TestStridedDeterministic(t *testing.T) {
-	s := NewStrided(1000, 64, 4)
+	s := MakeStrided(1000, 64, 4)
 	var a, b []int64
 	s.Do(2, func(lo, hi int64) { a = append(a, lo, hi) })
 	s.Do(2, func(lo, hi int64) { b = append(b, lo, hi) })
@@ -52,7 +52,7 @@ func TestStridedDeterministic(t *testing.T) {
 func TestStridedRoundRobin(t *testing.T) {
 	// With chunk=1 and 4 threads, thread t gets exactly indices
 	// t, t+4, t+8, ...
-	s := NewStrided(10, 1, 4)
+	s := MakeStrided(10, 1, 4)
 	var got []int64
 	s.Do(1, func(lo, hi int64) { got = append(got, lo) })
 	want := []int64{1, 5, 9}
@@ -68,7 +68,7 @@ func TestStridedRoundRobin(t *testing.T) {
 
 func TestStridedBalance(t *testing.T) {
 	// Chunk counts across threads differ by at most one.
-	s := NewStrided(100000, 16, 7)
+	s := MakeStrided(100000, 16, 7)
 	counts := make([]int64, 7)
 	for th := 0; th < 7; th++ {
 		s.Do(th, func(lo, hi int64) { counts[th] += hi - lo })
@@ -88,9 +88,9 @@ func TestStridedBalance(t *testing.T) {
 }
 
 func TestStridedDegenerateInputs(t *testing.T) {
-	s := NewStrided(0, 10, 3)
+	s := MakeStrided(0, 10, 3)
 	s.Do(0, func(lo, hi int64) { t.Fatal("empty range must not iterate") })
-	s = NewStrided(5, 0, 0) // clamps to chunk=1, threads=1
+	s = MakeStrided(5, 0, 0) // clamps to chunk=1, threads=1
 	var total int64
 	s.Do(0, func(lo, hi int64) { total += hi - lo })
 	if total != 5 {

@@ -63,9 +63,10 @@ func (h Hints) Normalize() Hints {
 	return h
 }
 
-// Engine is the scatter-gather engine contract. Implementations execute
-// real parallel computation over worker goroutines while charging their
-// classified memory traffic to the simulated NUMA machine.
+// Engine is the scatter-gather engine contract. Implementations compute
+// real results, scheduling the machine's simulated threads onto host
+// workers (package par), while charging their classified memory traffic
+// to the simulated NUMA machine.
 type Engine interface {
 	// Graph returns the input graph.
 	Graph() *graph.Graph

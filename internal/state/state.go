@@ -12,6 +12,7 @@ package state
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -345,8 +346,8 @@ func (b *Builder) Add(th int, v uint32) {
 	}
 }
 
-// Build seals the builder into a Subset. Sparse queues are routed to their
-// owning node's leaf, de-duplicated and sorted.
+// Build seals the builder into a Subset. Sparse queues are merged, sorted,
+// de-duplicated and split into their owning nodes' leaves.
 func (b *Builder) Build() *Subset {
 	nodes := len(b.bounds) - 1
 	degree := int64(-1)
@@ -365,31 +366,37 @@ func (b *Builder) Build() *Subset {
 		}
 		return s
 	}
-	s := &Subset{bounds: b.bounds, degree: degree, lists: make([][]uint32, nodes)}
-	for p := range s.lists {
-		s.lists[p] = []uint32{}
-	}
+	// Partitions are contiguous id ranges, so one sort over every queue
+	// leaves each node's vertices adjacent: a single backing array, sized
+	// once, is carved into the per-node leaves.
+	total := 0
 	for _, q := range b.queues {
-		for _, v := range q {
-			p := nodeOf(b.bounds, v)
-			s.lists[p] = append(s.lists[p], v)
+		total += len(q)
+	}
+	all := make([]uint32, 0, total)
+	for _, q := range b.queues {
+		all = append(all, q...)
+	}
+	slices.Sort(all)
+	// De-duplicate in place; duplicates were counted once per Add, so
+	// their degree is subtracted to keep the cached sum exact.
+	out := all[:0]
+	for i, v := range all {
+		if i == 0 || v != all[i-1] {
+			out = append(out, v)
+		} else if b.degreeOf != nil {
+			degree -= b.degreeOf(v)
 		}
 	}
-	for p := 0; p < nodes; p++ {
-		l := s.lists[p]
-		sort.Slice(l, func(i, j int) bool { return l[i] < l[j] })
-		// De-duplicate in place; duplicates were counted once per Add, so
-		// their degree is subtracted to keep the cached sum exact.
-		out := l[:0]
-		for i, v := range l {
-			if i == 0 || v != l[i-1] {
-				out = append(out, v)
-			} else if b.degreeOf != nil {
-				s.degree -= b.degreeOf(v)
-			}
+	s := &Subset{bounds: b.bounds, degree: degree, count: int64(len(out)), lists: make([][]uint32, nodes)}
+	lo := 0
+	for p := range s.lists {
+		hi := lo
+		for hi < len(out) && int(out[hi]) < b.bounds[p+1] {
+			hi++
 		}
-		s.lists[p] = out
-		s.count += int64(len(out))
+		s.lists[p] = out[lo:hi:hi]
+		lo = hi
 	}
 	return s
 }

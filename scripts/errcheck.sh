@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 
 # Bare statement calls: line starts with optional indentation, then the
 # call itself, with no assignment, return, go, defer or if wrapping it.
-pattern='^[[:space:]]*[a-zA-Z0-9_]+(\.[a-zA-Z0-9_]+(\(\))?)*\.(Grow|Run)\(|^[[:space:]]*(par\.NewPool|core\.New|ligra\.New|xstream\.New|galois\.New|numa\.NewMachineChecked)\('
+pattern='^[[:space:]]*[a-zA-Z0-9_]+(\.[a-zA-Z0-9_]+(\(\))?)*\.(Grow|Run|RunCtx|RunConcurrent)\(|^[[:space:]]*(par\.NewPool|par\.NewNodePool|core\.New|ligra\.New|xstream\.New|galois\.New|numa\.NewMachineChecked)\('
 
 bad=$(grep -rnE "$pattern" --include='*.go' cmd internal examples \
 	| grep -v '_test\.go' \
