@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-serving trace conform conform-nightly mutate-soak cluster-soak cluster-sweep plan plan-sweep tier-sweep
+.PHONY: build test check bench-serving trace conform conform-nightly mutate-soak cluster-soak cluster-sweep plan plan-sweep tier-sweep
 
 build:
 	$(GO) build ./...
@@ -11,7 +11,7 @@ test:
 # Full health check: vet + errcheck + race-detector pass over the packages
 # that share phase-scoped scratch arenas across host workers + the
 # fault-injection matrix under -race + the determinism gate (-cpu 1,2,8,
-# simdump twice) + full suite.
+# simdump golden) + full suite.
 check:
 	sh scripts/check.sh
 
@@ -52,10 +52,6 @@ cluster-soak:
 # and per-hop traffic evidence from each kernel's largest run.
 cluster-sweep:
 	$(GO) run ./cmd/numabench -machines 1,2,4,8 -graph powerlaw -scale huge
-
-# Host wall-clock hot-path benchmarks (compare against BENCH_baseline.json).
-bench:
-	$(GO) test -bench HotPath -benchmem -benchtime 20x -count 3 -run '^$$' .
 
 # Serving-layer benchmark: the same duplicate-heavy Zipf schedule against
 # a server with the execution-reuse layer (coalescing + batching + result

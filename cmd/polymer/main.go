@@ -26,7 +26,6 @@ import (
 
 	"polymer/internal/bench"
 	"polymer/internal/cluster"
-	"polymer/internal/core"
 	"polymer/internal/fault"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
@@ -293,7 +292,11 @@ func main() {
 			if sys == bench.Polymer && d.Pick.Placement != mem.CoLocated {
 				layout, layoutSet = d.Pick.Placement, true
 			}
-			fmt.Printf("planned    : %s (predicted %.6f s)\n", d.Pick, d.Predicted)
+			if len(d.Table) == 0 {
+				fmt.Printf("planned    : %s (%s is outside the planner's coverage: native fallback)\n", d.Pick, alg)
+			} else {
+				fmt.Printf("planned    : %s (predicted %.6f s)\n", d.Pick, d.Predicted)
+			}
 		}
 	}
 
@@ -307,14 +310,15 @@ func main() {
 		}
 	}
 
+	// One options value carries the source, the tracer, the planner's
+	// placement and the phase trace into whichever path runs.
+	opt := bench.Options{Src: src, Tracer: tr, Layout: layout, LayoutSet: layoutSet, Phases: *phasesFlag}
 	wall := time.Now()
 	var (
-		r      bench.RunResult
-		phases []core.PhaseRecord
-		rep    *bench.ResilienceReport
+		r   bench.RunResult
+		rep *bench.ResilienceReport
 	)
-	switch {
-	case *faultFlag != "" || *faultSeedFlag != 0:
+	if *faultFlag != "" || *faultSeedFlag != 0 {
 		var evs []*fault.Event
 		if *faultFlag != "" {
 			evs, err = fault.ParseSpec(*faultFlag)
@@ -324,7 +328,6 @@ func main() {
 		} else {
 			evs = fault.Schedule(*faultSeedFlag, 5, sockets*cores, sockets)
 		}
-		inj := fault.NewInjector(evs)
 		mk := func() *numa.Machine {
 			fm := numa.NewMachine(topo, sockets, cores)
 			if tierCfg.Tiered() {
@@ -334,12 +337,9 @@ func main() {
 			}
 			return fm
 		}
-		opt := bench.ResilientOptions{MaxRestarts: *faultRetriesFlag, SessionRetries: -1, Src: src, Tracer: tr}
-		if layoutSet {
-			opt.Layout, opt.LayoutSet = layout, true
-		}
+		ropt := bench.ResilientOptions{MaxRestarts: *faultRetriesFlag, SessionRetries: -1, Options: opt}
 		var rr bench.ResilienceReport
-		r, rr, err = bench.RunResilientCtx(context.Background(), sys, alg, g, mk, inj, opt)
+		r, rr, err = bench.RunResilientCtx(context.Background(), sys, alg, g, mk, fault.NewInjector(evs), ropt)
 		if err != nil {
 			// The report still records every rollback and restart attempted
 			// before the retry budget ran out — print it so a failed run is
@@ -348,18 +348,10 @@ func main() {
 			fail("%v", err)
 		}
 		rep = &rr
-	case layoutSet:
-		// The planner chose a non-native placement; the placed entry point
-		// carries the layout through to the engine.
-		r, err = bench.RunPlacedFrom(sys, alg, g, m, src, layout)
-		if err != nil {
-			fail("%v", err)
-		}
-	case *phasesFlag && sys == bench.Polymer:
-		r, phases = bench.RunPolymerTraced(alg, g, m, src)
-	default:
-		r = bench.RunWithTracer(sys, alg, g, m, src, tr)
+	} else if r, err = bench.RunWith(sys, alg, g, m, opt); err != nil {
+		fail("%v", err)
 	}
+	phases := r.Phases
 	elapsed := time.Since(wall)
 
 	fmt.Printf("system     : %s\n", sys)

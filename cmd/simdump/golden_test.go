@@ -1,0 +1,56 @@
+//go:build amd64
+
+package main
+
+import (
+	"context"
+	"os"
+	"runtime"
+	"strings"
+	"testing"
+
+	"polymer/internal/bench"
+	"polymer/internal/gen"
+	"polymer/internal/graph"
+	"polymer/internal/numa"
+)
+
+// TestGolden holds the simulated clock of all 24 cells to the bytes
+// testdata/tiny.golden recorded (GOMAXPROCS=1 go run ./cmd/simdump, where
+// a phase is a plain loop and the output is byte-stable): a structural
+// change must not move them. Every session-capable cell must also print
+// the same line through the resilient path with nothing injected.
+func TestGolden(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	golden, err := os.ReadFile("testdata/tiny.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.SplitAfter(string(golden), "\n")
+	if len(want) != 25 || want[24] != "" {
+		t.Fatalf("golden holds %d lines, want 24", len(want)-1)
+	}
+	i := 0
+	err = cells(gen.Tiny, func(sys bench.System, alg bench.Algo, g *graph.Graph, mk func() *numa.Machine) error {
+		if got := line(bench.RunFrom(sys, alg, g, mk(), 0)); got != want[i] {
+			t.Errorf("plain run drifted from the golden:\n got %s\nwant %s", got, want[i])
+		}
+		if bench.SessionCapable(sys, alg) {
+			r, _, err := bench.RunResilientCtx(context.Background(), sys, alg, g, mk, nil, bench.ResilientOptions{SessionRetries: -1})
+			if err != nil {
+				return err
+			}
+			if got := line(r); got != want[i] {
+				t.Errorf("resilient run differs from the plain one:\n got %s\nwant %s", got, want[i])
+			}
+		}
+		i++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i != 24 {
+		t.Fatalf("visited %d cells, want 24", i)
+	}
+}

@@ -31,7 +31,7 @@ func main() {
 		fmt.Printf("%-10d", sockets)
 		for _, sys := range bench.Systems() {
 			m := numa.NewMachine(topo, sockets, topo.CoresPerSocket)
-			r := bench.Run(sys, bench.PR, g, m)
+			r := bench.RunFrom(sys, bench.PR, g, m, 0)
 			if sockets == 1 {
 				base[sys] = r.SimSeconds
 			}

@@ -1,14 +1,13 @@
 package algorithms
 
 import (
-	"polymer/internal/engines/xstream"
 	"polymer/internal/graph"
 	"polymer/internal/sg"
 	"polymer/internal/state"
 )
 
-// This file exports the PageRank iteration pieces so the hot-path
-// benchmark suite (bench_hotpath_test.go) can drive exactly the loop body
+// This file exports the PageRank iteration pieces so the allocation-budget
+// tests (hotpath_regression_test.go) can drive exactly the loop body
 // algorithms.PageRank runs, one iteration at a time.
 
 // PRHints returns the Hints PageRank passes to EdgeMap.
@@ -60,37 +59,3 @@ func (k *PRKernel) Iteration(e sg.Engine, all *state.Subset) {
 	})
 	k.Swap()
 }
-
-// XSPRKernel is the exported X-Stream PageRank kernel.
-type XSPRKernel struct {
-	xsPR
-}
-
-// NewXSPRKernel allocates PageRank state on the X-Stream engine e.
-func NewXSPRKernel(e *xstream.Engine, damping float64) *XSPRKernel {
-	g := e.Graph()
-	n := g.NumVertices()
-	currA, nextA := e.NewData("pr/curr"), e.NewData("pr/next")
-	k := &XSPRKernel{xsPR: xsPR{
-		curr: currA.Data, next: nextA.Data,
-		base: (1 - damping) / float64(n), damping: damping,
-	}}
-	k.invOut = make([]float64, n)
-	for v := 0; v < n; v++ {
-		k.curr[v] = 1 / float64(n)
-		if d := g.OutDegree(graph.Vertex(v)); d > 0 {
-			k.invOut[v] = 1 / float64(d)
-		}
-	}
-	return k
-}
-
-// Apply runs the normalisation phase body on v.
-func (k *XSPRKernel) Apply(v graph.Vertex) bool {
-	k.next[v] = k.base + k.damping*k.next[v]
-	k.curr[v] = 0
-	return true
-}
-
-// Swap exchanges the rank arrays for the next iteration.
-func (k *XSPRKernel) Swap() { k.curr, k.next = k.next, k.curr }

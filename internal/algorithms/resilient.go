@@ -18,23 +18,14 @@ import (
 
 // PageRankE is the fault-session-capable PageRank.
 func PageRankE(e sg.Engine, iters int, damping float64, sess *fault.Session) ([]float64, error) {
-	return pageRankRun(e, iters, damping, nil, sess)
+	return PageRankFrom(e, iters, damping, nil, sess)
 }
 
-// PageRankFrom runs PageRank seeded with an existing rank vector; the
-// degradation harness uses it to continue a run on a rebuilt engine after
-// a permanent node failure.
-func PageRankFrom(e sg.Engine, iters int, damping float64, init []float64) []float64 {
-	out, err := pageRankRun(e, iters, damping, init, nil)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// pageRankRun is the shared PageRank driver behind PageRank, PageRankE
-// and PageRankFrom.
-func pageRankRun(e sg.Engine, iters int, damping float64, init []float64, sess *fault.Session) ([]float64, error) {
+// PageRankFrom is the PageRank driver behind PageRank and PageRankE,
+// seeded with an existing rank vector when init is non-nil: the
+// degradation harness continues a run on a rebuilt engine after a
+// permanent node failure with it.
+func PageRankFrom(e sg.Engine, iters int, damping float64, init []float64, sess *fault.Session) ([]float64, error) {
 	g := e.Graph()
 	n := g.NumVertices()
 	if n == 0 {

@@ -11,7 +11,7 @@ import (
 // scatter-gather engine (the paper's Algorithm 4.1, measured over the
 // first five iterations as in Section 6.2) and returns the ranks.
 func PageRank(e sg.Engine, iters int, damping float64) []float64 {
-	out, err := pageRankRun(e, iters, damping, nil, nil)
+	out, err := PageRankFrom(e, iters, damping, nil, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -220,7 +220,7 @@ func TestRunChecksumsAgreeAcrossSystems(t *testing.T) {
 		var ref float64
 		for i, sys := range Systems() {
 			m := numa.NewMachine(topo, 2, 2)
-			r := Run(sys, alg, g, m)
+			r := RunFrom(sys, alg, g, m, 0)
 			if i == 0 {
 				ref = r.Checksum
 				continue

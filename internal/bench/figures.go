@@ -47,7 +47,7 @@ func CoreScaling(t *numa.Topology, sc gen.Scale, systems []System) ([]ScaleSerie
 		s := ScaleSeries{System: sys}
 		for cores := 1; cores <= t.CoresPerSocket; cores++ {
 			m := numa.NewMachine(t, 1, cores)
-			r := Run(sys, PR, g, m)
+			r := RunFrom(sys, PR, g, m, 0)
 			s.Points = append(s.Points, ScalePoint{X: cores, Seconds: r.SimSeconds})
 		}
 		out = append(out, s)
@@ -67,7 +67,7 @@ func SocketScaling(t *numa.Topology, sc gen.Scale, alg Algo, systems []System) (
 		s := ScaleSeries{System: sys}
 		for sockets := 1; sockets <= t.Sockets; sockets++ {
 			m := numa.NewMachine(t, sockets, t.CoresPerSocket)
-			r := Run(sys, alg, g, m)
+			r := RunFrom(sys, alg, g, m, 0)
 			s.Points = append(s.Points, ScalePoint{X: sockets, Seconds: r.SimSeconds})
 		}
 		out = append(out, s)
@@ -136,7 +136,7 @@ func Figure11(t *numa.Topology, sc gen.Scale) (*Fig11Result, error) {
 		opt.Mode = core.Push
 		opt.EdgeBalanced = balanced
 		e := core.MustNew(g, m, opt)
-		runSG(e, PR, 0)
+		driveSG(e, PR)
 		perThread := e.ThreadSeconds()
 		perSocket := make([]float64, t.Sockets)
 		for th, s := range perThread {

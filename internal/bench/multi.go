@@ -9,19 +9,16 @@ import (
 	"context"
 	"fmt"
 
-	"polymer/internal/algorithms"
-	"polymer/internal/core"
-	"polymer/internal/engines/ligra"
-	"polymer/internal/fault"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
 	"polymer/internal/obs"
-	"polymer/internal/sg"
 )
 
-// MultiResult is one multi-source sweep: a per-source result checksum
-// (index-aligned with the sources) plus the shared run accounting.
+// MultiResult is one multi-source sweep: per-source outputs and result
+// checksums (index-aligned with the sources) plus the shared run
+// accounting.
 type MultiResult struct {
+	Outs       []Output
 	PerSource  []float64
 	SimSeconds float64
 	PeakBytes  int64
@@ -33,58 +30,21 @@ type MultiResult struct {
 // (the conformance harness asserts the stronger per-vertex property).
 // Worker panics are contained and surface as the returned error.
 func RunMultiSourceCtx(ctx context.Context, sys System, alg Algo, g *graph.Graph, mk func() *numa.Machine, srcs []graph.Vertex, tr *obs.Tracer) (MultiResult, error) {
-	if alg != BFS && alg != SSSP {
-		return MultiResult{}, fmt.Errorf("bench: multi-source %s unsupported (want BFS or SSSP)", alg)
-	}
-	if sys != Polymer && sys != Ligra {
-		return MultiResult{}, fmt.Errorf("bench: multi-source %s unsupported on %s (want Polymer or Ligra)", alg, sys)
-	}
-	var r MultiResult
-	m := mk()
-	err := fault.Catch(func() error {
-		var e sg.Engine
-		if sys == Polymer {
-			ce, err := core.New(g, m, core.DefaultOptions())
-			if err != nil {
-				return err
-			}
-			ce.SetTracer(tr)
-			e = ce
-		} else {
-			le, err := ligra.New(g, m, ligra.DefaultOptions())
-			if err != nil {
-				return err
-			}
-			le.SetTracer(tr)
-			e = le
-		}
-		defer e.Close()
-		e.(fault.Engine).SetContext(ctx)
-		r.PerSource = make([]float64, len(srcs))
-		switch alg {
-		case BFS:
-			levels, err := algorithms.MultiBFS(e, srcs)
-			if err != nil {
-				return err
-			}
-			for i := range levels {
-				r.PerSource[i] = sumI(levels[i])
-			}
-		case SSSP:
-			dist, err := algorithms.MultiSSSP(e, srcs)
-			if err != nil {
-				return err
-			}
-			for i := range dist {
-				r.PerSource[i] = sumFinite(dist[i])
-			}
-		}
-		r.SimSeconds = e.SimSeconds()
-		r.PeakBytes = m.Alloc().Peak()
-		return nil
-	})
+	s, err := newSpec(sys, alg, g, Options{Tracer: tr})
 	if err != nil {
 		return MultiResult{}, err
 	}
-	return r, nil
+	if s.cell.multi == nil {
+		return MultiResult{}, fmt.Errorf("bench: multi-source %s on %s: %w", alg, sys, ErrUnsupported)
+	}
+	s.ctx, s.multi, s.srcs = ctx, true, srcs
+	r, _, err := run(s, mk())
+	if err != nil {
+		return MultiResult{}, err
+	}
+	mr := MultiResult{Outs: r.Out.PerSource, SimSeconds: r.SimSeconds, PeakBytes: r.PeakBytes}
+	for _, o := range mr.Outs {
+		mr.PerSource = append(mr.PerSource, o.Checksum())
+	}
+	return mr, nil
 }

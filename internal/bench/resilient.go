@@ -5,18 +5,10 @@ import (
 	"errors"
 	"fmt"
 
-	"polymer/internal/algorithms"
-	"polymer/internal/core"
-	"polymer/internal/engines/galois"
-	"polymer/internal/engines/ligra"
-	"polymer/internal/engines/xstream"
 	"polymer/internal/fault"
 	"polymer/internal/graph"
-	"polymer/internal/mem"
 	"polymer/internal/numa"
-	"polymer/internal/obs"
 	"polymer/internal/partition"
-	"polymer/internal/sg"
 )
 
 // ResilienceReport summarises how a resilient run coped with its injected
@@ -37,23 +29,6 @@ func (r ResilienceReport) Format() string {
 	return s
 }
 
-// RunResilient executes one system x algorithm cell under an injected
-// fault schedule, recovering transient faults via checkpoint/restart so
-// the committed simulated result is bit-identical to a fault-free run.
-// mk builds a fresh machine per attempt: a setup-time allocation failure
-// (spec "alloc@-1") is recovered by whole-run restart, which discards the
-// partially charged machine. PR is supported on all four systems; BFS and
-// SSSP on the scatter-gather systems (Polymer, Ligra).
-func RunResilient(sys System, alg Algo, g *graph.Graph, mk func() *numa.Machine, inj *fault.Injector, maxRestarts int) (RunResult, ResilienceReport, error) {
-	return RunResilientFrom(sys, alg, g, mk, inj, maxRestarts, 0)
-}
-
-// RunResilientFrom is RunResilient with an explicit traversal source.
-func RunResilientFrom(sys System, alg Algo, g *graph.Graph, mk func() *numa.Machine, inj *fault.Injector, maxRestarts int, src graph.Vertex) (RunResult, ResilienceReport, error) {
-	opt := ResilientOptions{MaxRestarts: maxRestarts, SessionRetries: -1, Src: src}
-	return RunResilientCtx(context.Background(), sys, alg, g, mk, inj, opt)
-}
-
 // ResilientOptions tunes one resilient execution.
 type ResilientOptions struct {
 	// MaxRestarts caps whole-run restarts (setup faults, steps that
@@ -64,32 +39,38 @@ type ResilientOptions struct {
 	// negative keeps the session default (3), 0 fails a step on its first
 	// faulted attempt.
 	SessionRetries int
-	// Src is the traversal source for BFS.
-	Src graph.Vertex
-	// Tracer, when non-nil, is installed on the engine of every attempt,
-	// so the flight recorder sees checkpoints, rollbacks and replays too.
-	Tracer *obs.Tracer
-	// Layout, when LayoutSet, overrides the Polymer engine's vertex-state
-	// placement (the planner's placement=auto path). The baselines are
-	// interleaved-native and ignore it.
-	Layout    mem.Placement
-	LayoutSet bool
+	Options
 }
 
-// RunResilientCtx is the resilient runner under a cancellation context:
-// the context is installed on the engine so every parallel phase observes
-// it, and a cancellation mid-run stops charging the simulated clock at
-// the superstep boundary (the partial step's charges are rolled back). A
-// context error is terminal — it is never retried by restart.
+// RunResilientCtx executes one system x algorithm cell under an injected
+// fault schedule (nil: none) and a cancellation context, recovering
+// transient faults via checkpoint/restart so the committed simulated
+// result is bit-identical to a fault-free run. A fault.Session is always
+// attached, so only session-capable cells run (SessionCapable); any other
+// is ErrUnsupported with zero restarts and no machine built. mk builds a
+// fresh machine per attempt: a setup-time allocation failure (spec
+// "alloc@-1") is recovered by whole-run restart, which discards the
+// partially charged machine. The context is installed on the engine so
+// every parallel phase observes it, and a cancellation mid-run stops
+// charging the simulated clock at the superstep boundary (the partial
+// step's charges are rolled back). A context error is terminal — it is
+// never retried by restart.
 func RunResilientCtx(ctx context.Context, sys System, alg Algo, g *graph.Graph, mk func() *numa.Machine, inj *fault.Injector, opt ResilientOptions) (RunResult, ResilienceReport, error) {
 	if inj == nil {
 		inj = fault.NewInjector(nil)
 	}
 	var rep ResilienceReport
+	s, err := newSpec(sys, alg, g, opt.Options)
+	if err == nil {
+		err = s.withSession(ctx, inj, opt.SessionRetries)
+	}
+	if err != nil {
+		return RunResult{}, rep, err
+	}
 	for restart := 0; ; restart++ {
 		m := mk()
 		inj.ArmSetup(m)
-		r, rollbacks, err := runResilientOnce(ctx, sys, alg, g, m, inj, opt)
+		r, rollbacks, err := run(s, m)
 		rep.Rollbacks += rollbacks
 		if err == nil {
 			rep.Log = inj.Log()
@@ -106,153 +87,6 @@ func RunResilientCtx(ctx context.Context, sys System, alg Algo, g *graph.Graph, 
 			return RunResult{}, rep, fmt.Errorf("bench: resilient run failed after %d restart(s): %w", rep.Restarts, err)
 		}
 	}
-}
-
-// newSession pairs an engine with the injector, applying the replay cap.
-func newSession(e fault.Engine, inj *fault.Injector, retries int) *fault.Session {
-	sess := fault.NewSession(e, inj)
-	if retries >= 0 {
-		sess.SetMaxRetries(retries)
-	}
-	return sess
-}
-
-// runResilientOnce is one whole-run attempt. Construction-time panics
-// (a setup allocation failure surfacing inside NewData/trackData) are
-// contained by fault.Catch and reported as the attempt's error.
-func runResilientOnce(ctx context.Context, sys System, alg Algo, g *graph.Graph, m *numa.Machine, inj *fault.Injector, opt ResilientOptions) (RunResult, int, error) {
-	r := RunResult{System: sys, Algo: alg}
-	rollbacks := 0
-	err := fault.Catch(func() error {
-		switch sys {
-		case Polymer, Ligra:
-			var e sg.Engine
-			if sys == Polymer {
-				copt := core.DefaultOptions()
-				if alg.iterated() {
-					copt.Mode = core.Push
-				}
-				if opt.LayoutSet {
-					copt.Layout = opt.Layout
-				}
-				ce, err := core.New(g, m, copt)
-				if err != nil {
-					return err
-				}
-				ce.SetTracer(opt.Tracer)
-				e = ce
-			} else {
-				le, err := ligra.New(g, m, ligra.DefaultOptions())
-				if err != nil {
-					return err
-				}
-				le.SetTracer(opt.Tracer)
-				e = le
-			}
-			defer e.Close()
-			fe := e.(fault.Engine)
-			fe.SetContext(ctx)
-			sess := newSession(fe, inj, opt.SessionRetries)
-			switch alg {
-			case PR:
-				ranks, err := algorithms.PageRankE(e, defaultIters, defaultDamping, sess)
-				if err != nil {
-					return err
-				}
-				r.Checksum = sum(ranks)
-			case SpMV:
-				ys, err := algorithms.SpMVE(e, defaultIters, ones(g.NumVertices()), sess)
-				if err != nil {
-					return err
-				}
-				r.Checksum = sum(ys)
-			case BP:
-				beliefs, err := algorithms.BPE(e, defaultIters, sess)
-				if err != nil {
-					return err
-				}
-				r.Checksum = sum(beliefs)
-			case BFS:
-				levels, err := algorithms.BFSE(e, opt.Src, sess)
-				if err != nil {
-					return err
-				}
-				r.Checksum = sumI(levels)
-			case SSSP:
-				dist, err := algorithms.SSSPE(e, opt.Src, sess)
-				if err != nil {
-					return err
-				}
-				r.Checksum = sumFinite(dist)
-			default:
-				return fmt.Errorf("bench: resilient %s unsupported on %s", alg, sys)
-			}
-			rollbacks = sess.Rollbacks()
-			r.SimSeconds = e.SimSeconds()
-			r.Stats = e.RunStats()
-			r.ThreadSeconds = e.ThreadSeconds()
-		case XStream:
-			if alg != PR {
-				return fmt.Errorf("bench: resilient %s unsupported on %s", alg, sys)
-			}
-			e, err := xstream.New(g, m, xstream.DefaultOptions(), xsHints(alg))
-			if err != nil {
-				return err
-			}
-			defer e.Close()
-			e.SetTracer(opt.Tracer)
-			e.SetContext(ctx)
-			sess := newSession(e, inj, opt.SessionRetries)
-			ranks, err := algorithms.XSPageRankE(e, defaultIters, defaultDamping, sess)
-			if err != nil {
-				return err
-			}
-			r.Checksum = sum(ranks)
-			rollbacks = sess.Rollbacks()
-			r.SimSeconds = e.SimSeconds()
-			r.Stats = e.RunStats()
-		case Galois:
-			if alg != PR {
-				return fmt.Errorf("bench: resilient %s unsupported on %s", alg, sys)
-			}
-			e, err := galois.New(g, m, galois.DefaultOptions())
-			if err != nil {
-				return err
-			}
-			defer e.Close()
-			e.SetTracer(opt.Tracer)
-			e.SetContext(ctx)
-			sess := newSession(e, inj, opt.SessionRetries)
-			ranks, err := e.PageRankE(defaultIters, defaultDamping, sess)
-			if err != nil {
-				return err
-			}
-			r.Checksum = sum(ranks)
-			rollbacks = sess.Rollbacks()
-			r.SimSeconds = e.SimSeconds()
-			r.Stats = e.RunStats()
-		default:
-			return fmt.Errorf("bench: unknown system %q", sys)
-		}
-		r.PeakBytes = m.Alloc().Peak()
-		return nil
-	})
-	return r, rollbacks, err
-}
-
-// ResilientPolymerRanks runs resilient PageRank on the Polymer engine and
-// returns the raw per-vertex rank vector, so tests can compare recovered
-// runs against fault-free ones value-by-value, not just by checksum.
-func ResilientPolymerRanks(g *graph.Graph, m *numa.Machine, inj *fault.Injector) ([]float64, error) {
-	opt := core.DefaultOptions()
-	opt.Mode = core.Push
-	e, err := core.New(g, m, opt)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	sess := fault.NewSession(e, inj)
-	return algorithms.PageRankE(e, defaultIters, defaultDamping, sess)
 }
 
 // DegradedResult reports a Polymer run that lost a NUMA node permanently
@@ -289,37 +123,25 @@ func RunPolymerDegraded(g *graph.Graph, topo *numa.Topology, nodes, coresPerNode
 		return DegradedResult{}, fmt.Errorf("bench: fail step %d out of range [0,%d]", failStep, defaultIters)
 	}
 	failNode %= nodes
-
-	opt := core.DefaultOptions()
-	opt.Mode = core.Push
+	s, err := newSpec(Polymer, PR, g, Options{})
+	if err != nil {
+		return DegradedResult{}, err
+	}
 
 	// Segment 1: the full machine up to the failure.
-	m1 := numa.NewMachine(topo, nodes, coresPerNode)
-	e1, err := core.New(g, m1, opt)
+	s.iters = failStep
+	seg1, _, err := run(s, numa.NewMachine(topo, nodes, coresPerNode))
 	if err != nil {
 		return DegradedResult{}, err
 	}
-	ranks := algorithms.PageRankFrom(e1, failStep, defaultDamping, nil)
-	seg1 := e1.SimSeconds()
-	stats1 := e1.RunStats()
-	peak1 := m1.Alloc().Peak()
-	e1.Close()
 
-	// Node failNode is now gone. Rebuild on the survivors; core.New
-	// re-partitions the vertex space edge-balanced over nodes-1 ranges.
+	// Node failNode is now gone. The lost partition's per-vertex state
+	// (curr+next ranks) is re-read from the checkpoint and written to its
+	// new owners: one interleaved sequential read + write per vertex,
+	// spread over the survivors.
 	m2 := numa.NewMachine(topo, nodes-1, coresPerNode)
-	e2, err := core.New(g, m2, opt)
-	if err != nil {
-		return DegradedResult{}, err
-	}
-	defer e2.Close()
-
-	// The lost partition's per-vertex state (curr+next ranks) is re-read
-	// from the checkpoint and written to its new owners: one interleaved
-	// sequential read + write per vertex, spread over the survivors.
 	lost := partition.EdgeBalanced(g, nodes, partition.In)[failNode]
 	const bytesPerVertex = 16 // two float64 rank arrays
-	migrated := int64(lost.Len()) * bytesPerVertex
 	ep := m2.NewEpoch()
 	threads := m2.Threads()
 	per := (int64(lost.Len()) + int64(threads) - 1) / int64(threads)
@@ -329,20 +151,23 @@ func RunPolymerDegraded(g *graph.Graph, topo *numa.Topology, nodes, coresPerNode
 	}
 	migSecs := ep.Time()
 
-	// Segment 2: continue from the checkpointed ranks on the survivors.
-	out := algorithms.PageRankFrom(e2, defaultIters-failStep, defaultDamping, ranks)
-
-	r := RunResult{System: Polymer, Algo: PR}
-	r.Checksum = sum(out)
-	r.SimSeconds = seg1 + migSecs + e2.SimSeconds()
-	r.Stats = stats1
-	r.Stats.Merge(e2.RunStats())
-	r.PeakBytes = max(peak1, m2.Alloc().Peak())
+	// Segment 2: continue from the checkpointed ranks on the survivors;
+	// the engine re-partitions the vertex space edge-balanced over them.
+	s.iters, s.init = defaultIters-failStep, seg1.Out.F64
+	r, _, err := run(s, m2)
+	if err != nil {
+		return DegradedResult{}, err
+	}
+	r.SimSeconds += seg1.SimSeconds + migSecs
+	stats := seg1.Stats
+	stats.Merge(r.Stats)
+	r.Stats = stats
+	r.PeakBytes = max(seg1.PeakBytes, r.PeakBytes)
 	return DegradedResult{
 		Result:           r,
 		FailedNode:       failNode,
 		FailStep:         failStep,
-		MigratedBytes:    migrated,
+		MigratedBytes:    int64(lost.Len()) * bytesPerVertex,
 		MigrationSeconds: migSecs,
 	}, nil
 }

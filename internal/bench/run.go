@@ -9,19 +9,17 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
-	"polymer/internal/algorithms"
 	"polymer/internal/core"
-	"polymer/internal/engines/galois"
-	"polymer/internal/engines/ligra"
-	"polymer/internal/engines/xstream"
+	"polymer/internal/fault"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/mem"
 	"polymer/internal/numa"
 	"polymer/internal/obs"
-	"polymer/internal/sg"
 )
 
 // System names one of the four evaluated systems.
@@ -38,20 +36,22 @@ const (
 // Systems lists all four in the paper's column order.
 func Systems() []System { return []System{Polymer, Ligra, XStream, Galois} }
 
-// Algo names one of the six evaluation algorithms.
+// Algo names one of the evaluation algorithms.
 type Algo string
 
-// The six algorithms of Section 6.1.
+// The six algorithms of Section 6.1, plus the convergence-driven
+// PageRankDelta the conformance harness also runs.
 const (
-	PR   Algo = "PR"
-	SpMV Algo = "SpMV"
-	BP   Algo = "BP"
-	BFS  Algo = "BFS"
-	CC   Algo = "CC"
-	SSSP Algo = "SSSP"
+	PR      Algo = "PR"
+	SpMV    Algo = "SpMV"
+	BP      Algo = "BP"
+	BFS     Algo = "BFS"
+	CC      Algo = "CC"
+	SSSP    Algo = "SSSP"
+	PRDelta Algo = "PRDelta"
 )
 
-// Algos lists all six in the paper's Table 3 row order.
+// Algos lists the paper's six in its Table 3 row order.
 func Algos() []Algo { return []Algo{PR, SpMV, BP, BFS, CC, SSSP} }
 
 // Weighted reports whether the algorithm needs edge weights (the paper
@@ -63,6 +63,53 @@ func (a Algo) Weighted() bool { return a == SpMV || a == SSSP || a == BP }
 // iterations ("the first five iterations for PageRank, SpMV and BP").
 func (a Algo) iterated() bool { return a == PR || a == SpMV || a == BP }
 
+// Output is one run's typed per-vertex answer: exactly one of F64, I64, V
+// and PerSource is set.
+type Output struct {
+	F64 []float64      // ranks, products, beliefs, distances (+Inf unreachable)
+	I64 []int64        // BFS levels (-1 unreachable)
+	V   []graph.Vertex // CC labels
+	// Iters is PageRankDelta's convergence iteration count.
+	Iters int
+	// PerSource holds a multi-source sweep's demultiplexed answers,
+	// index-aligned with the sources.
+	PerSource []Output
+}
+
+// Checksum is the result fingerprint used to confirm engines computed the
+// same answer: the sum of the finite entries.
+func (o Output) Checksum() float64 {
+	var s float64
+	for _, x := range o.F64 {
+		if x < 1e300 {
+			s += x
+		}
+	}
+	for _, x := range o.I64 {
+		s += float64(x)
+	}
+	for _, x := range o.V {
+		s += float64(x)
+	}
+	return s
+}
+
+// Widen returns the answer as one float64 per vertex (levels and labels
+// widened), the form the conformance policies compare.
+func (o Output) Widen() []float64 {
+	if o.I64 == nil && o.V == nil {
+		return o.F64
+	}
+	out := make([]float64, len(o.I64)+len(o.V))
+	for i, x := range o.I64 {
+		out[i] = float64(x)
+	}
+	for i, x := range o.V {
+		out[i] = float64(x)
+	}
+	return out
+}
+
 // RunResult captures one system x algorithm x graph execution.
 type RunResult struct {
 	System     System
@@ -73,254 +120,162 @@ type RunResult struct {
 	PeakBytes int64
 	// AgentBytes is Polymer's replica overhead (zero for baselines).
 	AgentBytes int64
-	// ThreadSeconds is per-thread busy time (scatter-gather systems).
-	ThreadSeconds []float64
-	// Checksum is a result fingerprint used to confirm engines computed
-	// the same answer.
+	// Out is the typed per-vertex output; Checksum is derived from it.
+	Out      Output
 	Checksum float64
+	// Phases is Polymer's per-phase execution trace (Options.Phases).
+	Phases []core.PhaseRecord
 }
 
-const (
-	defaultIters   = 5
-	defaultDamping = 0.85
-)
-
-// Run executes one cell of the evaluation matrix on a fresh machine
-// instance, using vertex 0 as the traversal source. The graph must carry
-// weights if the algorithm needs them; CC is symmetrized internally.
-func Run(sys System, alg Algo, g *graph.Graph, m *numa.Machine) RunResult {
-	return RunFrom(sys, alg, g, m, 0)
+// Options are the knobs every run path shares.
+type Options struct {
+	// Src is the traversal source for BFS and SSSP.
+	Src graph.Vertex
+	// Tracer, when non-nil, is installed on the engine (of every attempt,
+	// so the flight recorder sees checkpoints, rollbacks and replays too).
+	// A traced run's simulated output is bit-identical to an untraced one.
+	Tracer *obs.Tracer
+	// Layout, when LayoutSet, overrides the vertex-state placement. Only
+	// Polymer exposes a placement knob; for the baselines anything but
+	// mem.Interleaved, their native layout, is a configuration error.
+	Layout    mem.Placement
+	LayoutSet bool
+	// Phases records Polymer's per-phase execution trace in
+	// RunResult.Phases.
+	Phases bool
 }
 
-// RunFrom is Run with an explicit source vertex for BFS and SSSP.
-func RunFrom(sys System, alg Algo, g *graph.Graph, m *numa.Machine, src graph.Vertex) RunResult {
-	return RunWithTracer(sys, alg, g, m, src, nil)
+// ErrUnsupported marks a run the dispatch table has no cell for: an
+// unknown system or algorithm, a fault session or a multi-source sweep on
+// a cell whose driver has none, a placement the engine cannot execute.
+// It is a static configuration error, never retried or restarted.
+var ErrUnsupported = errors.New("unsupported")
+
+// spec is everything that defines one run. Every entry point builds one
+// with newSpec, which resolves the dispatch-table cell before any machine
+// exists.
+type spec struct {
+	sys System
+	alg Algo
+	g   *graph.Graph
+	opt Options
+
+	iters int       // fixed-iteration count (PR, SpMV, BP)
+	init  []float64 // PageRank warm start (the degraded path's segment 2)
+	multi bool      // one multi-source sweep over srcs instead of opt.Src
+	srcs  []graph.Vertex
+
+	// inj non-nil attaches a fault.Session — the one bit that separates
+	// the resilient path from the plain one.
+	inj     *fault.Injector
+	retries int
+	ctx     context.Context // nil: phases never observe cancellation
+
+	system system
+	cell   cell
 }
 
-// RunPlacedFrom is RunFrom with an explicit vertex-state placement
-// policy. Only Polymer exposes a placement knob (core.Options.Layout);
-// for the baselines the argument must be mem.Interleaved, their native
-// layout — anything else is a configuration error. The planner's oracle
-// sweep uses it to measure every (engine, placement) candidate honestly.
-func RunPlacedFrom(sys System, alg Algo, g *graph.Graph, m *numa.Machine, src graph.Vertex, layout mem.Placement) (RunResult, error) {
-	if sys != Polymer && layout != mem.Interleaved {
-		return RunResult{}, fmt.Errorf("bench: %s only supports interleaved placement (got %s)", sys, layout)
+func newSpec(sys System, alg Algo, g *graph.Graph, opt Options) (*spec, error) {
+	s := &spec{sys: sys, alg: alg, g: g, opt: opt, iters: defaultIters, retries: -1}
+	var ok bool
+	if s.system, ok = systems[sys]; !ok {
+		return nil, fmt.Errorf("bench: unknown system %q: %w", sys, ErrUnsupported)
 	}
-	if sys != Polymer {
-		return RunWithTracer(sys, alg, g, m, src, nil), nil
+	if s.cell = cells[alg][s.system.family]; s.cell.drive == nil {
+		return nil, fmt.Errorf("bench: unknown algorithm %q: %w", alg, ErrUnsupported)
+	}
+	if opt.LayoutSet && sys != Polymer && opt.Layout != mem.Interleaved {
+		return nil, fmt.Errorf("bench: %s only supports interleaved placement (got %s): %w", sys, opt.Layout, ErrUnsupported)
 	}
 	if alg == CC {
-		g = g.Symmetrized()
+		s.g = g.Symmetrized()
 	}
-	opt := core.DefaultOptions()
-	opt.Layout = layout
-	if alg.iterated() {
-		opt.Mode = core.Push
-	}
-	e, err := core.New(g, m, opt)
-	if err != nil {
-		return RunResult{}, err
-	}
-	defer e.Close()
-	r := RunResult{System: sys, Algo: alg}
-	r.Checksum = runSG(e, alg, src)
-	r.SimSeconds = e.SimSeconds()
-	r.Stats = e.RunStats()
-	r.PeakBytes = m.Alloc().Peak()
-	r.AgentBytes = m.Alloc().Label("polymer/agents")
-	r.ThreadSeconds = e.ThreadSeconds()
-	return r, nil
+	return s, nil
 }
 
-// RunWithTracer is RunFrom with an obs tracer installed on the engine
-// before the run; tr == nil is exactly RunFrom (tracing disabled). A
-// traced run's simulated output is bit-identical to an untraced one.
-func RunWithTracer(sys System, alg Algo, g *graph.Graph, m *numa.Machine, src graph.Vertex, tr *obs.Tracer) RunResult {
-	if alg == CC {
-		g = g.Symmetrized()
+// withSession attaches the injector; it fails on cells whose driver
+// cannot roll a superstep back.
+func (s *spec) withSession(ctx context.Context, inj *fault.Injector, retries int) error {
+	if !s.cell.session {
+		return fmt.Errorf("bench: resilient %s on %s: %w", s.alg, s.sys, ErrUnsupported)
 	}
-	r := RunResult{System: sys, Algo: alg}
-	switch sys {
-	case Polymer, Ligra:
-		var e sg.Engine
-		if sys == Polymer {
-			opt := core.DefaultOptions()
-			if alg.iterated() {
-				opt.Mode = core.Push
-			}
-			ce := core.MustNew(g, m, opt)
-			ce.SetTracer(tr)
-			e = ce
-		} else {
-			le := ligra.MustNew(g, m, ligra.DefaultOptions())
-			le.SetTracer(tr)
-			e = le
+	s.ctx, s.inj, s.retries = ctx, inj, retries
+	return nil
+}
+
+// run is the one place a run is defined: build the engine the table names
+// on m, wire tracer, context and (when an injector is attached) a fault
+// session, call the cell's driver, and read the accounting back. It
+// returns the session's rollback count beside the result. Panics —
+// including a setup allocation failure surfacing inside NewData — are
+// contained and reported as the error.
+func run(s *spec, m *numa.Machine) (RunResult, int, error) {
+	r := RunResult{System: s.sys, Algo: s.alg}
+	rollbacks := 0
+	err := fault.Catch(func() error {
+		e, err := s.system.build(s, m)
+		if err != nil {
+			return err
 		}
-		r.Checksum = runSG(e, alg, src)
+		defer e.Close()
+		e.SetTracer(s.opt.Tracer)
+		if s.ctx != nil {
+			e.SetContext(s.ctx)
+		}
+		var sess *fault.Session
+		if s.inj != nil {
+			sess = fault.NewSession(e, s.inj)
+			if s.retries >= 0 {
+				sess.SetMaxRetries(s.retries)
+			}
+		}
+		if s.multi {
+			r.Out.PerSource, err = s.cell.multi(e, s.srcs)
+		} else {
+			r.Out, err = s.cell.drive(e, s, sess)
+		}
+		if err != nil {
+			return err
+		}
+		if sess != nil {
+			rollbacks = sess.Rollbacks()
+		}
+		r.Checksum = r.Out.Checksum()
 		r.SimSeconds = e.SimSeconds()
 		r.Stats = e.RunStats()
 		r.PeakBytes = m.Alloc().Peak()
 		r.AgentBytes = m.Alloc().Label("polymer/agents")
-		r.ThreadSeconds = e.ThreadSeconds()
-		e.Close()
-	case XStream:
-		h := xsHints(alg)
-		e := xstream.MustNew(g, m, xstream.DefaultOptions(), h)
-		e.SetTracer(tr)
-		r.Checksum = runXS(e, alg, src)
-		r.SimSeconds = e.SimSeconds()
-		r.Stats = e.RunStats()
-		r.PeakBytes = m.Alloc().Peak()
-		e.Close()
-	case Galois:
-		e := galois.MustNew(g, m, galois.DefaultOptions())
-		e.SetTracer(tr)
-		r.Checksum = runGalois(e, alg, src)
-		r.SimSeconds = e.SimSeconds()
-		r.Stats = e.RunStats()
-		r.PeakBytes = m.Alloc().Peak()
-		e.Close()
-	default:
-		panic(fmt.Sprintf("bench: unknown system %q", sys))
+		if ce, ok := e.(*core.Engine); ok {
+			r.Phases = ce.Trace()
+		}
+		return nil
+	})
+	return r, rollbacks, err
+}
+
+// RunWith executes one cell of the evaluation matrix on m — any of the 28
+// table cells — under the shared options. The graph must carry weights if
+// the algorithm needs them; CC is symmetrized internally.
+func RunWith(sys System, alg Algo, g *graph.Graph, m *numa.Machine, opt Options) (RunResult, error) {
+	s, err := newSpec(sys, alg, g, opt)
+	if err != nil {
+		return RunResult{}, err
+	}
+	r, _, err := run(s, m)
+	return r, err
+}
+
+// RunFrom is RunWith with only a traversal source, panicking on error:
+// for statically valid cells (experiments, benchmarks, examples).
+func RunFrom(sys System, alg Algo, g *graph.Graph, m *numa.Machine, src graph.Vertex) RunResult {
+	r, err := RunWith(sys, alg, g, m, Options{Src: src})
+	if err != nil {
+		panic(err)
 	}
 	return r
-}
-
-func runSG(e sg.Engine, alg Algo, src graph.Vertex) float64 {
-	n := e.Graph().NumVertices()
-	switch alg {
-	case PR:
-		return sum(algorithms.PageRank(e, defaultIters, defaultDamping))
-	case SpMV:
-		return sum(algorithms.SpMV(e, defaultIters, ones(n)))
-	case BP:
-		return sum(algorithms.BP(e, defaultIters))
-	case BFS:
-		return sumI(algorithms.BFS(e, src))
-	case CC:
-		return sumV(algorithms.CC(e))
-	case SSSP:
-		return sumFinite(algorithms.SSSP(e, src))
-	}
-	panic("bench: unknown algorithm")
-}
-
-func runXS(e *xstream.Engine, alg Algo, src graph.Vertex) float64 {
-	n := e.Graph().NumVertices()
-	switch alg {
-	case PR:
-		return sum(algorithms.XSPageRank(e, defaultIters, defaultDamping))
-	case SpMV:
-		return sum(algorithms.XSSpMV(e, defaultIters, ones(n)))
-	case BP:
-		return sum(algorithms.XSBP(e, defaultIters))
-	case BFS:
-		return sumI(algorithms.XSBFS(e, src))
-	case CC:
-		return sumV(algorithms.XSCC(e))
-	case SSSP:
-		return sumFinite(algorithms.XSSSSP(e, src))
-	}
-	panic("bench: unknown algorithm")
-}
-
-func runGalois(e *galois.Engine, alg Algo, src graph.Vertex) float64 {
-	n := e.Graph().NumVertices()
-	switch alg {
-	case PR:
-		return sum(e.PageRank(defaultIters, defaultDamping))
-	case SpMV:
-		return sum(e.SpMV(defaultIters, ones(n)))
-	case BP:
-		return sum(e.BP(defaultIters))
-	case BFS:
-		return sumI(e.BFS(src))
-	case CC:
-		return sumV(e.CC())
-	case SSSP:
-		return sumFinite(e.SSSP(src))
-	}
-	panic("bench: unknown algorithm")
-}
-
-func xsHints(alg Algo) sg.Hints {
-	h := sg.Hints{DataBytes: 8, Weighted: alg.Weighted()}
-	if alg == BP {
-		h.DataBytes = 16
-	}
-	if alg == BFS || alg == CC {
-		h.DataBytes = 8 // levels/labels as float64 values
-	}
-	return h
-}
-
-func ones(n int) []float64 {
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 1
-	}
-	return x
-}
-
-func sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-func sumFinite(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		if x < 1e300 {
-			s += x
-		}
-	}
-	return s
-}
-
-func sumI(xs []int64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += float64(x)
-	}
-	return s
-}
-
-func sumV(xs []graph.Vertex) float64 {
-	var s float64
-	for _, x := range xs {
-		s += float64(x)
-	}
-	return s
 }
 
 // LoadDataset fetches a named dataset weighted appropriately for alg.
 func LoadDataset(d gen.Dataset, sc gen.Scale, alg Algo) (*graph.Graph, error) {
 	return gen.Load(d, sc, alg.Weighted())
-}
-
-// RunPolymerTraced is RunFrom for the Polymer system with phase tracing
-// enabled; it additionally returns the per-phase execution records.
-func RunPolymerTraced(alg Algo, g *graph.Graph, m *numa.Machine, src graph.Vertex) (RunResult, []core.PhaseRecord) {
-	if alg == CC {
-		g = g.Symmetrized()
-	}
-	opt := core.DefaultOptions()
-	opt.Trace = true
-	if alg.iterated() {
-		opt.Mode = core.Push
-	}
-	e := core.MustNew(g, m, opt)
-	r := RunResult{System: Polymer, Algo: alg}
-	r.Checksum = runSG(e, alg, src)
-	r.SimSeconds = e.SimSeconds()
-	r.Stats = e.RunStats()
-	r.PeakBytes = m.Alloc().Peak()
-	r.AgentBytes = m.Alloc().Label("polymer/agents")
-	r.ThreadSeconds = e.ThreadSeconds()
-	tr := e.Trace()
-	e.Close()
-	return r, tr
 }

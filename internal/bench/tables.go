@@ -32,7 +32,7 @@ func Table3(t *numa.Topology, sc gen.Scale) ([]Table3Cell, error) {
 			}
 			for _, sys := range Systems() {
 				m := numa.NewMachine(t, t.Sockets, t.CoresPerSocket)
-				r := Run(sys, alg, g, m)
+				r := RunFrom(sys, alg, g, m, 0)
 				out = append(out, Table3Cell{Algo: alg, Graph: d, System: sys, Seconds: r.SimSeconds})
 			}
 		}
@@ -96,7 +96,7 @@ func Table4(t *numa.Topology, sc gen.Scale, alg Algo) ([]Table4Row, error) {
 	var out []Table4Row
 	for _, sys := range Systems() {
 		m := numa.NewMachine(t, t.Sockets, t.CoresPerSocket)
-		r := Run(sys, alg, g, m)
+		r := RunFrom(sys, alg, g, m, 0)
 		out = append(out, Table4Row{
 			System:         sys,
 			RemoteRate:     r.Stats.RemoteRate,
@@ -153,7 +153,7 @@ func Table5(t *numa.Topology, sc gen.Scale) ([]Table5Row, error) {
 		row := Table5Row{Graph: d, Peak: make(map[System]int64)}
 		for _, sys := range Systems() {
 			m := numa.NewMachine(t, t.Sockets, t.CoresPerSocket)
-			r := Run(sys, PR, g, m)
+			r := RunFrom(sys, PR, g, m, 0)
 			row.Peak[sys] = r.PeakBytes
 			if sys == Polymer {
 				row.AgentBytes = r.AgentBytes
@@ -213,7 +213,7 @@ func ablationStudy(t *numa.Topology, sc gen.Scale, d gen.Dataset, tweak func(on 
 				opt.Mode = core.Push
 			}
 			e := core.MustNew(gr, m, opt)
-			runSG(e, alg, 0)
+			driveSG(e, alg)
 			if on {
 				row.With = e.SimSeconds()
 			} else {

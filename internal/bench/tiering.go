@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"polymer/internal/graph"
-	"polymer/internal/mem"
 	"polymer/internal/numa"
 )
 
@@ -64,7 +63,7 @@ func tieredRun(alg Algo, g *graph.Graph, topo *numa.Topology, sockets, cores int
 			return TierPoint{}, err
 		}
 	}
-	r, err := RunPlacedFrom(Polymer, alg, g, m, 0, mem.CoLocated)
+	r, err := RunWith(Polymer, alg, g, m, Options{})
 	if err != nil {
 		return TierPoint{}, err
 	}
@@ -90,7 +89,7 @@ func RunTierSweep(name string, g *graph.Graph, topo *numa.Topology, sockets, cor
 	sorted := append([]float64(nil), fracs...)
 	sort.Sort(sort.Reverse(sort.Float64Slice(sorted)))
 	for _, alg := range algos {
-		base, err := RunPlacedFrom(Polymer, alg, g, numa.NewMachine(topo, sockets, cores), 0, mem.CoLocated)
+		base, err := RunWith(Polymer, alg, g, numa.NewMachine(topo, sockets, cores), Options{})
 		if err != nil {
 			return nil, fmt.Errorf("bench: untiered %s probe: %w", alg, err)
 		}

@@ -8,9 +8,11 @@ import (
 	"polymer/internal/engines/galois"
 	"polymer/internal/engines/ligra"
 	"polymer/internal/engines/xstream"
+	"polymer/internal/fault"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
+	"polymer/internal/obs"
 	"polymer/internal/sg"
 	"polymer/internal/state"
 )
@@ -150,3 +152,11 @@ func TestDegreeCacheInvariant(t *testing.T) {
 		}
 	})
 }
+
+// All four engines get the recovery, tracing and invariant surfaces from
+// the embedded sg.Base.
+var (
+	_ = []fault.Engine{(*core.Engine)(nil), (*ligra.Engine)(nil), (*xstream.Engine)(nil), (*galois.Engine)(nil)}
+	_ = []obs.SimSource{(*core.Engine)(nil), (*ligra.Engine)(nil), (*xstream.Engine)(nil), (*galois.Engine)(nil)}
+	_ = []SimEngine{(*core.Engine)(nil), (*ligra.Engine)(nil), (*xstream.Engine)(nil), (*galois.Engine)(nil)}
+)

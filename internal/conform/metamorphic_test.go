@@ -1,9 +1,11 @@
 package conform
 
 import (
+	"context"
 	"testing"
 
 	"polymer/internal/algorithms"
+	"polymer/internal/bench"
 	"polymer/internal/core"
 	"polymer/internal/engines/galois"
 	"polymer/internal/engines/ligra"
@@ -135,63 +137,23 @@ func TestPullModeRerunBitIdentity(t *testing.T) {
 func TestFaultReplayEquivalence(t *testing.T) {
 	g := metamorphicGraph()
 	const spec = "panic@1:t1,stall@2:t0,link@3:n0-n1*0.5"
-	m := func() *numa.Machine { return numa.NewMachine(numa.IntelXeon80(), 2, 2) }
-	newSess := func(e fault.Engine) *fault.Session {
+	// Both arms go through bench's dispatch table, so a new cell is
+	// covered by adding it there.
+	run := func(eng Engine, faulty bool) []float64 {
+		c := Case{Engine: eng, Algo: PR, Topo: Intel80}
+		if !faulty {
+			return Run(c, g).Out
+		}
 		evs, err := fault.ParseSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := fault.NewSession(e, fault.NewInjector(evs))
-		s.SetMaxRetries(5)
-		return s
-	}
-	run := func(eng Engine, faulty bool) []float64 {
-		switch eng {
-		case Polymer, Ligra:
-			var e sg.Engine
-			if eng == Polymer {
-				opt := core.DefaultOptions()
-				opt.Mode = core.Push
-				e = core.MustNew(g, m(), opt)
-			} else {
-				e = ligra.MustNew(g, m(), ligra.DefaultOptions())
-			}
-			defer e.Close()
-			var sess *fault.Session
-			if faulty {
-				sess = newSess(e.(fault.Engine))
-			}
-			out, err := algorithms.PageRankE(e, Iters, Damping, sess)
-			if err != nil {
-				t.Fatalf("%s did not survive %q: %v", eng, spec, err)
-			}
-			return out
-		case XStream:
-			e := xstream.MustNew(g, m(), xstream.DefaultOptions(), sg.Hints{DataBytes: 8})
-			defer e.Close()
-			var sess *fault.Session
-			if faulty {
-				sess = newSess(e)
-			}
-			out, err := algorithms.XSPageRankE(e, Iters, Damping, sess)
-			if err != nil {
-				t.Fatalf("%s did not survive %q: %v", eng, spec, err)
-			}
-			return out
-		case Galois:
-			e := galois.MustNew(g, m(), galois.DefaultOptions())
-			defer e.Close()
-			var sess *fault.Session
-			if faulty {
-				sess = newSess(e)
-			}
-			out, err := e.PageRankE(Iters, Damping, sess)
-			if err != nil {
-				t.Fatalf("%s did not survive %q: %v", eng, spec, err)
-			}
-			return out
+		r, _, err := bench.RunResilientCtx(context.Background(), benchSystems[eng], bench.PR, g, c.Machine,
+			fault.NewInjector(evs), bench.ResilientOptions{SessionRetries: 5})
+		if err != nil {
+			t.Fatalf("%s did not survive %q: %v", eng, spec, err)
 		}
-		panic("unreachable")
+		return r.Out.F64
 	}
 	for _, eng := range Engines() {
 		t.Run(string(eng), func(t *testing.T) {

@@ -8,50 +8,25 @@
 package conform
 
 import (
-	"fmt"
+	"context"
 
-	"polymer/internal/algorithms"
-	"polymer/internal/core"
-	"polymer/internal/engines/ligra"
+	"polymer/internal/bench"
 	"polymer/internal/graph"
-	"polymer/internal/sg"
 )
 
 // RunMultiSource executes one multi-source sweep on a scatter-gather
 // engine (the only engines that serve traversal point queries) and
 // returns the normalized per-source outputs, index-aligned with srcs.
 func RunMultiSource(eng Engine, alg Algo, topo Topo, g *graph.Graph, srcs []graph.Vertex) ([][]float64, error) {
-	if alg != BFS && alg != SSSP {
-		return nil, fmt.Errorf("conform: multi-source %s unsupported (want bfs or sssp)", alg)
-	}
 	c := Case{Engine: eng, Algo: alg, Topo: topo}
-	m := c.Machine()
-	var e sg.Engine
-	switch eng {
-	case Polymer:
-		e = core.MustNew(g, m, core.DefaultOptions())
-	case Ligra:
-		e = ligra.MustNew(g, m, ligra.DefaultOptions())
-	default:
-		return nil, fmt.Errorf("conform: multi-source runs need a scatter-gather engine, got %s", eng)
-	}
-	defer e.Close()
-	out := make([][]float64, len(srcs))
-	if alg == BFS {
-		levels, err := algorithms.MultiBFS(e, srcs)
-		if err != nil {
-			return nil, err
-		}
-		for i := range levels {
-			out[i] = widenI(levels[i])
-		}
-		return out, nil
-	}
-	dist, err := algorithms.MultiSSSP(e, srcs)
+	mr, err := bench.RunMultiSourceCtx(context.Background(), benchSystems[eng], benchAlgos[alg], g, c.Machine, srcs, nil)
 	if err != nil {
 		return nil, err
 	}
-	copy(out, dist)
+	out := make([][]float64, len(srcs))
+	for i, o := range mr.Outs {
+		out[i] = o.Widen()
+	}
 	return out, nil
 }
 

@@ -54,6 +54,7 @@ func CheckPlanned(g *graph.Graph, alg bench.Algo, topo *numa.Topology, nodes, co
 		return fmt.Errorf("conform: independent planners disagree: %s vs %s", d1.Pick, d2.Pick)
 	}
 	pick := d1.Pick
+	placed := bench.Options{Layout: pick.Placement, LayoutSet: true}
 
 	lease := p1.Scheduler().Acquire(pick.Nodes)
 	defer lease.Release()
@@ -84,11 +85,11 @@ func CheckPlanned(g *graph.Graph, alg bench.Algo, topo *numa.Topology, nodes, co
 		}
 	}
 
-	planned, err := bench.RunPlacedFrom(pick.Engine, alg, g, lm, 0, pick.Placement)
+	planned, err := bench.RunWith(pick.Engine, alg, g, lm, placed)
 	if err != nil {
 		return fmt.Errorf("conform: planned run: %w", err)
 	}
-	explicit, err := bench.RunPlacedFrom(pick.Engine, alg, g, em, 0, pick.Placement)
+	explicit, err := bench.RunWith(pick.Engine, alg, g, em, placed)
 	if err != nil {
 		return fmt.Errorf("conform: explicit run: %w", err)
 	}
@@ -107,7 +108,7 @@ func CheckPlanned(g *graph.Graph, alg bench.Algo, topo *numa.Topology, nodes, co
 	if err != nil {
 		return fmt.Errorf("conform: lease machine (rerun): %w", err)
 	}
-	rerun, err := bench.RunPlacedFrom(pick.Engine, alg, g, lm2, 0, pick.Placement)
+	rerun, err := bench.RunWith(pick.Engine, alg, g, lm2, placed)
 	if err != nil {
 		return fmt.Errorf("conform: planned rerun: %w", err)
 	}

@@ -4,22 +4,16 @@ import (
 	"fmt"
 
 	"polymer/internal/algorithms"
-	"polymer/internal/core"
-	"polymer/internal/engines/galois"
-	"polymer/internal/engines/ligra"
-	"polymer/internal/engines/xstream"
+	"polymer/internal/bench"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
-	"polymer/internal/sg"
 )
 
-// The fixed-iteration counts and constants every run uses, matching the
-// bench package ("the first five iterations" for the iterated kernels)
-// and the prdelta test conventions.
+// The fixed-iteration counts and constants every run uses; the engine
+// runs take theirs from bench's dispatch table, the oracles from here.
 const (
 	Iters      = 5
 	Damping    = 0.85
-	PRDEps     = 1e-10
 	PRDMaxIter = 250
 )
 
@@ -89,117 +83,26 @@ type Result struct {
 	Peak       int64
 }
 
-// Run executes the case on a fresh machine and engine and returns the
-// normalized output. CC runs on the symmetrized graph, as everywhere
-// else in the repository.
+// Run executes the case on a fresh machine and engine through bench's
+// dispatch table and returns the normalized output. CC runs on the
+// symmetrized graph, as everywhere else in the repository.
 func Run(c Case, g *graph.Graph) Result {
-	if c.Algo == CC {
-		g = g.Symmetrized()
+	r, err := bench.RunWith(benchSystems[c.Engine], benchAlgos[c.Algo], g, c.Machine(), bench.Options{Src: c.Src})
+	if err != nil {
+		panic(fmt.Sprintf("conform: %s: %v", c, err))
 	}
-	m := c.Machine()
-	switch c.Engine {
-	case Polymer, Ligra:
-		var e sg.Engine
-		if c.Engine == Polymer {
-			opt := core.DefaultOptions()
-			if c.Algo == PR || c.Algo == SpMV || c.Algo == BP {
-				opt.Mode = core.Push
-			}
-			e = core.MustNew(g, m, opt)
-		} else {
-			e = ligra.MustNew(g, m, ligra.DefaultOptions())
-		}
-		defer e.Close()
-		r := runSG(e, c)
-		r.SimSeconds = e.SimSeconds()
-		r.Peak = m.Alloc().Peak()
-		return r
-	case XStream:
-		h := sg.Hints{DataBytes: 8, Weighted: c.Algo.Weighted()}
-		if c.Algo == BP {
-			h.DataBytes = 16
-		}
-		e := xstream.MustNew(g, m, xstream.DefaultOptions(), h)
-		defer e.Close()
-		r := runXS(e, c)
-		r.SimSeconds = e.SimSeconds()
-		r.Peak = m.Alloc().Peak()
-		return r
-	case Galois:
-		e := galois.MustNew(g, m, galois.DefaultOptions())
-		defer e.Close()
-		r := runGalois(e, c)
-		r.SimSeconds = e.SimSeconds()
-		r.Peak = m.Alloc().Peak()
-		return r
-	}
-	panic(fmt.Sprintf("conform: unknown engine %q", c.Engine))
+	return Result{Out: r.Out.Widen(), SimSeconds: r.SimSeconds, Iters: r.Out.Iters, Peak: r.PeakBytes}
 }
 
-func runSG(e sg.Engine, c Case) Result {
-	n := e.Graph().NumVertices()
-	switch c.Algo {
-	case PR:
-		return Result{Out: algorithms.PageRank(e, Iters, Damping)}
-	case PRDelta:
-		out, iters := algorithms.PageRankDelta(e, PRDEps, PRDMaxIter)
-		return Result{Out: out, Iters: iters}
-	case SpMV:
-		return Result{Out: algorithms.SpMV(e, Iters, ones(n))}
-	case BP:
-		return Result{Out: algorithms.BP(e, Iters)}
-	case BFS:
-		return Result{Out: widenI(algorithms.BFS(e, c.Src))}
-	case CC:
-		return Result{Out: widenV(algorithms.CC(e))}
-	case SSSP:
-		return Result{Out: algorithms.SSSP(e, c.Src)}
-	}
-	panic("conform: unknown algorithm")
+// benchSystems and benchAlgos name the conformance engines and
+// algorithms in the dispatch table's vocabulary.
+var benchSystems = map[Engine]bench.System{
+	Polymer: bench.Polymer, Ligra: bench.Ligra, XStream: bench.XStream, Galois: bench.Galois,
 }
 
-func runXS(e *xstream.Engine, c Case) Result {
-	n := e.Graph().NumVertices()
-	switch c.Algo {
-	case PR:
-		return Result{Out: algorithms.XSPageRank(e, Iters, Damping)}
-	case PRDelta:
-		out, iters := algorithms.XSPageRankDelta(e, PRDEps, PRDMaxIter)
-		return Result{Out: out, Iters: iters}
-	case SpMV:
-		return Result{Out: algorithms.XSSpMV(e, Iters, ones(n))}
-	case BP:
-		return Result{Out: algorithms.XSBP(e, Iters)}
-	case BFS:
-		return Result{Out: widenI(algorithms.XSBFS(e, c.Src))}
-	case CC:
-		return Result{Out: widenV(algorithms.XSCC(e))}
-	case SSSP:
-		return Result{Out: algorithms.XSSSSP(e, c.Src)}
-	}
-	panic("conform: unknown algorithm")
-}
-
-func runGalois(e *galois.Engine, c Case) Result {
-	n := e.Graph().NumVertices()
-	switch c.Algo {
-	case PR:
-		return Result{Out: e.PageRank(Iters, Damping)}
-	case PRDelta:
-		out, iters := e.PageRankDelta(PRDEps, PRDMaxIter)
-		return Result{Out: out, Iters: iters}
-	case SpMV:
-		return Result{Out: e.SpMV(Iters, ones(n))}
-	case BP:
-		return Result{Out: e.BP(Iters)}
-	case BFS:
-		return Result{Out: widenI(e.BFS(c.Src))}
-	case CC:
-		return Result{Out: widenV(e.CC())}
-	case SSSP:
-		return Result{Out: e.SSSP(c.Src)}
-	}
-	panic("conform: unknown algorithm")
+var benchAlgos = map[Algo]bench.Algo{
+	PR: bench.PR, PRDelta: bench.PRDelta, SpMV: bench.SpMV, BP: bench.BP,
+	BFS: bench.BFS, CC: bench.CC, SSSP: bench.SSSP,
 }
 
 // Ref runs the sequential oracle for the algorithm. PRDelta's oracle is
@@ -217,9 +120,9 @@ func Ref(a Algo, g *graph.Graph, src graph.Vertex) Result {
 	case BP:
 		return Result{Out: algorithms.RefBP(g, Iters)}
 	case BFS:
-		return Result{Out: widenI(algorithms.RefBFS(g, src))}
+		return Result{Out: bench.Output{I64: algorithms.RefBFS(g, src)}.Widen()}
 	case CC:
-		return Result{Out: widenV(algorithms.RefCC(g))}
+		return Result{Out: bench.Output{V: algorithms.RefCC(g)}.Widen()}
 	case SSSP:
 		return Result{Out: algorithms.RefSSSP(g, src)}
 	}
@@ -240,20 +143,4 @@ func ones(n int) []float64 {
 		x[i] = 1
 	}
 	return x
-}
-
-func widenI(xs []int64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-func widenV(xs []graph.Vertex) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
 }

@@ -35,13 +35,13 @@ type AsyncKernel interface {
 func (e *Engine) AsyncTraverse(seeds []graph.Vertex, k AsyncKernel, h sg.Hints) {
 	h = h.Normalize()
 	l := e.ensurePush() // rows keyed by source, columns are local targets
-	nodes := e.m.Nodes
-	threads := e.m.Threads()
+	nodes := e.M.Nodes
+	threads := e.M.Threads()
 
 	queues := make([]asyncQueue, nodes)
 	inQueue := make([][]uint32, nodes) // per-node "already queued" flags
 	for p := 0; p < nodes; p++ {
-		inQueue[p] = make([]uint32, e.g.NumVertices())
+		inQueue[p] = make([]uint32, e.G.NumVertices())
 	}
 	var pending atomic.Int64
 
@@ -83,7 +83,7 @@ func (e *Engine) AsyncTraverse(seeds []graph.Vertex, k AsyncKernel, h sg.Hints) 
 				panic(r) // re-panic so the pool records the failure
 			}
 		}()
-		p := e.m.NodeOfThread(th)
+		p := e.M.NodeOfThread(th)
 		nl := &l.perNode[p]
 		c := &counts[th]
 		weighted := h.Weighted && nl.wts != nil
@@ -118,43 +118,43 @@ func (e *Engine) AsyncTraverse(seeds []graph.Vertex, k AsyncKernel, h sg.Hints) 
 		}
 	}, true)
 
-	if e.err != nil {
+	if e.Err() != nil {
 		return // failed traversal charges nothing
 	}
 
 	// Charge: like sparse push, but the far-side source reads happen in
 	// worklist order — random remote — and there is no barrier at all.
-	ep := e.m.NewEpoch()
+	ep := e.M.NewEpoch()
 	totRows := make([]int64, nodes)
 	totEdges := make([]int64, nodes)
 	totEnqueues := make([]int64, nodes)
 	for th := range counts {
-		p := e.m.NodeOfThread(th)
+		p := e.M.NodeOfThread(th)
 		totRows[p] += counts[th].rows
 		totEdges[p] += counts[th].edges
 		totEnqueues[p] += counts[th].enqueues
 	}
 	for th := 0; th < threads; th++ {
-		p := e.m.NodeOfThread(th)
-		cpn := int64(e.m.CoresPerNode)
+		p := e.M.NodeOfThread(th)
+		cpn := int64(e.M.CoresPerNode)
 		rows, edges := totRows[p]/cpn, totEdges[p]/cpn
 		enqueues := totEnqueues[p] / cpn
 		partVerts := int64(l.perNode[p].vr.Len())
 		// Worklist pops + agent lookup: random local.
-		e.tierFrontier.Access(ep, th, numa.Rand, numa.Load, p, rows, 8, int64(e.g.NumVertices())*4)
+		e.TierFrontier.Access(ep, th, numa.Rand, numa.Load, p, rows, 8, int64(e.G.NumVertices())*4)
 		// Far-side value read: random remote, spread over owners.
-		e.tierState.AccessInterleaved(ep, th, numa.Rand, numa.Load, rows, h.DataBytes, dataWS(e, h))
+		e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Load, rows, h.DataBytes, dataWS(e, h))
 		// Topology stream of the row's columns.
-		e.tierTopo.Access(ep, th, numa.Seq, numa.Load, p, edges, 4, 0)
+		e.TierTopo.Access(ep, th, numa.Seq, numa.Load, p, edges, 4, 0)
 		// Local relaxation writes.
-		e.tierState.Access(ep, th, numa.Rand, numa.Store, p, edges, h.DataBytes, partVerts*int64(h.DataBytes))
+		e.TierState.Access(ep, th, numa.Rand, numa.Store, p, edges, h.DataBytes, partVerts*int64(h.DataBytes))
 		// Cross-node enqueue handshakes are latency-bound atomics.
-		e.tierFrontier.LatencyBound(ep, th, numa.Store, (p+1)%e.m.Nodes, enqueues)
+		e.TierFrontier.LatencyBound(ep, th, numa.Store, (p+1)%e.M.Nodes, enqueues)
 		ep.Compute(th, float64(edges)*(h.NsPerEdge+e.opt.OverheadNsPerEdge)*1e-9)
 	}
-	e.tierPlan.Step(ep)
-	e.clock += ep.Time()
-	e.ledger.Add(ep)
+	e.Tiers.Step(ep)
+	e.Clock += ep.Time()
+	e.Ledger.Add(ep)
 	for th := range counts {
 		e.addEdges(counts[th].edges)
 	}

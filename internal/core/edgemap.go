@@ -37,15 +37,15 @@ func (e *Engine) EdgeMap(a *state.Subset, k sg.EdgeKernel, h sg.Hints) *state.Su
 // interface path above is the fallback instantiation.
 func EdgeMapK[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	h = h.Normalize()
-	if a.IsEmpty() || e.err != nil {
+	if a.IsEmpty() || e.Err() != nil {
 		return state.NewEmpty(e.bounds)
 	}
 	e.met.EdgeMaps++
 
 	dense := true
 	if e.opt.Adaptive {
-		deg := sg.ActiveDegree(e.g, a)
-		dense = state.ShouldDense(a.Count(), deg, e.g.NumEdges(), e.opt.Threshold)
+		deg := sg.ActiveDegree(e.G, a)
+		dense = state.ShouldDense(a.Count(), deg, e.G.NumEdges(), e.opt.Threshold)
 	}
 	if !dense {
 		e.met.SparsePhases++
@@ -97,9 +97,9 @@ func (c *charger) reset() {
 // *across* nodes is preserved — that is what balanced partitioning
 // addresses (Table 6(b), Figure 11).
 func (e *Engine) balanceWithinNodes(chargers []*charger) {
-	cpn := e.m.CoresPerNode
+	cpn := e.M.CoresPerNode
 	sum := &e.scr.sum
-	for p := 0; p < e.m.Nodes; p++ {
+	for p := 0; p < e.M.Nodes; p++ {
 		group := chargers[p*cpn : (p+1)*cpn]
 		sum.reset()
 		for _, c := range group {
@@ -148,41 +148,41 @@ func (c *charger) flushPush(h sg.Hints, partVerts int) {
 	for _, r := range c.rowsByOwner {
 		rows += r
 	}
-	e.tierTopo.Access(ep, th, numa.Seq, numa.Load, c.p, rows, rowMetaBytes, 0)
-	e.tierTopo.Access(ep, th, numa.Seq, numa.Load, c.p, c.edges, edgeBytes, 0)
+	e.TierTopo.Access(ep, th, numa.Seq, numa.Load, c.p, rows, rowMetaBytes, 0)
+	e.TierTopo.Access(ep, th, numa.Seq, numa.Load, c.p, c.edges, edgeBytes, 0)
 	// Far-side state and data reads.
 	for o := range c.rowsByOwner {
 		switch {
 		case interleavedData:
-			e.tierFrontier.AccessInterleaved(ep, th, numa.Seq, numa.Load, c.rowsByOwner[o], stateByte, 0)
-			e.tierState.AccessInterleaved(ep, th, numa.Rand, numa.Load, c.activeByOwner[o], h.DataBytes, dataWS(e, h))
+			e.TierFrontier.AccessInterleaved(ep, th, numa.Seq, numa.Load, c.rowsByOwner[o], stateByte, 0)
+			e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Load, c.activeByOwner[o], h.DataBytes, dataWS(e, h))
 		case e.opt.DisableAgents:
 			// Without replicas the far side is visited in edge order:
 			// random remote reads over the whole array.
-			e.tierFrontier.Access(ep, th, numa.Rand, numa.Load, o, c.rowsByOwner[o], stateByte, int64(e.g.NumVertices()))
-			e.tierState.Access(ep, th, numa.Rand, numa.Load, o, c.activeByOwner[o], h.DataBytes, dataWS(e, h))
+			e.TierFrontier.Access(ep, th, numa.Rand, numa.Load, o, c.rowsByOwner[o], stateByte, int64(e.G.NumVertices()))
+			e.TierState.Access(ep, th, numa.Rand, numa.Load, o, c.activeByOwner[o], h.DataBytes, dataWS(e, h))
 		case e.opt.DisableRolling:
 			// All nodes sweep the same owner simultaneously; the traffic
 			// behaves like interleaved pages.
-			e.tierFrontier.AccessInterleaved(ep, th, numa.Seq, numa.Load, c.rowsByOwner[o], stateByte, 0)
-			e.tierState.AccessInterleaved(ep, th, numa.Seq, numa.Load, c.activeByOwner[o], h.DataBytes, 0)
+			e.TierFrontier.AccessInterleaved(ep, th, numa.Seq, numa.Load, c.rowsByOwner[o], stateByte, 0)
+			e.TierState.AccessInterleaved(ep, th, numa.Seq, numa.Load, c.activeByOwner[o], h.DataBytes, 0)
 		default:
-			e.tierFrontier.Access(ep, th, numa.Seq, numa.Load, o, c.rowsByOwner[o], stateByte, 0)
-			e.tierState.Access(ep, th, numa.Seq, numa.Load, o, c.activeByOwner[o], h.DataBytes, 0)
+			e.TierFrontier.Access(ep, th, numa.Seq, numa.Load, o, c.rowsByOwner[o], stateByte, 0)
+			e.TierState.Access(ep, th, numa.Seq, numa.Load, o, c.activeByOwner[o], h.DataBytes, 0)
 		}
 	}
 	// Local side: random writes confined to the partition.
 	localWS := int64(partVerts) * int64(h.DataBytes)
 	if interleavedData {
-		e.tierState.AccessInterleaved(ep, th, numa.Rand, numa.Store, c.condChecks, h.DataBytes, dataWS(e, h))
-		e.tierFrontier.AccessInterleaved(ep, th, numa.Rand, numa.Store, c.updates, stateByte, 0)
+		e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Store, c.condChecks, h.DataBytes, dataWS(e, h))
+		e.TierFrontier.AccessInterleaved(ep, th, numa.Rand, numa.Store, c.updates, stateByte, 0)
 	} else {
-		e.tierState.Access(ep, th, numa.Rand, numa.Store, c.p, c.condChecks, h.DataBytes, localWS)
-		e.tierFrontier.Access(ep, th, numa.Rand, numa.Store, c.p, c.updates, stateByte, int64(partVerts))
+		e.TierState.Access(ep, th, numa.Rand, numa.Store, c.p, c.condChecks, h.DataBytes, localWS)
+		e.TierFrontier.Access(ep, th, numa.Rand, numa.Store, c.p, c.updates, stateByte, int64(partVerts))
 	}
 	// Sparse-mode extras: agent-table probes and queue appends.
-	e.tierTopo.Access(ep, th, numa.Rand, numa.Load, c.p, c.lookups, 4, int64(e.g.NumVertices())*4)
-	e.tierFrontier.Access(ep, th, numa.Seq, numa.Store, c.p, c.appends, 4, 0)
+	e.TierTopo.Access(ep, th, numa.Rand, numa.Load, c.p, c.lookups, 4, int64(e.G.NumVertices())*4)
+	e.TierFrontier.Access(ep, th, numa.Seq, numa.Store, c.p, c.appends, 4, 0)
 	c.compute(h, rows)
 }
 
@@ -200,16 +200,16 @@ func (c *charger) flushPull(h sg.Hints, partVerts int) {
 	for _, r := range c.rowsByOwner {
 		rows += r
 	}
-	e.tierTopo.Access(ep, th, numa.Seq, numa.Load, c.p, rows, rowMetaBytes, 0)
-	e.tierTopo.Access(ep, th, numa.Seq, numa.Load, c.p, c.edges, edgeBytes, 0)
+	e.TierTopo.Access(ep, th, numa.Seq, numa.Load, c.p, rows, rowMetaBytes, 0)
+	e.TierTopo.Access(ep, th, numa.Seq, numa.Load, c.p, c.edges, edgeBytes, 0)
 	// Local random reads of sources (state + data).
 	localWS := int64(partVerts) * int64(h.DataBytes)
 	if interleavedData {
-		e.tierFrontier.AccessInterleaved(ep, th, numa.Rand, numa.Load, c.edges, stateByte, 0)
-		e.tierState.AccessInterleaved(ep, th, numa.Rand, numa.Load, c.edges, h.DataBytes, dataWS(e, h))
+		e.TierFrontier.AccessInterleaved(ep, th, numa.Rand, numa.Load, c.edges, stateByte, 0)
+		e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Load, c.edges, h.DataBytes, dataWS(e, h))
 	} else {
-		e.tierFrontier.Access(ep, th, numa.Rand, numa.Load, c.p, c.edges, stateByte, int64(partVerts))
-		e.tierState.Access(ep, th, numa.Rand, numa.Load, c.p, c.edges, h.DataBytes, localWS)
+		e.TierFrontier.Access(ep, th, numa.Rand, numa.Load, c.p, c.edges, stateByte, int64(partVerts))
+		e.TierState.Access(ep, th, numa.Rand, numa.Load, c.p, c.edges, h.DataBytes, localWS)
 	}
 	// Cross-node atomic updates bounce the target's cache line between
 	// sockets (Section 4.3: "the same vertex may be updated simultaneously
@@ -219,29 +219,29 @@ func (c *charger) flushPull(h sg.Hints, partVerts int) {
 	// order — the paper's mitigation — desynchronises the nodes' sweeps
 	// and keeps the collision rate low; without it the nodes update the
 	// same region simultaneously.
-	if e.m.Nodes > 1 {
+	if e.M.Nodes > 1 {
 		stalls := c.edges / 16
 		if e.opt.DisableRolling {
 			stalls = c.edges / 4
 		}
-		e.tierState.LatencyBound(ep, th, numa.Store, c.p, stalls)
+		e.TierState.LatencyBound(ep, th, numa.Store, c.p, stalls)
 	}
 	// Far-side target data: Cond reads and update writes, sequential by
 	// owner (the agents give the sweep its sequential order).
 	for o := range c.rowsByOwner {
 		switch {
 		case interleavedData:
-			e.tierState.AccessInterleaved(ep, th, numa.Seq, numa.Load, c.rowsByOwner[o], h.DataBytes, 0)
-			e.tierState.AccessInterleaved(ep, th, numa.Seq, numa.Store, c.activeByOwner[o], h.DataBytes, 0)
+			e.TierState.AccessInterleaved(ep, th, numa.Seq, numa.Load, c.rowsByOwner[o], h.DataBytes, 0)
+			e.TierState.AccessInterleaved(ep, th, numa.Seq, numa.Store, c.activeByOwner[o], h.DataBytes, 0)
 		case e.opt.DisableAgents:
-			e.tierState.Access(ep, th, numa.Rand, numa.Load, o, c.rowsByOwner[o], h.DataBytes, dataWS(e, h))
-			e.tierState.Access(ep, th, numa.Rand, numa.Store, o, c.activeByOwner[o], h.DataBytes, dataWS(e, h))
+			e.TierState.Access(ep, th, numa.Rand, numa.Load, o, c.rowsByOwner[o], h.DataBytes, dataWS(e, h))
+			e.TierState.Access(ep, th, numa.Rand, numa.Store, o, c.activeByOwner[o], h.DataBytes, dataWS(e, h))
 		case e.opt.DisableRolling:
-			e.tierState.AccessInterleaved(ep, th, numa.Seq, numa.Load, c.rowsByOwner[o], h.DataBytes, 0)
-			e.tierState.AccessInterleaved(ep, th, numa.Seq, numa.Store, c.activeByOwner[o], h.DataBytes, 0)
+			e.TierState.AccessInterleaved(ep, th, numa.Seq, numa.Load, c.rowsByOwner[o], h.DataBytes, 0)
+			e.TierState.AccessInterleaved(ep, th, numa.Seq, numa.Store, c.activeByOwner[o], h.DataBytes, 0)
 		default:
-			e.tierState.Access(ep, th, numa.Seq, numa.Load, o, c.rowsByOwner[o], h.DataBytes, 0)
-			e.tierState.Access(ep, th, numa.Seq, numa.Store, o, c.activeByOwner[o], h.DataBytes, 0)
+			e.TierState.Access(ep, th, numa.Seq, numa.Load, o, c.rowsByOwner[o], h.DataBytes, 0)
+			e.TierState.Access(ep, th, numa.Seq, numa.Store, o, c.activeByOwner[o], h.DataBytes, 0)
 		}
 	}
 	c.compute(h, rows)
@@ -253,7 +253,7 @@ func (c *charger) compute(h sg.Hints, rows int64) {
 }
 
 func dataWS(e *Engine, h sg.Hints) int64 {
-	return int64(e.g.NumVertices()) * int64(h.DataBytes)
+	return int64(e.G.NumVertices()) * int64(h.DataBytes)
 }
 
 // edgeMapDensePush sweeps each node's source-keyed rows in rolling order:
@@ -266,13 +266,13 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 	collect := !h.NoOutput
 	var b *state.Builder
 	if collect {
-		b = state.NewBuilder(e.bounds, e.m.Threads(), true).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
+		b = state.NewBuilder(e.bounds, e.M.Threads(), true).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
 	}
 	ep := e.scr.beginPhase()
-	full := a.Count() == int64(e.g.NumVertices())
+	full := a.Count() == int64(e.G.NumVertices())
 
 	e.runPhase(func(th int) {
-		p := e.m.NodeOfThread(th)
+		p := e.M.NodeOfThread(th)
 		nl := &l.perNode[p]
 		rows := len(nl.rowIDs)
 		if rows == 0 {
@@ -284,7 +284,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 		}
 		c := e.scr.charger(th)
 		weighted := h.Weighted && nl.wts != nil
-		l.strides[p].Do(th%e.m.CoresPerNode, func(lo, hi int64) {
+		l.strides[p].Do(th%e.M.CoresPerNode, func(lo, hi int64) {
 			var edges, condChecks, updates int64
 			for i := lo; i < hi; i++ {
 				r := int(i) + start
@@ -336,13 +336,13 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 		})
 		e.addEdges(c.edges)
 	})
-	if e.err != nil {
+	if e.Err() != nil {
 		return state.NewEmpty(e.bounds) // failed phase charges nothing
 	}
 	e.balanceWithinNodes(e.scr.chargers)
 	for th, c := range e.scr.chargers {
 		if c != nil {
-			c.flushPush(h, l.perNode[e.m.NodeOfThread(th)].vr.Len())
+			c.flushPush(h, l.perNode[e.M.NodeOfThread(th)].vr.Len())
 		}
 	}
 	e.recordPhase("edgemap", true, true, a.Count(), e.chargePhase(ep))
@@ -361,14 +361,14 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 	collect := !h.NoOutput
 	var b *state.Builder
 	if collect {
-		b = state.NewBuilder(e.bounds, e.m.Threads(), true).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
+		b = state.NewBuilder(e.bounds, e.M.Threads(), true).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
 	}
 	ep := e.scr.beginPhase()
-	atomicUpdate := e.m.Nodes > 1 // a node's own threads share one host worker
-	full := a.Count() == int64(e.g.NumVertices())
+	atomicUpdate := e.M.Nodes > 1 // a node's own threads share one host worker
+	full := a.Count() == int64(e.G.NumVertices())
 
 	e.runPhase(func(th int) {
-		p := e.m.NodeOfThread(th)
+		p := e.M.NodeOfThread(th)
 		nl := &l.perNode[p]
 		rows := len(nl.rowIDs)
 		if rows == 0 {
@@ -380,7 +380,7 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 		}
 		c := e.scr.charger(th)
 		weighted := h.Weighted && nl.wts != nil
-		l.strides[p].Do(th%e.m.CoresPerNode, func(lo, hi int64) {
+		l.strides[p].Do(th%e.M.CoresPerNode, func(lo, hi int64) {
 			var edges, updates int64
 			for i := lo; i < hi; i++ {
 				r := int(i) + start
@@ -430,13 +430,13 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 		})
 		e.addEdges(c.edges)
 	})
-	if e.err != nil {
+	if e.Err() != nil {
 		return state.NewEmpty(e.bounds)
 	}
 	e.balanceWithinNodes(e.scr.chargers)
 	for th, c := range e.scr.chargers {
 		if c != nil {
-			c.flushPull(h, l.perNode[e.m.NodeOfThread(th)].vr.Len())
+			c.flushPull(h, l.perNode[e.M.NodeOfThread(th)].vr.Len())
 		}
 	}
 	e.recordPhase("edgemap", true, false, a.Count(), e.chargePhase(ep))
@@ -455,10 +455,10 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 	collect := !h.NoOutput
 	var b *state.Builder
 	if collect {
-		b = state.NewBuilder(e.bounds, e.m.Threads(), false).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
+		b = state.NewBuilder(e.bounds, e.M.Threads(), false).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
 	}
 	ep := e.scr.beginPhase()
-	nodes := e.m.Nodes
+	nodes := e.M.Nodes
 
 	// Concatenate the per-node active lists once (into the reusable
 	// scratch buffers); every node sweeps the full frontier (its local
@@ -472,17 +472,17 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 		}
 	}
 	e.scr.actives, e.scr.ownerOf = actives, ownerOf
-	stride := par.MakeStrided(int64(len(actives)), par.ChunkSize(int64(len(actives)), e.m.CoresPerNode), e.m.CoresPerNode)
+	stride := par.MakeStrided(int64(len(actives)), par.ChunkSize(int64(len(actives)), e.M.CoresPerNode), e.M.CoresPerNode)
 
 	e.runPhase(func(th int) {
-		p := e.m.NodeOfThread(th)
+		p := e.M.NodeOfThread(th)
 		nl := &l.perNode[p]
 		if len(nl.rowIDs) == 0 {
 			return
 		}
 		c := e.scr.charger(th)
 		weighted := h.Weighted && nl.wts != nil
-		stride.Do(th%e.m.CoresPerNode, func(lo, hi int64) {
+		stride.Do(th%e.M.CoresPerNode, func(lo, hi int64) {
 			for i := lo; i < hi; i++ {
 				s := actives[i]
 				owner := ownerOf[i]
@@ -516,13 +516,13 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 		})
 		e.addEdges(c.edges)
 	})
-	if e.err != nil {
+	if e.Err() != nil {
 		return state.NewEmpty(e.bounds)
 	}
 	e.balanceWithinNodes(e.scr.chargers)
 	for th, c := range e.scr.chargers {
 		if c != nil {
-			c.flushPush(h, l.perNode[e.m.NodeOfThread(th)].vr.Len())
+			c.flushPush(h, l.perNode[e.M.NodeOfThread(th)].vr.Len())
 		}
 	}
 	e.recordPhase("edgemap", false, true, a.Count(), e.chargePhase(ep))
@@ -536,21 +536,21 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 // it returned true. Vertices are processed by their owning node's threads
 // with dynamic chunking.
 func (e *Engine) VertexMap(a *state.Subset, f sg.VertexFunc) *state.Subset {
-	if a.IsEmpty() || e.err != nil {
+	if a.IsEmpty() || e.Err() != nil {
 		return state.NewEmpty(e.bounds)
 	}
 	e.met.VertexMaps++
-	b := state.NewBuilder(e.bounds, e.m.Threads(), a.Dense()).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
+	b := state.NewBuilder(e.bounds, e.M.Threads(), a.Dense()).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
 	ep := e.scr.beginPhase()
 
 	if a.Dense() {
 		strides := e.vmDenseStrides()
 		e.runPhase(func(th int) {
-			p := e.m.NodeOfThread(th)
+			p := e.M.NodeOfThread(th)
 			words := a.Words(p)
 			base := e.bounds[p]
 			var visited, wordsScanned int64
-			strides[p].Do(th%e.m.CoresPerNode, func(lo, hi int64) {
+			strides[p].Do(th%e.M.CoresPerNode, func(lo, hi int64) {
 				wordsScanned += hi - lo
 				for wi := lo; wi < hi; wi++ {
 					w := words[wi]
@@ -566,17 +566,17 @@ func (e *Engine) VertexMap(a *state.Subset, f sg.VertexFunc) *state.Subset {
 				}
 
 			})
-			e.tierFrontier.Access(ep, th, numa.Seq, numa.Load, p, wordsScanned, 8, 0)
-			e.tierState.Access(ep, th, numa.Seq, numa.Load, p, visited, vertexMapData, 0)
+			e.TierFrontier.Access(ep, th, numa.Seq, numa.Load, p, wordsScanned, 8, 0)
+			e.TierState.Access(ep, th, numa.Seq, numa.Load, p, visited, vertexMapData, 0)
 			ep.Compute(th, float64(visited)*2e-9)
 		})
 	} else {
 		e.runPhase(func(th int) {
-			p := e.m.NodeOfThread(th)
+			p := e.M.NodeOfThread(th)
 			list := a.List(p)
 			var visited int64
-			stride := par.MakeStrided(int64(len(list)), 64, e.m.CoresPerNode)
-			stride.Do(th%e.m.CoresPerNode, func(lo, hi int64) {
+			stride := par.MakeStrided(int64(len(list)), 64, e.M.CoresPerNode)
+			stride.Do(th%e.M.CoresPerNode, func(lo, hi int64) {
 				for i := lo; i < hi; i++ {
 					v := list[i]
 					visited++
@@ -586,11 +586,11 @@ func (e *Engine) VertexMap(a *state.Subset, f sg.VertexFunc) *state.Subset {
 				}
 
 			})
-			e.tierState.Access(ep, th, numa.Seq, numa.Load, p, visited, 4+vertexMapData, 0)
+			e.TierState.Access(ep, th, numa.Seq, numa.Load, p, visited, 4+vertexMapData, 0)
 			ep.Compute(th, float64(visited)*2e-9)
 		})
 	}
-	if e.err != nil {
+	if e.Err() != nil {
 		return state.NewEmpty(e.bounds)
 	}
 	e.recordPhase("vertexmap", a.Dense(), false, a.Count(), e.chargePhase(ep))
@@ -599,5 +599,5 @@ func (e *Engine) VertexMap(a *state.Subset, f sg.VertexFunc) *state.Subset {
 
 // addEdges accumulates the processed-edge metric from the host workers.
 func (e *Engine) addEdges(n int64) {
-	e.edgesProcessed.Add(n)
+	e.Edges.Add(n)
 }

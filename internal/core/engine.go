@@ -24,17 +24,13 @@
 package core
 
 import (
-	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"polymer/internal/barrier"
 	"polymer/internal/graph"
 	"polymer/internal/mem"
 	"polymer/internal/numa"
-	"polymer/internal/obs"
-	"polymer/internal/par"
 	"polymer/internal/partition"
 	"polymer/internal/sg"
 )
@@ -132,20 +128,15 @@ type Metrics struct {
 }
 
 // Engine is a Polymer instance bound to one graph and one simulated
-// machine. It implements sg.Engine.
+// machine. It implements sg.Engine; the lifecycle surface is sg.Base's.
 type Engine struct {
-	g   *graph.Graph
-	m   *numa.Machine
+	sg.Base
 	opt Options
 
 	parts  []partition.Range
 	bounds []int
 
-	pool           *par.Pool
-	ledger         *numa.Epoch // whole-run accumulation
-	clock          float64
-	met            Metrics
-	edgesProcessed atomic.Int64 // workers accumulate without a lock
+	met Metrics
 
 	scr      *scratch             // phase-scoped reusable buffers
 	degreeOf func(v uint32) int64 // out-degree accessor for frontier builders
@@ -154,36 +145,14 @@ type Engine struct {
 	pull *layout // lazily built; keyed by target, columns are local sources
 
 	trace []PhaseRecord
-	tr    *obs.Tracer // nil = tracing disabled
 
-	arrays    []interface{ Free() }
 	topoBytes int64
 	closed    bool
 
-	// Tiered-memory placement (all nil on untiered machines — the
-	// wrappers' nil fast path keeps charging bit-identical): topology
-	// streams, per-vertex application data, and pinned runtime state
-	// compete for DRAM as three demand classes.
-	tierPlan     *mem.TierPlan
-	tierTopo     *mem.TierClass
-	tierState    *mem.TierClass
-	tierFrontier *mem.TierClass
-
-	err  error           // first execution failure (see fail/Err)
-	ctx  context.Context // optional cancellation; nil means background
-	snap *simSnapshot    // single slot for SnapshotSim/RestoreSim
-}
-
-// simSnapshot captures the engine's simulated-time state so a superstep
-// can be rolled back after an injected fault: clock, cumulative ledger,
-// metrics, edge counter, and trace position.
-type simSnapshot struct {
-	clock  float64
-	ledger *numa.Epoch
-	met    Metrics
-	edges  int64
-	trace  int
-	tier   *mem.TierSnap
+	// Rollback extension (sg.SnapExtra): the metrics and the phase-trace
+	// position at the last SnapshotSim.
+	snapMet   Metrics
+	snapTrace int
 }
 
 var _ sg.Engine = (*Engine)(nil)
@@ -198,7 +167,10 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	if opt.OverheadNsPerEdge <= 0 {
 		opt.OverheadNsPerEdge = 1.0
 	}
-	e := &Engine{g: g, m: m, opt: opt}
+	e := &Engine{opt: opt}
+	if err := e.Init("polymer", g, m, e); err != nil {
+		return nil, err
+	}
 	if opt.EdgeBalanced {
 		dir := partition.Out
 		if opt.Mode == Push {
@@ -209,12 +181,6 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 		e.parts = partition.VertexBalanced(g.NumVertices(), m.Nodes)
 	}
 	e.bounds = partition.Bounds(e.parts)
-	pool, err := par.NewNodePool(m.Nodes, m.CoresPerNode)
-	if err != nil {
-		return nil, err
-	}
-	e.pool = pool
-	e.ledger = m.NewEpoch()
 	e.scr = newScratch(e)
 	e.degreeOf = func(v uint32) int64 { return g.OutDegree(graph.Vertex(v)) }
 	// The engine keeps the construction-stage graph resident alongside
@@ -222,42 +188,14 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	if err := m.Alloc().Grow("polymer/graph", g.TopologyBytes()); err != nil {
 		return nil, err
 	}
-	e.initTier()
+	e.InitTier(g.TopologyBytes(), func(fr *mem.TierClass) {
+		for p := 0; p < m.Nodes; p++ {
+			// Bitmaps, queues and per-vertex runtime-state bytes.
+			fr.GrowDemand(p, 2*int64(e.bounds[p+1]-e.bounds[p]))
+		}
+	})
 	return e, nil
 }
-
-// initTier registers the engine's demand classes with the machine's tier
-// plan. On untiered machines every handle stays nil and the charge
-// wrappers pass through bit-identically.
-func (e *Engine) initTier() {
-	e.tierPlan = mem.NewTierPlan(e.m)
-	if e.tierPlan == nil {
-		return
-	}
-	nodes := e.m.Nodes
-	e.tierFrontier = e.tierPlan.AddClass(mem.ClassSpec{
-		Label: "frontier", BytesPerNode: make([]int64, nodes), Pinned: true,
-	})
-	e.tierState = e.tierPlan.AddClass(mem.ClassSpec{
-		Label: "state", BytesPerNode: make([]int64, nodes), Priority: 0,
-	})
-	e.tierTopo = e.tierPlan.AddClass(mem.ClassSpec{
-		Label: "topology", BytesPerNode: make([]int64, nodes), Priority: 1,
-	})
-	for p := 0; p < nodes; p++ {
-		// Bitmaps, queues and per-vertex runtime-state bytes.
-		e.tierFrontier.GrowDemand(p, 2*int64(e.bounds[p+1]-e.bounds[p]))
-	}
-	e.tierTopo.GrowDemandEven(e.g.TopologyBytes())
-	// Hot-vertex placement: per-vertex data access mass follows degree.
-	e.tierState.SetHotMass(mem.DegreeHotMass(e.g.NumVertices(), func(i int) int64 {
-		return e.g.OutDegree(graph.Vertex(i)) + 1
-	}))
-}
-
-// TierPlan returns the engine's tier placement plan (nil when untiered),
-// for provenance and the conformance suite.
-func (e *Engine) TierPlan() *mem.TierPlan { return e.tierPlan }
 
 // MustNew is New panicking on error, for statically valid configurations
 // (tests, examples, benchmarks).
@@ -268,12 +206,6 @@ func MustNew(g *graph.Graph, m *numa.Machine, opt Options) *Engine {
 	}
 	return e
 }
-
-// Graph returns the input graph.
-func (e *Engine) Graph() *graph.Graph { return e.g }
-
-// Machine returns the simulated machine.
-func (e *Engine) Machine() *numa.Machine { return e.m }
 
 // Bounds returns the per-node vertex partition offsets.
 func (e *Engine) Bounds() []int { return e.bounds }
@@ -287,59 +219,22 @@ func (e *Engine) Options() Options { return e.opt }
 // Metrics returns activity counters.
 func (e *Engine) Metrics() Metrics {
 	m := e.met
-	m.EdgesProcessed = e.edgesProcessed.Load()
+	m.EdgesProcessed = e.Edges.Load()
 	return m
-}
-
-// SimSeconds returns the accumulated simulated runtime, including barrier
-// costs.
-func (e *Engine) SimSeconds() float64 { return e.clock }
-
-// AddSimSeconds charges extra simulated time (used by algorithm drivers
-// for work outside EdgeMap/VertexMap).
-func (e *Engine) AddSimSeconds(s float64) { e.clock += s }
-
-// RunStats returns accumulated classified-access statistics (Table 4).
-func (e *Engine) RunStats() numa.Stats { return e.ledger.Stats() }
-
-// ThreadSeconds returns the per-thread simulated busy time (Figure 11b).
-func (e *Engine) ThreadSeconds() []float64 {
-	out := make([]float64, e.m.Threads())
-	for th := range out {
-		out[th] = e.ledger.ThreadSeconds(th)
-	}
-	return out
 }
 
 // NewData allocates a float64 per-vertex array with Polymer's co-located
 // placement (or the ablation override).
-func (e *Engine) NewData(label string) *mem.Array[float64] {
-	a := e.newArray64(label)
-	e.arrays = append(e.arrays, a)
-	return a
-}
+func (e *Engine) NewData(label string) *mem.Array[float64] { return newArray[float64](e, label) }
 
 // NewData32 allocates a uint32 per-vertex array (labels, parents).
-func (e *Engine) NewData32(label string) *mem.Array[uint32] {
-	var a *mem.Array[uint32]
-	if e.opt.Layout == mem.CoLocated {
-		a = mem.New[uint32](e.m, label, e.g.NumVertices(), mem.CoLocated, e.bounds)
-	} else {
-		a = mem.New[uint32](e.m, label, e.g.NumVertices(), e.opt.Layout, nil)
-	}
-	a.BindTier(e.tierState).GrowTierDemand()
-	e.arrays = append(e.arrays, a)
-	return a
-}
+func (e *Engine) NewData32(label string) *mem.Array[uint32] { return newArray[uint32](e, label) }
 
-func (e *Engine) newArray64(label string) *mem.Array[float64] {
-	var a *mem.Array[float64]
+func newArray[T any](e *Engine, label string) *mem.Array[T] {
 	if e.opt.Layout == mem.CoLocated {
-		a = mem.New[float64](e.m, label, e.g.NumVertices(), mem.CoLocated, e.bounds)
-	} else {
-		a = mem.New[float64](e.m, label, e.g.NumVertices(), e.opt.Layout, nil)
+		return sg.NewArray[T](&e.Base, label, mem.CoLocated, e.bounds)
 	}
-	return a.BindTier(e.tierState).GrowTierDemand()
+	return sg.NewArray[T](&e.Base, label, e.opt.Layout, nil)
 }
 
 // Close releases simulated allocations.
@@ -348,18 +243,16 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	e.m.Alloc().Release("polymer/graph", e.g.TopologyBytes())
-	for _, a := range e.arrays {
-		a.Free()
-	}
+	e.M.Alloc().Release("polymer/graph", e.G.TopologyBytes())
+	e.FreeArrays()
 	if e.topoBytes > 0 {
-		e.m.Alloc().Release("polymer/topology", e.topoBytes)
+		e.M.Alloc().Release("polymer/topology", e.topoBytes)
 	}
 	if e.push != nil && e.push.agentBytes > 0 {
-		e.m.Alloc().Release("polymer/agents", e.push.agentBytes)
+		e.M.Alloc().Release("polymer/agents", e.push.agentBytes)
 	}
 	if e.pull != nil && e.pull.agentBytes > 0 {
-		e.m.Alloc().Release("polymer/agents", e.pull.agentBytes)
+		e.M.Alloc().Release("polymer/agents", e.pull.agentBytes)
 	}
 }
 
@@ -367,137 +260,60 @@ func (e *Engine) Close() {
 // including a barrier crossing; it returns the phase's total simulated
 // duration.
 func (e *Engine) chargePhase(ep *numa.Epoch) float64 {
-	e.tierPlan.Step(ep) // migration cost lands in the phase it follows
-	t := ep.Time()
-	b := barrier.SyncCost(e.opt.Barrier, e.m.Nodes) / e.m.Topo.SyncScale
-	e.clock += t + b
-	e.met.BarrierSeconds += b
-	e.ledger.Add(ep)
-	return t + b
+	dur, sync := e.ChargePhase(ep, e.opt.Barrier)
+	e.met.BarrierSeconds += sync
+	return dur
 }
-
-// Err returns the first execution failure recorded during a parallel
-// phase (worker panic, offline node, allocation failure, cancelled
-// context, missed phase deadline), or nil. Once set, subsequent
-// EdgeMap/VertexMap calls are no-ops returning empty frontiers and charge
-// nothing, so a failed superstep leaves no residue in the simulated
-// clock beyond what the resilience layer rolls back.
-func (e *Engine) Err() error { return e.err }
-
-// ClearErr resets the failure so a rolled-back superstep can be
-// replayed.
-func (e *Engine) ClearErr() { e.err = nil }
-
-// fail records the first failure.
-func (e *Engine) fail(err error) {
-	if e.err == nil && err != nil {
-		e.err = err
-	}
-}
-
-// SetContext installs a cancellation context consulted before each
-// parallel phase; nil restores the default (never cancelled).
-func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
-
-// SetFaultHook installs (nil removes) the fault injector's per-dispatch
-// hook on the engine's worker pool.
-func (e *Engine) SetFaultHook(h func(th int) error) { e.pool.SetHook(h) }
 
 // runPhase dispatches one parallel phase, honouring the engine context
-// and the configured phase deadline. It returns false if the phase
-// failed (the failure is recorded on the engine) — callers must then skip
-// all simulated charging for the phase: a request cancelled mid-run stops
-// charging the simulated clock at the superstep boundary.
+// and the configured phase deadline; false means the phase failed and
+// must charge nothing (see sg.Base.RunPhase).
 func (e *Engine) runPhase(fn func(th int)) bool { return e.dispatch(fn, false) }
 
 // dispatch is runPhase with the choice of entry point: concurrent gives
 // every simulated thread its own goroutine, for the one traversal whose
 // thread bodies wait on each other (AsyncTraverse).
 func (e *Engine) dispatch(fn func(th int), concurrent bool) bool {
-	if e.err != nil {
+	if !concurrent && e.opt.PhaseTimeout <= 0 {
+		return e.RunPhase(fn)
+	}
+	if e.Err() != nil {
 		return false
 	}
-	var start time.Time
-	if e.opt.PhaseTimeout > 0 {
-		start = time.Now()
-	}
-	ctx := e.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	start := time.Now()
 	var err error
 	if concurrent {
-		err = e.pool.RunConcurrent(ctx, fn)
+		err = e.Pool.RunConcurrent(e.Context(), fn)
 	} else {
-		err = e.pool.RunCtx(ctx, fn)
+		err = e.Pool.RunCtx(e.Context(), fn)
 	}
 	if err != nil {
-		e.fail(err)
+		e.Fail(err)
 		return false
 	}
-	if e.opt.PhaseTimeout > 0 {
-		if d := time.Since(start); d > e.opt.PhaseTimeout {
-			e.fail(fmt.Errorf("core: phase exceeded deadline: %v > %v", d, e.opt.PhaseTimeout))
-			return false
-		}
+	if d := time.Since(start); e.opt.PhaseTimeout > 0 && d > e.opt.PhaseTimeout {
+		e.Fail(fmt.Errorf("core: phase exceeded deadline: %v > %v", d, e.opt.PhaseTimeout))
+		return false
 	}
 	return true
 }
 
-// SnapshotSim saves the simulated-time state (clock, cumulative ledger,
-// metrics, edge counter, trace position) into the engine's snapshot
-// slot; RestoreSim rolls back to it. The resilience layer wraps each
-// superstep in a Snapshot/Restore pair so an injected fault's partial
-// charges are discarded before replay.
-func (e *Engine) SnapshotSim() {
-	if e.snap == nil {
-		e.snap = &simSnapshot{ledger: e.m.NewEpoch()}
-	}
-	e.snap.clock = e.clock
-	e.snap.ledger.CopyFrom(e.ledger)
-	e.snap.met = e.met
-	e.snap.edges = e.edgesProcessed.Load()
-	e.snap.trace = len(e.trace)
-	e.snap.tier = e.tierPlan.Snapshot()
-}
+// SnapshotExtra and RestoreExtra are the engine's sg.SnapExtra: the
+// activity metrics and the phase-trace position roll back with the clock.
+func (e *Engine) SnapshotExtra() { e.snapMet, e.snapTrace = e.met, len(e.trace) }
 
-// RestoreSim rolls the simulated-time state back to the last SnapshotSim.
-func (e *Engine) RestoreSim() {
-	if e.snap == nil {
-		return
-	}
-	e.clock = e.snap.clock
-	e.ledger.CopyFrom(e.snap.ledger)
-	e.met = e.snap.met
-	e.edgesProcessed.Store(e.snap.edges)
-	e.trace = e.trace[:e.snap.trace]
-	e.tierPlan.Restore(e.snap.tier)
+// RestoreExtra rolls the metrics and phase trace back to SnapshotExtra.
+func (e *Engine) RestoreExtra() {
+	e.met = e.snapMet
+	e.trace = e.trace[:e.snapTrace]
 }
 
 // Trace returns the recorded phase history (empty unless Options.Trace).
 func (e *Engine) Trace() []PhaseRecord { return e.trace }
 
-// SetTracer installs (nil removes) the obs tracer. Phase events are
-// stamped with the simulated clock; the worker pool additionally emits
-// host-lane dispatch spans.
-func (e *Engine) SetTracer(tr *obs.Tracer) {
-	e.tr = tr
-	e.pool.SetTracer(tr)
-}
-
-// Tracer, TraceCat and TrafficSnapshot make the engine an obs.SimSource,
-// so algorithm drivers can wrap its superstep loops in obs.BeginStep/End.
-func (e *Engine) Tracer() *obs.Tracer { return e.tr }
-
-// TraceCat returns the engine's obs event category.
-func (e *Engine) TraceCat() string { return "polymer" }
-
-// TrafficSnapshot copies the cumulative classified run traffic into dst.
-func (e *Engine) TrafficSnapshot(dst *numa.TrafficMatrix) { e.ledger.Traffic(dst) }
-
 func (e *Engine) recordPhase(kind string, dense, push bool, activeIn int64, seconds float64) {
-	if e.tr != nil {
-		e.tr.Phase("polymer", kind, dense, push, activeIn, e.clock-seconds, seconds)
+	if e.Tr != nil {
+		e.Tr.Phase("polymer", kind, dense, push, activeIn, e.Clock-seconds, seconds)
 	}
 	if !e.opt.Trace {
 		return

@@ -188,7 +188,7 @@ func (l *layout) bytes() int64 {
 // allocation accounting identical to a fault-free run.
 func (e *Engine) ensurePush() *layout {
 	if e.push == nil {
-		l := buildLayout(e.g, e.parts, true)
+		l := buildLayout(e.G, e.parts, true)
 		if !e.registerLayout(l) {
 			return l // e.err is set; the phase will abort uncharged
 		}
@@ -200,7 +200,7 @@ func (e *Engine) ensurePush() *layout {
 // ensurePull lazily builds the pull-direction layout.
 func (e *Engine) ensurePull() *layout {
 	if e.pull == nil {
-		l := buildLayout(e.g, e.parts, false)
+		l := buildLayout(e.G, e.parts, false)
 		if !e.registerLayout(l) {
 			return l
 		}
@@ -213,21 +213,21 @@ func (e *Engine) registerLayout(l *layout) bool {
 	l.strides = make([]par.Strided, len(l.perNode))
 	for p := range l.perNode {
 		rows := int64(len(l.perNode[p].rowIDs))
-		l.strides[p] = par.MakeStrided(rows, par.ChunkSize(rows, e.m.CoresPerNode), e.m.CoresPerNode)
+		l.strides[p] = par.MakeStrided(rows, par.ChunkSize(rows, e.M.CoresPerNode), e.M.CoresPerNode)
 	}
 	b := l.bytes()
-	if err := e.m.Alloc().Grow("polymer/topology", b); err != nil {
-		e.fail(err)
+	if err := e.M.Alloc().Grow("polymer/topology", b); err != nil {
+		e.Fail(err)
 		return false
 	}
 	if l.agentBytes > 0 {
-		if err := e.m.Alloc().Grow("polymer/agents", l.agentBytes); err != nil {
-			e.fail(err)
-			e.m.Alloc().Release("polymer/topology", b)
+		if err := e.M.Alloc().Grow("polymer/agents", l.agentBytes); err != nil {
+			e.Fail(err)
+			e.M.Alloc().Release("polymer/topology", b)
 			return false
 		}
 	}
 	e.topoBytes += b
-	e.tierTopo.GrowDemandEven(b + l.agentBytes)
+	e.TierTopo.GrowDemandEven(b + l.agentBytes)
 	return true
 }

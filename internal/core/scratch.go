@@ -37,16 +37,16 @@ type scratch struct {
 }
 
 func newScratch(e *Engine) *scratch {
-	threads := e.m.Threads()
-	nodes := e.m.Nodes
+	threads := e.M.Threads()
+	nodes := e.M.Nodes
 	s := &scratch{
-		ep:          e.m.NewEpoch(),
+		ep:          e.M.NewEpoch(),
 		chargerPool: make([]charger, threads),
 		chargers:    make([]*charger, threads),
 	}
 	for th := range s.chargerPool {
 		c := &s.chargerPool[th]
-		c.e, c.ep, c.th, c.p = e, s.ep, th, e.m.NodeOfThread(th)
+		c.e, c.ep, c.th, c.p = e, s.ep, th, e.M.NodeOfThread(th)
 		c.rowsByOwner = make([]int64, nodes)
 		c.activeByOwner = make([]int64, nodes)
 	}
@@ -80,10 +80,10 @@ func (s *scratch) charger(th int) *charger {
 func (e *Engine) vmDenseStrides() []par.Strided {
 	s := e.scr
 	if s.vmDense == nil {
-		s.vmDense = make([]par.Strided, e.m.Nodes)
-		for p := 0; p < e.m.Nodes; p++ {
+		s.vmDense = make([]par.Strided, e.M.Nodes)
+		for p := 0; p < e.M.Nodes; p++ {
 			words := int64(e.bounds[p+1]-e.bounds[p]+63) / 64
-			s.vmDense[p] = par.MakeStrided(words, 64, e.m.CoresPerNode)
+			s.vmDense[p] = par.MakeStrided(words, 64, e.M.CoresPerNode)
 		}
 	}
 	return s.vmDense

@@ -16,7 +16,6 @@
 package galois
 
 import (
-	"context"
 	"math"
 	"sync/atomic"
 
@@ -26,8 +25,8 @@ import (
 	"polymer/internal/graph"
 	"polymer/internal/mem"
 	"polymer/internal/numa"
-	"polymer/internal/obs"
 	"polymer/internal/par"
+	"polymer/internal/sg"
 )
 
 // Options configures the baseline.
@@ -46,33 +45,15 @@ func DefaultOptions() Options {
 	return Options{OverheadNsPerEdge: 0.8, NsPerTask: 20, Delta: 8}
 }
 
-// Engine is a Galois instance bound to one graph and machine.
+// Engine is a Galois instance bound to one graph and machine; the
+// lifecycle surface is sg.Base's.
 type Engine struct {
-	g   *graph.Graph
-	m   *numa.Machine
+	sg.Base
 	opt Options
 
-	pool   *par.Pool
-	ledger *numa.Epoch
-	clock  float64
-	edges  atomic.Int64
 	topoB  int64
 	dataB  int64
 	closed bool
-
-	err  error           // first execution failure
-	ctx  context.Context // optional cancellation; nil means background
-	snap *simSnapshot    // SnapshotSim/RestoreSim slot
-
-	tr    *obs.Tracer // nil = tracing disabled
-	round int         // committed round count, for superstep numbering
-
-	// Tiered-memory demand classes (nil when untiered; the wrappers'
-	// nil fast path keeps charging bit-identical).
-	tierPlan     *mem.TierPlan
-	tierTopo     *mem.TierClass
-	tierState    *mem.TierClass
-	tierFrontier *mem.TierClass
 
 	// Round-scoped scratch, reset between parallel rounds so steady-state
 	// iterations reuse the epoch, counters and worklist buffers instead of
@@ -94,14 +75,9 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	if opt.Delta <= 0 {
 		opt.Delta = 8
 	}
-	pool, err := par.NewNodePool(m.Nodes, m.CoresPerNode)
-	if err != nil {
+	e := &Engine{opt: opt}
+	if err := e.Init("galois", g, m, nil); err != nil {
 		return nil, err
-	}
-	e := &Engine{
-		g: g, m: m, opt: opt,
-		pool:   pool,
-		ledger: m.NewEpoch(),
 	}
 	e.scrEp = m.NewEpoch()
 	e.scrCnt = newCounters(m.Threads())
@@ -113,38 +89,10 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	if err := m.Alloc().Grow("galois/topology", e.topoB); err != nil {
 		return nil, err
 	}
-	e.initTier()
+	// Worklist and task metadata are spread over the machine.
+	e.InitTier(e.topoB, func(fr *mem.TierClass) { fr.GrowDemandEven(int64(g.NumVertices()) * 16) })
 	return e, nil
 }
-
-// initTier registers Galois's demand classes: the interleaved edge
-// arrays, the per-run application data (grown by trackData), and the
-// worklist/task metadata (pinned under the hot policy). Untiered
-// machines leave every handle nil.
-func (e *Engine) initTier() {
-	e.tierPlan = mem.NewTierPlan(e.m)
-	if e.tierPlan == nil {
-		return
-	}
-	nodes := e.m.Nodes
-	e.tierFrontier = e.tierPlan.AddClass(mem.ClassSpec{
-		Label: "frontier", BytesPerNode: make([]int64, nodes), Pinned: true,
-	})
-	e.tierState = e.tierPlan.AddClass(mem.ClassSpec{
-		Label: "state", BytesPerNode: make([]int64, nodes), Priority: 0,
-	})
-	e.tierTopo = e.tierPlan.AddClass(mem.ClassSpec{
-		Label: "topology", BytesPerNode: make([]int64, nodes), Priority: 1,
-	})
-	e.tierFrontier.GrowDemandEven(int64(e.g.NumVertices()) * 16)
-	e.tierTopo.GrowDemandEven(e.topoB)
-	e.tierState.SetHotMass(mem.DegreeHotMass(e.g.NumVertices(), func(i int) int64 {
-		return e.g.OutDegree(graph.Vertex(i)) + 1
-	}))
-}
-
-// TierPlan returns the engine's tier placement plan (nil when untiered).
-func (e *Engine) TierPlan() *mem.TierPlan { return e.tierPlan }
 
 // MustNew is New panicking on error, for call sites with known-good
 // configuration.
@@ -156,122 +104,15 @@ func MustNew(g *graph.Graph, m *numa.Machine, opt Options) *Engine {
 	return e
 }
 
-// Err returns the first execution failure (worker panic, offline node,
-// allocation failure), or nil.
-func (e *Engine) Err() error { return e.err }
-
-// ClearErr resets the failure so a rolled-back round can be replayed.
-func (e *Engine) ClearErr() { e.err = nil }
-
-func (e *Engine) fail(err error) {
-	if e.err == nil {
-		e.err = err
-	}
-}
-
-// SetFaultHook installs a per-dispatch fault hook on the worker pool.
-func (e *Engine) SetFaultHook(h func(th int) error) { e.pool.SetHook(h) }
-
-// SetContext installs a cancellation context consulted around each
-// parallel round; nil restores the default (never cancelled). A cancelled
-// context fails the round before any simulated charging.
-func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
-
-// runPhase dispatches fn across the pool, folding worker failures into
-// e.err. After a failure, subsequent rounds are no-ops until ClearErr.
-func (e *Engine) runPhase(fn func(th int)) {
-	if e.err != nil {
-		return
-	}
-	var err error
-	if e.ctx != nil {
-		err = e.pool.RunCtx(e.ctx, fn)
-	} else {
-		err = e.pool.Run(fn)
-	}
-	if err != nil {
-		e.fail(err)
-	}
-}
-
-// simSnapshot holds the simulated-time state captured by SnapshotSim.
-type simSnapshot struct {
-	clock  float64
-	ledger *numa.Epoch
-	edges  int64
-	round  int
-	tier   *mem.TierSnap
-}
-
-// SnapshotSim saves the simulated clock, ledger and edge counter so a
-// rolled-back round can restore them before replay.
-func (e *Engine) SnapshotSim() {
-	if e.snap == nil {
-		e.snap = &simSnapshot{ledger: e.m.NewEpoch()}
-	}
-	e.snap.clock = e.clock
-	e.snap.ledger.CopyFrom(e.ledger)
-	e.snap.edges = e.edges.Load()
-	e.snap.round = e.round
-	e.snap.tier = e.tierPlan.Snapshot()
-}
-
-// RestoreSim restores the state captured by the last SnapshotSim.
-func (e *Engine) RestoreSim() {
-	if e.snap == nil {
-		return
-	}
-	e.clock = e.snap.clock
-	e.ledger.CopyFrom(e.snap.ledger)
-	e.edges.Store(e.snap.edges)
-	e.round = e.snap.round
-	e.tierPlan.Restore(e.snap.tier)
-}
-
-// SetTracer installs (nil removes) the obs tracer. Every charged round
-// then emits one superstep event with its traffic attribution; the worker
-// pool emits host-lane dispatch spans.
-func (e *Engine) SetTracer(tr *obs.Tracer) {
-	e.tr = tr
-	e.pool.SetTracer(tr)
-}
-
-// Tracer, TraceCat and TrafficSnapshot make the engine an obs.SimSource.
-// Galois owns its round loops (the unit of superstep here is one charged
-// round), so it emits superstep events itself — drivers must not wrap its
-// algorithm entry points in obs.BeginStep.
-func (e *Engine) Tracer() *obs.Tracer { return e.tr }
-
-// TraceCat returns the engine's obs event category.
-func (e *Engine) TraceCat() string { return "galois" }
-
-// TrafficSnapshot copies the cumulative classified run traffic into dst.
-func (e *Engine) TrafficSnapshot(dst *numa.TrafficMatrix) { e.ledger.Traffic(dst) }
-
-// Graph returns the input graph.
-func (e *Engine) Graph() *graph.Graph { return e.g }
-
-// Machine returns the simulated machine.
-func (e *Engine) Machine() *numa.Machine { return e.m }
-
-// SimSeconds returns the accumulated simulated runtime.
-func (e *Engine) SimSeconds() float64 { return e.clock }
-
-// RunStats returns accumulated access statistics.
-func (e *Engine) RunStats() numa.Stats { return e.ledger.Stats() }
-
-// EdgesProcessed returns total edge applications.
-func (e *Engine) EdgesProcessed() int64 { return e.edges.Load() }
-
 // Close releases simulated allocations.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	e.m.Alloc().Release("galois/topology", e.topoB)
+	e.M.Alloc().Release("galois/topology", e.topoB)
 	if e.dataB > 0 {
-		e.m.Alloc().Release("galois/data", e.dataB)
+		e.M.Alloc().Release("galois/data", e.dataB)
 	}
 }
 
@@ -279,11 +120,11 @@ func (e *Engine) Close() {
 // injected allocation failure panics; fault.Catch recovers it into the
 // session error so the run can restart.
 func (e *Engine) trackData(bytes int64) {
-	if err := e.m.Alloc().Grow("galois/data", bytes); err != nil {
+	if err := e.M.Alloc().Grow("galois/data", bytes); err != nil {
 		panic(err)
 	}
 	e.dataB += bytes
-	e.tierState.GrowDemandEven(bytes)
+	e.TierState.GrowDemandEven(bytes)
 }
 
 // counters accumulates per-thread work; each worker only touches its own
@@ -325,29 +166,26 @@ func (c *counters) totals() (edges, tasks int64) {
 // across threads regardless of degree skew.
 func (e *Engine) chargeRound(ep *numa.Epoch, cnt *counters, dataBytes int, syncKind barrier.Kind) {
 	edges, tasks := cnt.totals()
-	n := int64(e.g.NumVertices())
-	threads := e.m.Threads()
+	n := int64(e.G.NumVertices())
+	threads := e.M.Threads()
 	perEdges, perTasks := edges/int64(threads), tasks/int64(threads)
 	for th := 0; th < threads; th++ {
-		e.tierTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, perEdges, 4, 0)
-		e.tierState.AccessInterleaved(ep, th, numa.Rand, numa.Load, perEdges, dataBytes, n*int64(dataBytes))
-		e.tierFrontier.AccessInterleaved(ep, th, numa.Seq, numa.Load, perTasks, 16, 0)
-		e.tierState.AccessInterleaved(ep, th, numa.Rand, numa.Store, perTasks, dataBytes, n*int64(dataBytes))
+		e.TierTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, perEdges, 4, 0)
+		e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Load, perEdges, dataBytes, n*int64(dataBytes))
+		e.TierFrontier.AccessInterleaved(ep, th, numa.Seq, numa.Load, perTasks, 16, 0)
+		e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Store, perTasks, dataBytes, n*int64(dataBytes))
 		ep.Compute(th, (float64(perEdges)*e.opt.OverheadNsPerEdge+float64(perTasks)*e.opt.NsPerTask)*1e-9)
 	}
-	e.tierPlan.Step(ep)
-	dur := ep.Time() + barrier.SyncCost(syncKind, e.m.Nodes)/e.m.Topo.SyncScale
-	e.clock += dur
-	e.ledger.Add(ep)
-	e.edges.Add(edges)
-	if e.tr != nil {
+	dur, _ := e.ChargePhase(ep, syncKind)
+	e.Edges.Add(edges)
+	if e.Tr != nil {
 		// The round epoch is exactly this superstep's charge, so its
 		// classified traffic is the delta — no cumulative snapshot needed.
 		tm := &numa.TrafficMatrix{}
 		ep.Traffic(tm)
-		e.tr.Superstep("galois", e.round, e.clock-dur, dur, tm)
+		e.Tr.Superstep("galois", e.Round, e.Clock-dur, dur, tm)
 	}
-	e.round++
+	e.Round++
 }
 
 // beginRound resets and hands out the round-scoped epoch and counters.
@@ -384,7 +222,7 @@ func (e *Engine) PageRank(iters int, damping float64) []float64 {
 // charges and per-vertex state and replays it to a bit-identical result.
 // A nil session runs fault-free with plain panic recovery.
 func (e *Engine) PageRankE(iters int, damping float64, sess *fault.Session) ([]float64, error) {
-	g := e.g
+	g := e.G
 	n := g.NumVertices()
 	curr := make([]float64, n)
 	next := make([]float64, n)
@@ -398,14 +236,14 @@ func (e *Engine) PageRankE(iters int, damping float64, sess *fault.Session) ([]f
 			invOut[v] = 1 / float64(d)
 		}
 	}
-	ck := par.MakeStrided(int64(n), 64, e.m.Threads())
+	ck := par.MakeStrided(int64(n), 64, e.M.Threads())
 	if sess != nil {
 		sess.TrackF64(curr, next)
 	}
 	for it := 0; it < iters; it++ {
 		err := fault.Step(sess, it, func() error {
 			ep, cnt := e.beginRound()
-			e.runPhase(func(th int) {
+			e.RunPhase(func(th int) {
 				var edges, tasks int64
 				ck.Do(th, func(lo, hi int64) {
 					for v := lo; v < hi; v++ {
@@ -420,8 +258,8 @@ func (e *Engine) PageRankE(iters int, damping float64, sess *fault.Session) ([]f
 				})
 				cnt.add(th, edges, tasks)
 			})
-			if e.err != nil {
-				return e.err
+			if e.Err() != nil {
+				return e.Err()
 			}
 			e.chargeRound(ep, cnt, 8, barrier.H)
 			return fault.CheckFinite("galois/pagerank", next)
@@ -439,16 +277,16 @@ func (e *Engine) PageRankE(iters int, damping float64, sess *fault.Session) ([]f
 // SpMV multiplies the weighted adjacency matrix with a dense vector,
 // iters times (y = A x, then x <- y), returning the final vector.
 func (e *Engine) SpMV(iters int, x0 []float64) []float64 {
-	g := e.g
+	g := e.G
 	n := g.NumVertices()
 	x := make([]float64, n)
 	y := make([]float64, n)
 	e.trackData(int64(n) * 16)
 	copy(x, x0)
-	ck := par.MakeStrided(int64(n), 64, e.m.Threads())
+	ck := par.MakeStrided(int64(n), 64, e.M.Threads())
 	for it := 0; it < iters; it++ {
 		ep, cnt := e.beginRound()
-		e.runPhase(func(th int) {
+		e.RunPhase(func(th int) {
 			var edges, tasks int64
 			ck.Do(th, func(lo, hi int64) {
 				for v := lo; v < hi; v++ {
@@ -469,7 +307,7 @@ func (e *Engine) SpMV(iters int, x0 []float64) []float64 {
 			})
 			cnt.add(th, edges, tasks)
 		})
-		if e.err != nil {
+		if e.Err() != nil {
 			return x
 		}
 		e.chargeRound(ep, cnt, 8, barrier.H)
@@ -482,7 +320,7 @@ func (e *Engine) SpMV(iters int, x0 []float64) []float64 {
 // along weighted in-edges with normalisation), returning per-vertex
 // beliefs.
 func (e *Engine) BP(iters int) []float64 {
-	g := e.g
+	g := e.G
 	n := g.NumVertices()
 	curr := make([]float64, n)
 	next := make([]float64, n)
@@ -490,10 +328,10 @@ func (e *Engine) BP(iters int) []float64 {
 	for i := range curr {
 		curr[i] = 0.5
 	}
-	ck := par.MakeStrided(int64(n), 64, e.m.Threads())
+	ck := par.MakeStrided(int64(n), 64, e.M.Threads())
 	for it := 0; it < iters; it++ {
 		ep, cnt := e.beginRound()
-		e.runPhase(func(th int) {
+		e.RunPhase(func(th int) {
 			var edges, tasks int64
 			ck.Do(th, func(lo, hi int64) {
 				for v := lo; v < hi; v++ {
@@ -514,7 +352,7 @@ func (e *Engine) BP(iters int) []float64 {
 			})
 			cnt.add(th, edges, tasks)
 		})
-		if e.err != nil {
+		if e.Err() != nil {
 			return curr
 		}
 		// Beliefs are wider than ranks (message tables).
@@ -528,7 +366,7 @@ func (e *Engine) BP(iters int) []float64 {
 // level of each vertex (-1 if unreachable). The worklist processes rounds
 // without a global barrier (charged at the cheap N-Barrier rate).
 func (e *Engine) BFS(src graph.Vertex) []int64 {
-	g := e.g
+	g := e.G
 	n := g.NumVertices()
 	const unreached = math.MaxInt64
 	dist := make([]int64, n)
@@ -543,9 +381,9 @@ func (e *Engine) BFS(src graph.Vertex) []int64 {
 	frontier := []graph.Vertex{src}
 	for len(frontier) > 0 {
 		nextLists, _ := e.roundLists()
-		ck := par.MakeStrided(int64(len(frontier)), 16, e.m.Threads())
+		ck := par.MakeStrided(int64(len(frontier)), 16, e.M.Threads())
 		ep, cnt := e.beginRound()
-		e.runPhase(func(th int) {
+		e.RunPhase(func(th int) {
 			var edges, tasks int64
 			ck.Do(th, func(lo, hi int64) {
 				for i := lo; i < hi; i++ {
@@ -562,7 +400,7 @@ func (e *Engine) BFS(src graph.Vertex) []int64 {
 			})
 			cnt.add(th, edges, tasks)
 		})
-		if e.err != nil {
+		if e.Err() != nil {
 			break
 		}
 		e.chargeRound(ep, cnt, 8, barrier.N) // asynchronous scheduling: no kernel barrier
@@ -583,7 +421,7 @@ func (e *Engine) BFS(src graph.Vertex) []int64 {
 // concurrent union-find (edges as tasks, lock-free pointer jumping) and
 // returns, for every vertex, the smallest vertex id in its component.
 func (e *Engine) CC() []graph.Vertex {
-	g := e.g
+	g := e.G
 	n := g.NumVertices()
 	parent := make([]uint32, n)
 	e.trackData(int64(n) * 4)
@@ -620,9 +458,9 @@ func (e *Engine) CC() []graph.Vertex {
 	}
 
 	// One pass over all edges, in parallel.
-	ck := par.MakeStrided(int64(n), 64, e.m.Threads())
+	ck := par.MakeStrided(int64(n), 64, e.M.Threads())
 	ep, cnt := e.beginRound()
-	e.runPhase(func(th int) {
+	e.RunPhase(func(th int) {
 		var edges, tasks int64
 		ck.Do(th, func(lo, hi int64) {
 			for v := lo; v < hi; v++ {
@@ -636,15 +474,15 @@ func (e *Engine) CC() []graph.Vertex {
 		cnt.add(th, edges, tasks)
 	})
 	out := make([]graph.Vertex, n)
-	if e.err != nil {
+	if e.Err() != nil {
 		return out
 	}
 	e.chargeRound(ep, cnt, 4, barrier.N)
 
 	// Final flattening pass.
-	ck2 := par.MakeStrided(int64(n), 64, e.m.Threads())
+	ck2 := par.MakeStrided(int64(n), 64, e.M.Threads())
 	ep2, cnt2 := e.beginRound()
-	e.runPhase(func(th int) {
+	e.RunPhase(func(th int) {
 		var tasks int64
 		ck2.Do(th, func(lo, hi int64) {
 			for v := lo; v < hi; v++ {
@@ -654,7 +492,7 @@ func (e *Engine) CC() []graph.Vertex {
 		})
 		cnt2.add(th, 0, tasks)
 	})
-	if e.err != nil {
+	if e.Err() != nil {
 		return out
 	}
 	e.chargeRound(ep2, cnt2, 4, barrier.N)
@@ -665,7 +503,7 @@ func (e *Engine) CC() []graph.Vertex {
 // asynchronously scheduled delta-stepping algorithm Galois uses, and
 // returns the distances (+Inf if unreachable).
 func (e *Engine) SSSP(src graph.Vertex) []float64 {
-	g := e.g
+	g := e.G
 	n := g.NumVertices()
 	delta := e.opt.Delta
 	dist := make([]float64, n)
@@ -694,9 +532,9 @@ func (e *Engine) SSSP(src graph.Vertex) []float64 {
 		frontier := buckets[bi]
 		for len(frontier) > 0 {
 			nextLists, farLists := e.roundLists()
-			ck := par.MakeStrided(int64(len(frontier)), 16, e.m.Threads())
+			ck := par.MakeStrided(int64(len(frontier)), 16, e.M.Threads())
 			ep, cnt := e.beginRound()
-			e.runPhase(func(th int) {
+			e.RunPhase(func(th int) {
 				var edges, tasks int64
 				ck.Do(th, func(lo, hi int64) {
 					for i := lo; i < hi; i++ {
@@ -727,7 +565,7 @@ func (e *Engine) SSSP(src graph.Vertex) []float64 {
 				})
 				cnt.add(th, edges, tasks)
 			})
-			if e.err != nil {
+			if e.Err() != nil {
 				return dist
 			}
 			e.chargeRound(ep, cnt, 8, barrier.N)

@@ -15,7 +15,7 @@ import (
 // round (accumulate + apply between the same barrier pair). It returns
 // the ranks and the number of iterations.
 func (e *Engine) PageRankDelta(eps float64, maxIter int) ([]float64, int) {
-	g := e.g
+	g := e.G
 	n := g.NumVertices()
 	if n == 0 {
 		return nil, 0
@@ -37,8 +37,8 @@ func (e *Engine) PageRankDelta(eps float64, maxIter int) ([]float64, int) {
 	const d = 0.85
 	base := (1 - d) / float64(n)
 
-	ck := par.MakeStrided(int64(n), 64, e.m.Threads())
-	actCounts := make([]int64, e.m.Threads())
+	ck := par.MakeStrided(int64(n), 64, e.M.Threads())
+	actCounts := make([]int64, e.M.Threads())
 	remaining := int64(n)
 	iter := 0
 	for ; iter < maxIter && remaining > 0; iter++ {
@@ -47,7 +47,7 @@ func (e *Engine) PageRankDelta(eps float64, maxIter int) ([]float64, int) {
 		// Accumulate: pull active in-neighbours' scaled deltas. The pool
 		// join between the two phases orders the delta reads before the
 		// apply phase's writes.
-		e.runPhase(func(th int) {
+		e.RunPhase(func(th int) {
 			var edges, tasks int64
 			ck.Do(th, func(lo, hi int64) {
 				for v := lo; v < hi; v++ {
@@ -64,12 +64,12 @@ func (e *Engine) PageRankDelta(eps float64, maxIter int) ([]float64, int) {
 			})
 			cnt.add(th, edges, tasks)
 		})
-		if e.err != nil {
+		if e.Err() != nil {
 			break
 		}
 		// Apply: fold the accumulator into the rank, refresh the delta,
 		// and rebuild the active set. Single writer per vertex.
-		e.runPhase(func(th int) {
+		e.RunPhase(func(th int) {
 			var tasks, act int64
 			ck.Do(th, func(lo, hi int64) {
 				for v := lo; v < hi; v++ {
@@ -92,7 +92,7 @@ func (e *Engine) PageRankDelta(eps float64, maxIter int) ([]float64, int) {
 			cnt.add(th, 0, tasks)
 			actCounts[th] = act
 		})
-		if e.err != nil {
+		if e.Err() != nil {
 			break
 		}
 		e.chargeRound(ep, cnt, 8, barrier.H)

@@ -13,16 +13,13 @@
 package xstream
 
 import (
-	"context"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"polymer/internal/barrier"
 	"polymer/internal/graph"
 	"polymer/internal/mem"
 	"polymer/internal/numa"
-	"polymer/internal/obs"
 	"polymer/internal/par"
 	"polymer/internal/sg"
 )
@@ -65,39 +62,24 @@ type tile struct {
 	wts                []float32
 }
 
-// Engine is an X-Stream instance.
+// Engine is an X-Stream instance; the lifecycle surface is sg.Base's.
 type Engine struct {
-	g   *graph.Graph
-	m   *numa.Machine
+	sg.Base
 	opt Options
 
 	tiles    []tile
 	tileOf   []int // vertex -> tile index
 	active   []uint64
 	nActive  int64
-	pool     *par.Pool
-	ledger   *numa.Epoch
-	clock    float64
-	edges    atomic.Int64
 	topoB    int64
-	arrays   []interface{ Free() }
 	closed   bool
 	dataB    int
 	weighted bool
 
-	err  error           // first execution failure
-	ctx  context.Context // optional cancellation; nil means background
-	snap *simSnapshot    // SnapshotSim/RestoreSim slot
-
-	tr    *obs.Tracer // nil = tracing disabled
-	round int         // committed Iterate count, for superstep numbering
-
-	// Tiered-memory demand classes (nil when untiered; the wrappers'
-	// nil fast path keeps charging bit-identical).
-	tierPlan     *mem.TierPlan
-	tierTopo     *mem.TierClass
-	tierState    *mem.TierClass
-	tierFrontier *mem.TierClass
+	// Rollback extension (sg.SnapExtra): the active set at the last
+	// SnapshotSim.
+	snapActive  []uint64
+	snapNActive int64
 
 	// Iteration-scoped scratch: the phase epoch is reset (after each fold
 	// into the ledger) rather than reallocated, the shuffle buffers keep
@@ -120,16 +102,9 @@ func New(g *graph.Graph, m *numa.Machine, opt Options, h sg.Hints) (*Engine, err
 	if opt.OverheadNsPerEdge <= 0 {
 		opt.OverheadNsPerEdge = 1.5
 	}
-	pool, err := par.NewNodePool(m.Nodes, m.CoresPerNode)
-	if err != nil {
+	e := &Engine{opt: opt, dataB: h.DataBytes, weighted: h.Weighted}
+	if err := e.Init("xstream", g, m, e); err != nil {
 		return nil, err
-	}
-	e := &Engine{
-		g: g, m: m, opt: opt,
-		pool:     pool,
-		ledger:   m.NewEpoch(),
-		dataB:    h.DataBytes,
-		weighted: h.Weighted,
 	}
 	e.buildTiles(opt.TileVertices)
 	e.active = make([]uint64, (g.NumVertices()+63)/64)
@@ -144,38 +119,10 @@ func New(g *graph.Graph, m *numa.Machine, opt Options, h sg.Hints) (*Engine, err
 	if err := m.Alloc().Grow("xstream/topology", e.topoB); err != nil {
 		return nil, err
 	}
-	e.initTier()
+	// The active bitmaps and shuffle buffers are spread over the machine.
+	e.InitTier(e.topoB, func(fr *mem.TierClass) { fr.GrowDemandEven(2 * int64(len(e.active)) * 8) })
 	return e, nil
 }
-
-// initTier registers X-Stream's demand classes: the interleaved edge
-// tiles, interleaved application data, and the active bitmaps plus
-// shuffle buffers (pinned under the hot policy). Untiered machines leave
-// every handle nil.
-func (e *Engine) initTier() {
-	e.tierPlan = mem.NewTierPlan(e.m)
-	if e.tierPlan == nil {
-		return
-	}
-	nodes := e.m.Nodes
-	e.tierFrontier = e.tierPlan.AddClass(mem.ClassSpec{
-		Label: "frontier", BytesPerNode: make([]int64, nodes), Pinned: true,
-	})
-	e.tierState = e.tierPlan.AddClass(mem.ClassSpec{
-		Label: "state", BytesPerNode: make([]int64, nodes), Priority: 0,
-	})
-	e.tierTopo = e.tierPlan.AddClass(mem.ClassSpec{
-		Label: "topology", BytesPerNode: make([]int64, nodes), Priority: 1,
-	})
-	e.tierFrontier.GrowDemandEven(2 * int64(len(e.active)) * 8)
-	e.tierTopo.GrowDemandEven(e.topoB)
-	e.tierState.SetHotMass(mem.DegreeHotMass(e.g.NumVertices(), func(i int) int64 {
-		return e.g.OutDegree(graph.Vertex(i)) + 1
-	}))
-}
-
-// TierPlan returns the engine's tier placement plan (nil when untiered).
-func (e *Engine) TierPlan() *mem.TierPlan { return e.tierPlan }
 
 // MustNew is New panicking on error, for statically valid configurations.
 func MustNew(g *graph.Graph, m *numa.Machine, opt Options, h sg.Hints) *Engine {
@@ -186,119 +133,35 @@ func MustNew(g *graph.Graph, m *numa.Machine, opt Options, h sg.Hints) *Engine {
 	return e
 }
 
-// simSnapshot captures the engine's simulated-time state plus the active
-// bitmap for rollback.
-type simSnapshot struct {
-	clock   float64
-	ledger  *numa.Epoch
-	edges   int64
-	active  []uint64
-	nActive int64
-	round   int
-	tier    *mem.TierSnap
+// SnapshotExtra and RestoreExtra are the engine's sg.SnapExtra: the
+// current active set rolls back with the clock.
+func (e *Engine) SnapshotExtra() {
+	if e.snapActive == nil {
+		e.snapActive = make([]uint64, len(e.active))
+	}
+	copy(e.snapActive, e.active)
+	e.snapNActive = e.nActive
 }
 
-// Err returns the first execution failure, or nil. After a failure,
-// Iterate is a no-op charging nothing until ClearErr.
-func (e *Engine) Err() error { return e.err }
-
-// ClearErr resets the failure so a rolled-back iteration can be replayed.
-func (e *Engine) ClearErr() { e.err = nil }
-
-func (e *Engine) fail(err error) {
-	if e.err == nil && err != nil {
-		e.err = err
-	}
+// RestoreExtra rolls the active set back to SnapshotExtra.
+func (e *Engine) RestoreExtra() {
+	copy(e.active, e.snapActive)
+	e.nActive = e.snapNActive
 }
 
-// SetFaultHook installs (nil removes) the fault injector's per-dispatch
-// hook on the worker pool.
-func (e *Engine) SetFaultHook(h func(th int) error) { e.pool.SetHook(h) }
-
-// SetContext installs a cancellation context consulted around each
-// parallel phase; nil restores the default (never cancelled). A cancelled
-// context fails the phase before any simulated charging.
-func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
-
-// runPhase dispatches one parallel phase; on failure it records the error
-// and returns false, and the caller must skip all simulated charging.
-func (e *Engine) runPhase(fn func(th int)) bool {
-	if e.err != nil {
-		return false
-	}
-	var err error
-	if e.ctx != nil {
-		err = e.pool.RunCtx(e.ctx, fn)
-	} else {
-		err = e.pool.Run(fn)
-	}
-	if err != nil {
-		e.fail(err)
-		return false
-	}
-	return true
-}
-
-// SnapshotSim saves the simulated clock, cumulative ledger, edge counter
-// and the current active set; RestoreSim rolls back to the snapshot.
-func (e *Engine) SnapshotSim() {
-	if e.snap == nil {
-		e.snap = &simSnapshot{ledger: e.m.NewEpoch(), active: make([]uint64, len(e.active))}
-	}
-	e.snap.clock = e.clock
-	e.snap.ledger.CopyFrom(e.ledger)
-	e.snap.edges = e.edges.Load()
-	copy(e.snap.active, e.active)
-	e.snap.nActive = e.nActive
-	e.snap.round = e.round
-	e.snap.tier = e.tierPlan.Snapshot()
-}
-
-// RestoreSim rolls the simulated-time state and active set back to the
-// last SnapshotSim.
-func (e *Engine) RestoreSim() {
-	if e.snap == nil {
-		return
-	}
-	e.clock = e.snap.clock
-	e.ledger.CopyFrom(e.snap.ledger)
-	e.edges.Store(e.snap.edges)
-	copy(e.active, e.snap.active)
-	e.nActive = e.snap.nActive
-	e.round = e.snap.round
-	e.tierPlan.Restore(e.snap.tier)
-}
-
-// SetTracer installs (nil removes) the obs tracer. Iterate then emits
-// scatter/shuffle/gather/apply phase spans and one superstep event per
-// committed iteration; the worker pool emits host-lane dispatch spans.
-func (e *Engine) SetTracer(tr *obs.Tracer) {
-	e.tr = tr
-	e.pool.SetTracer(tr)
-}
-
-// Tracer, TraceCat and TrafficSnapshot make the engine an obs.SimSource.
-// X-Stream owns its superstep loop, so it emits superstep events itself —
-// drivers must not additionally wrap Iterate in obs.BeginStep.
-func (e *Engine) Tracer() *obs.Tracer { return e.tr }
-
-// TraceCat returns the engine's obs event category.
-func (e *Engine) TraceCat() string { return "xstream" }
-
-// TrafficSnapshot copies the cumulative classified run traffic into dst.
-func (e *Engine) TrafficSnapshot(dst *numa.TrafficMatrix) { e.ledger.Traffic(dst) }
-
-// notePhase emits one phase span ending at the current clock.
-func (e *Engine) notePhase(kind string, active int64, dur float64) {
-	if e.tr != nil {
-		e.tr.Phase("xstream", kind, false, true, active, e.clock-dur, dur)
+// chargePhase folds one phase epoch into the clock — X-Stream's phases
+// end at a tree barrier — and emits its span.
+func (e *Engine) chargePhase(ep *numa.Epoch, kind string, active int64) {
+	dur, _ := e.ChargePhase(ep, barrier.H)
+	if e.Tr != nil {
+		e.Tr.Phase("xstream", kind, false, true, active, e.Clock-dur, dur)
 	}
 }
 
 func (e *Engine) buildTiles(tileVerts int) {
-	n := e.g.NumVertices()
+	n := e.G.NumVertices()
 	if tileVerts <= 0 {
-		tileVerts = int(e.m.Topo.LLCBytes) / (2 * e.dataB)
+		tileVerts = int(e.M.Topo.LLCBytes) / (2 * e.dataB)
 	}
 	// Round up to a 64-bit word boundary so each tile's state words have a
 	// single writer in the gather phase.
@@ -314,8 +177,8 @@ func (e *Engine) buildTiles(tileVerts int) {
 		}
 		t := tile{loVertex: lo, hiVertex: hi}
 		for v := lo; v < hi; v++ {
-			nbrs := e.g.OutNeighbors(graph.Vertex(v))
-			wts := e.g.OutWeights(graph.Vertex(v))
+			nbrs := e.G.OutNeighbors(graph.Vertex(v))
+			wts := e.G.OutWeights(graph.Vertex(v))
 			for j, u := range nbrs {
 				t.src = append(t.src, graph.Vertex(v))
 				t.dst = append(t.dst, u)
@@ -337,38 +200,17 @@ func (e *Engine) buildTiles(tileVerts int) {
 	e.topoB += int64(n) * 4
 }
 
-// Graph returns the input graph.
-func (e *Engine) Graph() *graph.Graph { return e.g }
-
-// Machine returns the simulated machine.
-func (e *Engine) Machine() *numa.Machine { return e.m }
-
 // Tiles returns the number of streaming partitions.
 func (e *Engine) Tiles() int { return len(e.tiles) }
 
-// SimSeconds returns the accumulated simulated runtime.
-func (e *Engine) SimSeconds() float64 { return e.clock }
-
-// RunStats returns accumulated access statistics.
-func (e *Engine) RunStats() numa.Stats { return e.ledger.Stats() }
-
-// EdgesProcessed returns total edges streamed.
-func (e *Engine) EdgesProcessed() int64 { return e.edges.Load() }
-
 // NewData allocates an interleaved per-vertex float64 array.
 func (e *Engine) NewData(label string) *mem.Array[float64] {
-	a := mem.New[float64](e.m, label, e.g.NumVertices(), mem.Interleaved, nil)
-	a.BindTier(e.tierState).GrowTierDemand()
-	e.arrays = append(e.arrays, a)
-	return a
+	return sg.NewArray[float64](&e.Base, label, mem.Interleaved, nil)
 }
 
 // NewData32 allocates an interleaved per-vertex uint32 array.
 func (e *Engine) NewData32(label string) *mem.Array[uint32] {
-	a := mem.New[uint32](e.m, label, e.g.NumVertices(), mem.Interleaved, nil)
-	a.BindTier(e.tierState).GrowTierDemand()
-	e.arrays = append(e.arrays, a)
-	return a
+	return sg.NewArray[uint32](&e.Base, label, mem.Interleaved, nil)
 }
 
 // Close releases simulated allocations.
@@ -377,15 +219,13 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	for _, a := range e.arrays {
-		a.Free()
-	}
-	e.m.Alloc().Release("xstream/topology", e.topoB)
+	e.FreeArrays()
+	e.M.Alloc().Release("xstream/topology", e.topoB)
 }
 
 // SetAllActive marks every vertex active.
 func (e *Engine) SetAllActive() {
-	n := e.g.NumVertices()
+	n := e.G.NumVertices()
 	for i := range e.active {
 		e.active[i] = ^uint64(0)
 	}
@@ -420,17 +260,17 @@ func (e *Engine) isActive(v graph.Vertex) bool {
 // apply phase) and replaces the active set; it returns the new active
 // count.
 func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
-	if e.err != nil {
+	if e.Err() != nil {
 		return e.nActive
 	}
 	nTiles := len(e.tiles)
-	threads := e.m.Threads()
-	simStart := e.clock
+	threads := e.M.Threads()
+	simStart := e.Clock
 	activeIn := e.nActive
 	var startTM *numa.TrafficMatrix
-	if e.tr != nil {
+	if e.Tr != nil {
 		startTM = &numa.TrafficMatrix{}
-		e.ledger.Traffic(startTM)
+		e.Ledger.Traffic(startTM)
 	}
 	ep := e.scrEp
 	ep.Reset()
@@ -450,7 +290,7 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	// skew does not serialise it.
 	ck := par.MakeStrided(int64(nTiles), 1, threads)
 	scatterCounts := e.scatterCounts
-	e.runPhase(func(th int) {
+	e.RunPhase(func(th int) {
 		var scanned, activeEdges int64
 		ck.Do(th, func(lo, hi int64) {
 			for ti := lo; ti < hi; ti++ {
@@ -475,7 +315,7 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 		})
 		scatterCounts[th] = [2]int64{scanned, activeEdges}
 	})
-	if e.err != nil {
+	if e.Err() != nil {
 		// Abort before any charging, shuffle-buffer accounting, or
 		// active-set replacement: a failed iteration leaves no residue and
 		// replays bit-identically after recovery.
@@ -491,19 +331,15 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 		scanned, activeEdges := scannedT/int64(threads), activeT/int64(threads)
 		// Edge stream: sequential interleaved; source state + data reads:
 		// random within the tile (cache-resident thanks to tiling).
-		e.tierTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, scanned, e.edgeBytes(), 0)
-		e.tierFrontier.Access(ep, th, numa.Rand, numa.Load, e.m.NodeOfThread(th), scanned, 1, tileWS)
-		e.tierState.Access(ep, th, numa.Rand, numa.Load, e.m.NodeOfThread(th), activeEdges, e.dataB, tileWS)
+		e.TierTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, scanned, e.edgeBytes(), 0)
+		e.TierFrontier.Access(ep, th, numa.Rand, numa.Load, e.M.NodeOfThread(th), scanned, 1, tileWS)
+		e.TierState.Access(ep, th, numa.Rand, numa.Load, e.M.NodeOfThread(th), activeEdges, e.dataB, tileWS)
 		// Uout appends: sequential writes to thread-local buffers.
-		e.tierFrontier.Access(ep, th, numa.Seq, numa.Store, e.m.NodeOfThread(th), activeEdges, 12, 0)
+		e.TierFrontier.Access(ep, th, numa.Seq, numa.Store, e.M.NodeOfThread(th), activeEdges, 12, 0)
 		ep.Compute(th, float64(scanned)*(e.opt.OverheadNsPerEdge)*1e-9)
 	}
-	e.addEdges(scannedT)
-	e.tierPlan.Step(ep)
-	scatterDur := ep.Time() + barrier.SyncCost(barrier.H, e.m.Nodes)/e.m.Topo.SyncScale
-	e.clock += scatterDur
-	e.ledger.Add(ep)
-	e.notePhase("scatter", activeIn, scatterDur)
+	e.Edges.Add(scannedT)
+	e.chargePhase(ep, "scatter", activeIn)
 	ep.Reset() // shuffle phase reuses the same epoch
 
 	// Shuffle accounting: every update is read from Uout and written to
@@ -519,8 +355,8 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	// tile's worth of Uout/Uin is in flight at a time (the paper's
 	// Table 5 shows the shuffle buffers add ~8% over Ligra's footprint).
 	bufBytes := totalUpdates * 16 * 2 / int64(nTiles)
-	if err := e.m.Alloc().Grow("xstream/buffers", bufBytes); err != nil {
-		e.fail(err)
+	if err := e.M.Alloc().Grow("xstream/buffers", bufBytes); err != nil {
+		e.Fail(err)
 		return e.nActive
 	}
 	ep2 := ep
@@ -528,14 +364,10 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	for th := 0; th < threads; th++ {
 		// Uout is read from the emitting thread's local buffer; the
 		// re-arranged Uin lands on interleaved pages across the machine.
-		e.tierFrontier.Access(ep2, th, numa.Seq, numa.Load, e.m.NodeOfThread(th), perThread, 12, 0)
-		e.tierFrontier.AccessInterleaved(ep2, th, numa.Seq, numa.Store, perThread, 12, 0)
+		e.TierFrontier.Access(ep2, th, numa.Seq, numa.Load, e.M.NodeOfThread(th), perThread, 12, 0)
+		e.TierFrontier.AccessInterleaved(ep2, th, numa.Seq, numa.Store, perThread, 12, 0)
 	}
-	e.tierPlan.Step(ep2)
-	shuffleDur := ep2.Time() + barrier.SyncCost(barrier.H, e.m.Nodes)/e.m.Topo.SyncScale
-	e.clock += shuffleDur
-	e.ledger.Add(ep2)
-	e.notePhase("shuffle", totalUpdates, shuffleDur)
+	e.chargePhase(ep2, "shuffle", totalUpdates)
 	ep2.Reset() // gather phase reuses the same epoch
 
 	// Gather: each tile applies its incoming updates; one thread per tile
@@ -546,7 +378,7 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	ck2 := par.MakeStrided(int64(nTiles), 1, threads)
 	ep3 := ep2
 	gatherCounts := e.gatherCounts
-	e.runPhase(func(th int) {
+	e.RunPhase(func(th int) {
 		var applied, activated int64
 		var local int64
 		ck2.Do(th, func(lo, hi int64) {
@@ -571,8 +403,8 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 		nextCount += local
 		mu.Unlock()
 	})
-	if e.err != nil {
-		e.m.Alloc().Release("xstream/buffers", bufBytes)
+	if e.Err() != nil {
+		e.M.Alloc().Release("xstream/buffers", bufBytes)
 		return e.nActive
 	}
 	var appliedT, activatedT int64
@@ -582,34 +414,30 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	}
 	for th := 0; th < threads; th++ {
 		applied, activated := appliedT/int64(threads), activatedT/int64(threads)
-		e.tierFrontier.AccessInterleaved(ep3, th, numa.Seq, numa.Load, applied, 12, 0)
-		e.tierState.Access(ep3, th, numa.Rand, numa.Store, e.m.NodeOfThread(th), applied, e.dataB, tileWS)
-		e.tierFrontier.Access(ep3, th, numa.Rand, numa.Store, e.m.NodeOfThread(th), activated, 1, tileWS)
+		e.TierFrontier.AccessInterleaved(ep3, th, numa.Seq, numa.Load, applied, 12, 0)
+		e.TierState.Access(ep3, th, numa.Rand, numa.Store, e.M.NodeOfThread(th), applied, e.dataB, tileWS)
+		e.TierFrontier.Access(ep3, th, numa.Rand, numa.Store, e.M.NodeOfThread(th), activated, 1, tileWS)
 		ep3.Compute(th, float64(applied)*2e-9)
 	}
-	e.tierPlan.Step(ep3)
-	gatherDur := ep3.Time() + barrier.SyncCost(barrier.H, e.m.Nodes)/e.m.Topo.SyncScale
-	e.clock += gatherDur
-	e.ledger.Add(ep3)
-	e.notePhase("gather", appliedT, gatherDur)
-	e.m.Alloc().Release("xstream/buffers", bufBytes)
+	e.chargePhase(ep3, "gather", appliedT)
+	e.M.Alloc().Release("xstream/buffers", bufBytes)
 
 	if apply != nil {
 		nextCount = e.applyPhase(apply, next)
 	}
-	if e.err != nil {
+	if e.Err() != nil {
 		return e.nActive // apply phase failed: keep the current active set
 	}
 	e.spare = e.active // recycle the retired bitmap next iteration
 	e.active = next
 	e.nActive = nextCount
-	if e.tr != nil {
+	if e.Tr != nil {
 		delta := &numa.TrafficMatrix{}
-		e.ledger.Traffic(delta)
+		e.Ledger.Traffic(delta)
 		delta.Sub(startTM)
-		e.tr.Superstep("xstream", e.round, simStart, e.clock-simStart, delta)
+		e.Tr.Superstep("xstream", e.Round, simStart, e.Clock-simStart, delta)
 	}
-	e.round++
+	e.Round++
 	return e.nActive
 }
 
@@ -630,7 +458,7 @@ func (e *Engine) takeSpare() []uint64 {
 // applyPhase runs the per-vertex post-function over all vertices,
 // overwriting the next-state bitmap with its verdicts.
 func (e *Engine) applyPhase(apply Applier, next []uint64) int64 {
-	n := e.g.NumVertices()
+	n := e.G.NumVertices()
 	for i := range next {
 		next[i] = 0
 	}
@@ -638,10 +466,10 @@ func (e *Engine) applyPhase(apply Applier, next []uint64) int64 {
 	for i := range counts {
 		counts[i] = 0
 	}
-	ck := par.MakeStrided(int64(n), 256, e.m.Threads())
+	ck := par.MakeStrided(int64(n), 256, e.M.Threads())
 	ep := e.scrEp
 	ep.Reset()
-	e.runPhase(func(th int) {
+	e.RunPhase(func(th int) {
 		var visited int64
 		ck.Do(th, func(lo, hi int64) {
 			for v := lo; v < hi; v++ {
@@ -656,17 +484,13 @@ func (e *Engine) applyPhase(apply Applier, next []uint64) int64 {
 			}
 
 		})
-		e.tierState.AccessInterleaved(ep, th, numa.Seq, numa.Load, visited, e.dataB*2, 0)
+		e.TierState.AccessInterleaved(ep, th, numa.Seq, numa.Load, visited, e.dataB*2, 0)
 		ep.Compute(th, float64(visited)*2e-9)
 	})
-	if e.err != nil {
+	if e.Err() != nil {
 		return 0
 	}
-	e.tierPlan.Step(ep)
-	applyDur := ep.Time() + barrier.SyncCost(barrier.H, e.m.Nodes)/e.m.Topo.SyncScale
-	e.clock += applyDur
-	e.ledger.Add(ep)
-	e.notePhase("apply", int64(n), applyDur)
+	e.chargePhase(ep, "apply", int64(n))
 	var total int64
 	for _, c := range counts {
 		total += c
@@ -679,8 +503,4 @@ func (e *Engine) edgeBytes() int {
 		return 12
 	}
 	return 8
-}
-
-func (e *Engine) addEdges(n int64) {
-	e.edges.Add(n)
 }

@@ -63,7 +63,10 @@ func TestTracingIsBitIdentical(t *testing.T) {
 			chrome := obs.NewChrome()
 			bd := obs.NewBreakdown()
 			tr := obs.New(obs.Multi{chrome, bd})
-			traced := bench.RunWithTracer(tc.sys, tc.alg, g, newMachine(), 0, tr)
+			traced, err := bench.RunWith(tc.sys, tc.alg, g, newMachine(), bench.Options{Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			if !reproducible {
 				t.Logf("engine is scheduling-nondeterministic in this build; skipping bitwise comparison")
@@ -113,7 +116,7 @@ func TestTracedRecoveryIsBitIdentical(t *testing.T) {
 	}
 	chrome := obs.NewChrome()
 	events := &eventLog{}
-	opt := bench.ResilientOptions{MaxRestarts: 1, SessionRetries: -1, Tracer: obs.New(obs.Multi{chrome, events})}
+	opt := bench.ResilientOptions{MaxRestarts: 1, SessionRetries: -1, Options: bench.Options{Tracer: obs.New(obs.Multi{chrome, events})}}
 	r, rep, err := bench.RunResilientCtx(context.Background(), bench.Polymer, bench.PR, g,
 		newMachine, fault.NewInjector(evs), opt)
 	if err != nil {

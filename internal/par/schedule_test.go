@@ -197,7 +197,7 @@ func TestRunIsNeverHandedAWaitingBody(t *testing.T) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Run" && sel.Sel.Name != "RunCtx" && sel.Sel.Name != "runPhase") {
+			if !ok || (sel.Sel.Name != "Run" && sel.Sel.Name != "RunCtx" && sel.Sel.Name != "RunPhase" && sel.Sel.Name != "runPhase") {
 				return true
 			}
 			body, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)

@@ -35,15 +35,9 @@ func (c Candidate) String() string {
 	return fmt.Sprintf("%s/%s/%dn", c.Engine, c.Placement, c.Nodes)
 }
 
-// Supported mirrors the resilient runner's engine x algorithm coverage:
-// PR runs on all four systems, the scatter-gather systems additionally
-// serve SpMV, BP, BFS and SSSP.
-func Supported(sys bench.System, alg bench.Algo) bool {
-	if alg == bench.PR {
-		return true
-	}
-	return sys == bench.Polymer || sys == bench.Ligra
-}
+// Supported reports whether the serving path can run the cell: the
+// resilient runner's coverage, read from bench's dispatch table.
+func Supported(sys bench.System, alg bench.Algo) bool { return bench.SessionCapable(sys, alg) }
 
 // placements lists the placements an engine can actually execute: only
 // Polymer has a placement knob; the baselines are interleaved-native.

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"polymer/internal/bench"
@@ -89,6 +91,23 @@ func TestCandidatesRespectSupport(t *testing.T) {
 	for _, sys := range bench.Systems() {
 		if !seen[sys] {
 			t.Fatalf("PR candidates missing %s", sys)
+		}
+	}
+}
+
+// Supported and the resilient runner must agree on every one of the 24
+// cells: what the planner offers is exactly what the runner executes.
+func TestSupportedMatchesRunner(t *testing.T) {
+	n, edges := gen.RMAT(6, 4, 1)
+	gen.AddRandomWeights(edges, 1)
+	g := graph.FromEdges(n, edges, true)
+	mk := func() *numa.Machine { return numa.NewMachine(numa.IntelXeon80(), 2, 2) }
+	for _, sys := range bench.Systems() {
+		for _, alg := range bench.Algos() {
+			_, _, err := bench.RunResilientCtx(context.Background(), sys, alg, g, mk, nil, bench.ResilientOptions{SessionRetries: -1})
+			if ran := !errors.Is(err, bench.ErrUnsupported); ran != Supported(sys, alg) || (ran && err != nil) {
+				t.Errorf("%s/%s: Supported=%t, runner: %v", sys, alg, Supported(sys, alg), err)
+			}
 		}
 	}
 }

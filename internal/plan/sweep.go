@@ -71,7 +71,7 @@ func SweepGraph(p *Planner, name string, g *graph.Graph, alg bench.Algo, nodes i
 		if err != nil {
 			return cell, err
 		}
-		r, err := bench.RunPlacedFrom(c.Engine, alg, g, m, 0, c.Placement)
+		r, err := bench.RunWith(c.Engine, alg, g, m, bench.Options{Layout: c.Placement, LayoutSet: true})
 		row := SweepRow{Candidate: c, Predicted: s.Cost}
 		if err != nil {
 			row.Err = err.Error()

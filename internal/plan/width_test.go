@@ -75,7 +75,7 @@ func TestWidthOrderingAdversarial(t *testing.T) {
 					c := Candidate{Engine: sys, Placement: pl, Nodes: w}
 					pred := Predict(f, tc.alg, topo, c, cores)
 					m := numa.NewMachine(topo, w, cores)
-					r, err := bench.RunPlacedFrom(sys, tc.alg, g, m, 0, pl)
+					r, err := bench.RunWith(sys, tc.alg, g, m, bench.Options{Layout: pl, LayoutSet: true})
 					if err != nil {
 						t.Fatalf("w=%d: %v", w, err)
 					}

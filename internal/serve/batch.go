@@ -19,11 +19,8 @@ import (
 	"sync"
 	"time"
 
-	"polymer/internal/bench"
 	"polymer/internal/graph"
-	"polymer/internal/numa"
 	"polymer/internal/obs"
-	"polymer/internal/plan"
 )
 
 // batchSlot is the outcome of one distinct source within a group.
@@ -289,123 +286,41 @@ func (s *Server) executeMulti(t *task) {
 		publish(400, "no valid sources")
 		return
 	}
-	br := s.breakers[v.sys]
-	admit, probe := br.Allow()
-	if !admit {
-		// Traversals have no degraded route; the whole group is refused.
-		fill(kindBroken, 503, fmt.Sprintf("circuit open for %s", v.sys))
-		publish(503, "circuit open")
+	res, lease := s.attempt(t, gph, live)
+	defer lease.Release()
+	if res.err != nil {
+		// Traversals have no degraded route: a refused, cancelled or failed
+		// sweep resolves the whole group.
+		fill(res.kind, res.status, res.err.Error())
+		publish(res.status, res.err.Error())
 		return
 	}
-
-	mk := func() *numa.Machine { return numa.NewMachine(v.topo, v.nodes, v.cores) }
-	var lease *plan.Lease
-	if v.planned != nil {
-		// The group's representative was planned: the whole sweep runs on
-		// its scheduled socket set (members agreed on the same plan — it is
-		// part of the group key).
-		lease = s.plannerFor(v).Scheduler().Acquire(v.nodes)
-		defer lease.Release()
-		lm := lease
-		mk = func() *numa.Machine {
-			m, err := lm.Machine(v.cores)
-			if err != nil {
-				return numa.NewMachine(v.topo, v.nodes, v.cores)
-			}
-			return m
+	for j, cs := range res.checksums {
+		i := liveSlot[j]
+		resp := base
+		resp.Checksum = cs
+		resp.SimSeconds = res.sim
+		resp.PeakBytes = res.peak
+		resp.Attempts = res.attempts
+		resp.Rollbacks = res.rollbacks
+		resp.Restarts = res.restarts
+		if len(live) > 1 {
+			resp.BatchSize = len(live)
+		}
+		slots[i] = batchSlot{kind: kindCompleted, status: 200, resp: resp}
+		// Each demultiplexed result is cached under the key the
+		// equivalent single-source request would look up — but only
+		// from the canonical machine (default lease).
+		if v.reusable() && (lease == nil || lease.Default()) {
+			s.results.put(v, v.keyFor(srcs[i]), resp)
 		}
 	}
-	runOnce := func() ([]float64, float64, int64, int, int, error) {
-		if len(live) == 1 {
-			opt := bench.ResilientOptions{
-				MaxRestarts:    s.cfg.RestartMax,
-				SessionRetries: v.req.SessionRetries,
-				Src:            live[0],
-				Tracer:         tr,
-			}
-			if v.req.Restarts >= 0 {
-				opt.MaxRestarts = v.req.Restarts
-			}
-			r, rep, err := bench.RunResilientCtx(t.ctx, v.sys, v.alg, gph, mk, v.injector(), opt)
-			if err != nil {
-				return nil, 0, 0, rep.Rollbacks, rep.Restarts, err
-			}
-			return []float64{r.Checksum}, r.SimSeconds, r.PeakBytes, rep.Rollbacks, rep.Restarts, nil
-		}
-		mr, err := bench.RunMultiSourceCtx(t.ctx, v.sys, v.alg, gph, mk, live, tr)
-		if err != nil {
-			return nil, 0, 0, 0, 0, err
-		}
-		return mr.PerSource, mr.SimSeconds, mr.PeakBytes, 0, 0, nil
+	if len(live) == 1 {
+		// A solo group is indistinguishable from a direct run — its
+		// simulated time is exactly what the model predicted, so it
+		// may teach the learner. Fused sweeps may not: their cost
+		// covers k sources at once.
+		s.observePlan(v, lease, res.sim)
 	}
-
-	maxRetries := s.cfg.RetryMax
-	if v.req.Retries >= 0 {
-		maxRetries = v.req.Retries
-	}
-	attempts, rollbacks, restarts := 0, 0, 0
-	var lastErr error
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		if attempt > 0 {
-			s.counters.Retried.Add(1)
-			tr.HostInstant("serve", "retry", obs.PidServe, obs.NowMicros(), attempt,
-				fmt.Sprintf("batch %d: %v", t.id, lastErr))
-			if !sleepBackoff(t.ctx, s.cfg.RetryBase, attempt, uint64(t.id)) {
-				lastErr = t.ctx.Err()
-				break
-			}
-		}
-		perSrc, sim, peak, roll, rest, err := runOnce()
-		attempts = attempt + 1
-		rollbacks += roll
-		restarts += rest
-		if err == nil {
-			br.Success()
-			for j, cs := range perSrc {
-				i := liveSlot[j]
-				resp := base
-				resp.Checksum = cs
-				resp.SimSeconds = sim
-				resp.PeakBytes = peak
-				resp.Attempts = attempts
-				resp.Rollbacks = rollbacks
-				resp.Restarts = restarts
-				if len(live) > 1 {
-					resp.BatchSize = len(live)
-				}
-				slots[i] = batchSlot{kind: kindCompleted, status: 200, resp: resp}
-				// Each demultiplexed result is cached under the key the
-				// equivalent single-source request would look up — but only
-				// from the canonical machine (default lease).
-				if v.reusable() && (lease == nil || lease.Default()) {
-					s.results.put(v, v.keyFor(srcs[i]), resp)
-				}
-			}
-			if len(live) == 1 {
-				// A solo group is indistinguishable from a direct run — its
-				// simulated time is exactly what the model predicted, so it
-				// may teach the learner. Fused sweeps may not: their cost
-				// covers k sources at once.
-				s.observePlan(v, lease, sim)
-			}
-			publish(200, "")
-			return
-		}
-		lastErr = err
-		if ctxErr(err) {
-			if probe {
-				br.cancelProbe()
-			}
-			kind, status := classifyCtxErr(err)
-			fill(kind, status, err.Error())
-			publish(status, err.Error())
-			return
-		}
-		br.Failure()
-		if probe {
-			break
-		}
-	}
-	fill(kindFailed, 500, lastErr.Error())
-	publish(500, lastErr.Error())
+	publish(200, "")
 }

@@ -167,16 +167,6 @@ var scales = map[string]gen.Scale{
 // MaxMachines bounds the simulated cluster size a request may ask for.
 const MaxMachines = 16
 
-// supported mirrors the resilient runner's coverage: PR runs on all four
-// systems, the scatter-gather systems additionally serve SpMV, BP, BFS
-// and SSSP.
-func supported(sys bench.System, alg bench.Algo) bool {
-	if alg == bench.PR {
-		return true
-	}
-	return sys == bench.Polymer || sys == bench.Ligra
-}
-
 // DecodeRequest reads and validates one request body. Every error it
 // returns is a *BadRequest; it never panics on hostile input.
 func DecodeRequest(r io.Reader) (*resolved, error) {
@@ -209,7 +199,7 @@ func resolve(req Request) (*resolved, error) {
 		if v.sys, ok = systems[sysName]; !ok {
 			return nil, badReq("unknown system %q (want polymer, ligra, xstream, galois or auto)", req.System)
 		}
-		if !supported(v.sys, v.alg) {
+		if !bench.SessionCapable(v.sys, v.alg) {
 			return nil, badReq("%s is not served on %s (PR runs everywhere; spmv/bp/bfs/sssp need polymer or ligra)", v.alg, v.sys)
 		}
 	}

@@ -29,7 +29,6 @@ import (
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/mutate"
-	"polymer/internal/numa"
 	"polymer/internal/obs"
 	"polymer/internal/plan"
 )
@@ -604,93 +603,25 @@ func (s *Server) execute(t *task) {
 		return
 	}
 
-	br := s.breakers[v.sys]
-	admit, probe := br.Allow()
-	if !admit {
+	var res attemptResult
+	res, lease = s.attempt(t, g, []graph.Vertex{v.src})
+	defer lease.Release()
+	if res.kind == kindBroken {
 		s.degradedOrRefuse(t, g, resp, finish)
 		return
 	}
-
-	maxRetries := s.cfg.RetryMax
-	if v.req.Retries >= 0 {
-		maxRetries = v.req.Retries
+	resp.Attempts, resp.Rollbacks, resp.Restarts = res.attempts, res.rollbacks, res.restarts
+	if res.err != nil {
+		resp.Error = res.err.Error()
+		finish(res.kind, res.status, resp)
+		return
 	}
-	mk := func() *numa.Machine { return v.armTier(numa.NewMachine(v.topo, v.nodes, v.cores)) }
-	if v.planned != nil {
-		// Planned runs go through the multi-tenant scheduler: disjoint
-		// simulated sockets while capacity lasts, honest co-location
-		// charging (via finish) when it doesn't. A sole tenant gets the
-		// deterministic prefix, so its machine — and therefore its result —
-		// is bit-identical to an explicitly configured run's.
-		lease = s.plannerFor(v).Scheduler().Acquire(v.nodes)
-		defer lease.Release()
-		lm := lease
-		mk = func() *numa.Machine {
-			m, err := lm.Machine(v.cores)
-			if err != nil {
-				return v.armTier(numa.NewMachine(v.topo, v.nodes, v.cores))
-			}
-			return v.armTier(m)
-		}
+	resp.SimSeconds, resp.Checksum, resp.PeakBytes = res.sim, res.checksums[0], res.peak
+	if v.tier.Tiered() {
+		resp.SlowRate = res.slowRate
 	}
-	opt := bench.ResilientOptions{
-		MaxRestarts:    s.cfg.RestartMax,
-		SessionRetries: v.req.SessionRetries,
-		Src:            v.src,
-		Tracer:         tr,
-	}
-	if v.req.Restarts >= 0 {
-		opt.MaxRestarts = v.req.Restarts
-	}
-	if v.layoutSet {
-		opt.Layout, opt.LayoutSet = v.layout, true
-	}
-	var lastErr error
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		if attempt > 0 {
-			s.counters.Retried.Add(1)
-			tr.HostInstant("serve", "retry", obs.PidServe, obs.NowMicros(), attempt,
-				fmt.Sprintf("request %d: %v", t.id, lastErr))
-			if !sleepBackoff(t.ctx, s.cfg.RetryBase, attempt, uint64(t.id)) {
-				lastErr = t.ctx.Err()
-				break
-			}
-		}
-		r, rep, err := bench.RunResilientCtx(t.ctx, v.sys, v.alg, g, mk, v.injector(), opt)
-		resp.Attempts = attempt + 1
-		resp.Rollbacks += rep.Rollbacks
-		resp.Restarts += rep.Restarts
-		if err == nil {
-			br.Success()
-			resp.SimSeconds = r.SimSeconds
-			resp.Checksum = r.Checksum
-			resp.PeakBytes = r.PeakBytes
-			if v.tier.Tiered() {
-				resp.SlowRate = r.Stats.SlowRate
-			}
-			s.observePlan(v, lease, r.SimSeconds)
-			finish(kindCompleted, 200, resp)
-			return
-		}
-		lastErr = err
-		if ctxErr(err) {
-			// The client's deadline, not the engine's health: release a
-			// half-open probe without closing or re-opening the circuit.
-			if probe {
-				br.cancelProbe()
-			}
-			resp.Error = err.Error()
-			kind, status := classifyCtxErr(err)
-			finish(kind, status, resp)
-			return
-		}
-		br.Failure()
-		if probe {
-			break // the failed probe re-opened the circuit; stop here
-		}
-	}
-	resp.Error = lastErr.Error()
-	finish(kindFailed, 500, resp)
+	s.observePlan(v, lease, res.sim)
+	finish(kindCompleted, 200, resp)
 }
 
 // clusterChaosSteps is the window (in supersteps) a fault_seed chaos

@@ -9,6 +9,7 @@ package polymer_test
 // so it is checked to tolerance instead.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -50,7 +51,7 @@ func TestFaultMatrixPageRank(t *testing.T) {
 	}
 	for _, sys := range []bench.System{bench.Polymer, bench.Ligra, bench.XStream, bench.Galois} {
 		t.Run(string(sys), func(t *testing.T) {
-			clean, _, err := bench.RunResilient(sys, bench.PR, g, matrixMachine(topo), nil, 0)
+			clean, _, err := resilient(sys, bench.PR, g, matrixMachine(topo), nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +59,7 @@ func TestFaultMatrixPageRank(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			faulty, rep, err := bench.RunResilient(sys, bench.PR, g, matrixMachine(topo), fault.NewInjector(evs), 3)
+			faulty, rep, err := resilient(sys, bench.PR, g, matrixMachine(topo), fault.NewInjector(evs), 3)
 			if err != nil {
 				t.Fatalf("run did not survive %q: %v", matrixSpec, err)
 			}
@@ -85,7 +86,7 @@ func TestFaultMatrixBFS(t *testing.T) {
 	const spec = "panic@1:t2,offline@0:n1,link@1:n2-n3*0.5"
 	for _, sys := range []bench.System{bench.Polymer, bench.Ligra} {
 		t.Run(string(sys), func(t *testing.T) {
-			clean, _, err := bench.RunResilientFrom(sys, bench.BFS, g, matrixMachine(topo), nil, 0, 0)
+			clean, _, err := resilient(sys, bench.BFS, g, matrixMachine(topo), nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +95,7 @@ func TestFaultMatrixBFS(t *testing.T) {
 			// scheduler is stable (it is not under -race — the seed's own
 			// TestSimSecondsDeterministic drifts there too). Measure the
 			// baseline: recovery must never add divergence beyond it.
-			clean2, _, err := bench.RunResilientFrom(sys, bench.BFS, g, matrixMachine(topo), nil, 0, 0)
+			clean2, _, err := resilient(sys, bench.BFS, g, matrixMachine(topo), nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +104,7 @@ func TestFaultMatrixBFS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			faulty, rep, err := bench.RunResilientFrom(sys, bench.BFS, g, matrixMachine(topo), fault.NewInjector(evs), 3, 0)
+			faulty, rep, err := resilient(sys, bench.BFS, g, matrixMachine(topo), fault.NewInjector(evs), 3)
 			if err != nil {
 				t.Fatalf("run did not survive %q: %v", spec, err)
 			}
@@ -134,13 +135,13 @@ func TestFaultMatrixSeeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, _, err := bench.RunResilient(bench.Polymer, bench.PR, g, matrixMachine(topo), nil, 0)
+	clean, _, err := resilient(bench.Polymer, bench.PR, g, matrixMachine(topo), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	threads := matrixSockets * matrixCores
 	evs := fault.Schedule(7, 5, threads, matrixSockets)
-	faulty, rep, err := bench.RunResilient(bench.Polymer, bench.PR, g, matrixMachine(topo), fault.NewInjector(evs), 3)
+	faulty, rep, err := resilient(bench.Polymer, bench.PR, g, matrixMachine(topo), fault.NewInjector(evs), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestPolymerDegraded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := bench.Run(bench.Polymer, bench.PR, g, numa.NewMachine(topo, matrixSockets, matrixCores))
+	full := bench.RunFrom(bench.Polymer, bench.PR, g, numa.NewMachine(topo, matrixSockets, matrixCores), 0)
 	deg, err := bench.RunPolymerDegraded(g, topo, matrixSockets, matrixCores, 1, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +229,15 @@ func TestResilientRanksBitIdentical(t *testing.T) {
 }
 
 func resilientRanks(g *graph.Graph, topo *numa.Topology, inj *fault.Injector) ([]float64, error) {
-	return bench.ResilientPolymerRanks(g, numa.NewMachine(topo, matrixSockets, matrixCores), inj)
+	r, _, err := resilient(bench.Polymer, bench.PR, g, matrixMachine(topo), inj, 0)
+	return r.Out.F64, err
+}
+
+// resilient runs one cell from vertex 0 under inj with the session's
+// default replay budget.
+func resilient(sys bench.System, alg bench.Algo, g *graph.Graph, mk func() *numa.Machine, inj *fault.Injector, maxRestarts int) (bench.RunResult, bench.ResilienceReport, error) {
+	opt := bench.ResilientOptions{MaxRestarts: maxRestarts, SessionRetries: -1}
+	return bench.RunResilientCtx(context.Background(), sys, alg, g, mk, inj, opt)
 }
 
 func assertRepaired(t *testing.T, rep bench.ResilienceReport, events ...string) {

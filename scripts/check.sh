@@ -39,11 +39,9 @@ go test -count=5 -cpu 1,2,8 -run 'TestFaultReplayEquivalence/(polymer|xstream|ga
 # drifts by an ULP) -- ROADMAP's determinism item (a) for the
 # NUMA-oblivious engines. Fold it into the line above when that lands.
 go test -count=5 -cpu 1 -run 'TestFaultReplayEquivalence/ligra' ./internal/conform/
-dump=$(mktemp -d)
-trap 'rm -rf "$dump"' EXIT
-GOMAXPROCS=1 go run ./cmd/simdump >"$dump/a"
-GOMAXPROCS=1 go run ./cmd/simdump >"$dump/b"
-cmp "$dump/a" "$dump/b"
+# The simulated clock of all 24 cells against the checked-in golden (and
+# plain/resilient parity); tier-1 runs it too.
+go test -count=1 -run 'TestGolden' ./cmd/simdump/
 
 echo "==> go test ./..."
 go test ./...
