@@ -7,7 +7,7 @@ package polymer_test
 //     loop body allocation-free apart from the frontier bitmap words the
 //     builder donates to the returned Subset);
 //   - two identical runs must produce bit-identical simulated times — the
-//     host-side optimisations (scratch reuse, devirtualization, cached
+//     host-side optimisations (scratch reuse, row kernels, cached
 //     degrees) must never leak into the simulated clock.
 
 import (

@@ -8,12 +8,14 @@ import (
 )
 
 // edgeMap routes an EdgeMap to the engine's generic entry point when the
-// concrete engine type is known. Instantiating core.EdgeMapK / ligra.EdgeMapK
-// at the concrete (value) kernel type lets the compiler devirtualize and
-// inline the per-edge Cond/Update/UpdateAtomic calls, which the interface
-// method cannot: through sg.Engine.EdgeMap every edge pays two dynamic
-// dispatches. Engines without a generic entry point fall back to the
-// interface path unchanged.
+// concrete engine type is known; other engines get the interface method.
+// Instantiating core.EdgeMapK / ligra.EdgeMapK at the concrete kernel type
+// saves boxing the kernel into an sg.EdgeKernel and nothing per edge: Go
+// calls a type parameter's methods through the generic dictionary, so
+// Cond/Update/UpdateAtomic stay indirect, out-of-line calls on either
+// route. The loop the compiler does inline is the kernel's own: PR, SpMV
+// and BP implement sg.RowKernel and are passed by pointer so the engines
+// find it without an allocation.
 func edgeMap[K sg.EdgeKernel](e sg.Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	switch t := e.(type) {
 	case *core.Engine:

@@ -50,9 +50,11 @@ func (k *PRKernel) Swap() { k.curr, k.next = k.next, k.curr }
 
 // Iteration runs one full PageRank iteration — the push EdgeMap over the
 // full frontier, the normalisation VertexMap, and the array swap — through
-// the devirtualized dispatch, exactly as algorithms.PageRank does.
+// the same dispatch, with the same pointer-shaped kernel, as
+// algorithms.PageRank: the engines' per-phase sg.RowKernel lookup is part
+// of what the allocation budgets bound.
 func (k *PRKernel) Iteration(e sg.Engine, all *state.Subset) {
-	edgeMap(e, all, k.prKernel, prHints)
+	edgeMap(e, all, &k.prKernel, prHints)
 	e.VertexMap(all, func(v graph.Vertex) bool {
 		k.Apply(v)
 		return true

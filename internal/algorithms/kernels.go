@@ -18,41 +18,84 @@ import (
 // unvisited marks an unclaimed BFS parent slot.
 const unvisited = ^uint32(0)
 
-// prKernel is the paper's Algorithm 4.1 edge function: it atomically
-// accumulates the scaled rank of the source into the target.
+// prKernel is the paper's Algorithm 4.1 edge function: it accumulates the
+// scaled rank of the source into the target. PR, SpMV and BP are passed to
+// the engines by pointer so their row form (sg.RowKernel) is found without
+// boxing the kernel.
+//
+// The explicit float64 conversions round the per-source product before it
+// is added: without them an architecture with fused multiply-add may fuse
+// the per-edge form and not the hoisted one, and PushRow would no longer
+// equal the Update loop bit for bit.
 type prKernel struct {
 	curr, next []float64
 	invOut     []float64
 }
 
-func (k prKernel) Update(s, d graph.Vertex, w float32) bool {
-	k.next[d] += k.curr[s] * k.invOut[s]
+func (k *prKernel) Update(s, d graph.Vertex, w float32) bool {
+	k.next[d] += float64(k.curr[s] * k.invOut[s])
 	return true
 }
 
-func (k prKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	atomicx.AddFloat64(&k.next[d], k.curr[s]*k.invOut[s])
+func (k *prKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
+	atomicx.AddFloat64(&k.next[d], float64(k.curr[s]*k.invOut[s]))
 	return true
 }
 
-func (k prKernel) Cond(graph.Vertex) bool { return true }
+func (k *prKernel) Cond(graph.Vertex) bool { return true }
+
+// PushRow adds s's scaled rank, computed once, to every target of the row.
+func (k *prKernel) PushRow(s graph.Vertex, cols []graph.Vertex, _ []float32, shared bool) {
+	addRow(k.next, cols, float64(k.curr[s]*k.invOut[s]), shared)
+}
+
+// addRow adds v to dst[t] for every t in cols, atomically when shared.
+func addRow(dst []float64, cols []graph.Vertex, v float64, shared bool) {
+	if shared {
+		for _, t := range cols {
+			atomicx.AddFloat64(&dst[t], v)
+		}
+		return
+	}
+	for _, t := range cols {
+		dst[t] += v
+	}
+}
 
 // spmvKernel accumulates w * x[s] into y[d]. Unweighted graphs use the
 // adjacency matrix itself (unit weights), the same convention as
 // edgeWeight — all engines and the reference must agree on it.
 type spmvKernel struct{ x, y []float64 }
 
-func (k spmvKernel) Update(s, d graph.Vertex, w float32) bool {
-	k.y[d] += edgeWeight(w) * k.x[s]
+func (k *spmvKernel) Update(s, d graph.Vertex, w float32) bool {
+	k.y[d] += float64(edgeWeight(w) * k.x[s])
 	return true
 }
 
-func (k spmvKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	atomicx.AddFloat64(&k.y[d], edgeWeight(w)*k.x[s])
+func (k *spmvKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
+	atomicx.AddFloat64(&k.y[d], float64(edgeWeight(w)*k.x[s]))
 	return true
 }
 
-func (k spmvKernel) Cond(graph.Vertex) bool { return true }
+func (k *spmvKernel) Cond(graph.Vertex) bool { return true }
+
+// PushRow adds w*x[s] to every target of the row; an unweighted row adds
+// x[s] itself (unit weights, and 1*x is x).
+func (k *spmvKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, shared bool) {
+	x, y := k.x[s], k.y
+	switch {
+	case wts == nil:
+		addRow(y, cols, x, shared)
+	case shared:
+		for j, t := range cols {
+			atomicx.AddFloat64(&y[t], float64(edgeWeight(wts[j])*x))
+		}
+	default:
+		for j, t := range cols {
+			y[t] += float64(edgeWeight(wts[j]) * x)
+		}
+	}
+}
 
 // bpKernel multiplies damped messages into the target's belief
 // accumulator: acc[d] *= 1 - (w/100) * curr[s].
@@ -66,17 +109,35 @@ func bpMessage(curr float64, w float32) float64 {
 	return 1 - weight*curr
 }
 
-func (k bpKernel) Update(s, d graph.Vertex, w float32) bool {
+func (k *bpKernel) Update(s, d graph.Vertex, w float32) bool {
 	k.acc[d] *= bpMessage(k.curr[s], w)
 	return true
 }
 
-func (k bpKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
+func (k *bpKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
 	atomicx.MulFloat64(&k.acc[d], bpMessage(k.curr[s], w))
 	return true
 }
 
-func (k bpKernel) Cond(graph.Vertex) bool { return true }
+func (k *bpKernel) Cond(graph.Vertex) bool { return true }
+
+// PushRow multiplies s's message into every target of the row; without
+// weights the message is the same for the whole row.
+func (k *bpKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, shared bool) {
+	curr, acc := k.curr[s], k.acc
+	unit := bpMessage(curr, 0)
+	for j, t := range cols {
+		m := unit
+		if wts != nil {
+			m = bpMessage(curr, wts[j])
+		}
+		if shared {
+			atomicx.MulFloat64(&acc[t], m)
+		} else {
+			acc[t] *= m
+		}
+	}
+}
 
 // bfsKernel claims unvisited vertices (direction-optimizing BFS).
 type bfsKernel struct{ parent []uint32 }

@@ -45,7 +45,7 @@ func PageRankFrom(e sg.Engine, iters int, damping float64, init []float64, sess 
 			invOut[v] = 1 / float64(d)
 		}
 	}
-	k := prKernel{curr: curr, next: next, invOut: invOut}
+	k := &prKernel{curr: curr, next: next, invOut: invOut}
 	all := state.NewAll(e.Bounds())
 	base := (1 - damping) / float64(n)
 	if sess != nil {
@@ -92,7 +92,7 @@ func SpMVE(e sg.Engine, iters int, x0 []float64, sess *fault.Session) ([]float64
 	}
 	xA := e.NewData("spmv/x")
 	yA := e.NewData("spmv/y")
-	k := spmvKernel{x: xA.Data, y: yA.Data}
+	k := &spmvKernel{x: xA.Data, y: yA.Data}
 	copy(k.x, x0)
 	all := state.NewAll(e.Bounds())
 	if sess != nil {
@@ -134,7 +134,7 @@ func BPE(e sg.Engine, iters int, sess *fault.Session) ([]float64, error) {
 	}
 	currA := e.NewData("bp/curr")
 	accA := e.NewData("bp/acc")
-	k := bpKernel{curr: currA.Data, acc: accA.Data}
+	k := &bpKernel{curr: currA.Data, acc: accA.Data}
 	for v := 0; v < n; v++ {
 		k.curr[v] = 0.5
 		k.acc[v] = 1

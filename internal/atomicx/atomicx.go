@@ -11,8 +11,11 @@ import (
 )
 
 // AddFloat64 atomically adds v to *p. The uncontended attempt is kept
-// small enough to inline into kernel edge functions; the retry loop lives
-// in the slow path.
+// small enough to inline into its caller, with the retry loop in the slow
+// path. That caller is a kernel's UpdateAtomic or shared row loop
+// (sg.RowKernel), not an engine's edge loop: engines reach UpdateAtomic by
+// an indirect call per edge, so only the row loops get the CAS inline
+// next to the edge iteration.
 func AddFloat64(p *float64, v float64) {
 	u := (*uint64)(unsafe.Pointer(p))
 	old := atomic.LoadUint64(u)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"polymer/internal/atomicx"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/sg"
@@ -23,8 +24,12 @@ func (k *cancelKernel) Update(s, d graph.Vertex, w float32) bool {
 	k.next[d]++
 	return true
 }
-func (k *cancelKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool { return k.Update(s, d, w) }
-func (k *cancelKernel) Cond(graph.Vertex) bool                         { return true }
+func (k *cancelKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
+	k.cancel()
+	atomicx.AddFloat64(&k.next[d], 1)
+	return true
+}
+func (k *cancelKernel) Cond(graph.Vertex) bool { return true }
 
 func TestCancelledContextSkipsPhaseEntirely(t *testing.T) {
 	n, edges := gen.Powerlaw(600, 6, 2.0, 11)

@@ -30,11 +30,13 @@ func (e *Engine) EdgeMap(a *state.Subset, k sg.EdgeKernel, h sg.Hints) *state.Su
 	return EdgeMapK(e, a, k, h)
 }
 
-// EdgeMapK is EdgeMap generically typed on the kernel. Callers that know
-// the concrete kernel type (the algorithms package) instantiate it
-// directly so the per-edge Cond/Update/UpdateAtomic calls devirtualize and
-// inline instead of dispatching through the sg.EdgeKernel interface; the
-// interface path above is the fallback instantiation.
+// EdgeMapK is EdgeMap generically typed on the kernel; the interface
+// method above is its instantiation at sg.EdgeKernel. Callers that know
+// the concrete kernel type (the algorithms package) skip the interface
+// boxing that way, and no more: per-edge Cond/Update/UpdateAtomic on a
+// type parameter are dictionary calls, as indirect as interface calls and
+// never inlined. Kernels that want an inlined edge loop bring their own
+// (sg.RowKernel, used by edgeMapDensePush).
 func EdgeMapK[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	h = h.Normalize()
 	if a.IsEmpty() || e.Err() != nil {
@@ -260,10 +262,13 @@ func dataWS(e *Engine, h sg.Hints) int64 {
 // active sources push updates to their local targets. All threads of a
 // node run on the one host worker that owns it (par.Pool.Run), so a
 // target has a single writer — the plain Update path is used — and float
-// sums into it are applied in one fixed order at any GOMAXPROCS.
+// sums into it are applied in one fixed order at any GOMAXPROCS. A kernel
+// with a row form (sg.RowKernel) gets one unshared PushRow call per row in
+// place of the per-edge calls; the charged counts are the same.
 func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	l := e.ensurePush()
 	collect := !h.NoOutput
+	rk := sg.RowKernelOf(k, h)
 	var b *state.Builder
 	if collect {
 		b = state.NewBuilder(e.bounds, e.M.Threads(), true).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
@@ -299,8 +304,18 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 				}
 				c.activeByOwner[owner]++
 				cols := nl.cols[nl.rowIdx[r]:nl.rowIdx[r+1]]
+				var wts []float32
 				if weighted {
-					wts := nl.wts[nl.rowIdx[r]:nl.rowIdx[r+1]]
+					wts = nl.wts[nl.rowIdx[r]:nl.rowIdx[r+1]]
+				}
+				if rk != nil {
+					// Every edge passes Cond and updates (sg.RowKernel).
+					rk.PushRow(s, cols, wts, false)
+					n := int64(len(cols))
+					edges, condChecks, updates = edges+n, condChecks+n, updates+n
+					continue
+				}
+				if weighted {
 					for j, t := range cols {
 						edges++
 						if !k.Cond(t) {
@@ -353,9 +368,9 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 }
 
 // edgeMapDensePull sweeps each node's target-keyed rows: every target
-// gathers from its local sources. With more than one node the same target
-// may be updated from several nodes concurrently, so the atomic update
-// path is used (Section 4.3).
+// gathers from its local sources. With more than one host worker the same
+// target may be updated from several nodes concurrently, so the atomic
+// update path is used (Section 4.3).
 func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	l := e.ensurePull()
 	collect := !h.NoOutput
@@ -364,7 +379,7 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 		b = state.NewBuilder(e.bounds, e.M.Threads(), true).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
 	}
 	ep := e.scr.beginPhase()
-	atomicUpdate := e.M.Nodes > 1 // a node's own threads share one host worker
+	atomicUpdate := e.Pool.Workers() > 1 // nodes that share a host worker run one after another
 	full := a.Count() == int64(e.G.NumVertices())
 
 	e.runPhase(func(th int) {

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"polymer/internal/gen"
@@ -29,12 +30,32 @@ func goid() uint64 {
 type writerKernel struct {
 	t      *testing.T
 	bounds []int
-	writer []uint64 // per node: goroutine of the last Update into it
+	writer []uint64 // per node: goroutine of the last write into it
 	writes []int64
 	mixed  []bool
+	rows   atomic.Int64 // PushRow calls, from every host worker
+	byEdge atomic.Int64 // Update calls
 }
 
 func (k *writerKernel) Update(s, d graph.Vertex, w float32) bool {
+	k.byEdge.Add(1)
+	k.write(d)
+	return true
+}
+
+// PushRow makes writerKernel an sg.RowKernel: Polymer's push hands it
+// whole rows, never shared, exactly when the phase builds no output.
+func (k *writerKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, shared bool) {
+	if shared {
+		k.t.Error("push phase passed shared=true: its targets have one writer")
+	}
+	k.rows.Add(1)
+	for _, d := range cols {
+		k.write(d)
+	}
+}
+
+func (k *writerKernel) write(d graph.Vertex) {
 	p := 0
 	for int(d) >= k.bounds[p+1] {
 		p++
@@ -45,7 +66,6 @@ func (k *writerKernel) Update(s, d graph.Vertex, w float32) bool {
 	}
 	k.writer[p] = id
 	k.writes[p]++
-	return true
 }
 
 func (k *writerKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
@@ -56,16 +76,19 @@ func (k *writerKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
 func (k *writerKernel) Cond(graph.Vertex) bool { return true }
 
 // TestPushTargetsHaveOneWriter pins what lets the push phases call
-// Update instead of UpdateAtomic: during a dense-push or sparse phase,
-// every write into node p's vertex range comes from the host worker that
-// runs all of p's simulated threads. Run it under -race at -cpu 1,2,8;
-// 3x4 and 5x3 are shapes where threads/W is not a multiple of the cores
-// per node, so an assignment that split threads evenly would cut a node.
+// Update (or an unshared PushRow) instead of UpdateAtomic: during a
+// dense-push or sparse phase, every write into node p's vertex range
+// comes from the host worker that runs all of p's simulated threads. Run
+// it under -race at -cpu 1,2,8; 3x4 and 5x3 are shapes where threads/W is
+// not a multiple of the cores per node, so an assignment that split
+// threads evenly would cut a node. The "rows" mode is the dense phase
+// under NoOutput, the one place the engine may use the kernel's row form.
 func TestPushTargetsHaveOneWriter(t *testing.T) {
 	n, edges := gen.RMAT(9, 8, 5)
 	g := graph.FromEdges(n, edges, false)
 	for _, shape := range [][2]int{{4, 2}, {3, 4}, {5, 3}, {8, 10}} {
-		for _, sparse := range []bool{false, true} {
+		for _, mode := range []string{"dense", "sparse", "rows"} {
+			sparse := mode == "sparse"
 			m := testMachine(shape[0], shape[1])
 			opt := DefaultOptions()
 			opt.Mode = Push
@@ -95,12 +118,18 @@ func TestPushTargetsHaveOneWriter(t *testing.T) {
 				}
 				frontier = b.Build()
 			}
-			e.EdgeMap(frontier, k, sg.Hints{DensePush: true})
+			e.EdgeMap(frontier, k, sg.Hints{DensePush: true, NoOutput: mode == "rows"})
 			if err := e.Err(); err != nil {
 				t.Fatal(err)
 			}
 			if sparse != (e.Metrics().SparsePhases == 1) {
-				t.Fatalf("%v sparse=%v: ran the other phase kind", m, sparse)
+				t.Fatalf("%v %s: ran the other phase kind", m, mode)
+			}
+			if byRow := k.rows.Load() > 0; byRow != (mode == "rows") || byRow == (k.byEdge.Load() > 0) {
+				t.Fatalf("%v %s: %d PushRow and %d Update calls", m, mode, k.rows.Load(), k.byEdge.Load())
+			}
+			if got := e.Metrics().EdgesProcessed; got != g.NumEdges() && !sparse {
+				t.Fatalf("%v %s: %d edges processed, want %d", m, mode, got, g.NumEdges())
 			}
 
 			var total int64
@@ -109,15 +138,15 @@ func TestPushTargetsHaveOneWriter(t *testing.T) {
 				owner := threadOn[p*m.CoresPerNode]
 				for c := 1; c < m.CoresPerNode; c++ {
 					if got := threadOn[p*m.CoresPerNode+c]; got != owner {
-						t.Errorf("%v sparse=%v: node %d's threads ran on goroutines %d and %d", m, sparse, p, owner, got)
+						t.Errorf("%v %s: node %d's threads ran on goroutines %d and %d", m, mode, p, owner, got)
 					}
 				}
 				if k.mixed[p] || (k.writes[p] > 0 && k.writer[p] != owner) {
-					t.Errorf("%v sparse=%v: node %d's targets were written off its owning worker", m, sparse, p)
+					t.Errorf("%v %s: node %d's targets were written off its owning worker", m, mode, p)
 				}
 			}
 			if total == 0 {
-				t.Fatalf("%v sparse=%v: phase applied no edge", m, sparse)
+				t.Fatalf("%v %s: phase applied no edge", m, mode)
 			}
 			e.Close()
 		}

@@ -190,9 +190,12 @@ func (e *Engine) EdgeMap(a *state.Subset, k sg.EdgeKernel, h sg.Hints) *state.Su
 	return EdgeMapK(e, a, k, h)
 }
 
-// EdgeMapK is EdgeMap generically typed on the kernel so that concrete
-// kernels devirtualize in the per-edge loops; the interface method above
-// is the fallback instantiation.
+// EdgeMapK is EdgeMap generically typed on the kernel; the interface
+// method above is its instantiation at sg.EdgeKernel. A concrete
+// instantiation saves boxing the kernel, not the per-edge calls: those
+// go through the generic dictionary and are never inlined. Kernels that
+// want an inlined edge loop bring their own (sg.RowKernel, used by
+// edgeMapDensePush).
 func EdgeMapK[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	h = h.Normalize()
 	if a.IsEmpty() || e.Err() != nil {
@@ -213,11 +216,16 @@ func EdgeMapK[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *sta
 }
 
 // edgeMapDensePush scans all vertices; active ones push along out-edges
-// with random global writes (the paper's RAND|W|G pattern).
+// with random global writes (the paper's RAND|W|G pattern). A kernel with
+// a row form (sg.RowKernel) gets one PushRow call per row in place of the
+// per-edge calls, shared only when a second host worker can write the same
+// targets; the charged counts are the same.
 func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	g := e.G
 	n := g.NumVertices()
 	collect := !h.NoOutput
+	rk := sg.RowKernelOf(k, h)
+	shared := e.Pool.Workers() > 1
 	var b *state.Builder
 	if collect {
 		b = state.NewBuilder(e.bounds, e.M.Threads(), true).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
@@ -237,8 +245,18 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 				}
 				active++
 				nbrs := g.OutNeighbors(s)
-				wts := g.OutWeights(s)
-				if h.Weighted && wts != nil {
+				var wts []float32
+				if h.Weighted {
+					wts = g.OutWeights(s)
+				}
+				if rk != nil {
+					// Every edge passes Cond and updates (sg.RowKernel).
+					rk.PushRow(s, nbrs, wts, shared)
+					edges += int64(len(nbrs))
+					updates += int64(len(nbrs))
+					continue
+				}
+				if wts != nil {
 					for j, t := range nbrs {
 						edges++
 						if !k.Cond(t) {

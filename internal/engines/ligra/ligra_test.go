@@ -2,6 +2,7 @@ package ligra
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"polymer/internal/atomicx"
@@ -42,6 +43,65 @@ func TestDensePushCountsInDegrees(t *testing.T) {
 		if out.Contains(graph.Vertex(v)) != (g.InDegree(graph.Vertex(v)) > 0) {
 			t.Fatalf("frontier wrong at %d", v)
 		}
+	}
+}
+
+// rowAddKernel is addKernel in row form; it notes how PushRow was called.
+type rowAddKernel struct {
+	addKernel
+	rows, sharedRows atomic.Int64
+}
+
+func (k *rowAddKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, shared bool) {
+	k.rows.Add(1)
+	if shared {
+		k.sharedRows.Add(1)
+	}
+	for _, d := range cols {
+		if shared {
+			k.UpdateAtomic(s, d, 0)
+		} else {
+			k.Update(s, d, 0)
+		}
+	}
+}
+
+// TestDensePushRowsAreSharedOnlyAcrossWorkers pins when dense push uses a
+// kernel's row form and how: under NoOutput only, one call per vertex,
+// shared exactly when a second host worker can write the same targets
+// (run at -cpu 1,2,8); the counts the phase charges do not depend on it.
+func TestDensePushRowsAreSharedOnlyAcrossWorkers(t *testing.T) {
+	n, edges := gen.RMAT(9, 8, 1)
+	g := graph.FromEdges(n, edges, false)
+	var sims [2]float64
+	for i, noOutput := range []bool{false, true} {
+		e := MustNew(g, testMachine(4, 2), DefaultOptions())
+		k := &rowAddKernel{addKernel: addKernel{next: make([]float64, n)}}
+		e.EdgeMap(state.NewAll(e.Bounds()), k, sg.Hints{DensePush: true, NoOutput: noOutput})
+		wantRows, wantShared := int64(0), int64(0)
+		if noOutput {
+			wantRows = int64(n)
+			if e.Pool.Workers() > 1 {
+				wantShared = int64(n)
+			}
+		}
+		if k.rows.Load() != wantRows || k.sharedRows.Load() != wantShared {
+			t.Fatalf("NoOutput=%v at %d host workers: %d PushRow calls, %d shared; want %d, %d",
+				noOutput, e.Pool.Workers(), k.rows.Load(), k.sharedRows.Load(), wantRows, wantShared)
+		}
+		for v := 0; v < n; v++ {
+			if k.next[v] != float64(g.InDegree(graph.Vertex(v))) {
+				t.Fatalf("NoOutput=%v: next[%d] = %v, want %d", noOutput, v, k.next[v], g.InDegree(graph.Vertex(v)))
+			}
+		}
+		if e.EdgesProcessed() != g.NumEdges() {
+			t.Fatalf("NoOutput=%v: %d edges processed, want %d", noOutput, e.EdgesProcessed(), g.NumEdges())
+		}
+		sims[i] = e.SimSeconds()
+		e.Close()
+	}
+	if sims[0] != sims[1] {
+		t.Fatalf("row path charged %x, per-edge path %x", sims[1], sims[0])
 	}
 }
 

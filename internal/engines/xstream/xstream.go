@@ -252,10 +252,6 @@ func (e *Engine) SetActive(vs []graph.Vertex) {
 // ActiveCount returns the current number of active vertices.
 func (e *Engine) ActiveCount() int64 { return e.nActive }
 
-func (e *Engine) isActive(v graph.Vertex) bool {
-	return e.active[v/64]&(1<<(v%64)) != 0
-}
-
 // Iterate runs one scatter -> shuffle -> gather pass (plus the optional
 // apply phase) and replaces the active set; it returns the new active
 // count.
@@ -292,13 +288,16 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	scatterCounts := e.scatterCounts
 	e.RunPhase(func(th int) {
 		var scanned, activeEdges int64
+		// Loaded once a thread, not once an edge; locals of the body, so
+		// the phase closure captures nothing more for them.
+		tileOf, active, mine := e.tileOf, e.active, out[th]
 		ck.Do(th, func(lo, hi int64) {
 			for ti := lo; ti < hi; ti++ {
 				t := &e.tiles[ti]
-				for i := range t.src {
-					scanned++
-					s := t.src[i]
-					if !e.isActive(s) {
+				dst := t.dst
+				scanned += int64(len(t.src))
+				for i, s := range t.src {
+					if active[s/64]&(1<<(s%64)) == 0 {
 						continue
 					}
 					activeEdges++
@@ -307,8 +306,9 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 						w = t.wts[i]
 					}
 					if val, ok := k.Scatter(s, w); ok {
-						d := t.dst[i]
-						out[th][e.tileOf[d]] = append(out[th][e.tileOf[d]], update{d, val})
+						d := dst[i]
+						q := &mine[tileOf[d]]
+						*q = append(*q, update{d, val})
 					}
 				}
 			}

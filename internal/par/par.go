@@ -94,6 +94,11 @@ func MustNewPool(threads int) *Pool {
 // Threads returns the simulated thread count.
 func (p *Pool) Threads() int { return p.nodes * p.cpn }
 
+// Workers returns W, the number of host workers Run and RunCtx put a
+// phase on: min(GOMAXPROCS, nodes). At W = 1 thread bodies run one after
+// another and need no atomics among themselves.
+func (p *Pool) Workers() int { return min(runtime.GOMAXPROCS(0), p.nodes) }
+
 // SetHook installs (or, with nil, removes) the per-dispatch fault hook.
 // The hook runs before each simulated thread's body: returning an error
 // makes that thread skip its share of the phase and Run report the error;
@@ -133,7 +138,7 @@ func (p *Pool) setErr(err error) {
 // phase. Thread bodies must not wait on each other: threads sharing a
 // host worker run one after another (see RunConcurrent).
 func (p *Pool) Run(fn func(th int)) error {
-	return p.dispatch(fn, p.nodes, min(runtime.GOMAXPROCS(0), p.nodes))
+	return p.dispatch(fn, p.nodes, p.Workers())
 }
 
 // RunCtx is Run honouring context cancellation: a context already
@@ -141,7 +146,7 @@ func (p *Pool) Run(fn func(th int)) error {
 // during the phase is reported after the join (thread bodies are
 // cooperative; they are never preempted mid-phase).
 func (p *Pool) RunCtx(ctx context.Context, fn func(th int)) error {
-	return p.dispatchCtx(ctx, fn, p.nodes, min(runtime.GOMAXPROCS(0), p.nodes))
+	return p.dispatchCtx(ctx, fn, p.nodes, p.Workers())
 }
 
 // RunConcurrent is RunCtx with one goroutine per simulated thread, spawned

@@ -33,7 +33,8 @@ func goid() uint64 {
 
 // TestRunSchedule pins the documented assignment: at W = min(GOMAXPROCS,
 // nodes), host worker i runs exactly the threads of nodes
-// [i*nodes/W, (i+1)*nodes/W), in ascending id, the caller being worker 0.
+// [i*nodes/W, (i+1)*nodes/W), in ascending id, the caller being worker 0;
+// and Workers reports that W, the number of goroutines Run really used.
 func TestRunSchedule(t *testing.T) {
 	for _, shape := range [][2]int{{8, 10}, {3, 4}, {5, 1}, {1, 6}} {
 		nodes, cpn := shape[0], shape[1]
@@ -45,6 +46,7 @@ func TestRunSchedule(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			var mu sync.Mutex
 			ran := map[uint64][]int{}
+			workers := p.Workers()
 			err = p.Run(func(th int) {
 				id := goid()
 				mu.Lock()
@@ -56,8 +58,8 @@ func TestRunSchedule(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := min(procs, nodes)
-			if len(ran) != w {
-				t.Fatalf("%dx%d at GOMAXPROCS=%d: %d host workers, want %d", nodes, cpn, procs, len(ran), w)
+			if len(ran) != w || workers != w {
+				t.Fatalf("%dx%d at GOMAXPROCS=%d: %d host workers, Workers() = %d, want %d", nodes, cpn, procs, len(ran), workers, w)
 			}
 			for i := 0; i < w; i++ {
 				var want []int

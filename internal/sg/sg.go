@@ -25,6 +25,39 @@ type EdgeKernel interface {
 	Cond(d graph.Vertex) bool
 }
 
+// RowKernel is an optional interface of an EdgeKernel whose Cond is
+// constantly true and whose Update and UpdateAtomic always report true.
+// PushRow(s, cols, wts, shared) must leave the kernel's data exactly as
+//
+//	for j, t := range cols { Update(s, t, wts[j]) }
+//
+// does — bit for bit, targets in cols order, with weight 0 for every edge
+// when wts is nil and UpdateAtomic in place of Update when shared is true
+// (another host worker may be writing the same targets).
+//
+// A Go type parameter's methods are called through the generic dictionary,
+// never inlined, so the per-edge path pays two indirect calls an edge; a
+// row kernel pays one a row and keeps the per-source factor in a register.
+// Engines look for the interface once per dense push phase and use it only
+// under Hints.NoOutput, where no per-edge outcome is needed: every charged
+// count is then len(cols). Kernels that need per-edge outcomes (claims,
+// relaxations) do not implement it and take the per-edge path.
+type RowKernel interface {
+	PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, shared bool)
+}
+
+// RowKernelOf returns k's row form when the phase may use it, else nil.
+// Pass pointer-shaped (or interface-typed) kernels to the engines' generic
+// entry points: converting a struct-valued K to an interface here would
+// box it on the heap every phase.
+func RowKernelOf[K EdgeKernel](k K, h Hints) RowKernel {
+	if !h.NoOutput {
+		return nil
+	}
+	rk, _ := any(k).(RowKernel)
+	return rk
+}
+
 // VertexFunc is the application-defined vertex function passed to
 // VertexMap; it returns true if v should remain in the returned subset.
 type VertexFunc func(v graph.Vertex) bool

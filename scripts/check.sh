@@ -39,6 +39,12 @@ go test -count=5 -cpu 1,2,8 -run 'TestFaultReplayEquivalence/(polymer|xstream|ga
 # drifts by an ULP) -- ROADMAP's determinism item (a) for the
 # NUMA-oblivious engines. Fold it into the line above when that lands.
 go test -count=5 -cpu 1 -run 'TestFaultReplayEquivalence/ligra' ./internal/conform/
+# Row kernels against the per-edge loops (values, clock, stats, edges).
+# The ligra cases compare values exactly only at -cpu 1, for the same
+# reason and until the same ROADMAP item as the line above; the -race
+# pass over ./internal/conform/ runs every case at the default -cpu.
+go test -count=5 -cpu 1,2,8 -run 'TestRowKernelEquivalence/polymer' ./internal/conform/
+go test -count=5 -cpu 1 -run 'TestRowKernelEquivalence/ligra' ./internal/conform/
 # The simulated clock of all 24 cells against the checked-in golden (and
 # plain/resilient parity); tier-1 runs it too.
 go test -count=1 -run 'TestGolden' ./cmd/simdump/
