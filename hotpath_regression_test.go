@@ -17,6 +17,7 @@ import (
 	"polymer/internal/bench"
 	"polymer/internal/core"
 	"polymer/internal/engines/ligra"
+	"polymer/internal/engines/xstream"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
@@ -77,6 +78,33 @@ func TestLigraPRIterationAllocs(t *testing.T) {
 	})
 	if allocs > allocBudgetPerIteration {
 		t.Fatalf("steady-state Ligra iteration allocated %.0f objects, budget %d",
+			allocs, allocBudgetPerIteration)
+	}
+}
+
+// TestXStreamPRIterationAllocs bounds a warm X-Stream iteration: the
+// shuffle buffers keep their capacity and the active bitmaps double-buffer,
+// so one more Iterate over the full frontier allocates only the phase
+// closures. Narrow tiles make a return to per-iteration buffers cost two
+// growing arrays per (thread, tile) pair in use, far over the budget.
+func TestXStreamPRIterationAllocs(t *testing.T) {
+	g := regressionGraph(t)
+	opt := xstream.DefaultOptions()
+	opt.TileVertices = 64
+	e := xstream.MustNew(g, regressionMachine(), opt, algorithms.PRHints())
+	defer e.Close()
+	if e.Tiles() < 4 {
+		t.Fatalf("%d tiles: too few for the budget to notice reallocated buffers", e.Tiles())
+	}
+	k := algorithms.NewXSKernels(e)["pr"].Kernel
+	iterate := func() {
+		e.SetAllActive()
+		e.Iterate(k, nil)
+	}
+	iterate() // warm up: buffers grow to the full frontier's updates
+	iterate() // the second active bitmap
+	if allocs := testing.AllocsPerRun(10, iterate); allocs > allocBudgetPerIteration {
+		t.Fatalf("steady-state X-Stream iteration allocated %.0f objects, budget %d",
 			allocs, allocBudgetPerIteration)
 	}
 }

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"polymer/internal/engines/xstream"
 	"polymer/internal/graph"
 	"polymer/internal/sg"
 	"polymer/internal/state"
@@ -25,15 +26,11 @@ func NewPRKernel(e sg.Engine, damping float64) *PRKernel {
 	g := e.Graph()
 	n := g.NumVertices()
 	curr, next := e.NewData("pr/curr"), e.NewData("pr/next")
-	invOut := make([]float64, n)
-	for v := 0; v < n; v++ {
+	for v := range curr.Data {
 		curr.Data[v] = 1 / float64(n)
-		if d := g.OutDegree(graph.Vertex(v)); d > 0 {
-			invOut[v] = 1 / float64(d)
-		}
 	}
 	return &PRKernel{
-		prKernel: prKernel{curr: curr.Data, next: next.Data, invOut: invOut},
+		prKernel: prKernel{curr: curr.Data, next: next.Data, invOut: g.InvOutDegrees()},
 		base:     (1 - damping) / float64(n),
 		damping:  damping,
 	}
@@ -60,4 +57,25 @@ func (k *PRKernel) Iteration(e sg.Engine, all *state.Subset) {
 		return true
 	})
 	k.Swap()
+}
+
+// XSKernel is one of X-Stream's float kernels over state allocated on an
+// engine: Scatter reads In, Gather writes Out. The embedded Kernel is the
+// one the drivers pass to Iterate, block loops included.
+type XSKernel struct {
+	xstream.Kernel
+	In, Out []float64
+}
+
+// NewXSKernels allocates state on e and returns the kernels XSPageRank,
+// XSSpMV and XSBP iterate, keyed "pr", "spmv" and "bp", so tests can
+// drive xstream.Engine.Iterate with exactly those kernels (block loops
+// against per-edge loops, the steady-state allocation budget).
+func NewXSKernels(e *xstream.Engine) map[string]XSKernel {
+	pr, spmv, bp := newXSPR(e), newXSSpMV(e), newXSBP(e)
+	return map[string]XSKernel{
+		"pr":   {pr, pr.curr, pr.next},
+		"spmv": {spmv, spmv.x, spmv.y},
+		"bp":   {bp, bp.curr, bp.acc},
+	}
 }

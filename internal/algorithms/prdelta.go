@@ -62,7 +62,6 @@ func pageRankDeltaFrom(e sg.Engine, eps float64, maxIter int, prev []float64) ([
 	deltaA := e.NewData("prd/delta")
 	accA := e.NewData("prd/acc")
 	rank, delta, acc := rankA.Data, deltaA.Data, accA.Data
-	invOut := make([]float64, n)
 	for v := 0; v < n; v++ {
 		r0 := 1 / float64(n)
 		if v < len(prev) {
@@ -70,11 +69,8 @@ func pageRankDeltaFrom(e sg.Engine, eps float64, maxIter int, prev []float64) ([
 		}
 		rank[v] = r0
 		delta[v] = r0 // first round propagates r_0 itself
-		if d := g.OutDegree(graph.Vertex(v)); d > 0 {
-			invOut[v] = 1 / float64(d)
-		}
 	}
-	k := &prDeltaKernel{delta: delta, acc: acc, invOut: invOut}
+	k := &prDeltaKernel{delta: delta, acc: acc, invOut: g.InvOutDegrees()}
 	const d = 0.85
 	base := (1 - d) / float64(n)
 
@@ -134,15 +130,11 @@ func XSPageRankDelta(e *xstream.Engine, eps float64, maxIter int) ([]float64, in
 	deltaA := e.NewData("prd/delta")
 	accA := e.NewData("prd/acc")
 	rank, delta, acc := rankA.Data, deltaA.Data, accA.Data
-	invOut := make([]float64, n)
 	for v := 0; v < n; v++ {
 		rank[v] = 1 / float64(n)
 		delta[v] = 1 / float64(n)
-		if d := g.OutDegree(graph.Vertex(v)); d > 0 {
-			invOut[v] = 1 / float64(d)
-		}
 	}
-	k := &xsPRDelta{delta: delta, acc: acc, invOut: invOut}
+	k := &xsPRDelta{delta: delta, acc: acc, invOut: g.InvOutDegrees()}
 	const d = 0.85
 	base := (1 - d) / float64(n)
 

@@ -34,18 +34,14 @@ func PageRankFrom(e sg.Engine, iters int, damping float64, init []float64, sess 
 	currA := e.NewData("pr/curr")
 	nextA := e.NewData("pr/next")
 	curr, next := currA.Data, nextA.Data
-	invOut := make([]float64, n)
 	for v := 0; v < n; v++ {
 		if init != nil {
 			curr[v] = init[v]
 		} else {
 			curr[v] = 1 / float64(n)
 		}
-		if d := g.OutDegree(graph.Vertex(v)); d > 0 {
-			invOut[v] = 1 / float64(d)
-		}
 	}
-	k := &prKernel{curr: curr, next: next, invOut: invOut}
+	k := &prKernel{curr: curr, next: next, invOut: g.InvOutDegrees()}
 	all := state.NewAll(e.Bounds())
 	base := (1 - damping) / float64(n)
 	if sess != nil {
@@ -278,15 +274,8 @@ func XSPageRankE(e *xstream.Engine, iters int, damping float64, sess *fault.Sess
 	if n == 0 {
 		return nil, nil
 	}
-	currA, nextA := e.NewData("pr/curr"), e.NewData("pr/next")
-	k := &xsPR{curr: currA.Data, next: nextA.Data, base: (1 - damping) / float64(n), damping: damping}
-	k.invOut = make([]float64, n)
-	for v := 0; v < n; v++ {
-		k.curr[v] = 1 / float64(n)
-		if d := g.OutDegree(graph.Vertex(v)); d > 0 {
-			k.invOut[v] = 1 / float64(d)
-		}
-	}
+	k := newXSPR(e)
+	base := (1 - damping) / float64(n)
 	if sess != nil {
 		sess.TrackF64(k.curr, k.next)
 	}
@@ -294,7 +283,7 @@ func XSPageRankE(e *xstream.Engine, iters int, damping float64, sess *fault.Sess
 		err := fault.Step(sess, it, func() error {
 			e.SetAllActive()
 			e.Iterate(k, func(v graph.Vertex) bool {
-				k.next[v] = k.base + k.damping*k.next[v]
+				k.next[v] = base + damping*k.next[v]
 				k.curr[v] = 0
 				return true
 			})

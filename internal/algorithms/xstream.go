@@ -5,12 +5,31 @@ import (
 	"polymer/internal/graph"
 )
 
+// PR, SpMV and BP also implement xstream.BlockKernel: Iterate's per-edge
+// loops with Scatter and Gather written into them (all three always emit
+// and always activate), over the engine's own bitmap helpers.
+
+// weightAt is edge i's weight, 0 on an unweighted block.
+func weightAt(wts []float32, i int) float32 {
+	if wts == nil {
+		return 0
+	}
+	return wts[i]
+}
+
 // xsPR is the X-Stream PageRank kernel.
 type xsPR struct {
 	curr, next []float64
 	invOut     []float64
-	base       float64
-	damping    float64
+}
+
+// newXSPR allocates PageRank state on e: uniform ranks, zero sums.
+func newXSPR(e *xstream.Engine) *xsPR {
+	k := &xsPR{curr: e.NewData("pr/curr").Data, next: e.NewData("pr/next").Data, invOut: e.Graph().InvOutDegrees()}
+	for v := range k.curr {
+		k.curr[v] = 1 / float64(len(k.curr))
+	}
+	return k
 }
 
 func (k *xsPR) Scatter(s graph.Vertex, w float32) (float64, bool) {
@@ -20,6 +39,24 @@ func (k *xsPR) Scatter(s graph.Vertex, w float32) (float64, bool) {
 func (k *xsPR) Gather(d graph.Vertex, val float64) bool {
 	k.next[d] += val
 	return true
+}
+
+func (k *xsPR) ScatterBlock(active []uint64, src, dst []graph.Vertex, _ []float32, ds []graph.Vertex, vals []float64) ([]graph.Vertex, []float64, int64) {
+	at := len(ds)
+	for i, s := range src {
+		if xstream.IsActive(active, s) {
+			ds, vals = append(ds, dst[i]), append(vals, k.curr[s]*k.invOut[s])
+		}
+	}
+	return ds, vals, int64(len(ds) - at)
+}
+
+func (k *xsPR) GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (activated, fresh int64) {
+	for i, d := range ds {
+		k.next[d] += vals[i]
+		fresh += xstream.Activate(next, d)
+	}
+	return int64(len(ds)), fresh
 }
 
 // XSPageRank runs iters push-based PageRank iterations on X-Stream.
@@ -33,6 +70,11 @@ func XSPageRank(e *xstream.Engine, iters int, damping float64) []float64 {
 
 type xsSpMV struct{ x, y []float64 }
 
+// newXSSpMV allocates SpMV state on e, both vectors zero.
+func newXSSpMV(e *xstream.Engine) *xsSpMV {
+	return &xsSpMV{x: e.NewData("spmv/x").Data, y: e.NewData("spmv/y").Data}
+}
+
 func (k *xsSpMV) Scatter(s graph.Vertex, w float32) (float64, bool) {
 	return edgeWeight(w) * k.x[s], true
 }
@@ -42,14 +84,31 @@ func (k *xsSpMV) Gather(d graph.Vertex, val float64) bool {
 	return true
 }
 
+func (k *xsSpMV) ScatterBlock(active []uint64, src, dst []graph.Vertex, wts []float32, ds []graph.Vertex, vals []float64) ([]graph.Vertex, []float64, int64) {
+	at := len(ds)
+	for i, s := range src {
+		if xstream.IsActive(active, s) {
+			ds, vals = append(ds, dst[i]), append(vals, edgeWeight(weightAt(wts, i))*k.x[s])
+		}
+	}
+	return ds, vals, int64(len(ds) - at)
+}
+
+func (k *xsSpMV) GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (activated, fresh int64) {
+	for i, d := range ds {
+		k.y[d] += vals[i]
+		fresh += xstream.Activate(next, d)
+	}
+	return int64(len(ds)), fresh
+}
+
 // XSSpMV runs iters sparse matrix-vector multiplications on X-Stream.
 func XSSpMV(e *xstream.Engine, iters int, x0 []float64) []float64 {
 	n := e.Graph().NumVertices()
 	if n == 0 {
 		return nil
 	}
-	xA, yA := e.NewData("spmv/x"), e.NewData("spmv/y")
-	k := &xsSpMV{x: xA.Data, y: yA.Data}
+	k := newXSSpMV(e)
 	copy(k.x, x0)
 	for it := 0; it < iters; it++ {
 		e.SetAllActive()
@@ -66,6 +125,17 @@ func XSSpMV(e *xstream.Engine, iters int, x0 []float64) []float64 {
 
 type xsBP struct{ curr, acc []float64 }
 
+// newXSBP allocates belief-propagation state on e: beliefs 0.5, unit
+// accumulators.
+func newXSBP(e *xstream.Engine) *xsBP {
+	k := &xsBP{curr: e.NewData("bp/curr").Data, acc: e.NewData("bp/acc").Data}
+	for v := range k.curr {
+		k.curr[v] = 0.5
+		k.acc[v] = 1
+	}
+	return k
+}
+
 func (k *xsBP) Scatter(s graph.Vertex, w float32) (float64, bool) {
 	return bpMessage(k.curr[s], w), true
 }
@@ -75,18 +145,31 @@ func (k *xsBP) Gather(d graph.Vertex, val float64) bool {
 	return true
 }
 
+func (k *xsBP) ScatterBlock(active []uint64, src, dst []graph.Vertex, wts []float32, ds []graph.Vertex, vals []float64) ([]graph.Vertex, []float64, int64) {
+	at := len(ds)
+	for i, s := range src {
+		if xstream.IsActive(active, s) {
+			ds, vals = append(ds, dst[i]), append(vals, bpMessage(k.curr[s], weightAt(wts, i)))
+		}
+	}
+	return ds, vals, int64(len(ds) - at)
+}
+
+func (k *xsBP) GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (activated, fresh int64) {
+	for i, d := range ds {
+		k.acc[d] *= vals[i]
+		fresh += xstream.Activate(next, d)
+	}
+	return int64(len(ds)), fresh
+}
+
 // XSBP runs iters belief-propagation rounds on X-Stream.
 func XSBP(e *xstream.Engine, iters int) []float64 {
 	n := e.Graph().NumVertices()
 	if n == 0 {
 		return nil
 	}
-	currA, accA := e.NewData("bp/curr"), e.NewData("bp/acc")
-	k := &xsBP{curr: currA.Data, acc: accA.Data}
-	for v := 0; v < n; v++ {
-		k.curr[v] = 0.5
-		k.acc[v] = 1
-	}
+	k := newXSBP(e)
 	for it := 0; it < iters; it++ {
 		e.SetAllActive()
 		e.Iterate(k, func(v graph.Vertex) bool {

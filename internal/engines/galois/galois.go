@@ -230,12 +230,7 @@ func (e *Engine) PageRankE(iters int, damping float64, sess *fault.Session) ([]f
 	for i := range curr {
 		curr[i] = 1 / float64(n)
 	}
-	invOut := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if d := g.OutDegree(graph.Vertex(v)); d > 0 {
-			invOut[v] = 1 / float64(d)
-		}
-	}
+	invOut := g.InvOutDegrees()
 	ck := par.MakeStrided(int64(n), 64, e.M.Threads())
 	if sess != nil {
 		sess.TrackF64(curr, next)

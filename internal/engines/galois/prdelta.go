@@ -25,14 +25,11 @@ func (e *Engine) PageRankDelta(eps float64, maxIter int) ([]float64, int) {
 	acc := make([]float64, n)
 	active := make([]bool, n)
 	e.trackData(int64(n) * 25)
-	invOut := make([]float64, n)
+	invOut := g.InvOutDegrees()
 	for v := 0; v < n; v++ {
 		rank[v] = 1 / float64(n)
 		delta[v] = 1 / float64(n)
 		active[v] = true
-		if d := g.OutDegree(graph.Vertex(v)); d > 0 {
-			invOut[v] = 1 / float64(d)
-		}
 	}
 	const d = 0.85
 	base := (1 - d) / float64(n)

@@ -14,7 +14,6 @@ package xstream
 
 import (
 	"math/bits"
-	"sync"
 
 	"polymer/internal/barrier"
 	"polymer/internal/graph"
@@ -35,6 +34,45 @@ type Kernel interface {
 	Gather(d graph.Vertex, val float64) bool
 }
 
+// BlockKernel is an optional interface of a Kernel: the scatter and gather
+// loops over one run of edges or updates, written by the kernel itself so
+// they compile to plain array loops (an interface method is never
+// inlined, and the per-edge path pays one call an edge in each phase).
+// Iterate looks for it once. Both methods must leave the kernel's data,
+// the update arrays and the next-active bits bit for bit, and in order,
+// as the per-edge loops below leave them.
+type BlockKernel interface {
+	// ScatterBlock streams the edges (src[i], dst[i]) of one block, with
+	// weight wts[i], or 0 for every edge when wts is nil. For each edge
+	// whose source is set in active, in order, it does what
+	//
+	//	if val, ok := Scatter(src[i], w); ok { append (dst[i], val) }
+	//
+	// does, appending to ds and vals (of equal length). It returns the
+	// extended arrays and the number of edges with an active source.
+	ScatterBlock(active []uint64, src, dst []graph.Vertex, wts []float32,
+		ds []graph.Vertex, vals []float64) ([]graph.Vertex, []float64, int64)
+	// GatherRun applies the updates (ds[i], vals[i]) in order: wherever
+	// Gather(ds[i], vals[i]) would report true it sets ds[i]'s bit in
+	// next. It returns how many updates reported true and how many bits
+	// they newly set.
+	GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (activated, fresh int64)
+}
+
+// IsActive reports whether v's bit is set in an active bitmap: the
+// scatter loops' active-source test.
+func IsActive(active []uint64, v graph.Vertex) bool { return active[v/64]&(1<<(v%64)) != 0 }
+
+// Activate sets d's bit in the next-active bitmap and returns 1 if it was
+// clear, else 0: the gather loops' bookkeeping for an update that
+// activates its target.
+func Activate(next []uint64, d graph.Vertex) int64 {
+	w := &next[d/64]
+	fresh := ^*w >> (d % 64) & 1
+	*w |= 1 << (d % 64)
+	return int64(fresh)
+}
+
 // Applier is an optional per-vertex post-phase (e.g. PageRank's
 // normalisation); it returns whether v is active next iteration.
 type Applier func(v graph.Vertex) bool
@@ -51,15 +89,23 @@ type Options struct {
 // DefaultOptions returns the evaluation configuration.
 func DefaultOptions() Options { return Options{OverheadNsPerEdge: 1.5} }
 
-type update struct {
-	d   graph.Vertex
-	val float64
+// updates is one shuffle buffer: the targets and values of the updates one
+// thread emitted into one tile, as parallel arrays in emission order.
+type updates struct {
+	d   []graph.Vertex
+	val []float64
 }
 
+// tile is one streaming partition: the out-edges of the sources in
+// [loVertex, hiVertex), grouped by the tile of their destination. Which
+// tile an update lands in is a property of the graph, so the shuffle's
+// routing is done once, here: blk[u]..blk[u+1] delimit the edges into
+// tile u, each block in CSR order.
 type tile struct {
-	loVertex, hiVertex int // source range [lo, hi)
+	loVertex, hiVertex int
 	src, dst           []graph.Vertex
-	wts                []float32
+	wts                []float32 // nil on unweighted graphs
+	blk                []int
 }
 
 // Engine is an X-Stream instance; the lifecycle surface is sg.Base's.
@@ -68,7 +114,6 @@ type Engine struct {
 	opt Options
 
 	tiles    []tile
-	tileOf   []int // vertex -> tile index
 	active   []uint64
 	nActive  int64
 	topoB    int64
@@ -87,10 +132,10 @@ type Engine struct {
 	// double-buffers with the current one. Host-only reuse; the charged
 	// traffic and the simulated shuffle-buffer footprint are unchanged.
 	scrEp         *numa.Epoch
-	out           [][][]update // [thread][tile] update buffers
-	spare         []uint64     // retired active bitmap, recycled as next
+	out           [][]updates // [thread][tile] update buffers
+	spare         []uint64    // retired active bitmap, recycled as next
 	scatterCounts [][2]int64
-	gatherCounts  [][2]int64
+	gatherCounts  [][3]int64
 	applyCounts   []int64
 }
 
@@ -109,12 +154,12 @@ func New(g *graph.Graph, m *numa.Machine, opt Options, h sg.Hints) (*Engine, err
 	e.buildTiles(opt.TileVertices)
 	e.active = make([]uint64, (g.NumVertices()+63)/64)
 	e.scrEp = m.NewEpoch()
-	e.out = make([][][]update, m.Threads())
+	e.out = make([][]updates, m.Threads())
 	for th := range e.out {
-		e.out[th] = make([][]update, len(e.tiles))
+		e.out[th] = make([]updates, len(e.tiles))
 	}
 	e.scatterCounts = make([][2]int64, m.Threads())
-	e.gatherCounts = make([][2]int64, m.Threads())
+	e.gatherCounts = make([][3]int64, m.Threads())
 	e.applyCounts = make([]int64, m.Threads())
 	if err := m.Alloc().Grow("xstream/topology", e.topoB); err != nil {
 		return nil, err
@@ -158,8 +203,14 @@ func (e *Engine) chargePhase(ep *numa.Epoch, kind string, active int64) {
 	}
 }
 
+// buildTiles lays the graph out as a grid of edge blocks, one per (source
+// tile, destination tile) pair. Two passes over each tile's CSR rows: the
+// first counts the edges into every destination tile, the second places
+// them, so every array is allocated once at its final size and each block
+// is the tile's CSR stream filtered by destination tile.
 func (e *Engine) buildTiles(tileVerts int) {
-	n := e.G.NumVertices()
+	g := e.G
+	n := g.NumVertices()
 	if tileVerts <= 0 {
 		tileVerts = int(e.M.Topo.LLCBytes) / (2 * e.dataB)
 	}
@@ -169,34 +220,50 @@ func (e *Engine) buildTiles(tileVerts int) {
 	if tileVerts < 64 {
 		tileVerts = 64
 	}
-	e.tileOf = make([]int, n)
-	for lo := 0; lo < n; lo += tileVerts {
-		hi := lo + tileVerts
-		if hi > n {
-			hi = n
+	nTiles := (n + tileVerts - 1) / tileVerts
+	if nTiles == 0 {
+		nTiles = 1
+	}
+	e.tiles = make([]tile, nTiles)
+	next := make([]int, nTiles) // per destination tile: count, then cursor
+	for ti := range e.tiles {
+		t := &e.tiles[ti]
+		t.loVertex = min(ti*tileVerts, n)
+		t.hiVertex = min(t.loVertex+tileVerts, n)
+		first, last := graph.Vertex(t.loVertex), graph.Vertex(t.hiVertex)
+		edges := g.OutNbrs[g.OutIndex[first]:g.OutIndex[last]]
+
+		clear(next)
+		for _, d := range edges {
+			next[int(d)/tileVerts]++
 		}
-		t := tile{loVertex: lo, hiVertex: hi}
-		for v := lo; v < hi; v++ {
-			nbrs := e.G.OutNeighbors(graph.Vertex(v))
-			wts := e.G.OutWeights(graph.Vertex(v))
-			for j, u := range nbrs {
-				t.src = append(t.src, graph.Vertex(v))
-				t.dst = append(t.dst, u)
+		t.blk = make([]int, nTiles+1)
+		for u, c := range next {
+			next[u] = t.blk[u]
+			t.blk[u+1] = t.blk[u] + c
+		}
+		t.src = make([]graph.Vertex, len(edges))
+		t.dst = make([]graph.Vertex, len(edges))
+		if g.Weighted() {
+			t.wts = make([]float32, len(edges))
+		}
+		for v := first; v < last; v++ {
+			wts := g.OutWeights(v)
+			for j, d := range g.OutNeighbors(v) {
+				u := int(d) / tileVerts
+				at := next[u]
+				next[u]++
+				t.src[at], t.dst[at] = v, d
 				if wts != nil {
-					t.wts = append(t.wts, wts[j])
+					t.wts[at] = wts[j]
 				}
 			}
-			e.tileOf[v] = len(e.tiles)
 		}
-		e.tiles = append(e.tiles, t)
-	}
-	if n == 0 {
-		e.tiles = append(e.tiles, tile{})
-	}
-	for i := range e.tiles {
-		t := &e.tiles[i]
 		e.topoB += int64(len(t.src))*8 + int64(len(t.wts))*4
 	}
+	// The paper's X-Stream routes every update through a vertex -> tile
+	// table (tileOf), so its n*4 bytes stay in the simulated footprint;
+	// the host needs no such table once the routing is in the layout.
 	e.topoB += int64(n) * 4
 }
 
@@ -270,13 +337,17 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	}
 	ep := e.scrEp
 	ep.Reset()
+	// Nil for a kernel without block loops: every block and update run
+	// then goes through the per-edge loops.
+	bk, _ := k.(BlockKernel)
 
 	// out[th][tile] are thread th's updates destined for each tile; the
 	// buffers keep their capacity between iterations.
 	out := e.out
 	for th := range out {
 		for ti := range out[th] {
-			out[th][ti] = out[th][ti][:0]
+			q := &out[th][ti]
+			q.d, q.val = q.d[:0], q.val[:0]
 		}
 	}
 
@@ -290,25 +361,43 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 		var scanned, activeEdges int64
 		// Loaded once a thread, not once an edge; locals of the body, so
 		// the phase closure captures nothing more for them.
-		tileOf, active, mine := e.tileOf, e.active, out[th]
+		active, mine := e.active, out[th]
 		ck.Do(th, func(lo, hi int64) {
 			for ti := lo; ti < hi; ti++ {
 				t := &e.tiles[ti]
-				dst := t.dst
 				scanned += int64(len(t.src))
-				for i, s := range t.src {
-					if active[s/64]&(1<<(s%64)) == 0 {
+				// Block u's updates all land in tile u: thread th's buffer
+				// for u receives them in the tile's CSR order, tile after
+				// tile, exactly as routing each edge by its target would.
+				for u := range mine {
+					b0, b1 := t.blk[u], t.blk[u+1]
+					if b0 == b1 {
 						continue
 					}
-					activeEdges++
-					var w float32
+					q := &mine[u]
+					src, dst := t.src[b0:b1], t.dst[b0:b1]
+					var wts []float32
 					if t.wts != nil {
-						w = t.wts[i]
+						wts = t.wts[b0:b1]
 					}
-					if val, ok := k.Scatter(s, w); ok {
-						d := dst[i]
-						q := &mine[tileOf[d]]
-						*q = append(*q, update{d, val})
+					if bk != nil {
+						var n int64
+						q.d, q.val, n = bk.ScatterBlock(active, src, dst, wts, q.d, q.val)
+						activeEdges += n
+						continue
+					}
+					for i, s := range src {
+						if !IsActive(active, s) {
+							continue
+						}
+						activeEdges++
+						var w float32
+						if wts != nil {
+							w = wts[i]
+						}
+						if val, ok := k.Scatter(s, w); ok {
+							q.d, q.val = append(q.d, dst[i]), append(q.val, val)
+						}
 					}
 				}
 			}
@@ -348,7 +437,7 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	var totalUpdates int64
 	for th := range out {
 		for ti := range out[th] {
-			totalUpdates += int64(len(out[th][ti]))
+			totalUpdates += int64(len(out[th][ti].d))
 		}
 	}
 	// X-Stream streams updates partition by partition, so only about one
@@ -373,44 +462,44 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	// Gather: each tile applies its incoming updates; one thread per tile
 	// so destination writes need no atomics.
 	next := e.takeSpare()
-	var nextCount int64
-	var mu sync.Mutex
 	ck2 := par.MakeStrided(int64(nTiles), 1, threads)
 	ep3 := ep2
 	gatherCounts := e.gatherCounts
 	e.RunPhase(func(th int) {
-		var applied, activated int64
-		var local int64
+		var applied, activated, fresh int64
 		ck2.Do(th, func(lo, hi int64) {
 			for ti := lo; ti < hi; ti++ {
 				for src := 0; src < threads; src++ {
-					for _, u := range out[src][ti] {
-						applied++
-						if k.Gather(u.d, u.val) {
-							w := &next[u.d/64]
-							if *w&(1<<(u.d%64)) == 0 {
-								*w |= 1 << (u.d % 64)
-								local++
-							}
+					q := &out[src][ti]
+					applied += int64(len(q.d))
+					if bk != nil {
+						a, f := bk.GatherRun(q.d, q.val, next)
+						activated += a
+						fresh += f
+						continue
+					}
+					vals := q.val
+					for i, d := range q.d {
+						if k.Gather(d, vals[i]) {
+							fresh += Activate(next, d)
 							activated++
 						}
 					}
 				}
 			}
 		})
-		gatherCounts[th] = [2]int64{applied, activated}
-		mu.Lock()
-		nextCount += local
-		mu.Unlock()
+		gatherCounts[th] = [3]int64{applied, activated, fresh}
 	})
 	if e.Err() != nil {
 		e.M.Alloc().Release("xstream/buffers", bufBytes)
+		e.spare = next
 		return e.nActive
 	}
-	var appliedT, activatedT int64
+	var appliedT, activatedT, nextCount int64
 	for _, c := range gatherCounts {
 		appliedT += c[0]
 		activatedT += c[1]
+		nextCount += c[2]
 	}
 	for th := 0; th < threads; th++ {
 		applied, activated := appliedT/int64(threads), activatedT/int64(threads)
@@ -426,6 +515,7 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 		nextCount = e.applyPhase(apply, next)
 	}
 	if e.Err() != nil {
+		e.spare = next
 		return e.nActive // apply phase failed: keep the current active set
 	}
 	e.spare = e.active // recycle the retired bitmap next iteration

@@ -7,7 +7,10 @@
 // Topology is immutable during computation (Section 4.1).
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Vertex is a vertex identifier. Graphs up to ~4 billion vertices are
 // representable; edge counts use int64.
@@ -34,6 +37,10 @@ type Graph struct {
 	InIndex []int64
 	InNbrs  []Vertex
 	InWts   []float32
+
+	// invOut is InvOutDegrees' array, built on first use.
+	invOutOnce sync.Once
+	invOut     []float64
 }
 
 // NumVertices returns |V|.
@@ -50,6 +57,22 @@ func (g *Graph) OutDegree(v Vertex) int64 { return g.OutIndex[v+1] - g.OutIndex[
 
 // InDegree returns |Nin(v)|.
 func (g *Graph) InDegree(v Vertex) int64 { return g.InIndex[v+1] - g.InIndex[v] }
+
+// InvOutDegrees returns 1/OutDegree(v) for every v, 0 where v has no
+// out-edges: the per-source scale of every PageRank variant. It is built
+// once per graph, on first use, and shared by every run on it (do not
+// modify); safe for concurrent callers.
+func (g *Graph) InvOutDegrees() []float64 {
+	g.invOutOnce.Do(func() {
+		g.invOut = make([]float64, g.n)
+		for v := range g.invOut {
+			if d := g.OutDegree(Vertex(v)); d > 0 {
+				g.invOut[v] = 1 / float64(d)
+			}
+		}
+	})
+	return g.invOut
+}
 
 // OutNeighbors returns v's out-neighbour slice (do not modify).
 func (g *Graph) OutNeighbors(v Vertex) []Vertex {

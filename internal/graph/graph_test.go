@@ -150,6 +150,31 @@ func TestMaxOutDegree(t *testing.T) {
 	}
 }
 
+// TestInvOutDegreesIsBuiltOnce: concurrent first callers (engines serving
+// requests over one cached graph) all get the one array, holding 1/outdeg
+// and 0 for a sink.
+func TestInvOutDegreesIsBuiltOnce(t *testing.T) {
+	g := FromEdges(4, []Edge{{0, 1, 0}, {0, 2, 0}, {0, 3, 0}, {0, 0, 0}, {1, 2, 0}, {2, 2, 0}, {2, 0, 0}}, false)
+	got := make(chan []float64, 8)
+	for i := 0; i < cap(got); i++ {
+		go func() { got <- g.InvOutDegrees() }()
+	}
+	first := g.InvOutDegrees()
+	for i := 0; i < cap(got); i++ {
+		if inv := <-got; &inv[0] != &first[0] {
+			t.Fatal("two callers got two arrays")
+		}
+	}
+	for v, want := range []float64{0.25, 1, 0.5, 0} {
+		if first[v] != want {
+			t.Fatalf("InvOutDegrees()[%d] = %v, want %v", v, first[v], want)
+		}
+	}
+	if len(FromEdges(0, nil, false).InvOutDegrees()) != 0 {
+		t.Fatal("the empty graph has no degrees")
+	}
+}
+
 func TestEmptyGraph(t *testing.T) {
 	g := FromEdges(0, nil, false)
 	if g.NumVertices() != 0 || g.NumEdges() != 0 {

@@ -45,6 +45,9 @@ go test -count=5 -cpu 1 -run 'TestFaultReplayEquivalence/ligra' ./internal/confo
 # pass over ./internal/conform/ runs every case at the default -cpu.
 go test -count=5 -cpu 1,2,8 -run 'TestRowKernelEquivalence/polymer' ./internal/conform/
 go test -count=5 -cpu 1 -run 'TestRowKernelEquivalence/ligra' ./internal/conform/
+# X-Stream's block kernels against its per-edge loops: one thread gathers
+# each tile, so the values are exact at any -cpu.
+go test -count=5 -cpu 1,2,8 -run 'TestBlockKernelEquivalence' ./internal/conform/
 # The simulated clock of all 24 cells against the checked-in golden (and
 # plain/resilient parity); tier-1 runs it too.
 go test -count=1 -run 'TestGolden' ./cmd/simdump/
