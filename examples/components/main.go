@@ -28,7 +28,10 @@ func main() {
 	// Polymer label propagation runs on the symmetrized view.
 	m1 := numa.NewMachine(topo, 8, 10)
 	e := core.MustNew(g.Symmetrized(), m1, core.DefaultOptions())
-	labels := algorithms.CC(e)
+	labels, err := algorithms.CC(e, nil)
+	if err != nil {
+		panic(err)
+	}
 	lpTime := e.SimSeconds()
 	e.Close()
 

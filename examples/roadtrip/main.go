@@ -29,7 +29,10 @@ func main() {
 	// per-iteration cost stays proportional to the frontier.
 	m1 := numa.NewMachine(topo, 8, 10)
 	e := core.MustNew(g, m1, core.DefaultOptions())
-	dist := algorithms.SSSP(e, src)
+	dist, err := algorithms.SSSP(e, src, nil)
+	if err != nil {
+		panic(err)
+	}
 	bfsLevels := algorithms.BFS(e, src)
 	polymerTime := e.SimSeconds()
 	met := e.Metrics()

@@ -21,7 +21,6 @@ import (
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
-	"polymer/internal/state"
 )
 
 // allocBudgetPerIteration bounds the steady-state allocations of one full
@@ -52,13 +51,10 @@ func TestPolymerPRIterationAllocs(t *testing.T) {
 	opt.Mode = core.Push
 	e := core.MustNew(g, regressionMachine(), opt)
 	defer e.Close()
-	k := algorithms.NewPRKernel(e, 0.85)
-	all := state.NewAll(e.Bounds())
-	k.Iteration(e, all) // warm up: layouts, scratch arenas
-	k.Iteration(e, all)
-	allocs := testing.AllocsPerRun(10, func() {
-		k.Iteration(e, all)
-	})
+	iterate := algorithms.PRIteration(e, 0.85)
+	iterate() // warm up: layouts, scratch arenas
+	iterate()
+	allocs := testing.AllocsPerRun(10, iterate)
 	if allocs > allocBudgetPerIteration {
 		t.Fatalf("steady-state PageRank iteration allocated %.0f objects, budget %d",
 			allocs, allocBudgetPerIteration)
@@ -69,13 +65,10 @@ func TestLigraPRIterationAllocs(t *testing.T) {
 	g := regressionGraph(t)
 	e := ligra.MustNew(g, regressionMachine(), ligra.DefaultOptions())
 	defer e.Close()
-	k := algorithms.NewPRKernel(e, 0.85)
-	all := state.NewAll(e.Bounds())
-	k.Iteration(e, all)
-	k.Iteration(e, all)
-	allocs := testing.AllocsPerRun(10, func() {
-		k.Iteration(e, all)
-	})
+	iterate := algorithms.PRIteration(e, 0.85)
+	iterate()
+	iterate()
+	allocs := testing.AllocsPerRun(10, iterate)
 	if allocs > allocBudgetPerIteration {
 		t.Fatalf("steady-state Ligra iteration allocated %.0f objects, budget %d",
 			allocs, allocBudgetPerIteration)

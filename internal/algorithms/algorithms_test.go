@@ -1,8 +1,10 @@
 package algorithms
 
 import (
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"polymer/internal/core"
 	"polymer/internal/engines/galois"
@@ -94,7 +96,7 @@ func TestSpMVAllEnginesMatchReference(t *testing.T) {
 		}
 		want := RefSpMV(g, 3, x0)
 		for ename, e := range sgEngines(g) {
-			got := SpMV(e, 3, x0)
+			got := must(SpMV(e, 3, x0, nil))
 			for v := range want {
 				if !relClose(got[v], want[v], 1e-9) {
 					t.Fatalf("%s/%s: y[%d] = %v, want %v", ename, name, v, got[v], want[v])
@@ -103,10 +105,10 @@ func TestSpMVAllEnginesMatchReference(t *testing.T) {
 			e.Close()
 		}
 		xe := xstream.MustNew(g, testMachine(), xstream.DefaultOptions(), sg.Hints{Weighted: true})
-		got := XSSpMV(xe, 3, x0)
+		got := must(XSSpMV(xe, 3, x0, nil))
 		xe.Close()
 		ge := galois.MustNew(g, testMachine(), galois.DefaultOptions())
-		got2 := ge.SpMV(3, x0)
+		got2 := must(ge.SpMV(3, x0, nil))
 		ge.Close()
 		for v := range want {
 			if !relClose(got[v], want[v], 1e-9) {
@@ -123,7 +125,7 @@ func TestBPAllEnginesMatchReference(t *testing.T) {
 	for name, g := range testGraphs(t, true) {
 		want := RefBP(g, 3)
 		for ename, e := range sgEngines(g) {
-			got := BP(e, 3)
+			got := must(BP(e, 3, nil))
 			for v := range want {
 				if !relClose(got[v], want[v], 1e-9) {
 					t.Fatalf("%s/%s: belief[%d] = %v, want %v", ename, name, v, got[v], want[v])
@@ -132,10 +134,10 @@ func TestBPAllEnginesMatchReference(t *testing.T) {
 			e.Close()
 		}
 		xe := xstream.MustNew(g, testMachine(), xstream.DefaultOptions(), sg.Hints{Weighted: true, DataBytes: 16})
-		got := XSBP(xe, 3)
+		got := must(XSBP(xe, 3, nil))
 		xe.Close()
 		ge := galois.MustNew(g, testMachine(), galois.DefaultOptions())
-		got2 := ge.BP(3)
+		got2 := must(ge.BP(3, nil))
 		ge.Close()
 		for v := range want {
 			if !relClose(got[v], want[v], 1e-9) {
@@ -182,7 +184,7 @@ func TestCCAllEnginesMatchReference(t *testing.T) {
 		want := RefCC(g)
 		sym := g.Symmetrized()
 		for ename, e := range sgEngines(sym) {
-			got := CC(e)
+			got := must(CC(e, nil))
 			for v := range want {
 				if got[v] != want[v] {
 					t.Fatalf("%s/%s: label[%d] = %d, want %d", ename, name, v, got[v], want[v])
@@ -211,7 +213,7 @@ func TestSSSPAllEnginesMatchReference(t *testing.T) {
 	for name, g := range testGraphs(t, true) {
 		want := RefSSSP(g, 0)
 		for ename, e := range sgEngines(g) {
-			got := SSSP(e, 0)
+			got := must(SSSP(e, 0, nil))
 			for v := range want {
 				if !relClose(got[v], want[v], 1e-9) && !(math.IsInf(got[v], 1) && math.IsInf(want[v], 1)) {
 					t.Fatalf("%s/%s: dist[%d] = %v, want %v", ename, name, v, got[v], want[v])
@@ -288,6 +290,39 @@ func TestPolymerAblationsStillCorrect(t *testing.T) {
 			if got[v] != want[v] {
 				t.Fatalf("ablation changed BFS result at %d", v)
 			}
+		}
+	}
+}
+
+// TestXStreamLoopsLeaveOnEngineFailure: a failed phase leaves X-Stream's
+// active set as it was, so a loop that only watches the active count
+// scatters from the same set forever. Every dispatch fails here; each
+// traversal must come back, with the failure on the engine.
+func TestXStreamLoopsLeaveOnEngineFailure(t *testing.T) {
+	n, edges := gen.RMAT(8, 6, 3)
+	g := graph.FromEdges(n, edges, true).Symmetrized()
+	errBoom := errors.New("boom")
+	for name, run := range map[string]func(e *xstream.Engine) int{
+		"bfs":     func(e *xstream.Engine) int { XSBFS(e, 0); return 0 },
+		"sssp":    func(e *xstream.Engine) int { XSSSSP(e, 0); return 0 },
+		"cc":      func(e *xstream.Engine) int { XSCC(e); return 0 },
+		"prdelta": func(e *xstream.Engine) int { _, iters := XSPageRankDelta(e, 0, 250); return iters },
+	} {
+		e := xstream.MustNew(g, testMachine(), xstream.DefaultOptions(), sg.Hints{Weighted: true})
+		e.SetFaultHook(func(int) error { return errBoom })
+		iters := make(chan int, 1) // the run may outlive the test when it hangs
+		go func() { iters <- run(e) }()
+		select {
+		case it := <-iters:
+			if !errors.Is(e.Err(), errBoom) {
+				t.Errorf("%s: engine error %v, want the hook's", name, e.Err())
+			}
+			if it > 1 {
+				t.Errorf("%s: %d iterations on a failed engine", name, it)
+			}
+			e.Close()
+		case <-time.After(3 * time.Second):
+			t.Errorf("%s: still looping 3 s after the first phase failed", name)
 		}
 	}
 }

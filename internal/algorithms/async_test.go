@@ -74,7 +74,7 @@ func TestAsyncVersusSyncSimTime(t *testing.T) {
 	g := graph.FromEdges(n, edges, true)
 
 	eSync := core.MustNew(g, testMachine(), core.DefaultOptions())
-	SSSP(eSync, 0)
+	must(SSSP(eSync, 0, nil))
 	syncBarrier := eSync.Metrics().BarrierSeconds
 	eSync.Close()
 

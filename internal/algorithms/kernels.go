@@ -1,9 +1,13 @@
 // Package algorithms implements the paper's six evaluation algorithms —
 // PageRank, SpMV, Bayesian belief propagation, BFS, connected components
-// and single-source shortest paths (Section 6.1) — once against the
-// scatter-gather interface (run by Polymer and the Ligra baseline), once
-// against X-Stream's edge-centric interface, plus sequential reference
-// implementations used by the test suite to validate every engine.
+// and single-source shortest paths (Section 6.1) — plus sequential
+// reference implementations the test suite validates every engine with.
+// A float algorithm (PageRank, SpMV, BP, PageRankDelta) is written once:
+// one kernel struct holds its state and speaks both the scatter-gather
+// interface (Polymer, Ligra) and X-Stream's edge-centric one, and one
+// shared loop in drivers.go runs it on either family. The traversals keep
+// one kernel per family, since X-Stream relaxes values where the
+// scatter-gather engines claim vertices.
 package algorithms
 
 import (
@@ -11,9 +15,17 @@ import (
 	"sync/atomic"
 
 	"polymer/internal/atomicx"
+	"polymer/internal/engines/xstream"
 	"polymer/internal/graph"
+	"polymer/internal/mem"
 	"polymer/internal/sg"
 )
+
+// dataEngine is what kernel state needs of an engine of either family.
+type dataEngine interface {
+	Graph() *graph.Graph
+	NewData(label string) *mem.Array[float64]
+}
 
 // unvisited marks an unclaimed BFS parent slot.
 const unvisited = ^uint32(0)
@@ -28,8 +40,31 @@ const unvisited = ^uint32(0)
 // the per-edge form and not the hoisted one, and PushRow would no longer
 // equal the Update loop bit for bit.
 type prKernel struct {
-	curr, next []float64
-	invOut     []float64
+	curr, next    []float64
+	invOut        []float64
+	base, damping float64 // apply's constants
+}
+
+// newPRKernel allocates PageRank state on e: zero sums, and the ranks of
+// init when it is non-nil (the degradation harness continues a run on a
+// rebuilt engine with it), else uniform.
+func newPRKernel(e dataEngine, damping float64, init []float64) *prKernel {
+	g := e.Graph()
+	n := float64(g.NumVertices())
+	k := &prKernel{curr: e.NewData("pr/curr").Data, next: e.NewData("pr/next").Data,
+		invOut: g.InvOutDegrees(), base: (1 - damping) / n, damping: damping}
+	for v := range k.curr {
+		k.curr[v] = 1 / n
+	}
+	copy(k.curr, init)
+	return k
+}
+
+// apply normalises v's sum into its rank.
+func (k *prKernel) apply(v graph.Vertex) bool {
+	k.next[v] = k.base + k.damping*k.next[v]
+	k.curr[v] = 0 // pre-zero the array that becomes next
+	return true
 }
 
 func (k *prKernel) Update(s, d graph.Vertex, w float32) bool {
@@ -62,10 +97,61 @@ func addRow(dst []float64, cols []graph.Vertex, v float64, shared bool) {
 	}
 }
 
+// PR, SpMV and BP also implement xstream.BlockKernel: Iterate's per-edge
+// loops with Scatter and Gather written into them (all three always emit
+// and always activate), over the engine's own bitmap helpers.
+
+// weightAt is edge i's weight, 0 on an unweighted block.
+func weightAt(wts []float32, i int) float32 {
+	if wts == nil {
+		return 0
+	}
+	return wts[i]
+}
+
+func (k *prKernel) Scatter(s graph.Vertex, w float32) (float64, bool) {
+	return k.curr[s] * k.invOut[s], true
+}
+
+func (k *prKernel) Gather(d graph.Vertex, val float64) bool {
+	k.next[d] += val
+	return true
+}
+
+func (k *prKernel) ScatterBlock(active []uint64, src, dst []graph.Vertex, _ []float32, ds []graph.Vertex, vals []float64) ([]graph.Vertex, []float64, int64) {
+	at := len(ds)
+	for i, s := range src {
+		if xstream.IsActive(active, s) {
+			ds, vals = append(ds, dst[i]), append(vals, k.curr[s]*k.invOut[s])
+		}
+	}
+	return ds, vals, int64(len(ds) - at)
+}
+
+func (k *prKernel) GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (activated, fresh int64) {
+	for i, d := range ds {
+		k.next[d] += vals[i]
+		fresh += xstream.Activate(next, d)
+	}
+	return int64(len(ds)), fresh
+}
+
 // spmvKernel accumulates w * x[s] into y[d]. Unweighted graphs use the
 // adjacency matrix itself (unit weights), the same convention as
 // edgeWeight — all engines and the reference must agree on it.
 type spmvKernel struct{ x, y []float64 }
+
+// newSpMVKernel allocates SpMV state on e: x0 in, zero sums.
+func newSpMVKernel(e dataEngine, x0 []float64) *spmvKernel {
+	k := &spmvKernel{x: e.NewData("spmv/x").Data, y: e.NewData("spmv/y").Data}
+	copy(k.x, x0)
+	return k
+}
+
+func (k *spmvKernel) apply(v graph.Vertex) bool {
+	k.x[v] = 0 // pre-zero the array that becomes y
+	return true
+}
 
 func (k *spmvKernel) Update(s, d graph.Vertex, w float32) bool {
 	k.y[d] += float64(edgeWeight(w) * k.x[s])
@@ -97,9 +183,53 @@ func (k *spmvKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32,
 	}
 }
 
+func (k *spmvKernel) Scatter(s graph.Vertex, w float32) (float64, bool) {
+	return edgeWeight(w) * k.x[s], true
+}
+
+func (k *spmvKernel) Gather(d graph.Vertex, val float64) bool {
+	k.y[d] += val
+	return true
+}
+
+func (k *spmvKernel) ScatterBlock(active []uint64, src, dst []graph.Vertex, wts []float32, ds []graph.Vertex, vals []float64) ([]graph.Vertex, []float64, int64) {
+	at := len(ds)
+	for i, s := range src {
+		if xstream.IsActive(active, s) {
+			ds, vals = append(ds, dst[i]), append(vals, edgeWeight(weightAt(wts, i))*k.x[s])
+		}
+	}
+	return ds, vals, int64(len(ds) - at)
+}
+
+func (k *spmvKernel) GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (activated, fresh int64) {
+	for i, d := range ds {
+		k.y[d] += vals[i]
+		fresh += xstream.Activate(next, d)
+	}
+	return int64(len(ds)), fresh
+}
+
 // bpKernel multiplies damped messages into the target's belief
 // accumulator: acc[d] *= 1 - (w/100) * curr[s].
 type bpKernel struct{ curr, acc []float64 }
+
+// newBPKernel allocates belief-propagation state on e: beliefs 0.5, unit
+// accumulators.
+func newBPKernel(e dataEngine) *bpKernel {
+	k := &bpKernel{curr: e.NewData("bp/curr").Data, acc: e.NewData("bp/acc").Data}
+	for v := range k.curr {
+		k.curr[v] = 0.5
+		k.acc[v] = 1
+	}
+	return k
+}
+
+func (k *bpKernel) apply(v graph.Vertex) bool {
+	k.acc[v] = 1 - k.acc[v] // belief from the message product
+	k.curr[v] = 1           // becomes the next accumulator
+	return true
+}
 
 func bpMessage(curr float64, w float32) float64 {
 	weight := 0.5
@@ -137,6 +267,33 @@ func (k *bpKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, s
 			acc[t] *= m
 		}
 	}
+}
+
+func (k *bpKernel) Scatter(s graph.Vertex, w float32) (float64, bool) {
+	return bpMessage(k.curr[s], w), true
+}
+
+func (k *bpKernel) Gather(d graph.Vertex, val float64) bool {
+	k.acc[d] *= val
+	return true
+}
+
+func (k *bpKernel) ScatterBlock(active []uint64, src, dst []graph.Vertex, wts []float32, ds []graph.Vertex, vals []float64) ([]graph.Vertex, []float64, int64) {
+	at := len(ds)
+	for i, s := range src {
+		if xstream.IsActive(active, s) {
+			ds, vals = append(ds, dst[i]), append(vals, bpMessage(k.curr[s], weightAt(wts, i)))
+		}
+	}
+	return ds, vals, int64(len(ds) - at)
+}
+
+func (k *bpKernel) GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (activated, fresh int64) {
+	for i, d := range ds {
+		k.acc[d] *= vals[i]
+		fresh += xstream.Activate(next, d)
+	}
+	return int64(len(ds)), fresh
 }
 
 // bfsKernel claims unvisited vertices (direction-optimizing BFS).
@@ -194,6 +351,43 @@ func (k ssspKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
 }
 
 func (k ssspKernel) Cond(graph.Vertex) bool { return true }
+
+// xsLevel is X-Stream's traversal kernel: it relaxes integer levels (BFS)
+// or weighted distances (SSSP), the Bellman-Ford-style formulation
+// edge-centric engines use.
+type xsLevel struct {
+	dist     []float64
+	weighted bool
+}
+
+func (k *xsLevel) Scatter(s graph.Vertex, w float32) (float64, bool) {
+	step := 1.0
+	if k.weighted {
+		step = edgeWeight(w)
+	}
+	return k.dist[s] + step, true
+}
+
+func (k *xsLevel) Gather(d graph.Vertex, val float64) bool {
+	if val < k.dist[d] {
+		k.dist[d] = val
+		return true
+	}
+	return false
+}
+
+// xsCC propagates minimum labels on X-Stream.
+type xsCC struct{ labels []float64 }
+
+func (k *xsCC) Scatter(s graph.Vertex, w float32) (float64, bool) { return k.labels[s], true }
+
+func (k *xsCC) Gather(d graph.Vertex, val float64) bool {
+	if val < k.labels[d] {
+		k.labels[d] = val
+		return true
+	}
+	return false
+}
 
 // edgeWeight treats unweighted edges as unit weight.
 func edgeWeight(w float32) float64 {

@@ -13,11 +13,10 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"polymer/internal/atomicx"
-	"polymer/internal/fault"
 	"polymer/internal/graph"
-	"polymer/internal/obs"
 	"polymer/internal/sg"
 	"polymer/internal/state"
 )
@@ -167,12 +166,19 @@ var (
 	mssspHints = sg.Hints{DataBytes: 16, NsPerEdge: 1.5, Weighted: true}
 )
 
+// rearm retires the old frontier's active masks, then arms the new one's.
+// A vertex in both frontiers is cleared first and re-armed with exactly
+// the searches that claimed it this step.
+func rearm(e sg.Engine, old, next *state.Subset, active, claimed []uint64) {
+	e.VertexMap(old, func(v graph.Vertex) bool { active[v] = 0; return true })
+	e.VertexMap(next, func(v graph.Vertex) bool { active[v] = claimed[v]; claimed[v] = 0; return true })
+}
+
 // MultiBFS runs k breadth-first searches in one union-frontier sweep and
 // returns one level array per source (-1 where unreachable), each
 // bit-identical to BFS(e, srcs[i]).
 func MultiBFS(e sg.Engine, srcs []graph.Vertex) ([][]int64, error) {
-	g := e.Graph()
-	n := g.NumVertices()
+	n := e.Graph().NumVertices()
 	if err := checkSources(srcs, n); err != nil {
 		return nil, err
 	}
@@ -192,29 +198,15 @@ func MultiBFS(e sg.Engine, srcs []graph.Vertex) ([][]int64, error) {
 		visited[s] |= bit
 		active[s] |= bit
 	}
-	frontier := state.FromVertices(e.Bounds(), srcs)
 	full := fullMask(len(srcs))
-	wd := fault.Watchdog{MaxSteps: n + 1}
-	for level := int64(1); !frontier.IsEmpty(); level++ {
-		k := mbfsKernel{level: level, full: full, levels: out, visited: visited, active: active, next: next}
-		sp := obs.BeginStep(e, int(level-1))
-		nf := edgeMap(e, frontier, k, mbfsHints)
-		if err := e.Err(); err != nil {
-			return nil, err
-		}
-		sp.End()
-		// Retire the old frontier's active masks, then arm the new one.
-		// A vertex in both frontiers is cleared first and re-armed with
-		// exactly the searches that claimed it this level.
-		e.VertexMap(frontier, func(v graph.Vertex) bool { active[v] = 0; return true })
-		frontier = nf
-		e.VertexMap(frontier, func(v graph.Vertex) bool { active[v] = next[v]; next[v] = 0; return true })
-		if err := e.Err(); err != nil {
-			return nil, err
-		}
-		if err := wd.Tick(frontier.Count()); err != nil {
-			return nil, err
-		}
+	err := untilEmpty(e, nil, state.FromVertices(e.Bounds(), srcs),
+		func(i int, f *state.Subset) *state.Subset {
+			k := mbfsKernel{level: int64(i + 1), full: full, levels: out, visited: visited, active: active, next: next}
+			return edgeMap(e, f, k, mbfsHints)
+		},
+		func(_ int, old, nf *state.Subset) { rearm(e, old, nf, active, next) })
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -224,15 +216,13 @@ func MultiBFS(e sg.Engine, srcs []graph.Vertex) ([][]int64, error) {
 // source (+Inf where unreachable), each bit-identical to SSSP(e,
 // srcs[i]).
 func MultiSSSP(e sg.Engine, srcs []graph.Vertex) ([][]float64, error) {
-	g := e.Graph()
-	n := g.NumVertices()
+	n := e.Graph().NumVertices()
 	if err := checkSources(srcs, n); err != nil {
 		return nil, err
 	}
 	dist := make([][]float64, len(srcs))
 	for i := range dist {
-		a := e.NewData(fmt.Sprintf("msssp/dist%d", i))
-		dist[i] = a.Data
+		dist[i] = e.NewData(fmt.Sprintf("msssp/dist%d", i)).Data
 		for v := range dist[i] {
 			dist[i][v] = infinity
 		}
@@ -243,30 +233,16 @@ func MultiSSSP(e sg.Engine, srcs []graph.Vertex) ([][]float64, error) {
 	for i, s := range srcs {
 		active[s] |= uint64(1) << uint(i)
 	}
-	frontier := state.FromVertices(e.Bounds(), srcs)
 	k := mssspKernel{dist: dist, active: active, next: next}
-	wd := fault.Watchdog{MaxSteps: n + 1}
-	for step := 0; !frontier.IsEmpty(); step++ {
-		sp := obs.BeginStep(e, step)
-		nf := edgeMap(e, frontier, k, mssspHints)
-		if err := e.Err(); err != nil {
-			return nil, err
-		}
-		sp.End()
-		e.VertexMap(frontier, func(v graph.Vertex) bool { active[v] = 0; return true })
-		frontier = nf
-		e.VertexMap(frontier, func(v graph.Vertex) bool { active[v] = next[v]; next[v] = 0; return true })
-		if err := e.Err(); err != nil {
-			return nil, err
-		}
-		if err := wd.Tick(frontier.Count()); err != nil {
-			return nil, err
-		}
+	err := untilEmpty(e, nil, state.FromVertices(e.Bounds(), srcs),
+		func(_ int, f *state.Subset) *state.Subset { return edgeMap(e, f, k, mssspHints) },
+		func(_ int, old, nf *state.Subset) { rearm(e, old, nf, active, next) })
+	if err != nil {
+		return nil, err
 	}
 	out := make([][]float64, len(srcs))
 	for i := range out {
-		out[i] = make([]float64, n)
-		copy(out[i], dist[i])
+		out[i] = slices.Clone(dist[i])
 	}
 	return out, nil
 }

@@ -18,7 +18,7 @@ func TestPageRankDeltaConvergesToFixedPoint(t *testing.T) {
 		"polymer": core.MustNew(g, testMachine(), core.DefaultOptions()),
 		"ligra":   ligra.MustNew(g, testMachine(), ligra.DefaultOptions()),
 	} {
-		ranks, iters := PageRankDelta(e, 1e-10, 200)
+		ranks, iters := PageRankDelta(e, 1e-10, 200, nil)
 		e.Close()
 		if iters >= 200 {
 			t.Fatalf("%s: did not converge in 200 iterations", name)
@@ -38,14 +38,14 @@ func TestPageRankDeltaFrontierShrinks(t *testing.T) {
 	g, _ := gen.Load(gen.Twitter, gen.Tiny, false)
 	e := core.MustNew(g, testMachine(), core.DefaultOptions())
 	defer e.Close()
-	_, iters := PageRankDelta(e, 1e-4, 200)
+	_, iters := PageRankDelta(e, 1e-4, 200, nil)
 	if iters >= 200 || iters < 2 {
 		t.Fatalf("unexpected iteration count %d", iters)
 	}
 	// A loose eps must converge faster than a tight one.
 	e2 := core.MustNew(g, testMachine(), core.DefaultOptions())
 	defer e2.Close()
-	_, itersTight := PageRankDelta(e2, 1e-12, 500)
+	_, itersTight := PageRankDelta(e2, 1e-12, 500, nil)
 	if itersTight <= iters {
 		t.Fatalf("tight eps (%d iters) must need more than loose eps (%d)", itersTight, iters)
 	}
@@ -58,7 +58,7 @@ func TestPageRankDeltaMaxIterCap(t *testing.T) {
 	g := graph.FromEdges(n, edges, false)
 	e := core.MustNew(g, testMachine(), core.DefaultOptions())
 	defer e.Close()
-	_, iters := PageRankDelta(e, 0, 7)
+	_, iters := PageRankDelta(e, 0, 7, nil)
 	if iters != 7 {
 		t.Fatalf("maxIter cap violated: %d", iters)
 	}
@@ -71,7 +71,7 @@ func TestPageRankDeltaUniformCycleConvergesImmediately(t *testing.T) {
 	g := graph.FromEdges(n, edges, false)
 	e := core.MustNew(g, testMachine(), core.DefaultOptions())
 	defer e.Close()
-	ranks, iters := PageRankDelta(e, 1e-15, 100)
+	ranks, iters := PageRankDelta(e, 1e-15, 100, nil)
 	if iters != 1 {
 		t.Fatalf("cycle should converge in one round, took %d", iters)
 	}
@@ -85,7 +85,7 @@ func TestPageRankDeltaUniformCycleConvergesImmediately(t *testing.T) {
 func TestPageRankDeltaWarmStartAfterSnapshotHandOff(t *testing.T) {
 	g1, _ := gen.Load(gen.Twitter, gen.Tiny, false)
 	e1 := core.MustNew(g1, testMachine(), core.DefaultOptions())
-	prev, _ := PageRankDelta(e1, 1e-10, 300)
+	prev, _ := PageRankDelta(e1, 1e-10, 300, nil)
 	e1.Close()
 
 	// The next snapshot: the same graph plus a handful of committed edges.
@@ -99,11 +99,11 @@ func TestPageRankDeltaWarmStartAfterSnapshotHandOff(t *testing.T) {
 	g2 := graph.FromEdges(n, edges, false)
 
 	cold := core.MustNew(g2, testMachine(), core.DefaultOptions())
-	wantRanks, coldIters := PageRankDelta(cold, 1e-10, 300)
+	wantRanks, coldIters := PageRankDelta(cold, 1e-10, 300, nil)
 	cold.Close()
 
 	warm := core.MustNew(g2, testMachine(), core.DefaultOptions())
-	gotRanks, warmIters := PageRankDeltaWarm(warm, 1e-10, 300, prev)
+	gotRanks, warmIters := PageRankDelta(warm, 1e-10, 300, prev)
 	warm.Close()
 
 	// Same fixed point, reached from the old snapshot's ranks in no more
@@ -119,13 +119,17 @@ func TestPageRankDeltaWarmStartAfterSnapshotHandOff(t *testing.T) {
 }
 
 func TestPageRankDeltaWarmNilPrevMatchesCold(t *testing.T) {
-	// A nil prev is the cold path: same code, uniform start vector.
+	// A nil prev is the cold start: the uniform vector, spelled out here.
 	g, _ := gen.Load(gen.Twitter, gen.Tiny, false)
+	uniform := make([]float64, g.NumVertices())
+	for v := range uniform {
+		uniform[v] = 1 / float64(len(uniform))
+	}
 	e1 := core.MustNew(g, testMachine(), core.DefaultOptions())
-	coldRanks, coldIters := PageRankDelta(e1, 1e-8, 200)
+	coldRanks, coldIters := PageRankDelta(e1, 1e-8, 200, nil)
 	e1.Close()
 	e2 := core.MustNew(g, testMachine(), core.DefaultOptions())
-	warmRanks, warmIters := PageRankDeltaWarm(e2, 1e-8, 200, nil)
+	warmRanks, warmIters := PageRankDelta(e2, 1e-8, 200, uniform)
 	e2.Close()
 	if warmIters != coldIters {
 		t.Fatalf("nil-prev warm took %d iters, cold %d", warmIters, coldIters)
@@ -142,7 +146,7 @@ func TestPageRankDeltaEmptyGraph(t *testing.T) {
 	m := numa.NewMachine(numa.IntelXeon80(), 1, 1)
 	e := core.MustNew(g, m, core.DefaultOptions())
 	defer e.Close()
-	ranks, iters := PageRankDelta(e, 1e-6, 10)
+	ranks, iters := PageRankDelta(e, 1e-6, 10, nil)
 	if ranks != nil || iters != 0 {
 		t.Fatal("empty graph must return immediately")
 	}

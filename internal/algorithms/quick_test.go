@@ -51,10 +51,10 @@ func TestRandomGraphsAllEnginesAgree(t *testing.T) {
 		e.Close()
 		// A fresh engine per algorithm keeps data arrays independent.
 		e = core.MustNew(g, numa.NewMachine(topo, nodes, cores), opt)
-		gotSSSP := SSSP(e, src)
+		gotSSSP := must(SSSP(e, src, nil))
 		e.Close()
 		eSym := core.MustNew(g.Symmetrized(), numa.NewMachine(topo, nodes, cores), opt)
-		gotCC := CC(eSym)
+		gotCC := must(CC(eSym, nil))
 		eSym.Close()
 
 		le := ligra.MustNew(g, numa.NewMachine(topo, nodes, cores), ligra.DefaultOptions())
@@ -106,7 +106,7 @@ func TestSelfLoopsAndDuplicateEdges(t *testing.T) {
 	want := RefSSSP(g, 0)
 	e := core.MustNew(g, testMachine(), core.DefaultOptions())
 	defer e.Close()
-	got := SSSP(e, 0)
+	got := must(SSSP(e, 0, nil))
 	for v := range want {
 		if !floatEq(got[v], want[v]) {
 			t.Fatalf("dist[%d] = %v, want %v", v, got[v], want[v])

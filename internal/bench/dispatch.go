@@ -15,8 +15,8 @@ import (
 
 // This file is the one (system x algorithm) dispatch table of the
 // repository: how each system's engine is built for an algorithm, which
-// driver runs each cell, whether that driver runs its supersteps as
-// fault.Steps, and what typed output it returns. run (run.go) is its only
+// driver runs each cell, whether that cell's replay under a fault session
+// is certified, and what typed output it returns. run (run.go) is its only
 // interpreter; the conformance harness, the serving layer and the planner
 // all reach the engines through it.
 
@@ -46,7 +46,8 @@ type system struct {
 }
 
 // The driver families: Polymer and Ligra share the scatter-gather
-// drivers; X-Stream and Galois each have their own spellings.
+// drivers, X-Stream runs the same float kernels through its own step, and
+// Galois has its own algorithms.
 const (
 	famSG = iota
 	famXS
@@ -83,21 +84,24 @@ var systems = map[System]system{
 // cell is one (driver family, algorithm) entry.
 type cell struct {
 	drive func(e engine, s *spec, sess *fault.Session) (Output, error)
-	// session reports that drive runs every superstep as a fault.Step, so
-	// the cell may run under an injected fault schedule.
+	// session reports that the cell may run under an injected fault
+	// schedule: drive runs every superstep as a fault.Step and the
+	// conformance suite holds its replay bit-identical to a clean run.
+	// Other drivers that take a session are handed nil.
 	session bool
 	// multi, when non-nil, answers several sources in one sweep.
 	multi func(e engine, srcs []graph.Vertex) ([]Output, error)
 }
 
-// resilient adapts a session-capable driver on engine type E.
-func resilient[E any](f func(e E, s *spec, sess *fault.Session) (Output, error)) cell {
-	return cell{session: true, drive: func(e engine, s *spec, sess *fault.Session) (Output, error) {
+// stepped adapts a driver on engine type E that takes a session.
+func stepped[E any](certified bool, f func(e E, s *spec, sess *fault.Session) (Output, error)) cell {
+	return cell{session: certified, drive: func(e engine, s *spec, sess *fault.Session) (Output, error) {
 		return f(e.(E), s, sess)
 	}}
 }
 
-// plain adapts a driver that cannot roll a superstep back.
+// plain adapts a driver that cannot roll a superstep back and reports a
+// failure only on its engine, where run looks for it.
 func plain[E any](f func(e E, s *spec) Output) cell {
 	return cell{drive: func(e engine, s *spec, _ *fault.Session) (Output, error) {
 		return f(e.(E), s), nil
@@ -106,6 +110,7 @@ func plain[E any](f func(e E, s *spec) Output) cell {
 
 func f64(xs []float64, err error) (Output, error) { return Output{F64: xs}, err }
 func i64(xs []int64, err error) (Output, error)   { return Output{I64: xs}, err }
+func prDelta(xs []float64, iters int) Output      { return Output{F64: xs, Iters: iters} }
 
 // withMulti attaches a scatter-gather multi-source sweep to a cell.
 func withMulti[T any](c cell, sweep func(sg.Engine, []graph.Vertex) ([][]T, error), wrap func([]T) Output) cell {
@@ -124,67 +129,71 @@ func withMulti[T any](c cell, sweep func(sg.Engine, []graph.Vertex) ([][]T, erro
 }
 
 // cells is the matrix: per algorithm, one cell per driver family (famSG,
-// famXS, famGalois). PageRank is session-capable everywhere; SpMV, BP,
-// BFS and SSSP on the scatter-gather systems.
+// famXS, famGalois). PageRank is certified everywhere; SpMV, BP, BFS and
+// SSSP on the scatter-gather systems.
 var cells = map[Algo][3]cell{
 	PR: {
-		resilient(func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
+		stepped(true, func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
 			return f64(algorithms.PageRankFrom(e, s.iters, defaultDamping, s.init, sess))
 		}),
-		resilient(func(e *xstream.Engine, s *spec, sess *fault.Session) (Output, error) {
+		stepped(true, func(e *xstream.Engine, s *spec, sess *fault.Session) (Output, error) {
 			return f64(algorithms.XSPageRankE(e, s.iters, defaultDamping, sess))
 		}),
-		resilient(func(e *galois.Engine, s *spec, sess *fault.Session) (Output, error) {
+		stepped(true, func(e *galois.Engine, s *spec, sess *fault.Session) (Output, error) {
 			return f64(e.PageRankE(s.iters, defaultDamping, sess))
 		}),
 	},
 	PRDelta: {
 		plain(func(e sg.Engine, _ *spec) Output {
-			out, iters := algorithms.PageRankDelta(e, prDeltaEps, prDeltaMaxIter)
-			return Output{F64: out, Iters: iters}
+			return prDelta(algorithms.PageRankDelta(e, prDeltaEps, prDeltaMaxIter, nil))
 		}),
 		plain(func(e *xstream.Engine, _ *spec) Output {
-			out, iters := algorithms.XSPageRankDelta(e, prDeltaEps, prDeltaMaxIter)
-			return Output{F64: out, Iters: iters}
+			return prDelta(algorithms.XSPageRankDelta(e, prDeltaEps, prDeltaMaxIter))
 		}),
 		plain(func(e *galois.Engine, _ *spec) Output {
-			out, iters := e.PageRankDelta(prDeltaEps, prDeltaMaxIter)
-			return Output{F64: out, Iters: iters}
+			return prDelta(e.PageRankDelta(prDeltaEps, prDeltaMaxIter))
 		}),
 	},
 	SpMV: {
-		resilient(func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
-			return f64(algorithms.SpMVE(e, s.iters, ones(s.g.NumVertices()), sess))
+		stepped(true, func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
+			return f64(algorithms.SpMV(e, s.iters, ones(s.g.NumVertices()), sess))
 		}),
-		plain(func(e *xstream.Engine, s *spec) Output {
-			return Output{F64: algorithms.XSSpMV(e, s.iters, ones(s.g.NumVertices()))}
+		stepped(false, func(e *xstream.Engine, s *spec, sess *fault.Session) (Output, error) {
+			return f64(algorithms.XSSpMV(e, s.iters, ones(s.g.NumVertices()), sess))
 		}),
-		plain(func(e *galois.Engine, s *spec) Output {
-			return Output{F64: e.SpMV(s.iters, ones(s.g.NumVertices()))}
+		stepped(false, func(e *galois.Engine, s *spec, sess *fault.Session) (Output, error) {
+			return f64(e.SpMV(s.iters, ones(s.g.NumVertices()), sess))
 		}),
 	},
 	BP: {
-		resilient(func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
-			return f64(algorithms.BPE(e, s.iters, sess))
+		stepped(true, func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
+			return f64(algorithms.BP(e, s.iters, sess))
 		}),
-		plain(func(e *xstream.Engine, s *spec) Output { return Output{F64: algorithms.XSBP(e, s.iters)} }),
-		plain(func(e *galois.Engine, s *spec) Output { return Output{F64: e.BP(s.iters)} }),
+		stepped(false, func(e *xstream.Engine, s *spec, sess *fault.Session) (Output, error) {
+			return f64(algorithms.XSBP(e, s.iters, sess))
+		}),
+		stepped(false, func(e *galois.Engine, s *spec, sess *fault.Session) (Output, error) {
+			return f64(e.BP(s.iters, sess))
+		}),
 	},
 	BFS: {
-		withMulti(resilient(func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
+		withMulti(stepped(true, func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
 			return i64(algorithms.BFSE(e, s.opt.Src, sess))
 		}), algorithms.MultiBFS, func(l []int64) Output { return Output{I64: l} }),
 		plain(func(e *xstream.Engine, s *spec) Output { return Output{I64: algorithms.XSBFS(e, s.opt.Src)} }),
 		plain(func(e *galois.Engine, s *spec) Output { return Output{I64: e.BFS(s.opt.Src)} }),
 	},
 	CC: {
-		plain(func(e sg.Engine, _ *spec) Output { return Output{V: algorithms.CC(e)} }),
+		stepped(false, func(e sg.Engine, _ *spec, sess *fault.Session) (Output, error) {
+			labels, err := algorithms.CC(e, sess)
+			return Output{V: labels}, err
+		}),
 		plain(func(e *xstream.Engine, _ *spec) Output { return Output{V: algorithms.XSCC(e)} }),
 		plain(func(e *galois.Engine, _ *spec) Output { return Output{V: e.CC()} }),
 	},
 	SSSP: {
-		withMulti(resilient(func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
-			return f64(algorithms.SSSPE(e, s.opt.Src, sess))
+		withMulti(stepped(true, func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
+			return f64(algorithms.SSSP(e, s.opt.Src, sess))
 		}), algorithms.MultiSSSP, func(d []float64) Output { return Output{F64: d} }),
 		plain(func(e *xstream.Engine, s *spec) Output { return Output{F64: algorithms.XSSSSP(e, s.opt.Src)} }),
 		plain(func(e *galois.Engine, s *spec) Output { return Output{F64: e.SSSP(s.opt.Src)} }),

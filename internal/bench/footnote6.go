@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"polymer/internal/algorithms"
-	"polymer/internal/core"
-	"polymer/internal/engines/ligra"
-	"polymer/internal/engines/xstream"
 	"polymer/internal/gen"
 	"polymer/internal/numa"
-	"polymer/internal/sg"
 )
 
 // IterOverheadRow reports one system's BFS iteration statistics on the
@@ -25,47 +20,30 @@ type IterOverheadRow struct {
 }
 
 // IterationOverhead reproduces the footnote-6 comparison: BFS from vertex
-// 0 on roadUS, average simulated time per iteration.
+// 0 on roadUS, average simulated time per iteration. Polymer's iterations
+// are the EdgeMaps of its phase trace, the baselines' the BFS levels
+// (every X-Stream iteration scans every edge).
 func IterationOverhead(t *numa.Topology, sc gen.Scale) ([]IterOverheadRow, error) {
 	g, err := gen.Load(gen.RoadUS, sc, false)
 	if err != nil {
 		return nil, err
 	}
 	var out []IterOverheadRow
-
-	// Polymer: per-EdgeMap times from the phase trace.
-	{
-		m := numa.NewMachine(t, t.Sockets, t.CoresPerSocket)
-		opt := core.DefaultOptions()
-		opt.Trace = true
-		e := core.MustNew(g, m, opt)
-		algorithms.BFS(e, 0)
-		var iters int64
-		for _, r := range e.Trace() {
-			if r.Kind == "edgemap" {
-				iters++
+	for _, sys := range []System{Polymer, Ligra, XStream} {
+		r, err := RunWith(sys, BFS, g, numa.NewMachine(t, t.Sockets, t.CoresPerSocket), Options{Phases: true})
+		if err != nil {
+			return nil, err
+		}
+		iters := maxLevel(r.Out.I64)
+		if sys == Polymer {
+			iters = 0
+			for _, p := range r.Phases {
+				if p.Kind == "edgemap" {
+					iters++
+				}
 			}
 		}
-		out = append(out, IterOverheadRow{Polymer, iters, e.SimSeconds() / float64(iters)})
-		e.Close()
-	}
-	// Ligra: total over levels.
-	{
-		m := numa.NewMachine(t, t.Sockets, t.CoresPerSocket)
-		e := ligra.MustNew(g, m, ligra.DefaultOptions())
-		levels := algorithms.BFS(e, 0)
-		iters := maxLevel(levels)
-		out = append(out, IterOverheadRow{Ligra, iters, e.SimSeconds() / float64(iters)})
-		e.Close()
-	}
-	// X-Stream: total over levels; each iteration scans every edge.
-	{
-		m := numa.NewMachine(t, t.Sockets, t.CoresPerSocket)
-		e := xstream.MustNew(g, m, xstream.DefaultOptions(), sg.Hints{})
-		levels := algorithms.XSBFS(e, 0)
-		iters := maxLevel(levels)
-		out = append(out, IterOverheadRow{XStream, iters, e.SimSeconds() / float64(iters)})
-		e.Close()
+		out = append(out, IterOverheadRow{sys, iters, r.SimSeconds / float64(iters)})
 	}
 	return out, nil
 }

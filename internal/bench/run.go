@@ -234,6 +234,11 @@ func run(s *spec, m *numa.Machine) (RunResult, int, error) {
 		} else {
 			r.Out, err = s.cell.drive(e, s, sess)
 		}
+		if err == nil {
+			// A driver with no error to return leaves its failure on the
+			// engine, and its output half-written.
+			err = e.Err()
+		}
 		if err != nil {
 			return err
 		}

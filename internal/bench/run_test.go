@@ -92,3 +92,34 @@ func TestUnsupportedIsNotAFault(t *testing.T) {
 		t.Fatalf("%d unsupported cells, want 12 (PR everywhere; SpMV/BP/BFS/SSSP on Polymer and Ligra)", unsupported)
 	}
 }
+
+// TestFailedEngineIsNotASuccess: a driver that has no error to return
+// leaves its failure on the engine and a half-written array behind; run
+// must report the failure, not the array's checksum. Every dispatch of
+// every one of the 28 cells fails here.
+func TestFailedEngineIsNotASuccess(t *testing.T) {
+	errBoom := errors.New("boom")
+	for _, alg := range append(Algos(), PRDelta) {
+		g, err := LoadDataset(gen.PowerLaw, gen.Tiny, alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sys := range Systems() {
+			s, err := newSpec(sys, alg, g, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			build := s.system.build
+			s.system.build = func(s *spec, m *numa.Machine) (engine, error) {
+				e, err := build(s, m)
+				if err == nil {
+					e.SetFaultHook(func(int) error { return errBoom })
+				}
+				return e, err
+			}
+			if _, _, err := run(s, tinyMachine()); !errors.Is(err, errBoom) {
+				t.Errorf("%s/%s on a failing engine: err %v, want the hook's", sys, alg, err)
+			}
+		}
+	}
+}

@@ -17,6 +17,14 @@ import (
 	"polymer/internal/sg"
 )
 
+// must unwraps a driver's result; a failure here is a bug in the test.
+func must(out []float64, err error) []float64 {
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func metamorphicGraph() *graph.Graph {
 	n, e := gen.Powerlaw(192, 4, 2.0, 13)
 	gen.AddRandomWeights(e, 17)
@@ -116,7 +124,7 @@ func TestPullModeRerunBitIdentity(t *testing.T) {
 		e := core.MustNew(g, numa.NewMachine(numa.IntelXeon80(), 1, 4), opt)
 		defer e.Close()
 		pr := algorithms.PageRank(e, Iters, Damping)
-		y := algorithms.SpMV(e, Iters, ones(g.NumVertices()))
+		y := must(algorithms.SpMV(e, Iters, ones(g.NumVertices()), nil))
 		return pr, y
 	}
 	pr1, y1 := run()
@@ -200,19 +208,19 @@ func TestSpMVLinearity(t *testing.T) {
 			opt.Mode = core.Pull
 			e := core.MustNew(g, numa.NewMachine(numa.IntelXeon80(), 1, 4), opt)
 			defer e.Close()
-			return algorithms.SpMV(e, Iters, in)
+			return must(algorithms.SpMV(e, Iters, in, nil))
 		case Ligra:
 			e := ligra.MustNew(g, m, ligra.DefaultOptions())
 			defer e.Close()
-			return algorithms.SpMV(e, Iters, in)
+			return must(algorithms.SpMV(e, Iters, in, nil))
 		case XStream:
 			e := xstream.MustNew(g, m, xstream.DefaultOptions(), sg.Hints{DataBytes: 8, Weighted: true})
 			defer e.Close()
-			return algorithms.XSSpMV(e, Iters, in)
+			return must(algorithms.XSSpMV(e, Iters, in, nil))
 		case Galois:
 			e := galois.MustNew(g, m, galois.DefaultOptions())
 			defer e.Close()
-			return e.SpMV(Iters, in)
+			return must(e.SpMV(Iters, in, nil))
 		}
 		panic("unreachable")
 	}

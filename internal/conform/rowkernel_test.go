@@ -78,9 +78,9 @@ func TestRowKernelEquivalence(t *testing.T) {
 			return algorithms.PageRankE(e, Iters, Damping, s)
 		}},
 		{SpMV, func(e sg.Engine, s *fault.Session) ([]float64, error) {
-			return algorithms.SpMVE(e, Iters, ones(e.Graph().NumVertices()), s)
+			return algorithms.SpMV(e, Iters, ones(e.Graph().NumVertices()), s)
 		}},
-		{BP, func(e sg.Engine, s *fault.Session) ([]float64, error) { return algorithms.BPE(e, Iters, s) }},
+		{BP, func(e sg.Engine, s *fault.Session) ([]float64, error) { return algorithms.BP(e, Iters, s) }},
 	}
 
 	for _, sys := range systems {

@@ -206,32 +206,18 @@ func (e *Engine) roundLists() (next, far [][]graph.Vertex) {
 	return e.nextLists, e.farLists
 }
 
-// PageRank runs the synchronous pull-based PageRank Galois selects
-// ("to reduce synchronization overhead") for iters iterations and returns
-// the ranks.
-func (e *Engine) PageRank(iters int, damping float64) []float64 {
-	r, err := e.PageRankE(iters, damping, nil)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
-// PageRankE is the fault-session-capable PageRank: each iteration runs as
-// one fault.Step, so an injected fault rolls back the round's simulated
-// charges and per-vertex state and replays it to a bit-identical result.
-// A nil session runs fault-free with plain panic recovery.
-func (e *Engine) PageRankE(iters int, damping float64, sess *fault.Session) ([]float64, error) {
-	g := e.G
-	n := g.NumVertices()
-	curr := make([]float64, n)
+// pullRounds runs iters synchronous pull rounds from curr, double-buffered
+// at width bytes per entry: rows computes next[lo:hi] from curr and returns
+// the edges it read. Each round is one fault.Step and one charged round,
+// so an injected fault rolls back the round's simulated charges and
+// per-vertex state and replays it to a bit-identical result; a nil session
+// runs fault-free with plain panic recovery. It returns the last result.
+func (e *Engine) pullRounds(sess *fault.Session, iters int, name string, width int, curr []float64,
+	rows func(curr, next []float64, lo, hi int64) (edges int64)) ([]float64, error) {
+	n := int64(len(curr))
 	next := make([]float64, n)
-	e.trackData(int64(n) * 16)
-	for i := range curr {
-		curr[i] = 1 / float64(n)
-	}
-	invOut := g.InvOutDegrees()
-	ck := par.MakeStrided(int64(n), 64, e.M.Threads())
+	e.trackData(n * 2 * int64(width))
+	ck := par.MakeStrided(n, 64, e.M.Threads())
 	if sess != nil {
 		sess.TrackF64(curr, next)
 	}
@@ -241,23 +227,16 @@ func (e *Engine) PageRankE(iters int, damping float64, sess *fault.Session) ([]f
 			e.RunPhase(func(th int) {
 				var edges, tasks int64
 				ck.Do(th, func(lo, hi int64) {
-					for v := lo; v < hi; v++ {
-						tasks++
-						var sum float64
-						for _, u := range g.InNeighbors(graph.Vertex(v)) {
-							edges++
-							sum += curr[u] * invOut[u]
-						}
-						next[v] = (1-damping)/float64(n) + damping*sum
-					}
+					tasks += hi - lo
+					edges += rows(curr, next, lo, hi)
 				})
 				cnt.add(th, edges, tasks)
 			})
 			if e.Err() != nil {
 				return e.Err()
 			}
-			e.chargeRound(ep, cnt, 8, barrier.H)
-			return fault.CheckFinite("galois/pagerank", next)
+			e.chargeRound(ep, cnt, width, barrier.H)
+			return fault.CheckFinite(name, next)
 		})
 		if err != nil {
 			return nil, err
@@ -269,92 +248,93 @@ func (e *Engine) PageRankE(iters int, damping float64, sess *fault.Session) ([]f
 	return curr, nil
 }
 
-// SpMV multiplies the weighted adjacency matrix with a dense vector,
-// iters times (y = A x, then x <- y), returning the final vector.
-func (e *Engine) SpMV(iters int, x0 []float64) []float64 {
+// PageRank is PageRankE without a session, panicking on failure.
+func (e *Engine) PageRank(iters int, damping float64) []float64 {
+	r, err := e.PageRankE(iters, damping, nil)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// PageRankE runs the synchronous pull-based PageRank Galois selects ("to
+// reduce synchronization overhead") for iters iterations and returns the
+// ranks.
+func (e *Engine) PageRankE(iters int, damping float64, sess *fault.Session) ([]float64, error) {
 	g := e.G
 	n := g.NumVertices()
-	x := make([]float64, n)
-	y := make([]float64, n)
-	e.trackData(int64(n) * 16)
-	copy(x, x0)
-	ck := par.MakeStrided(int64(n), 64, e.M.Threads())
-	for it := 0; it < iters; it++ {
-		ep, cnt := e.beginRound()
-		e.RunPhase(func(th int) {
-			var edges, tasks int64
-			ck.Do(th, func(lo, hi int64) {
-				for v := lo; v < hi; v++ {
-					tasks++
-					nbrs := g.InNeighbors(graph.Vertex(v))
-					wts := g.InWeights(graph.Vertex(v))
-					var sum float64
-					for j, u := range nbrs {
-						edges++
-						w := 1.0
-						if wts != nil && wts[j] != 0 {
-							w = float64(wts[j])
-						}
-						sum += w * x[u]
-					}
-					y[v] = sum
-				}
-			})
-			cnt.add(th, edges, tasks)
-		})
-		if e.Err() != nil {
-			return x
-		}
-		e.chargeRound(ep, cnt, 8, barrier.H)
-		x, y = y, x
+	curr := make([]float64, n)
+	for i := range curr {
+		curr[i] = 1 / float64(n)
 	}
-	return x
+	invOut := g.InvOutDegrees()
+	return e.pullRounds(sess, iters, "galois/pagerank", 8, curr,
+		func(curr, next []float64, lo, hi int64) (edges int64) {
+			for v := lo; v < hi; v++ {
+				var sum float64
+				for _, u := range g.InNeighbors(graph.Vertex(v)) {
+					edges++
+					sum += curr[u] * invOut[u]
+				}
+				next[v] = (1-damping)/float64(n) + damping*sum
+			}
+			return edges
+		})
+}
+
+// SpMV multiplies the weighted adjacency matrix with a dense vector,
+// iters times (y = A x, then x <- y), returning the final vector.
+func (e *Engine) SpMV(iters int, x0 []float64, sess *fault.Session) ([]float64, error) {
+	g := e.G
+	x := make([]float64, g.NumVertices())
+	copy(x, x0)
+	return e.pullRounds(sess, iters, "galois/spmv", 8, x,
+		func(x, y []float64, lo, hi int64) (edges int64) {
+			for v := lo; v < hi; v++ {
+				nbrs := g.InNeighbors(graph.Vertex(v))
+				wts := g.InWeights(graph.Vertex(v))
+				var sum float64
+				for j, u := range nbrs {
+					edges++
+					w := 1.0
+					if wts != nil && wts[j] != 0 {
+						w = float64(wts[j])
+					}
+					sum += w * x[u]
+				}
+				y[v] = sum
+			}
+			return edges
+		})
 }
 
 // BP runs iters rounds of Bayesian belief propagation (message passing
 // along weighted in-edges with normalisation), returning per-vertex
-// beliefs.
-func (e *Engine) BP(iters int) []float64 {
+// beliefs. Beliefs are wider than ranks (message tables).
+func (e *Engine) BP(iters int, sess *fault.Session) ([]float64, error) {
 	g := e.G
-	n := g.NumVertices()
-	curr := make([]float64, n)
-	next := make([]float64, n)
-	e.trackData(int64(n) * 32)
+	curr := make([]float64, g.NumVertices())
 	for i := range curr {
 		curr[i] = 0.5
 	}
-	ck := par.MakeStrided(int64(n), 64, e.M.Threads())
-	for it := 0; it < iters; it++ {
-		ep, cnt := e.beginRound()
-		e.RunPhase(func(th int) {
-			var edges, tasks int64
-			ck.Do(th, func(lo, hi int64) {
-				for v := lo; v < hi; v++ {
-					tasks++
-					nbrs := g.InNeighbors(graph.Vertex(v))
-					wts := g.InWeights(graph.Vertex(v))
-					belief := 1.0
-					for j, u := range nbrs {
-						edges++
-						w := 0.5
-						if wts != nil && wts[j] != 0 {
-							w = float64(wts[j]) / 100
-						}
-						belief *= 1 - w*curr[u] // product of damped messages
+	return e.pullRounds(sess, iters, "galois/bp", 16, curr,
+		func(curr, next []float64, lo, hi int64) (edges int64) {
+			for v := lo; v < hi; v++ {
+				nbrs := g.InNeighbors(graph.Vertex(v))
+				wts := g.InWeights(graph.Vertex(v))
+				belief := 1.0
+				for j, u := range nbrs {
+					edges++
+					w := 0.5
+					if wts != nil && wts[j] != 0 {
+						w = float64(wts[j]) / 100
 					}
-					next[v] = 1 - belief
+					belief *= 1 - w*curr[u] // product of damped messages
 				}
-			})
-			cnt.add(th, edges, tasks)
+				next[v] = 1 - belief
+			}
+			return edges
 		})
-		if e.Err() != nil {
-			return curr
-		}
-		// Beliefs are wider than ranks (message tables).
-		e.chargeRound(ep, cnt, 16, barrier.H)
-		curr, next = next, curr
-	}
-	return curr
 }
 
 // BFS runs Galois's asynchronous worklist BFS from src and returns the

@@ -123,7 +123,10 @@ func TestSpMV(t *testing.T) {
 	e := MustNew(g, testMachine(1, 1), DefaultOptions())
 	defer e.Close()
 	x0 := []float64{1, 10, 100}
-	y := e.SpMV(1, x0)
+	y, err := e.SpMV(1, x0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// y[0]=0; y[1]=2*x[0]=2; y[2]=3*x[1]+5*x[0]=35.
 	if y[0] != 0 || y[1] != 2 || y[2] != 35 {
 		t.Fatalf("SpMV = %v", y)
@@ -135,7 +138,10 @@ func TestBPBounded(t *testing.T) {
 	g := graph.FromEdges(n, edges, true)
 	e := MustNew(g, testMachine(2, 1), DefaultOptions())
 	defer e.Close()
-	beliefs := e.BP(5)
+	beliefs, err := e.BP(5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v, b := range beliefs {
 		if b < 0 || b > 1 {
 			t.Fatalf("belief[%d] = %v out of [0,1]", v, b)

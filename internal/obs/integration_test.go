@@ -44,6 +44,8 @@ func TestTracingIsBitIdentical(t *testing.T) {
 		{bench.Ligra, bench.PR},
 		{bench.Ligra, bench.CC},
 		{bench.XStream, bench.PR},
+		{bench.XStream, bench.SpMV},
+		{bench.XStream, bench.BP},
 		{bench.XStream, bench.BFS},
 		{bench.Galois, bench.PR},
 		{bench.Galois, bench.BFS},

@@ -3,9 +3,12 @@ package obs
 import "polymer/internal/numa"
 
 // SimSource is the capability an engine exposes for superstep tracing.
-// Engines whose superstep loops live in the algorithms layer (polymer,
-// ligra) implement it; BeginStep discovers it by type assertion, so
-// neither sg.Engine nor fault.Engine grows a mandatory method.
+// Every engine has it (sg.Base); BeginStep discovers it by type assertion,
+// so neither sg.Engine nor fault.Engine grows a mandatory method. Every
+// engine's superstep loops live in the algorithms layer except Galois's,
+// but only Polymer's and Ligra's are spanned there: X-Stream's Iterate and
+// Galois's rounds emit their own superstep events, and a driver that also
+// spanned them would number every superstep twice.
 type SimSource interface {
 	// Tracer returns the engine's tracer (nil when disabled).
 	Tracer() *Tracer

@@ -273,8 +273,8 @@ func (b *Base) SetTracer(tr *obs.Tracer) {
 }
 
 // Tracer, TraceCat, SimSeconds and TrafficSnapshot make every engine an
-// obs.SimSource. Drivers wrap Polymer's and Ligra's superstep loops in
-// obs.BeginStep/End; X-Stream and Galois own their loops and emit
+// obs.SimSource. Drivers wrap Polymer's and Ligra's supersteps in
+// obs.BeginStep/End; X-Stream's Iterate and Galois's rounds emit
 // superstep events themselves, so drivers must not wrap those.
 func (b *Base) Tracer() *obs.Tracer { return b.Tr }
 

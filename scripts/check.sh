@@ -68,4 +68,6 @@ echo "==> tier sweep smoke (hot vs interleave ordering gate + speedup baseline)"
 go run ./cmd/numabench -tiersweep -graph powerlaw -scale tiny -sockets 4 -cores 2 \
 	-tierbaseline BENCH_tiering.json >/dev/null
 
+sh scripts/loc.sh
+
 echo "check: OK"
