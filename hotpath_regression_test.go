@@ -21,6 +21,8 @@ import (
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
+	"polymer/internal/sg"
+	"polymer/internal/state"
 )
 
 // allocBudgetPerIteration bounds the steady-state allocations of one full
@@ -127,6 +129,82 @@ func TestSimSecondsDeterministic(t *testing.T) {
 			if r1[v] != r2[v] {
 				t.Fatalf("rank[%d] drifted across identical runs: %x vs %x", v, r1[v], r2[v])
 			}
+		}
+	}
+}
+
+// claimAll is BFS's kernel without its memory: every edge passes Cond and
+// claims its target, so one frontier yields the same sparse superstep on
+// every call.
+type claimAll struct{}
+
+func (claimAll) Update(s, d graph.Vertex, w float32) bool       { return true }
+func (claimAll) UpdateAtomic(s, d graph.Vertex, w float32) bool { return true }
+func (claimAll) Cond(graph.Vertex) bool                         { return true }
+
+// sparseSuperstepAllocs counts the objects one sparse EdgeMap allocates on
+// e: a road-grid BFS level, 64 active vertices out of 3600, queue
+// collection.
+func sparseSuperstepAllocs(t *testing.T, newEngine func(*graph.Graph) sg.Engine) float64 {
+	t.Helper()
+	n, edges := gen.RoadGrid(60, 60, 7)
+	e := newEngine(graph.FromEdges(n, edges, false))
+	defer e.Close()
+	vs := make([]graph.Vertex, 64)
+	for i := range vs {
+		vs[i] = graph.Vertex(i * (n / len(vs)))
+	}
+	frontier := state.FromVertices(e.Bounds(), vs)
+	step := func() {
+		if out := e.EdgeMap(frontier, claimAll{}, sg.Hints{DataBytes: 4}); out.Dense() || out.IsEmpty() {
+			t.Fatalf("superstep built a dense or empty frontier (%d active)", out.Count())
+		}
+	}
+	step() // warm up: layouts, scratch arenas, queue capacity
+	step()
+	return testing.AllocsPerRun(10, step)
+}
+
+// sparseSuperstepAllocBudget bounds one sparse superstep: the returned
+// Subset (header, per-node list table, one backing array) and the phase
+// closure. The builder, its per-thread queue table and degree counters
+// come from the engine's scratch, and the phase epoch folds in place; a
+// queue table allocated per phase — 2 KB at 80 threads, once for each of
+// a road-grid BFS's ~400 supersteps — is one object over.
+const sparseSuperstepAllocBudget = 4
+
+func TestPolymerSparseSuperstepAllocs(t *testing.T) {
+	allocs := sparseSuperstepAllocs(t, func(g *graph.Graph) sg.Engine {
+		return core.MustNew(g, regressionMachine(), core.DefaultOptions())
+	})
+	if allocs > sparseSuperstepAllocBudget {
+		t.Fatalf("sparse superstep allocated %.0f objects, budget %d", allocs, sparseSuperstepAllocBudget)
+	}
+}
+
+func TestLigraSparseSuperstepAllocs(t *testing.T) {
+	allocs := sparseSuperstepAllocs(t, func(g *graph.Graph) sg.Engine {
+		return ligra.MustNew(g, regressionMachine(), ligra.DefaultOptions())
+	})
+	if allocs > sparseSuperstepAllocBudget {
+		t.Fatalf("sparse superstep allocated %.0f objects, budget %d", allocs, sparseSuperstepAllocBudget)
+	}
+}
+
+// TestEpochTimeDoesNotAllocate: Time() runs once per phase, hundreds of
+// times per traversal; it folds the ledger in place.
+func TestEpochTimeDoesNotAllocate(t *testing.T) {
+	for _, tiered := range []bool{false, true} {
+		m := regressionMachine()
+		if tiered {
+			if err := m.SetTierConfig(numa.TierConfig{DRAMPerNode: 1 << 20, Policy: numa.TierHot}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ep := m.NewEpoch()
+		ep.AccessInterleaved(3, numa.Rand, numa.Load, 1000, 8, 1<<30)
+		if n := testing.AllocsPerRun(10, func() { _ = ep.Time() }); n != 0 {
+			t.Fatalf("tiered=%v: Epoch.Time allocated %.0f objects per call", tiered, n)
 		}
 	}
 }

@@ -64,13 +64,16 @@ func EdgeMapK[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *sta
 	return edgeMapDensePull(e, a.ToDense(), k, h)
 }
 
-// charger accumulates one thread's classified traffic during a phase and
-// flushes it to the epoch at the end, honouring the ablation flags.
+// charger accumulates one node's classified traffic during a phase and
+// flushes it to the epoch at the end, honouring the ablation flags. All
+// threads of a node run one after another on the host worker that owns
+// the node (par.Pool.Run), so they count into the node's charger without
+// synchronisation.
 type charger struct {
 	e  *Engine
 	ep *numa.Epoch
-	th int
-	p  int // thread's node
+	th int // the node's first thread, the one a flush charges
+	p  int // the node
 
 	rowsByOwner   []int64 // state reads of row keys, by owner node
 	activeByOwner []int64 // data reads/writes of row keys, by owner node
@@ -92,47 +95,35 @@ func (c *charger) reset() {
 	c.edges, c.updates, c.condChecks, c.lookups, c.appends = 0, 0, 0, 0, 0
 }
 
-// balanceWithinNodes redistributes each node's accumulated work evenly
-// over its threads, modelling Polymer's intra-node dynamic task
-// scheduling (Section 5): within a node all threads share the partition,
-// so degree skew between chunks is smoothed by work stealing. Imbalance
-// *across* nodes is preserved — that is what balanced partitioning
-// addresses (Table 6(b), Figure 11).
-func (e *Engine) balanceWithinNodes(chargers []*charger) {
-	cpn := e.M.CoresPerNode
-	sum := &e.scr.sum
-	for p := 0; p < e.M.Nodes; p++ {
-		group := chargers[p*cpn : (p+1)*cpn]
-		sum.reset()
-		for _, c := range group {
-			if c == nil {
-				continue
-			}
-			sum.edges += c.edges
-			sum.updates += c.updates
-			sum.condChecks += c.condChecks
-			sum.lookups += c.lookups
-			sum.appends += c.appends
-			for o := range c.rowsByOwner {
-				sum.rowsByOwner[o] += c.rowsByOwner[o]
-				sum.activeByOwner[o] += c.activeByOwner[o]
-			}
+// chargeBalanced charges a finished edge phase. It spreads each node's
+// accumulated work evenly over the node's threads, modelling Polymer's
+// intra-node dynamic task scheduling (Section 5): within a node all
+// threads share the partition, so degree skew between chunks is smoothed
+// by work stealing. Imbalance *across* nodes is preserved — that is what
+// balanced partitioning addresses (Table 6(b), Figure 11). Every thread of
+// a node then carries the same counts, so flush (flushPush or flushPull)
+// runs once per node, on the node's charger cut down to one thread's
+// share, and the epoch replicates the charge (numa.Epoch.ChargeNodes).
+func (e *Engine) chargeBalanced(ep *numa.Epoch, l *layout, h sg.Hints, flush func(c *charger, h sg.Hints, partVerts int)) {
+	cpn := int64(e.M.CoresPerNode)
+	ep.ChargeNodes(func(_, p int) {
+		nl := &l.perNode[p]
+		if len(nl.rowIDs) == 0 {
+			return // the node's threads sat the phase out
 		}
-		for _, c := range group {
-			if c == nil {
-				continue
-			}
-			c.edges = sum.edges / int64(cpn)
-			c.updates = sum.updates / int64(cpn)
-			c.condChecks = sum.condChecks / int64(cpn)
-			c.lookups = sum.lookups / int64(cpn)
-			c.appends = sum.appends / int64(cpn)
-			for o := range c.rowsByOwner {
-				c.rowsByOwner[o] = sum.rowsByOwner[o] / int64(cpn)
-				c.activeByOwner[o] = sum.activeByOwner[o] / int64(cpn)
-			}
+		c := &e.scr.chargers[p]
+		e.addEdges(c.edges)
+		c.edges /= cpn
+		c.updates /= cpn
+		c.condChecks /= cpn
+		c.lookups /= cpn
+		c.appends /= cpn
+		for o := range c.rowsByOwner {
+			c.rowsByOwner[o] /= cpn
+			c.activeByOwner[o] /= cpn
 		}
-	}
+		flush(c, h, nl.vr.Len())
+	})
 }
 
 // flushPush charges the dense/sparse push pattern: sequential global reads
@@ -271,7 +262,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 	rk := sg.RowKernelOf(k, h)
 	var b *state.Builder
 	if collect {
-		b = state.NewBuilder(e.bounds, e.M.Threads(), true).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
+		b = e.scr.builder.Builder(e.bounds, e.M.Threads(), true, e.degreeOf)
 	}
 	ep := e.scr.beginPhase()
 	full := a.Count() == int64(e.G.NumVertices())
@@ -287,7 +278,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 		if e.opt.DisableRolling {
 			start = 0
 		}
-		c := e.scr.charger(th)
+		c := &e.scr.chargers[p]
 		weighted := h.Weighted && nl.wts != nil
 		l.strides[p].Do(th%e.M.CoresPerNode, func(lo, hi int64) {
 			var edges, condChecks, updates int64
@@ -349,17 +340,11 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 			c.condChecks += condChecks
 			c.updates += updates
 		})
-		e.addEdges(c.edges)
 	})
 	if e.Err() != nil {
 		return state.NewEmpty(e.bounds) // failed phase charges nothing
 	}
-	e.balanceWithinNodes(e.scr.chargers)
-	for th, c := range e.scr.chargers {
-		if c != nil {
-			c.flushPush(h, l.perNode[e.M.NodeOfThread(th)].vr.Len())
-		}
-	}
+	e.chargeBalanced(ep, l, h, (*charger).flushPush)
 	e.recordPhase("edgemap", true, true, a.Count(), e.chargePhase(ep))
 	if !collect {
 		return state.NewEmpty(e.bounds)
@@ -376,7 +361,7 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 	collect := !h.NoOutput
 	var b *state.Builder
 	if collect {
-		b = state.NewBuilder(e.bounds, e.M.Threads(), true).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
+		b = e.scr.builder.Builder(e.bounds, e.M.Threads(), true, e.degreeOf)
 	}
 	ep := e.scr.beginPhase()
 	atomicUpdate := e.Pool.Workers() > 1 // nodes that share a host worker run one after another
@@ -393,7 +378,7 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 		if e.opt.DisableRolling {
 			start = 0
 		}
-		c := e.scr.charger(th)
+		c := &e.scr.chargers[p]
 		weighted := h.Weighted && nl.wts != nil
 		l.strides[p].Do(th%e.M.CoresPerNode, func(lo, hi int64) {
 			var edges, updates int64
@@ -443,17 +428,11 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 			c.edges += edges
 			c.updates += updates
 		})
-		e.addEdges(c.edges)
 	})
 	if e.Err() != nil {
 		return state.NewEmpty(e.bounds)
 	}
-	e.balanceWithinNodes(e.scr.chargers)
-	for th, c := range e.scr.chargers {
-		if c != nil {
-			c.flushPull(h, l.perNode[e.M.NodeOfThread(th)].vr.Len())
-		}
-	}
+	e.chargeBalanced(ep, l, h, (*charger).flushPull)
 	e.recordPhase("edgemap", true, false, a.Count(), e.chargePhase(ep))
 	if !collect {
 		return state.NewEmpty(e.bounds)
@@ -470,7 +449,7 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 	collect := !h.NoOutput
 	var b *state.Builder
 	if collect {
-		b = state.NewBuilder(e.bounds, e.M.Threads(), false).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
+		b = e.scr.builder.Builder(e.bounds, e.M.Threads(), false, e.degreeOf)
 	}
 	ep := e.scr.beginPhase()
 	nodes := e.M.Nodes
@@ -495,51 +474,50 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 		if len(nl.rowIDs) == 0 {
 			return
 		}
-		c := e.scr.charger(th)
+		c := &e.scr.chargers[p]
 		weighted := h.Weighted && nl.wts != nil
 		stride.Do(th%e.M.CoresPerNode, func(lo, hi int64) {
+			var edges, condChecks, updates int64
 			for i := lo; i < hi; i++ {
 				s := actives[i]
 				owner := ownerOf[i]
 				c.rowsByOwner[owner]++
-				c.lookups++
 				r := nl.rowOf[s]
 				if r < 0 {
 					continue
 				}
 				c.activeByOwner[owner]++
-				for j := nl.rowIdx[r]; j < nl.rowIdx[r+1]; j++ {
-					t := nl.cols[j]
-					c.edges++
+				first := nl.rowIdx[r]
+				cols := nl.cols[first:nl.rowIdx[r+1]]
+				edges += int64(len(cols))
+				for j, t := range cols {
 					if !k.Cond(t) {
 						continue
 					}
-					c.condChecks++
+					condChecks++
 					var w float32
 					if weighted {
-						w = nl.wts[j]
+						w = nl.wts[int(first)+j]
 					}
 					if k.Update(s, t, w) {
 						if collect {
 							b.Add(th, t)
 						}
-						c.updates++
-						c.appends++
+						updates++
 					}
 				}
 			}
+			c.lookups += hi - lo // one agent-table probe per active vertex
+			c.edges += edges
+			c.condChecks += condChecks
+			c.updates += updates
+			c.appends += updates // every update appends its target to the queue
 		})
-		e.addEdges(c.edges)
 	})
 	if e.Err() != nil {
 		return state.NewEmpty(e.bounds)
 	}
-	e.balanceWithinNodes(e.scr.chargers)
-	for th, c := range e.scr.chargers {
-		if c != nil {
-			c.flushPush(h, l.perNode[e.M.NodeOfThread(th)].vr.Len())
-		}
-	}
+	e.chargeBalanced(ep, l, h, (*charger).flushPush)
 	e.recordPhase("edgemap", false, true, a.Count(), e.chargePhase(ep))
 	if !collect {
 		return state.NewEmpty(e.bounds)
@@ -555,7 +533,7 @@ func (e *Engine) VertexMap(a *state.Subset, f sg.VertexFunc) *state.Subset {
 		return state.NewEmpty(e.bounds)
 	}
 	e.met.VertexMaps++
-	b := state.NewBuilder(e.bounds, e.M.Threads(), a.Dense()).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
+	b := e.scr.builder.Builder(e.bounds, e.M.Threads(), a.Dense(), e.degreeOf)
 	ep := e.scr.beginPhase()
 
 	if a.Dense() {
@@ -612,7 +590,7 @@ func (e *Engine) VertexMap(a *state.Subset, f sg.VertexFunc) *state.Subset {
 	return b.Build()
 }
 
-// addEdges accumulates the processed-edge metric from the host workers.
+// addEdges accumulates the processed-edge metric.
 func (e *Engine) addEdges(n int64) {
 	e.Edges.Add(n)
 }

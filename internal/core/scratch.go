@@ -15,17 +15,15 @@ import (
 // never the charged traffic.
 //
 // What may be reused: the phase epoch (its ledger is folded into the run
-// ledger by chargePhase and never retained), the per-thread chargers, the
+// ledger by chargePhase and never retained), the per-node chargers, the
 // builder's per-thread queues and degree counters, and the sparse-mode
 // concatenated frontier. What must NOT be reused: the dense bitmap leaves
 // handed to the returned Subset — the caller owns the frontier and the
 // engine cannot see its lifetime.
 type scratch struct {
-	ep          *numa.Epoch // reset at the start of every phase
-	chargerPool []charger   // one per thread; counter slices allocated once
-	chargers    []*charger  // per-phase view: nil, or &chargerPool[th]
-	sum         charger     // balanceWithinNodes accumulator
-	builder     state.BuilderScratch
+	ep       *numa.Epoch // reset at the start of every phase
+	chargers []charger   // one per node; counter slices allocated once
+	builder  state.BuilderScratch
 
 	// Sparse-mode concatenated frontier (active ids + owner nodes).
 	actives []graph.Vertex
@@ -37,22 +35,14 @@ type scratch struct {
 }
 
 func newScratch(e *Engine) *scratch {
-	threads := e.M.Threads()
 	nodes := e.M.Nodes
-	s := &scratch{
-		ep:          e.M.NewEpoch(),
-		chargerPool: make([]charger, threads),
-		chargers:    make([]*charger, threads),
-	}
-	for th := range s.chargerPool {
-		c := &s.chargerPool[th]
-		c.e, c.ep, c.th, c.p = e, s.ep, th, e.M.NodeOfThread(th)
+	s := &scratch{ep: e.M.NewEpoch(), chargers: make([]charger, nodes)}
+	for p := range s.chargers {
+		c := &s.chargers[p]
+		c.e, c.ep, c.th, c.p = e, s.ep, p*e.M.CoresPerNode, p
 		c.rowsByOwner = make([]int64, nodes)
 		c.activeByOwner = make([]int64, nodes)
 	}
-	s.sum.e = e
-	s.sum.rowsByOwner = make([]int64, nodes)
-	s.sum.activeByOwner = make([]int64, nodes)
 	return s
 }
 
@@ -60,19 +50,10 @@ func newScratch(e *Engine) *scratch {
 // phase epoch.
 func (s *scratch) beginPhase() *numa.Epoch {
 	s.ep.Reset()
-	for i := range s.chargers {
-		s.chargers[i] = nil
+	for p := range s.chargers {
+		s.chargers[p].reset()
 	}
 	return s.ep
-}
-
-// charger claims thread th's pooled charger for the current phase. Each
-// worker touches only its own slot, so no synchronisation is needed.
-func (s *scratch) charger(th int) *charger {
-	c := &s.chargerPool[th]
-	c.reset()
-	s.chargers[th] = c
-	return c
 }
 
 // vmDenseStrides returns the cached dense VertexMap schedules, building

@@ -163,19 +163,20 @@ func (c *counters) totals() (edges, tasks int64) {
 // chargeRound folds one parallel round into the clock with the
 // scheduler's synchronization cost. The totals are spread evenly over all
 // workers: Galois's work-stealing scheduler keeps edge work balanced
-// across threads regardless of degree skew.
+// across threads regardless of degree skew. ep must carry no earlier
+// charge (numa.Epoch.ChargeNodes' precondition).
 func (e *Engine) chargeRound(ep *numa.Epoch, cnt *counters, dataBytes int, syncKind barrier.Kind) {
 	edges, tasks := cnt.totals()
 	n := int64(e.G.NumVertices())
 	threads := e.M.Threads()
 	perEdges, perTasks := edges/int64(threads), tasks/int64(threads)
-	for th := 0; th < threads; th++ {
+	ep.ChargeNodes(func(th, _ int) {
 		e.TierTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, perEdges, 4, 0)
 		e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Load, perEdges, dataBytes, n*int64(dataBytes))
 		e.TierFrontier.AccessInterleaved(ep, th, numa.Seq, numa.Load, perTasks, 16, 0)
 		e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Store, perTasks, dataBytes, n*int64(dataBytes))
 		ep.Compute(th, (float64(perEdges)*e.opt.OverheadNsPerEdge+float64(perTasks)*e.opt.NsPerTask)*1e-9)
-	}
+	})
 	dur, _ := e.ChargePhase(ep, syncKind)
 	e.Edges.Add(edges)
 	if e.Tr != nil {

@@ -148,6 +148,8 @@ func (e *Engine) chargePhase(ep *numa.Epoch, kind string, dense, push bool, acti
 // phaseCounts accumulates per-thread work in padded slots; totals are
 // charged evenly across threads, modelling the Cilk work-stealing
 // scheduler that keeps Ligra's edge work balanced under degree skew.
+// Every thread carrying the same counts, the edge phases charge once per
+// node (numa.Epoch.ChargeNodes).
 type phaseCounts struct {
 	slots [][8]int64
 }
@@ -228,7 +230,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 	shared := e.Pool.Workers() > 1
 	var b *state.Builder
 	if collect {
-		b = state.NewBuilder(e.bounds, e.M.Threads(), true).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
+		b = e.scr.builder.Builder(e.bounds, e.M.Threads(), true, e.degreeOf)
 	}
 	ep, pc := e.scr.beginPhase()
 	dataWS := int64(n) * int64(h.DataBytes)
@@ -291,7 +293,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 		return state.NewEmpty(e.bounds) // failed phase charges nothing
 	}
 	per := pc.per(e.M.Threads())
-	for th := 0; th < e.M.Threads(); th++ {
+	ep.ChargeNodes(func(th, _ int) {
 		scanned, active, edges, updates := per[0], per[1], per[2], per[3]
 		// Current state: centralized short-term allocation (node 0).
 		e.TierFrontier.Access(ep, th, numa.Seq, numa.Load, 0, scanned, 1, 0)
@@ -305,7 +307,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 		// Next state: centralized random writes.
 		e.TierFrontier.Access(ep, th, numa.Rand, numa.Store, 0, updates, 1, int64(n))
 		ep.Compute(th, (float64(edges)*(h.NsPerEdge+e.opt.OverheadNsPerEdge)+float64(scanned)*2)*1e-9)
-	}
+	})
 	e.Edges.Add(pc.total(2))
 	e.chargePhase(ep, "edgemap", true, true, a.Count())
 	if !collect {
@@ -322,7 +324,7 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 	collect := !h.NoOutput
 	var b *state.Builder
 	if collect {
-		b = state.NewBuilder(e.bounds, e.M.Threads(), true).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
+		b = e.scr.builder.Builder(e.bounds, e.M.Threads(), true, e.degreeOf)
 	}
 	ep, pc := e.scr.beginPhase()
 	dataWS := int64(n) * int64(h.DataBytes)
@@ -370,7 +372,7 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 		return state.NewEmpty(e.bounds)
 	}
 	per := pc.per(e.M.Threads())
-	for th := 0; th < e.M.Threads(); th++ {
+	ep.ChargeNodes(func(th, _ int) {
 		scanned, edges, updates := per[0], per[2], per[3]
 		e.TierState.AccessInterleaved(ep, th, numa.Seq, numa.Load, scanned, 16+h.DataBytes, 0)
 		e.TierTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, edges, edgeBytes(h), 0)
@@ -381,7 +383,7 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 		// Destination writes: interleaved sequential.
 		e.TierState.AccessInterleaved(ep, th, numa.Seq, numa.Store, updates, h.DataBytes+1, 0)
 		ep.Compute(th, (float64(edges)*(h.NsPerEdge+e.opt.OverheadNsPerEdge)+float64(scanned)*2)*1e-9)
-	}
+	})
 	e.Edges.Add(pc.total(2))
 	e.chargePhase(ep, "edgemap", true, false, a.Count())
 	if !collect {
@@ -398,7 +400,7 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 	collect := !h.NoOutput
 	var b *state.Builder
 	if collect {
-		b = state.NewBuilder(e.bounds, e.M.Threads(), false).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
+		b = e.scr.builder.Builder(e.bounds, e.M.Threads(), false, e.degreeOf)
 	}
 	ep, pc := e.scr.beginPhase()
 	frontier := a.List(0)
@@ -437,7 +439,7 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 		return state.NewEmpty(e.bounds)
 	}
 	per := pc.per(e.M.Threads())
-	for th := 0; th < e.M.Threads(); th++ {
+	ep.ChargeNodes(func(th, _ int) {
 		active, edges, updates := per[0], per[2], per[3]
 		// Frontier list: centralized sequential read; vertex metadata and
 		// source data: random interleaved (frontier order is arbitrary).
@@ -448,7 +450,7 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 		// Queue appends: centralized sequential writes.
 		e.TierFrontier.Access(ep, th, numa.Seq, numa.Store, 0, updates, 4, 0)
 		ep.Compute(th, (float64(edges)*(h.NsPerEdge+e.opt.OverheadNsPerEdge)+float64(active)*2)*1e-9)
-	}
+	})
 	e.Edges.Add(pc.total(2))
 	e.chargePhase(ep, "edgemap", false, true, a.Count())
 	if !collect {
@@ -462,7 +464,7 @@ func (e *Engine) VertexMap(a *state.Subset, f sg.VertexFunc) *state.Subset {
 	if a.IsEmpty() || e.Err() != nil {
 		return state.NewEmpty(e.bounds)
 	}
-	b := state.NewBuilder(e.bounds, e.M.Threads(), a.Dense()).Reuse(&e.scr.builder).WithDegrees(e.degreeOf)
+	b := e.scr.builder.Builder(e.bounds, e.M.Threads(), a.Dense(), e.degreeOf)
 	ep, _ := e.scr.beginPhase()
 
 	if a.Dense() {

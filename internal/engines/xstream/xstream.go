@@ -416,17 +416,17 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 		activeT += c[1]
 	}
 	tileWS := int64(e.tiles[0].hiVertex-e.tiles[0].loVertex) * int64(e.dataB)
-	for th := 0; th < threads; th++ {
+	ep.ChargeNodes(func(th, node int) {
 		scanned, activeEdges := scannedT/int64(threads), activeT/int64(threads)
 		// Edge stream: sequential interleaved; source state + data reads:
 		// random within the tile (cache-resident thanks to tiling).
 		e.TierTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, scanned, e.edgeBytes(), 0)
-		e.TierFrontier.Access(ep, th, numa.Rand, numa.Load, e.M.NodeOfThread(th), scanned, 1, tileWS)
-		e.TierState.Access(ep, th, numa.Rand, numa.Load, e.M.NodeOfThread(th), activeEdges, e.dataB, tileWS)
+		e.TierFrontier.Access(ep, th, numa.Rand, numa.Load, node, scanned, 1, tileWS)
+		e.TierState.Access(ep, th, numa.Rand, numa.Load, node, activeEdges, e.dataB, tileWS)
 		// Uout appends: sequential writes to thread-local buffers.
-		e.TierFrontier.Access(ep, th, numa.Seq, numa.Store, e.M.NodeOfThread(th), activeEdges, 12, 0)
+		e.TierFrontier.Access(ep, th, numa.Seq, numa.Store, node, activeEdges, 12, 0)
 		ep.Compute(th, float64(scanned)*(e.opt.OverheadNsPerEdge)*1e-9)
-	}
+	})
 	e.Edges.Add(scannedT)
 	e.chargePhase(ep, "scatter", activeIn)
 	ep.Reset() // shuffle phase reuses the same epoch
@@ -450,12 +450,12 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	}
 	ep2 := ep
 	perThread := totalUpdates / int64(threads)
-	for th := 0; th < threads; th++ {
+	ep2.ChargeNodes(func(th, node int) {
 		// Uout is read from the emitting thread's local buffer; the
 		// re-arranged Uin lands on interleaved pages across the machine.
-		e.TierFrontier.Access(ep2, th, numa.Seq, numa.Load, e.M.NodeOfThread(th), perThread, 12, 0)
+		e.TierFrontier.Access(ep2, th, numa.Seq, numa.Load, node, perThread, 12, 0)
 		e.TierFrontier.AccessInterleaved(ep2, th, numa.Seq, numa.Store, perThread, 12, 0)
-	}
+	})
 	e.chargePhase(ep2, "shuffle", totalUpdates)
 	ep2.Reset() // gather phase reuses the same epoch
 
@@ -501,13 +501,13 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 		activatedT += c[1]
 		nextCount += c[2]
 	}
-	for th := 0; th < threads; th++ {
+	ep3.ChargeNodes(func(th, node int) {
 		applied, activated := appliedT/int64(threads), activatedT/int64(threads)
 		e.TierFrontier.AccessInterleaved(ep3, th, numa.Seq, numa.Load, applied, 12, 0)
-		e.TierState.Access(ep3, th, numa.Rand, numa.Store, e.M.NodeOfThread(th), applied, e.dataB, tileWS)
-		e.TierFrontier.Access(ep3, th, numa.Rand, numa.Store, e.M.NodeOfThread(th), activated, 1, tileWS)
+		e.TierState.Access(ep3, th, numa.Rand, numa.Store, node, applied, e.dataB, tileWS)
+		e.TierFrontier.Access(ep3, th, numa.Rand, numa.Store, node, activated, 1, tileWS)
 		ep3.Compute(th, float64(applied)*2e-9)
-	}
+	})
 	e.chargePhase(ep3, "gather", appliedT)
 	e.M.Alloc().Release("xstream/buffers", bufBytes)
 

@@ -263,9 +263,14 @@ func (c *TierClass) HitFrac(node int) float64 {
 	return c.hit[node]
 }
 
-func (c *TierClass) record(th int, bytes int64) {
+// record tallies bytes charged through ep by thread th. Inside
+// ep.ChargeNodes one charge stands for the whole node's threads, so the
+// tally is scaled by the epoch's charge weight: acc is sharded by thread
+// only for race-freedom and only ever summed (Step), so the fold sees the
+// node's full byte count either way.
+func (c *TierClass) record(ep *numa.Epoch, th int, bytes int64) {
 	if c.plan.cfg.PromoteEvery > 0 {
-		c.acc[th] += bytes
+		c.acc[th] += bytes * ep.ChargeWeight()
 	}
 }
 
@@ -280,7 +285,7 @@ func (c *TierClass) Access(ep *numa.Epoch, th int, p numa.Pattern, op numa.Op, n
 	if count <= 0 {
 		return
 	}
-	c.record(th, count*int64(elemBytes))
+	c.record(ep, th, count*int64(elemBytes))
 	dram := int64(float64(count) * c.hit[node])
 	if dram > count {
 		dram = count
@@ -299,7 +304,7 @@ func (c *TierClass) AccessInterleaved(ep *numa.Epoch, th int, p numa.Pattern, op
 	if count <= 0 {
 		return
 	}
-	c.record(th, count*int64(elemBytes))
+	c.record(ep, th, count*int64(elemBytes))
 	dram := int64(float64(count) * c.hitIl)
 	if dram > count {
 		dram = count
@@ -318,7 +323,7 @@ func (c *TierClass) LatencyBound(ep *numa.Epoch, th int, op numa.Op, node int, c
 	if count <= 0 {
 		return
 	}
-	c.record(th, count*8)
+	c.record(ep, th, count*8)
 	dram := int64(float64(count) * c.hit[node])
 	if dram > count {
 		dram = count

@@ -1,5 +1,10 @@
 package numa
 
+import (
+	"math"
+	"slices"
+)
+
 // Epoch is the traffic ledger for one parallel phase (e.g. one EdgeMap).
 // Worker threads record aggregate access descriptors into their own shard
 // (no synchronisation needed: thread t only writes shard t), and Time()
@@ -18,58 +23,81 @@ package numa
 // shared links and controllers, capping socket scalability, while
 // co-located layouts keep traffic on local controllers.
 type Epoch struct {
-	m       *Machine
-	threads []threadLedger
+	m *Machine
+
+	// f holds every thread's float ledger as one flat block: thread th
+	// owns f[th*fs:(th+1)*fs], laid out as the four scalars below followed
+	// by nodeBytes, portBytes, classBytes and (tiered machines only)
+	// slowNodeBytes. One block makes Reset a clear and Add/CopyFrom and
+	// the ChargeNodes replication single contiguous loops. A host worker
+	// owns whole nodes (package par), so neighbouring threads' vectors are
+	// written by the same worker except at node boundaries.
+	f  []float64
+	fs int // stride of f
+	// offNode, offPort, offClass and offSlow locate the vectors inside a
+	// thread's stride:
+	//   - nodeBytes[n] is traffic (bytes) served by memory node n;
+	//   - portBytes[n] is remote traffic entering or leaving socket n's
+	//     interconnect port;
+	//   - classBytes[lvl*2+pattern] is memory-reaching traffic classified
+	//     by hop level and access pattern, the raw material of
+	//     TrafficMatrix snapshots. Random accesses count only their
+	//     modelled miss portion (the hit portion never leaves the LLC). On
+	//     a tiered machine a second bank of rows follows the DRAM bank:
+	//     slot (levels+lvl)*2+pattern carries the slow-tier traffic, so
+	//     untiered ledgers keep their exact historical shape;
+	//   - slowNodeBytes[n] is traffic served by node n's slow-tier media
+	//     (absent on untiered machines); it feeds the SlowAggBW congestion
+	//     term.
+	offNode, offPort, offClass, offSlow int
+
+	// c holds every thread's access counts, cs per thread (see cLocal).
+	c []int64
+
+	// weight is how many threads a charge recorded now stands for: 1, or
+	// CoresPerNode while ChargeNodes runs its callback.
+	weight int64
 }
 
-type threadLedger struct {
-	memSeconds     float64
-	computeSeconds float64
-
-	// nodeBytes[n] is traffic (bytes) served by memory node n.
-	nodeBytes []float64
-	// portBytes[n] is remote traffic entering or leaving socket n's
-	// interconnect port.
-	portBytes []float64
-
-	localCount  int64
-	remoteCount int64
-	// missCount counts modelled LLC misses; remoteMiss those caused by
+// Scalar slots at the head of a thread's stride of Epoch.f.
+const (
+	fMem     = iota // seconds spent on memory accesses
+	fCompute        // seconds of pure computation
+	// fMiss counts modelled LLC misses; fRemoteMiss those caused by
 	// remote accesses (paper Table 4's "LLC miss rate due to remote").
-	missCount  float64
-	remoteMiss float64
+	fMiss
+	fRemoteMiss
+	fScalars
+)
 
-	// classBytes[lvl*2+pattern] is memory-reaching traffic classified by
-	// hop level and access pattern, the raw material of TrafficMatrix
-	// snapshots. Random accesses count only their modelled miss portion
-	// (the hit portion never leaves the LLC). On a tiered machine a
-	// second bank of rows follows the DRAM bank: slot
-	// (levels+lvl)*2+pattern carries the slow-tier traffic, so untiered
-	// ledgers keep their exact historical shape.
-	classBytes []float64
-
-	// slowNodeBytes[n] is traffic served by node n's slow-tier media
-	// (nil on untiered machines); it feeds the SlowAggBW congestion term.
-	slowNodeBytes []float64
-	slowCount     int64
-
-	_ [3]int64 // pad to reduce false sharing between thread shards
-}
+// Slots of a thread's stride of Epoch.c.
+const (
+	cLocal = iota
+	cRemote
+	cSlow // accesses served by the slow tier
+	cs
+)
 
 func newEpoch(m *Machine) *Epoch {
-	e := &Epoch{m: m, threads: make([]threadLedger, m.Threads())}
 	n := m.Nodes
 	levels := m.Topo.MaxLevel() + 1
-	tiers := m.tiers()
-	for i := range e.threads {
-		e.threads[i].nodeBytes = make([]float64, n)
-		e.threads[i].portBytes = make([]float64, n)
-		e.threads[i].classBytes = make([]float64, tiers*levels*2)
-		if tiers > 1 {
-			e.threads[i].slowNodeBytes = make([]float64, n)
-		}
+	e := &Epoch{m: m, weight: 1}
+	e.offNode = fScalars
+	e.offPort = e.offNode + n
+	e.offClass = e.offPort + n
+	e.offSlow = e.offClass + m.tiers()*levels*2
+	e.fs = e.offSlow
+	if m.Tiered() {
+		e.fs += n
 	}
+	e.f = make([]float64, m.Threads()*e.fs)
+	e.c = make([]int64, m.Threads()*cs)
 	return e
+}
+
+// ledger returns thread th's float vector and access counts.
+func (e *Epoch) ledger(th int) (f []float64, c []int64) {
+	return e.f[th*e.fs : (th+1)*e.fs], e.c[th*cs : (th+1)*cs]
 }
 
 // Machine returns the machine this epoch charges against.
@@ -99,7 +127,7 @@ func (e *Epoch) Access(th int, p Pattern, op Op, node int, count int64, elemByte
 	if count <= 0 {
 		return
 	}
-	t := &e.threads[th]
+	f, c := e.ledger(th)
 	topo := e.m.Topo
 	from := e.m.NodeOfThread(th)
 	lvl := e.m.Level(from, node)
@@ -109,32 +137,32 @@ func (e *Epoch) Access(th int, p Pattern, op Op, node int, count int64, elemByte
 	scale := e.m.linkScale(from, node)
 
 	if lvl == 0 {
-		t.localCount += count
+		c[cLocal] += count
 	} else {
-		t.remoteCount += count
+		c[cRemote] += count
 	}
 
 	switch p {
 	case Seq:
-		t.memSeconds += bytes / (topo.SeqBW[lvl] * mb * scale)
+		f[fMem] += bytes / (topo.SeqBW[lvl] * mb * scale)
 		miss := bytes / float64(topo.CacheLineBytes)
-		t.missCount += miss
+		f[fMiss] += miss
 		if lvl > 0 {
-			t.remoteMiss += miss
+			f[fRemoteMiss] += miss
 		}
-		t.classBytes[lvl*2+int(Seq)] += bytes
-		t.chargeResource(from, node, bytes)
+		f[e.offClass+lvl*2+int(Seq)] += bytes
+		e.chargeResource(f, e.offNode, from, node, bytes)
 	case Rand:
 		hit := e.hitFraction(ws)
 		missBytes := bytes * (1 - hit)
-		t.memSeconds += missBytes/(topo.RandBW[lvl]*mb*scale) + bytes*hit/(topo.CacheBW*mb)
+		f[fMem] += missBytes/(topo.RandBW[lvl]*mb*scale) + bytes*hit/(topo.CacheBW*mb)
 		miss := float64(count) * (1 - hit)
-		t.missCount += miss
+		f[fMiss] += miss
 		if lvl > 0 {
-			t.remoteMiss += miss
+			f[fRemoteMiss] += miss
 		}
-		t.classBytes[lvl*2+int(Rand)] += missBytes
-		t.chargeResource(from, node, missBytes)
+		f[e.offClass+lvl*2+int(Rand)] += missBytes
+		e.chargeResource(f, e.offNode, from, node, missBytes)
 	}
 	_ = op // direction currently shares one bandwidth table, as in the paper's Figure 4
 }
@@ -147,15 +175,15 @@ func (e *Epoch) AccessInterleaved(th int, p Pattern, op Op, count int64, elemByt
 	if count <= 0 {
 		return
 	}
-	t := &e.threads[th]
+	f, c := e.ledger(th)
 	topo := e.m.Topo
 	from := e.m.NodeOfThread(th)
 	nodes := e.m.Nodes
 	bytes := float64(count) * float64(elemBytes)
 
 	remoteFrac := float64(nodes-1) / float64(nodes)
-	t.localCount += count - int64(float64(count)*remoteFrac)
-	t.remoteCount += int64(float64(count) * remoteFrac)
+	c[cLocal] += count - int64(float64(count)*remoteFrac)
+	c[cRemote] += int64(float64(count) * remoteFrac)
 
 	seqBW, randBW := e.m.InterleavedBW(from)
 	// Interleaved traffic crosses every link; charge it at the most
@@ -167,24 +195,24 @@ func (e *Epoch) AccessInterleaved(th int, p Pattern, op Op, count int64, elemByt
 	var memBytes float64
 	switch p {
 	case Seq:
-		t.memSeconds += bytes / (seqBW * mb)
+		f[fMem] += bytes / (seqBW * mb)
 		miss := bytes / float64(topo.CacheLineBytes)
-		t.missCount += miss
-		t.remoteMiss += miss * remoteFrac
+		f[fMiss] += miss
+		f[fRemoteMiss] += miss * remoteFrac
 		memBytes = bytes
 	case Rand:
 		hit := e.hitFraction(ws)
 		missBytes := bytes * (1 - hit)
-		t.memSeconds += missBytes/(randBW*mb) + bytes*hit/(topo.CacheBW*mb)
+		f[fMem] += missBytes/(randBW*mb) + bytes*hit/(topo.CacheBW*mb)
 		miss := float64(count) * (1 - hit)
-		t.missCount += miss
-		t.remoteMiss += miss * remoteFrac
+		f[fMiss] += miss
+		f[fRemoteMiss] += miss * remoteFrac
 		memBytes = missBytes
 	}
 	share := memBytes / float64(nodes)
 	for n := 0; n < nodes; n++ {
-		t.classBytes[e.m.Level(from, n)*2+int(p)] += share
-		t.chargeResource(from, n, share)
+		f[e.offClass+e.m.Level(from, n)*2+int(p)] += share
+		e.chargeResource(f, e.offNode, from, n, share)
 	}
 	_ = op
 }
@@ -195,7 +223,7 @@ func (e *Epoch) LatencyBound(th int, op Op, node int, count int64) {
 	if count <= 0 {
 		return
 	}
-	t := &e.threads[th]
+	f, c := e.ledger(th)
 	topo := e.m.Topo
 	from := e.m.NodeOfThread(th)
 	lvl := e.m.Level(from, node)
@@ -205,17 +233,17 @@ func (e *Epoch) LatencyBound(th int, op Op, node int, count int64) {
 	}
 	// A degraded link stretches round-trip latency proportionally.
 	lat /= e.m.linkScale(from, node)
-	t.memSeconds += float64(count) * lat / (topo.ClockGHz * 1e9)
+	f[fMem] += float64(count) * lat / (topo.ClockGHz * 1e9)
 	if lvl == 0 {
-		t.localCount += count
+		c[cLocal] += count
 	} else {
-		t.remoteCount += count
-		t.remoteMiss += float64(count)
+		c[cRemote] += count
+		f[fRemoteMiss] += float64(count)
 	}
-	t.missCount += float64(count)
+	f[fMiss] += float64(count)
 	// Latency-bound ops move one element each way; classify them as random
 	// traffic at the element size (8 bytes, the engines' widest atomic).
-	t.classBytes[lvl*2+int(Rand)] += float64(count) * 8
+	f[e.offClass+lvl*2+int(Rand)] += float64(count) * 8
 }
 
 // AccessSlow is Access against the slow tier: the path is the same hop
@@ -226,7 +254,7 @@ func (e *Epoch) AccessSlow(th int, p Pattern, op Op, node int, count int64, elem
 	if count <= 0 {
 		return
 	}
-	t := &e.threads[th]
+	f, c := e.ledger(th)
 	topo := e.m.Topo
 	from := e.m.NodeOfThread(th)
 	lvl := e.m.Level(from, node)
@@ -235,33 +263,33 @@ func (e *Epoch) AccessSlow(th int, p Pattern, op Op, node int, count int64, elem
 	scale := e.m.linkScale(from, node)
 
 	if lvl == 0 {
-		t.localCount += count
+		c[cLocal] += count
 	} else {
-		t.remoteCount += count
+		c[cRemote] += count
 	}
-	t.slowCount += count
+	c[cSlow] += count
 
 	switch p {
 	case Seq:
-		t.memSeconds += bytes / (topo.SlowSeqBW[lvl] * mb * scale)
+		f[fMem] += bytes / (topo.SlowSeqBW[lvl] * mb * scale)
 		miss := bytes / float64(topo.CacheLineBytes)
-		t.missCount += miss
+		f[fMiss] += miss
 		if lvl > 0 {
-			t.remoteMiss += miss
+			f[fRemoteMiss] += miss
 		}
-		t.classBytes[(levels+lvl)*2+int(Seq)] += bytes
-		t.chargeSlowResource(from, node, bytes)
+		f[e.offClass+(levels+lvl)*2+int(Seq)] += bytes
+		e.chargeResource(f, e.offSlow, from, node, bytes)
 	case Rand:
 		hit := e.hitFraction(ws)
 		missBytes := bytes * (1 - hit)
-		t.memSeconds += missBytes/(topo.SlowRandBW[lvl]*mb*scale) + bytes*hit/(topo.CacheBW*mb)
+		f[fMem] += missBytes/(topo.SlowRandBW[lvl]*mb*scale) + bytes*hit/(topo.CacheBW*mb)
 		miss := float64(count) * (1 - hit)
-		t.missCount += miss
+		f[fMiss] += miss
 		if lvl > 0 {
-			t.remoteMiss += miss
+			f[fRemoteMiss] += miss
 		}
-		t.classBytes[(levels+lvl)*2+int(Rand)] += missBytes
-		t.chargeSlowResource(from, node, missBytes)
+		f[e.offClass+(levels+lvl)*2+int(Rand)] += missBytes
+		e.chargeResource(f, e.offSlow, from, node, missBytes)
 	}
 	_ = op
 }
@@ -272,7 +300,7 @@ func (e *Epoch) AccessSlowInterleaved(th int, p Pattern, op Op, count int64, ele
 	if count <= 0 {
 		return
 	}
-	t := &e.threads[th]
+	f, c := e.ledger(th)
 	topo := e.m.Topo
 	from := e.m.NodeOfThread(th)
 	nodes := e.m.Nodes
@@ -280,9 +308,9 @@ func (e *Epoch) AccessSlowInterleaved(th int, p Pattern, op Op, count int64, ele
 	bytes := float64(count) * float64(elemBytes)
 
 	remoteFrac := float64(nodes-1) / float64(nodes)
-	t.localCount += count - int64(float64(count)*remoteFrac)
-	t.remoteCount += int64(float64(count) * remoteFrac)
-	t.slowCount += count
+	c[cLocal] += count - int64(float64(count)*remoteFrac)
+	c[cRemote] += int64(float64(count) * remoteFrac)
+	c[cSlow] += count
 
 	seqBW, randBW := e.m.InterleavedSlowBW(from)
 	if scale := e.m.worstLinkScale(from); scale != 1 {
@@ -292,24 +320,24 @@ func (e *Epoch) AccessSlowInterleaved(th int, p Pattern, op Op, count int64, ele
 	var memBytes float64
 	switch p {
 	case Seq:
-		t.memSeconds += bytes / (seqBW * mb)
+		f[fMem] += bytes / (seqBW * mb)
 		miss := bytes / float64(topo.CacheLineBytes)
-		t.missCount += miss
-		t.remoteMiss += miss * remoteFrac
+		f[fMiss] += miss
+		f[fRemoteMiss] += miss * remoteFrac
 		memBytes = bytes
 	case Rand:
 		hit := e.hitFraction(ws)
 		missBytes := bytes * (1 - hit)
-		t.memSeconds += missBytes/(randBW*mb) + bytes*hit/(topo.CacheBW*mb)
+		f[fMem] += missBytes/(randBW*mb) + bytes*hit/(topo.CacheBW*mb)
 		miss := float64(count) * (1 - hit)
-		t.missCount += miss
-		t.remoteMiss += miss * remoteFrac
+		f[fMiss] += miss
+		f[fRemoteMiss] += miss * remoteFrac
 		memBytes = missBytes
 	}
 	share := memBytes / float64(nodes)
 	for n := 0; n < nodes; n++ {
-		t.classBytes[(levels+e.m.Level(from, n))*2+int(p)] += share
-		t.chargeSlowResource(from, n, share)
+		f[e.offClass+(levels+e.m.Level(from, n))*2+int(p)] += share
+		e.chargeResource(f, e.offSlow, from, n, share)
 	}
 	_ = op
 }
@@ -320,7 +348,7 @@ func (e *Epoch) LatencyBoundSlow(th int, op Op, node int, count int64) {
 	if count <= 0 {
 		return
 	}
-	t := &e.threads[th]
+	f, c := e.ledger(th)
 	topo := e.m.Topo
 	from := e.m.NodeOfThread(th)
 	lvl := e.m.Level(from, node)
@@ -330,85 +358,99 @@ func (e *Epoch) LatencyBoundSlow(th int, op Op, node int, count int64) {
 		lat = topo.SlowStoreLatency[lvl]
 	}
 	lat /= e.m.linkScale(from, node)
-	t.memSeconds += float64(count) * lat / (topo.ClockGHz * 1e9)
+	f[fMem] += float64(count) * lat / (topo.ClockGHz * 1e9)
 	if lvl == 0 {
-		t.localCount += count
+		c[cLocal] += count
 	} else {
-		t.remoteCount += count
-		t.remoteMiss += float64(count)
+		c[cRemote] += count
+		f[fRemoteMiss] += float64(count)
 	}
-	t.slowCount += count
-	t.missCount += float64(count)
-	t.classBytes[(levels+lvl)*2+int(Rand)] += float64(count) * 8
+	c[cSlow] += count
+	f[fMiss] += float64(count)
+	f[e.offClass+(levels+lvl)*2+int(Rand)] += float64(count) * 8
 }
 
 // Compute records pure computation time (software overhead, arithmetic)
 // for thread th.
 func (e *Epoch) Compute(th int, seconds float64) {
-	e.threads[th].computeSeconds += seconds
+	e.f[th*e.fs+fCompute] += seconds
 }
 
-func (t *threadLedger) chargeResource(from, to int, bytes float64) {
-	t.nodeBytes[to] += bytes
+// chargeResource charges bytes against the media of node to — bank is
+// offNode for DRAM, offSlow for the slow tier, whose own, narrower
+// controllers (SlowAggBW) serve it — and, for remote traffic of either
+// tier, against the interconnect ports at both ends.
+func (e *Epoch) chargeResource(f []float64, bank, from, to int, bytes float64) {
+	f[bank+to] += bytes
 	if from != to {
-		t.portBytes[from] += bytes
-		t.portBytes[to] += bytes
+		f[e.offPort+from] += bytes
+		f[e.offPort+to] += bytes
 	}
 }
 
-// chargeSlowResource charges slow-tier traffic: it is served by the slow
-// tier's own controllers (SlowAggBW), not the DRAM ones, but remote slow
-// accesses still cross the same interconnect ports.
-func (t *threadLedger) chargeSlowResource(from, to int, bytes float64) {
-	t.slowNodeBytes[to] += bytes
-	if from != to {
-		t.portBytes[from] += bytes
-		t.portBytes[to] += bytes
+// ChargeNodes charges a phase whose counts are uniform within each node —
+// the scheduler-balanced phases, where a node's threads all carry the
+// node's work divided by CoresPerNode: fn runs once per node, for the
+// node's first thread, and that thread's ledger is then replicated to the
+// node's other threads. fn must charge only the thread it is handed.
+//
+// Precondition: on entry the ledgers of each node's threads are equal, as
+// on a fresh or Reset epoch. The replica is then bit for bit what running
+// fn for every thread would produce, since a charge depends on its thread
+// only through the thread's node. Charges that differ between the threads
+// of a node go through the per-thread methods instead (before ChargeNodes
+// only if they keep a node's ledgers equal, after it freely).
+//
+// ChargeNodes is not safe for concurrent use with any other charge.
+func (e *Epoch) ChargeNodes(fn func(th, node int)) {
+	cpn := e.m.CoresPerNode
+	e.weight = int64(cpn)
+	defer func() { e.weight = 1 }()
+	for node := 0; node < e.m.Nodes; node++ {
+		first := node * cpn
+		fn(first, node)
+		f, c := e.ledger(first)
+		for th := first + 1; th < first+cpn; th++ {
+			copy(e.f[th*e.fs:], f)
+			copy(e.c[th*cs:], c)
+		}
 	}
 }
+
+// ChargeWeight reports how many threads a charge recorded now stands for:
+// CoresPerNode inside a ChargeNodes callback, 1 otherwise. Layers that
+// keep their own per-thread tallies beside the ledger (mem.TierClass's
+// promotion counters) scale by it.
+func (e *Epoch) ChargeWeight() int64 { return e.weight }
 
 // Time folds the ledger through the cost model and returns the simulated
 // duration of the phase in seconds.
 func (e *Epoch) Time() float64 {
 	topo := e.m.Topo
+	threads := e.m.Threads()
+	var worst float64 // starts as the slowest thread
+	for th := 0; th < threads; th++ {
+		f := e.f[th*e.fs:]
+		if s := f[fMem] + f[fCompute]; s > worst {
+			worst = s
+		}
+	}
 	nodes := e.m.Nodes
-	nodeBytes := make([]float64, nodes)
-	portBytes := make([]float64, nodes)
-	var slowTierBytes []float64
-	if e.m.Tiered() {
-		slowTierBytes = make([]float64, nodes)
-	}
-	var slowest float64
-	for i := range e.threads {
-		t := &e.threads[i]
-		if s := t.memSeconds + t.computeSeconds; s > slowest {
-			slowest = s
-		}
-		for n, b := range t.nodeBytes {
-			nodeBytes[n] += b
-		}
-		for n, b := range t.portBytes {
-			portBytes[n] += b
-		}
-		for n, b := range t.slowNodeBytes {
-			slowTierBytes[n] += b
-		}
-	}
-	worst := slowest
-	for _, b := range nodeBytes {
-		if s := b / (topo.NodeAggBW * mb); s > worst {
+	for n := 0; n < nodes; n++ {
+		if s := e.column(e.offNode+n) / (topo.NodeAggBW * mb); s > worst {
 			worst = s
 		}
 	}
 	// The slow tier's media sit behind their own, narrower, per-node
 	// controllers; traffic that reaches them is charged separately.
-	for _, b := range slowTierBytes {
-		if s := b / (topo.SlowAggBW * mb); s > worst {
+	for n := e.offSlow; n < e.fs; n++ {
+		if s := e.column(n) / (topo.SlowAggBW * mb); s > worst {
 			worst = s
 		}
 	}
 	var remote float64
-	for _, b := range portBytes {
+	for n := 0; n < nodes; n++ {
+		b := e.column(e.offPort + n)
 		if s := b / (topo.PortBW * mb); s > worst {
 			worst = s
 		}
@@ -422,6 +464,16 @@ func (e *Epoch) Time() float64 {
 		}
 	}
 	return worst
+}
+
+// column sums slot off of every thread's vector, in thread order: the
+// machine-wide total of one nodeBytes, portBytes or slowNodeBytes entry.
+func (e *Epoch) column(off int) float64 {
+	var b float64
+	for i := off; i < len(e.f); i += e.fs {
+		b += e.f[i]
+	}
+	return b
 }
 
 // Stats summarises the ledger for the paper's Table 4 metrics.
@@ -444,13 +496,13 @@ type Stats struct {
 // Stats aggregates the per-thread ledgers.
 func (e *Epoch) Stats() Stats {
 	var s Stats
-	for i := range e.threads {
-		t := &e.threads[i]
-		s.LocalCount += t.localCount
-		s.RemoteCount += t.remoteCount
-		s.MissCount += t.missCount
-		s.RemoteMissRate += t.remoteMiss
-		s.SlowCount += t.slowCount
+	for th := 0; th < e.m.Threads(); th++ {
+		f, c := e.ledger(th)
+		s.LocalCount += c[cLocal]
+		s.RemoteCount += c[cRemote]
+		s.MissCount += f[fMiss]
+		s.RemoteMissRate += f[fRemoteMiss]
+		s.SlowCount += c[cSlow]
 	}
 	total := s.LocalCount + s.RemoteCount
 	if total > 0 {
@@ -488,25 +540,13 @@ func (e *Epoch) Add(o *Epoch) {
 	if e.m != o.m {
 		panic("numa: cannot add epochs from different machines")
 	}
-	for i := range e.threads {
-		t, u := &e.threads[i], &o.threads[i]
-		t.memSeconds += u.memSeconds
-		t.computeSeconds += u.computeSeconds
-		t.localCount += u.localCount
-		t.remoteCount += u.remoteCount
-		t.missCount += u.missCount
-		t.remoteMiss += u.remoteMiss
-		t.slowCount += u.slowCount
-		for n := range t.nodeBytes {
-			t.nodeBytes[n] += u.nodeBytes[n]
-			t.portBytes[n] += u.portBytes[n]
-		}
-		for n := range t.classBytes {
-			t.classBytes[n] += u.classBytes[n]
-		}
-		for n := range t.slowNodeBytes {
-			t.slowNodeBytes[n] += u.slowNodeBytes[n]
-		}
+	of := o.f[:len(e.f)]
+	for i := range e.f {
+		e.f[i] += of[i]
+	}
+	oc := o.c[:len(e.c)]
+	for i := range e.c {
+		e.c[i] += oc[i]
 	}
 }
 
@@ -517,16 +557,8 @@ func (e *Epoch) CopyFrom(o *Epoch) {
 	if e.m != o.m {
 		panic("numa: cannot copy epochs from different machines")
 	}
-	for i := range e.threads {
-		t, u := &e.threads[i], &o.threads[i]
-		nb, pb, cb, sb := t.nodeBytes, t.portBytes, t.classBytes, t.slowNodeBytes
-		*t = *u
-		t.nodeBytes, t.portBytes, t.classBytes, t.slowNodeBytes = nb, pb, cb, sb
-		copy(t.nodeBytes, u.nodeBytes)
-		copy(t.portBytes, u.portBytes)
-		copy(t.classBytes, u.classBytes)
-		copy(t.slowNodeBytes, u.slowNodeBytes)
-	}
+	copy(e.f, o.f)
+	copy(e.c, o.c)
 }
 
 // Clone returns an independent copy of the ledger.
@@ -536,28 +568,30 @@ func (e *Epoch) Clone() *Epoch {
 	return c
 }
 
+// Equal reports whether two ledgers of the same shape hold the same
+// charges bit for bit: every thread's seconds, counts and byte vectors.
+// It is the comparison the round-trip and replication tests assert.
+func (e *Epoch) Equal(o *Epoch) bool {
+	if len(e.f) != len(o.f) || e.fs != o.fs || !slices.Equal(e.c, o.c) {
+		return false
+	}
+	for i, v := range e.f {
+		if math.Float64bits(v) != math.Float64bits(o.f[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // Reset clears the ledger for reuse.
 func (e *Epoch) Reset() {
-	for i := range e.threads {
-		t := &e.threads[i]
-		nb, pb, cb, sb := t.nodeBytes, t.portBytes, t.classBytes, t.slowNodeBytes
-		for n := range nb {
-			nb[n] = 0
-			pb[n] = 0
-		}
-		for n := range cb {
-			cb[n] = 0
-		}
-		for n := range sb {
-			sb[n] = 0
-		}
-		*t = threadLedger{nodeBytes: nb, portBytes: pb, classBytes: cb, slowNodeBytes: sb}
-	}
+	clear(e.f)
+	clear(e.c)
 }
 
 // ThreadSeconds returns the simulated busy time (memory + compute) of one
 // thread; used by the Figure 11(b) per-socket breakdown.
 func (e *Epoch) ThreadSeconds(th int) float64 {
-	t := &e.threads[th]
-	return t.memSeconds + t.computeSeconds
+	f := e.f[th*e.fs:]
+	return f[fMem] + f[fCompute]
 }

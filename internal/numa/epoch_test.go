@@ -155,6 +155,56 @@ func TestEpochAddAndReset(t *testing.T) {
 	}
 }
 
+// The ledger is one flat block per epoch; every whole-ledger operation
+// must still move every field of every thread, on both ledger shapes.
+func TestLedgerRoundTrip(t *testing.T) {
+	for _, tiered := range []bool{false, true} {
+		m := NewMachine(IntelXeon80(), 3, 2)
+		if tiered {
+			if err := m.SetTierConfig(TierConfig{DRAMPerNode: 1 << 20, Policy: TierHot}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		a := m.NewEpoch()
+		for th := 0; th < m.Threads(); th++ {
+			a.Access(th, Seq, Load, (th+1)%3, int64(1000+th), 8, 0)
+			a.AccessInterleaved(th, Rand, Store, int64(700*th), 4, 1<<30)
+			a.LatencyBound(th, Store, th%3, int64(5+th))
+			a.Compute(th, float64(th)*1e-6)
+			if tiered {
+				a.AccessSlow(th, Rand, Load, th%3, int64(300+th), 8, 1<<30)
+				a.AccessSlowInterleaved(th, Seq, Store, int64(90+th), 8, 0)
+				a.LatencyBoundSlow(th, Load, (th+2)%3, int64(3+th))
+			}
+		}
+		fresh := m.NewEpoch()
+		if a.Equal(fresh) {
+			t.Fatal("a charged ledger compares equal to a fresh one")
+		}
+		c := a.Clone()
+		if !c.Equal(a) {
+			t.Fatalf("tiered=%v: Clone differs from its source", tiered)
+		}
+		c.Compute(m.Threads()-1, 1e-9)
+		if c.Equal(a) {
+			t.Fatal("Clone shares storage with its source, or Equal misses the last thread")
+		}
+		c.CopyFrom(a)
+		if !c.Equal(a) {
+			t.Fatalf("tiered=%v: CopyFrom left a difference", tiered)
+		}
+		sum := m.NewEpoch()
+		sum.Add(a)
+		if !sum.Equal(a) {
+			t.Fatalf("tiered=%v: Add into a fresh ledger differs from the addend", tiered)
+		}
+		sum.Reset()
+		if !sum.Equal(fresh) {
+			t.Fatalf("tiered=%v: Reset ledger differs from a fresh one", tiered)
+		}
+	}
+}
+
 func TestAddPanicsAcrossMachines(t *testing.T) {
 	a := NewMachine(IntelXeon80(), 1, 1).NewEpoch()
 	b := NewMachine(IntelXeon80(), 1, 1).NewEpoch()

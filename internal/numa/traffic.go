@@ -140,11 +140,10 @@ func (t *TrafficMatrix) RemoteFraction() float64 {
 func (e *Epoch) Traffic(dst *TrafficMatrix) {
 	levels := (e.m.Topo.MaxLevel() + 1) * e.m.tiers()
 	dst.Resize(e.m.Nodes, levels)
-	for th := range e.threads {
-		node := e.m.NodeOfThread(th)
-		cb := e.threads[th].classBytes
-		base := node * levels * 2
-		for i, b := range cb {
+	for th := 0; th < e.m.Threads(); th++ {
+		f, _ := e.ledger(th)
+		base := e.m.NodeOfThread(th) * levels * 2
+		for i, b := range f[e.offClass:e.offSlow] {
 			dst.Cells[base+i] += b
 		}
 	}

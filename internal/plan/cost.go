@@ -223,8 +223,7 @@ func PredictTiered(f Features, alg bench.Algo, topo *numa.Topology, c Candidate,
 			scanT = int64(float64(f.Vertices)*float64(sh.supersteps)/float64(threads)) + 1
 		}
 		colocated := c.Placement == mem.CoLocated
-		for th := 0; th < threads; th++ {
-			node := m.NodeOfThread(th)
+		ep.ChargeNodes(func(th, node int) {
 			// Topology: row metadata + columns, streamed from the local node.
 			tTopo.Access(ep, th, numa.Seq, numa.Load, node, rowsT, 12, 0)
 			tTopo.Access(ep, th, numa.Seq, numa.Load, node, perEdgeCSR, eb, 0)
@@ -261,14 +260,14 @@ func PredictTiered(f Features, alg bench.Algo, topo *numa.Topology, c Candidate,
 				}
 			}
 			ep.Compute(th, (float64(perEdgeCSR)*(sh.nsPerEdge+1.0)+float64(rowsT)*2)*1e-9)
-		}
+		})
 		stepsSync = float64(sh.supersteps) * barrier.SyncCost(barrier.N, c.Nodes) / topo.SyncScale
 	case bench.Ligra:
 		// Mirror of ligra's edgemap charge recipe: dense supersteps scan
 		// every vertex, frontier bookkeeping lives centralized on node 0,
 		// everything else is interleaved.
 		scanT := int64(float64(f.Vertices)*float64(sh.supersteps)/float64(threads)) + 1
-		for th := 0; th < threads; th++ {
+		ep.ChargeNodes(func(th, _ int) {
 			tFrontier.Access(ep, th, numa.Seq, numa.Load, 0, scanT, 1, 0)
 			tTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, scanT, 16, 0)
 			tState.AccessInterleaved(ep, th, numa.Seq, numa.Load, perVert, d, 0)
@@ -276,7 +275,7 @@ func PredictTiered(f Features, alg bench.Algo, topo *numa.Topology, c Candidate,
 			tState.AccessInterleaved(ep, th, numa.Rand, numa.Store, perEdgeCSR, d, stateWS)
 			tFrontier.Access(ep, th, numa.Rand, numa.Store, 0, perEdgeCSR/2, 1, f.Vertices)
 			ep.Compute(th, (float64(perEdgeCSR)*(sh.nsPerEdge+1.2)+float64(scanT)*2)*1e-9)
-		}
+		})
 		// Edgemap and vertexmap each cross an H barrier.
 		stepsSync = float64(sh.supersteps) * 2 * barrier.SyncCost(barrier.H, c.Nodes) / topo.SyncScale
 	case bench.XStream:
@@ -284,8 +283,7 @@ func PredictTiered(f Features, alg bench.Algo, topo *numa.Topology, c Candidate,
 		// regardless of the frontier, then shuffles and gathers update
 		// records through streaming buffers.
 		scanPerTh := int64(float64(f.Edges)*float64(sh.supersteps)/float64(threads)) + 1
-		for th := 0; th < threads; th++ {
-			node := m.NodeOfThread(th)
+		ep.ChargeNodes(func(th, node int) {
 			tTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, scanPerTh, eb+4, 0)
 			tState.Access(ep, th, numa.Rand, numa.Load, node, perEdge, d, localWS)
 			tState.Access(ep, th, numa.Seq, numa.Store, node, perEdge, 12, 0)
@@ -294,17 +292,17 @@ func PredictTiered(f Features, alg bench.Algo, topo *numa.Topology, c Candidate,
 			tState.AccessInterleaved(ep, th, numa.Seq, numa.Load, perEdge, 12, 0)
 			tState.Access(ep, th, numa.Rand, numa.Store, node, perVert, d, localWS)
 			ep.Compute(th, float64(scanPerTh)*1.5e-9)
-		}
+		})
 		// Scatter, shuffle and gather each cross an H barrier.
 		stepsSync = float64(sh.supersteps) * 3 * barrier.SyncCost(barrier.H, c.Nodes) / topo.SyncScale
 	case bench.Galois:
-		for th := 0; th < threads; th++ {
+		ep.ChargeNodes(func(th, _ int) {
 			tTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, perEdge, 4, 0)
 			tState.AccessInterleaved(ep, th, numa.Rand, numa.Load, perEdge, d, stateWS)
 			tTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, perVert, 16, 0)
 			tState.AccessInterleaved(ep, th, numa.Rand, numa.Store, perVert, d, stateWS)
 			ep.Compute(th, (float64(perEdge)*0.8+float64(perVert)*20)*1e-9)
-		}
+		})
 		stepsSync = float64(sh.supersteps) * barrier.SyncCost(barrier.H, c.Nodes) / topo.SyncScale
 	default:
 		return inf

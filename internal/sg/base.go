@@ -44,6 +44,10 @@ type Base struct {
 	Tr  *obs.Tracer // nil = tracing disabled
 	cat string      // obs event category
 
+	// syncCost[kind] is one crossing of that barrier on this machine, in
+	// simulated seconds; fixed at Init (barrier.SyncCost is a math.Pow).
+	syncCost [barrier.N + 1]float64
+
 	arrays []interface{ Free() }
 	err    error           // first execution failure (see Fail/Err)
 	ctx    context.Context // optional cancellation; nil means background
@@ -80,6 +84,9 @@ func (b *Base) Init(cat string, g *graph.Graph, m *numa.Machine, extra SnapExtra
 	}
 	b.G, b.M, b.Pool, b.cat, b.extra = g, m, pool, cat, extra
 	b.Ledger = m.NewEpoch()
+	for kind := range b.syncCost {
+		b.syncCost[kind] = barrier.SyncCost(barrier.Kind(kind), m.Nodes) / m.Topo.SyncScale
+	}
 	return nil
 }
 
@@ -167,7 +174,7 @@ func (b *Base) FreeArrays() {
 // duration and the barrier's share of it.
 func (b *Base) ChargePhase(ep *numa.Epoch, kind barrier.Kind) (dur, sync float64) {
 	b.Tiers.Step(ep)
-	sync = barrier.SyncCost(kind, b.M.Nodes) / b.M.Topo.SyncScale
+	sync = b.syncCost[kind]
 	dur = ep.Time() + sync
 	b.Clock += dur
 	b.Ledger.Add(ep)

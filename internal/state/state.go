@@ -233,65 +233,66 @@ type padCounter struct {
 	_ [7]int64
 }
 
-// BuilderScratch holds the builder's reusable per-thread buffers. An
-// engine keeps one per instance and passes it to NewBuilder on every
-// phase, so steady-state iterations reuse the queue and counter slices
-// instead of reallocating them. The dense bitmap leaves are NOT pooled:
-// Build hands them to the returned Subset, whose lifetime the engine does
-// not control.
+// BuilderScratch holds a reusable builder and its per-thread buffers. An
+// engine keeps one per instance and takes every phase's builder from it
+// (Builder), so steady-state iterations reuse the builder, the queue table
+// and the counter slices instead of reallocating them. The dense bitmap
+// leaves are NOT pooled: Build hands them to the returned Subset, whose
+// lifetime the engine does not control.
 type BuilderScratch struct {
+	b      Builder
 	queues [][]uint32
 	degs   []padCounter
 }
 
-func (s *BuilderScratch) take(threads int, sparse bool) (queues [][]uint32, degs []padCounter) {
+// Builder returns the scratch's builder, emptied and set up like
+// NewBuilder(bounds, threads, dense).WithDegrees(degreeOf). It is valid
+// until the next call: an engine runs one phase at a time and seals each
+// phase's builder (Build) before it starts the next.
+func (s *BuilderScratch) Builder(bounds []int, threads int, dense bool, degreeOf func(v uint32) int64) *Builder {
 	if len(s.degs) < threads {
 		s.degs = make([]padCounter, threads)
 	}
-	degs = s.degs[:threads]
+	degs := s.degs[:threads]
 	for i := range degs {
 		degs[i].n = 0
 	}
-	if sparse {
-		if len(s.queues) < threads {
-			q := make([][]uint32, threads)
-			copy(q, s.queues)
-			s.queues = q
-		}
-		queues = s.queues[:threads]
-		for i := range queues {
-			queues[i] = queues[i][:0]
-		}
+	s.b = Builder{bounds: bounds, threads: threads, dense: dense, degreeOf: degreeOf, degs: degs}
+	if dense {
+		s.b.words = denseWords(bounds)
+		return &s.b
 	}
-	return queues, degs
+	if len(s.queues) < threads {
+		q := make([][]uint32, threads)
+		copy(q, s.queues)
+		s.queues = q
+	}
+	s.b.queues = s.queues[:threads]
+	for i := range s.b.queues {
+		s.b.queues[i] = s.b.queues[i][:0]
+	}
+	return &s.b
 }
 
 // NewBuilder returns a builder over the partition for the given number of
 // worker threads. dense selects bitmap collection.
 func NewBuilder(bounds []int, threads int, dense bool) *Builder {
-	nodes := len(bounds) - 1
 	b := &Builder{bounds: bounds, threads: threads, dense: dense}
 	if dense {
-		b.words = make([][]uint64, nodes)
-		for p := 0; p < nodes; p++ {
-			ln := bounds[p+1] - bounds[p]
-			b.words[p] = make([]uint64, (ln+63)/64)
-		}
+		b.words = denseWords(bounds)
 	} else {
 		b.queues = make([][]uint32, threads)
 	}
 	return b
 }
 
-// Reuse replaces the builder's per-thread buffers with the scratch's,
-// recycling their capacity across phases.
-func (b *Builder) Reuse(s *BuilderScratch) *Builder {
-	queues, degs := s.take(b.threads, !b.dense)
-	if !b.dense {
-		b.queues = queues
+// denseWords allocates one zeroed bitmap leaf per node.
+func denseWords(bounds []int) [][]uint64 {
+	words := make([][]uint64, len(bounds)-1)
+	for p := range words {
+		words[p] = make([]uint64, (bounds[p+1]-bounds[p]+63)/64)
 	}
-	b.degs = degs
-	return b
+	return words
 }
 
 // WithDegrees attaches the out-degree function used to accumulate the

@@ -49,8 +49,10 @@ go test -count=5 -cpu 1 -run 'TestRowKernelEquivalence/ligra' ./internal/conform
 # each tile, so the values are exact at any -cpu.
 go test -count=5 -cpu 1,2,8 -run 'TestBlockKernelEquivalence' ./internal/conform/
 # The simulated clock of all 24 cells against the checked-in golden (and
-# plain/resilient parity); tier-1 runs it too.
-go test -count=1 -run 'TestGolden' ./cmd/simdump/
+# plain/resilient parity; tier-1 runs it once too), and the per-node
+# charge against the per-thread loop it replaced.
+go test -count=5 -cpu 1,2,8 -run 'TestGolden' ./cmd/simdump/
+go test -count=5 -cpu 1,2,8 -run 'TestChargeNodesMatchesPerThreadLoop' ./internal/numa/
 
 echo "==> go test ./..."
 go test ./...
