@@ -69,9 +69,14 @@ func NumVertices(name Dataset, sc Scale) (int, error) {
 	return 0, fmt.Errorf("gen: unknown dataset %q", name)
 }
 
+// AlwaysWeighted reports whether Load weights the dataset even when asked
+// not to: roadUS, as in the paper.
+func AlwaysWeighted(name Dataset) bool { return name == RoadUS }
+
 // Load generates the named dataset at the given scale, optionally
-// weighting it (SpMV/SSSP inputs). roadUS is always weighted, as in the
-// paper. The same (name, scale) pair always yields the same graph.
+// weighting it (SpMV/SSSP inputs); see AlwaysWeighted. The same (name,
+// scale) pair always yields the same graph, and the same topology arrays
+// whether weighted or not.
 func Load(name Dataset, sc Scale, weighted bool) (*graph.Graph, error) {
 	var (
 		n     int
@@ -89,12 +94,11 @@ func Load(name Dataset, sc Scale, weighted bool) (*graph.Graph, error) {
 	case RoadUS:
 		side := roadSides[sc]
 		n, edges = RoadGrid(side, side, 0x0AD)
-		weighted = true
 	default:
 		return nil, fmt.Errorf("gen: unknown dataset %q", name)
 	}
-	if weighted && name != RoadUS {
+	if weighted && !AlwaysWeighted(name) {
 		AddRandomWeights(edges, uint64(len(edges)))
 	}
-	return graph.FromEdges(n, edges, weighted), nil
+	return graph.FromEdges(n, edges, weighted || AlwaysWeighted(name)), nil
 }

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -253,6 +254,23 @@ func TestLoadWeightedRequest(t *testing.T) {
 	}
 	if !g.Weighted() {
 		t.Fatal("weighted load must produce weights")
+	}
+}
+
+// TestLoadWeightingKeepsTopology: a weighted load differs from an
+// unweighted one only in its weight arrays — what lets the serving layer
+// hand unweighted algorithms graph.Unweighted of a weighted snapshot.
+func TestLoadWeightingKeepsTopology(t *testing.T) {
+	for _, d := range Datasets() {
+		plain, _ := Load(d, Tiny, false)
+		w, _ := Load(d, Tiny, true)
+		if !w.Weighted() || plain.Weighted() != AlwaysWeighted(d) {
+			t.Fatalf("%s: weighted load %v, plain load %v", d, w, plain)
+		}
+		if !slices.Equal(w.OutIndex, plain.OutIndex) || !slices.Equal(w.OutNbrs, plain.OutNbrs) ||
+			!slices.Equal(w.InIndex, plain.InIndex) || !slices.Equal(w.InNbrs, plain.InNbrs) {
+			t.Fatalf("%s: weighting the dataset changed its topology arrays", d)
+		}
 	}
 }
 

@@ -41,6 +41,10 @@ type Graph struct {
 	// invOut is InvOutDegrees' array, built on first use.
 	invOutOnce sync.Once
 	invOut     []float64
+
+	// unweighted is Unweighted's view, built on first use.
+	unweightedOnce sync.Once
+	unweighted     *Graph
 }
 
 // NumVertices returns |V|.

@@ -60,6 +60,9 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 
 func runCrashTrial(t *testing.T, point fault.CrashPoint, seed int64, n int, base []graph.Edge) {
 	dir := t.TempDir()
+	// One base graph per trial: GraphAt patches only over the base pointer
+	// its retained snapshot was folded over.
+	gBase := graph.FromEdges(n, base, true)
 	rng := rand.New(rand.NewSource(seed*1009 + int64(point)))
 	const batches = 12
 	crashAt := uint64(1 + rng.Intn(batches))
@@ -137,12 +140,29 @@ func runCrashTrial(t *testing.T, point fault.CrashPoint, seed int64, n int, base
 			committed = append(committed, ops)
 		}
 		acked = rec
-		verifySnapshot(t, st, committed, base, n)
+		// A recovered store has no snapshot to patch: this one is folded.
+		verifySnapshot(t, st, committed, gBase)
+		if s := st.Stats(); s.Folded != 1 || s.Patched != 0 {
+			t.Fatalf("first snapshot after recovery: folded %d patched %d, want 1 and 0", s.Folded, s.Patched)
+		}
 	}
 	if !crasher.Fired() {
 		t.Fatalf("planned crash %s at batch %d never fired", point, crashAt)
 	}
-	verifySnapshot(t, st, committed, base, n)
+	verifySnapshot(t, st, committed, gBase)
+	// Two further commits on the recovered store: each snapshot is patched
+	// from the one before it and still equals the clean apply.
+	for i := 0; i < 2; i++ {
+		ops := randomOps(rng, n, 1+rng.Intn(6))
+		if _, err := st.Commit("chaos", 0, n, ops); err != nil {
+			t.Fatalf("commit after recovery: %v", err)
+		}
+		committed = append(committed, ops)
+		verifySnapshot(t, st, committed, gBase)
+	}
+	if s := st.Stats(); s.Folded != 1 || s.Patched < 2 {
+		t.Fatalf("recovered store: folded %d patched %d, want 1 and >= 2", s.Folded, s.Patched)
+	}
 
 	// Recovery is idempotent: a further clean restart reproduces the
 	// identical state.
@@ -151,14 +171,14 @@ func runCrashTrial(t *testing.T, point fault.CrashPoint, seed int64, n int, base
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifySnapshot(t, st2, committed, base, n)
+	verifySnapshot(t, st2, committed, gBase)
 	st2.Close()
 }
 
 // verifySnapshot asserts the store's current snapshot is bit-identical —
 // adjacency arrays, weights, and degree caches — to an independent naive
 // replay of the committed batches over the base edge list.
-func verifySnapshot(t *testing.T, st *Store, committed [][]Op, base []graph.Edge, n int) {
+func verifySnapshot(t *testing.T, st *Store, committed [][]Op, gBase *graph.Graph) {
 	t.Helper()
 	seq, err := st.Seq("chaos", 0)
 	if err != nil {
@@ -174,7 +194,6 @@ func verifySnapshot(t *testing.T, st *Store, committed [][]Op, base []graph.Edge
 	// GraphAt applies mutations to Flatten(base graph) — CSR order — so
 	// the clean-apply oracle must start from the same canonical edge list
 	// for the bit-identical comparison to be meaningful.
-	gBase := graph.FromEdges(n, base, true)
 	canon := Flatten(gBase)
 	want := naiveApply(canon, flat)
 	got, err := st.EdgesAt("chaos", 0, seq, canon)
@@ -186,5 +205,5 @@ func verifySnapshot(t *testing.T, st *Store, committed [][]Op, base []graph.Edge
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphEqual(t, gotG, graph.FromEdges(n, want, true))
+	graphEqual(t, gotG, graph.FromEdges(gBase.NumVertices(), want, true))
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"polymer/internal/graph"
 )
 
 func FuzzDecodeRecord(f *testing.F) {
@@ -80,6 +82,57 @@ func FuzzLogRecovery(f *testing.F) {
 		}
 		if len(batches2) != n {
 			t.Fatalf("reopen saw %d batches, first open saw %d", len(batches2), n)
+		}
+	})
+}
+
+// FuzzPatchVsApply drives the snapshot chain without a store: ops decoded
+// three bytes at a time (flags, src, dst), a snapshot taken wherever the
+// flag byte's top bit is set by folding the ops since the last one into a
+// delta and patching. Every snapshot must equal the clean apply of the
+// whole prefix over the base.
+func FuzzPatchVsApply(f *testing.F) {
+	const (
+		n      = 8
+		insert = 0x01 // low two bits zero = delete, anything else = insert
+		snap   = 0x80
+	)
+	f.Add([]byte{})
+	f.Add([]byte{insert | snap, 1, 2})
+	f.Add([]byte{snap, 0, 1})                                                    // delete a duplicated base pair
+	f.Add([]byte{snap, 7, 7})                                                    // delete an absent pair
+	f.Add([]byte{insert, 3, 4, 0, 3, 4, insert | snap, 3, 4})                    // insert, delete, insert in one delta
+	f.Add([]byte{insert | snap, 3, 4, snap, 3, 4, insert | snap, 3, 4})          // the same across three snapshots
+	f.Add([]byte{insert | snap, 5, 5, snap, 5, 5})                               // self-loop in, self-loop out
+	f.Add([]byte{0, 0, 1, 0, 0, 2, snap, 0, 3})                                  // empty row 0
+	f.Add([]byte{insert, 0, 1, insert | snap, 0, 1, insert | 0x3c | snap, 2, 0}) // duplicates of a base pair, a heavy edge
+	f.Add([]byte{insert, 6, 0, insert, 6, 1, snap, 1, 2, insert | snap, 7, 0, 0, 6, 0})
+
+	baseEdges := []graph.Edge{
+		{Src: 4, Dst: 0, Wt: 1}, {Src: 0, Dst: 1, Wt: 2}, {Src: 0, Dst: 1, Wt: 3}, {Src: 0, Dst: 2, Wt: 4},
+		{Src: 0, Dst: 3, Wt: 5}, {Src: 1, Dst: 2, Wt: 6}, {Src: 2, Dst: 2, Wt: 7}, {Src: 1, Dst: 0, Wt: 8},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, weighted := range []bool{false, true} {
+			base := graph.FromEdges(n, baseEdges, weighted)
+			flat := Flatten(base)
+			// The empty prefix, folded: what Store.GraphAt patches from.
+			g := graph.FromEdges(n, flat, weighted)
+			var all, pending []Op
+			for d := data; len(d) >= 3; d = d[3:] {
+				op := Op{Kind: OpDelete, Src: graph.Vertex(d[1] % n), Dst: graph.Vertex(d[2] % n)}
+				if d[0]&3 != 0 {
+					op.Kind, op.Wt = OpInsert, float32(d[0]>>2&15)+1
+				}
+				all, pending = append(all, op), append(pending, op)
+				if d[0]&snap == 0 {
+					continue
+				}
+				delta := newNetState()
+				delta.foldBatches([]Batch{{Ops: pending}})
+				g, pending = g.Patch(delta.edits()), nil
+				graphEqual(t, g, graph.FromEdges(n, ApplyOps(flat, all), weighted))
+			}
 		}
 	})
 }

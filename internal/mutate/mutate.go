@@ -203,6 +203,21 @@ func (ns *netState) apply(base []graph.Edge) []graph.Edge {
 	return out
 }
 
+// edits renders the folded state as graph.Patch's arguments: the deleted
+// pairs (in no particular order) and the surviving inserts in insertion
+// order.
+func (ns *netState) edits() (deleted, appended []graph.Edge) {
+	deleted = make([]graph.Edge, 0, len(ns.deleted))
+	for k := range ns.deleted {
+		deleted = append(deleted, graph.Edge{Src: graph.Vertex(k >> 32), Dst: graph.Vertex(k)})
+	}
+	appended = make([]graph.Edge, len(ns.live))
+	for i, ins := range ns.live {
+		appended[i] = graph.Edge{Src: ins.Src, Dst: ins.Dst, Wt: ins.Wt}
+	}
+	return deleted, appended
+}
+
 // ApplyOps is the clean-apply oracle: fold ops over a base edge list and
 // return the mutated list. The chaos harness compares recovered
 // snapshots against it.

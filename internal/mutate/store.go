@@ -62,22 +62,34 @@ type keyState struct {
 	// openSeq/openNet snapshot the recovered state at process open;
 	// hist holds every batch committed or replayed after openSeq, so any
 	// prefix a reader sampled can still be materialized.
-	openSeq  uint64
-	openNet  *netState
-	hist     []Batch
-	ckptSeq  uint64 // last durable checkpoint
-	durSeq   uint64 // last fsynced batch (== seq except across a crash)
-	dead     bool
+	openSeq uint64
+	openNet *netState
+	hist    []Batch
+	ckptSeq uint64 // last durable checkpoint
+	durSeq  uint64 // last fsynced batch (== seq except across a crash)
+	dead    bool
+	// snap is the newest snapshot GraphAt materialized (prefix snapSeq over
+	// snapBase): the next one is patched from it instead of folded from the
+	// base. Its rows are in fold order because the first one was folded.
+	snap     *graph.Graph
+	snapSeq  uint64
+	snapBase *graph.Graph
 }
 
 // StoreStats is the JSON form of store counters for /metricsz.
 type StoreStats struct {
-	Keys        int    `json:"keys"`
-	Committed   int64  `json:"committed"`
-	Ops         int64  `json:"ops"`
-	Checkpoints int64  `json:"checkpoints"`
-	Recovered   int64  `json:"recovered_batches"`
-	Truncated   int64  `json:"truncated_tails"`
+	Keys        int   `json:"keys"`
+	Committed   int64 `json:"committed"`
+	Ops         int64 `json:"ops"`
+	Checkpoints int64 `json:"checkpoints"`
+	Recovered   int64 `json:"recovered_batches"`
+	Truncated   int64 `json:"truncated_tails"`
+	// Snapshots GraphAt built by patching the retained predecessor, and by
+	// folding the whole prefix over the base (first snapshot after open,
+	// an older prefix, another base). Serving a retained snapshot counts
+	// as neither.
+	Patched int64 `json:"snapshots_patched"`
+	Folded  int64 `json:"snapshots_folded"`
 }
 
 // Open prepares a store rooted at dir (created if absent). Per-key
@@ -95,7 +107,7 @@ func Open(dir string, opt Options) (*Store, error) {
 // Key renders the on-disk identity of one (dataset, scale) stream.
 func Key(dataset string, scale int) string { return fmt.Sprintf("%s@%d", dataset, scale) }
 
-func (s *Store) walPath(key string) string { return filepath.Join(s.dir, key+".wal") }
+func (s *Store) walPath(key string) string  { return filepath.Join(s.dir, key+".wal") }
 func (s *Store) ckptPath(key string) string { return filepath.Join(s.dir, key+".ckpt") }
 
 // state returns the recovered keyState, running recovery on first touch:
@@ -253,6 +265,25 @@ func (s *Store) maybeCheckpointLocked(st *keyState, key string) error {
 	return nil
 }
 
+// checkPrefix refuses a prefix that is not materializable: beyond the
+// committed sequence, or older than the recovered checkpoint.
+func (st *keyState) checkPrefix(dataset string, scale int, seq uint64) error {
+	if seq > st.seq {
+		return fmt.Errorf("mutate: %s@%d has no batch %d (committed: %d)", dataset, scale, seq, st.seq)
+	}
+	if seq < st.openSeq {
+		return fmt.Errorf("mutate: %s@%d prefix %d predates the recovered checkpoint %d", dataset, scale, seq, st.openSeq)
+	}
+	return nil
+}
+
+// between returns the batches in (from, to], openSeq <= from <= to <= seq.
+// hist is contiguous from openSeq+1 and its published elements are never
+// rewritten, so the slice stays valid after the lock is dropped.
+func (st *keyState) between(from, to uint64) []Batch {
+	return st.hist[from-st.openSeq : to-st.openSeq]
+}
+
 // EdgesAt materializes the committed prefix through seq over a base edge
 // list. seq must be a value Seq returned in this process (prefixes older
 // than the recovered checkpoint are gone — nobody can have sampled them).
@@ -262,44 +293,82 @@ func (s *Store) EdgesAt(dataset string, scale int, seq uint64, base []graph.Edge
 		return nil, err
 	}
 	s.mu.Lock()
-	if seq > st.seq {
+	if err := st.checkPrefix(dataset, scale, seq); err != nil {
 		s.mu.Unlock()
-		return nil, fmt.Errorf("mutate: %s@%d has no batch %d (committed: %d)", dataset, scale, seq, st.seq)
-	}
-	if seq < st.openSeq {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("mutate: %s@%d prefix %d predates the recovered checkpoint %d", dataset, scale, seq, st.openSeq)
+		return nil, err
 	}
 	var ns *netState
 	if seq == st.seq {
 		ns = st.net.clone()
 	} else {
 		ns = st.openNet.clone()
-		for _, b := range st.hist {
-			if b.Seq > seq {
-				break
-			}
-			for _, op := range b.Ops {
-				ns.fold(op)
-			}
-		}
+		ns.foldBatches(st.between(st.openSeq, seq))
 	}
 	s.mu.Unlock()
 	return ns.apply(base), nil
 }
 
-// GraphAt materializes the committed prefix through seq as a fresh
-// immutable graph over base's vertex set (weights kept iff base is
-// weighted). seq == 0 returns base itself: no mutations, no copy.
+// GraphAt materializes the committed prefix through seq as an immutable
+// graph over base's vertex set (weights kept iff base is weighted). seq == 0
+// returns base itself: no mutations, no copy.
+//
+// The store keeps the newest snapshot it built per key. Asking for it again
+// returns it; asking for a later prefix over the same base folds only the
+// batches committed since into a delta and patches the retained snapshot
+// forward (graph.Patch). Everything else — the first snapshot after open or
+// recovery, a prefix older than the retained one (an isolation reader), a
+// different base graph — is the whole-prefix fold EdgesAt + FromEdges, which
+// is also what puts a generated base's rows into the order Patch relies on.
+// Both paths yield the same arrays; the retained snapshot never moves
+// backwards. Callers share the returned graph and must not modify it.
 func (s *Store) GraphAt(dataset string, scale int, seq uint64, base *graph.Graph) (*graph.Graph, error) {
 	if seq == 0 {
 		return base, nil
 	}
-	edges, err := s.EdgesAt(dataset, scale, seq, Flatten(base))
+	st, err := s.state(dataset, scale)
 	if err != nil {
 		return nil, err
 	}
-	return graph.FromEdges(base.NumVertices(), edges, base.Weighted()), nil
+	s.mu.Lock()
+	if err := st.checkPrefix(dataset, scale, seq); err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
+	prev := st.snap
+	patch := prev != nil && st.snapBase == base && st.snapSeq <= seq
+	var delta []Batch
+	if patch {
+		delta = st.between(st.snapSeq, seq)
+	}
+	s.mu.Unlock()
+
+	var g *graph.Graph
+	switch {
+	case patch && len(delta) == 0:
+		return prev, nil
+	case patch:
+		ns := newNetState()
+		ns.foldBatches(delta)
+		g = prev.Patch(ns.edits())
+	default:
+		edges, err := s.EdgesAt(dataset, scale, seq, Flatten(base))
+		if err != nil {
+			return nil, err
+		}
+		g = graph.FromEdges(base.NumVertices(), edges, base.Weighted())
+	}
+
+	s.mu.Lock()
+	if patch {
+		s.stats.Patched++
+	} else {
+		s.stats.Folded++
+	}
+	if st.snap == nil || seq >= st.snapSeq {
+		st.snap, st.snapSeq, st.snapBase = g, seq, base
+	}
+	s.mu.Unlock()
+	return g, nil
 }
 
 // Stats snapshots the store counters.
@@ -377,7 +446,8 @@ func parseKey(key string) (dataset string, scale int, ok bool) {
 // operations — including commits that were racing the close — return
 // ErrClosed instead of appending to a closed WAL. Close is idempotent,
 // so a shutdown path that lost the graceful-drain race can still call it
-// unconditionally. Durability needs no flush here: every committed batch
+// unconditionally. The retained snapshots go with the key states.
+// Durability needs no flush here: every committed batch
 // was fsynced at its commit point, so the WAL replays cleanly on reopen.
 func (s *Store) Close() error {
 	s.mu.Lock()

@@ -14,9 +14,10 @@ import (
 	"polymer/internal/graph"
 )
 
-// cacheEntry is one (dataset, scale, weighted) slot. ready is closed when
-// the load finishes; g/err/bytes are immutable afterwards. refs counts
-// waiting or executing requests pinning the entry.
+// cacheEntry is one slot: a generated base (dataset, scale, weighted) or
+// the snapshot of one committed mutation prefix (dataset, scale, seq).
+// ready is closed when the load finishes; g/err/bytes are immutable
+// afterwards. refs counts waiting or executing requests pinning the entry.
 type cacheEntry struct {
 	key   string
 	ready chan struct{}
@@ -161,14 +162,20 @@ func (c *graphCache) evictLocked() {
 	}
 }
 
+// baseKeySuffix ends the key of a generated base dataset (mutation
+// sequence 0); every other key is a committed-prefix snapshot.
+const baseKeySuffix = "|m0"
+
 // invalidate drops every resident unpinned entry whose dataset matches
-// and dooms the pinned ones. Pinned entries (a run in progress) and
+// and dooms the pinned ones; with keepBase, generated bases are left alone
+// (a commit supersedes snapshots, and the next one is derived from the
+// base, which no mutation changes). Pinned entries (a run in progress) and
 // in-flight loads finish against the snapshot they started with — the
 // result-cache version bump guarantees their outputs are never served as
 // fresh — and the doom mark makes the last release drop them instead of
 // leaving superseded snapshots resident under keys nobody will ask for
 // again. Returns the number of entries dropped immediately.
-func (c *graphCache) invalidate(dataset string) int {
+func (c *graphCache) invalidate(dataset string, keepBase bool) int {
 	prefix := dataset + "|"
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -176,7 +183,7 @@ func (c *graphCache) invalidate(dataset string) int {
 	for el := c.lru.Back(); el != nil; {
 		e := el.Value.(*cacheEntry)
 		prev := el.Prev()
-		if strings.HasPrefix(e.key, prefix) {
+		if strings.HasPrefix(e.key, prefix) && !(keepBase && strings.HasSuffix(e.key, baseKeySuffix)) {
 			if e.refs == 0 {
 				c.lru.Remove(el)
 				e.elem = nil

@@ -48,9 +48,9 @@ type MutationRequest struct {
 // MutationOp is one edge insert or delete.
 type MutationOp struct {
 	// Op is "insert" or "delete".
-	Op  string  `json:"op"`
-	Src uint32  `json:"src"`
-	Dst uint32  `json:"dst"`
+	Op  string `json:"op"`
+	Src uint32 `json:"src"`
+	Dst uint32 `json:"dst"`
 	// Wt is the inserted edge's weight (ignored for deletes; unweighted
 	// algorithm views drop it).
 	Wt float32 `json:"wt"`
@@ -249,8 +249,9 @@ func (s *Server) executeMutate(t *task) {
 	// The commit is durable; retire everything computed before it. The
 	// generation bump is what splits in-flight reuse: a read that sampled
 	// the old generation keeps its pinned snapshot but can never publish
-	// into the new generation's cache.
-	ver, purged := s.InvalidateGraph(string(m.data))
+	// into the new generation's cache. The generated base is not retired:
+	// no commit changes it, and the next snapshot is derived from it.
+	ver, purged := s.invalidate(string(m.data), true)
 	tr.HostInstant("serve", "commit", obs.PidServe, obs.NowMicros(), -1,
 		fmt.Sprintf("%s@%d seq=%d gen=%d (%d purged)", m.data, m.scale, seq, ver, purged))
 	resp.Seq = seq

@@ -138,6 +138,74 @@ func TestMutateEndToEnd(t *testing.T) {
 	if mb.Mutations == nil || mb.Mutations.Committed != 2 {
 		t.Fatalf("metrics mutations = %+v, want committed=2", mb.Mutations)
 	}
+	// A read after every commit: the first snapshot is folded over the
+	// base, each later one patched from its predecessor.
+	if mb.Mutations.Folded != 1 || mb.Mutations.Patched != mb.Mutations.Committed-1 {
+		t.Fatalf("snapshots folded %d patched %d, want 1 and %d",
+			mb.Mutations.Folded, mb.Mutations.Patched, mb.Mutations.Committed-1)
+	}
+}
+
+// TestCommitRetiresSnapshotsNotTheBase: a commit supersedes snapshots; the
+// generated base no mutation can change stays resident, so across three
+// commits with a read per weight class it is loaded once, and both weight
+// classes of a generation read one topology. POST /invalidatez, the
+// operator's dataset refresh, still purges the base.
+func TestCommitRetiresSnapshotsNotTheBase(t *testing.T) {
+	store := openStore(t, t.TempDir(), mutate.Options{})
+	defer store.Close()
+	srv := NewServer(Config{Workers: 1, QueueDepth: 4, Mutations: store})
+	defer shutdown(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	unweighted := mustResolve(t, `{"algo":"pr","system":"polymer","graph":"powerlaw"}`)
+	weighted := mustResolve(t, `{"algo":"sssp","system":"polymer","graph":"powerlaw"}`)
+
+	const commits = 3
+	for i := 1; i <= commits; i++ {
+		st, mr := postJSON(t, ts, "/mutatez",
+			`{"graph":"powerlaw","scale":"tiny","ops":[{"op":"insert","src":1,"dst":2,"wt":3},{"op":"delete","src":2,"dst":1}]}`)
+		if st != 200 || mr.Seq != uint64(i) {
+			t.Fatalf("commit %d: status %d %+v", i, st, mr)
+		}
+		gu, releaseU, err := srv.graphFor(unweighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gw, releaseW, err := srv.graphFor(weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gu.Weighted() || !gw.Weighted() || gu != gw.Unweighted() {
+			t.Fatalf("generation %d: unweighted read %v is not the view of the weighted snapshot %v", i, gu, gw)
+		}
+		if gu.TopologyBytes() >= gw.TopologyBytes() {
+			t.Fatalf("generation %d: the view reports the weighted byte count", i)
+		}
+		releaseU()
+		releaseW()
+	}
+	// One load of the base, one snapshot per commit; the other reads hit.
+	if cs := srv.cache.stats(); cs.Misses != 1+commits || cs.Hits != 2*commits-1 || cs.Entries != 2 {
+		t.Fatalf("graph cache %+v, want %d misses (base once + a snapshot per commit), %d hits, base + newest snapshot resident",
+			cs, 1+commits, 2*commits-1)
+	}
+	if ms := store.Stats(); ms.Folded != 1 || ms.Patched != commits-1 {
+		t.Fatalf("snapshots folded %d patched %d, want 1 and %d", ms.Folded, ms.Patched, commits-1)
+	}
+
+	httpResp, err := ts.Client().Post(ts.URL+"/invalidatez?graph=powerlaw", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inv struct{ Purged int }
+	if err := json.NewDecoder(httpResp.Body).Decode(&inv); err != nil {
+		t.Fatal(err)
+	}
+	httpResp.Body.Close()
+	if cs := srv.cache.stats(); inv.Purged != 2 || cs.Entries != 0 {
+		t.Fatalf("/invalidatez purged %d and left %+v, want base and snapshot both gone", inv.Purged, cs)
+	}
 }
 
 func TestMutateValidation(t *testing.T) {

@@ -176,14 +176,20 @@ func (c *resultCache) stats() cacheStats {
 
 // InvalidateGraph is the dataset-refresh hook: it bumps id's result
 // generation (logically discarding every cached and in-flight result for
-// the dataset) and drops unpinned cached graphs so the next request
-// reloads. Graphs pinned by running requests finish against the snapshot
-// they started with; their results land under the old generation and are
-// never served. It returns the new generation and how many cached
-// results plus resident graphs were purged.
+// the dataset) and drops unpinned cached graphs, generated bases included,
+// so the next request reloads. Graphs pinned by running requests finish
+// against the snapshot they started with; their results land under the old
+// generation and are never served. It returns the new generation and how
+// many cached results plus resident graphs were purged.
 func (s *Server) InvalidateGraph(id string) (version uint64, purged int) {
+	return s.invalidate(id, false)
+}
+
+// invalidate is InvalidateGraph, or with keepBase a commit's retirement:
+// the same generation bump, but only snapshots leave the graph cache.
+func (s *Server) invalidate(id string, keepBase bool) (version uint64, purged int) {
 	version, purged = s.results.invalidate(id)
-	purged += s.cache.invalidate(id)
+	purged += s.cache.invalidate(id, keepBase)
 	s.cfg.Tracer.HostInstant("serve", "invalidate", obs.PidServe, obs.NowMicros(), -1,
 		fmt.Sprintf("%s -> generation %d (%d purged)", id, version, purged))
 	return version, purged

@@ -761,12 +761,17 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int, seed uin
 // release unpins the graph; graphs are immutable after construction, so
 // concurrent runs share them freely.
 //
-// With a mutation store attached, the key also carries the dataset's
-// committed mutation sequence number, sampled here: each commit publishes
-// a distinct immutable snapshot under a distinct key, requests that
-// sampled before the commit keep their pinned pre-commit snapshot
-// (snapshot isolation), and the commit's invalidation dooms the old
-// entry so the last release frees it.
+// With a mutation store attached, the dataset's committed mutation
+// sequence number is sampled here. At sequence 0 nothing changes: the key
+// is the generated base's. After a commit there is one entry per (dataset,
+// scale, seq) — the weighted snapshot, which the store derives from the
+// weighted base (resident under its sequence-0 key, which a commit does
+// not invalidate) — and an unweighted algorithm reads it through
+// graph.Unweighted, the same index and neighbour arrays without the
+// weights. Each commit so publishes one immutable snapshot under a
+// distinct key, requests that sampled before the commit keep their pinned
+// pre-commit snapshot (snapshot isolation), and the commit's invalidation
+// dooms the old entry so the last release frees it.
 func (s *Server) graphFor(v *resolved) (*graph.Graph, func(), error) {
 	weighted := v.alg.Weighted()
 	var seq uint64
@@ -776,14 +781,25 @@ func (s *Server) graphFor(v *resolved) (*graph.Graph, func(), error) {
 			return nil, nil, err
 		}
 	}
-	key := fmt.Sprintf("%s|%d|%t|m%d", v.data, v.scale, weighted, seq)
-	return s.cache.get(key, func() (*graph.Graph, error) {
-		base, err := gen.Load(v.data, v.scale, weighted)
-		if err != nil || seq == 0 {
-			return base, err
+	base := func(w bool) (*graph.Graph, func(), error) {
+		return s.cache.get(fmt.Sprintf("%s|%d|%t%s", v.data, v.scale, w, baseKeySuffix),
+			func() (*graph.Graph, error) { return gen.Load(v.data, v.scale, w) })
+	}
+	if seq == 0 {
+		return base(weighted)
+	}
+	g, release, err := s.cache.get(fmt.Sprintf("%s|%d|m%d", v.data, v.scale, seq), func() (*graph.Graph, error) {
+		b, releaseBase, err := base(true)
+		if err != nil {
+			return nil, err
 		}
-		return s.mut.GraphAt(string(v.data), int(v.scale), seq, base)
+		defer releaseBase()
+		return s.mut.GraphAt(string(v.data), int(v.scale), seq, b)
 	})
+	if err == nil && !weighted && !gen.AlwaysWeighted(v.data) {
+		g = g.Unweighted()
+	}
+	return g, release, err
 }
 
 // Shutdown gracefully drains the server: admission stops immediately

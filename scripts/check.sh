@@ -13,7 +13,7 @@ go vet ./...
 echo "==> errcheck (error-returning APIs in statement position)"
 sh scripts/errcheck.sh
 
-echo "==> go test -race (engines, core, state, par, fault, numa, serve, mutate, obs, conform, cluster, plan)"
+echo "==> go test -race (engines, core, state, par, fault, numa, graph, serve, mutate, obs, conform, cluster, plan)"
 go test -race \
 	./internal/core/... \
 	./internal/engines/... \
@@ -21,6 +21,7 @@ go test -race \
 	./internal/par/... \
 	./internal/fault/... \
 	./internal/numa/... \
+	./internal/graph/... \
 	./internal/serve/... \
 	./internal/mutate/... \
 	./internal/obs/... \
@@ -53,6 +54,10 @@ go test -count=5 -cpu 1,2,8 -run 'TestBlockKernelEquivalence' ./internal/conform
 # charge against the per-thread loop it replaced.
 go test -count=5 -cpu 1,2,8 -run 'TestGolden' ./cmd/simdump/
 go test -count=5 -cpu 1,2,8 -run 'TestChargeNodesMatchesPerThreadLoop' ./internal/numa/
+# A snapshot patched from its predecessor against the whole-prefix fold:
+# all six CSR arrays, at every read of a random mutation stream.
+go test -count=5 -cpu 1,2,8 -run 'TestPatchMatchesFromEdges' ./internal/graph/
+go test -count=5 -cpu 1,2,8 -run 'TestPatchedSnapshotEqualsCleanApply' ./internal/mutate/
 
 echo "==> go test ./..."
 go test ./...
