@@ -191,6 +191,62 @@ func TestLigraSparseSuperstepAllocs(t *testing.T) {
 	}
 }
 
+// pullSuperstepAllocs counts the objects one dense pull superstep of BFS
+// and of SSSP allocates on e: a weighted power-law graph, every third
+// vertex active, so each row tests the frontier leaf and the phase goes
+// dense by active degree.
+func pullSuperstepAllocs(t *testing.T, newEngine func(*graph.Graph) sg.Engine) (bfs, sssp float64) {
+	t.Helper()
+	n, edges := gen.Powerlaw(3000, 8, 2.0, 7)
+	gen.AddRandomWeights(edges, 11)
+	e := newEngine(graph.FromEdges(n, edges, true))
+	defer e.Close()
+	sources := make([]graph.Vertex, 0, n/3)
+	for v := 0; v < n; v += 3 {
+		sources = append(sources, graph.Vertex(v))
+	}
+	measure := func(sssp bool) float64 {
+		superstep := algorithms.TraversalSuperstep(e, sssp, sources)
+		step := func() {
+			if out := superstep(); !out.Dense() || out.IsEmpty() {
+				t.Fatalf("sssp=%v: superstep built a sparse or empty frontier (%d active)", sssp, out.Count())
+			}
+		}
+		step() // warm up: pull layout, scratch arenas
+		step()
+		return testing.AllocsPerRun(10, step)
+	}
+	return measure(false), measure(true)
+}
+
+// The pull superstep budgets are what the per-edge loops allocated before
+// the kernels had a row form: the returned Subset, its leaf table and
+// bitmap leaves (one per NUMA node on Polymer, one on Ligra) and the phase
+// closure. Finding sg.PullRowKernel must add nothing — a struct-valued
+// kernel would be boxed once per phase (sg.RowKernelOf), one object over.
+const (
+	polymerPullSuperstepAllocBudget = 11
+	ligraPullSuperstepAllocBudget   = 4
+)
+
+func TestPolymerPullSuperstepAllocs(t *testing.T) {
+	bfs, sssp := pullSuperstepAllocs(t, func(g *graph.Graph) sg.Engine {
+		return core.MustNew(g, regressionMachine(), core.DefaultOptions())
+	})
+	if bfs > polymerPullSuperstepAllocBudget || sssp > polymerPullSuperstepAllocBudget {
+		t.Fatalf("dense pull superstep allocated %.0f (BFS) and %.0f (SSSP) objects, budget %d", bfs, sssp, polymerPullSuperstepAllocBudget)
+	}
+}
+
+func TestLigraPullSuperstepAllocs(t *testing.T) {
+	bfs, sssp := pullSuperstepAllocs(t, func(g *graph.Graph) sg.Engine {
+		return ligra.MustNew(g, regressionMachine(), ligra.DefaultOptions())
+	})
+	if bfs > ligraPullSuperstepAllocBudget || sssp > ligraPullSuperstepAllocBudget {
+		t.Fatalf("dense pull superstep allocated %.0f (BFS) and %.0f (SSSP) objects, budget %d", bfs, sssp, ligraPullSuperstepAllocBudget)
+	}
+}
+
 // TestEpochTimeDoesNotAllocate: Time() runs once per phase, hundreds of
 // times per traversal; it folds the ledger in place.
 func TestEpochTimeDoesNotAllocate(t *testing.T) {

@@ -31,8 +31,8 @@ import (
 // calls a type parameter's methods through the generic dictionary, so
 // Cond/Update/UpdateAtomic stay indirect, out-of-line calls on either
 // route. The loop the compiler does inline is the kernel's own: PR, SpMV
-// and BP implement sg.RowKernel and are passed by pointer so the engines
-// find it without an allocation.
+// and BP implement sg.RowKernel, BFS, CC and SSSP sg.PullRowKernel, and all
+// are passed by pointer so the engines find it without an allocation.
 func edgeMap[K sg.EdgeKernel](e sg.Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	switch t := e.(type) {
 	case *core.Engine:
@@ -247,7 +247,7 @@ func BFSE(e sg.Engine, src graph.Vertex, sess *fault.Session) ([]int64, error) {
 	if len(levels) == 0 {
 		return levels, nil
 	}
-	k := bfsKernel{parent: e.NewData32("bfs/parent").Data}
+	k := &bfsKernel{parent: e.NewData32("bfs/parent").Data}
 	for i := range k.parent {
 		k.parent[i] = unvisited
 	}
@@ -279,7 +279,7 @@ func SSSP(e sg.Engine, src graph.Vertex, sess *fault.Session) ([]float64, error)
 	if e.Graph().NumVertices() == 0 {
 		return nil, nil
 	}
-	k := ssspKernel{dist: e.NewData("sssp/dist").Data}
+	k := &ssspKernel{dist: e.NewData("sssp/dist").Data}
 	for i := range k.dist {
 		k.dist[i] = infinity
 	}
@@ -300,7 +300,7 @@ func SSSP(e sg.Engine, src graph.Vertex, sess *fault.Session) ([]float64, error)
 // g.Symmetrized()); it returns, for every vertex, the smallest vertex id
 // in its component.
 func CC(e sg.Engine, sess *fault.Session) ([]graph.Vertex, error) {
-	k := ccKernel{labels: e.NewData32("cc/labels").Data}
+	k := &ccKernel{labels: e.NewData32("cc/labels").Data}
 	for v := range k.labels {
 		k.labels[v] = uint32(v)
 	}

@@ -2,7 +2,9 @@ package algorithms
 
 import (
 	"polymer/internal/engines/xstream"
+	"polymer/internal/graph"
 	"polymer/internal/sg"
+	"polymer/internal/state"
 )
 
 // This file exports pieces of the float drivers so the allocation-budget
@@ -44,5 +46,36 @@ func NewXSKernels(e *xstream.Engine) map[string]XSKernel {
 		"pr":   {pr, pr.curr, pr.next},
 		"spmv": {spmv, spmv.x, spmv.y},
 		"bp":   {bp, bp.curr, bp.acc},
+	}
+}
+
+// TraversalSuperstep allocates SSSP state (or, with sssp unset, BFS state)
+// on e and returns one superstep out of sources: every other vertex is
+// reset to unreached, then the EdgeMap the driver runs per superstep,
+// kernel and hints included — the engines' per-phase sg.PullRowKernel
+// lookup is part of what the allocation budgets bound.
+func TraversalSuperstep(e sg.Engine, sssp bool, sources []graph.Vertex) func() *state.Subset {
+	frontier := state.FromVertices(e.Bounds(), sources).ToDense() // as a dense step leaves it
+	if sssp {
+		k := &ssspKernel{dist: e.NewData("sssp/dist").Data}
+		return func() *state.Subset {
+			for v := range k.dist {
+				k.dist[v] = infinity
+			}
+			for _, s := range sources {
+				k.dist[s] = 0
+			}
+			return edgeMap(e, frontier, k, ssspHints)
+		}
+	}
+	k := &bfsKernel{parent: e.NewData32("bfs/parent").Data}
+	return func() *state.Subset {
+		for v := range k.parent {
+			k.parent[v] = unvisited
+		}
+		for _, s := range sources {
+			k.parent[s] = s
+		}
+		return edgeMap(e, frontier, k, bfsHints)
 	}
 }

@@ -296,10 +296,12 @@ func (k *bpKernel) GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (
 	return int64(len(ds)), fresh
 }
 
-// bfsKernel claims unvisited vertices (direction-optimizing BFS).
+// bfsKernel claims unvisited vertices (direction-optimizing BFS). BFS, CC
+// and SSSP are passed to the engines by pointer, like the float kernels, so
+// their pull row form (sg.PullRowKernel) is found without boxing.
 type bfsKernel struct{ parent []uint32 }
 
-func (k bfsKernel) Update(s, d graph.Vertex, w float32) bool {
+func (k *bfsKernel) Update(s, d graph.Vertex, w float32) bool {
 	if atomic.LoadUint32(&k.parent[d]) == unvisited {
 		atomic.StoreUint32(&k.parent[d], s)
 		return true
@@ -307,17 +309,37 @@ func (k bfsKernel) Update(s, d graph.Vertex, w float32) bool {
 	return false
 }
 
-func (k bfsKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
+func (k *bfsKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
 	return atomicx.CASUint32(&k.parent[d], unvisited, s)
 }
 
-func (k bfsKernel) Cond(d graph.Vertex) bool { return atomic.LoadUint32(&k.parent[d]) == unvisited }
+func (k *bfsKernel) Cond(d graph.Vertex) bool { return atomic.LoadUint32(&k.parent[d]) == unvisited }
+
+// PullRow claims t for its first active source and stops there: whoever
+// wins the claim, t is visited and Cond is false from then on.
+func (k *bfsKernel) PullRow(t graph.Vertex, cols []graph.Vertex, _ []float32, active []uint64, base int, shared bool) (int, bool) {
+	pt := &k.parent[t]
+	if atomic.LoadUint32(pt) != unvisited {
+		return 0, false
+	}
+	for j, s := range cols {
+		if !sg.InLeaf(active, base, s) {
+			continue
+		}
+		if shared {
+			return j + 1, atomicx.CASUint32(pt, unvisited, s)
+		}
+		atomic.StoreUint32(pt, s)
+		return j + 1, true
+	}
+	return len(cols), false
+}
 
 // ccKernel propagates minimum labels (label-propagation connected
 // components on the symmetrized graph).
 type ccKernel struct{ labels []uint32 }
 
-func (k ccKernel) Update(s, d graph.Vertex, w float32) bool {
+func (k *ccKernel) Update(s, d graph.Vertex, w float32) bool {
 	ls := atomic.LoadUint32(&k.labels[s])
 	if ls < atomic.LoadUint32(&k.labels[d]) {
 		atomic.StoreUint32(&k.labels[d], ls)
@@ -326,17 +348,43 @@ func (k ccKernel) Update(s, d graph.Vertex, w float32) bool {
 	return false
 }
 
-func (k ccKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
+func (k *ccKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
 	return atomicx.MinUint32(&k.labels[d], atomic.LoadUint32(&k.labels[s]))
 }
 
-func (k ccKernel) Cond(graph.Vertex) bool { return true }
+func (k *ccKernel) Cond(graph.Vertex) bool { return true }
+
+// PullRow lowers t's label to the least label among its active sources.
+// Unshared, t's label is written by this call alone and rides in a
+// register; each lowering is still stored at once, so a self-loop and a
+// concurrent reader see what the Update loop would show them.
+func (k *ccKernel) PullRow(t graph.Vertex, cols []graph.Vertex, _ []float32, active []uint64, base int, shared bool) (int, bool) {
+	labels, updated := k.labels, false
+	lt := atomic.LoadUint32(&labels[t])
+	for _, s := range cols {
+		if !sg.InLeaf(active, base, s) {
+			continue
+		}
+		ls := atomic.LoadUint32(&labels[s])
+		switch {
+		case shared:
+			if atomicx.MinUint32(&labels[t], ls) {
+				updated = true
+			}
+		case ls < lt:
+			lt = ls
+			atomic.StoreUint32(&labels[t], ls)
+			updated = true
+		}
+	}
+	return len(cols), updated
+}
 
 // ssspKernel relaxes edges with atomic distance minimisation
 // (Bellman-Ford with data-driven scheduling).
 type ssspKernel struct{ dist []float64 }
 
-func (k ssspKernel) Update(s, d graph.Vertex, w float32) bool {
+func (k *ssspKernel) Update(s, d graph.Vertex, w float32) bool {
 	nd := atomicx.LoadFloat64(&k.dist[s]) + edgeWeight(w)
 	if nd < atomicx.LoadFloat64(&k.dist[d]) {
 		atomicx.StoreFloat64(&k.dist[d], nd)
@@ -345,12 +393,36 @@ func (k ssspKernel) Update(s, d graph.Vertex, w float32) bool {
 	return false
 }
 
-func (k ssspKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
+func (k *ssspKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
 	nd := atomicx.LoadFloat64(&k.dist[s]) + edgeWeight(w)
 	return atomicx.MinFloat64(&k.dist[d], nd)
 }
 
-func (k ssspKernel) Cond(graph.Vertex) bool { return true }
+func (k *ssspKernel) Cond(graph.Vertex) bool { return true }
+
+// PullRow relaxes t over its active sources; t's distance is kept as
+// ccKernel.PullRow keeps the label.
+func (k *ssspKernel) PullRow(t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int, shared bool) (int, bool) {
+	dist, updated := k.dist, false
+	dt := atomicx.LoadFloat64(&dist[t])
+	for j, s := range cols {
+		if !sg.InLeaf(active, base, s) {
+			continue
+		}
+		nd := atomicx.LoadFloat64(&dist[s]) + edgeWeight(weightAt(wts, j))
+		switch {
+		case shared:
+			if atomicx.MinFloat64(&dist[t], nd) {
+				updated = true
+			}
+		case nd < dt:
+			dt = nd
+			atomicx.StoreFloat64(&dist[t], nd)
+			updated = true
+		}
+	}
+	return len(cols), updated
+}
 
 // xsLevel is X-Stream's traversal kernel: it relaxes integer levels (BFS)
 // or weighted distances (SSSP), the Bellman-Ford-style formulation

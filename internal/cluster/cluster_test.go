@@ -242,7 +242,7 @@ func TestTracerSupersteps(t *testing.T) {
 type collectSink struct{ events []obs.Event }
 
 func (c *collectSink) Emit(ev obs.Event) { c.events = append(c.events, ev) }
-func (c *collectSink) Close() error     { return nil }
+func (c *collectSink) Close() error      { return nil }
 
 // TestSweep: the sweep must scale the machine axis with consistent
 // checksums and visible network traffic at every multi-machine point.

@@ -8,7 +8,7 @@ import (
 	"polymer/internal/graph"
 )
 
-func nan64() float64        { return math.NaN() }
+func nan64() float64           { return math.NaN() }
 func nextUp(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
 
 type namedGraph struct {

@@ -36,7 +36,8 @@ func (e *Engine) EdgeMap(a *state.Subset, k sg.EdgeKernel, h sg.Hints) *state.Su
 // boxing that way, and no more: per-edge Cond/Update/UpdateAtomic on a
 // type parameter are dictionary calls, as indirect as interface calls and
 // never inlined. Kernels that want an inlined edge loop bring their own
-// (sg.RowKernel, used by edgeMapDensePush).
+// (sg.RowKernel, used by edgeMapDensePush; sg.PullRowKernel, used by
+// edgeMapDensePull).
 func EdgeMapK[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	h = h.Normalize()
 	if a.IsEmpty() || e.Err() != nil {
@@ -355,10 +356,15 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 // edgeMapDensePull sweeps each node's target-keyed rows: every target
 // gathers from its local sources. With more than one host worker the same
 // target may be updated from several nodes concurrently, so the atomic
-// update path is used (Section 4.3).
+// update path is used (Section 4.3). The columns of node p's rows are p's
+// own vertices, so the only frontier leaf a thread reads is its node's —
+// tested in place, no partition lookup. A kernel with a pull row form
+// (sg.PullRowKernel) gathers a row in one call over that leaf; the charged
+// counts are the same.
 func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	l := e.ensurePull()
 	collect := !h.NoOutput
+	pk := sg.PullRowKernelOf(k)
 	var b *state.Builder
 	if collect {
 		b = e.scr.builder.Builder(e.bounds, e.M.Threads(), true, e.degreeOf)
@@ -380,6 +386,11 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 		}
 		c := &e.scr.chargers[p]
 		weighted := h.Weighted && nl.wts != nil
+		var active []uint64 // nil: every source is active
+		if !full {
+			active = a.Words(p)
+		}
+		base := e.bounds[p]
 		l.strides[p].Do(th%e.M.CoresPerNode, func(lo, hi int64) {
 			var edges, updates int64
 			for i := lo; i < hi; i++ {
@@ -390,36 +401,23 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 				t := nl.rowIDs[r]
 				owner := nl.rowOwner[r]
 				c.rowsByOwner[owner]++
-				if !k.Cond(t) {
-					continue
+				first, end := nl.rowIdx[r], nl.rowIdx[r+1]
+				cols := nl.cols[first:end]
+				var wts []float32
+				if weighted {
+					wts = nl.wts[first:end]
 				}
-				updated := false
-				cols := nl.cols[nl.rowIdx[r]:nl.rowIdx[r+1]]
-				for j, s := range cols {
-					edges++
-					if !full && !a.Contains(s) {
-						continue
-					}
-					var w float32
-					if weighted {
-						w = nl.wts[int(nl.rowIdx[r])+j]
-					}
-					var ok bool
-					if atomicUpdate {
-						ok = k.UpdateAtomic(s, t, w)
-					} else {
-						ok = k.Update(s, t, w)
-					}
-					if ok {
-						updated = true
-					}
-					if !k.Cond(t) {
-						break // destination satisfied (Ligra's early exit)
-					}
+				var scanned int
+				var updated bool
+				if pk != nil {
+					scanned, updated = pk.PullRow(t, cols, wts, active, base, atomicUpdate)
+				} else {
+					scanned, updated = sg.PullRowPerEdge(k, t, cols, wts, active, base, atomicUpdate)
 				}
+				edges += int64(scanned)
 				if updated {
 					if collect {
-						b.Set(th, t)
+						b.SetIn(int(owner), th, t)
 					}
 					c.activeByOwner[owner]++
 					updates++

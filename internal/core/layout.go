@@ -64,12 +64,15 @@ type nodeLayout struct {
 func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layout {
 	n := g.NumVertices()
 	l := &layout{perNode: make([]nodeLayout, len(parts))}
+	// cnt is the build's one counting scratch: per node, first the edges of
+	// each key vertex, then the fill position inside the key's row.
+	cnt := make([]int64, n)
 	for p, vr := range parts {
 		nl := &l.perNode[p]
 		nl.vr = vr
 
 		// Count edges per key vertex.
-		cnt := make([]int64, n)
+		clear(cnt)
 		var edges int64
 		for v := vr.Lo; v < vr.Hi; v++ {
 			keys := keysOf(g, graph.Vertex(v), push)
@@ -110,7 +113,7 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layout {
 			if owner != p {
 				nl.agents++
 			}
-			off += cnt[k]
+			off, cnt[k] = off+cnt[k], off // the row's first free slot
 			r++
 		}
 		nl.rowIdx[rows] = off
@@ -121,14 +124,12 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layout {
 		if g.Weighted() {
 			nl.wts = make([]float32, edges)
 		}
-		cursor := make([]int64, rows)
 		for v := vr.Lo; v < vr.Hi; v++ {
 			keys := keysOf(g, graph.Vertex(v), push)
 			wts := weightsOf(g, graph.Vertex(v), push)
 			for i, k := range keys {
-				row := nl.rowOf[k]
-				pos := nl.rowIdx[row] + cursor[row]
-				cursor[row]++
+				pos := cnt[k]
+				cnt[k]++
 				nl.cols[pos] = graph.Vertex(v)
 				if wts != nil {
 					nl.wts[pos] = wts[i]

@@ -197,7 +197,7 @@ func (e *Engine) EdgeMap(a *state.Subset, k sg.EdgeKernel, h sg.Hints) *state.Su
 // instantiation saves boxing the kernel, not the per-edge calls: those
 // go through the generic dictionary and are never inlined. Kernels that
 // want an inlined edge loop bring their own (sg.RowKernel, used by
-// edgeMapDensePush).
+// edgeMapDensePush; sg.PullRowKernel, used by edgeMapDensePull).
 func EdgeMapK[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	h = h.Normalize()
 	if a.IsEmpty() || e.Err() != nil {
@@ -317,18 +317,25 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 }
 
 // edgeMapDensePull scans all destinations; each gathers from in-neighbours
-// with random global reads (RAND|R|G), early-exiting once Cond fails.
+// with random global reads (RAND|R|G), early-exiting once Cond fails. A
+// thread owns the destinations it sweeps, so the plain Update path is used.
+// A kernel with a pull row form (sg.PullRowKernel) gathers a row in one
+// call over the frontier's single leaf; the charged counts are the same.
 func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	g := e.G
 	n := g.NumVertices()
 	collect := !h.NoOutput
+	pk := sg.PullRowKernelOf(k)
 	var b *state.Builder
 	if collect {
 		b = e.scr.builder.Builder(e.bounds, e.M.Threads(), true, e.degreeOf)
 	}
 	ep, pc := e.scr.beginPhase()
 	dataWS := int64(n) * int64(h.DataBytes)
-	full := a.Count() == int64(n)
+	var active []uint64 // nil: every source is active
+	if a.Count() != int64(n) {
+		active = a.Words(0)
+	}
 
 	e.RunPhase(func(th int) {
 		var scanned, edges, updates int64
@@ -336,28 +343,19 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 			for v := lo; v < hi; v++ {
 				t := graph.Vertex(v)
 				scanned++
-				if !k.Cond(t) {
-					continue
-				}
 				nbrs := g.InNeighbors(t)
-				wts := g.InWeights(t)
-				updated := false
-				for j, s := range nbrs {
-					edges++
-					if !full && !a.Contains(s) {
-						continue
-					}
-					var w float32
-					if h.Weighted && wts != nil {
-						w = wts[j]
-					}
-					if k.Update(s, t, w) {
-						updated = true
-					}
-					if !k.Cond(t) {
-						break
-					}
+				var wts []float32
+				if h.Weighted {
+					wts = g.InWeights(t)
 				}
+				var rowEdges int
+				var updated bool
+				if pk != nil {
+					rowEdges, updated = pk.PullRow(t, nbrs, wts, active, 0, false)
+				} else {
+					rowEdges, updated = sg.PullRowPerEdge(k, t, nbrs, wts, active, 0, false)
+				}
+				edges += int64(rowEdges)
 				if updated {
 					if collect {
 						b.SetIn(0, th, t)

@@ -22,13 +22,13 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("4294967295 0\n")
 	// Adversarial shapes (mirroring internal/gen's corpus, inlined —
 	// the gen package imports graph, so it cannot seed us directly).
-	f.Add("# 1 1 false\n0 0\n")                   // single self-loop
+	f.Add("# 1 1 false\n0 0\n")                     // single self-loop
 	f.Add("# 3 5 false\n0 1\n0 1\n0 1\n1 2\n1 2\n") // duplicate edges
-	f.Add("# 5 4 false\n0 1\n0 2\n0 3\n0 4\n")    // star out of 0
-	f.Add("# 65 1 false\n63 64\n")                // crosses a 64-bit bitmap word
-	f.Add("# 10 1 false\n0 1\n")                  // isolated tail vertices
-	f.Add("# 2 1 true\n0 1 1e38\n")               // near float32 max
-	f.Add("# 2 1 true\n0 1 1e-40\n")              // float32 denormal
+	f.Add("# 5 4 false\n0 1\n0 2\n0 3\n0 4\n")      // star out of 0
+	f.Add("# 65 1 false\n63 64\n")                  // crosses a 64-bit bitmap word
+	f.Add("# 10 1 false\n0 1\n")                    // isolated tail vertices
+	f.Add("# 2 1 true\n0 1 1e38\n")                 // near float32 max
+	f.Add("# 2 1 true\n0 1 1e-40\n")                // float32 denormal
 	f.Fuzz(func(t *testing.T, in string) {
 		n, edges, weighted, err := ReadEdgeList(strings.NewReader(in))
 		if err != nil {
@@ -64,11 +64,11 @@ func FuzzReadDIMACS(f *testing.F) {
 	f.Add("p sp 2 3\na 1 2 1\n")           // fewer arcs than declared
 	f.Add("p sp -1 -1\n")
 	// Adversarial shapes.
-	f.Add("p sp 1 1\na 1 1 1\n")                          // self-loop
+	f.Add("p sp 1 1\na 1 1 1\n")                            // self-loop
 	f.Add("p sp 3 4\na 1 2 1\na 1 2 1\na 2 3 1\na 2 3 1\n") // duplicate arcs
-	f.Add("p sp 65 1\na 64 65 1\n")                       // 64-bit word boundary
-	f.Add("p sp 2 1\na 1 2 3.3999999\n")                  // weight needs full float32 precision
-	f.Add("p sp 2 1\na 1 2 1e38\n")                       // near float32 max
+	f.Add("p sp 65 1\na 64 65 1\n")                         // 64-bit word boundary
+	f.Add("p sp 2 1\na 1 2 3.3999999\n")                    // weight needs full float32 precision
+	f.Add("p sp 2 1\na 1 2 1e38\n")                         // near float32 max
 	f.Fuzz(func(t *testing.T, in string) {
 		n, edges, err := ReadDIMACS(strings.NewReader(in))
 		if err != nil {

@@ -54,7 +54,7 @@ func FuzzArrayChargeBounds(f *testing.F) {
 			bounds = []int{0, n / 5, n / 5, n / 2, n}
 		}
 		tp := NewTierPlan(m)
-		cls := tp.AddClass(ClassSpec{Label: "fuzz", BytesPerNode: evenBytes(4, int64(n)*8/4 + 1)})
+		cls := tp.AddClass(ClassSpec{Label: "fuzz", BytesPerNode: evenBytes(4, int64(n)*8/4+1)})
 
 		a := New[int64](m, "w", n, place, bounds).BindTier(cls)
 		chargeAll(t, m, a, lo, count, p)

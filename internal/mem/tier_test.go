@@ -58,7 +58,7 @@ func TestFullDRAMBitIdentical(t *testing.T) {
 	flat := numa.NewMachine(numa.IntelXeon80(), 4, 2)
 	tiered := tieredMachine(t, 1<<40, numa.TierHot, 4)
 	tp := NewTierPlan(tiered)
-	c := tp.AddClass(ClassSpec{Label: "state", BytesPerNode: evenBytes(4, 1 << 20),
+	c := tp.AddClass(ClassSpec{Label: "state", BytesPerNode: evenBytes(4, 1<<20),
 		HotMass: DegreeHotMass(100, func(i int) int64 { return int64(100 - i) })})
 
 	e1, e2 := flat.NewEpoch(), tiered.NewEpoch()
@@ -151,9 +151,9 @@ func TestPromotionDeterminism(t *testing.T) {
 		m := tieredMachine(t, 1<<20, numa.TierHot, 2)
 		tp := NewTierPlan(m)
 		cs := []*TierClass{
-			tp.AddClass(ClassSpec{Label: "a", BytesPerNode: evenBytes(4, 1 << 20), Priority: 0}),
-			tp.AddClass(ClassSpec{Label: "b", BytesPerNode: evenBytes(4, 1 << 20), Priority: 1}),
-			tp.AddClass(ClassSpec{Label: "c", BytesPerNode: evenBytes(4, 1 << 19), Priority: 2}),
+			tp.AddClass(ClassSpec{Label: "a", BytesPerNode: evenBytes(4, 1<<20), Priority: 0}),
+			tp.AddClass(ClassSpec{Label: "b", BytesPerNode: evenBytes(4, 1<<20), Priority: 1}),
+			tp.AddClass(ClassSpec{Label: "c", BytesPerNode: evenBytes(4, 1<<19), Priority: 2}),
 		}
 		return m, tp, cs
 	}
@@ -199,8 +199,8 @@ func TestPromotionDeterminism(t *testing.T) {
 func TestTierSnapshotRestoreReplay(t *testing.T) {
 	m := tieredMachine(t, 1<<20, numa.TierHot, 1)
 	tp := NewTierPlan(m)
-	a := tp.AddClass(ClassSpec{Label: "a", BytesPerNode: evenBytes(4, 1 << 20), Priority: 0})
-	b := tp.AddClass(ClassSpec{Label: "b", BytesPerNode: evenBytes(4, 1 << 20), Priority: 1})
+	a := tp.AddClass(ClassSpec{Label: "a", BytesPerNode: evenBytes(4, 1<<20), Priority: 0})
+	b := tp.AddClass(ClassSpec{Label: "b", BytesPerNode: evenBytes(4, 1<<20), Priority: 1})
 
 	work := func(ep *numa.Epoch) {
 		for th := 0; th < m.Threads(); th++ {

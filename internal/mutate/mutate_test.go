@@ -287,12 +287,12 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	tails := map[string][]byte{
-		"half-record":    append(append([]byte{}, pristine...), pristine[len(walMagic):len(walMagic)+13]...),
-		"garbage":        append(append([]byte{}, pristine...), 0xde, 0xad, 0xbe, 0xef, 9, 9, 9, 9, 9, 9, 9, 9),
-		"short-header":   append(append([]byte{}, pristine...), 1, 2, 3),
-		"huge-length":    append(append([]byte{}, pristine...), 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0),
-		"crc-mismatch":   flipLastPayloadBit(pristine),
-		"zero-length":    append(append([]byte{}, pristine...), 0, 0, 0, 0, 0, 0, 0, 0),
+		"half-record":  append(append([]byte{}, pristine...), pristine[len(walMagic):len(walMagic)+13]...),
+		"garbage":      append(append([]byte{}, pristine...), 0xde, 0xad, 0xbe, 0xef, 9, 9, 9, 9, 9, 9, 9, 9),
+		"short-header": append(append([]byte{}, pristine...), 1, 2, 3),
+		"huge-length":  append(append([]byte{}, pristine...), 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0),
+		"crc-mismatch": flipLastPayloadBit(pristine),
+		"zero-length":  append(append([]byte{}, pristine...), 0, 0, 0, 0, 0, 0, 0, 0),
 	}
 	for name, contents := range tails {
 		t.Run(name, func(t *testing.T) {

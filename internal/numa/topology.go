@@ -231,14 +231,14 @@ func IntelXeon80() *Topology {
 		SlowLoadLatency:  []float64{340, 510, 620},
 		SlowStoreLatency: []float64{390, 580, 700},
 		SlowAggBW:        6200,
-		LLCBytes:          64 << 10, // scaled 24 MB: keeps the paper's data/LLC ratio (~14x) at laptop-scale inputs
-		CacheLineBytes:    64,
-		CacheBW:           12800,
-		ClockGHz:          2.0,
-		NodeAggBW:         22000, // ~7x single-thread sequential (10 cores)
-		PortBW:            15400, // QPI port capacity per socket
-		BisectionBW:       60000, // the twisted hypercube has ample bisection
-		SyncScale:         256,
+		LLCBytes:         64 << 10, // scaled 24 MB: keeps the paper's data/LLC ratio (~14x) at laptop-scale inputs
+		CacheLineBytes:   64,
+		CacheBW:          12800,
+		ClockGHz:         2.0,
+		NodeAggBW:        22000, // ~7x single-thread sequential (10 cores)
+		PortBW:           15400, // QPI port capacity per socket
+		BisectionBW:      60000, // the twisted hypercube has ample bisection
+		SyncScale:        256,
 	}
 }
 
@@ -290,14 +290,14 @@ func AMDOpteron64() *Topology {
 		SlowLoadLatency:  []float64{560, 740, 740, 830},
 		SlowStoreLatency: []float64{640, 830, 830, 920},
 		SlowAggBW:        3600,
-		LLCBytes:          43 << 10, // scaled 16 MB (2/3 of the Intel machine)
-		CacheLineBytes:    64,
-		CacheBW:           10600,
-		ClockGHz:          2.1,
-		NodeAggBW:         9000,  // both dies share the module's controllers
-		PortBW:            9000,  // shared HT within a module restricts scaling
-		BisectionBW:       12000, // four-module HT fabric: scaling stalls past 4 sockets
-		SyncScale:         256,
+		LLCBytes:         43 << 10, // scaled 16 MB (2/3 of the Intel machine)
+		CacheLineBytes:   64,
+		CacheBW:          10600,
+		ClockGHz:         2.1,
+		NodeAggBW:        9000,  // both dies share the module's controllers
+		PortBW:           9000,  // shared HT within a module restricts scaling
+		BisectionBW:      12000, // four-module HT fabric: scaling stalls past 4 sockets
+		SyncScale:        256,
 	}
 }
 

@@ -106,16 +106,16 @@ type Decision struct {
 // cacheKey is comparable: the exact feature vector plus everything else
 // that can change the decision.
 type cacheKey struct {
-	f         Features
-	alg       bench.Algo
-	nodes     int
-	nodesFix  bool
-	engine    bench.System
-	place     mem.Placement
-	placeSet  bool
-	veto      uint8
-	tier      numa.TierConfig
-	gen       uint64
+	f        Features
+	alg      bench.Algo
+	nodes    int
+	nodesFix bool
+	engine   bench.System
+	place    mem.Placement
+	placeSet bool
+	veto     uint8
+	tier     numa.TierConfig
+	gen      uint64
 }
 
 // Planner owns the cost model, learner, scheduler and decision cache

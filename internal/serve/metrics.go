@@ -65,17 +65,17 @@ type CounterSnapshot struct {
 	Coalesced  int64 `json:"coalesced"`
 	Batched    int64 `json:"batched"`
 	ResultHits int64 `json:"result_hits"`
-	Completed int64 `json:"completed"`
-	Degraded  int64 `json:"degraded"`
-	Retried   int64 `json:"retried"`
-	Broken    int64 `json:"broken"`
-	Failed    int64 `json:"failed"`
-	Expired   int64 `json:"expired"`
-	Cancelled int64 `json:"cancelled"`
-	Evicted   int64 `json:"evicted"`
-	Mutations int64 `json:"mutations"`
-	Hedged    int64 `json:"hedged"`
-	HedgeWins int64 `json:"hedge_wins"`
+	Completed  int64 `json:"completed"`
+	Degraded   int64 `json:"degraded"`
+	Retried    int64 `json:"retried"`
+	Broken     int64 `json:"broken"`
+	Failed     int64 `json:"failed"`
+	Expired    int64 `json:"expired"`
+	Cancelled  int64 `json:"cancelled"`
+	Evicted    int64 `json:"evicted"`
+	Mutations  int64 `json:"mutations"`
+	Hedged     int64 `json:"hedged"`
+	HedgeWins  int64 `json:"hedge_wins"`
 }
 
 // Snapshot reads every counter.
@@ -86,16 +86,16 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		Coalesced:  c.Coalesced.Load(),
 		Batched:    c.Batched.Load(),
 		ResultHits: c.ResultHits.Load(),
-		Completed: c.Completed.Load(),
-		Degraded:  c.Degraded.Load(),
-		Retried:   c.Retried.Load(),
-		Broken:    c.Broken.Load(),
-		Failed:    c.Failed.Load(),
-		Expired:   c.Expired.Load(),
-		Cancelled: c.Cancelled.Load(),
-		Evicted:   c.Evicted.Load(),
-		Mutations: c.Mutations.Load(),
-		Hedged:    c.Hedged.Load(),
-		HedgeWins: c.HedgeWins.Load(),
+		Completed:  c.Completed.Load(),
+		Degraded:   c.Degraded.Load(),
+		Retried:    c.Retried.Load(),
+		Broken:     c.Broken.Load(),
+		Failed:     c.Failed.Load(),
+		Expired:    c.Expired.Load(),
+		Cancelled:  c.Cancelled.Load(),
+		Evicted:    c.Evicted.Load(),
+		Mutations:  c.Mutations.Load(),
+		Hedged:     c.Hedged.Load(),
+		HedgeWins:  c.HedgeWins.Load(),
 	}
 }

@@ -40,8 +40,9 @@ type EdgeKernel interface {
 // row kernel pays one a row and keeps the per-source factor in a register.
 // Engines look for the interface once per dense push phase and use it only
 // under Hints.NoOutput, where no per-edge outcome is needed: every charged
-// count is then len(cols). Kernels that need per-edge outcomes (claims,
-// relaxations) do not implement it and take the per-edge path.
+// count is then len(cols). Kernels that claim or relax (BFS, CC, SSSP) push
+// per edge, since a push reports each target; their row form is the pull
+// one (PullRowKernel), where a whole row has one target and one outcome.
 type RowKernel interface {
 	PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, shared bool)
 }
@@ -56,6 +57,73 @@ func RowKernelOf[K EdgeKernel](k K, h Hints) RowKernel {
 	}
 	rk, _ := any(k).(RowKernel)
 	return rk
+}
+
+// PullRowKernel is the pull mirror of RowKernel, an optional interface of
+// any EdgeKernel: one call gathers target t's whole row. PullRow must leave
+// the kernel's data, and report the edges scanned and whether t was
+// updated, exactly as PullRowPerEdge does. Both outcomes feed charged
+// counters and the next frontier, so unlike PushRow this form is neither
+// restricted to NoOutput phases nor to always-true kernels.
+//
+// cols are t's sources and wts their weights (nil: weight 0 throughout).
+// active is the frontier leaf that covers every vertex of cols, bit s-base
+// for source s; nil means every source is active. shared says another host
+// worker may be updating t; without it t has one writer, though other
+// workers may still be writing the sources.
+type PullRowKernel interface {
+	PullRow(t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int, shared bool) (scanned int, updated bool)
+}
+
+// PullRowKernelOf returns k's pull row form, or nil. As with RowKernelOf,
+// pass pointer-shaped kernels: asserting a struct-valued K boxes it.
+func PullRowKernelOf[K EdgeKernel](k K) PullRowKernel {
+	pk, _ := any(k).(PullRowKernel)
+	return pk
+}
+
+// PullRowPerEdge gathers target t's row edge by edge: the dense pull loop
+// of both engines for a kernel without a row form, and the definition a
+// PullRow is held to. The row is skipped when Cond(t) is false and left
+// after the edge that makes it false (Ligra's early exit); UpdateAtomic
+// replaces Update when shared.
+func PullRowPerEdge[K EdgeKernel](k K, t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int, shared bool) (scanned int, updated bool) {
+	if !k.Cond(t) {
+		return 0, false
+	}
+	for j, s := range cols {
+		scanned++
+		if !InLeaf(active, base, s) {
+			continue
+		}
+		var w float32
+		if wts != nil {
+			w = wts[j]
+		}
+		var ok bool
+		if shared {
+			ok = k.UpdateAtomic(s, t, w)
+		} else {
+			ok = k.Update(s, t, w)
+		}
+		if ok {
+			updated = true
+		}
+		if !k.Cond(t) {
+			break
+		}
+	}
+	return scanned, updated
+}
+
+// InLeaf reports whether vertex v is set in the frontier leaf active, whose
+// bit 0 is vertex base; a nil leaf stands for the full frontier.
+func InLeaf(active []uint64, base int, v graph.Vertex) bool {
+	if active == nil {
+		return true
+	}
+	i := uint(int(v) - base)
+	return active[i/64]&(1<<(i%64)) != 0
 }
 
 // VertexFunc is the application-defined vertex function passed to

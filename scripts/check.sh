@@ -10,6 +10,14 @@ cd "$(dirname "$0")/.."
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> gofmt -l (everything outside benchmark/, which a perf PR may not touch)"
+unformatted=$(gofmt -l . | grep -v '^benchmark/' || true)
+if [ -n "$unformatted" ]; then
+	echo "$unformatted"
+	echo "check: gofmt -w the files above" >&2
+	exit 1
+fi
+
 echo "==> errcheck (error-returning APIs in statement position)"
 sh scripts/errcheck.sh
 
@@ -46,6 +54,11 @@ go test -count=5 -cpu 1 -run 'TestFaultReplayEquivalence/ligra' ./internal/confo
 # pass over ./internal/conform/ runs every case at the default -cpu.
 go test -count=5 -cpu 1,2,8 -run 'TestRowKernelEquivalence/polymer' ./internal/conform/
 go test -count=5 -cpu 1 -run 'TestRowKernelEquivalence/ligra' ./internal/conform/
+# Pull rows against the per-edge pull loop: values at every -cpu; clock,
+# stats and edges where the test compares them, on one host worker (cross-
+# node claims are charged by CAS winner on either path, ROADMAP item b).
+go test -count=5 -cpu 1,2,8 -run 'TestPullRowEquivalence/polymer' ./internal/conform/
+go test -count=5 -cpu 1 -run 'TestPullRowEquivalence/ligra' ./internal/conform/
 # X-Stream's block kernels against its per-edge loops: one thread gathers
 # each tile, so the values are exact at any -cpu.
 go test -count=5 -cpu 1,2,8 -run 'TestBlockKernelEquivalence' ./internal/conform/
