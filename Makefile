@@ -8,10 +8,12 @@ build:
 test:
 	$(GO) test ./...
 
-# Full health check: vet + errcheck + race-detector pass over the packages
-# that share phase-scoped scratch arenas across host workers + the
-# fault-injection matrix under -race + the determinism gate (-cpu 1,2,8,
-# simdump golden) + full suite.
+# Full health check: vet + errcheck + race-detector pass over the engine
+# and runtime packages (a phase runs on one goroutine; the pass proves no
+# second one reaches its plain loads and stores) + the fault-injection
+# matrix under -race + the determinism gate (-count=5 -cpu 1,2,8 over the
+# root, simdump, conform, obs, plan and serve packages) + the full suite
+# with -shuffle=on.
 check:
 	sh scripts/check.sh
 

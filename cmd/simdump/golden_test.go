@@ -5,7 +5,6 @@ package main
 import (
 	"context"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -16,12 +15,10 @@ import (
 )
 
 // TestGolden holds the simulated clock of all 24 cells to the bytes
-// testdata/tiny.golden recorded (GOMAXPROCS=1 go run ./cmd/simdump, where
-// a phase is a plain loop and the output is byte-stable): a structural
-// change must not move them. Every session-capable cell must also print
+// testdata/tiny.golden recorded (go run ./cmd/simdump; the output is
+// byte-stable at any GOMAXPROCS): a structural change must not move them. Every session-capable cell must also print
 // the same line through the resilient path with nothing injected.
 func TestGolden(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	golden, err := os.ReadFile("testdata/tiny.golden")
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ package polymer_test
 //     degrees) must never leak into the simulated clock.
 
 import (
+	"math"
 	"testing"
 
 	"polymer/internal/algorithms"
@@ -104,32 +105,49 @@ func TestXStreamPRIterationAllocs(t *testing.T) {
 	}
 }
 
-// TestSimSecondsDeterministic runs the same push PageRank workload on 20
-// fresh engines and requires bit-identical simulated times and ranks. All
-// writes into a node's targets come from the one host worker that owns the
-// node, in a fixed order, so any divergence here means host-side
-// scheduling leaked into the float sums or the simulated clock.
+// TestSimSecondsDeterministic runs the same workload on fresh engines —
+// push PageRank on Polymer, then SSSP, the traversal whose relaxation
+// counts used to follow the host schedule, on every engine — and requires
+// bit-identical simulated times, access ledgers and values. A phase runs
+// on one goroutine in a fixed order (package par), so any divergence means
+// host-side state leaked into the values or the simulated clock.
 func TestSimSecondsDeterministic(t *testing.T) {
-	g := regressionGraph(t)
-	run := func() (float64, []float64) {
-		opt := core.DefaultOptions()
-		opt.Mode = core.Push
-		e := core.MustNew(g, regressionMachine(), opt)
-		defer e.Close()
-		ranks := algorithms.PageRank(e, 10, 0.85)
-		return e.SimSeconds(), ranks
-	}
-	s1, r1 := run()
-	for i := 1; i < 20; i++ {
-		s2, r2 := run()
-		if s1 != s2 {
-			t.Fatalf("simulated time drifted across identical runs: %x vs %x", s1, s2)
-		}
-		for v := range r1 {
-			if r1[v] != r2[v] {
-				t.Fatalf("rank[%d] drifted across identical runs: %x vs %x", v, r1[v], r2[v])
+	same := func(t *testing.T, runs int, run func() (float64, numa.Stats, []float64)) {
+		s1, st1, r1 := run()
+		for i := 1; i < runs; i++ {
+			s2, st2, r2 := run()
+			if math.Float64bits(s1) != math.Float64bits(s2) || st1 != st2 {
+				t.Fatalf("simulated time drifted across identical runs: %x %+v vs %x %+v", s1, st1, s2, st2)
+			}
+			for v := range r1 {
+				if math.Float64bits(r1[v]) != math.Float64bits(r2[v]) {
+					t.Fatalf("value[%d] drifted across identical runs: %x vs %x", v, r1[v], r2[v])
+				}
 			}
 		}
+	}
+	t.Run("polymer/push-pr", func(t *testing.T) {
+		g := regressionGraph(t)
+		same(t, 20, func() (float64, numa.Stats, []float64) {
+			opt := core.DefaultOptions()
+			opt.Mode = core.Push
+			e := core.MustNew(g, regressionMachine(), opt)
+			defer e.Close()
+			ranks := algorithms.PageRank(e, 10, 0.85)
+			return e.SimSeconds(), e.RunStats(), ranks
+		})
+	})
+	g, err := bench.LoadDataset(gen.Twitter, gen.Tiny, bench.SSSP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range []bench.System{bench.Polymer, bench.Ligra, bench.XStream, bench.Galois} {
+		t.Run(string(sys)+"/sssp", func(t *testing.T) {
+			same(t, 5, func() (float64, numa.Stats, []float64) {
+				r := bench.RunFrom(sys, bench.SSSP, g, regressionMachine(), 0)
+				return r.SimSeconds, r.Stats, r.Out.Widen()
+			})
+		})
 	}
 }
 
@@ -138,9 +156,8 @@ func TestSimSecondsDeterministic(t *testing.T) {
 // every call.
 type claimAll struct{}
 
-func (claimAll) Update(s, d graph.Vertex, w float32) bool       { return true }
-func (claimAll) UpdateAtomic(s, d graph.Vertex, w float32) bool { return true }
-func (claimAll) Cond(graph.Vertex) bool                         { return true }
+func (claimAll) Update(s, d graph.Vertex, w float32) bool { return true }
+func (claimAll) Cond(graph.Vertex) bool                   { return true }
 
 // sparseSuperstepAllocs counts the objects one sparse EdgeMap allocates on
 // e: a road-grid BFS level, 64 active vertices out of 3600, queue

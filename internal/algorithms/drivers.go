@@ -29,10 +29,10 @@ import (
 // Instantiating core.EdgeMapK / ligra.EdgeMapK at the concrete kernel type
 // saves boxing the kernel into an sg.EdgeKernel and nothing per edge: Go
 // calls a type parameter's methods through the generic dictionary, so
-// Cond/Update/UpdateAtomic stay indirect, out-of-line calls on either
-// route. The loop the compiler does inline is the kernel's own: PR, SpMV
-// and BP implement sg.RowKernel, BFS, CC and SSSP sg.PullRowKernel, and all
-// are passed by pointer so the engines find it without an allocation.
+// Cond/Update stay indirect, out-of-line calls on either route. The loop
+// the compiler does inline is the kernel's own: PR, SpMV and BP implement
+// sg.RowKernel, BFS, CC and SSSP sg.PullRowKernel, and all are passed by
+// pointer so the engines find it without an allocation.
 func edgeMap[K sg.EdgeKernel](e sg.Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	switch t := e.(type) {
 	case *core.Engine:

@@ -1,7 +1,6 @@
 package algorithms
 
 import (
-	"polymer/internal/atomicx"
 	"polymer/internal/graph"
 	"polymer/internal/sg"
 	"polymer/internal/state"
@@ -113,7 +112,8 @@ func (d *DynamicSSSP) relaxToFixpoint(frontier *state.Subset) {
 		frontier.ForEach(func(v graph.Vertex) {
 			dv := d.kernel.dist[v]
 			for _, oe := range d.overlay[v] {
-				if atomicx.MinFloat64(&d.kernel.dist[oe.dst], dv+edgeWeight(oe.wt)) {
+				if nd := dv + edgeWeight(oe.wt); nd < d.kernel.dist[oe.dst] {
+					d.kernel.dist[oe.dst] = nd
 					changed.Add(0, oe.dst)
 				}
 			}

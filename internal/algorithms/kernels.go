@@ -12,9 +12,7 @@ package algorithms
 
 import (
 	"math"
-	"sync/atomic"
 
-	"polymer/internal/atomicx"
 	"polymer/internal/engines/xstream"
 	"polymer/internal/graph"
 	"polymer/internal/mem"
@@ -72,26 +70,15 @@ func (k *prKernel) Update(s, d graph.Vertex, w float32) bool {
 	return true
 }
 
-func (k *prKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	atomicx.AddFloat64(&k.next[d], float64(k.curr[s]*k.invOut[s]))
-	return true
-}
-
 func (k *prKernel) Cond(graph.Vertex) bool { return true }
 
 // PushRow adds s's scaled rank, computed once, to every target of the row.
-func (k *prKernel) PushRow(s graph.Vertex, cols []graph.Vertex, _ []float32, shared bool) {
-	addRow(k.next, cols, float64(k.curr[s]*k.invOut[s]), shared)
+func (k *prKernel) PushRow(s graph.Vertex, cols []graph.Vertex, _ []float32) {
+	addRow(k.next, cols, float64(k.curr[s]*k.invOut[s]))
 }
 
-// addRow adds v to dst[t] for every t in cols, atomically when shared.
-func addRow(dst []float64, cols []graph.Vertex, v float64, shared bool) {
-	if shared {
-		for _, t := range cols {
-			atomicx.AddFloat64(&dst[t], v)
-		}
-		return
-	}
+// addRow adds v to dst[t] for every t in cols.
+func addRow(dst []float64, cols []graph.Vertex, v float64) {
 	for _, t := range cols {
 		dst[t] += v
 	}
@@ -158,28 +145,18 @@ func (k *spmvKernel) Update(s, d graph.Vertex, w float32) bool {
 	return true
 }
 
-func (k *spmvKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	atomicx.AddFloat64(&k.y[d], float64(edgeWeight(w)*k.x[s]))
-	return true
-}
-
 func (k *spmvKernel) Cond(graph.Vertex) bool { return true }
 
 // PushRow adds w*x[s] to every target of the row; an unweighted row adds
 // x[s] itself (unit weights, and 1*x is x).
-func (k *spmvKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, shared bool) {
+func (k *spmvKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32) {
 	x, y := k.x[s], k.y
-	switch {
-	case wts == nil:
-		addRow(y, cols, x, shared)
-	case shared:
-		for j, t := range cols {
-			atomicx.AddFloat64(&y[t], float64(edgeWeight(wts[j])*x))
-		}
-	default:
-		for j, t := range cols {
-			y[t] += float64(edgeWeight(wts[j]) * x)
-		}
+	if wts == nil {
+		addRow(y, cols, x)
+		return
+	}
+	for j, t := range cols {
+		y[t] += float64(edgeWeight(wts[j]) * x)
 	}
 }
 
@@ -244,16 +221,11 @@ func (k *bpKernel) Update(s, d graph.Vertex, w float32) bool {
 	return true
 }
 
-func (k *bpKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	atomicx.MulFloat64(&k.acc[d], bpMessage(k.curr[s], w))
-	return true
-}
-
 func (k *bpKernel) Cond(graph.Vertex) bool { return true }
 
 // PushRow multiplies s's message into every target of the row; without
 // weights the message is the same for the whole row.
-func (k *bpKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, shared bool) {
+func (k *bpKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32) {
 	curr, acc := k.curr[s], k.acc
 	unit := bpMessage(curr, 0)
 	for j, t := range cols {
@@ -261,11 +233,7 @@ func (k *bpKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, s
 		if wts != nil {
 			m = bpMessage(curr, wts[j])
 		}
-		if shared {
-			atomicx.MulFloat64(&acc[t], m)
-		} else {
-			acc[t] *= m
-		}
+		acc[t] *= m
 	}
 }
 
@@ -302,35 +270,26 @@ func (k *bpKernel) GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (
 type bfsKernel struct{ parent []uint32 }
 
 func (k *bfsKernel) Update(s, d graph.Vertex, w float32) bool {
-	if atomic.LoadUint32(&k.parent[d]) == unvisited {
-		atomic.StoreUint32(&k.parent[d], s)
+	if k.parent[d] == unvisited {
+		k.parent[d] = s
 		return true
 	}
 	return false
 }
 
-func (k *bfsKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	return atomicx.CASUint32(&k.parent[d], unvisited, s)
-}
+func (k *bfsKernel) Cond(d graph.Vertex) bool { return k.parent[d] == unvisited }
 
-func (k *bfsKernel) Cond(d graph.Vertex) bool { return atomic.LoadUint32(&k.parent[d]) == unvisited }
-
-// PullRow claims t for its first active source and stops there: whoever
-// wins the claim, t is visited and Cond is false from then on.
-func (k *bfsKernel) PullRow(t graph.Vertex, cols []graph.Vertex, _ []float32, active []uint64, base int, shared bool) (int, bool) {
-	pt := &k.parent[t]
-	if atomic.LoadUint32(pt) != unvisited {
+// PullRow claims t for its first active source and stops there: t is
+// visited and Cond is false from then on.
+func (k *bfsKernel) PullRow(t graph.Vertex, cols []graph.Vertex, _ []float32, active []uint64, base int) (int, bool) {
+	if k.parent[t] != unvisited {
 		return 0, false
 	}
 	for j, s := range cols {
-		if !sg.InLeaf(active, base, s) {
-			continue
+		if sg.InLeaf(active, base, s) {
+			k.parent[t] = s
+			return j + 1, true
 		}
-		if shared {
-			return j + 1, atomicx.CASUint32(pt, unvisited, s)
-		}
-		atomic.StoreUint32(pt, s)
-		return j + 1, true
 	}
 	return len(cols), false
 }
@@ -340,84 +299,60 @@ func (k *bfsKernel) PullRow(t graph.Vertex, cols []graph.Vertex, _ []float32, ac
 type ccKernel struct{ labels []uint32 }
 
 func (k *ccKernel) Update(s, d graph.Vertex, w float32) bool {
-	ls := atomic.LoadUint32(&k.labels[s])
-	if ls < atomic.LoadUint32(&k.labels[d]) {
-		atomic.StoreUint32(&k.labels[d], ls)
+	if ls := k.labels[s]; ls < k.labels[d] {
+		k.labels[d] = ls
 		return true
 	}
 	return false
 }
 
-func (k *ccKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	return atomicx.MinUint32(&k.labels[d], atomic.LoadUint32(&k.labels[s]))
-}
-
 func (k *ccKernel) Cond(graph.Vertex) bool { return true }
 
 // PullRow lowers t's label to the least label among its active sources.
-// Unshared, t's label is written by this call alone and rides in a
-// register; each lowering is still stored at once, so a self-loop and a
-// concurrent reader see what the Update loop would show them.
-func (k *ccKernel) PullRow(t graph.Vertex, cols []graph.Vertex, _ []float32, active []uint64, base int, shared bool) (int, bool) {
+// t's label rides in a register; each lowering is still stored at once, so
+// a self-loop reads what the Update loop would show it.
+func (k *ccKernel) PullRow(t graph.Vertex, cols []graph.Vertex, _ []float32, active []uint64, base int) (int, bool) {
 	labels, updated := k.labels, false
-	lt := atomic.LoadUint32(&labels[t])
+	lt := labels[t]
 	for _, s := range cols {
 		if !sg.InLeaf(active, base, s) {
 			continue
 		}
-		ls := atomic.LoadUint32(&labels[s])
-		switch {
-		case shared:
-			if atomicx.MinUint32(&labels[t], ls) {
-				updated = true
-			}
-		case ls < lt:
+		if ls := labels[s]; ls < lt {
 			lt = ls
-			atomic.StoreUint32(&labels[t], ls)
+			labels[t] = ls
 			updated = true
 		}
 	}
 	return len(cols), updated
 }
 
-// ssspKernel relaxes edges with atomic distance minimisation
-// (Bellman-Ford with data-driven scheduling).
+// ssspKernel relaxes edges by distance minimisation (Bellman-Ford with
+// data-driven scheduling).
 type ssspKernel struct{ dist []float64 }
 
 func (k *ssspKernel) Update(s, d graph.Vertex, w float32) bool {
-	nd := atomicx.LoadFloat64(&k.dist[s]) + edgeWeight(w)
-	if nd < atomicx.LoadFloat64(&k.dist[d]) {
-		atomicx.StoreFloat64(&k.dist[d], nd)
+	if nd := k.dist[s] + edgeWeight(w); nd < k.dist[d] {
+		k.dist[d] = nd
 		return true
 	}
 	return false
-}
-
-func (k *ssspKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	nd := atomicx.LoadFloat64(&k.dist[s]) + edgeWeight(w)
-	return atomicx.MinFloat64(&k.dist[d], nd)
 }
 
 func (k *ssspKernel) Cond(graph.Vertex) bool { return true }
 
 // PullRow relaxes t over its active sources; t's distance is kept as
 // ccKernel.PullRow keeps the label.
-func (k *ssspKernel) PullRow(t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int, shared bool) (int, bool) {
+func (k *ssspKernel) PullRow(t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int) (int, bool) {
 	dist, updated := k.dist, false
-	dt := atomicx.LoadFloat64(&dist[t])
+	dt := dist[t]
 	for j, s := range cols {
 		if !sg.InLeaf(active, base, s) {
 			continue
 		}
-		nd := atomicx.LoadFloat64(&dist[s]) + edgeWeight(weightAt(wts, j))
-		switch {
-		case shared:
-			if atomicx.MinFloat64(&dist[t], nd) {
-				updated = true
-			}
-		case nd < dt:
+		if nd := dist[s] + edgeWeight(weightAt(wts, j)); nd < dt {
 			dt = nd
-			atomicx.StoreFloat64(&dist[t], nd)
+			dist[t] = nd
 			updated = true
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"polymer/internal/atomicx"
 	"polymer/internal/graph"
 	"polymer/internal/sg"
 	"polymer/internal/state"
@@ -53,9 +52,8 @@ func checkSources(srcs []graph.Vertex, n int) error {
 // mbfsKernel is the MS-BFS edge function. active[s] holds the searches
 // whose frontier contains s this level; visited[d] the searches that have
 // claimed d; next[d] the searches claiming d this level. Each (search,
-// vertex) bit is claimed exactly once — in push mode by winning the
-// atomic OR on visited[d] — so the level write behind a claimed bit has
-// exactly one writer and the per-source levels are bit-identical to k
+// vertex) bit is claimed exactly once, so the level write behind a claimed
+// bit happens once and the per-source levels are bit-identical to k
 // single-source BFS runs by construction.
 type mbfsKernel struct {
 	level   int64
@@ -83,22 +81,8 @@ func (k mbfsKernel) Update(s, d graph.Vertex, w float32) bool {
 	return true
 }
 
-func (k mbfsKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	bits := k.active[s]
-	if bits == 0 {
-		return false
-	}
-	fresh := atomicx.OrUint64(&k.visited[d], bits)
-	if fresh == 0 {
-		return false
-	}
-	atomicx.OrUint64(&k.next[d], fresh)
-	k.setLevels(d, fresh)
-	return true
-}
-
 func (k mbfsKernel) Cond(d graph.Vertex) bool {
-	return atomicx.LoadUint64(&k.visited[d]) != k.full
+	return k.visited[d] != k.full
 }
 
 // mssspKernel relaxes every active search's distance across each edge
@@ -121,9 +105,8 @@ func (k mssspKernel) Update(s, d graph.Vertex, w float32) bool {
 	for b := set; b != 0; b &= b - 1 {
 		i := bits.TrailingZeros64(b)
 		di := k.dist[i]
-		nd := atomicx.LoadFloat64(&di[s]) + edgeWeight(w)
-		if nd < atomicx.LoadFloat64(&di[d]) {
-			atomicx.StoreFloat64(&di[d], nd)
+		if nd := di[s] + edgeWeight(w); nd < di[d] {
+			di[d] = nd
 			improved |= uint64(1) << uint(i)
 		}
 	}
@@ -131,27 +114,6 @@ func (k mssspKernel) Update(s, d graph.Vertex, w float32) bool {
 		return false
 	}
 	k.next[d] |= improved
-	return true
-}
-
-func (k mssspKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	set := k.active[s]
-	if set == 0 {
-		return false
-	}
-	var improved uint64
-	for b := set; b != 0; b &= b - 1 {
-		i := bits.TrailingZeros64(b)
-		di := k.dist[i]
-		nd := atomicx.LoadFloat64(&di[s]) + edgeWeight(w)
-		if atomicx.MinFloat64(&di[d], nd) {
-			improved |= uint64(1) << uint(i)
-		}
-	}
-	if improved == 0 {
-		return false
-	}
-	atomicx.OrUint64(&k.next[d], improved)
 	return true
 }
 

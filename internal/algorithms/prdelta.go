@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 
-	"polymer/internal/atomicx"
 	"polymer/internal/engines/xstream"
 	"polymer/internal/graph"
 	"polymer/internal/sg"
@@ -34,11 +33,6 @@ func newPRDeltaKernel(e dataEngine, prev []float64) *prDeltaKernel {
 
 func (k *prDeltaKernel) Update(s, d graph.Vertex, w float32) bool {
 	k.acc[d] += k.delta[s] * k.invOut[s]
-	return true
-}
-
-func (k *prDeltaKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	atomicx.AddFloat64(&k.acc[d], k.delta[s]*k.invOut[s])
 	return true
 }
 

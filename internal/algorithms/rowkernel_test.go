@@ -13,8 +13,7 @@ import (
 // TestPushRowMatchesUpdateLoop holds the three row kernels to the
 // sg.RowKernel contract: over random rows (repeated targets included),
 // with and without weights, PushRow leaves the target array bit-equal to
-// the Update loop when unshared and to the UpdateAtomic loop when shared,
-// and Cond is true everywhere.
+// the Update loop, and Cond is true everywhere.
 func TestPushRowMatchesUpdateLoop(t *testing.T) {
 	type rowKernel interface {
 		sg.EdgeKernel
@@ -43,48 +42,42 @@ func TestPushRowMatchesUpdateLoop(t *testing.T) {
 	}
 	for name, build := range kernels {
 		for _, weighted := range []bool{false, true} {
-			for _, shared := range []bool{false, true} {
-				src, scale, init := random(), random(), random()
-				rowK, rowDst := build(src, append([]float64(nil), init...), scale)
-				edgeK, edgeDst := build(src, append([]float64(nil), init...), scale)
-				for v := 0; v < n; v++ {
-					if !rowK.Cond(graph.Vertex(v)) {
-						t.Fatalf("%s: Cond(%d) is false; a row kernel's Cond is constantly true", name, v)
+			src, scale, init := random(), random(), random()
+			rowK, rowDst := build(src, append([]float64(nil), init...), scale)
+			edgeK, edgeDst := build(src, append([]float64(nil), init...), scale)
+			for v := 0; v < n; v++ {
+				if !rowK.Cond(graph.Vertex(v)) {
+					t.Fatalf("%s: Cond(%d) is false; a row kernel's Cond is constantly true", name, v)
+				}
+			}
+			for row := 0; row < 200; row++ {
+				s := graph.Vertex(rng.Intn(n))
+				cols := make([]graph.Vertex, rng.Intn(24))
+				var wts []float32
+				if weighted {
+					wts = make([]float32, len(cols))
+				}
+				for j := range cols {
+					cols[j] = graph.Vertex(rng.Intn(n))
+					if weighted && rng.Intn(8) > 0 { // an eighth keep the zero weight
+						wts[j] = float32(rng.Float64() * 100)
 					}
 				}
-				for row := 0; row < 200; row++ {
-					s := graph.Vertex(rng.Intn(n))
-					cols := make([]graph.Vertex, rng.Intn(24))
-					var wts []float32
+				rowK.PushRow(s, cols, wts)
+				for j, d := range cols {
+					var w float32
 					if weighted {
-						wts = make([]float32, len(cols))
+						w = wts[j]
 					}
-					for j := range cols {
-						cols[j] = graph.Vertex(rng.Intn(n))
-						if weighted && rng.Intn(8) > 0 { // an eighth keep the zero weight
-							wts[j] = float32(rng.Float64() * 100)
-						}
-					}
-					rowK.PushRow(s, cols, wts, shared)
-					for j, d := range cols {
-						var w float32
-						if weighted {
-							w = wts[j]
-						}
-						update := edgeK.Update
-						if shared {
-							update = edgeK.UpdateAtomic
-						}
-						if !update(s, d, w) {
-							t.Fatalf("%s: update reported false; a row kernel's always reports true", name)
-						}
+					if !edgeK.Update(s, d, w) {
+						t.Fatalf("%s: update reported false; a row kernel's always reports true", name)
 					}
 				}
-				for v := range rowDst {
-					if math.Float64bits(rowDst[v]) != math.Float64bits(edgeDst[v]) {
-						t.Fatalf("%s weighted=%v shared=%v: [%d] = %x by rows, %x by edges",
-							name, weighted, shared, v, rowDst[v], edgeDst[v])
-					}
+			}
+			for v := range rowDst {
+				if math.Float64bits(rowDst[v]) != math.Float64bits(edgeDst[v]) {
+					t.Fatalf("%s weighted=%v: [%d] = %x by rows, %x by edges",
+						name, weighted, v, rowDst[v], edgeDst[v])
 				}
 			}
 		}
@@ -92,7 +85,7 @@ func TestPushRowMatchesUpdateLoop(t *testing.T) {
 }
 
 // perEdgePull is the literal dense pull loop of the engines over one row.
-func perEdgePull(k sg.EdgeKernel, t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int, shared bool) (scanned int, updated bool) {
+func perEdgePull(k sg.EdgeKernel, t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int) (scanned int, updated bool) {
 	if !k.Cond(t) {
 		return 0, false
 	}
@@ -105,11 +98,7 @@ func perEdgePull(k sg.EdgeKernel, t graph.Vertex, cols []graph.Vertex, wts []flo
 		if wts != nil {
 			w = wts[j]
 		}
-		update := k.Update
-		if shared {
-			update = k.UpdateAtomic
-		}
-		if update(s, t, w) {
+		if k.Update(s, t, w) {
 			updated = true
 		}
 		if !k.Cond(t) {
@@ -124,7 +113,7 @@ func perEdgePull(k sg.EdgeKernel, t graph.Vertex, cols []graph.Vertex, wts []flo
 // sources included, zero weights on weighted rows — under an empty, a
 // sparse and the full (nil) frontier leaf, PullRow leaves the kernel's
 // array bit-equal to the per-edge loop and reports the same scanned count
-// and outcome, shared or not. The leaf starts at vertex 32, so a kernel
+// and outcome. The leaf starts at vertex 32, so a kernel
 // that forgets base reads the wrong bits.
 func TestPullRowMatchesUpdateLoop(t *testing.T) {
 	type pullKernel interface {
@@ -189,39 +178,37 @@ func TestPullRowMatchesUpdateLoop(t *testing.T) {
 	for name, build := range kernels {
 		for lname, leaf := range leaves {
 			for _, weighted := range []bool{false, true} {
-				for _, shared := range []bool{false, true} {
-					rowK, edgeK, equal := build()
-					active := leaf()
-					var updates int
-					for row := 0; row < 400; row++ {
-						target := graph.Vertex(rng.Intn(n))
-						cols := make([]graph.Vertex, rng.Intn(12))
-						var wts []float32
-						if weighted {
-							wts = make([]float32, len(cols))
+				rowK, edgeK, equal := build()
+				active := leaf()
+				var updates int
+				for row := 0; row < 400; row++ {
+					target := graph.Vertex(rng.Intn(n))
+					cols := make([]graph.Vertex, rng.Intn(12))
+					var wts []float32
+					if weighted {
+						wts = make([]float32, len(cols))
+					}
+					for j := range cols {
+						cols[j] = graph.Vertex(base + rng.Intn(span))
+						if in := int(target) >= base && int(target) < base+span; in && rng.Intn(6) == 0 {
+							cols[j] = target // self-loop
 						}
-						for j := range cols {
-							cols[j] = graph.Vertex(base + rng.Intn(span))
-							if in := int(target) >= base && int(target) < base+span; in && rng.Intn(6) == 0 {
-								cols[j] = target // self-loop
-							}
-							if weighted && rng.Intn(4) > 0 { // a quarter keep the zero weight
-								wts[j] = float32(rng.Float64() * 10)
-							}
-						}
-						gotN, gotUp := rowK.PullRow(target, cols, wts, active, base, shared)
-						wantN, wantUp := perEdgePull(edgeK, target, cols, wts, active, base, shared)
-						if gotN != wantN || gotUp != wantUp || !equal() {
-							t.Fatalf("%s leaf=%s weighted=%v shared=%v row %d (t=%d cols=%v): PullRow scanned %d updated %v, per-edge %d %v, data equal %v",
-								name, lname, weighted, shared, row, target, cols, gotN, gotUp, wantN, wantUp, equal())
-						}
-						if gotUp {
-							updates++
+						if weighted && rng.Intn(4) > 0 { // a quarter keep the zero weight
+							wts[j] = float32(rng.Float64() * 10)
 						}
 					}
-					if (updates == 0) != (lname == "empty") {
-						t.Errorf("%s leaf=%s weighted=%v shared=%v: %d rows updated", name, lname, weighted, shared, updates)
+					gotN, gotUp := rowK.PullRow(target, cols, wts, active, base)
+					wantN, wantUp := perEdgePull(edgeK, target, cols, wts, active, base)
+					if gotN != wantN || gotUp != wantUp || !equal() {
+						t.Fatalf("%s leaf=%s weighted=%v row %d (t=%d cols=%v): PullRow scanned %d updated %v, per-edge %d %v, data equal %v",
+							name, lname, weighted, row, target, cols, gotN, gotUp, wantN, wantUp, equal())
 					}
+					if gotUp {
+						updates++
+					}
+				}
+				if (updates == 0) != (lname == "empty") {
+					t.Errorf("%s leaf=%s weighted=%v: %d rows updated", name, lname, weighted, updates)
 				}
 			}
 		}
@@ -232,13 +219,11 @@ func TestPullRowMatchesUpdateLoop(t *testing.T) {
 	cols := []graph.Vertex{40, 41, 42, 43}
 	active := make([]uint64, (span+63)/64)
 	active[0] = 1<<(42-base) | 1<<(43-base)
-	for _, shared := range []bool{false, true} {
-		k := &bfsKernel{parent: []uint32{0: 7, 1: unvisited, 50: 0}}
-		if scanned, updated := k.PullRow(0, cols, nil, active, base, shared); scanned != 0 || updated || k.parent[0] != 7 {
-			t.Errorf("shared=%v: claimed target scanned %d, updated %v, parent %d", shared, scanned, updated, k.parent[0])
-		}
-		if scanned, updated := k.PullRow(1, cols, nil, active, base, shared); scanned != 3 || !updated || k.parent[1] != 42 {
-			t.Errorf("shared=%v: claim mid-row scanned %d, updated %v, parent %d; want 3, true, 42", shared, scanned, updated, k.parent[1])
-		}
+	k := &bfsKernel{parent: []uint32{0: 7, 1: unvisited, 50: 0}}
+	if scanned, updated := k.PullRow(0, cols, nil, active, base); scanned != 0 || updated || k.parent[0] != 7 {
+		t.Errorf("claimed target scanned %d, updated %v, parent %d", scanned, updated, k.parent[0])
+	}
+	if scanned, updated := k.PullRow(1, cols, nil, active, base); scanned != 3 || !updated || k.parent[1] != 42 {
+		t.Errorf("claim mid-row scanned %d, updated %v, parent %d; want 3, true, 42", scanned, updated, k.parent[1])
 	}
 }

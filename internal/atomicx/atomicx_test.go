@@ -1,10 +1,8 @@
 package atomicx
 
 import (
-	"math"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
 func TestAddFloat64Concurrent(t *testing.T) {
@@ -22,82 +20,5 @@ func TestAddFloat64Concurrent(t *testing.T) {
 	wg.Wait()
 	if x != 4000 {
 		t.Fatalf("x = %v, want 4000", x)
-	}
-}
-
-func TestLoadStoreFloat64(t *testing.T) {
-	var x float64
-	StoreFloat64(&x, math.Pi)
-	if LoadFloat64(&x) != math.Pi {
-		t.Fatal("load/store mismatch")
-	}
-}
-
-func TestMinFloat64(t *testing.T) {
-	x := 10.0
-	if !MinFloat64(&x, 5) || x != 5 {
-		t.Fatalf("min failed: %v", x)
-	}
-	if MinFloat64(&x, 7) || x != 5 {
-		t.Fatalf("min must not increase: %v", x)
-	}
-	if MinFloat64(&x, 5) {
-		t.Fatal("equal value must report no change")
-	}
-}
-
-func TestMinFloat64ConcurrentConverges(t *testing.T) {
-	x := math.Inf(1)
-	var wg sync.WaitGroup
-	for i := 1; i <= 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				MinFloat64(&x, float64(i*1000-j))
-			}
-		}(i)
-	}
-	wg.Wait()
-	if x != 501 {
-		t.Fatalf("concurrent min = %v, want 501", x)
-	}
-}
-
-func TestMinUint32Property(t *testing.T) {
-	f := func(a, b uint32) bool {
-		x := a
-		changed := MinUint32(&x, b)
-		if b < a {
-			return changed && x == b
-		}
-		return !changed && x == a
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMinInt64Property(t *testing.T) {
-	f := func(a, b int64) bool {
-		x := a
-		changed := MinInt64(&x, b)
-		if b < a {
-			return changed && x == b
-		}
-		return !changed && x == a
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCASUint32(t *testing.T) {
-	var x uint32 = 7
-	if !CASUint32(&x, 7, 9) || x != 9 {
-		t.Fatal("CAS success path broken")
-	}
-	if CASUint32(&x, 7, 11) || x != 9 {
-		t.Fatal("CAS failure path broken")
 	}
 }

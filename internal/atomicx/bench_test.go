@@ -10,17 +10,3 @@ func BenchmarkAddFloat64(b *testing.B) {
 		}
 	})
 }
-
-func BenchmarkMinFloat64(b *testing.B) {
-	x := 1e18
-	for i := 0; i < b.N; i++ {
-		MinFloat64(&x, float64(b.N-i))
-	}
-}
-
-func BenchmarkMinUint32(b *testing.B) {
-	var x uint32 = 1 << 31
-	for i := 0; i < b.N; i++ {
-		MinUint32(&x, uint32(b.N-i))
-	}
-}

@@ -47,17 +47,13 @@ func TestTierSweepGate(t *testing.T) {
 	}
 }
 
-// TestTierSweepDeterminism: the sweep's PR rows are clock-deterministic
-// (PR's charge totals are schedule-independent), so two sweeps must
-// agree bit-for-bit on them.
+// TestTierSweepDeterminism: two sweeps must agree bit-for-bit on every
+// row.
 func TestTierSweepDeterminism(t *testing.T) {
 	a, b := tierSweepFixture(t), tierSweepFixture(t)
 	for i := range a.Rows {
-		if a.Rows[i].Algo != PR {
-			continue
-		}
 		if a.Rows[i] != b.Rows[i] {
-			t.Errorf("PR row %d diverged across identical sweeps:\n%+v\n%+v", i, a.Rows[i], b.Rows[i])
+			t.Errorf("row %d diverged across identical sweeps:\n%+v\n%+v", i, a.Rows[i], b.Rows[i])
 		}
 	}
 }

@@ -102,12 +102,12 @@ type Policy struct {
 //
 //   - BFS levels and CC labels are integers: exact.
 //   - SSSP distances are per-path ordered sums, identical in every
-//     engine up to relaxation races that cannot change the fixed point:
-//     a token ULP budget.
+//     engine up to the relaxation order, which cannot change the fixed
+//     point: a token ULP budget.
 //   - PR, SpMV and BP accumulate float sums whose association order
-//     differs between engines (and between parallel schedules): a ULP
-//     budget wide enough for reassociation over the test graphs yet
-//     ~1e5x tighter than the old ad-hoc 1e-9 relative checks.
+//     differs between engines: a ULP budget wide enough for
+//     reassociation over the test graphs yet ~1e5x tighter than the old
+//     ad-hoc 1e-9 relative checks.
 //   - PRDelta converges by a different route than power iteration, so it
 //     is compared absolutely at just below its convergence floor
 //     (eps/(1-d) mass still in flight at eps=1e-10).

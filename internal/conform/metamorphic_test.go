@@ -2,6 +2,7 @@ package conform
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"polymer/internal/algorithms"
@@ -81,41 +82,43 @@ func TestPartitionCountIndependence(t *testing.T) {
 	}
 }
 
-// TestRerunDeterminism: re-running the identical case must reproduce the
-// answer under the algorithm's own (unrelaxed) policy on every engine.
-// PageRank is additionally held to bit-identity on the engines whose
-// reduction order is scheduler-independent (X-Stream's sequential gather
-// phase, Galois's per-vertex pull). Polymer and Ligra push PageRank
-// through atomic adds, whose commit order moves with the scheduler, so
-// they answer only for ULP-level agreement here; their bit-identity in
-// pull mode is pinned by TestPullModeRerunBitIdentity.
+// TestRerunDeterminism: a run is a function of its input. Every cell of
+// the matrix — 7 algorithms x 4 engines x 2 topologies — run twice must
+// agree bit for bit on the values, the simulated clock and the access
+// ledger, at any GOMAXPROCS (check.sh runs this at -cpu 1,2,8).
 func TestRerunDeterminism(t *testing.T) {
 	g := metamorphicGraph()
-	for _, eng := range Engines() {
-		for _, alg := range Algos() {
-			c := Case{Engine: eng, Algo: alg, Topo: AMD64, Src: 3}
-			t.Run(c.String(), func(t *testing.T) {
-				a := Run(c, g)
-				b := Run(c, g)
-				p := PolicyFor(alg)
-				if alg == PR && (eng == XStream || eng == Galois) {
-					p = Policy{Exact: true}
-				}
-				if d := Compare(c, p, Normalize(alg, a.Out), Normalize(alg, b.Out)); d != nil {
-					t.Fatalf("re-run variance: %v", d)
-				}
-			})
+	for _, topo := range Topos() {
+		for _, eng := range Engines() {
+			for _, alg := range Algos() {
+				c := Case{Engine: eng, Algo: alg, Topo: topo, Src: 3}
+				t.Run(c.String(), func(t *testing.T) {
+					run := func() bench.RunResult {
+						r, err := bench.RunWith(benchSystems[eng], benchAlgos[alg], g, c.Machine(), bench.Options{Src: c.Src})
+						if err != nil {
+							t.Fatal(err)
+						}
+						return r
+					}
+					a, b := run(), run()
+					if d := Compare(c, Policy{Exact: true}, a.Out.Widen(), b.Out.Widen()); d != nil {
+						t.Errorf("re-run variance: %v", d)
+					}
+					if math.Float64bits(a.SimSeconds) != math.Float64bits(b.SimSeconds) {
+						t.Errorf("re-run SimSeconds %x, first run %x", b.SimSeconds, a.SimSeconds)
+					}
+					if a.Stats != b.Stats || a.Out.Iters != b.Out.Iters {
+						t.Errorf("re-run stats %+v (%d iterations), first run %+v (%d)", b.Stats, b.Out.Iters, a.Stats, a.Out.Iters)
+					}
+				})
+			}
 		}
 	}
 }
 
-// TestPullModeRerunBitIdentity: on a single node in pull mode every
-// destination's whole in-edge list is gathered sequentially by one
-// thread, so there is no commit order to race on — re-runs must be
-// bit-identical regardless of scheduling. (Across nodes even pull mode
-// merges per-node partial aggregates through atomics, the paper's
-// Polymer design, so multi-node bit stability is scheduler-dependent
-// and probed rather than asserted elsewhere.)
+// TestPullModeRerunBitIdentity: TestRerunDeterminism's claim for a
+// configuration its matrix does not reach, Polymer forced into pull mode
+// on a single node.
 func TestPullModeRerunBitIdentity(t *testing.T) {
 	g := metamorphicGraph()
 	run := func() ([]float64, []float64) {
@@ -165,20 +168,8 @@ func TestFaultReplayEquivalence(t *testing.T) {
 	}
 	for _, eng := range Engines() {
 		t.Run(string(eng), func(t *testing.T) {
-			// Polymer and Ligra push PageRank through atomic adds, so
-			// run-to-run bit stability depends on the scheduler (it holds
-			// in plain runs, drifts under -race). Probe it the way the
-			// fault matrix does for BFS: demand bit-identity exactly when
-			// two clean runs reproduce each other, ULP-agreement otherwise.
-			clean := run(eng, false)
-			clean2 := run(eng, false)
 			c := Case{Engine: eng, Algo: PR, Topo: Intel80}
-			p := Policy{Exact: true}
-			if Compare(c, p, clean, clean2) != nil {
-				p = PolicyFor(PR)
-			}
-			faulty := run(eng, true)
-			if d := Compare(c, p, clean, faulty); d != nil {
+			if d := Compare(c, Policy{Exact: true}, run(eng, false), run(eng, true)); d != nil {
 				t.Fatalf("recovered run diverges from fault-free: %v", d)
 			}
 		})
@@ -202,11 +193,7 @@ func TestSpMVLinearity(t *testing.T) {
 		m := numa.NewMachine(numa.IntelXeon80(), 2, 2)
 		switch eng {
 		case Polymer:
-			// Single-node pull: deterministic summation order makes the
-			// bitwise scaling claim unconditional.
-			opt := core.DefaultOptions()
-			opt.Mode = core.Pull
-			e := core.MustNew(g, numa.NewMachine(numa.IntelXeon80(), 1, 4), opt)
+			e := core.MustNew(g, m, core.DefaultOptions())
 			defer e.Close()
 			return must(algorithms.SpMV(e, Iters, in, nil))
 		case Ligra:
@@ -232,17 +219,8 @@ func TestSpMVLinearity(t *testing.T) {
 			for v := range y {
 				scaled[v] = 2 * y[v]
 			}
-			// Ligra's push-mode atomic adds commit in scheduler order, so
-			// the two runs may not share a summation order; probe with a
-			// re-run and fall back to ULP agreement when they don't.
-			p := Policy{Exact: true}
 			c := Case{Engine: eng, Algo: SpMV, Topo: Intel80}
-			if eng == Ligra {
-				if Compare(c, p, y, run(eng, x)) != nil {
-					p = PolicyFor(SpMV)
-				}
-			}
-			if d := Compare(c, p, scaled, y2); d != nil {
+			if d := Compare(c, Policy{Exact: true}, scaled, y2); d != nil {
 				t.Fatalf("linearity violated: %v", d)
 			}
 		})

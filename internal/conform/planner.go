@@ -2,21 +2,11 @@
 // payload. Planning is deterministic — two independent planners given
 // the same profile resolve the same pick — and a sole-tenant lease
 // hands out a machine that is structurally identical to the explicit
-// one (same topology, width, cores and physical socket map), so a run
-// on it produces bit-identical values. This is what lets the serving
-// layer share one result-cache entry between planned and explicit
-// requests.
-//
-// The simulated clock is deliberately NOT part of the bit-identity
-// claim: the engines' charge attribution is scheduling-dependent (in a
-// sparse push phase, which thread's charger absorbs a contended CAS
-// depends on real interleaving, and chaotic SSSP relaxation does
-// scheduling-dependent amounts of work before converging), so two
-// *explicit* runs of the same configuration already report different
-// SimSeconds. What the planner owes is that it cannot widen that
-// envelope — which follows from machine identity — so the clock check
-// below is a coarse sanity bound that would catch a mis-wired lease
-// (wrong width or degraded links), not a bit-equality assertion.
+// one (same topology, width, cores and physical socket map). A run is a
+// function of its graph and machine, so the planned run reports the
+// explicit run's values and simulated clock bit for bit. This is what
+// lets the serving layer share one result-cache entry between planned
+// and explicit requests.
 
 package conform
 
@@ -30,18 +20,11 @@ import (
 	"polymer/internal/plan"
 )
 
-// simEnvelope bounds |planned-explicit|/explicit on the simulated
-// clock. The engines' own run-to-run attribution wobble measures ~0.5%
-// normally and up to ~15% under the race detector's scheduler (chaotic
-// SSSP relaxation); a mis-wired lease machine — wrong socket count,
-// wrong placement — is off by 2x or more.
-const simEnvelope = 0.30
-
 // CheckPlanned profiles g, plans alg at the requested width, and runs
 // the pick two ways: on the scheduler's sole-tenant leased machine (the
 // planned path) and on numa.NewMachineChecked with the same knobs (the
 // explicit path). It returns the first violation of determinism,
-// machine identity, or value bit-identity, or nil.
+// machine identity, or bit-identity of values and clock, or nil.
 func CheckPlanned(g *graph.Graph, alg bench.Algo, topo *numa.Topology, nodes, cores int) error {
 	f := plan.Profile(g)
 	if f2 := plan.Profile(g); f != f2 {
@@ -97,13 +80,13 @@ func CheckPlanned(g *graph.Graph, alg bench.Algo, topo *numa.Topology, nodes, co
 		return fmt.Errorf("conform: planned %s checksum %v != explicit %v",
 			pick, planned.Checksum, explicit.Checksum)
 	}
-	if d := math.Abs(planned.SimSeconds - explicit.SimSeconds); d > simEnvelope*explicit.SimSeconds {
-		return fmt.Errorf("conform: planned %s sim %v vs explicit %v — outside the %.0f%% engine envelope, lease machine mis-wired?",
-			pick, planned.SimSeconds, explicit.SimSeconds, simEnvelope*100)
+	if math.Float64bits(planned.SimSeconds) != math.Float64bits(explicit.SimSeconds) {
+		return fmt.Errorf("conform: planned %s sim %x != explicit %x — lease machine mis-wired?",
+			pick, planned.SimSeconds, explicit.SimSeconds)
 	}
 
-	// Values must also be deterministic across reruns of the planned
-	// path itself (a second lease machine, same lease).
+	// The planned path must also reproduce itself (a second lease
+	// machine, same lease).
 	lm2, err := lease.Machine(cores)
 	if err != nil {
 		return fmt.Errorf("conform: lease machine (rerun): %w", err)
@@ -112,9 +95,9 @@ func CheckPlanned(g *graph.Graph, alg bench.Algo, topo *numa.Topology, nodes, co
 	if err != nil {
 		return fmt.Errorf("conform: planned rerun: %w", err)
 	}
-	if rerun.Checksum != planned.Checksum {
-		return fmt.Errorf("conform: planned %s checksum not deterministic: %v vs %v",
-			pick, rerun.Checksum, planned.Checksum)
+	if rerun.Checksum != planned.Checksum || math.Float64bits(rerun.SimSeconds) != math.Float64bits(planned.SimSeconds) {
+		return fmt.Errorf("conform: planned %s not deterministic: checksum %v vs %v, sim %x vs %x",
+			pick, rerun.Checksum, planned.Checksum, rerun.SimSeconds, planned.SimSeconds)
 	}
 	return nil
 }

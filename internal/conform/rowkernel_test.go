@@ -2,7 +2,6 @@ package conform
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"testing"
 
@@ -20,7 +19,7 @@ import (
 )
 
 // perEdge hides a kernel's row form: embedding the interface promotes
-// only Cond, Update and UpdateAtomic.
+// only Cond and Update.
 type perEdge struct{ sg.EdgeKernel }
 
 // perEdgeEngine hands every kernel to the engine under it through
@@ -134,10 +133,8 @@ func compareClock(t *testing.T, sys rowSystem, row, edge rowOutcome) {
 // TestRowKernelEquivalence holds the sg.RowKernel contract at engine
 // level: PR, SpMV and BP through the row loops and through the per-edge
 // loops commit the same value bits, simulated clock, access statistics
-// and edge count, each under a fault session that rolls one step back.
-// Polymer's push has one writer per target, so its values are exact at
-// any GOMAXPROCS; Ligra's are exact on one host worker and sum in CAS
-// order on more, on either path.
+// and edge count, each under a fault session that rolls one step back, at
+// any GOMAXPROCS.
 func TestRowKernelEquivalence(t *testing.T) {
 	wg := metamorphicGraph()
 	n, edges := gen.Powerlaw(192, 4, 2.0, 13)
@@ -158,7 +155,6 @@ func TestRowKernelEquivalence(t *testing.T) {
 	}
 
 	for _, sys := range systems {
-		oneWriter := sys.name != "ligra" // per push target: float sums exact at any GOMAXPROCS
 		for _, a := range algos {
 			for gname, g := range map[string]*graph.Graph{"weighted": wg, "unweighted": ug} {
 				t.Run(sys.name+"/"+string(a.algo)+"/"+gname, func(t *testing.T) {
@@ -167,11 +163,7 @@ func TestRowKernelEquivalence(t *testing.T) {
 					if want := int64(Iters) * g.NumEdges(); row.edges != want {
 						t.Errorf("EdgesProcessed: %d, want %d", row.edges, want)
 					}
-					p := Policy{Exact: true}
-					if !oneWriter && runtime.GOMAXPROCS(0) > 1 {
-						p = PolicyFor(a.algo)
-					}
-					if d := Compare(Case{Algo: a.algo}, p, edge.out, row.out); d != nil {
+					if d := Compare(Case{Algo: a.algo}, Policy{Exact: true}, edge.out, row.out); d != nil {
 						t.Errorf("values: row path diverges from per-edge path: %v", d)
 					}
 				})
@@ -184,13 +176,7 @@ func TestRowKernelEquivalence(t *testing.T) {
 // level: BFS, CC and SSSP with their PullRow and with it hidden (the
 // per-edge sg.PullRowPerEdge) commit the same values, simulated clock,
 // access statistics and edge count, each under a fault session that rolls
-// one step back. Levels, component labels and distances are functions of
-// the graph, exact at any GOMAXPROCS. The clock, the statistics and the
-// edge count are compared on one host worker only: with more, a pull
-// target's rows on different nodes (Polymer) and a source being lowered
-// while it is read (either engine) make the early exits and the number of
-// successful updates the scheduler's, on the per-edge path as on this one
-// (ROADMAP, determinism item b).
+// one step back, at any GOMAXPROCS.
 func TestPullRowEquivalence(t *testing.T) {
 	wg := metamorphicGraph()
 	n, edges := gen.Powerlaw(192, 4, 2.0, 13)
@@ -229,9 +215,7 @@ func TestPullRowEquivalence(t *testing.T) {
 						}
 					}
 					row, edge := sys.run(t, g, true, a.run, pulled), sys.run(t, g, false, a.run, pulled)
-					if runtime.GOMAXPROCS(0) == 1 {
-						compareClock(t, sys, row, edge)
-					}
+					compareClock(t, sys, row, edge)
 					if d := Compare(Case{Algo: a.algo}, Policy{Exact: true}, edge.out, row.out); d != nil {
 						t.Errorf("values: PullRow path diverges from per-edge path: %v", d)
 					}

@@ -10,13 +10,10 @@ import (
 
 // Tiered-memory conformance: tiering is strictly a cost-model concern —
 // the tier split feeds the epoch ledger and nothing else — so a tiered
-// run must compute the same VALUES as the untiered run at every DRAM
-// budget, under exactly the tolerance the engine's own re-run
-// determinism grants (bit-identity where the reduction order is
-// scheduler-independent, the algorithm's ULP policy where it is not; see
-// TestRerunDeterminism). For kernels whose charge totals are
-// schedule-independent the CLOCK is additionally pinned: bit-identical
-// to the untiered run when DRAM covers the whole footprint, inside
+// run must compute the same VALUES as the untiered run, bit for bit, at
+// every DRAM budget (a run is a function of its input; see
+// TestRerunDeterminism). The CLOCK is pinned too: bit-identical to the
+// untiered run when DRAM covers the whole footprint, inside
 // TieredEnvelope when it does not.
 
 // TieredEnvelope is the documented clock envelope for DRAM-constrained
@@ -49,34 +46,10 @@ func TieredBudget(peak int64, nodes int, dramFrac float64) int64 {
 	return b
 }
 
-// clockDeterministic reports whether the algorithm's charge totals are a
-// pure function of the input: the fixed-iteration kernels touch every
-// edge with unconditional updates, so per-thread counts don't move with
-// the scheduler. Traversals (and PRDelta's threshold-driven frontier)
-// count CAS winners, so their clocks are only statistically stable and
-// the differential cannot pin them across two separate runs.
-func clockDeterministic(a Algo) bool {
-	return a == PR || a == SpMV || a == BP
-}
-
-// tieredValuePolicy is the value tolerance for the tiered-vs-untiered
-// differential: exactly the engine's own re-run guarantee. X-Stream's
-// sequential gather and Galois's per-vertex pull make even float sums
-// bit-stable; Polymer and Ligra push through atomic adds whose commit
-// order moves with the scheduler, so their float kernels answer for the
-// algorithm's unrelaxed ULP policy.
-func tieredValuePolicy(c Case) Policy {
-	if c.Algo == PR && (c.Engine == XStream || c.Engine == Galois) {
-		return Policy{Exact: true}
-	}
-	return PolicyFor(c.Algo)
-}
-
 // CheckTiered runs the case untiered and again under pol with dramFrac
 // of the untiered peak footprint as DRAM, and verifies the tiered run
-// against the untiered one: values within the re-run tolerance at every
-// budget, and — for clock-deterministic kernels — the clock
-// bit-identical at full residency (dramFrac >= 1) and inside
+// against the untiered one: values bit-identical at every budget, the
+// clock bit-identical at full residency (dramFrac >= 1) and inside
 // TieredEnvelope otherwise.
 func CheckTiered(c Case, g *graph.Graph, pol numa.TierPolicy, dramFrac float64, promoteEvery int) error {
 	c.TierPol, c.DRAMPerNode, c.PromoteEvery = numa.TierNone, 0, 0
@@ -91,14 +64,10 @@ func CheckTiered(c Case, g *graph.Graph, pol numa.TierPolicy, dramFrac float64, 
 	}
 	got := Run(tc, g)
 
-	p := tieredValuePolicy(c)
-	if d := Compare(tc, p, Normalize(c.Algo, base.Out), Normalize(c.Algo, got.Out)); d != nil {
+	if d := Compare(tc, Policy{Exact: true}, Normalize(c.Algo, base.Out), Normalize(c.Algo, got.Out)); d != nil {
 		return fmt.Errorf("tiered values diverged from untiered (the tier split must never feed computation): %w", d)
 	}
 
-	if !clockDeterministic(c.Algo) {
-		return nil
-	}
 	if dramFrac >= 1 {
 		if math.Float64bits(got.SimSeconds) != math.Float64bits(base.SimSeconds) {
 			return fmt.Errorf("%s: full-DRAM tiered clock %v != untiered %v (must be bit-identical)",

@@ -82,9 +82,8 @@ type tierPlanner interface {
 
 // TestTieredPromotionDeterminism: the same tiered PageRank run on two
 // fresh machines must make identical migration decisions (the log is a
-// pure function of the schedule's access counters), converge to the same
-// residency split, and — PR's charge totals being schedule-independent —
-// a bit-identical clock.
+// pure function of the run's access counters), converge to the same
+// residency split, and report a bit-identical clock.
 func TestTieredPromotionDeterminism(t *testing.T) {
 	g := invariantGraph()
 	type probe struct {

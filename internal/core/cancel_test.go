@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"polymer/internal/atomicx"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/sg"
@@ -22,11 +21,6 @@ type cancelKernel struct {
 func (k *cancelKernel) Update(s, d graph.Vertex, w float32) bool {
 	k.cancel()
 	k.next[d]++
-	return true
-}
-func (k *cancelKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	k.cancel()
-	atomicx.AddFloat64(&k.next[d], 1)
 	return true
 }
 func (k *cancelKernel) Cond(graph.Vertex) bool { return true }

@@ -33,11 +33,10 @@ func (e *Engine) EdgeMap(a *state.Subset, k sg.EdgeKernel, h sg.Hints) *state.Su
 // EdgeMapK is EdgeMap generically typed on the kernel; the interface
 // method above is its instantiation at sg.EdgeKernel. Callers that know
 // the concrete kernel type (the algorithms package) skip the interface
-// boxing that way, and no more: per-edge Cond/Update/UpdateAtomic on a
-// type parameter are dictionary calls, as indirect as interface calls and
-// never inlined. Kernels that want an inlined edge loop bring their own
-// (sg.RowKernel, used by edgeMapDensePush; sg.PullRowKernel, used by
-// edgeMapDensePull).
+// boxing that way, and no more: per-edge Cond/Update on a type parameter
+// are dictionary calls, as indirect as interface calls and never inlined.
+// Kernels that want an inlined edge loop bring their own (sg.RowKernel,
+// used by edgeMapDensePush; sg.PullRowKernel, used by edgeMapDensePull).
 func EdgeMapK[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	h = h.Normalize()
 	if a.IsEmpty() || e.Err() != nil {
@@ -66,10 +65,9 @@ func EdgeMapK[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *sta
 }
 
 // charger accumulates one node's classified traffic during a phase and
-// flushes it to the epoch at the end, honouring the ablation flags. All
-// threads of a node run one after another on the host worker that owns
-// the node (par.Pool.Run), so they count into the node's charger without
-// synchronisation.
+// flushes it to the epoch at the end, honouring the ablation flags. A
+// phase runs its threads one after another (par.Pool.Run), so all threads
+// of a node count into the node's charger without synchronisation.
 type charger struct {
 	e  *Engine
 	ep *numa.Epoch
@@ -83,8 +81,6 @@ type charger struct {
 	condChecks    int64
 	lookups       int64 // sparse-mode agent-table probes
 	appends       int64 // sparse-mode queue appends
-
-	_ [2]int64 // pad: pooled chargers are adjacent in memory
 }
 
 // reset clears the per-phase counters, keeping identity and slices.
@@ -251,12 +247,9 @@ func dataWS(e *Engine, h sg.Hints) int64 {
 }
 
 // edgeMapDensePush sweeps each node's source-keyed rows in rolling order:
-// active sources push updates to their local targets. All threads of a
-// node run on the one host worker that owns it (par.Pool.Run), so a
-// target has a single writer — the plain Update path is used — and float
-// sums into it are applied in one fixed order at any GOMAXPROCS. A kernel
-// with a row form (sg.RowKernel) gets one unshared PushRow call per row in
-// place of the per-edge calls; the charged counts are the same.
+// active sources push updates to their local targets. A kernel with a row
+// form (sg.RowKernel) gets one PushRow call per row in place of the
+// per-edge calls; the charged counts are the same.
 func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	l := e.ensurePush()
 	collect := !h.NoOutput
@@ -268,7 +261,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 	ep := e.scr.beginPhase()
 	full := a.Count() == int64(e.G.NumVertices())
 
-	e.runPhase(func(th int) {
+	e.RunPhase(func(th int) {
 		p := e.M.NodeOfThread(th)
 		nl := &l.perNode[p]
 		rows := len(nl.rowIDs)
@@ -302,7 +295,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 				}
 				if rk != nil {
 					// Every edge passes Cond and updates (sg.RowKernel).
-					rk.PushRow(s, cols, wts, false)
+					rk.PushRow(s, cols, wts)
 					n := int64(len(cols))
 					edges, condChecks, updates = edges+n, condChecks+n, updates+n
 					continue
@@ -316,7 +309,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 						condChecks++
 						if k.Update(s, t, wts[j]) {
 							if collect {
-								b.SetIn(p, th, t) // push targets are node-local
+								b.SetIn(p, t) // push targets are node-local
 							}
 							updates++
 						}
@@ -330,7 +323,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 						condChecks++
 						if k.Update(s, t, 0) {
 							if collect {
-								b.SetIn(p, th, t)
+								b.SetIn(p, t)
 							}
 							updates++
 						}
@@ -354,13 +347,12 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 }
 
 // edgeMapDensePull sweeps each node's target-keyed rows: every target
-// gathers from its local sources. With more than one host worker the same
-// target may be updated from several nodes concurrently, so the atomic
-// update path is used (Section 4.3). The columns of node p's rows are p's
-// own vertices, so the only frontier leaf a thread reads is its node's —
-// tested in place, no partition lookup. A kernel with a pull row form
-// (sg.PullRowKernel) gathers a row in one call over that leaf; the charged
-// counts are the same.
+// gathers from its local sources, node after node (the cross-node
+// contention of Section 4.3 is charged in flushPull, not enacted). The
+// columns of node p's rows are p's own vertices, so the only frontier leaf
+// a thread reads is its node's — tested in place, no partition lookup. A
+// kernel with a pull row form (sg.PullRowKernel) gathers a row in one call
+// over that leaf; the charged counts are the same.
 func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	l := e.ensurePull()
 	collect := !h.NoOutput
@@ -370,10 +362,9 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 		b = e.scr.builder.Builder(e.bounds, e.M.Threads(), true, e.degreeOf)
 	}
 	ep := e.scr.beginPhase()
-	atomicUpdate := e.Pool.Workers() > 1 // nodes that share a host worker run one after another
 	full := a.Count() == int64(e.G.NumVertices())
 
-	e.runPhase(func(th int) {
+	e.RunPhase(func(th int) {
 		p := e.M.NodeOfThread(th)
 		nl := &l.perNode[p]
 		rows := len(nl.rowIDs)
@@ -410,14 +401,14 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 				var scanned int
 				var updated bool
 				if pk != nil {
-					scanned, updated = pk.PullRow(t, cols, wts, active, base, atomicUpdate)
+					scanned, updated = pk.PullRow(t, cols, wts, active, base)
 				} else {
-					scanned, updated = sg.PullRowPerEdge(k, t, cols, wts, active, base, atomicUpdate)
+					scanned, updated = sg.PullRowPerEdge(k, t, cols, wts, active, base)
 				}
 				edges += int64(scanned)
 				if updated {
 					if collect {
-						b.SetIn(int(owner), th, t)
+						b.SetIn(int(owner), t)
 					}
 					c.activeByOwner[owner]++
 					updates++
@@ -440,8 +431,7 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 
 // edgeMapSparse iterates the active vertex lists (all nodes' leaves, read
 // through the lookup table) and processes, on each node, the local
-// portion of every active vertex's edges via the agent lookup. Targets
-// are node-local, so as in edgeMapDensePush each has a single writer.
+// portion of every active vertex's edges via the agent lookup.
 func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	l := e.ensurePush()
 	collect := !h.NoOutput
@@ -466,7 +456,7 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 	e.scr.actives, e.scr.ownerOf = actives, ownerOf
 	stride := par.MakeStrided(int64(len(actives)), par.ChunkSize(int64(len(actives)), e.M.CoresPerNode), e.M.CoresPerNode)
 
-	e.runPhase(func(th int) {
+	e.RunPhase(func(th int) {
 		p := e.M.NodeOfThread(th)
 		nl := &l.perNode[p]
 		if len(nl.rowIDs) == 0 {
@@ -536,7 +526,7 @@ func (e *Engine) VertexMap(a *state.Subset, f sg.VertexFunc) *state.Subset {
 
 	if a.Dense() {
 		strides := e.vmDenseStrides()
-		e.runPhase(func(th int) {
+		e.RunPhase(func(th int) {
 			p := e.M.NodeOfThread(th)
 			words := a.Words(p)
 			base := e.bounds[p]
@@ -550,7 +540,7 @@ func (e *Engine) VertexMap(a *state.Subset, f sg.VertexFunc) *state.Subset {
 						v := graph.Vertex(base + int(wi)*64 + bit)
 						visited++
 						if f(v) {
-							b.SetIn(p, th, v) // node p's words cover its own partition
+							b.SetIn(p, v) // node p's words cover its own partition
 						}
 						w &= w - 1
 					}
@@ -562,7 +552,7 @@ func (e *Engine) VertexMap(a *state.Subset, f sg.VertexFunc) *state.Subset {
 			ep.Compute(th, float64(visited)*2e-9)
 		})
 	} else {
-		e.runPhase(func(th int) {
+		e.RunPhase(func(th int) {
 			p := e.M.NodeOfThread(th)
 			list := a.List(p)
 			var visited int64

@@ -17,16 +17,13 @@
 //     N-Barrier, and nodes process rows in a rolling order starting from
 //     their own partition to spread interconnect load.
 //
-// The engine computes real results, its simulated threads scheduled onto
-// node-owning host workers (see package par); its memory traffic is
-// charged to the simulated NUMA machine (see package numa) to produce
+// The engine computes real results, its simulated threads run one after
+// another on the caller's goroutine (see package par); its memory traffic
+// is charged to the simulated NUMA machine (see package numa) to produce
 // simulated runtimes.
 package core
 
 import (
-	"fmt"
-	"time"
-
 	"polymer/internal/barrier"
 	"polymer/internal/graph"
 	"polymer/internal/mem"
@@ -81,11 +78,6 @@ type Options struct {
 	// Trace records a PhaseRecord for every EdgeMap/VertexMap (small
 	// overhead; off by default).
 	Trace bool
-	// PhaseTimeout, when positive, bounds the host wall-clock duration of
-	// each parallel phase: a phase that takes longer records a deadline
-	// error on the engine (workers are cooperative, so the phase still
-	// joins; the error surfaces through Err after the join).
-	PhaseTimeout time.Duration
 }
 
 // PhaseRecord describes one executed parallel phase when tracing is on.
@@ -263,39 +255,6 @@ func (e *Engine) chargePhase(ep *numa.Epoch) float64 {
 	dur, sync := e.ChargePhase(ep, e.opt.Barrier)
 	e.met.BarrierSeconds += sync
 	return dur
-}
-
-// runPhase dispatches one parallel phase, honouring the engine context
-// and the configured phase deadline; false means the phase failed and
-// must charge nothing (see sg.Base.RunPhase).
-func (e *Engine) runPhase(fn func(th int)) bool { return e.dispatch(fn, false) }
-
-// dispatch is runPhase with the choice of entry point: concurrent gives
-// every simulated thread its own goroutine, for the one traversal whose
-// thread bodies wait on each other (AsyncTraverse).
-func (e *Engine) dispatch(fn func(th int), concurrent bool) bool {
-	if !concurrent && e.opt.PhaseTimeout <= 0 {
-		return e.RunPhase(fn)
-	}
-	if e.Err() != nil {
-		return false
-	}
-	start := time.Now()
-	var err error
-	if concurrent {
-		err = e.Pool.RunConcurrent(e.Context(), fn)
-	} else {
-		err = e.Pool.RunCtx(e.Context(), fn)
-	}
-	if err != nil {
-		e.Fail(err)
-		return false
-	}
-	if d := time.Since(start); e.opt.PhaseTimeout > 0 && d > e.opt.PhaseTimeout {
-		e.Fail(fmt.Errorf("core: phase exceeded deadline: %v > %v", d, e.opt.PhaseTimeout))
-		return false
-	}
-	return true
 }
 
 // SnapshotExtra and RestoreExtra are the engine's sg.SnapExtra: the

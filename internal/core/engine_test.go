@@ -2,10 +2,8 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 
-	"polymer/internal/atomicx"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/mem"
@@ -38,12 +36,6 @@ func (k *addKernel) record(s, d graph.Vertex) {
 
 func (k *addKernel) Update(s, d graph.Vertex, w float32) bool {
 	k.next[d]++
-	k.record(s, d)
-	return true
-}
-
-func (k *addKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	atomicx.AddFloat64(&k.next[d], 1)
 	k.record(s, d)
 	return true
 }
@@ -161,23 +153,19 @@ func TestEdgeMapSparseMatchesDense(t *testing.T) {
 	})
 }
 
-// claimKernel marks destinations once (BFS-style CAS), exercising Cond.
+// claimKernel marks destinations once (BFS-style claim), exercising Cond.
 type claimKernel struct{ parent []uint32 }
 
 func (k *claimKernel) Update(s, d graph.Vertex, w float32) bool {
-	if atomic.LoadUint32(&k.parent[d]) == ^uint32(0) {
-		atomic.StoreUint32(&k.parent[d], s)
+	if k.parent[d] == ^uint32(0) {
+		k.parent[d] = s
 		return true
 	}
 	return false
 }
 
-func (k *claimKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	return atomicx.CASUint32(&k.parent[d], ^uint32(0), s)
-}
-
 func (k *claimKernel) Cond(d graph.Vertex) bool {
-	return atomic.LoadUint32(&k.parent[d]) == ^uint32(0)
+	return k.parent[d] == ^uint32(0)
 }
 
 func TestEdgeMapCondFiltersClaimed(t *testing.T) {
@@ -393,4 +381,35 @@ func TestCloseIdempotent(t *testing.T) {
 	e := MustNew(g, m, DefaultOptions())
 	e.Close()
 	e.Close()
+}
+
+func TestEngineAccessors(t *testing.T) {
+	n, edges := gen.Chain(16)
+	g := graph.FromEdges(n, edges, false)
+	m := testMachine(2, 2)
+	opt := DefaultOptions()
+	e := MustNew(g, m, opt)
+	defer e.Close()
+	if e.Graph() != g || e.Machine() != m {
+		t.Fatal("accessors must return the construction arguments")
+	}
+	if got := e.Options(); got.Barrier != opt.Barrier || got.Mode != opt.Mode {
+		t.Fatalf("Options() = %+v", got)
+	}
+	parts := e.Parts()
+	if len(parts) != m.Nodes || parts[0].Lo != 0 || parts[len(parts)-1].Hi != n {
+		t.Fatalf("Parts() = %v", parts)
+	}
+	e.AddSimSeconds(1.5)
+	if e.SimSeconds() < 1.5 {
+		t.Fatal("AddSimSeconds must advance the clock")
+	}
+}
+
+func TestTopologyValidatedOnMachine(t *testing.T) {
+	// numa.Machine construction validates; engine relies on it.
+	topo := numa.IntelXeon80()
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
 }

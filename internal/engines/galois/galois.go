@@ -17,9 +17,7 @@ package galois
 
 import (
 	"math"
-	"sync/atomic"
 
-	"polymer/internal/atomicx"
 	"polymer/internal/barrier"
 	"polymer/internal/fault"
 	"polymer/internal/graph"
@@ -127,15 +125,13 @@ func (e *Engine) trackData(bytes int64) {
 	e.TierState.GrowDemandEven(bytes)
 }
 
-// counters accumulates per-thread work; each worker only touches its own
-// padded slot.
+// counters accumulates per-thread work.
 type counters struct {
 	slots []counterSlot
 }
 
 type counterSlot struct {
 	edges, tasks int64
-	_            [6]int64 // avoid false sharing
 }
 
 func newCounters(threads int) *counters { return &counters{slots: make([]counterSlot, threads)} }
@@ -368,7 +364,8 @@ func (e *Engine) BFS(src graph.Vertex) []int64 {
 					d := dist[v]
 					for _, u := range g.OutNeighbors(v) {
 						edges++
-						if atomicx.MinInt64(&dist[u], d+1) {
+						if d+1 < dist[u] {
+							dist[u] = d + 1
 							nextLists[th] = append(nextLists[th], u)
 						}
 					}
@@ -407,33 +404,29 @@ func (e *Engine) CC() []graph.Vertex {
 
 	find := func(x uint32) uint32 {
 		for {
-			p := atomic.LoadUint32(&parent[x])
+			p := parent[x]
 			if p == x {
 				return x
 			}
-			gp := atomic.LoadUint32(&parent[p])
-			atomicx.CASUint32(&parent[x], p, gp) // path halving
+			gp := parent[p]
+			parent[x] = gp // path halving
 			x = gp
 		}
 	}
 	union := func(a, b uint32) {
-		for {
-			ra, rb := find(a), find(b)
-			if ra == rb {
-				return
-			}
-			if ra > rb {
-				ra, rb = rb, ra
-			}
-			// Attach the larger root under the smaller id (keeps the
-			// representative minimal, which canonicalises the output).
-			if atomicx.CASUint32(&parent[rb], rb, ra) {
-				return
-			}
+		ra, rb := find(a), find(b)
+		if ra == rb {
+			return
 		}
+		if ra > rb {
+			ra, rb = rb, ra
+		}
+		// Attach the larger root under the smaller id (keeps the
+		// representative minimal, which canonicalises the output).
+		parent[rb] = ra
 	}
 
-	// One pass over all edges, in parallel.
+	// One pass over all edges.
 	ck := par.MakeStrided(int64(n), 64, e.M.Threads())
 	ep, cnt := e.beginRound()
 	e.RunPhase(func(th int) {
@@ -515,7 +508,7 @@ func (e *Engine) SSSP(src graph.Vertex) []float64 {
 				ck.Do(th, func(lo, hi int64) {
 					for i := lo; i < hi; i++ {
 						v := frontier[i]
-						dv := atomicx.LoadFloat64(&dist[v])
+						dv := dist[v]
 						if bucketOf(dv) != bi {
 							continue // stale entry
 						}
@@ -529,7 +522,8 @@ func (e *Engine) SSSP(src graph.Vertex) []float64 {
 								w = float64(wts[j])
 							}
 							nd := dv + w
-							if atomicx.MinFloat64(&dist[u], nd) {
+							if nd < dist[u] {
+								dist[u] = nd
 								if bucketOf(nd) == bi {
 									nextLists[th] = append(nextLists[th], u)
 								} else {
@@ -551,7 +545,7 @@ func (e *Engine) SSSP(src graph.Vertex) []float64 {
 			}
 			for th, l := range farLists {
 				for _, u := range l {
-					buckets = push(buckets, u, atomicx.LoadFloat64(&dist[u]))
+					buckets = push(buckets, u, dist[u])
 				}
 				farLists[th] = farLists[th][:0]
 			}

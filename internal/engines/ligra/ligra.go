@@ -145,22 +145,22 @@ func (e *Engine) chargePhase(ep *numa.Epoch, kind string, dense, push bool, acti
 	}
 }
 
-// phaseCounts accumulates per-thread work in padded slots; totals are
-// charged evenly across threads, modelling the Cilk work-stealing
-// scheduler that keeps Ligra's edge work balanced under degree skew.
+// phaseCounts accumulates per-thread work; totals are charged evenly
+// across threads, modelling the Cilk work-stealing scheduler that keeps
+// Ligra's edge work balanced under degree skew.
 // Every thread carrying the same counts, the edge phases charge once per
 // node (numa.Epoch.ChargeNodes).
 type phaseCounts struct {
-	slots [][8]int64
+	slots [][4]int64
 }
 
 func newPhaseCounts(threads int) *phaseCounts {
-	return &phaseCounts{slots: make([][8]int64, threads)}
+	return &phaseCounts{slots: make([][4]int64, threads)}
 }
 
 func (p *phaseCounts) reset() {
 	for i := range p.slots {
-		p.slots[i] = [8]int64{}
+		p.slots[i] = [4]int64{}
 	}
 }
 
@@ -220,14 +220,12 @@ func EdgeMapK[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *sta
 // edgeMapDensePush scans all vertices; active ones push along out-edges
 // with random global writes (the paper's RAND|W|G pattern). A kernel with
 // a row form (sg.RowKernel) gets one PushRow call per row in place of the
-// per-edge calls, shared only when a second host worker can write the same
-// targets; the charged counts are the same.
+// per-edge calls; the charged counts are the same.
 func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	g := e.G
 	n := g.NumVertices()
 	collect := !h.NoOutput
 	rk := sg.RowKernelOf(k, h)
-	shared := e.Pool.Workers() > 1
 	var b *state.Builder
 	if collect {
 		b = e.scr.builder.Builder(e.bounds, e.M.Threads(), true, e.degreeOf)
@@ -253,7 +251,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 				}
 				if rk != nil {
 					// Every edge passes Cond and updates (sg.RowKernel).
-					rk.PushRow(s, nbrs, wts, shared)
+					rk.PushRow(s, nbrs, wts)
 					edges += int64(len(nbrs))
 					updates += int64(len(nbrs))
 					continue
@@ -264,9 +262,9 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 						if !k.Cond(t) {
 							continue
 						}
-						if k.UpdateAtomic(s, t, wts[j]) {
+						if k.Update(s, t, wts[j]) {
 							if collect {
-								b.SetIn(0, th, t) // single leaf
+								b.SetIn(0, t) // single leaf
 							}
 							updates++
 						}
@@ -277,9 +275,9 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 						if !k.Cond(t) {
 							continue
 						}
-						if k.UpdateAtomic(s, t, 0) {
+						if k.Update(s, t, 0) {
 							if collect {
-								b.SetIn(0, th, t) // single leaf
+								b.SetIn(0, t) // single leaf
 							}
 							updates++
 						}
@@ -287,7 +285,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 				}
 			}
 		})
-		pc.slots[th] = [8]int64{scanned, active, edges, updates}
+		pc.slots[th] = [4]int64{scanned, active, edges, updates}
 	})
 	if e.Err() != nil {
 		return state.NewEmpty(e.bounds) // failed phase charges nothing
@@ -317,8 +315,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 }
 
 // edgeMapDensePull scans all destinations; each gathers from in-neighbours
-// with random global reads (RAND|R|G), early-exiting once Cond fails. A
-// thread owns the destinations it sweeps, so the plain Update path is used.
+// with random global reads (RAND|R|G), early-exiting once Cond fails.
 // A kernel with a pull row form (sg.PullRowKernel) gathers a row in one
 // call over the frontier's single leaf; the charged counts are the same.
 func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
@@ -351,20 +348,20 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 				var rowEdges int
 				var updated bool
 				if pk != nil {
-					rowEdges, updated = pk.PullRow(t, nbrs, wts, active, 0, false)
+					rowEdges, updated = pk.PullRow(t, nbrs, wts, active, 0)
 				} else {
-					rowEdges, updated = sg.PullRowPerEdge(k, t, nbrs, wts, active, 0, false)
+					rowEdges, updated = sg.PullRowPerEdge(k, t, nbrs, wts, active, 0)
 				}
 				edges += int64(rowEdges)
 				if updated {
 					if collect {
-						b.SetIn(0, th, t)
+						b.SetIn(0, t)
 					}
 					updates++
 				}
 			}
 		})
-		pc.slots[th] = [8]int64{scanned, 0, edges, updates}
+		pc.slots[th] = [4]int64{scanned, 0, edges, updates}
 	})
 	if e.Err() != nil {
 		return state.NewEmpty(e.bounds)
@@ -422,7 +419,7 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 					if h.Weighted && wts != nil {
 						w = wts[j]
 					}
-					if k.UpdateAtomic(s, t, w) {
+					if k.Update(s, t, w) {
 						if collect {
 							b.Add(th, t)
 						}
@@ -431,7 +428,7 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 				}
 			}
 		})
-		pc.slots[th] = [8]int64{active, 0, edges, updates}
+		pc.slots[th] = [4]int64{active, 0, edges, updates}
 	})
 	if e.Err() != nil {
 		return state.NewEmpty(e.bounds)
@@ -478,7 +475,7 @@ func (e *Engine) VertexMap(a *state.Subset, f sg.VertexFunc) *state.Subset {
 						v := graph.Vertex(int(wi)*64 + bit)
 						visited++
 						if f(v) {
-							b.SetIn(0, th, v)
+							b.SetIn(0, v)
 						}
 						w &= w - 1
 					}

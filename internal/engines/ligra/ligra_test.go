@@ -2,10 +2,8 @@ package ligra
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 
-	"polymer/internal/atomicx"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
@@ -21,10 +19,6 @@ type addKernel struct{ next []float64 }
 
 func (k *addKernel) Update(s, d graph.Vertex, w float32) bool {
 	k.next[d]++
-	return true
-}
-func (k *addKernel) UpdateAtomic(s, d graph.Vertex, w float32) bool {
-	atomicx.AddFloat64(&k.next[d], 1)
 	return true
 }
 func (k *addKernel) Cond(graph.Vertex) bool { return true }
@@ -46,31 +40,23 @@ func TestDensePushCountsInDegrees(t *testing.T) {
 	}
 }
 
-// rowAddKernel is addKernel in row form; it notes how PushRow was called.
+// rowAddKernel is addKernel in row form; it counts its PushRow calls.
 type rowAddKernel struct {
 	addKernel
-	rows, sharedRows atomic.Int64
+	rows int64
 }
 
-func (k *rowAddKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, shared bool) {
-	k.rows.Add(1)
-	if shared {
-		k.sharedRows.Add(1)
-	}
+func (k *rowAddKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32) {
+	k.rows++
 	for _, d := range cols {
-		if shared {
-			k.UpdateAtomic(s, d, 0)
-		} else {
-			k.Update(s, d, 0)
-		}
+		k.Update(s, d, 0)
 	}
 }
 
-// TestDensePushRowsAreSharedOnlyAcrossWorkers pins when dense push uses a
-// kernel's row form and how: under NoOutput only, one call per vertex,
-// shared exactly when a second host worker can write the same targets
-// (run at -cpu 1,2,8); the counts the phase charges do not depend on it.
-func TestDensePushRowsAreSharedOnlyAcrossWorkers(t *testing.T) {
+// TestDensePushUsesRowsUnderNoOutput pins when dense push uses a kernel's
+// row form: under NoOutput only, one call per vertex; the counts the phase
+// charges do not depend on it.
+func TestDensePushUsesRowsUnderNoOutput(t *testing.T) {
 	n, edges := gen.RMAT(9, 8, 1)
 	g := graph.FromEdges(n, edges, false)
 	var sims [2]float64
@@ -78,16 +64,12 @@ func TestDensePushRowsAreSharedOnlyAcrossWorkers(t *testing.T) {
 		e := MustNew(g, testMachine(4, 2), DefaultOptions())
 		k := &rowAddKernel{addKernel: addKernel{next: make([]float64, n)}}
 		e.EdgeMap(state.NewAll(e.Bounds()), k, sg.Hints{DensePush: true, NoOutput: noOutput})
-		wantRows, wantShared := int64(0), int64(0)
+		wantRows := int64(0)
 		if noOutput {
 			wantRows = int64(n)
-			if e.Pool.Workers() > 1 {
-				wantShared = int64(n)
-			}
 		}
-		if k.rows.Load() != wantRows || k.sharedRows.Load() != wantShared {
-			t.Fatalf("NoOutput=%v at %d host workers: %d PushRow calls, %d shared; want %d, %d",
-				noOutput, e.Pool.Workers(), k.rows.Load(), k.sharedRows.Load(), wantRows, wantShared)
+		if k.rows != wantRows {
+			t.Fatalf("NoOutput=%v: %d PushRow calls, want %d", noOutput, k.rows, wantRows)
 		}
 		for v := 0; v < n; v++ {
 			if k.next[v] != float64(g.InDegree(graph.Vertex(v))) {

@@ -80,7 +80,7 @@ type TierClass struct {
 	hitIl    float64
 
 	// acc[th] accumulates bytes charged by thread th since the last
-	// promotion pass (thread-sharded, folded single-threaded in Step).
+	// promotion pass (folded in Step).
 	acc []int64
 }
 
@@ -265,9 +265,8 @@ func (c *TierClass) HitFrac(node int) float64 {
 
 // record tallies bytes charged through ep by thread th. Inside
 // ep.ChargeNodes one charge stands for the whole node's threads, so the
-// tally is scaled by the epoch's charge weight: acc is sharded by thread
-// only for race-freedom and only ever summed (Step), so the fold sees the
-// node's full byte count either way.
+// tally is scaled by the epoch's charge weight: acc is only ever summed
+// (Step), so the fold sees the node's full byte count either way.
 func (c *TierClass) record(ep *numa.Epoch, th int, bytes int64) {
 	if c.plan.cfg.PromoteEvery > 0 {
 		c.acc[th] += bytes * ep.ChargeWeight()

@@ -29,9 +29,7 @@ type Epoch struct {
 	// owns f[th*fs:(th+1)*fs], laid out as the four scalars below followed
 	// by nodeBytes, portBytes, classBytes and (tiered machines only)
 	// slowNodeBytes. One block makes Reset a clear and Add/CopyFrom and
-	// the ChargeNodes replication single contiguous loops. A host worker
-	// owns whole nodes (package par), so neighbouring threads' vectors are
-	// written by the same worker except at node boundaries.
+	// the ChargeNodes replication single contiguous loops.
 	f  []float64
 	fs int // stride of f
 	// offNode, offPort, offClass and offSlow locate the vectors inside a

@@ -54,13 +54,6 @@ func TestTracingIsBitIdentical(t *testing.T) {
 		t.Run(string(tc.sys)+"/"+string(tc.alg), func(t *testing.T) {
 			g := loadTiny(t, tc.alg)
 			plain := bench.RunFrom(tc.sys, tc.alg, g, newMachine(), 0)
-			plain2 := bench.RunFrom(tc.sys, tc.alg, g, newMachine(), 0)
-			// Some engines charge accounting in scheduling order, so two
-			// untraced runs can already differ under -race's timing
-			// perturbation. Bit-comparison across runs only means
-			// something when the baseline reproduces itself.
-			reproducible := math.Float64bits(plain.SimSeconds) == math.Float64bits(plain2.SimSeconds) &&
-				plain.Stats == plain2.Stats
 
 			chrome := obs.NewChrome()
 			bd := obs.NewBreakdown()
@@ -70,18 +63,14 @@ func TestTracingIsBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if !reproducible {
-				t.Logf("engine is scheduling-nondeterministic in this build; skipping bitwise comparison")
-			} else {
-				if math.Float64bits(plain.SimSeconds) != math.Float64bits(traced.SimSeconds) {
-					t.Errorf("SimSeconds diverged: %v (plain) vs %v (traced)", plain.SimSeconds, traced.SimSeconds)
-				}
-				if math.Float64bits(plain.Checksum) != math.Float64bits(traced.Checksum) {
-					t.Errorf("Checksum diverged: %v (plain) vs %v (traced)", plain.Checksum, traced.Checksum)
-				}
-				if plain.Stats != traced.Stats {
-					t.Errorf("Stats diverged: %+v vs %+v", plain.Stats, traced.Stats)
-				}
+			if math.Float64bits(plain.SimSeconds) != math.Float64bits(traced.SimSeconds) {
+				t.Errorf("SimSeconds diverged: %v (plain) vs %v (traced)", plain.SimSeconds, traced.SimSeconds)
+			}
+			if math.Float64bits(plain.Checksum) != math.Float64bits(traced.Checksum) {
+				t.Errorf("Checksum diverged: %v (plain) vs %v (traced)", plain.Checksum, traced.Checksum)
+			}
+			if plain.Stats != traced.Stats {
+				t.Errorf("Stats diverged: %+v vs %+v", plain.Stats, traced.Stats)
 			}
 			if chrome.Len() == 0 {
 				t.Error("traced run emitted no events")

@@ -1,6 +1,6 @@
-// Package par provides the minimal parallel-execution machinery the
-// engines share: a pool that schedules the machine's simulated hardware
-// threads onto node-owning host workers, and the deterministic strided
+// Package par provides the minimal phase-execution machinery the engines
+// share: a pool that runs the machine's simulated hardware threads one
+// after another on the calling goroutine, and the deterministic strided
 // chunk schedule that stands in for intra-node dynamic load balancing
 // (the paper's "each worker thread dynamically fetches a portion of tasks
 // after finishing its previous tasks").
@@ -19,16 +19,16 @@ import (
 
 // Pool runs phases of nodes×coresPerNode simulated threads. Simulated
 // threads are not goroutines: the simulated clock is a function of charged
-// counts, so the host schedule is free to be whatever is cheapest. Run
-// executes the thread bodies on W = min(GOMAXPROCS, nodes) host workers,
-// the caller being worker 0; worker w owns the whole simulated nodes
-// [w*nodes/W, (w+1)*nodes/W) and runs their threads in ascending thread
-// id. All threads of a node therefore run in one fixed sequence on one
-// goroutine at any GOMAXPROCS, and at W = 1 a phase is a plain loop.
-// Nothing is parked between phases; the join is the phase barrier.
+// counts, and those counts must not depend on the host, so Run and RunCtx
+// execute every thread body on the calling goroutine in ascending thread
+// id at any GOMAXPROCS. A phase is a plain loop: thread bodies need no
+// synchronisation among themselves, and a run is a deterministic function
+// of its input. The return from Run is the phase barrier. Host
+// parallelism belongs above the pool (one engine per request, machine or
+// goroutine); only RunConcurrent starts goroutines.
 type Pool struct {
 	nodes, cpn int
-	wg         sync.WaitGroup
+	wg         sync.WaitGroup // RunConcurrent's join
 
 	// hook, when set, runs before every simulated thread's body; a
 	// non-nil return aborts that thread's share of the phase (the fault
@@ -41,7 +41,7 @@ type Pool struct {
 	// disabled path costs one atomic load.
 	trace atomic.Pointer[obs.Tracer]
 
-	errMu  sync.Mutex
+	errMu  sync.Mutex // RunConcurrent's threads report failures concurrently
 	runErr error
 }
 
@@ -66,9 +66,9 @@ func (p *PanicError) Unwrap() error {
 }
 
 // NewPool builds a pool from a bare thread count: one simulated node of
-// threads cores, so Run is always a loop on the caller. It returns an
-// error for a non-positive count instead of panicking, so callers
-// constructing pools from user-supplied configuration can fail gracefully.
+// threads cores. It returns an error for a non-positive count instead of
+// panicking, so callers constructing pools from user-supplied
+// configuration can fail gracefully.
 func NewPool(threads int) (*Pool, error) { return NewNodePool(1, threads) }
 
 // NewNodePool builds a pool for a simulated machine of nodes NUMA nodes
@@ -94,16 +94,11 @@ func MustNewPool(threads int) *Pool {
 // Threads returns the simulated thread count.
 func (p *Pool) Threads() int { return p.nodes * p.cpn }
 
-// Workers returns W, the number of host workers Run and RunCtx put a
-// phase on: min(GOMAXPROCS, nodes). At W = 1 thread bodies run one after
-// another and need no atomics among themselves.
-func (p *Pool) Workers() int { return min(runtime.GOMAXPROCS(0), p.nodes) }
-
 // SetHook installs (or, with nil, removes) the per-dispatch fault hook.
 // The hook runs before each simulated thread's body: returning an error
 // makes that thread skip its share of the phase and Run report the error;
 // a panic inside the hook is recovered like any thread panic. A hook that
-// sleeps delays the threads that follow on the same host worker.
+// sleeps delays the threads after it.
 func (p *Pool) SetHook(h func(th int) error) {
 	if h == nil {
 		p.hook.Store(nil)
@@ -113,7 +108,7 @@ func (p *Pool) SetHook(h func(th int) error) {
 }
 
 // SetTracer installs (or, with nil, removes) the pool's tracer. When set,
-// every Run emits a host-lane "pool.run" span covering dispatch to join.
+// every Run emits a host-lane "pool.run" span covering the phase.
 func (p *Pool) SetTracer(tr *obs.Tracer) {
 	if tr == nil {
 		p.trace.Store(nil)
@@ -130,47 +125,46 @@ func (p *Pool) setErr(err error) {
 	p.errMu.Unlock()
 }
 
-// Run executes fn(th) for every simulated thread on the node-owning host
-// workers and blocks until all finish. A panic in one thread's body is
-// recovered into a *PanicError (first failure wins) so one crashing
-// thread cannot take down the process; every other thread, including
-// those that follow it on the same host worker, still completes the
-// phase. Thread bodies must not wait on each other: threads sharing a
-// host worker run one after another (see RunConcurrent).
-func (p *Pool) Run(fn func(th int)) error {
-	return p.dispatch(fn, p.nodes, p.Workers())
-}
+// Run executes fn(th) for every simulated thread, in ascending thread id
+// on the calling goroutine, and returns when the last has finished. A
+// panic in one thread's body is recovered into a *PanicError (first
+// failure wins) so one crashing thread cannot take down the process;
+// every thread after it still runs. Thread bodies must not wait on each
+// other: a body that waits for a later thread never returns (see
+// RunConcurrent).
+func (p *Pool) Run(fn func(th int)) error { return p.phase(fn, false) }
 
 // RunCtx is Run honouring context cancellation: a context already
-// cancelled skips the dispatch entirely, and a cancellation that arrives
-// during the phase is reported after the join (thread bodies are
+// cancelled skips the phase entirely, and a cancellation that arrives
+// during the phase is reported after the last thread (thread bodies are
 // cooperative; they are never preempted mid-phase).
 func (p *Pool) RunCtx(ctx context.Context, fn func(th int)) error {
-	return p.dispatchCtx(ctx, fn, p.nodes, p.Workers())
+	return p.phaseCtx(ctx, fn, false)
 }
 
 // RunConcurrent is RunCtx with one goroutine per simulated thread, spawned
-// for this phase only. It is the entry point for bodies that wait on each
-// other mid-phase (a real barrier, a shared worklist) and so cannot share
-// a host worker.
+// for this phase only and joined before it returns. It is the entry point
+// for bodies that wait on each other mid-phase (a real barrier), which
+// must then synchronise whatever they share.
 func (p *Pool) RunConcurrent(ctx context.Context, fn func(th int)) error {
-	return p.dispatchCtx(ctx, fn, p.Threads(), p.Threads())
+	return p.phaseCtx(ctx, fn, true)
 }
 
-func (p *Pool) dispatchCtx(ctx context.Context, fn func(th int), units, w int) error {
+func (p *Pool) phaseCtx(ctx context.Context, fn func(th int), concurrent bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	runErr := p.dispatch(fn, units, w)
+	runErr := p.phase(fn, concurrent)
 	if err := ctx.Err(); err != nil && runErr == nil {
 		return err
 	}
 	return runErr
 }
 
-// dispatch splits the threads into units equal blocks and runs them on w
-// host workers: worker i takes blocks [i*units/w, (i+1)*units/w).
-func (p *Pool) dispatch(fn func(th int), units, w int) error {
+// phase runs every thread's hook and body: in a loop on the caller, or,
+// when concurrent, thread 0 on the caller and each other thread on a
+// goroutine of its own.
+func (p *Pool) phase(fn func(th int), concurrent bool) error {
 	p.runErr = nil
 	hook := p.hook.Load()
 	tr := p.trace.Load()
@@ -178,33 +172,31 @@ func (p *Pool) dispatch(fn func(th int), units, w int) error {
 	if tr != nil {
 		dispatched = obs.NowMicros()
 	}
-	per := p.Threads() / units
-	p.wg.Add(w - 1)
-	for i := 1; i < w; i++ {
-		go func(lo, hi int) {
-			defer p.wg.Done()
-			p.runThreads(lo, hi, hook, fn)
-		}(i*units/w*per, (i+1)*units/w*per)
+	if concurrent {
+		p.wg.Add(p.Threads() - 1)
+		for th := 1; th < p.Threads(); th++ {
+			go func(th int) {
+				defer p.wg.Done()
+				p.runThread(th, hook, fn)
+			}(th)
+		}
+		p.runThread(0, hook, fn)
+		p.wg.Wait()
+	} else {
+		for th := 0; th < p.Threads(); th++ {
+			p.runThread(th, hook, fn)
+		}
 	}
-	p.runThreads(0, units/w*per, hook, fn)
-	p.wg.Wait()
-	// The join is a scheduling point even when nothing was handed off:
-	// without it a run of phases is one unbroken loop, and on a single P
-	// the GC's fractional mark worker waits for the 10 ms preemption
-	// tick while the mutator allocates past the heap goal.
+	// The end of a phase is a scheduling point: without it a run of
+	// phases is one unbroken loop, and on a single P the GC's fractional
+	// mark worker waits for the 10 ms preemption tick while the mutator
+	// allocates past the heap goal.
 	runtime.Gosched()
 	if tr != nil {
 		tr.Span("par", "pool.run", obs.PidHost, dispatched, obs.NowMicros()-dispatched,
 			-1, int64(p.Threads()), "")
 	}
 	return p.runErr
-}
-
-// runThreads is one host worker's share: threads [lo, hi) in ascending id.
-func (p *Pool) runThreads(lo, hi int, hook *func(th int) error, fn func(th int)) {
-	for th := lo; th < hi; th++ {
-		p.runThread(th, hook, fn)
-	}
 }
 
 func (p *Pool) runThread(th int, hook *func(th int) error, fn func(th int)) {
@@ -230,10 +222,9 @@ func (p *Pool) Close() {}
 // th+2*threads, ...
 //
 // Engines use this instead of dynamic chunk grabbing: simulated threads
-// that share a host worker run one after another, so the first would
-// drain the queue and concentrate the simulated charge on itself. Striding
-// reproduces the balanced distribution that dynamic scheduling achieves
-// on real hardware, and makes runs deterministic.
+// run one after another, so the first would drain the queue and
+// concentrate the simulated charge on itself. Striding reproduces the
+// balanced distribution that dynamic scheduling achieves on real hardware.
 type Strided struct {
 	n, chunk int64
 	threads  int

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -31,63 +30,66 @@ func goid() uint64 {
 	return id
 }
 
-// TestRunSchedule pins the documented assignment: at W = min(GOMAXPROCS,
-// nodes), host worker i runs exactly the threads of nodes
-// [i*nodes/W, (i+1)*nodes/W), in ascending id, the caller being worker 0;
-// and Workers reports that W, the number of goroutines Run really used.
+// TestRunSchedule pins the contract: whatever GOMAXPROCS is (the -cpu
+// list and the values set here), Run and RunCtx execute every simulated
+// thread on the goroutine that called them, in ascending thread id, and a
+// thread that panics or whose hook fails does not skip the threads after
+// it (how the failure is reported: TestRunFailureDoesNotSkipFollowers).
 func TestRunSchedule(t *testing.T) {
+	fail := func(th int) bool { return th == 2 || th == 5 }
 	for _, shape := range [][2]int{{8, 10}, {3, 4}, {5, 1}, {1, 6}} {
 		nodes, cpn := shape[0], shape[1]
-		for _, procs := range []int{1, 2, 3, nodes, nodes + 5} {
-			p, err := NewNodePool(nodes, cpn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prev := runtime.GOMAXPROCS(procs)
-			var mu sync.Mutex
-			ran := map[uint64][]int{}
-			workers := p.Workers()
-			err = p.Run(func(th int) {
-				id := goid()
-				mu.Lock()
-				ran[id] = append(ran[id], th)
-				mu.Unlock()
-			})
-			runtime.GOMAXPROCS(prev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w := min(procs, nodes)
-			if len(ran) != w || workers != w {
-				t.Fatalf("%dx%d at GOMAXPROCS=%d: %d host workers, Workers() = %d, want %d", nodes, cpn, procs, len(ran), workers, w)
-			}
-			for i := 0; i < w; i++ {
-				var want []int
-				for th := i * nodes / w * cpn; th < (i+1)*nodes/w*cpn; th++ {
-					want = append(want, th)
+		for _, procs := range []int{runtime.GOMAXPROCS(0), 1, 3, nodes + 5} {
+			for _, mode := range []string{"clean", "panic", "hook"} {
+				p, err := NewNodePool(nodes, cpn)
+				if err != nil {
+					t.Fatal(err)
 				}
-				// The worker is whichever goroutine ran the block's first thread.
-				var got []int
-				for _, ths := range ran {
-					if ths[0] == want[0] {
-						got = ths
+				if mode == "hook" {
+					p.SetHook(func(th int) error {
+						if fail(th) {
+							return errStub
+						}
+						return nil
+					})
+				}
+				var ran, want []int
+				caller := goid()
+				body := func(th int) {
+					if id := goid(); id != caller {
+						t.Errorf("thread %d ran on goroutine %d, caller is %d", th, id, caller)
+					}
+					if mode == "panic" && fail(th) {
+						panic(th)
+					}
+					ran = append(ran, th)
+				}
+				prev := runtime.GOMAXPROCS(procs)
+				err1 := p.Run(body)
+				err2 := p.RunCtx(context.Background(), body)
+				runtime.GOMAXPROCS(prev)
+
+				for pass := 0; pass < 2; pass++ {
+					for th := 0; th < nodes*cpn; th++ {
+						if mode == "clean" || !fail(th) {
+							want = append(want, th)
+						}
 					}
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%dx%d at GOMAXPROCS=%d: worker %d ran %v, want %v", nodes, cpn, procs, i, got, want)
+				if !reflect.DeepEqual(ran, want) {
+					t.Fatalf("%dx%d %s at GOMAXPROCS=%d: ran %v, want %v", nodes, cpn, mode, procs, ran, want)
 				}
-			}
-			if got := ran[goid()]; len(got) == 0 || got[0] != 0 {
-				t.Fatalf("%dx%d at GOMAXPROCS=%d: caller ran %v, want worker 0's share", nodes, cpn, procs, got)
+				if failed := err1 != nil || err2 != nil; failed != (mode != "clean") {
+					t.Fatalf("%dx%d %s at GOMAXPROCS=%d: Run = %v, RunCtx = %v", nodes, cpn, mode, procs, err1, err2)
+				}
 			}
 		}
 	}
 }
 
 // A failure in simulated thread k is reported with k's id, the first one
-// wins, and the threads that follow k on the same host worker still run.
+// wins, and the threads that follow k still run.
 func TestRunFailureDoesNotSkipFollowers(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p, err := NewNodePool(2, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +128,6 @@ func TestRunFailureDoesNotSkipFollowers(t *testing.T) {
 }
 
 func TestRunDoesNotAllocate(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	p, err := NewNodePool(8, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -173,10 +174,11 @@ func TestRunConcurrentCompletesBarrier(t *testing.T) {
 	}
 }
 
-// Run executes the threads of a host worker one after another, so a body
-// that waits for another thread would hang it. Scan every non-test file
-// in the module: no function literal handed to Run, RunCtx or an engine's
-// runPhase may block on a barrier, yield-spin, or touch a channel.
+// Run executes the threads one after another on one goroutine, so a body
+// that waits for another thread hangs the phase at any GOMAXPROCS. Scan
+// every non-test file in the module: no function literal handed to Run,
+// RunCtx or an engine's RunPhase may block on a barrier, yield-spin, or
+// touch a channel.
 func TestRunIsNeverHandedAWaitingBody(t *testing.T) {
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
@@ -199,7 +201,7 @@ func TestRunIsNeverHandedAWaitingBody(t *testing.T) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || (sel.Sel.Name != "Run" && sel.Sel.Name != "RunCtx" && sel.Sel.Name != "RunPhase" && sel.Sel.Name != "runPhase") {
+			if !ok || (sel.Sel.Name != "Run" && sel.Sel.Name != "RunCtx" && sel.Sel.Name != "RunPhase") {
 				return true
 			}
 			body, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)

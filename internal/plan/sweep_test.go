@@ -56,13 +56,6 @@ func TestFullCorpusCostRegretGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus sweep")
 	}
-	if raceEnabled {
-		// A model-quality gate, not a concurrency test: under the race
-		// detector's scheduler the engines' charge attribution wobbles
-		// enough to flip per-cell argmins, and the 360-run sweep is
-		// slow. The nightly plan-sweep CI job runs it race-free.
-		t.Skip("full-corpus sweep under -race")
-	}
 	p := New(numa.IntelXeon80(), 2)
 	res := Sweep(p, Corpus(), []bench.Algo{bench.PR, bench.BFS, bench.SSSP}, 8, false, false)
 	if len(res.Cells) < 30 {

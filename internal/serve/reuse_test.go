@@ -9,6 +9,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -618,5 +619,61 @@ func TestServeResultCacheEndToEnd(t *testing.T) {
 	// A missing ?graph is a client error.
 	if st, _ := post("/invalidatez", ""); st != http.StatusBadRequest {
 		t.Fatalf("bare invalidatez: status %d, want 400", st)
+	}
+}
+
+// TestRunAnswerIsAFunctionOfTheBody is determinism as a client sees it: one
+// /run body answered by a cold engine run, by the result cache and by a
+// second server started from scratch carries the same checksum and the
+// same sim_seconds / charged_sim_seconds bits, at any GOMAXPROCS — a
+// cached answer never disagrees with its own recomputation.
+func TestRunAnswerIsAFunctionOfTheBody(t *testing.T) {
+	const machine = `"graph":"powerlaw","scale":"tiny","sockets":4,"cores":2`
+	bodies := []string{
+		`{"algo":"bfs","system":"polymer","src":3,` + machine + `}`,
+		`{"algo":"sssp","system":"polymer","src":3,` + machine + `}`,
+		`{"algo":"bfs","system":"ligra","src":3,` + machine + `}`,
+		`{"algo":"sssp","system":"ligra","src":3,` + machine + `}`,
+		`{"algo":"pr","system":"auto",` + machine + `}`, // planned: carries the plan block
+	}
+	serve := func() (*httptest.Server, func()) {
+		srv := NewServer(Config{Workers: 2, QueueDepth: 8})
+		ts := httptest.NewServer(srv.Handler())
+		return ts, func() { ts.Close(); shutdown(t, srv) }
+	}
+	first, stopFirst := serve()
+	defer stopFirst()
+	second, stopSecond := serve()
+	defer stopSecond()
+	for _, b := range bodies {
+		answers := map[string]Response{}
+		for _, leg := range []struct {
+			name   string
+			ts     *httptest.Server
+			cached bool
+		}{{"cold", first, false}, {"cached", first, true}, {"second server", second, false}} {
+			st, r := postJSON(t, leg.ts, "/run", b)
+			if st != 200 || r.Cached != leg.cached {
+				t.Fatalf("%s, %s: status %d cached=%v (%s)", b, leg.name, st, r.Cached, r.Error)
+			}
+			answers[leg.name] = r
+		}
+		cold := answers["cold"]
+		if cold.Checksum == 0 || cold.SimSeconds == 0 {
+			t.Fatalf("%s: empty result %+v", b, cold)
+		}
+		charged := func(r Response) uint64 {
+			if r.Plan == nil {
+				return 0
+			}
+			return math.Float64bits(r.Plan.ChargedSimSeconds)
+		}
+		for name, r := range answers {
+			if math.Float64bits(r.Checksum) != math.Float64bits(cold.Checksum) ||
+				math.Float64bits(r.SimSeconds) != math.Float64bits(cold.SimSeconds) || charged(r) != charged(cold) {
+				t.Errorf("%s: %s answered checksum %x sim %x charged %x, cold run %x %x %x", b, name,
+					r.Checksum, r.SimSeconds, charged(r), cold.Checksum, cold.SimSeconds, charged(cold))
+			}
+		}
 	}
 }

@@ -192,6 +192,14 @@ func TestServeSoakUnderChaos(t *testing.T) {
 		t.Errorf("a %d-request burst against a %d-slot queue shed nothing", totalRequests, cap(srv.queue))
 	}
 
+	// Drain first: a hedged read answers its client as soon as one leg
+	// wins, and the cancelled loser resolves on its worker afterwards.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+
 	// Accounting balances: every request that was not shed entered exactly
 	// one way — its own queue slot, an in-flight coalesced run, a batch
 	// group, or the result cache — and resolved exactly once.
@@ -219,13 +227,7 @@ func TestServeSoakUnderChaos(t *testing.T) {
 		t.Errorf("hedge wins %d exceed hedges %d", snap.HedgeWins, snap.Hedged)
 	}
 
-	// Drain and verify nothing leaks: workers, tasks and HTTP plumbing all
-	// exit.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown: %v", err)
-	}
+	// Verify nothing leaks: workers, tasks and HTTP plumbing all exit.
 	ts.Close()
 	client.CloseIdleConnections()
 	deadline := time.Now().Add(5 * time.Second)

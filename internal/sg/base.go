@@ -27,7 +27,7 @@ type Base struct {
 
 	Ledger *numa.Epoch  // whole-run accumulation
 	Clock  float64      // simulated seconds, barrier costs included
-	Edges  atomic.Int64 // edge applications; workers add without a lock
+	Edges  atomic.Int64 // edge applications
 	// Round counts committed supersteps on engines that own their
 	// superstep loop (X-Stream, Galois) and number their own events.
 	Round int
@@ -202,14 +202,6 @@ func (b *Base) Fail(err error) {
 // parallel phase; nil restores the default (never cancelled). A cancelled
 // context fails the phase before any simulated charging.
 func (b *Base) SetContext(ctx context.Context) { b.ctx = ctx }
-
-// Context returns the installed context, or Background.
-func (b *Base) Context() context.Context {
-	if b.ctx == nil {
-		return context.Background()
-	}
-	return b.ctx
-}
 
 // SetFaultHook installs (nil removes) the fault injector's per-dispatch
 // hook on the engine's worker pool.

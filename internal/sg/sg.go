@@ -13,27 +13,29 @@ import (
 )
 
 // EdgeKernel is the application-defined edge function F passed to EdgeMap.
-// Update is called in pull mode when the engine guarantees a single writer
-// per destination; UpdateAtomic is called when destinations may be updated
-// concurrently (push mode, and Polymer's factored pull). Both return true
-// if the destination should join the next frontier. Cond is the
-// destination filter: once it returns false the destination needs no
-// further updates (e.g. an already-visited BFS vertex).
+// Update applies edge (s, d) and returns true if the destination should
+// join the next frontier. Cond is the destination filter: once it returns
+// false the destination needs no further updates (e.g. an already-visited
+// BFS vertex).
+//
+// A kernel's methods are only ever called from one goroutine: a phase runs
+// its simulated threads one after another (par.Pool.Run), in the same
+// order on every host, so kernels read and write their data with plain
+// loads and stores and a run's values are a function of its input alone.
 type EdgeKernel interface {
 	Update(s, d graph.Vertex, w float32) bool
-	UpdateAtomic(s, d graph.Vertex, w float32) bool
 	Cond(d graph.Vertex) bool
 }
 
 // RowKernel is an optional interface of an EdgeKernel whose Cond is
-// constantly true and whose Update and UpdateAtomic always report true.
-// PushRow(s, cols, wts, shared) must leave the kernel's data exactly as
+// constantly true and whose Update always reports true. PushRow(s, cols,
+// wts) must leave the kernel's data exactly as
 //
 //	for j, t := range cols { Update(s, t, wts[j]) }
 //
 // does — bit for bit, targets in cols order, with weight 0 for every edge
-// when wts is nil and UpdateAtomic in place of Update when shared is true
-// (another host worker may be writing the same targets).
+// when wts is nil. Like Update it is called from the phase's one
+// goroutine.
 //
 // A Go type parameter's methods are called through the generic dictionary,
 // never inlined, so the per-edge path pays two indirect calls an edge; a
@@ -44,7 +46,7 @@ type EdgeKernel interface {
 // per edge, since a push reports each target; their row form is the pull
 // one (PullRowKernel), where a whole row has one target and one outcome.
 type RowKernel interface {
-	PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, shared bool)
+	PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32)
 }
 
 // RowKernelOf returns k's row form when the phase may use it, else nil.
@@ -64,15 +66,15 @@ func RowKernelOf[K EdgeKernel](k K, h Hints) RowKernel {
 // the kernel's data, and report the edges scanned and whether t was
 // updated, exactly as PullRowPerEdge does. Both outcomes feed charged
 // counters and the next frontier, so unlike PushRow this form is neither
-// restricted to NoOutput phases nor to always-true kernels.
+// restricted to NoOutput phases nor to always-true kernels. It shares the
+// single-goroutine contract of EdgeKernel: t has no other writer and the
+// sources no writer at all while the call runs, unless t is its own source.
 //
 // cols are t's sources and wts their weights (nil: weight 0 throughout).
 // active is the frontier leaf that covers every vertex of cols, bit s-base
-// for source s; nil means every source is active. shared says another host
-// worker may be updating t; without it t has one writer, though other
-// workers may still be writing the sources.
+// for source s; nil means every source is active.
 type PullRowKernel interface {
-	PullRow(t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int, shared bool) (scanned int, updated bool)
+	PullRow(t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int) (scanned int, updated bool)
 }
 
 // PullRowKernelOf returns k's pull row form, or nil. As with RowKernelOf,
@@ -85,9 +87,8 @@ func PullRowKernelOf[K EdgeKernel](k K) PullRowKernel {
 // PullRowPerEdge gathers target t's row edge by edge: the dense pull loop
 // of both engines for a kernel without a row form, and the definition a
 // PullRow is held to. The row is skipped when Cond(t) is false and left
-// after the edge that makes it false (Ligra's early exit); UpdateAtomic
-// replaces Update when shared.
-func PullRowPerEdge[K EdgeKernel](k K, t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int, shared bool) (scanned int, updated bool) {
+// after the edge that makes it false (Ligra's early exit).
+func PullRowPerEdge[K EdgeKernel](k K, t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int) (scanned int, updated bool) {
 	if !k.Cond(t) {
 		return 0, false
 	}
@@ -100,13 +101,7 @@ func PullRowPerEdge[K EdgeKernel](k K, t graph.Vertex, cols []graph.Vertex, wts 
 		if wts != nil {
 			w = wts[j]
 		}
-		var ok bool
-		if shared {
-			ok = k.UpdateAtomic(s, t, w)
-		} else {
-			ok = k.Update(s, t, w)
-		}
-		if ok {
+		if k.Update(s, t, w) {
 			updated = true
 		}
 		if !k.Cond(t) {
@@ -165,9 +160,9 @@ func (h Hints) Normalize() Hints {
 }
 
 // Engine is the scatter-gather engine contract. Implementations compute
-// real results, scheduling the machine's simulated threads onto host
-// workers (package par), while charging their classified memory traffic
-// to the simulated NUMA machine.
+// real results, running the machine's simulated threads one after another
+// on the caller's goroutine (package par), while charging their classified
+// memory traffic to the simulated NUMA machine.
 type Engine interface {
 	// Graph returns the input graph.
 	Graph() *graph.Graph

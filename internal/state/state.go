@@ -14,7 +14,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync/atomic"
 )
 
 // Subset is an immutable set of vertices over [0, n), partitioned into
@@ -209,40 +208,33 @@ func (s *Subset) ToSparse() *Subset {
 }
 
 // Builder accumulates the next iteration's active set. It supports both
-// collection styles: Set for dense bitmap leaves (thread-safe via atomic
-// OR), and Add for per-thread queues (contention-free appends, as in the
-// paper's per-core private queues).
+// collection styles: Set for dense bitmap leaves, and Add for per-thread
+// queues (as in the paper's per-core private queues). A builder belongs to
+// one phase and so to one goroutine (par.Pool.Run); th names the simulated
+// thread a call is made for.
 //
 // When a degree function is attached (WithDegrees), the builder also
-// accumulates the out-degree sum of the collected vertices per thread —
+// accumulates the out-degree sum of the collected vertices —
 // Ligra computes |V_a|+|E_a| this way — and stores it on the built Subset,
 // making the engines' adaptive dense/sparse decision O(1).
 type Builder struct {
 	bounds   []int
-	threads  int
 	dense    bool
 	words    [][]uint64
 	queues   [][]uint32
 	degreeOf func(v uint32) int64
-	degs     []padCounter
-}
-
-// padCounter is a per-thread accumulator padded to its own cache line.
-type padCounter struct {
-	n int64
-	_ [7]int64
+	degree   int64 // out-degree sum of the vertices collected so far
 }
 
 // BuilderScratch holds a reusable builder and its per-thread buffers. An
 // engine keeps one per instance and takes every phase's builder from it
-// (Builder), so steady-state iterations reuse the builder, the queue table
-// and the counter slices instead of reallocating them. The dense bitmap
+// (Builder), so steady-state iterations reuse the builder and the queue
+// table instead of reallocating them. The dense bitmap
 // leaves are NOT pooled: Build hands them to the returned Subset, whose
 // lifetime the engine does not control.
 type BuilderScratch struct {
 	b      Builder
 	queues [][]uint32
-	degs   []padCounter
 }
 
 // Builder returns the scratch's builder, emptied and set up like
@@ -250,14 +242,7 @@ type BuilderScratch struct {
 // until the next call: an engine runs one phase at a time and seals each
 // phase's builder (Build) before it starts the next.
 func (s *BuilderScratch) Builder(bounds []int, threads int, dense bool, degreeOf func(v uint32) int64) *Builder {
-	if len(s.degs) < threads {
-		s.degs = make([]padCounter, threads)
-	}
-	degs := s.degs[:threads]
-	for i := range degs {
-		degs[i].n = 0
-	}
-	s.b = Builder{bounds: bounds, threads: threads, dense: dense, degreeOf: degreeOf, degs: degs}
+	s.b = Builder{bounds: bounds, dense: dense, degreeOf: degreeOf}
 	if dense {
 		s.b.words = denseWords(bounds)
 		return &s.b
@@ -277,7 +262,7 @@ func (s *BuilderScratch) Builder(bounds []int, threads int, dense bool, degreeOf
 // NewBuilder returns a builder over the partition for the given number of
 // worker threads. dense selects bitmap collection.
 func NewBuilder(bounds []int, threads int, dense bool) *Builder {
-	b := &Builder{bounds: bounds, threads: threads, dense: dense}
+	b := &Builder{bounds: bounds, dense: dense}
 	if dense {
 		b.words = denseWords(bounds)
 	} else {
@@ -299,42 +284,31 @@ func denseWords(bounds []int) [][]uint64 {
 // built subset's active degree while vertices are collected.
 func (b *Builder) WithDegrees(degreeOf func(v uint32) int64) *Builder {
 	b.degreeOf = degreeOf
-	if b.degs == nil {
-		b.degs = make([]padCounter, b.threads)
-	}
 	return b
 }
 
 // Dense reports the collection style.
 func (b *Builder) Dense() bool { return b.dense }
 
-// Set marks v active (dense collection; safe for concurrent use). th is
-// the calling thread, used only for contention-free degree accumulation.
-func (b *Builder) Set(th int, v uint32) {
-	b.SetIn(nodeOf(b.bounds, v), th, v)
+// Set marks v active (dense collection). The thread id is not needed — a
+// bitmap leaf is shared by all threads — and is accepted so that Set and
+// Add read alike at the call site.
+func (b *Builder) Set(_ int, v uint32) {
+	b.SetIn(nodeOf(b.bounds, v), v)
 }
 
 // SetIn is Set for callers that already know v's owning node p (Polymer's
 // push targets are always node-local), skipping the partition lookup.
-func (b *Builder) SetIn(p, th int, v uint32) {
+func (b *Builder) SetIn(p int, v uint32) {
 	i := int(v) - b.bounds[p]
 	w := &b.words[p][i/64]
 	mask := uint64(1) << (i % 64)
-	// CAS loop instead of a blind atomic OR: on hot frontiers most bits
-	// are already set, so the common case is one plain load and no RMW,
-	// and a successful swap tells this call it owns the 0->1 transition —
-	// the degree of v is then counted exactly once across all threads.
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			if b.degreeOf != nil {
-				b.degs[th].n += b.degreeOf(v)
-			}
-			return
-		}
+	if *w&mask != 0 {
+		return
+	}
+	*w |= mask
+	if b.degreeOf != nil {
+		b.degree += b.degreeOf(v) // once per vertex: only the 0->1 transition counts
 	}
 }
 
@@ -343,7 +317,7 @@ func (b *Builder) SetIn(p, th int, v uint32) {
 func (b *Builder) Add(th int, v uint32) {
 	b.queues[th] = append(b.queues[th], v)
 	if b.degreeOf != nil {
-		b.degs[th].n += b.degreeOf(v)
+		b.degree += b.degreeOf(v)
 	}
 }
 
@@ -353,10 +327,7 @@ func (b *Builder) Build() *Subset {
 	nodes := len(b.bounds) - 1
 	degree := int64(-1)
 	if b.degreeOf != nil {
-		degree = 0
-		for i := range b.degs {
-			degree += b.degs[i].n
-		}
+		degree = b.degree
 	}
 	if b.dense {
 		s := &Subset{bounds: b.bounds, degree: degree, dense: true, words: b.words}

@@ -2,7 +2,6 @@ package state
 
 import (
 	"sort"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -99,22 +98,22 @@ func TestToDenseIdempotent(t *testing.T) {
 	}
 }
 
+// The simulated threads of a phase are concurrent on the simulated machine
+// and interleaved on the host: eight threads' Sets land on the same bitmap
+// words, each vertex twice, and every bit and every degree counts once.
 func TestBuilderDenseConcurrent(t *testing.T) {
-	b := NewBuilder(testBounds, 8, true)
-	var wg sync.WaitGroup
-	for th := 0; th < 8; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			for v := uint32(th); v < 100; v += 8 {
-				b.Set(th, v)
-			}
-		}(th)
+	b := NewBuilder(testBounds, 8, true).WithDegrees(func(v uint32) int64 { return int64(v) })
+	for pass := 0; pass < 2; pass++ {
+		for v := uint32(0); v < 100; v++ {
+			b.Set(int(v%8), v)
+		}
 	}
-	wg.Wait()
 	s := b.Build()
 	if s.Count() != 100 {
-		t.Fatalf("concurrent dense build lost bits: %d", s.Count())
+		t.Fatalf("dense build lost bits: %d", s.Count())
+	}
+	if d, ok := s.Degree(); !ok || d != 99*100/2 {
+		t.Fatalf("degree sum = %d (%v), want each vertex counted once: %d", d, ok, 99*100/2)
 	}
 }
 

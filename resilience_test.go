@@ -90,16 +90,6 @@ func TestFaultMatrixBFS(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// BFS frontier composition depends on which thread wins each
-			// parent CAS, so run-to-run bit-identity only holds when the
-			// scheduler is stable (it is not under -race — the seed's own
-			// TestSimSecondsDeterministic drifts there too). Measure the
-			// baseline: recovery must never add divergence beyond it.
-			clean2, _, err := resilient(sys, bench.BFS, g, matrixMachine(topo), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitStable := fingerprint(clean) == fingerprint(clean2)
 			evs, err := fault.ParseSpec(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -108,14 +98,8 @@ func TestFaultMatrixBFS(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run did not survive %q: %v", spec, err)
 			}
-			if bitStable {
-				if got, want := fingerprint(faulty), fingerprint(clean); got != want {
-					t.Errorf("recovered output differs from fault-free run:\n got %s\nwant %s", got, want)
-				}
-			} else if faulty.Checksum != clean.Checksum {
-				// Level sets are scheduler-independent even when frontier
-				// ordering is not, so the checksum must match regardless.
-				t.Errorf("recovered checksum %g != fault-free %g", faulty.Checksum, clean.Checksum)
+			if got, want := fingerprint(faulty), fingerprint(clean); got != want {
+				t.Errorf("recovered output differs from fault-free run:\n got %s\nwant %s", got, want)
 			}
 			// panic@1 and link@1 share a step, so they roll back together.
 			if rep.Rollbacks < 2 {
@@ -214,16 +198,7 @@ func TestResilientRanksBitIdentical(t *testing.T) {
 		}
 		return sb.String()
 	}
-	clean := run("")
-	// Push-mode rank accumulation orders float adds by CAS arrival, so two
-	// fault-free runs are only bit-identical when the scheduler is stable
-	// (not under -race). Recovery is held to the same standard as a plain
-	// rerun: bit-exact when the baseline is, never looser.
-	if clean != run("") {
-		t.Skip("engine baseline not bit-stable under this scheduler (-race); covered by TestFaultMatrixPageRank")
-	}
-	faulty := run("panic@0:t1,link@2:n0-n1*0.1")
-	if clean != faulty {
+	if run("") != run("panic@0:t1,link@2:n0-n1*0.1") {
 		t.Error("per-vertex ranks differ between faulted and fault-free runs")
 	}
 }

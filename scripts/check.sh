@@ -1,8 +1,11 @@
 #!/bin/sh
 # Repository health check: vet everything, then run the engine and
-# runtime-state packages under the race detector. The race pass covers
-# exactly the packages whose hot paths share scratch arenas across host
-# workers; the plain test pass covers the rest.
+# runtime-state packages under the race detector. A phase runs on one
+# goroutine and kernels, builders and chargers use plain loads and stores
+# (internal/par), so the race pass is the proof that no second goroutine
+# reaches them -- and that what several goroutines do share (serve,
+# cluster, mutate, graph's memoised views, plan) is synchronised. The
+# plain test pass covers the rest.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -40,40 +43,21 @@ go test -race \
 echo "==> go test -race fault matrix (rollback/replay across all engines)"
 go test -race -run 'TestFaultMatrix|TestPolymerDegraded|TestResilientRanks' .
 
-echo "==> determinism gate (node-owning host workers: same bits at any GOMAXPROCS)"
-go test -count=5 -cpu 1,2,8 -run 'TestSimSecondsDeterministic' .
-go test -count=5 -cpu 1,2,8 -run 'TestFaultReplayEquivalence/(polymer|xstream|galois)' ./internal/conform/
-# The ligra case is gated at -cpu 1 only: with more than one host worker
-# Ligra's push PageRank still sums floats in CAS order (about 1 run in 15
-# drifts by an ULP) -- ROADMAP's determinism item (a) for the
-# NUMA-oblivious engines. Fold it into the line above when that lands.
-go test -count=5 -cpu 1 -run 'TestFaultReplayEquivalence/ligra' ./internal/conform/
-# Row kernels against the per-edge loops (values, clock, stats, edges).
-# The ligra cases compare values exactly only at -cpu 1, for the same
-# reason and until the same ROADMAP item as the line above; the -race
-# pass over ./internal/conform/ runs every case at the default -cpu.
-go test -count=5 -cpu 1,2,8 -run 'TestRowKernelEquivalence/polymer' ./internal/conform/
-go test -count=5 -cpu 1 -run 'TestRowKernelEquivalence/ligra' ./internal/conform/
-# Pull rows against the per-edge pull loop: values at every -cpu; clock,
-# stats and edges where the test compares them, on one host worker (cross-
-# node claims are charged by CAS winner on either path, ROADMAP item b).
-go test -count=5 -cpu 1,2,8 -run 'TestPullRowEquivalence/polymer' ./internal/conform/
-go test -count=5 -cpu 1 -run 'TestPullRowEquivalence/ligra' ./internal/conform/
-# X-Stream's block kernels against its per-edge loops: one thread gathers
-# each tile, so the values are exact at any -cpu.
-go test -count=5 -cpu 1,2,8 -run 'TestBlockKernelEquivalence' ./internal/conform/
-# The simulated clock of all 24 cells against the checked-in golden (and
-# plain/resilient parity; tier-1 runs it once too), and the per-node
-# charge against the per-thread loop it replaced.
-go test -count=5 -cpu 1,2,8 -run 'TestGolden' ./cmd/simdump/
+echo "==> determinism gate (a run is a function of its input: same bits at any GOMAXPROCS, five times over)"
+# Whole packages, every engine: re-run identity over the conform matrix,
+# row/block kernels against the per-edge loops, fault replay, tracing,
+# planned-vs-explicit, cached-vs-recomputed, all 24 clocks against the
+# checked-in golden.
+go test -count=5 -cpu 1,2,8 . ./cmd/simdump/ ./internal/conform/ ./internal/obs/ ./internal/plan/ ./internal/serve/
+# The per-node charge against the per-thread loop it replaced.
 go test -count=5 -cpu 1,2,8 -run 'TestChargeNodesMatchesPerThreadLoop' ./internal/numa/
 # A snapshot patched from its predecessor against the whole-prefix fold:
 # all six CSR arrays, at every read of a random mutation stream.
 go test -count=5 -cpu 1,2,8 -run 'TestPatchMatchesFromEdges' ./internal/graph/
 go test -count=5 -cpu 1,2,8 -run 'TestPatchedSnapshotEqualsCleanApply' ./internal/mutate/
 
-echo "==> go test ./..."
-go test ./...
+echo "==> go test -shuffle=on ./..."
+go test -shuffle=on ./...
 
 echo "==> servebench smoke (reuse layer end to end, small schedule)"
 go run ./cmd/servebench -requests 60 -clients 8 -queue 16 >/dev/null
