@@ -5,6 +5,7 @@ import (
 
 	"polymer/internal/gen"
 	"polymer/internal/graph"
+	"polymer/internal/partition"
 	"polymer/internal/sg"
 	"polymer/internal/state"
 )
@@ -73,14 +74,10 @@ func BenchmarkVertexMapDense(b *testing.B) {
 func BenchmarkLayoutBuild(b *testing.B) {
 	n, edges := gen.RMAT(13, 16, 1)
 	g := graph.FromEdges(n, edges, false)
-	m := testMachine(4, 2)
+	parts := partition.EdgeBalanced(g, 4, partition.In)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt := DefaultOptions()
-		opt.Mode = Push
-		e := MustNew(g, m, opt)
-		e.ensurePush()
-		e.Close()
+		buildLayout(g, parts, true) // engines share builds; time the build itself
 	}
 }

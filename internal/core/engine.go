@@ -133,8 +133,8 @@ type Engine struct {
 	scr      *scratch             // phase-scoped reusable buffers
 	degreeOf func(v uint32) int64 // out-degree accessor for frontier builders
 
-	push *layout // lazily built; keyed by source, columns are local targets
-	pull *layout // lazily built; keyed by target, columns are local sources
+	push *layout // lazily wrapped; keyed by source, columns are local targets
+	pull *layout // lazily wrapped; keyed by target, columns are local sources
 
 	trace []PhaseRecord
 
@@ -240,12 +240,13 @@ func (e *Engine) Close() {
 	if e.topoBytes > 0 {
 		e.M.Alloc().Release("polymer/topology", e.topoBytes)
 	}
-	if e.push != nil && e.push.agentBytes > 0 {
-		e.M.Alloc().Release("polymer/agents", e.push.agentBytes)
+	for _, l := range [2]*layout{e.push, e.pull} {
+		if l != nil && l.shared.agentBytes > 0 {
+			e.M.Alloc().Release("polymer/agents", l.shared.agentBytes)
+		}
 	}
-	if e.pull != nil && e.pull.agentBytes > 0 {
-		e.M.Alloc().Release("polymer/agents", e.pull.agentBytes)
-	}
+	// Drop the shared builds: they live no longer than their last engine.
+	e.push, e.pull = nil, nil
 }
 
 // chargePhase folds one phase epoch into the run ledger and clock,

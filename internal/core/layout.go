@@ -1,12 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"polymer/internal/graph"
 	"polymer/internal/par"
 	"polymer/internal/partition"
 )
 
-// layout holds the per-node grouped edge structures for one direction.
+// layoutBuild holds the per-node grouped edge structures for one direction.
 //
 // In push mode, node p owns the targets in its partition; its edges are
 // grouped by source vertex ("rows"), so sweeping the rows in ascending
@@ -17,10 +20,25 @@ import (
 // and degree. Pull mode is the mirror image: node p owns the sources in
 // its partition and rows are keyed by target, giving local random reads
 // and sequential global writes.
-type layout struct {
+//
+// As in the paper (§4.1), a build never changes once made: it is a
+// function of the topology, its partition and the direction, so every
+// engine on one topology shares one build through graph.Derived
+// (DESIGN.md §7 item 9) and wraps it in its own layout.
+type layoutBuild struct {
 	perNode    []nodeLayout
 	agentBytes int64
-	totalRows  int64
+	n          int  // vertices
+	weighted   bool // the build carries wts (its graph was weighted)
+}
+
+// layout is one engine's handle on a shared build: it holds the build
+// strongly (the graph holds it only weakly) and adds what is the engine's
+// own — the row-sweep schedules, and per-node views without the weights
+// when the engine's graph is an Unweighted view of a weighted build.
+type layout struct {
+	shared  *layoutBuild
+	perNode []nodeLayout
 
 	// strides[p] is node p's row-sweep schedule. Row counts are fixed once
 	// the layout is built, so the schedule is computed here instead of per
@@ -45,7 +63,8 @@ type nodeLayout struct {
 
 	// rowOf maps a vertex id to its row index in this node (-1 if the
 	// vertex has no edges here); it is the per-node agent lookup used by
-	// sparse EdgeMap.
+	// sparse EdgeMap, which reads only the push build, so pull builds leave
+	// it nil.
 	rowOf []int32
 
 	// startRow is the first row whose key belongs to this node's own
@@ -61,9 +80,9 @@ type nodeLayout struct {
 // partition and rows are keyed by source (built from the in-CSR);
 // otherwise local vertices are the sources and rows are keyed by target
 // (built from the out-CSR).
-func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layout {
+func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuild {
 	n := g.NumVertices()
-	l := &layout{perNode: make([]nodeLayout, len(parts))}
+	l := &layoutBuild{perNode: make([]nodeLayout, len(parts)), n: n, weighted: g.Weighted()}
 	// cnt is the build's one counting scratch: per node, first the edges of
 	// each key vertex, then the fill position inside the key's row.
 	cnt := make([]int64, n)
@@ -92,9 +111,11 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layout {
 		nl.rowIDs = make([]graph.Vertex, rows)
 		nl.rowIdx = make([]int64, rows+1)
 		nl.rowOwner = make([]uint8, rows)
-		nl.rowOf = make([]int32, n)
-		for i := range nl.rowOf {
-			nl.rowOf[i] = -1
+		if push {
+			nl.rowOf = make([]int32, n)
+			for i := range nl.rowOf {
+				nl.rowOf[i] = -1
+			}
 		}
 		r := 0
 		var off int64
@@ -109,7 +130,9 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layout {
 			nl.rowIDs[r] = graph.Vertex(k)
 			nl.rowIdx[r] = off
 			nl.rowOwner[r] = uint8(owner)
-			nl.rowOf[k] = int32(r)
+			if push {
+				nl.rowOf[k] = int32(r)
+			}
 			if owner != p {
 				nl.agents++
 			}
@@ -121,7 +144,7 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layout {
 		// Fill columns: sweep local vertices ascending so each row's
 		// columns come out ascending too.
 		nl.cols = make([]graph.Vertex, edges)
-		if g.Weighted() {
+		if l.weighted {
 			nl.wts = make([]float32, edges)
 		}
 		for v := vr.Lo; v < vr.Hi; v++ {
@@ -150,7 +173,6 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layout {
 		}
 
 		l.agentBytes += int64(nl.agents) * 16 // replica: edge offset + degree
-		l.totalRows += int64(rows)
 	}
 	return l
 }
@@ -171,43 +193,57 @@ func weightsOf(g *graph.Graph, v graph.Vertex, push bool) []float32 {
 	return g.OutWeights(v)
 }
 
-// bytes returns the simulated footprint of the layout's arrays.
+// bytes returns the simulated footprint of the layout's arrays. The
+// footprint has an n-entry rowOf table per node in both directions, as it
+// always has, though only push builds allocate one on the host.
 func (l *layout) bytes() int64 {
 	var b int64
 	for i := range l.perNode {
 		nl := &l.perNode[i]
 		b += int64(len(nl.rowIDs))*4 + int64(len(nl.rowIdx))*8
 		b += int64(len(nl.cols))*4 + int64(len(nl.wts))*4
-		b += int64(len(nl.rowOwner)) + int64(len(nl.rowOf))*4
+		b += int64(len(nl.rowOwner)) + int64(l.shared.n)*4
 	}
 	return b
 }
 
-// ensurePush lazily builds the push-direction layout. If registering its
-// simulated allocation fails (injected fault), the layout is not cached:
-// the replay after recovery rebuilds and re-charges it, keeping the
-// allocation accounting identical to a fault-free run.
-func (e *Engine) ensurePush() *layout {
-	if e.push == nil {
-		l := buildLayout(e.G, e.parts, true)
+// ensurePush lazily wraps the push-direction build. If registering its
+// simulated allocation fails (injected fault), the layout is not kept: the
+// replay after recovery registers and charges the same shared build again,
+// keeping the allocation accounting identical to a fault-free run.
+func (e *Engine) ensurePush() *layout { return e.ensureLayout(&e.push, true) }
+
+// ensurePull lazily wraps the pull-direction build.
+func (e *Engine) ensurePull() *layout { return e.ensureLayout(&e.pull, false) }
+
+func (e *Engine) ensureLayout(slot **layout, push bool) *layout {
+	if *slot == nil {
+		l := e.newLayout(push)
 		if !e.registerLayout(l) {
 			return l // e.err is set; the phase will abort uncharged
 		}
-		e.push = l
+		*slot = l
 	}
-	return e.push
+	return *slot
 }
 
-// ensurePull lazily builds the pull-direction layout.
-func (e *Engine) ensurePull() *layout {
-	if e.pull == nil {
-		l := buildLayout(e.G, e.parts, false)
-		if !e.registerLayout(l) {
-			return l
+// newLayout wraps the build its topology shares for the engine's partition
+// and direction. An engine on an Unweighted view of a weighted graph gets
+// the weighted build with its weights hidden, so it charges exactly the
+// bytes of an unweighted build.
+func (e *Engine) newLayout(push bool) *layout {
+	key := fmt.Sprintf("core.layout push=%t bounds=%v", push, e.bounds)
+	b := graph.Derived(e.G, key, func(root *graph.Graph) *layoutBuild {
+		return buildLayout(root, e.parts, push)
+	})
+	l := &layout{shared: b, perNode: b.perNode}
+	if b.weighted && !e.G.Weighted() {
+		l.perNode = slices.Clone(b.perNode)
+		for p := range l.perNode {
+			l.perNode[p].wts = nil
 		}
-		e.pull = l
 	}
-	return e.pull
+	return l
 }
 
 func (e *Engine) registerLayout(l *layout) bool {
@@ -221,14 +257,15 @@ func (e *Engine) registerLayout(l *layout) bool {
 		e.Fail(err)
 		return false
 	}
-	if l.agentBytes > 0 {
-		if err := e.M.Alloc().Grow("polymer/agents", l.agentBytes); err != nil {
+	agents := l.shared.agentBytes
+	if agents > 0 {
+		if err := e.M.Alloc().Grow("polymer/agents", agents); err != nil {
 			e.Fail(err)
 			e.M.Alloc().Release("polymer/topology", b)
 			return false
 		}
 	}
 	e.topoBytes += b
-	e.TierTopo.GrowDemandEven(b + l.agentBytes)
+	e.TierTopo.GrowDemandEven(b + agents)
 	return true
 }

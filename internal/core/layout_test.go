@@ -13,7 +13,7 @@ type edgeKey struct{ s, t graph.Vertex }
 // collectLayoutEdges reassembles the (source, target) pairs stored in a
 // layout. In push layouts, rows are sources and columns targets; in pull
 // layouts the reverse.
-func collectLayoutEdges(l *layout, push bool) map[edgeKey]int {
+func collectLayoutEdges(l *layoutBuild, push bool) map[edgeKey]int {
 	out := make(map[edgeKey]int)
 	for p := range l.perNode {
 		nl := &l.perNode[p]

@@ -2,8 +2,12 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"weak"
 )
 
 // sample graph from the paper's Figure 1 (vertices renumbered 0-based):
@@ -172,6 +176,53 @@ func TestInvOutDegreesIsBuiltOnce(t *testing.T) {
 	}
 	if len(FromEdges(0, nil, false).InvOutDegrees()) != 0 {
 		t.Fatal("the empty graph has no degrees")
+	}
+}
+
+// TestDerivedIsBuiltOnceAndHeldWeakly: concurrent callers on a graph and
+// its Unweighted view get one build per key, made from the weighted root;
+// once every caller has dropped it, a GC frees it and the next call builds
+// again.
+func TestDerivedIsBuiltOnceAndHeldWeakly(t *testing.T) {
+	w := FromEdges(3, []Edge{{0, 1, 2}, {1, 2, 3}, {2, 0, 4}}, true)
+	var builds atomic.Int32
+	build := func(root *Graph) *[]float32 {
+		builds.Add(1)
+		if root != w {
+			t.Error("build did not get the root graph")
+		}
+		wts := slices.Clone(root.OutWts)
+		return &wts
+	}
+	got := make(chan *[]float32, 8)
+	for i := 0; i < cap(got); i++ {
+		g := w
+		if i%2 == 1 {
+			g = w.Unweighted()
+		}
+		go func() { got <- Derived(g, "wts", build) }()
+	}
+	first := Derived(w.Unweighted(), "wts", build)
+	for i := 0; i < cap(got); i++ {
+		if v := <-got; v != first {
+			t.Fatal("two callers got two builds")
+		}
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d builds for one key, want 1", n)
+	}
+	if Derived(w, "other", build) == first || builds.Load() != 2 {
+		t.Fatal("a second key shared the first key's build")
+	}
+	wp := weak.Make(first)
+	first = nil
+	runtime.GC()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("the graph kept a derived value alive")
+	}
+	if Derived(w, "wts", build); builds.Load() != 3 {
+		t.Fatalf("%d builds, want a rebuild after the value was freed", builds.Load())
 	}
 }
 

@@ -25,6 +25,7 @@ func (g *Graph) Unweighted() *Graph {
 			n: g.n, m: g.m,
 			OutIndex: g.OutIndex, OutNbrs: g.OutNbrs,
 			InIndex: g.InIndex, InNbrs: g.InNbrs,
+			root: g,
 		}
 	})
 	return g.unweighted

@@ -249,7 +249,7 @@ func (a *Array[T]) ChargeSeq(e *numa.Epoch, th int, op numa.Op, lo, count int64)
 	default:
 		// Split [lo, lo+count) across partition bounds.
 		if a.tier != nil {
-			a.tier.record(e, th, count*a.elemBytes)
+			a.tier.record(e, count*a.elemBytes)
 		}
 		rem := count
 		i := int(lo)

@@ -79,9 +79,9 @@ type TierClass struct {
 	hit      []float64
 	hitIl    float64
 
-	// acc[th] accumulates bytes charged by thread th since the last
-	// promotion pass (folded in Step).
-	acc []int64
+	// acc accumulates the bytes charged since the last promotion pass
+	// (folded in Step).
+	acc int64
 }
 
 // TierPlan owns the tier placement state for one machine.
@@ -119,7 +119,6 @@ func (tp *TierPlan) AddClass(spec ClassSpec) *TierClass {
 		spec:     spec,
 		dramFrac: make([]float64, tp.m.Nodes),
 		hit:      make([]float64, tp.m.Nodes),
-		acc:      make([]int64, tp.m.Threads()),
 	}
 	tp.classes = append(tp.classes, c)
 	tp.fill(tp.order())
@@ -263,13 +262,13 @@ func (c *TierClass) HitFrac(node int) float64 {
 	return c.hit[node]
 }
 
-// record tallies bytes charged through ep by thread th. Inside
-// ep.ChargeNodes one charge stands for the whole node's threads, so the
-// tally is scaled by the epoch's charge weight: acc is only ever summed
-// (Step), so the fold sees the node's full byte count either way.
-func (c *TierClass) record(ep *numa.Epoch, th int, bytes int64) {
+// record tallies bytes charged through ep. Inside ep.ChargeNodes one
+// charge stands for the whole node's threads, so the tally is scaled by
+// the epoch's charge weight: the fold sees the node's full byte count
+// either way.
+func (c *TierClass) record(ep *numa.Epoch, bytes int64) {
 	if c.plan.cfg.PromoteEvery > 0 {
-		c.acc[th] += bytes * ep.ChargeWeight()
+		c.acc += bytes * ep.ChargeWeight()
 	}
 }
 
@@ -284,7 +283,7 @@ func (c *TierClass) Access(ep *numa.Epoch, th int, p numa.Pattern, op numa.Op, n
 	if count <= 0 {
 		return
 	}
-	c.record(ep, th, count*int64(elemBytes))
+	c.record(ep, count*int64(elemBytes))
 	dram := int64(float64(count) * c.hit[node])
 	if dram > count {
 		dram = count
@@ -303,7 +302,7 @@ func (c *TierClass) AccessInterleaved(ep *numa.Epoch, th int, p numa.Pattern, op
 	if count <= 0 {
 		return
 	}
-	c.record(ep, th, count*int64(elemBytes))
+	c.record(ep, count*int64(elemBytes))
 	dram := int64(float64(count) * c.hitIl)
 	if dram > count {
 		dram = count
@@ -322,7 +321,7 @@ func (c *TierClass) LatencyBound(ep *numa.Epoch, th int, op numa.Op, node int, c
 	if count <= 0 {
 		return
 	}
-	c.record(ep, th, count*8)
+	c.record(ep, count*8)
 	dram := int64(float64(count) * c.hit[node])
 	if dram > count {
 		dram = count
@@ -333,7 +332,7 @@ func (c *TierClass) LatencyBound(ep *numa.Epoch, th int, op numa.Op, node int, c
 
 // Step commits one parallel phase: it advances the promotion clock and,
 // every PromoteEvery committed phases under the hot policy, folds the
-// thread-sharded access counters, re-ranks the classes by observed
+// access counters, re-ranks the classes by observed
 // access density, refills DRAM in the new order, and charges the
 // migration traffic into ep (slow-tier reads + DRAM writes for
 // promotions and the reverse for demotions, capped at PromoteFrac of
@@ -351,15 +350,11 @@ func (tp *TierPlan) Step(ep *numa.Epoch) {
 	tp.steps = 0
 	tp.pass++
 
-	// Fold the sharded counters (single-threaded: phases are committed
-	// between parallel sections).
+	// Fold the counters.
 	density := make([]float64, len(tp.classes))
 	for i, c := range tp.classes {
-		var folded int64
-		for th := range c.acc {
-			folded += c.acc[th]
-			c.acc[th] = 0
-		}
+		folded := c.acc
+		c.acc = 0
 		var bytes int64
 		for _, b := range c.spec.BytesPerNode {
 			bytes += b
@@ -476,7 +471,7 @@ type TierSnap struct {
 	steps, pass int
 	logLen      int
 	frac        [][]float64
-	acc         [][]int64
+	acc         []int64
 	demand      [][]int64
 }
 
@@ -487,11 +482,11 @@ func (tp *TierPlan) Snapshot() *TierSnap {
 	}
 	s := &TierSnap{steps: tp.steps, pass: tp.pass, logLen: len(tp.log)}
 	s.frac = make([][]float64, len(tp.classes))
-	s.acc = make([][]int64, len(tp.classes))
+	s.acc = make([]int64, len(tp.classes))
 	s.demand = make([][]int64, len(tp.classes))
 	for i, c := range tp.classes {
 		s.frac[i] = append([]float64(nil), c.dramFrac...)
-		s.acc[i] = append([]int64(nil), c.acc...)
+		s.acc[i] = c.acc
 		s.demand[i] = append([]int64(nil), c.spec.BytesPerNode...)
 	}
 	return s
@@ -519,7 +514,7 @@ func (tp *TierPlan) Restore(s *TierSnap) {
 			continue
 		}
 		copy(c.dramFrac, s.frac[i])
-		copy(c.acc, s.acc[i])
+		c.acc = s.acc[i]
 		for n, b := range c.spec.BytesPerNode {
 			if b != s.demand[i][n] {
 				refill = true

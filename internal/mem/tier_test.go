@@ -278,21 +278,14 @@ func TestTierRestoreAfterGrow(t *testing.T) {
 }
 
 // A charge made once per node (numa.Epoch.ChargeNodes) must tally the
-// whole node's bytes in the promotion counters: acc is only ever summed,
-// so the sum — not its split over threads — is what has to match the
-// per-thread loop. (The ledgers themselves are compared in package numa.)
+// whole node's bytes in the promotion counter, as the per-thread loop
+// does. (The ledgers themselves are compared in package numa.)
 func TestChargeNodesTalliesWholeNode(t *testing.T) {
 	m := tieredMachine(t, 1<<10, numa.TierHot, 4)
 	charge := func(c *TierClass, ep *numa.Epoch, th, node int) {
 		c.Access(ep, th, numa.Seq, numa.Load, node, 1000, 8, 0)
 		c.AccessInterleaved(ep, th, numa.Rand, numa.Store, 300, 4, 1<<20)
 		c.LatencyBound(ep, th, numa.Store, (node+1)%m.Nodes, 77)
-	}
-	sum := func(c *TierClass) (s int64) {
-		for _, b := range c.acc {
-			s += b
-		}
-		return s
 	}
 	loop := NewTierPlan(m).AddClass(ClassSpec{Label: "c", BytesPerNode: evenBytes(4, 1<<12)})
 	ep := m.NewEpoch()
@@ -302,7 +295,7 @@ func TestChargeNodesTalliesWholeNode(t *testing.T) {
 	byNode := NewTierPlan(m).AddClass(ClassSpec{Label: "c", BytesPerNode: evenBytes(4, 1<<12)})
 	ep2 := m.NewEpoch()
 	ep2.ChargeNodes(func(th, node int) { charge(byNode, ep2, th, node) })
-	if got, want := sum(byNode), sum(loop); got != want || want == 0 {
+	if got, want := byNode.acc, loop.acc; got != want || want == 0 {
 		t.Fatalf("promotion tally %d bytes charged by node, %d by thread", got, want)
 	}
 }

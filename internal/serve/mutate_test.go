@@ -1,17 +1,19 @@
 // Tests for the streaming-mutation surface: commit-driven generation
 // bumps end to end over HTTP (stale cached results unreachable after a
-// commit), a commit racing an in-flight coalesced read, validation, and
-// serve-level crash recovery verified against a clean-apply oracle
-// server.
+// commit), concurrent reads sharing one snapshot's layouts, a commit
+// racing an in-flight coalesced read, validation, and serve-level crash
+// recovery verified against a clean-apply oracle server.
 
 package serve
 
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -249,6 +251,73 @@ func TestMutateDisabledWithoutStore(t *testing.T) {
 		`{"graph":"roadUS","scale":"tiny","ops":[{"op":"insert","src":0,"dst":1}]}`)
 	if st != http.StatusServiceUnavailable || !strings.Contains(r.Error, "disabled") {
 		t.Fatalf("status %d error %q, want 503 disabled", st, r.Error)
+	}
+}
+
+// TestConcurrentReadsShareSnapshotLayouts: Polymer BFS and SSSP reads of
+// one mutated snapshot, run at once, build its per-node layouts once
+// (graph.Derived) through the weighted snapshot and its Unweighted view,
+// and answer exactly what the same reads answer one after another on a
+// second server. Under -race (scripts/check.sh) this is the proof that
+// the build-once path and the read-only sharing are race-free.
+func TestConcurrentReadsShareSnapshotLayouts(t *testing.T) {
+	const commit = `{"graph":"powerlaw","scale":"tiny","ops":[{"op":"insert","src":1,"dst":2,"wt":3},{"op":"delete","src":2,"dst":1}]}`
+	var queries []string
+	for src := 0; src < 4; src++ {
+		for _, algo := range []string{"bfs", "sssp"} {
+			queries = append(queries, fmt.Sprintf(`{"algo":%q,"system":"polymer","graph":"powerlaw","src":%d}`, algo, src))
+		}
+	}
+	read := func(concurrent bool) []Response {
+		store := openStore(t, t.TempDir(), mutate.Options{})
+		defer store.Close()
+		srv := NewServer(Config{Workers: 4, QueueDepth: 16, Mutations: store, DisableBatch: true})
+		defer shutdown(t, srv)
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		if st, mr := postJSON(t, ts, "/mutatez", commit); st != 200 {
+			t.Fatalf("commit: status %d (%s)", st, mr.Error)
+		}
+		out := make([]Response, len(queries))
+		if !concurrent {
+			for i, q := range queries {
+				_, out[i] = postJSON(t, ts, "/run", q)
+			}
+			return out
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, len(queries))
+		for i, q := range queries {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				httpResp, err := ts.Client().Post(ts.URL+"/run", "application/json", strings.NewReader(q))
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				defer httpResp.Body.Close()
+				errs[i] = json.NewDecoder(httpResp.Body).Decode(&out[i])
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	want, got := read(false), read(true)
+	for i, q := range queries {
+		w, g := want[i], got[i]
+		if w.Error != "" || g.Error != "" || g.Cached {
+			t.Fatalf("%s: errors %q / %q, cached=%t", q, w.Error, g.Error, g.Cached)
+		}
+		if g.Checksum != w.Checksum || g.SimSeconds != w.SimSeconds || g.PeakBytes != w.PeakBytes {
+			t.Fatalf("%s: concurrent checksum %v sim %v peak %d, sequential %v %v %d",
+				q, g.Checksum, g.SimSeconds, g.PeakBytes, w.Checksum, w.SimSeconds, w.PeakBytes)
+		}
 	}
 }
 

@@ -4,8 +4,8 @@
 # goroutine and kernels, builders and chargers use plain loads and stores
 # (internal/par), so the race pass is the proof that no second goroutine
 # reaches them -- and that what several goroutines do share (serve,
-# cluster, mutate, graph's memoised views, plan) is synchronised. The
-# plain test pass covers the rest.
+# cluster, mutate, graph's memoised views and derived layouts, plan) is
+# synchronised. The plain test pass covers the rest.
 set -eu
 
 cd "$(dirname "$0")/.."
