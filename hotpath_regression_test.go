@@ -237,10 +237,12 @@ func pullSuperstepAllocs(t *testing.T, newEngine func(*graph.Graph) sg.Engine) (
 }
 
 // The pull superstep budgets are what the per-edge loops allocated before
-// the kernels had a row form: the returned Subset, its leaf table and
+// the kernels had a segment form: the returned Subset, its leaf table and
 // bitmap leaves (one per NUMA node on Polymer, one on Ligra) and the phase
 // closure. Finding sg.PullRowKernel must add nothing — a struct-valued
-// kernel would be boxed once per phase (sg.RowKernelOf), one object over.
+// kernel would be boxed once per phase (sg.RowKernelOf), one object over —
+// and neither may the hit list a segment returns, which the engine sizes
+// once.
 const (
 	polymerPullSuperstepAllocBudget = 11
 	ligraPullSuperstepAllocBudget   = 4

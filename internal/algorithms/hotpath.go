@@ -28,6 +28,14 @@ func PRIteration(e sg.Engine, damping float64) func() {
 	}
 }
 
+// PRSweep allocates PageRank state on e and returns PageRank's edge phase
+// alone, as PageRankFrom runs it: the push EdgeMap over the full frontier,
+// kernel and hints included. The sweep benchmarks time it per edge.
+func PRSweep(e sg.Engine) func() {
+	k, all := newPRKernel(e, 0.85, nil), state.NewAll(e.Bounds())
+	return func() { edgeMap(e, all, k, prHints) }
+}
+
 // XSKernel is one of the float kernels over state allocated on an X-Stream
 // engine: Scatter reads In, Gather writes Out. The embedded Kernel is the
 // one the drivers pass to Iterate, block loops included.

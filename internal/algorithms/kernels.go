@@ -30,12 +30,12 @@ const unvisited = ^uint32(0)
 
 // prKernel is the paper's Algorithm 4.1 edge function: it accumulates the
 // scaled rank of the source into the target. PR, SpMV and BP are passed to
-// the engines by pointer so their row form (sg.RowKernel) is found without
-// boxing the kernel.
+// the engines by pointer so their segment form (sg.RowKernel) is found
+// without boxing the kernel.
 //
 // The explicit float64 conversions round the per-source product before it
 // is added: without them an architecture with fused multiply-add may fuse
-// the per-edge form and not the hoisted one, and PushRow would no longer
+// the per-edge form and not the hoisted one, and PushRows would no longer
 // equal the Update loop bit for bit.
 type prKernel struct {
 	curr, next    []float64
@@ -72,9 +72,20 @@ func (k *prKernel) Update(s, d graph.Vertex, w float32) bool {
 
 func (k *prKernel) Cond(graph.Vertex) bool { return true }
 
-// PushRow adds s's scaled rank, computed once, to every target of the row.
-func (k *prKernel) PushRow(s graph.Vertex, cols []graph.Vertex, _ []float32) {
-	addRow(k.next, cols, float64(k.curr[s]*k.invOut[s]))
+// PushRows adds each active source's scaled rank, computed once a row, to
+// every target of its row.
+func (k *prKernel) PushRows(rs *sg.Rows, lo, hi int, active []uint64, base int) (activeRows, edges int64) {
+	idx, cols := rs.Idx, rs.Cols
+	for r := lo; r < hi; r++ {
+		s := rs.ID(r)
+		if !sg.InLeaf(active, base, s) {
+			continue
+		}
+		addRow(k.next, cols[idx[r]:idx[r+1]], float64(k.curr[s]*k.invOut[s]))
+		activeRows++
+		edges += idx[r+1] - idx[r]
+	}
+	return activeRows, edges
 }
 
 // addRow adds v to dst[t] for every t in cols.
@@ -147,17 +158,27 @@ func (k *spmvKernel) Update(s, d graph.Vertex, w float32) bool {
 
 func (k *spmvKernel) Cond(graph.Vertex) bool { return true }
 
-// PushRow adds w*x[s] to every target of the row; an unweighted row adds
-// x[s] itself (unit weights, and 1*x is x).
-func (k *spmvKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32) {
-	x, y := k.x[s], k.y
-	if wts == nil {
-		addRow(y, cols, x)
-		return
+// PushRows adds w*x[s] to every target of each active source's row; an
+// unweighted row adds x[s] itself (unit weights, and 1*x is x).
+func (k *spmvKernel) PushRows(rs *sg.Rows, lo, hi int, active []uint64, base int) (activeRows, edges int64) {
+	idx, cols, wts, y := rs.Idx, rs.Cols, rs.Wts, k.y
+	for r := lo; r < hi; r++ {
+		s := rs.ID(r)
+		if !sg.InLeaf(active, base, s) {
+			continue
+		}
+		x, first, end := k.x[s], idx[r], idx[r+1]
+		if wts == nil {
+			addRow(y, cols[first:end], x)
+		} else {
+			for j := first; j < end; j++ {
+				y[cols[j]] += float64(edgeWeight(wts[j]) * x)
+			}
+		}
+		activeRows++
+		edges += end - first
 	}
-	for j, t := range cols {
-		y[t] += float64(edgeWeight(wts[j]) * x)
-	}
+	return activeRows, edges
 }
 
 func (k *spmvKernel) Scatter(s graph.Vertex, w float32) (float64, bool) {
@@ -223,18 +244,28 @@ func (k *bpKernel) Update(s, d graph.Vertex, w float32) bool {
 
 func (k *bpKernel) Cond(graph.Vertex) bool { return true }
 
-// PushRow multiplies s's message into every target of the row; without
-// weights the message is the same for the whole row.
-func (k *bpKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32) {
-	curr, acc := k.curr[s], k.acc
-	unit := bpMessage(curr, 0)
-	for j, t := range cols {
-		m := unit
-		if wts != nil {
-			m = bpMessage(curr, wts[j])
+// PushRows multiplies each active source's message into every target of
+// its row; without weights the message is the same for the whole row.
+func (k *bpKernel) PushRows(rs *sg.Rows, lo, hi int, active []uint64, base int) (activeRows, edges int64) {
+	idx, cols, wts, acc := rs.Idx, rs.Cols, rs.Wts, k.acc
+	for r := lo; r < hi; r++ {
+		s := rs.ID(r)
+		if !sg.InLeaf(active, base, s) {
+			continue
 		}
-		acc[t] *= m
+		curr, first, end := k.curr[s], idx[r], idx[r+1]
+		unit := bpMessage(curr, 0)
+		for j := first; j < end; j++ {
+			m := unit
+			if wts != nil {
+				m = bpMessage(curr, wts[j])
+			}
+			acc[cols[j]] *= m
+		}
+		activeRows++
+		edges += end - first
 	}
+	return activeRows, edges
 }
 
 func (k *bpKernel) Scatter(s graph.Vertex, w float32) (float64, bool) {
@@ -266,7 +297,7 @@ func (k *bpKernel) GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (
 
 // bfsKernel claims unvisited vertices (direction-optimizing BFS). BFS, CC
 // and SSSP are passed to the engines by pointer, like the float kernels, so
-// their pull row form (sg.PullRowKernel) is found without boxing.
+// their pull segment form (sg.PullRowKernel) is found without boxing.
 type bfsKernel struct{ parent []uint32 }
 
 func (k *bfsKernel) Update(s, d graph.Vertex, w float32) bool {
@@ -279,19 +310,30 @@ func (k *bfsKernel) Update(s, d graph.Vertex, w float32) bool {
 
 func (k *bfsKernel) Cond(d graph.Vertex) bool { return k.parent[d] == unvisited }
 
-// PullRow claims t for its first active source and stops there: t is
-// visited and Cond is false from then on.
-func (k *bfsKernel) PullRow(t graph.Vertex, cols []graph.Vertex, _ []float32, active []uint64, base int) (int, bool) {
-	if k.parent[t] != unvisited {
-		return 0, false
-	}
-	for j, s := range cols {
-		if sg.InLeaf(active, base, s) {
-			k.parent[t] = s
-			return j + 1, true
+// PullRows claims each unvisited target for its first active source and
+// leaves the row there: the target is visited and Cond is false from then
+// on. A visited target's row scans nothing.
+func (k *bfsKernel) PullRows(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) (edges int64, _ []int32) {
+	idx, cols, parent := rs.Idx, rs.Cols, k.parent
+	for r := lo; r < hi; r++ {
+		t := rs.ID(r)
+		if parent[t] != unvisited {
+			continue
 		}
+		first, end := idx[r], idx[r+1]
+		j := first
+		for j < end && !sg.InLeaf(active, base, cols[j]) {
+			j++
+		}
+		if j == end {
+			edges += end - first
+			continue
+		}
+		parent[t] = cols[j]
+		edges += j + 1 - first
+		hits = append(hits, int32(r))
 	}
-	return len(cols), false
+	return edges, hits
 }
 
 // ccKernel propagates minimum labels (label-propagation connected
@@ -308,23 +350,31 @@ func (k *ccKernel) Update(s, d graph.Vertex, w float32) bool {
 
 func (k *ccKernel) Cond(graph.Vertex) bool { return true }
 
-// PullRow lowers t's label to the least label among its active sources.
-// t's label rides in a register; each lowering is still stored at once, so
-// a self-loop reads what the Update loop would show it.
-func (k *ccKernel) PullRow(t graph.Vertex, cols []graph.Vertex, _ []float32, active []uint64, base int) (int, bool) {
-	labels, updated := k.labels, false
-	lt := labels[t]
-	for _, s := range cols {
-		if !sg.InLeaf(active, base, s) {
-			continue
+// PullRows lowers each target's label to the least label among its active
+// sources. The target's label rides in a register; each lowering is still
+// stored at once, so a self-loop reads what the Update loop would show it.
+func (k *ccKernel) PullRows(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) (edges int64, _ []int32) {
+	idx, cols, labels := rs.Idx, rs.Cols, k.labels
+	for r := lo; r < hi; r++ {
+		t := rs.ID(r)
+		lt, updated := labels[t], false
+		first, end := idx[r], idx[r+1]
+		for _, s := range cols[first:end] {
+			if !sg.InLeaf(active, base, s) {
+				continue
+			}
+			if ls := labels[s]; ls < lt {
+				lt = ls
+				labels[t] = ls
+				updated = true
+			}
 		}
-		if ls := labels[s]; ls < lt {
-			lt = ls
-			labels[t] = ls
-			updated = true
+		edges += end - first
+		if updated {
+			hits = append(hits, int32(r))
 		}
 	}
-	return len(cols), updated
+	return edges, hits
 }
 
 // ssspKernel relaxes edges by distance minimisation (Bellman-Ford with
@@ -341,22 +391,31 @@ func (k *ssspKernel) Update(s, d graph.Vertex, w float32) bool {
 
 func (k *ssspKernel) Cond(graph.Vertex) bool { return true }
 
-// PullRow relaxes t over its active sources; t's distance is kept as
-// ccKernel.PullRow keeps the label.
-func (k *ssspKernel) PullRow(t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int) (int, bool) {
-	dist, updated := k.dist, false
-	dt := dist[t]
-	for j, s := range cols {
-		if !sg.InLeaf(active, base, s) {
-			continue
+// PullRows relaxes each target over its active sources; the target's
+// distance is kept as ccKernel.PullRows keeps the label.
+func (k *ssspKernel) PullRows(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) (edges int64, _ []int32) {
+	idx, cols, wts, dist := rs.Idx, rs.Cols, rs.Wts, k.dist
+	for r := lo; r < hi; r++ {
+		t := rs.ID(r)
+		dt, updated := dist[t], false
+		first, end := idx[r], idx[r+1]
+		for j := first; j < end; j++ {
+			s := cols[j]
+			if !sg.InLeaf(active, base, s) {
+				continue
+			}
+			if nd := dist[s] + edgeWeight(weightAt(wts, int(j))); nd < dt {
+				dt = nd
+				dist[t] = nd
+				updated = true
+			}
 		}
-		if nd := dist[s] + edgeWeight(weightAt(wts, j)); nd < dt {
-			dt = nd
-			dist[t] = nd
-			updated = true
+		edges += end - first
+		if updated {
+			hits = append(hits, int32(r))
 		}
 	}
-	return len(cols), updated
+	return edges, hits
 }
 
 // xsLevel is X-Stream's traversal kernel: it relaxes integer levels (BFS)

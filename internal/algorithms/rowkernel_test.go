@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"maps"
 	"math"
 	"slices"
 	"testing"
@@ -10,205 +11,230 @@ import (
 	"polymer/internal/sg"
 )
 
-// TestPushRowMatchesUpdateLoop holds the three row kernels to the
-// sg.RowKernel contract: over random rows (repeated targets included),
-// with and without weights, PushRow leaves the target array bit-equal to
-// the Update loop, and Cond is true everywhere.
+// The frontier leaf of the segment tests covers vertices [leafBase,
+// leafBase+leafSpan) of segTestN: a kernel that forgets base reads the
+// wrong bits.
+const (
+	segTestN = 160
+	leafBase = 32
+	leafSpan = 100
+)
+
+// segLayout draws a random layout of up to 40 rows and a segment [lo, hi)
+// of it, which may start and end anywhere inside. A key (keyed) or column
+// (!keyed) is drawn from the leaf's span, the other side from all
+// segTestN vertices. Rows may be empty, hold repeated columns and
+// self-loops; a weighted layout gives a quarter of its edges weight 0.
+// With dense set the rows have no IDs — row r is keyed by vertex r — and
+// the segment keeps inside the leaf when keyed.
+func segLayout(rng *gen.RNG, keyed, dense, weighted bool) (rs *sg.Rows, lo, hi int) {
+	inLeaf := func() graph.Vertex { return graph.Vertex(leafBase + rng.Intn(leafSpan)) }
+	anywhere := func() graph.Vertex { return graph.Vertex(rng.Intn(segTestN)) }
+	key, col := anywhere, inLeaf
+	if keyed {
+		key, col = inLeaf, anywhere
+	}
+	rows := 1 + rng.Intn(40)
+	first := 0 // rows below first stay empty and out of the segment
+	if dense {
+		rows, first = segTestN, 0
+		if keyed {
+			rows, first = leafBase+leafSpan, leafBase
+		}
+	}
+	rs = &sg.Rows{Idx: make([]int64, rows+1)}
+	if !dense {
+		rs.IDs = make([]graph.Vertex, rows)
+	}
+	for r := 0; r < rows; r++ {
+		if rs.IDs != nil {
+			rs.IDs[r] = key()
+		}
+		n := 0
+		if r >= first && rng.Intn(5) > 0 { // a fifth of the rows are empty
+			n = rng.Intn(6)
+		}
+		for j := 0; j < n; j++ {
+			c := col()
+			if k := rs.ID(r); rng.Intn(6) == 0 && (keyed || (int(k) >= leafBase && int(k) < leafBase+leafSpan)) {
+				c = k // a self-loop, when the key may be a column
+			}
+			if j > 0 && rng.Intn(5) == 0 {
+				c = rs.Cols[len(rs.Cols)-1] // a repeated column
+			}
+			rs.Cols = append(rs.Cols, c)
+		}
+		rs.Idx[r+1] = int64(len(rs.Cols))
+	}
+	if weighted {
+		rs.Wts = make([]float32, len(rs.Cols))
+		for j := range rs.Wts {
+			if rng.Intn(4) > 0 {
+				rs.Wts[j] = float32(rng.Float64() * 10)
+			}
+		}
+	}
+	lo = first + rng.Intn(rows-first)
+	hi = lo + rng.Intn(rows-lo+1)
+	return rs, lo, hi
+}
+
+// segLeaves are the frontier leaves of the segment tests: the full
+// frontier (nil), an empty leaf and a sparse one.
+func segLeaves(rng *gen.RNG) map[string][]uint64 {
+	sparse := make([]uint64, (leafSpan+63)/64)
+	for i := 0; i < leafSpan; i++ {
+		if rng.Intn(3) == 0 {
+			sparse[i/64] |= 1 << (i % 64)
+		}
+	}
+	return map[string][]uint64{"full": nil, "empty": make([]uint64, (leafSpan+63)/64), "sparse": sparse}
+}
+
+// sameBits reports whether a and b are bit-equal.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestPushRowMatchesUpdateLoop holds the push segment forms to their
+// per-edge definition over random layouts and segments (segLayout), with
+// and without IDs and weights, under the full, an empty and a sparse
+// frontier leaf. PushRows of PR, SpMV and BP must leave the kernel's array
+// bit-equal to sg.PushRowsPerEdge and report its active rows and edges,
+// every edge passing Cond and updating. Each kernel's state carries over
+// from segment to segment, so later segments run on state the earlier
+// ones wrote.
 func TestPushRowMatchesUpdateLoop(t *testing.T) {
-	type rowKernel interface {
-		sg.EdgeKernel
-		sg.RowKernel
-	}
-	const n = 96
-	// Each constructor returns the kernel and the array it writes.
-	kernels := map[string]func(src, dst, scale []float64) (rowKernel, []float64){
-		"pr": func(src, dst, scale []float64) (rowKernel, []float64) {
-			return &prKernel{curr: src, next: dst, invOut: scale}, dst
-		},
-		"spmv": func(src, dst, _ []float64) (rowKernel, []float64) {
-			return &spmvKernel{x: src, y: dst}, dst
-		},
-		"bp": func(src, dst, _ []float64) (rowKernel, []float64) {
-			return &bpKernel{curr: src, acc: dst}, dst
-		},
-	}
-	rng := gen.NewRNG(41)
+	rng := gen.NewRNG(43)
 	random := func() []float64 {
-		xs := make([]float64, n)
+		xs := make([]float64, segTestN)
 		for i := range xs {
 			xs[i] = rng.Float64()
 		}
 		return xs
 	}
-	for name, build := range kernels {
+	type pushKernel interface {
+		sg.EdgeKernel
+		sg.RowKernel
+	}
+	// Each push constructor returns two kernels over equal copies of one
+	// random state and the two arrays they write.
+	pushes := map[string]func() (seg, edge pushKernel, segDst, edgeDst []float64){
+		"pr": func() (pushKernel, pushKernel, []float64, []float64) {
+			src, scale, a := random(), random(), random()
+			b := slices.Clone(a)
+			return &prKernel{curr: src, next: a, invOut: scale}, &prKernel{curr: src, next: b, invOut: scale}, a, b
+		},
+		"spmv": func() (pushKernel, pushKernel, []float64, []float64) {
+			src, a := random(), random()
+			b := slices.Clone(a)
+			return &spmvKernel{x: src, y: a}, &spmvKernel{x: src, y: b}, a, b
+		},
+		"bp": func() (pushKernel, pushKernel, []float64, []float64) {
+			src, a := random(), random()
+			b := slices.Clone(a)
+			return &bpKernel{curr: src, acc: a}, &bpKernel{curr: src, acc: b}, a, b
+		},
+	}
+
+	// Maps are walked in sorted order, so the draws are the same every run.
+	leaves := segLeaves(rng)
+	for _, lname := range slices.Sorted(maps.Keys(leaves)) {
+		active := leaves[lname]
 		for _, weighted := range []bool{false, true} {
-			src, scale, init := random(), random(), random()
-			rowK, rowDst := build(src, append([]float64(nil), init...), scale)
-			edgeK, edgeDst := build(src, append([]float64(nil), init...), scale)
-			for v := 0; v < n; v++ {
-				if !rowK.Cond(graph.Vertex(v)) {
-					t.Fatalf("%s: Cond(%d) is false; a row kernel's Cond is constantly true", name, v)
-				}
-			}
-			for row := 0; row < 200; row++ {
-				s := graph.Vertex(rng.Intn(n))
-				cols := make([]graph.Vertex, rng.Intn(24))
-				var wts []float32
-				if weighted {
-					wts = make([]float32, len(cols))
-				}
-				for j := range cols {
-					cols[j] = graph.Vertex(rng.Intn(n))
-					if weighted && rng.Intn(8) > 0 { // an eighth keep the zero weight
-						wts[j] = float32(rng.Float64() * 100)
+			for _, name := range slices.Sorted(maps.Keys(pushes)) {
+				segK, edgeK, segDst, edgeDst := pushes[name]()
+				var pushed int64
+				for trial := 0; trial < 300; trial++ {
+					rs, lo, hi := segLayout(rng, true, trial%3 == 0, weighted)
+					gotRows, gotEdges := segK.PushRows(rs, lo, hi, active, leafBase)
+					wantRows, wantEdges, condChecks, updates := sg.PushRowsPerEdge(edgeK, rs, lo, hi, active, leafBase, nil, 0)
+					if condChecks != wantEdges || updates != wantEdges {
+						t.Fatalf("%s: %d edges, %d cond checks, %d updates: a segment form's Cond and Update are always true", name, wantEdges, condChecks, updates)
 					}
-				}
-				rowK.PushRow(s, cols, wts)
-				for j, d := range cols {
-					var w float32
-					if weighted {
-						w = wts[j]
+					if gotRows != wantRows || gotEdges != wantEdges || !sameBits(segDst, edgeDst) {
+						t.Fatalf("%s leaf=%s weighted=%v trial %d (rows [%d, %d), IDs %v): PushRows %d rows %d edges, per-edge %d %d, data equal %v",
+							name, lname, weighted, trial, lo, hi, rs.IDs != nil, gotRows, gotEdges, wantRows, wantEdges, sameBits(segDst, edgeDst))
 					}
-					if !edgeK.Update(s, d, w) {
-						t.Fatalf("%s: update reported false; a row kernel's always reports true", name)
-					}
+					pushed += gotRows
 				}
-			}
-			for v := range rowDst {
-				if math.Float64bits(rowDst[v]) != math.Float64bits(edgeDst[v]) {
-					t.Fatalf("%s weighted=%v: [%d] = %x by rows, %x by edges",
-						name, weighted, v, rowDst[v], edgeDst[v])
+				if (pushed == 0) != (lname == "empty") {
+					t.Errorf("%s leaf=%s weighted=%v: %d rows pushed", name, lname, weighted, pushed)
 				}
 			}
 		}
 	}
 }
 
-// perEdgePull is the literal dense pull loop of the engines over one row.
-func perEdgePull(k sg.EdgeKernel, t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int) (scanned int, updated bool) {
-	if !k.Cond(t) {
-		return 0, false
-	}
-	for j, s := range cols {
-		scanned++
-		if i := int(s) - base; active != nil && active[i/64]>>(i%64)&1 == 0 {
-			continue
-		}
-		var w float32
-		if wts != nil {
-			w = wts[j]
-		}
-		if k.Update(s, t, w) {
-			updated = true
-		}
-		if !k.Cond(t) {
-			break
-		}
-	}
-	return scanned, updated
-}
-
-// TestPullRowMatchesUpdateLoop holds the three traversal kernels to the
-// sg.PullRowKernel contract: over random rows — self-loops and repeated
-// sources included, zero weights on weighted rows — under an empty, a
-// sparse and the full (nil) frontier leaf, PullRow leaves the kernel's
-// array bit-equal to the per-edge loop and reports the same scanned count
-// and outcome. The leaf starts at vertex 32, so a kernel
-// that forgets base reads the wrong bits.
+// TestPullRowMatchesUpdateLoop holds the pull segment forms to their
+// per-edge definition over random layouts and segments (segLayout), with
+// and without IDs and weights, under the full, an empty and a sparse
+// frontier leaf. PullRows of BFS, CC and SSSP must leave the kernel's
+// array bit-equal to sg.PullRowsPerEdge and report its edges and its hits,
+// in order. Each kernel's state carries over from segment to segment, so
+// later segments run on state the earlier ones wrote.
 func TestPullRowMatchesUpdateLoop(t *testing.T) {
+	rng := gen.NewRNG(44)
 	type pullKernel interface {
 		sg.EdgeKernel
 		sg.PullRowKernel
 	}
-	const (
-		n    = 160
-		base = 32 // the leaf covers vertices [base, base+span)
-		span = 100
-	)
-	rng := gen.NewRNG(43)
-	// Each constructor returns two kernels over equal copies of one random
-	// state, and a bit-level comparison of the two copies.
-	kernels := map[string]func() (row, edge pullKernel, equal func() bool){
+	// Each pull constructor returns two kernels over equal copies of one
+	// random state and a bit-level comparison of the two copies.
+	pulls := map[string]func() (seg, edge pullKernel, equal func() bool){
 		"bfs": func() (pullKernel, pullKernel, func() bool) {
-			a := make([]uint32, n)
+			a := make([]uint32, segTestN)
 			for v := range a {
 				a[v] = unvisited
 				if rng.Intn(3) == 0 { // a third are claimed already
-					a[v] = uint32(rng.Intn(n))
+					a[v] = uint32(rng.Intn(segTestN))
 				}
 			}
-			b := append([]uint32(nil), a...)
+			b := slices.Clone(a)
 			return &bfsKernel{parent: a}, &bfsKernel{parent: b}, func() bool { return slices.Equal(a, b) }
 		},
 		"cc": func() (pullKernel, pullKernel, func() bool) {
-			a := make([]uint32, n)
+			a := make([]uint32, segTestN)
 			for v := range a {
-				a[v] = uint32(rng.Intn(n))
+				a[v] = uint32(rng.Intn(segTestN))
 			}
-			b := append([]uint32(nil), a...)
+			b := slices.Clone(a)
 			return &ccKernel{labels: a}, &ccKernel{labels: b}, func() bool { return slices.Equal(a, b) }
 		},
 		"sssp": func() (pullKernel, pullKernel, func() bool) {
-			a := make([]float64, n)
+			a := make([]float64, segTestN)
 			for v := range a {
 				a[v] = rng.Float64() * 50
 				if rng.Intn(4) == 0 {
 					a[v] = infinity
 				}
 			}
-			b := append([]float64(nil), a...)
-			return &ssspKernel{dist: a}, &ssspKernel{dist: b}, func() bool {
-				return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-			}
+			b := slices.Clone(a)
+			return &ssspKernel{dist: a}, &ssspKernel{dist: b}, func() bool { return sameBits(a, b) }
 		},
 	}
-	leaves := map[string]func() []uint64{
-		"full":  func() []uint64 { return nil },
-		"empty": func() []uint64 { return make([]uint64, (span+63)/64) },
-		"sparse": func() []uint64 {
-			w := make([]uint64, (span+63)/64)
-			for i := 0; i < span; i++ {
-				if rng.Intn(3) == 0 {
-					w[i/64] |= 1 << (i % 64)
+
+	// Maps are walked in sorted order, so the draws are the same every run.
+	leaves := segLeaves(rng)
+	for _, lname := range slices.Sorted(maps.Keys(leaves)) {
+		active := leaves[lname]
+		for _, weighted := range []bool{false, true} {
+			for _, name := range slices.Sorted(maps.Keys(pulls)) {
+				segK, edgeK, equal := pulls[name]()
+				var hits int
+				for trial := 0; trial < 300; trial++ {
+					rs, lo, hi := segLayout(rng, false, trial%3 == 0, weighted)
+					prefix := []int32{-1} // what the caller passed in stays in front
+					gotEdges, gotHits := segK.PullRows(rs, lo, hi, active, leafBase, slices.Clone(prefix))
+					wantEdges, wantHits := sg.PullRowsPerEdge(edgeK, rs, lo, hi, active, leafBase, slices.Clone(prefix))
+					if gotEdges != wantEdges || !slices.Equal(gotHits, wantHits) || !equal() {
+						t.Fatalf("%s leaf=%s weighted=%v trial %d (rows [%d, %d), IDs %v): PullRows %d edges hits %v, per-edge %d %v, data equal %v",
+							name, lname, weighted, trial, lo, hi, rs.IDs != nil, gotEdges, gotHits, wantEdges, wantHits, equal())
+					}
+					hits += len(gotHits) - len(prefix)
 				}
-			}
-			return w
-		},
-	}
-	for name, build := range kernels {
-		for lname, leaf := range leaves {
-			for _, weighted := range []bool{false, true} {
-				rowK, edgeK, equal := build()
-				active := leaf()
-				var updates int
-				for row := 0; row < 400; row++ {
-					target := graph.Vertex(rng.Intn(n))
-					cols := make([]graph.Vertex, rng.Intn(12))
-					var wts []float32
-					if weighted {
-						wts = make([]float32, len(cols))
-					}
-					for j := range cols {
-						cols[j] = graph.Vertex(base + rng.Intn(span))
-						if in := int(target) >= base && int(target) < base+span; in && rng.Intn(6) == 0 {
-							cols[j] = target // self-loop
-						}
-						if weighted && rng.Intn(4) > 0 { // a quarter keep the zero weight
-							wts[j] = float32(rng.Float64() * 10)
-						}
-					}
-					gotN, gotUp := rowK.PullRow(target, cols, wts, active, base)
-					wantN, wantUp := perEdgePull(edgeK, target, cols, wts, active, base)
-					if gotN != wantN || gotUp != wantUp || !equal() {
-						t.Fatalf("%s leaf=%s weighted=%v row %d (t=%d cols=%v): PullRow scanned %d updated %v, per-edge %d %v, data equal %v",
-							name, lname, weighted, row, target, cols, gotN, gotUp, wantN, wantUp, equal())
-					}
-					if gotUp {
-						updates++
-					}
-				}
-				if (updates == 0) != (lname == "empty") {
-					t.Errorf("%s leaf=%s weighted=%v: %d rows updated", name, lname, weighted, updates)
+				if (hits == 0) != (lname == "empty") {
+					t.Errorf("%s leaf=%s weighted=%v: %d rows updated", name, lname, weighted, hits)
 				}
 			}
 		}
@@ -216,14 +242,11 @@ func TestPullRowMatchesUpdateLoop(t *testing.T) {
 
 	// BFS's early exit, pinned: a claimed target scans nothing; an open one
 	// scans up to and including the first active source and takes it.
-	cols := []graph.Vertex{40, 41, 42, 43}
-	active := make([]uint64, (span+63)/64)
-	active[0] = 1<<(42-base) | 1<<(43-base)
+	rs := &sg.Rows{IDs: []graph.Vertex{0, 1}, Idx: []int64{0, 4, 8}, Cols: []graph.Vertex{40, 41, 42, 43, 40, 41, 42, 43}}
+	active := make([]uint64, (leafSpan+63)/64)
+	active[0] = 1<<(42-leafBase) | 1<<(43-leafBase)
 	k := &bfsKernel{parent: []uint32{0: 7, 1: unvisited, 50: 0}}
-	if scanned, updated := k.PullRow(0, cols, nil, active, base); scanned != 0 || updated || k.parent[0] != 7 {
-		t.Errorf("claimed target scanned %d, updated %v, parent %d", scanned, updated, k.parent[0])
-	}
-	if scanned, updated := k.PullRow(1, cols, nil, active, base); scanned != 3 || !updated || k.parent[1] != 42 {
-		t.Errorf("claim mid-row scanned %d, updated %v, parent %d; want 3, true, 42", scanned, updated, k.parent[1])
+	if edges, hits := k.PullRows(rs, 0, 2, active, leafBase, nil); edges != 3 || !slices.Equal(hits, []int32{1}) || k.parent[0] != 7 || k.parent[1] != 42 {
+		t.Errorf("claimed and open target scanned %d, hits %v, parents %d %d; want 3, [1], 7, 42", edges, hits, k.parent[0], k.parent[1])
 	}
 }

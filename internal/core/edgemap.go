@@ -35,8 +35,9 @@ func (e *Engine) EdgeMap(a *state.Subset, k sg.EdgeKernel, h sg.Hints) *state.Su
 // the concrete kernel type (the algorithms package) skip the interface
 // boxing that way, and no more: per-edge Cond/Update on a type parameter
 // are dictionary calls, as indirect as interface calls and never inlined.
-// Kernels that want an inlined edge loop bring their own (sg.RowKernel,
-// used by edgeMapDensePush; sg.PullRowKernel, used by edgeMapDensePull).
+// Kernels that want an inlined edge loop bring their own segment form
+// (sg.RowKernel, used by edgeMapDensePush; sg.PullRowKernel, used by
+// edgeMapDensePull).
 func EdgeMapK[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	h = h.Normalize()
 	if a.IsEmpty() || e.Err() != nil {
@@ -105,7 +106,7 @@ func (e *Engine) chargeBalanced(ep *numa.Epoch, l *layout, h sg.Hints, flush fun
 	cpn := int64(e.M.CoresPerNode)
 	ep.ChargeNodes(func(_, p int) {
 		nl := &l.perNode[p]
-		if len(nl.rowIDs) == 0 {
+		if len(nl.IDs) == 0 {
 			return // the node's threads sat the phase out
 		}
 		c := &e.scr.chargers[p]
@@ -246,16 +247,26 @@ func dataWS(e *Engine, h sg.Hints) int64 {
 	return int64(e.G.NumVertices()) * int64(h.DataBytes)
 }
 
+// sweepStart is the row a dense sweep over nl begins at: the rolling
+// order's first local row, or row 0 without rolling.
+func (e *Engine) sweepStart(nl *nodeLayout) int {
+	if e.opt.DisableRolling {
+		return 0
+	}
+	return nl.startRow
+}
+
 // edgeMapDensePush sweeps each node's source-keyed rows in rolling order:
-// active sources push updates to their local targets. A kernel with a row
-// form (sg.RowKernel) gets one PushRow call per row in place of the
-// per-edge calls; the charged counts are the same.
+// active sources push updates to their local targets. Each chunk of the
+// sweep goes to the kernel a segment at a time — a run of rows whose
+// sources one node owns, tested against that node's frontier leaf — in
+// one PushRows call when the kernel has the segment form (sg.RowKernel),
+// else edge by edge (sg.PushRowsPerEdge); the charged counts are the same.
 func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	l := e.ensurePush()
-	collect := !h.NoOutput
 	rk := sg.RowKernelOf(k, h)
 	var b *state.Builder
-	if collect {
+	if !h.NoOutput {
 		b = e.scr.builder.Builder(e.bounds, e.M.Threads(), true, e.degreeOf)
 	}
 	ep := e.scr.beginPhase()
@@ -264,75 +275,30 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 	e.RunPhase(func(th int) {
 		p := e.M.NodeOfThread(th)
 		nl := &l.perNode[p]
-		rows := len(nl.rowIDs)
-		if rows == 0 {
+		if len(nl.IDs) == 0 {
 			return
 		}
-		start := nl.startRow
-		if e.opt.DisableRolling {
-			start = 0
-		}
+		start := e.sweepStart(nl)
 		c := &e.scr.chargers[p]
-		weighted := h.Weighted && nl.wts != nil
+		rs := e.scr.phaseRows(p, nl, h.Weighted)
 		l.strides[p].Do(th%e.M.CoresPerNode, func(lo, hi int64) {
-			var edges, condChecks, updates int64
-			for i := lo; i < hi; i++ {
-				r := int(i) + start
-				if r >= rows {
-					r -= rows
+			nl.eachSegment(start, lo, hi, func(o, rlo, rhi int) {
+				var active []uint64 // nil: every source is active
+				if !full {
+					active = a.Words(o)
 				}
-				s := nl.rowIDs[r]
-				owner := nl.rowOwner[r]
-				c.rowsByOwner[owner]++
-				if !full && !a.Contains(s) {
-					continue
-				}
-				c.activeByOwner[owner]++
-				cols := nl.cols[nl.rowIdx[r]:nl.rowIdx[r+1]]
-				var wts []float32
-				if weighted {
-					wts = nl.wts[nl.rowIdx[r]:nl.rowIdx[r+1]]
-				}
+				c.rowsByOwner[o] += int64(rhi - rlo)
 				if rk != nil {
 					// Every edge passes Cond and updates (sg.RowKernel).
-					rk.PushRow(s, cols, wts)
-					n := int64(len(cols))
-					edges, condChecks, updates = edges+n, condChecks+n, updates+n
-					continue
+					activeRows, edges := rk.PushRows(rs, rlo, rhi, active, e.bounds[o])
+					c.activeByOwner[o] += activeRows
+					c.edges, c.condChecks, c.updates = c.edges+edges, c.condChecks+edges, c.updates+edges
+					return
 				}
-				if weighted {
-					for j, t := range cols {
-						edges++
-						if !k.Cond(t) {
-							continue
-						}
-						condChecks++
-						if k.Update(s, t, wts[j]) {
-							if collect {
-								b.SetIn(p, t) // push targets are node-local
-							}
-							updates++
-						}
-					}
-				} else {
-					for _, t := range cols {
-						edges++
-						if !k.Cond(t) {
-							continue
-						}
-						condChecks++
-						if k.Update(s, t, 0) {
-							if collect {
-								b.SetIn(p, t)
-							}
-							updates++
-						}
-					}
-				}
-			}
-			c.edges += edges
-			c.condChecks += condChecks
-			c.updates += updates
+				activeRows, edges, condChecks, updates := sg.PushRowsPerEdge(k, rs, rlo, rhi, active, e.bounds[o], b, p)
+				c.activeByOwner[o] += activeRows
+				c.edges, c.condChecks, c.updates = c.edges+edges, c.condChecks+condChecks, c.updates+updates
+			})
 		})
 	})
 	if e.Err() != nil {
@@ -340,7 +306,7 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 	}
 	e.chargeBalanced(ep, l, h, (*charger).flushPush)
 	e.recordPhase("edgemap", true, true, a.Count(), e.chargePhase(ep))
-	if !collect {
+	if b == nil {
 		return state.NewEmpty(e.bounds)
 	}
 	return b.Build()
@@ -350,72 +316,58 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 // gathers from its local sources, node after node (the cross-node
 // contention of Section 4.3 is charged in flushPull, not enacted). The
 // columns of node p's rows are p's own vertices, so the only frontier leaf
-// a thread reads is its node's — tested in place, no partition lookup. A
-// kernel with a pull row form (sg.PullRowKernel) gathers a row in one call
-// over that leaf; the charged counts are the same.
+// a thread reads is its node's — tested in place, no partition lookup.
+// Each chunk goes to the kernel a segment at a time — a run of rows whose
+// targets one node owns — in one PullRows call when the kernel has the
+// segment form (sg.PullRowKernel), else edge by edge
+// (sg.PullRowsPerEdge); the rows it updated come back as hits, which set
+// the targets in their owner's leaf. The charged counts are the same.
 func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	l := e.ensurePull()
-	collect := !h.NoOutput
 	pk := sg.PullRowKernelOf(k)
 	var b *state.Builder
-	if collect {
+	if !h.NoOutput {
 		b = e.scr.builder.Builder(e.bounds, e.M.Threads(), true, e.degreeOf)
 	}
 	ep := e.scr.beginPhase()
 	full := a.Count() == int64(e.G.NumVertices())
+	s := e.scr
+	if cap(s.hits) < l.maxChunk {
+		s.hits = make([]int32, 0, l.maxChunk) // once per engine: a segment is at most a chunk
+	}
 
 	e.RunPhase(func(th int) {
 		p := e.M.NodeOfThread(th)
 		nl := &l.perNode[p]
-		rows := len(nl.rowIDs)
-		if rows == 0 {
+		if len(nl.IDs) == 0 {
 			return
 		}
-		start := nl.startRow
-		if e.opt.DisableRolling {
-			start = 0
-		}
-		c := &e.scr.chargers[p]
-		weighted := h.Weighted && nl.wts != nil
+		start := e.sweepStart(nl)
+		c := &s.chargers[p]
+		rs := s.phaseRows(p, nl, h.Weighted)
 		var active []uint64 // nil: every source is active
 		if !full {
 			active = a.Words(p)
 		}
 		base := e.bounds[p]
 		l.strides[p].Do(th%e.M.CoresPerNode, func(lo, hi int64) {
-			var edges, updates int64
-			for i := lo; i < hi; i++ {
-				r := int(i) + start
-				if r >= rows {
-					r -= rows
-				}
-				t := nl.rowIDs[r]
-				owner := nl.rowOwner[r]
-				c.rowsByOwner[owner]++
-				first, end := nl.rowIdx[r], nl.rowIdx[r+1]
-				cols := nl.cols[first:end]
-				var wts []float32
-				if weighted {
-					wts = nl.wts[first:end]
-				}
-				var scanned int
-				var updated bool
+			nl.eachSegment(start, lo, hi, func(o, rlo, rhi int) {
+				var edges int64
 				if pk != nil {
-					scanned, updated = pk.PullRow(t, cols, wts, active, base)
+					edges, s.hits = pk.PullRows(rs, rlo, rhi, active, base, s.hits[:0])
 				} else {
-					scanned, updated = sg.PullRowPerEdge(k, t, cols, wts, active, base)
+					edges, s.hits = sg.PullRowsPerEdge(k, rs, rlo, rhi, active, base, s.hits[:0])
 				}
-				edges += int64(scanned)
-				if updated {
-					if collect {
-						b.SetIn(int(owner), t)
+				hits := int64(len(s.hits))
+				c.rowsByOwner[o] += int64(rhi - rlo)
+				c.activeByOwner[o] += hits
+				c.edges, c.updates = c.edges+edges, c.updates+hits
+				if b != nil {
+					for _, r := range s.hits {
+						b.SetIn(o, rs.IDs[r])
 					}
-					c.activeByOwner[owner]++
-					updates++
 				}
-			}
-			c.edges += edges
-			c.updates += updates
+			})
 		})
 	})
 	if e.Err() != nil {
@@ -423,7 +375,7 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 	}
 	e.chargeBalanced(ep, l, h, (*charger).flushPull)
 	e.recordPhase("edgemap", true, false, a.Count(), e.chargePhase(ep))
-	if !collect {
+	if b == nil {
 		return state.NewEmpty(e.bounds)
 	}
 	return b.Build()
@@ -459,11 +411,11 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 	e.RunPhase(func(th int) {
 		p := e.M.NodeOfThread(th)
 		nl := &l.perNode[p]
-		if len(nl.rowIDs) == 0 {
+		if len(nl.IDs) == 0 {
 			return
 		}
 		c := &e.scr.chargers[p]
-		weighted := h.Weighted && nl.wts != nil
+		weighted := h.Weighted && nl.Wts != nil
 		stride.Do(th%e.M.CoresPerNode, func(lo, hi int64) {
 			var edges, condChecks, updates int64
 			for i := lo; i < hi; i++ {
@@ -475,8 +427,8 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 					continue
 				}
 				c.activeByOwner[owner]++
-				first := nl.rowIdx[r]
-				cols := nl.cols[first:nl.rowIdx[r+1]]
+				first := nl.Idx[r]
+				cols := nl.Cols[first:nl.Idx[r+1]]
 				edges += int64(len(cols))
 				for j, t := range cols {
 					if !k.Cond(t) {
@@ -485,7 +437,7 @@ func edgeMapSparse[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints)
 					condChecks++
 					var w float32
 					if weighted {
-						w = nl.wts[int(first)+j]
+						w = nl.Wts[int(first)+j]
 					}
 					if k.Update(s, t, w) {
 						if collect {

@@ -7,6 +7,7 @@ import (
 	"polymer/internal/graph"
 	"polymer/internal/par"
 	"polymer/internal/partition"
+	"polymer/internal/sg"
 )
 
 // layoutBuild holds the per-node grouped edge structures for one direction.
@@ -42,24 +43,26 @@ type layout struct {
 
 	// strides[p] is node p's row-sweep schedule. Row counts are fixed once
 	// the layout is built, so the schedule is computed here instead of per
-	// phase.
-	strides []par.Strided
+	// phase. maxChunk is the longest chunk of any of them, the most rows a
+	// segment can hold.
+	strides  []par.Strided
+	maxChunk int
 }
 
 type nodeLayout struct {
 	vr partition.Range
 
-	// rowIDs holds the far-side key vertices, ascending; rowIdx delimits
-	// each row's columns; cols holds the local vertices; wts the edge
-	// weights aligned with cols (nil when unweighted).
-	rowIDs []graph.Vertex
-	rowIdx []int64
-	cols   []graph.Vertex
-	wts    []float32
+	// The node's rows: IDs holds the far-side key vertices, ascending; Idx
+	// delimits each row's columns; Cols holds the local vertices; Wts the
+	// edge weights aligned with Cols (nil when unweighted).
+	sg.Rows
 
-	// rowOwner[r] is the node owning rowIDs[r] (precomputed for access
-	// charging).
-	rowOwner []uint8
+	// ownerRows[o] is the first row keyed in node o's partition, and
+	// ownerRows[nodes] the row count: rows ascend by key and partitions are
+	// contiguous, so node o owns the keys of rows [ownerRows[o],
+	// ownerRows[o+1]). A dense sweep cuts its chunks at these boundaries
+	// and counts rows per owner a run at a time.
+	ownerRows []int
 
 	// rowOf maps a vertex id to its row index in this node (-1 if the
 	// vertex has no edges here); it is the per-node agent lookup used by
@@ -70,9 +73,27 @@ type nodeLayout struct {
 	// startRow is the first row whose key belongs to this node's own
 	// partition — where the rolling-order sweep begins.
 	startRow int
+}
 
-	// agents counts rows whose key vertex is remote.
-	agents int
+// eachSegment cuts the chunk [lo, hi) of a sweep over the node's rows
+// that starts at row start and wraps to row 0 into segments — runs of
+// consecutive rows keyed by one owner — and calls f(o, rlo, rhi) for each
+// in sweep order: rows [rlo, rhi), keyed in node o's partition.
+func (nl *nodeLayout) eachSegment(start int, lo, hi int64, f func(o, rlo, rhi int)) {
+	rows := len(nl.IDs)
+	for i, end := int(lo), int(hi); i < end; {
+		r := i + start
+		if r >= rows {
+			r -= rows
+		}
+		o := 0
+		for nl.ownerRows[o+1] <= r {
+			o++
+		}
+		rhi := min(r+end-i, nl.ownerRows[o+1])
+		f(o, r, rhi)
+		i += rhi - r
+	}
 }
 
 // buildLayout groups each node's incident edges by the far-side vertex.
@@ -108,9 +129,8 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuil
 				rows++
 			}
 		}
-		nl.rowIDs = make([]graph.Vertex, rows)
-		nl.rowIdx = make([]int64, rows+1)
-		nl.rowOwner = make([]uint8, rows)
+		nl.IDs = make([]graph.Vertex, rows)
+		nl.Idx = make([]int64, rows+1)
 		if push {
 			nl.rowOf = make([]int32, n)
 			for i := range nl.rowOf {
@@ -119,33 +139,25 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuil
 		}
 		r := 0
 		var off int64
-		owner := 0
 		for k := 0; k < n; k++ {
 			if cnt[k] == 0 {
 				continue
 			}
-			for k >= parts[owner].Hi {
-				owner++
-			}
-			nl.rowIDs[r] = graph.Vertex(k)
-			nl.rowIdx[r] = off
-			nl.rowOwner[r] = uint8(owner)
+			nl.IDs[r] = graph.Vertex(k)
+			nl.Idx[r] = off
 			if push {
 				nl.rowOf[k] = int32(r)
-			}
-			if owner != p {
-				nl.agents++
 			}
 			off, cnt[k] = off+cnt[k], off // the row's first free slot
 			r++
 		}
-		nl.rowIdx[rows] = off
+		nl.Idx[rows] = off
 
 		// Fill columns: sweep local vertices ascending so each row's
 		// columns come out ascending too.
-		nl.cols = make([]graph.Vertex, edges)
+		nl.Cols = make([]graph.Vertex, edges)
 		if l.weighted {
-			nl.wts = make([]float32, edges)
+			nl.Wts = make([]float32, edges)
 		}
 		for v := vr.Lo; v < vr.Hi; v++ {
 			keys := keysOf(g, graph.Vertex(v), push)
@@ -153,26 +165,26 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuil
 			for i, k := range keys {
 				pos := cnt[k]
 				cnt[k]++
-				nl.cols[pos] = graph.Vertex(v)
+				nl.Cols[pos] = graph.Vertex(v)
 				if wts != nil {
-					nl.wts[pos] = wts[i]
+					nl.Wts[pos] = wts[i]
 				}
 			}
 		}
 
-		// Rolling-order start: first row keyed inside the local range.
-		nl.startRow = rows
-		for i, k := range nl.rowIDs {
-			if int(k) >= vr.Lo {
-				nl.startRow = i
-				break
-			}
+		nl.ownerRows = make([]int, len(parts)+1)
+		for o, pr := range parts {
+			nl.ownerRows[o], _ = slices.BinarySearch(nl.IDs, graph.Vertex(pr.Lo))
 		}
-		if nl.startRow == rows {
+		nl.ownerRows[len(parts)] = rows
+
+		// Rolling-order start: first row keyed inside the local range.
+		if nl.startRow = nl.ownerRows[p]; nl.startRow == rows {
 			nl.startRow = 0
 		}
 
-		l.agentBytes += int64(nl.agents) * 16 // replica: edge offset + degree
+		agents := rows - (nl.ownerRows[p+1] - nl.ownerRows[p]) // rows keyed remotely
+		l.agentBytes += int64(agents) * 16                     // replica: edge offset + degree
 	}
 	return l
 }
@@ -195,14 +207,16 @@ func weightsOf(g *graph.Graph, v graph.Vertex, push bool) []float32 {
 
 // bytes returns the simulated footprint of the layout's arrays. The
 // footprint has an n-entry rowOf table per node in both directions, as it
-// always has, though only push builds allocate one on the host.
+// always has, though only push builds allocate one on the host, and a
+// one-byte owner per row, which the host keeps as the nodes+1 ownerRows
+// boundaries.
 func (l *layout) bytes() int64 {
 	var b int64
 	for i := range l.perNode {
 		nl := &l.perNode[i]
-		b += int64(len(nl.rowIDs))*4 + int64(len(nl.rowIdx))*8
-		b += int64(len(nl.cols))*4 + int64(len(nl.wts))*4
-		b += int64(len(nl.rowOwner)) + int64(l.shared.n)*4
+		b += int64(len(nl.IDs))*4 + int64(len(nl.Idx))*8
+		b += int64(len(nl.Cols))*4 + int64(len(nl.Wts))*4
+		b += int64(len(nl.IDs)) + int64(l.shared.n)*4
 	}
 	return b
 }
@@ -240,7 +254,7 @@ func (e *Engine) newLayout(push bool) *layout {
 	if b.weighted && !e.G.Weighted() {
 		l.perNode = slices.Clone(b.perNode)
 		for p := range l.perNode {
-			l.perNode[p].wts = nil
+			l.perNode[p].Wts = nil
 		}
 	}
 	return l
@@ -249,8 +263,9 @@ func (e *Engine) newLayout(push bool) *layout {
 func (e *Engine) registerLayout(l *layout) bool {
 	l.strides = make([]par.Strided, len(l.perNode))
 	for p := range l.perNode {
-		rows := int64(len(l.perNode[p].rowIDs))
+		rows := int64(len(l.perNode[p].IDs))
 		l.strides[p] = par.MakeStrided(rows, par.ChunkSize(rows, e.M.CoresPerNode), e.M.CoresPerNode)
+		l.maxChunk = max(l.maxChunk, int(l.strides[p].MaxChunk()))
 	}
 	b := l.bytes()
 	if err := e.M.Alloc().Grow("polymer/topology", b); err != nil {

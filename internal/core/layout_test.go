@@ -17,10 +17,10 @@ func collectLayoutEdges(l *layoutBuild, push bool) map[edgeKey]int {
 	out := make(map[edgeKey]int)
 	for p := range l.perNode {
 		nl := &l.perNode[p]
-		for r := range nl.rowIDs {
-			key := nl.rowIDs[r]
-			for j := nl.rowIdx[r]; j < nl.rowIdx[r+1]; j++ {
-				col := nl.cols[j]
+		for r := range nl.IDs {
+			key := nl.IDs[r]
+			for j := nl.Idx[r]; j < nl.Idx[r+1]; j++ {
+				col := nl.Cols[j]
 				if push {
 					out[edgeKey{key, col}]++
 				} else {
@@ -72,7 +72,7 @@ func TestLayoutColumnsAreLocal(t *testing.T) {
 		l := buildLayout(g, parts, push)
 		for p := range l.perNode {
 			nl := &l.perNode[p]
-			for _, col := range nl.cols {
+			for _, col := range nl.Cols {
 				if !parts[p].Contains(col) {
 					t.Fatalf("push=%t node %d holds foreign column %d", push, p, col)
 				}
@@ -81,20 +81,104 @@ func TestLayoutColumnsAreLocal(t *testing.T) {
 	}
 }
 
+// ownerPartitions are the partitions the owner tests cut a graph of n
+// vertices into: balanced, and with an empty node in the middle.
+func ownerPartitions(n int) map[string][]partition.Range {
+	return map[string][]partition.Range{
+		"balanced":    partition.VertexBalanced(n, 4),
+		"empty-node1": {{Lo: 0, Hi: n / 3}, {Lo: n / 3, Hi: n / 3}, {Lo: n / 3, Hi: n / 2}, {Lo: n / 2, Hi: n}},
+	}
+}
+
+// Row keys ascend, and ownerRows delimits each owner's run of them: row r
+// lies in [ownerRows[o], ownerRows[o+1]) exactly when its key lies in
+// partition o.
 func TestLayoutRowsAscendingAndOwners(t *testing.T) {
 	n, edges := gen.Powerlaw(400, 6, 2.0, 8)
 	g := graph.FromEdges(n, edges, false)
-	parts := partition.VertexBalanced(n, 4)
-	l := buildLayout(g, parts, true)
-	for p := range l.perNode {
-		nl := &l.perNode[p]
-		for r := range nl.rowIDs {
-			if r > 0 && nl.rowIDs[r] <= nl.rowIDs[r-1] {
-				t.Fatal("row keys must be strictly ascending")
+	for name, parts := range ownerPartitions(n) {
+		for _, push := range []bool{true, false} {
+			l := buildLayout(g, parts, push)
+			for p := range l.perNode {
+				nl := &l.perNode[p]
+				if len(nl.ownerRows) != len(parts)+1 || nl.ownerRows[0] != 0 || nl.ownerRows[len(parts)] != len(nl.IDs) {
+					t.Fatalf("%s push=%t node %d: ownerRows %v over %d rows", name, push, p, nl.ownerRows, len(nl.IDs))
+				}
+				for o := range parts {
+					for r := nl.ownerRows[o]; r < nl.ownerRows[o+1]; r++ {
+						if !parts[o].Contains(nl.IDs[r]) {
+							t.Fatalf("%s push=%t node %d: row %d (key %d) counted for owner %d", name, push, p, r, nl.IDs[r], o)
+						}
+					}
+				}
+				for r := range nl.IDs {
+					if r > 0 && nl.IDs[r] <= nl.IDs[r-1] {
+						t.Fatal("row keys must be strictly ascending")
+					}
+				}
+				if parts[p].Lo == parts[p].Hi && len(nl.IDs) != 0 {
+					t.Fatalf("%s push=%t: empty node %d holds %d rows", name, push, p, len(nl.IDs))
+				}
 			}
-			want := partition.NodeOf(parts, nl.rowIDs[r])
-			if int(nl.rowOwner[r]) != want {
-				t.Fatalf("rowOwner mismatch for vertex %d: %d vs %d", nl.rowIDs[r], nl.rowOwner[r], want)
+		}
+	}
+}
+
+// eachSegment covers a chunk of the rolling sweep row by row in sweep
+// order, wrapping to row 0 after the last row, and hands out runs that
+// never cross an owner boundary or the wrap.
+func TestLayoutSegmentsCoverTheSweep(t *testing.T) {
+	n, edges := gen.Uniform(300, 2400, 12)
+	g := graph.FromEdges(n, edges, false)
+	rng := gen.NewRNG(5)
+	for name, parts := range ownerPartitions(n) {
+		l := buildLayout(g, parts, false)
+		for p := range l.perNode {
+			nl := &l.perNode[p]
+			rows := len(nl.IDs)
+			for trial := 0; trial < 50 && rows > 0; trial++ {
+				start := rng.Intn(rows)
+				lo := rng.Intn(rows)
+				hi := lo + 1 + rng.Intn(rows-lo)
+				next := lo // the sweep position the next segment must start at
+				nl.eachSegment(start, int64(lo), int64(hi), func(o, rlo, rhi int) {
+					if want := (next + start) % rows; rlo != want || rhi <= rlo || rhi > rows {
+						t.Fatalf("%s node %d: segment [%d, %d) after sweep position %d (start %d), want it to begin at row %d",
+							name, p, rlo, rhi, next, start, want)
+					}
+					if rlo < nl.ownerRows[o] || rhi > nl.ownerRows[o+1] {
+						t.Fatalf("%s node %d: segment [%d, %d) crosses owner %d's rows %v", name, p, rlo, rhi, o, nl.ownerRows)
+					}
+					next += rhi - rlo
+				})
+				if next != hi {
+					t.Fatalf("%s node %d: segments of chunk [%d, %d) stopped at %d", name, p, lo, hi, next)
+				}
+			}
+		}
+	}
+}
+
+// bytes() is pinned on a hand-built layout: per node, 4 bytes a row key,
+// 8 an offset, 4 a column, 4 a weight, one byte a row for the owner table
+// the host keeps as ownerRows, and the n-entry rowOf table. Agents are 16
+// bytes each.
+func TestLayoutBytesPinned(t *testing.T) {
+	edges := []graph.Edge{{Src: 0, Dst: 1, Wt: 1}, {Src: 0, Dst: 2, Wt: 2}, {Src: 1, Dst: 2, Wt: 3},
+		{Src: 2, Dst: 3, Wt: 4}, {Src: 3, Dst: 0, Wt: 5}, {Src: 3, Dst: 1, Wt: 6}}
+	parts := []partition.Range{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}}
+	// Both directions hold 2 rows of 3 edges on node 0 and 3 rows of 3
+	// edges on node 1: 62 + 75 bytes unweighted, 12 more a node weighted;
+	// 1 + 2 of those rows are agents.
+	for weighted, want := range map[bool]int64{false: 137, true: 161} {
+		g := graph.FromEdges(4, edges, weighted)
+		for _, push := range []bool{true, false} {
+			b := buildLayout(g, parts, push)
+			if got := (&layout{shared: b, perNode: b.perNode}).bytes(); got != want {
+				t.Errorf("weighted=%t push=%t: bytes() = %d, want %d", weighted, push, got, want)
+			}
+			if b.agentBytes != 3*16 {
+				t.Errorf("weighted=%t push=%t: agentBytes = %d, want 48", weighted, push, b.agentBytes)
 			}
 		}
 	}
@@ -108,7 +192,7 @@ func TestLayoutRowOf(t *testing.T) {
 	for p := range l.perNode {
 		nl := &l.perNode[p]
 		seen := make(map[graph.Vertex]bool)
-		for r, id := range nl.rowIDs {
+		for r, id := range nl.IDs {
 			if nl.rowOf[id] != int32(r) {
 				t.Fatalf("rowOf[%d] = %d, want %d", id, nl.rowOf[id], r)
 			}
@@ -127,20 +211,19 @@ func TestLayoutAgentsCount(t *testing.T) {
 	g := graph.FromEdges(n, edges, false)
 	parts := partition.VertexBalanced(n, 4)
 	l := buildLayout(g, parts, true)
+	agents := 0
 	for p := range l.perNode {
-		nl := &l.perNode[p]
-		agents := 0
-		for r := range nl.rowIDs {
-			if int(nl.rowOwner[r]) != p {
+		for _, id := range l.perNode[p].IDs {
+			if partition.NodeOf(parts, id) != p {
 				agents++
 			}
 		}
-		if agents != nl.agents {
-			t.Fatalf("node %d agents = %d, counted %d", p, nl.agents, agents)
-		}
 	}
-	if l.agentBytes <= 0 {
+	if agents == 0 {
 		t.Fatal("a multi-node uniform graph must create agents")
+	}
+	if l.agentBytes != int64(agents)*16 {
+		t.Fatalf("agentBytes = %d, counted %d agents", l.agentBytes, agents)
 	}
 }
 
@@ -151,14 +234,14 @@ func TestLayoutStartRowRolling(t *testing.T) {
 	l := buildLayout(g, parts, true)
 	for p := range l.perNode {
 		nl := &l.perNode[p]
-		if len(nl.rowIDs) == 0 {
+		if len(nl.IDs) == 0 {
 			continue
 		}
 		sr := nl.startRow
-		if sr < len(nl.rowIDs) && int(nl.rowIDs[sr]) >= nl.vr.Lo {
+		if sr < len(nl.IDs) && int(nl.IDs[sr]) >= nl.vr.Lo {
 			// Every earlier row must be keyed before the local range.
 			for r := 0; r < sr; r++ {
-				if int(nl.rowIDs[r]) >= nl.vr.Lo {
+				if int(nl.IDs[r]) >= nl.vr.Lo {
 					t.Fatalf("node %d: row %d already local before startRow %d", p, r, sr)
 				}
 			}
@@ -174,9 +257,9 @@ func TestLayoutWeights(t *testing.T) {
 	found := make(map[edgeKey]float32)
 	for p := range l.perNode {
 		nl := &l.perNode[p]
-		for r := range nl.rowIDs {
-			for j := nl.rowIdx[r]; j < nl.rowIdx[r+1]; j++ {
-				found[edgeKey{nl.rowIDs[r], nl.cols[j]}] = nl.wts[j]
+		for r := range nl.IDs {
+			for j := nl.Idx[r]; j < nl.Idx[r+1]; j++ {
+				found[edgeKey{nl.IDs[r], nl.Cols[j]}] = nl.Wts[j]
 			}
 		}
 	}
@@ -184,5 +267,16 @@ func TestLayoutWeights(t *testing.T) {
 		if found[edgeKey{e.Src, e.Dst}] != e.Wt {
 			t.Fatalf("weight of (%d,%d) = %v, want %v", e.Src, e.Dst, found[edgeKey{e.Src, e.Dst}], e.Wt)
 		}
+	}
+}
+
+func BenchmarkLayoutBuild(b *testing.B) {
+	n, edges := gen.RMAT(13, 16, 1)
+	g := graph.FromEdges(n, edges, false)
+	parts := partition.EdgeBalanced(g, 4, partition.In)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildLayout(g, parts, true) // engines share builds; time the build itself
 	}
 }

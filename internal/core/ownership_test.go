@@ -29,7 +29,7 @@ type writerKernel struct {
 	t      *testing.T
 	caller uint64
 	writes int64
-	rows   int64 // PushRow calls
+	rows   int64 // PushRows calls
 	byEdge int64 // Update calls
 }
 
@@ -39,13 +39,21 @@ func (k *writerKernel) Update(s, d graph.Vertex, w float32) bool {
 	return true
 }
 
-// PushRow makes writerKernel an sg.RowKernel: Polymer's push hands it
-// whole rows exactly when the phase builds no output.
-func (k *writerKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32) {
+// PushRows makes writerKernel an sg.RowKernel: Polymer's push hands it
+// segments of rows exactly when the phase builds no output.
+func (k *writerKernel) PushRows(rs *sg.Rows, lo, hi int, active []uint64, base int) (activeRows, edges int64) {
 	k.rows++
-	for range cols {
-		k.write()
+	for r := lo; r < hi; r++ {
+		if !sg.InLeaf(active, base, rs.ID(r)) {
+			continue
+		}
+		activeRows++
+		for j := rs.Idx[r]; j < rs.Idx[r+1]; j++ {
+			k.write()
+			edges++
+		}
 	}
+	return activeRows, edges
 }
 
 func (k *writerKernel) write() {
@@ -61,7 +69,7 @@ func (k *writerKernel) Cond(graph.Vertex) bool { return true }
 // stores: during a dense-push or sparse phase every simulated thread, and
 // so every kernel write, runs on the goroutine that called EdgeMap. Run it
 // under -race at -cpu 1,2,8. The "rows" mode is the dense phase under
-// NoOutput, the one place the engine may use the kernel's row form.
+// NoOutput, the one place the engine may use the kernel's segment form.
 func TestPushTargetsHaveOneWriter(t *testing.T) {
 	n, edges := gen.RMAT(9, 8, 5)
 	g := graph.FromEdges(n, edges, false)
@@ -103,7 +111,7 @@ func TestPushTargetsHaveOneWriter(t *testing.T) {
 				t.Fatalf("%v %s: ran the other phase kind", m, mode)
 			}
 			if byRow := k.rows > 0; byRow != (mode == "rows") || byRow == (k.byEdge > 0) {
-				t.Fatalf("%v %s: %d PushRow and %d Update calls", m, mode, k.rows, k.byEdge)
+				t.Fatalf("%v %s: %d PushRows and %d Update calls", m, mode, k.rows, k.byEdge)
 			}
 			if got := e.Metrics().EdgesProcessed; got != g.NumEdges() && !sparse {
 				t.Fatalf("%v %s: %d edges processed, want %d", m, mode, got, g.NumEdges())

@@ -4,6 +4,7 @@ import (
 	"polymer/internal/graph"
 	"polymer/internal/numa"
 	"polymer/internal/par"
+	"polymer/internal/sg"
 	"polymer/internal/state"
 )
 
@@ -29,6 +30,12 @@ type scratch struct {
 	actives []graph.Vertex
 	ownerOf []uint8
 
+	// rows[p] is node p's rows as a dense phase hands them to the kernel
+	// (see phaseRows); hits is the pull sweep's per-segment list of updated
+	// rows, sized once to the pull layout's longest chunk.
+	rows []sg.Rows
+	hits []int32
+
 	// Cached dense VertexMap schedules; per-node word counts are fixed by
 	// the partition, so these never change after first use.
 	vmDense []par.Strided
@@ -36,7 +43,7 @@ type scratch struct {
 
 func newScratch(e *Engine) *scratch {
 	nodes := e.M.Nodes
-	s := &scratch{ep: e.M.NewEpoch(), chargers: make([]charger, nodes)}
+	s := &scratch{ep: e.M.NewEpoch(), chargers: make([]charger, nodes), rows: make([]sg.Rows, nodes)}
 	for p := range s.chargers {
 		c := &s.chargers[p]
 		c.e, c.ep, c.th, c.p = e, s.ep, p*e.M.CoresPerNode, p
@@ -54,6 +61,18 @@ func (s *scratch) beginPhase() *numa.Epoch {
 		s.chargers[p].reset()
 	}
 	return s.ep
+}
+
+// phaseRows returns node p's rows nl as a dense phase hands them to its
+// kernel: without the weights when the phase streams none. The view lives
+// in the arena, so handing its address to a kernel allocates nothing.
+func (s *scratch) phaseRows(p int, nl *nodeLayout, weighted bool) *sg.Rows {
+	rs := &s.rows[p]
+	*rs = nl.Rows
+	if !weighted {
+		rs.Wts = nil
+	}
+	return rs
 }
 
 // vmDenseStrides returns the cached dense VertexMap schedules, building

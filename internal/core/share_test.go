@@ -40,11 +40,11 @@ func TestLayoutSharedAcrossWeightViews(t *testing.T) {
 		}
 		for p := range lw.perNode {
 			w, u := &lw.perNode[p], &lu.perNode[p]
-			if len(w.cols) > 0 && &w.cols[0] != &u.cols[0] {
+			if len(w.Cols) > 0 && &w.Cols[0] != &u.Cols[0] {
 				t.Fatalf("push=%t node %d: column arrays differ", push, p)
 			}
-			if w.wts == nil || u.wts != nil {
-				t.Fatalf("push=%t node %d: weighted engine wts nil=%t, view wts nil=%t", push, p, w.wts == nil, u.wts == nil)
+			if w.Wts == nil || u.Wts != nil {
+				t.Fatalf("push=%t node %d: weighted engine wts nil=%t, view wts nil=%t", push, p, w.Wts == nil, u.Wts == nil)
 			}
 		}
 		b := buildLayout(private, eu.parts, push)

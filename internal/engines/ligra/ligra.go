@@ -69,6 +69,29 @@ type scratch struct {
 	ep      *numa.Epoch
 	pc      *phaseCounts
 	builder state.BuilderScratch
+
+	// rows is the CSR as a dense phase hands it to the kernel (see csr);
+	// hits is the pull sweep's per-chunk list of updated rows, sized once
+	// to the longest chunk.
+	rows sg.Rows
+	hits []int32
+}
+
+// csr returns the graph's CSR as the rows a dense phase sweeps — keyed by
+// source over the out-edges for push, by target over the in-edges for
+// pull — with the weights only when the phase streams them. The view lives
+// in the arena, so handing its address to a kernel allocates nothing.
+func (e *Engine) csr(push, weighted bool) *sg.Rows {
+	g, rs := e.G, &e.scr.rows
+	if push {
+		*rs = sg.Rows{Idx: g.OutIndex, Cols: g.OutNbrs, Wts: g.OutWts}
+	} else {
+		*rs = sg.Rows{Idx: g.InIndex, Cols: g.InNbrs, Wts: g.InWts}
+	}
+	if !weighted {
+		rs.Wts = nil
+	}
+	return rs
 }
 
 func (s *scratch) beginPhase() (*numa.Epoch, *phaseCounts) {
@@ -196,8 +219,8 @@ func (e *Engine) EdgeMap(a *state.Subset, k sg.EdgeKernel, h sg.Hints) *state.Su
 // method above is its instantiation at sg.EdgeKernel. A concrete
 // instantiation saves boxing the kernel, not the per-edge calls: those
 // go through the generic dictionary and are never inlined. Kernels that
-// want an inlined edge loop bring their own (sg.RowKernel, used by
-// edgeMapDensePush; sg.PullRowKernel, used by edgeMapDensePull).
+// want an inlined edge loop bring their own segment form (sg.RowKernel,
+// used by edgeMapDensePush; sg.PullRowKernel, used by edgeMapDensePull).
 func EdgeMapK[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
 	h = h.Normalize()
 	if a.IsEmpty() || e.Err() != nil {
@@ -217,75 +240,46 @@ func EdgeMapK[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *sta
 	return edgeMapDensePull(e, a.ToDense(), k, h)
 }
 
+// leaf returns the dense frontier's single leaf, nil when every vertex is
+// active.
+func (e *Engine) leaf(a *state.Subset) []uint64 {
+	if a.Count() == int64(e.G.NumVertices()) {
+		return nil
+	}
+	return a.Words(0)
+}
+
 // edgeMapDensePush scans all vertices; active ones push along out-edges
-// with random global writes (the paper's RAND|W|G pattern). A kernel with
-// a row form (sg.RowKernel) gets one PushRow call per row in place of the
-// per-edge calls; the charged counts are the same.
+// with random global writes (the paper's RAND|W|G pattern). The sweep is
+// Polymer's over the CSR: one part, one leaf at base 0, each chunk one
+// segment, handed to the kernel in one PushRows call when it has the
+// segment form (sg.RowKernel), else edge by edge (sg.PushRowsPerEdge); the
+// charged counts are the same.
 func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
-	g := e.G
-	n := g.NumVertices()
-	collect := !h.NoOutput
+	n := e.G.NumVertices()
 	rk := sg.RowKernelOf(k, h)
 	var b *state.Builder
-	if collect {
+	if !h.NoOutput {
 		b = e.scr.builder.Builder(e.bounds, e.M.Threads(), true, e.degreeOf)
 	}
 	ep, pc := e.scr.beginPhase()
 	dataWS := int64(n) * int64(h.DataBytes)
-	full := a.Count() == int64(n)
+	rs, active := e.csr(true, h.Weighted), e.leaf(a)
 
 	e.RunPhase(func(th int) {
-		var scanned, active, edges, updates int64
+		var scanned, activeRows, edges, updates int64
 		e.vSweep.Do(th, func(lo, hi int64) {
-			for v := lo; v < hi; v++ {
-				s := graph.Vertex(v)
-				scanned++
-				if !full && !a.Contains(s) {
-					continue
-				}
-				active++
-				nbrs := g.OutNeighbors(s)
-				var wts []float32
-				if h.Weighted {
-					wts = g.OutWeights(s)
-				}
-				if rk != nil {
-					// Every edge passes Cond and updates (sg.RowKernel).
-					rk.PushRow(s, nbrs, wts)
-					edges += int64(len(nbrs))
-					updates += int64(len(nbrs))
-					continue
-				}
-				if wts != nil {
-					for j, t := range nbrs {
-						edges++
-						if !k.Cond(t) {
-							continue
-						}
-						if k.Update(s, t, wts[j]) {
-							if collect {
-								b.SetIn(0, t) // single leaf
-							}
-							updates++
-						}
-					}
-				} else {
-					for _, t := range nbrs {
-						edges++
-						if !k.Cond(t) {
-							continue
-						}
-						if k.Update(s, t, 0) {
-							if collect {
-								b.SetIn(0, t) // single leaf
-							}
-							updates++
-						}
-					}
-				}
+			scanned += hi - lo
+			if rk != nil {
+				// Every edge passes Cond and updates (sg.RowKernel).
+				ar, ed := rk.PushRows(rs, int(lo), int(hi), active, 0)
+				activeRows, edges, updates = activeRows+ar, edges+ed, updates+ed
+				return
 			}
+			ar, ed, _, up := sg.PushRowsPerEdge(k, rs, int(lo), int(hi), active, 0, b, 0)
+			activeRows, edges, updates = activeRows+ar, edges+ed, updates+up
 		})
-		pc.slots[th] = [4]int64{scanned, active, edges, updates}
+		pc.slots[th] = [4]int64{scanned, activeRows, edges, updates}
 	})
 	if e.Err() != nil {
 		return state.NewEmpty(e.bounds) // failed phase charges nothing
@@ -308,56 +302,45 @@ func edgeMapDensePush[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 	})
 	e.Edges.Add(pc.total(2))
 	e.chargePhase(ep, "edgemap", true, true, a.Count())
-	if !collect {
+	if b == nil {
 		return state.NewEmpty(e.bounds)
 	}
 	return b.Build()
 }
 
 // edgeMapDensePull scans all destinations; each gathers from in-neighbours
-// with random global reads (RAND|R|G), early-exiting once Cond fails.
-// A kernel with a pull row form (sg.PullRowKernel) gathers a row in one
-// call over the frontier's single leaf; the charged counts are the same.
+// with random global reads (RAND|R|G), early-exiting once Cond fails. As
+// in push, each chunk is one segment of the CSR, gathered in one PullRows
+// call when the kernel has the segment form (sg.PullRowKernel), else edge
+// by edge (sg.PullRowsPerEdge); the rows it updated come back as hits.
+// The charged counts are the same.
 func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
-	g := e.G
-	n := g.NumVertices()
-	collect := !h.NoOutput
+	n := e.G.NumVertices()
 	pk := sg.PullRowKernelOf(k)
 	var b *state.Builder
-	if collect {
+	if !h.NoOutput {
 		b = e.scr.builder.Builder(e.bounds, e.M.Threads(), true, e.degreeOf)
 	}
 	ep, pc := e.scr.beginPhase()
 	dataWS := int64(n) * int64(h.DataBytes)
-	var active []uint64 // nil: every source is active
-	if a.Count() != int64(n) {
-		active = a.Words(0)
+	rs, active, s := e.csr(false, h.Weighted), e.leaf(a), e.scr
+	if chunk := int(e.vSweep.MaxChunk()); cap(s.hits) < chunk {
+		s.hits = make([]int32, 0, chunk) // once per engine
 	}
 
 	e.RunPhase(func(th int) {
 		var scanned, edges, updates int64
 		e.vSweep.Do(th, func(lo, hi int64) {
-			for v := lo; v < hi; v++ {
-				t := graph.Vertex(v)
-				scanned++
-				nbrs := g.InNeighbors(t)
-				var wts []float32
-				if h.Weighted {
-					wts = g.InWeights(t)
-				}
-				var rowEdges int
-				var updated bool
-				if pk != nil {
-					rowEdges, updated = pk.PullRow(t, nbrs, wts, active, 0)
-				} else {
-					rowEdges, updated = sg.PullRowPerEdge(k, t, nbrs, wts, active, 0)
-				}
-				edges += int64(rowEdges)
-				if updated {
-					if collect {
-						b.SetIn(0, t)
-					}
-					updates++
+			var ed int64
+			if pk != nil {
+				ed, s.hits = pk.PullRows(rs, int(lo), int(hi), active, 0, s.hits[:0])
+			} else {
+				ed, s.hits = sg.PullRowsPerEdge(k, rs, int(lo), int(hi), active, 0, s.hits[:0])
+			}
+			scanned, edges, updates = scanned+hi-lo, edges+ed, updates+int64(len(s.hits))
+			if b != nil {
+				for _, r := range s.hits {
+					b.SetIn(0, graph.Vertex(r))
 				}
 			}
 		})
@@ -381,7 +364,7 @@ func edgeMapDensePull[K sg.EdgeKernel](e *Engine, a *state.Subset, k K, h sg.Hin
 	})
 	e.Edges.Add(pc.total(2))
 	e.chargePhase(ep, "edgemap", true, false, a.Count())
-	if !collect {
+	if b == nil {
 		return state.NewEmpty(e.bounds)
 	}
 	return b.Build()

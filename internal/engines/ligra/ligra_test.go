@@ -40,22 +40,32 @@ func TestDensePushCountsInDegrees(t *testing.T) {
 	}
 }
 
-// rowAddKernel is addKernel in row form; it counts its PushRow calls.
+// rowAddKernel is addKernel in segment form; it counts the rows its
+// PushRows calls cover.
 type rowAddKernel struct {
 	addKernel
 	rows int64
 }
 
-func (k *rowAddKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32) {
-	k.rows++
-	for _, d := range cols {
-		k.Update(s, d, 0)
+func (k *rowAddKernel) PushRows(rs *sg.Rows, lo, hi int, active []uint64, base int) (activeRows, edges int64) {
+	k.rows += int64(hi - lo)
+	for r := lo; r < hi; r++ {
+		s := rs.ID(r)
+		if !sg.InLeaf(active, base, s) {
+			continue
+		}
+		activeRows++
+		for _, d := range rs.Cols[rs.Idx[r]:rs.Idx[r+1]] {
+			k.Update(s, d, 0)
+			edges++
+		}
 	}
+	return activeRows, edges
 }
 
 // TestDensePushUsesRowsUnderNoOutput pins when dense push uses a kernel's
-// row form: under NoOutput only, one call per vertex; the counts the phase
-// charges do not depend on it.
+// segment form: under NoOutput only, covering every vertex's row once; the
+// counts the phase charges do not depend on it.
 func TestDensePushUsesRowsUnderNoOutput(t *testing.T) {
 	n, edges := gen.RMAT(9, 8, 1)
 	g := graph.FromEdges(n, edges, false)
@@ -69,7 +79,7 @@ func TestDensePushUsesRowsUnderNoOutput(t *testing.T) {
 			wantRows = int64(n)
 		}
 		if k.rows != wantRows {
-			t.Fatalf("NoOutput=%v: %d PushRow calls, want %d", noOutput, k.rows, wantRows)
+			t.Fatalf("NoOutput=%v: PushRows covered %d rows, want %d", noOutput, k.rows, wantRows)
 		}
 		for v := 0; v < n; v++ {
 			if k.next[v] != float64(g.InDegree(graph.Vertex(v))) {

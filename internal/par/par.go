@@ -255,6 +255,9 @@ func (s Strided) Do(th int, fn func(lo, hi int64)) {
 	}
 }
 
+// MaxChunk returns the length of the schedule's longest chunk.
+func (s Strided) MaxChunk() int64 { return min(s.chunk, s.n) }
+
 // ChunkSize picks the engines' shared phase chunk granularity: about 8
 // chunks per thread over [0, n), floored at 64 so tiny ranges do not
 // shred into per-element dispatches.

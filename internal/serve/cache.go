@@ -8,9 +8,11 @@ package serve
 
 import (
 	"container/list"
+	"fmt"
 	"strings"
 	"sync"
 
+	"polymer/internal/gen"
 	"polymer/internal/graph"
 )
 
@@ -166,16 +168,21 @@ func (c *graphCache) evictLocked() {
 // sequence 0); every other key is a committed-prefix snapshot.
 const baseKeySuffix = "|m0"
 
+// baseKey is the graph-cache key of the generated base of (data, scale,
+// weighted).
+func baseKey(data gen.Dataset, scale gen.Scale, weighted bool) string {
+	return fmt.Sprintf("%s|%d|%t%s", data, scale, weighted, baseKeySuffix)
+}
+
 // invalidate drops every resident unpinned entry whose dataset matches
-// and dooms the pinned ones; with keepBase, generated bases are left alone
-// (a commit supersedes snapshots, and the next one is derived from the
-// base, which no mutation changes). Pinned entries (a run in progress) and
-// in-flight loads finish against the snapshot they started with — the
-// result-cache version bump guarantees their outputs are never served as
-// fresh — and the doom mark makes the last release drop them instead of
-// leaving superseded snapshots resident under keys nobody will ask for
-// again. Returns the number of entries dropped immediately.
-func (c *graphCache) invalidate(dataset string, keepBase bool) int {
+// and dooms the pinned ones, leaving alone the entries keep reports true
+// for (nil keeps none). Pinned entries (a run in progress) and in-flight
+// loads finish against the snapshot they started with — the result-cache
+// version bump guarantees their outputs are never served as fresh — and
+// the doom mark makes the last release drop them instead of leaving
+// superseded snapshots resident under keys nobody will ask for again.
+// Returns the number of entries dropped immediately.
+func (c *graphCache) invalidate(dataset string, keep func(key string) bool) int {
 	prefix := dataset + "|"
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -183,7 +190,7 @@ func (c *graphCache) invalidate(dataset string, keepBase bool) int {
 	for el := c.lru.Back(); el != nil; {
 		e := el.Value.(*cacheEntry)
 		prev := el.Prev()
-		if strings.HasPrefix(e.key, prefix) && !(keepBase && strings.HasSuffix(e.key, baseKeySuffix)) {
+		if strings.HasPrefix(e.key, prefix) && (keep == nil || !keep(e.key)) {
 			if e.refs == 0 {
 				c.lru.Remove(el)
 				e.elem = nil

@@ -249,9 +249,15 @@ func (s *Server) executeMutate(t *task) {
 	// The commit is durable; retire everything computed before it. The
 	// generation bump is what splits in-flight reuse: a read that sampled
 	// the old generation keeps its pinned snapshot but can never publish
-	// into the new generation's cache. The generated base is not retired:
-	// no commit changes it, and the next snapshot is derived from it.
-	ver, purged := s.invalidate(string(m.data), true)
+	// into the new generation's cache. The weighted generated bases are
+	// not retired: no commit changes them, and the next snapshot is derived
+	// from this scale's. The unweighted base of this scale is: once the
+	// scale has a commit, graphFor reads the snapshot's unweighted view in
+	// its place and never asks for it again.
+	unweighted := baseKey(m.data, m.scale, false)
+	ver, purged := s.invalidate(string(m.data), func(key string) bool {
+		return strings.HasSuffix(key, baseKeySuffix) && key != unweighted
+	})
 	tr.HostInstant("serve", "commit", obs.PidServe, obs.NowMicros(), -1,
 		fmt.Sprintf("%s@%d seq=%d gen=%d (%d purged)", m.data, m.scale, seq, ver, purged))
 	resp.Seq = seq

@@ -149,10 +149,13 @@ func TestMutateEndToEnd(t *testing.T) {
 }
 
 // TestCommitRetiresSnapshotsNotTheBase: a commit supersedes snapshots; the
-// generated base no mutation can change stays resident, so across three
+// weighted base no mutation can change stays resident, so across three
 // commits with a read per weight class it is loaded once, and both weight
-// classes of a generation read one topology. POST /invalidatez, the
-// operator's dataset refresh, still purges the base.
+// classes of a generation read one topology. The committed scale's
+// unweighted base, which no read asks for after a commit, is retired with
+// the snapshots — doomed while a read still pins it, dropped on its
+// release — and another scale's base stays. POST /invalidatez, the
+// operator's dataset refresh, still purges every base.
 func TestCommitRetiresSnapshotsNotTheBase(t *testing.T) {
 	store := openStore(t, t.TempDir(), mutate.Options{})
 	defer store.Close()
@@ -162,6 +165,26 @@ func TestCommitRetiresSnapshotsNotTheBase(t *testing.T) {
 	defer ts.Close()
 	unweighted := mustResolve(t, `{"algo":"pr","system":"polymer","graph":"powerlaw"}`)
 	weighted := mustResolve(t, `{"algo":"sssp","system":"polymer","graph":"powerlaw"}`)
+	otherScale := mustResolve(t, `{"algo":"pr","system":"polymer","graph":"powerlaw","scale":"small"}`)
+	resident := func(key string) (ok, doomed bool) {
+		srv.cache.mu.Lock()
+		defer srv.cache.mu.Unlock()
+		e, ok := srv.cache.entries[key]
+		return ok, ok && e.doomed
+	}
+
+	// Before the first commit, both scales' unweighted bases are loaded;
+	// the committed scale's stays pinned across the commit.
+	_, releaseBase, err := srv.graphFor(unweighted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, releaseOther, err := srv.graphFor(otherScale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	releaseOther()
+	unweightedBase := baseKey(unweighted.data, unweighted.scale, false)
 
 	const commits = 3
 	for i := 1; i <= commits; i++ {
@@ -169,6 +192,15 @@ func TestCommitRetiresSnapshotsNotTheBase(t *testing.T) {
 			`{"graph":"powerlaw","scale":"tiny","ops":[{"op":"insert","src":1,"dst":2,"wt":3},{"op":"delete","src":2,"dst":1}]}`)
 		if st != 200 || mr.Seq != uint64(i) {
 			t.Fatalf("commit %d: status %d %+v", i, st, mr)
+		}
+		if i == 1 {
+			if ok, doomed := resident(unweightedBase); !ok || !doomed {
+				t.Fatalf("pinned unweighted base after the commit: resident %t doomed %t, want doomed in place", ok, doomed)
+			}
+			releaseBase()
+			if ok, _ := resident(unweightedBase); ok {
+				t.Fatal("the unweighted base outlived its last pin")
+			}
 		}
 		gu, releaseU, err := srv.graphFor(unweighted)
 		if err != nil {
@@ -187,10 +219,14 @@ func TestCommitRetiresSnapshotsNotTheBase(t *testing.T) {
 		releaseU()
 		releaseW()
 	}
-	// One load of the base, one snapshot per commit; the other reads hit.
-	if cs := srv.cache.stats(); cs.Misses != 1+commits || cs.Hits != 2*commits-1 || cs.Entries != 2 {
-		t.Fatalf("graph cache %+v, want %d misses (base once + a snapshot per commit), %d hits, base + newest snapshot resident",
-			cs, 1+commits, 2*commits-1)
+	// Two unweighted bases, one load of the weighted base, one snapshot per
+	// commit; the other reads hit.
+	if cs := srv.cache.stats(); cs.Misses != 3+commits || cs.Hits != 2*commits-1 || cs.Entries != 3 {
+		t.Fatalf("graph cache %+v, want %d misses (two unweighted bases, the weighted base once, a snapshot per commit), %d hits, "+
+			"weighted base + newest snapshot + the other scale's base resident", cs, 3+commits, 2*commits-1)
+	}
+	if ok, _ := resident(baseKey(otherScale.data, otherScale.scale, false)); !ok {
+		t.Fatal("a commit at one scale retired another scale's base")
 	}
 	if ms := store.Stats(); ms.Folded != 1 || ms.Patched != commits-1 {
 		t.Fatalf("snapshots folded %d patched %d, want 1 and %d", ms.Folded, ms.Patched, commits-1)
@@ -205,8 +241,8 @@ func TestCommitRetiresSnapshotsNotTheBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	httpResp.Body.Close()
-	if cs := srv.cache.stats(); inv.Purged != 2 || cs.Entries != 0 {
-		t.Fatalf("/invalidatez purged %d and left %+v, want base and snapshot both gone", inv.Purged, cs)
+	if cs := srv.cache.stats(); inv.Purged != 3 || cs.Entries != 0 {
+		t.Fatalf("/invalidatez purged %d and left %+v, want both bases and the snapshot gone", inv.Purged, cs)
 	}
 }
 

@@ -182,14 +182,14 @@ func (c *resultCache) stats() cacheStats {
 // generation and are never served. It returns the new generation and how
 // many cached results plus resident graphs were purged.
 func (s *Server) InvalidateGraph(id string) (version uint64, purged int) {
-	return s.invalidate(id, false)
+	return s.invalidate(id, nil)
 }
 
-// invalidate is InvalidateGraph, or with keepBase a commit's retirement:
-// the same generation bump, but only snapshots leave the graph cache.
-func (s *Server) invalidate(id string, keepBase bool) (version uint64, purged int) {
+// invalidate is InvalidateGraph, or with keep a commit's retirement: the
+// same generation bump, but the graph-cache entries keep names stay.
+func (s *Server) invalidate(id string, keep func(key string) bool) (version uint64, purged int) {
 	version, purged = s.results.invalidate(id)
-	purged += s.cache.invalidate(id, keepBase)
+	purged += s.cache.invalidate(id, keep)
 	s.cfg.Tracer.HostInstant("serve", "invalidate", obs.PidServe, obs.NowMicros(), -1,
 		fmt.Sprintf("%s -> generation %d (%d purged)", id, version, purged))
 	return version, purged

@@ -768,7 +768,8 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int, seed uin
 // weighted base (resident under its sequence-0 key, which a commit does
 // not invalidate) — and an unweighted algorithm reads it through
 // graph.Unweighted, the same index and neighbour arrays without the
-// weights. Each commit so publishes one immutable snapshot under a
+// weights; the scale's unweighted base is never read again, and the
+// commit drops it. Each commit so publishes one immutable snapshot under a
 // distinct key, requests that sampled before the commit keep their pinned
 // pre-commit snapshot (snapshot isolation), and the commit's invalidation
 // dooms the old entry so the last release frees it.
@@ -782,7 +783,7 @@ func (s *Server) graphFor(v *resolved) (*graph.Graph, func(), error) {
 		}
 	}
 	base := func(w bool) (*graph.Graph, func(), error) {
-		return s.cache.get(fmt.Sprintf("%s|%d|%t%s", v.data, v.scale, w, baseKeySuffix),
+		return s.cache.get(baseKey(v.data, v.scale, w),
 			func() (*graph.Graph, error) { return gen.Load(v.data, v.scale, w) })
 	}
 	if seq == 0 {

@@ -27,32 +27,57 @@ type EdgeKernel interface {
 	Cond(d graph.Vertex) bool
 }
 
+// Rows is a grouped-edge layout the dense sweeps walk: row r is keyed by
+// vertex IDs[r] and holds the far-side vertices Cols[Idx[r]:Idx[r+1]],
+// with the edge weights aligned in Wts. IDs == nil means row r is keyed by
+// vertex r (a CSR); Wts == nil means weight 0 throughout. Polymer's
+// per-node layouts and Ligra's CSR are both Rows.
+//
+// The dense sweeps hand rows to a kernel a segment at a time: rows
+// [lo, hi) of one Rows whose keys (push) or columns (pull) all lie in one
+// frontier leaf, active, whose bit 0 is vertex base (nil: the full
+// frontier). One call per segment makes the per-row bookkeeping — row id,
+// slice headers, the test of the leaf — part of the kernel's inlined loop
+// instead of one indirect call a row.
+type Rows struct {
+	IDs  []graph.Vertex
+	Idx  []int64
+	Cols []graph.Vertex
+	Wts  []float32
+}
+
+// ID returns row r's key vertex.
+func (rs *Rows) ID(r int) graph.Vertex {
+	if rs.IDs == nil {
+		return graph.Vertex(r)
+	}
+	return rs.IDs[r]
+}
+
 // RowKernel is an optional interface of an EdgeKernel whose Cond is
-// constantly true and whose Update always reports true. PushRow(s, cols,
-// wts) must leave the kernel's data exactly as
-//
-//	for j, t := range cols { Update(s, t, wts[j]) }
-//
-// does — bit for bit, targets in cols order, with weight 0 for every edge
-// when wts is nil. Like Update it is called from the phase's one
-// goroutine.
+// constantly true and whose Update always reports true: the push segment
+// form. PushRows(rs, lo, hi, active, base) must leave the kernel's data
+// exactly as PushRowsPerEdge does — bit for bit, rows ascending, targets in
+// Cols order — and return its activeRows and edges. Like Update it is
+// called from the phase's one goroutine.
 //
 // A Go type parameter's methods are called through the generic dictionary,
 // never inlined, so the per-edge path pays two indirect calls an edge; a
-// row kernel pays one a row and keeps the per-source factor in a register.
-// Engines look for the interface once per dense push phase and use it only
-// under Hints.NoOutput, where no per-edge outcome is needed: every charged
-// count is then len(cols). Kernels that claim or relax (BFS, CC, SSSP) push
-// per edge, since a push reports each target; their row form is the pull
-// one (PullRowKernel), where a whole row has one target and one outcome.
+// segment form pays one a segment and keeps each per-source factor in a
+// register. Engines look for the interface once per dense push phase and
+// use it only under Hints.NoOutput, where no per-edge outcome is needed:
+// every edge is then a cond check and an update. Kernels that claim or
+// relax (BFS, CC, SSSP) push per edge, since a push reports each target;
+// their segment form is the pull one (PullRowKernel), where each row has
+// one target and one outcome.
 type RowKernel interface {
-	PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32)
+	PushRows(rs *Rows, lo, hi int, active []uint64, base int) (activeRows, edges int64)
 }
 
-// RowKernelOf returns k's row form when the phase may use it, else nil.
-// Pass pointer-shaped (or interface-typed) kernels to the engines' generic
-// entry points: converting a struct-valued K to an interface here would
-// box it on the heap every phase.
+// RowKernelOf returns k's push segment form when the phase may use it,
+// else nil. Pass pointer-shaped (or interface-typed) kernels to the
+// engines' generic entry points: converting a struct-valued K to an
+// interface here would box it on the heap every phase.
 func RowKernelOf[K EdgeKernel](k K, h Hints) RowKernel {
 	if !h.NoOutput {
 		return nil
@@ -61,54 +86,102 @@ func RowKernelOf[K EdgeKernel](k K, h Hints) RowKernel {
 	return rk
 }
 
-// PullRowKernel is the pull mirror of RowKernel, an optional interface of
-// any EdgeKernel: one call gathers target t's whole row. PullRow must leave
-// the kernel's data, and report the edges scanned and whether t was
-// updated, exactly as PullRowPerEdge does. Both outcomes feed charged
-// counters and the next frontier, so unlike PushRow this form is neither
-// restricted to NoOutput phases nor to always-true kernels. It shares the
-// single-goroutine contract of EdgeKernel: t has no other writer and the
-// sources no writer at all while the call runs, unless t is its own source.
-//
-// cols are t's sources and wts their weights (nil: weight 0 throughout).
-// active is the frontier leaf that covers every vertex of cols, bit s-base
-// for source s; nil means every source is active.
-type PullRowKernel interface {
-	PullRow(t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int) (scanned int, updated bool)
+// PushRowsPerEdge pushes the segment's rows edge by edge: the dense push
+// loop of both engines for a kernel without a segment form or a phase that
+// consumes each edge's outcome, and the definition a PushRows is held to.
+// A row is active when its key is in the leaf. Each active row counts as
+// activeRows and each of its edges as edges; an edge whose target passes
+// Cond is a condCheck, and one whose Update reports true an update, its
+// target set in leaf p of b when b is non-nil (a push target is a vertex
+// of the node that holds the row).
+func PushRowsPerEdge[K EdgeKernel](k K, rs *Rows, lo, hi int, active []uint64, base int, b *state.Builder, p int) (activeRows, edges, condChecks, updates int64) {
+	for r := lo; r < hi; r++ {
+		s := rs.ID(r)
+		if !InLeaf(active, base, s) {
+			continue
+		}
+		activeRows++
+		for j := rs.Idx[r]; j < rs.Idx[r+1]; j++ {
+			edges++
+			t := rs.Cols[j]
+			if !k.Cond(t) {
+				continue
+			}
+			condChecks++
+			var w float32
+			if rs.Wts != nil {
+				w = rs.Wts[j]
+			}
+			if k.Update(s, t, w) {
+				if b != nil {
+					b.SetIn(p, t)
+				}
+				updates++
+			}
+		}
+	}
+	return activeRows, edges, condChecks, updates
 }
 
-// PullRowKernelOf returns k's pull row form, or nil. As with RowKernelOf,
-// pass pointer-shaped kernels: asserting a struct-valued K boxes it.
+// PullRowKernel is the pull mirror of RowKernel, an optional interface of
+// any EdgeKernel: one call gathers every row of a segment, each row's key
+// a target and its columns the target's sources. PullRows must leave the
+// kernel's data, return the edges scanned, and append to hits the rows
+// whose target it updated, in order, exactly as PullRowsPerEdge does. Both
+// outcomes feed charged counters and the next frontier, so unlike PushRows
+// this form is neither restricted to NoOutput phases nor to always-true
+// kernels. It shares the single-goroutine contract of EdgeKernel: a target
+// has no other writer and the sources no writer at all while its row is
+// gathered, unless the target is its own source.
+//
+// The leaf (active, base) covers every column of the segment; the caller
+// sizes hits so that appending a segment's rows does not grow it.
+type PullRowKernel interface {
+	PullRows(rs *Rows, lo, hi int, active []uint64, base int, hits []int32) (edges int64, _ []int32)
+}
+
+// PullRowKernelOf returns k's pull segment form, or nil. As with
+// RowKernelOf, pass pointer-shaped kernels: asserting a struct-valued K
+// boxes it.
 func PullRowKernelOf[K EdgeKernel](k K) PullRowKernel {
 	pk, _ := any(k).(PullRowKernel)
 	return pk
 }
 
-// PullRowPerEdge gathers target t's row edge by edge: the dense pull loop
-// of both engines for a kernel without a row form, and the definition a
-// PullRow is held to. The row is skipped when Cond(t) is false and left
-// after the edge that makes it false (Ligra's early exit).
-func PullRowPerEdge[K EdgeKernel](k K, t graph.Vertex, cols []graph.Vertex, wts []float32, active []uint64, base int) (scanned int, updated bool) {
-	if !k.Cond(t) {
-		return 0, false
-	}
-	for j, s := range cols {
-		scanned++
-		if !InLeaf(active, base, s) {
+// PullRowsPerEdge gathers the segment's rows edge by edge: the dense pull
+// loop of both engines for a kernel without a segment form, and the
+// definition a PullRows is held to. A row is skipped when Cond of its
+// target is false and left after the edge that makes it false (Ligra's
+// early exit); skipped edges are not scanned.
+func PullRowsPerEdge[K EdgeKernel](k K, rs *Rows, lo, hi int, active []uint64, base int, hits []int32) (edges int64, _ []int32) {
+	for r := lo; r < hi; r++ {
+		t := rs.ID(r)
+		if !k.Cond(t) {
 			continue
 		}
-		var w float32
-		if wts != nil {
-			w = wts[j]
+		updated := false
+		for j := rs.Idx[r]; j < rs.Idx[r+1]; j++ {
+			edges++
+			s := rs.Cols[j]
+			if !InLeaf(active, base, s) {
+				continue
+			}
+			var w float32
+			if rs.Wts != nil {
+				w = rs.Wts[j]
+			}
+			if k.Update(s, t, w) {
+				updated = true
+			}
+			if !k.Cond(t) {
+				break
+			}
 		}
-		if k.Update(s, t, w) {
-			updated = true
-		}
-		if !k.Cond(t) {
-			break
+		if updated {
+			hits = append(hits, int32(r))
 		}
 	}
-	return scanned, updated
+	return edges, hits
 }
 
 // InLeaf reports whether vertex v is set in the frontier leaf active, whose
