@@ -14,8 +14,6 @@ package algorithms
 import (
 	"slices"
 
-	"polymer/internal/core"
-	"polymer/internal/engines/ligra"
 	"polymer/internal/engines/xstream"
 	"polymer/internal/fault"
 	"polymer/internal/graph"
@@ -23,26 +21,6 @@ import (
 	"polymer/internal/sg"
 	"polymer/internal/state"
 )
-
-// edgeMap routes an EdgeMap to the engine's generic entry point when the
-// concrete engine type is known; other engines get the interface method.
-// Instantiating core.EdgeMapK / ligra.EdgeMapK at the concrete kernel type
-// saves boxing the kernel into an sg.EdgeKernel and nothing per edge: Go
-// calls a type parameter's methods through the generic dictionary, so
-// Cond/Update stay indirect, out-of-line calls on either route. The loop
-// the compiler does inline is the kernel's own: PR, SpMV and BP implement
-// sg.RowKernel, BFS, CC and SSSP sg.PullRowKernel, and all are passed by
-// pointer so the engines find it without an allocation.
-func edgeMap[K sg.EdgeKernel](e sg.Engine, a *state.Subset, k K, h sg.Hints) *state.Subset {
-	switch t := e.(type) {
-	case *core.Engine:
-		return core.EdgeMapK(t, a, k, h)
-	case *ligra.Engine:
-		return ligra.EdgeMapK(t, a, k, h)
-	default:
-		return e.EdgeMap(a, k, h)
-	}
-}
 
 // A stepper is the seam between the shared loops and an engine family.
 type stepper struct {
@@ -65,7 +43,7 @@ func sgStepper[K sg.EdgeKernel](e sg.Engine, k K, h sg.Hints) stepper {
 	all := state.NewAll(e.Bounds())
 	active := all
 	return stepper{eng: e, span: e, step: func(apply func(graph.Vertex) bool, keep bool) int64 {
-		edgeMap(e, active, k, h)
+		sg.EdgeMapK(e, active, k, h)
 		if e.Err() != nil {
 			return 0
 		}
@@ -257,7 +235,7 @@ func BFSE(e sg.Engine, src graph.Vertex, sess *fault.Session) ([]int64, error) {
 		sess.TrackU32(k.parent)
 	}
 	err := untilEmpty(e, sess, state.NewSingle(e.Bounds(), src),
-		func(_ int, f *state.Subset) *state.Subset { return edgeMap(e, f, k, bfsHints) },
+		func(_ int, f *state.Subset) *state.Subset { return sg.EdgeMapK(e, f, k, bfsHints) },
 		func(i int, _, next *state.Subset) {
 			next.ForEach(func(v graph.Vertex) { levels[v] = int64(i + 1) })
 		})
@@ -288,7 +266,7 @@ func SSSP(e sg.Engine, src graph.Vertex, sess *fault.Session) ([]float64, error)
 		sess.TrackF64(k.dist)
 	}
 	err := untilEmpty(e, sess, state.NewSingle(e.Bounds(), src),
-		func(_ int, f *state.Subset) *state.Subset { return edgeMap(e, f, k, ssspHints) }, nil)
+		func(_ int, f *state.Subset) *state.Subset { return sg.EdgeMapK(e, f, k, ssspHints) }, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +286,7 @@ func CC(e sg.Engine, sess *fault.Session) ([]graph.Vertex, error) {
 		sess.TrackU32(k.labels)
 	}
 	err := untilEmpty(e, sess, state.NewAll(e.Bounds()),
-		func(_ int, f *state.Subset) *state.Subset { return edgeMap(e, f, k, ccHints) }, nil)
+		func(_ int, f *state.Subset) *state.Subset { return sg.EdgeMapK(e, f, k, ccHints) }, nil)
 	if err != nil {
 		return nil, err
 	}

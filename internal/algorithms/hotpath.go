@@ -33,7 +33,7 @@ func PRIteration(e sg.Engine, damping float64) func() {
 // kernel and hints included. The sweep benchmarks time it per edge.
 func PRSweep(e sg.Engine) func() {
 	k, all := newPRKernel(e, 0.85, nil), state.NewAll(e.Bounds())
-	return func() { edgeMap(e, all, k, prHints) }
+	return func() { sg.EdgeMapK(e, all, k, prHints) }
 }
 
 // XSKernel is one of the float kernels over state allocated on an X-Stream
@@ -73,7 +73,7 @@ func TraversalSuperstep(e sg.Engine, sssp bool, sources []graph.Vertex) func() *
 			for _, s := range sources {
 				k.dist[s] = 0
 			}
-			return edgeMap(e, frontier, k, ssspHints)
+			return sg.EdgeMapK(e, frontier, k, ssspHints)
 		}
 	}
 	k := &bfsKernel{parent: e.NewData32("bfs/parent").Data}
@@ -84,6 +84,6 @@ func TraversalSuperstep(e sg.Engine, sssp bool, sources []graph.Vertex) func() *
 		for _, s := range sources {
 			k.parent[s] = s
 		}
-		return edgeMap(e, frontier, k, bfsHints)
+		return sg.EdgeMapK(e, frontier, k, bfsHints)
 	}
 }

@@ -164,7 +164,7 @@ func MultiBFS(e sg.Engine, srcs []graph.Vertex) ([][]int64, error) {
 	err := untilEmpty(e, nil, state.FromVertices(e.Bounds(), srcs),
 		func(i int, f *state.Subset) *state.Subset {
 			k := mbfsKernel{level: int64(i + 1), full: full, levels: out, visited: visited, active: active, next: next}
-			return edgeMap(e, f, k, mbfsHints)
+			return sg.EdgeMapK(e, f, k, mbfsHints)
 		},
 		func(_ int, old, nf *state.Subset) { rearm(e, old, nf, active, next) })
 	if err != nil {
@@ -197,7 +197,7 @@ func MultiSSSP(e sg.Engine, srcs []graph.Vertex) ([][]float64, error) {
 	}
 	k := mssspKernel{dist: dist, active: active, next: next}
 	err := untilEmpty(e, nil, state.FromVertices(e.Bounds(), srcs),
-		func(_ int, f *state.Subset) *state.Subset { return edgeMap(e, f, k, mssspHints) },
+		func(_ int, f *state.Subset) *state.Subset { return sg.EdgeMapK(e, f, k, mssspHints) },
 		func(_ int, old, nf *state.Subset) { rearm(e, old, nf, active, next) })
 	if err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"polymer/internal/gen"
@@ -20,7 +19,6 @@ func testMachine(nodes, cores int) *numa.Machine {
 // applied (s,d) pairs; always activates the destination.
 type addKernel struct {
 	next []float64
-	mu   sync.Mutex
 	seen map[edgeKey]int
 }
 
@@ -28,130 +26,13 @@ func newAddKernel(n int) *addKernel {
 	return &addKernel{next: make([]float64, n), seen: make(map[edgeKey]int)}
 }
 
-func (k *addKernel) record(s, d graph.Vertex) {
-	k.mu.Lock()
-	k.seen[edgeKey{s, d}]++
-	k.mu.Unlock()
-}
-
 func (k *addKernel) Update(s, d graph.Vertex, w float32) bool {
 	k.next[d]++
-	k.record(s, d)
+	k.seen[edgeKey{s, d}]++
 	return true
 }
 
 func (k *addKernel) Cond(graph.Vertex) bool { return true }
-
-// expectApplied returns the edges whose source is in the active set.
-func expectApplied(g *graph.Graph, active func(graph.Vertex) bool) map[edgeKey]int {
-	out := make(map[edgeKey]int)
-	for v := 0; v < g.NumVertices(); v++ {
-		if !active(graph.Vertex(v)) {
-			continue
-		}
-		for _, u := range g.OutNeighbors(graph.Vertex(v)) {
-			out[edgeKey{graph.Vertex(v), u}]++
-		}
-	}
-	return out
-}
-
-func TestEdgeMapDensePushAppliesAllActiveEdges(t *testing.T) {
-	n, edges := gen.RMAT(9, 8, 5)
-	g := graph.FromEdges(n, edges, false)
-	m := testMachine(4, 2)
-	opt := DefaultOptions()
-	opt.Mode = Push
-	opt.Adaptive = false
-	e := MustNew(g, m, opt)
-	defer e.Close()
-
-	k := newAddKernel(n)
-	all := state.NewAll(e.Bounds())
-	out := e.EdgeMap(all, k, sg.Hints{DensePush: true})
-
-	sameEdgeMultiset(t, expectApplied(g, func(graph.Vertex) bool { return true }), k.seen)
-	// Every vertex with an in-edge must be in the output frontier.
-	for v := 0; v < n; v++ {
-		want := g.InDegree(graph.Vertex(v)) > 0
-		if got := out.Contains(graph.Vertex(v)); got != want {
-			t.Fatalf("frontier membership of %d = %t, want %t", v, got, want)
-		}
-	}
-	// next[d] must equal the in-degree.
-	for v := 0; v < n; v++ {
-		if k.next[v] != float64(g.InDegree(graph.Vertex(v))) {
-			t.Fatalf("next[%d] = %v, want %d", v, k.next[v], g.InDegree(graph.Vertex(v)))
-		}
-	}
-}
-
-func TestEdgeMapDensePullMatchesPush(t *testing.T) {
-	n, edges := gen.Uniform(400, 3000, 3)
-	g := graph.FromEdges(n, edges, false)
-	m := testMachine(2, 2)
-
-	optPush := DefaultOptions()
-	optPush.Mode = Push
-	optPush.Adaptive = false
-	ePush := MustNew(g, m, optPush)
-	defer ePush.Close()
-	kPush := newAddKernel(n)
-	ePush.EdgeMap(state.NewAll(ePush.Bounds()), kPush, sg.Hints{})
-
-	optPull := DefaultOptions()
-	optPull.Mode = Pull
-	optPull.Adaptive = false
-	ePull := MustNew(g, m, optPull)
-	defer ePull.Close()
-	kPull := newAddKernel(n)
-	ePull.EdgeMap(state.NewAll(ePull.Bounds()), kPull, sg.Hints{})
-
-	for v := 0; v < n; v++ {
-		if kPush.next[v] != kPull.next[v] {
-			t.Fatalf("push/pull mismatch at %d: %v vs %v", v, kPush.next[v], kPull.next[v])
-		}
-	}
-}
-
-func TestEdgeMapSparseMatchesDense(t *testing.T) {
-	n, edges := gen.Powerlaw(600, 6, 2.0, 11)
-	g := graph.FromEdges(n, edges, false)
-	m := testMachine(2, 2)
-
-	// Small frontier forces the sparse path under Auto+Adaptive.
-	frontier := []graph.Vertex{1, 5, 9, 100, 101, 599}
-
-	optA := DefaultOptions() // adaptive: sparse for a tiny frontier
-	eA := MustNew(g, m, optA)
-	defer eA.Close()
-	kA := newAddKernel(n)
-	outA := eA.EdgeMap(state.FromVertices(eA.Bounds(), frontier), kA, sg.Hints{DensePush: true})
-	if eA.Metrics().SparsePhases != 1 {
-		t.Fatalf("expected a sparse phase, got %+v", eA.Metrics())
-	}
-
-	optB := DefaultOptions()
-	optB.Adaptive = false // force dense
-	optB.Mode = Push
-	eB := MustNew(g, m, optB)
-	defer eB.Close()
-	kB := newAddKernel(n)
-	outB := eB.EdgeMap(state.FromVertices(eB.Bounds(), frontier), kB, sg.Hints{DensePush: true})
-	if eB.Metrics().DensePhases != 1 {
-		t.Fatalf("expected a dense phase, got %+v", eB.Metrics())
-	}
-
-	sameEdgeMultiset(t, kB.seen, kA.seen)
-	if outA.Count() != outB.Count() {
-		t.Fatalf("sparse/dense frontier sizes differ: %d vs %d", outA.Count(), outB.Count())
-	}
-	outA.ForEach(func(v graph.Vertex) {
-		if !outB.Contains(v) {
-			t.Fatalf("frontier member %d missing from dense result", v)
-		}
-	})
-}
 
 // claimKernel marks destinations once (BFS-style claim), exercising Cond.
 type claimKernel struct{ parent []uint32 }
@@ -213,45 +94,6 @@ func TestVertexMapFilters(t *testing.T) {
 	quarters := e.VertexMap(sp, func(v graph.Vertex) bool { return v%4 == 0 })
 	if quarters.Count() != int64(n/4) {
 		t.Fatalf("quarters = %d, want %d", quarters.Count(), n/4)
-	}
-}
-
-func TestVertexMapVisitsEachActiveOnce(t *testing.T) {
-	n := 137
-	g := graph.FromEdges(n, nil, false)
-	m := testMachine(4, 2)
-	e := MustNew(g, m, DefaultOptions())
-	defer e.Close()
-	counts := make([]int64, n)
-	var mu sync.Mutex
-	e.VertexMap(state.NewAll(e.Bounds()), func(v graph.Vertex) bool {
-		mu.Lock()
-		counts[v]++
-		mu.Unlock()
-		return false
-	})
-	for v, c := range counts {
-		if c != 1 {
-			t.Fatalf("vertex %d visited %d times", v, c)
-		}
-	}
-}
-
-func TestEmptyInputsShortCircuit(t *testing.T) {
-	n, edges := gen.Chain(50)
-	g := graph.FromEdges(n, edges, false)
-	m := testMachine(2, 1)
-	e := MustNew(g, m, DefaultOptions())
-	defer e.Close()
-	empty := state.NewEmpty(e.Bounds())
-	if out := e.EdgeMap(empty, newAddKernel(n), sg.Hints{}); !out.IsEmpty() {
-		t.Fatal("EdgeMap on empty must be empty")
-	}
-	if out := e.VertexMap(empty, func(graph.Vertex) bool { return true }); !out.IsEmpty() {
-		t.Fatal("VertexMap on empty must be empty")
-	}
-	if e.Metrics().EdgeMaps != 0 {
-		t.Fatal("empty input must not count as a phase")
 	}
 }
 

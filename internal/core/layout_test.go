@@ -90,8 +90,8 @@ func ownerPartitions(n int) map[string][]partition.Range {
 	}
 }
 
-// Row keys ascend, and ownerRows delimits each owner's run of them: row r
-// lies in [ownerRows[o], ownerRows[o+1]) exactly when its key lies in
+// Row keys ascend, and OwnerRows delimits each owner's run of them: row r
+// lies in [OwnerRows[o], OwnerRows[o+1]) exactly when its key lies in
 // partition o.
 func TestLayoutRowsAscendingAndOwners(t *testing.T) {
 	n, edges := gen.Powerlaw(400, 6, 2.0, 8)
@@ -101,11 +101,11 @@ func TestLayoutRowsAscendingAndOwners(t *testing.T) {
 			l := buildLayout(g, parts, push)
 			for p := range l.perNode {
 				nl := &l.perNode[p]
-				if len(nl.ownerRows) != len(parts)+1 || nl.ownerRows[0] != 0 || nl.ownerRows[len(parts)] != len(nl.IDs) {
-					t.Fatalf("%s push=%t node %d: ownerRows %v over %d rows", name, push, p, nl.ownerRows, len(nl.IDs))
+				if len(nl.OwnerRows) != len(parts)+1 || nl.OwnerRows[0] != 0 || nl.OwnerRows[len(parts)] != len(nl.IDs) {
+					t.Fatalf("%s push=%t node %d: OwnerRows %v over %d rows", name, push, p, nl.OwnerRows, len(nl.IDs))
 				}
 				for o := range parts {
-					for r := nl.ownerRows[o]; r < nl.ownerRows[o+1]; r++ {
+					for r := nl.OwnerRows[o]; r < nl.OwnerRows[o+1]; r++ {
 						if !parts[o].Contains(nl.IDs[r]) {
 							t.Fatalf("%s push=%t node %d: row %d (key %d) counted for owner %d", name, push, p, r, nl.IDs[r], o)
 						}
@@ -124,9 +124,9 @@ func TestLayoutRowsAscendingAndOwners(t *testing.T) {
 	}
 }
 
-// eachSegment covers a chunk of the rolling sweep row by row in sweep
-// order, wrapping to row 0 after the last row, and hands out runs that
-// never cross an owner boundary or the wrap.
+// Segment covers a chunk of the rolling sweep row by row in sweep order,
+// wrapping to row 0 after the last row, and cuts runs that never cross an
+// owner boundary or the wrap.
 func TestLayoutSegmentsCoverTheSweep(t *testing.T) {
 	n, edges := gen.Uniform(300, 2400, 12)
 	g := graph.FromEdges(n, edges, false)
@@ -134,23 +134,24 @@ func TestLayoutSegmentsCoverTheSweep(t *testing.T) {
 	for name, parts := range ownerPartitions(n) {
 		l := buildLayout(g, parts, false)
 		for p := range l.perNode {
-			nl := &l.perNode[p]
+			nl := l.perNode[p]
 			rows := len(nl.IDs)
 			for trial := 0; trial < 50 && rows > 0; trial++ {
-				start := rng.Intn(rows)
+				nl.Start = rng.Intn(rows)
 				lo := rng.Intn(rows)
 				hi := lo + 1 + rng.Intn(rows-lo)
 				next := lo // the sweep position the next segment must start at
-				nl.eachSegment(start, int64(lo), int64(hi), func(o, rlo, rhi int) {
-					if want := (next + start) % rows; rlo != want || rhi <= rlo || rhi > rows {
+				for next < hi {
+					o, rlo, rhi := nl.Segment(next, hi)
+					if want := (next + nl.Start) % rows; rlo != want || rhi <= rlo || rhi > rows {
 						t.Fatalf("%s node %d: segment [%d, %d) after sweep position %d (start %d), want it to begin at row %d",
-							name, p, rlo, rhi, next, start, want)
+							name, p, rlo, rhi, next, nl.Start, want)
 					}
-					if rlo < nl.ownerRows[o] || rhi > nl.ownerRows[o+1] {
-						t.Fatalf("%s node %d: segment [%d, %d) crosses owner %d's rows %v", name, p, rlo, rhi, o, nl.ownerRows)
+					if rlo < nl.OwnerRows[o] || rhi > nl.OwnerRows[o+1] {
+						t.Fatalf("%s node %d: segment [%d, %d) crosses owner %d's rows %v", name, p, rlo, rhi, o, nl.OwnerRows)
 					}
 					next += rhi - rlo
-				})
+				}
 				if next != hi {
 					t.Fatalf("%s node %d: segments of chunk [%d, %d) stopped at %d", name, p, lo, hi, next)
 				}
@@ -159,9 +160,9 @@ func TestLayoutSegmentsCoverTheSweep(t *testing.T) {
 	}
 }
 
-// bytes() is pinned on a hand-built layout: per node, 4 bytes a row key,
+// layoutBytes is pinned on a hand-built layout: per node, 4 bytes a row key,
 // 8 an offset, 4 a column, 4 a weight, one byte a row for the owner table
-// the host keeps as ownerRows, and the n-entry rowOf table. Agents are 16
+// the host keeps as OwnerRows, and the n-entry RowOf table. Agents are 16
 // bytes each.
 func TestLayoutBytesPinned(t *testing.T) {
 	edges := []graph.Edge{{Src: 0, Dst: 1, Wt: 1}, {Src: 0, Dst: 2, Wt: 2}, {Src: 1, Dst: 2, Wt: 3},
@@ -174,8 +175,8 @@ func TestLayoutBytesPinned(t *testing.T) {
 		g := graph.FromEdges(4, edges, weighted)
 		for _, push := range []bool{true, false} {
 			b := buildLayout(g, parts, push)
-			if got := (&layout{shared: b, perNode: b.perNode}).bytes(); got != want {
-				t.Errorf("weighted=%t push=%t: bytes() = %d, want %d", weighted, push, got, want)
+			if got := layoutBytes(b.perNode, b.n); got != want {
+				t.Errorf("weighted=%t push=%t: layoutBytes = %d, want %d", weighted, push, got, want)
 			}
 			if b.agentBytes != 3*16 {
 				t.Errorf("weighted=%t push=%t: agentBytes = %d, want 48", weighted, push, b.agentBytes)
@@ -193,14 +194,14 @@ func TestLayoutRowOf(t *testing.T) {
 		nl := &l.perNode[p]
 		seen := make(map[graph.Vertex]bool)
 		for r, id := range nl.IDs {
-			if nl.rowOf[id] != int32(r) {
-				t.Fatalf("rowOf[%d] = %d, want %d", id, nl.rowOf[id], r)
+			if nl.RowOf[id] != int32(r) {
+				t.Fatalf("RowOf[%d] = %d, want %d", id, nl.RowOf[id], r)
 			}
 			seen[id] = true
 		}
 		for v := 0; v < n; v++ {
-			if !seen[graph.Vertex(v)] && nl.rowOf[v] != -1 {
-				t.Fatalf("rowOf[%d] should be -1", v)
+			if !seen[graph.Vertex(v)] && nl.RowOf[v] != -1 {
+				t.Fatalf("RowOf[%d] should be -1", v)
 			}
 		}
 	}
@@ -237,12 +238,12 @@ func TestLayoutStartRowRolling(t *testing.T) {
 		if len(nl.IDs) == 0 {
 			continue
 		}
-		sr := nl.startRow
-		if sr < len(nl.IDs) && int(nl.IDs[sr]) >= nl.vr.Lo {
+		sr := nl.Start
+		if sr < len(nl.IDs) && int(nl.IDs[sr]) >= parts[p].Lo {
 			// Every earlier row must be keyed before the local range.
 			for r := 0; r < sr; r++ {
-				if int(nl.IDs[r]) >= nl.vr.Lo {
-					t.Fatalf("node %d: row %d already local before startRow %d", p, r, sr)
+				if int(nl.IDs[r]) >= parts[p].Lo {
+					t.Fatalf("node %d: row %d already local before Start %d", p, r, sr)
 				}
 			}
 		}

@@ -29,17 +29,12 @@ func TestLayoutSharedAcrossWeightViews(t *testing.T) {
 
 	var want int64
 	for _, push := range []bool{true, false} {
-		var lw, lu *layout
-		if push {
-			lw, lu = ew.ensurePush(), eu.ensurePush()
-		} else {
-			lw, lu = ew.ensurePull(), eu.ensurePull()
-		}
+		lw, lu := ew.layoutOf(push), eu.layoutOf(push)
 		if lw.shared != lu.shared {
 			t.Fatalf("push=%t: the view built its own layout", push)
 		}
-		for p := range lw.perNode {
-			w, u := &lw.perNode[p], &lu.perNode[p]
+		for p := range lw.Parts {
+			w, u := &lw.Parts[p], &lu.Parts[p]
 			if len(w.Cols) > 0 && &w.Cols[0] != &u.Cols[0] {
 				t.Fatalf("push=%t node %d: column arrays differ", push, p)
 			}
@@ -48,7 +43,7 @@ func TestLayoutSharedAcrossWeightViews(t *testing.T) {
 			}
 		}
 		b := buildLayout(private, eu.parts, push)
-		want += (&layout{shared: b, perNode: b.perNode}).bytes()
+		want += layoutBytes(b.perNode, b.n)
 	}
 	if eu.topoBytes != want {
 		t.Fatalf("view charged %d topology bytes, a private unweighted build %d", eu.topoBytes, want)
@@ -64,7 +59,7 @@ func TestLayoutFreedAfterLastEngine(t *testing.T) {
 	_, _, g := weightedPowerlaw()
 	e1 := MustNew(g, testMachine(4, 2), DefaultOptions())
 	e2 := MustNew(g.Unweighted(), testMachine(4, 2), DefaultOptions())
-	if e1.ensurePush().shared != e2.ensurePush().shared {
+	if e1.layoutOf(true).shared != e2.layoutOf(true).shared {
 		t.Fatal("second engine built its own layout")
 	}
 	wp := weak.Make(e1.push.shared)
@@ -77,6 +72,6 @@ func TestLayoutFreedAfterLastEngine(t *testing.T) {
 	}
 	e3 := MustNew(g, testMachine(4, 2), DefaultOptions())
 	defer e3.Close()
-	rebuilt := e3.ensurePush()
+	rebuilt := e3.layoutOf(true)
 	sameEdgeMultiset(t, graphEdges(g), collectLayoutEdges(rebuilt.shared, true))
 }

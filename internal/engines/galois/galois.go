@@ -174,7 +174,7 @@ func (e *Engine) chargeRound(ep *numa.Epoch, cnt *counters, dataBytes int, syncK
 		ep.Compute(th, (float64(perEdges)*e.opt.OverheadNsPerEdge+float64(perTasks)*e.opt.NsPerTask)*1e-9)
 	})
 	dur, _ := e.ChargePhase(ep, syncKind)
-	e.Edges.Add(edges)
+	e.Edges += edges
 	if e.Tr != nil {
 		// The round epoch is exactly this superstep's charge, so its
 		// classified traffic is the delta — no cumulative snapshot needed.

@@ -1,7 +1,6 @@
 package ligra
 
 import (
-	"sync"
 	"testing"
 
 	"polymer/internal/gen"
@@ -22,23 +21,6 @@ func (k *addKernel) Update(s, d graph.Vertex, w float32) bool {
 	return true
 }
 func (k *addKernel) Cond(graph.Vertex) bool { return true }
-
-func TestDensePushCountsInDegrees(t *testing.T) {
-	n, edges := gen.RMAT(9, 8, 1)
-	g := graph.FromEdges(n, edges, false)
-	e := MustNew(g, testMachine(4, 2), DefaultOptions())
-	defer e.Close()
-	k := &addKernel{next: make([]float64, n)}
-	out := e.EdgeMap(state.NewAll(e.Bounds()), k, sg.Hints{DensePush: true})
-	for v := 0; v < n; v++ {
-		if k.next[v] != float64(g.InDegree(graph.Vertex(v))) {
-			t.Fatalf("next[%d] = %v, want %d", v, k.next[v], g.InDegree(graph.Vertex(v)))
-		}
-		if out.Contains(graph.Vertex(v)) != (g.InDegree(graph.Vertex(v)) > 0) {
-			t.Fatalf("frontier wrong at %d", v)
-		}
-	}
-}
 
 // rowAddKernel is addKernel in segment form; it counts the rows its
 // PushRows calls cover.
@@ -97,75 +79,6 @@ func TestDensePushUsesRowsUnderNoOutput(t *testing.T) {
 	}
 }
 
-func TestDensePullMatchesPush(t *testing.T) {
-	n, edges := gen.Uniform(300, 2500, 2)
-	g := graph.FromEdges(n, edges, false)
-	e := MustNew(g, testMachine(2, 2), DefaultOptions())
-	defer e.Close()
-	kPush := &addKernel{next: make([]float64, n)}
-	kPull := &addKernel{next: make([]float64, n)}
-	e.EdgeMap(state.NewAll(e.Bounds()), kPush, sg.Hints{DensePush: true})
-	e.EdgeMap(state.NewAll(e.Bounds()), kPull, sg.Hints{DensePush: false})
-	for v := 0; v < n; v++ {
-		if kPush.next[v] != kPull.next[v] {
-			t.Fatalf("mismatch at %d: %v vs %v", v, kPush.next[v], kPull.next[v])
-		}
-	}
-}
-
-func TestSparseMatchesDense(t *testing.T) {
-	n, edges := gen.Powerlaw(500, 6, 2.0, 3)
-	g := graph.FromEdges(n, edges, false)
-	frontier := []graph.Vertex{0, 7, 77, 300, 499}
-
-	e1 := MustNew(g, testMachine(2, 2), DefaultOptions()) // adaptive: tiny frontier -> sparse
-	defer e1.Close()
-	k1 := &addKernel{next: make([]float64, n)}
-	e1.EdgeMap(state.FromVertices(e1.Bounds(), frontier), k1, sg.Hints{DensePush: true})
-
-	opt := DefaultOptions()
-	opt.Adaptive = false
-	e2 := MustNew(g, testMachine(2, 2), opt)
-	defer e2.Close()
-	k2 := &addKernel{next: make([]float64, n)}
-	e2.EdgeMap(state.FromVertices(e2.Bounds(), frontier), k2, sg.Hints{DensePush: true})
-
-	for v := 0; v < n; v++ {
-		if k1.next[v] != k2.next[v] {
-			t.Fatalf("sparse/dense mismatch at %d", v)
-		}
-	}
-}
-
-func TestVertexMap(t *testing.T) {
-	n := 128
-	g := graph.FromEdges(n, nil, false)
-	e := MustNew(g, testMachine(2, 2), DefaultOptions())
-	defer e.Close()
-	var mu sync.Mutex
-	counts := make([]int, n)
-	out := e.VertexMap(state.NewAll(e.Bounds()), func(v graph.Vertex) bool {
-		mu.Lock()
-		counts[v]++
-		mu.Unlock()
-		return v%3 == 0
-	})
-	for v, c := range counts {
-		if c != 1 {
-			t.Fatalf("vertex %d visited %d times", v, c)
-		}
-	}
-	want := int64(0)
-	for v := 0; v < n; v++ {
-		if v%3 == 0 {
-			want++
-		}
-	}
-	if out.Count() != want {
-		t.Fatalf("filtered count = %d, want %d", out.Count(), want)
-	}
-}
-
 func TestLigraSlowerThanPolymerShape(t *testing.T) {
 	// Not a strict engine-vs-engine comparison (that lives in the bench
 	// package); here we just pin Ligra's NUMA-oblivious signature: its
@@ -200,17 +113,6 @@ func TestMemoryAccounting(t *testing.T) {
 	e.Close()
 	if m.Alloc().Current() != 0 {
 		t.Fatalf("Close must release, %d left", m.Alloc().Current())
-	}
-}
-
-func TestEmptyFrontier(t *testing.T) {
-	n, edges := gen.Chain(10)
-	g := graph.FromEdges(n, edges, false)
-	e := MustNew(g, testMachine(1, 1), DefaultOptions())
-	defer e.Close()
-	out := e.EdgeMap(state.NewEmpty(e.Bounds()), &addKernel{next: make([]float64, n)}, sg.Hints{})
-	if !out.IsEmpty() {
-		t.Fatal("empty in, empty out")
 	}
 }
 

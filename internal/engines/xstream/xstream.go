@@ -427,7 +427,7 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 		e.TierFrontier.Access(ep, th, numa.Seq, numa.Store, node, activeEdges, 12, 0)
 		ep.Compute(th, float64(scanned)*(e.opt.OverheadNsPerEdge)*1e-9)
 	})
-	e.Edges.Add(scannedT)
+	e.Edges += scannedT
 	e.chargePhase(ep, "scatter", activeIn)
 	ep.Reset() // shuffle phase reuses the same epoch
 

@@ -2,7 +2,6 @@ package sg
 
 import (
 	"context"
-	"sync/atomic"
 
 	"polymer/internal/barrier"
 	"polymer/internal/graph"
@@ -16,7 +15,8 @@ import (
 // bound to, the worker pool, the simulated clock and run ledger, the
 // first-error latch, cancellation context, fault hook, rollback slot,
 // tracer wiring and the three tiered-memory demand classes. An engine
-// adds only what is its own (layouts, kernels, phase charging recipes).
+// adds only what is its own (layouts, kernels, phase charging recipes);
+// Polymer and Ligra embed it through Sweep, which also runs their phases.
 //
 // The exported fields are the engines' hot-path state; everything a
 // consumer needs is a method.
@@ -25,9 +25,9 @@ type Base struct {
 	M    *numa.Machine
 	Pool *par.Pool
 
-	Ledger *numa.Epoch  // whole-run accumulation
-	Clock  float64      // simulated seconds, barrier costs included
-	Edges  atomic.Int64 // edge applications
+	Ledger *numa.Epoch // whole-run accumulation
+	Clock  float64     // simulated seconds, barrier costs included
+	Edges  int64       // edge applications
 	// Round counts committed supersteps on engines that own their
 	// superstep loop (X-Stream, Galois) and number their own events.
 	Round int
@@ -141,7 +141,7 @@ func (b *Base) AddSimSeconds(s float64) { b.Clock += s }
 func (b *Base) RunStats() numa.Stats { return b.Ledger.Stats() }
 
 // EdgesProcessed returns the total number of edge applications.
-func (b *Base) EdgesProcessed() int64 { return b.Edges.Load() }
+func (b *Base) EdgesProcessed() int64 { return b.Edges }
 
 // ThreadSeconds returns the per-thread simulated busy time (Figure 11b).
 func (b *Base) ThreadSeconds() []float64 {
@@ -240,7 +240,7 @@ func (b *Base) SnapshotSim() {
 	}
 	b.snap.clock = b.Clock
 	b.snap.ledger.CopyFrom(b.Ledger)
-	b.snap.edges = b.Edges.Load()
+	b.snap.edges = b.Edges
 	b.snap.round = b.Round
 	b.snap.tier = b.Tiers.Snapshot()
 	if b.extra != nil {
@@ -255,7 +255,7 @@ func (b *Base) RestoreSim() {
 	}
 	b.Clock = b.snap.clock
 	b.Ledger.CopyFrom(b.snap.ledger)
-	b.Edges.Store(b.snap.edges)
+	b.Edges = b.snap.edges
 	b.Round = b.snap.round
 	b.Tiers.Restore(b.snap.tier)
 	if b.extra != nil {

@@ -3,6 +3,13 @@
 // EdgeMap/VertexMap model of the paper's Section 4.1, inherited from
 // Ligra. Algorithms are written once against these interfaces and run
 // unchanged on either engine.
+//
+// It also holds what the engines share beneath the interface: Base, the
+// lifecycle all four engines embed, and Sweep, the one EdgeMap/VertexMap
+// implementation Polymer and Ligra both run. Polymer's layout is P = nodes
+// parts of the node's grouped rows, Ligra's one part of the CSR; each
+// engine adds its placement, layout, charge recipes and phase wrapper
+// (SweepConfig) and no loop of its own.
 package sg
 
 import (
@@ -54,6 +61,9 @@ func (rs *Rows) ID(r int) graph.Vertex {
 	return rs.IDs[r]
 }
 
+// Len returns the number of rows.
+func (rs *Rows) Len() int { return max(len(rs.Idx)-1, 0) }
+
 // RowKernel is an optional interface of an EdgeKernel whose Cond is
 // constantly true and whose Update always reports true: the push segment
 // form. PushRows(rs, lo, hi, active, base) must leave the kernel's data
@@ -64,8 +74,8 @@ func (rs *Rows) ID(r int) graph.Vertex {
 // A Go type parameter's methods are called through the generic dictionary,
 // never inlined, so the per-edge path pays two indirect calls an edge; a
 // segment form pays one a segment and keeps each per-source factor in a
-// register. Engines look for the interface once per dense push phase and
-// use it only under Hints.NoOutput, where no per-edge outcome is needed:
+// register. The sweep looks for the interface once per dense push phase
+// and uses it only under Hints.NoOutput, where no per-edge outcome is needed:
 // every edge is then a cond check and an update. Kernels that claim or
 // relax (BFS, CC, SSSP) push per edge, since a push reports each target;
 // their segment form is the pull one (PullRowKernel), where each row has
@@ -75,8 +85,8 @@ type RowKernel interface {
 }
 
 // RowKernelOf returns k's push segment form when the phase may use it,
-// else nil. Pass pointer-shaped (or interface-typed) kernels to the
-// engines' generic entry points: converting a struct-valued K to an
+// else nil. Pass pointer-shaped (or interface-typed) kernels to
+// EdgeMapK: converting a struct-valued K to an
 // interface here would box it on the heap every phase.
 func RowKernelOf[K EdgeKernel](k K, h Hints) RowKernel {
 	if !h.NoOutput {
@@ -86,14 +96,14 @@ func RowKernelOf[K EdgeKernel](k K, h Hints) RowKernel {
 	return rk
 }
 
-// PushRowsPerEdge pushes the segment's rows edge by edge: the dense push
-// loop of both engines for a kernel without a segment form or a phase that
+// PushRowsPerEdge pushes the segment's rows edge by edge: the sweep's
+// dense push loop for a kernel without a segment form or a phase that
 // consumes each edge's outcome, and the definition a PushRows is held to.
 // A row is active when its key is in the leaf. Each active row counts as
 // activeRows and each of its edges as edges; an edge whose target passes
 // Cond is a condCheck, and one whose Update reports true an update, its
 // target set in leaf p of b when b is non-nil (a push target is a vertex
-// of the node that holds the row).
+// of the part that holds the row).
 func PushRowsPerEdge[K EdgeKernel](k K, rs *Rows, lo, hi int, active []uint64, base int, b *state.Builder, p int) (activeRows, edges, condChecks, updates int64) {
 	for r := lo; r < hi; r++ {
 		s := rs.ID(r)
@@ -148,8 +158,8 @@ func PullRowKernelOf[K EdgeKernel](k K) PullRowKernel {
 	return pk
 }
 
-// PullRowsPerEdge gathers the segment's rows edge by edge: the dense pull
-// loop of both engines for a kernel without a segment form, and the
+// PullRowsPerEdge gathers the segment's rows edge by edge: the sweep's
+// dense pull loop for a kernel without a segment form, and the
 // definition a PullRows is held to. A row is skipped when Cond of its
 // target is false and left after the edge that makes it false (Ligra's
 // early exit); skipped edges are not scanned.
@@ -230,6 +240,15 @@ func (h Hints) Normalize() Hints {
 		h.NsPerEdge = 1
 	}
 	return h
+}
+
+// EdgeBytes returns the topology bytes streamed per edge: a 4-byte column,
+// and a 4-byte weight when Weighted.
+func (h Hints) EdgeBytes() int {
+	if h.Weighted {
+		return 8
+	}
+	return 4
 }
 
 // Engine is the scatter-gather engine contract. Implementations compute

@@ -56,6 +56,9 @@ go test -count=5 -cpu 1,2,8 -run 'TestChargeNodesMatchesPerThreadLoop' ./interna
 go test -count=5 -cpu 1,2,8 -run 'TestPatchMatchesFromEdges' ./internal/graph/
 go test -count=5 -cpu 1,2,8 -run 'TestPatchedSnapshotEqualsCleanApply' ./internal/mutate/
 
+echo "==> sweep benchmark smoke (host ns/edge of the shared sweep on both engines; one iteration a case)"
+go test -run '^$' -bench BenchmarkSweepNsPerEdge -benchtime 1x ./internal/core/ >/dev/null
+
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
 
