@@ -56,8 +56,8 @@ cluster-sweep:
 	$(GO) run ./cmd/numabench -machines 1,2,4,8 -graph powerlaw -scale huge
 
 # Serving-layer benchmark: the same duplicate-heavy Zipf schedule against
-# a server with the execution-reuse layer (coalescing + batching + result
-# cache) off and on. Writes BENCH_serving.json and gates on the checked-in
+# a server with the execution-reuse layer (shared runs + result cache)
+# off and on. Writes BENCH_serving.json and gates on the checked-in
 # machine-independent goodput ratio.
 bench-serving:
 	$(GO) run ./cmd/servebench -baseline BENCH_serving.json -out BENCH_serving_current.json

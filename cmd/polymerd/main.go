@@ -60,10 +60,7 @@ func main() {
 	cooldownFlag := flag.Duration("breaker-cooldown", 2*time.Second, "open-circuit period before a half-open probe")
 	cacheFlag := flag.Int64("graph-cache-bytes", 0, "graph cache budget in topology bytes (0 = 1 GiB default, negative = unbounded)")
 	resultCacheFlag := flag.Int64("result-cache-bytes", 0, "result cache budget in bytes (0 = 64 MiB default, negative disables)")
-	noCoalesceFlag := flag.Bool("no-coalesce", false, "disable execution coalescing of identical in-flight requests")
-	noBatchFlag := flag.Bool("no-batch", false, "disable multi-source batching of traversal queries")
-	batchMaxFlag := flag.Int("batch-max", 16, "max distinct sources fused into one multi-source sweep (cap 64)")
-	batchLingerFlag := flag.Duration("batch-linger", 0, "extra time a dequeued batch group waits for stragglers (0 = seal at dequeue)")
+	noShareFlag := flag.Bool("no-share", false, "disable run sharing: no coalescing onto identical runs, no multi-source traversal sweeps")
 	traceReqFlag := flag.Int("trace-requests", 256, "flight recorder: last N request spans kept for /debugz/trace (0 disables the recorder with -trace-steps 0)")
 	traceStepFlag := flag.Int("trace-steps", 4096, "flight recorder: last N engine/fault events kept for /debugz/trace")
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -119,10 +116,7 @@ func main() {
 		BreakerCooldown:  *cooldownFlag,
 		GraphCacheBytes:  *cacheFlag,
 		ResultCacheBytes: *resultCacheFlag,
-		DisableCoalesce:  *noCoalesceFlag,
-		DisableBatch:     *noBatchFlag,
-		BatchMax:         *batchMaxFlag,
-		BatchLinger:      *batchLingerFlag,
+		DisableSharing:   *noShareFlag,
 		HedgeDelay:       *hedgeFlag,
 		DisableLearning:  *noLearnFlag,
 		Tracer:           tr,

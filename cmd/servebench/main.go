@@ -1,9 +1,10 @@
 // Command servebench measures what the serve-side execution-reuse layer
 // buys under a duplicate-heavy workload. It runs the identical Zipf
 // request schedule against two in-process polymerd servers — "before"
-// with coalescing, batching and the result cache disabled, "after" with
-// all three on — using closed-loop clients, and reports per-arm latency
-// percentiles and goodput plus the after/before ratios.
+// with run sharing (coalescing and multi-source sweeps) and the result
+// cache disabled, "after" with both on — using closed-loop clients, and
+// reports per-arm latency percentiles and goodput plus the after/before
+// ratios.
 //
 // The ratios, not the absolute numbers, are the CI contract: they divide
 // out the host machine, so -baseline can gate regressions on any runner.
@@ -88,8 +89,7 @@ func main() {
 	rep.Before = runArm("before", serve.Config{
 		Workers:          *workers,
 		QueueDepth:       *queue,
-		DisableCoalesce:  true,
-		DisableBatch:     true,
+		DisableSharing:   true,
 		ResultCacheBytes: -1,
 	}, sched, *clients)
 	rep.After = runArm("after", serve.Config{

@@ -28,9 +28,8 @@ type attemptResult struct {
 
 // attempt runs the task's sources to an outcome through the one
 // breaker-admit -> lease -> machine-factory -> retry/backoff -> classify
-// sequence direct requests and batch groups share. A refused admission
-// (circuit open) returns kindBroken having run nothing — the caller picks
-// its fallback. The returned lease (nil for explicit requests and
+// sequence every run shares. A refused admission (circuit open) returns
+// kindBroken having run nothing — the caller picks its fallback. The returned lease (nil for explicit requests and
 // refusals) is still held so the caller can publish against it; the
 // caller releases it.
 func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex) (attemptResult, *plan.Lease) {
@@ -50,8 +49,8 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex) (attemptR
 		// simulated sockets while capacity lasts, honest co-location
 		// charging when it doesn't. A sole tenant gets the deterministic
 		// prefix, so its machine — and therefore its result — is
-		// bit-identical to an explicitly configured run's. (A batch group's
-		// members agreed on the plan: it is part of the group key.)
+		// bit-identical to an explicitly configured run's. (A run's waiters
+		// agreed on the plan: it is part of the key.)
 		lease = s.plannerFor(v).Scheduler().Acquire(v.nodes)
 		explicit := mk
 		mk = func() *numa.Machine {
@@ -74,17 +73,13 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex) (attemptR
 	if v.req.Retries >= 0 {
 		maxRetries = v.req.Retries
 	}
-	what := "request"
-	if t.grp != nil {
-		what = "batch"
-	}
 
 	var res attemptResult
 	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			s.counters.Retried.Add(1)
 			tr.HostInstant("serve", "retry", obs.PidServe, obs.NowMicros(), attempt,
-				fmt.Sprintf("%s %d: %v", what, t.id, res.err))
+				fmt.Sprintf("run %d (%d sources): %v", t.id, len(srcs), res.err))
 			if !sleepBackoff(t.ctx, s.cfg.RetryBase, attempt, uint64(t.id)) {
 				res.err = t.ctx.Err()
 				break
@@ -92,8 +87,8 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex) (attemptR
 		}
 		res.attempts = attempt + 1
 		if len(srcs) == 1 {
-			// One source is the plain resilient run, so a solo batch group
-			// is indistinguishable from a direct request.
+			// One source is the plain resilient run, so a shared run of one
+			// is indistinguishable from a private one.
 			opt.Src = srcs[0]
 			r, rep, err := bench.RunResilientCtx(t.ctx, v.sys, v.alg, g, mk, v.injector(), opt)
 			res.rollbacks += rep.Rollbacks

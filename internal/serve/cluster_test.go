@@ -286,7 +286,7 @@ func TestShutdownTimeoutStillClosesStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv.submit(v, nil); err != nil {
+	if _, _, err := srv.submit(v, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)

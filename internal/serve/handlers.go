@@ -82,9 +82,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // answer routes one validated request through the cheapest path that can
-// satisfy it: the versioned result cache, then a multi-source batch
-// group (traversals), then the per-key flight, and only then a dedicated
-// execution. Fault-carrying requests always execute alone.
+// satisfy it: the versioned result cache, then a run — shared when one
+// for its key is open (or opened here), private for fault-carrying
+// requests or with sharing off. Cluster requests hedge instead.
 func (s *Server) answer(v *resolved, clientCtx context.Context) (outcome, bool, error) {
 	// A draining server refuses everything up front — even requests the
 	// result cache could answer — so load balancers converge fast.
@@ -92,8 +92,8 @@ func (s *Server) answer(v *resolved, clientCtx context.Context) (outcome, bool, 
 		return outcome{}, false, errors.New("serve: draining, not admitting")
 	}
 	// Auto engine/placement resolve before anything keys on them: the
-	// result cache, batch groups and flights must all see the concrete
-	// pick so planned and explicit spellings of the same run collide.
+	// result cache and the run registry must both see the concrete pick so
+	// planned and explicit spellings of the same run collide.
 	if err := s.planFor(v); err != nil {
 		return outcome{}, false, err
 	}
@@ -115,26 +115,20 @@ func (s *Server) answer(v *resolved, clientCtx context.Context) (outcome, bool, 
 			resp.Plan = v.planInfo()
 			return outcome{status: http.StatusOK, resp: resp}, false, nil
 		}
-		if v.batchable() && !s.cfg.DisableBatch {
-			return s.batchJoin(v, clientCtx)
-		}
-		if !v.clustered() && !s.cfg.DisableCoalesce {
-			return s.coalesce(v, clientCtx)
-		}
 	}
 	if v.clustered() {
-		// Cluster requests hedge instead of coalescing: the win they need
-		// is tail-latency insurance against a slow or failing machine, and
-		// attaching waiters to one flight would put every rider behind the
-		// same slow primary. Repeats are still absorbed by the result
-		// cache above.
+		// Cluster requests hedge instead of sharing a run: the win they
+		// need is tail-latency insurance against a slow or failing machine,
+		// and attaching waiters to one run would put every rider behind the
+		// same slow primary. Repeats are still absorbed by the result cache
+		// above.
 		return s.hedged(v, clientCtx)
 	}
-	t, shed, err := s.submit(v, clientCtx)
+	r, slot, shed, err := s.join(v, clientCtx)
 	if err != nil {
 		return outcome{}, shed, err
 	}
-	return <-t.done, false, nil
+	return s.wait(r, slot, v, clientCtx), false, nil
 }
 
 // handleInvalidate is the dataset-refresh hook: POST /invalidatez?graph=X

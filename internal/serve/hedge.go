@@ -78,25 +78,28 @@ func (h *hedgeTracker) delay() time.Duration {
 // surviving leg still gets its chance before the failure is reported.
 func (s *Server) hedged(v *resolved, clientCtx context.Context) (outcome, bool, error) {
 	start := time.Now()
-	prim, shed, err := s.submit(v, clientCtx)
+	prim, shed, err := s.submit(v, "", clientCtx)
 	if err != nil {
 		return outcome{}, shed, err
+	}
+	// primary answers from the primary leg alone.
+	primary := func() (outcome, bool, error) {
+		<-prim.done
+		s.hedges.observe(time.Since(start))
+		return prim.outs[0], false, nil
 	}
 	delay := s.cfg.HedgeDelay
 	if delay == 0 {
 		delay = s.hedges.delay()
 	}
 	if delay < 0 { // hedging disabled
-		out := <-prim.done
-		s.hedges.observe(time.Since(start))
-		return out, false, nil
+		return primary()
 	}
 	timer := time.NewTimer(delay)
 	defer timer.Stop()
 	select {
-	case out := <-prim.done:
-		s.hedges.observe(time.Since(start))
-		return out, false, nil
+	case <-prim.done:
+		return primary()
 	case <-timer.C:
 	}
 	// The primary is past the latency quantile: race the hedge leg. A
@@ -104,28 +107,27 @@ func (s *Server) hedged(v *resolved, clientCtx context.Context) (outcome, bool, 
 	// still running and will answer alone.
 	hv := *v
 	hv.hedge = true
-	hedge, _, err := s.submit(&hv, clientCtx)
+	hedge, _, err := s.submit(&hv, "", clientCtx)
 	if err != nil {
-		out := <-prim.done
-		s.hedges.observe(time.Since(start))
-		return out, false, nil
+		return primary()
 	}
 	s.counters.Hedged.Add(1)
-	var out outcome
-	var winner, loser *task
+	winner, loser := prim, hedge
 	select {
-	case out = <-prim.done:
-		winner, loser = prim, hedge
-	case out = <-hedge.done:
+	case <-prim.done:
+	case <-hedge.done:
 		winner, loser = hedge, prim
 	}
+	out := winner.outs[0]
 	if out.status != 200 {
-		if lout := <-loser.done; lout.status == 200 {
+		<-loser.done
+		if lout := loser.outs[0]; lout.status == 200 {
 			winner, loser, out = loser, winner, lout
 		}
 	}
-	// The loser resolves through its own done channel (buffered) as
-	// completed or cancelled; nothing waits on it, nothing leaks.
+	// Both legs are private runs, each resolved when it published: the
+	// loser is cancelled and answers nobody, so nothing waits on it and
+	// nothing leaks.
 	loser.cancel()
 	if winner == prim {
 		s.hedges.observe(time.Since(start))

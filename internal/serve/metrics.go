@@ -1,6 +1,6 @@
 // Service counters: every request is accounted exactly once at intake —
 // admitted (own queue slot), coalesced (attached to an in-flight
-// identical run), batched (joined a multi-source group), result-hit
+// identical run), batched (joined a traversal run), result-hit
 // (answered from the versioned result cache) or shed — and every
 // non-shed request resolves to exactly one of completed / degraded /
 // broken / failed / expired / cancelled. Retried and evicted count
@@ -21,8 +21,9 @@ type Counters struct {
 	// admission because the queue was full.
 	Admitted atomic.Int64
 	Shed     atomic.Int64
-	// Coalesced requests attached to an identical in-flight run instead
-	// of taking a queue slot; Batched joined an open multi-source group;
+	// Coalesced requests attached to an identical admitted run instead
+	// of taking a queue slot; Batched joined a traversal run, adding their
+	// source to its sweep unless it already had it;
 	// ResultHits were answered from the versioned result cache without
 	// touching the queue at all.
 	Coalesced  atomic.Int64

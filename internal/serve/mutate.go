@@ -3,8 +3,8 @@
 // admission control as analytics requests (queue slot, budget, load
 // shedding). The fsync inside Commit is the durability point; after it,
 // the handler bumps the dataset's result-cache generation, so the commit
-// itself — not a manual POST /invalidatez — retires every cached result,
-// in-flight coalesced run and open batch group that predates it.
+// itself — not a manual POST /invalidatez — retires every cached result
+// and shared run that predates it.
 // Requests already executing keep serving their pinned pre-commit
 // snapshot (snapshot isolation); their results land under the old
 // generation and are never served again.
@@ -163,7 +163,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
 		return
 	}
-	out := <-t.done
+	out := s.wait(t.run, 0, nil, nil)
 	writeJSON(w, out.status, out.resp)
 }
 
@@ -171,21 +171,14 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 // a queue slot exactly like an analytics request, so ingestion cannot
 // starve reads (or vice versa) beyond the queue's fairness.
 func (s *Server) submitMutation(m *mutation, clientCtx context.Context) (*task, bool, error) {
-	budget := m.budget
-	if budget == 0 {
-		budget = s.cfg.DefaultBudget
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, budget)
-	if clientCtx != nil {
-		context.AfterFunc(clientCtx, cancel)
-	}
+	ctx, cancel := s.budgetCtx(m.budget, clientCtx)
 	t := &task{
 		id:       s.ids.Add(1),
 		mut:      m,
 		ctx:      ctx,
 		cancel:   cancel,
-		done:     make(chan outcome, 1),
 		admitted: obs.NowMicros(),
+		run:      newRun("", nil, cancel),
 	}
 	if shed, err := s.enqueue(t); err != nil {
 		cancel()
@@ -196,8 +189,8 @@ func (s *Server) submitMutation(m *mutation, clientCtx context.Context) (*task, 
 
 // executeMutate commits one admitted mutation batch. On success the
 // dataset's generation is bumped before the response is sent, so by the
-// time a client sees the ack, every pre-commit cached result, in-flight
-// coalesced run and open batch group is unreachable.
+// time a client sees the ack, every pre-commit cached result and shared
+// run is unreachable.
 func (s *Server) executeMutate(t *task) {
 	start := time.Now()
 	startMicros := obs.NowMicros()
@@ -227,8 +220,7 @@ func (s *Server) executeMutate(t *task) {
 			slog.Float64("wall_ms", out.WallMs),
 			slog.String("error", out.Error),
 		)
-		s.recordKind(kind)
-		t.done <- outcome{status: status, resp: out}
+		s.publish(t.run, []outcome{{kind: kind, status: status, resp: out}}, 0)
 	}
 
 	// Expired or abandoned while queued: nothing was committed.

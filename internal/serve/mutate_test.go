@@ -307,7 +307,7 @@ func TestConcurrentReadsShareSnapshotLayouts(t *testing.T) {
 	read := func(concurrent bool) []Response {
 		store := openStore(t, t.TempDir(), mutate.Options{})
 		defer store.Close()
-		srv := NewServer(Config{Workers: 4, QueueDepth: 16, Mutations: store, DisableBatch: true})
+		srv := NewServer(Config{Workers: 4, QueueDepth: 16, Mutations: store, DisableSharing: true})
 		defer shutdown(t, srv)
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
@@ -358,38 +358,26 @@ func TestConcurrentReadsShareSnapshotLayouts(t *testing.T) {
 }
 
 // TestCommitSplitsInFlightCoalescedRead: a mutation commit racing an
-// in-flight coalesced read must not let the reader's result land under
-// the new generation, and post-commit readers must not attach to the
-// pre-commit flight.
+// in-flight shared read must not let the reader's result land under the
+// new generation, and post-commit readers must not attach to the
+// pre-commit run.
 func TestCommitSplitsInFlightCoalescedRead(t *testing.T) {
 	store := openStore(t, t.TempDir(), mutate.Options{})
 	defer store.Close()
 	srv := NewServer(Config{noWorkers: true, Mutations: store})
 	const body = `{"algo":"pr","system":"polymer","graph":"powerlaw"}`
 
-	// A reader samples generation 0 and opens a flight; its leader task
+	// A reader samples generation 0 and opens a shared run; its task
 	// sits in the queue — the read is in flight when the commit lands.
 	stale := mustResolve(t, body)
 	stale.ver = srv.results.version(string(stale.data))
 	staleOut := make(chan outcome, 1)
 	go func() {
-		out, _, _ := srv.coalesce(stale, context.Background())
+		out, _ := share(srv, stale, context.Background())
 		staleOut <- out
 	}()
-	var readTask *task
-	waitFor(t, "stale leader task", func() bool {
-		select {
-		case readTask = <-srv.queue:
-			return true
-		default:
-			return false
-		}
-	})
-	waitFor(t, "stale flight published", func() bool {
-		srv.flights.mu.Lock()
-		defer srv.flights.mu.Unlock()
-		return len(srv.flights.flights) == 1
-	})
+	readTask := dequeue(t, srv)
+	waitFor(t, "stale run published", func() bool { return openRuns(srv) == 1 })
 
 	// The mutation takes the full commit path: admission, WAL append,
 	// publish, generation bump.
@@ -406,13 +394,13 @@ func TestCommitSplitsInFlightCoalescedRead(t *testing.T) {
 	}
 	<-srv.queue
 	srv.executeMutate(mt)
-	mout := <-mt.done
+	mout := srv.wait(mt.run, 0, nil, nil)
 	if mout.status != 200 || mout.resp.Seq != 1 || mout.resp.Generation != 1 {
 		t.Fatalf("commit outcome %d %+v", mout.status, mout.resp)
 	}
 
 	// A post-commit reader samples the new generation and must open its
-	// own flight rather than ride the stale one.
+	// own run rather than ride the stale one.
 	fresh := mustResolve(t, body)
 	fresh.ver = srv.results.version(string(fresh.data))
 	if fresh.ver != 1 {
@@ -420,16 +408,12 @@ func TestCommitSplitsInFlightCoalescedRead(t *testing.T) {
 	}
 	freshOut := make(chan outcome, 1)
 	go func() {
-		out, _, _ := srv.coalesce(fresh, context.Background())
+		out, _ := share(srv, fresh, context.Background())
 		freshOut <- out
 	}()
-	waitFor(t, "fresh flight published", func() bool {
-		srv.flights.mu.Lock()
-		defer srv.flights.mu.Unlock()
-		return len(srv.flights.flights) == 2
-	})
+	waitFor(t, "fresh run published", func() bool { return openRuns(srv) == 2 })
 	if got := srv.Counters().Coalesced.Load(); got != 0 {
-		t.Fatalf("post-commit reader coalesced onto the pre-commit flight (coalesced=%d)", got)
+		t.Fatalf("post-commit reader coalesced onto the pre-commit run (coalesced=%d)", got)
 	}
 
 	// Let the stale read finish now, after the commit. Whatever it
@@ -442,7 +426,7 @@ func TestCommitSplitsInFlightCoalescedRead(t *testing.T) {
 		t.Fatal("stale in-flight read published its result under the post-commit generation")
 	}
 
-	// Drain the fresh leader so nothing leaks, then assert zero pins.
+	// Drain the fresh run so nothing leaks, then assert zero pins.
 	freshTask := <-srv.queue
 	srv.execute(freshTask)
 	<-freshOut

@@ -66,6 +66,18 @@ func (v *resolved) planInfo() *PlanInfo {
 	}
 }
 
+// planWith is planInfo stamped with the run's co-tenancy: a run that
+// shared its sockets with tenants-1 others reports them and is charged
+// sim x tenants. nil, like planInfo, for an unplanned request.
+func (v *resolved) planWith(tenants int, sim float64) *PlanInfo {
+	pi := v.planInfo()
+	if pi != nil && tenants > 1 {
+		pi.SharedTenants = tenants
+		pi.ChargedSimSeconds = sim * float64(tenants)
+	}
+	return pi
+}
+
 // plannerKey identifies one planner instance: the serving layer keeps
 // one per (topology, cores-per-socket) shape, so its scheduler's socket
 // accounting matches the machines requests actually build.

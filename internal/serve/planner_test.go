@@ -24,7 +24,7 @@ func autoBody(extra string) string {
 func TestPlannedRunBitIdenticalToExplicit(t *testing.T) {
 	// Reuse machinery off: both requests must actually execute.
 	srv := NewServer(Config{Workers: 2, QueueDepth: 8,
-		ResultCacheBytes: -1, DisableCoalesce: true, DisableBatch: true})
+		ResultCacheBytes: -1, DisableSharing: true})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())
@@ -154,46 +154,53 @@ func TestPlanForZeroAllocOnProfileHit(t *testing.T) {
 // When the scheduler must co-locate tenants, the response says so and
 // charges honestly; the shared run must not poison the result cache.
 func TestSharedLeaseChargedAndUncached(t *testing.T) {
-	srv := NewServer(Config{Workers: 2, QueueDepth: 8})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Shutdown(context.Background())
+	for _, tc := range []struct{ name, body string }{
+		{"pr", strings.Replace(autoBody(""), `"sockets":2`, `"sockets":8`, 1)},
+		// A planned point query rides a traversal run: it must report and
+		// charge the co-tenancy exactly as a planned PR does.
+		{"bfs", `{"algo":"bfs","src":3,"graph":"powerlaw","scale":"tiny","sockets":8,"cores":2}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer(Config{Workers: 2, QueueDepth: 8})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			defer srv.Shutdown(context.Background())
 
-	full := autoBody("")
-	v, err := DecodeRequest(strings.NewReader(strings.Replace(full, `"sockets":2`, `"sockets":8`, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Occupy every socket so the planned run below has to share.
-	squatter := srv.plannerFor(v).Scheduler().Acquire(8)
+			v, err := DecodeRequest(strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Occupy every socket so the planned run below has to share.
+			squatter := srv.plannerFor(v).Scheduler().Acquire(8)
 
-	st, shared, _ := postRun(t, ts.URL,
-		strings.Replace(full, `"sockets":2`, `"sockets":8`, 1))
-	if st != 200 {
-		t.Fatalf("shared run status %d (%s)", st, shared.Error)
-	}
-	if shared.Plan == nil || shared.Plan.SharedTenants < 2 {
-		t.Fatalf("co-located run does not report sharing: %+v", shared.Plan)
-	}
-	want := shared.SimSeconds * float64(shared.Plan.SharedTenants)
-	if shared.Plan.ChargedSimSeconds != want {
-		t.Fatalf("charged %v, want sim x tenants = %v", shared.Plan.ChargedSimSeconds, want)
-	}
-	squatter.Release()
+			st, shared, _ := postRun(t, ts.URL, tc.body)
+			if st != 200 {
+				t.Fatalf("shared run status %d (%s)", st, shared.Error)
+			}
+			if shared.Plan == nil || shared.Plan.SharedTenants < 2 {
+				t.Fatalf("co-located run does not report sharing: %+v", shared.Plan)
+			}
+			want := shared.SimSeconds * float64(shared.Plan.SharedTenants)
+			if shared.Plan.ChargedSimSeconds != want {
+				t.Fatalf("charged %v, want sim x tenants = %v", shared.Plan.ChargedSimSeconds, want)
+			}
+			squatter.Release()
 
-	// The shared run must not have fed the cache: the rerun executes on
-	// the now-idle machine and is the one that gets cached.
-	st, clean, _ := postRun(t, ts.URL, strings.Replace(full, `"sockets":2`, `"sockets":8`, 1))
-	if st != 200 {
-		t.Fatalf("clean rerun status %d (%s)", st, clean.Error)
-	}
-	if clean.Cached {
-		t.Fatal("rerun was served from a cache entry the shared run should not have written")
-	}
-	if clean.Plan == nil || clean.Plan.SharedTenants != 0 {
-		t.Fatalf("isolated rerun reports sharing: %+v", clean.Plan)
-	}
-	if clean.Checksum != shared.Checksum {
-		t.Fatalf("sharing changed the payload: %v vs %v", shared.Checksum, clean.Checksum)
+			// The shared run must not have fed the cache: the rerun executes
+			// on the now-idle machine and is the one that gets cached.
+			st, clean, _ := postRun(t, ts.URL, tc.body)
+			if st != 200 {
+				t.Fatalf("clean rerun status %d (%s)", st, clean.Error)
+			}
+			if clean.Cached {
+				t.Fatal("rerun was served from a cache entry the shared run should not have written")
+			}
+			if clean.Plan == nil || clean.Plan.SharedTenants != 0 {
+				t.Fatalf("isolated rerun reports sharing: %+v", clean.Plan)
+			}
+			if clean.Checksum != shared.Checksum {
+				t.Fatalf("sharing changed the payload: %v vs %v", shared.Checksum, clean.Checksum)
+			}
+		})
 	}
 }

@@ -395,8 +395,8 @@ func (v *resolved) effPlacement() mem.Placement {
 // the key; fault-carrying requests are never keyed (see reusable).
 func (v *resolved) key() string { return v.keyFor(v.src) }
 
-// keyFor is key with an explicit source: the batcher caches each
-// demultiplexed per-source result under the key the equivalent
+// keyFor is key with an explicit source: execute caches each source's
+// result of a multi-source run under the key the equivalent
 // single-source request would look up.
 func (v *resolved) keyFor(src graph.Vertex) string {
 	k := fmt.Sprintf("%s|%s|%s|%d|%s|%s|%dx%d|%d",

@@ -1,8 +1,9 @@
 // Tests for the execution-reuse layer: canonical keys, the versioned
-// result cache, flight coalescing (follower detach, leader failure) and
-// multi-source batching (per-source demux, mixed outcomes). The
-// noWorkers server lets these tests hold a task in the queue while
-// followers attach, then drive the execution by hand.
+// result cache, and shared runs — coalescing onto slot 0 (joiner detach,
+// opener failure) and traversal runs that sweep several sources
+// (per-source demux, mixed outcomes). The noWorkers server lets these
+// tests hold a task in the queue while joiners attach, then drive the
+// execution by hand.
 
 package serve
 
@@ -208,10 +209,42 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestCoalesceShareAndDetach drives a full flight by hand: a leader
-// enqueues, two followers attach, one follower cancels (detaching
-// without killing the shared run), and the executed task answers the
-// leader and the surviving follower with identical payloads.
+// share answers v as answer does past the result cache: join (or open)
+// its run, then wait on its slot.
+func share(srv *Server, v *resolved, ctx context.Context) (outcome, error) {
+	r, slot, _, err := srv.join(v, ctx)
+	if err != nil {
+		return outcome{}, err
+	}
+	return srv.wait(r, slot, v, ctx), nil
+}
+
+// openRuns counts the shared runs a request can still join.
+func openRuns(srv *Server) int {
+	srv.runMu.Lock()
+	defer srv.runMu.Unlock()
+	return len(srv.runs)
+}
+
+// dequeue takes the next admitted task off a noWorkers server's queue.
+func dequeue(t *testing.T, srv *Server) *task {
+	t.Helper()
+	var tk *task
+	waitFor(t, "queued task", func() bool {
+		select {
+		case tk = <-srv.queue:
+			return true
+		default:
+			return false
+		}
+	})
+	return tk
+}
+
+// TestCoalesceShareAndDetach drives a shared run by hand: an opener
+// enqueues, two joiners attach, one joiner cancels (detaching without
+// killing the shared run), and the executed task answers the opener and
+// the surviving joiner with identical payloads.
 func TestCoalesceShareAndDetach(t *testing.T) {
 	srv := NewServer(Config{noWorkers: true})
 	const body = `{"algo":"pr","system":"polymer","graph":"powerlaw"}`
@@ -219,31 +252,19 @@ func TestCoalesceShareAndDetach(t *testing.T) {
 	type res struct{ out outcome }
 	leaderC := make(chan res, 1)
 	go func() {
-		out, _, err := srv.coalesce(mustResolve(t, body), context.Background())
+		out, err := share(srv, mustResolve(t, body), context.Background())
 		if err != nil {
 			t.Errorf("leader: %v", err)
 		}
 		leaderC <- res{out}
 	}()
-	// The leader's task is in the queue and its flight is published.
-	var task *task
-	waitFor(t, "leader task", func() bool {
-		select {
-		case task = <-srv.queue:
-			return true
-		default:
-			return false
-		}
-	})
-	waitFor(t, "flight published", func() bool {
-		srv.flights.mu.Lock()
-		defer srv.flights.mu.Unlock()
-		return len(srv.flights.flights) == 1
-	})
+	// The opener's task is in the queue and its run is published.
+	task := dequeue(t, srv)
+	waitFor(t, "run published", func() bool { return openRuns(srv) == 1 })
 
 	followerC := make(chan res, 1)
 	go func() {
-		out, _, err := srv.coalesce(mustResolve(t, body), context.Background())
+		out, err := share(srv, mustResolve(t, body), context.Background())
 		if err != nil {
 			t.Errorf("follower: %v", err)
 		}
@@ -252,7 +273,7 @@ func TestCoalesceShareAndDetach(t *testing.T) {
 	cancelCtx, cancel := context.WithCancel(context.Background())
 	doomedC := make(chan res, 1)
 	go func() {
-		out, _, err := srv.coalesce(mustResolve(t, body), cancelCtx)
+		out, err := share(srv, mustResolve(t, body), cancelCtx)
 		if err != nil {
 			t.Errorf("doomed follower: %v", err)
 		}
@@ -262,7 +283,7 @@ func TestCoalesceShareAndDetach(t *testing.T) {
 		return srv.Counters().Coalesced.Load() == 2
 	})
 
-	// A follower cancel detaches without disturbing the flight.
+	// A joiner's cancel detaches without disturbing the run.
 	cancel()
 	doomed := <-doomedC
 	if doomed.out.status != http.StatusServiceUnavailable {
@@ -271,11 +292,8 @@ func TestCoalesceShareAndDetach(t *testing.T) {
 	if !doomed.out.resp.Coalesced {
 		t.Fatal("cancelled follower lost its provenance flag")
 	}
-	srv.flights.mu.Lock()
-	live := len(srv.flights.flights)
-	srv.flights.mu.Unlock()
-	if live != 1 {
-		t.Fatalf("flight count %d after follower detach, want 1", live)
+	if live := openRuns(srv); live != 1 {
+		t.Fatalf("run count %d after follower detach, want 1", live)
 	}
 	if err := task.ctx.Err(); err != nil {
 		t.Fatalf("follower detach cancelled the shared run: %v", err)
@@ -300,65 +318,74 @@ func TestCoalesceShareAndDetach(t *testing.T) {
 	if snap.Admitted != 1 || snap.Coalesced != 2 || snap.Completed != 2 || snap.Cancelled != 1 {
 		t.Fatalf("accounting %+v, want admitted=1 coalesced=2 completed=2 cancelled=1", snap)
 	}
-	// The flight is retired: nothing left to attach to.
-	srv.flights.mu.Lock()
-	live = len(srv.flights.flights)
-	srv.flights.mu.Unlock()
-	if live != 0 {
-		t.Fatalf("%d flights survive completion", live)
+	// The run is retired: nothing left to attach to.
+	if live := openRuns(srv); live != 0 {
+		t.Fatalf("%d runs survive completion", live)
 	}
 }
 
 // TestCoalesceLeaderFailurePropagates: a failing shared run answers every
-// attached waiter with the same error — no follower hangs.
+// attached waiter with the same error — no joiner hangs — whether the
+// joiner coalesced onto slot 0 or joined a traversal run on its source.
 func TestCoalesceLeaderFailurePropagates(t *testing.T) {
-	srv := NewServer(Config{noWorkers: true})
-	// An out-of-range source fails in execute after graph load; coalesce
-	// is reached directly so the batcher doesn't reroute the traversal.
-	const body = `{"algo":"bfs","system":"ligra","graph":"powerlaw","src":4294967295}`
-	outs := make(chan outcome, 2)
-	go func() {
-		out, _, _ := srv.coalesce(mustResolve(t, body), context.Background())
-		outs <- out
-	}()
-	var task *task
-	waitFor(t, "leader task", func() bool {
-		select {
-		case task = <-srv.queue:
-			return true
-		default:
-			return false
-		}
-	})
-	waitFor(t, "flight published", func() bool {
-		srv.flights.mu.Lock()
-		defer srv.flights.mu.Unlock()
-		return len(srv.flights.flights) == 1
-	})
-	go func() {
-		out, _, _ := srv.coalesce(mustResolve(t, body), context.Background())
-		outs <- out
-	}()
-	waitFor(t, "follower attached", func() bool {
-		return srv.Counters().Coalesced.Load() == 1
-	})
-	srv.execute(task)
-	for i := 0; i < 2; i++ {
-		out := <-outs
-		if out.status != http.StatusBadRequest {
-			t.Fatalf("waiter %d: status %d, want 400", i, out.status)
-		}
-		if !strings.Contains(out.resp.Error, "outside") {
-			t.Fatalf("waiter %d: error %q", i, out.resp.Error)
-		}
-	}
-	if got := srv.Counters().Failed.Load(); got != 2 {
-		t.Fatalf("Failed = %d, want 2 (one per waiter)", got)
+	for _, tc := range []struct {
+		name, body string
+		trip       bool // open the engine's circuit first
+		status     int
+		errPart    string
+		joined     func(CounterSnapshot) int64
+		resolved   func(CounterSnapshot) int64
+	}{
+		// An open circuit with no degraded route (one socket) refuses the
+		// whole run.
+		{"coalesced", `{"algo":"pr","system":"polymer","graph":"powerlaw","sockets":1}`, true,
+			http.StatusServiceUnavailable, "circuit open",
+			func(c CounterSnapshot) int64 { return c.Coalesced },
+			func(c CounterSnapshot) int64 { return c.Broken }},
+		// An out-of-range source fails in execute after graph load.
+		{"batched", `{"algo":"bfs","system":"ligra","graph":"powerlaw","src":4294967295}`, false,
+			http.StatusBadRequest, "outside",
+			func(c CounterSnapshot) int64 { return c.Batched },
+			func(c CounterSnapshot) int64 { return c.Failed }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer(Config{noWorkers: true, BreakerThreshold: 1})
+			if tc.trip {
+				srv.Breaker(mustResolve(t, tc.body).sys).Failure()
+			}
+			outs := make(chan outcome, 2)
+			go func() {
+				out, _ := share(srv, mustResolve(t, tc.body), context.Background())
+				outs <- out
+			}()
+			task := dequeue(t, srv)
+			waitFor(t, "run published", func() bool { return openRuns(srv) == 1 })
+			go func() {
+				out, _ := share(srv, mustResolve(t, tc.body), context.Background())
+				outs <- out
+			}()
+			waitFor(t, "follower attached", func() bool {
+				return tc.joined(srv.Counters().Snapshot()) == 1
+			})
+			srv.execute(task)
+			for i := 0; i < 2; i++ {
+				out := <-outs
+				if out.status != tc.status {
+					t.Fatalf("waiter %d: status %d, want %d", i, out.status, tc.status)
+				}
+				if !strings.Contains(out.resp.Error, tc.errPart) {
+					t.Fatalf("waiter %d: error %q", i, out.resp.Error)
+				}
+			}
+			if got := tc.resolved(srv.Counters().Snapshot()); got != 2 {
+				t.Fatalf("resolutions = %d, want 2 (one per waiter)", got)
+			}
+		})
 	}
 }
 
-// TestBatchDemux drives a multi-source group by hand: three distinct
-// sources (one invalid) plus a duplicate join one group, the sweep runs
+// TestBatchDemux drives a multi-source run by hand: three distinct
+// sources (one invalid) plus a duplicate join one run, the sweep runs
 // once, and each member gets its own source's result.
 func TestBatchDemux(t *testing.T) {
 	srv := NewServer(Config{noWorkers: true})
@@ -372,7 +399,7 @@ func TestBatchDemux(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, _, err := srv.batchJoin(mustResolve(t, mkBody(src)), context.Background())
+			out, err := share(srv, mustResolve(t, mkBody(src)), context.Background())
 			if err != nil {
 				t.Errorf("%s: %v", name, err)
 				return
@@ -382,30 +409,25 @@ func TestBatchDemux(t *testing.T) {
 			mu.Unlock()
 		}()
 	}
-	join("a", "3")
-	var task *task
-	waitFor(t, "group task", func() bool {
-		select {
-		case task = <-srv.queue:
-			return true
-		default:
-			return false
+	// batch runs the members in srcs (name -> source) as one run opened
+	// by the first, and returns after every member has its answer.
+	batch := func(members ...[2]string) {
+		join(members[0][0], members[0][1])
+		task := dequeue(t, srv)
+		waitFor(t, "run open", func() bool { return openRuns(srv) == 1 })
+		before := srv.Counters().Batched.Load()
+		for _, m := range members[1:] {
+			join(m[0], m[1])
 		}
-	})
-	waitFor(t, "group open", func() bool {
-		srv.batches.mu.Lock()
-		defer srv.batches.mu.Unlock()
-		return len(srv.batches.open) == 1
-	})
-	join("b", "5")
-	join("dup", "3")          // duplicate source: shares a's slot
-	join("bad", "4294967295") // invalid source: fails alone
-	waitFor(t, "members joined", func() bool {
-		return srv.Counters().Batched.Load() == 3
-	})
-
-	srv.executeMulti(task)
-	wg.Wait()
+		waitFor(t, "members joined", func() bool {
+			return srv.Counters().Batched.Load() == before+int64(len(members)-1)
+		})
+		srv.execute(task)
+		wg.Wait()
+	}
+	batch([2]string{"a", "3"}, [2]string{"b", "5"},
+		[2]string{"dup", "3"},          // duplicate source: shares a's slot
+		[2]string{"bad", "4294967295"}) // invalid source: fails alone
 
 	for _, name := range []string{"a", "b", "dup"} {
 		if outs[name].status != 200 {
@@ -426,16 +448,31 @@ func TestBatchDemux(t *testing.T) {
 	}
 
 	// The demultiplexed result must equal an independent single-source
-	// run: execute src 3 directly and compare bit-for-bit.
-	td, _, err := srv.submit(mustResolve(t, mkBody("3")), context.Background())
+	// run: execute src 3 through a private run and compare bit-for-bit.
+	v := mustResolve(t, mkBody("3"))
+	r, _, err := srv.submit(v, "", context.Background())
 	if err != nil {
-		t.Fatalf("direct submit: %v", err)
+		t.Fatalf("private submit: %v", err)
 	}
-	<-srv.queue
-	srv.execute(td)
-	direct := <-td.done
+	srv.execute(<-srv.queue)
+	direct := srv.wait(r, 0, v, nil)
 	if direct.resp.Checksum != outs["a"].resp.Checksum {
 		t.Fatalf("batched checksum %v != direct %v", outs["a"].resp.Checksum, direct.resp.Checksum)
+	}
+	// A run of one live source is the private run, bit for bit: shared by
+	// nobody, and shared by a duplicate and an invalid source.
+	batch([2]string{"shared1", "3"})
+	batch([2]string{"batch1", "3"}, [2]string{"batch1dup", "3"}, [2]string{"batch1bad", "4294967295"})
+	for _, name := range []string{"shared1", "batch1", "batch1dup"} {
+		got := outs[name].resp
+		if outs[name].status != 200 || got.BatchSize != 0 ||
+			math.Float64bits(got.Checksum) != math.Float64bits(direct.resp.Checksum) ||
+			math.Float64bits(got.SimSeconds) != math.Float64bits(direct.resp.SimSeconds) ||
+			got.PeakBytes != direct.resp.PeakBytes {
+			t.Fatalf("%s: status %d batch %d checksum %x sim %x peak %d, private run %x %x %d", name,
+				outs[name].status, got.BatchSize, got.Checksum, got.SimSeconds, got.PeakBytes,
+				direct.resp.Checksum, direct.resp.SimSeconds, direct.resp.PeakBytes)
+		}
 	}
 
 	snap := srv.Counters().Snapshot()
@@ -453,73 +490,41 @@ func TestBatchDemux(t *testing.T) {
 }
 
 // TestInvalidationSplitsInFlightReuse: a request that samples its
-// generation after an invalidation must not attach to a flight or batch
-// group opened before it — the old run computes against the stale
-// pinned snapshot and its result may not be served past the bump.
+// generation after an invalidation must not attach to a run opened
+// before it — shared slot 0 or a traversal run alike — because the old
+// run computes against the stale pinned snapshot and its result may not
+// be served past the bump.
 func TestInvalidationSplitsInFlightReuse(t *testing.T) {
 	srv := NewServer(Config{noWorkers: true})
 	const body = `{"algo":"pr","system":"polymer","graph":"powerlaw"}`
-	go func() {
-		out, _, _ := srv.coalesce(mustResolve(t, body), context.Background())
-		_ = out
-	}()
-	waitFor(t, "stale flight published", func() bool {
-		srv.flights.mu.Lock()
-		defer srv.flights.mu.Unlock()
-		return len(srv.flights.flights) == 1
-	})
+	go func() { _, _ = share(srv, mustResolve(t, body), context.Background()) }()
+	waitFor(t, "stale run published", func() bool { return openRuns(srv) == 1 })
 	srv.InvalidateGraph("powerlaw")
 	// A post-invalidation request samples the new generation (as answer()
-	// does) and must open its own flight, not ride the stale one.
+	// does) and must open its own run, not ride the stale one.
 	fresh := mustResolve(t, body)
 	fresh.ver = srv.results.version(string(fresh.data))
-	go func() {
-		out, _, _ := srv.coalesce(fresh, context.Background())
-		_ = out
-	}()
-	waitFor(t, "fresh flight published", func() bool {
-		srv.flights.mu.Lock()
-		defer srv.flights.mu.Unlock()
-		return len(srv.flights.flights) == 2
-	})
+	go func() { _, _ = share(srv, fresh, context.Background()) }()
+	waitFor(t, "fresh run published", func() bool { return openRuns(srv) == 2 })
 	if got := srv.Counters().Coalesced.Load(); got != 0 {
-		t.Fatalf("post-invalidation request coalesced onto a stale flight (coalesced=%d)", got)
+		t.Fatalf("post-invalidation request coalesced onto a stale run (coalesced=%d)", got)
 	}
 
-	// Same property for batch groups.
+	// Same property for traversal runs.
 	const tBody = `{"algo":"bfs","system":"ligra","graph":"rmat24","src":1}`
-	go func() {
-		out, _, _ := srv.batchJoin(mustResolve(t, tBody), context.Background())
-		_ = out
-	}()
-	waitFor(t, "stale group open", func() bool {
-		srv.batches.mu.Lock()
-		defer srv.batches.mu.Unlock()
-		return len(srv.batches.open) == 1
-	})
+	go func() { _, _ = share(srv, mustResolve(t, tBody), context.Background()) }()
+	waitFor(t, "stale traversal run open", func() bool { return openRuns(srv) == 3 })
 	srv.InvalidateGraph("rmat24")
 	freshT := mustResolve(t, tBody)
 	freshT.ver = srv.results.version(string(freshT.data))
-	go func() {
-		out, _, _ := srv.batchJoin(freshT, context.Background())
-		_ = out
-	}()
-	waitFor(t, "fresh group open", func() bool {
-		srv.batches.mu.Lock()
-		defer srv.batches.mu.Unlock()
-		return len(srv.batches.open) == 2
-	})
+	go func() { _, _ = share(srv, freshT, context.Background()) }()
+	waitFor(t, "fresh traversal run open", func() bool { return openRuns(srv) == 4 })
 	if got := srv.Counters().Batched.Load(); got != 0 {
-		t.Fatalf("post-invalidation request joined a stale batch group (batched=%d)", got)
+		t.Fatalf("post-invalidation request joined a stale traversal run (batched=%d)", got)
 	}
 	// Drain: execute the four queued tasks so no goroutine leaks.
 	for i := 0; i < 4; i++ {
-		tk := <-srv.queue
-		if tk.grp != nil {
-			srv.executeMulti(tk)
-		} else {
-			srv.execute(tk)
-		}
+		srv.execute(<-srv.queue)
 	}
 }
 
@@ -533,14 +538,13 @@ func TestNonTraversalSrcNormalized(t *testing.T) {
 	if v.src != 0 {
 		t.Fatalf("pr src not normalized: %d", v.src)
 	}
-	td, _, err := srv.submit(v, context.Background())
+	r, _, err := srv.submit(v, "", context.Background())
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	<-srv.queue
-	srv.execute(td)
-	if out := <-td.done; out.status != 200 {
-		t.Fatalf("direct pr with absurd src: status %d (%s), want 200", out.status, out.resp.Error)
+	srv.execute(<-srv.queue)
+	if out := srv.wait(r, 0, v, nil); out.status != 200 {
+		t.Fatalf("private pr with absurd src: status %d (%s), want 200", out.status, out.resp.Error)
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"polymer/internal/algorithms"
 	"polymer/internal/bench"
 	"polymer/internal/cluster"
 	"polymer/internal/fault"
@@ -69,23 +68,10 @@ type Config struct {
 	// bytes of cached responses). 0 means the 64 MiB default; negative
 	// disables result caching entirely.
 	ResultCacheBytes int64
-	// DisableCoalesce turns off execution coalescing: every fault-free
-	// request runs its own execution even when an identical run is already
-	// in flight.
-	DisableCoalesce bool
-	// DisableBatch turns off multi-source batching: traversal point
-	// queries take the coalescing path (or the direct path) instead of
-	// fusing into shared sweeps.
-	DisableBatch bool
-	// BatchMax caps the distinct sources fused into one multi-source sweep
-	// (default 16, hard cap algorithms.MaxMultiSources). A group that
-	// reaches the cap seals early; later arrivals open a fresh group.
-	BatchMax int
-	// BatchLinger optionally holds a dequeued batch group open for
-	// stragglers before it seals. The default (0) seals at dequeue: the
-	// time a group's task spends queued is the natural batching window,
-	// so batching adds no latency when the server is idle.
-	BatchLinger time.Duration
+	// DisableSharing turns off run sharing: every request runs its own
+	// private execution even when an identical run, or a traversal run
+	// that could sweep its source too, is already admitted.
+	DisableSharing bool
 	// HedgeDelay tunes hedged cluster reads: how long the primary leg may
 	// run before a second leg is raced from standby replicas. 0 (the
 	// default) adapts to the p90 of recent primary latencies; a negative
@@ -154,12 +140,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ResultCacheBytes == 0 {
 		c.ResultCacheBytes = 64 << 20
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 16
-	}
-	if c.BatchMax > algorithms.MaxMultiSources {
-		c.BatchMax = algorithms.MaxMultiSources
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(discardHandler{})
@@ -234,13 +214,15 @@ type Response struct {
 	SlowRate  float64 `json:"slow_rate,omitempty"`
 	// Plan is planner provenance, present when the server chose the
 	// engine, placement or schedule for this request. Like Cached and
-	// Coalesced it is per-request: cache and flight hits re-stamp it from
-	// the asking request's own decision.
+	// Coalesced it is per-request: cache hits and joiners of a shared run
+	// re-stamp it from the asking request's own decision.
 	Plan *PlanInfo `json:"plan,omitempty"`
 }
 
-// outcome pairs a response with its HTTP status.
+// outcome is one request's answer: its response, HTTP status and the
+// resolution kind it is accounted as.
 type outcome struct {
+	kind   resKind
 	status int
 	resp   Response
 }
@@ -251,16 +233,11 @@ type task struct {
 	v      *resolved
 	ctx    context.Context
 	cancel context.CancelFunc
-	done   chan outcome // buffered; the worker never blocks on it
 	// admitted is the admission wall time (obs.NowMicros), so the request
 	// span can attribute queue wait separately from execution.
 	admitted float64
-	// fl, when non-nil, is the shared flight this task computes for:
-	// the outcome is published to every attached waiter instead of done.
-	fl *flight
-	// grp, when non-nil, is the multi-source batch group this task
-	// executes; the worker routes it through executeMulti.
-	grp *batchGroup
+	// run is where the task's outcome is published.
+	run *run
 	// mut, when non-nil, is the mutation batch this task commits; the
 	// worker routes it through executeMutate (and v is nil).
 	mut *mutation
@@ -288,9 +265,11 @@ type Server struct {
 
 	cache   *graphCache
 	results *resultCache
-	flights *coalescer
-	batches *batcher
 	mut     *mutate.Store
+
+	// runs indexes the open shared runs by verKey (see run.go).
+	runMu sync.Mutex
+	runs  map[string]*run
 
 	// planners holds one cost-model planner per machine shape; profiles
 	// caches feature vectors per dataset snapshot (see planner.go).
@@ -321,8 +300,7 @@ func NewServer(cfg Config) *Server {
 		cancel:   cancel,
 		breakers: make(map[bench.System]*Breaker),
 		results:  newResultCache(cfg.ResultCacheBytes),
-		flights:  newCoalescer(),
-		batches:  newBatcher(),
+		runs:     make(map[string]*run),
 		mut:      cfg.Mutations,
 		hedges:   newHedgeTracker(64),
 		planners: make(map[plannerKey]*plan.Planner),
@@ -354,45 +332,8 @@ func (s *Server) Counters() *Counters { return &s.counters }
 // Draining reports whether the server has stopped admitting.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// submit runs admission control for a direct (uncoalesced) request: it
-// either enqueues the request and returns its task, or reports why it
-// was refused (shed=true means the queue was full — a 429; draining
-// means a 503). The per-request deadline starts here, at admission, so
-// time spent queued consumes the budget.
-func (s *Server) submit(v *resolved, clientCtx context.Context) (t *task, shed bool, err error) {
-	budget := v.budget
-	if budget == 0 {
-		budget = s.cfg.DefaultBudget
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, budget)
-	if clientCtx != nil {
-		// A disconnected client cancels its task so the run stops
-		// charging the sim and frees the worker.
-		context.AfterFunc(clientCtx, cancel)
-	}
-	t = s.newTask(v, ctx, cancel)
-	if shed, err = s.enqueue(t); err != nil {
-		cancel()
-		return nil, shed, err
-	}
-	return t, false, nil
-}
-
-// newTask allocates a queue entry; admission time is stamped here.
-func (s *Server) newTask(v *resolved, ctx context.Context, cancel context.CancelFunc) *task {
-	return &task{
-		id:       s.ids.Add(1),
-		v:        v,
-		ctx:      ctx,
-		cancel:   cancel,
-		done:     make(chan outcome, 1),
-		admitted: obs.NowMicros(),
-	}
-}
-
-// enqueue places a task in the admission queue or sheds it. Flight and
-// batch leaders come here too: a shared run occupies exactly one queue
-// slot no matter how many requests ride it.
+// enqueue places a task in the admission queue or sheds it. A shared run
+// occupies exactly one queue slot no matter how many requests ride it.
 func (s *Server) enqueue(t *task) (shed bool, err error) {
 	// The read lock orders this admission against Shutdown's draining
 	// flip: a task enqueued here is visible to the drain loop's in-flight
@@ -433,12 +374,9 @@ func (s *Server) worker() {
 		case <-s.stop:
 			return
 		case t := <-s.queue:
-			switch {
-			case t.mut != nil:
+			if t.mut != nil {
 				s.executeMutate(t)
-			case t.grp != nil:
-				s.executeMulti(t)
-			default:
+			} else {
 				s.execute(t)
 			}
 			s.inflight.Add(-1)
@@ -452,9 +390,9 @@ func ctxErr(err error) bool {
 }
 
 // resKind is the single resolution class every non-shed request ends in.
-// Exactly one kind is recorded per request — by its own waiter for
-// coalesced/batched requests, by execute for direct ones — which is what
-// keeps the counter identity in metrics.go exact.
+// Exactly one kind is recorded per request — by its own waiter on a
+// shared run, at publish on a private one — which is what keeps the
+// counter identity in metrics.go exact.
 type resKind int
 
 const (
@@ -494,18 +432,23 @@ func classifyCtxErr(err error) (resKind, int) {
 	return kindCancelled, 503
 }
 
-// execute runs one admitted task to an outcome: full-fidelity result,
-// degraded result, breaker refusal, deadline expiry, cancellation, or
-// failure after retries.
+// execute runs one admitted run to its outcomes: seal, load the graph,
+// validate each source (a bad one fails its own slot with a 400), run the
+// live sources — one through the resilient path, k through one fused
+// multi-source sweep — and publish. Each slot resolves as a full-fidelity
+// result, degraded result, breaker refusal, deadline expiry,
+// cancellation, or failure after retries.
 func (s *Server) execute(t *task) {
 	start := time.Now()
 	startMicros := obs.NowMicros()
 	defer t.cancel()
-	v := t.v
+	r, v := t.run, t.v
 	tr := s.cfg.Tracer
 	// Queue wait is its own span: under overload it dominates the request
 	// lifecycle and must not be read as execution time.
 	tr.Span("serve", "queue", obs.PidServe, t.admitted, startMicros-t.admitted, -1, t.id, "")
+	srcs := s.seal(r)
+	outs := make([]outcome, len(srcs))
 	resp := Response{
 		ID:     t.id,
 		System: string(v.sys),
@@ -521,29 +464,49 @@ func (s *Server) execute(t *task) {
 	// requests. finish reads it, so it is declared (and later assigned)
 	// before the closure is built.
 	var lease *plan.Lease
+	// finish gives every slot not already resolved on its own the run-wide
+	// outcome, caches the full-fidelity results and publishes.
 	finish := func(kind resKind, status int, out Response) {
-		out.WallMs = float64(time.Since(start).Microseconds()) / 1000
-		out.Breaker = string(s.breakers[v.sys].State())
-		if pi := v.planInfo(); pi != nil {
-			if lease != nil && lease.Tenants() > 1 {
-				// The machine was shared: report the co-tenancy and the
-				// honest wall-clock-style charge. The payload itself is
-				// untouched — sharing simulated sockets never changes what
-				// was computed, only what it cost.
-				pi.SharedTenants = lease.Tenants()
-				pi.ChargedSimSeconds = out.SimSeconds * float64(lease.Tenants())
-			}
-			out.Plan = pi
+		wall := float64(time.Since(start).Microseconds()) / 1000
+		breaker := string(s.breakers[v.sys].State())
+		tenants := 0
+		if lease != nil && lease.Tenants() > 1 {
+			// The machine was shared: every waiter reports the co-tenancy
+			// and the honest wall-clock-style charge. The payload itself is
+			// untouched — sharing simulated sockets never changes what was
+			// computed, only what it cost.
+			tenants = lease.Tenants()
 		}
-		tr.Span("serve", "request", obs.PidServe, startMicros, obs.NowMicros()-startMicros, -1, out.ID,
-			fmt.Sprintf("%s/%s on %s status=%d attempts=%d rollbacks=%d restarts=%d degraded=%t breaker=%s err=%s",
-				out.Algo, out.Graph, out.System, status, out.Attempts, out.Rollbacks,
+		// Full-fidelity fault-free results feed the versioned cache, each
+		// under the key the equivalent single-source request looks up.
+		// Hedge legs don't: their standby-replica placement skews the
+		// timing fields, and the key carries no hedge bit. Non-default
+		// leases don't either: a run on non-prefix or shared sockets is
+		// not bit-identical to the canonical machine the key names.
+		cache := v.reusable() && !v.hedge && (lease == nil || lease.Default())
+		for i := range outs {
+			if outs[i].status == 0 {
+				outs[i] = outcome{kind: kind, status: status, resp: out}
+			}
+			o := &outs[i].resp
+			o.WallMs, o.Breaker = wall, breaker
+			if cache && outs[i].status == 200 && !o.Degraded {
+				s.results.put(v, v.keyFor(srcs[i]), *o)
+			}
+		}
+		// Slot 0 is the opener's; joiners stamp their own plan in wait.
+		outs[0].resp.Plan = v.planWith(tenants, outs[0].resp.SimSeconds)
+		out.WallMs, out.Breaker = wall, breaker
+		tr.Span("serve", "request", obs.PidServe, startMicros, obs.NowMicros()-startMicros, -1, t.id,
+			fmt.Sprintf("%s/%s on %s sources=%d status=%d attempts=%d rollbacks=%d restarts=%d degraded=%t breaker=%s err=%s",
+				out.Algo, out.Graph, out.System, len(srcs), status, out.Attempts, out.Rollbacks,
 				out.Restarts, out.Degraded, out.Breaker, out.Error))
 		s.log.LogAttrs(context.Background(), slog.LevelInfo, "request",
-			slog.Int64("id", out.ID),
+			slog.Int64("id", t.id),
 			slog.String("system", out.System),
 			slog.String("algo", out.Algo),
 			slog.String("graph", out.Graph),
+			slog.Int("sources", len(srcs)),
 			slog.Int("status", status),
 			slog.Int("attempts", out.Attempts),
 			slog.Int("rollbacks", out.Rollbacks),
@@ -554,22 +517,7 @@ func (s *Server) execute(t *task) {
 			slog.Float64("wall_ms", out.WallMs),
 			slog.String("error", out.Error),
 		)
-		// Full-fidelity fault-free results feed the versioned cache no
-		// matter which path computed them (direct or flight leader).
-		// Hedge legs don't: their standby-replica placement skews the
-		// timing fields, and the key carries no hedge bit. Non-default
-		// leases don't either: a run on non-prefix or shared sockets is
-		// not bit-identical to the canonical machine the key names.
-		if status == 200 && !out.Degraded && v.reusable() && !v.hedge &&
-			(lease == nil || lease.Default()) {
-			s.results.put(v, v.key(), out)
-		}
-		if t.fl != nil {
-			s.finishFlight(t.fl, kind, status, out)
-			return
-		}
-		s.recordKind(kind)
-		t.done <- outcome{status: status, resp: out}
+		s.publish(r, outs, tenants)
 	}
 
 	// Expired or abandoned while queued: answer without burning a run.
@@ -589,9 +537,20 @@ func (s *Server) execute(t *task) {
 	// The pin outlives every use of g below (including the degraded path),
 	// so eviction can never free a graph out from under a running request.
 	defer release()
-	if int(v.src) >= g.NumVertices() {
-		resp.Error = fmt.Sprintf("source %d outside [0,%d)", v.src, g.NumVertices())
-		finish(kindFailed, 400, resp)
+	live := make([]graph.Vertex, 0, len(srcs))
+	liveSlot := make([]int, 0, len(srcs))
+	for i, src := range srcs {
+		if int(src) >= g.NumVertices() {
+			bad := resp
+			bad.Error = fmt.Sprintf("source %d outside [0,%d)", src, g.NumVertices())
+			outs[i] = outcome{kind: kindFailed, status: 400, resp: bad}
+			continue
+		}
+		live = append(live, src)
+		liveSlot = append(liveSlot, i)
+	}
+	if len(live) == 0 {
+		finish(kindFailed, 400, outs[0].resp)
 		return
 	}
 
@@ -604,9 +563,11 @@ func (s *Server) execute(t *task) {
 	}
 
 	var res attemptResult
-	res, lease = s.attempt(t, g, []graph.Vertex{v.src})
+	res, lease = s.attempt(t, g, live)
 	defer lease.Release()
 	if res.kind == kindBroken {
+		// Only PageRank-class runs have a degraded route, and they always
+		// have exactly one source; a traversal run is refused whole.
 		s.degradedOrRefuse(t, g, resp, finish)
 		return
 	}
@@ -616,11 +577,24 @@ func (s *Server) execute(t *task) {
 		finish(res.kind, res.status, resp)
 		return
 	}
-	resp.SimSeconds, resp.Checksum, resp.PeakBytes = res.sim, res.checksums[0], res.peak
+	resp.SimSeconds, resp.PeakBytes = res.sim, res.peak
 	if v.tier.Tiered() {
 		resp.SlowRate = res.slowRate
 	}
-	s.observePlan(v, lease, res.sim)
+	if len(live) > 1 {
+		// Provenance: the accounting fields describe the fused sweep.
+		resp.BatchSize = len(live)
+	} else {
+		// A run of one source is indistinguishable from a direct run — its
+		// simulated time is exactly what the model predicted, so it may
+		// teach the learner. Fused sweeps may not: their cost covers k
+		// sources at once.
+		s.observePlan(v, lease, res.sim)
+	}
+	for j, cs := range res.checksums {
+		resp.Checksum = cs
+		outs[liveSlot[j]] = outcome{kind: kindCompleted, status: 200, resp: resp}
+	}
 	finish(kindCompleted, 200, resp)
 }
 

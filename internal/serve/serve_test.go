@@ -102,7 +102,7 @@ func TestServeShedsWhenQueueFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, shed, err := srv.submit(v, context.Background())
+	queued, shed, err := srv.submit(v, "", context.Background())
 	if err != nil || shed {
 		t.Fatalf("first submit refused: shed=%t err=%v", shed, err)
 	}
@@ -138,13 +138,14 @@ func TestServeDeadlineExpiredInQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, shed, err := srv.submit(v, context.Background())
+	r, shed, err := srv.submit(v, "", context.Background())
 	if err != nil || shed {
 		t.Fatalf("submit refused: shed=%t err=%v", shed, err)
 	}
+	tk := <-srv.queue
 	<-tk.ctx.Done() // budget spent while "queued"
 	srv.execute(tk)
-	out := <-tk.done
+	out := srv.wait(r, 0, v, nil)
 	if out.status != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", out.status)
 	}
@@ -154,7 +155,6 @@ func TestServeDeadlineExpiredInQueue(t *testing.T) {
 	if got := srv.Counters().Expired.Load(); got != 1 {
 		t.Fatalf("Expired = %d, want 1", got)
 	}
-	<-srv.queue
 	srv.inflight.Add(-1)
 }
 
@@ -165,10 +165,11 @@ func TestServeClientDisconnectCancels(t *testing.T) {
 		t.Fatal(err)
 	}
 	clientCtx, clientCancel := context.WithCancel(context.Background())
-	tk, shed, err := srv.submit(v, clientCtx)
+	r, shed, err := srv.submit(v, "", clientCtx)
 	if err != nil || shed {
 		t.Fatalf("submit refused: shed=%t err=%v", shed, err)
 	}
+	tk := <-srv.queue
 	clientCancel() // the client hung up
 	select {
 	case <-tk.ctx.Done():
@@ -176,14 +177,13 @@ func TestServeClientDisconnectCancels(t *testing.T) {
 		t.Fatal("task context not cancelled after client disconnect")
 	}
 	srv.execute(tk)
-	out := <-tk.done
+	out := srv.wait(r, 0, v, nil)
 	if out.status != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", out.status)
 	}
 	if got := srv.Counters().Cancelled.Load(); got != 1 {
 		t.Fatalf("Cancelled = %d, want 1", got)
 	}
-	<-srv.queue
 	srv.inflight.Add(-1)
 }
 

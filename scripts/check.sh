@@ -40,6 +40,9 @@ go test -race \
 	./internal/cluster/... \
 	./internal/plan/...
 
+echo "==> go test -race -count=10 (shared runs: join, seal, detach and publish races)"
+go test -race -count=10 -run 'Coalesce|Batch|Invalidation|Drain|Deadline|Disconnect|SharedLease' ./internal/serve/
+
 echo "==> go test -race fault matrix (rollback/replay across all engines)"
 go test -race -run 'TestFaultMatrix|TestPolymerDegraded|TestResilientRanks' .
 
