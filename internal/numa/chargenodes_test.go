@@ -1,7 +1,7 @@
 package numa_test
 
 // ChargeNodes against the loop it replaces: for seeded random charge
-// recipes, charging once per node and replicating must leave the ledger —
+// recipes, charging once per node into shared rows must leave the ledger —
 // and everything read from it — bit for bit what charging every thread
 // does. The recipes go through mem.TierClass, as the engines' do, so the
 // tiered half also holds the promotion pass that follows to the same
@@ -9,6 +9,7 @@ package numa_test
 // which can see it).
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -100,35 +101,71 @@ func tierClasses(m *numa.Machine) (*mem.TierPlan, [3]*mem.TierClass) {
 	return tp, cs
 }
 
-func TestChargeNodesMatchesPerThreadLoop(t *testing.T) {
+// randomMachine draws one machine of the test matrix: CoresPerNode 1, 2
+// or 10; the default socket pick or a leased socket set; sometimes a
+// degraded link; tiered (hot or interleave) or untiered.
+func randomMachine(t *testing.T, rng *rand.Rand) *numa.Machine {
+	t.Helper()
 	topo := numa.IntelXeon80()
 	sockets := [][]int{nil, {0}, {1, 4, 6}, {7, 2, 5, 0, 3}}
+	cpn := []int{1, 2, 10}[rng.Intn(3)]
+	var m *numa.Machine
+	if set := sockets[rng.Intn(len(sockets))]; set == nil {
+		m = numa.NewMachine(topo, 1+rng.Intn(topo.Sockets), cpn)
+	} else {
+		var err error
+		if m, err = numa.NewMachineOnSockets(topo, set, cpn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.Nodes > 1 && rng.Intn(3) == 0 {
+		if err := m.DegradeLink(0, m.Nodes-1, 0.5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rng.Intn(2) == 0 {
+		tc := numa.TierConfig{DRAMPerNode: 1 << 19, Policy: numa.TierHot, PromoteEvery: 1}
+		if rng.Intn(3) == 0 {
+			tc.Policy = numa.TierInterleave
+		}
+		if err := m.SetTierConfig(tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+// compareLedgers fails unless got and want hold the same ledger and read
+// the same bits through every reader: Equal, Time, Stats, Traffic and
+// every thread's ThreadSeconds.
+func compareLedgers(t *testing.T, where string, got, want *numa.Epoch) {
+	t.Helper()
+	if !got.Equal(want) {
+		t.Fatalf("%s: ledgers differ", where)
+	}
+	if a, b := got.Time(), want.Time(); math.Float64bits(a) != math.Float64bits(b) {
+		t.Fatalf("%s: Time %v != %v", where, a, b)
+	}
+	if a, b := got.Stats(), want.Stats(); a != b {
+		t.Fatalf("%s: Stats %+v != %+v", where, a, b)
+	}
+	var ta, tb numa.TrafficMatrix
+	got.Traffic(&ta)
+	want.Traffic(&tb)
+	if !reflect.DeepEqual(ta, tb) {
+		t.Fatalf("%s: Traffic differs", where)
+	}
+	for th := 0; th < got.Machine().Threads(); th++ {
+		if a, b := got.ThreadSeconds(th), want.ThreadSeconds(th); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("%s: ThreadSeconds(%d) %v != %v", where, th, a, b)
+		}
+	}
+}
+
+func TestChargeNodesMatchesPerThreadLoop(t *testing.T) {
 	for seed := int64(1); seed <= 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cpn := []int{1, 2, 10}[rng.Intn(3)]
-		var m *numa.Machine
-		if set := sockets[rng.Intn(len(sockets))]; set == nil {
-			m = numa.NewMachine(topo, 1+rng.Intn(topo.Sockets), cpn)
-		} else {
-			var err error
-			if m, err = numa.NewMachineOnSockets(topo, set, cpn); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if m.Nodes > 1 && rng.Intn(3) == 0 {
-			if err := m.DegradeLink(0, m.Nodes-1, 0.5); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if rng.Intn(2) == 0 {
-			tc := numa.TierConfig{DRAMPerNode: 1 << 19, Policy: numa.TierHot, PromoteEvery: 1}
-			if rng.Intn(3) == 0 {
-				tc.Policy = numa.TierInterleave
-			}
-			if err := m.SetTierConfig(tc); err != nil {
-				t.Fatal(err)
-			}
-		}
+		m := randomMachine(t, rng)
 		ops := randomRecipe(rng, m.Nodes)
 
 		loopPlan, loopClasses := tierClasses(m)
@@ -140,30 +177,7 @@ func TestChargeNodesMatchesPerThreadLoop(t *testing.T) {
 		byNode := m.NewEpoch()
 		byNode.ChargeNodes(func(th, node int) { apply(ops, byNode, nodeClasses, th, node) })
 
-		compare := func(stage string) {
-			t.Helper()
-			if !byNode.Equal(loop) {
-				t.Fatalf("seed %d on %v, %s: ledgers differ", seed, m, stage)
-			}
-			if a, b := byNode.Time(), loop.Time(); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("seed %d, %s: Time %v != %v", seed, stage, a, b)
-			}
-			if a, b := byNode.Stats(), loop.Stats(); a != b {
-				t.Fatalf("seed %d, %s: Stats %+v != %+v", seed, stage, a, b)
-			}
-			var ta, tb numa.TrafficMatrix
-			byNode.Traffic(&ta)
-			loop.Traffic(&tb)
-			if !reflect.DeepEqual(ta, tb) {
-				t.Fatalf("seed %d, %s: Traffic differs", seed, stage)
-			}
-			for th := 0; th < m.Threads(); th++ {
-				if a, b := byNode.ThreadSeconds(th), loop.ThreadSeconds(th); math.Float64bits(a) != math.Float64bits(b) {
-					t.Fatalf("seed %d, %s: ThreadSeconds(%d) %v != %v", seed, stage, th, a, b)
-				}
-			}
-		}
-		compare("after charging")
+		compareLedgers(t, fmt.Sprintf("seed %d on %v, after charging", seed, m), byNode, loop)
 
 		// The promotion pass ranks classes by the bytes tallied beside the
 		// ledger and charges its migrations into the epoch: same decisions,
@@ -173,12 +187,14 @@ func TestChargeNodesMatchesPerThreadLoop(t *testing.T) {
 		if !reflect.DeepEqual(nodePlan.Migrations(), loopPlan.Migrations()) {
 			t.Fatalf("seed %d: migrations %v != %v", seed, nodePlan.Migrations(), loopPlan.Migrations())
 		}
-		compare("after the promotion pass")
+		compareLedgers(t, fmt.Sprintf("seed %d on %v, after the promotion pass", seed, m), byNode, loop)
 	}
 }
 
 // ChargeWeight is what a layer with its own per-thread tally scales by; it
-// must not outlive the callback, even one that panics.
+// must not outlive the callback, even one that panics. A callback that
+// charges a thread other than the one it was handed panics: the charge
+// would otherwise be lost, or land in another node's shared rows.
 func TestChargeWeightScopedToCallback(t *testing.T) {
 	m := numa.NewMachine(numa.IntelXeon80(), 2, 10)
 	ep := m.NewEpoch()
@@ -190,11 +206,38 @@ func TestChargeWeightScopedToCallback(t *testing.T) {
 			t.Fatalf("weight inside ChargeNodes = %d, want 10", w)
 		}
 	})
-	func() {
-		defer func() { _ = recover() }()
-		ep.ChargeNodes(func(int, int) { panic("charge failed") })
-	}()
+	panics := func(fn func(th, node int)) (msg any) {
+		defer func() { msg = recover() }()
+		ep.ChargeNodes(fn)
+		return nil
+	}
+	if panics(func(int, int) { panic("charge failed") }) == nil {
+		t.Fatal("a panicking callback did not panic")
+	}
 	if w := ep.ChargeWeight(); w != 1 {
 		t.Fatalf("weight after a panicking callback = %d, want 1", w)
+	}
+
+	for _, stray := range []struct {
+		name   string
+		charge func(th, node int)
+	}{
+		{"a sibling thread", func(th, _ int) { ep.Access(th+1, numa.Seq, numa.Load, 0, 100, 8, 0) }},
+		{"the next node's first thread", func(th, _ int) { ep.LatencyBound(th+m.CoresPerNode, numa.Store, 1, 100) }},
+		{"a thread's compute", func(th, _ int) { ep.Compute(th+3, 1e-6) }},
+	} {
+		ep.Reset()
+		if panics(stray.charge) == nil {
+			t.Fatalf("a callback charging %s did not panic", stray.name)
+		}
+		if w := ep.ChargeWeight(); w != 1 {
+			t.Fatalf("weight after charging %s = %d, want 1", stray.name, w)
+		}
+		// The epoch still takes per-thread charges after the panic.
+		ep.Reset()
+		ep.Access(1, numa.Seq, numa.Load, 0, 100, 8, 0)
+		if ep.ThreadSeconds(1) == 0 || ep.ThreadSeconds(0) != 0 {
+			t.Fatalf("after charging %s: a per-thread charge landed on the wrong thread", stray.name)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package numa
 
 import (
+	"fmt"
 	"math"
 	"slices"
 )
@@ -28,8 +29,7 @@ type Epoch struct {
 	// f holds every thread's float ledger as one flat block: thread th
 	// owns f[th*fs:(th+1)*fs], laid out as the four scalars below followed
 	// by nodeBytes, portBytes, classBytes and (tiered machines only)
-	// slowNodeBytes. One block makes Reset a clear and Add/CopyFrom and
-	// the ChargeNodes replication single contiguous loops.
+	// slowNodeBytes.
 	f  []float64
 	fs int // stride of f
 	// offNode, offPort, offClass and offSlow locate the vectors inside a
@@ -52,9 +52,16 @@ type Epoch struct {
 	// c holds every thread's access counts, cs per thread (see cLocal).
 	c []int64
 
-	// weight is how many threads a charge recorded now stands for: 1, or
-	// CoresPerNode while ChargeNodes runs its callback.
-	weight int64
+	// shared[n] reports that node n's threads all hold the ledger stored
+	// in the node's first thread's rows of f and c; the other threads'
+	// rows are then stale and nothing reads them. It is set for every
+	// node on a fresh or Reset epoch and by ChargeNodes, and cleared by
+	// split, which a per-thread charge calls first.
+	shared []bool
+
+	// charging is the thread a ChargeNodes callback was handed, -1
+	// outside ChargeNodes.
+	charging int
 }
 
 // Scalar slots at the head of a thread's stride of Epoch.f.
@@ -79,7 +86,7 @@ const (
 func newEpoch(m *Machine) *Epoch {
 	n := m.Nodes
 	levels := m.Topo.MaxLevel() + 1
-	e := &Epoch{m: m, weight: 1}
+	e := &Epoch{m: m, charging: -1}
 	e.offNode = fScalars
 	e.offPort = e.offNode + n
 	e.offClass = e.offPort + n
@@ -90,12 +97,68 @@ func newEpoch(m *Machine) *Epoch {
 	}
 	e.f = make([]float64, m.Threads()*e.fs)
 	e.c = make([]int64, m.Threads()*cs)
+	e.shared = make([]bool, n)
+	for i := range e.shared {
+		e.shared[i] = true
+	}
 	return e
 }
 
-// ledger returns thread th's float vector and access counts.
-func (e *Epoch) ledger(th int) (f []float64, c []int64) {
+// rows returns the float vector and access counts stored for thread th.
+func (e *Epoch) rows(th int) (f []float64, c []int64) {
 	return e.f[th*e.fs : (th+1)*e.fs], e.c[th*cs : (th+1)*cs]
+}
+
+// view returns thread th's ledger for reading: its node's first thread's
+// rows while the node is shared.
+func (e *Epoch) view(th int) (f []float64, c []int64) {
+	if node := e.m.NodeOfThread(th); e.shared[node] {
+		th = node * e.m.CoresPerNode
+	}
+	return e.rows(th)
+}
+
+// ledger returns thread th's ledger for a charge. Inside a ChargeNodes
+// callback the thread it was handed charges its node's shared rows; any
+// other charge first gives th rows of its own.
+func (e *Epoch) ledger(th int) (f []float64, c []int64) {
+	if th != e.charging {
+		e.own(th)
+	}
+	return e.rows(th)
+}
+
+// own splits th's node before a per-thread charge. A ChargeNodes callback
+// that charges a thread other than the one it was handed is a bug: the
+// charge could land in no thread's ledger, or in another node's shared
+// rows.
+func (e *Epoch) own(th int) {
+	if e.charging >= 0 {
+		panic(fmt.Sprintf("numa: ChargeNodes callback handed thread %d charged thread %d", e.charging, th))
+	}
+	if node := e.m.NodeOfThread(th); e.shared[node] {
+		e.split(node)
+	}
+}
+
+// split copies a shared node's first row to the node's other threads, so
+// each can be charged on its own.
+func (e *Epoch) split(node int) {
+	if !e.shared[node] {
+		return
+	}
+	e.shared[node] = false
+	lo, hi := node*e.m.CoresPerNode, (node+1)*e.m.CoresPerNode
+	fill(e.f[lo*e.fs:hi*e.fs], e.fs)
+	fill(e.c[lo*cs:hi*cs], cs)
+}
+
+// fill copies blk's first row of width w over the rows after it, doubling
+// the copied prefix each time.
+func fill[T int64 | float64](blk []T, w int) {
+	for n := w; n < len(blk); n *= 2 {
+		copy(blk[n:], blk[:n])
+	}
 }
 
 // Machine returns the machine this epoch charges against.
@@ -371,7 +434,8 @@ func (e *Epoch) LatencyBoundSlow(th int, op Op, node int, count int64) {
 // Compute records pure computation time (software overhead, arithmetic)
 // for thread th.
 func (e *Epoch) Compute(th int, seconds float64) {
-	e.f[th*e.fs+fCompute] += seconds
+	f, _ := e.ledger(th)
+	f[fCompute] += seconds
 }
 
 // chargeResource charges bytes against the media of node to — bank is
@@ -389,29 +453,24 @@ func (e *Epoch) chargeResource(f []float64, bank, from, to int, bytes float64) {
 // ChargeNodes charges a phase whose counts are uniform within each node —
 // the scheduler-balanced phases, where a node's threads all carry the
 // node's work divided by CoresPerNode: fn runs once per node, for the
-// node's first thread, and that thread's ledger is then replicated to the
-// node's other threads. fn must charge only the thread it is handed.
+// node's first thread, and its charges land in the node's shared rows,
+// which stand for every thread of the node. fn must charge only the
+// thread it is handed; a charge to any other thread panics.
 //
 // Precondition: on entry the ledgers of each node's threads are equal, as
-// on a fresh or Reset epoch. The replica is then bit for bit what running
-// fn for every thread would produce, since a charge depends on its thread
-// only through the thread's node. Charges that differ between the threads
-// of a node go through the per-thread methods instead (before ChargeNodes
-// only if they keep a node's ledgers equal, after it freely).
+// on a fresh or Reset epoch. The shared rows are then bit for bit what
+// running fn for every thread would produce, since a charge depends on
+// its thread only through the thread's node. Charges that differ between
+// the threads of a node go through the per-thread methods instead (before
+// ChargeNodes only if they keep a node's ledgers equal, after it freely).
 //
 // ChargeNodes is not safe for concurrent use with any other charge.
 func (e *Epoch) ChargeNodes(fn func(th, node int)) {
-	cpn := e.m.CoresPerNode
-	e.weight = int64(cpn)
-	defer func() { e.weight = 1 }()
-	for node := 0; node < e.m.Nodes; node++ {
-		first := node * cpn
-		fn(first, node)
-		f, c := e.ledger(first)
-		for th := first + 1; th < first+cpn; th++ {
-			copy(e.f[th*e.fs:], f)
-			copy(e.c[th*cs:], c)
-		}
+	defer func() { e.charging = -1 }()
+	for node := range e.shared {
+		e.shared[node] = true
+		e.charging = node * e.m.CoresPerNode
+		fn(e.charging, node)
 	}
 }
 
@@ -419,18 +478,29 @@ func (e *Epoch) ChargeNodes(fn func(th, node int)) {
 // CoresPerNode inside a ChargeNodes callback, 1 otherwise. Layers that
 // keep their own per-thread tallies beside the ledger (mem.TierClass's
 // promotion counters) scale by it.
-func (e *Epoch) ChargeWeight() int64 { return e.weight }
+func (e *Epoch) ChargeWeight() int64 {
+	if e.charging >= 0 {
+		return int64(e.m.CoresPerNode)
+	}
+	return 1
+}
 
 // Time folds the ledger through the cost model and returns the simulated
 // duration of the phase in seconds.
 func (e *Epoch) Time() float64 {
 	topo := e.m.Topo
-	threads := e.m.Threads()
+	cpn := e.m.CoresPerNode
 	var worst float64 // starts as the slowest thread
-	for th := 0; th < threads; th++ {
-		f := e.f[th*e.fs:]
-		if s := f[fMem] + f[fCompute]; s > worst {
-			worst = s
+	for node, shared := range e.shared {
+		lo, hi := node*cpn, (node+1)*cpn
+		if shared {
+			hi = lo + 1
+		}
+		for th := lo; th < hi; th++ {
+			f := e.f[th*e.fs:]
+			if s := f[fMem] + f[fCompute]; s > worst {
+				worst = s
+			}
 		}
 	}
 	nodes := e.m.Nodes
@@ -464,14 +534,36 @@ func (e *Epoch) Time() float64 {
 	return worst
 }
 
-// column sums slot off of every thread's vector, in thread order: the
+// column sums slot off over the threads, in thread order: the
 // machine-wide total of one nodeBytes, portBytes or slowNodeBytes entry.
+// A shared row is added once for each thread it stands for, so the total
+// takes the same additions, in the same order, as every thread's own row
+// would.
 func (e *Epoch) column(off int) float64 {
+	cpn := e.m.CoresPerNode
 	var b float64
-	for i := off; i < len(e.f); i += e.fs {
-		b += e.f[i]
+	for node, shared := range e.shared {
+		i := node*cpn*e.fs + off
+		if shared {
+			x := e.f[i]
+			for range cpn {
+				b += x
+			}
+			continue
+		}
+		for end := i + cpn*e.fs; i < end; i += e.fs {
+			b += e.f[i]
+		}
 	}
 	return b
+}
+
+// addTo adds src into dst element-wise; src is at least as long as dst.
+func addTo[T int64 | float64](dst, src []T) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] += src[i]
+	}
 }
 
 // Stats summarises the ledger for the paper's Table 4 metrics.
@@ -495,7 +587,7 @@ type Stats struct {
 func (e *Epoch) Stats() Stats {
 	var s Stats
 	for th := 0; th < e.m.Threads(); th++ {
-		f, c := e.ledger(th)
+		f, c := e.view(th)
 		s.LocalCount += c[cLocal]
 		s.RemoteCount += c[cRemote]
 		s.MissCount += f[fMiss]
@@ -533,18 +625,31 @@ func (s *Stats) Merge(o Stats) {
 
 // Add accumulates another epoch's raw ledger into this one. Both must
 // belong to the same machine. It is used to aggregate per-phase ledgers
-// into whole-run statistics.
+// into whole-run statistics. A node shared on both sides stays shared and
+// adds one row; otherwise it is split and every thread adds its own.
 func (e *Epoch) Add(o *Epoch) {
 	if e.m != o.m {
 		panic("numa: cannot add epochs from different machines")
 	}
-	of := o.f[:len(e.f)]
-	for i := range e.f {
-		e.f[i] += of[i]
-	}
-	oc := o.c[:len(e.c)]
-	for i := range e.c {
-		e.c[i] += oc[i]
+	cpn := e.m.CoresPerNode
+	for node, shared := range o.shared {
+		lo, hi := node*cpn, (node+1)*cpn
+		if !shared {
+			e.split(node)
+			addTo(e.f[lo*e.fs:hi*e.fs], o.f[lo*e.fs:])
+			addTo(e.c[lo*cs:hi*cs], o.c[lo*cs:])
+			continue
+		}
+		if e.shared[node] {
+			hi = lo + 1
+		}
+		// o's first row stands for each of the node's threads.
+		of, oc := o.rows(lo)
+		for th := lo; th < hi; th++ {
+			f, c := e.rows(th)
+			addTo(f, of)
+			addTo(c, oc)
+		}
 	}
 }
 
@@ -555,8 +660,16 @@ func (e *Epoch) CopyFrom(o *Epoch) {
 	if e.m != o.m {
 		panic("numa: cannot copy epochs from different machines")
 	}
-	copy(e.f, o.f)
-	copy(e.c, o.c)
+	copy(e.shared, o.shared)
+	cpn := e.m.CoresPerNode
+	for node, shared := range o.shared {
+		lo, hi := node*cpn, (node+1)*cpn
+		if shared {
+			hi = lo + 1
+		}
+		copy(e.f[lo*e.fs:hi*e.fs], o.f[lo*e.fs:])
+		copy(e.c[lo*cs:hi*cs], o.c[lo*cs:])
+	}
 }
 
 // Clone returns an independent copy of the ledger.
@@ -568,28 +681,39 @@ func (e *Epoch) Clone() *Epoch {
 
 // Equal reports whether two ledgers of the same shape hold the same
 // charges bit for bit: every thread's seconds, counts and byte vectors.
-// It is the comparison the round-trip and replication tests assert.
+// It is the comparison the round-trip and shared-row tests assert.
 func (e *Epoch) Equal(o *Epoch) bool {
-	if len(e.f) != len(o.f) || e.fs != o.fs || !slices.Equal(e.c, o.c) {
+	if len(e.f) != len(o.f) || e.fs != o.fs {
 		return false
 	}
-	for i, v := range e.f {
-		if math.Float64bits(v) != math.Float64bits(o.f[i]) {
+	for th := 0; th < e.m.Threads(); th++ {
+		ef, ec := e.view(th)
+		of, oc := o.view(th)
+		if !slices.Equal(ec, oc) {
 			return false
+		}
+		for i, v := range ef {
+			if math.Float64bits(v) != math.Float64bits(of[i]) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// Reset clears the ledger for reuse.
+// Reset clears the ledger for reuse: one row per node, every node shared.
 func (e *Epoch) Reset() {
-	clear(e.f)
-	clear(e.c)
+	for node := range e.shared {
+		e.shared[node] = true
+		f, c := e.rows(node * e.m.CoresPerNode)
+		clear(f)
+		clear(c)
+	}
 }
 
 // ThreadSeconds returns the simulated busy time (memory + compute) of one
 // thread; used by the Figure 11(b) per-socket breakdown.
 func (e *Epoch) ThreadSeconds(th int) float64 {
-	f := e.f[th*e.fs:]
+	f, _ := e.view(th)
 	return f[fMem] + f[fCompute]
 }

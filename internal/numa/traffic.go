@@ -140,11 +140,22 @@ func (t *TrafficMatrix) RemoteFraction() float64 {
 func (e *Epoch) Traffic(dst *TrafficMatrix) {
 	levels := (e.m.Topo.MaxLevel() + 1) * e.m.tiers()
 	dst.Resize(e.m.Nodes, levels)
-	for th := 0; th < e.m.Threads(); th++ {
-		f, _ := e.ledger(th)
-		base := e.m.NodeOfThread(th) * levels * 2
-		for i, b := range f[e.offClass:e.offSlow] {
-			dst.Cells[base+i] += b
+	cpn := e.m.CoresPerNode
+	for node, shared := range e.shared {
+		// A shared row is added once for each thread it stands for, as
+		// the threads' own rows would be.
+		lo, hi, k := node*cpn, (node+1)*cpn, 1
+		if shared {
+			hi, k = lo+1, cpn
+		}
+		cells := dst.Cells[node*levels*2:]
+		for th := lo; th < hi; th++ {
+			f, _ := e.rows(th)
+			for i, b := range f[e.offClass:e.offSlow] {
+				for range k {
+					cells[i] += b
+				}
+			}
 		}
 	}
 }

@@ -52,15 +52,17 @@ echo "==> determinism gate (a run is a function of its input: same bits at any G
 # planned-vs-explicit, cached-vs-recomputed, all 24 clocks against the
 # checked-in golden.
 go test -count=5 -cpu 1,2,8 . ./cmd/simdump/ ./internal/conform/ ./internal/obs/ ./internal/plan/ ./internal/serve/
-# The per-node charge against the per-thread loop it replaced.
-go test -count=5 -cpu 1,2,8 -run 'TestChargeNodesMatchesPerThreadLoop' ./internal/numa/
+# The per-node charge against the per-thread loop it replaced, for one
+# phase and over whole runs of shared and split rows.
+go test -count=5 -cpu 1,2,8 -run 'TestChargeNodesMatchesPerThreadLoop|TestSharedRowsMatchPerThreadLedger' ./internal/numa/
 # A snapshot patched from its predecessor against the whole-prefix fold:
 # all six CSR arrays, at every read of a random mutation stream.
 go test -count=5 -cpu 1,2,8 -run 'TestPatchMatchesFromEdges' ./internal/graph/
 go test -count=5 -cpu 1,2,8 -run 'TestPatchedSnapshotEqualsCleanApply' ./internal/mutate/
 
-echo "==> sweep benchmark smoke (host ns/edge of the shared sweep on both engines; one iteration a case)"
+echo "==> sweep and phase-fold benchmark smoke (host ns/edge of the shared sweep on both engines; ns per phase folded; one iteration a case)"
 go test -run '^$' -bench BenchmarkSweepNsPerEdge -benchtime 1x ./internal/core/ >/dev/null
+go test -run '^$' -bench BenchmarkPhaseFold -benchtime 1x ./internal/numa/ >/dev/null
 
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
