@@ -475,4 +475,10 @@ var (
 	ssspHints = sg.Hints{DataBytes: 8, NsPerEdge: 1.5, Weighted: true} // dense rounds pull
 )
 
+// Hints maps an algorithm, as package bench names it, to the hints its
+// scatter-gather driver passes to every EdgeMap: the one source of its
+// datum width, arithmetic cost and weightedness, which the planner prices
+// candidates with too.
+var Hints = map[string]sg.Hints{"PR": prHints, "SpMV": spmvHints, "BP": bpHints, "BFS": bfsHints, "CC": ccHints, "SSSP": ssspHints}
+
 var infinity = math.Inf(1)

@@ -20,8 +20,12 @@ import (
 // interpreter; the conformance harness, the serving layer and the planner
 // all reach the engines through it.
 
+// DefaultIters is the fixed iteration count of PR, SpMV and BP: the paper
+// measures "the first five iterations". The planner prices that many
+// supersteps.
+const DefaultIters = 5
+
 const (
-	defaultIters   = 5
 	defaultDamping = 0.85
 	// PageRankDelta's convergence floor and iteration cap.
 	prDeltaEps     = 1e-10
@@ -211,7 +215,7 @@ func SessionCapable(sys System, alg Algo) bool {
 // driveSG runs alg's scatter-gather driver on an engine the caller built
 // with its own options (the ablation studies).
 func driveSG(e *core.Engine, alg Algo) {
-	s := &spec{alg: alg, g: e.Graph(), iters: defaultIters}
+	s := &spec{alg: alg, g: e.Graph(), iters: DefaultIters}
 	if _, err := cells[alg][famSG].drive(e, s, nil); err != nil {
 		panic(err)
 	}

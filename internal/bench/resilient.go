@@ -119,8 +119,8 @@ func RunPolymerDegraded(g *graph.Graph, topo *numa.Topology, nodes, coresPerNode
 	if nodes < 2 {
 		return DegradedResult{}, fmt.Errorf("bench: degraded run needs >= 2 nodes, got %d", nodes)
 	}
-	if failStep < 0 || failStep > defaultIters {
-		return DegradedResult{}, fmt.Errorf("bench: fail step %d out of range [0,%d]", failStep, defaultIters)
+	if failStep < 0 || failStep > DefaultIters {
+		return DegradedResult{}, fmt.Errorf("bench: fail step %d out of range [0,%d]", failStep, DefaultIters)
 	}
 	failNode %= nodes
 	s, err := newSpec(Polymer, PR, g, Options{})
@@ -153,7 +153,7 @@ func RunPolymerDegraded(g *graph.Graph, topo *numa.Topology, nodes, coresPerNode
 
 	// Segment 2: continue from the checkpointed ranks on the survivors;
 	// the engine re-partitions the vertex space edge-balanced over them.
-	s.iters, s.init = defaultIters-failStep, seg1.Out.F64
+	s.iters, s.init = DefaultIters-failStep, seg1.Out.F64
 	r, _, err := run(s, m2)
 	if err != nil {
 		return DegradedResult{}, err

@@ -176,7 +176,7 @@ type spec struct {
 }
 
 func newSpec(sys System, alg Algo, g *graph.Graph, opt Options) (*spec, error) {
-	s := &spec{sys: sys, alg: alg, g: g, opt: opt, iters: defaultIters, retries: -1}
+	s := &spec{sys: sys, alg: alg, g: g, opt: opt, iters: DefaultIters, retries: -1}
 	var ok bool
 	if s.system, ok = systems[sys]; !ok {
 		return nil, fmt.Errorf("bench: unknown system %q: %w", sys, ErrUnsupported)

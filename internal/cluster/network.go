@@ -99,11 +99,6 @@ func (nw *network) route(from, to int, alive []bool) int {
 	return -1
 }
 
-// reachable reports whether two live machines can talk this round.
-func (nw *network) reachable(from, to int, alive []bool) bool {
-	return alive[from] && alive[to] && nw.route(from, to, alive) >= 0
-}
-
 // transfer charges bytes along the from->to route, per traversed
 // segment. It reports false (charging nothing) if no route exists.
 func (nw *network) transfer(from, to int, bytes float64, alive []bool) bool {

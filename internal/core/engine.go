@@ -111,7 +111,7 @@ type Metrics struct {
 
 // Engine is a Polymer instance bound to one graph and one simulated
 // machine. It implements sg.Engine through the embedded sg.Sweep, one part
-// per node; the engine adds its partition, layouts, charge recipes
+// per node; the engine adds its partition, layouts, charge recipe
 // (recipe.go) and metrics.
 type Engine struct {
 	sg.Sweep
@@ -160,11 +160,14 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	} else {
 		e.parts = partition.VertexBalanced(g.NumVertices(), m.Nodes)
 	}
-	e.InitSweep(partition.Bounds(e.parts), sg.SweepConfig{
+	bounds := partition.Bounds(e.parts)
+	e.InitTier(g.TopologyBytes(), FrontierDemand(bounds))
+	r := NewRecipe(opt, bounds, e.Tier)
+	e.InitSweep(bounds, sg.SweepConfig{
 		Adaptive: opt.Adaptive, Threshold: opt.Threshold, Dir: opt.Mode, Barrier: opt.Barrier,
 		Layout:         func(push bool) *sg.Layout { return &e.layoutOf(push).Layout },
-		ChargeEdges:    e.chargeEdges,
-		ChargeVertices: e.chargeVertices,
+		ChargeEdges:    r.ChargeEdges,
+		ChargeVertices: r.ChargeVertices,
 		OnPhase:        e.notePhase,
 	})
 	// The engine keeps the construction-stage graph resident alongside
@@ -172,12 +175,6 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	if err := m.Alloc().Grow("polymer/graph", g.TopologyBytes()); err != nil {
 		return nil, err
 	}
-	e.InitTier(g.TopologyBytes(), func(fr *mem.TierClass) {
-		for p := 0; p < m.Nodes; p++ {
-			// Bitmaps, queues and per-vertex runtime-state bytes.
-			fr.GrowDemand(p, 2*int64(e.parts[p].Len()))
-		}
-	})
 	return e, nil
 }
 

@@ -235,6 +235,6 @@ func (e *Engine) registerLayout(l *layout) bool {
 		}
 	}
 	e.topoBytes += b
-	e.TierTopo.GrowDemandEven(b + agents)
+	e.Tier.Topo.GrowDemandEven(b + agents)
 	return true
 }

@@ -38,6 +38,10 @@ type Options struct {
 	Delta float64
 }
 
+// SyncBarrier ends a synchronous round (PageRank, SpMV, BP, PageRankDelta);
+// asynchronous worklist rounds charge the cheap N-Barrier rate instead.
+const SyncBarrier = barrier.H
+
 // DefaultOptions returns the evaluation configuration.
 func DefaultOptions() Options {
 	return Options{OverheadNsPerEdge: 0.8, NsPerTask: 20, Delta: 8}
@@ -47,7 +51,8 @@ func DefaultOptions() Options {
 // lifecycle surface is sg.Base's.
 type Engine struct {
 	sg.Base
-	opt Options
+	opt    Options
+	recipe Recipe
 
 	topoB  int64
 	dataB  int64
@@ -87,8 +92,8 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	if err := m.Alloc().Grow("galois/topology", e.topoB); err != nil {
 		return nil, err
 	}
-	// Worklist and task metadata are spread over the machine.
-	e.InitTier(e.topoB, func(fr *mem.TierClass) { fr.GrowDemandEven(int64(g.NumVertices()) * 16) })
+	e.InitTier(e.topoB, FrontierDemand(g.NumVertices()))
+	e.recipe = NewRecipe(opt, g.NumVertices(), e.Tier)
 	return e, nil
 }
 
@@ -122,7 +127,7 @@ func (e *Engine) trackData(bytes int64) {
 		panic(err)
 	}
 	e.dataB += bytes
-	e.TierState.GrowDemandEven(bytes)
+	e.Tier.State.GrowDemandEven(bytes)
 }
 
 // counters accumulates per-thread work.
@@ -163,16 +168,9 @@ func (c *counters) totals() (edges, tasks int64) {
 // charge (numa.Epoch.ChargeNodes' precondition).
 func (e *Engine) chargeRound(ep *numa.Epoch, cnt *counters, dataBytes int, syncKind barrier.Kind) {
 	edges, tasks := cnt.totals()
-	n := int64(e.G.NumVertices())
 	threads := e.M.Threads()
 	perEdges, perTasks := edges/int64(threads), tasks/int64(threads)
-	ep.ChargeNodes(func(th, _ int) {
-		e.TierTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, perEdges, 4, 0)
-		e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Load, perEdges, dataBytes, n*int64(dataBytes))
-		e.TierFrontier.AccessInterleaved(ep, th, numa.Seq, numa.Load, perTasks, 16, 0)
-		e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Store, perTasks, dataBytes, n*int64(dataBytes))
-		ep.Compute(th, (float64(perEdges)*e.opt.OverheadNsPerEdge+float64(perTasks)*e.opt.NsPerTask)*1e-9)
-	})
+	ep.ChargeNodes(func(th, _ int) { e.recipe.Round(ep, th, perEdges, perTasks, dataBytes) })
 	dur, _ := e.ChargePhase(ep, syncKind)
 	e.Edges += edges
 	if e.Tr != nil {
@@ -183,6 +181,37 @@ func (e *Engine) chargeRound(ep *numa.Epoch, cnt *counters, dataBytes int, syncK
 		e.Tr.Superstep("galois", e.Round, e.Clock-dur, dur, tm)
 	}
 	e.Round++
+}
+
+// Recipe is Galois's charge recipe over n vertices: the engine charges it
+// on the counts a round takes, the planner (package plan) on counts it
+// estimates.
+type Recipe struct {
+	opt Options
+	n   int64
+	sg.Tiers
+}
+
+// NewRecipe returns the recipe under opt, charging through t.
+func NewRecipe(opt Options, n int, t sg.Tiers) Recipe {
+	return Recipe{opt: opt, n: int64(n), Tiers: t}
+}
+
+// FrontierDemand is Galois's runtime-state rule for sg.NewTiers: worklist
+// and task metadata, 16 bytes per vertex, spread over the machine.
+func FrontierDemand(n int) func(fr *mem.TierClass) {
+	return func(fr *mem.TierClass) { fr.GrowDemandEven(int64(n) * 16) }
+}
+
+// Round charges thread th its share of a round: edges with a random read
+// of their far side's datum of dataBytes, tasks each writing its own.
+func (r *Recipe) Round(ep *numa.Epoch, th int, edges, tasks int64, dataBytes int) {
+	ws := r.n * int64(dataBytes)
+	r.Topo.AccessInterleaved(ep, th, numa.Seq, numa.Load, edges, 4, 0)
+	r.State.AccessInterleaved(ep, th, numa.Rand, numa.Load, edges, dataBytes, ws)
+	r.Frontier.AccessInterleaved(ep, th, numa.Seq, numa.Load, tasks, 16, 0)
+	r.State.AccessInterleaved(ep, th, numa.Rand, numa.Store, tasks, dataBytes, ws)
+	ep.Compute(th, (float64(edges)*r.opt.OverheadNsPerEdge+float64(tasks)*r.opt.NsPerTask)*1e-9)
 }
 
 // beginRound resets and hands out the round-scoped epoch and counters.
@@ -232,7 +261,7 @@ func (e *Engine) pullRounds(sess *fault.Session, iters int, name string, width i
 			if e.Err() != nil {
 				return e.Err()
 			}
-			e.chargeRound(ep, cnt, width, barrier.H)
+			e.chargeRound(ep, cnt, width, SyncBarrier)
 			return fault.CheckFinite(name, next)
 		})
 		if err != nil {

@@ -3,7 +3,6 @@ package galois
 import (
 	"math"
 
-	"polymer/internal/barrier"
 	"polymer/internal/graph"
 	"polymer/internal/par"
 )
@@ -92,7 +91,7 @@ func (e *Engine) PageRankDelta(eps float64, maxIter int) ([]float64, int) {
 		if e.Err() != nil {
 			break
 		}
-		e.chargeRound(ep, cnt, 8, barrier.H)
+		e.chargeRound(ep, cnt, 8, SyncBarrier)
 		remaining = 0
 		for _, a := range actCounts {
 			remaining += a

@@ -36,6 +36,10 @@ type Options struct {
 	OverheadNsPerEdge float64
 }
 
+// Barrier is the barrier every Ligra phase ends with: its Cilk-style
+// fork/join behaves like a tree (hierarchical) barrier.
+const Barrier = barrier.H
+
 // DefaultOptions returns the configuration used in the paper's evaluation.
 func DefaultOptions() Options {
 	return Options{Adaptive: true, Threshold: 20, OverheadNsPerEdge: 1.2}
@@ -45,7 +49,6 @@ func DefaultOptions() Options {
 // sg.Sweep.
 type Engine struct {
 	sg.Sweep
-	opt Options
 
 	// push and pull are the CSR by out- and by in-edges as the sweep's one
 	// part: row v is vertex v, and the frontier is one flat leaf.
@@ -64,35 +67,32 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	if opt.OverheadNsPerEdge <= 0 {
 		opt.OverheadNsPerEdge = 1.2
 	}
-	e := &Engine{opt: opt}
+	e := &Engine{}
 	if err := e.Init("ligra", g, m, nil); err != nil {
 		return nil, err
 	}
 	n := g.NumVertices()
+	e.InitTier(g.TopologyBytes(), FrontierDemand(n))
+	r := NewRecipe(opt, n, e.Tier)
 	whole := []int{0, n}
 	onePart := func(idx []int64, cols []graph.Vertex, wts []float32) sg.Layout {
 		return sg.NewLayout([]sg.Part{{Rows: sg.Rows{Idx: idx, Cols: cols, Wts: wts}, OwnerRows: whole}}, m.Threads())
 	}
 	e.push, e.pull = onePart(g.OutIndex, g.OutNbrs, g.OutWts), onePart(g.InIndex, g.InNbrs, g.InWts)
 	e.InitSweep(whole, sg.SweepConfig{
-		Adaptive: opt.Adaptive, Threshold: opt.Threshold,
-		// Ligra's Cilk-style fork/join behaves like a tree (hierarchical)
-		// barrier.
-		Barrier: barrier.H,
+		Adaptive: opt.Adaptive, Threshold: opt.Threshold, Barrier: Barrier,
 		Layout: func(push bool) *sg.Layout {
 			if push {
 				return &e.push
 			}
 			return &e.pull
 		},
-		ChargeEdges:    e.chargeEdges,
-		ChargeVertices: e.chargeVertices,
+		ChargeEdges:    r.ChargeEdges,
+		ChargeVertices: r.ChargeVertices,
 	})
 	if err := m.Alloc().Grow("ligra/topology", g.TopologyBytes()); err != nil {
 		return nil, err
 	}
-	// Ligra's short-term state is centrally allocated on node 0.
-	e.InitTier(g.TopologyBytes(), func(fr *mem.TierClass) { fr.GrowDemand(0, 2*int64(n)) })
 	return e, nil
 }
 
@@ -126,60 +126,79 @@ func (e *Engine) Close() {
 	e.M.Alloc().Release("ligra/topology", e.G.TopologyBytes())
 }
 
-// chargeEdges is Ligra's edge-phase recipe (sg.SweepConfig.ChargeEdges).
+// Recipe is Ligra's charge recipe over n vertices: the engine charges it
+// on the counts the sweep takes, the planner (package plan) on counts it
+// estimates.
+type Recipe struct {
+	opt Options
+	n   int64
+	sg.Tiers
+}
+
+// NewRecipe returns the recipe under opt, charging through t.
+func NewRecipe(opt Options, n int, t sg.Tiers) Recipe {
+	return Recipe{opt: opt, n: int64(n), Tiers: t}
+}
+
+// FrontierDemand is Ligra's runtime-state rule for sg.NewTiers: 2 bytes per
+// vertex, centrally allocated on node 0.
+func FrontierDemand(n int) func(fr *mem.TierClass) {
+	return func(fr *mem.TierClass) { fr.GrowDemand(0, 2*int64(n)) }
+}
+
+// ChargeEdges is Ligra's edge-phase recipe (sg.SweepConfig.ChargeEdges).
 // Every thread carries the phase's totals divided by the thread count,
 // modelling the Cilk work-stealing scheduler that keeps Ligra's edge work
 // balanced under degree skew; rows are the vertices scanned, or the
 // frontier vertices read in a sparse phase.
-func (e *Engine) chargeEdges(m sg.EdgeMode, ep *numa.Epoch, th, _ int, c *sg.Counts, h sg.Hints) {
-	n := int64(e.G.NumVertices())
-	dataWS := n * int64(h.DataBytes)
+func (r *Recipe) ChargeEdges(m sg.EdgeMode, ep *numa.Epoch, th, _ int, c *sg.Counts, h sg.Hints) {
+	dataWS := r.n * int64(h.DataBytes)
 	rows, edges, updates := c.RowsByOwner[0], c.Edges, c.Updates
 	switch m {
 	case sg.DensePush:
 		// Current state: centralized short-term allocation (node 0).
-		e.TierFrontier.Access(ep, th, numa.Seq, numa.Load, 0, rows, 1, 0)
+		r.Frontier.Access(ep, th, numa.Seq, numa.Load, 0, rows, 1, 0)
 		// Vertex metadata + source data: interleaved sequential.
-		e.TierTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, rows, 16, 0)
-		e.TierState.AccessInterleaved(ep, th, numa.Seq, numa.Load, c.ActiveByOwner[0], h.DataBytes, 0)
+		r.Topo.AccessInterleaved(ep, th, numa.Seq, numa.Load, rows, 16, 0)
+		r.State.AccessInterleaved(ep, th, numa.Seq, numa.Load, c.ActiveByOwner[0], h.DataBytes, 0)
 		// Out-edges: interleaved sequential stream.
-		e.TierTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, edges, h.EdgeBytes(), 0)
+		r.Topo.AccessInterleaved(ep, th, numa.Seq, numa.Load, edges, h.EdgeBytes(), 0)
 		// Neighbour data: random global writes (RAND|W|G).
-		e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Store, edges, h.DataBytes, dataWS)
+		r.State.AccessInterleaved(ep, th, numa.Rand, numa.Store, edges, h.DataBytes, dataWS)
 		// Next state: centralized random writes.
-		e.TierFrontier.Access(ep, th, numa.Rand, numa.Store, 0, updates, 1, n)
+		r.Frontier.Access(ep, th, numa.Rand, numa.Store, 0, updates, 1, r.n)
 	case sg.DensePull:
-		e.TierState.AccessInterleaved(ep, th, numa.Seq, numa.Load, rows, 16+h.DataBytes, 0)
-		e.TierTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, edges, h.EdgeBytes(), 0)
+		r.State.AccessInterleaved(ep, th, numa.Seq, numa.Load, rows, 16+h.DataBytes, 0)
+		r.Topo.AccessInterleaved(ep, th, numa.Seq, numa.Load, edges, h.EdgeBytes(), 0)
 		// Source state reads: centralized random.
-		e.TierFrontier.Access(ep, th, numa.Rand, numa.Load, 0, edges, 1, n)
+		r.Frontier.Access(ep, th, numa.Rand, numa.Load, 0, edges, 1, r.n)
 		// Source data reads: random global (RAND|R|G).
-		e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Load, edges, h.DataBytes, dataWS)
+		r.State.AccessInterleaved(ep, th, numa.Rand, numa.Load, edges, h.DataBytes, dataWS)
 		// Destination writes: interleaved sequential.
-		e.TierState.AccessInterleaved(ep, th, numa.Seq, numa.Store, updates, h.DataBytes+1, 0)
+		r.State.AccessInterleaved(ep, th, numa.Seq, numa.Store, updates, h.DataBytes+1, 0)
 	case sg.SparsePush:
 		// Frontier list: centralized sequential read; vertex metadata and
 		// source data: random interleaved (frontier order is arbitrary).
-		e.TierFrontier.Access(ep, th, numa.Seq, numa.Load, 0, rows, 4, 0)
-		e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Load, rows, 16+h.DataBytes, dataWS)
-		e.TierTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, edges, h.EdgeBytes(), 0)
-		e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Store, edges, h.DataBytes, dataWS)
+		r.Frontier.Access(ep, th, numa.Seq, numa.Load, 0, rows, 4, 0)
+		r.State.AccessInterleaved(ep, th, numa.Rand, numa.Load, rows, 16+h.DataBytes, dataWS)
+		r.Topo.AccessInterleaved(ep, th, numa.Seq, numa.Load, edges, h.EdgeBytes(), 0)
+		r.State.AccessInterleaved(ep, th, numa.Rand, numa.Store, edges, h.DataBytes, dataWS)
 		// Queue appends: centralized sequential writes.
-		e.TierFrontier.Access(ep, th, numa.Seq, numa.Store, 0, updates, 4, 0)
+		r.Frontier.Access(ep, th, numa.Seq, numa.Store, 0, updates, 4, 0)
 	}
-	ep.Compute(th, (float64(edges)*(h.NsPerEdge+e.opt.OverheadNsPerEdge)+float64(rows)*2)*1e-9)
+	ep.Compute(th, (float64(edges)*(h.NsPerEdge+r.opt.OverheadNsPerEdge)+float64(rows)*2)*1e-9)
 }
 
-// chargeVertices is Ligra's VertexMap recipe (sg.SweepConfig.ChargeVertices):
+// ChargeVertices is Ligra's VertexMap recipe (sg.SweepConfig.ChargeVertices):
 // the centralized state is read sequentially, the interleaved data
 // sequentially over a bitmap and at random over a frontier list.
-func (e *Engine) chargeVertices(ep *numa.Epoch, th, _ int, dense bool, words, visited int64) {
+func (r *Recipe) ChargeVertices(ep *numa.Epoch, th, _ int, dense bool, words, visited int64) {
 	if dense {
-		e.TierFrontier.Access(ep, th, numa.Seq, numa.Load, 0, words, 8, 0)
-		e.TierState.AccessInterleaved(ep, th, numa.Seq, numa.Load, visited, 16, 0)
+		r.Frontier.Access(ep, th, numa.Seq, numa.Load, 0, words, 8, 0)
+		r.State.AccessInterleaved(ep, th, numa.Seq, numa.Load, visited, 16, 0)
 	} else {
-		e.TierFrontier.Access(ep, th, numa.Seq, numa.Load, 0, visited, 4, 0)
-		e.TierState.AccessInterleaved(ep, th, numa.Rand, numa.Load, visited, 16, int64(e.G.NumVertices())*16)
+		r.Frontier.Access(ep, th, numa.Seq, numa.Load, 0, visited, 4, 0)
+		r.State.AccessInterleaved(ep, th, numa.Rand, numa.Load, visited, 16, r.n*16)
 	}
 	ep.Compute(th, float64(visited)*2e-9)
 }

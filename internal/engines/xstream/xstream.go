@@ -111,15 +111,13 @@ type tile struct {
 // Engine is an X-Stream instance; the lifecycle surface is sg.Base's.
 type Engine struct {
 	sg.Base
-	opt Options
+	recipe Recipe
 
-	tiles    []tile
-	active   []uint64
-	nActive  int64
-	topoB    int64
-	closed   bool
-	dataB    int
-	weighted bool
+	tiles   []tile
+	active  []uint64
+	nActive int64
+	topoB   int64
+	closed  bool
 
 	// Rollback extension (sg.SnapExtra): the active set at the last
 	// SnapshotSim.
@@ -147,11 +145,11 @@ func New(g *graph.Graph, m *numa.Machine, opt Options, h sg.Hints) (*Engine, err
 	if opt.OverheadNsPerEdge <= 0 {
 		opt.OverheadNsPerEdge = 1.5
 	}
-	e := &Engine{opt: opt, dataB: h.DataBytes, weighted: h.Weighted}
+	e := &Engine{}
 	if err := e.Init("xstream", g, m, e); err != nil {
 		return nil, err
 	}
-	e.buildTiles(opt.TileVertices)
+	e.buildTiles(tileVertices(opt, m.Topo.LLCBytes, h.DataBytes))
 	e.active = make([]uint64, (g.NumVertices()+63)/64)
 	e.scrEp = m.NewEpoch()
 	e.out = make([][]updates, m.Threads())
@@ -164,8 +162,8 @@ func New(g *graph.Graph, m *numa.Machine, opt Options, h sg.Hints) (*Engine, err
 	if err := m.Alloc().Grow("xstream/topology", e.topoB); err != nil {
 		return nil, err
 	}
-	// The active bitmaps and shuffle buffers are spread over the machine.
-	e.InitTier(e.topoB, func(fr *mem.TierClass) { fr.GrowDemandEven(2 * int64(len(e.active)) * 8) })
+	e.InitTier(e.topoB, FrontierDemand(g.NumVertices()))
+	e.recipe = NewRecipe(opt, g.NumVertices(), m.Topo.LLCBytes, h, e.Tier)
 	return e, nil
 }
 
@@ -194,32 +192,38 @@ func (e *Engine) RestoreExtra() {
 	e.nActive = e.snapNActive
 }
 
-// chargePhase folds one phase epoch into the clock — X-Stream's phases
-// end at a tree barrier — and emits its span.
+// Barrier is the barrier every X-Stream phase ends with, a tree barrier.
+const Barrier = barrier.H
+
+// chargePhase folds one phase epoch into the clock and emits its span.
 func (e *Engine) chargePhase(ep *numa.Epoch, kind string, active int64) {
-	dur, _ := e.ChargePhase(ep, barrier.H)
+	dur, _ := e.ChargePhase(ep, Barrier)
 	if e.Tr != nil {
 		e.Tr.Phase("xstream", kind, false, true, active, e.Clock-dur, dur)
 	}
 }
 
+// tileVertices is the streaming-partition size: opt.TileVertices, or
+// enough vertices that 2*dataB bytes of each fit an LLC of llc bytes,
+// rounded up to a 64-bit word boundary so each tile's state words have a
+// single writer in the gather phase.
+func tileVertices(opt Options, llc int64, dataB int) int {
+	tv := opt.TileVertices
+	if tv <= 0 {
+		tv = int(llc) / (2 * dataB)
+	}
+	return max((tv+63)&^63, 64)
+}
+
 // buildTiles lays the graph out as a grid of edge blocks, one per (source
-// tile, destination tile) pair. Two passes over each tile's CSR rows: the
-// first counts the edges into every destination tile, the second places
-// them, so every array is allocated once at its final size and each block
-// is the tile's CSR stream filtered by destination tile.
+// tile, destination tile) pair, in tiles of tileVerts vertices. Two passes
+// over each tile's CSR rows: the first counts the edges into every
+// destination tile, the second places them, so every array is allocated
+// once at its final size and each block is the tile's CSR stream filtered
+// by destination tile.
 func (e *Engine) buildTiles(tileVerts int) {
 	g := e.G
 	n := g.NumVertices()
-	if tileVerts <= 0 {
-		tileVerts = int(e.M.Topo.LLCBytes) / (2 * e.dataB)
-	}
-	// Round up to a 64-bit word boundary so each tile's state words have a
-	// single writer in the gather phase.
-	tileVerts = (tileVerts + 63) &^ 63
-	if tileVerts < 64 {
-		tileVerts = 64
-	}
 	nTiles := (n + tileVerts - 1) / tileVerts
 	if nTiles == 0 {
 		nTiles = 1
@@ -304,9 +308,7 @@ func (e *Engine) SetAllActive() {
 
 // SetActive marks exactly the given vertices active.
 func (e *Engine) SetActive(vs []graph.Vertex) {
-	for i := range e.active {
-		e.active[i] = 0
-	}
+	clear(e.active)
 	for _, v := range vs {
 		e.active[v/64] |= 1 << (v % 64)
 	}
@@ -415,17 +417,8 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 		scannedT += c[0]
 		activeT += c[1]
 	}
-	tileWS := int64(e.tiles[0].hiVertex-e.tiles[0].loVertex) * int64(e.dataB)
 	ep.ChargeNodes(func(th, node int) {
-		scanned, activeEdges := scannedT/int64(threads), activeT/int64(threads)
-		// Edge stream: sequential interleaved; source state + data reads:
-		// random within the tile (cache-resident thanks to tiling).
-		e.TierTopo.AccessInterleaved(ep, th, numa.Seq, numa.Load, scanned, e.edgeBytes(), 0)
-		e.TierFrontier.Access(ep, th, numa.Rand, numa.Load, node, scanned, 1, tileWS)
-		e.TierState.Access(ep, th, numa.Rand, numa.Load, node, activeEdges, e.dataB, tileWS)
-		// Uout appends: sequential writes to thread-local buffers.
-		e.TierFrontier.Access(ep, th, numa.Seq, numa.Store, node, activeEdges, 12, 0)
-		ep.Compute(th, float64(scanned)*(e.opt.OverheadNsPerEdge)*1e-9)
+		e.recipe.Scatter(ep, th, node, scannedT/int64(threads), activeT/int64(threads))
 	})
 	e.Edges += scannedT
 	e.chargePhase(ep, "scatter", activeIn)
@@ -448,22 +441,15 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 		e.Fail(err)
 		return e.nActive
 	}
-	ep2 := ep
 	perThread := totalUpdates / int64(threads)
-	ep2.ChargeNodes(func(th, node int) {
-		// Uout is read from the emitting thread's local buffer; the
-		// re-arranged Uin lands on interleaved pages across the machine.
-		e.TierFrontier.Access(ep2, th, numa.Seq, numa.Load, node, perThread, 12, 0)
-		e.TierFrontier.AccessInterleaved(ep2, th, numa.Seq, numa.Store, perThread, 12, 0)
-	})
-	e.chargePhase(ep2, "shuffle", totalUpdates)
-	ep2.Reset() // gather phase reuses the same epoch
+	ep.ChargeNodes(func(th, node int) { e.recipe.Shuffle(ep, th, node, perThread) })
+	e.chargePhase(ep, "shuffle", totalUpdates)
+	ep.Reset() // gather phase reuses the same epoch
 
 	// Gather: each tile applies its incoming updates; one thread per tile
 	// so destination writes need no atomics.
 	next := e.takeSpare()
 	ck2 := par.MakeStrided(int64(nTiles), 1, threads)
-	ep3 := ep2
 	gatherCounts := e.gatherCounts
 	e.RunPhase(func(th int) {
 		var applied, activated, fresh int64
@@ -501,14 +487,10 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 		activatedT += c[1]
 		nextCount += c[2]
 	}
-	ep3.ChargeNodes(func(th, node int) {
-		applied, activated := appliedT/int64(threads), activatedT/int64(threads)
-		e.TierFrontier.AccessInterleaved(ep3, th, numa.Seq, numa.Load, applied, 12, 0)
-		e.TierState.Access(ep3, th, numa.Rand, numa.Store, node, applied, e.dataB, tileWS)
-		e.TierFrontier.Access(ep3, th, numa.Rand, numa.Store, node, activated, 1, tileWS)
-		ep3.Compute(th, float64(applied)*2e-9)
+	ep.ChargeNodes(func(th, node int) {
+		e.recipe.Gather(ep, th, node, appliedT/int64(threads), activatedT/int64(threads))
 	})
-	e.chargePhase(ep3, "gather", appliedT)
+	e.chargePhase(ep, "gather", appliedT)
 	e.M.Alloc().Release("xstream/buffers", bufBytes)
 
 	if apply != nil {
@@ -539,9 +521,7 @@ func (e *Engine) takeSpare() []uint64 {
 	}
 	next := e.spare
 	e.spare = nil
-	for i := range next {
-		next[i] = 0
-	}
+	clear(next)
 	return next
 }
 
@@ -549,13 +529,9 @@ func (e *Engine) takeSpare() []uint64 {
 // overwriting the next-state bitmap with its verdicts.
 func (e *Engine) applyPhase(apply Applier, next []uint64) int64 {
 	n := e.G.NumVertices()
-	for i := range next {
-		next[i] = 0
-	}
+	clear(next)
 	counts := e.applyCounts
-	for i := range counts {
-		counts[i] = 0
-	}
+	clear(counts)
 	ck := par.MakeStrided(int64(n), 256, e.M.Threads())
 	ep := e.scrEp
 	ep.Reset()
@@ -574,8 +550,7 @@ func (e *Engine) applyPhase(apply Applier, next []uint64) int64 {
 			}
 
 		})
-		e.TierState.AccessInterleaved(ep, th, numa.Seq, numa.Load, visited, e.dataB*2, 0)
-		ep.Compute(th, float64(visited)*2e-9)
+		e.recipe.Apply(ep, th, visited)
 	})
 	if e.Err() != nil {
 		return 0
@@ -588,9 +563,68 @@ func (e *Engine) applyPhase(apply Applier, next []uint64) int64 {
 	return total
 }
 
-func (e *Engine) edgeBytes() int {
-	if e.weighted {
-		return 12
+// Recipe is X-Stream's charge recipe, a method per phase: the engine
+// charges it on the counts it takes, the planner (package plan) on counts
+// it estimates.
+type Recipe struct {
+	opt    Options
+	dataB  int   // per-vertex datum
+	edgeB  int   // streamed per edge: source, target and, when weighted, a weight
+	tileWS int64 // one tile's vertex data, the working set of its random accesses
+	sg.Tiers
+}
+
+// NewRecipe returns the recipe under opt for n vertices, hints h and tiles
+// sized to an LLC of llc bytes, charging through t.
+func NewRecipe(opt Options, n int, llc int64, h sg.Hints, t sg.Tiers) Recipe {
+	h = h.Normalize()
+	r := Recipe{opt: opt, dataB: h.DataBytes, edgeB: 8, Tiers: t}
+	if h.Weighted {
+		r.edgeB = 12
 	}
-	return 8
+	r.tileWS = int64(min(tileVertices(opt, llc, h.DataBytes), n)) * int64(h.DataBytes)
+	return r
+}
+
+// FrontierDemand is X-Stream's runtime-state rule for sg.NewTiers: two
+// active bitmaps, spread over the machine.
+func FrontierDemand(n int) func(fr *mem.TierClass) {
+	return func(fr *mem.TierClass) { fr.GrowDemandEven(2 * int64((n+63)/64) * 8) }
+}
+
+// Scatter charges thread th on node its share of a scatter phase: scanned
+// edges streamed, activeEdges of them from an active source.
+func (r *Recipe) Scatter(ep *numa.Epoch, th, node int, scanned, activeEdges int64) {
+	// Edge stream: sequential interleaved; source state + data reads:
+	// random within the tile (cache-resident thanks to tiling).
+	r.Topo.AccessInterleaved(ep, th, numa.Seq, numa.Load, scanned, r.edgeB, 0)
+	r.Frontier.Access(ep, th, numa.Rand, numa.Load, node, scanned, 1, r.tileWS)
+	r.State.Access(ep, th, numa.Rand, numa.Load, node, activeEdges, r.dataB, r.tileWS)
+	// Uout appends: sequential writes to thread-local buffers.
+	r.Frontier.Access(ep, th, numa.Seq, numa.Store, node, activeEdges, 12, 0)
+	ep.Compute(th, float64(scanned)*(r.opt.OverheadNsPerEdge)*1e-9)
+}
+
+// Shuffle charges thread th on node its share of a shuffle phase: updates
+// moved from Uout to Uin.
+func (r *Recipe) Shuffle(ep *numa.Epoch, th, node int, updates int64) {
+	// Uout is read from the emitting thread's local buffer; the
+	// re-arranged Uin lands on interleaved pages across the machine.
+	r.Frontier.Access(ep, th, numa.Seq, numa.Load, node, updates, 12, 0)
+	r.Frontier.AccessInterleaved(ep, th, numa.Seq, numa.Store, updates, 12, 0)
+}
+
+// Gather charges thread th on node its share of a gather phase: applied
+// updates, activated of which activate their target.
+func (r *Recipe) Gather(ep *numa.Epoch, th, node int, applied, activated int64) {
+	r.Frontier.AccessInterleaved(ep, th, numa.Seq, numa.Load, applied, 12, 0)
+	r.State.Access(ep, th, numa.Rand, numa.Store, node, applied, r.dataB, r.tileWS)
+	r.Frontier.Access(ep, th, numa.Rand, numa.Store, node, activated, 1, r.tileWS)
+	ep.Compute(th, float64(applied)*2e-9)
+}
+
+// Apply charges thread th the vertices it visited in an apply phase.
+func (r *Recipe) Apply(ep *numa.Epoch, th int, visited int64) {
+	r.State.AccessInterleaved(ep, th, numa.Seq, numa.Load, visited, r.dataB*2, 0)
+	ep.Compute(th, float64(visited)*2e-9)
 }

@@ -70,7 +70,7 @@ type Crasher interface {
 }
 
 // PlannedCrash fires exactly once, at one (point, seq) pair. The zero
-// value never fires; use PlanCrash for a seeded plan.
+// value never fires.
 type PlannedCrash struct {
 	Point CrashPoint
 	Seq   uint64
@@ -87,18 +87,3 @@ func (c *PlannedCrash) Crash(p CrashPoint, seq uint64) bool {
 
 // Fired reports whether the planned kill happened.
 func (c *PlannedCrash) Fired() bool { return c.fired.Load() }
-
-// PlanCrash derives a deterministic one-shot crash plan from a seed: a
-// point from the full matrix and a batch in [1, maxSeq]. The same seed
-// always plans the same kill, so a failing chaos trial replays exactly.
-func PlanCrash(seed uint64, maxSeq uint64) *PlannedCrash {
-	if maxSeq < 1 {
-		maxSeq = 1
-	}
-	r := &splitmix64{s: seed}
-	pts := CrashPoints()
-	return &PlannedCrash{
-		Point: pts[r.intn(len(pts))],
-		Seq:   1 + r.next()%maxSeq,
-	}
-}

@@ -16,8 +16,6 @@ func chargeAll[T any](t *testing.T, m *numa.Machine, a *Array[T], lo, count int6
 	t.Helper()
 	ep := m.NewEpoch()
 	a.ChargeSeq(ep, 0, numa.Load, lo, count)
-	a.ChargeRandLocal(ep, 1, numa.Store, p, count)
-	a.ChargeRandGlobal(ep, 2, numa.Load, count)
 	_ = a.NodeOf(int(lo))
 	_ = a.NodeOf(int(lo + count))
 	if tm := ep.Time(); math.IsNaN(tm) || tm < 0 || math.IsInf(tm, 0) {

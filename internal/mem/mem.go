@@ -126,9 +126,6 @@ func (a *Array[T]) Len() int { return len(a.Data) }
 // Bytes returns the simulated footprint in bytes.
 func (a *Array[T]) Bytes() int64 { return a.elemBytes * int64(len(a.Data)) }
 
-// ElemBytes returns the element size in bytes.
-func (a *Array[T]) ElemBytes() int { return int(a.elemBytes) }
-
 // Placement returns the array's placement policy.
 func (a *Array[T]) Placement() Placement { return a.place }
 
@@ -199,23 +196,6 @@ func (a *Array[T]) NodeOf(i int) int {
 	}
 }
 
-// Part returns the slice of Data owned by node p (only valid for
-// CoLocated arrays).
-func (a *Array[T]) Part(p int) []T {
-	if a.place != CoLocated {
-		panic("mem: Part requires co-located placement")
-	}
-	return a.Data[a.bounds[p]:a.bounds[p+1]]
-}
-
-// PartRange returns the index range owned by node p.
-func (a *Array[T]) PartRange(p int) (lo, hi int) {
-	if a.place != CoLocated {
-		panic("mem: PartRange requires co-located placement")
-	}
-	return a.bounds[p], a.bounds[p+1]
-}
-
 // ChargeSeq records a sequential scan of count elements in partition-order
 // starting conceptually at index lo by thread th. For co-located arrays the
 // traffic is charged against the owning node(s); for interleaved and
@@ -274,42 +254,6 @@ func (a *Array[T]) ChargeSeq(e *numa.Epoch, th int, op numa.Op, lo, count int64)
 			i += int(take)
 			rem -= take
 		}
-	}
-}
-
-// ChargeRandLocal records count random accesses by thread th confined to
-// node p's partition (e.g. Polymer's local random writes). ws defaults to
-// the partition's byte size. An out-of-range p clamps to the nearest
-// node.
-func (a *Array[T]) ChargeRandLocal(e *numa.Epoch, th int, op numa.Op, p int, count int64) {
-	if count <= 0 {
-		return
-	}
-	if p < 0 {
-		p = 0
-	} else if p >= a.m.Nodes {
-		p = a.m.Nodes - 1
-	}
-	ws := a.Bytes()
-	if a.place == CoLocated {
-		ws = a.elemBytes * int64(a.bounds[p+1]-a.bounds[p])
-	}
-	a.tier.Access(e, th, numa.Rand, op, p, count, int(a.elemBytes), ws)
-}
-
-// ChargeRandGlobal records count random accesses by thread th spread over
-// the whole array (e.g. Ligra's push-mode scattered writes).
-func (a *Array[T]) ChargeRandGlobal(e *numa.Epoch, th int, op numa.Op, count int64) {
-	if count <= 0 {
-		return
-	}
-	switch a.place {
-	case Centralized:
-		a.tier.Access(e, th, numa.Rand, op, 0, count, int(a.elemBytes), a.Bytes())
-	default:
-		// Both interleaved pages and co-located partitions look uniformly
-		// spread to a globally-random access stream.
-		a.tier.AccessInterleaved(e, th, numa.Rand, op, count, int(a.elemBytes), a.Bytes())
 	}
 }
 

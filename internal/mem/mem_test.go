@@ -37,13 +37,6 @@ func TestCoLocatedNodeOf(t *testing.T) {
 			t.Fatalf("NodeOf(%d) = %d, want %d", i, got, want)
 		}
 	}
-	lo, hi := a.PartRange(2)
-	if lo != 30 || hi != 60 {
-		t.Fatalf("PartRange(2) = [%d,%d)", lo, hi)
-	}
-	if len(a.Part(1)) != 20 {
-		t.Fatalf("Part(1) len = %d", len(a.Part(1)))
-	}
 }
 
 func TestCoLocatedNodeOfProperty(t *testing.T) {
@@ -117,28 +110,11 @@ func TestChargeSeqSplitsAcrossPartitions(t *testing.T) {
 	}
 }
 
-func TestChargeRandLocalUsesPartitionWorkingSet(t *testing.T) {
-	m := testMachine()
-	// Whole array far exceeds LLC, single partition fits.
-	n := 1 << 20
-	bounds := []int{0, n / 4, n / 2, 3 * n / 4, n}
-	co := New[float64](m, "co", n, CoLocated, bounds)
-	il := New[float64](m, "il", n, Interleaved, nil)
-	eCo, eIl := m.NewEpoch(), m.NewEpoch()
-	co.ChargeRandLocal(eCo, 0, numa.Store, 0, 10000)
-	il.ChargeRandGlobal(eIl, 0, numa.Store, 10000)
-	if !(eCo.Time() < eIl.Time()) {
-		t.Fatalf("partition-local random (%v) must beat global random (%v)", eCo.Time(), eIl.Time())
-	}
-}
-
 func TestChargeZeroCountsNoop(t *testing.T) {
 	m := testMachine()
 	a := New[float64](m, "z", 100, Centralized, nil)
 	e := m.NewEpoch()
 	a.ChargeSeq(e, 0, numa.Load, 0, 0)
-	a.ChargeRandGlobal(e, 0, numa.Load, 0)
-	a.ChargeRandLocal(e, 0, numa.Load, 0, 0)
 	if e.Time() != 0 {
 		t.Fatal("zero-count charges must not advance time")
 	}
@@ -148,15 +124,4 @@ func TestPlacementString(t *testing.T) {
 	if CoLocated.String() != "co-located" || Interleaved.String() != "interleaved" || Centralized.String() != "centralized" {
 		t.Fatal("Placement.String mismatch")
 	}
-}
-
-func TestPartPanicsOnNonCoLocated(t *testing.T) {
-	m := testMachine()
-	a := New[int](m, "i", 10, Interleaved, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Part on interleaved array must panic")
-		}
-	}()
-	a.Part(0)
 }

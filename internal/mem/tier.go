@@ -272,6 +272,13 @@ func (c *TierClass) record(ep *numa.Epoch, bytes int64) {
 	}
 }
 
+// split records count elements of elemBytes charged through ep and returns
+// how many of them DRAM serves at hit fraction hit.
+func (c *TierClass) split(ep *numa.Epoch, count int64, elemBytes int, hit float64) (dram int64) {
+	c.record(ep, count*int64(elemBytes))
+	return min(int64(float64(count)*hit), count)
+}
+
 // Access charges count elements against node, splitting between DRAM and
 // the slow tier by the class's hit fraction. A nil handle forwards to
 // ep.Access unchanged.
@@ -283,11 +290,7 @@ func (c *TierClass) Access(ep *numa.Epoch, th int, p numa.Pattern, op numa.Op, n
 	if count <= 0 {
 		return
 	}
-	c.record(ep, count*int64(elemBytes))
-	dram := int64(float64(count) * c.hit[node])
-	if dram > count {
-		dram = count
-	}
+	dram := c.split(ep, count, elemBytes, c.hit[node])
 	ep.Access(th, p, op, node, dram, elemBytes, ws)
 	ep.AccessSlow(th, p, op, node, count-dram, elemBytes, ws)
 }
@@ -302,11 +305,7 @@ func (c *TierClass) AccessInterleaved(ep *numa.Epoch, th int, p numa.Pattern, op
 	if count <= 0 {
 		return
 	}
-	c.record(ep, count*int64(elemBytes))
-	dram := int64(float64(count) * c.hitIl)
-	if dram > count {
-		dram = count
-	}
+	dram := c.split(ep, count, elemBytes, c.hitIl)
 	ep.AccessInterleaved(th, p, op, dram, elemBytes, ws)
 	ep.AccessSlowInterleaved(th, p, op, count-dram, elemBytes, ws)
 }
@@ -321,11 +320,7 @@ func (c *TierClass) LatencyBound(ep *numa.Epoch, th int, op numa.Op, node int, c
 	if count <= 0 {
 		return
 	}
-	c.record(ep, count*8)
-	dram := int64(float64(count) * c.hit[node])
-	if dram > count {
-		dram = count
-	}
+	dram := c.split(ep, count, 8, c.hit[node])
 	ep.LatencyBound(th, op, node, dram)
 	ep.LatencyBoundSlow(th, op, node, count-dram)
 }
@@ -441,6 +436,21 @@ func (tp *TierPlan) Migrations() []Migration {
 		return nil
 	}
 	return tp.log
+}
+
+// Demand returns the bytes the registered classes demand, over every node
+// (0 for a nil plan).
+func (tp *TierPlan) Demand() int64 {
+	if tp == nil {
+		return 0
+	}
+	var b int64
+	for _, c := range tp.classes {
+		for _, d := range c.spec.BytesPerNode {
+			b += d
+		}
+	}
+	return b
 }
 
 // Classes returns the registered class labels with their mean resident

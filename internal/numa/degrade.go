@@ -82,14 +82,6 @@ func (m *Machine) recomputeDegraded() {
 	}
 }
 
-// LinkFactor returns the current bandwidth multiplier of the a<->b pair.
-func (m *Machine) LinkFactor(a, b int) float64 {
-	if !m.fault.degraded {
-		return 1
-	}
-	return m.fault.factor[a][b]
-}
-
 // Degraded reports whether any link is currently running below full
 // bandwidth.
 func (m *Machine) Degraded() bool { return m.fault.degraded }

@@ -183,8 +183,23 @@ func (e *Epoch) hitFraction(ws int64) float64 {
 // and operation op by thread th against memory node node. For random
 // accesses, ws is the working-set size in bytes used for LLC modelling
 // (pass 0 for uncacheable/streaming-like behaviour). Sequential accesses
-// ignore ws.
+// ignore ws; direction shares one bandwidth table, as in the paper's
+// Figure 4.
 func (e *Epoch) Access(th int, p Pattern, op Op, node int, count int64, elemBytes int, ws int64) {
+	e.access(th, p, node, count, elemBytes, ws, false)
+}
+
+// AccessSlow is Access against the slow tier: the path is the same hop
+// level, but the media at the far end serves at the topology's slow-tier
+// tables and the traffic lands in the ledger's slow-tier bank. It must
+// only be called on a tiered machine.
+func (e *Epoch) AccessSlow(th int, p Pattern, op Op, node int, count int64, elemBytes int, ws int64) {
+	e.access(th, p, node, count, elemBytes, ws, true)
+}
+
+// access is Access, or AccessSlow when slow: one formula over either
+// tier's tables, class rows and controllers.
+func (e *Epoch) access(th int, p Pattern, node int, count int64, elemBytes int, ws int64, slow bool) {
 	if count <= 0 {
 		return
 	}
@@ -196,36 +211,42 @@ func (e *Epoch) Access(th int, p Pattern, op Op, node int, count int64, elemByte
 	// Degraded links scale the effective memory bandwidth of the path; the
 	// LLC-hit portion of random traffic is unaffected (served from cache).
 	scale := e.m.linkScale(from, node)
+	seqBW, randBW, class, bank := topo.SeqBW, topo.RandBW, lvl, e.offNode
+	if slow {
+		seqBW, randBW, class, bank = topo.SlowSeqBW, topo.SlowRandBW, topo.MaxLevel()+1+lvl, e.offSlow
+	}
 
 	if lvl == 0 {
 		c[cLocal] += count
 	} else {
 		c[cRemote] += count
 	}
+	if slow {
+		c[cSlow] += count
+	}
 
 	switch p {
 	case Seq:
-		f[fMem] += bytes / (topo.SeqBW[lvl] * mb * scale)
+		f[fMem] += bytes / (seqBW[lvl] * mb * scale)
 		miss := bytes / float64(topo.CacheLineBytes)
 		f[fMiss] += miss
 		if lvl > 0 {
 			f[fRemoteMiss] += miss
 		}
-		f[e.offClass+lvl*2+int(Seq)] += bytes
-		e.chargeResource(f, e.offNode, from, node, bytes)
+		f[e.offClass+class*2+int(Seq)] += bytes
+		e.chargeResource(f, bank, from, node, bytes)
 	case Rand:
 		hit := e.hitFraction(ws)
 		missBytes := bytes * (1 - hit)
-		f[fMem] += missBytes/(topo.RandBW[lvl]*mb*scale) + bytes*hit/(topo.CacheBW*mb)
+		f[fMem] += missBytes/(randBW[lvl]*mb*scale) + bytes*hit/(topo.CacheBW*mb)
 		miss := float64(count) * (1 - hit)
 		f[fMiss] += miss
 		if lvl > 0 {
 			f[fRemoteMiss] += miss
 		}
-		f[e.offClass+lvl*2+int(Rand)] += missBytes
-		e.chargeResource(f, e.offNode, from, node, missBytes)
+		f[e.offClass+class*2+int(Rand)] += missBytes
+		e.chargeResource(f, bank, from, node, missBytes)
 	}
-	_ = op // direction currently shares one bandwidth table, as in the paper's Figure 4
 }
 
 // AccessInterleaved records traffic against pages interleaved across all
@@ -233,6 +254,16 @@ func (e *Epoch) Access(th int, p Pattern, op Op, node int, count int64, elemByte
 // per-thread cost uses the measured interleaved bandwidth; traffic and the
 // remote-access count are spread across all nodes.
 func (e *Epoch) AccessInterleaved(th int, p Pattern, op Op, count int64, elemBytes int, ws int64) {
+	e.accessInterleaved(th, p, count, elemBytes, ws, false)
+}
+
+// AccessSlowInterleaved is AccessInterleaved against pages interleaved
+// across the active nodes' slow tiers.
+func (e *Epoch) AccessSlowInterleaved(th int, p Pattern, op Op, count int64, elemBytes int, ws int64) {
+	e.accessInterleaved(th, p, count, elemBytes, ws, true)
+}
+
+func (e *Epoch) accessInterleaved(th int, p Pattern, count int64, elemBytes int, ws int64, slow bool) {
 	if count <= 0 {
 		return
 	}
@@ -247,6 +278,12 @@ func (e *Epoch) AccessInterleaved(th int, p Pattern, op Op, count int64, elemByt
 	c[cRemote] += int64(float64(count) * remoteFrac)
 
 	seqBW, randBW := e.m.InterleavedBW(from)
+	class, bank := 0, e.offNode // class: the slow tier's rows follow DRAM's
+	if slow {
+		c[cSlow] += count
+		seqBW, randBW = e.m.InterleavedSlowBW(from)
+		class, bank = topo.MaxLevel()+1, e.offSlow
+	}
 	// Interleaved traffic crosses every link; charge it at the most
 	// degraded one (conservative).
 	if scale := e.m.worstLinkScale(from); scale != 1 {
@@ -272,15 +309,24 @@ func (e *Epoch) AccessInterleaved(th int, p Pattern, op Op, count int64, elemByt
 	}
 	share := memBytes / float64(nodes)
 	for n := 0; n < nodes; n++ {
-		f[e.offClass+e.m.Level(from, n)*2+int(p)] += share
-		e.chargeResource(f, e.offNode, from, n, share)
+		f[e.offClass+(class+e.m.Level(from, n))*2+int(p)] += share
+		e.chargeResource(f, bank, from, n, share)
 	}
-	_ = op
 }
 
 // LatencyBound records count serialised (latency-bound) operations, such as
 // atomic read-modify-writes, by thread th against memory node node.
 func (e *Epoch) LatencyBound(th int, op Op, node int, count int64) {
+	e.latencyBound(th, op, node, count, false)
+}
+
+// LatencyBoundSlow is LatencyBound against the slow tier, charged at the
+// topology's slow-tier load/store latency rows.
+func (e *Epoch) LatencyBoundSlow(th int, op Op, node int, count int64) {
+	e.latencyBound(th, op, node, count, true)
+}
+
+func (e *Epoch) latencyBound(th int, op Op, node int, count int64, slow bool) {
 	if count <= 0 {
 		return
 	}
@@ -288,9 +334,13 @@ func (e *Epoch) LatencyBound(th int, op Op, node int, count int64) {
 	topo := e.m.Topo
 	from := e.m.NodeOfThread(th)
 	lvl := e.m.Level(from, node)
-	lat := topo.LoadLatency[lvl]
+	load, store, class := topo.LoadLatency, topo.StoreLatency, lvl
+	if slow {
+		load, store, class = topo.SlowLoadLatency, topo.SlowStoreLatency, topo.MaxLevel()+1+lvl
+	}
+	lat := load[lvl]
 	if op == Store {
-		lat = topo.StoreLatency[lvl]
+		lat = store[lvl]
 	}
 	// A degraded link stretches round-trip latency proportionally.
 	lat /= e.m.linkScale(from, node)
@@ -301,134 +351,13 @@ func (e *Epoch) LatencyBound(th int, op Op, node int, count int64) {
 		c[cRemote] += count
 		f[fRemoteMiss] += float64(count)
 	}
+	if slow {
+		c[cSlow] += count
+	}
 	f[fMiss] += float64(count)
 	// Latency-bound ops move one element each way; classify them as random
 	// traffic at the element size (8 bytes, the engines' widest atomic).
-	f[e.offClass+lvl*2+int(Rand)] += float64(count) * 8
-}
-
-// AccessSlow is Access against the slow tier: the path is the same hop
-// level, but the media at the far end serves at the topology's slow-tier
-// tables and the traffic lands in the ledger's slow-tier bank. It must
-// only be called on a tiered machine.
-func (e *Epoch) AccessSlow(th int, p Pattern, op Op, node int, count int64, elemBytes int, ws int64) {
-	if count <= 0 {
-		return
-	}
-	f, c := e.ledger(th)
-	topo := e.m.Topo
-	from := e.m.NodeOfThread(th)
-	lvl := e.m.Level(from, node)
-	levels := topo.MaxLevel() + 1
-	bytes := float64(count) * float64(elemBytes)
-	scale := e.m.linkScale(from, node)
-
-	if lvl == 0 {
-		c[cLocal] += count
-	} else {
-		c[cRemote] += count
-	}
-	c[cSlow] += count
-
-	switch p {
-	case Seq:
-		f[fMem] += bytes / (topo.SlowSeqBW[lvl] * mb * scale)
-		miss := bytes / float64(topo.CacheLineBytes)
-		f[fMiss] += miss
-		if lvl > 0 {
-			f[fRemoteMiss] += miss
-		}
-		f[e.offClass+(levels+lvl)*2+int(Seq)] += bytes
-		e.chargeResource(f, e.offSlow, from, node, bytes)
-	case Rand:
-		hit := e.hitFraction(ws)
-		missBytes := bytes * (1 - hit)
-		f[fMem] += missBytes/(topo.SlowRandBW[lvl]*mb*scale) + bytes*hit/(topo.CacheBW*mb)
-		miss := float64(count) * (1 - hit)
-		f[fMiss] += miss
-		if lvl > 0 {
-			f[fRemoteMiss] += miss
-		}
-		f[e.offClass+(levels+lvl)*2+int(Rand)] += missBytes
-		e.chargeResource(f, e.offSlow, from, node, missBytes)
-	}
-	_ = op
-}
-
-// AccessSlowInterleaved is AccessInterleaved against pages interleaved
-// across the active nodes' slow tiers.
-func (e *Epoch) AccessSlowInterleaved(th int, p Pattern, op Op, count int64, elemBytes int, ws int64) {
-	if count <= 0 {
-		return
-	}
-	f, c := e.ledger(th)
-	topo := e.m.Topo
-	from := e.m.NodeOfThread(th)
-	nodes := e.m.Nodes
-	levels := topo.MaxLevel() + 1
-	bytes := float64(count) * float64(elemBytes)
-
-	remoteFrac := float64(nodes-1) / float64(nodes)
-	c[cLocal] += count - int64(float64(count)*remoteFrac)
-	c[cRemote] += int64(float64(count) * remoteFrac)
-	c[cSlow] += count
-
-	seqBW, randBW := e.m.InterleavedSlowBW(from)
-	if scale := e.m.worstLinkScale(from); scale != 1 {
-		seqBW *= scale
-		randBW *= scale
-	}
-	var memBytes float64
-	switch p {
-	case Seq:
-		f[fMem] += bytes / (seqBW * mb)
-		miss := bytes / float64(topo.CacheLineBytes)
-		f[fMiss] += miss
-		f[fRemoteMiss] += miss * remoteFrac
-		memBytes = bytes
-	case Rand:
-		hit := e.hitFraction(ws)
-		missBytes := bytes * (1 - hit)
-		f[fMem] += missBytes/(randBW*mb) + bytes*hit/(topo.CacheBW*mb)
-		miss := float64(count) * (1 - hit)
-		f[fMiss] += miss
-		f[fRemoteMiss] += miss * remoteFrac
-		memBytes = missBytes
-	}
-	share := memBytes / float64(nodes)
-	for n := 0; n < nodes; n++ {
-		f[e.offClass+(levels+e.m.Level(from, n))*2+int(p)] += share
-		e.chargeResource(f, e.offSlow, from, n, share)
-	}
-	_ = op
-}
-
-// LatencyBoundSlow is LatencyBound against the slow tier, charged at the
-// topology's slow-tier load/store latency rows.
-func (e *Epoch) LatencyBoundSlow(th int, op Op, node int, count int64) {
-	if count <= 0 {
-		return
-	}
-	f, c := e.ledger(th)
-	topo := e.m.Topo
-	from := e.m.NodeOfThread(th)
-	lvl := e.m.Level(from, node)
-	levels := topo.MaxLevel() + 1
-	lat := topo.SlowLoadLatency[lvl]
-	if op == Store {
-		lat = topo.SlowStoreLatency[lvl]
-	}
-	lat /= e.m.linkScale(from, node)
-	f[fMem] += float64(count) * lat / (topo.ClockGHz * 1e9)
-	if lvl == 0 {
-		c[cLocal] += count
-	} else {
-		c[cRemote] += count
-		f[fRemoteMiss] += float64(count)
-	}
-	c[cSlow] += count
-	f[fMiss] += float64(count)
-	f[e.offClass+(levels+lvl)*2+int(Rand)] += float64(count) * 8
+	f[e.offClass+class*2+int(Rand)] += float64(count) * 8
 }
 
 // Compute records pure computation time (software overhead, arithmetic)

@@ -14,8 +14,8 @@ type Machine struct {
 	Nodes        int
 	CoresPerNode int
 
-	physical []int   // logical node -> physical socket
-	levels   [][]int // logical node pair -> hop level
+	physical []int // logical node -> physical socket
+	levels   []int // logical node pair (a, b) at a*Nodes+b -> hop level
 	alloc    *AllocTracker
 
 	// ilSeqBW and ilRandBW hold, per logical node, the effective
@@ -98,11 +98,10 @@ func newMachineOn(t *Topology, physical []int, nodes, coresPerNode int) (*Machin
 		physical:     physical,
 		alloc:        NewAllocTracker(),
 	}
-	m.levels = make([][]int, nodes)
+	m.levels = make([]int, nodes*nodes)
 	for i := 0; i < nodes; i++ {
-		m.levels[i] = make([]int, nodes)
 		for j := 0; j < nodes; j++ {
-			m.levels[i][j] = t.Level(m.physical[i], m.physical[j])
+			m.levels[i*nodes+j] = t.Level(m.physical[i], m.physical[j])
 		}
 	}
 	m.ilSeqBW = make([]float64, nodes)
@@ -110,7 +109,7 @@ func newMachineOn(t *Topology, physical []int, nodes, coresPerNode int) (*Machin
 	for i := 0; i < nodes; i++ {
 		var seqInv, randInv float64
 		for j := 0; j < nodes; j++ {
-			lvl := m.levels[i][j]
+			lvl := m.Level(i, j)
 			seqInv += 1 / t.SeqBW[lvl]
 			randInv += 1 / t.RandBW[lvl]
 		}
@@ -142,7 +141,7 @@ func (t *Topology) PickOrder(n int) []int {
 // pickSockets greedily selects n sockets minimising the sum of pairwise hop
 // levels, starting from socket 0.
 func pickSockets(t *Topology, n int) []int {
-	chosen := []int{0}
+	chosen := make([]int, 1, n)
 	used := make([]bool, t.Sockets)
 	used[0] = true
 	for len(chosen) < n {
@@ -172,7 +171,7 @@ func (m *Machine) Threads() int { return m.Nodes * m.CoresPerNode }
 func (m *Machine) NodeOfThread(th int) int { return th / m.CoresPerNode }
 
 // Level returns the hop level between two logical nodes.
-func (m *Machine) Level(a, b int) int { return m.levels[a][b] }
+func (m *Machine) Level(a, b int) int { return m.levels[a*m.Nodes+b] }
 
 // PhysicalSocket returns the physical socket backing a logical node.
 func (m *Machine) PhysicalSocket(node int) int { return m.physical[node] }

@@ -123,7 +123,7 @@ func (m *Machine) SetTierConfig(tc TierConfig) error {
 		for i := 0; i < m.Nodes; i++ {
 			var seqInv, randInv float64
 			for j := 0; j < m.Nodes; j++ {
-				lvl := m.levels[i][j]
+				lvl := m.Level(i, j)
 				seqInv += 1 / t.SlowSeqBW[lvl]
 				randInv += 1 / t.SlowRandBW[lvl]
 			}

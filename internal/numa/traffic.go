@@ -28,9 +28,7 @@ func (t *TrafficMatrix) Resize(nodes, levels int) {
 		t.Cells = make([]float64, n)
 	}
 	t.Cells = t.Cells[:n]
-	for i := range t.Cells {
-		t.Cells[i] = 0
-	}
+	clear(t.Cells)
 	t.Nodes, t.Levels = nodes, levels
 }
 

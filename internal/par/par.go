@@ -258,6 +258,14 @@ func (s Strided) Do(th int, fn func(lo, hi int64)) {
 // MaxChunk returns the length of the schedule's longest chunk.
 func (s Strided) MaxChunk() int64 { return min(s.chunk, s.n) }
 
+// Len returns how many elements of [0, n) thread th is assigned; thread 0,
+// which takes the first chunk, is assigned the most.
+func (s Strided) Len(th int) int64 {
+	var total int64
+	s.Do(th, func(lo, hi int64) { total += hi - lo })
+	return total
+}
+
 // ChunkSize picks the engines' shared phase chunk granularity: about 8
 // chunks per thread over [0, n), floored at 64 so tiny ranges do not
 // shred into per-element dispatches.

@@ -1,11 +1,11 @@
 // The online learner: per-(feature-bucket, candidate) multiplicative
-// correction factors fed by observed runs. The cost model is analytic
-// and deliberately simple; whatever per-workload bias it carries shows
-// up as a stable ratio observed/predicted, which an EWMA tracks and the
-// chooser multiplies back into future predictions. Corrections are
-// keyed by a coarse feature bucket — exact feature vectors would never
-// repeat across datasets — and by the full candidate, because the bias
-// of, say, the XStream recipe differs from the Polymer one.
+// correction factors fed by observed runs. The cost model charges the
+// engines' own recipes, so its per-workload bias is the bias of its count
+// estimates; it shows up as a stable ratio observed/predicted, which an
+// EWMA tracks and the chooser multiplies back into future predictions.
+// Corrections are keyed by a coarse feature bucket — exact feature vectors
+// would never repeat across datasets — and by the full candidate, because
+// the counts estimated for, say, X-Stream err differently from Polymer's.
 
 package plan
 
@@ -115,13 +115,7 @@ func (l *Learner) Observe(b Bucket, c Candidate, predicted, observed float64) {
 	if predicted <= 0 || observed <= 0 || math.IsInf(observed, 0) || math.IsNaN(observed) {
 		return
 	}
-	ratio := observed / predicted
-	if ratio < minFactor {
-		ratio = minFactor
-	}
-	if ratio > maxFactor {
-		ratio = maxFactor
-	}
+	ratio := min(max(observed/predicted, minFactor), maxFactor)
 	relErr := math.Abs(observed-predicted) / predicted
 	l.obs.Add(1)
 

@@ -3,6 +3,11 @@ package plan
 import (
 	"context"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"polymer/internal/bench"
@@ -226,5 +231,95 @@ func TestDecisionTable(t *testing.T) {
 	}
 	if !foundPick {
 		t.Fatal("pick not present in its own table")
+	}
+}
+
+// coldQuery is the decision the serving benchmark's planned PageRank makes
+// after every commit: 18 PageRank candidates on power-law small, on the
+// Intel machine's eight sockets of ten cores.
+func coldQuery(tb testing.TB) (*numa.Topology, Query) {
+	g, err := gen.Load(gen.PowerLaw, gen.Small, false)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return numa.IntelXeon80(), Query{Features: Profile(g), Alg: bench.PR, Nodes: 8}
+}
+
+// BenchmarkResolveCold times one cold decision: every candidate priced.
+func BenchmarkResolveCold(b *testing.B) {
+	topo, q := coldQuery(b)
+	b.ReportAllocs()
+	for range b.N {
+		b.StopTimer()
+		p := New(topo, 10)
+		b.StartTimer()
+		p.Resolve(q)
+	}
+}
+
+// A cold decision prices every candidate on a private machine; its
+// allocations are pinned so pricing through the engines' recipes costs no
+// more than the hand-written model it replaced (347 with the planner's own
+// construction, 336 of them the decision's).
+func TestResolveColdAllocBudget(t *testing.T) {
+	topo, q := coldQuery(t)
+	if avg := testing.AllocsPerRun(20, func() { New(topo, 10).Resolve(q) }); avg > 347 {
+		t.Fatalf("a cold decision allocates %.0f times, budget 347", avg)
+	}
+}
+
+// TestServedQueriesKeepTheirPick pins what the planner picks for the
+// queries the serving benchmark leaves to it (a /run body without a
+// system): PageRank and BFS on the power-law and road datasets at small
+// scale, on all eight sockets of ten cores of the Intel machine. Polymer,
+// co-located, across eight nodes is the pick today; a planned PageRank
+// that moved to another engine would stop sharing its result-cache entry
+// with the explicit Polymer query and add an engine run to every block of
+// the churn workload.
+func TestServedQueriesKeepTheirPick(t *testing.T) {
+	want := Candidate{Engine: bench.Polymer, Placement: mem.CoLocated, Nodes: 8}
+	p := New(numa.IntelXeon80(), 10)
+	for _, d := range []gen.Dataset{gen.PowerLaw, gen.RoadUS} {
+		for _, alg := range []bench.Algo{bench.PR, bench.BFS} {
+			g, err := gen.Load(d, gen.Small, alg.Weighted())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Resolve(Query{Features: Profile(g), Alg: alg, Nodes: 8}).Pick; got != want {
+				t.Errorf("%s/%s: planner picks %s, want %s", d, alg, got, want)
+			}
+		}
+	}
+}
+
+// The planner prices traffic only through an engine's charge recipe: no
+// non-test file of the package charges an epoch or a tier class itself,
+// so the cost model cannot grow a second copy of what the engines charge.
+func TestPlannerChargesOnlyThroughRecipes(t *testing.T) {
+	paths, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					switch sel.Sel.Name {
+					case "Access", "AccessInterleaved", "LatencyBound", "Compute":
+						t.Errorf("%s: the planner calls %s itself; price traffic through an engine's recipe",
+							fset.Position(call.Pos()), sel.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
 	}
 }

@@ -8,8 +8,10 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"polymer/internal/graph"
+	"polymer/internal/partition"
 )
 
 // Features is the deterministic profile of one graph. Every field is a
@@ -42,16 +44,23 @@ type Features struct {
 	// (the dominant superstep count for traversals). For a disconnected
 	// graph it measures the sampled sources' components.
 	DiameterEst int
+	// Locality is the share of sampled edges within one eighth of the id
+	// range, beyond the 1/8 of random endpoints: near 1 for a road grid.
+	Locality float64
+	// InSkew is the largest of the eight ranges that split the in-edges
+	// evenly (partition.EdgeBalanced), in vertices, over n/8.
+	InSkew float64
 }
 
 // String renders the profile for -plan output.
 func (f Features) String() string {
-	return fmt.Sprintf("n=%d m=%d density=%.2f skew=%.1f p50=%.0f p90=%.0f p99=%.0f dir=%.2f diam~%d",
-		f.Vertices, f.Edges, f.Density, f.Skew, f.DegP50, f.DegP90, f.DegP99, f.Directedness, f.DiameterEst)
+	return fmt.Sprintf("n=%d m=%d density=%.2f skew=%.1f p50=%.0f p90=%.0f p99=%.0f dir=%.2f diam~%d loc=%.2f inskew=%.1f",
+		f.Vertices, f.Edges, f.Density, f.Skew, f.DegP50, f.DegP90, f.DegP99, f.Directedness, f.DiameterEst, f.Locality, f.InSkew)
 }
 
 // profileSeeds is how many BFS sources the diameter estimate samples and
-// profileEdgeSamples how many edges the directedness estimate checks.
+// profileEdgeSamples how many edges the directedness and locality
+// estimates check.
 // Both are fixed so the profile cost is O(seeds*(n+m)) and deterministic.
 const (
 	profileSeeds       = 4
@@ -94,24 +103,27 @@ func Profile(g *graph.Graph) Features {
 	if mean := sk.Mean(); mean > 0 {
 		f.Skew = float64(f.MaxOutDegree) / mean
 	}
-	f.Directedness = directedness(g)
+	f.Directedness, f.Locality = sampleEdges(g)
 	f.DiameterEst = diameterEstimate(g)
+	var most int
+	for _, r := range partition.EdgeBalanced(g, 8, partition.In) {
+		most = max(most, r.Len())
+	}
+	f.InSkew = float64(most) * 8 / float64(n)
 	return f
 }
 
-// directedness samples edge positions deterministically and checks each
-// for a reciprocal edge. The source of edge position e is found by
+// sampleEdges checks deterministically sampled edge positions for a
+// reciprocal edge and for endpoints in one eighth of the id range
+// (Directedness, Locality). The source of edge position e is found by
 // binary search over the (sorted) out-index.
-func directedness(g *graph.Graph) float64 {
-	m := g.NumEdges()
+func sampleEdges(g *graph.Graph) (directedness, locality float64) {
+	m, n := g.NumEdges(), int64(g.NumVertices())
 	if m == 0 {
-		return 0
+		return 0, 0
 	}
-	samples := int64(profileEdgeSamples)
-	if samples > m {
-		samples = m
-	}
-	oneWay := 0
+	samples := min(int64(profileEdgeSamples), m)
+	oneWay, near := 0, 0
 	for i := int64(0); i < samples; i++ {
 		pos := int64(splitmix64(uint64(i)) % uint64(m))
 		src := edgeSource(g, pos)
@@ -119,8 +131,12 @@ func directedness(g *graph.Graph) float64 {
 		if !hasEdge(g, dst, src) {
 			oneWay++
 		}
+		if int64(src)*8/n == int64(dst)*8/n {
+			near++
+		}
 	}
-	return float64(oneWay) / float64(samples)
+	s := float64(samples)
+	return float64(oneWay) / s, max(0, (float64(near)/s-1.0/8)/(1-1.0/8))
 }
 
 // edgeSource finds the vertex owning out-edge position pos via binary
@@ -141,15 +157,7 @@ func edgeSource(g *graph.Graph, pos int64) graph.Vertex {
 // hasEdge scans from's out-neighbors for to, capped at hubScanCap.
 func hasEdge(g *graph.Graph, from, to graph.Vertex) bool {
 	nbrs := g.OutNeighbors(from)
-	if len(nbrs) > hubScanCap {
-		return false
-	}
-	for _, u := range nbrs {
-		if u == to {
-			return true
-		}
-	}
-	return false
+	return len(nbrs) <= hubScanCap && slices.Contains(nbrs, to)
 }
 
 // diameterEstimate runs host-side BFS from profileSeeds seeded sources
@@ -179,19 +187,12 @@ func diameterEstimate(g *graph.Graph) int {
 			for _, u := range g.OutNeighbors(v) {
 				if level[u] < 0 {
 					level[u] = lv + 1
-					if int(lv)+1 > ecc {
-						ecc = int(lv) + 1
-					}
+					ecc = max(ecc, int(lv)+1)
 					queue = append(queue, u)
 				}
 			}
 		}
-		if ecc > best {
-			best = ecc
-		}
+		best = max(best, ecc)
 	}
-	if best == 0 {
-		best = 1 // edgeless or all-self-loop graphs still run one superstep
-	}
-	return best
+	return max(best, 1) // edgeless or all-self-loop graphs still run one superstep
 }

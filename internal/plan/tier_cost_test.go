@@ -5,20 +5,28 @@ import (
 	"testing"
 
 	"polymer/internal/bench"
+	"polymer/internal/core"
 	"polymer/internal/gen"
 	"polymer/internal/mem"
 	"polymer/internal/numa"
+	"polymer/internal/partition"
 )
 
-// modelFootprint is the model's own total demand estimate (the sum of
-// the three class footprints tierClasses registers), so the tests can
-// express DRAM budgets as fractions of exactly what the model places.
-func modelFootprint(f Features, d, eb int64) int64 {
-	return 4*f.Vertices + f.Vertices*d + 12*f.Vertices + f.Edges*eb
+// modelFootprint is the model's own total demand estimate: what the tier
+// classes it registers for PageRank on a Polymer candidate hold, so the
+// tests can express DRAM budgets as fractions of exactly what the model
+// places.
+func modelFootprint(f Features, nodes int) int64 {
+	m := numa.NewMachine(numa.IntelXeon80(), nodes, 2)
+	if err := m.SetTierConfig(numa.TierConfig{DRAMPerNode: 1 << 40, Policy: numa.TierHot}); err != nil {
+		panic(err)
+	}
+	w, _ := estimateRun(f, bench.PR)
+	return modelTiers(m, f, w, core.FrontierDemand(partition.Bounds(partition.VertexBalanced(int(f.Vertices), nodes)))).Plan.Demand()
 }
 
 func tierCfg(f Features, frac float64, pol numa.TierPolicy, nodes int) numa.TierConfig {
-	total := modelFootprint(f, 8, 4)
+	total := modelFootprint(f, nodes)
 	b := int64(frac * float64(total) / float64(nodes))
 	if b < 1 {
 		b = 1
@@ -36,7 +44,7 @@ func TestPredictTieredFullResidency(t *testing.T) {
 	}
 	f := Profile(g)
 	topo := numa.IntelXeon80()
-	full := numa.TierConfig{DRAMPerNode: 2 * modelFootprint(f, 8, 4), Policy: numa.TierHot}
+	full := numa.TierConfig{DRAMPerNode: 2 * modelFootprint(f, 4), Policy: numa.TierHot}
 	for _, alg := range []bench.Algo{bench.PR, bench.BFS} {
 		for _, c := range Candidates(alg, 4) {
 			base := Predict(f, alg, topo, c, 2)

@@ -329,9 +329,6 @@ func (s *Server) Breaker(sys bench.System) *Breaker { return s.breakers[sys] }
 // Counters exposes the service counters.
 func (s *Server) Counters() *Counters { return &s.counters }
 
-// Draining reports whether the server has stopped admitting.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // enqueue places a task in the admission queue or sheds it. A shared run
 // occupies exactly one queue slot no matter how many requests ride it.
 func (s *Server) enqueue(t *task) (shed bool, err error) {

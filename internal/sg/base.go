@@ -32,14 +32,8 @@ type Base struct {
 	// superstep loop (X-Stream, Galois) and number their own events.
 	Round int
 
-	// Tiered-memory placement (all nil on untiered machines — the
-	// wrappers' nil fast path keeps charging bit-identical): topology
-	// streams, per-vertex application data, and runtime state compete for
-	// DRAM as three demand classes.
-	Tiers        *mem.TierPlan
-	TierTopo     *mem.TierClass
-	TierState    *mem.TierClass
-	TierFrontier *mem.TierClass
+	// Tier is the engine's tiered-memory placement (see Tiers).
+	Tier Tiers
 
 	Tr  *obs.Tracer // nil = tracing disabled
 	cat string      // obs event category
@@ -90,38 +84,43 @@ func (b *Base) Init(cat string, g *graph.Graph, m *numa.Machine, extra SnapExtra
 	return nil
 }
 
-// InitTier registers the engine's demand classes with the machine's tier
-// plan: runtime state pinned, then per-vertex data placed by degree, then
-// the topology streams of topoBytes. frontierDemand states where the
-// engine's runtime state lives — the one rule that differs per engine.
-// On untiered machines every handle stays nil and the charge wrappers
-// pass through bit-identically.
-func (b *Base) InitTier(topoBytes int64, frontierDemand func(fr *mem.TierClass)) {
-	b.Tiers = mem.NewTierPlan(b.M)
-	if b.Tiers == nil {
-		return
+// Tiers is an engine's tier plan and the three demand classes competing
+// for its DRAM: runtime state, per-vertex data and topology. All are nil on
+// an untiered machine, where the charge wrappers pass through.
+type Tiers struct {
+	Plan                  *mem.TierPlan
+	Frontier, State, Topo *mem.TierClass
+}
+
+// NewTiers registers the classes on m's tier plan, for every engine and for
+// the planner's machine: runtime state pinned, placed by the engine's rule
+// frontier; per-vertex data, whose access mass follows degree(i)+1 over
+// the n vertices; topology streams of topoBytes.
+func NewTiers(m *numa.Machine, frontier func(fr *mem.TierClass), topoBytes int64, n int, degree func(i int) int64) Tiers {
+	tp := mem.NewTierPlan(m)
+	if tp == nil {
+		return Tiers{}
 	}
-	nodes := b.M.Nodes
-	b.TierFrontier = b.Tiers.AddClass(mem.ClassSpec{
-		Label: "frontier", BytesPerNode: make([]int64, nodes), Pinned: true,
-	})
-	b.TierState = b.Tiers.AddClass(mem.ClassSpec{
-		Label: "state", BytesPerNode: make([]int64, nodes), Priority: 0,
-	})
-	b.TierTopo = b.Tiers.AddClass(mem.ClassSpec{
-		Label: "topology", BytesPerNode: make([]int64, nodes), Priority: 1,
-	})
-	frontierDemand(b.TierFrontier)
-	b.TierTopo.GrowDemandEven(topoBytes)
-	// Hot-vertex placement: per-vertex data access mass follows degree.
-	b.TierState.SetHotMass(mem.DegreeHotMass(b.G.NumVertices(), func(i int) int64 {
-		return b.G.OutDegree(graph.Vertex(i)) + 1
-	}))
+	class := func(label string, priority int, pinned bool) *mem.TierClass {
+		return tp.AddClass(mem.ClassSpec{Label: label, BytesPerNode: make([]int64, m.Nodes), Priority: priority, Pinned: pinned})
+	}
+	t := Tiers{Plan: tp, Frontier: class("frontier", 0, true), State: class("state", 0, false), Topo: class("topology", 1, false)}
+	frontier(t.Frontier)
+	t.Topo.GrowDemandEven(topoBytes)
+	t.State.SetHotMass(mem.DegreeHotMass(n, func(i int) int64 { return degree(i) + 1 }))
+	return t
+}
+
+// InitTier registers the engine's demand classes (NewTiers), ranking its
+// graph's vertices by out-degree.
+func (b *Base) InitTier(topoBytes int64, frontier func(fr *mem.TierClass)) {
+	g := b.G
+	b.Tier = NewTiers(b.M, frontier, topoBytes, g.NumVertices(), func(i int) int64 { return g.OutDegree(graph.Vertex(i)) })
 }
 
 // TierPlan returns the engine's tier placement plan (nil when untiered),
 // for provenance and the conformance suite.
-func (b *Base) TierPlan() *mem.TierPlan { return b.Tiers }
+func (b *Base) TierPlan() *mem.TierPlan { return b.Tier.Plan }
 
 // Graph returns the input graph.
 func (b *Base) Graph() *graph.Graph { return b.G }
@@ -156,7 +155,7 @@ func (b *Base) ThreadSeconds() []float64 {
 // to the state demand class and registers it for FreeArrays.
 func NewArray[T any](b *Base, label string, place mem.Placement, bounds []int) *mem.Array[T] {
 	a := mem.New[T](b.M, label, b.G.NumVertices(), place, bounds)
-	a.BindTier(b.TierState).GrowTierDemand()
+	a.BindTier(b.Tier.State).GrowTierDemand()
 	b.arrays = append(b.arrays, a)
 	return a
 }
@@ -173,7 +172,7 @@ func (b *Base) FreeArrays() {
 // lands in the phase it follows. It returns the phase's total simulated
 // duration and the barrier's share of it.
 func (b *Base) ChargePhase(ep *numa.Epoch, kind barrier.Kind) (dur, sync float64) {
-	b.Tiers.Step(ep)
+	b.Tier.Plan.Step(ep)
 	sync = b.syncCost[kind]
 	dur = ep.Time() + sync
 	b.Clock += dur
@@ -242,7 +241,7 @@ func (b *Base) SnapshotSim() {
 	b.snap.ledger.CopyFrom(b.Ledger)
 	b.snap.edges = b.Edges
 	b.snap.round = b.Round
-	b.snap.tier = b.Tiers.Snapshot()
+	b.snap.tier = b.Tier.Plan.Snapshot()
 	if b.extra != nil {
 		b.extra.SnapshotExtra()
 	}
@@ -257,7 +256,7 @@ func (b *Base) RestoreSim() {
 	b.Ledger.CopyFrom(b.snap.ledger)
 	b.Edges = b.snap.edges
 	b.Round = b.snap.round
-	b.Tiers.Restore(b.snap.tier)
+	b.Tier.Plan.Restore(b.snap.tier)
 	if b.extra != nil {
 		b.extra.RestoreExtra()
 	}

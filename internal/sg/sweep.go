@@ -176,6 +176,21 @@ type SweepConfig struct {
 	OnPhase func(r PhaseRecord, sync float64)
 }
 
+// EdgeMode is the mode an edge phase runs in over a frontier of active
+// vertices on a graph of edges edges: a sparse push when the adaptive
+// policy says so, given the frontier's out-degree sum, else a dense push
+// or pull by the direction policy. The planner picks a candidate's modes
+// with it too.
+func (c *SweepConfig) EdgeMode(active int64, degree func() int64, edges int64, h Hints) EdgeMode {
+	if c.Adaptive && !state.ShouldDense(active, degree(), edges, c.Threshold) {
+		return SparsePush
+	}
+	if c.Dir == AlwaysPush || c.Dir == ByHints && h.DensePush {
+		return DensePush
+	}
+	return DensePull
+}
+
 // A Sweep is the Base of an engine in the EdgeMap/VertexMap model (Polymer
 // and Ligra): the one implementation of dense push, dense pull, sparse
 // push and dense and sparse VertexMap, over P parts of S threads each. The
@@ -270,10 +285,10 @@ func edgeMap[K EdgeKernel](s *Sweep, a *state.Subset, k K, h Hints) *state.Subse
 	if a.IsEmpty() || s.Err() != nil {
 		return state.NewEmpty(s.bounds)
 	}
-	if s.cfg.Adaptive && !state.ShouldDense(a.Count(), ActiveDegree(s.G, a), s.G.NumEdges(), s.cfg.Threshold) {
+	switch s.cfg.EdgeMode(a.Count(), func() int64 { return ActiveDegree(s.G, a) }, s.G.NumEdges(), h) {
+	case SparsePush:
 		return sparsePush(s, a.ToSparse(), k, h)
-	}
-	if s.cfg.Dir == AlwaysPush || s.cfg.Dir == ByHints && h.DensePush {
+	case DensePush:
 		return densePush(s, a.ToDense(), k, h)
 	}
 	return densePull(s, a.ToDense(), k, h)

@@ -60,9 +60,10 @@ go test -count=5 -cpu 1,2,8 -run 'TestChargeNodesMatchesPerThreadLoop|TestShared
 go test -count=5 -cpu 1,2,8 -run 'TestPatchMatchesFromEdges' ./internal/graph/
 go test -count=5 -cpu 1,2,8 -run 'TestPatchedSnapshotEqualsCleanApply' ./internal/mutate/
 
-echo "==> sweep and phase-fold benchmark smoke (host ns/edge of the shared sweep on both engines; ns per phase folded; one iteration a case)"
+echo "==> sweep, phase-fold and cold-decision benchmark smoke (host ns/edge of the shared sweep on both engines; ns per phase folded; one planner decision; one iteration a case)"
 go test -run '^$' -bench BenchmarkSweepNsPerEdge -benchtime 1x ./internal/core/ >/dev/null
 go test -run '^$' -bench BenchmarkPhaseFold -benchtime 1x ./internal/numa/ >/dev/null
+go test -run '^$' -bench BenchmarkResolveCold -benchtime 1x ./internal/plan/ >/dev/null
 
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
