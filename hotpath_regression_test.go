@@ -159,10 +159,18 @@ type claimAll struct{}
 func (claimAll) Update(s, d graph.Vertex, w float32) bool { return true }
 func (claimAll) Cond(graph.Vertex) bool                   { return true }
 
-// sparseSuperstepAllocs counts the objects one sparse EdgeMap allocates on
-// e: a road-grid BFS level, 64 active vertices out of 3600, queue
-// collection.
-func sparseSuperstepAllocs(t *testing.T, newEngine func(*graph.Graph) sg.Engine) float64 {
+// claimRows is claimAll with the sparse push row form (sg.SparseRowKernel):
+// every target of a row passes Cond, is claimed and is appended.
+type claimRows struct{ claimAll }
+
+func (claimRows) PushRow(_ graph.Vertex, cols []graph.Vertex, _ []float32, out []graph.Vertex) (int64, []graph.Vertex) {
+	return int64(len(cols)), append(out, cols...)
+}
+
+// sparseSuperstepAllocs counts the objects one sparse EdgeMap of k
+// allocates on e: a road-grid BFS level, 64 active vertices out of 3600,
+// queue collection.
+func sparseSuperstepAllocs(t *testing.T, k sg.EdgeKernel, newEngine func(*graph.Graph) sg.Engine) float64 {
 	t.Helper()
 	n, edges := gen.RoadGrid(60, 60, 7)
 	e := newEngine(graph.FromEdges(n, edges, false))
@@ -173,7 +181,7 @@ func sparseSuperstepAllocs(t *testing.T, newEngine func(*graph.Graph) sg.Engine)
 	}
 	frontier := state.FromVertices(e.Bounds(), vs)
 	step := func() {
-		if out := e.EdgeMap(frontier, claimAll{}, sg.Hints{DataBytes: 4}); out.Dense() || out.IsEmpty() {
+		if out := e.EdgeMap(frontier, k, sg.Hints{DataBytes: 4}); out.Dense() || out.IsEmpty() {
 			t.Fatalf("superstep built a dense or empty frontier (%d active)", out.Count())
 		}
 	}
@@ -185,26 +193,36 @@ func sparseSuperstepAllocs(t *testing.T, newEngine func(*graph.Graph) sg.Engine)
 // sparseSuperstepAllocBudget bounds one sparse superstep: the returned
 // Subset (header, per-node list table, one backing array) and the phase
 // closure. The builder, its per-thread queue table and degree counters
-// come from the engine's scratch, and the phase epoch folds in place; a
-// queue table allocated per phase — 2 KB at 80 threads, once for each of
-// a road-grid BFS's ~400 supersteps — is one object over.
+// come from the engine's scratch, the per-part queues and chunk starts of
+// the frontier's scatter too, and the phase epoch folds in place; a queue
+// table allocated per phase — 2 KB at 80 threads, once for each of a
+// road-grid BFS's ~400 supersteps — is one object over. Finding the row
+// form (claimRows) must add nothing either.
 const sparseSuperstepAllocBudget = 4
 
+// sparseKernels are the sparse superstep's kernels: per edge, and through
+// the row form.
+var sparseKernels = map[string]sg.EdgeKernel{"per-edge": claimAll{}, "row": claimRows{}}
+
 func TestPolymerSparseSuperstepAllocs(t *testing.T) {
-	allocs := sparseSuperstepAllocs(t, func(g *graph.Graph) sg.Engine {
-		return core.MustNew(g, regressionMachine(), core.DefaultOptions())
-	})
-	if allocs > sparseSuperstepAllocBudget {
-		t.Fatalf("sparse superstep allocated %.0f objects, budget %d", allocs, sparseSuperstepAllocBudget)
+	for name, k := range sparseKernels {
+		allocs := sparseSuperstepAllocs(t, k, func(g *graph.Graph) sg.Engine {
+			return core.MustNew(g, regressionMachine(), core.DefaultOptions())
+		})
+		if allocs > sparseSuperstepAllocBudget {
+			t.Fatalf("%s: sparse superstep allocated %.0f objects, budget %d", name, allocs, sparseSuperstepAllocBudget)
+		}
 	}
 }
 
 func TestLigraSparseSuperstepAllocs(t *testing.T) {
-	allocs := sparseSuperstepAllocs(t, func(g *graph.Graph) sg.Engine {
-		return ligra.MustNew(g, regressionMachine(), ligra.DefaultOptions())
-	})
-	if allocs > sparseSuperstepAllocBudget {
-		t.Fatalf("sparse superstep allocated %.0f objects, budget %d", allocs, sparseSuperstepAllocBudget)
+	for name, k := range sparseKernels {
+		allocs := sparseSuperstepAllocs(t, k, func(g *graph.Graph) sg.Engine {
+			return ligra.MustNew(g, regressionMachine(), ligra.DefaultOptions())
+		})
+		if allocs > sparseSuperstepAllocBudget {
+			t.Fatalf("%s: sparse superstep allocated %.0f objects, budget %d", name, allocs, sparseSuperstepAllocBudget)
+		}
 	}
 }
 

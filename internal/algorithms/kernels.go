@@ -297,7 +297,8 @@ func (k *bpKernel) GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (
 
 // bfsKernel claims unvisited vertices (direction-optimizing BFS). BFS, CC
 // and SSSP are passed to the engines by pointer, like the float kernels, so
-// their pull segment form (sg.PullRowKernel) is found without boxing.
+// their pull segment form (sg.PullRowKernel) and, for BFS and SSSP, the
+// sparse push row form (sg.SparseRowKernel) are found without boxing.
 type bfsKernel struct{ parent []uint32 }
 
 func (k *bfsKernel) Update(s, d graph.Vertex, w float32) bool {
@@ -309,6 +310,20 @@ func (k *bfsKernel) Update(s, d graph.Vertex, w float32) bool {
 }
 
 func (k *bfsKernel) Cond(d graph.Vertex) bool { return k.parent[d] == unvisited }
+
+// PushRow claims each unvisited target for s: a target that passes Cond is
+// claimed by its Update.
+func (k *bfsKernel) PushRow(s graph.Vertex, cols []graph.Vertex, _ []float32, out []graph.Vertex) (condChecks int64, _ []graph.Vertex) {
+	parent := k.parent
+	for _, t := range cols {
+		if parent[t] == unvisited {
+			parent[t] = s
+			out = append(out, t)
+			condChecks++
+		}
+	}
+	return condChecks, out
+}
 
 // PullRows claims each unvisited target for its first active source and
 // leaves the row there: the target is visited and Cond is false from then
@@ -390,6 +405,19 @@ func (k *ssspKernel) Update(s, d graph.Vertex, w float32) bool {
 }
 
 func (k *ssspKernel) Cond(graph.Vertex) bool { return true }
+
+// PushRow relaxes each target over the edge from s. The source's distance
+// is read per edge: a self-loop of negative weight lowers it mid-row.
+func (k *ssspKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, out []graph.Vertex) (condChecks int64, _ []graph.Vertex) {
+	dist := k.dist
+	for j, t := range cols {
+		if nd := dist[s] + edgeWeight(weightAt(wts, j)); nd < dist[t] {
+			dist[t] = nd
+			out = append(out, t)
+		}
+	}
+	return int64(len(cols)), out
+}
 
 // PullRows relaxes each target over its active sources; the target's
 // distance is kept as ccKernel.PullRows keeps the label.

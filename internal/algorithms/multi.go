@@ -160,10 +160,12 @@ func MultiBFS(e sg.Engine, srcs []graph.Vertex) ([][]int64, error) {
 		visited[s] |= bit
 		active[s] |= bit
 	}
-	full := fullMask(len(srcs))
+	// The kernels go to the engines by pointer, so that looking for a
+	// segment or row form does not box them every phase.
+	k := &mbfsKernel{full: fullMask(len(srcs)), levels: out, visited: visited, active: active, next: next}
 	err := untilEmpty(e, nil, state.FromVertices(e.Bounds(), srcs),
 		func(i int, f *state.Subset) *state.Subset {
-			k := mbfsKernel{level: int64(i + 1), full: full, levels: out, visited: visited, active: active, next: next}
+			k.level = int64(i + 1)
 			return sg.EdgeMapK(e, f, k, mbfsHints)
 		},
 		func(_ int, old, nf *state.Subset) { rearm(e, old, nf, active, next) })
@@ -195,7 +197,7 @@ func MultiSSSP(e sg.Engine, srcs []graph.Vertex) ([][]float64, error) {
 	for i, s := range srcs {
 		active[s] |= uint64(1) << uint(i)
 	}
-	k := mssspKernel{dist: dist, active: active, next: next}
+	k := &mssspKernel{dist: dist, active: active, next: next}
 	err := untilEmpty(e, nil, state.FromVertices(e.Bounds(), srcs),
 		func(_ int, f *state.Subset) *state.Subset { return sg.EdgeMapK(e, f, k, mssspHints) },
 		func(_ int, old, nf *state.Subset) { rearm(e, old, nf, active, next) })

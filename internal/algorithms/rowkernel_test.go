@@ -250,3 +250,87 @@ func TestPullRowMatchesUpdateLoop(t *testing.T) {
 		t.Errorf("claimed and open target scanned %d, hits %v, parents %d %d; want 3, [1], 7, 42", edges, hits, k.parent[0], k.parent[1])
 	}
 }
+
+// TestSparseRowMatchesUpdateLoop holds the sparse push row forms to their
+// per-edge definition over random rows: a source anywhere, up to eight
+// columns with repeats and self-loops, with and without weights (a quarter
+// of them 0). PushRow of BFS and SSSP must leave the kernel's data
+// bit-equal to sg.PushRowPerEdge, report its cond checks and append its
+// targets, in order, behind what the queue held. Each kernel's state
+// carries over from row to row, so later rows run on state the earlier
+// ones wrote.
+func TestSparseRowMatchesUpdateLoop(t *testing.T) {
+	rng := gen.NewRNG(45)
+	type rowKernel interface {
+		sg.EdgeKernel
+		sg.SparseRowKernel
+	}
+	// Each constructor returns two kernels over equal copies of one random
+	// state and a bit-level comparison of the two copies.
+	rows := map[string]func() (row, edge rowKernel, equal func() bool){
+		"bfs": func() (rowKernel, rowKernel, func() bool) {
+			a := make([]uint32, segTestN)
+			for v := range a {
+				a[v] = unvisited
+				if rng.Intn(2) == 0 { // half are claimed already
+					a[v] = uint32(rng.Intn(segTestN))
+				}
+			}
+			b := slices.Clone(a)
+			return &bfsKernel{parent: a}, &bfsKernel{parent: b}, func() bool { return slices.Equal(a, b) }
+		},
+		"sssp": func() (rowKernel, rowKernel, func() bool) {
+			a := make([]float64, segTestN)
+			for v := range a {
+				a[v] = rng.Float64() * 50
+				if rng.Intn(4) == 0 {
+					a[v] = infinity
+				}
+			}
+			b := slices.Clone(a)
+			return &ssspKernel{dist: a}, &ssspKernel{dist: b}, func() bool { return sameBits(a, b) }
+		},
+	}
+
+	// Maps are walked in sorted order, so the draws are the same every run.
+	for _, weighted := range []bool{false, true} {
+		for _, name := range slices.Sorted(maps.Keys(rows)) {
+			rowK, edgeK, equal := rows[name]()
+			var appended int
+			for trial := 0; trial < 500; trial++ {
+				s := graph.Vertex(rng.Intn(segTestN))
+				cols := make([]graph.Vertex, rng.Intn(9))
+				for j := range cols {
+					switch c := rng.Intn(6); {
+					case c == 0:
+						cols[j] = s // a self-loop
+					case c == 1 && j > 0:
+						cols[j] = cols[j-1] // a repeated column
+					default:
+						cols[j] = graph.Vertex(rng.Intn(segTestN))
+					}
+				}
+				var wts []float32
+				if weighted {
+					wts = make([]float32, len(cols))
+					for j := range wts {
+						if rng.Intn(4) > 0 {
+							wts[j] = float32(rng.Float64() * 10)
+						}
+					}
+				}
+				prefix := []graph.Vertex{7} // what the queue held stays in front
+				gotChecks, got := rowK.PushRow(s, cols, wts, slices.Clone(prefix))
+				wantChecks, want := sg.PushRowPerEdge(edgeK, s, cols, wts, slices.Clone(prefix))
+				if gotChecks != wantChecks || !slices.Equal(got, want) || !equal() {
+					t.Fatalf("%s weighted=%v trial %d (source %d, columns %v): PushRow %d checks appended %v, per-edge %d %v, data equal %v",
+						name, weighted, trial, s, cols, gotChecks, got, wantChecks, want, equal())
+				}
+				appended += len(got) - len(prefix)
+			}
+			if appended == 0 {
+				t.Errorf("%s weighted=%v: no row updated a target", name, weighted)
+			}
+		}
+	}
+}

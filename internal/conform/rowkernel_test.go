@@ -332,3 +332,142 @@ func TestPullRowEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// rowCounting passes the engine under it every kernel with the sparse
+// row form through sparseRows, counting the PushRow calls in calls.
+type rowCounting struct {
+	sg.Engine
+	calls *int
+}
+
+// sparseRows passes a kernel's sparse row form through, counting its calls.
+type sparseRows struct {
+	sg.EdgeKernel
+	sk    sg.SparseRowKernel
+	calls *int
+}
+
+func (k sparseRows) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, out []graph.Vertex) (int64, []graph.Vertex) {
+	*k.calls++
+	return k.sk.PushRow(s, cols, wts, out)
+}
+
+func (e rowCounting) EdgeMap(a *state.Subset, k sg.EdgeKernel, h sg.Hints) *state.Subset {
+	if sk, ok := k.(sg.SparseRowKernel); ok {
+		k = sparseRows{k, sk, e.calls}
+	}
+	return e.Engine.EdgeMap(a, k, h)
+}
+
+// emptyPartsGraph is a weighted graph whose first half only sends: each of
+// its vertices has four out-edges into the second half, a bidirectional
+// ring. Balanced by out-degree over eight nodes, the senders fill the
+// first nodes, whose push parts key no row: no vertex of theirs has an
+// in-edge.
+func emptyPartsGraph() *graph.Graph {
+	const half = 200
+	rng := gen.NewRNG(37)
+	var edges []graph.Edge
+	for v := 0; v < half; v++ {
+		for j := 0; j < 4; j++ {
+			edges = append(edges, graph.Edge{Src: graph.Vertex(v), Dst: graph.Vertex(half + rng.Intn(half)), Wt: float32(1 + rng.Intn(9))})
+		}
+	}
+	for i := 0; i < half; i++ {
+		u, w := graph.Vertex(half+i), graph.Vertex(half+(i+1)%half)
+		edges = append(edges, graph.Edge{Src: u, Dst: w, Wt: 1}, graph.Edge{Src: w, Dst: u, Wt: 1})
+	}
+	return graph.FromEdges(2*half, edges, true)
+}
+
+// TestSparseRowEquivalence holds the sg.SparseRowKernel contract at engine
+// level: BFS and SSSP, driven through sparse phases on Polymer (P = 8) and
+// Ligra, commit the same values, simulated clock, access statistics and
+// edge count through their PushRow as through the per-edge loop
+// (perEdgeEngine). On emptyPartsGraph some of Polymer's push parts hold no
+// rows. The sweep's per-part counts are compared in package sg
+// (TestSparsePartCounts).
+func TestSparseRowEquivalence(t *testing.T) {
+	n, e := gen.RoadGrid(24, 24, 3)
+	graphs := rowGraphs()
+	delete(graphs, "wrapping")
+	graphs["road"] = graph.FromEdges(n, e, true)
+	graphs["empty-parts"] = emptyPartsGraph()
+	const src = 1
+
+	// A threshold of 1 keeps a phase sparse until its frontier's degree sum
+	// passes the edge count.
+	popt, lopt := core.DefaultOptions(), ligra.DefaultOptions()
+	popt.Threshold, lopt.Threshold = 1, 1
+	systems := []struct {
+		name  string
+		build func(*graph.Graph, *numa.Machine) rowEngine
+	}{
+		{"polymer", func(g *graph.Graph, m *numa.Machine) rowEngine { return core.MustNew(g, m, popt) }},
+		{"ligra", func(g *graph.Graph, m *numa.Machine) rowEngine { return ligra.MustNew(g, m, lopt) }},
+	}
+	algos := []struct {
+		algo Algo
+		run  func(sg.Engine) ([]float64, error)
+	}{
+		{BFS, func(e sg.Engine) ([]float64, error) {
+			levels, err := algorithms.BFSE(e, src, nil)
+			return bench.Output{I64: levels}.Widen(), err
+		}},
+		{SSSP, func(e sg.Engine) ([]float64, error) { return algorithms.SSSP(e, src, nil) }},
+	}
+
+	// run drives algo through the row forms, counting their calls in
+	// rowCalls, or, with rowCalls nil, through the per-edge loop.
+	run := func(t *testing.T, build func(*graph.Graph, *numa.Machine) rowEngine, g *graph.Graph, rowCalls *int, algo func(sg.Engine) ([]float64, error)) rowOutcome {
+		t.Helper()
+		e := build(g, numa.NewMachine(numa.IntelXeon80(), 8, 2))
+		defer e.Close()
+		var driven sg.Engine = perEdgeEngine{e}
+		if rowCalls != nil {
+			driven = rowCounting{e, rowCalls}
+		}
+		out, err := algo(driven)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rowOutcome{out: out, sim: e.SimSeconds(), stats: e.RunStats(), edges: e.EdgesProcessed()}
+	}
+
+	for _, sys := range systems {
+		for _, a := range algos {
+			rowCalls := 0 // over all graphs
+			for gname, g := range graphs {
+				t.Run(sys.name+"/"+string(a.algo)+"/"+gname, func(t *testing.T) {
+					row, edge := run(t, sys.build, g, &rowCalls, a.run), run(t, sys.build, g, nil, a.run)
+					compareClock(t, rowSystem{}, row, edge)
+					if d := Compare(Case{Algo: a.algo}, Policy{Exact: true}, edge.out, row.out); d != nil {
+						t.Errorf("values: PushRow path diverges from per-edge path: %v", d)
+					}
+				})
+			}
+			if rowCalls == 0 {
+				t.Errorf("%s/%s: no PushRow call: no sparse phase ran", sys.name, a.algo)
+			}
+		}
+	}
+
+	// The empty-parts graph keeps its promise: on Polymer's push layout,
+	// some node's vertices have no in-edge, so its part keys no row.
+	g := graphs["empty-parts"]
+	p := core.MustNew(g, numa.NewMachine(numa.IntelXeon80(), 8, 2), popt)
+	defer p.Close()
+	empty := 0
+	for _, r := range p.Parts() {
+		in := int64(0)
+		for v := r.Lo; v < r.Hi; v++ {
+			in += g.InDegree(graph.Vertex(v))
+		}
+		if in == 0 {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Errorf("no empty push part among %v", p.Parts())
+	}
+}

@@ -29,6 +29,12 @@ func (k *countKernel) Cond(graph.Vertex) bool { return true }
 
 func benchMachine() *numa.Machine { return numa.NewMachine(numa.IntelXeon80(), 4, 2) }
 
+// paperMachine is the paper's whole 8x10 machine.
+func paperMachine() *numa.Machine {
+	topo := numa.IntelXeon80()
+	return numa.NewMachine(topo, topo.Sockets, topo.CoresPerSocket)
+}
+
 func benchSetup(b *testing.B, mode core.Mode) (*core.Engine, *state.Subset, *countKernel) {
 	b.Helper()
 	n, edges := gen.RMAT(13, 16, 1)
@@ -103,16 +109,12 @@ func BenchmarkSweepNsPerEdge(b *testing.B) {
 		sg.Engine
 		EdgesProcessed() int64
 	}
-	machine := func() *numa.Machine {
-		topo := numa.IntelXeon80()
-		return numa.NewMachine(topo, topo.Sockets, topo.CoresPerSocket)
-	}
 	engines := []struct {
 		name string
 		new  func() engine
 	}{
-		{"core", func() engine { return core.MustNew(g, machine(), core.DefaultOptions()) }},
-		{"ligra", func() engine { return ligra.MustNew(g, machine(), ligra.DefaultOptions()) }},
+		{"core", func() engine { return core.MustNew(g, paperMachine(), core.DefaultOptions()) }},
+		{"ligra", func() engine { return ligra.MustNew(g, paperMachine(), ligra.DefaultOptions()) }},
 	}
 	sweeps := []struct {
 		name string
@@ -140,5 +142,34 @@ func BenchmarkSweepNsPerEdge(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.EdgesProcessed()-before), "ns/edge")
 			})
 		}
+	}
+}
+
+// BenchmarkSparseBFS is the host cost of one BFS across a weighted road
+// grid (RoadGrid 200x200, graph seed 7) from its top-right corner, on
+// Polymer and Ligra on the 8x10 machine: about 400 supersteps of small
+// frontiers, almost all sparse pushes. It is the engine-sparse workload's
+// Polymer and Ligra legs without the harness.
+func BenchmarkSparseBFS(b *testing.B) {
+	const side = 200
+	n, edges := gen.RoadGrid(side, side, 7)
+	g := graph.FromEdges(n, edges, true)
+	engines := []struct {
+		name string
+		new  func() sg.Engine
+	}{
+		{"core", func() sg.Engine { return core.MustNew(g, paperMachine(), core.DefaultOptions()) }},
+		{"ligra", func() sg.Engine { return ligra.MustNew(g, paperMachine(), ligra.DefaultOptions()) }},
+	}
+	for _, eng := range engines {
+		b.Run(eng.name, func(b *testing.B) {
+			e := eng.new()
+			defer e.Close()
+			algorithms.BFS(e, side-1) // warm up: layouts, scratch arenas
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				algorithms.BFS(e, side-1)
+			}
+		})
 	}
 }

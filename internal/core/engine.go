@@ -24,6 +24,8 @@
 package core
 
 import (
+	"fmt"
+
 	"polymer/internal/barrier"
 	"polymer/internal/graph"
 	"polymer/internal/mem"
@@ -138,9 +140,14 @@ type Engine struct {
 var _ sg.Engine = (*Engine)(nil)
 
 // New builds a Polymer engine for g on m. It returns an error for invalid
-// configuration (a machine with no threads) or a simulated allocation
-// failure.
+// configuration (a machine with no threads, or more edges or nodes than a
+// layout build holds: maxLayoutEdges, maxLayoutNodes) or a simulated
+// allocation failure.
 func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
+	if g.NumEdges() > maxLayoutEdges || m.Nodes > maxLayoutNodes {
+		return nil, fmt.Errorf("core: %d edges over %d nodes: a layout build holds at most %d edges and %d nodes",
+			g.NumEdges(), m.Nodes, int64(maxLayoutEdges), maxLayoutNodes)
+	}
 	if opt.Threshold <= 0 {
 		opt.Threshold = 20
 	}

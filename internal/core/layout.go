@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"polymer/internal/graph"
@@ -30,12 +32,15 @@ import (
 // far-side key vertices, ascending; Idx delimits each row's columns; Cols
 // holds the local vertices; Wts the edge weights aligned with Cols (nil
 // when unweighted). OwnerRows cuts the rows by the partition of their
-// keys, so a dense sweep counts rows per owner a segment at a time; RowOf
-// is the per-node agent lookup sparse phases use, which read only the push
-// build, so pull builds leave it nil; Start is the first row keyed in the
-// node's own partition, where the rolling-order sweep begins.
+// keys, so a dense sweep counts rows per owner a segment at a time; Start
+// is the first row keyed in the node's own partition, where the
+// rolling-order sweep begins. A push build also carries the agent index
+// (sg.Agents), vertex → (node, row) across all nodes, through which sparse
+// phases find an active vertex's rows; they read only push builds, so
+// pull builds carry none.
 type layoutBuild struct {
 	perNode    []sg.Part
+	agents     *sg.Agents // nil in a pull build
 	agentBytes int64
 	n          int  // vertices
 	weighted   bool // the build carries wts (its graph was weighted)
@@ -51,17 +56,35 @@ type layout struct {
 	sg.Layout
 }
 
+// A build counts a node's edges in int32 and names a node in a byte
+// (sg.Agents.Part), so New refuses graphs and machines beyond these.
+const (
+	maxLayoutEdges = math.MaxInt32
+	maxLayoutNodes = math.MaxUint8 + 1
+)
+
 // buildLayout groups each node's incident edges by the far-side vertex.
 // When push is true, node p's local vertices are the *targets* in its
 // partition and rows are keyed by source (built from the in-CSR);
 // otherwise local vertices are the sources and rows are keyed by target
-// (built from the out-CSR).
+// (built from the out-CSR). g and parts are within maxLayoutEdges and
+// maxLayoutNodes.
 func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuild {
 	n := g.NumVertices()
 	l := &layoutBuild{perNode: make([]sg.Part, len(parts)), n: n, weighted: g.Weighted()}
-	// cnt is the build's one counting scratch: per node, first the edges of
-	// each key vertex, then the fill position inside the key's row.
-	cnt := make([]int64, n)
+	// agentCounts[k] = Off[k+1] counts the nodes with a row keyed by k
+	// until fillAgents; nil in a pull build.
+	var agentCounts []int32
+	if push {
+		l.agents = &sg.Agents{Off: make([]int32, n+1)}
+		agentCounts = l.agents.Off[1:]
+	}
+	// cnt is the build's counting scratch: per node, first the edges of
+	// each key vertex, then the fill position inside the node's columns;
+	// int32 halves its cache footprint. keyedBits marks a node's keys with
+	// edges.
+	cnt := make([]int32, n)
+	keyedBits := make([]uint64, (n+63)/64)
 	for p, vr := range parts {
 		nl := &l.perNode[p]
 
@@ -76,34 +99,34 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuil
 			edges += int64(len(keys))
 		}
 
-		// Collect non-empty rows in ascending key order.
+		// Collect non-empty rows in ascending key order. The keys with edges
+		// are marked in keyedBits without a branch, and the placement visits
+		// only the marked ones: on a skewed graph about half a node's keys
+		// have edges, at random, and a branch on each key mispredicts. A
+		// push build counts each key's agents on the way.
 		rows := 0
-		for k := 0; k < n; k++ {
-			if cnt[k] > 0 {
-				rows++
+		for w := range keyedBits {
+			var word uint64
+			for j, c := range cnt[w*64 : min(w*64+64, n)] {
+				word |= uint64(uint32(-c)>>31) << j // bit j set when c > 0
 			}
+			keyedBits[w] = word
+			rows += bits.OnesCount64(word)
 		}
 		nl.IDs = make([]graph.Vertex, rows)
 		nl.Idx = make([]int64, rows+1)
-		if push {
-			nl.RowOf = make([]int32, n)
-			for i := range nl.RowOf {
-				nl.RowOf[i] = -1
-			}
-		}
 		r := 0
 		var off int64
-		for k := 0; k < n; k++ {
-			if cnt[k] == 0 {
-				continue
+		for w, word := range keyedBits {
+			for ; word != 0; word &= word - 1 {
+				k := w*64 + bits.TrailingZeros64(word)
+				nl.IDs[r], nl.Idx[r] = graph.Vertex(k), off
+				off, cnt[k] = off+int64(cnt[k]), int32(off) // the row's first free slot
+				if agentCounts != nil {
+					agentCounts[k]++
+				}
+				r++
 			}
-			nl.IDs[r] = graph.Vertex(k)
-			nl.Idx[r] = off
-			if push {
-				nl.RowOf[k] = int32(r)
-			}
-			off, cnt[k] = off+cnt[k], off // the row's first free slot
-			r++
 		}
 		nl.Idx[rows] = off
 
@@ -140,7 +163,33 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuil
 		agents := rows - (nl.OwnerRows[p+1] - nl.OwnerRows[p]) // rows keyed remotely
 		l.agentBytes += int64(agents) * 16                     // replica: edge offset + degree
 	}
+	if push {
+		fillAgents(l.agents, l.perNode)
+	}
 	return l
+}
+
+// fillAgents fills the agent index from its counts, Off[k+1] the number of
+// nodes with a row keyed by k. A prefix sum turns the counts into each
+// key's first entry, one place up (Off[k+1] = the entries of keys below
+// k), so placing the rows node by node, each advancing its key's Off[k+1],
+// leaves Off[k+1] at the key's end and Off[k] at its first entry: entries
+// come out in node order per key, with no scratch beside the index.
+func fillAgents(ag *sg.Agents, perNode []sg.Part) {
+	off := ag.Off
+	var entries int32
+	for k := 1; k < len(off); k++ {
+		off[k], entries = entries, entries+off[k]
+	}
+	part, row := make([]uint8, entries), make([]int32, entries)
+	for p := range perNode {
+		for r, k := range perNode[p].IDs {
+			i := off[k+1]
+			off[k+1] = i + 1
+			part[i], row[i] = uint8(p), int32(r)
+		}
+	}
+	ag.Part, ag.Row = part, row
 }
 
 // keysOf returns the far-side vertices of v's local edges: in-neighbours
@@ -160,10 +209,15 @@ func weightsOf(g *graph.Graph, v graph.Vertex, push bool) []float32 {
 }
 
 // layoutBytes returns the simulated footprint of the arrays of parts, a
-// layout over n vertices. The footprint has an n-entry RowOf table per
-// node in both directions, as it always has, though only push builds
-// allocate one on the host, and a one-byte owner per row, which the host
-// keeps as the nodes+1 OwnerRows boundaries.
+// layout over n vertices. Beside the rows it charges a one-byte owner per
+// row, which the host keeps as the nodes+1 OwnerRows boundaries, and an
+// n-entry, 4-byte agent lookup table per node in both directions: the
+// paper's per-node lookup (§4.2), which the host keeps instead as one
+// agent index across the nodes of a push build (sg.Agents). The charge
+// stays because it is a recorded result — every simulated peak, both
+// simdump goldens and the benchmark's sim_peak_mb_polymer — and moving it
+// is a deliberate re-baseline of the memory scorecard (EXPERIMENTS.md
+// deviation 6), not a side effect of a host change.
 func layoutBytes(parts []sg.Part, n int) int64 {
 	var b int64
 	for i := range parts {
@@ -217,7 +271,7 @@ func (e *Engine) newLayout(push bool) *layout {
 			}
 		}
 	}
-	return &layout{shared: b, Layout: sg.NewLayout(parts, e.M.CoresPerNode)}
+	return &layout{shared: b, Layout: sg.NewLayout(parts, b.agents, e.M.CoresPerNode)}
 }
 
 func (e *Engine) registerLayout(l *layout) bool {

@@ -162,8 +162,8 @@ func TestLayoutSegmentsCoverTheSweep(t *testing.T) {
 
 // layoutBytes is pinned on a hand-built layout: per node, 4 bytes a row key,
 // 8 an offset, 4 a column, 4 a weight, one byte a row for the owner table
-// the host keeps as OwnerRows, and the n-entry RowOf table. Agents are 16
-// bytes each.
+// the host keeps as OwnerRows, and an n-entry lookup table of 4 bytes a
+// vertex. Agents are 16 bytes each.
 func TestLayoutBytesPinned(t *testing.T) {
 	edges := []graph.Edge{{Src: 0, Dst: 1, Wt: 1}, {Src: 0, Dst: 2, Wt: 2}, {Src: 1, Dst: 2, Wt: 3},
 		{Src: 2, Dst: 3, Wt: 4}, {Src: 3, Dst: 0, Wt: 5}, {Src: 3, Dst: 1, Wt: 6}}
@@ -185,24 +185,45 @@ func TestLayoutBytesPinned(t *testing.T) {
 	}
 }
 
-func TestLayoutRowOf(t *testing.T) {
+// The push build's agent index lists every (node, row) exactly once, under
+// the row's key, nodes ascending per vertex; a vertex keying no row has an
+// empty range. Pull builds carry no index.
+func TestLayoutAgentIndex(t *testing.T) {
 	n, edges := gen.RMAT(8, 4, 6)
 	g := graph.FromEdges(n, edges, false)
-	parts := partition.VertexBalanced(n, 2)
-	l := buildLayout(g, parts, true)
-	for p := range l.perNode {
-		nl := &l.perNode[p]
-		seen := make(map[graph.Vertex]bool)
-		for r, id := range nl.IDs {
-			if nl.RowOf[id] != int32(r) {
-				t.Fatalf("RowOf[%d] = %d, want %d", id, nl.RowOf[id], r)
-			}
-			seen[id] = true
+	for name, parts := range ownerPartitions(n) {
+		if b := buildLayout(g, parts, false); b.agents != nil {
+			t.Fatalf("%s: a pull build carries an agent index", name)
 		}
+		b := buildLayout(g, parts, true)
+		ag := b.agents
+		if len(ag.Off) != n+1 || ag.Off[0] != 0 || int(ag.Off[n]) != len(ag.Part) || len(ag.Row) != len(ag.Part) {
+			t.Fatalf("%s: %d offsets ending at %d over %d parts and %d rows", name, len(ag.Off), ag.Off[n], len(ag.Part), len(ag.Row))
+		}
+		type agent struct{ p, r int }
+		seen := make(map[agent]bool)
 		for v := 0; v < n; v++ {
-			if !seen[graph.Vertex(v)] && nl.RowOf[v] != -1 {
-				t.Fatalf("RowOf[%d] should be -1", v)
+			keyed := false
+			for i := ag.Off[v]; i < ag.Off[v+1]; i++ {
+				a := agent{int(ag.Part[i]), int(ag.Row[i])}
+				if i > ag.Off[v] && a.p <= int(ag.Part[i-1]) {
+					t.Fatalf("%s: vertex %d's agents are not in ascending node order", name, v)
+				}
+				if ids := b.perNode[a.p].IDs; a.r >= len(ids) || ids[a.r] != graph.Vertex(v) {
+					t.Fatalf("%s: vertex %d's agent is node %d row %d, which it does not key", name, v, a.p, a.r)
+				}
+				seen[a], keyed = true, true
 			}
+			if want := g.OutDegree(graph.Vertex(v)) > 0; keyed != want {
+				t.Fatalf("%s: vertex %d has agents %t, out-edges %t", name, v, keyed, want)
+			}
+		}
+		rows := 0
+		for p := range b.perNode {
+			rows += len(b.perNode[p].IDs)
+		}
+		if len(seen) != rows || len(ag.Part) != rows {
+			t.Fatalf("%s: %d distinct agents, %d entries, %d rows", name, len(seen), len(ag.Part), rows)
 		}
 	}
 }

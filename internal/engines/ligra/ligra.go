@@ -76,7 +76,7 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	r := NewRecipe(opt, n, e.Tier)
 	whole := []int{0, n}
 	onePart := func(idx []int64, cols []graph.Vertex, wts []float32) sg.Layout {
-		return sg.NewLayout([]sg.Part{{Rows: sg.Rows{Idx: idx, Cols: cols, Wts: wts}, OwnerRows: whole}}, m.Threads())
+		return sg.NewLayout([]sg.Part{{Rows: sg.Rows{Idx: idx, Cols: cols, Wts: wts}, OwnerRows: whole}}, nil, m.Threads())
 	}
 	e.push, e.pull = onePart(g.OutIndex, g.OutNbrs, g.OutWts), onePart(g.InIndex, g.InNbrs, g.InWts)
 	e.InitSweep(whole, sg.SweepConfig{

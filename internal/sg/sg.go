@@ -77,9 +77,11 @@ func (rs *Rows) Len() int { return max(len(rs.Idx)-1, 0) }
 // register. The sweep looks for the interface once per dense push phase
 // and uses it only under Hints.NoOutput, where no per-edge outcome is needed:
 // every edge is then a cond check and an update. Kernels that claim or
-// relax (BFS, CC, SSSP) push per edge, since a push reports each target;
-// their segment form is the pull one (PullRowKernel), where each row has
-// one target and one outcome.
+// relax (BFS, CC, SSSP) push a dense segment per edge, since a push
+// reports each target; their segment form is the pull one
+// (PullRowKernel), where each row has one target and one outcome, and BFS
+// and SSSP also have the sparse push row (SparseRowKernel), whose outcomes
+// go to a queue.
 type RowKernel interface {
 	PushRows(rs *Rows, lo, hi int, active []uint64, base int) (activeRows, edges int64)
 }
@@ -192,6 +194,47 @@ func PullRowsPerEdge[K EdgeKernel](k K, rs *Rows, lo, hi int, active []uint64, b
 		}
 	}
 	return edges, hits
+}
+
+// SparseRowKernel is the sparse push row form, an optional interface of any
+// EdgeKernel: one call pushes one row of an active source s, its columns
+// cols and their weights wts (nil: weight 0 throughout). PushRow must
+// leave the kernel's data, return the cond checks, and append to out the
+// targets it updated, in order, exactly as PushRowPerEdge does. Like
+// PullRowKernel it serves kernels that claim or relax, since every
+// outcome lands in the thread's frontier queue, out. It shares the
+// single-goroutine contract of EdgeKernel.
+type SparseRowKernel interface {
+	PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32, out []graph.Vertex) (condChecks int64, _ []graph.Vertex)
+}
+
+// SparseRowKernelOf returns k's sparse push row form, or nil. As with
+// RowKernelOf, pass pointer-shaped kernels: asserting a struct-valued K
+// boxes it.
+func SparseRowKernelOf[K EdgeKernel](k K) SparseRowKernel {
+	sk, _ := any(k).(SparseRowKernel)
+	return sk
+}
+
+// PushRowPerEdge pushes one row of source s edge by edge: the sweep's
+// sparse push loop for a kernel without a row form, and the definition a
+// PushRow is held to. An edge whose target passes Cond is a cond check,
+// and one whose Update reports true appends its target to out.
+func PushRowPerEdge[K EdgeKernel](k K, s graph.Vertex, cols []graph.Vertex, wts []float32, out []graph.Vertex) (condChecks int64, _ []graph.Vertex) {
+	for j, t := range cols {
+		if !k.Cond(t) {
+			continue
+		}
+		condChecks++
+		var w float32
+		if wts != nil {
+			w = wts[j]
+		}
+		if k.Update(s, t, w) {
+			out = append(out, t)
+		}
+	}
+	return condChecks, out
 }
 
 // InLeaf reports whether vertex v is set in the frontier leaf active, whose

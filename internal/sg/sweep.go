@@ -26,8 +26,8 @@ const (
 type EdgeMode uint8
 
 const (
-	// SparsePush pushes out of the frontier's vertex lists, finding each
-	// active vertex's row through Part.RowOf.
+	// SparsePush pushes out of the frontier's vertex lists: each active
+	// vertex's rows, one per part it has an agent in (Layout.Agents).
 	SparsePush EdgeMode = iota
 	// DensePush sweeps the source-keyed rows, testing each key against the
 	// frontier.
@@ -50,11 +50,6 @@ type Part struct {
 	// OwnerRows[o+1]).
 	OwnerRows []int
 
-	// RowOf maps a vertex to the row it keys here, -1 for none; it is not
-	// read when IDs is nil (row v is vertex v's). Only sparse phases read
-	// it, and they sweep push layouts only.
-	RowOf []int32
-
 	// Start is the row a dense sweep begins at; the sweep wraps to row 0.
 	Start int
 }
@@ -75,19 +70,37 @@ func (pt *Part) Segment(i, end int) (o, rlo, rhi int) {
 	return o, rlo, min(rlo+end-i, pt.OwnerRows[o+1])
 }
 
+// Agents is a push layout's agent index: vertex v's agents, the rows keyed
+// by v, at most one a part, are entries [Off[v], Off[v+1]) in ascending
+// part order, entry i being row Row[i] of part Part[i]. A part is one byte
+// beside a four-byte row, five bytes an entry: on a graph whose vertices
+// have rows in few of the parts the index is a fraction of one n-entry
+// row table per part.
+type Agents struct {
+	Off  []int32
+	Part []uint8
+	Row  []int32
+}
+
 // A Layout is one direction's parts with their row schedules. Row counts
 // are fixed once the parts exist, so each part's schedule is made here,
 // not per phase; maxChunk is the longest chunk of any of them, the most
 // rows a segment can hold.
 type Layout struct {
-	Parts    []Part
+	Parts []Part
+	// Agents is the index a sparse phase finds an active vertex's rows
+	// through. It is nil when the layout is one part whose row v is vertex
+	// v's (IDs nil: Ligra's CSR), and in pull layouts, which sparse phases
+	// do not sweep.
+	Agents   *Agents
 	strides  []par.Strided
 	maxChunk int
 }
 
-// NewLayout schedules each part's rows over slots threads.
-func NewLayout(parts []Part, slots int) Layout {
-	l := Layout{Parts: parts, strides: make([]par.Strided, len(parts))}
+// NewLayout schedules each part's rows over slots threads; agents is the
+// layout's agent index, or nil (Layout.Agents).
+func NewLayout(parts []Part, agents *Agents, slots int) Layout {
+	l := Layout{Parts: parts, Agents: agents, strides: make([]par.Strided, len(parts))}
 	for p := range parts {
 		rows := int64(parts[p].Len())
 		l.strides[p] = par.MakeStrided(rows, par.ChunkSize(rows, slots), slots)
@@ -109,8 +122,11 @@ type Counts struct {
 	ActiveByOwner []int64
 
 	Edges, Updates, CondChecks int64
-	// Lookups and Appends are a sparse phase's row lookups (one per
-	// frontier vertex) and frontier queue appends (one per update).
+	// Lookups and Appends are a sparse phase's agent lookups and frontier
+	// queue appends (one per update). Lookups are one per frontier vertex
+	// in every part, the probes the simulated machine makes (the paper's
+	// per-node agent lookup, §4.2), though the host finds a vertex's agents
+	// once for all parts (Layout.Agents).
 	Lookups, Appends int64
 }
 
@@ -164,9 +180,9 @@ type SweepConfig struct {
 	Layout func(push bool) *Layout
 	// ChargeEdges charges an edge phase of mode m on thread th, the first
 	// thread of its node, from c, the counts of the thread's part p divided
-	// down to one thread's share; the node's other threads get a copy of
-	// the ledger (numa.Epoch.ChargeNodes). It is not called for parts
-	// without rows, whose threads sat the phase out.
+	// down to one thread's share; the node's other threads share the
+	// ledger row it writes (numa.Epoch.ChargeNodes). It is not called for
+	// parts without rows, whose threads sat the phase out.
 	ChargeEdges func(m EdgeMode, ep *numa.Epoch, th, p int, c *Counts, h Hints)
 	// ChargeVertices charges what thread th of part p visited in a
 	// VertexMap: bitmap words scanned (dense) and vertices visited.
@@ -197,14 +213,15 @@ func (c *SweepConfig) EdgeMode(active int64, degree func() int64, edges int64, h
 // engines differ in what SweepConfig holds, not in the loops: Polymer is
 // P = nodes parts of S = cores per node, each part a node's grouped rows
 // with its agents; Ligra is P = 1 part of S = all threads whose rows are a
-// zero-copy view of the CSR (IDs nil, RowOf unused, Start 0, one leaf at
+// zero-copy view of the CSR (IDs nil, no agent index, Start 0, one leaf at
 // base 0).
 //
 // A phase runs its threads one after another on the caller's goroutine
 // (par.Pool.Run), so the sweep's scratch — the phase epoch, the per-part
-// counts, the frontier builder, the rows views and the hit list — is
-// reused between phases without synchronisation. What must not be reused
-// are the dense bitmap leaves handed to a returned Subset.
+// counts, the frontier builder, the rows views, the hit list and the
+// sparse queues — is reused between phases without synchronisation. What
+// must not be reused are the dense bitmap leaves handed to a returned
+// Subset.
 type Sweep struct {
 	Base
 	cfg    SweepConfig
@@ -221,11 +238,17 @@ type Sweep struct {
 	// once to the longest chunk.
 	rows []Rows
 	hits []int32
-	// words[p] is dense VertexMap's schedule over leaf p's bitmap words;
-	// off[o] is where leaf o's list starts in a sparse frontier read end to
-	// end.
+	// words[p] is dense VertexMap's schedule over leaf p's bitmap words.
 	words []par.Strided
-	off   []int
+
+	// A sparse phase's queues (scatter): queues[p] holds the rows of part
+	// p's agents of the frontier vertices, in frontier order, and
+	// starts[p*(chunks+1)+c] is where frontier chunk c begins in it. spill
+	// is what a phase whose frontier is discarded (NoOutput) appends its
+	// targets to.
+	queues [][]uint32
+	starts []int32
+	spill  []graph.Vertex
 }
 
 // InitSweep sets the sweep up, after Init, over the frontier leaves bounds:
@@ -243,7 +266,7 @@ func (s *Sweep) InitSweep(bounds []int, cfg SweepConfig) {
 	for p := range s.words {
 		s.words[p] = par.MakeStrided(int64(bounds[p+1]-bounds[p]+63)/64, 64, s.slots)
 	}
-	s.off = make([]int, parts+1)
+	s.queues = make([][]uint32, parts)
 	g := s.G
 	s.degreeOf = func(v uint32) int64 { return g.OutDegree(graph.Vertex(v)) }
 }
@@ -387,77 +410,145 @@ func densePull[K EdgeKernel](s *Sweep, a *state.Subset, k K, h Hints) *state.Sub
 	return s.endEdges(DensePull, ep, l, h, a, b)
 }
 
-// sparsePush reads the frontier's leaves end to end, striding it over each
-// part's threads: every part pushes its own edges of each active vertex,
-// found through RowOf (Polymer's agent lookup).
+// sparsePush pushes every active vertex's rows, each part its own, on the
+// schedule of a frontier read end to end: chunks of ChunkSize(|F|, S)
+// frontier positions, chunk c on slot c mod S of every part. The frontier
+// is laid out once for all parts (scatter), so part p's threads read only
+// the vertices with an agent in p — the vertices, in the order and on the
+// threads, that probing every vertex in every part reads. Each row goes
+// to the kernel in one PushRow call when it has the row form
+// (SparseRowKernel), else edge by edge (PushRowPerEdge); either appends
+// the updated targets to the thread's frontier queue.
 func sparsePush[K EdgeKernel](s *Sweep, a *state.Subset, k K, h Hints) *state.Subset {
 	l := s.cfg.Layout(true)
+	sk := SparseRowKernelOf(k)
 	b := s.output(h, false)
 	ep := s.begin()
-	off := s.off
-	for o := 1; o < len(off); o++ {
-		off[o] = off[o-1] + len(a.List(o-1))
-	}
-	n := int64(off[len(off)-1])
-	stride := par.MakeStrided(n, par.ChunkSize(n, s.slots), s.slots)
+	chunks := s.scatter(l, a)
 	rows := s.phaseRows(l, h.Weighted)
 
 	s.RunPhase(func(th int) {
-		p := th / s.slots
-		c, rs := &s.counts[p], &rows[p]
-		idx, cols, wts := rs.Idx, rs.Cols, rs.Wts
-		rowOf := l.Parts[p].RowOf // nil when row v is vertex v's
-		if rs.IDs == nil {
-			rowOf = nil
+		p, slot := th/s.slots, th%s.slots
+		if slot >= chunks {
+			return // no chunk of the frontier falls to this slot
 		}
-		stride.Do(th%s.slots, func(lo, hi int64) {
-			var edges, condChecks, updates int64
-			for i, o := int(lo), 0; i < int(hi); {
-				for off[o+1] <= i {
-					o++
+		c, rs := &s.counts[p], &rows[p]
+		ids, idx, cols, wts := rs.IDs, rs.Idx, rs.Cols, rs.Wts
+		queue := a.List(0) // without an index, the frontier: row v is vertex v's
+		if l.Agents != nil {
+			queue = s.queues[p]
+		}
+		starts := s.starts[p*(chunks+1) : (p+1)*(chunks+1)]
+		q := s.spill[:0]
+		if b != nil {
+			q = b.Queue(th)
+		}
+		var edges, condChecks, updates int64
+		for ch := slot; ch < chunks; ch += s.slots {
+			for _, r := range queue[starts[ch]:starts[ch+1]] {
+				v := graph.Vertex(r)
+				if ids != nil {
+					v = ids[r]
 				}
-				list := a.List(o)[i-off[o] : min(int(hi), off[o+1])-off[o]]
-				i += len(list)
-				var withRows int64
-				for _, v := range list {
-					r := int(v)
-					if rowOf != nil {
-						if r = int(rowOf[v]); r < 0 {
-							continue
-						}
-					}
-					withRows++
-					first := idx[r]
-					row := cols[first:idx[r+1]]
-					edges += int64(len(row))
-					for j, t := range row {
-						if !k.Cond(t) {
-							continue
-						}
-						condChecks++
-						var w float32
-						if wts != nil {
-							w = wts[int(first)+j]
-						}
-						if k.Update(v, t, w) {
-							if b != nil {
-								b.Add(th, t)
-							}
-							updates++
-						}
-					}
+				first, end := idx[r], idx[r+1]
+				var w []float32
+				if wts != nil {
+					w = wts[first:end]
 				}
-				c.RowsByOwner[o] += int64(len(list))
-				c.ActiveByOwner[o] += withRows
+				at := len(q)
+				var checks int64
+				if sk != nil {
+					checks, q = sk.PushRow(v, cols[first:end], w, q)
+				} else {
+					checks, q = PushRowPerEdge(k, v, cols[first:end], w, q)
+				}
+				edges += end - first
+				condChecks += checks
+				updates += int64(len(q) - at)
+				if b == nil {
+					q = q[:0]
+				}
 			}
-			c.Lookups += hi - lo // one row lookup per frontier vertex
-			c.Edges += edges
-			c.CondChecks += condChecks
-			c.Updates += updates
-			c.Appends += updates // every update appends its target to the queue
-		})
+		}
+		if b != nil {
+			b.Extend(th, q)
+		} else {
+			s.spill = q
+		}
+		c.Edges += edges
+		c.CondChecks += condChecks
+		c.Updates += updates
+		c.Appends += updates // every update appends its target to the queue
 	})
 	return s.endEdges(SparsePush, ep, l, h, a, b)
+}
+
+// scatter lays frontier a out for sparsePush over layout l and returns its
+// chunk count. With an agent index it walks the frontier once, in order,
+// appending each vertex's row to the queue of every part it has an agent
+// in, and notes where each chunk starts in every queue; without one the
+// queue is the frontier's one list. It also takes the counts the frontier
+// alone decides: every part reads every frontier vertex (RowsByOwner) and
+// probes for its agent (Lookups), and the vertices with an agent in the
+// part are its ActiveByOwner.
+func (s *Sweep) scatter(l *Layout, a *state.Subset) int {
+	n := 0
+	for o := range s.counts {
+		n += len(a.List(o))
+	}
+	for p := range s.counts {
+		c := &s.counts[p]
+		for o := range c.RowsByOwner {
+			c.RowsByOwner[o] = int64(len(a.List(o)))
+		}
+		c.Lookups = int64(n)
+	}
+	chunk := int(par.ChunkSize(int64(n), s.slots))
+	chunks := (n + chunk - 1) / chunk
+	width := chunks + 1 // one part's starts
+	if cap(s.starts) < len(s.counts)*width {
+		s.starts = make([]int32, len(s.counts)*width)
+	}
+	s.starts = s.starts[:len(s.counts)*width]
+
+	ag := l.Agents
+	if ag == nil {
+		for ch := range width {
+			s.starts[ch] = int32(min(ch*chunk, n))
+		}
+		s.counts[0].ActiveByOwner[0] = int64(n)
+		return chunks
+	}
+	queues := s.queues
+	for p := range queues {
+		queues[p] = queues[p][:0]
+	}
+	pos, next := 0, 0 // frontier position, and where the next chunk starts
+	for o := range s.counts {
+		for p := range queues {
+			s.counts[p].ActiveByOwner[o] = -int64(len(queues[p]))
+		}
+		for _, v := range a.List(o) {
+			if pos == next {
+				for p := range queues {
+					s.starts[p*width+pos/chunk] = int32(len(queues[p]))
+				}
+				next += chunk
+			}
+			pos++
+			for e := ag.Off[v]; e < ag.Off[v+1]; e++ {
+				p := ag.Part[e]
+				queues[p] = append(queues[p], uint32(ag.Row[e]))
+			}
+		}
+		for p := range queues {
+			s.counts[p].ActiveByOwner[o] += int64(len(queues[p]))
+		}
+	}
+	for p := range queues {
+		s.starts[p*width+chunks] = int32(len(queues[p]))
+	}
+	return chunks
 }
 
 // VertexMap applies f to every vertex of a and returns those for which it

@@ -55,7 +55,7 @@ func TestBalanceFloorsPartTotals(t *testing.T) {
 					totalEdges += s.counts[p].Edges
 				}
 			}
-			l := NewLayout(parts, int(tc.slots))
+			l := NewLayout(parts, nil, int(tc.slots))
 			s.balance(&l)
 
 			if s.Edges != totalEdges {

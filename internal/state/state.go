@@ -321,6 +321,22 @@ func (b *Builder) Add(th int, v uint32) {
 	}
 }
 
+// Queue returns thread th's private queue (sparse collection) for a bulk
+// append: the caller appends to it and hands it back with Extend.
+func (b *Builder) Queue(th int) []uint32 { return b.queues[th] }
+
+// Extend takes back thread th's queue q, the one Queue returned with
+// vertices appended, and counts the appended vertices' degrees: the same
+// queue and degree sum as one Add call for each of them.
+func (b *Builder) Extend(th int, q []uint32) {
+	if b.degreeOf != nil {
+		for _, v := range q[len(b.queues[th]):] {
+			b.degree += b.degreeOf(v)
+		}
+	}
+	b.queues[th] = q
+}
+
 // Build seals the builder into a Subset. Sparse queues are merged, sorted,
 // de-duplicated and split into their owning nodes' leaves.
 func (b *Builder) Build() *Subset {

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -140,6 +141,34 @@ func TestBuilderSparseRoutesAndSorts(t *testing.T) {
 		if !sort.SliceIsSorted(s.List(p), func(i, j int) bool { return s.List(p)[i] < s.List(p)[j] }) {
 			t.Fatal("lists must be sorted")
 		}
+	}
+}
+
+// A bulk append (Queue, append, Extend) builds what one Add a vertex
+// builds: the same queues, so the same subset, and the same degree sum,
+// duplicates and all.
+func TestBuilderExtendMatchesAdd(t *testing.T) {
+	degree := func(v uint32) int64 { return int64(v) + 1 }
+	batches := [][]uint32{{70, 10}, {}, {10, 40, 99, 40}}
+	added := NewBuilder(testBounds, 2, false).WithDegrees(degree)
+	extended := NewBuilder(testBounds, 2, false).WithDegrees(degree)
+	for i, vs := range batches {
+		th := i % 2
+		for _, v := range vs {
+			added.Add(th, v)
+		}
+		extended.Extend(th, append(extended.Queue(th), vs...))
+	}
+	for th := 0; th < 2; th++ {
+		if a, e := added.Queue(th), extended.Queue(th); !slices.Equal(a, e) {
+			t.Fatalf("thread %d queue: Add %v, Extend %v", th, a, e)
+		}
+	}
+	a, e := added.Build(), extended.Build()
+	da, _ := a.Degree()
+	de, _ := e.Degree()
+	if a.Count() != e.Count() || da != de {
+		t.Fatalf("Add built %d vertices of degree %d, Extend %d of degree %d", a.Count(), da, e.Count(), de)
 	}
 }
 

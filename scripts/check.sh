@@ -60,8 +60,9 @@ go test -count=5 -cpu 1,2,8 -run 'TestChargeNodesMatchesPerThreadLoop|TestShared
 go test -count=5 -cpu 1,2,8 -run 'TestPatchMatchesFromEdges' ./internal/graph/
 go test -count=5 -cpu 1,2,8 -run 'TestPatchedSnapshotEqualsCleanApply' ./internal/mutate/
 
-echo "==> sweep, phase-fold and cold-decision benchmark smoke (host ns/edge of the shared sweep on both engines; ns per phase folded; one planner decision; one iteration a case)"
+echo "==> sweep, sparse-BFS, phase-fold and cold-decision benchmark smoke (host ns/edge of the shared sweep and ns per road-grid BFS on both engines; ns per phase folded; one planner decision; one iteration a case)"
 go test -run '^$' -bench BenchmarkSweepNsPerEdge -benchtime 1x ./internal/core/ >/dev/null
+go test -run '^$' -bench BenchmarkSparseBFS -benchtime 1x ./internal/core/ >/dev/null
 go test -run '^$' -bench BenchmarkPhaseFold -benchtime 1x ./internal/numa/ >/dev/null
 go test -run '^$' -bench BenchmarkResolveCold -benchtime 1x ./internal/plan/ >/dev/null
 
