@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench-serving trace conform conform-nightly mutate-soak cluster-soak cluster-sweep plan plan-sweep tier-sweep
+.PHONY: build test check trace conform conform-nightly mutate-soak cluster-soak cluster-sweep plan plan-sweep
 
 build:
 	$(GO) build ./...
@@ -12,8 +12,8 @@ test:
 # and runtime packages (a phase runs on one goroutine; the pass proves no
 # second one reaches its plain loads and stores) + the fault-injection
 # matrix under -race + the determinism gate (-count=5 -cpu 1,2,8 over the
-# root, simdump, conform, obs, plan and serve packages) + the full suite
-# with -shuffle=on.
+# root, simdump, conform, obs, plan and serve packages and the tier sweep
+# golden) + the full suite with -shuffle=on.
 check:
 	sh scripts/check.sh
 
@@ -53,14 +53,7 @@ cluster-soak:
 # single-box evaluation size) across 1..8 machines, with the per-link
 # and per-hop traffic evidence from each kernel's largest run.
 cluster-sweep:
-	$(GO) run ./cmd/numabench -machines 1,2,4,8 -graph powerlaw -scale huge
-
-# Serving-layer benchmark: the same duplicate-heavy Zipf schedule against
-# a server with the execution-reuse layer (shared runs + result cache)
-# off and on. Writes BENCH_serving.json and gates on the checked-in
-# machine-independent goodput ratio.
-bench-serving:
-	$(GO) run ./cmd/servebench -baseline BENCH_serving.json -out BENCH_serving_current.json
+	$(GO) run ./cmd/experiments -exp cluster -scale huge
 
 # Planner demo: profile a graph, print the full scored decision table,
 # and run the pick. -system auto hands the choice to the cost model.
@@ -68,19 +61,11 @@ plan:
 	$(GO) run ./cmd/polymer -algo pr -graph powerlaw -scale small -system auto -plan
 
 # Planner-vs-oracle sweep: every corpus (graph, algorithm) cell runs
-# every candidate for real; gates on cost-weighted regret <= 10% and
-# writes the per-cell artifact nightly CI uploads.
+# every candidate for real; prints the cold and the learned sweep and
+# writes their per-cell and per-candidate CSVs, which nightly CI uploads.
+# The 10% cost-regret gate is tier-1's TestFullCorpusCostRegretGate.
 plan-sweep:
-	$(GO) run ./cmd/planbench -cores 2 -rows -o planner-regret.json -gate 0.10
-
-# Tiered-memory DRAM-fraction sweep: the flagship engine under shrinking
-# DRAM budgets, hot-vertex placement vs naive interleave, gated on hot
-# beating interleave at <=50% DRAM and on the checked-in speedup
-# baseline (BENCH_tiering.json, 20% regression budget).
-tier-sweep:
-	$(GO) run ./cmd/numabench -tiersweep -graph powerlaw -scale tiny \
-		-sockets 4 -cores 2 -tierout BENCH_tiering_current.json \
-		-tierbaseline BENCH_tiering.json
+	$(GO) run ./cmd/experiments -exp plan -csv plan-sweep
 
 # Traced PageRank run: per-superstep breakdown on stdout, Chrome trace
 # JSON in trace.json (open in https://ui.perfetto.dev or chrome://tracing).

@@ -1,13 +1,23 @@
 // Command experiments regenerates the paper's tables and figures on the
 // simulated NUMA machine and prints them in the layout of the paper's
-// evaluation section.
+// evaluation section, and runs the experiments beyond the paper.
 //
 // Usage:
 //
-//	experiments [-scale tiny|small|default] [-machine intel|amd] [-exp all|fig3b|fig4|fig5|table3|fig7|fig8|fig9|table4|table5|fig10a|fig10b|table6a|table6b|fn6|fig11]
+//	experiments [-scale tiny|small|default|huge] [-machine intel|amd] [-csv dir] [-trace file]
+//	            [-exp all|fig3b|fig4|fig5|table3|fig7|fig8|fig9|table4|table5|fig10a|fig10b|table6a|table6b|fn6|fig11|cluster|tier|profile|plan]
+//
+// all is the paper's evaluation. The ids beyond it run only when named:
+// cluster (Figure 4 lifted to 1, 2, 4 and 8 replicated machines on
+// powerlaw), tier (hot-vertex tiering vs naive interleave on powerlaw,
+// gated on its ordering), profile (the planner's feature vector for every
+// corpus graph) and plan (the planner against the exhaustive oracle on
+// that corpus, cold and after two learning passes). -trace writes fig4's
+// sweep as Chrome trace_event JSON and prints its traffic breakdown.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -15,26 +25,22 @@ import (
 	"time"
 
 	"polymer/internal/bench"
+	"polymer/internal/cluster"
 	"polymer/internal/gen"
 	"polymer/internal/numa"
+	"polymer/internal/plan"
 )
 
 func main() {
-	scaleFlag := flag.String("scale", "default", "dataset scale: tiny, small or default")
+	scaleFlag := flag.String("scale", "default", "dataset scale: tiny, small, default or huge")
 	machineFlag := flag.String("machine", "intel", "topology for single-machine experiments: intel or amd")
 	expFlag := flag.String("exp", "all", "experiment id (comma separated), or all")
 	csvDir := flag.String("csv", "", "also write raw CSV files for plotting into this directory")
+	traceFlag := flag.String("trace", "", "write fig4's sweep as Chrome trace_event JSON to this file and print its traffic breakdown")
 	flag.Parse()
 
-	var sc gen.Scale
-	switch *scaleFlag {
-	case "tiny":
-		sc = gen.Tiny
-	case "small":
-		sc = gen.Small
-	case "default":
-		sc = gen.Default
-	default:
+	sc, ok := map[string]gen.Scale{"tiny": gen.Tiny, "small": gen.Small, "default": gen.Default, "huge": gen.Huge}[*scaleFlag]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleFlag)
 		os.Exit(2)
 	}
@@ -73,6 +79,9 @@ func main() {
 	if run("fig4") {
 		for _, t := range []*numa.Topology{numa.IntelXeon80(), numa.AMDOpteron64()} {
 			fmt.Println(bench.FormatBandwidthTable(t, bench.BandwidthTable(t)))
+			if *traceFlag != "" {
+				die(traceMicro(t, *traceFlag))
+			}
 		}
 	}
 	if run("fig5") {
@@ -173,6 +182,44 @@ func main() {
 		fmt.Println(bench.FormatFigure11(r))
 		h, rows := bench.Fig11CSV(r)
 		csvOut("fig11", h, rows)
+	}
+	if want["cluster"] {
+		// One weighted load serves all three kernels; pr and bfs ignore
+		// the weights, sssp needs them.
+		g, err := gen.Load(gen.PowerLaw, sc, true)
+		die(err)
+		rows, err := cluster.Sweep(context.Background(), g, cluster.Config{}, cluster.Algos(), []int{1, 2, 4, 8}, 0)
+		die(err)
+		fmt.Println(cluster.FormatSweep(cluster.SweepGraphLabel(string(gen.PowerLaw), g), rows))
+		for _, row := range rows {
+			fmt.Printf("%s @ %d machines\n", row.Algo, row.Points[len(row.Points)-1].Machines)
+			fmt.Println(cluster.FormatLinks(row.Largest.Links))
+			fmt.Println(cluster.FormatTraffic(row.Largest.Traffic))
+		}
+	}
+	if want["tier"] {
+		g, err := gen.Load(gen.PowerLaw, sc, false)
+		die(err)
+		ts, err := bench.RunTierSweep(string(gen.PowerLaw)+"/"+*scaleFlag, g)
+		die(err)
+		fmt.Println(bench.FormatTierSweep(ts))
+		die(ts.Gate())
+	}
+	if want["profile"] {
+		fmt.Printf("planner feature vectors — planbench corpus\n")
+		fmt.Printf("%-22s %s\n", "graph", "features")
+		for _, e := range plan.Corpus() {
+			fmt.Printf("%-22s %s\n", e.Name, plan.Profile(plan.BuildGraph(e, bench.PR)))
+		}
+		fmt.Println()
+	}
+	if want["plan"] {
+		cold, learned := planSweep(topo)
+		fmt.Println(formatPlanSweep(cold, learned))
+		h, rows := planCellsCSV(cold, learned)
+		csvOut("plan", h, rows)
+		h, rows = planRowsCSV(cold)
+		csvOut("plan_rows", h, rows)
 	}
 	fmt.Printf("# done in %v\n", time.Since(start).Round(time.Millisecond))
 }

@@ -8,8 +8,8 @@ import (
 // TraceMicro replays the Figure 4 bandwidth sweep through the obs event
 // schema: one superstep event per access-class cell (pattern × hop level,
 // plus the interleaved cases), each carrying its traffic matrix, so
-// numabench's -trace output exercises exactly the same sinks — breakdown
-// tables and Chrome export — as the engines do. Events ride the simulated
+// experiments -exp fig4 -trace exercises exactly the same sinks —
+// breakdown tables and Chrome export — as the engines do. Events ride the simulated
 // clock, so the emitted trace is deterministic.
 func TraceMicro(t *numa.Topology, tr *obs.Tracer) {
 	m := numa.NewMachine(t, t.Sockets, 1)
@@ -20,7 +20,7 @@ func TraceMicro(t *numa.Topology, tr *obs.Tracer) {
 		dur := ep.Time()
 		tm := &numa.TrafficMatrix{}
 		ep.Traffic(tm)
-		tr.Superstep("numabench", step, clock, dur, tm)
+		tr.Superstep("micro", step, clock, dur, tm)
 		clock += dur
 		step++
 	}

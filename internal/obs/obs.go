@@ -11,8 +11,8 @@
 //  2. Tracing never perturbs simulated output. Engine events are stamped
 //     with the simulated clock and read ledgers the engines already
 //     maintain; a traced run is bit-identical to an untraced one.
-//  3. One event schema everywhere. polymer, polymerd and numabench emit
-//     the same Event, so every sink works with every binary.
+//  3. One event schema everywhere. polymer, polymerd and experiments
+//     emit the same Event, so every sink works with every binary.
 //
 // Timestamps live in two distinct lanes, distinguished by Pid: simulated
 // time (PidSim, deterministic, golden-testable) and host wall time
@@ -58,7 +58,8 @@ type Event struct {
 	// "evict", ...
 	Name string `json:"name"`
 	// Cat is the emitting subsystem: an engine name ("polymer", "ligra",
-	// "xstream", "galois"), "fault", "serve", "par" or "numabench".
+	// "xstream", "galois"), "fault", "serve", "par" or "micro" (the
+	// Figure 4 bandwidth sweep).
 	Cat string `json:"cat"`
 	// Ph is PhSpan or PhInstant.
 	Ph string `json:"ph"`

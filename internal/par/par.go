@@ -25,7 +25,8 @@ import (
 // synchronisation among themselves, and a run is a deterministic function
 // of its input. The return from Run is the phase barrier. Host
 // parallelism belongs above the pool (one engine per request, machine or
-// goroutine); only RunConcurrent starts goroutines.
+// goroutine); only RunConcurrent starts goroutines, for its one caller,
+// the Figure 10(a) barrier study (bench.measureBarrier).
 type Pool struct {
 	nodes, cpn int
 	wg         sync.WaitGroup // RunConcurrent's join
@@ -144,8 +145,9 @@ func (p *Pool) RunCtx(ctx context.Context, fn func(th int)) error {
 
 // RunConcurrent is RunCtx with one goroutine per simulated thread, spawned
 // for this phase only and joined before it returns. It is the entry point
-// for bodies that wait on each other mid-phase (a real barrier), which
-// must then synchronise whatever they share.
+// for bodies that wait on each other mid-phase, which must then
+// synchronise whatever they share; bench.measureBarrier, a real
+// barrier.Wait per thread, is the only one.
 func (p *Pool) RunConcurrent(ctx context.Context, fn func(th int)) error {
 	return p.phaseCtx(ctx, fn, true)
 }

@@ -252,6 +252,20 @@ func (p *Planner) decide(q Query, gen uint64) *Decision {
 	return d
 }
 
+// Forget drops every cached decision made for feature vector f. The
+// cache is keyed by the exact vector, so a caller whose input has moved
+// on (a committed mutation changes the graph's features) forgets the old
+// one, or the cache grows by one entry per change.
+func (p *Planner) Forget(f Features) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for k := range p.cache {
+		if k.f == f {
+			delete(p.cache, k)
+		}
+	}
+}
+
 // Observe feeds one completed run back into the learner: the decision
 // that chose it and the simulated seconds actually charged.
 func (p *Planner) Observe(d *Decision, observed float64) {
@@ -263,17 +277,23 @@ func (p *Planner) Observe(d *Decision, observed float64) {
 
 // Stats is the planner's /metricsz block.
 type Stats struct {
-	Decisions int64        `json:"decisions"`
-	CacheHits int64        `json:"cache_hits"`
+	Decisions int64 `json:"decisions"`
+	CacheHits int64 `json:"cache_hits"`
+	// Cached is the number of decisions the cache holds.
+	Cached    int          `json:"cached"`
 	Fallbacks int64        `json:"fallbacks"`
 	Learner   LearnerStats `json:"learner"`
 }
 
 // Snapshot returns current planner counters.
 func (p *Planner) Snapshot() Stats {
+	p.mu.RLock()
+	cached := len(p.cache)
+	p.mu.RUnlock()
 	return Stats{
 		Decisions: p.decisions.Load(),
 		CacheHits: p.hits.Load(),
+		Cached:    cached,
 		Fallbacks: p.fallbacks.Load(),
 		Learner:   p.learner.Stats(),
 	}

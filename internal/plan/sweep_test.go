@@ -9,7 +9,7 @@ import (
 	"polymer/internal/numa"
 )
 
-// reducedCorpus is a fast subset of the full planbench corpus: a
+// reducedCorpus is a fast subset of the full planner corpus: a
 // power-law graph (hub-heavy), a road grid (deep), a uniform graph and
 // two adversarial corner cases.
 func reducedCorpus() []CorpusEntry {
@@ -48,7 +48,7 @@ func TestSweepRegretGate(t *testing.T) {
 	}
 }
 
-// The acceptance gate on the full planbench corpus: across everything —
+// The acceptance gate on the full planner corpus: across everything —
 // paper datasets and adversarial corner cases — the picks must cost at
 // most 10% more simulated time than the exhaustive oracle's. The metric
 // is cost-weighted, so a nanosecond corner graph cannot dominate it.

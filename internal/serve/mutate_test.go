@@ -148,6 +148,41 @@ func TestMutateEndToEnd(t *testing.T) {
 	}
 }
 
+// Commits retire the profiles and planner decisions of the snapshots they
+// supersede: after each commit and planned read, one profile is live and
+// the decision cache holds what it held after the first.
+func TestCommitsRetireProfilesAndDecisions(t *testing.T) {
+	store := openStore(t, t.TempDir(), mutate.Options{})
+	defer store.Close()
+	srv := NewServer(Config{Workers: 2, QueueDepth: 8, Mutations: store})
+	defer shutdown(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	first := 0
+	for i := 0; i < 8; i++ {
+		mut := fmt.Sprintf(`{"graph":"roadUS","scale":"tiny","ops":[{"op":"insert","src":%d,"dst":575}]}`, i)
+		if st, r := postJSON(t, ts, "/mutatez", mut); st != 200 {
+			t.Fatalf("commit %d: status %d (%s)", i, st, r.Error)
+		}
+		if st, r := postJSON(t, ts, "/run", `{"algo":"bfs","graph":"roadUS","scale":"tiny","src":0}`); st != 200 || r.Plan == nil {
+			t.Fatalf("read %d: status %d plan %v (%s)", i, st, r.Plan, r.Error)
+		}
+		cached := 0
+		for _, st := range srv.plannerStats() {
+			cached += st.Cached
+		}
+		if i == 0 {
+			first = cached
+		}
+		srv.profMu.RLock()
+		profiles := len(srv.profiles)
+		srv.profMu.RUnlock()
+		if profiles != 1 || cached != first {
+			t.Fatalf("after %d commits: %d profiles, %d cached decisions (want 1 and %d)", i+1, profiles, cached, first)
+		}
+	}
+}
+
 // TestCommitRetiresSnapshotsNotTheBase: a commit supersedes snapshots; the
 // weighted base no mutation can change stays resident, so across three
 // commits with a read per weight class it is loaded once, and both weight

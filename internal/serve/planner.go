@@ -149,6 +149,35 @@ func (s *Server) profileFor(v *resolved) (plan.Features, error) {
 	return f, nil
 }
 
+// retireProfiles drops dataset id's profiles below each scale's current
+// mutation sequence and has every planner forget the decisions made for
+// them. Both caches are keyed by snapshot, so without this every commit
+// would leave one entry behind in each.
+func (s *Server) retireProfiles(id string) {
+	if s.mut == nil {
+		return
+	}
+	var stale []plan.Features
+	s.profMu.Lock()
+	for k, f := range s.profiles {
+		if string(k.data) != id {
+			continue
+		}
+		if seq, err := s.mut.Seq(id, int(k.scale)); err == nil && k.seq < seq {
+			delete(s.profiles, k)
+			stale = append(stale, f)
+		}
+	}
+	s.profMu.Unlock()
+	s.planMu.RLock()
+	defer s.planMu.RUnlock()
+	for _, p := range s.planners {
+		for _, f := range stale {
+			p.Forget(f)
+		}
+	}
+}
+
 // vetoMask folds the circuit breakers into candidate pruning: an engine
 // whose circuit is open is vetoed outright. Half-open circuits stay
 // plannable — the probe that closes them has to come from somewhere.

@@ -59,6 +59,8 @@ go test -count=5 -cpu 1,2,8 -run 'TestChargeNodesMatchesPerThreadLoop|TestShared
 # all six CSR arrays, at every read of a random mutation stream.
 go test -count=5 -cpu 1,2,8 -run 'TestPatchMatchesFromEdges' ./internal/graph/
 go test -count=5 -cpu 1,2,8 -run 'TestPatchedSnapshotEqualsCleanApply' ./internal/mutate/
+# Every clock and slow rate of the tiered-memory sweep against its golden.
+go test -count=5 -cpu 1,2,8 -run 'TestTierSweepGolden' ./internal/bench/
 
 echo "==> sweep, sparse-BFS, phase-fold and cold-decision benchmark smoke (host ns/edge of the shared sweep and ns per road-grid BFS on both engines; ns per phase folded; one planner decision; one iteration a case)"
 go test -run '^$' -bench BenchmarkSweepNsPerEdge -benchtime 1x ./internal/core/ >/dev/null
@@ -69,18 +71,14 @@ go test -run '^$' -bench BenchmarkResolveCold -benchtime 1x ./internal/plan/ >/d
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
 
-echo "==> servebench smoke (reuse layer end to end, small schedule)"
-go run ./cmd/servebench -requests 60 -clients 8 -queue 16 >/dev/null
-
 echo "==> mutate soak smoke (crash-point matrix under -race, small seed budget)"
 MUTATE_SOAK_SEEDS=4 go test -race -count=1 -run 'TestCrashRecoveryMatrix' ./internal/mutate/ >/dev/null
 
 echo "==> cluster chaos smoke (fault matrix vs conform oracle under -race, small seed budget)"
 CLUSTER_SOAK_SEEDS=2 go test -race -count=1 -run 'TestChaosMatrix' ./internal/cluster/ >/dev/null
 
-echo "==> tier sweep smoke (hot vs interleave ordering gate + speedup baseline)"
-go run ./cmd/numabench -tiersweep -graph powerlaw -scale tiny -sockets 4 -cores 2 \
-	-tierbaseline BENCH_tiering.json >/dev/null
+echo "==> experiments smoke (the ids beyond the paper: cluster sweep, tier sweep and its ordering gate, planner profiles, planner vs oracle)"
+go run ./cmd/experiments -scale tiny -exp cluster,tier,profile,plan >/dev/null
 
 sh scripts/loc.sh
 
