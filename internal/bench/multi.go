@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 
+	"polymer/internal/core"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
 	"polymer/internal/obs"
@@ -22,6 +23,9 @@ type MultiResult struct {
 	PerSource  []float64
 	SimSeconds float64
 	PeakBytes  int64
+	// BoundsSeq and Lineage are RunResult's.
+	BoundsSeq uint64
+	Lineage   core.Lineage
 }
 
 // RunMultiSourceCtx executes one multi-source BFS or SSSP sweep on a
@@ -42,7 +46,7 @@ func RunMultiSourceCtx(ctx context.Context, sys System, alg Algo, g *graph.Graph
 	if err != nil {
 		return MultiResult{}, err
 	}
-	mr := MultiResult{Outs: r.Out.PerSource, SimSeconds: r.SimSeconds, PeakBytes: r.PeakBytes}
+	mr := MultiResult{Outs: r.Out.PerSource, SimSeconds: r.SimSeconds, PeakBytes: r.PeakBytes, BoundsSeq: r.BoundsSeq, Lineage: r.Lineage}
 	for _, o := range mr.Outs {
 		mr.PerSource = append(mr.PerSource, o.Checksum())
 	}

@@ -8,7 +8,6 @@ import (
 	"polymer/internal/fault"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
-	"polymer/internal/partition"
 )
 
 // ResilienceReport summarises how a resilient run coped with its injected
@@ -107,10 +106,11 @@ type DegradedResult struct {
 // RunPolymerDegraded runs PageRank on Polymer with a permanent node
 // failure after failStep iterations: the run is rebuilt on a machine with
 // one node fewer (core.New re-partitions the vertex space edge-balanced
-// across the survivors), the failed node's vertex state is restored from
-// the superstep checkpoint and its redistribution charged as interleaved
-// remote traffic, and the remaining iterations continue from the
-// checkpointed ranks. The returned SimSeconds is the sum of both segments
+// across the survivors), the failed node's vertex state — the part the
+// first segment's engine gave it, which on a mutated snapshot may be one
+// its lineage inherited — is restored from the superstep checkpoint and
+// its redistribution charged as interleaved remote traffic, and the
+// remaining iterations continue from the checkpointed ranks. The returned SimSeconds is the sum of both segments
 // plus the migration cost; the checksum matches a fault-free run within
 // floating-point tolerance (the re-partitioned engine schedules additions
 // differently, so bit-identity is not preserved — unlike transient
@@ -140,11 +140,11 @@ func RunPolymerDegraded(g *graph.Graph, topo *numa.Topology, nodes, coresPerNode
 	// new owners: one interleaved sequential read + write per vertex,
 	// spread over the survivors.
 	m2 := numa.NewMachine(topo, nodes-1, coresPerNode)
-	lost := partition.EdgeBalanced(g, nodes, partition.In)[failNode]
+	lost := int64(seg1.Bounds[failNode+1] - seg1.Bounds[failNode])
 	const bytesPerVertex = 16 // two float64 rank arrays
 	ep := m2.NewEpoch()
 	threads := m2.Threads()
-	per := (int64(lost.Len()) + int64(threads) - 1) / int64(threads)
+	per := (lost + int64(threads) - 1) / int64(threads)
 	for th := 0; th < threads; th++ {
 		ep.AccessInterleaved(th, numa.Seq, numa.Load, per, bytesPerVertex, 0)
 		ep.AccessInterleaved(th, numa.Seq, numa.Store, per, bytesPerVertex, 0)
@@ -163,11 +163,12 @@ func RunPolymerDegraded(g *graph.Graph, topo *numa.Topology, nodes, coresPerNode
 	stats.Merge(r.Stats)
 	r.Stats = stats
 	r.PeakBytes = max(seg1.PeakBytes, r.PeakBytes)
+	r.Lineage = r.Lineage.Plus(seg1.Lineage)
 	return DegradedResult{
 		Result:           r,
 		FailedNode:       failNode,
 		FailStep:         failStep,
-		MigratedBytes:    int64(lost.Len()) * bytesPerVertex,
+		MigratedBytes:    lost * bytesPerVertex,
 		MigrationSeconds: migSecs,
 	}, nil
 }

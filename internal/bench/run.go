@@ -125,6 +125,15 @@ type RunResult struct {
 	Checksum float64
 	// Phases is Polymer's per-phase execution trace (Options.Phases).
 	Phases []core.PhaseRecord
+	// Bounds is Polymer's partition, nodes+1 vertex offsets, and BoundsSeq
+	// the mutation sequence number of the snapshot it was balanced on (an
+	// earlier one when the run's snapshot inherited it; partition.Sticky).
+	// Both are zero for the baselines.
+	Bounds    []int
+	BoundsSeq uint64
+	// Lineage is what Polymer's engine patched, built, inherited or
+	// balanced afresh (core.Lineage); zero for the baselines.
+	Lineage core.Lineage
 }
 
 // Options are the knobs every run path shares.
@@ -251,7 +260,7 @@ func run(s *spec, m *numa.Machine) (RunResult, int, error) {
 		r.PeakBytes = m.Alloc().Peak()
 		r.AgentBytes = m.Alloc().Label("polymer/agents")
 		if ce, ok := e.(*core.Engine); ok {
-			r.Phases = ce.Trace()
+			r.Phases, r.Bounds, r.BoundsSeq, r.Lineage = ce.Trace(), ce.Bounds(), ce.BoundsSeq(), ce.Lineage()
 		}
 		return nil
 	})

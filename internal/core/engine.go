@@ -100,6 +100,23 @@ func DefaultOptions() Options {
 	}
 }
 
+// Lineage counts what one engine made of what its graph derives: the
+// layouts it patched from the predecessor snapshot's (layoutBuild.Patch)
+// or built from the edge arrays, and whether its partition was inherited
+// from the predecessor or balanced afresh (partition.Sticky). What the
+// engine found already made counts as neither, so summed over engines
+// every layout and partition is counted once.
+type Lineage struct {
+	LayoutsPatched, LayoutsBuilt              int
+	PartitionsInherited, PartitionsRebalanced int
+}
+
+// Plus returns the sum of two counts.
+func (l Lineage) Plus(o Lineage) Lineage {
+	return Lineage{l.LayoutsPatched + o.LayoutsPatched, l.LayoutsBuilt + o.LayoutsBuilt,
+		l.PartitionsInherited + o.PartitionsInherited, l.PartitionsRebalanced + o.PartitionsRebalanced}
+}
+
 // Metrics counts engine activity — committed phases — for the experiment
 // harness.
 type Metrics struct {
@@ -120,6 +137,10 @@ type Engine struct {
 	opt Options
 
 	parts []partition.Range
+	// boundsSeq is the mutation sequence number of the snapshot parts were
+	// balanced on (partition.Sticky): the engine's own unless inherited.
+	boundsSeq uint64
+	lineage   Lineage
 
 	met Metrics
 
@@ -163,9 +184,16 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 		if opt.Mode == Push {
 			dir = partition.In
 		}
-		e.parts = partition.EdgeBalanced(g, m.Nodes, dir)
+		b, inherited, balanced := partition.Sticky(g, m.Nodes, dir)
+		e.parts, e.boundsSeq = b.Ranges, b.Seq
+		if inherited {
+			e.lineage.PartitionsInherited++
+		}
+		if balanced {
+			e.lineage.PartitionsRebalanced++
+		}
 	} else {
-		e.parts = partition.VertexBalanced(g.NumVertices(), m.Nodes)
+		e.parts, e.boundsSeq = partition.VertexBalanced(g.NumVertices(), m.Nodes), g.Seq()
 	}
 	bounds := partition.Bounds(e.parts)
 	e.InitTier(g.TopologyBytes(), FrontierDemand(bounds))
@@ -195,8 +223,17 @@ func MustNew(g *graph.Graph, m *numa.Machine, opt Options) *Engine {
 	return e
 }
 
-// Parts returns the per-node vertex ranges.
+// Parts returns the per-node vertex ranges (do not modify them).
 func (e *Engine) Parts() []partition.Range { return e.parts }
+
+// BoundsSeq returns the mutation sequence number of the snapshot the
+// engine's partition was balanced on: an earlier one when the engine's
+// snapshot inherited its lineage's partition (partition.Sticky), 0 on a
+// base graph.
+func (e *Engine) BoundsSeq() uint64 { return e.boundsSeq }
+
+// Lineage returns what the engine made of its graph's lineage so far.
+func (e *Engine) Lineage() Lineage { return e.lineage }
 
 // Options returns the engine configuration.
 func (e *Engine) Options() Options { return e.opt }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -44,6 +45,9 @@ type layoutBuild struct {
 	agentBytes int64
 	n          int  // vertices
 	weighted   bool // the build carries wts (its graph was weighted)
+	// parts and push are the partition and direction the build groups by.
+	parts []partition.Range
+	push  bool
 }
 
 // layout is one engine's handle on a shared build: it holds the build
@@ -71,7 +75,7 @@ const (
 // maxLayoutNodes.
 func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuild {
 	n := g.NumVertices()
-	l := &layoutBuild{perNode: make([]sg.Part, len(parts)), n: n, weighted: g.Weighted()}
+	l := &layoutBuild{perNode: make([]sg.Part, len(parts)), n: n, weighted: g.Weighted(), parts: parts, push: push}
 	// agentCounts[k] = Off[k+1] counts the nodes with a row keyed by k
 	// until fillAgents; nil in a pull build.
 	var agentCounts []int32
@@ -149,24 +153,203 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuil
 			}
 		}
 
-		nl.OwnerRows = make([]int, len(parts)+1)
-		for o, pr := range parts {
-			nl.OwnerRows[o], _ = slices.BinarySearch(nl.IDs, graph.Vertex(pr.Lo))
-		}
-		nl.OwnerRows[len(parts)] = rows
-
-		// Rolling-order start: first row keyed inside the local range.
-		if nl.Start = nl.OwnerRows[p]; nl.Start == rows {
-			nl.Start = 0
-		}
-
-		agents := rows - (nl.OwnerRows[p+1] - nl.OwnerRows[p]) // rows keyed remotely
-		l.agentBytes += int64(agents) * 16                     // replica: edge offset + degree
+		ownRows(nl, parts, p)
+		l.agentBytes += agentBytes(nl, p)
 	}
 	if push {
 		fillAgents(l.agents, l.perNode)
 	}
 	return l
+}
+
+// ownRows cuts node p's rows by the partition of their keys (OwnerRows)
+// and sets the rolling-order start: the first row keyed inside the local
+// range, or row 0 when there is none.
+func ownRows(nl *sg.Part, parts []partition.Range, p int) {
+	rows := len(nl.IDs)
+	nl.OwnerRows = make([]int, len(parts)+1)
+	for o, pr := range parts {
+		nl.OwnerRows[o], _ = slices.BinarySearch(nl.IDs, graph.Vertex(pr.Lo))
+	}
+	nl.OwnerRows[len(parts)] = rows
+	if nl.Start = nl.OwnerRows[p]; nl.Start == rows {
+		nl.Start = 0
+	}
+}
+
+// agentBytes is node p's replica footprint: an edge offset and a degree,
+// 16 bytes, for every row keyed remotely.
+func agentBytes(nl *sg.Part, p int) int64 {
+	return int64(len(nl.IDs)-(nl.OwnerRows[p+1]-nl.OwnerRows[p])) * 16
+}
+
+// layoutEdit is one edge edit as a build sees it: the row key (the
+// far-side vertex), the local column, and an appended edge's weight.
+type layoutEdit struct {
+	key, col graph.Vertex
+	wt       float32
+}
+
+// Patch returns the build of l's graph after graph.Patch(deleted,
+// appended), with l's partition and direction: equal, array for array, to
+// buildLayout on the patched graph. In the patched graph a vertex's
+// adjacency is its surviving entries in the old order followed by its
+// appended edges in order, and buildLayout fills a row's columns by
+// sweeping the local vertices ascending; so a row keyed by a vertex no
+// edit names is the old row, and a touched row is the old one without the
+// deleted pairs, merged by column with its appended edges, old copies of a
+// duplicated pair first. Per node, untouched row runs are copied with
+// their offsets shifted and only touched rows are rewritten; a node no
+// edit reaches shares its old part. When rows appear or vanish the agent
+// index is refilled from the patched parts, otherwise shared.
+func (l *layoutBuild) Patch(deleted, appended []graph.Edge) *layoutBuild {
+	out := &layoutBuild{perNode: make([]sg.Part, len(l.parts)), n: l.n, weighted: l.weighted, parts: l.parts, push: l.push, agents: l.agents}
+	dels, adds := l.editsByNode(deleted), l.editsByNode(appended)
+	moved := false
+	for p := range l.parts {
+		nl := &out.perNode[p]
+		if len(dels[p]) == 0 && len(adds[p]) == 0 {
+			*nl = l.perNode[p]
+		} else {
+			moved = patchPart(nl, &l.perNode[p], dels[p], adds[p], l.weighted) || moved
+			ownRows(nl, l.parts, p)
+		}
+		out.agentBytes += agentBytes(nl, p)
+	}
+	if l.agents != nil && moved {
+		out.agents = &sg.Agents{Off: make([]int32, l.n+1)}
+		for p := range out.perNode {
+			for _, k := range out.perNode[p].IDs {
+				out.agents.Off[k+1]++
+			}
+		}
+		fillAgents(out.agents, out.perNode)
+	}
+	return out
+}
+
+// editsByNode sorts edges into the node holding their local endpoint, as
+// layoutEdits ordered by (key, column); edits that tie keep their order.
+func (l *layoutBuild) editsByNode(edges []graph.Edge) [][]layoutEdit {
+	by := make([][]layoutEdit, len(l.parts))
+	for _, e := range edges {
+		ed := layoutEdit{key: e.Dst, col: e.Src, wt: e.Wt}
+		if l.push {
+			ed.key, ed.col = e.Src, e.Dst
+		}
+		p := partition.NodeOf(l.parts, ed.col)
+		by[p] = append(by[p], ed)
+	}
+	for _, eds := range by {
+		slices.SortStableFunc(eds, func(a, b layoutEdit) int {
+			if c := cmp.Compare(a.key, b.key); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.col, b.col)
+		})
+	}
+	return by
+}
+
+// patchPart writes into nl the rows of prev with dels' pairs removed and
+// adds appended, both grouped by key and ordered by column (editsByNode).
+// It reports whether a row appeared or vanished. IDs, Idx, Cols and Wts
+// are set; OwnerRows and Start are the caller's (ownRows).
+func patchPart(nl, prev *sg.Part, dels, adds []layoutEdit, weighted bool) (moved bool) {
+	nl.IDs = make([]graph.Vertex, 0, len(prev.IDs)+len(adds))
+	nl.Idx = make([]int64, 0, len(prev.IDs)+len(adds)+1)
+	nl.Cols = make([]graph.Vertex, 0, len(prev.Cols)+len(adds))
+	if weighted {
+		nl.Wts = make([]float32, 0, cap(nl.Cols))
+	}
+	r := 0 // prev's first row not emitted yet
+	for len(dels) > 0 || len(adds) > 0 {
+		k := dels
+		if len(dels) == 0 || (len(adds) > 0 && adds[0].key < dels[0].key) {
+			k = adds
+		}
+		key := k[0].key
+		d, a := cut(&dels, key), cut(&adds, key)
+
+		rk, found := slices.BinarySearch(prev.IDs[r:], key)
+		rk += r
+		copyRows(nl, prev, r, rk)
+		var cols []graph.Vertex
+		var wts []float32
+		r = rk
+		if found {
+			lo, hi := prev.Idx[rk], prev.Idx[rk+1]
+			cols = prev.Cols[lo:hi]
+			if weighted {
+				wts = prev.Wts[lo:hi]
+			}
+			r = rk + 1
+		}
+		start := int64(len(nl.Cols))
+		for i := 0; i < len(cols) || len(a) > 0; {
+			if len(a) == 0 || (i < len(cols) && cols[i] <= a[0].col) {
+				c := cols[i]
+				for len(d) > 0 && d[0].col < c {
+					d = d[1:]
+				}
+				if len(d) == 0 || d[0].col != c {
+					nl.Cols = append(nl.Cols, c)
+					if weighted {
+						nl.Wts = append(nl.Wts, wts[i])
+					}
+				}
+				i++
+				continue
+			}
+			nl.Cols = append(nl.Cols, a[0].col)
+			if weighted {
+				nl.Wts = append(nl.Wts, a[0].wt)
+			}
+			a = a[1:]
+		}
+		kept := int64(len(nl.Cols)) > start
+		if kept {
+			nl.IDs = append(nl.IDs, key)
+			nl.Idx = append(nl.Idx, start)
+		}
+		moved = moved || kept != found
+	}
+	copyRows(nl, prev, r, len(prev.IDs))
+	nl.Idx = append(nl.Idx, int64(len(nl.Cols)))
+	return moved
+}
+
+// cut removes the leading edits keyed by key from *eds and returns them.
+func cut(eds *[]layoutEdit, key graph.Vertex) []layoutEdit {
+	i := 0
+	for i < len(*eds) && (*eds)[i].key == key {
+		i++
+	}
+	head := (*eds)[:i]
+	*eds = (*eds)[i:]
+	return head
+}
+
+// copyRows appends prev's rows [from, to) to nl unchanged: their offsets
+// move by however much the rows before them grew or shrank.
+func copyRows(nl, prev *sg.Part, from, to int) {
+	if from == to {
+		return
+	}
+	shift := int64(len(nl.Cols)) - prev.Idx[from]
+	nl.IDs = append(nl.IDs, prev.IDs[from:to]...)
+	base := len(nl.Idx)
+	nl.Idx = append(nl.Idx, prev.Idx[from:to]...)
+	if shift != 0 {
+		for i := base; i < len(nl.Idx); i++ {
+			nl.Idx[i] += shift
+		}
+	}
+	lo, hi := prev.Idx[from], prev.Idx[to]
+	nl.Cols = append(nl.Cols, prev.Cols[lo:hi]...)
+	if nl.Wts != nil {
+		nl.Wts = append(nl.Wts, prev.Wts[lo:hi]...)
+	}
 }
 
 // fillAgents fills the agent index from its counts, Off[k+1] the number of
@@ -249,14 +432,19 @@ func (e *Engine) layoutOf(push bool) *layout {
 }
 
 // newLayout wraps the build its topology shares for the engine's partition
-// and direction. An engine on an Unweighted view of a weighted graph gets
-// the weighted build with its weights hidden, so it charges exactly the
-// bytes of an unweighted build; without rolling, every node sweeps from
-// row 0.
+// and direction: a snapshot whose predecessor holds the build under the
+// same partition patches it, anything else builds it (graph.Derived). An
+// engine on an Unweighted view of a weighted graph gets the weighted build
+// with its weights hidden, so it charges exactly the bytes of an
+// unweighted build; without rolling, every node sweeps from row 0.
 func (e *Engine) newLayout(push bool) *layout {
 	key := fmt.Sprintf("core.layout push=%t bounds=%v", push, e.Bounds())
 	b := graph.Derived(e.G, key, func(root *graph.Graph) *layoutBuild {
+		e.lineage.LayoutsBuilt++
 		return buildLayout(root, e.parts, push)
+	}, func(prev *layoutBuild, _ *graph.Graph, deleted, appended []graph.Edge) *layoutBuild {
+		e.lineage.LayoutsPatched++
+		return prev.Patch(deleted, appended)
 	})
 	parts := b.perNode
 	hideWts := b.weighted && !e.G.Weighted()

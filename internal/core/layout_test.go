@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"polymer/internal/gen"
@@ -300,5 +302,168 @@ func BenchmarkLayoutBuild(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buildLayout(g, parts, true) // engines share builds; time the build itself
+	}
+}
+
+// sameBuild asserts a patched build equals a fresh one array for array:
+// every part's rows, columns, weights, owner cuts and start, the agent
+// index and the agent bytes.
+func sameBuild(t *testing.T, what string, got, want *layoutBuild) {
+	t.Helper()
+	if len(got.perNode) != len(want.perNode) || got.agentBytes != want.agentBytes || got.n != want.n || got.weighted != want.weighted {
+		t.Fatalf("%s: %d parts, %d agent bytes, n %d, weighted %t; want %d, %d, %d, %t", what,
+			len(got.perNode), got.agentBytes, got.n, got.weighted, len(want.perNode), want.agentBytes, want.n, want.weighted)
+	}
+	for p := range want.perNode {
+		g, w := &got.perNode[p], &want.perNode[p]
+		if !slices.Equal(g.IDs, w.IDs) || !slices.Equal(g.Idx, w.Idx) || !slices.Equal(g.Cols, w.Cols) ||
+			!slices.Equal(g.Wts, w.Wts) || (g.Wts == nil) != (w.Wts == nil) ||
+			!slices.Equal(g.OwnerRows, w.OwnerRows) || g.Start != w.Start {
+			t.Fatalf("%s node %d:\n got ids %v idx %v cols %v wts %v owners %v start %d\nwant ids %v idx %v cols %v wts %v owners %v start %d",
+				what, p, g.IDs, g.Idx, g.Cols, g.Wts, g.OwnerRows, g.Start, w.IDs, w.Idx, w.Cols, w.Wts, w.OwnerRows, w.Start)
+		}
+	}
+	if (got.agents == nil) != (want.agents == nil) {
+		t.Fatalf("%s: agent index present %t, want %t", what, got.agents != nil, want.agents != nil)
+	}
+	if want.agents != nil && (!slices.Equal(got.agents.Off, want.agents.Off) ||
+		!slices.Equal(got.agents.Part, want.agents.Part) || !slices.Equal(got.agents.Row, want.agents.Row)) {
+		t.Fatalf("%s: agent index differs", what)
+	}
+}
+
+// randomBatch draws one mutation batch on g: inserts of random edges, some
+// of them duplicates of existing pairs or self-loops, and deletes of
+// existing pairs, now and then every out-edge of one vertex.
+func randomBatch(rng *gen.RNG, g *graph.Graph, ops int) (deleted, appended []graph.Edge) {
+	n := g.NumVertices()
+	for i := 0; i < ops; i++ {
+		v := graph.Vertex(rng.Intn(n))
+		nbrs := g.OutNeighbors(v)
+		switch k := rng.Intn(8); {
+		case k < 3 && len(nbrs) > 0:
+			deleted = append(deleted, graph.Edge{Src: v, Dst: nbrs[rng.Intn(len(nbrs))]})
+		case k == 3:
+			for _, u := range nbrs {
+				deleted = append(deleted, graph.Edge{Src: v, Dst: u})
+			}
+		case k == 4 && len(nbrs) > 0:
+			appended = append(appended, graph.Edge{Src: v, Dst: nbrs[0], Wt: float32(rng.Intn(99) + 1)})
+		case k == 5:
+			appended = append(appended, graph.Edge{Src: v, Dst: v, Wt: float32(rng.Intn(99) + 1)})
+		default:
+			appended = append(appended, graph.Edge{Src: v, Dst: graph.Vertex(rng.Intn(n)), Wt: float32(rng.Intn(99) + 1)})
+		}
+	}
+	return deleted, appended
+}
+
+// TestLayoutPatchMatchesBuild: along random batch streams, in both
+// directions, weighted and not, over an edge-balanced partition and one
+// with an empty node, each patched build equals buildLayout on the patched
+// graph with the same partition, array for array.
+func TestLayoutPatchMatchesBuild(t *testing.T) {
+	n, edges := gen.Powerlaw(400, 6, 2.0, 17)
+	gen.AddRandomWeights(edges, 18)
+	for _, weighted := range []bool{false, true} {
+		base := graph.FromEdges(n, edges, weighted)
+		partitions := ownerPartitions(n)
+		partitions["edge-balanced"] = partition.EdgeBalanced(base, 4, partition.In)
+		for name, parts := range partitions {
+			for _, push := range []bool{true, false} {
+				rng := gen.NewRNG(uint64(len(name)) + 7)
+				g, l := base, buildLayout(base, parts, push)
+				for step := 0; step < 25; step++ {
+					del, app := randomBatch(rng, g, 1+rng.Intn(40))
+					g, l = g.Patch(del, app), l.Patch(del, app)
+					sameBuild(t, fmt.Sprintf("weighted=%t %s push=%t step %d", weighted, name, push, step), l, buildLayout(g, parts, push))
+				}
+			}
+		}
+	}
+}
+
+// FuzzLayoutPatch drives a layout through patches, ops decoded three bytes
+// at a time (flags, src, dst) and applied as one batch wherever the flag
+// byte's top bit is set; every patched build, push and pull, weighted and
+// not, over a partition with an empty node, must equal buildLayout on the
+// patched graph.
+func FuzzLayoutPatch(f *testing.F) {
+	const (
+		n      = 8
+		insert = 0x01 // low two bits zero = delete, anything else = insert
+		snap   = 0x80
+	)
+	f.Add([]byte{})                                                       // the empty batch
+	f.Add([]byte{snap, 0, 1})                                             // delete every copy of a duplicated pair
+	f.Add([]byte{insert, 3, 4, insert | snap, 3, 4})                      // duplicate inserts
+	f.Add([]byte{insert | snap, 5, 5, snap, 5, 5})                        // a self-loop in, then out
+	f.Add([]byte{insert | snap, 7, 0, insert | snap, 7, 6})               // vertex 7 keys a new row on each node
+	f.Add([]byte{snap, 4, 0})                                             // row 4's last column goes
+	f.Add([]byte{insert, 0, 1, 0, 0, 1, insert | 0x3c | snap, 0, 1})      // delete and re-insert in one batch
+	f.Add([]byte{insert | snap, 2, 7, insert, 6, 3, snap, 2, 2, 0, 1, 0}) // the empty node's neighbours
+	baseEdges := []graph.Edge{
+		{Src: 4, Dst: 0, Wt: 1}, {Src: 0, Dst: 1, Wt: 2}, {Src: 0, Dst: 1, Wt: 3}, {Src: 0, Dst: 2, Wt: 4},
+		{Src: 0, Dst: 3, Wt: 5}, {Src: 1, Dst: 2, Wt: 6}, {Src: 2, Dst: 2, Wt: 7}, {Src: 1, Dst: 0, Wt: 8},
+		{Src: 6, Dst: 5, Wt: 9},
+	}
+	parts := []partition.Range{{Lo: 0, Hi: 3}, {Lo: 3, Hi: 3}, {Lo: 3, Hi: 6}, {Lo: 6, Hi: n}}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, weighted := range []bool{false, true} {
+			for _, push := range []bool{true, false} {
+				g := graph.FromEdges(n, baseEdges, weighted)
+				l := buildLayout(g, parts, push)
+				g, l = g.Patch(nil, nil), l.Patch(nil, nil)
+				sameBuild(t, "the empty batch", l, buildLayout(g, parts, push))
+				var del, app []graph.Edge
+				for d := data; len(d) >= 3; d = d[3:] {
+					e := graph.Edge{Src: graph.Vertex(d[1] % n), Dst: graph.Vertex(d[2] % n), Wt: float32(d[0]>>2&15) + 1}
+					if d[0]&3 == 0 {
+						del = append(del, e)
+					} else {
+						app = append(app, e)
+					}
+					if d[0]&snap == 0 {
+						continue
+					}
+					g, l = g.Patch(del, app), l.Patch(del, app)
+					sameBuild(t, fmt.Sprintf("weighted=%t push=%t after %v %v", weighted, push, del, app), l, buildLayout(g, parts, push))
+					del, app = nil, nil
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkLayoutPatch patches push and pull builds of the weighted
+// power-law dataset at small scale across one 32-op batch, the shape of a
+// serving commit: 24 inserts and 8 deletes of existing pairs.
+func BenchmarkLayoutPatch(b *testing.B) {
+	g, err := gen.Load(gen.PowerLaw, gen.Small, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := gen.NewRNG(32)
+	var del, app []graph.Edge
+	for i := 0; i < 32; i++ {
+		v := graph.Vertex(rng.Intn(g.NumVertices()))
+		if nbrs := g.OutNeighbors(v); i%4 == 3 && len(nbrs) > 0 {
+			del = append(del, graph.Edge{Src: v, Dst: nbrs[0]})
+			continue
+		}
+		app = append(app, graph.Edge{Src: v, Dst: graph.Vertex(rng.Intn(g.NumVertices())), Wt: float32(rng.Intn(99) + 1)})
+	}
+	for _, push := range []bool{true, false} {
+		dir := partition.Out
+		if push {
+			dir = partition.In
+		}
+		l := buildLayout(g, partition.EdgeBalanced(g, 8, dir), push)
+		b.Run(fmt.Sprintf("push=%t", push), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				l.Patch(del, app)
+			}
+		})
 	}
 }

@@ -10,7 +10,6 @@ package graph
 import (
 	"fmt"
 	"sync"
-	"weak"
 )
 
 // Vertex is a vertex identifier. Graphs up to ~4 billion vertices are
@@ -49,16 +48,10 @@ type Graph struct {
 	unweighted     *Graph
 	root           *Graph
 
-	// derived holds Derived's slots, one per key (root graphs only).
-	derivedMu sync.Mutex
-	derived   map[string]*derivedSlot
-}
-
-// derivedSlot is one key's memo: its mutex serialises the key's builds,
-// ptr is the weak.Pointer[T] to the last one (nil before the first).
-type derivedSlot struct {
-	mu  sync.Mutex
-	ptr any
+	// memo holds Derived's values and the graph's lineage link (root
+	// graphs only; lineage.go), made on first use.
+	memoMu sync.Mutex
+	memo   *memo
 }
 
 // NumVertices returns |V|.
@@ -90,44 +83,6 @@ func (g *Graph) InvOutDegrees() []float64 {
 		}
 	})
 	return g.invOut
-}
-
-// Derived returns the value build derives from g's topology under key.
-// The memo lives on the root graph, so g and its Unweighted view share it,
-// and build always receives the root (it carries the weights when there
-// are any). Every caller with the same key gets the same *T, built once;
-// concurrent callers wait on that one build (do not modify it).
-//
-// The graph holds each value through a weak pointer: a value is shared
-// while some caller keeps it and is freed by the next GC after the last
-// one drops it; the call after that builds again. The graph itself never
-// keeps a derived value alive. key must name T and every input of build
-// besides the topology; build must not ask for its own key.
-func Derived[T any](g *Graph, key string, build func(root *Graph) *T) *T {
-	if g.root != nil {
-		g = g.root
-	}
-	g.derivedMu.Lock()
-	s := g.derived[key]
-	if s == nil {
-		if g.derived == nil {
-			g.derived = make(map[string]*derivedSlot)
-		}
-		s = &derivedSlot{}
-		g.derived[key] = s
-	}
-	g.derivedMu.Unlock()
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p, ok := s.ptr.(weak.Pointer[T]); ok {
-		if v := p.Value(); v != nil {
-			return v
-		}
-	}
-	v := build(g)
-	s.ptr = weak.Make(v)
-	return v
 }
 
 // OutNeighbors returns v's out-neighbour slice (do not modify).

@@ -200,9 +200,9 @@ func TestDerivedIsBuiltOnceAndHeldWeakly(t *testing.T) {
 		if i%2 == 1 {
 			g = w.Unweighted()
 		}
-		go func() { got <- Derived(g, "wts", build) }()
+		go func() { got <- Derived(g, "wts", build, nil) }()
 	}
-	first := Derived(w.Unweighted(), "wts", build)
+	first := Derived(w.Unweighted(), "wts", build, nil)
 	for i := 0; i < cap(got); i++ {
 		if v := <-got; v != first {
 			t.Fatal("two callers got two builds")
@@ -211,7 +211,7 @@ func TestDerivedIsBuiltOnceAndHeldWeakly(t *testing.T) {
 	if n := builds.Load(); n != 1 {
 		t.Fatalf("%d builds for one key, want 1", n)
 	}
-	if Derived(w, "other", build) == first || builds.Load() != 2 {
+	if Derived(w, "other", build, nil) == first || builds.Load() != 2 {
 		t.Fatal("a second key shared the first key's build")
 	}
 	wp := weak.Make(first)
@@ -221,8 +221,61 @@ func TestDerivedIsBuiltOnceAndHeldWeakly(t *testing.T) {
 	if wp.Value() != nil {
 		t.Fatal("the graph kept a derived value alive")
 	}
-	if Derived(w, "wts", build); builds.Load() != 3 {
+	if Derived(w, "wts", build, nil); builds.Load() != 3 {
 		t.Fatalf("%d builds, want a rebuild after the value was freed", builds.Load())
+	}
+}
+
+// TestLineageHoldsAtMostTwoGenerations: along 50 patched generations, each
+// a lineage head with one reader, every value after the first is patched
+// from its predecessor's; after a GC at most two generations' values are
+// reachable, the head's among them. A base graph still holds its values
+// weakly.
+func TestLineageHoldsAtMostTwoGenerations(t *testing.T) {
+	type val struct {
+		edges   int64
+		patched bool
+		pad     [4096]byte // large enough for its own size class
+	}
+	build := func(root *Graph) *val { return &val{edges: root.NumEdges()} }
+	patch := func(prev *val, root *Graph, deleted, appended []Edge) *val {
+		return &val{edges: prev.edges + int64(len(appended)), patched: true}
+	}
+	const n = 5
+	g := FromEdges(n, []Edge{{0, 1, 0}, {1, 2, 0}}, false)
+	g.MarkHead(1)
+	var ptrs []weak.Pointer[val]
+	for gen := 1; gen <= 50; gen++ {
+		if gen > 1 {
+			g = g.Patch(nil, []Edge{{Src: Vertex(gen % n), Dst: Vertex(gen * 3 % n)}})
+			g.MarkHead(uint64(gen))
+		}
+		v := Derived(g, "val", build, patch)
+		if v.patched != (gen > 1) || v.edges != g.NumEdges() || g.Seq() != uint64(gen) {
+			t.Fatalf("generation %d: patched %t, %d edges of %d, seq %d", gen, v.patched, v.edges, g.NumEdges(), g.Seq())
+		}
+		ptrs = append(ptrs, weak.Make(v))
+	}
+	runtime.GC()
+	runtime.GC()
+	live := 0
+	for _, p := range ptrs {
+		if p.Value() != nil {
+			live++
+		}
+	}
+	if live > 2 || ptrs[len(ptrs)-1].Value() == nil {
+		t.Fatalf("%d generations' values reachable (head's: %t), want at most 2 with the head's",
+			live, ptrs[len(ptrs)-1].Value() != nil)
+	}
+	runtime.KeepAlive(g)
+
+	base := FromEdges(n, []Edge{{0, 1, 0}}, false)
+	wp := weak.Make(Derived(base, "val", build, patch))
+	runtime.GC()
+	runtime.GC()
+	if wp.Value() != nil || base.Seq() != 0 {
+		t.Fatal("a base graph kept its derived value alive")
 	}
 }
 

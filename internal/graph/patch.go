@@ -47,6 +47,10 @@ func (g *Graph) Unweighted() *Graph {
 // must be folded (mutate.Store.GraphAt does); patching that snapshot and
 // every one after it then equals the clean fold array for array.
 // Weights of appended are kept iff g is weighted.
+//
+// The result is g's successor in g's lineage (lineage.go): a value it
+// derives under a key g still holds is patched from g's with these edits,
+// and g, superseded, drops its own link to its predecessor.
 func (g *Graph) Patch(deleted, appended []Edge) *Graph {
 	for _, edges := range [2][]Edge{deleted, appended} {
 		for _, e := range edges {
@@ -61,6 +65,7 @@ func (g *Graph) Patch(deleted, appended []Edge) *Graph {
 	p.InIndex, p.InNbrs, p.InWts = patchCSR(g.n, g.InIndex, g.InNbrs, g.InWts,
 		rowEdits(deleted, true), rowEdits(appended, true))
 	p.m = int64(len(p.OutNbrs))
+	g.link(p, deleted, appended)
 	return p
 }
 

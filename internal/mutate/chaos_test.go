@@ -102,7 +102,7 @@ func runCrashTrial(t *testing.T, point fault.CrashPoint, seed int64, n int, base
 		// of the WAL: cut the file at a seeded offset in [durable, size].
 		key := Key("chaos", 0)
 		st.mu.Lock()
-		ks := st.keys[key]
+		ks := st.keys[keyID{"chaos", 0}]
 		durable, size := ks.log.durable, ks.log.size
 		st.mu.Unlock()
 		st.Close()

@@ -85,6 +85,11 @@ func TestPatchedSnapshotEqualsCleanApply(t *testing.T) {
 					if again, _ := st.GraphAt("rmat24", 0, seq, base); again != g {
 						t.Fatalf("seq %d: the retained snapshot was rebuilt", seq)
 					}
+					// Every snapshot is its lineage's head at its own seq, and
+					// Version counts the ops committed through it.
+					if v, ops, err := st.Version("rmat24", 0); err != nil || g.Seq() != seq || v != seq || ops != int64(len(all)) {
+						t.Fatalf("seq %d: head at seq %d, Version %d with %d ops (%v), want %d ops", seq, g.Seq(), v, ops, err, len(all))
+					}
 				}
 				if s := st.Stats(); s.Folded != 1 || s.Patched != reads-1 {
 					t.Fatalf("%d reads: folded %d patched %d, want 1 and %d", reads, s.Folded, s.Patched, reads-1)

@@ -48,8 +48,15 @@ type Store struct {
 	opt    Options
 	mu     sync.Mutex
 	closed bool
-	keys   map[string]*keyState
+	keys   map[keyID]*keyState
 	stats  StoreStats
+}
+
+// keyID is a stream's map key: looking a stream up does not render Key, so
+// reading a sequence number allocates nothing.
+type keyID struct {
+	dataset string
+	scale   int
 }
 
 // keyState is one (dataset, scale) stream, recovered from disk on first
@@ -57,6 +64,8 @@ type Store struct {
 type keyState struct {
 	log *Log
 	seq uint64 // last committed (published) batch
+	// ops counts the ops of the batches folded in since the key opened.
+	ops int64
 	// net is the fold of batches 1..seq, always current.
 	net *netState
 	// openSeq/openNet snapshot the recovered state at process open;
@@ -101,7 +110,7 @@ func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &Store{dir: dir, opt: opt, keys: make(map[string]*keyState)}, nil
+	return &Store{dir: dir, opt: opt, keys: make(map[keyID]*keyState)}, nil
 }
 
 // Key renders the on-disk identity of one (dataset, scale) stream.
@@ -114,15 +123,16 @@ func (s *Store) ckptPath(key string) string { return filepath.Join(s.dir, key+".
 // load the checkpoint (if any), replay log records past its sequence
 // number, and verify the sequence numbers are contiguous.
 func (s *Store) state(dataset string, scale int) (*keyState, error) {
-	key := Key(dataset, scale)
+	id := keyID{dataset, scale}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	if st, ok := s.keys[key]; ok {
+	if st, ok := s.keys[id]; ok {
 		return st, nil
 	}
+	key := Key(dataset, scale)
 	ckptSeq, ns, err := loadCheckpoint(s.ckptPath(key))
 	if err != nil {
 		return nil, err
@@ -147,13 +157,14 @@ func (s *Store) state(dataset string, scale int) (*keyState, error) {
 		}
 		st.hist = append(st.hist, b)
 		st.seq = b.Seq
+		st.ops += int64(len(b.Ops))
 		s.stats.Recovered++
 	}
 	if l.truncated {
 		s.stats.Truncated++
 	}
 	st.durSeq = st.seq
-	s.keys[key] = st
+	s.keys[id] = st
 	s.stats.Keys = len(s.keys)
 	return st, nil
 }
@@ -170,6 +181,20 @@ func (s *Store) Seq(dataset string, scale int) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return st.seq, nil
+}
+
+// Version returns a key's committed sequence number, as Seq does, with the
+// number of ops in the batches committed or replayed since the store
+// opened the key: the difference of two readings is the ops committed in
+// between.
+func (s *Store) Version(dataset string, scale int) (seq uint64, ops int64, err error) {
+	st, err := s.state(dataset, scale)
+	if err != nil {
+		return 0, 0, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return st.seq, st.ops, nil
 }
 
 // Commit validates, appends, fsyncs and publishes one batch against a
@@ -227,6 +252,7 @@ func (s *Store) Commit(dataset string, scale int, n int, ops []Op) (uint64, erro
 	}
 	st.hist = append(st.hist, batch)
 	st.seq = seq
+	st.ops += int64(len(ops))
 	s.stats.Committed++
 	s.stats.Ops += int64(len(ops))
 	if err := s.maybeCheckpointLocked(st, Key(dataset, scale)); err != nil {
@@ -320,7 +346,11 @@ func (s *Store) EdgesAt(dataset string, scale int, seq uint64, base []graph.Edge
 // different base graph — is the whole-prefix fold EdgesAt + FromEdges, which
 // is also what puts a generated base's rows into the order Patch relies on.
 // Both paths yield the same arrays; the retained snapshot never moves
-// backwards. Callers share the returned graph and must not modify it.
+// backwards. Every snapshot built here is marked the head of its lineage at
+// seq (graph.MarkHead): a patched one is its predecessor's successor, so
+// what is derived on it is patched from what the predecessor derived, and
+// a folded one starts a lineage. Callers share the returned graph and must
+// not modify it.
 func (s *Store) GraphAt(dataset string, scale int, seq uint64, base *graph.Graph) (*graph.Graph, error) {
 	if seq == 0 {
 		return base, nil
@@ -357,6 +387,7 @@ func (s *Store) GraphAt(dataset string, scale int, seq uint64, base *graph.Graph
 		}
 		g = graph.FromEdges(base.NumVertices(), edges, base.Weighted())
 	}
+	g.MarkHead(seq)
 
 	s.mu.Lock()
 	if patch {
@@ -462,6 +493,6 @@ func (s *Store) Close() error {
 			first = err
 		}
 	}
-	s.keys = map[string]*keyState{}
+	s.keys = map[keyID]*keyState{}
 	return first
 }

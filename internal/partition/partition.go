@@ -110,6 +110,61 @@ func EdgeBalanced(g *graph.Graph, parts int, dir Direction) []Range {
 	return out
 }
 
+// Epsilon is how far a mutation lineage lets what it inherits drift: a
+// snapshot keeps its predecessor's edge-balanced ranges while their
+// heaviest part stays within 1+Epsilon of a fresh split's (Sticky), and
+// the serving layer keeps a lineage's planner profile while the ops
+// committed since it stay within Epsilon of the edge count.
+const Epsilon = 0.05
+
+// Balanced is an edge-balanced split as a lineage holds it: the ranges
+// and the mutation sequence number of the snapshot they were balanced on.
+type Balanced struct {
+	Ranges []Range
+	Seq    uint64
+}
+
+// Sticky returns g's edge-balanced split into parts ranges in direction
+// dir (do not modify it). A snapshot that graph.Patch made inherits its
+// predecessor's split while, on the new snapshot, the heaviest of its
+// ranges holds at most 1+Epsilon times the edges of the heaviest range of
+// a fresh EdgeBalanced split; past that it takes the fresh split. A base
+// graph and a lineage's first snapshot get the fresh split, EdgeBalanced
+// exactly. Ranges a snapshot keeps are the ones its layouts are keyed by,
+// so keeping them is what lets the layouts be patched too. It reports
+// whether this call inherited the split or balanced it afresh; neither
+// when g already held it.
+func Sticky(g *graph.Graph, parts int, dir Direction) (b *Balanced, inherited, balanced bool) {
+	key := fmt.Sprintf("partition.balanced parts=%d dir=%d", parts, dir)
+	b = graph.Derived(g, key, func(root *graph.Graph) *Balanced {
+		balanced = true
+		return &Balanced{EdgeBalanced(root, parts, dir), root.Seq()}
+	}, func(prev *Balanced, root *graph.Graph, _, _ []graph.Edge) *Balanced {
+		fresh := EdgeBalanced(root, parts, dir)
+		if float64(heaviest(root, prev.Ranges, dir)) <= (1+Epsilon)*float64(heaviest(root, fresh, dir)) {
+			inherited = true
+			return prev
+		}
+		balanced = true
+		return &Balanced{fresh, root.Seq()}
+	})
+	return b, inherited, balanced
+}
+
+// heaviest returns the largest degree sum in direction dir of any range:
+// a difference of two index entries per range.
+func heaviest(g *graph.Graph, ranges []Range, dir Direction) int64 {
+	index := g.OutIndex
+	if dir == In {
+		index = g.InIndex
+	}
+	var most int64
+	for _, r := range ranges {
+		most = max(most, index[r.Hi]-index[r.Lo])
+	}
+	return most
+}
+
 // Stats summarises partition balance for the paper's Figure 11(a).
 type Stats struct {
 	// EdgesPer holds the degree sum of each partition.

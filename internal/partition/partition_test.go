@@ -163,3 +163,76 @@ func TestMorePartsThanVertices(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStickyInheritsWithinEpsilon drives a lineage in both directions with
+// batches that all land in part 0 (its targets for In, its sources for
+// Out). While the inherited split's heaviest part stays within 1+Epsilon of
+// a fresh split's, each snapshot keeps its predecessor's ranges bit for
+// bit; the first batch past that takes the fresh EdgeBalanced split, on
+// its own sequence number.
+func TestStickyInheritsWithinEpsilon(t *testing.T) {
+	const parts = 4
+	n, edges := gen.Powerlaw(2000, 8, 2.0, 11)
+	for _, dir := range []Direction{In, Out} {
+		g := graph.FromEdges(n, edges, false)
+		g.MarkHead(1)
+		first, inherited, balanced := Sticky(g, parts, dir)
+		if !sameRanges(first.Ranges, EdgeBalanced(g, parts, dir)) || first.Seq != 1 || inherited || !balanced {
+			t.Fatalf("dir %d: a lineage's first snapshot got %v at seq %d (inherited %t, balanced %t), not the fresh split",
+				dir, first.Ranges, first.Seq, inherited, balanced)
+		}
+		if again, inherited, balanced := Sticky(g, parts, dir); again != first || inherited || balanced {
+			t.Fatalf("dir %d: asked again, the snapshot made its split anew (inherited %t, balanced %t)", dir, inherited, balanced)
+		}
+		hot := first.Ranges[0]
+		rng := gen.NewRNG(uint64(dir) + 3)
+		prev, kept := first, 0
+		for seq := uint64(2); ; seq++ {
+			if seq > 200 {
+				t.Fatalf("dir %d: 200 batches into part 0 never crossed Epsilon", dir)
+			}
+			batch := make([]graph.Edge, 32)
+			for i := range batch {
+				far, near := graph.Vertex(rng.Intn(n)), graph.Vertex(hot.Lo+rng.Intn(hot.Len()))
+				batch[i] = graph.Edge{Src: far, Dst: near}
+				if dir == Out {
+					batch[i] = graph.Edge{Src: near, Dst: far}
+				}
+			}
+			g = g.Patch(nil, batch)
+			g.MarkHead(seq)
+			fresh := EdgeBalanced(g, parts, dir)
+			b, inherited, balanced := Sticky(g, parts, dir)
+			within := float64(heaviest(g, prev.Ranges, dir)) <= (1+Epsilon)*float64(heaviest(g, fresh, dir))
+			if inherited != within || balanced == within {
+				t.Fatalf("dir %d seq %d: within Epsilon %t, but inherited %t and balanced %t", dir, seq, within, inherited, balanced)
+			}
+			if within {
+				if b != prev || !sameRanges(b.Ranges, first.Ranges) || b.Seq != 1 {
+					t.Fatalf("dir %d seq %d: within Epsilon but got %v from seq %d, want the inherited %v", dir, seq, b.Ranges, b.Seq, first.Ranges)
+				}
+				kept++
+				continue
+			}
+			if !sameRanges(b.Ranges, fresh) || b.Seq != seq {
+				t.Fatalf("dir %d seq %d: past Epsilon but got %v from seq %d, want the fresh %v", dir, seq, b.Ranges, b.Seq, fresh)
+			}
+			break
+		}
+		if kept == 0 {
+			t.Fatalf("dir %d: the first batch already crossed Epsilon; nothing was inherited", dir)
+		}
+	}
+}
+
+func sameRanges(a, b []Range) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -22,6 +22,7 @@ type attemptResult struct {
 	sim       float64
 	peak      int64
 	slowRate  float64
+	boundsSeq uint64
 
 	attempts, rollbacks, restarts int
 }
@@ -94,10 +95,13 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex) (attemptR
 			res.rollbacks += rep.Rollbacks
 			res.restarts += rep.Restarts
 			res.checksums, res.sim, res.peak, res.slowRate = []float64{r.Checksum}, r.SimSeconds, r.PeakBytes, r.Stats.SlowRate
+			res.boundsSeq = r.BoundsSeq
+			s.lineage.add(r.Lineage)
 			res.err = err
 		} else {
 			mr, err := bench.RunMultiSourceCtx(t.ctx, v.sys, v.alg, g, mk, srcs, tr)
-			res.checksums, res.sim, res.peak = mr.PerSource, mr.SimSeconds, mr.PeakBytes
+			res.checksums, res.sim, res.peak, res.boundsSeq = mr.PerSource, mr.SimSeconds, mr.PeakBytes, mr.BoundsSeq
+			s.lineage.add(mr.Lineage)
 			res.err = err
 		}
 		if res.err == nil {

@@ -196,8 +196,10 @@ type metricsBody struct {
 	Queue    map[string]int64  `json:"queue"`
 	Cache    cacheStats        `json:"graph_cache"`
 	Results  cacheStats        `json:"result_cache"`
-	// Mutations is present only when the mutation store is attached.
+	// Mutations and Lineage are present only when the mutation store is
+	// attached.
 	Mutations *mutate.StoreStats `json:"mutations,omitempty"`
+	Lineage   *LineageStats      `json:"lineage,omitempty"`
 	// Cluster is the most recent cluster run's health snapshot, present
 	// once a cluster request has executed.
 	Cluster *clusterStatus `json:"cluster,omitempty"`
@@ -226,6 +228,7 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	if s.mut != nil {
 		st := s.mut.Stats()
 		body.Mutations = &st
+		body.Lineage = s.lineage.stats()
 	}
 	body.Cluster = s.lastCluster.Load()
 	body.Planner = s.plannerStats()

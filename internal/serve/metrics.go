@@ -11,7 +11,11 @@
 
 package serve
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"polymer/internal/core"
+)
 
 // Counters aggregates service activity. All fields are safe for
 // concurrent update; Snapshot returns a consistent-enough view for
@@ -98,5 +102,45 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		Mutations:  c.Mutations.Load(),
 		Hedged:     c.Hedged.Load(),
 		HedgeWins:  c.HedgeWins.Load(),
+	}
+}
+
+// LineageStats is /metricsz's lineage block: what the server's runs and
+// planner carried over from a predecessor snapshot against what they made
+// afresh — layouts patched or built and partitions inherited or balanced
+// (summed core.Lineage, base graphs' fresh ones included), and snapshots
+// that inherited their lineage's profile against profiles taken.
+type LineageStats struct {
+	LayoutsPatched       int64 `json:"layouts_patched"`
+	LayoutsBuilt         int64 `json:"layouts_built"`
+	PartitionsInherited  int64 `json:"partitions_inherited"`
+	PartitionsRebalanced int64 `json:"partitions_rebalanced"`
+	ProfilesInherited    int64 `json:"profiles_inherited"`
+	ProfilesComputed     int64 `json:"profiles_computed"`
+}
+
+// lineageCounters accumulates LineageStats.
+type lineageCounters struct {
+	layoutsPatched, layoutsBuilt              atomic.Int64
+	partitionsInherited, partitionsRebalanced atomic.Int64
+	profilesInherited, profilesComputed       atomic.Int64
+}
+
+// add counts one run's engine.
+func (c *lineageCounters) add(l core.Lineage) {
+	c.layoutsPatched.Add(int64(l.LayoutsPatched))
+	c.layoutsBuilt.Add(int64(l.LayoutsBuilt))
+	c.partitionsInherited.Add(int64(l.PartitionsInherited))
+	c.partitionsRebalanced.Add(int64(l.PartitionsRebalanced))
+}
+
+func (c *lineageCounters) stats() *LineageStats {
+	return &LineageStats{
+		LayoutsPatched:       c.layoutsPatched.Load(),
+		LayoutsBuilt:         c.layoutsBuilt.Load(),
+		PartitionsInherited:  c.partitionsInherited.Load(),
+		PartitionsRebalanced: c.partitionsRebalanced.Load(),
+		ProfilesInherited:    c.profilesInherited.Load(),
+		ProfilesComputed:     c.profilesComputed.Load(),
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -19,6 +20,7 @@ import (
 
 	"polymer/internal/fault"
 	"polymer/internal/mutate"
+	"polymer/internal/partition"
 )
 
 func openStore(t *testing.T, dir string, opt mutate.Options) *mutate.Store {
@@ -148,37 +150,153 @@ func TestMutateEndToEnd(t *testing.T) {
 	}
 }
 
-// Commits retire the profiles and planner decisions of the snapshots they
-// supersede: after each commit and planned read, one profile is live and
-// the decision cache holds what it held after the first.
+// commit sends one batch down the full commit path — admission, WAL
+// append, publish, generation bump — on a server without workers.
+func commit(t *testing.T, srv *Server, graph, scale string, ops []MutationOp) {
+	t.Helper()
+	m, err := resolveMutation(MutationRequest{Graph: graph, Scale: scale, Ops: ops})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt, _, err := srv.submitMutation(m, context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-srv.queue
+	srv.executeMutate(mt)
+	if out := srv.wait(mt.run, 0, nil, nil); out.status != 200 {
+		t.Fatalf("commit: status %d (%s)", out.status, out.resp.Error)
+	}
+}
+
+// TestCommitsRetireProfilesAndDecisions: commits whose ops stay within
+// partition.Epsilon of the edge count keep the lineage's one profile and
+// with it the planner's cached decision, so the planned read after each
+// commit allocates nothing (counted as testing.AllocsPerRun counts, over
+// the first call after the commit). A batch that crosses Epsilon
+// re-profiles, and the superseded profile's decisions are retired: one
+// profile stays, and the decision cache holds what it held after the first.
 func TestCommitsRetireProfilesAndDecisions(t *testing.T) {
 	store := openStore(t, t.TempDir(), mutate.Options{})
 	defer store.Close()
-	srv := NewServer(Config{Workers: 2, QueueDepth: 8, Mutations: store})
-	defer shutdown(t, srv)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	first := 0
-	for i := 0; i < 8; i++ {
-		mut := fmt.Sprintf(`{"graph":"roadUS","scale":"tiny","ops":[{"op":"insert","src":%d,"dst":575}]}`, i)
-		if st, r := postJSON(t, ts, "/mutatez", mut); st != 200 {
-			t.Fatalf("commit %d: status %d (%s)", i, st, r.Error)
-		}
-		if st, r := postJSON(t, ts, "/run", `{"algo":"bfs","graph":"roadUS","scale":"tiny","src":0}`); st != 200 || r.Plan == nil {
-			t.Fatalf("read %d: status %d plan %v (%s)", i, st, r.Plan, r.Error)
-		}
-		cached := 0
+	srv := NewServer(Config{noWorkers: true, Mutations: store, DisableLearning: true})
+	v, err := DecodeRequest(strings.NewReader(`{"algo":"bfs","graph":"roadUS","scale":"tiny","src":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func() (profiles, cached int, computed, inherited int64) {
 		for _, st := range srv.plannerStats() {
 			cached += st.Cached
 		}
-		if i == 0 {
-			first = cached
-		}
 		srv.profMu.RLock()
-		profiles := len(srv.profiles)
-		srv.profMu.RUnlock()
-		if profiles != 1 || cached != first {
-			t.Fatalf("after %d commits: %d profiles, %d cached decisions (want 1 and %d)", i+1, profiles, cached, first)
+		defer srv.profMu.RUnlock()
+		return len(srv.profiles), cached, srv.lineage.profilesComputed.Load(), srv.lineage.profilesInherited.Load()
+	}
+	if err := srv.planFor(v); err != nil {
+		t.Fatal(err)
+	}
+	_, first, _, _ := state()
+	edges := srv.profiles[profileKey{v.data, v.scale, false}].f.Edges
+	for i := 1; i <= 8; i++ {
+		commit(t, srv, "roadUS", "tiny", []MutationOp{{Op: "insert", Src: uint32(i), Dst: 575, Wt: 1}})
+		if allocs := allocsOf(func() {
+			if err := srv.planFor(v); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Fatalf("commit %d: the planned read after it allocates %d times", i, allocs)
+		}
+		if profiles, cached, computed, inherited := state(); profiles != 1 || cached != first || computed != 1 || inherited != int64(i) {
+			t.Fatalf("after %d commits: %d profiles (%d computed, %d inherited), %d cached decisions; want 1 (1, %d) and %d",
+				i, profiles, computed, inherited, cached, i, first)
+		}
+	}
+	// One batch past Epsilon: the read re-profiles.
+	big := make([]MutationOp, int(partition.Epsilon*float64(edges))+1)
+	for i := range big {
+		big[i] = MutationOp{Op: "insert", Src: uint32(i % 576), Dst: uint32(i * 7 % 576), Wt: 1}
+	}
+	commit(t, srv, "roadUS", "tiny", big)
+	if err := srv.planFor(v); err != nil {
+		t.Fatal(err)
+	}
+	if profiles, cached, computed, _ := state(); profiles != 1 || cached != first || computed != 2 {
+		t.Fatalf("past Epsilon: %d profiles (%d computed), %d cached decisions; want 1 (2) and %d", profiles, computed, cached, first)
+	}
+	if p := srv.profiles[profileKey{v.data, v.scale, false}]; p.seq != 9 || p.f.Edges == edges {
+		t.Fatalf("past Epsilon the profile is of seq %d with %d edges, want seq 9's", p.seq, p.f.Edges)
+	}
+}
+
+// allocsOf counts the heap allocations of one call of f, as
+// testing.AllocsPerRun does, but without a warm-up call first.
+func allocsOf(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestLineageCountersOnMetricsz: over 8 commit + read cycles on one
+// dataset, /metricsz's lineage block shows the first snapshot, which
+// starts the lineage, balancing its partition, building its layouts and
+// profiling; each later one inherits its predecessor's partition and
+// profile and patches its layouts.
+func TestLineageCountersOnMetricsz(t *testing.T) {
+	store := openStore(t, t.TempDir(), mutate.Options{})
+	defer store.Close()
+	srv := NewServer(Config{Workers: 2, QueueDepth: 8, Mutations: store, DisableLearning: true})
+	defer shutdown(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	lineage := func() LineageStats {
+		httpResp, err := ts.Client().Get(ts.URL + "/metricsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer httpResp.Body.Close()
+		var mb metricsBody
+		if err := json.NewDecoder(httpResp.Body).Decode(&mb); err != nil {
+			t.Fatal(err)
+		}
+		if mb.Lineage == nil {
+			t.Fatal("/metricsz has no lineage block beside mutations")
+		}
+		return *mb.Lineage
+	}
+	prev := lineage()
+	for i := 1; i <= 8; i++ {
+		mut := fmt.Sprintf(`{"graph":"powerlaw","scale":"tiny","ops":[{"op":"insert","src":%d,"dst":%d,"wt":2}]}`, i, 3*i)
+		if st, r := postJSON(t, ts, "/mutatez", mut); st != 200 {
+			t.Fatalf("commit %d: status %d (%s)", i, st, r.Error)
+		}
+		for _, q := range []string{
+			`{"algo":"bfs","system":"polymer","graph":"powerlaw","src":1}`,
+			`{"algo":"pr","graph":"powerlaw"}`,
+		} {
+			st, r := postJSON(t, ts, "/run", q)
+			if st != 200 || r.Cached {
+				t.Fatalf("read %d %s: status %d cached %t (%s)", i, q, st, r.Cached, r.Error)
+			}
+			if r.System == "Polymer" && r.BoundsSeq != 1 {
+				t.Fatalf("read %d %s: ran on the partition of seq %d, want the lineage's first", i, q, r.BoundsSeq)
+			}
+		}
+		cur := lineage()
+		d := LineageStats{
+			LayoutsPatched: cur.LayoutsPatched - prev.LayoutsPatched, LayoutsBuilt: cur.LayoutsBuilt - prev.LayoutsBuilt,
+			PartitionsInherited:  cur.PartitionsInherited - prev.PartitionsInherited,
+			PartitionsRebalanced: cur.PartitionsRebalanced - prev.PartitionsRebalanced,
+			ProfilesInherited:    cur.ProfilesInherited - prev.ProfilesInherited, ProfilesComputed: cur.ProfilesComputed - prev.ProfilesComputed,
+		}
+		prev = cur
+		fresh := i == 1
+		if fresh != (d.LayoutsPatched == 0 && d.LayoutsBuilt > 0 && d.PartitionsInherited == 0 && d.PartitionsRebalanced > 0) ||
+			!fresh != (d.LayoutsPatched > 0 && d.LayoutsBuilt == 0 && d.PartitionsInherited > 0 && d.PartitionsRebalanced == 0) ||
+			d.ProfilesComputed+d.ProfilesInherited != 1 || (d.ProfilesComputed == 1) != fresh {
+			t.Fatalf("cycle %d: lineage counters moved by %+v", i, d)
 		}
 	}
 }
@@ -327,67 +445,85 @@ func TestMutateDisabledWithoutStore(t *testing.T) {
 
 // TestConcurrentReadsShareSnapshotLayouts: Polymer BFS and SSSP reads of
 // one mutated snapshot, run at once, build its per-node layouts once
-// (graph.Derived) through the weighted snapshot and its Unweighted view,
-// and answer exactly what the same reads answer one after another on a
-// second server. Under -race (scripts/check.sh) this is the proof that
-// the build-once path and the read-only sharing are race-free.
+// (graph.Derived) through the weighted snapshot and its Unweighted view;
+// after a second commit, the same reads at once on the fresh successor
+// patch each layout from the first snapshot's once and build none. Every
+// answer is what the same reads answer one after another on a second
+// server. Under -race (scripts/check.sh) this is the proof that the
+// build-once and patch-once paths and the read-only sharing are race-free.
 func TestConcurrentReadsShareSnapshotLayouts(t *testing.T) {
-	const commit = `{"graph":"powerlaw","scale":"tiny","ops":[{"op":"insert","src":1,"dst":2,"wt":3},{"op":"delete","src":2,"dst":1}]}`
+	commits := []string{
+		`{"graph":"powerlaw","scale":"tiny","ops":[{"op":"insert","src":1,"dst":2,"wt":3},{"op":"delete","src":2,"dst":1}]}`,
+		`{"graph":"powerlaw","scale":"tiny","ops":[{"op":"insert","src":7,"dst":9,"wt":4},{"op":"insert","src":9,"dst":1,"wt":5}]}`,
+	}
 	var queries []string
 	for src := 0; src < 4; src++ {
 		for _, algo := range []string{"bfs", "sssp"} {
 			queries = append(queries, fmt.Sprintf(`{"algo":%q,"system":"polymer","graph":"powerlaw","src":%d}`, algo, src))
 		}
 	}
-	read := func(concurrent bool) []Response {
+	// read commits each batch and reads every query after it; it returns
+	// the answers and how many layouts the successor patched and built.
+	read := func(concurrent bool) (out []Response, patched, built int64) {
 		store := openStore(t, t.TempDir(), mutate.Options{})
 		defer store.Close()
 		srv := NewServer(Config{Workers: 4, QueueDepth: 16, Mutations: store, DisableSharing: true})
 		defer shutdown(t, srv)
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
-		if st, mr := postJSON(t, ts, "/mutatez", commit); st != 200 {
-			t.Fatalf("commit: status %d (%s)", st, mr.Error)
-		}
-		out := make([]Response, len(queries))
-		if !concurrent {
-			for i, q := range queries {
-				_, out[i] = postJSON(t, ts, "/run", q)
+		for i, commit := range commits {
+			if st, mr := postJSON(t, ts, "/mutatez", commit); st != 200 {
+				t.Fatalf("commit: status %d (%s)", st, mr.Error)
 			}
-			return out
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, len(queries))
-		for i, q := range queries {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				httpResp, err := ts.Client().Post(ts.URL+"/run", "application/json", strings.NewReader(q))
-				if err != nil {
-					errs[i] = err
-					return
+			before := srv.lineage.stats()
+			gen := make([]Response, len(queries))
+			if !concurrent {
+				for i, q := range queries {
+					_, gen[i] = postJSON(t, ts, "/run", q)
 				}
-				defer httpResp.Body.Close()
-				errs[i] = json.NewDecoder(httpResp.Body).Decode(&out[i])
-			}()
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				t.Fatal(err)
+			} else {
+				var wg sync.WaitGroup
+				errs := make([]error, len(queries))
+				for i, q := range queries {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						httpResp, err := ts.Client().Post(ts.URL+"/run", "application/json", strings.NewReader(q))
+						if err != nil {
+							errs[i] = err
+							return
+						}
+						defer httpResp.Body.Close()
+						errs[i] = json.NewDecoder(httpResp.Body).Decode(&gen[i])
+					}()
+				}
+				wg.Wait()
+				for _, err := range errs {
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
+			if after := srv.lineage.stats(); i > 0 {
+				patched, built = after.LayoutsPatched-before.LayoutsPatched, after.LayoutsBuilt-before.LayoutsBuilt
+			}
+			out = append(out, gen...)
 		}
-		return out
+		return out, patched, built
 	}
-	want, got := read(false), read(true)
-	for i, q := range queries {
-		w, g := want[i], got[i]
+	want, _, _ := read(false)
+	got, patched, built := read(true)
+	if built != 0 || patched == 0 || patched > 2 {
+		t.Fatalf("concurrent reads of the successor patched %d layouts and built %d, want each layout patched once", patched, built)
+	}
+	for i, w := range want {
+		g, q := got[i], queries[i%len(queries)]
 		if w.Error != "" || g.Error != "" || g.Cached {
 			t.Fatalf("%s: errors %q / %q, cached=%t", q, w.Error, g.Error, g.Cached)
 		}
-		if g.Checksum != w.Checksum || g.SimSeconds != w.SimSeconds || g.PeakBytes != w.PeakBytes {
-			t.Fatalf("%s: concurrent checksum %v sim %v peak %d, sequential %v %v %d",
-				q, g.Checksum, g.SimSeconds, g.PeakBytes, w.Checksum, w.SimSeconds, w.PeakBytes)
+		if g.Checksum != w.Checksum || g.SimSeconds != w.SimSeconds || g.PeakBytes != w.PeakBytes || g.BoundsSeq != w.BoundsSeq {
+			t.Fatalf("%s: concurrent checksum %v sim %v peak %d bounds of seq %d, sequential %v %v %d %d",
+				q, g.Checksum, g.SimSeconds, g.PeakBytes, g.BoundsSeq, w.Checksum, w.SimSeconds, w.PeakBytes, w.BoundsSeq)
 		}
 	}
 }

@@ -2,13 +2,14 @@
 // the server ("auto" or simply unspecified) are resolved here through
 // the cost-model planner before they touch the result cache or the
 // queue. The flow is profile -> plan -> bind: the dataset's feature
-// vector comes from a per-(dataset, generation) profile cache (computed
-// once per snapshot, next to the graph cache), the planner's decision
-// comes from its own memoized table, and the pick is bound back onto the
-// resolved request so every downstream path — cache keys, batching,
-// coalescing, execution — sees a concrete (engine, placement, nodes)
-// exactly as if the client had spelled it out. On a profile-cache hit
-// the whole resolution is lock-guarded map lookups: zero allocations.
+// vector comes from a per-lineage profile cache (one profile a dataset
+// stream, kept across commits while they change it little), the
+// planner's decision comes from its own memoized table, and the pick is
+// bound back onto the resolved request so every downstream path — cache
+// keys, batching, coalescing, execution — sees a concrete (engine,
+// placement, nodes) exactly as if the client had spelled it out. On a
+// profile-cache hit the whole resolution is lock-guarded map lookups:
+// zero allocations.
 
 package serve
 
@@ -19,6 +20,7 @@ import (
 	"polymer/internal/gen"
 	"polymer/internal/mem"
 	"polymer/internal/obs"
+	"polymer/internal/partition"
 	"polymer/internal/plan"
 )
 
@@ -86,13 +88,22 @@ type plannerKey struct {
 	cores int
 }
 
-// profileKey identifies one cached feature vector: the dataset snapshot
-// (mutation sequence included) in its weighted or unweighted build.
+// profileKey identifies one lineage's profile: a dataset stream in its
+// weighted or unweighted build.
 type profileKey struct {
 	data     gen.Dataset
 	scale    gen.Scale
 	weighted bool
-	seq      uint64
+}
+
+// profile is a lineage's feature vector: the snapshot it was taken on (seq,
+// and ops, the mutation store's op count there; both 0 without a store)
+// and the newest snapshot it has served.
+type profile struct {
+	f      plan.Features
+	seq    uint64
+	ops    int64
+	served uint64
 }
 
 // plannerFor returns (creating on first use) the planner for the
@@ -115,66 +126,72 @@ func (s *Server) plannerFor(v *resolved) *plan.Planner {
 }
 
 // profileFor returns the dataset's feature vector, profiling it on first
-// use and caching per snapshot. The cache key carries the mutation
-// sequence, so a committed mutation batch naturally invalidates the
-// profile along with the graph and result caches.
+// use and caching one profile per lineage. A commit does not retire it: a
+// snapshot inherits its lineage's profile while the ops committed since
+// the profiled snapshot stay within partition.Epsilon of its edge count,
+// so the planner's decision cache, keyed by the features, still answers
+// the first planned read after a commit. Past that the snapshot is
+// profiled afresh and the old profile retired.
 func (s *Server) profileFor(v *resolved) (plan.Features, error) {
 	weighted := v.alg.Weighted()
 	var seq uint64
+	var ops int64
 	if s.mut != nil {
 		var err error
-		if seq, err = s.mut.Seq(string(v.data), int(v.scale)); err != nil {
+		if seq, ops, err = s.mut.Version(string(v.data), int(v.scale)); err != nil {
 			return plan.Features{}, err
 		}
 	}
-	k := profileKey{data: v.data, scale: v.scale, weighted: weighted, seq: seq}
+	k := profileKey{data: v.data, scale: v.scale, weighted: weighted}
 	s.profMu.RLock()
-	f, ok := s.profiles[k]
+	p, ok := s.profiles[k]
 	s.profMu.RUnlock()
-	if ok {
-		return f, nil
+	if ok && float64(ops-p.ops) <= partition.Epsilon*float64(p.f.Edges) {
+		if seq > p.served {
+			s.profMu.Lock()
+			if cur := s.profiles[k]; cur.seq == p.seq && seq > cur.served {
+				cur.served = seq
+				s.profiles[k] = cur
+				s.lineage.profilesInherited.Add(1)
+			}
+			s.profMu.Unlock()
+		}
+		return p.f, nil
 	}
 	g, release, err := s.graphFor(v)
 	if err != nil {
 		return plan.Features{}, err
 	}
 	start := obs.NowMicros()
-	f = plan.Profile(g)
+	f := plan.Profile(g)
 	release()
+	s.lineage.profilesComputed.Add(1)
 	s.cfg.Tracer.Span("serve", "profile", obs.PidPlan, start, obs.NowMicros()-start, -1, 0,
 		fmt.Sprintf("%s/%d m%d: %s", v.data, v.scale, seq, f))
 	s.profMu.Lock()
-	s.profiles[k] = f
+	old, had := s.profiles[k]
+	retire := false
+	if had && old.ops > ops {
+		f = old.f // a later snapshot's profile landed first: serve that one
+	} else {
+		s.profiles[k] = profile{f: f, seq: seq, ops: ops, served: seq}
+		retire = had && old.f != f
+	}
 	s.profMu.Unlock()
+	if retire {
+		s.retireProfile(old.f)
+	}
 	return f, nil
 }
 
-// retireProfiles drops dataset id's profiles below each scale's current
-// mutation sequence and has every planner forget the decisions made for
-// them. Both caches are keyed by snapshot, so without this every commit
-// would leave one entry behind in each.
-func (s *Server) retireProfiles(id string) {
-	if s.mut == nil {
-		return
-	}
-	var stale []plan.Features
-	s.profMu.Lock()
-	for k, f := range s.profiles {
-		if string(k.data) != id {
-			continue
-		}
-		if seq, err := s.mut.Seq(id, int(k.scale)); err == nil && k.seq < seq {
-			delete(s.profiles, k)
-			stale = append(stale, f)
-		}
-	}
-	s.profMu.Unlock()
+// retireProfile has every planner forget the decisions made for a profile
+// that a fresh one replaced. The decision cache is keyed by the features,
+// so without this every re-profile would leave its decisions behind.
+func (s *Server) retireProfile(f plan.Features) {
 	s.planMu.RLock()
 	defer s.planMu.RUnlock()
 	for _, p := range s.planners {
-		for _, f := range stale {
-			p.Forget(f)
-		}
+		p.Forget(f)
 	}
 }
 

@@ -186,12 +186,10 @@ func (s *Server) InvalidateGraph(id string) (version uint64, purged int) {
 }
 
 // invalidate is InvalidateGraph, or with keep a commit's retirement: the
-// same generation bump, but the graph-cache entries keep names stay. The
-// profiles of snapshots a commit superseded go too.
+// same generation bump, but the graph-cache entries keep names stay.
 func (s *Server) invalidate(id string, keep func(key string) bool) (version uint64, purged int) {
 	version, purged = s.results.invalidate(id)
 	purged += s.cache.invalidate(id, keep)
-	s.retireProfiles(id)
 	s.cfg.Tracer.HostInstant("serve", "invalidate", obs.PidServe, obs.NowMicros(), -1,
 		fmt.Sprintf("%s -> generation %d (%d purged)", id, version, purged))
 	return version, purged

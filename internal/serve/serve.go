@@ -195,6 +195,11 @@ type Response struct {
 	// includes it — and the dataset's new result-cache generation.
 	Seq        uint64 `json:"seq,omitempty"`
 	Generation uint64 `json:"generation,omitempty"`
+	// BoundsSeq is partition provenance of a Polymer run on a mutated
+	// snapshot: the sequence number of the snapshot its edge-balanced
+	// partition was balanced on — the run's own, or an earlier one whose
+	// partition its lineage kept (partition.Sticky).
+	BoundsSeq uint64 `json:"bounds_seq,omitempty"`
 	// Machines/Replicas/Supersteps/Failovers/NetBytes describe a cluster
 	// run; Hedged marks a response produced by the hedge leg (served from
 	// standby replicas) rather than the primary.
@@ -272,11 +277,14 @@ type Server struct {
 	runs  map[string]*run
 
 	// planners holds one cost-model planner per machine shape; profiles
-	// caches feature vectors per dataset snapshot (see planner.go).
+	// caches one feature vector per lineage (see planner.go).
 	planMu   sync.RWMutex
 	planners map[plannerKey]*plan.Planner
 	profMu   sync.RWMutex
-	profiles map[profileKey]plan.Features
+	profiles map[profileKey]profile
+	// lineage counts, for /metricsz, what runs and profiles carried over
+	// from a predecessor snapshot.
+	lineage lineageCounters
 
 	// hedges tracks recent primary cluster latencies for the adaptive
 	// hedge delay; lastCluster is the most recent run's health snapshot,
@@ -304,7 +312,7 @@ func NewServer(cfg Config) *Server {
 		mut:      cfg.Mutations,
 		hedges:   newHedgeTracker(64),
 		planners: make(map[plannerKey]*plan.Planner),
-		profiles: make(map[profileKey]plan.Features),
+		profiles: make(map[profileKey]profile),
 	}
 	s.cache = newGraphCache(cfg.GraphCacheBytes, func(key string, bytes int64) {
 		s.counters.Evicted.Add(1)
@@ -574,7 +582,7 @@ func (s *Server) execute(t *task) {
 		finish(res.kind, res.status, resp)
 		return
 	}
-	resp.SimSeconds, resp.PeakBytes = res.sim, res.peak
+	resp.SimSeconds, resp.PeakBytes, resp.BoundsSeq = res.sim, res.peak, res.boundsSeq
 	if v.tier.Tiered() {
 		resp.SlowRate = res.slowRate
 	}
@@ -680,6 +688,8 @@ func (s *Server) degradedOrRefuse(t *task, g *graph.Graph, resp Response, finish
 			resp.SimSeconds = dr.Result.SimSeconds
 			resp.Checksum = dr.Result.Checksum
 			resp.PeakBytes = dr.Result.PeakBytes
+			resp.BoundsSeq = dr.Result.BoundsSeq
+			s.lineage.add(dr.Result.Lineage)
 			finish(kindDegraded, 200, resp)
 			return
 		}

@@ -20,6 +20,7 @@ import (
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
+	"polymer/internal/partition"
 )
 
 const (
@@ -167,6 +168,50 @@ func TestPolymerDegraded(t *testing.T) {
 	}
 	if _, err := bench.RunPolymerDegraded(g, topo, matrixSockets, matrixCores, 0, 99); err == nil {
 		t.Error("out-of-range fail step accepted")
+	}
+}
+
+// TestPolymerDegradedOnInheritedPartition: on a mutated snapshot that
+// inherited its lineage's partition, the lost node's range is the one the
+// engine ran on, not a fresh split's: MigratedBytes is that range's length
+// times the 16 bytes of two ranks.
+func TestPolymerDegradedOnInheritedPartition(t *testing.T) {
+	topo := numa.IntelXeon80()
+	g, err := bench.LoadDataset(gen.PowerLaw, gen.Tiny, bench.PR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.MarkHead(1)
+	first, _, _ := partition.Sticky(g, matrixSockets, partition.In)
+	rng := gen.NewRNG(9)
+	hot := first.Ranges[2]
+	for seq := uint64(2); ; seq++ {
+		if seq > 50 {
+			t.Fatal("no snapshot inherited a partition that differs from a fresh split")
+		}
+		batch := make([]graph.Edge, 4)
+		for i := range batch {
+			batch[i] = graph.Edge{Src: graph.Vertex(rng.Intn(g.NumVertices())), Dst: graph.Vertex(hot.Lo + rng.Intn(hot.Len()))}
+		}
+		g = g.Patch(nil, batch)
+		g.MarkHead(seq)
+		own, _, _ := partition.Sticky(g, matrixSockets, partition.In)
+		if own.Seq != 1 {
+			t.Fatalf("seq %d re-balanced before the inherited split drifted from a fresh one", seq)
+		}
+		if partition.EdgeBalanced(g, matrixSockets, partition.In)[1] != own.Ranges[1] {
+			break
+		}
+	}
+	own, _, _ := partition.Sticky(g, matrixSockets, partition.In)
+	fresh := partition.EdgeBalanced(g, matrixSockets, partition.In)
+	deg, err := bench.RunPolymerDegraded(g, topo, matrixSockets, matrixCores, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(own.Ranges[1].Len()) * 16; deg.MigratedBytes != want || want == int64(fresh[1].Len())*16 {
+		t.Fatalf("migrated %d bytes; the engine's part %v holds %d, a fresh split's %v %d",
+			deg.MigratedBytes, own.Ranges[1], want, fresh[1], int64(fresh[1].Len())*16)
 	}
 }
 

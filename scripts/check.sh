@@ -43,6 +43,9 @@ go test -race \
 echo "==> go test -race -count=10 (shared runs: join, seal, detach and publish races)"
 go test -race -count=10 -run 'Coalesce|Batch|Invalidation|Drain|Deadline|Disconnect|SharedLease' ./internal/serve/
 
+echo "==> go test -race -count=5 (concurrent reads of a fresh successor: one layout patch, shared)"
+go test -race -count=5 -run 'TestConcurrentReadsShareSnapshotLayouts' ./internal/serve/
+
 echo "==> go test -race fault matrix (rollback/replay across all engines)"
 go test -race -run 'TestFaultMatrix|TestPolymerDegraded|TestResilientRanks' .
 
@@ -59,11 +62,15 @@ go test -count=5 -cpu 1,2,8 -run 'TestChargeNodesMatchesPerThreadLoop|TestShared
 # all six CSR arrays, at every read of a random mutation stream.
 go test -count=5 -cpu 1,2,8 -run 'TestPatchMatchesFromEdges' ./internal/graph/
 go test -count=5 -cpu 1,2,8 -run 'TestPatchedSnapshotEqualsCleanApply' ./internal/mutate/
+# A layout patched from its predecessor's against buildLayout on the
+# patched snapshot: every part's arrays, the agent index and agent bytes.
+go test -count=5 -cpu 1,2,8 -run 'TestLayoutPatchMatchesBuild' ./internal/core/
 # Every clock and slow rate of the tiered-memory sweep against its golden.
 go test -count=5 -cpu 1,2,8 -run 'TestTierSweepGolden' ./internal/bench/
 
-echo "==> sweep, sparse-BFS, phase-fold and cold-decision benchmark smoke (host ns/edge of the shared sweep and ns per road-grid BFS on both engines; ns per phase folded; one planner decision; one iteration a case)"
+echo "==> sweep, sparse-BFS, layout-patch, phase-fold and cold-decision benchmark smoke (host ns/edge of the shared sweep and ns per road-grid BFS on both engines; one 32-op layout patch; ns per phase folded; one planner decision; one iteration a case)"
 go test -run '^$' -bench BenchmarkSweepNsPerEdge -benchtime 1x ./internal/core/ >/dev/null
+go test -run '^$' -bench BenchmarkLayoutPatch -benchtime 1x ./internal/core/ >/dev/null
 go test -run '^$' -bench BenchmarkSparseBFS -benchtime 1x ./internal/core/ >/dev/null
 go test -run '^$' -bench BenchmarkPhaseFold -benchtime 1x ./internal/numa/ >/dev/null
 go test -run '^$' -bench BenchmarkResolveCold -benchtime 1x ./internal/plan/ >/dev/null
