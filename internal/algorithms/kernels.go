@@ -72,9 +72,34 @@ func (k *prKernel) Update(s, d graph.Vertex, w float32) bool {
 
 func (k *prKernel) Cond(graph.Vertex) bool { return true }
 
-// PushRows adds each active source's scaled rank, computed once a row, to
-// every target of its row.
+// PushRows adds each active source's scaled rank to every target of its
+// row: by edge on a segment of short rows, else by row.
 func (k *prKernel) PushRows(rs *sg.Rows, lo, hi int, active []uint64, base int) (activeRows, edges int64) {
+	if !sg.ShortRows(rs, lo, hi) {
+		return k.pushByRow(rs, lo, hi, active, base)
+	}
+	k.pushByEdge(rs, lo, hi, active, base)
+	return pushCounts(rs, lo, hi, active, base)
+}
+
+// pushByEdge is PushRows' data as one loop over the segment's edges. The
+// scaled rank is computed an edge: the conversion rounds it exactly as the
+// row's hoisted product, so the targets get the same addends in the same
+// order.
+func (k *prKernel) pushByEdge(rs *sg.Rows, lo, hi int, active []uint64, base int) {
+	idx, ids, curr, invOut, next := rs.Idx, rs.IDs, k.curr, k.invOut, k.next
+	first, c := idx[lo], rs.Cursor(lo)
+	for i, t := range rs.Cols[first:idx[hi]] {
+		c = c.Next(idx, first+int64(i))
+		if s := rowKey(ids, c.Row); sg.InLeaf(active, base, s) {
+			next[t] += float64(curr[s] * invOut[s])
+		}
+	}
+}
+
+// pushByRow is PushRows as a loop over rows, the scaled rank computed once
+// a row.
+func (k *prKernel) pushByRow(rs *sg.Rows, lo, hi int, active []uint64, base int) (activeRows, edges int64) {
 	idx, cols := rs.Idx, rs.Cols
 	for r := lo; r < hi; r++ {
 		s := rs.ID(r)
@@ -93,6 +118,40 @@ func addRow(dst []float64, cols []graph.Vertex, v float64) {
 	for _, t := range cols {
 		dst[t] += v
 	}
+}
+
+// rowKey is row r's key in a Rows whose IDs are ids (sg.Rows.ID). An edge
+// loop holds the IDs in a local: through the Rows it would reload them
+// after every store to the kernel's data.
+func rowKey(ids []graph.Vertex, r int) graph.Vertex {
+	if ids == nil {
+		return graph.Vertex(r)
+	}
+	return ids[r]
+}
+
+// bit is 1 for true and 0 for false, without a branch.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// pushCounts returns the active rows of segment [lo, hi) and their edges
+// as sg.PushRowsPerEdge counts them: a row is active when its key is in
+// the leaf, empty or not.
+func pushCounts(rs *sg.Rows, lo, hi int, active []uint64, base int) (activeRows, edges int64) {
+	if active == nil {
+		return int64(hi - lo), rs.Idx[hi] - rs.Idx[lo]
+	}
+	for r := lo; r < hi; r++ {
+		if sg.InLeaf(active, base, rs.ID(r)) {
+			activeRows++
+			edges += rs.Idx[r+1] - rs.Idx[r]
+		}
+	}
+	return activeRows, edges
 }
 
 // PR, SpMV and BP also implement xstream.BlockKernel: Iterate's per-edge
@@ -159,8 +218,38 @@ func (k *spmvKernel) Update(s, d graph.Vertex, w float32) bool {
 func (k *spmvKernel) Cond(graph.Vertex) bool { return true }
 
 // PushRows adds w*x[s] to every target of each active source's row; an
-// unweighted row adds x[s] itself (unit weights, and 1*x is x).
+// unweighted row adds x[s] itself (unit weights, and 1*x is x). A segment
+// of short rows goes by edge, else by row.
 func (k *spmvKernel) PushRows(rs *sg.Rows, lo, hi int, active []uint64, base int) (activeRows, edges int64) {
+	if !sg.ShortRows(rs, lo, hi) {
+		return k.pushByRow(rs, lo, hi, active, base)
+	}
+	k.pushByEdge(rs, lo, hi, active, base)
+	return pushCounts(rs, lo, hi, active, base)
+}
+
+// pushByEdge is PushRows' data as one loop over the segment's edges, each
+// addend the product pushByRow forms.
+func (k *spmvKernel) pushByEdge(rs *sg.Rows, lo, hi int, active []uint64, base int) {
+	idx, ids, wts, x, y := rs.Idx, rs.IDs, rs.Wts, k.x, k.y
+	first, c := idx[lo], rs.Cursor(lo)
+	for i, t := range rs.Cols[first:idx[hi]] {
+		j := first + int64(i)
+		c = c.Next(idx, j)
+		s := rowKey(ids, c.Row)
+		if !sg.InLeaf(active, base, s) {
+			continue
+		}
+		if wts == nil {
+			y[t] += x[s]
+		} else {
+			y[t] += float64(edgeWeight(wts[j]) * x[s])
+		}
+	}
+}
+
+// pushByRow is PushRows as a loop over rows.
+func (k *spmvKernel) pushByRow(rs *sg.Rows, lo, hi int, active []uint64, base int) (activeRows, edges int64) {
 	idx, cols, wts, y := rs.Idx, rs.Cols, rs.Wts, k.y
 	for r := lo; r < hi; r++ {
 		s := rs.ID(r)
@@ -245,8 +334,33 @@ func (k *bpKernel) Update(s, d graph.Vertex, w float32) bool {
 func (k *bpKernel) Cond(graph.Vertex) bool { return true }
 
 // PushRows multiplies each active source's message into every target of
-// its row; without weights the message is the same for the whole row.
+// its row: by edge on a segment of short rows, else by row.
 func (k *bpKernel) PushRows(rs *sg.Rows, lo, hi int, active []uint64, base int) (activeRows, edges int64) {
+	if !sg.ShortRows(rs, lo, hi) {
+		return k.pushByRow(rs, lo, hi, active, base)
+	}
+	k.pushByEdge(rs, lo, hi, active, base)
+	return pushCounts(rs, lo, hi, active, base)
+}
+
+// pushByEdge is PushRows' data as one loop over the segment's edges: each
+// edge's message is bpMessage of its weight, 0 without weights, as Update
+// forms it.
+func (k *bpKernel) pushByEdge(rs *sg.Rows, lo, hi int, active []uint64, base int) {
+	idx, ids, wts, curr, acc := rs.Idx, rs.IDs, rs.Wts, k.curr, k.acc
+	first, c := idx[lo], rs.Cursor(lo)
+	for i, t := range rs.Cols[first:idx[hi]] {
+		j := first + int64(i)
+		c = c.Next(idx, j)
+		if s := rowKey(ids, c.Row); sg.InLeaf(active, base, s) {
+			acc[t] *= bpMessage(curr[s], weightAt(wts, int(j)))
+		}
+	}
+}
+
+// pushByRow is PushRows as a loop over rows; without weights the message
+// is the same for the whole row.
+func (k *bpKernel) pushByRow(rs *sg.Rows, lo, hi int, active []uint64, base int) (activeRows, edges int64) {
 	idx, cols, wts, acc := rs.Idx, rs.Cols, rs.Wts, k.acc
 	for r := lo; r < hi; r++ {
 		s := rs.ID(r)
@@ -366,9 +480,41 @@ func (k *ccKernel) Update(s, d graph.Vertex, w float32) bool {
 func (k *ccKernel) Cond(graph.Vertex) bool { return true }
 
 // PullRows lowers each target's label to the least label among its active
-// sources. The target's label rides in a register; each lowering is still
-// stored at once, so a self-loop reads what the Update loop would show it.
+// sources: by edge on a segment of short rows, else by row. Every edge is
+// scanned.
 func (k *ccKernel) PullRows(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) (edges int64, _ []int32) {
+	if !sg.ShortRows(rs, lo, hi) {
+		return k.pullByRow(rs, lo, hi, active, base, hits)
+	}
+	return rs.Idx[hi] - rs.Idx[lo], k.pullByEdge(rs, lo, hi, active, base, hits)
+}
+
+// pullByEdge is PullRows' data and hits as one loop over the segment's
+// edges. The target's label is read from memory an edge, so a self-loop
+// reads the lowered label; a row is a hit at its first lowering, and rows
+// come in order, so the hits are pullByRow's. Every source's label is
+// compared and the leaf test folded into the outcome with a bitwise and:
+// on a partial frontier a branch on it goes either way at random.
+func (k *ccKernel) pullByEdge(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) []int32 {
+	idx, ids, labels := rs.Idx, rs.IDs, k.labels
+	first, c, last := idx[lo], rs.Cursor(lo), -1
+	for i, s := range rs.Cols[first:idx[hi]] {
+		c = c.Next(idx, first+int64(i))
+		t := rowKey(ids, c.Row)
+		if ls := labels[s]; bit(sg.InLeaf(active, base, s))&bit(ls < labels[t]) != 0 {
+			labels[t] = ls
+			if c.Row != last {
+				hits, last = append(hits, int32(c.Row)), c.Row
+			}
+		}
+	}
+	return hits
+}
+
+// pullByRow is PullRows as a loop over rows. The target's label rides in a
+// register; each lowering is still stored at once, so a self-loop reads
+// what the Update loop would show it.
+func (k *ccKernel) pullByRow(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) (edges int64, _ []int32) {
 	idx, cols, labels := rs.Idx, rs.Cols, k.labels
 	for r := lo; r < hi; r++ {
 		t := rs.ID(r)
@@ -419,9 +565,38 @@ func (k *ssspKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32,
 	return int64(len(cols)), out
 }
 
-// PullRows relaxes each target over its active sources; the target's
-// distance is kept as ccKernel.PullRows keeps the label.
+// PullRows relaxes each target over its active sources: by edge on a
+// segment of short rows, else by row, as ccKernel.PullRows lowers labels.
 func (k *ssspKernel) PullRows(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) (edges int64, _ []int32) {
+	if !sg.ShortRows(rs, lo, hi) {
+		return k.pullByRow(rs, lo, hi, active, base, hits)
+	}
+	return rs.Idx[hi] - rs.Idx[lo], k.pullByEdge(rs, lo, hi, active, base, hits)
+}
+
+// pullByEdge is PullRows' data and hits as one loop over the segment's
+// edges, the target's distance kept and the leaf tested as
+// ccKernel.pullByEdge keeps the label and tests the leaf.
+func (k *ssspKernel) pullByEdge(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) []int32 {
+	idx, ids, wts, dist := rs.Idx, rs.IDs, rs.Wts, k.dist
+	first, c, last := idx[lo], rs.Cursor(lo), -1
+	for i, s := range rs.Cols[first:idx[hi]] {
+		j := first + int64(i)
+		c = c.Next(idx, j)
+		t, nd := rowKey(ids, c.Row), dist[s]+edgeWeight(weightAt(wts, int(j)))
+		if bit(sg.InLeaf(active, base, s))&bit(nd < dist[t]) != 0 {
+			dist[t] = nd
+			if c.Row != last {
+				hits, last = append(hits, int32(c.Row)), c.Row
+			}
+		}
+	}
+	return hits
+}
+
+// pullByRow is PullRows as a loop over rows, the target's distance kept
+// as ccKernel.pullByRow keeps the label.
+func (k *ssspKernel) pullByRow(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) (edges int64, _ []int32) {
 	idx, cols, wts, dist := rs.Idx, rs.Cols, rs.Wts, k.dist
 	for r := lo; r < hi; r++ {
 		t := rs.ID(r)

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"slices"
@@ -28,12 +29,7 @@ const (
 // With dense set the rows have no IDs — row r is keyed by vertex r — and
 // the segment keeps inside the leaf when keyed.
 func segLayout(rng *gen.RNG, keyed, dense, weighted bool) (rs *sg.Rows, lo, hi int) {
-	inLeaf := func() graph.Vertex { return graph.Vertex(leafBase + rng.Intn(leafSpan)) }
-	anywhere := func() graph.Vertex { return graph.Vertex(rng.Intn(segTestN)) }
-	key, col := anywhere, inLeaf
-	if keyed {
-		key, col = inLeaf, anywhere
-	}
+	key, col := segDraws(rng, keyed)
 	rows := 1 + rng.Intn(40)
 	first := 0 // rows below first stay empty and out of the segment
 	if dense {
@@ -54,29 +50,100 @@ func segLayout(rng *gen.RNG, keyed, dense, weighted bool) (rs *sg.Rows, lo, hi i
 		if r >= first && rng.Intn(5) > 0 { // a fifth of the rows are empty
 			n = rng.Intn(6)
 		}
-		for j := 0; j < n; j++ {
-			c := col()
-			if k := rs.ID(r); rng.Intn(6) == 0 && (keyed || (int(k) >= leafBase && int(k) < leafBase+leafSpan)) {
-				c = k // a self-loop, when the key may be a column
-			}
-			if j > 0 && rng.Intn(5) == 0 {
-				c = rs.Cols[len(rs.Cols)-1] // a repeated column
-			}
-			rs.Cols = append(rs.Cols, c)
-		}
-		rs.Idx[r+1] = int64(len(rs.Cols))
+		appendRow(rng, rs, r, n, keyed, col)
 	}
 	if weighted {
-		rs.Wts = make([]float32, len(rs.Cols))
-		for j := range rs.Wts {
-			if rng.Intn(4) > 0 {
-				rs.Wts[j] = float32(rng.Float64() * 10)
-			}
-		}
+		drawWeights(rng, rs)
 	}
 	lo = first + rng.Intn(rows-first)
 	hi = lo + rng.Intn(rows-lo+1)
 	return rs, lo, hi
+}
+
+// segDraws returns the draws of a row's key and of its columns: one of
+// them from the leaf's span, keys when keyed, the other from all segTestN
+// vertices.
+func segDraws(rng *gen.RNG, keyed bool) (key, col func() graph.Vertex) {
+	inLeaf := func() graph.Vertex { return graph.Vertex(leafBase + rng.Intn(leafSpan)) }
+	anywhere := func() graph.Vertex { return graph.Vertex(rng.Intn(segTestN)) }
+	if keyed {
+		return inLeaf, anywhere
+	}
+	return anywhere, inLeaf
+}
+
+// appendRow fills row r, the last of rs, with n columns drawn by col, now
+// and then a self-loop (when the key may be a column) or a repeat of the
+// column before.
+func appendRow(rng *gen.RNG, rs *sg.Rows, r, n int, keyed bool, col func() graph.Vertex) {
+	for j := 0; j < n; j++ {
+		c := col()
+		if k := rs.ID(r); rng.Intn(6) == 0 && (keyed || (int(k) >= leafBase && int(k) < leafBase+leafSpan)) {
+			c = k // a self-loop, when the key may be a column
+		}
+		if j > 0 && rng.Intn(5) == 0 {
+			c = rs.Cols[len(rs.Cols)-1] // a repeated column
+		}
+		rs.Cols = append(rs.Cols, c)
+	}
+	rs.Idx[r+1] = int64(len(rs.Cols))
+}
+
+// drawWeights weights rs's edges, a quarter of them 0.
+func drawWeights(rng *gen.RNG, rs *sg.Rows) {
+	rs.Wts = make([]float32, len(rs.Cols))
+	for j := range rs.Wts {
+		if rng.Intn(4) > 0 {
+			rs.Wts[j] = float32(rng.Float64() * 10)
+		}
+	}
+}
+
+// fixedSegments are the row lengths of segments that pin the corner cases
+// of the segment forms' edge loop (sg.RowCursor) and the shape test
+// (sg.ShortRows): empty rows where the cursor starts, ends and steps over
+// several, a segment of no edges and one of single edges, all walked by
+// edge, and long rows, walked by row.
+var fixedSegments = []struct {
+	name string
+	lens []int
+}{
+	{"starts on an empty row", []int{0, 2, 1, 3}},
+	{"ends on an empty row", []int{2, 1, 3, 0}},
+	{"a run of empty rows", []int{1, 0, 0, 0, 2, 1}},
+	{"all empty", []int{0, 0, 0}},
+	{"single edges", []int{1, 1, 1, 1, 1, 1}},
+	{"long rows", []int{6, 9, 0, 5, 12}},
+}
+
+// fixedLayout lays out rows of the given lengths as the segment [lo, hi)
+// of a larger layout: a row of two edges before it and, after it, an
+// empty row and one of three edges, which the segment must not touch.
+// Keys and columns are drawn as segLayout draws them; with dense set the
+// rows have no IDs and the segment starts at row leafBase, so its keys
+// lie in the leaf.
+func fixedLayout(rng *gen.RNG, lens []int, keyed, dense, weighted bool) (rs *sg.Rows, lo, hi int) {
+	key, col := segDraws(rng, keyed)
+	lo = 1
+	if dense {
+		lo = leafBase
+	}
+	all := append(append(make([]int, lo), lens...), 0, 3)
+	all[lo-1] = 2
+	rs = &sg.Rows{Idx: make([]int64, len(all)+1)}
+	if !dense {
+		rs.IDs = make([]graph.Vertex, len(all))
+	}
+	for r, n := range all {
+		if rs.IDs != nil {
+			rs.IDs[r] = key()
+		}
+		appendRow(rng, rs, r, n, keyed, col)
+	}
+	if weighted {
+		drawWeights(rng, rs)
+	}
+	return rs, lo, lo + len(lens)
 }
 
 // segLeaves are the frontier leaves of the segment tests: the full
@@ -97,13 +164,14 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestPushRowMatchesUpdateLoop holds the push segment forms to their
-// per-edge definition over random layouts and segments (segLayout), with
-// and without IDs and weights, under the full, an empty and a sparse
-// frontier leaf. PushRows of PR, SpMV and BP must leave the kernel's array
-// bit-equal to sg.PushRowsPerEdge and report its active rows and edges,
-// every edge passing Cond and updating. Each kernel's state carries over
-// from segment to segment, so later segments run on state the earlier
-// ones wrote.
+// per-edge definition over random layouts and segments (segLayout) and
+// the fixed segments (fixedLayout), with and without IDs and weights,
+// under the full, an empty and a sparse frontier leaf. PushRows of PR,
+// SpMV and BP must leave the kernel's array bit-equal to
+// sg.PushRowsPerEdge and report its active rows and edges, every edge
+// passing Cond and updating; both loop shapes must be taken. Each
+// kernel's state carries over from segment to segment, so later segments
+// run on state the earlier ones wrote.
 func TestPushRowMatchesUpdateLoop(t *testing.T) {
 	rng := gen.NewRNG(43)
 	random := func() []float64 {
@@ -138,41 +206,59 @@ func TestPushRowMatchesUpdateLoop(t *testing.T) {
 	}
 
 	// Maps are walked in sorted order, so the draws are the same every run.
-	leaves := segLeaves(rng)
+	// The fixed segments draw from an RNG of their own, so the random cases
+	// are the ones drawn before they existed.
+	leaves, fixedRNG := segLeaves(rng), gen.NewRNG(46)
+	shapes := map[bool]int{} // segments by sg.ShortRows
 	for _, lname := range slices.Sorted(maps.Keys(leaves)) {
 		active := leaves[lname]
 		for _, weighted := range []bool{false, true} {
 			for _, name := range slices.Sorted(maps.Keys(pushes)) {
 				segK, edgeK, segDst, edgeDst := pushes[name]()
-				var pushed int64
-				for trial := 0; trial < 300; trial++ {
-					rs, lo, hi := segLayout(rng, true, trial%3 == 0, weighted)
+				push := func(what string, rs *sg.Rows, lo, hi int) int64 {
+					shapes[sg.ShortRows(rs, lo, hi)]++
 					gotRows, gotEdges := segK.PushRows(rs, lo, hi, active, leafBase)
 					wantRows, wantEdges, condChecks, updates := sg.PushRowsPerEdge(edgeK, rs, lo, hi, active, leafBase, nil, 0)
 					if condChecks != wantEdges || updates != wantEdges {
 						t.Fatalf("%s: %d edges, %d cond checks, %d updates: a segment form's Cond and Update are always true", name, wantEdges, condChecks, updates)
 					}
 					if gotRows != wantRows || gotEdges != wantEdges || !sameBits(segDst, edgeDst) {
-						t.Fatalf("%s leaf=%s weighted=%v trial %d (rows [%d, %d), IDs %v): PushRows %d rows %d edges, per-edge %d %d, data equal %v",
-							name, lname, weighted, trial, lo, hi, rs.IDs != nil, gotRows, gotEdges, wantRows, wantEdges, sameBits(segDst, edgeDst))
+						t.Fatalf("%s leaf=%s weighted=%v %s (rows [%d, %d), IDs %v): PushRows %d rows %d edges, per-edge %d %d, data equal %v",
+							name, lname, weighted, what, lo, hi, rs.IDs != nil, gotRows, gotEdges, wantRows, wantEdges, sameBits(segDst, edgeDst))
 					}
-					pushed += gotRows
+					return gotRows
+				}
+				var pushed int64
+				for trial := 0; trial < 300; trial++ {
+					rs, lo, hi := segLayout(rng, true, trial%3 == 0, weighted)
+					pushed += push(fmt.Sprintf("trial %d", trial), rs, lo, hi)
 				}
 				if (pushed == 0) != (lname == "empty") {
 					t.Errorf("%s leaf=%s weighted=%v: %d rows pushed", name, lname, weighted, pushed)
 				}
+				for _, dense := range []bool{false, true} {
+					for _, fs := range fixedSegments {
+						rs, lo, hi := fixedLayout(fixedRNG, fs.lens, true, dense, weighted)
+						push(fs.name, rs, lo, hi)
+					}
+				}
 			}
 		}
+	}
+	if shapes[true] == 0 || shapes[false] == 0 {
+		t.Errorf("segments walked by edge %d, by row %d: both loop shapes must be taken", shapes[true], shapes[false])
 	}
 }
 
 // TestPullRowMatchesUpdateLoop holds the pull segment forms to their
-// per-edge definition over random layouts and segments (segLayout), with
-// and without IDs and weights, under the full, an empty and a sparse
-// frontier leaf. PullRows of BFS, CC and SSSP must leave the kernel's
-// array bit-equal to sg.PullRowsPerEdge and report its edges and its hits,
-// in order. Each kernel's state carries over from segment to segment, so
-// later segments run on state the earlier ones wrote.
+// per-edge definition over random layouts and segments (segLayout) and
+// the fixed segments (fixedLayout), with and without IDs and weights,
+// under the full, an empty and a sparse frontier leaf. PullRows of BFS,
+// CC and SSSP must leave the kernel's array bit-equal to
+// sg.PullRowsPerEdge and report its edges and its hits, in order; both
+// loop shapes must be taken (BFS has only the row loop). Each kernel's
+// state carries over from segment to segment, so later segments run on
+// state the earlier ones wrote.
 func TestPullRowMatchesUpdateLoop(t *testing.T) {
 	rng := gen.NewRNG(44)
 	type pullKernel interface {
@@ -215,29 +301,47 @@ func TestPullRowMatchesUpdateLoop(t *testing.T) {
 	}
 
 	// Maps are walked in sorted order, so the draws are the same every run.
-	leaves := segLeaves(rng)
+	// The fixed segments draw from an RNG of their own, so the random cases
+	// are the ones drawn before they existed.
+	leaves, fixedRNG := segLeaves(rng), gen.NewRNG(47)
+	shapes := map[bool]int{} // segments of CC and SSSP by sg.ShortRows
 	for _, lname := range slices.Sorted(maps.Keys(leaves)) {
 		active := leaves[lname]
 		for _, weighted := range []bool{false, true} {
 			for _, name := range slices.Sorted(maps.Keys(pulls)) {
 				segK, edgeK, equal := pulls[name]()
-				var hits int
-				for trial := 0; trial < 300; trial++ {
-					rs, lo, hi := segLayout(rng, false, trial%3 == 0, weighted)
+				pull := func(what string, rs *sg.Rows, lo, hi int) int {
+					if name != "bfs" {
+						shapes[sg.ShortRows(rs, lo, hi)]++
+					}
 					prefix := []int32{-1} // what the caller passed in stays in front
 					gotEdges, gotHits := segK.PullRows(rs, lo, hi, active, leafBase, slices.Clone(prefix))
 					wantEdges, wantHits := sg.PullRowsPerEdge(edgeK, rs, lo, hi, active, leafBase, slices.Clone(prefix))
 					if gotEdges != wantEdges || !slices.Equal(gotHits, wantHits) || !equal() {
-						t.Fatalf("%s leaf=%s weighted=%v trial %d (rows [%d, %d), IDs %v): PullRows %d edges hits %v, per-edge %d %v, data equal %v",
-							name, lname, weighted, trial, lo, hi, rs.IDs != nil, gotEdges, gotHits, wantEdges, wantHits, equal())
+						t.Fatalf("%s leaf=%s weighted=%v %s (rows [%d, %d), IDs %v): PullRows %d edges hits %v, per-edge %d %v, data equal %v",
+							name, lname, weighted, what, lo, hi, rs.IDs != nil, gotEdges, gotHits, wantEdges, wantHits, equal())
 					}
-					hits += len(gotHits) - len(prefix)
+					return len(gotHits) - len(prefix)
+				}
+				var hits int
+				for trial := 0; trial < 300; trial++ {
+					rs, lo, hi := segLayout(rng, false, trial%3 == 0, weighted)
+					hits += pull(fmt.Sprintf("trial %d", trial), rs, lo, hi)
 				}
 				if (hits == 0) != (lname == "empty") {
 					t.Errorf("%s leaf=%s weighted=%v: %d rows updated", name, lname, weighted, hits)
 				}
+				for _, dense := range []bool{false, true} {
+					for _, fs := range fixedSegments {
+						rs, lo, hi := fixedLayout(fixedRNG, fs.lens, false, dense, weighted)
+						pull(fs.name, rs, lo, hi)
+					}
+				}
 			}
 		}
+	}
+	if shapes[true] == 0 || shapes[false] == 0 {
+		t.Errorf("segments walked by edge %d, by row %d: both loop shapes must be taken", shapes[true], shapes[false])
 	}
 
 	// BFS's early exit, pinned: a claimed target scans nothing; an open one

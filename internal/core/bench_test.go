@@ -92,10 +92,12 @@ func BenchmarkVertexMapDense(b *testing.B) {
 
 // BenchmarkSweepNsPerEdge is the host cost of a dense sweep per edge it
 // processes, on Polymer and Ligra with the algorithms' own kernels and
-// hints: PageRank's push EdgeMap over the full frontier and one SSSP pull
-// superstep out of every third vertex (which also resets the distances,
-// O(|V|)), on the serving layer's weighted power-law graph (small scale:
-// 16,000 vertices, 162,773 edges) and its 8x10 machine.
+// hints: PageRank's push EdgeMap over the full frontier and one SSSP and
+// one BFS pull superstep out of every third vertex (each also resets its
+// array, O(|V|)), on the serving layer's weighted power-law graph (small
+// scale: 16,000 vertices, 162,773 edges) and its 8x10 machine. BFS keeps
+// its row loop on every row length, so bfs-pull is the row form measured
+// beside the edge loops Polymer's short rows take.
 func BenchmarkSweepNsPerEdge(b *testing.B) {
 	g, err := gen.Load(gen.PowerLaw, gen.Small, true)
 	if err != nil {
@@ -123,6 +125,10 @@ func BenchmarkSweepNsPerEdge(b *testing.B) {
 		{"pr-push", algorithms.PRSweep},
 		{"sssp-pull", func(e sg.Engine) func() {
 			superstep := algorithms.TraversalSuperstep(e, true, sources)
+			return func() { superstep() }
+		}},
+		{"bfs-pull", func(e sg.Engine) func() {
+			superstep := algorithms.TraversalSuperstep(e, false, sources)
 			return func() { superstep() }
 		}},
 	}

@@ -310,6 +310,8 @@ func BenchmarkLayoutBuild(b *testing.B) {
 // index and the agent bytes.
 func sameBuild(t *testing.T, what string, got, want *layoutBuild) {
 	t.Helper()
+	everyRowHasAnEdge(t, what+" (patched)", got)
+	everyRowHasAnEdge(t, what+" (built)", want)
 	if len(got.perNode) != len(want.perNode) || got.agentBytes != want.agentBytes || got.n != want.n || got.weighted != want.weighted {
 		t.Fatalf("%s: %d parts, %d agent bytes, n %d, weighted %t; want %d, %d, %d, %t", what,
 			len(got.perNode), got.agentBytes, got.n, got.weighted, len(want.perNode), want.agentBytes, want.n, want.weighted)
@@ -329,6 +331,22 @@ func sameBuild(t *testing.T, what string, got, want *layoutBuild) {
 	if want.agents != nil && (!slices.Equal(got.agents.Off, want.agents.Off) ||
 		!slices.Equal(got.agents.Part, want.agents.Part) || !slices.Equal(got.agents.Row, want.agents.Row)) {
 		t.Fatalf("%s: agent index differs", what)
+	}
+}
+
+// everyRowHasAnEdge fails unless every row of every part of l holds at
+// least one edge: a row exists for a key with edges on the node. The edge
+// loops of the segment forms (sg.RowCursor) rely on it to never take their
+// empty-row step on a Polymer part.
+func everyRowHasAnEdge(t *testing.T, what string, l *layoutBuild) {
+	t.Helper()
+	for p := range l.perNode {
+		idx := l.perNode[p].Idx
+		for r := range len(idx) - 1 {
+			if idx[r+1] <= idx[r] {
+				t.Fatalf("%s node %d: row %d (key %d) holds no edge", what, p, r, l.perNode[p].ID(r))
+			}
+		}
 	}
 }
 
@@ -361,7 +379,8 @@ func randomBatch(rng *gen.RNG, g *graph.Graph, ops int) (deleted, appended []gra
 // TestLayoutPatchMatchesBuild: along random batch streams, in both
 // directions, weighted and not, over an edge-balanced partition and one
 // with an empty node, each patched build equals buildLayout on the patched
-// graph with the same partition, array for array.
+// graph with the same partition, array for array, and neither holds a row
+// without an edge.
 func TestLayoutPatchMatchesBuild(t *testing.T) {
 	n, edges := gen.Powerlaw(400, 6, 2.0, 17)
 	gen.AddRandomWeights(edges, 18)
@@ -387,7 +406,7 @@ func TestLayoutPatchMatchesBuild(t *testing.T) {
 // at a time (flags, src, dst) and applied as one batch wherever the flag
 // byte's top bit is set; every patched build, push and pull, weighted and
 // not, over a partition with an empty node, must equal buildLayout on the
-// patched graph.
+// patched graph, and neither may hold a row without an edge.
 func FuzzLayoutPatch(f *testing.F) {
 	const (
 		n      = 8

@@ -64,6 +64,51 @@ func (rs *Rows) ID(r int) graph.Vertex {
 // Len returns the number of rows.
 func (rs *Rows) Len() int { return max(len(rs.Idx)-1, 0) }
 
+// ShortRowEdges is the mean row length below which a segment form walks a
+// segment's edges as one loop (RowCursor) instead of a loop over rows with
+// a loop over columns inside. It is where PageRank's push loops cross
+// over in algorithms.BenchmarkSegmentShape (SSSP's pull edge loop stays
+// ahead further out, but one constant serves both directions): Polymer's
+// per-node rows, ~2 edges on a power-law graph, fall below it; Ligra's
+// CSR rows, ~10, above.
+const ShortRowEdges = 4
+
+// ShortRows reports whether rows [lo, hi) of rs average fewer than
+// ShortRowEdges edges. It is the only place a segment form chooses its
+// loop shape; an empty segment is not short.
+func ShortRows(rs *Rows, lo, hi int) bool {
+	return rs.Idx[hi]-rs.Idx[lo] < ShortRowEdges*int64(hi-lo)
+}
+
+// A RowCursor follows an edge loop over rows [lo, hi) of a Rows, edges
+// Idx[lo] to Idx[hi] in order: Row is the row of the edge it was last
+// moved to. It is a value of two words, so a loop keeps it in registers.
+type RowCursor struct {
+	Row int
+	end int64 // Idx[Row+1]
+}
+
+// Cursor returns a cursor at row lo, for an edge loop that starts at edge
+// Idx[lo]; lo must be a row (lo < Len).
+func (rs *Rows) Cursor(lo int) RowCursor { return RowCursor{lo, rs.Idx[lo+1]} }
+
+// Next moves the cursor to the row of edge j, which is the edge after the
+// one it was moved to last, or the loop's first. The step to the next row
+// is a compare-and-add, not a branch, so a row's end costs no
+// misprediction; the loop after it steps over empty rows, which a Polymer
+// part never has and Ligra's CSR may.
+func (c RowCursor) Next(idx []int64, j int64) RowCursor {
+	// j <= c.end, and j-c.end is negative, its sign bit set, until j
+	// reaches the row's end.
+	r := c.Row + 1 - int(uint64(j-c.end)>>63)
+	end := idx[r+1]
+	for end == j {
+		r++
+		end = idx[r+1]
+	}
+	return RowCursor{r, end}
+}
+
 // RowKernel is an optional interface of an EdgeKernel whose Cond is
 // constantly true and whose Update always reports true: the push segment
 // form. PushRows(rs, lo, hi, active, base) must leave the kernel's data

@@ -65,11 +65,16 @@ go test -count=5 -cpu 1,2,8 -run 'TestPatchedSnapshotEqualsCleanApply' ./interna
 # A layout patched from its predecessor's against buildLayout on the
 # patched snapshot: every part's arrays, the agent index and agent bytes.
 go test -count=5 -cpu 1,2,8 -run 'TestLayoutPatchMatchesBuild' ./internal/core/
+# The push and pull segment forms, both loop shapes (by row, and by edge
+# with a row cursor), against the per-edge loops: random and fixed
+# segments, with and without IDs, under full, empty and sparse leaves.
+go test -count=5 -cpu 1,2,8 -run 'TestPushRowMatchesUpdateLoop|TestPullRowMatchesUpdateLoop' ./internal/algorithms/
 # Every clock and slow rate of the tiered-memory sweep against its golden.
 go test -count=5 -cpu 1,2,8 -run 'TestTierSweepGolden' ./internal/bench/
 
-echo "==> sweep, sparse-BFS, layout-patch, phase-fold and cold-decision benchmark smoke (host ns/edge of the shared sweep and ns per road-grid BFS on both engines; one 32-op layout patch; ns per phase folded; one planner decision; one iteration a case)"
+echo "==> sweep, segment-shape, sparse-BFS, layout-patch, phase-fold and cold-decision benchmark smoke (host ns/edge of the shared sweep on both engines and of both segment loop shapes; ns per road-grid BFS; one 32-op layout patch; ns per phase folded; one planner decision; one iteration a case)"
 go test -run '^$' -bench BenchmarkSweepNsPerEdge -benchtime 1x ./internal/core/ >/dev/null
+go test -run '^$' -bench BenchmarkSegmentShape -benchtime 1x ./internal/algorithms/ >/dev/null
 go test -run '^$' -bench BenchmarkLayoutPatch -benchtime 1x ./internal/core/ >/dev/null
 go test -run '^$' -bench BenchmarkSparseBFS -benchtime 1x ./internal/core/ >/dev/null
 go test -run '^$' -bench BenchmarkPhaseFold -benchtime 1x ./internal/numa/ >/dev/null
