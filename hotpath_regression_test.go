@@ -229,7 +229,9 @@ func TestLigraSparseSuperstepAllocs(t *testing.T) {
 // pullSuperstepAllocs counts the objects one dense pull superstep of BFS
 // and of SSSP allocates on e: a weighted power-law graph, every third
 // vertex active, so each row tests the frontier leaf and the phase goes
-// dense by active degree.
+// dense by active degree. SSSP's pull walks each segment as one edge loop
+// (sg.RowCursor), over Polymer's short per-node rows and Ligra's CSR rows
+// alike.
 func pullSuperstepAllocs(t *testing.T, newEngine func(*graph.Graph) sg.Engine) (bfs, sssp float64) {
 	t.Helper()
 	n, edges := gen.Powerlaw(3000, 8, 2.0, 7)
@@ -281,57 +283,6 @@ func TestLigraPullSuperstepAllocs(t *testing.T) {
 	})
 	if bfs > ligraPullSuperstepAllocBudget || sssp > ligraPullSuperstepAllocBudget {
 		t.Fatalf("dense pull superstep allocated %.0f (BFS) and %.0f (SSSP) objects, budget %d", bfs, sssp, ligraPullSuperstepAllocBudget)
-	}
-}
-
-// TestPolymerSSSPPullSuperstep holds Polymer's SSSP dense pull on the
-// serving layer's weighted power-law graph (small scale: 16,000 vertices,
-// 162,773 edges), whose per-node pull rows average 1.8 edges, so the
-// segment form walks them as one edge loop (sg.ShortRows, sg.RowCursor).
-// A warm superstep out of every third vertex stays within
-// allocBudgetPerIteration, and two identical SSSP runs on fresh engines
-// give bit-identical simulated times, access ledgers and distances.
-func TestPolymerSSSPPullSuperstep(t *testing.T) {
-	g, err := gen.Load(gen.PowerLaw, gen.Small, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sources := make([]graph.Vertex, 0, g.NumVertices()/3+1)
-	for v := 0; v < g.NumVertices(); v += 3 {
-		sources = append(sources, graph.Vertex(v))
-	}
-	e := core.MustNew(g, regressionMachine(), core.DefaultOptions())
-	superstep := algorithms.TraversalSuperstep(e, true, sources)
-	step := func() {
-		if out := superstep(); !out.Dense() || out.IsEmpty() {
-			t.Fatalf("superstep built a sparse or empty frontier (%d active)", out.Count())
-		}
-	}
-	step() // warm up: pull layout, scratch arenas
-	step()
-	if allocs := testing.AllocsPerRun(10, step); allocs > allocBudgetPerIteration {
-		t.Fatalf("SSSP dense pull superstep allocated %.0f objects, budget %d", allocs, allocBudgetPerIteration)
-	}
-	e.Close()
-
-	run := func() (float64, numa.Stats, []float64) {
-		e := core.MustNew(g, regressionMachine(), core.DefaultOptions())
-		defer e.Close()
-		dist, err := algorithms.SSSP(e, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e.SimSeconds(), e.RunStats(), dist
-	}
-	s1, st1, d1 := run()
-	s2, st2, d2 := run()
-	if math.Float64bits(s1) != math.Float64bits(s2) || st1 != st2 {
-		t.Fatalf("simulated time drifted across identical SSSP runs: %x %+v vs %x %+v", s1, st1, s2, st2)
-	}
-	for v := range d1 {
-		if math.Float64bits(d1[v]) != math.Float64bits(d2[v]) {
-			t.Fatalf("dist[%d] drifted across identical SSSP runs: %x vs %x", v, d1[v], d2[v])
-		}
 	}
 }
 

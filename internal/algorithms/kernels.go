@@ -480,62 +480,31 @@ func (k *ccKernel) Update(s, d graph.Vertex, w float32) bool {
 func (k *ccKernel) Cond(graph.Vertex) bool { return true }
 
 // PullRows lowers each target's label to the least label among its active
-// sources: by edge on a segment of short rows, else by row. Every edge is
-// scanned.
+// sources, as one loop over the segment's edges (sg.RowCursor); every edge
+// is scanned. The target's label is read from memory an edge, so a
+// self-loop reads the lowered label; a row is a hit at its first lowering,
+// and rows come in order, so the hits are the per-edge loop's. Every
+// source's label is compared and the leaf test folded into the outcome
+// with a bitwise and: on a partial frontier a branch on it goes either way
+// at random.
 func (k *ccKernel) PullRows(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) (edges int64, _ []int32) {
-	if !sg.ShortRows(rs, lo, hi) {
-		return k.pullByRow(rs, lo, hi, active, base, hits)
-	}
-	return rs.Idx[hi] - rs.Idx[lo], k.pullByEdge(rs, lo, hi, active, base, hits)
-}
-
-// pullByEdge is PullRows' data and hits as one loop over the segment's
-// edges. The target's label is read from memory an edge, so a self-loop
-// reads the lowered label; a row is a hit at its first lowering, and rows
-// come in order, so the hits are pullByRow's. Every source's label is
-// compared and the leaf test folded into the outcome with a bitwise and:
-// on a partial frontier a branch on it goes either way at random.
-func (k *ccKernel) pullByEdge(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) []int32 {
 	idx, ids, labels := rs.Idx, rs.IDs, k.labels
-	first, c, last := idx[lo], rs.Cursor(lo), -1
-	for i, s := range rs.Cols[first:idx[hi]] {
+	first, last := idx[lo], idx[hi]
+	if first == last {
+		return 0, hits
+	}
+	c, hit := rs.Cursor(lo), -1
+	for i, s := range rs.Cols[first:last] {
 		c = c.Next(idx, first+int64(i))
 		t := rowKey(ids, c.Row)
 		if ls := labels[s]; bit(sg.InLeaf(active, base, s))&bit(ls < labels[t]) != 0 {
 			labels[t] = ls
-			if c.Row != last {
-				hits, last = append(hits, int32(c.Row)), c.Row
+			if c.Row != hit {
+				hits, hit = append(hits, int32(c.Row)), c.Row
 			}
 		}
 	}
-	return hits
-}
-
-// pullByRow is PullRows as a loop over rows. The target's label rides in a
-// register; each lowering is still stored at once, so a self-loop reads
-// what the Update loop would show it.
-func (k *ccKernel) pullByRow(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) (edges int64, _ []int32) {
-	idx, cols, labels := rs.Idx, rs.Cols, k.labels
-	for r := lo; r < hi; r++ {
-		t := rs.ID(r)
-		lt, updated := labels[t], false
-		first, end := idx[r], idx[r+1]
-		for _, s := range cols[first:end] {
-			if !sg.InLeaf(active, base, s) {
-				continue
-			}
-			if ls := labels[s]; ls < lt {
-				lt = ls
-				labels[t] = ls
-				updated = true
-			}
-		}
-		edges += end - first
-		if updated {
-			hits = append(hits, int32(r))
-		}
-	}
-	return edges, hits
+	return last - first, hits
 }
 
 // ssspKernel relaxes edges by distance minimisation (Bellman-Ford with
@@ -565,60 +534,28 @@ func (k *ssspKernel) PushRow(s graph.Vertex, cols []graph.Vertex, wts []float32,
 	return int64(len(cols)), out
 }
 
-// PullRows relaxes each target over its active sources: by edge on a
-// segment of short rows, else by row, as ccKernel.PullRows lowers labels.
+// PullRows relaxes each target over its active sources, as one loop over
+// the segment's edges, the target's distance kept and the leaf tested as
+// ccKernel.PullRows keeps the label and tests the leaf.
 func (k *ssspKernel) PullRows(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) (edges int64, _ []int32) {
-	if !sg.ShortRows(rs, lo, hi) {
-		return k.pullByRow(rs, lo, hi, active, base, hits)
-	}
-	return rs.Idx[hi] - rs.Idx[lo], k.pullByEdge(rs, lo, hi, active, base, hits)
-}
-
-// pullByEdge is PullRows' data and hits as one loop over the segment's
-// edges, the target's distance kept and the leaf tested as
-// ccKernel.pullByEdge keeps the label and tests the leaf.
-func (k *ssspKernel) pullByEdge(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) []int32 {
 	idx, ids, wts, dist := rs.Idx, rs.IDs, rs.Wts, k.dist
-	first, c, last := idx[lo], rs.Cursor(lo), -1
-	for i, s := range rs.Cols[first:idx[hi]] {
+	first, last := idx[lo], idx[hi]
+	if first == last {
+		return 0, hits
+	}
+	c, hit := rs.Cursor(lo), -1
+	for i, s := range rs.Cols[first:last] {
 		j := first + int64(i)
 		c = c.Next(idx, j)
 		t, nd := rowKey(ids, c.Row), dist[s]+edgeWeight(weightAt(wts, int(j)))
 		if bit(sg.InLeaf(active, base, s))&bit(nd < dist[t]) != 0 {
 			dist[t] = nd
-			if c.Row != last {
-				hits, last = append(hits, int32(c.Row)), c.Row
+			if c.Row != hit {
+				hits, hit = append(hits, int32(c.Row)), c.Row
 			}
 		}
 	}
-	return hits
-}
-
-// pullByRow is PullRows as a loop over rows, the target's distance kept
-// as ccKernel.pullByRow keeps the label.
-func (k *ssspKernel) pullByRow(rs *sg.Rows, lo, hi int, active []uint64, base int, hits []int32) (edges int64, _ []int32) {
-	idx, cols, wts, dist := rs.Idx, rs.Cols, rs.Wts, k.dist
-	for r := lo; r < hi; r++ {
-		t := rs.ID(r)
-		dt, updated := dist[t], false
-		first, end := idx[r], idx[r+1]
-		for j := first; j < end; j++ {
-			s := cols[j]
-			if !sg.InLeaf(active, base, s) {
-				continue
-			}
-			if nd := dist[s] + edgeWeight(weightAt(wts, int(j))); nd < dt {
-				dt = nd
-				dist[t] = nd
-				updated = true
-			}
-		}
-		edges += end - first
-		if updated {
-			hits = append(hits, int32(r))
-		}
-	}
-	return edges, hits
+	return last - first, hits
 }
 
 // xsLevel is X-Stream's traversal kernel: it relaxes integer levels (BFS)

@@ -100,10 +100,10 @@ func drawWeights(rng *gen.RNG, rs *sg.Rows) {
 }
 
 // fixedSegments are the row lengths of segments that pin the corner cases
-// of the segment forms' edge loop (sg.RowCursor) and the shape test
-// (sg.ShortRows): empty rows where the cursor starts, ends and steps over
-// several, a segment of no edges and one of single edges, all walked by
-// edge, and long rows, walked by row.
+// of the segment forms' edge loop (sg.RowCursor) and the push forms'
+// shape test (sg.ShortRows): empty rows where the cursor starts, ends and
+// steps over several, a segment of no edges and one of single edges, all
+// walked by edge, and long rows, which push walks by row.
 var fixedSegments = []struct {
 	name string
 	lens []int
@@ -255,10 +255,9 @@ func TestPushRowMatchesUpdateLoop(t *testing.T) {
 // the fixed segments (fixedLayout), with and without IDs and weights,
 // under the full, an empty and a sparse frontier leaf. PullRows of BFS,
 // CC and SSSP must leave the kernel's array bit-equal to
-// sg.PullRowsPerEdge and report its edges and its hits, in order; both
-// loop shapes must be taken (BFS has only the row loop). Each kernel's
-// state carries over from segment to segment, so later segments run on
-// state the earlier ones wrote.
+// sg.PullRowsPerEdge and report its edges and its hits, in order (BFS by
+// row, CC and SSSP by edge). Each kernel's state carries over from segment
+// to segment, so later segments run on state the earlier ones wrote.
 func TestPullRowMatchesUpdateLoop(t *testing.T) {
 	rng := gen.NewRNG(44)
 	type pullKernel interface {
@@ -304,16 +303,12 @@ func TestPullRowMatchesUpdateLoop(t *testing.T) {
 	// The fixed segments draw from an RNG of their own, so the random cases
 	// are the ones drawn before they existed.
 	leaves, fixedRNG := segLeaves(rng), gen.NewRNG(47)
-	shapes := map[bool]int{} // segments of CC and SSSP by sg.ShortRows
 	for _, lname := range slices.Sorted(maps.Keys(leaves)) {
 		active := leaves[lname]
 		for _, weighted := range []bool{false, true} {
 			for _, name := range slices.Sorted(maps.Keys(pulls)) {
 				segK, edgeK, equal := pulls[name]()
 				pull := func(what string, rs *sg.Rows, lo, hi int) int {
-					if name != "bfs" {
-						shapes[sg.ShortRows(rs, lo, hi)]++
-					}
 					prefix := []int32{-1} // what the caller passed in stays in front
 					gotEdges, gotHits := segK.PullRows(rs, lo, hi, active, leafBase, slices.Clone(prefix))
 					wantEdges, wantHits := sg.PullRowsPerEdge(edgeK, rs, lo, hi, active, leafBase, slices.Clone(prefix))
@@ -340,10 +335,6 @@ func TestPullRowMatchesUpdateLoop(t *testing.T) {
 			}
 		}
 	}
-	if shapes[true] == 0 || shapes[false] == 0 {
-		t.Errorf("segments walked by edge %d, by row %d: both loop shapes must be taken", shapes[true], shapes[false])
-	}
-
 	// BFS's early exit, pinned: a claimed target scans nothing; an open one
 	// scans up to and including the first active source and takes it.
 	rs := &sg.Rows{IDs: []graph.Vertex{0, 1}, Idx: []int64{0, 4, 8}, Cols: []graph.Vertex{40, 41, 42, 43, 40, 41, 42, 43}}

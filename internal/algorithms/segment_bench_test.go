@@ -12,7 +12,7 @@ import (
 // shapeLayout is a synthetic part of a Polymer layout: 1<<17 edges in rows
 // of mean edges each (lengths uniform in [1, 2*mean-1], so no row is
 // empty and a row's end is not a fixed stride), keyed by ascending
-// vertices spread over n, columns drawn from all n vertices and weighted.
+// vertices spread over n, columns drawn from all n vertices.
 func shapeLayout(rng *gen.RNG, n, mean int) *sg.Rows {
 	const edges = 1 << 17
 	rows := edges / mean
@@ -21,55 +21,37 @@ func shapeLayout(rng *gen.RNG, n, mean int) *sg.Rows {
 		rs.IDs[r] = graph.Vertex(r * n / rows)
 		for range 1 + rng.Intn(2*mean-1) {
 			rs.Cols = append(rs.Cols, graph.Vertex(rng.Intn(n)))
-			rs.Wts = append(rs.Wts, float32(1+rng.Intn(100)))
 		}
 		rs.Idx[r+1] = int64(len(rs.Cols))
 	}
 	return rs
 }
 
-// BenchmarkSegmentShape times the two loop shapes of the segment forms on
-// rows of 1, 2, 4, 8 and 16 edges on average: SSSP's pull (a third of the
-// sources active, distances restored each pass) and PageRank's push (the
-// full frontier), each walking the layout in segments of 128 rows, about a
-// sweep chunk of serve-churn's pull layout on the 8x10 machine. The row
-// length where by-edge stops beating by-row is sg.ShortRowEdges.
+// BenchmarkSegmentShape times the two loop shapes of PageRank's push
+// segment form (the full frontier) on rows of 1, 2, 4, 8 and 16 edges on
+// average, walking the layout in segments of 128 rows, about a sweep chunk
+// of serve-churn's push layout on the 8x10 machine. The row length where
+// by-edge stops beating by-row is sg.ShortRowEdges.
 func BenchmarkSegmentShape(b *testing.B) {
 	const n, segment = 16000, 128
-	active := make([]uint64, (n+63)/64)
-	for v := 0; v < n; v += 3 {
-		active[v/64] |= 1 << (v % 64)
-	}
 	rng := gen.NewRNG(5)
-	dist0 := make([]float64, n)
-	for v := range dist0 {
-		dist0[v] = float64(rng.Intn(1000))
-	}
 	ranks := make([]float64, n)
 	for v := range ranks {
 		ranks[v] = rng.Float64()
 	}
 	for _, mean := range []int{1, 2, 4, 8, 16} {
 		rs := shapeLayout(rng, n, mean)
-		sssp := &ssspKernel{dist: make([]float64, n)}
-		hits := make([]int32, 0, segment)
 		pr := &prKernel{curr: ranks, next: make([]float64, n), invOut: ranks}
 		shapes := []struct {
 			name string
-			dist bool // restore SSSP's distances before each pass
 			walk func(lo, hi int)
 		}{
-			{"sssp-pull/by-row", true, func(lo, hi int) { _, hits = sssp.pullByRow(rs, lo, hi, active, 0, hits[:0]) }},
-			{"sssp-pull/by-edge", true, func(lo, hi int) { hits = sssp.pullByEdge(rs, lo, hi, active, 0, hits[:0]) }},
-			{"pr-push/by-row", false, func(lo, hi int) { pr.pushByRow(rs, lo, hi, nil, 0) }},
-			{"pr-push/by-edge", false, func(lo, hi int) { pr.pushByEdge(rs, lo, hi, nil, 0) }},
+			{"pr-push/by-row", func(lo, hi int) { pr.pushByRow(rs, lo, hi, nil, 0) }},
+			{"pr-push/by-edge", func(lo, hi int) { pr.pushByEdge(rs, lo, hi, nil, 0) }},
 		}
 		for _, sh := range shapes {
 			b.Run(fmt.Sprintf("%s/rows=%d", sh.name, mean), func(b *testing.B) {
 				for range b.N {
-					if sh.dist {
-						copy(sssp.dist, dist0)
-					}
 					for lo := 0; lo < rs.Len(); lo += segment {
 						sh.walk(lo, min(lo+segment, rs.Len()))
 					}

@@ -64,18 +64,18 @@ func (rs *Rows) ID(r int) graph.Vertex {
 // Len returns the number of rows.
 func (rs *Rows) Len() int { return max(len(rs.Idx)-1, 0) }
 
-// ShortRowEdges is the mean row length below which a segment form walks a
-// segment's edges as one loop (RowCursor) instead of a loop over rows with
-// a loop over columns inside. It is where PageRank's push loops cross
-// over in algorithms.BenchmarkSegmentShape (SSSP's pull edge loop stays
-// ahead further out, but one constant serves both directions): Polymer's
-// per-node rows, ~2 edges on a power-law graph, fall below it; Ligra's
-// CSR rows, ~10, above.
+// ShortRowEdges is the mean row length below which a push segment form
+// walks a segment's edges as one loop (RowCursor) instead of a loop over
+// rows with a loop over columns inside. It is where PageRank's push loops
+// cross over in algorithms.BenchmarkSegmentShape: Polymer's per-node rows,
+// ~2 edges on a power-law graph, fall below it; Ligra's CSR rows, ~10,
+// above. The pull forms of CC and SSSP always walk by edge, which measured
+// faster at every row length; BFS's always walks by row.
 const ShortRowEdges = 4
 
 // ShortRows reports whether rows [lo, hi) of rs average fewer than
-// ShortRowEdges edges. It is the only place a segment form chooses its
-// loop shape; an empty segment is not short.
+// ShortRowEdges edges. It is the only place a push segment form chooses
+// its loop shape; an empty segment is not short.
 func ShortRows(rs *Rows, lo, hi int) bool {
 	return rs.Idx[hi]-rs.Idx[lo] < ShortRowEdges*int64(hi-lo)
 }

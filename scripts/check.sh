@@ -65,9 +65,10 @@ go test -count=5 -cpu 1,2,8 -run 'TestPatchedSnapshotEqualsCleanApply' ./interna
 # A layout patched from its predecessor's against buildLayout on the
 # patched snapshot: every part's arrays, the agent index and agent bytes.
 go test -count=5 -cpu 1,2,8 -run 'TestLayoutPatchMatchesBuild' ./internal/core/
-# The push and pull segment forms, both loop shapes (by row, and by edge
-# with a row cursor), against the per-edge loops: random and fixed
-# segments, with and without IDs, under full, empty and sparse leaves.
+# The push and pull segment forms (push by row or by edge with a row
+# cursor, CC and SSSP pull by edge, BFS pull by row) against the per-edge
+# loops: random and fixed segments, with and without IDs, under full,
+# empty and sparse leaves.
 go test -count=5 -cpu 1,2,8 -run 'TestPushRowMatchesUpdateLoop|TestPullRowMatchesUpdateLoop' ./internal/algorithms/
 # Every clock and slow rate of the tiered-memory sweep against its golden.
 go test -count=5 -cpu 1,2,8 -run 'TestTierSweepGolden' ./internal/bench/
