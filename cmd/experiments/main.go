@@ -39,14 +39,15 @@ func main() {
 	traceFlag := flag.String("trace", "", "write fig4's sweep as Chrome trace_event JSON to this file and print its traffic breakdown")
 	flag.Parse()
 
-	sc, ok := map[string]gen.Scale{"tiny": gen.Tiny, "small": gen.Small, "default": gen.Default, "huge": gen.Huge}[*scaleFlag]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleFlag)
+	sc, err := gen.ParseScale(*scaleFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	topo := numa.IntelXeon80()
-	if *machineFlag == "amd" {
-		topo = numa.AMDOpteron64()
+	topo, err := numa.TopologyByName(*machineFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
 	}
 
 	want := map[string]bool{}

@@ -21,7 +21,7 @@ import (
 func main() {
 	dataset := flag.String("dataset", "", "emit a named Table 2 dataset: twitter, rmat24, rmat27, powerlaw or roadUS")
 	kind := flag.String("kind", "", "custom generator: twitter, powerlaw, rmat, road or uniform")
-	scaleFlag := flag.String("scale", "small", "named dataset scale: tiny, small or default")
+	scaleFlag := flag.String("scale", "small", "named dataset scale: tiny, small, default or huge")
 	n := flag.Int("n", 10000, "vertex count (twitter, powerlaw, uniform)")
 	m := flag.Int("m", 100000, "edge count (uniform)")
 	avgDeg := flag.Float64("avgdeg", 10, "average degree (powerlaw)")
@@ -41,9 +41,9 @@ func main() {
 		edges []graph.Edge
 	)
 	if *dataset != "" {
-		sc, ok := map[string]gen.Scale{"tiny": gen.Tiny, "small": gen.Small, "default": gen.Default}[*scaleFlag]
-		if !ok {
-			fail("unknown scale %q", *scaleFlag)
+		sc, err := gen.ParseScale(*scaleFlag)
+		if err != nil {
+			fail("%v", err)
 		}
 		g, err := gen.Load(gen.Dataset(*dataset), sc, *weighted)
 		if err != nil {

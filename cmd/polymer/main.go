@@ -77,13 +77,13 @@ func main() {
 			fail("unknown system %q (want polymer, ligra, xstream, galois or auto)", *systemFlag)
 		}
 	}
-	sc, ok := map[string]gen.Scale{"tiny": gen.Tiny, "small": gen.Small, "default": gen.Default, "huge": gen.Huge}[*scaleFlag]
-	if !ok {
-		fail("unknown scale %q (want tiny, small, default or huge)", *scaleFlag)
+	sc, err := gen.ParseScale(*scaleFlag)
+	if err != nil {
+		fail("%v", err)
 	}
-	topo := numa.IntelXeon80()
-	if *machineFlag == "amd" {
-		topo = numa.AMDOpteron64()
+	topo, err := numa.TopologyByName(*machineFlag)
+	if err != nil {
+		fail("%v", err)
 	}
 	sockets, cores := *socketsFlag, *coresFlag
 	if sockets == 0 {
@@ -108,10 +108,7 @@ func main() {
 		tierCfg = numa.TierConfig{DRAMPerNode: *dramBytesFlag, Policy: pol, PromoteEvery: *promoteEveryFlag}
 	}
 
-	var (
-		g   *graph.Graph
-		err error
-	)
+	var g *graph.Graph
 	if *fileFlag != "" {
 		f, ferr := os.Open(*fileFlag)
 		if ferr != nil {

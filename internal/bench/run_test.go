@@ -123,3 +123,40 @@ func TestFailedEngineIsNotASuccess(t *testing.T) {
 		}
 	}
 }
+
+// TestUnweightedViewRunsLikeUnweightedLoad: polymerd reads a dataset's
+// unweighted cells through graph.Unweighted of its weighted base, so each
+// must run on that view exactly as on an unweighted load — same clock bits,
+// Stats, peak and checksum — on a fresh root, and again after a weighted
+// Polymer run has built its layouts on the same root.
+func TestUnweightedViewRunsLikeUnweightedLoad(t *testing.T) {
+	mk := func() *numa.Machine { return numa.NewMachine(numa.IntelXeon80(), 8, 10) }
+	cells := []struct {
+		sys System
+		alg Algo
+	}{{Polymer, PR}, {Ligra, PR}, {XStream, PR}, {Galois, PR}, {Polymer, BFS}, {Ligra, BFS}}
+	for _, d := range []gen.Dataset{gen.PowerLaw, gen.Twitter} {
+		plain, err := gen.Load(d, gen.Tiny, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			want := RunFrom(c.sys, c.alg, plain, mk(), 0)
+			root, err := gen.Load(d, gen.Tiny, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := RunFrom(c.sys, c.alg, root.Unweighted(), mk(), 0)
+			RunFrom(Polymer, SSSP, root, mk(), 0)
+			after := RunFrom(c.sys, c.alg, root.Unweighted(), mk(), 0)
+			for name, got := range map[string]RunResult{"fresh root": fresh, "after a weighted run": after} {
+				if math.Float64bits(got.SimSeconds) != math.Float64bits(want.SimSeconds) || got.Stats != want.Stats ||
+					got.PeakBytes != want.PeakBytes || math.Float64bits(got.Checksum) != math.Float64bits(want.Checksum) {
+					t.Errorf("%s %s/%s on the view (%s): sim %x stats %+v peak %d checksum %x, unweighted load %x %+v %d %x",
+						d, c.sys, c.alg, name, got.SimSeconds, got.Stats, got.PeakBytes, got.Checksum,
+						want.SimSeconds, want.Stats, want.PeakBytes, want.Checksum)
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"fmt"
+	"strings"
 
 	"polymer/internal/graph"
 )
@@ -22,6 +23,22 @@ const (
 	// on one.
 	Huge
 )
+
+// ParseScale maps a scale's name (tiny, small, default or huge) to the
+// Scale; matching is case-insensitive.
+func ParseScale(name string) (Scale, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "tiny":
+		return Tiny, nil
+	case "small":
+		return Small, nil
+	case "default":
+		return Default, nil
+	case "huge":
+		return Huge, nil
+	}
+	return Tiny, fmt.Errorf("gen: unknown scale %q (want tiny, small, default or huge)", name)
+}
 
 // Dataset names one of the paper's five inputs.
 type Dataset string

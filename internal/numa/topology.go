@@ -12,6 +12,11 @@
 // congestion on memory controllers and interconnect links.
 package numa
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Pattern classifies the spatial locality of an access stream.
 type Pattern uint8
 
@@ -299,6 +304,18 @@ func AMDOpteron64() *Topology {
 		BisectionBW:      12000, // four-module HT fabric: scaling stalls past 4 sockets
 		SyncScale:        256,
 	}
+}
+
+// TopologyByName returns the machine named intel (IntelXeon80) or amd
+// (AMDOpteron64); matching is case-insensitive.
+func TopologyByName(name string) (*Topology, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "intel":
+		return IntelXeon80(), nil
+	case "amd":
+		return AMDOpteron64(), nil
+	}
+	return nil, fmt.Errorf("numa: unknown machine %q (want intel or amd)", name)
 }
 
 // amdHopLevel: nodes 2i and 2i+1 are the dies of module i; modules form a

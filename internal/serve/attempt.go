@@ -4,47 +4,100 @@ import (
 	"fmt"
 
 	"polymer/internal/bench"
+	"polymer/internal/cluster"
+	"polymer/internal/fault"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
 	"polymer/internal/obs"
-	"polymer/internal/plan"
 )
 
-// attemptResult is the outcome of one task's attempt loop: how it
-// resolved, the run's payload when it completed, and the recovery work
-// the attempts did.
-type attemptResult struct {
-	kind   resKind
-	status int
-	err    error // nil exactly when kind is kindCompleted
+// clusterChaosSteps is the window (in supersteps) a fault_seed chaos
+// schedule lands its events in on cluster requests.
+const clusterChaosSteps = 3
 
-	checksums []float64 // one per source, index-aligned
-	sim       float64
-	peak      int64
-	slowRate  float64
-	boundsSeq uint64
-
-	attempts, rollbacks, restarts int
+// clusterStatus is the /metricsz and /readyz view of the most recent
+// cluster run: member health, shard placement and cumulative link bytes.
+type clusterStatus struct {
+	Machines  []cluster.MachineHealth `json:"machines"`
+	Healthy   int                     `json:"healthy"`
+	Total     int                     `json:"total"`
+	Failovers int                     `json:"failovers"`
+	NetBytes  float64                 `json:"net_bytes"`
+	Links     [][]float64             `json:"links"`
 }
 
-// attempt runs the task's sources to an outcome through the one
-// breaker-admit -> lease -> machine-factory -> retry/backoff -> classify
-// sequence every run shares. A refused admission (circuit open) returns
-// kindBroken having run nothing — the caller picks its fallback. The returned lease (nil for explicit requests and
-// refusals) is still held so the caller can publish against it; the
-// caller releases it.
-func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex) (attemptResult, *plan.Lease) {
+// attempt is where every run is chosen: it runs the task's live sources
+// to an outcome, stamps resp with what the run produced and returns the
+// outcome with one checksum per source (nil when the run did not answer).
+//
+//   - A cluster request runs once on the cluster substrate. It bypasses
+//     the breaker and the retries: the substrate has its own health
+//     tracking and fails shards over to replicas itself.
+//   - An engine whose circuit is open serves PageRank on the honest
+//     degraded path (the run is re-provisioned on a machine that lost a
+//     NUMA node, the migration charged) and refuses anything else with
+//     503; a multi-source run is refused whole.
+//   - Anything else goes through lease -> machine factory -> retry with
+//     backoff, one source on the resilient path and k on one fused
+//     multi-source sweep. A planned run's lease is left on t for finish
+//     to read; execute releases it.
+func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Response) (resKind, int, []float64) {
 	v := t.v
 	tr := s.cfg.Tracer
+	if v.clustered() {
+		cfg := cluster.Config{
+			Machines: v.machines, Replicas: v.replicas,
+			Topo: v.topo, Nodes: v.nodes, Cores: v.cores,
+			// The hedge leg serves every shard from a standby replica, so a
+			// primary wedged on its home machines doesn't wedge the hedge.
+			PreferReplica: v.hedge,
+			Tracer:        tr,
+		}
+		if v.req.FaultSeed != 0 {
+			cfg.Events = fault.ClusterChaos(v.req.FaultSeed, clusterChaosSteps, v.machines)
+		}
+		c, err := cluster.New(g, cfg)
+		if err != nil {
+			return failure(err, resp)
+		}
+		res, err := c.Run(t.ctx, clusterAlgos[v.alg], srcs[0])
+		if err != nil {
+			return failure(err, resp)
+		}
+		healthy := 0
+		for _, m := range res.Machines {
+			if m.State == "healthy" {
+				healthy++
+			}
+		}
+		s.lastCluster.Store(&clusterStatus{
+			Machines: res.Machines, Healthy: healthy, Total: v.machines,
+			Failovers: res.Failovers, NetBytes: res.NetBytes, Links: res.Links,
+		})
+		resp.Attempts, resp.SimSeconds = 1, res.SimSeconds
+		resp.Machines, resp.Replicas, resp.Hedged = v.machines, v.replicas, v.hedge
+		resp.Supersteps, resp.Failovers, resp.NetBytes = res.Supersteps, res.Failovers, res.NetBytes
+		return kindCompleted, 200, []float64{res.Checksum}
+	}
+
 	br := s.breakers[v.sys]
 	admit, probe := br.Allow()
 	if !admit {
-		err := fmt.Errorf("circuit open for %s", v.sys)
-		return attemptResult{kind: kindBroken, status: 503, err: err}, nil
+		if v.alg != bench.PR || v.nodes < 2 {
+			resp.Error = fmt.Sprintf("circuit open for %s", v.sys)
+			return kindBroken, 503, nil
+		}
+		dr, err := bench.RunPolymerDegraded(g, v.topo, v.nodes, v.cores, 0, 0)
+		if err != nil {
+			return failure(err, resp)
+		}
+		s.lineage.add(dr.Result.Lineage)
+		resp.Degraded, resp.LostNode, resp.Attempts = true, dr.FailedNode, 1
+		resp.SimSeconds, resp.PeakBytes, resp.BoundsSeq = dr.Result.SimSeconds, dr.Result.PeakBytes, dr.Result.BoundsSeq
+		return kindDegraded, 200, []float64{dr.Result.Checksum}
 	}
 
 	mk := func() *numa.Machine { return v.armTier(numa.NewMachine(v.topo, v.nodes, v.cores)) }
-	var lease *plan.Lease
 	if v.planned != nil {
 		// Planned runs go through the multi-tenant scheduler: disjoint
 		// simulated sockets while capacity lasts, honest co-location
@@ -52,10 +105,10 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex) (attemptR
 		// prefix, so its machine — and therefore its result — is
 		// bit-identical to an explicitly configured run's. (A run's waiters
 		// agreed on the plan: it is part of the key.)
-		lease = s.plannerFor(v).Scheduler().Acquire(v.nodes)
+		t.lease = s.plannerFor(v).Scheduler().Acquire(v.nodes)
 		explicit := mk
 		mk = func() *numa.Machine {
-			m, err := lease.Machine(v.cores)
+			m, err := t.lease.Machine(v.cores)
 			if err != nil {
 				return explicit()
 			}
@@ -63,7 +116,7 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex) (attemptR
 		}
 	}
 	opt := bench.ResilientOptions{
-		MaxRestarts:    s.cfg.RestartMax,
+		MaxRestarts:    restartMax,
 		SessionRetries: v.req.SessionRetries,
 		Options:        bench.Options{Tracer: tr, Layout: v.layout, LayoutSet: v.layoutSet},
 	}
@@ -75,54 +128,78 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex) (attemptR
 		maxRetries = v.req.Retries
 	}
 
-	var res attemptResult
+	var err error
 	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			s.counters.Retried.Add(1)
 			tr.HostInstant("serve", "retry", obs.PidServe, obs.NowMicros(), attempt,
-				fmt.Sprintf("run %d (%d sources): %v", t.id, len(srcs), res.err))
-			if !sleepBackoff(t.ctx, s.cfg.RetryBase, attempt, uint64(t.id)) {
-				res.err = t.ctx.Err()
+				fmt.Sprintf("run %d (%d sources): %v", t.id, len(srcs), err))
+			if !sleepBackoff(t.ctx, retryBase, attempt, uint64(t.id)) {
+				err = t.ctx.Err()
 				break
 			}
 		}
-		res.attempts = attempt + 1
+		resp.Attempts = attempt + 1
+		var r bench.RunResult
+		var sums []float64
 		if len(srcs) == 1 {
 			// One source is the plain resilient run, so a shared run of one
 			// is indistinguishable from a private one.
+			var rep bench.ResilienceReport
 			opt.Src = srcs[0]
-			r, rep, err := bench.RunResilientCtx(t.ctx, v.sys, v.alg, g, mk, v.injector(), opt)
-			res.rollbacks += rep.Rollbacks
-			res.restarts += rep.Restarts
-			res.checksums, res.sim, res.peak, res.slowRate = []float64{r.Checksum}, r.SimSeconds, r.PeakBytes, r.Stats.SlowRate
-			res.boundsSeq = r.BoundsSeq
-			s.lineage.add(r.Lineage)
-			res.err = err
+			r, rep, err = bench.RunResilientCtx(t.ctx, v.sys, v.alg, g, mk, v.injector(), opt)
+			resp.Rollbacks += rep.Rollbacks
+			resp.Restarts += rep.Restarts
+			sums = []float64{r.Checksum}
 		} else {
-			mr, err := bench.RunMultiSourceCtx(t.ctx, v.sys, v.alg, g, mk, srcs, tr)
-			res.checksums, res.sim, res.peak, res.boundsSeq = mr.PerSource, mr.SimSeconds, mr.PeakBytes, mr.BoundsSeq
-			s.lineage.add(mr.Lineage)
-			res.err = err
+			var mr bench.MultiResult
+			mr, err = bench.RunMultiSourceCtx(t.ctx, v.sys, v.alg, g, mk, srcs, tr)
+			r.SimSeconds, r.PeakBytes, r.BoundsSeq, r.Lineage = mr.SimSeconds, mr.PeakBytes, mr.BoundsSeq, mr.Lineage
+			sums = mr.PerSource
 		}
-		if res.err == nil {
+		s.lineage.add(r.Lineage)
+		if err == nil {
 			br.Success()
-			res.kind, res.status = kindCompleted, 200
-			return res, lease
+			resp.SimSeconds, resp.PeakBytes, resp.BoundsSeq = r.SimSeconds, r.PeakBytes, r.BoundsSeq
+			if v.tier.Tiered() {
+				resp.SlowRate = r.Stats.SlowRate
+			}
+			if len(srcs) > 1 {
+				// Provenance: the accounting fields describe the fused sweep.
+				resp.BatchSize = len(srcs)
+			} else {
+				// A run of one source is indistinguishable from a direct run —
+				// its simulated time is exactly what the model predicted, so it
+				// may teach the learner. Fused sweeps may not: their cost
+				// covers k sources at once.
+				s.observePlan(v, t.lease, r.SimSeconds)
+			}
+			return kindCompleted, 200, sums
 		}
-		if ctxErr(res.err) {
+		if ctxErr(err) {
 			// The client's deadline, not the engine's health: release a
 			// half-open probe without closing or re-opening the circuit.
 			if probe {
 				br.cancelProbe()
 			}
-			res.kind, res.status = classifyCtxErr(res.err)
-			return res, lease
+			break
 		}
 		br.Failure()
 		if probe {
 			break // the failed probe re-opened the circuit; stop here
 		}
 	}
-	res.kind, res.status = kindFailed, 500
-	return res, lease
+	return failure(err, resp)
+}
+
+// failure stamps a run's error on resp and turns it into its outcome: a
+// context error is the request's own deadline or cancellation (504/503),
+// anything else a 500.
+func failure(err error, resp *Response) (resKind, int, []float64) {
+	resp.Error = err.Error()
+	if ctxErr(err) {
+		kind, status := classifyCtxErr(err)
+		return kind, status, nil
+	}
+	return kindFailed, 500, nil
 }

@@ -16,7 +16,7 @@ import (
 	"polymer/internal/graph"
 )
 
-// cacheEntry is one slot: a generated base (dataset, scale, weighted) or
+// cacheEntry is one slot: a generated base (dataset, scale) or
 // the snapshot of one committed mutation prefix (dataset, scale, seq).
 // ready is closed when the load finishes; g/err/bytes are immutable
 // afterwards. refs counts waiting or executing requests pinning the entry.
@@ -168,10 +168,10 @@ func (c *graphCache) evictLocked() {
 // sequence 0); every other key is a committed-prefix snapshot.
 const baseKeySuffix = "|m0"
 
-// baseKey is the graph-cache key of the generated base of (data, scale,
-// weighted).
-func baseKey(data gen.Dataset, scale gen.Scale, weighted bool) string {
-	return fmt.Sprintf("%s|%d|%t%s", data, scale, weighted, baseKeySuffix)
+// baseKey is the graph-cache key of the generated (weighted) base of
+// (data, scale).
+func baseKey(data gen.Dataset, scale gen.Scale) string {
+	return fmt.Sprintf("%s|%d%s", data, scale, baseKeySuffix)
 }
 
 // invalidate drops every resident unpinned entry whose dataset matches
@@ -192,14 +192,8 @@ func (c *graphCache) invalidate(dataset string, keep func(key string) bool) int 
 		prev := el.Prev()
 		if strings.HasPrefix(e.key, prefix) && (keep == nil || !keep(e.key)) {
 			if e.refs == 0 {
-				c.lru.Remove(el)
-				e.elem = nil
-				delete(c.entries, e.key)
-				c.bytes -= e.bytes
+				c.removeLocked(e)
 				n++
-				if c.onEvict != nil {
-					c.onEvict(e.key, e.bytes)
-				}
 			} else {
 				e.doomed = true
 			}

@@ -231,6 +231,26 @@ func TestServeEvictionCounter(t *testing.T) {
 	if mb.Cache.Misses < 2 {
 		t.Errorf("metricsz cache misses = %d, want >= 2", mb.Cache.Misses)
 	}
+
+	// An invalidation's drops are evictions on both ledgers: an unpinned
+	// entry's at once, a pinned entry's at its release.
+	roomy := NewServer(Config{Workers: 1, QueueDepth: 4})
+	defer roomy.Shutdown(context.Background())
+	load := func() (*graph.Graph, error) { return testGraph(16), nil }
+	_, release, err := roomy.cache.get("powerlaw|0|m1", load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+	_, releasePinned, err := roomy.cache.get("powerlaw|0|m2", load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roomy.InvalidateGraph("powerlaw")
+	releasePinned()
+	if st, n := roomy.cache.stats(), roomy.Counters().Evicted.Load(); st.Entries != 0 || st.Evictions != 2 || n != 2 {
+		t.Errorf("after invalidating both entries: graph cache %+v, counters.evicted %d, want 0 entries and 2 evictions on each", st, n)
+	}
 }
 
 // TestDebugTraceEndpoint checks the flight recorder dump: request spans

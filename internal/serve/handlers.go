@@ -43,28 +43,29 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// refuse answers a request that was never admitted: 429 + Retry-After: 1
+// when the full queue shed it, else 503 + Retry-After: 5 (a draining
+// server, or a planner that could not place the request).
+func refuse(w http.ResponseWriter, err error, shed bool) {
+	status, after := http.StatusServiceUnavailable, "5"
+	if shed {
+		// Load shedding is synchronous: the refusal costs no queue slot
+		// and no worker time, so it lands well inside any budget.
+		status, after = http.StatusTooManyRequests, "1"
+	}
+	w.Header().Set("Retry-After", after)
+	writeJSON(w, status, errorBody{Error: err.Error()})
+}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	v, err := DecodeRequest(r.Body)
 	if err != nil {
-		var bad *BadRequest
-		if errors.As(err, &bad) {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: bad.Error()})
-			return
-		}
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	out, shed, err := s.answer(v, r.Context())
 	if err != nil {
-		if shed {
-			// Load shedding is synchronous: the refusal costs no queue
-			// slot and no worker time, so it lands well inside any budget.
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-			return
-		}
-		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		refuse(w, err, shed)
 		return
 	}
 	if out.status == http.StatusServiceUnavailable {

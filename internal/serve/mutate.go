@@ -82,21 +82,11 @@ func DecodeMutation(r io.Reader) (*mutation, error) {
 }
 
 func resolveMutation(req MutationRequest) (*mutation, error) {
-	m := &mutation{req: req, data: gen.Dataset(strings.TrimSpace(req.Graph))}
-	found := false
-	for _, d := range gen.Datasets() {
-		if d == m.data {
-			found = true
-			break
-		}
+	data, scale, budget, err := resolveTarget(req.Graph, req.Scale, req.BudgetMs)
+	if err != nil {
+		return nil, err
 	}
-	if !found {
-		return nil, badReq("unknown dataset %q", req.Graph)
-	}
-	var ok bool
-	if m.scale, ok = scales[strings.ToLower(req.Scale)]; !ok {
-		return nil, badReq("unknown scale %q (want tiny, small or default)", req.Scale)
-	}
+	m := &mutation{req: req, data: data, scale: scale, budget: budget}
 	if len(req.Ops) == 0 {
 		return nil, badReq("empty mutation batch")
 	}
@@ -125,13 +115,6 @@ func resolveMutation(req MutationRequest) (*mutation, error) {
 		}
 		m.ops[i] = mutate.Op{Kind: kind, Src: op.Src, Dst: op.Dst, Wt: op.Wt}
 	}
-	if req.BudgetMs < 0 {
-		return nil, badReq("budget_ms %d is negative", req.BudgetMs)
-	}
-	if req.BudgetMs > MaxBudget.Milliseconds() {
-		return nil, badReq("budget_ms %d exceeds the %v maximum", req.BudgetMs, MaxBudget)
-	}
-	m.budget = time.Duration(req.BudgetMs) * time.Millisecond
 	return m, nil
 }
 
@@ -144,23 +127,12 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	}
 	m, err := DecodeMutation(r.Body)
 	if err != nil {
-		var bad *BadRequest
-		if errors.As(err, &bad) {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: bad.Error()})
-			return
-		}
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
 	t, shed, err := s.submitMutation(m, r.Context())
 	if err != nil {
-		if shed {
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-			return
-		}
-		w.Header().Set("Retry-After", "5")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		refuse(w, err, shed)
 		return
 	}
 	out := s.wait(t.run, 0, nil, nil)
@@ -241,14 +213,11 @@ func (s *Server) executeMutate(t *task) {
 	// The commit is durable; retire everything computed before it. The
 	// generation bump is what splits in-flight reuse: a read that sampled
 	// the old generation keeps its pinned snapshot but can never publish
-	// into the new generation's cache. The weighted generated bases are
-	// not retired: no commit changes them, and the next snapshot is derived
-	// from this scale's. The unweighted base of this scale is: once the
-	// scale has a commit, graphFor reads the snapshot's unweighted view in
-	// its place and never asks for it again.
-	unweighted := baseKey(m.data, m.scale, false)
+	// into the new generation's cache. The generated bases are not
+	// retired: no commit changes them, and the next snapshot is derived
+	// from this scale's.
 	ver, purged := s.invalidate(string(m.data), func(key string) bool {
-		return strings.HasSuffix(key, baseKeySuffix) && key != unweighted
+		return strings.HasSuffix(key, baseKeySuffix)
 	})
 	tr.HostInstant("serve", "commit", obs.PidServe, obs.NowMicros(), -1,
 		fmt.Sprintf("%s@%d seq=%d gen=%d (%d purged)", m.data, m.scale, seq, ver, purged))

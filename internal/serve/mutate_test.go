@@ -301,14 +301,13 @@ func TestLineageCountersOnMetricsz(t *testing.T) {
 	}
 }
 
-// TestCommitRetiresSnapshotsNotTheBase: a commit supersedes snapshots; the
-// weighted base no mutation can change stays resident, so across three
-// commits with a read per weight class it is loaded once, and both weight
-// classes of a generation read one topology. The committed scale's
-// unweighted base, which no read asks for after a commit, is retired with
-// the snapshots — doomed while a read still pins it, dropped on its
-// release — and another scale's base stays. POST /invalidatez, the
-// operator's dataset refresh, still purges every base.
+// TestCommitRetiresSnapshotsNotTheBase: a dataset and scale is one base
+// graph, whose view the unweighted read is at sequence 0 too. A commit
+// supersedes snapshots; the base no mutation can change stays resident
+// and undoomed, pinned or not, so across three commits with a read per
+// weight class it is loaded once, and both weight classes of a generation
+// read one topology. Another scale's base stays too. POST /invalidatez,
+// the operator's dataset refresh, still purges every base.
 func TestCommitRetiresSnapshotsNotTheBase(t *testing.T) {
 	store := openStore(t, t.TempDir(), mutate.Options{})
 	defer store.Close()
@@ -326,18 +325,29 @@ func TestCommitRetiresSnapshotsNotTheBase(t *testing.T) {
 		return ok, ok && e.doomed
 	}
 
-	// Before the first commit, both scales' unweighted bases are loaded;
-	// the committed scale's stays pinned across the commit.
-	_, releaseBase, err := srv.graphFor(unweighted)
+	// At sequence 0 one base holds the dataset and scale, and the
+	// unweighted read is its view. It stays pinned across the first commit.
+	gu, releaseBase, err := srv.graphFor(unweighted)
 	if err != nil {
 		t.Fatal(err)
+	}
+	gw, releaseW, err := srv.graphFor(weighted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	releaseW()
+	if gu.Weighted() || !gw.Weighted() || gu != gw.Unweighted() {
+		t.Fatalf("sequence 0: unweighted read %v is not the view of the weighted base %v", gu, gw)
+	}
+	if cs := srv.cache.stats(); cs.Entries != 1 || cs.Misses != 1 {
+		t.Fatalf("graph cache %+v at sequence 0, want one entry for the dataset and scale", cs)
 	}
 	_, releaseOther, err := srv.graphFor(otherScale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	releaseOther()
-	unweightedBase := baseKey(unweighted.data, unweighted.scale, false)
+	base := baseKey(unweighted.data, unweighted.scale)
 
 	const commits = 3
 	for i := 1; i <= commits; i++ {
@@ -346,14 +356,11 @@ func TestCommitRetiresSnapshotsNotTheBase(t *testing.T) {
 		if st != 200 || mr.Seq != uint64(i) {
 			t.Fatalf("commit %d: status %d %+v", i, st, mr)
 		}
+		if ok, doomed := resident(base); !ok || doomed {
+			t.Fatalf("the base after commit %d: resident %t doomed %t, want resident and undoomed", i, ok, doomed)
+		}
 		if i == 1 {
-			if ok, doomed := resident(unweightedBase); !ok || !doomed {
-				t.Fatalf("pinned unweighted base after the commit: resident %t doomed %t, want doomed in place", ok, doomed)
-			}
 			releaseBase()
-			if ok, _ := resident(unweightedBase); ok {
-				t.Fatal("the unweighted base outlived its last pin")
-			}
 		}
 		gu, releaseU, err := srv.graphFor(unweighted)
 		if err != nil {
@@ -372,13 +379,13 @@ func TestCommitRetiresSnapshotsNotTheBase(t *testing.T) {
 		releaseU()
 		releaseW()
 	}
-	// Two unweighted bases, one load of the weighted base, one snapshot per
-	// commit; the other reads hit.
-	if cs := srv.cache.stats(); cs.Misses != 3+commits || cs.Hits != 2*commits-1 || cs.Entries != 3 {
-		t.Fatalf("graph cache %+v, want %d misses (two unweighted bases, the weighted base once, a snapshot per commit), %d hits, "+
-			"weighted base + newest snapshot + the other scale's base resident", cs, 3+commits, 2*commits-1)
+	// One load of each scale's base, one snapshot per commit; the other
+	// reads hit.
+	if cs := srv.cache.stats(); cs.Misses != 2+commits || cs.Hits != 1+2*commits || cs.Entries != 3 {
+		t.Fatalf("graph cache %+v, want %d misses (each scale's base once, a snapshot per commit), %d hits, "+
+			"base + newest snapshot + the other scale's base resident", cs, 2+commits, 1+2*commits)
 	}
-	if ok, _ := resident(baseKey(otherScale.data, otherScale.scale, false)); !ok {
+	if ok, _ := resident(baseKey(otherScale.data, otherScale.scale)); !ok {
 		t.Fatal("a commit at one scale retired another scale's base")
 	}
 	if ms := store.Stats(); ms.Folded != 1 || ms.Patched != commits-1 {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -159,11 +160,6 @@ var algos = map[string]bench.Algo{
 	"sssp": bench.SSSP,
 }
 
-var scales = map[string]gen.Scale{
-	"": gen.Tiny, "tiny": gen.Tiny, "small": gen.Small, "default": gen.Default,
-	"huge": gen.Huge,
-}
-
 // MaxMachines bounds the simulated cluster size a request may ask for.
 const MaxMachines = 16
 
@@ -182,6 +178,31 @@ func DecodeRequest(r io.Reader) (*resolved, error) {
 		return nil, badReq("trailing data after request object")
 	}
 	return resolve(req)
+}
+
+// resolveTarget checks what /run and /mutatez both address: the dataset,
+// its scale (empty means tiny) and budget_ms (0 means the server default).
+func resolveTarget(name, scale string, budgetMs int64) (gen.Dataset, gen.Scale, time.Duration, error) {
+	data := gen.Dataset(strings.TrimSpace(name))
+	if !slices.Contains(gen.Datasets(), data) {
+		return "", 0, 0, badReq("unknown dataset %q", name)
+	}
+	if scale == "" {
+		scale = "tiny"
+	}
+	sc, err := gen.ParseScale(scale)
+	if err != nil {
+		return "", 0, 0, badReq("%v", err)
+	}
+	if budgetMs < 0 {
+		return "", 0, 0, badReq("budget_ms %d is negative", budgetMs)
+	}
+	// Compare in milliseconds: converting first would overflow Duration
+	// for absurd values and slip past the check as a negative budget.
+	if budgetMs > MaxBudget.Milliseconds() {
+		return "", 0, 0, badReq("budget_ms %d exceeds the %v maximum", budgetMs, MaxBudget)
+	}
+	return data, sc, time.Duration(budgetMs) * time.Millisecond, nil
 }
 
 func resolve(req Request) (*resolved, error) {
@@ -203,27 +224,15 @@ func resolve(req Request) (*resolved, error) {
 			return nil, badReq("%s is not served on %s (PR runs everywhere; spmv/bp/bfs/sssp need polymer or ligra)", v.alg, v.sys)
 		}
 	}
-	if v.scale, ok = scales[strings.ToLower(req.Scale)]; !ok {
-		return nil, badReq("unknown scale %q (want tiny, small, default or huge)", req.Scale)
+	var err error
+	if v.data, v.scale, v.budget, err = resolveTarget(req.Graph, req.Scale, req.BudgetMs); err != nil {
+		return nil, err
 	}
-	v.data = gen.Dataset(strings.TrimSpace(req.Graph))
-	found := false
-	for _, d := range gen.Datasets() {
-		if d == v.data {
-			found = true
-			break
-		}
+	if v.mach = strings.ToLower(strings.TrimSpace(req.Machine)); v.mach == "" {
+		v.mach = "intel"
 	}
-	if !found {
-		return nil, badReq("unknown dataset %q", req.Graph)
-	}
-	switch strings.ToLower(req.Machine) {
-	case "", "intel":
-		v.topo, v.mach = numa.IntelXeon80(), "intel"
-	case "amd":
-		v.topo, v.mach = numa.AMDOpteron64(), "amd"
-	default:
-		return nil, badReq("unknown machine %q (want intel or amd)", req.Machine)
+	if v.topo, err = numa.TopologyByName(v.mach); err != nil {
+		return nil, badReq("%v", err)
 	}
 	if req.Sockets < 0 || req.Sockets > v.topo.Sockets {
 		return nil, badReq("sockets %d out of range [0,%d]", req.Sockets, v.topo.Sockets)
@@ -238,15 +247,6 @@ func resolve(req Request) (*resolved, error) {
 	if v.cores == 0 {
 		v.cores = v.topo.CoresPerSocket
 	}
-	if req.BudgetMs < 0 {
-		return nil, badReq("budget_ms %d is negative", req.BudgetMs)
-	}
-	// Compare in milliseconds: converting first would overflow Duration
-	// for absurd values and slip past the check as a negative budget.
-	if req.BudgetMs > MaxBudget.Milliseconds() {
-		return nil, badReq("budget_ms %d exceeds the %v maximum", req.BudgetMs, MaxBudget)
-	}
-	v.budget = time.Duration(req.BudgetMs) * time.Millisecond
 	if req.Retries < -1 || req.Retries > 10 {
 		return nil, badReq("retries %d out of range [-1,10]", req.Retries)
 	}

@@ -23,8 +23,6 @@ import (
 	"time"
 
 	"polymer/internal/bench"
-	"polymer/internal/cluster"
-	"polymer/internal/fault"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/mutate"
@@ -47,13 +45,9 @@ type Config struct {
 	// deadline is cancelled through its context (default 5s).
 	DrainTimeout time.Duration
 	// RetryMax is the default number of whole-run retries after a failed
-	// execution (default 2); each retry waits RetryBase * 2^attempt
-	// +/- 50% deterministic jitter (default base 10ms).
-	RetryMax  int
-	RetryBase time.Duration
-	// RestartMax caps whole-run restarts for setup-time faults inside one
-	// execution attempt (default 3).
-	RestartMax int
+	// execution (default 2); each retry waits retryBase * 2^attempt
+	// +/- 50% deterministic jitter.
+	RetryMax int
 	// BreakerThreshold trips an engine's circuit after that many
 	// consecutive failed executions (default 3); BreakerCooldown is the
 	// open period before a half-open probe (default 2s).
@@ -105,6 +99,14 @@ type Config struct {
 	noWorkers bool
 }
 
+// retryBase is the first retry's backoff, and restartMax caps whole-run
+// restarts for setup-time faults inside one execution attempt (a request's
+// restarts field overrides it).
+const (
+	retryBase  = 10 * time.Millisecond
+	restartMax = 3
+)
+
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -122,12 +124,6 @@ func (c Config) withDefaults() Config {
 		c.RetryMax = 0
 	} else if c.RetryMax == 0 {
 		c.RetryMax = 2
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 10 * time.Millisecond
-	}
-	if c.RestartMax <= 0 {
-		c.RestartMax = 3
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -246,6 +242,9 @@ type task struct {
 	// mut, when non-nil, is the mutation batch this task commits; the
 	// worker routes it through executeMutate (and v is nil).
 	mut *mutation
+	// lease is a planned run's socket assignment, taken by attempt; nil
+	// for explicit requests.
+	lease *plan.Lease
 }
 
 // Server owns the admission queue, the worker pool, the per-engine
@@ -437,12 +436,9 @@ func classifyCtxErr(err error) (resKind, int) {
 	return kindCancelled, 503
 }
 
-// execute runs one admitted run to its outcomes: seal, load the graph,
-// validate each source (a bad one fails its own slot with a 400), run the
-// live sources — one through the resilient path, k through one fused
-// multi-source sweep — and publish. Each slot resolves as a full-fidelity
-// result, degraded result, breaker refusal, deadline expiry,
-// cancellation, or failure after retries.
+// execute runs one admitted run to its outcomes: seal, answer a run that
+// expired in the queue, load the graph, fail each out-of-range source in
+// its own slot with a 400, hand the live sources to attempt and publish.
 func (s *Server) execute(t *task) {
 	start := time.Now()
 	startMicros := obs.NowMicros()
@@ -465,22 +461,18 @@ func (s *Server) execute(t *task) {
 		resp.Tier = v.tier.Policy.String()
 		resp.DramBytes = v.tier.DRAMPerNode
 	}
-	// lease is the planned run's socket assignment; nil for explicit
-	// requests. finish reads it, so it is declared (and later assigned)
-	// before the closure is built.
-	var lease *plan.Lease
 	// finish gives every slot not already resolved on its own the run-wide
 	// outcome, caches the full-fidelity results and publishes.
 	finish := func(kind resKind, status int, out Response) {
 		wall := float64(time.Since(start).Microseconds()) / 1000
 		breaker := string(s.breakers[v.sys].State())
 		tenants := 0
-		if lease != nil && lease.Tenants() > 1 {
+		if t.lease != nil && t.lease.Tenants() > 1 {
 			// The machine was shared: every waiter reports the co-tenancy
 			// and the honest wall-clock-style charge. The payload itself is
 			// untouched — sharing simulated sockets never changes what was
 			// computed, only what it cost.
-			tenants = lease.Tenants()
+			tenants = t.lease.Tenants()
 		}
 		// Full-fidelity fault-free results feed the versioned cache, each
 		// under the key the equivalent single-source request looks up.
@@ -488,7 +480,7 @@ func (s *Server) execute(t *task) {
 		// timing fields, and the key carries no hedge bit. Non-default
 		// leases don't either: a run on non-prefix or shared sockets is
 		// not bit-identical to the canonical machine the key names.
-		cache := v.reusable() && !v.hedge && (lease == nil || lease.Default())
+		cache := v.reusable() && !v.hedge && (t.lease == nil || t.lease.Default())
 		for i := range outs {
 			if outs[i].status == 0 {
 				outs[i] = outcome{kind: kind, status: status, resp: out}
@@ -539,8 +531,8 @@ func (s *Server) execute(t *task) {
 		finish(kindFailed, 500, resp)
 		return
 	}
-	// The pin outlives every use of g below (including the degraded path),
-	// so eviction can never free a graph out from under a running request.
+	// The pin outlives every use of g below, so eviction can never free a
+	// graph out from under a running request.
 	defer release()
 	live := make([]graph.Vertex, 0, len(srcs))
 	liveSlot := make([]int, 0, len(srcs))
@@ -559,146 +551,13 @@ func (s *Server) execute(t *task) {
 		return
 	}
 
-	if v.clustered() {
-		// Cluster runs bypass the per-engine breaker: the substrate has
-		// its own health tracking and fails shards over to replicas
-		// instead of tripping a circuit.
-		s.executeCluster(t, g, resp, finish)
-		return
-	}
-
-	var res attemptResult
-	res, lease = s.attempt(t, g, live)
-	defer lease.Release()
-	if res.kind == kindBroken {
-		// Only PageRank-class runs have a degraded route, and they always
-		// have exactly one source; a traversal run is refused whole.
-		s.degradedOrRefuse(t, g, resp, finish)
-		return
-	}
-	resp.Attempts, resp.Rollbacks, resp.Restarts = res.attempts, res.rollbacks, res.restarts
-	if res.err != nil {
-		resp.Error = res.err.Error()
-		finish(res.kind, res.status, resp)
-		return
-	}
-	resp.SimSeconds, resp.PeakBytes, resp.BoundsSeq = res.sim, res.peak, res.boundsSeq
-	if v.tier.Tiered() {
-		resp.SlowRate = res.slowRate
-	}
-	if len(live) > 1 {
-		// Provenance: the accounting fields describe the fused sweep.
-		resp.BatchSize = len(live)
-	} else {
-		// A run of one source is indistinguishable from a direct run — its
-		// simulated time is exactly what the model predicted, so it may
-		// teach the learner. Fused sweeps may not: their cost covers k
-		// sources at once.
-		s.observePlan(v, lease, res.sim)
-	}
-	for j, cs := range res.checksums {
+	kind, status, sums := s.attempt(t, g, live, &resp)
+	defer t.lease.Release()
+	for j, cs := range sums {
 		resp.Checksum = cs
-		outs[liveSlot[j]] = outcome{kind: kindCompleted, status: 200, resp: resp}
+		outs[liveSlot[j]] = outcome{kind: kind, status: status, resp: resp}
 	}
-	finish(kindCompleted, 200, resp)
-}
-
-// clusterChaosSteps is the window (in supersteps) a fault_seed chaos
-// schedule lands its events in on cluster requests.
-const clusterChaosSteps = 3
-
-// clusterStatus is the /metricsz and /readyz view of the most recent
-// cluster run: member health, shard placement and cumulative link bytes.
-type clusterStatus struct {
-	Machines  []cluster.MachineHealth `json:"machines"`
-	Healthy   int                     `json:"healthy"`
-	Total     int                     `json:"total"`
-	Failovers int                     `json:"failovers"`
-	NetBytes  float64                 `json:"net_bytes"`
-	Links     [][]float64             `json:"links"`
-}
-
-// executeCluster runs one admitted request on the replicated sharded
-// cluster substrate. Faults are survived inside the run (failover +
-// checkpoint replay), so a returned error is terminal: no retry loop.
-func (s *Server) executeCluster(t *task, g *graph.Graph, resp Response, finish func(resKind, int, Response)) {
-	v := t.v
-	cfg := cluster.Config{
-		Machines: v.machines, Replicas: v.replicas,
-		Topo: v.topo, Nodes: v.nodes, Cores: v.cores,
-		// The hedge leg serves every shard from a standby replica, so a
-		// primary wedged on its home machines doesn't wedge the hedge.
-		PreferReplica: v.hedge,
-		Tracer:        s.cfg.Tracer,
-	}
-	if v.req.FaultSeed != 0 {
-		cfg.Events = fault.ClusterChaos(v.req.FaultSeed, clusterChaosSteps, v.machines)
-	}
-	c, err := cluster.New(g, cfg)
-	if err != nil {
-		resp.Error = err.Error()
-		finish(kindFailed, 400, resp)
-		return
-	}
-	res, err := c.Run(t.ctx, clusterAlgos[v.alg], v.src)
-	if err != nil {
-		resp.Error = err.Error()
-		if ctxErr(err) {
-			kind, status := classifyCtxErr(err)
-			finish(kind, status, resp)
-			return
-		}
-		finish(kindFailed, 500, resp)
-		return
-	}
-	healthy := 0
-	for _, m := range res.Machines {
-		if m.State == "healthy" {
-			healthy++
-		}
-	}
-	s.lastCluster.Store(&clusterStatus{
-		Machines: res.Machines, Healthy: healthy, Total: v.machines,
-		Failovers: res.Failovers, NetBytes: res.NetBytes, Links: res.Links,
-	})
-	resp.Attempts = 1
-	resp.SimSeconds = res.SimSeconds
-	resp.Checksum = res.Checksum
-	resp.Machines = v.machines
-	resp.Replicas = v.replicas
-	resp.Supersteps = res.Supersteps
-	resp.Failovers = res.Failovers
-	resp.NetBytes = res.NetBytes
-	resp.Hedged = v.hedge
-	finish(kindCompleted, 200, resp)
-}
-
-// degradedOrRefuse handles a request whose engine circuit is open:
-// PageRank-class requests are served by the honest degraded path (the run
-// is re-provisioned on a machine that permanently lost a NUMA node, with
-// the migration cost charged), everything else gets 503 + Retry-After.
-func (s *Server) degradedOrRefuse(t *task, g *graph.Graph, resp Response, finish func(resKind, int, Response)) {
-	v := t.v
-	if v.alg == bench.PR && v.nodes >= 2 {
-		dr, err := bench.RunPolymerDegraded(g, v.topo, v.nodes, v.cores, 0, 0)
-		if err == nil {
-			resp.Degraded = true
-			resp.LostNode = dr.FailedNode
-			resp.Attempts = 1
-			resp.SimSeconds = dr.Result.SimSeconds
-			resp.Checksum = dr.Result.Checksum
-			resp.PeakBytes = dr.Result.PeakBytes
-			resp.BoundsSeq = dr.Result.BoundsSeq
-			s.lineage.add(dr.Result.Lineage)
-			finish(kindDegraded, 200, resp)
-			return
-		}
-		resp.Error = err.Error()
-		finish(kindFailed, 500, resp)
-		return
-	}
-	resp.Error = fmt.Sprintf("circuit open for %s", v.sys)
-	finish(kindBroken, 503, resp)
+	finish(kind, status, resp)
 }
 
 // cancelProbe releases a half-open probe slot without judging the engine
@@ -709,7 +568,7 @@ func (b *Breaker) cancelProbe() {
 	b.probing = false
 }
 
-// sleepBackoff waits RetryBase * 2^(attempt-1), capped at one second,
+// sleepBackoff waits base * 2^(attempt-1), capped at one second,
 // +/- 50% deterministic jitter derived from (seed, attempt) so retry
 // storms decorrelate without nondeterministic tests. It reports false if
 // the context expired first.
@@ -736,26 +595,23 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int, seed uin
 }
 
 // graphFor returns the request's dataset through the singleflight cache:
-// concurrent requests for the same (dataset, scale, weighted) key share
-// one load without any request holding a lock across gen.Load, so a slow
-// dataset build never blocks requests for other graphs. The returned
-// release unpins the graph; graphs are immutable after construction, so
-// concurrent runs share them freely.
+// concurrent requests for the same key share one load without any request
+// holding a lock across gen.Load, so a slow dataset build never blocks
+// requests for other graphs. The returned release unpins the graph; graphs
+// are immutable after construction, so concurrent runs share them freely.
 //
-// With a mutation store attached, the dataset's committed mutation
-// sequence number is sampled here. At sequence 0 nothing changes: the key
-// is the generated base's. After a commit there is one entry per (dataset,
-// scale, seq) — the weighted snapshot, which the store derives from the
-// weighted base (resident under its sequence-0 key, which a commit does
-// not invalidate) — and an unweighted algorithm reads it through
+// A dataset has one graph at every sequence number: the weighted one. At
+// sequence 0 it is the generated base, under baseKey. With a mutation
+// store attached, the dataset's committed sequence number is sampled here,
+// and after a commit there is one entry per (dataset, scale, seq): the
+// snapshot the store derives from the base, which stays resident (a commit
+// does not invalidate it). An unweighted algorithm reads either through
 // graph.Unweighted, the same index and neighbour arrays without the
-// weights; the scale's unweighted base is never read again, and the
-// commit drops it. Each commit so publishes one immutable snapshot under a
+// weights. Each commit so publishes one immutable snapshot under a
 // distinct key, requests that sampled before the commit keep their pinned
 // pre-commit snapshot (snapshot isolation), and the commit's invalidation
 // dooms the old entry so the last release frees it.
 func (s *Server) graphFor(v *resolved) (*graph.Graph, func(), error) {
-	weighted := v.alg.Weighted()
 	var seq uint64
 	if s.mut != nil {
 		var err error
@@ -763,22 +619,22 @@ func (s *Server) graphFor(v *resolved) (*graph.Graph, func(), error) {
 			return nil, nil, err
 		}
 	}
-	base := func(w bool) (*graph.Graph, func(), error) {
-		return s.cache.get(baseKey(v.data, v.scale, w),
-			func() (*graph.Graph, error) { return gen.Load(v.data, v.scale, w) })
-	}
-	if seq == 0 {
-		return base(weighted)
-	}
-	g, release, err := s.cache.get(fmt.Sprintf("%s|%d|m%d", v.data, v.scale, seq), func() (*graph.Graph, error) {
-		b, releaseBase, err := base(true)
-		if err != nil {
-			return nil, err
+	key := baseKey(v.data, v.scale)
+	load := func() (*graph.Graph, error) { return gen.Load(v.data, v.scale, true) }
+	if seq > 0 {
+		base, loadBase := key, load
+		key = fmt.Sprintf("%s|%d|m%d", v.data, v.scale, seq)
+		load = func() (*graph.Graph, error) {
+			b, releaseBase, err := s.cache.get(base, loadBase)
+			if err != nil {
+				return nil, err
+			}
+			defer releaseBase()
+			return s.mut.GraphAt(string(v.data), int(v.scale), seq, b)
 		}
-		defer releaseBase()
-		return s.mut.GraphAt(string(v.data), int(v.scale), seq, b)
-	})
-	if err == nil && !weighted && !gen.AlwaysWeighted(v.data) {
+	}
+	g, release, err := s.cache.get(key, load)
+	if err == nil && !v.alg.Weighted() && !gen.AlwaysWeighted(v.data) {
 		g = g.Unweighted()
 	}
 	return g, release, err

@@ -40,8 +40,8 @@ go test -race \
 	./internal/cluster/... \
 	./internal/plan/...
 
-echo "==> go test -race -count=10 (shared runs: join, seal, detach and publish races)"
-go test -race -count=10 -run 'Coalesce|Batch|Invalidation|Drain|Deadline|Disconnect|SharedLease' ./internal/serve/
+echo "==> go test -race -count=10 (shared runs: join, seal, detach and publish races; cluster, hedged and degraded runs through the one attempt)"
+go test -race -count=10 -run 'Coalesce|Batch|Invalidation|Drain|Deadline|Disconnect|SharedLease|Cluster|Hedge|Degrade' ./internal/serve/
 
 echo "==> go test -race -count=5 (concurrent reads of a fresh successor: one layout patch, shared)"
 go test -race -count=5 -run 'TestConcurrentReadsShareSnapshotLayouts' ./internal/serve/
@@ -70,8 +70,10 @@ go test -count=5 -cpu 1,2,8 -run 'TestLayoutPatchMatchesBuild' ./internal/core/
 # loops: random and fixed segments, with and without IDs, under full,
 # empty and sparse leaves.
 go test -count=5 -cpu 1,2,8 -run 'TestPushRowMatchesUpdateLoop|TestPullRowMatchesUpdateLoop' ./internal/algorithms/
-# Every clock and slow rate of the tiered-memory sweep against its golden.
-go test -count=5 -cpu 1,2,8 -run 'TestTierSweepGolden' ./internal/bench/
+# Every clock and slow rate of the tiered-memory sweep against its golden;
+# every unweighted cell polymerd serves on a weighted base's view against
+# the same cell on an unweighted load.
+go test -count=5 -cpu 1,2,8 -run 'TestTierSweepGolden|TestUnweightedViewRunsLikeUnweightedLoad' ./internal/bench/
 
 echo "==> sweep, segment-shape, sparse-BFS, layout-patch, phase-fold and cold-decision benchmark smoke (host ns/edge of the shared sweep on both engines and of both segment loop shapes; ns per road-grid BFS; one 32-op layout patch; ns per phase folded; one planner decision; one iteration a case)"
 go test -run '^$' -bench BenchmarkSweepNsPerEdge -benchtime 1x ./internal/core/ >/dev/null
