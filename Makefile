@@ -12,8 +12,8 @@ test:
 # and runtime packages (a phase runs on one goroutine; the pass proves no
 # second one reaches its plain loads and stores) + the fault-injection
 # matrix under -race + the determinism gate (-count=5 -cpu 1,2,8 over the
-# root, simdump, conform, obs, plan and serve packages and the tier sweep
-# golden) + the full suite with -shuffle=on.
+# root, conform, obs, plan and serve packages and the dump and tier sweep
+# goldens) + the full suite with -shuffle=on.
 check:
 	sh scripts/check.sh
 
@@ -21,14 +21,14 @@ check:
 # invariant suite plus a small CLI sweep. Runs on every push.
 conform:
 	$(GO) test ./internal/conform/...
-	$(GO) run ./cmd/conform -seed 1 -graphs 4
+	$(GO) run ./cmd/polymer conform -seed 1 -graphs 4
 
 # Nightly conformance tier: the suite under the race detector plus a
 # deep seeded sweep. On divergence the CLI writes conform-repro.el, a
 # minimal loadable failing graph.
 conform-nightly:
 	$(GO) test -race -count=2 ./internal/conform/...
-	$(GO) run ./cmd/conform -seed $${CONFORM_SEED:-1} -graphs 32 -out conform-repro.el
+	$(GO) run ./cmd/polymer conform -seed $${CONFORM_SEED:-1} -graphs 32 -out conform-repro.el
 
 # Crash-recovery soak: the full crash-point injection matrix under -race
 # with an enlarged seed budget (MUTATE_SOAK_SEEDS trials per point,
@@ -53,7 +53,7 @@ cluster-soak:
 # single-box evaluation size) across 1..8 machines, with the per-link
 # and per-hop traffic evidence from each kernel's largest run.
 cluster-sweep:
-	$(GO) run ./cmd/experiments -exp cluster -scale huge
+	$(GO) run ./cmd/polymer experiments -exp cluster -scale huge
 
 # Planner demo: profile a graph, print the full scored decision table,
 # and run the pick. -system auto hands the choice to the cost model.
@@ -65,7 +65,7 @@ plan:
 # writes their per-cell and per-candidate CSVs, which nightly CI uploads.
 # The 10% cost-regret gate is tier-1's TestFullCorpusCostRegretGate.
 plan-sweep:
-	$(GO) run ./cmd/experiments -exp plan -csv plan-sweep
+	$(GO) run ./cmd/polymer experiments -exp plan -csv plan-sweep
 
 # Traced PageRank run: per-superstep breakdown on stdout, Chrome trace
 # JSON in trace.json (open in https://ui.perfetto.dev or chrome://tracing).

@@ -5,7 +5,7 @@ package polymer_test
 // in DESIGN.md. Each benchmark regenerates its experiment end-to-end and
 // reports the headline simulated metric via b.ReportMetric, so
 // `go test -bench=. -benchmem` reproduces the whole evaluation at test
-// scale. cmd/experiments prints the same experiments at Default scale.
+// scale. polymer experiments prints the same experiments at Default scale.
 
 import (
 	"testing"

@@ -1,35 +1,42 @@
-// Command conform sweeps the cross-engine conformance matrix over a
-// seeded graph corpus and, on the first divergence, shrinks the failing
-// graph to a minimal reproducer and writes it as a loadable edge list.
-//
-//	conform -seed 1 -graphs 8                  # full sweep, exit 1 on divergence
-//	conform -inject cc-directed -out repro.el  # demo: minimise an injected bug
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"polymer/internal/conform"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 )
 
-func main() {
-	var (
-		seed   = flag.Uint64("seed", 1, "base seed for the random graph corpus")
-		graphs = flag.Int("graphs", 4, "number of seeded random graphs (on top of the adversarial shapes)")
-		topo   = flag.String("topo", "both", "topology to sweep: intel80, amd64 or both")
-		inject = flag.String("inject", "", "instead of sweeping engines, minimise a deliberately injected oracle bug (pr-selfloop, cc-directed, bfs-offbyone)")
-		out    = flag.String("out", "conform-repro.el", "path for the minimised failing graph")
-	)
-	flag.Parse()
+// conformSweep sweeps the cross-engine conformance matrix over a seeded
+// graph corpus and, on the first divergence, shrinks the failing graph to
+// a minimal reproducer and writes it as a loadable edge list:
+//
+//	polymer conform -seed 1 -graphs 8                  # full sweep, exit 1 on divergence
+//	polymer conform -inject cc-directed -out repro.el  # demo: minimise an injected bug
+func conformSweep(args []string) {
+	fs := flag.NewFlagSet("conform", flag.ExitOnError)
+	seed := fs.Uint64("seed", 1, "base seed for the random graph corpus")
+	graphs := fs.Int("graphs", 4, "number of seeded random graphs (on top of the adversarial shapes)")
+	machine := fs.String("machine", "both", "topology to sweep: intel, amd or both")
+	inject := fs.String("inject", "", "instead of sweeping engines, minimise a deliberately injected oracle bug (pr-selfloop, cc-directed, bfs-offbyone)")
+	out := fs.String("out", "conform-repro.el", "path for the minimised failing graph")
+	fs.Parse(args)
 
 	if *inject != "" {
 		os.Exit(runInject(conform.InjectedBug(*inject), *seed, *graphs, *out))
 	}
-	os.Exit(runSweep(*seed, *graphs, *topo, *out))
+	ts := conform.Topos()
+	if *machine != "both" {
+		if !slices.Contains(ts, conform.Topo(*machine)) {
+			fail("unknown machine %q (want intel, amd or both)", *machine)
+		}
+		ts = []conform.Topo{conform.Topo(*machine)}
+	}
+	os.Exit(runSweep(*seed, *graphs, ts, *out))
 }
 
 // corpusEntry is one graph of the sweep, kept as raw edges so it can be
@@ -60,24 +67,7 @@ func corpus(seed uint64, graphs int) []corpusEntry {
 	return cs
 }
 
-func topos(sel string) ([]conform.Topo, error) {
-	switch sel {
-	case "both":
-		return conform.Topos(), nil
-	case string(conform.Intel80):
-		return []conform.Topo{conform.Intel80}, nil
-	case string(conform.AMD64):
-		return []conform.Topo{conform.AMD64}, nil
-	}
-	return nil, fmt.Errorf("unknown topology %q", sel)
-}
-
-func runSweep(seed uint64, graphs int, topoSel, out string) int {
-	ts, err := topos(topoSel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "conform:", err)
-		return 2
-	}
+func runSweep(seed uint64, graphs int, ts []conform.Topo, out string) int {
 	cases := 0
 	for _, ent := range corpus(seed, graphs) {
 		g := graph.FromEdges(ent.n, ent.edges, ent.weighted)
@@ -106,13 +96,7 @@ func runSweep(seed uint64, graphs int, topoSel, out string) int {
 }
 
 func runInject(b conform.InjectedBug, seed uint64, graphs int, out string) int {
-	found := false
-	for _, bug := range conform.InjectedBugs() {
-		if bug == b {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(conform.InjectedBugs(), b) {
 		fmt.Fprintf(os.Stderr, "conform: unknown injected bug %q\n", b)
 		return 2
 	}
@@ -138,13 +122,7 @@ func reportShrunk(ent corpusEntry, label string, fails conform.Failing, out stri
 	sn, sedges := conform.Shrink(ent.n, append([]graph.Edge(nil), ent.edges...), fails)
 	fmt.Fprintf(os.Stderr, "conform: shrunk %s from n=%d |E|=%d to n=%d |E|=%d\n",
 		ent.name, ent.n, len(ent.edges), sn, len(sedges))
-	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "conform:", err)
-		return
-	}
-	defer f.Close()
-	if err := graph.WriteEdgeList(f, sn, sedges, ent.weighted); err != nil {
+	if err := writeEdges(sn, sedges, ent.weighted, "text", out); err != nil {
 		fmt.Fprintln(os.Stderr, "conform:", err)
 		return
 	}

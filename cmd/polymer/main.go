@@ -1,6 +1,13 @@
-// Command polymer runs one graph algorithm on one dataset with a chosen
+// Command polymer is the one command line over the reproduction. With no
+// sub-command it runs one graph algorithm on one dataset with a chosen
 // engine and prints the simulated runtime, access statistics and a result
-// summary.
+// summary. A first argument that does not start with "-" names a
+// sub-command, which keeps its own flags:
+//
+//	polymer experiments  the paper's tables and figures, and the experiments beyond it
+//	polymer dump         the bit-exact simulated outputs of every system x algorithm cell
+//	polymer graphgen     write a dataset or a custom graph as a loadable file
+//	polymer conform      sweep the cross-engine conformance matrix and shrink a divergence
 //
 // Usage:
 //
@@ -14,6 +21,10 @@
 //	polymer -algo pr -graph powerlaw -scale tiny -trace trace.json -breakdown
 //	polymer -algo pr -graph powerlaw -scale huge -machines 4 -replicas 2
 //	polymer -algo bfs -graph rmat24 -machines 6 -replicas 4 -fault-seed 11
+//	polymer experiments -scale tiny -exp table3,fig7
+//	polymer dump -scale small
+//	polymer graphgen -dataset twitter -scale small -o twitter.txt
+//	polymer conform -seed 1 -graphs 8
 package main
 
 import (
@@ -21,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -35,56 +47,66 @@ import (
 	"polymer/internal/plan"
 )
 
-func main() {
-	algoFlag := flag.String("algo", "pr", "algorithm: pr, spmv, bp, bfs, cc or sssp")
-	graphFlag := flag.String("graph", "twitter", "dataset: twitter, rmat24, rmat27, powerlaw or roadUS")
-	fileFlag := flag.String("file", "", "load an edge-list file instead of a generated dataset")
-	systemFlag := flag.String("system", "polymer", "engine: polymer, ligra, xstream, galois or auto (cost-model planner chooses)")
-	planFlag := flag.Bool("plan", false, "print the planner's scored decision table before running")
-	scaleFlag := flag.String("scale", "default", "dataset scale: tiny, small, default or huge")
-	machineFlag := flag.String("machine", "intel", "topology: intel or amd")
-	socketsFlag := flag.Int("sockets", 0, "sockets to use (0 = all)")
-	coresFlag := flag.Int("cores", 0, "cores per socket (0 = all)")
-	srcFlag := flag.Uint("src", 0, "source vertex for bfs/sssp")
-	phasesFlag := flag.Bool("phases", false, "print the per-phase execution trace (polymer only)")
-	traceFlag := flag.String("trace", "", "write a Chrome trace_event JSON file (open in Perfetto or chrome://tracing)")
-	breakdownFlag := flag.Bool("breakdown", false, "print the per-superstep NUMA traffic breakdown")
-	faultFlag := flag.String("fault", "", "inject a fault spec, e.g. panic@2:t3,stall@1:t0,offline@1:n1,link@3:n0-n1*0.25,alloc@-1")
-	faultSeedFlag := flag.Uint64("fault-seed", 0, "generate a deterministic fault schedule from this seed (overridden by -fault)")
-	faultRetriesFlag := flag.Int("fault-retries", 3, "whole-run restarts allowed for setup-time faults")
-	machinesFlag := flag.Int("machines", 0, "replicated cluster run across this many simulated machines (0 = single machine)")
-	replicasFlag := flag.Int("replicas", 0, "replicas per shard for cluster runs (0 = min(2, machines))")
-	dramBytesFlag := flag.Int64("dram-bytes", 0, "per-node DRAM budget in bytes (0 = untiered; demand beyond it spills to the simulated slow tier)")
-	tierFlag := flag.String("tier", "hot", "tier placement policy when -dram-bytes is set: hot (degree-ranked residency) or interleave (uniform spill)")
-	promoteEveryFlag := flag.Int("promote-every", 1, "phases between hot-policy promotion passes (0 = static placement)")
-	flag.Parse()
+// commands are the sub-commands; a bare flag list runs one algorithm.
+var commands = map[string]func(args []string){
+	"experiments": experiments,
+	"dump":        dump,
+	"graphgen":    graphgen,
+	"conform":     conformSweep,
+}
 
-	alg, ok := map[string]bench.Algo{
-		"pr": bench.PR, "spmv": bench.SpMV, "bp": bench.BP,
-		"bfs": bench.BFS, "cc": bench.CC, "sssp": bench.SSSP,
-	}[strings.ToLower(*algoFlag)]
-	if !ok {
-		fail("unknown algorithm %q", *algoFlag)
+func main() {
+	args := os.Args[1:]
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		run(args)
+		return
 	}
+	cmd, ok := commands[args[0]]
+	if !ok {
+		names := make([]string, 0, len(commands))
+		for name := range commands {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		fail("unknown command %q (want %s, or run flags)", args[0], strings.Join(names, ", "))
+	}
+	cmd(args[1:])
+}
+
+func run(args []string) {
+	fs := flag.NewFlagSet("polymer", flag.ExitOnError)
+	algoFlag := fs.String("algo", "pr", "algorithm: pr, spmv, bp, bfs, cc or sssp")
+	graphFlag := fs.String("graph", "twitter", "dataset: twitter, rmat24, rmat27, powerlaw or roadUS")
+	fileFlag := fs.String("file", "", "load an edge-list file instead of a generated dataset")
+	systemFlag := fs.String("system", "polymer", "engine: polymer, ligra, xstream, galois or auto (cost-model planner chooses)")
+	planFlag := fs.Bool("plan", false, "print the planner's scored decision table before running")
+	scaleFlag := fs.String("scale", "default", "dataset scale: tiny, small, default or huge")
+	machineFlag := fs.String("machine", "intel", "topology: intel or amd")
+	socketsFlag := fs.Int("sockets", 0, "sockets to use (0 = all)")
+	coresFlag := fs.Int("cores", 0, "cores per socket (0 = all)")
+	srcFlag := fs.Uint("src", 0, "source vertex for bfs/sssp")
+	phasesFlag := fs.Bool("phases", false, "print the edgemap and vertexmap phases the run's tracer sees (polymer and ligra; under -fault, rolled-back attempts' phases too)")
+	traceFlag := fs.String("trace", "", "write a Chrome trace_event JSON file (open in Perfetto or chrome://tracing)")
+	breakdownFlag := fs.Bool("breakdown", false, "print the per-superstep NUMA traffic breakdown")
+	faultFlag := fs.String("fault", "", "inject a fault spec, e.g. panic@2:t3,stall@1:t0,offline@1:n1,link@3:n0-n1*0.25,alloc@-1")
+	faultSeedFlag := fs.Uint64("fault-seed", 0, "generate a deterministic fault schedule from this seed (overridden by -fault)")
+	faultRetriesFlag := fs.Int("fault-retries", 3, "whole-run restarts allowed for setup-time faults")
+	machinesFlag := fs.Int("machines", 0, "replicated cluster run across this many simulated machines (0 = single machine)")
+	replicasFlag := fs.Int("replicas", 0, "replicas per shard for cluster runs (0 = min(2, machines))")
+	dramBytesFlag := fs.Int64("dram-bytes", 0, "per-node DRAM budget in bytes (0 = untiered; demand beyond it spills to the simulated slow tier)")
+	tierFlag := fs.String("tier", "hot", "tier placement policy when -dram-bytes is set: hot (degree-ranked residency) or interleave (uniform spill)")
+	promoteEveryFlag := fs.Int("promote-every", 1, "phases between hot-policy promotion passes (0 = static placement)")
+	fs.Parse(args)
+
+	alg, err := bench.ParseAlgo(*algoFlag)
+	check(err)
 	autoSys := strings.EqualFold(*systemFlag, "auto")
 	var sys bench.System
 	if !autoSys {
-		sys, ok = map[string]bench.System{
-			"polymer": bench.Polymer, "ligra": bench.Ligra,
-			"xstream": bench.XStream, "x-stream": bench.XStream, "galois": bench.Galois,
-		}[strings.ToLower(*systemFlag)]
-		if !ok {
-			fail("unknown system %q (want polymer, ligra, xstream, galois or auto)", *systemFlag)
-		}
+		sys, err = bench.ParseSystem(*systemFlag)
+		check(err)
 	}
-	sc, err := gen.ParseScale(*scaleFlag)
-	if err != nil {
-		fail("%v", err)
-	}
-	topo, err := numa.TopologyByName(*machineFlag)
-	if err != nil {
-		fail("%v", err)
-	}
+	sc, topo := parseScale(*scaleFlag), parseMachine(*machineFlag)
 	sockets, cores := *socketsFlag, *coresFlag
 	if sockets == 0 {
 		sockets = topo.Sockets
@@ -98,10 +120,8 @@ func main() {
 	// stays DRAM-resident.
 	var tierCfg numa.TierConfig
 	if *dramBytesFlag > 0 {
-		pol, perr := numa.ParseTierPolicy(*tierFlag)
-		if perr != nil {
-			fail("%v", perr)
-		}
+		pol, err := numa.ParseTierPolicy(*tierFlag)
+		check(err)
 		if pol == numa.TierNone {
 			fail("-dram-bytes needs a tier policy: pass -tier hot or -tier interleave")
 		}
@@ -110,39 +130,10 @@ func main() {
 
 	var g *graph.Graph
 	if *fileFlag != "" {
-		f, ferr := os.Open(*fileFlag)
-		if ferr != nil {
-			fail("%v", ferr)
-		}
-		var (
-			n        int
-			edges    []graph.Edge
-			weighted bool
-			perr     error
-		)
-		switch {
-		case strings.HasSuffix(*fileFlag, ".gr"):
-			n, edges, perr = graph.ReadDIMACS(f)
-			weighted = true
-		case strings.HasSuffix(*fileFlag, ".bin"):
-			n, edges, weighted, perr = graph.ReadBinary(f)
-		default:
-			n, edges, weighted, perr = graph.ReadEdgeList(f)
-		}
-		f.Close()
-		if perr != nil {
-			fail("%v", perr)
-		}
-		if alg.Weighted() && !weighted {
-			gen.AddRandomWeights(edges, 1)
-			weighted = true
-		}
-		g = graph.FromEdges(n, edges, weighted)
+		g = loadFile(*fileFlag, alg)
 	} else {
 		g, err = bench.LoadDataset(gen.Dataset(*graphFlag), sc, alg)
-		if err != nil {
-			fail("%v", err)
-		}
+		check(err)
 	}
 	src := graph.Vertex(*srcFlag)
 	if int(src) >= g.NumVertices() {
@@ -150,10 +141,11 @@ func main() {
 	}
 
 	// The trace flags share one tracer: every sink sees the same event
-	// stream, so -trace and -breakdown compose.
+	// stream, so -trace, -breakdown and -phases compose.
 	var (
 		chrome *obs.Chrome
 		bd     *obs.Breakdown
+		phases *obs.PhaseLog
 		sinks  obs.Multi
 	)
 	if *traceFlag != "" {
@@ -163,6 +155,10 @@ func main() {
 	if *breakdownFlag {
 		bd = obs.NewBreakdown()
 		sinks = append(sinks, bd)
+	}
+	if *phasesFlag {
+		phases = &obs.PhaseLog{}
+		sinks = append(sinks, phases)
 	}
 	var tr *obs.Tracer
 	if len(sinks) > 0 {
@@ -179,12 +175,8 @@ func main() {
 		if tierCfg.Tiered() {
 			fail("-dram-bytes applies to single-machine runs only (cluster machines are untiered)")
 		}
-		calg, ok := map[bench.Algo]cluster.Algo{
-			bench.PR: cluster.PR, bench.BFS: cluster.BFS, bench.SSSP: cluster.SSSP,
-		}[alg]
-		if !ok {
-			fail("algorithm %s is not served on the cluster substrate (want pr, bfs or sssp)", alg)
-		}
+		calg, err := cluster.ParseAlgo(string(alg))
+		check(err)
 		if *faultFlag != "" {
 			fail("single-machine fault specs don't apply to cluster runs; use -fault-seed for cluster chaos")
 		}
@@ -196,38 +188,21 @@ func main() {
 			cfg.Events = fault.ClusterChaos(*faultSeedFlag, 3, *machinesFlag)
 		}
 		cl, err := cluster.New(g, cfg)
-		if err != nil {
-			fail("%v", err)
-		}
+		check(err)
 		wall := time.Now()
 		res, err := cl.Run(context.Background(), calg, src)
-		if err != nil {
-			fail("%v", err)
-		}
+		check(err)
 		elapsed := time.Since(wall)
 
-		healthy := 0
-		for _, mh := range res.Machines {
-			if mh.State == "healthy" {
-				healthy++
-			}
-		}
-		replicas := *replicasFlag
-		if replicas <= 0 {
-			replicas = 2
-		}
-		if replicas > *machinesFlag {
-			replicas = *machinesFlag
-		}
 		fmt.Printf("algorithm  : %s\n", alg)
 		fmt.Printf("graph      : %s\n", g)
 		fmt.Printf("cluster    : %d machines x (%d nodes x %d cores), %d replicas/shard\n",
-			*machinesFlag, sockets, cores, replicas)
+			*machinesFlag, sockets, cores, cluster.ReplicasFor(*machinesFlag, *replicasFlag))
 		fmt.Printf("sim time   : %.6f s\n", res.SimSeconds)
 		fmt.Printf("wall time  : %v\n", elapsed.Round(time.Millisecond))
 		fmt.Printf("supersteps : %d\n", res.Supersteps)
 		fmt.Printf("failovers  : %d\n", res.Failovers)
-		fmt.Printf("health     : %d/%d machines healthy\n", healthy, len(res.Machines))
+		fmt.Printf("health     : %d/%d machines healthy\n", res.Healthy(), len(res.Machines))
 		fmt.Printf("net traffic: %.2f MB\n", res.NetBytes/1e6)
 		fmt.Printf("remote rate: %.1f%%  (%.1fM remote accesses)\n", res.Stats.RemoteRate*100, float64(res.Stats.RemoteCount)/1e6)
 		fmt.Printf("checksum   : %g\n", res.Checksum)
@@ -247,7 +222,7 @@ func main() {
 		if bd != nil {
 			fmt.Printf("\n%s", bd.Format())
 		}
-		exportChrome(chrome, *traceFlag)
+		writeTrace(chrome, *traceFlag)
 		return
 	}
 
@@ -298,18 +273,14 @@ func main() {
 	}
 
 	m, err := numa.NewMachineChecked(topo, sockets, cores)
-	if err != nil {
-		fail("%v", err)
-	}
+	check(err)
 	if tierCfg.Tiered() {
-		if err := m.SetTierConfig(tierCfg); err != nil {
-			fail("%v", err)
-		}
+		check(m.SetTierConfig(tierCfg))
 	}
 
-	// One options value carries the source, the tracer, the planner's
-	// placement and the phase trace into whichever path runs.
-	opt := bench.Options{Src: src, Tracer: tr, Layout: layout, LayoutSet: layoutSet, Phases: *phasesFlag}
+	// One options value carries the source, the tracer and the planner's
+	// placement into whichever path runs.
+	opt := bench.Options{Src: src, Tracer: tr, Layout: layout, LayoutSet: layoutSet}
 	wall := time.Now()
 	var (
 		r   bench.RunResult
@@ -319,9 +290,7 @@ func main() {
 		var evs []*fault.Event
 		if *faultFlag != "" {
 			evs, err = fault.ParseSpec(*faultFlag)
-			if err != nil {
-				fail("%v", err)
-			}
+			check(err)
 		} else {
 			evs = fault.Schedule(*faultSeedFlag, 5, sockets*cores, sockets)
 		}
@@ -345,10 +314,10 @@ func main() {
 			fail("%v", err)
 		}
 		rep = &rr
-	} else if r, err = bench.RunWith(sys, alg, g, m, opt); err != nil {
-		fail("%v", err)
+	} else {
+		r, err = bench.RunWith(sys, alg, g, m, opt)
+		check(err)
 	}
-	phases := r.Phases
 	elapsed := time.Since(wall)
 
 	fmt.Printf("system     : %s\n", sys)
@@ -373,34 +342,62 @@ func main() {
 	if bd != nil {
 		fmt.Printf("\n%s", bd.Format())
 	}
-	exportChrome(chrome, *traceFlag)
-	if len(phases) > 0 {
+	writeTrace(chrome, *traceFlag)
+	if phases != nil && len(phases.Events) > 0 {
 		fmt.Printf("\n%-4s %-10s %-7s %-6s %12s %14s\n", "#", "phase", "repr", "dir", "active-in", "sim (usec)")
-		for i, p := range phases {
+		for i, ev := range phases.Events {
 			repr, dir := "sparse", "-"
-			if p.Dense {
+			if ev.Dense {
 				repr = "dense"
 			}
-			if p.Kind == "edgemap" {
-				if p.Push {
+			if ev.Name == "edgemap" {
+				if ev.Push {
 					dir = "push"
 				} else {
 					dir = "pull"
 				}
 			}
-			fmt.Printf("%-4d %-10s %-7s %-6s %12d %14.2f\n", i, p.Kind, repr, dir, p.ActiveIn, p.SimSeconds*1e6)
+			fmt.Printf("%-4d %-10s %-7s %-6s %12d %14.2f\n", i, ev.Name, repr, dir, ev.Active, ev.Dur)
 		}
 	}
 }
 
-func exportChrome(chrome *obs.Chrome, path string) {
+// loadFile reads a graph file by its suffix (.gr DIMACS, .bin binary,
+// anything else an edge list), adding random weights when alg needs them.
+func loadFile(path string, alg bench.Algo) *graph.Graph {
+	f, err := os.Open(path)
+	check(err)
+	var (
+		n        int
+		edges    []graph.Edge
+		weighted bool
+	)
+	switch {
+	case strings.HasSuffix(path, ".gr"):
+		n, edges, err = graph.ReadDIMACS(f)
+		weighted = true
+	case strings.HasSuffix(path, ".bin"):
+		n, edges, weighted, err = graph.ReadBinary(f)
+	default:
+		n, edges, weighted, err = graph.ReadEdgeList(f)
+	}
+	f.Close()
+	check(err)
+	if alg.Weighted() && !weighted {
+		gen.AddRandomWeights(edges, 1)
+		weighted = true
+	}
+	return graph.FromEdges(n, edges, weighted)
+}
+
+// writeTrace exports the Chrome trace sink to path; a nil sink writes
+// nothing.
+func writeTrace(chrome *obs.Chrome, path string) {
 	if chrome == nil {
 		return
 	}
 	f, err := os.Create(path)
-	if err != nil {
-		fail("%v", err)
-	}
+	check(err)
 	if err := chrome.Export(f); err != nil {
 		f.Close()
 		fail("writing trace: %v", err)
@@ -409,6 +406,27 @@ func exportChrome(chrome *obs.Chrome, path string) {
 		fail("writing trace: %v", err)
 	}
 	fmt.Printf("trace      : %d events -> %s (load in Perfetto or chrome://tracing)\n", chrome.Len(), path)
+}
+
+// parseScale and parseMachine resolve the -scale and -machine flags every
+// sub-command shares.
+func parseScale(name string) gen.Scale {
+	sc, err := gen.ParseScale(name)
+	check(err)
+	return sc
+}
+
+func parseMachine(name string) *numa.Topology {
+	topo, err := numa.TopologyByName(name)
+	check(err)
+	return topo
+}
+
+// check fails on a non-nil error.
+func check(err error) {
+	if err != nil {
+		fail("%v", err)
+	}
 }
 
 func fail(format string, args ...any) {

@@ -19,6 +19,6 @@
 //   - internal/bench     — regenerates every table and figure of Section 6
 //
 // The benchmarks in bench_test.go regenerate each experiment; the
-// cmd/experiments binary prints them at full (Default) scale. See README.md,
-// DESIGN.md and EXPERIMENTS.md.
+// polymer experiments sub-command (cmd/polymer) prints them at full
+// (Default) scale. See README.md, DESIGN.md and EXPERIMENTS.md.
 package polymer

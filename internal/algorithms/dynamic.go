@@ -44,7 +44,7 @@ func NewDynamicSSSP(e sg.Engine, rebuild func(*graph.Graph) sg.Engine, src graph
 		src:     src,
 		overlay: make([][]overlayEdge, g.NumVertices()),
 	}
-	d.baseEdges = collectEdges(g)
+	d.baseEdges = g.Edges()
 	distA := e.NewData("dynsssp/dist")
 	d.kernel = &ssspKernel{dist: distA.Data}
 	for i := range d.kernel.dist {
@@ -139,7 +139,7 @@ func (d *DynamicSSSP) Rebase(e sg.Engine) {
 	d.eng = e
 	g := e.Graph()
 	n := g.NumVertices()
-	d.baseEdges = collectEdges(g)
+	d.baseEdges = g.Edges()
 	d.overlay = make([][]overlayEdge, n)
 	d.overlayCount = 0
 	distA := e.NewData("dynsssp/dist")
@@ -185,22 +185,4 @@ func (d *DynamicSSSP) Compact() {
 	distA := d.eng.NewData("dynsssp/dist")
 	copy(distA.Data, old)
 	d.kernel = &ssspKernel{dist: distA.Data}
-}
-
-// collectEdges flattens a graph back into an edge list (weights
-// preserved; unweighted graphs yield zero weights, treated as unit).
-func collectEdges(g *graph.Graph) []graph.Edge {
-	edges := make([]graph.Edge, 0, g.NumEdges())
-	for v := 0; v < g.NumVertices(); v++ {
-		nbrs := g.OutNeighbors(graph.Vertex(v))
-		wts := g.OutWeights(graph.Vertex(v))
-		for j, u := range nbrs {
-			e := graph.Edge{Src: graph.Vertex(v), Dst: u}
-			if wts != nil {
-				e.Wt = wts[j]
-			}
-			edges = append(edges, e)
-		}
-	}
-	return edges
 }

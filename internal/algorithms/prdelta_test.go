@@ -90,7 +90,7 @@ func TestPageRankDeltaWarmStartAfterSnapshotHandOff(t *testing.T) {
 
 	// The next snapshot: the same graph plus a handful of committed edges.
 	n := g1.NumVertices()
-	edges := collectEdges(g1)
+	edges := g1.Edges()
 	edges = append(edges,
 		graph.Edge{Src: 0, Dst: graph.Vertex(n - 1)},
 		graph.Edge{Src: graph.Vertex(n / 2), Dst: 1},

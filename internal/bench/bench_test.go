@@ -11,7 +11,7 @@ import (
 
 // The bench tests assert the paper's qualitative findings — who wins,
 // by roughly what factor, where the crossovers are — at Small scale so
-// the suite stays fast. cmd/experiments regenerates everything at the
+// the suite stays fast. polymer experiments regenerates everything at the
 // Default scale used for EXPERIMENTS.md.
 
 func TestLatencyTableMatchesPaper(t *testing.T) {

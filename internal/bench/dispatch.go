@@ -67,7 +67,6 @@ var systems = map[System]system{
 		if s.opt.LayoutSet {
 			opt.Layout = s.opt.Layout
 		}
-		opt.Trace = s.opt.Phases
 		return core.New(s.g, m, opt)
 	}},
 	Ligra: {famSG, func(s *spec, m *numa.Machine) (engine, error) {

@@ -6,6 +6,7 @@ import (
 
 	"polymer/internal/gen"
 	"polymer/internal/numa"
+	"polymer/internal/obs"
 )
 
 // IterOverheadRow reports one system's BFS iteration statistics on the
@@ -21,7 +22,7 @@ type IterOverheadRow struct {
 
 // IterationOverhead reproduces the footnote-6 comparison: BFS from vertex
 // 0 on roadUS, average simulated time per iteration. Polymer's iterations
-// are the EdgeMaps of its phase trace, the baselines' the BFS levels
+// are the edgemap events its tracer sees, the baselines' the BFS levels
 // (every X-Stream iteration scans every edge).
 func IterationOverhead(t *numa.Topology, sc gen.Scale) ([]IterOverheadRow, error) {
 	g, err := gen.Load(gen.RoadUS, sc, false)
@@ -30,15 +31,16 @@ func IterationOverhead(t *numa.Topology, sc gen.Scale) ([]IterOverheadRow, error
 	}
 	var out []IterOverheadRow
 	for _, sys := range []System{Polymer, Ligra, XStream} {
-		r, err := RunWith(sys, BFS, g, numa.NewMachine(t, t.Sockets, t.CoresPerSocket), Options{Phases: true})
+		var log obs.PhaseLog
+		r, err := RunWith(sys, BFS, g, numa.NewMachine(t, t.Sockets, t.CoresPerSocket), Options{Tracer: obs.New(&log)})
 		if err != nil {
 			return nil, err
 		}
 		iters := maxLevel(r.Out.I64)
 		if sys == Polymer {
 			iters = 0
-			for _, p := range r.Phases {
-				if p.Kind == "edgemap" {
+			for _, ev := range log.Events {
+				if ev.Name == "edgemap" {
 					iters++
 				}
 			}

@@ -1,6 +1,6 @@
 //go:build amd64
 
-package main
+package bench
 
 import (
 	"context"
@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"polymer/internal/bench"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
@@ -16,7 +15,7 @@ import (
 
 // TestGolden holds the simulated clock of all 24 cells, at tiny and at
 // small scale, to the bytes testdata/<scale>.golden recorded (go run
-// ./cmd/simdump [-scale small]; the output is byte-stable at any
+// ./cmd/polymer dump [-scale small]; the output is byte-stable at any
 // GOMAXPROCS): a structural change must not move them. At small scale
 // both scatter-gather engines take dense and sparse phases. Every
 // session-capable cell must also print the same line through the
@@ -40,16 +39,16 @@ func checkGolden(t *testing.T, path string, sc gen.Scale) {
 		t.Fatalf("golden holds %d lines, want 24", len(want)-1)
 	}
 	i := 0
-	err = cells(sc, func(sys bench.System, alg bench.Algo, g *graph.Graph, mk func() *numa.Machine) error {
-		if got := line(bench.RunFrom(sys, alg, g, mk(), 0)); got != want[i] {
+	err = DumpCells(sc, func(sys System, alg Algo, g *graph.Graph, mk func() *numa.Machine) error {
+		if got := DumpLine(RunFrom(sys, alg, g, mk(), 0)); got != want[i] {
 			t.Errorf("plain run drifted from the golden:\n got %s\nwant %s", got, want[i])
 		}
-		if bench.SessionCapable(sys, alg) {
-			r, _, err := bench.RunResilientCtx(context.Background(), sys, alg, g, mk, nil, bench.ResilientOptions{SessionRetries: -1})
+		if SessionCapable(sys, alg) {
+			r, _, err := RunResilientCtx(context.Background(), sys, alg, g, mk, nil, ResilientOptions{SessionRetries: -1})
 			if err != nil {
 				return err
 			}
-			if got := line(r); got != want[i] {
+			if got := DumpLine(r); got != want[i] {
 				t.Errorf("resilient run differs from the plain one:\n got %s\nwant %s", got, want[i])
 			}
 		}

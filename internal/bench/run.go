@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"polymer/internal/core"
 	"polymer/internal/fault"
@@ -36,6 +37,18 @@ const (
 // Systems lists all four in the paper's column order.
 func Systems() []System { return []System{Polymer, Ligra, XStream, Galois} }
 
+// ParseSystem resolves a system name case-insensitively; X-Stream is
+// also spelled xstream.
+func ParseSystem(name string) (System, error) {
+	name = strings.TrimSpace(name)
+	for _, s := range Systems() {
+		if strings.EqualFold(name, string(s)) || strings.EqualFold(name, strings.ReplaceAll(string(s), "-", "")) {
+			return s, nil
+		}
+	}
+	return "", fmt.Errorf("unknown system %q (want polymer, ligra, xstream or galois)", name)
+}
+
 // Algo names one of the evaluation algorithms.
 type Algo string
 
@@ -53,6 +66,17 @@ const (
 
 // Algos lists the paper's six in its Table 3 row order.
 func Algos() []Algo { return []Algo{PR, SpMV, BP, BFS, CC, SSSP} }
+
+// ParseAlgo resolves one of the paper's six algorithm names
+// case-insensitively.
+func ParseAlgo(name string) (Algo, error) {
+	for _, a := range Algos() {
+		if strings.EqualFold(strings.TrimSpace(name), string(a)) {
+			return a, nil
+		}
+	}
+	return "", fmt.Errorf("unknown algorithm %q (want pr, spmv, bp, bfs, cc or sssp)", name)
+}
 
 // Weighted reports whether the algorithm needs edge weights (the paper
 // adds random weights in (0,100] for SpMV and SSSP; our BP also consumes
@@ -123,8 +147,6 @@ type RunResult struct {
 	// Out is the typed per-vertex output; Checksum is derived from it.
 	Out      Output
 	Checksum float64
-	// Phases is Polymer's per-phase execution trace (Options.Phases).
-	Phases []core.PhaseRecord
 	// Bounds is Polymer's partition, nodes+1 vertex offsets, and BoundsSeq
 	// the mutation sequence number of the snapshot it was balanced on (an
 	// earlier one when the run's snapshot inherited it; partition.Sticky).
@@ -149,9 +171,6 @@ type Options struct {
 	// mem.Interleaved, their native layout, is a configuration error.
 	Layout    mem.Placement
 	LayoutSet bool
-	// Phases records Polymer's per-phase execution trace in
-	// RunResult.Phases.
-	Phases bool
 }
 
 // ErrUnsupported marks a run the dispatch table has no cell for: an
@@ -260,7 +279,7 @@ func run(s *spec, m *numa.Machine) (RunResult, int, error) {
 		r.PeakBytes = m.Alloc().Peak()
 		r.AgentBytes = m.Alloc().Label("polymer/agents")
 		if ce, ok := e.(*core.Engine); ok {
-			r.Phases, r.Bounds, r.BoundsSeq, r.Lineage = ce.Trace(), ce.Bounds(), ce.BoundsSeq(), ce.Lineage()
+			r.Bounds, r.BoundsSeq, r.Lineage = ce.Bounds(), ce.BoundsSeq(), ce.Lineage()
 		}
 		return nil
 	})

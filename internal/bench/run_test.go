@@ -15,9 +15,9 @@ import (
 
 func tinyMachine() *numa.Machine { return numa.NewMachine(numa.IntelXeon80(), 2, 2) }
 
-// TestOptionsComposeInOneCall: a non-native placement, a tracer and the
-// phase trace ride one call — on the plain and on the resilient path —
-// and none of them moves the simulated result.
+// TestOptionsComposeInOneCall: a non-native placement and a tracer ride
+// one call — on the plain and on the resilient path — and neither moves
+// the simulated result.
 func TestOptionsComposeInOneCall(t *testing.T) {
 	g, err := LoadDataset(gen.PowerLaw, gen.Tiny, PR)
 	if err != nil {
@@ -28,11 +28,8 @@ func TestOptionsComposeInOneCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bare.Phases) != 0 {
-		t.Fatalf("phase trace recorded without Options.Phases: %d records", len(bare.Phases))
-	}
 	chrome := obs.NewChrome()
-	opt.Tracer, opt.Phases = obs.New(chrome), true
+	opt.Tracer = obs.New(chrome)
 	full, err := RunWith(Polymer, PR, g, tinyMachine(), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -47,9 +44,6 @@ func TestOptionsComposeInOneCall(t *testing.T) {
 		t.Errorf("tracer saw %d events on the plain run, %d after the resilient one", plainEvents, chrome.Len())
 	}
 	for name, r := range map[string]RunResult{"plain": full, "resilient": resilient} {
-		if len(r.Phases) == 0 {
-			t.Errorf("%s: no phase records", name)
-		}
 		if math.Float64bits(r.SimSeconds) != math.Float64bits(bare.SimSeconds) ||
 			math.Float64bits(r.Checksum) != math.Float64bits(bare.Checksum) {
 			t.Errorf("%s: sim %x checksum %x, bare run %x %x", name, r.SimSeconds, r.Checksum, bare.SimSeconds, bare.Checksum)

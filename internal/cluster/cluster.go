@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 
 	"polymer/internal/fault"
@@ -45,6 +46,17 @@ const (
 
 // Algos lists the cluster-served algorithms.
 func Algos() []Algo { return []Algo{PR, BFS, SSSP} }
+
+// ParseAlgo resolves a cluster-served algorithm name case-insensitively,
+// so bench's and conform's spellings of pr, bfs and sssp both map here.
+func ParseAlgo(name string) (Algo, error) {
+	for _, a := range Algos() {
+		if strings.EqualFold(name, string(a)) {
+			return a, nil
+		}
+	}
+	return "", fmt.Errorf("cluster: %s is not served on the cluster substrate (want pr, bfs or sssp)", name)
+}
 
 // Weighted reports whether the algorithm consumes edge weights.
 func (a Algo) Weighted() bool { return a == SSSP }
@@ -102,16 +114,20 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
+// ReplicasFor is the replication factor a cluster of machines runs with
+// when asked for replicas: 2 when unset (<= 0), never more than machines.
+func ReplicasFor(machines, replicas int) int {
+	if replicas <= 0 {
+		replicas = 2
+	}
+	return min(replicas, machines)
+}
+
 func (c Config) withDefaults() Config {
 	if c.Machines <= 0 {
 		c.Machines = 1
 	}
-	if c.Replicas <= 0 {
-		c.Replicas = 2
-	}
-	if c.Replicas > c.Machines {
-		c.Replicas = c.Machines
-	}
+	c.Replicas = ReplicasFor(c.Machines, c.Replicas)
 	if c.Topo == nil {
 		c.Topo = numa.IntelXeon80()
 	}
@@ -208,6 +224,17 @@ type Result struct {
 	Traffic *numa.TrafficMatrix
 	// Protocol is the failover/recovery log, one line per action.
 	Protocol []string
+}
+
+// Healthy counts the members that ended the run healthy.
+func (r *Result) Healthy() int {
+	n := 0
+	for _, m := range r.Machines {
+		if m.State == Healthy.String() {
+			n++
+		}
+	}
+	return n
 }
 
 // Cluster is a replicated sharded run in progress. It is single-use:

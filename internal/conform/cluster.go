@@ -10,7 +10,6 @@ package conform
 
 import (
 	"context"
-	"fmt"
 
 	"polymer/internal/cluster"
 	"polymer/internal/graph"
@@ -19,29 +18,15 @@ import (
 // ClusterEngine labels cluster divergences in reports.
 const ClusterEngine Engine = "cluster"
 
-// ClusterAlgo maps a conformance algorithm to its cluster kernel; ok is
-// false for algorithms the cluster does not serve.
-func ClusterAlgo(a Algo) (cluster.Algo, bool) {
-	switch a {
-	case PR:
-		return cluster.PR, true
-	case BFS:
-		return cluster.BFS, true
-	case SSSP:
-		return cluster.SSSP, true
-	}
-	return "", false
-}
-
 // CheckCluster runs the algorithm on a cluster shaped by cfg and
 // compares the committed output bit-for-bit against the sequential
 // oracle. It returns the cluster result (for ledger/health assertions),
 // the divergence if any, and an error for invalid configurations or an
 // unrecoverable cluster (every replica of some shard lost).
 func CheckCluster(g *graph.Graph, cfg cluster.Config, a Algo, src graph.Vertex) (*cluster.Result, *Divergence, error) {
-	ca, ok := ClusterAlgo(a)
-	if !ok {
-		return nil, nil, fmt.Errorf("conform: algorithm %q has no cluster kernel", a)
+	ca, err := cluster.ParseAlgo(string(a))
+	if err != nil {
+		return nil, nil, err
 	}
 	cl, err := cluster.New(g, cfg)
 	if err != nil {

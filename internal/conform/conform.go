@@ -18,8 +18,8 @@
 //     round-trips.
 //
 // The same machinery backs the table-driven test suites (here and in
-// each engine package) and the cmd/conform CLI with its shrinking
-// reducer.
+// each engine package) and the polymer conform sub-command with its
+// shrinking reducer.
 package conform
 
 import (
@@ -64,13 +64,15 @@ func Algos() []Algo { return []Algo{PR, PRDelta, SpMV, BP, BFS, CC, SSSP} }
 // Weighted reports whether the algorithm consumes edge weights.
 func (a Algo) Weighted() bool { return a == SpMV || a == SSSP || a == BP }
 
-// Topo names a simulated machine topology.
+// Topo names a simulated machine topology by its numa.TopologyByName
+// name.
 type Topo string
 
-// The paper's two evaluation machines.
+// The paper's two evaluation machines: the 80-core Intel and the 64-core
+// AMD.
 const (
-	Intel80 Topo = "intel80"
-	AMD64   Topo = "amd64"
+	Intel80 Topo = "intel"
+	AMD64   Topo = "amd"
 )
 
 // Topos lists both.
@@ -78,13 +80,11 @@ func Topos() []Topo { return []Topo{Intel80, AMD64} }
 
 // Topology resolves the named topology.
 func (t Topo) Topology() *numa.Topology {
-	switch t {
-	case Intel80:
-		return numa.IntelXeon80()
-	case AMD64:
-		return numa.AMDOpteron64()
+	topo, err := numa.TopologyByName(string(t))
+	if err != nil {
+		panic(fmt.Sprintf("conform: %v", err))
 	}
-	panic(fmt.Sprintf("conform: unknown topology %q", t))
+	return topo
 }
 
 // Policy is a per-algorithm tolerance for comparing one output value

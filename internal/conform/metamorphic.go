@@ -8,24 +8,6 @@ import (
 // Metamorphic helpers: semantics-preserving graph transformations and
 // the output normalisations needed to compare results across them.
 
-// EdgesOf reconstructs the edge list of a CSR graph (out-direction
-// order), so a transformed copy can be rebuilt with FromEdges.
-func EdgesOf(g *graph.Graph) []graph.Edge {
-	edges := make([]graph.Edge, 0, g.NumEdges())
-	for v := 0; v < g.NumVertices(); v++ {
-		nbrs := g.OutNeighbors(graph.Vertex(v))
-		wts := g.OutWeights(graph.Vertex(v))
-		for j, u := range nbrs {
-			e := graph.Edge{Src: graph.Vertex(v), Dst: u}
-			if wts != nil {
-				e.Wt = wts[j]
-			}
-			edges = append(edges, e)
-		}
-	}
-	return edges
-}
-
 // Permutation returns a seeded uniform permutation of [0, n): perm[old]
 // is the relabeled vertex id.
 func Permutation(n int, seed uint64) []int {
@@ -45,7 +27,7 @@ func Permutation(n int, seed uint64) []int {
 // The result is isomorphic to g, but vertex ids, CSR neighbour order and
 // partition boundaries all move.
 func Permute(g *graph.Graph, perm []int) *graph.Graph {
-	edges := EdgesOf(g)
+	edges := g.Edges()
 	for i := range edges {
 		edges[i].Src = graph.Vertex(perm[edges[i].Src])
 		edges[i].Dst = graph.Vertex(perm[edges[i].Dst])

@@ -19,7 +19,7 @@ func TestMultiSourceDifferential(t *testing.T) {
 		for _, topo := range Topos() {
 			for _, eng := range []Engine{Polymer, Ligra} {
 				for _, alg := range []Algo{BFS, SSSP} {
-					t.Run(ng.name+"/"+string(eng)+"/"+string(alg)+"/"+string(topo), func(t *testing.T) {
+					t.Run(ng.name+"/"+string(eng)+"/"+string(alg)+"/"+topo.Topology().Name, func(t *testing.T) {
 						if d := CheckMultiSource(eng, alg, topo, ng.g, srcs); d != nil {
 							t.Fatal(d)
 						}

@@ -33,8 +33,10 @@ type Case struct {
 	PromoteEvery int
 }
 
+// String names the case in reports and subtests, the machine by its
+// topology name (intel80, amd64).
 func (c Case) String() string {
-	s := fmt.Sprintf("%s/%s/%s[%dx%d]/src=%d", c.Engine, c.Algo, c.Topo, c.nodes(), c.cores(), c.Src)
+	s := fmt.Sprintf("%s/%s/%s[%dx%d]/src=%d", c.Engine, c.Algo, c.Topo.Topology().Name, c.nodes(), c.cores(), c.Src)
 	if c.DRAMPerNode > 0 && c.TierPol != numa.TierNone {
 		s += fmt.Sprintf("/tier=%s@%d", c.TierPol, c.DRAMPerNode)
 	}

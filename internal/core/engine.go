@@ -77,13 +77,7 @@ type Options struct {
 	Layout mem.Placement
 	// OverheadNsPerEdge is the engine's software overhead per edge.
 	OverheadNsPerEdge float64
-	// Trace records a PhaseRecord for every EdgeMap/VertexMap (small
-	// overhead; off by default).
-	Trace bool
 }
-
-// PhaseRecord describes one executed parallel phase when tracing is on.
-type PhaseRecord = sg.PhaseRecord
 
 // DefaultOptions returns the configuration the paper evaluates: push for
 // dense phases unless the algorithm prefers otherwise, N-Barrier,
@@ -147,15 +141,12 @@ type Engine struct {
 	push *layout // lazily wrapped; keyed by source, columns are local targets
 	pull *layout // lazily wrapped; keyed by target, columns are local sources
 
-	trace []PhaseRecord
-
 	topoBytes int64
 	closed    bool
 
-	// Rollback extension (sg.SnapExtra): the metrics and the phase-trace
-	// position at the last SnapshotSim.
-	snapMet   Metrics
-	snapTrace int
+	// Rollback extension (sg.SnapExtra): the metrics at the last
+	// SnapshotSim.
+	snapMet Metrics
 }
 
 var _ sg.Engine = (*Engine)(nil)
@@ -280,22 +271,16 @@ func (e *Engine) Close() {
 }
 
 // SnapshotExtra and RestoreExtra are the engine's sg.SnapExtra: the
-// activity metrics and the phase-trace position roll back with the clock.
-func (e *Engine) SnapshotExtra() { e.snapMet, e.snapTrace = e.met, len(e.trace) }
+// activity metrics roll back with the clock.
+func (e *Engine) SnapshotExtra() { e.snapMet = e.met }
 
-// RestoreExtra rolls the metrics and phase trace back to SnapshotExtra.
-func (e *Engine) RestoreExtra() {
-	e.met = e.snapMet
-	e.trace = e.trace[:e.snapTrace]
-}
-
-// Trace returns the recorded phase history (empty unless Options.Trace).
-func (e *Engine) Trace() []PhaseRecord { return e.trace }
+// RestoreExtra rolls the metrics back to SnapshotExtra.
+func (e *Engine) RestoreExtra() { e.met = e.snapMet }
 
 // notePhase is the engine's phase wrapper (sg.SweepConfig.OnPhase): each
-// committed phase counts in the metrics and, under Options.Trace, is
-// recorded.
-func (e *Engine) notePhase(r PhaseRecord, sync float64) {
+// committed phase counts in the metrics. The per-phase view is the
+// tracer's edgemap and vertexmap events (obs.PhaseLog).
+func (e *Engine) notePhase(r sg.PhaseRecord, sync float64) {
 	e.met.BarrierSeconds += sync
 	switch {
 	case r.Kind == "vertexmap":
@@ -306,8 +291,5 @@ func (e *Engine) notePhase(r PhaseRecord, sync float64) {
 	default:
 		e.met.EdgeMaps++
 		e.met.SparsePhases++
-	}
-	if e.opt.Trace {
-		e.trace = append(e.trace, r)
 	}
 }

@@ -398,7 +398,7 @@ func weightsOf(g *graph.Graph, v graph.Vertex, push bool) []float32 {
 // paper's per-node lookup (§4.2), which the host keeps instead as one
 // agent index across the nodes of a push build (sg.Agents). The charge
 // stays because it is a recorded result — every simulated peak, both
-// simdump goldens and the benchmark's sim_peak_mb_polymer — and moving it
+// dump goldens and the benchmark's sim_peak_mb_polymer — and moving it
 // is a deliberate re-baseline of the memory scorecard (EXPERIMENTS.md
 // deviation 6), not a side effect of a host change.
 func layoutBytes(parts []sg.Part, n int) int64 {

@@ -118,7 +118,7 @@ func TestPatchedSnapshotRunsMatchColdBuild(t *testing.T) {
 					t.Fatalf("seq %d %s: vertex %d = %v patched, %v cold", seq, c.name, v, got.out[v], want.out[v])
 				}
 			}
-			fresh := runLineage(t, view(graph.FromEdges(n, outEdges(patched), true), c), c)
+			fresh := runLineage(t, view(graph.FromEdges(n, patched.Edges(), true), c), c)
 			policy := conform.PolicyFor(conform.Algo(c.name)).Relaxed()
 			for v := range fresh.out {
 				if !policy.Equal(fresh.out[v], got.out[v]) {
@@ -133,16 +133,4 @@ func TestPatchedSnapshotRunsMatchColdBuild(t *testing.T) {
 	if !inherited || patches == 0 {
 		t.Fatalf("inherited a partition %t, patched %d layouts: the test exercised only fresh builds", inherited, patches)
 	}
-}
-
-// outEdges lists g's edges row by row.
-func outEdges(g *graph.Graph) []graph.Edge {
-	var list []graph.Edge
-	for v := 0; v < g.NumVertices(); v++ {
-		wts := g.OutWeights(graph.Vertex(v))
-		for j, u := range g.OutNeighbors(graph.Vertex(v)) {
-			list = append(list, graph.Edge{Src: graph.Vertex(v), Dst: u, Wt: wts[j]})
-		}
-	}
-	return list
 }

@@ -5,6 +5,7 @@ import (
 
 	"polymer/internal/gen"
 	"polymer/internal/graph"
+	"polymer/internal/obs"
 	"polymer/internal/sg"
 	"polymer/internal/state"
 )
@@ -14,34 +15,35 @@ func TestTraceRecordsPhases(t *testing.T) {
 	g := graph.FromEdges(n, edges, false)
 	m := testMachine(2, 2)
 	opt := DefaultOptions()
-	opt.Trace = true
 	opt.Mode = Push
 	opt.Adaptive = false
 	e := MustNew(g, m, opt)
 	defer e.Close()
+	var log obs.PhaseLog
+	e.SetTracer(obs.New(&log))
 
 	all := state.NewAll(e.Bounds())
 	e.EdgeMap(all, newAddKernel(n), sg.Hints{DensePush: true})
 	e.VertexMap(all, func(graph.Vertex) bool { return true })
 
-	tr := e.Trace()
+	tr := log.Events
 	if len(tr) != 2 {
-		t.Fatalf("trace has %d records, want 2", len(tr))
+		t.Fatalf("trace has %d events, want 2", len(tr))
 	}
 	em, vm := tr[0], tr[1]
-	if em.Kind != "edgemap" || !em.Dense || !em.Push || em.ActiveIn != int64(n) {
-		t.Fatalf("edgemap record wrong: %+v", em)
+	if em.Name != "edgemap" || !em.Dense || !em.Push || em.Active != int64(n) {
+		t.Fatalf("edgemap event wrong: %+v", em)
 	}
-	if vm.Kind != "vertexmap" || vm.ActiveIn != int64(n) {
-		t.Fatalf("vertexmap record wrong: %+v", vm)
+	if vm.Name != "vertexmap" || vm.Active != int64(n) {
+		t.Fatalf("vertexmap event wrong: %+v", vm)
 	}
-	if em.SimSeconds <= 0 || vm.SimSeconds <= 0 {
+	if em.Dur <= 0 || vm.Dur <= 0 {
 		t.Fatal("phase times must be positive")
 	}
-	// Trace times must sum to the engine clock.
+	// Phase times (simulated microseconds) must sum to the engine clock.
 	var sum float64
-	for _, r := range tr {
-		sum += r.SimSeconds
+	for _, ev := range tr {
+		sum += ev.Dur / 1e6
 	}
 	if diff := sum - e.SimSeconds(); diff > 1e-12 || diff < -1e-12 {
 		t.Fatalf("trace sum %v != clock %v", sum, e.SimSeconds())
@@ -52,10 +54,10 @@ func TestTraceDistinguishesSparsePhases(t *testing.T) {
 	n, edges := gen.RoadGrid(20, 20, 2)
 	g := graph.FromEdges(n, edges, true)
 	m := testMachine(2, 2)
-	opt := DefaultOptions()
-	opt.Trace = true
-	e := MustNew(g, m, opt)
+	e := MustNew(g, m, DefaultOptions())
 	defer e.Close()
+	var log obs.PhaseLog
+	e.SetTracer(obs.New(&log))
 
 	k := &claimKernel{parent: make([]uint32, n)}
 	for i := range k.parent {
@@ -67,8 +69,8 @@ func TestTraceDistinguishesSparsePhases(t *testing.T) {
 		frontier = e.EdgeMap(frontier, k, sg.Hints{})
 	}
 	sparse, dense := 0, 0
-	for _, r := range e.Trace() {
-		if r.Dense {
+	for _, ev := range log.Events {
+		if ev.Dense {
 			dense++
 		} else {
 			sparse++
@@ -78,18 +80,7 @@ func TestTraceDistinguishesSparsePhases(t *testing.T) {
 	if sparse == 0 {
 		t.Fatal("grid BFS must run sparse phases")
 	}
-	if sparse+dense != len(e.Trace()) {
+	if sparse+dense != len(log.Events) {
 		t.Fatal("phase counts inconsistent")
-	}
-}
-
-func TestTraceOffByDefault(t *testing.T) {
-	n, edges := gen.Chain(20)
-	g := graph.FromEdges(n, edges, false)
-	e := MustNew(g, testMachine(1, 1), DefaultOptions())
-	defer e.Close()
-	e.VertexMap(state.NewAll(e.Bounds()), func(graph.Vertex) bool { return true })
-	if len(e.Trace()) != 0 {
-		t.Fatal("trace must be empty when disabled")
 	}
 }

@@ -12,7 +12,7 @@
 //
 // Everything is deterministic: the same seed produces the same schedule,
 // and because recovery replays from state snapshots, runs with and
-// without injected transient faults print identical simdump goldens.
+// without injected transient faults print identical dump goldens.
 package fault
 
 import (

@@ -111,6 +111,24 @@ func (g *Graph) InWeights(v Vertex) []float32 {
 	return g.InWts[g.InIndex[v]:g.InIndex[v+1]]
 }
 
+// Edges flattens the graph back into an edge list in out-direction
+// order, weights preserved (zero on an unweighted graph), so
+// FromEdges(g.NumVertices(), g.Edges(), g.Weighted()) rebuilds g.
+func (g *Graph) Edges() []Edge {
+	edges := make([]Edge, 0, g.NumEdges())
+	for v := 0; v < g.n; v++ {
+		wts := g.OutWeights(Vertex(v))
+		for j, u := range g.OutNeighbors(Vertex(v)) {
+			e := Edge{Src: Vertex(v), Dst: u}
+			if wts != nil {
+				e.Wt = wts[j]
+			}
+			edges = append(edges, e)
+		}
+	}
+	return edges
+}
+
 // TopologyBytes returns the in-memory size of the topology arrays, used
 // for Table 5-style memory accounting.
 func (g *Graph) TopologyBytes() int64 {

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -49,6 +51,14 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+	// Edges lists a graph in out-direction order, so on a list already in
+	// that order it is FromEdges' inverse, with and without weights.
+	for _, weighted := range []bool{false, true} {
+		n, edges := randomEdges(7)
+		slices.SortStableFunc(edges, func(a, b Edge) int { return cmp.Compare(a.Src, b.Src) })
+		g := FromEdges(n, edges, weighted)
+		sameArrays(t, FromEdges(n, g.Edges(), g.Weighted()), g)
 	}
 }
 

@@ -36,21 +36,6 @@ func editList(list, deleted, appended []Edge) []Edge {
 	return append(out, appended...)
 }
 
-// outOrder lists g's edges row by row, the order mutate.Flatten produces.
-func outOrder(g *Graph) []Edge {
-	var list []Edge
-	for v := 0; v < g.NumVertices(); v++ {
-		for j, u := range g.OutNeighbors(Vertex(v)) {
-			e := Edge{Src: Vertex(v), Dst: u}
-			if g.Weighted() {
-				e.Wt = g.OutWeights(Vertex(v))[j]
-			}
-			list = append(list, e)
-		}
-	}
-	return list
-}
-
 // TestPatchMatchesFromEdges: patching FromEdges(list) equals FromEdges of
 // the edited list, every array, weighted and not, one edit after another.
 func TestPatchMatchesFromEdges(t *testing.T) {
@@ -129,7 +114,7 @@ func TestPatchMatchesFromEdgesRandomized(t *testing.T) {
 func TestPatchKeepsThePredecessorsRowOrder(t *testing.T) {
 	generated := FromEdges(3, []Edge{{2, 0, 1}, {1, 0, 2}}, true) // in-row 0 = [2 1]
 	appended := []Edge{{Src: 0, Dst: 1, Wt: 3}}
-	fold := FromEdges(3, editList(outOrder(generated), nil, appended), true) // in-row 0 = [1 2]
+	fold := FromEdges(3, editList(generated.Edges(), nil, appended), true) // in-row 0 = [1 2]
 
 	direct := generated.Patch(nil, appended)
 	if !slices.Equal(direct.OutNbrs, fold.OutNbrs) {
@@ -138,7 +123,7 @@ func TestPatchKeepsThePredecessorsRowOrder(t *testing.T) {
 	if slices.Equal(direct.InNbrs, fold.InNbrs) {
 		t.Fatalf("patching a base in generation order gave the fold's in-rows %v; the precondition on Patch is vacuous", fold.InNbrs)
 	}
-	canonical := FromEdges(3, outOrder(generated), true)
+	canonical := FromEdges(3, generated.Edges(), true)
 	sameArrays(t, canonical.Patch(nil, appended), fold)
 }
 

@@ -229,20 +229,6 @@ func ApplyOps(base []graph.Edge, ops []Op) []graph.Edge {
 	return ns.apply(base)
 }
 
-// Flatten turns a graph back into its edge list (out-direction order,
-// weights preserved), the base form mutations apply to.
-func Flatten(g *graph.Graph) []graph.Edge {
-	edges := make([]graph.Edge, 0, g.NumEdges())
-	for v := 0; v < g.NumVertices(); v++ {
-		nbrs := g.OutNeighbors(graph.Vertex(v))
-		wts := g.OutWeights(graph.Vertex(v))
-		for j, u := range nbrs {
-			e := graph.Edge{Src: graph.Vertex(v), Dst: u}
-			if wts != nil {
-				e.Wt = wts[j]
-			}
-			edges = append(edges, e)
-		}
-	}
-	return edges
-}
+// Flatten turns a graph back into its edge list (graph.Graph.Edges), the
+// base form mutations apply to.
+func Flatten(g *graph.Graph) []graph.Edge { return g.Edges() }

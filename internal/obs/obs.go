@@ -108,6 +108,20 @@ func (m Multi) Emit(ev Event) {
 	}
 }
 
+// PhaseLog is a sink that keeps the engines' edgemap and vertexmap events
+// in emission order: the per-phase view of a run, rolled-back attempts
+// included.
+type PhaseLog struct {
+	Events []Event
+}
+
+// Emit implements Sink.
+func (p *PhaseLog) Emit(ev Event) {
+	if ev.Pid == PidSim && (ev.Name == "edgemap" || ev.Name == "vertexmap") {
+		p.Events = append(p.Events, ev)
+	}
+}
+
 // Tracer routes events to a sink. The nil *Tracer is the disabled tracer:
 // all methods are nil-safe no-ops, and instrumented code holds tracers as
 // plain fields with no enabled flag. A non-nil Tracer serialises sink

@@ -126,19 +126,7 @@ func Corpus() []CorpusEntry {
 		if err != nil {
 			continue
 		}
-		out = append(out, CorpusEntry{Name: "data/" + string(ds), N: g.NumVertices(), E: edgeList(g)})
-	}
-	return out
-}
-
-// edgeList flattens a CSR back into an edge list (the corpus carries
-// edge lists so per-algorithm weighted variants can be built).
-func edgeList(g *graph.Graph) []graph.Edge {
-	out := make([]graph.Edge, 0, g.NumEdges())
-	for v := graph.Vertex(0); int(v) < g.NumVertices(); v++ {
-		for _, u := range g.OutNeighbors(v) {
-			out = append(out, graph.Edge{Src: v, Dst: u})
-		}
+		out = append(out, CorpusEntry{Name: "data/" + string(ds), N: g.NumVertices(), E: g.Edges()})
 	}
 	return out
 }

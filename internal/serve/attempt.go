@@ -60,18 +60,13 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 		if err != nil {
 			return failure(err, resp)
 		}
-		res, err := c.Run(t.ctx, clusterAlgos[v.alg], srcs[0])
+		calg, _ := cluster.ParseAlgo(string(v.alg)) // resolve admitted it
+		res, err := c.Run(t.ctx, calg, srcs[0])
 		if err != nil {
 			return failure(err, resp)
 		}
-		healthy := 0
-		for _, m := range res.Machines {
-			if m.State == "healthy" {
-				healthy++
-			}
-		}
 		s.lastCluster.Store(&clusterStatus{
-			Machines: res.Machines, Healthy: healthy, Total: v.machines,
+			Machines: res.Machines, Healthy: res.Healthy(), Total: v.machines,
 			Failovers: res.Failovers, NetBytes: res.NetBytes, Links: res.Links,
 		})
 		resp.Attempts, resp.SimSeconds = 1, res.SimSeconds

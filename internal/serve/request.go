@@ -150,16 +150,6 @@ type resolved struct {
 	planned    *plan.Decision
 }
 
-var systems = map[string]bench.System{
-	"polymer": bench.Polymer, "ligra": bench.Ligra,
-	"xstream": bench.XStream, "x-stream": bench.XStream, "galois": bench.Galois,
-}
-
-var algos = map[string]bench.Algo{
-	"pr": bench.PR, "spmv": bench.SpMV, "bp": bench.BP, "bfs": bench.BFS,
-	"sssp": bench.SSSP,
-}
-
 // MaxMachines bounds the simulated cluster size a request may ask for.
 const MaxMachines = 16
 
@@ -207,8 +197,9 @@ func resolveTarget(name, scale string, budgetMs int64) (gen.Dataset, gen.Scale, 
 
 func resolve(req Request) (*resolved, error) {
 	v := &resolved{req: req}
-	var ok bool
-	if v.alg, ok = algos[strings.ToLower(req.Algo)]; !ok {
+	var err error
+	// polymerd serves cells with a resilient driver, and CC has none.
+	if v.alg, err = bench.ParseAlgo(req.Algo); err != nil || v.alg == bench.CC {
 		return nil, badReq("unknown algorithm %q (want pr, spmv, bp, bfs or sssp)", req.Algo)
 	}
 	switch sysName := strings.ToLower(strings.TrimSpace(req.System)); sysName {
@@ -217,14 +208,13 @@ func resolve(req Request) (*resolved, error) {
 		// planFor resolves it.
 		v.autoEngine = true
 	default:
-		if v.sys, ok = systems[sysName]; !ok {
+		if v.sys, err = bench.ParseSystem(sysName); err != nil {
 			return nil, badReq("unknown system %q (want polymer, ligra, xstream, galois or auto)", req.System)
 		}
 		if !bench.SessionCapable(v.sys, v.alg) {
 			return nil, badReq("%s is not served on %s (PR runs everywhere; spmv/bp/bfs/sssp need polymer or ligra)", v.alg, v.sys)
 		}
 	}
-	var err error
 	if v.data, v.scale, v.budget, err = resolveTarget(req.Graph, req.Scale, req.BudgetMs); err != nil {
 		return nil, err
 	}
@@ -287,7 +277,7 @@ func resolve(req Request) (*resolved, error) {
 		if v.sys != bench.Polymer {
 			return nil, badReq("cluster runs are polymer-only (got %s)", v.sys)
 		}
-		if _, ok := clusterAlgos[v.alg]; !ok {
+		if _, err := cluster.ParseAlgo(string(v.alg)); err != nil {
 			return nil, badReq("%s is not served on the cluster substrate (want pr, bfs or sssp)", v.alg)
 		}
 		if req.Fault != "" {
@@ -296,15 +286,9 @@ func resolve(req Request) (*resolved, error) {
 		if req.Replicas < 0 || req.Replicas > req.Machines {
 			return nil, badReq("replicas %d out of range [0,%d]", req.Replicas, req.Machines)
 		}
-		v.machines, v.replicas = req.Machines, req.Replicas
-		if v.replicas == 0 {
-			// Normalize the cluster default here so identical requests
-			// collide on one reuse key regardless of spelling.
-			v.replicas = 2
-			if v.replicas > v.machines {
-				v.replicas = v.machines
-			}
-		}
+		// Normalize the cluster default here so identical requests
+		// collide on one reuse key regardless of spelling.
+		v.machines, v.replicas = req.Machines, cluster.ReplicasFor(req.Machines, req.Replicas)
 	}
 	if req.DramBytes < 0 {
 		return nil, badReq("dram_bytes %d is negative", req.DramBytes)
@@ -359,12 +343,6 @@ func resolve(req Request) (*resolved, error) {
 		}
 	}
 	return v, nil
-}
-
-// clusterAlgos maps the bench algorithms the cluster substrate serves to
-// its kernel names.
-var clusterAlgos = map[bench.Algo]cluster.Algo{
-	bench.PR: cluster.PR, bench.BFS: cluster.BFS, bench.SSSP: cluster.SSSP,
 }
 
 // clustered reports whether the request runs on the cluster substrate.

@@ -217,7 +217,7 @@ func TestPolymerDegradedOnInheritedPartition(t *testing.T) {
 
 // TestResilientRanksBitIdentical compares the full per-vertex rank vector
 // — not just the checksum — between a faulted and a fault-free run, via
-// the simdump-style hex rendering of every value.
+// the dump-style hex rendering of every value (bench.DumpLine).
 func TestResilientRanksBitIdentical(t *testing.T) {
 	topo := numa.IntelXeon80()
 	g, err := bench.LoadDataset(gen.PowerLaw, gen.Tiny, bench.PR)

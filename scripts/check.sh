@@ -52,9 +52,8 @@ go test -race -run 'TestFaultMatrix|TestPolymerDegraded|TestResilientRanks' .
 echo "==> determinism gate (a run is a function of its input: same bits at any GOMAXPROCS, five times over)"
 # Whole packages, every engine: re-run identity over the conform matrix,
 # row/block kernels against the per-edge loops, fault replay, tracing,
-# planned-vs-explicit, cached-vs-recomputed, all 24 clocks against the
-# checked-in golden.
-go test -count=5 -cpu 1,2,8 . ./cmd/simdump/ ./internal/conform/ ./internal/obs/ ./internal/plan/ ./internal/serve/
+# planned-vs-explicit, cached-vs-recomputed.
+go test -count=5 -cpu 1,2,8 . ./internal/conform/ ./internal/obs/ ./internal/plan/ ./internal/serve/
 # The per-node charge against the per-thread loop it replaced, for one
 # phase and over whole runs of shared and split rows.
 go test -count=5 -cpu 1,2,8 -run 'TestChargeNodesMatchesPerThreadLoop|TestSharedRowsMatchPerThreadLedger' ./internal/numa/
@@ -70,10 +69,11 @@ go test -count=5 -cpu 1,2,8 -run 'TestLayoutPatchMatchesBuild' ./internal/core/
 # loops: random and fixed segments, with and without IDs, under full,
 # empty and sparse leaves.
 go test -count=5 -cpu 1,2,8 -run 'TestPushRowMatchesUpdateLoop|TestPullRowMatchesUpdateLoop' ./internal/algorithms/
-# Every clock and slow rate of the tiered-memory sweep against its golden;
-# every unweighted cell polymerd serves on a weighted base's view against
-# the same cell on an unweighted load.
-go test -count=5 -cpu 1,2,8 -run 'TestTierSweepGolden|TestUnweightedViewRunsLikeUnweightedLoad' ./internal/bench/
+# All 24 clocks of the dump and every clock and slow rate of the
+# tiered-memory sweep against their goldens; every unweighted cell polymerd
+# serves on a weighted base's view against the same cell on an unweighted
+# load.
+go test -count=5 -cpu 1,2,8 -run 'TestGolden|TestTierSweepGolden|TestUnweightedViewRunsLikeUnweightedLoad' ./internal/bench/
 
 echo "==> sweep, segment-shape, sparse-BFS, layout-patch, phase-fold and cold-decision benchmark smoke (host ns/edge of the shared sweep on both engines and of both segment loop shapes; ns per road-grid BFS; one 32-op layout patch; ns per phase folded; one planner decision; one iteration a case)"
 go test -run '^$' -bench BenchmarkSweepNsPerEdge -benchtime 1x ./internal/core/ >/dev/null
@@ -93,7 +93,10 @@ echo "==> cluster chaos smoke (fault matrix vs conform oracle under -race, small
 CLUSTER_SOAK_SEEDS=2 go test -race -count=1 -run 'TestChaosMatrix' ./internal/cluster/ >/dev/null
 
 echo "==> experiments smoke (the ids beyond the paper: cluster sweep, tier sweep and its ordering gate, planner profiles, planner vs oracle)"
-go run ./cmd/experiments -scale tiny -exp cluster,tier,profile,plan >/dev/null
+go run ./cmd/polymer experiments -scale tiny -exp cluster,tier,profile,plan >/dev/null
+
+echo "==> dump through the sub-command dispatcher, byte for byte against the tiny golden"
+go run ./cmd/polymer dump -scale tiny | cmp - internal/bench/testdata/tiny.golden
 
 sh scripts/loc.sh
 
