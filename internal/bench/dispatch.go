@@ -94,6 +94,8 @@ type cell struct {
 	session bool
 	// multi, when non-nil, answers several sources in one sweep.
 	multi func(e engine, srcs []graph.Vertex) ([]Output, error)
+	// warm, when non-nil, repairs an earlier answer (spec.warm).
+	warm func(e engine, s *spec) (Output, error)
 }
 
 // stepped adapts a driver on engine type E that takes a session.
@@ -128,6 +130,12 @@ func withMulti[T any](c cell, sweep func(sg.Engine, []graph.Vertex) ([][]T, erro
 		}
 		return outs, nil
 	}
+	return c
+}
+
+// withWarm attaches a scatter-gather warm run to a cell.
+func withWarm(c cell, repair func(e sg.Engine, s *spec, w *Warm) (Output, error)) cell {
+	c.warm = func(e engine, s *spec) (Output, error) { return repair(e.(sg.Engine), s, s.warm) }
 	return c
 }
 
@@ -180,9 +188,12 @@ var cells = map[Algo][3]cell{
 		}),
 	},
 	BFS: {
-		withMulti(stepped(true, func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
+		withWarm(withMulti(stepped(true, func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
 			return i64(algorithms.BFSE(e, s.opt.Src, sess))
 		}), algorithms.MultiBFS, func(l []int64) Output { return Output{I64: l} }),
+			func(e sg.Engine, s *spec, w *Warm) (Output, error) {
+				return i64(algorithms.RepairBFS(e, s.opt.Src, w.Prior.I64, w.Deleted, w.Appended))
+			}),
 		plain(func(e *xstream.Engine, s *spec) Output { return Output{I64: algorithms.XSBFS(e, s.opt.Src)} }),
 		plain(func(e *galois.Engine, s *spec) Output { return Output{I64: e.BFS(s.opt.Src)} }),
 	},
@@ -195,9 +206,12 @@ var cells = map[Algo][3]cell{
 		plain(func(e *galois.Engine, _ *spec) Output { return Output{V: e.CC()} }),
 	},
 	SSSP: {
-		withMulti(stepped(true, func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
+		withWarm(withMulti(stepped(true, func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
 			return f64(algorithms.SSSP(e, s.opt.Src, sess))
 		}), algorithms.MultiSSSP, func(d []float64) Output { return Output{F64: d} }),
+			func(e sg.Engine, s *spec, w *Warm) (Output, error) {
+				return f64(algorithms.RepairSSSP(e, s.opt.Src, w.Prior.F64, w.Deleted, w.Appended))
+			}),
 		plain(func(e *xstream.Engine, s *spec) Output { return Output{F64: algorithms.XSSSSP(e, s.opt.Src)} }),
 		plain(func(e *galois.Engine, s *spec) Output { return Output{F64: e.SSSP(s.opt.Src)} }),
 	},

@@ -192,6 +192,7 @@ type spec struct {
 	init  []float64 // PageRank warm start (the degraded path's segment 2)
 	multi bool      // one multi-source sweep over srcs instead of opt.Src
 	srcs  []graph.Vertex
+	warm  *Warm // repair warm.Prior instead of computing from scratch
 
 	// inj non-nil attaches a fault.Session — the one bit that separates
 	// the resilient path from the plain one.
@@ -257,9 +258,12 @@ func run(s *spec, m *numa.Machine) (RunResult, int, error) {
 				sess.SetMaxRetries(s.retries)
 			}
 		}
-		if s.multi {
+		switch {
+		case s.multi:
 			r.Out.PerSource, err = s.cell.multi(e, s.srcs)
-		} else {
+		case s.warm != nil:
+			r.Out, err = s.cell.warm(e, s)
+		default:
 			r.Out, err = s.cell.drive(e, s, sess)
 		}
 		if err == nil {
@@ -294,6 +298,37 @@ func RunWith(sys System, alg Algo, g *graph.Graph, m *numa.Machine, opt Options)
 	if err != nil {
 		return RunResult{}, err
 	}
+	r, _, err := run(s, m)
+	return r, err
+}
+
+// Warm is what a warm run repairs: an earlier answer of the same cell from
+// the same source (Output's I64 for BFS, F64 for SSSP), computed on a
+// snapshot that deleting the pairs of Deleted and then appending the edges
+// of Appended turns into the run's graph (mutate.Store.Edits).
+type Warm struct {
+	Prior             Output
+	Deleted, Appended []graph.Edge
+}
+
+// RunWarmCtx answers opt.Src's BFS or SSSP on g by repairing w on an
+// engine the table builds on m, instead of traversing from scratch: the
+// output is bit-identical to a cold run's, and the accounting is the warm
+// run's own. Only the scatter-gather systems have warm cells; a graph with
+// a negative or NaN weight cannot be repaired (algorithms.Repairable).
+// BFS reads g's unweighted view, as its levels count edges.
+func RunWarmCtx(ctx context.Context, sys System, alg Algo, g *graph.Graph, m *numa.Machine, w Warm, opt Options) (RunResult, error) {
+	s, err := newSpec(sys, alg, g, opt)
+	if err != nil {
+		return RunResult{}, err
+	}
+	if s.cell.warm == nil {
+		return RunResult{}, fmt.Errorf("bench: warm %s on %s: %w", alg, sys, ErrUnsupported)
+	}
+	if alg == BFS {
+		s.g = g.Unweighted()
+	}
+	s.ctx, s.warm = ctx, &w
 	r, _, err := run(s, m)
 	return r, err
 }

@@ -164,6 +164,17 @@ func TestSnapshotIsolationAndFallbacks(t *testing.T) {
 	if _, err := st.GraphAt("rmat24", 0, 4, base); err == nil {
 		t.Fatal("uncommitted prefix materialized")
 	}
+	// Edits carries any snapshot to any later one, and no other way.
+	deleted, appended, err := st.Edits("rmat24", 0, 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphEqual(t, at(1, base).Patch(deleted, appended), cleanApply(base, prefix[3]))
+	for _, w := range [][2]uint64{{3, 1}, {2, 4}} {
+		if _, _, err := st.Edits("rmat24", 0, w[0], w[1]); err == nil {
+			t.Fatalf("edits from %d to %d folded", w[0], w[1])
+		}
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

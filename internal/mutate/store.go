@@ -310,6 +310,36 @@ func (st *keyState) between(from, to uint64) []Batch {
 	return st.hist[from-st.openSeq : to-st.openSeq]
 }
 
+// Edits folds the batches in (from, to] into their net effect, in
+// graph.Patch's form: the pairs deleted (in no particular order) and the
+// surviving inserts in insertion order. Applied to the snapshot at from,
+// they give the snapshot at to. from older than the recovered checkpoint,
+// to beyond the committed sequence, or from after to is an error.
+func (s *Store) Edits(dataset string, scale int, from, to uint64) (deleted, appended []graph.Edge, err error) {
+	st, err := s.state(dataset, scale)
+	if err != nil {
+		return nil, nil, err
+	}
+	s.mu.Lock()
+	err = st.checkPrefix(dataset, scale, from)
+	if err == nil {
+		err = st.checkPrefix(dataset, scale, to)
+	}
+	if err == nil && from > to {
+		err = fmt.Errorf("mutate: %s@%d edits from %d back to %d", dataset, scale, from, to)
+	}
+	if err != nil {
+		s.mu.Unlock()
+		return nil, nil, err
+	}
+	delta := st.between(from, to)
+	s.mu.Unlock()
+	ns := newNetState()
+	ns.foldBatches(delta)
+	deleted, appended = ns.edits()
+	return deleted, appended, nil
+}
+
 // EdgesAt materializes the committed prefix through seq over a base edge
 // list. seq must be a value Seq returned in this process (prefixes older
 // than the recovered checkpoint are gone — nobody can have sampled them).
@@ -364,22 +394,20 @@ func (s *Store) GraphAt(dataset string, scale int, seq uint64, base *graph.Graph
 		s.mu.Unlock()
 		return nil, err
 	}
-	prev := st.snap
-	patch := prev != nil && st.snapBase == base && st.snapSeq <= seq
-	var delta []Batch
-	if patch {
-		delta = st.between(st.snapSeq, seq)
-	}
+	prev, prevSeq := st.snap, st.snapSeq
+	patch := prev != nil && st.snapBase == base && prevSeq <= seq
 	s.mu.Unlock()
 
 	var g *graph.Graph
 	switch {
-	case patch && len(delta) == 0:
+	case patch && prevSeq == seq:
 		return prev, nil
 	case patch:
-		ns := newNetState()
-		ns.foldBatches(delta)
-		g = prev.Patch(ns.edits())
+		deleted, appended, err := s.Edits(dataset, scale, prevSeq, seq)
+		if err != nil {
+			return nil, err
+		}
+		g = prev.Patch(deleted, appended)
 	default:
 		edges, err := s.EdgesAt(dataset, scale, seq, Flatten(base))
 		if err != nil {

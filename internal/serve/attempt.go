@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 
+	"polymer/internal/algorithms"
 	"polymer/internal/bench"
 	"polymer/internal/cluster"
 	"polymer/internal/fault"
@@ -28,7 +29,9 @@ type clusterStatus struct {
 
 // attempt is where every run is chosen: it runs the task's live sources
 // to an outcome, stamps resp with what the run produced and returns the
-// outcome with one checksum per source (nil when the run did not answer).
+// outcome with one checksum per source (nil when the run did not answer)
+// and, when the result cache retains answers (retains), one typed answer
+// per source.
 //
 //   - A cluster request runs once on the cluster substrate. It bypasses
 //     the breaker and the retries: the substrate has its own health
@@ -38,10 +41,11 @@ type clusterStatus struct {
 //     NUMA node, the migration charged) and refuses anything else with
 //     503; a multi-source run is refused whole.
 //   - Anything else goes through lease -> machine factory -> retry with
-//     backoff, one source on the resilient path and k on one fused
-//     multi-source sweep. A planned run's lease is left on t for finish
-//     to read; execute releases it.
-func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Response) (resKind, int, []float64) {
+//     backoff: one source warm when warmFor finds an answer to repair,
+//     else on the resilient path, and k on one fused multi-source sweep.
+//     A planned run's lease is left on t for finish to read; execute
+//     releases it.
+func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Response) (resKind, int, []float64, []bench.Output) {
 	v := t.v
 	tr := s.cfg.Tracer
 	if v.clustered() {
@@ -72,7 +76,7 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 		resp.Attempts, resp.SimSeconds = 1, res.SimSeconds
 		resp.Machines, resp.Replicas, resp.Hedged = v.machines, v.replicas, v.hedge
 		resp.Supersteps, resp.Failovers, resp.NetBytes = res.Supersteps, res.Failovers, res.NetBytes
-		return kindCompleted, 200, []float64{res.Checksum}
+		return kindCompleted, 200, []float64{res.Checksum}, nil
 	}
 
 	br := s.breakers[v.sys]
@@ -80,7 +84,7 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 	if !admit {
 		if v.alg != bench.PR || v.nodes < 2 {
 			resp.Error = fmt.Sprintf("circuit open for %s", v.sys)
-			return kindBroken, 503, nil
+			return kindBroken, 503, nil, nil
 		}
 		dr, err := bench.RunPolymerDegraded(g, v.topo, v.nodes, v.cores, 0, 0)
 		if err != nil {
@@ -89,7 +93,7 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 		s.lineage.add(dr.Result.Lineage)
 		resp.Degraded, resp.LostNode, resp.Attempts = true, dr.FailedNode, 1
 		resp.SimSeconds, resp.PeakBytes, resp.BoundsSeq = dr.Result.SimSeconds, dr.Result.PeakBytes, dr.Result.BoundsSeq
-		return kindDegraded, 200, []float64{dr.Result.Checksum}
+		return kindDegraded, 200, []float64{dr.Result.Checksum}, nil
 	}
 
 	mk := func() *numa.Machine { return v.armTier(numa.NewMachine(v.topo, v.nodes, v.cores)) }
@@ -122,6 +126,7 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 	if v.req.Retries >= 0 {
 		maxRetries = v.req.Retries
 	}
+	warm := s.warmFor(v, g, srcs)
 
 	var err error
 	for attempt := 0; attempt <= maxRetries; attempt++ {
@@ -137,7 +142,13 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 		resp.Attempts = attempt + 1
 		var r bench.RunResult
 		var sums []float64
-		if len(srcs) == 1 {
+		var outs []bench.Output
+		switch {
+		case warm != nil:
+			opt.Src = srcs[0]
+			r, err = bench.RunWarmCtx(t.ctx, v.sys, v.alg, g, mk(), *warm, opt.Options)
+			sums, outs = []float64{r.Checksum}, []bench.Output{r.Out}
+		case len(srcs) == 1:
 			// One source is the plain resilient run, so a shared run of one
 			// is indistinguishable from a private one.
 			var rep bench.ResilienceReport
@@ -145,12 +156,12 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 			r, rep, err = bench.RunResilientCtx(t.ctx, v.sys, v.alg, g, mk, v.injector(), opt)
 			resp.Rollbacks += rep.Rollbacks
 			resp.Restarts += rep.Restarts
-			sums = []float64{r.Checksum}
-		} else {
+			sums, outs = []float64{r.Checksum}, []bench.Output{r.Out}
+		default:
 			var mr bench.MultiResult
 			mr, err = bench.RunMultiSourceCtx(t.ctx, v.sys, v.alg, g, mk, srcs, tr)
 			r.SimSeconds, r.PeakBytes, r.BoundsSeq, r.Lineage = mr.SimSeconds, mr.PeakBytes, mr.BoundsSeq, mr.Lineage
-			sums = mr.PerSource
+			sums, outs = mr.PerSource, mr.Outs
 		}
 		s.lineage.add(r.Lineage)
 		if err == nil {
@@ -159,17 +170,26 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 			if v.tier.Tiered() {
 				resp.SlowRate = r.Stats.SlowRate
 			}
-			if len(srcs) > 1 {
+			switch {
+			case len(srcs) > 1:
 				// Provenance: the accounting fields describe the fused sweep.
 				resp.BatchSize = len(srcs)
-			} else {
-				// A run of one source is indistinguishable from a direct run —
-				// its simulated time is exactly what the model predicted, so it
-				// may teach the learner. Fused sweeps may not: their cost
-				// covers k sources at once.
+			case warm != nil:
+				// Provenance too: the accounting describes the repair. Its
+				// cost is not a cold run's, so it teaches the learner nothing.
+				resp.Warm = true
+				s.counters.Warm.Add(1)
+			default:
+				// A cold run of one source is indistinguishable from a direct
+				// run — its simulated time is exactly what the model
+				// predicted, so it may teach the learner. Fused sweeps may
+				// not: their cost covers k sources at once.
 				s.observePlan(v, t.lease, r.SimSeconds)
 			}
-			return kindCompleted, 200, sums
+			if !s.retains(v) {
+				outs = nil
+			}
+			return kindCompleted, 200, sums, outs
 		}
 		if ctxErr(err) {
 			// The client's deadline, not the engine's health: release a
@@ -190,11 +210,42 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 // failure stamps a run's error on resp and turns it into its outcome: a
 // context error is the request's own deadline or cancellation (504/503),
 // anything else a 500.
-func failure(err error, resp *Response) (resKind, int, []float64) {
+func failure(err error, resp *Response) (resKind, int, []float64, []bench.Output) {
 	resp.Error = err.Error()
 	if ctxErr(err) {
 		kind, status := classifyCtxErr(err)
-		return kind, status, nil
+		return kind, status, nil, nil
 	}
-	return kindFailed, 500, nil
+	return kindFailed, 500, nil, nil
+}
+
+// retains reports whether the result cache keeps v's typed answers: only
+// a server with a mutation store can ever repair one, and only a BFS or
+// SSSP answer.
+func (s *Server) retains(v *resolved) bool {
+	return s.mut != nil && (v.alg == bench.BFS || v.alg == bench.SSSP)
+}
+
+// warmFor returns what a warm run of v's one source on g repairs, or nil
+// when the run goes cold. A run goes warm when it is fault-free, not a
+// hedge leg, not clustered and of one source; when it is BFS or SSSP on
+// Polymer or Ligra; when the result cache holds an answer under its key
+// from a snapshot no newer than g, and the store still has the batches in
+// between; and when g can be repaired at all (no negative or NaN weight,
+// algorithms.Repairable). Priors are keyed by the full request key,
+// system included, so an answer never crosses engines.
+func (s *Server) warmFor(v *resolved, g *graph.Graph, srcs []graph.Vertex) *bench.Warm {
+	if !s.retains(v) || len(srcs) != 1 || !v.reusable() || v.hedge || v.clustered() ||
+		v.sys != bench.Polymer && v.sys != bench.Ligra {
+		return nil
+	}
+	out, seq, ok := s.results.prior(v.keyFor(srcs[0]))
+	if !ok || seq > g.Seq() || !algorithms.Repairable(g) {
+		return nil
+	}
+	deleted, appended, err := s.mut.Edits(string(v.data), int(v.scale), seq, g.Seq())
+	if err != nil {
+		return nil // older than the recovered checkpoint: cold
+	}
+	return &bench.Warm{Prior: out, Deleted: deleted, Appended: appended}
 }

@@ -33,6 +33,10 @@ type Counters struct {
 	Coalesced  atomic.Int64
 	Batched    atomic.Int64
 	ResultHits atomic.Int64
+	// Warm counts runs that answered by repairing an earlier answer of
+	// their request (a warm run) instead of traversing from scratch. It is
+	// an event counter outside the identity: each such run was admitted.
+	Warm atomic.Int64
 	// Completed requests returned a full-fidelity result; Degraded
 	// returned the honest degraded-mode result while a circuit was open.
 	Completed atomic.Int64
@@ -70,6 +74,7 @@ type CounterSnapshot struct {
 	Coalesced  int64 `json:"coalesced"`
 	Batched    int64 `json:"batched"`
 	ResultHits int64 `json:"result_hits"`
+	Warm       int64 `json:"warm"`
 	Completed  int64 `json:"completed"`
 	Degraded   int64 `json:"degraded"`
 	Retried    int64 `json:"retried"`
@@ -91,6 +96,7 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		Coalesced:  c.Coalesced.Load(),
 		Batched:    c.Batched.Load(),
 		ResultHits: c.ResultHits.Load(),
+		Warm:       c.Warm.Load(),
 		Completed:  c.Completed.Load(),
 		Degraded:   c.Degraded.Load(),
 		Retried:    c.Retried.Load(),

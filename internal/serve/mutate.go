@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"strings"
 	"time"
@@ -51,8 +52,8 @@ type MutationOp struct {
 	Op  string `json:"op"`
 	Src uint32 `json:"src"`
 	Dst uint32 `json:"dst"`
-	// Wt is the inserted edge's weight (ignored for deletes; unweighted
-	// algorithm views drop it).
+	// Wt is the inserted edge's weight: finite and not negative, 0 meaning
+	// unit weight (ignored for deletes; unweighted algorithm views drop it).
 	Wt float32 `json:"wt"`
 }
 
@@ -112,6 +113,12 @@ func resolveMutation(req MutationRequest) (*mutation, error) {
 		if int(op.Src) >= n || int(op.Dst) >= n {
 			return nil, badReq("op %d: edge (%d,%d) outside [0,%d) for %s/%s",
 				i, op.Src, op.Dst, n, req.Graph, req.Scale)
+		}
+		// A negative cycle would send every SSSP on the dataset into its
+		// step budget (and each failure against the engine's breaker);
+		// NaN and infinities have no shortest path at all. 0 is unit.
+		if kind == mutate.OpInsert && !(op.Wt >= 0 && op.Wt <= math.MaxFloat32) {
+			return nil, badReq("op %d: weight %v is not a finite non-negative number", i, op.Wt)
 		}
 		m.ops[i] = mutate.Op{Kind: kind, Src: op.Src, Dst: op.Dst, Wt: op.Wt}
 	}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -424,10 +425,23 @@ func TestMutateValidation(t *testing.T) {
 		"bad-json":        `{"graph":`,
 		"trailing":        `{"graph":"roadUS","scale":"tiny","ops":[{"op":"insert","src":0,"dst":1}]}{}`,
 		"unknown-field":   `{"graph":"roadUS","scale":"tiny","ops":[{"op":"insert","src":0,"dst":1}],"zap":1}`,
+		"negative-wt":     `{"graph":"roadUS","scale":"tiny","ops":[{"op":"insert","src":0,"dst":1,"wt":2},{"op":"insert","src":1,"dst":0,"wt":-5}]}`,
+		"overflow-wt":     `{"graph":"roadUS","scale":"tiny","ops":[{"op":"insert","src":0,"dst":1,"wt":1e39}]}`,
 	} {
 		if st, _ := postJSON(t, ts, "/mutatez", body); st != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, st)
 		}
+	}
+	// A weight JSON cannot spell is refused all the same, naming its op;
+	// a zero weight is unit and a delete's weight is ignored.
+	for _, wt := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), -1} {
+		ops := []MutationOp{{Op: "delete", Src: 2, Dst: 3, Wt: wt}, {Op: "insert", Src: 0, Dst: 1}, {Op: "insert", Src: 1, Dst: 0, Wt: wt}}
+		if _, err := resolveMutation(MutationRequest{Graph: "roadUS", Scale: "tiny", Ops: ops}); err == nil || !strings.Contains(err.Error(), "op 2:") {
+			t.Errorf("weight %v: error %v, want op 2 refused", wt, err)
+		}
+	}
+	if _, err := resolveMutation(MutationRequest{Graph: "roadUS", Scale: "tiny", Ops: []MutationOp{{Op: "insert", Src: 0, Dst: 1}}}); err != nil {
+		t.Errorf("unit weight refused: %v", err)
 	}
 	// Nothing invalid reached the store or the queue.
 	if s := store.Stats(); s.Committed != 0 {

@@ -1,15 +1,22 @@
 // The versioned result cache: full-fidelity responses keyed by the
-// request's canonical identity (request.go's key()) plus the dataset's
-// cache generation. InvalidateGraph bumps the generation, so results
-// computed against a stale snapshot can never be served again — even if
-// the run that computed them is still in flight when the invalidation
-// lands, because each request samples its generation before executing
-// and inserts under that sample.
+// request's canonical identity (request.go's key()), each stamped with the
+// dataset's cache generation it was computed under. InvalidateGraph bumps
+// the generation, so results computed against a stale snapshot can never
+// be served again — even if the run that computed them is still in flight
+// when the invalidation lands, because each request samples its
+// generation before executing and inserts under that sample.
 //
 // Only pure results are cached: fault-injected runs are excluded at the
 // reuse-path gate (resolved.reusable), and degraded or failed outcomes
 // are excluded at insert. A hit therefore replays exactly the payload a
 // cold run would compute.
+//
+// With a mutation store, a BFS or SSSP entry also keeps its typed answer
+// and the snapshot sequence its run read. A commit turns such entries
+// into priors instead of dropping them: a prior is never served, but the
+// next miss of its key repairs it into the new snapshot's answer (a warm
+// run, attempt.go). A dataset refresh (InvalidateGraph) drops priors with
+// everything else.
 
 package serve
 
@@ -18,16 +25,24 @@ import (
 	"fmt"
 	"sync"
 
+	"polymer/internal/bench"
 	"polymer/internal/obs"
 )
 
 // resultEntry is one cached response. bytes is an estimate (struct +
-// strings) used for budget accounting, not a precise heap measure.
+// strings + retained answer) used for budget accounting, not a precise
+// heap measure.
 type resultEntry struct {
-	key   string
-	data  string // dataset name, for invalidation purges
+	key  string
+	data string // dataset name, for invalidation purges
+	ver  uint64 // the generation it was computed under
+	// prior marks an entry a commit retired: never a hit, but out (from
+	// snapshot seq) may seed a warm run of key.
+	prior bool
 	bytes int64
 	resp  Response
+	out   bench.Output
+	seq   uint64
 	elem  *list.Element
 }
 
@@ -65,6 +80,7 @@ func (c *resultCache) version(data string) uint64 {
 	return c.versions[data]
 }
 
+// verKey qualifies a key with a generation: the identity of a shared run.
 func verKey(ver uint64, key string) string {
 	return fmt.Sprintf("g%d|%s", ver, key)
 }
@@ -74,11 +90,11 @@ func (c *resultCache) get(v *resolved) (Response, bool) {
 	if c.disabled {
 		return Response{}, false
 	}
-	k := verKey(v.ver, v.key())
+	k := v.key()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[k]
-	if !ok {
+	if !ok || e.prior || e.ver != v.ver {
 		c.misses++
 		return Response{}, false
 	}
@@ -89,14 +105,17 @@ func (c *resultCache) get(v *resolved) (Response, bool) {
 
 // put stores one full-fidelity response under an explicit canonical key
 // (a multi-source sweep inserts per-source entries whose keys differ
-// only in the source slot). Per-request provenance is stripped so a hit
-// replays only the deterministic payload; BatchSize survives because it
-// describes how the payload was computed, not who asked — and with it
-// the run's accounting (SimSeconds, PeakBytes, Attempts), which for a
-// batched insert describes the fused sweep rather than a solo run.
-// Inserts against a stale generation are dropped — the invalidation
-// already won.
-func (c *resultCache) put(v *resolved, key string, resp Response) {
+// only in the source slot), with the typed answer out when the caller
+// retains it (F64 or I64; the zero Output otherwise) and the sequence
+// number of the snapshot it was computed on. Per-request provenance is
+// stripped so a hit replays only the deterministic payload; BatchSize and
+// Warm survive because they describe how the payload was computed, not who
+// asked — and with them the run's accounting (SimSeconds, PeakBytes,
+// Attempts), which for a batched insert describes the fused sweep rather
+// than a solo run, and for a warm one the repair. Inserts against a stale
+// generation are dropped — the invalidation already won. An insert
+// replaces a prior under its key.
+func (c *resultCache) put(v *resolved, key string, resp Response, out bench.Output, seq uint64) {
 	if c.disabled {
 		return
 	}
@@ -108,23 +127,28 @@ func (c *resultCache) put(v *resolved, key string, resp Response) {
 	// Planner provenance is per-request too: a hit is re-stamped with the
 	// asking request's own decision (or none, if it was explicit).
 	resp.Plan = nil
-	k := verKey(v.ver, key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if v.ver != c.versions[string(v.data)] {
 		return
 	}
-	if _, ok := c.entries[k]; ok {
-		return // first writer wins; a racing writer computed the same bits
+	if old, ok := c.entries[key]; ok {
+		if !old.prior {
+			return // first writer wins; a racing writer computed the same bits
+		}
+		c.removeLocked(old)
 	}
 	e := &resultEntry{
-		key:   k,
+		key:   key,
 		data:  string(v.data),
-		bytes: int64(len(k)+len(resp.System)+len(resp.Algo)+len(resp.Graph)+len(resp.Scale)) + 160,
+		ver:   v.ver,
+		bytes: int64(len(key)+len(resp.System)+len(resp.Algo)+len(resp.Graph)+len(resp.Scale)+8*(len(out.F64)+len(out.I64))) + 160,
 		resp:  resp,
+		out:   out,
+		seq:   seq,
 	}
 	e.elem = c.lru.PushFront(e)
-	c.entries[k] = e
+	c.entries[key] = e
 	c.bytes += e.bytes
 	for c.budget > 0 && c.bytes > c.budget {
 		el := c.lru.Back()
@@ -136,15 +160,32 @@ func (c *resultCache) put(v *resolved, key string, resp Response) {
 	}
 }
 
+// prior returns the answer retained under key and the sequence number of
+// the snapshot it was computed on.
+func (c *resultCache) prior(key string) (bench.Output, uint64, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok || !e.retained() {
+		return bench.Output{}, 0, false
+	}
+	return e.out, e.seq, true
+}
+
+// retained reports whether the entry kept its typed answer.
+func (e *resultEntry) retained() bool { return e.out.F64 != nil || e.out.I64 != nil }
+
 func (c *resultCache) removeLocked(e *resultEntry) {
 	c.lru.Remove(e.elem)
 	delete(c.entries, e.key)
 	c.bytes -= e.bytes
 }
 
-// invalidate bumps the dataset's generation and purges its resident
-// entries, returning the new generation and the purge count.
-func (c *resultCache) invalidate(data string) (uint64, int) {
+// invalidate bumps the dataset's generation and retires its resident
+// entries: a commit (keepPriors) keeps those with a retained answer as
+// priors and drops the rest, a refresh drops them all. It returns the new
+// generation and the count of entries no longer servable.
+func (c *resultCache) invalidate(data string, keepPriors bool) (uint64, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.versions[data]++
@@ -153,8 +194,14 @@ func (c *resultCache) invalidate(data string) (uint64, int) {
 		e := el.Value.(*resultEntry)
 		prev := el.Prev()
 		if e.data == data {
-			c.removeLocked(e)
-			n++
+			if !e.prior {
+				n++
+			}
+			if keepPriors && e.retained() {
+				e.prior = true
+			} else {
+				c.removeLocked(e)
+			}
 		}
 		el = prev
 	}
@@ -176,19 +223,21 @@ func (c *resultCache) stats() cacheStats {
 
 // InvalidateGraph is the dataset-refresh hook: it bumps id's result
 // generation (logically discarding every cached and in-flight result for
-// the dataset) and drops unpinned cached graphs, generated bases included,
-// so the next request reloads. Graphs pinned by running requests finish
-// against the snapshot they started with; their results land under the old
-// generation and are never served. It returns the new generation and how
-// many cached results plus resident graphs were purged.
+// the dataset, priors included) and drops unpinned cached graphs,
+// generated bases included, so the next request reloads. Graphs pinned by
+// running requests finish against the snapshot they started with; their
+// results land under the old generation and are never served. It returns
+// the new generation and how many cached results plus resident graphs
+// were purged.
 func (s *Server) InvalidateGraph(id string) (version uint64, purged int) {
 	return s.invalidate(id, nil)
 }
 
 // invalidate is InvalidateGraph, or with keep a commit's retirement: the
-// same generation bump, but the graph-cache entries keep names stay.
+// same generation bump, but the graph-cache entries keep names stay, and
+// so do the results that can seed a warm run, as priors.
 func (s *Server) invalidate(id string, keep func(key string) bool) (version uint64, purged int) {
-	version, purged = s.results.invalidate(id)
+	version, purged = s.results.invalidate(id, keep != nil)
 	purged += s.cache.invalidate(id, keep)
 	s.cfg.Tracer.HostInstant("serve", "invalidate", obs.PidServe, obs.NowMicros(), -1,
 		fmt.Sprintf("%s -> generation %d (%d purged)", id, version, purged))

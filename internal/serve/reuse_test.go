@@ -17,6 +17,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"polymer/internal/bench"
 )
 
 func mustResolve(t *testing.T, body string) *resolved {
@@ -132,7 +134,7 @@ func TestResultCacheUnit(t *testing.T) {
 	if _, ok := c.get(v); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.put(v, v.key(), Response{Checksum: 42, WallMs: 9, ID: 7, Breaker: "closed"})
+	c.put(v, v.key(), Response{Checksum: 42, WallMs: 9, ID: 7, Breaker: "closed"}, bench.Output{}, 0)
 	got, ok := c.get(v)
 	if !ok || got.Checksum != 42 {
 		t.Fatalf("miss after put: %+v ok=%t", got, ok)
@@ -143,7 +145,7 @@ func TestResultCacheUnit(t *testing.T) {
 	// Fill until the budget forces evictions; the oldest key goes first.
 	for src := 2; src < 12; src++ {
 		vi := mustResolve(t, `{"algo":"bfs","system":"ligra","graph":"powerlaw","src":`+itoa(src)+`}`)
-		c.put(vi, vi.key(), Response{Checksum: float64(src)})
+		c.put(vi, vi.key(), Response{Checksum: float64(src)}, bench.Output{}, 0)
 	}
 	st := c.stats()
 	if st.Evictions == 0 || st.Bytes > 600 {
@@ -159,14 +161,14 @@ func TestResultCacheUnit(t *testing.T) {
 		t.Fatal("freshest entry missing before invalidation")
 	}
 	stale := *vLive // sampled generation 0
-	ver, _ := c.invalidate("powerlaw")
+	ver, _ := c.invalidate("powerlaw", false)
 	if ver != 1 {
 		t.Fatalf("generation = %d, want 1", ver)
 	}
 	if _, ok := c.get(vLive); ok {
 		t.Fatal("hit across an invalidation")
 	}
-	c.put(&stale, stale.key(), Response{Checksum: 1}) // computed pre-invalidation
+	c.put(&stale, stale.key(), Response{Checksum: 1}, bench.Output{}, 0) // computed pre-invalidation
 	fresh := *vLive
 	fresh.ver = c.version("powerlaw")
 	if _, ok := c.get(&fresh); ok {
@@ -174,7 +176,7 @@ func TestResultCacheUnit(t *testing.T) {
 	}
 	// Disabled cache: everything misses, nothing is stored.
 	d := newResultCache(-1)
-	d.put(vLive, vLive.key(), Response{Checksum: 1})
+	d.put(vLive, vLive.key(), Response{Checksum: 1}, bench.Output{}, 0)
 	if _, ok := d.get(vLive); ok {
 		t.Fatal("disabled cache served a hit")
 	}

@@ -186,6 +186,11 @@ type Response struct {
 	Cached    bool `json:"cached,omitempty"`
 	Coalesced bool `json:"coalesced,omitempty"`
 	BatchSize int  `json:"batch,omitempty"`
+	// Warm marks a payload a warm run computed: an earlier answer of the
+	// same request, repaired for the edits committed since, bit-identical
+	// to a cold run's. Like BatchSize it survives a cache replay, and
+	// sim_seconds/peak_bytes/attempts describe the repair.
+	Warm bool `json:"warm,omitempty"`
 	// Seq and Generation are mutation-commit provenance (POST /mutatez):
 	// the committed batch's sequence number — the snapshot version that
 	// includes it — and the dataset's new result-cache generation.
@@ -461,6 +466,10 @@ func (s *Server) execute(t *task) {
 		resp.Tier = v.tier.Policy.String()
 		resp.DramBytes = v.tier.DRAMPerNode
 	}
+	// The snapshot the run read, and the typed answer per slot when the
+	// result cache retains them, for warm runs to come.
+	var seq uint64
+	answers := make([]bench.Output, len(srcs))
 	// finish gives every slot not already resolved on its own the run-wide
 	// outcome, caches the full-fidelity results and publishes.
 	finish := func(kind resKind, status int, out Response) {
@@ -488,16 +497,16 @@ func (s *Server) execute(t *task) {
 			o := &outs[i].resp
 			o.WallMs, o.Breaker = wall, breaker
 			if cache && outs[i].status == 200 && !o.Degraded {
-				s.results.put(v, v.keyFor(srcs[i]), *o)
+				s.results.put(v, v.keyFor(srcs[i]), *o, answers[i], seq)
 			}
 		}
 		// Slot 0 is the opener's; joiners stamp their own plan in wait.
 		outs[0].resp.Plan = v.planWith(tenants, outs[0].resp.SimSeconds)
 		out.WallMs, out.Breaker = wall, breaker
 		tr.Span("serve", "request", obs.PidServe, startMicros, obs.NowMicros()-startMicros, -1, t.id,
-			fmt.Sprintf("%s/%s on %s sources=%d status=%d attempts=%d rollbacks=%d restarts=%d degraded=%t breaker=%s err=%s",
+			fmt.Sprintf("%s/%s on %s sources=%d status=%d attempts=%d rollbacks=%d restarts=%d degraded=%t warm=%t breaker=%s err=%s",
 				out.Algo, out.Graph, out.System, len(srcs), status, out.Attempts, out.Rollbacks,
-				out.Restarts, out.Degraded, out.Breaker, out.Error))
+				out.Restarts, out.Degraded, out.Warm, out.Breaker, out.Error))
 		s.log.LogAttrs(context.Background(), slog.LevelInfo, "request",
 			slog.Int64("id", t.id),
 			slog.String("system", out.System),
@@ -509,6 +518,7 @@ func (s *Server) execute(t *task) {
 			slog.Int("rollbacks", out.Rollbacks),
 			slog.Int("restarts", out.Restarts),
 			slog.Bool("degraded", out.Degraded),
+			slog.Bool("warm", out.Warm),
 			slog.String("breaker", out.Breaker),
 			slog.Float64("sim_seconds", out.SimSeconds),
 			slog.Float64("wall_ms", out.WallMs),
@@ -534,6 +544,7 @@ func (s *Server) execute(t *task) {
 	// The pin outlives every use of g below, so eviction can never free a
 	// graph out from under a running request.
 	defer release()
+	seq = g.Seq()
 	live := make([]graph.Vertex, 0, len(srcs))
 	liveSlot := make([]int, 0, len(srcs))
 	for i, src := range srcs {
@@ -551,11 +562,14 @@ func (s *Server) execute(t *task) {
 		return
 	}
 
-	kind, status, sums := s.attempt(t, g, live, &resp)
+	kind, status, sums, typed := s.attempt(t, g, live, &resp)
 	defer t.lease.Release()
 	for j, cs := range sums {
 		resp.Checksum = cs
 		outs[liveSlot[j]] = outcome{kind: kind, status: status, resp: resp}
+	}
+	for j, a := range typed {
+		answers[liveSlot[j]] = a
 	}
 	finish(kind, status, resp)
 }

@@ -279,6 +279,20 @@ type sweeper interface{ sweep() *Sweep }
 
 func (s *Sweep) sweep() *Sweep { return s }
 
+// MakeLayouts makes e's push and pull layouts now instead of at the first
+// phase that needs each (on an engine without a Sweep it does nothing). A
+// run whose phases depend on where it starts calls it so that what it
+// derives from its graph, and so what a mutation lineage's next snapshot
+// patches rather than builds (graph.Derived), does not depend on which
+// phases it happened to take.
+func MakeLayouts(e Engine) {
+	if sw, ok := e.(sweeper); ok {
+		s := sw.sweep()
+		s.cfg.Layout(true)
+		s.cfg.Layout(false)
+	}
+}
+
 // EdgeMapK is Engine.EdgeMap generically typed on the kernel: on an engine
 // that embeds a Sweep it runs the sweep with k unboxed, and any other
 // engine (a wrapper, say) gets its interface method. Instantiating at the

@@ -40,8 +40,8 @@ go test -race \
 	./internal/cluster/... \
 	./internal/plan/...
 
-echo "==> go test -race -count=10 (shared runs: join, seal, detach and publish races; cluster, hedged and degraded runs through the one attempt)"
-go test -race -count=10 -run 'Coalesce|Batch|Invalidation|Drain|Deadline|Disconnect|SharedLease|Cluster|Hedge|Degrade' ./internal/serve/
+echo "==> go test -race -count=10 (shared runs: join, seal, detach and publish races; cluster, hedged, degraded and warm runs through the one attempt)"
+go test -race -count=10 -run 'Coalesce|Batch|Invalidation|Drain|Deadline|Disconnect|SharedLease|Cluster|Hedge|Degrade|Warm' ./internal/serve/
 
 echo "==> go test -race -count=5 (concurrent reads of a fresh successor: one layout patch, shared)"
 go test -race -count=5 -run 'TestConcurrentReadsShareSnapshotLayouts' ./internal/serve/
@@ -69,6 +69,10 @@ go test -count=5 -cpu 1,2,8 -run 'TestLayoutPatchMatchesBuild' ./internal/core/
 # loops: random and fixed segments, with and without IDs, under full,
 # empty and sparse leaves.
 go test -count=5 -cpu 1,2,8 -run 'TestPushRowMatchesUpdateLoop|TestPullRowMatchesUpdateLoop' ./internal/algorithms/
+# Warm runs against cold ones, bit for bit: BFS and SSSP on Polymer and
+# Ligra repaired from every earlier snapshot's answer of random batch
+# streams, twenty times over.
+go test -count=20 -cpu 1,2,8 -run 'TestWarmDifferential|TestWarmVanishingWeights' ./internal/conform/
 # All 24 clocks of the dump and every clock and slow rate of the
 # tiered-memory sweep against their goldens; every unweighted cell polymerd
 # serves on a weighted base's view against the same cell on an unweighted
