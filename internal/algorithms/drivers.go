@@ -30,15 +30,17 @@ type stepper struct {
 	// itself (X-Stream's Iterate does) and a second span would renumber it.
 	span any
 	// step runs one superstep of a float kernel: the edge phase out of the
-	// active vertices, then apply on every vertex. It returns how many
-	// vertices apply kept; they are the next step's active set when keep
-	// is set, otherwise every vertex is active in every step.
+	// active vertices, then apply on every vertex. When keep is set the
+	// vertices apply kept are the next step's active set and it returns
+	// how many they are; otherwise every vertex is active in every step,
+	// and a step that builds no set of the kept vertices returns 0.
 	step func(apply func(graph.Vertex) bool, keep bool) int64
 }
 
 // sgStepper steps kernel k on a scatter-gather engine: EdgeMap out of the
 // active subset (the one persistent full frontier until a step keeps
-// less), then VertexMap over the full frontier.
+// less), then VertexMap over the full frontier, building the kept subset
+// only when the step keeps it.
 func sgStepper[K sg.EdgeKernel](e sg.Engine, k K, h sg.Hints) stepper {
 	all := state.NewAll(e.Bounds())
 	active := all
@@ -47,11 +49,12 @@ func sgStepper[K sg.EdgeKernel](e sg.Engine, k K, h sg.Hints) stepper {
 		if e.Err() != nil {
 			return 0
 		}
-		kept := e.VertexMap(all, apply)
-		if keep {
-			active = kept
+		if !keep {
+			sg.VertexMapDiscard(e, all, apply)
+			return 0
 		}
-		return kept.Count()
+		active = e.VertexMap(all, apply)
+		return active.Count()
 	}}
 }
 

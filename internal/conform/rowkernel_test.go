@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"polymer/internal/algorithms"
 	"polymer/internal/bench"
@@ -36,23 +37,27 @@ func (e perEdgeEngine) EdgeMap(a *state.Subset, k sg.EdgeKernel, h sg.Hints) *st
 // ended, and at the rolling start's wrap when that one ended at the last
 // row and this one starts at row 0. Chunks of one thread are never
 // adjacent, and those of two threads only on a node with one chunk each,
-// so neither case arises between chunks on the graphs below.
+// so neither case arises between chunks on the graphs below. The rows are
+// told apart by their columns array, one a part: the engines here sweep
+// fresh builds, whose parts are laid out flat, and a phase that streams no
+// weights hands every part's rows over in one scratch view.
 type segmentLog struct {
-	last                map[*sg.Rows]int // each rows view's previous segment end
+	last                map[*graph.Vertex]int // each part's previous segment end
 	ownerCuts, wrapCuts int
 }
 
 func (l *segmentLog) note(rs *sg.Rows, lo, hi int) {
-	if end, ok := l.last[rs]; ok && lo < hi {
+	part := unsafe.SliceData(rs.Cols)
+	if end, ok := l.last[part]; ok && lo < hi {
 		switch {
 		case lo == end:
 			l.ownerCuts++
-		case lo == 0 && end == len(rs.IDs):
+		case lo == 0 && end == rs.Len():
 			l.wrapCuts++
 		}
 	}
 	if lo < hi {
-		l.last[rs] = hi
+		l.last[part] = hi
 	}
 }
 
@@ -171,7 +176,7 @@ func (sys rowSystem) run(t *testing.T, g *graph.Graph, rows bool,
 		t.Fatal(err)
 	}
 	sess := fault.NewSession(e, fault.NewInjector(evs))
-	log := &segmentLog{last: map[*sg.Rows]int{}}
+	log := &segmentLog{last: map[*graph.Vertex]int{}}
 	var driven sg.Engine = segmentEngine{e, log}
 	if !rows {
 		driven = perEdgeEngine{e}

@@ -29,22 +29,29 @@ import (
 // engine on one topology shares one build through graph.Derived
 // (DESIGN.md §7 item 9) and wraps it in its own layout.
 //
-// Node p's rows are part p of the engine's sweep (sg.Part): IDs holds the
-// far-side key vertices, ascending; Idx delimits each row's columns; Cols
-// holds the local vertices; Wts the edge weights aligned with Cols (nil
-// when unweighted). OwnerRows cuts the rows by the partition of their
-// keys, so a dense sweep counts rows per owner a segment at a time; Start
-// is the first row keyed in the node's own partition, where the
-// rolling-order sweep begins. A push build also carries the agent index
-// (sg.Agents), vertex → (node, row) across all nodes, through which sparse
-// phases find an active vertex's rows; they read only push builds, so
-// pull builds carry none.
+// Node p's rows are part p of the engine's sweep (sg.Part), in chunks of
+// sg.ChunkKeys keys: IDs holds the far-side key vertices, ascending; Idx
+// delimits each row's columns; Cols holds the local vertices; Wts the edge
+// weights aligned with Cols (nil when unweighted). A build lays each
+// node's rows out flat, one array per node for each of the four
+// (sg.Part.Flat), and a patch gives the node chunks of their own: it
+// rewrites the chunks its edits key into and shares the rest. The first
+// patch to reach a node of a build copies all its chunks out of the flat
+// arrays, so no patched generation keeps a build's arrays alive beside the
+// chunks that replaced most of them.
+// OwnerRows cuts the rows by the partition of their keys, so a dense sweep
+// counts rows per owner a segment at a time; Start is the first row keyed
+// in the node's own partition, where the rolling-order sweep begins. A push build also carries the agent index (sg.Agents),
+// vertex → (node, chunk row) across all nodes, through which sparse phases
+// find an active vertex's rows; they read only push builds, so pull builds
+// carry none.
 type layoutBuild struct {
 	perNode    []sg.Part
 	agents     *sg.Agents // nil in a pull build
 	agentBytes int64
-	n          int  // vertices
-	weighted   bool // the build carries wts (its graph was weighted)
+	edges      int64 // over all nodes
+	n          int   // vertices
+	weighted   bool  // the build carries wts (its graph was weighted)
 	// parts and push are the partition and direction the build groups by.
 	parts []partition.Range
 	push  bool
@@ -75,6 +82,7 @@ const (
 // maxLayoutNodes.
 func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuild {
 	n := g.NumVertices()
+	chunks := (n + sg.ChunkKeys - 1) >> sg.ChunkShift
 	l := &layoutBuild{perNode: make([]sg.Part, len(parts)), n: n, weighted: g.Weighted(), parts: parts, push: push}
 	// agentCounts[k] = Off[k+1] counts the nodes with a row keyed by k
 	// until fillAgents; nil in a pull build.
@@ -117,14 +125,13 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuil
 			keyedBits[w] = word
 			rows += bits.OnesCount64(word)
 		}
-		nl.IDs = make([]graph.Vertex, rows)
-		nl.Idx = make([]int64, rows+1)
+		flat := &sg.Rows{IDs: make([]graph.Vertex, rows), Idx: make([]int64, rows+1)}
 		r := 0
 		var off int64
 		for w, word := range keyedBits {
 			for ; word != 0; word &= word - 1 {
 				k := w*64 + bits.TrailingZeros64(word)
-				nl.IDs[r], nl.Idx[r] = graph.Vertex(k), off
+				flat.IDs[r], flat.Idx[r] = graph.Vertex(k), off
 				off, cnt[k] = off+int64(cnt[k]), int32(off) // the row's first free slot
 				if agentCounts != nil {
 					agentCounts[k]++
@@ -132,13 +139,13 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuil
 				r++
 			}
 		}
-		nl.Idx[rows] = off
+		flat.Idx[rows] = off
 
 		// Fill columns: sweep local vertices ascending so each row's
 		// columns come out ascending too.
-		nl.Cols = make([]graph.Vertex, edges)
+		flat.Cols = make([]graph.Vertex, edges)
 		if l.weighted {
-			nl.Wts = make([]float32, edges)
+			flat.Wts = make([]float32, edges)
 		}
 		for v := vr.Lo; v < vr.Hi; v++ {
 			keys := keysOf(g, graph.Vertex(v), push)
@@ -146,13 +153,15 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuil
 			for i, k := range keys {
 				pos := cnt[k]
 				cnt[k]++
-				nl.Cols[pos] = graph.Vertex(v)
+				flat.Cols[pos] = graph.Vertex(v)
 				if wts != nil {
-					nl.Wts[pos] = wts[i]
+					flat.Wts[pos] = wts[i]
 				}
 			}
 		}
 
+		nl.Flat, nl.ChunkRows = flat, chunkRows(keyedBits, chunks)
+		l.edges += edges
 		ownRows(nl, parts, p)
 		l.agentBytes += agentBytes(nl, p)
 	}
@@ -162,14 +171,32 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuil
 	return l
 }
 
+// chunkRows returns where each of chunks chunks of sg.ChunkKeys keys
+// starts among the rows of the keys set in keyedBits, and the row count
+// after them.
+func chunkRows(keyedBits []uint64, chunks int) []int {
+	first := make([]int, chunks+1)
+	for w, word := range keyedBits {
+		first[w/(sg.ChunkKeys/64)+1] += bits.OnesCount64(word)
+	}
+	for c := range chunks {
+		first[c+1] += first[c]
+	}
+	return first
+}
+
 // ownRows cuts node p's rows by the partition of their keys (OwnerRows)
 // and sets the rolling-order start: the first row keyed inside the local
 // range, or row 0 when there is none.
 func ownRows(nl *sg.Part, parts []partition.Range, p int) {
-	rows := len(nl.IDs)
+	rows := nl.Len()
 	nl.OwnerRows = make([]int, len(parts)+1)
 	for o, pr := range parts {
-		nl.OwnerRows[o], _ = slices.BinarySearch(nl.IDs, graph.Vertex(pr.Lo))
+		nl.OwnerRows[o] = rows
+		if c := pr.Lo >> sg.ChunkShift; c < len(nl.ChunkRows)-1 {
+			j, _ := slices.BinarySearch(nl.Chunk(c).IDs, graph.Vertex(pr.Lo))
+			nl.OwnerRows[o] = nl.ChunkRows[c] + j
+		}
 	}
 	nl.OwnerRows[len(parts)] = rows
 	if nl.Start = nl.OwnerRows[p]; nl.Start == rows {
@@ -180,7 +207,7 @@ func ownRows(nl *sg.Part, parts []partition.Range, p int) {
 // agentBytes is node p's replica footprint: an edge offset and a degree,
 // 16 bytes, for every row keyed remotely.
 func agentBytes(nl *sg.Part, p int) int64 {
-	return int64(len(nl.IDs)-(nl.OwnerRows[p+1]-nl.OwnerRows[p])) * 16
+	return int64(nl.Len()-(nl.OwnerRows[p+1]-nl.OwnerRows[p])) * 16
 }
 
 // layoutEdit is one edge edit as a build sees it: the row key (the
@@ -191,19 +218,22 @@ type layoutEdit struct {
 }
 
 // Patch returns the build of l's graph after graph.Patch(deleted,
-// appended), with l's partition and direction: equal, array for array, to
+// appended), with l's partition and direction: equal, chunk for chunk, to
 // buildLayout on the patched graph. In the patched graph a vertex's
 // adjacency is its surviving entries in the old order followed by its
 // appended edges in order, and buildLayout fills a row's columns by
 // sweeping the local vertices ascending; so a row keyed by a vertex no
 // edit names is the old row, and a touched row is the old one without the
 // deleted pairs, merged by column with its appended edges, old copies of a
-// duplicated pair first. Per node, untouched row runs are copied with
-// their offsets shifted and only touched rows are rewritten; a node no
-// edit reaches shares its old part. When rows appear or vanish the agent
-// index is refilled from the patched parts, otherwise shared.
+// duplicated pair first. Per node, only the chunks an edit keys into are
+// rewritten, their untouched rows copied; every other chunk is the old
+// one, unless the node is a build's, laid out flat, whose chunks are all
+// copied out (layoutBuild); a node no edit reaches shares its old part.
+// When rows appear or vanish the agent index is refilled from the patched
+// parts, otherwise shared.
 func (l *layoutBuild) Patch(deleted, appended []graph.Edge) *layoutBuild {
-	out := &layoutBuild{perNode: make([]sg.Part, len(l.parts)), n: l.n, weighted: l.weighted, parts: l.parts, push: l.push, agents: l.agents}
+	out := &layoutBuild{perNode: make([]sg.Part, len(l.parts)), n: l.n, weighted: l.weighted, parts: l.parts, push: l.push,
+		agents: l.agents, edges: l.edges}
 	dels, adds := l.editsByNode(deleted), l.editsByNode(appended)
 	moved := false
 	for p := range l.parts {
@@ -211,7 +241,9 @@ func (l *layoutBuild) Patch(deleted, appended []graph.Edge) *layoutBuild {
 		if len(dels[p]) == 0 && len(adds[p]) == 0 {
 			*nl = l.perNode[p]
 		} else {
-			moved = patchPart(nl, &l.perNode[p], dels[p], adds[p], l.weighted) || moved
+			m, edges := patchPart(nl, &l.perNode[p], dels[p], adds[p], l.weighted)
+			moved = moved || m
+			out.edges += edges
 			ownRows(nl, l.parts, p)
 		}
 		out.agentBytes += agentBytes(nl, p)
@@ -219,8 +251,11 @@ func (l *layoutBuild) Patch(deleted, appended []graph.Edge) *layoutBuild {
 	if l.agents != nil && moved {
 		out.agents = &sg.Agents{Off: make([]int32, l.n+1)}
 		for p := range out.perNode {
-			for _, k := range out.perNode[p].IDs {
-				out.agents.Off[k+1]++
+			pt := &out.perNode[p]
+			for c := range len(pt.ChunkRows) - 1 {
+				for _, k := range pt.Chunk(c).IDs {
+					out.agents.Off[k+1]++
+				}
 			}
 		}
 		fillAgents(out.agents, out.perNode)
@@ -251,14 +286,45 @@ func (l *layoutBuild) editsByNode(edges []graph.Edge) [][]layoutEdit {
 	return by
 }
 
-// patchPart writes into nl the rows of prev with dels' pairs removed and
-// adds appended, both grouped by key and ordered by column (editsByNode).
-// It reports whether a row appeared or vanished. IDs, Idx, Cols and Wts
-// are set; OwnerRows and Start are the caller's (ownRows).
-func patchPart(nl, prev *sg.Part, dels, adds []layoutEdit, weighted bool) (moved bool) {
-	nl.IDs = make([]graph.Vertex, 0, len(prev.IDs)+len(adds))
-	nl.Idx = make([]int64, 0, len(prev.IDs)+len(adds)+1)
-	nl.Cols = make([]graph.Vertex, 0, len(prev.Cols)+len(adds))
+// patchPart writes into nl the part prev with dels' pairs removed and adds
+// appended, both ordered by (key, column) (editsByNode), in chunks of its
+// own: the chunks the edits key into are rewritten (patchRows), the
+// others are prev's, or, when prev is laid out flat, copies of them. It
+// reports whether a row appeared or vanished, and by how many edges the
+// part grew. Chunks and ChunkRows are set; OwnerRows and Start are the
+// caller's (ownRows).
+func patchPart(nl, prev *sg.Part, dels, adds []layoutEdit, weighted bool) (moved bool, edges int64) {
+	if prev.Flat == nil {
+		nl.Chunks = slices.Clone(prev.Chunks)
+	} else {
+		nl.Chunks = make([]sg.Rows, len(prev.ChunkRows)-1)
+	}
+	for c := range nl.Chunks {
+		last := graph.Vertex(c<<sg.ChunkShift | (sg.ChunkKeys - 1)) // the chunk's last key
+		d, a := cut(&dels, last), cut(&adds, last)
+		if len(d) == 0 && len(a) == 0 && prev.Flat == nil {
+			continue
+		}
+		old, ch := prev.Chunk(c), &nl.Chunks[c]
+		moved = patchRows(ch, &old, d, a, weighted) || moved
+		edges += ch.Edges() - old.Edges()
+	}
+	nl.ChunkRows = make([]int, len(nl.Chunks)+1)
+	for c := range nl.Chunks {
+		nl.ChunkRows[c+1] = nl.ChunkRows[c] + nl.Chunks[c].Len()
+	}
+	return moved, edges
+}
+
+// patchRows writes into nl fresh arrays holding the rows of prev with
+// dels' pairs removed and adds appended, both ordered by (key, column),
+// its offsets from 0. It reports whether a row appeared or vanished.
+func patchRows(nl, prev *sg.Rows, dels, adds []layoutEdit, weighted bool) (moved bool) {
+	*nl = sg.Rows{
+		IDs:  make([]graph.Vertex, 0, len(prev.IDs)+len(adds)),
+		Idx:  make([]int64, 0, len(prev.IDs)+len(adds)+1),
+		Cols: make([]graph.Vertex, 0, prev.Edges()+int64(len(adds))),
+	}
 	if weighted {
 		nl.Wts = make([]float32, 0, cap(nl.Cols))
 	}
@@ -319,10 +385,11 @@ func patchPart(nl, prev *sg.Part, dels, adds []layoutEdit, weighted bool) (moved
 	return moved
 }
 
-// cut removes the leading edits keyed by key from *eds and returns them.
-func cut(eds *[]layoutEdit, key graph.Vertex) []layoutEdit {
+// cut removes the leading edits keyed at most last from *eds and returns
+// them.
+func cut(eds *[]layoutEdit, last graph.Vertex) []layoutEdit {
 	i := 0
-	for i < len(*eds) && (*eds)[i].key == key {
+	for i < len(*eds) && (*eds)[i].key <= last {
 		i++
 	}
 	head := (*eds)[:i]
@@ -332,7 +399,7 @@ func cut(eds *[]layoutEdit, key graph.Vertex) []layoutEdit {
 
 // copyRows appends prev's rows [from, to) to nl unchanged: their offsets
 // move by however much the rows before them grew or shrank.
-func copyRows(nl, prev *sg.Part, from, to int) {
+func copyRows(nl, prev *sg.Rows, from, to int) {
 	if from == to {
 		return
 	}
@@ -364,12 +431,15 @@ func fillAgents(ag *sg.Agents, perNode []sg.Part) {
 	for k := 1; k < len(off); k++ {
 		off[k], entries = entries, entries+off[k]
 	}
-	part, row := make([]uint8, entries), make([]int32, entries)
+	part, row := make([]uint8, entries), make([]uint8, entries)
 	for p := range perNode {
-		for r, k := range perNode[p].IDs {
-			i := off[k+1]
-			off[k+1] = i + 1
-			part[i], row[i] = uint8(p), int32(r)
+		pt := &perNode[p]
+		for c := range len(pt.ChunkRows) - 1 {
+			for r, k := range pt.Chunk(c).IDs {
+				i := off[k+1]
+				off[k+1] = i + 1
+				part[i], row[i] = uint8(p), uint8(r)
+			}
 		}
 	}
 	ag.Part, ag.Row = part, row
@@ -391,23 +461,29 @@ func weightsOf(g *graph.Graph, v graph.Vertex, push bool) []float32 {
 	return g.OutWeights(v)
 }
 
-// layoutBytes returns the simulated footprint of the arrays of parts, a
-// layout over n vertices. Beside the rows it charges a one-byte owner per
-// row, which the host keeps as the nodes+1 OwnerRows boundaries, and an
-// n-entry, 4-byte agent lookup table per node in both directions: the
-// paper's per-node lookup (§4.2), which the host keeps instead as one
-// agent index across the nodes of a push build (sg.Agents). The charge
-// stays because it is a recorded result — every simulated peak, both
-// dump goldens and the benchmark's sim_peak_mb_polymer — and moving it
-// is a deliberate re-baseline of the memory scorecard (EXPERIMENTS.md
-// deviation 6), not a side effect of a host change.
-func layoutBytes(parts []sg.Part, n int) int64 {
-	var b int64
-	for i := range parts {
-		pt := &parts[i]
-		b += int64(len(pt.IDs))*4 + int64(len(pt.Idx))*8
-		b += int64(len(pt.Cols))*4 + int64(len(pt.Wts))*4
-		b += int64(len(pt.IDs)) + int64(n)*4
+// layoutBytes returns the simulated footprint of build l, its weights
+// counted when wts is set. It is charged from the row and edge totals as
+// if each node kept its rows in flat arrays: per node, 4 bytes a row key,
+// 8 an offset with one more for the end, 4 a column and 4 a weight; the
+// host's chunk headers and each chunk's end offset are not charged. Beside
+// the rows it charges a one-byte owner per row, which the host keeps as the
+// nodes+1 OwnerRows boundaries, and an n-entry, 4-byte agent lookup table
+// per node in both directions: the paper's per-node lookup (§4.2), which
+// the host keeps instead as one agent index across the nodes of a push
+// build (sg.Agents). The charge stays because it is a recorded result —
+// every simulated peak, both dump goldens and the benchmark's
+// sim_peak_mb_polymer — and moving it is a deliberate re-baseline of the
+// memory scorecard (EXPERIMENTS.md deviation 6), not a side effect of a
+// host change.
+func layoutBytes(l *layoutBuild, wts bool) int64 {
+	var rows int64
+	for p := range l.perNode {
+		rows += int64(l.perNode[p].Len())
+	}
+	nodes := int64(len(l.perNode))
+	b := rows*4 + (rows+nodes)*8 + l.edges*4 + rows + nodes*int64(l.n)*4
+	if wts {
+		b += l.edges * 4
 	}
 	return b
 }
@@ -435,8 +511,9 @@ func (e *Engine) layoutOf(push bool) *layout {
 // and direction: a snapshot whose predecessor holds the build under the
 // same partition patches it, anything else builds it (graph.Derived). An
 // engine on an Unweighted view of a weighted graph gets the weighted build
-// with its weights hidden, so it charges exactly the bytes of an
-// unweighted build; without rolling, every node sweeps from row 0.
+// with its weights hidden (sg.Layout.Unweighted), so it charges exactly the
+// bytes of an unweighted build; without rolling, every node sweeps from
+// row 0, on a copy of the parts' headers. Neither copies a row.
 func (e *Engine) newLayout(push bool) *layout {
 	key := fmt.Sprintf("core.layout push=%t bounds=%v", push, e.Bounds())
 	b := graph.Derived(e.G, key, func(root *graph.Graph) *layoutBuild {
@@ -447,23 +524,19 @@ func (e *Engine) newLayout(push bool) *layout {
 		return prev.Patch(deleted, appended)
 	})
 	parts := b.perNode
-	hideWts := b.weighted && !e.G.Weighted()
-	if hideWts || e.opt.DisableRolling {
+	if e.opt.DisableRolling {
 		parts = slices.Clone(parts)
 		for p := range parts {
-			if hideWts {
-				parts[p].Wts = nil
-			}
-			if e.opt.DisableRolling {
-				parts[p].Start = 0
-			}
+			parts[p].Start = 0
 		}
 	}
-	return &layout{shared: b, Layout: sg.NewLayout(parts, b.agents, e.M.CoresPerNode)}
+	l := &layout{shared: b, Layout: sg.NewLayout(parts, b.agents, e.M.CoresPerNode)}
+	l.Unweighted = b.weighted && !e.G.Weighted()
+	return l
 }
 
 func (e *Engine) registerLayout(l *layout) bool {
-	b := layoutBytes(l.Parts, l.shared.n)
+	b := layoutBytes(l.shared, l.shared.weighted && !l.Unweighted)
 	if err := e.M.Alloc().Grow("polymer/topology", b); err != nil {
 		e.Fail(err)
 		return false

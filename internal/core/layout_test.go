@@ -2,15 +2,41 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/partition"
+	"polymer/internal/sg"
 )
 
 type edgeKey struct{ s, t graph.Vertex }
+
+// chunks returns the number of chunks of pt.
+func chunks(pt *sg.Part) int { return len(pt.ChunkRows) - 1 }
+
+// flatRows is part nl's rows as one flat Rows: its chunks' keys, columns
+// and weights end to end, with offsets into the whole.
+func flatRows(nl *sg.Part) sg.Rows {
+	var f sg.Rows
+	for c := range chunks(nl) {
+		ch := nl.Chunk(c)
+		base := int64(len(f.Cols)) - ch.Idx[0]
+		for r := range ch.IDs {
+			f.Idx = append(f.Idx, base+ch.Idx[r])
+		}
+		f.IDs = append(f.IDs, ch.IDs...)
+		f.Cols = append(f.Cols, ch.Cols[ch.Idx[0]:ch.Idx[len(ch.IDs)]]...)
+		if ch.Wts != nil {
+			f.Wts = append(f.Wts, ch.Wts[ch.Idx[0]:ch.Idx[len(ch.IDs)]]...)
+		}
+	}
+	f.Idx = append(f.Idx, int64(len(f.Cols)))
+	return f
+}
 
 // collectLayoutEdges reassembles the (source, target) pairs stored in a
 // layout. In push layouts, rows are sources and columns targets; in pull
@@ -18,7 +44,7 @@ type edgeKey struct{ s, t graph.Vertex }
 func collectLayoutEdges(l *layoutBuild, push bool) map[edgeKey]int {
 	out := make(map[edgeKey]int)
 	for p := range l.perNode {
-		nl := &l.perNode[p]
+		nl := flatRows(&l.perNode[p])
 		for r := range nl.IDs {
 			key := nl.IDs[r]
 			for j := nl.Idx[r]; j < nl.Idx[r+1]; j++ {
@@ -73,8 +99,7 @@ func TestLayoutColumnsAreLocal(t *testing.T) {
 	for _, push := range []bool{true, false} {
 		l := buildLayout(g, parts, push)
 		for p := range l.perNode {
-			nl := &l.perNode[p]
-			for _, col := range nl.Cols {
+			for _, col := range flatRows(&l.perNode[p]).Cols {
 				if !parts[p].Contains(col) {
 					t.Fatalf("push=%t node %d holds foreign column %d", push, p, col)
 				}
@@ -94,20 +119,37 @@ func ownerPartitions(n int) map[string][]partition.Range {
 
 // Row keys ascend, and OwnerRows delimits each owner's run of them: row r
 // lies in [OwnerRows[o], OwnerRows[o+1]) exactly when its key lies in
-// partition o.
+// partition o. Chunk c holds the rows keyed in [c·K, (c+1)·K), rows
+// [ChunkRows[c], ChunkRows[c+1]) of the part; a build lays them out flat.
 func TestLayoutRowsAscendingAndOwners(t *testing.T) {
-	n, edges := gen.Powerlaw(400, 6, 2.0, 8)
+	n, edges := gen.Powerlaw(1000, 6, 2.0, 8)
 	g := graph.FromEdges(n, edges, false)
 	for name, parts := range ownerPartitions(n) {
 		for _, push := range []bool{true, false} {
 			l := buildLayout(g, parts, push)
 			for p := range l.perNode {
-				nl := &l.perNode[p]
-				if len(nl.OwnerRows) != len(parts)+1 || nl.OwnerRows[0] != 0 || nl.OwnerRows[len(parts)] != len(nl.IDs) {
-					t.Fatalf("%s push=%t node %d: OwnerRows %v over %d rows", name, push, p, nl.OwnerRows, len(nl.IDs))
+				pt := &l.perNode[p]
+				if chunks(pt) != (n+sg.ChunkKeys-1)/sg.ChunkKeys || pt.ChunkRows[0] != 0 || pt.Flat == nil || pt.Chunks != nil {
+					t.Fatalf("%s push=%t node %d: %d chunks, ChunkRows %v, flat %t", name, push, p, chunks(pt), pt.ChunkRows, pt.Flat != nil)
+				}
+				for c := range chunks(pt) {
+					ch := pt.Chunk(c)
+					if ch.Len() != pt.ChunkRows[c+1]-pt.ChunkRows[c] || len(ch.Idx) != len(ch.IDs)+1 {
+						t.Fatalf("%s push=%t node %d chunk %d: %d rows, offsets %v, ChunkRows %v",
+							name, push, p, c, len(ch.IDs), ch.Idx, pt.ChunkRows)
+					}
+					for _, k := range ch.IDs {
+						if int(k)/sg.ChunkKeys != c {
+							t.Fatalf("%s push=%t node %d: chunk %d holds key %d", name, push, p, c, k)
+						}
+					}
+				}
+				nl := flatRows(pt)
+				if len(pt.OwnerRows) != len(parts)+1 || pt.OwnerRows[0] != 0 || pt.OwnerRows[len(parts)] != len(nl.IDs) {
+					t.Fatalf("%s push=%t node %d: OwnerRows %v over %d rows", name, push, p, pt.OwnerRows, len(nl.IDs))
 				}
 				for o := range parts {
-					for r := nl.OwnerRows[o]; r < nl.OwnerRows[o+1]; r++ {
+					for r := pt.OwnerRows[o]; r < pt.OwnerRows[o+1]; r++ {
 						if !parts[o].Contains(nl.IDs[r]) {
 							t.Fatalf("%s push=%t node %d: row %d (key %d) counted for owner %d", name, push, p, r, nl.IDs[r], o)
 						}
@@ -126,40 +168,84 @@ func TestLayoutRowsAscendingAndOwners(t *testing.T) {
 	}
 }
 
-// Segment covers a chunk of the rolling sweep row by row in sweep order,
-// wrapping to row 0 after the last row, and cuts runs that never cross an
-// owner boundary or the wrap.
+// Segments covers a stretch of the rolling sweep row by row in sweep
+// order, wrapping to row 0 after the last row, and cuts runs of rows that
+// never cross an owner boundary, the wrap or, on a patched node, a chunk
+// boundary, and end only at one of those or the stretch's end. A build's
+// node is swept as its flat rows, a patched node chunk by chunk. Every
+// segment holds the part's rows, with their weights unless the cursor
+// hides them. One cursor serves random stretches in any order.
 func TestLayoutSegmentsCoverTheSweep(t *testing.T) {
-	n, edges := gen.Uniform(300, 2400, 12)
-	g := graph.FromEdges(n, edges, false)
+	n, edges := gen.Uniform(1200, 4800, 12)
+	gen.AddRandomWeights(edges, 13)
+	g := graph.FromEdges(n, edges, true)
 	rng := gen.NewRNG(5)
 	for name, parts := range ownerPartitions(n) {
-		l := buildLayout(g, parts, false)
-		for p := range l.perNode {
-			nl := l.perNode[p]
-			rows := len(nl.IDs)
-			for trial := 0; trial < 50 && rows > 0; trial++ {
-				nl.Start = rng.Intn(rows)
-				lo := rng.Intn(rows)
-				hi := lo + 1 + rng.Intn(rows-lo)
-				next := lo // the sweep position the next segment must start at
-				for next < hi {
-					o, rlo, rhi := nl.Segment(next, hi)
-					if want := (next + nl.Start) % rows; rlo != want || rhi <= rlo || rhi > rows {
-						t.Fatalf("%s node %d: segment [%d, %d) after sweep position %d (start %d), want it to begin at row %d",
-							name, p, rlo, rhi, next, nl.Start, want)
+		built := buildLayout(g, parts, false)
+		del, app := randomBatch(rng, g, 40)
+		for _, l := range []*layoutBuild{built, built.Patch(del, app)} {
+			for p := range l.perNode {
+				nl := l.perNode[p]
+				rows, flat := nl.Len(), flatRows(&nl)
+				var view sg.Rows
+				var seg sg.Segments // one cursor across stretches, as a thread keeps it
+				for trial := 0; trial < 60 && rows > 0; trial++ {
+					if trial%10 == 0 {
+						nl.Start = rng.Intn(rows) // a new sweep
+						seg = nl.Segments(&view, trial%20 == 0)
 					}
-					if rlo < nl.OwnerRows[o] || rhi > nl.OwnerRows[o+1] {
-						t.Fatalf("%s node %d: segment [%d, %d) crosses owner %d's rows %v", name, p, rlo, rhi, o, nl.OwnerRows)
+					lo := rng.Intn(rows)
+					hi := lo + 1 + rng.Intn(rows-lo)
+					next := lo // the sweep position the next segment must start at
+					for seg.Stretch(lo, hi); seg.Next(); {
+						rlo, rhi := checkSegment(t, fmt.Sprintf("%s node %d wts=%t", name, p, trial%20 < 10), &nl, flat, seg, trial%20 < 10)
+						if want := (next + nl.Start) % rows; rlo != want {
+							t.Fatalf("%s node %d: segment [%d, %d) after sweep position %d (start %d), want it to begin at row %d",
+								name, p, rlo, rhi, next, nl.Start, want)
+						}
+						next += rhi - rlo
+						if next != hi && rhi != rows && !slices.Contains(nl.OwnerRows, rhi) && !slices.Contains(nl.ChunkRows, rhi) {
+							t.Fatalf("%s node %d: segment [%d, %d) ends at no boundary", name, p, rlo, rhi)
+						}
 					}
-					next += rhi - rlo
-				}
-				if next != hi {
-					t.Fatalf("%s node %d: segments of chunk [%d, %d) stopped at %d", name, p, lo, hi, next)
+					if next != hi {
+						t.Fatalf("%s node %d: segments of stretch [%d, %d) stopped at %d", name, p, lo, hi, next)
+					}
 				}
 			}
 		}
 	}
+}
+
+// checkSegment holds the cursor's segment to pt, whose rows laid flat are
+// flat, and returns the part rows it holds: rows of one owner, of pt's
+// flat rows or of one of its chunks, and the segment's rows are theirs,
+// with their weights when wts is set.
+func checkSegment(t *testing.T, what string, pt *sg.Part, flat sg.Rows, seg sg.Segments, wts bool) (rlo, rhi int) {
+	t.Helper()
+	c := 0 // the chunk the segment is of, on a part not laid out flat
+	if pt.Flat == nil {
+		c = slices.IndexFunc(pt.Chunks, func(ch sg.Rows) bool { return &ch.Idx[0] == &seg.Rows.Idx[0] })
+	}
+	if c < 0 || seg.Lo < 0 || seg.Hi <= seg.Lo || seg.Hi > seg.Rows.Len() {
+		t.Fatalf("%s: segment [%d, %d) of %d rows starts in chunk %d", what, seg.Lo, seg.Hi, seg.Rows.Len(), c)
+	}
+	rlo, rhi = pt.ChunkRows[c]+seg.Lo, pt.ChunkRows[c]+seg.Hi
+	if o := seg.Owner; rlo < pt.OwnerRows[o] || rhi > pt.OwnerRows[o+1] {
+		t.Fatalf("%s: segment [%d, %d) crosses owner %d's rows %v", what, rlo, rhi, o, pt.OwnerRows)
+	}
+	if (seg.Rows.Wts != nil) != wts {
+		t.Fatalf("%s: segment carries weights %t", what, seg.Rows.Wts != nil)
+	}
+	for r := rlo; r < rhi; r++ {
+		j := r - rlo + seg.Lo
+		lo, hi := seg.Rows.Idx[j], seg.Rows.Idx[j+1]
+		if seg.Rows.ID(j) != flat.IDs[r] || !slices.Equal(seg.Rows.Cols[lo:hi], flat.Cols[flat.Idx[r]:flat.Idx[r+1]]) ||
+			wts && !slices.Equal(seg.Rows.Wts[lo:hi], flat.Wts[flat.Idx[r]:flat.Idx[r+1]]) {
+			t.Fatalf("%s: segment row %d is not the part's row %d", what, j, r)
+		}
+	}
+	return rlo, rhi
 }
 
 // layoutBytes is pinned on a hand-built layout: per node, 4 bytes a row key,
@@ -177,7 +263,7 @@ func TestLayoutBytesPinned(t *testing.T) {
 		g := graph.FromEdges(4, edges, weighted)
 		for _, push := range []bool{true, false} {
 			b := buildLayout(g, parts, push)
-			if got := layoutBytes(b.perNode, b.n); got != want {
+			if got := layoutBytes(b, weighted); got != want {
 				t.Errorf("weighted=%t push=%t: layoutBytes = %d, want %d", weighted, push, got, want)
 			}
 			if b.agentBytes != 3*16 {
@@ -211,7 +297,7 @@ func TestLayoutAgentIndex(t *testing.T) {
 				if i > ag.Off[v] && a.p <= int(ag.Part[i-1]) {
 					t.Fatalf("%s: vertex %d's agents are not in ascending node order", name, v)
 				}
-				if ids := b.perNode[a.p].IDs; a.r >= len(ids) || ids[a.r] != graph.Vertex(v) {
+				if ids := b.perNode[a.p].Chunk(v / sg.ChunkKeys).IDs; a.r >= len(ids) || ids[a.r] != graph.Vertex(v) {
 					t.Fatalf("%s: vertex %d's agent is node %d row %d, which it does not key", name, v, a.p, a.r)
 				}
 				seen[a], keyed = true, true
@@ -222,7 +308,7 @@ func TestLayoutAgentIndex(t *testing.T) {
 		}
 		rows := 0
 		for p := range b.perNode {
-			rows += len(b.perNode[p].IDs)
+			rows += b.perNode[p].Len()
 		}
 		if len(seen) != rows || len(ag.Part) != rows {
 			t.Fatalf("%s: %d distinct agents, %d entries, %d rows", name, len(seen), len(ag.Part), rows)
@@ -237,7 +323,7 @@ func TestLayoutAgentsCount(t *testing.T) {
 	l := buildLayout(g, parts, true)
 	agents := 0
 	for p := range l.perNode {
-		for _, id := range l.perNode[p].IDs {
+		for _, id := range flatRows(&l.perNode[p]).IDs {
 			if partition.NodeOf(parts, id) != p {
 				agents++
 			}
@@ -257,11 +343,11 @@ func TestLayoutStartRowRolling(t *testing.T) {
 	parts := partition.VertexBalanced(n, 4)
 	l := buildLayout(g, parts, true)
 	for p := range l.perNode {
-		nl := &l.perNode[p]
+		nl := flatRows(&l.perNode[p])
 		if len(nl.IDs) == 0 {
 			continue
 		}
-		sr := nl.Start
+		sr := l.perNode[p].Start
 		if sr < len(nl.IDs) && int(nl.IDs[sr]) >= parts[p].Lo {
 			// Every earlier row must be keyed before the local range.
 			for r := 0; r < sr; r++ {
@@ -280,7 +366,7 @@ func TestLayoutWeights(t *testing.T) {
 	l := buildLayout(g, parts, true)
 	found := make(map[edgeKey]float32)
 	for p := range l.perNode {
-		nl := &l.perNode[p]
+		nl := flatRows(&l.perNode[p])
 		for r := range nl.IDs {
 			for j := nl.Idx[r]; j < nl.Idx[r+1]; j++ {
 				found[edgeKey{nl.IDs[r], nl.Cols[j]}] = nl.Wts[j]
@@ -305,24 +391,36 @@ func BenchmarkLayoutBuild(b *testing.B) {
 	}
 }
 
-// sameBuild asserts a patched build equals a fresh one array for array:
-// every part's rows, columns, weights, owner cuts and start, the agent
+// sameBuild asserts a patched build equals a fresh one chunk for chunk:
+// every part's chunk rows, each chunk's keys, offsets (from its first),
+// columns and weights, the owner cuts and start, the edge total, the agent
 // index and the agent bytes.
 func sameBuild(t *testing.T, what string, got, want *layoutBuild) {
 	t.Helper()
 	everyRowHasAnEdge(t, what+" (patched)", got)
 	everyRowHasAnEdge(t, what+" (built)", want)
-	if len(got.perNode) != len(want.perNode) || got.agentBytes != want.agentBytes || got.n != want.n || got.weighted != want.weighted {
-		t.Fatalf("%s: %d parts, %d agent bytes, n %d, weighted %t; want %d, %d, %d, %t", what,
-			len(got.perNode), got.agentBytes, got.n, got.weighted, len(want.perNode), want.agentBytes, want.n, want.weighted)
+	if len(got.perNode) != len(want.perNode) || got.agentBytes != want.agentBytes || got.edges != want.edges ||
+		got.n != want.n || got.weighted != want.weighted {
+		t.Fatalf("%s: %d parts, %d agent bytes, %d edges, n %d, weighted %t; want %d, %d, %d, %d, %t", what,
+			len(got.perNode), got.agentBytes, got.edges, got.n, got.weighted,
+			len(want.perNode), want.agentBytes, want.edges, want.n, want.weighted)
 	}
 	for p := range want.perNode {
 		g, w := &got.perNode[p], &want.perNode[p]
-		if !slices.Equal(g.IDs, w.IDs) || !slices.Equal(g.Idx, w.Idx) || !slices.Equal(g.Cols, w.Cols) ||
-			!slices.Equal(g.Wts, w.Wts) || (g.Wts == nil) != (w.Wts == nil) ||
-			!slices.Equal(g.OwnerRows, w.OwnerRows) || g.Start != w.Start {
-			t.Fatalf("%s node %d:\n got ids %v idx %v cols %v wts %v owners %v start %d\nwant ids %v idx %v cols %v wts %v owners %v start %d",
-				what, p, g.IDs, g.Idx, g.Cols, g.Wts, g.OwnerRows, g.Start, w.IDs, w.Idx, w.Cols, w.Wts, w.OwnerRows, w.Start)
+		if !slices.Equal(g.ChunkRows, w.ChunkRows) || !slices.Equal(g.OwnerRows, w.OwnerRows) || g.Start != w.Start {
+			t.Fatalf("%s node %d: chunk rows %v, owners %v, start %d; want %v, %v, %d",
+				what, p, g.ChunkRows, g.OwnerRows, g.Start, w.ChunkRows, w.OwnerRows, w.Start)
+		}
+		for c := range chunks(w) {
+			gr, wr := g.Chunk(c), w.Chunk(c)
+			gc, wc := &gr, &wr
+			gcols, gwts := chunkEdges(gc)
+			wcols, wwts := chunkEdges(wc)
+			if !slices.Equal(gc.IDs, wc.IDs) || !slices.Equal(offsets(gc), offsets(wc)) || !slices.Equal(gcols, wcols) ||
+				!slices.Equal(gwts, wwts) || (gc.Wts == nil) != (wc.Wts == nil) {
+				t.Fatalf("%s node %d chunk %d:\n got ids %v idx %v cols %v wts %v\nwant ids %v idx %v cols %v wts %v",
+					what, p, c, gc.IDs, offsets(gc), gcols, gwts, wc.IDs, offsets(wc), wcols, wwts)
+			}
 		}
 	}
 	if (got.agents == nil) != (want.agents == nil) {
@@ -334,6 +432,24 @@ func sameBuild(t *testing.T, what string, got, want *layoutBuild) {
 	}
 }
 
+// chunkEdges returns the columns and weights of rs's rows.
+func chunkEdges(rs *sg.Rows) (cols []graph.Vertex, wts []float32) {
+	lo, hi := rs.Idx[0], rs.Idx[len(rs.Idx)-1]
+	if rs.Wts != nil {
+		wts = rs.Wts[lo:hi]
+	}
+	return rs.Cols[lo:hi], wts
+}
+
+// offsets returns rs's row offsets less its first.
+func offsets(rs *sg.Rows) []int64 {
+	o := slices.Clone(rs.Idx)
+	for i := range o {
+		o[i] -= rs.Idx[0]
+	}
+	return o
+}
+
 // everyRowHasAnEdge fails unless every row of every part of l holds at
 // least one edge: a row exists for a key with edges on the node. The edge
 // loops of the segment forms (sg.RowCursor) rely on it to never take their
@@ -341,10 +457,12 @@ func sameBuild(t *testing.T, what string, got, want *layoutBuild) {
 func everyRowHasAnEdge(t *testing.T, what string, l *layoutBuild) {
 	t.Helper()
 	for p := range l.perNode {
-		idx := l.perNode[p].Idx
-		for r := range len(idx) - 1 {
-			if idx[r+1] <= idx[r] {
-				t.Fatalf("%s node %d: row %d (key %d) holds no edge", what, p, r, l.perNode[p].ID(r))
+		for c := range chunks(&l.perNode[p]) {
+			ch := l.perNode[p].Chunk(c)
+			for r := range ch.Len() {
+				if ch.Idx[r+1] <= ch.Idx[r] {
+					t.Fatalf("%s node %d chunk %d: row %d (key %d) holds no edge", what, p, c, r, ch.ID(r))
+				}
 			}
 		}
 	}
@@ -382,7 +500,7 @@ func randomBatch(rng *gen.RNG, g *graph.Graph, ops int) (deleted, appended []gra
 // graph with the same partition, array for array, and neither holds a row
 // without an edge.
 func TestLayoutPatchMatchesBuild(t *testing.T) {
-	n, edges := gen.Powerlaw(400, 6, 2.0, 17)
+	n, edges := gen.Powerlaw(1000, 6, 2.0, 17)
 	gen.AddRandomWeights(edges, 18)
 	for _, weighted := range []bool{false, true} {
 		base := graph.FromEdges(n, edges, weighted)
@@ -406,10 +524,13 @@ func TestLayoutPatchMatchesBuild(t *testing.T) {
 // at a time (flags, src, dst) and applied as one batch wherever the flag
 // byte's top bit is set; every patched build, push and pull, weighted and
 // not, over a partition with an empty node, must equal buildLayout on the
-// patched graph, and neither may hold a row without an edge.
+// patched graph, and neither may hold a row without an edge. Vertex i of
+// the decoded ops is vertex i·spread of the graph, so the eight keys fall
+// in three chunks, and the nodes' ranges are the scaled ones.
 func FuzzLayoutPatch(f *testing.F) {
 	const (
 		n      = 8
+		spread = 97   // vertices 0-2 key chunk 0, 3-5 chunk 1, 6-7 chunk 2
 		insert = 0x01 // low two bits zero = delete, anything else = insert
 		snap   = 0x80
 	)
@@ -426,17 +547,21 @@ func FuzzLayoutPatch(f *testing.F) {
 		{Src: 0, Dst: 3, Wt: 5}, {Src: 1, Dst: 2, Wt: 6}, {Src: 2, Dst: 2, Wt: 7}, {Src: 1, Dst: 0, Wt: 8},
 		{Src: 6, Dst: 5, Wt: 9},
 	}
-	parts := []partition.Range{{Lo: 0, Hi: 3}, {Lo: 3, Hi: 3}, {Lo: 3, Hi: 6}, {Lo: 6, Hi: n}}
+	for i := range baseEdges {
+		baseEdges[i].Src *= spread
+		baseEdges[i].Dst *= spread
+	}
+	parts := []partition.Range{{Lo: 0, Hi: 3 * spread}, {Lo: 3 * spread, Hi: 3 * spread}, {Lo: 3 * spread, Hi: 6 * spread}, {Lo: 6 * spread, Hi: n * spread}}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, weighted := range []bool{false, true} {
 			for _, push := range []bool{true, false} {
-				g := graph.FromEdges(n, baseEdges, weighted)
+				g := graph.FromEdges(n*spread, baseEdges, weighted)
 				l := buildLayout(g, parts, push)
 				g, l = g.Patch(nil, nil), l.Patch(nil, nil)
 				sameBuild(t, "the empty batch", l, buildLayout(g, parts, push))
 				var del, app []graph.Edge
 				for d := data; len(d) >= 3; d = d[3:] {
-					e := graph.Edge{Src: graph.Vertex(d[1] % n), Dst: graph.Vertex(d[2] % n), Wt: float32(d[0]>>2&15) + 1}
+					e := graph.Edge{Src: graph.Vertex(d[1]%n) * spread, Dst: graph.Vertex(d[2]%n) * spread, Wt: float32(d[0]>>2&15) + 1}
 					if d[0]&3 == 0 {
 						del = append(del, e)
 					} else {
@@ -454,16 +579,100 @@ func FuzzLayoutPatch(f *testing.F) {
 	})
 }
 
-// BenchmarkLayoutPatch patches push and pull builds of the weighted
-// power-law dataset at small scale across one 32-op batch, the shape of a
-// serving commit: 24 inserts and 8 deletes of existing pairs.
-func BenchmarkLayoutPatch(b *testing.B) {
+// TestLayoutPatchSharesUntouchedChunks: along random batch streams, in
+// both directions, weighted and not, a patch rewrites exactly the chunks
+// its edits key into, one per distinct (node, key/K), each into arrays of
+// its own, and shares every other chunk with its predecessor: the same
+// arrays, not a copy. The exception is a node whose chunks are still views
+// of the build's arrays: the first edit to reach it gives all its chunks
+// arrays of their own, so that no generation keeps the build's alive.
+func TestLayoutPatchSharesUntouchedChunks(t *testing.T) {
+	n, edges := gen.Powerlaw(3000, 6, 2.0, 23)
+	gen.AddRandomWeights(edges, 24)
+	for _, weighted := range []bool{false, true} {
+		base := graph.FromEdges(n, edges, weighted)
+		parts := partition.EdgeBalanced(base, 4, partition.In)
+		for _, push := range []bool{true, false} {
+			rng := gen.NewRNG(41)
+			g, l := base, buildLayout(base, parts, push)
+			for step := 0; step < 10; step++ {
+				del, app := randomBatch(rng, g, 1+rng.Intn(24))
+				touched, reached := map[[2]int]bool{}, map[int]bool{}
+				for _, e := range slices.Concat(del, app) {
+					key, col := e.Dst, e.Src
+					if push {
+						key, col = e.Src, e.Dst
+					}
+					p := partition.NodeOf(parts, col)
+					touched[[2]int{p, int(key) / sg.ChunkKeys}], reached[p] = true, true
+				}
+				flat := func(l *layoutBuild, p int) bool { return l.perNode[p].Flat != nil }
+				for p := range reached {
+					if flat(l, p) { // the first reach copies every chunk
+						for c := range chunks(&l.perNode[p]) {
+							touched[[2]int{p, c}] = true
+						}
+					}
+				}
+				next := l.Patch(del, app)
+				for p := range parts {
+					// A build's nodes are flat until an edit reaches them.
+					if flat(next, p) != (flat(l, p) && !reached[p]) || step == 0 && !flat(l, p) {
+						t.Fatalf("weighted=%t push=%t step %d: node %d flat %t, was %t", weighted, push, step, p, flat(next, p), flat(l, p))
+					}
+				}
+				rewritten := 0
+				for p := range next.perNode {
+					for c := range chunks(&next.perNode[p]) {
+						gc, wc := next.perNode[p].Chunk(c), l.perNode[p].Chunk(c)
+						got, was := &gc, &wc
+						what := fmt.Sprintf("weighted=%t push=%t step %d node %d chunk %d", weighted, push, step, p, c)
+						switch {
+						case !touched[[2]int{p, c}] && !sameArrays(got, was):
+							t.Fatalf("%s: no edit reaches it, but it is not its predecessor's", what)
+						case touched[[2]int{p, c}] && sharesArrays(got, was):
+							t.Fatalf("%s: an edit reaches it, but it shares its predecessor's arrays", what)
+						case touched[[2]int{p, c}]:
+							rewritten++
+						}
+					}
+				}
+				if rewritten != len(touched) {
+					t.Fatalf("weighted=%t push=%t step %d: %d chunks rewritten, edits name %d", weighted, push, step, rewritten, len(touched))
+				}
+				g, l = g.Patch(del, app), next
+			}
+		}
+	}
+}
+
+// sameArrays reports whether a and b are the same view of the same arrays.
+func sameArrays(a, b *sg.Rows) bool {
+	return sameSlice(a.IDs, b.IDs) && sameSlice(a.Idx, b.Idx) && sameSlice(a.Cols, b.Cols) && sameSlice(a.Wts, b.Wts)
+}
+
+// sharesArrays reports whether any of a's arrays starts where b's does.
+func sharesArrays(a, b *sg.Rows) bool {
+	return startsAt(a.IDs, b.IDs) || startsAt(a.Idx, b.Idx) || startsAt(a.Cols, b.Cols) || startsAt(a.Wts, b.Wts)
+}
+
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && cap(a) == cap(b) && unsafe.SliceData(a) == unsafe.SliceData(b)
+}
+
+func startsAt[T any](a, b []T) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
+}
+
+// patchBatch is the weighted power-law dataset at small scale and one
+// 32-op batch on it, the shape of a serving commit: 24 inserts and 8
+// deletes of existing pairs.
+func patchBatch(tb testing.TB) (g *graph.Graph, del, app []graph.Edge) {
 	g, err := gen.Load(gen.PowerLaw, gen.Small, true)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := gen.NewRNG(32)
-	var del, app []graph.Edge
 	for i := 0; i < 32; i++ {
 		v := graph.Vertex(rng.Intn(g.NumVertices()))
 		if nbrs := g.OutNeighbors(v); i%4 == 3 && len(nbrs) > 0 {
@@ -472,12 +681,61 @@ func BenchmarkLayoutPatch(b *testing.B) {
 		}
 		app = append(app, graph.Edge{Src: v, Dst: graph.Vertex(rng.Intn(g.NumVertices())), Wt: float32(rng.Intn(99) + 1)})
 	}
-	for _, push := range []bool{true, false} {
-		dir := partition.Out
-		if push {
-			dir = partition.In
+	return g, del, app
+}
+
+// patchLayout is the layout patchBatch's commit patches: g's in one
+// direction over eight edge-balanced nodes, as the serving layer's Polymer
+// runs make it, built and then patched once, so that like a serving
+// lineage's every node's chunks have arrays of their own. That patch
+// appends a self-loop on each node's first vertex, which keeps every pair
+// the commit deletes.
+func patchLayout(g *graph.Graph, push bool) *layoutBuild {
+	dir := partition.Out
+	if push {
+		dir = partition.In
+	}
+	parts := partition.EdgeBalanced(g, 8, dir)
+	var loops []graph.Edge
+	for _, pr := range parts {
+		if pr.Lo < pr.Hi {
+			loops = append(loops, graph.Edge{Src: graph.Vertex(pr.Lo), Dst: graph.Vertex(pr.Lo), Wt: 1})
 		}
-		l := buildLayout(g, partition.EdgeBalanced(g, 8, dir), push)
+	}
+	return buildLayout(g, parts, push).Patch(nil, loops)
+}
+
+// TestLayoutPatchAllocation bounds the bytes one patch allocates on
+// BenchmarkLayoutPatch's commit. Rewriting every node's flat rows, a patch
+// allocated 2.49 MB in either direction. Rewriting only the touched chunks,
+// the pull patch allocates at most 15 % of that, and the push patch, whose
+// new rows refill the agent index, at most 25 %. The first patch of a
+// build, which copies the chunks of every node it reaches, is not bounded.
+func TestLayoutPatchAllocation(t *testing.T) {
+	const flat = 2_490_000 // bytes a patch of flat rows allocated
+	g, del, app := patchBatch(t)
+	for _, tc := range []struct {
+		push  bool
+		limit uint64
+	}{{false, flat * 15 / 100}, {true, flat * 25 / 100}} {
+		l := patchLayout(g, tc.push)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		patched := l.Patch(del, app)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(patched)
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.limit {
+			t.Errorf("push=%t: a patch allocated %d bytes, limit %d", tc.push, got, tc.limit)
+		}
+	}
+}
+
+// BenchmarkLayoutPatch patches push and pull builds of the weighted
+// power-law dataset at small scale across patchBatch's 32-op commit.
+func BenchmarkLayoutPatch(b *testing.B) {
+	g, del, app := patchBatch(b)
+	for _, push := range []bool{true, false} {
+		l := patchLayout(g, push)
 		b.Run(fmt.Sprintf("push=%t", push), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -17,8 +17,8 @@ func weightedPowerlaw() (int, []graph.Edge, *graph.Graph) {
 }
 
 // Engines on a weighted graph and on its Unweighted view read one build:
-// the same column arrays, the view's copy without weights. Each charges
-// what a private build over its own graph charges.
+// the same parts, the view's with their weights hidden. Each charges what
+// a private build over its own graph charges.
 func TestLayoutSharedAcrossWeightViews(t *testing.T) {
 	n, edges, g := weightedPowerlaw()
 	ew := MustNew(g, testMachine(4, 2), DefaultOptions())
@@ -33,17 +33,14 @@ func TestLayoutSharedAcrossWeightViews(t *testing.T) {
 		if lw.shared != lu.shared {
 			t.Fatalf("push=%t: the view built its own layout", push)
 		}
-		for p := range lw.Parts {
-			w, u := &lw.Parts[p], &lu.Parts[p]
-			if len(w.Cols) > 0 && &w.Cols[0] != &u.Cols[0] {
-				t.Fatalf("push=%t node %d: column arrays differ", push, p)
-			}
-			if w.Wts == nil || u.Wts != nil {
-				t.Fatalf("push=%t node %d: weighted engine wts nil=%t, view wts nil=%t", push, p, w.Wts == nil, u.Wts == nil)
-			}
+		if &lw.Parts[0] != &lu.Parts[0] || lw.Parts[0].Flat.Wts == nil {
+			t.Fatalf("push=%t: the view reads other parts, or the build carries no weights", push)
+		}
+		if lw.Unweighted || !lu.Unweighted {
+			t.Fatalf("push=%t: weighted engine hides weights %t, view %t", push, lw.Unweighted, lu.Unweighted)
 		}
 		b := buildLayout(private, eu.parts, push)
-		want += layoutBytes(b.perNode, b.n)
+		want += layoutBytes(b, false)
 	}
 	if eu.topoBytes != want {
 		t.Fatalf("view charged %d topology bytes, a private unweighted build %d", eu.topoBytes, want)

@@ -51,7 +51,8 @@ type Engine struct {
 	sg.Sweep
 
 	// push and pull are the CSR by out- and by in-edges as the sweep's one
-	// part: row v is vertex v, and the frontier is one flat leaf.
+	// part of one chunk: row v is vertex v, and the frontier is one flat
+	// leaf.
 	push, pull sg.Layout
 	closed     bool
 }
@@ -76,7 +77,7 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	r := NewRecipe(opt, n, e.Tier)
 	whole := []int{0, n}
 	onePart := func(idx []int64, cols []graph.Vertex, wts []float32) sg.Layout {
-		return sg.NewLayout([]sg.Part{{Rows: sg.Rows{Idx: idx, Cols: cols, Wts: wts}, OwnerRows: whole}}, nil, m.Threads())
+		return sg.NewLayout([]sg.Part{sg.OneChunk(sg.Rows{Idx: idx, Cols: cols, Wts: wts}, whole)}, nil, m.Threads())
 	}
 	e.push, e.pull = onePart(g.OutIndex, g.OutNbrs, g.OutWts), onePart(g.InIndex, g.InNbrs, g.InWts)
 	e.InitSweep(whole, sg.SweepConfig{

@@ -43,8 +43,8 @@ type clusterStatus struct {
 //   - Anything else goes through lease -> machine factory -> retry with
 //     backoff: one source warm when warmFor finds an answer to repair,
 //     else on the resilient path, and k on one fused multi-source sweep.
-//     A planned run's lease is left on t for finish to read; execute
-//     releases it.
+//     A planned run's lease is left on t for finish to read; finish
+//     releases it before it publishes.
 func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Response) (resKind, int, []float64, []bench.Output) {
 	v := t.v
 	tr := s.cfg.Tracer

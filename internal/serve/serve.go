@@ -471,7 +471,9 @@ func (s *Server) execute(t *task) {
 	var seq uint64
 	answers := make([]bench.Output, len(srcs))
 	// finish gives every slot not already resolved on its own the run-wide
-	// outcome, caches the full-fidelity results and publishes.
+	// outcome, caches the full-fidelity results, releases a planned run's
+	// lease and publishes: a client that sends its next request as soon as
+	// it reads the response finds the sockets free.
 	finish := func(kind resKind, status int, out Response) {
 		wall := float64(time.Since(start).Microseconds()) / 1000
 		breaker := string(s.breakers[v.sys].State())
@@ -490,6 +492,7 @@ func (s *Server) execute(t *task) {
 		// leases don't either: a run on non-prefix or shared sockets is
 		// not bit-identical to the canonical machine the key names.
 		cache := v.reusable() && !v.hedge && (t.lease == nil || t.lease.Default())
+		t.lease.Release()
 		for i := range outs {
 			if outs[i].status == 0 {
 				outs[i] = outcome{kind: kind, status: status, resp: out}
@@ -563,7 +566,6 @@ func (s *Server) execute(t *task) {
 	}
 
 	kind, status, sums, typed := s.attempt(t, g, live, &resp)
-	defer t.lease.Release()
 	for j, cs := range sums {
 		resp.Checksum = cs
 		outs[liveSlot[j]] = outcome{kind: kind, status: status, resp: resp}

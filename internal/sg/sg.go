@@ -64,6 +64,14 @@ func (rs *Rows) ID(r int) graph.Vertex {
 // Len returns the number of rows.
 func (rs *Rows) Len() int { return max(len(rs.Idx)-1, 0) }
 
+// Edges returns the number of edges in the rows.
+func (rs *Rows) Edges() int64 {
+	if len(rs.Idx) == 0 {
+		return 0
+	}
+	return rs.Idx[len(rs.Idx)-1] - rs.Idx[0]
+}
+
 // ShortRowEdges is the mean row length below which a push segment form
 // walks a segment's edges as one loop (RowCursor) instead of a loop over
 // rows with a loop over columns inside. It is where PageRank's push loops

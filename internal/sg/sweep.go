@@ -37,12 +37,32 @@ const (
 	DensePull
 )
 
-// A Part is the rows one part of a sweep holds. A sweep is P parts, each
-// swept by S = threads/P consecutive threads: thread th works on part
-// th/S, in slot th%S of S. The frontier has one leaf per part, so part p's
-// threads also visit leaf p in VertexMap.
+// A Part is the rows one part of a sweep holds, keys ascending, in
+// chunks. A sweep is P parts, each swept by S = threads/P consecutive
+// threads: thread th works on part th/S, in slot th%S of S. The frontier
+// has one leaf per part, so part p's threads also visit leaf p in
+// VertexMap.
+//
+// Chunk c holds the part's rows [ChunkRows[c], ChunkRows[c+1]): row r of
+// the part is row r−ChunkRows[c] of its chunk. A part with an agent index
+// (Layout.Agents) has one chunk per ChunkKeys keys, chunk c holding the
+// rows keyed in [c·ChunkKeys, (c+1)·ChunkKeys), some of them empty: a
+// commit that edits a few rows rewrites only their chunks and shares the
+// rest with its predecessor (core's layoutBuild.Patch). Ligra's part is one
+// chunk, the CSR (OneChunk).
+//
+// A part is laid out one of two ways. A build lays it out flat, all its
+// rows one Rows (Flat), and its chunks are ranges of those rows; a patch
+// gives each chunk an ordinary Rows of its own, whose offsets index its
+// own columns (Chunks). Chunk returns chunk c either way.
 type Part struct {
-	Rows
+	// Flat is the part's rows laid out flat, or nil.
+	Flat *Rows
+	// Chunks are the part's chunks when it is not flat.
+	Chunks []Rows
+	// ChunkRows[c] is the part's number of chunk c's first row, and its
+	// last entry the part's row count.
+	ChunkRows []int
 
 	// OwnerRows[o] is the first row keyed in leaf o's vertex range and
 	// OwnerRows[P] the row count: rows ascend by key and leaves are
@@ -54,57 +74,171 @@ type Part struct {
 	Start int
 }
 
-// Segment cuts a dense sweep's chunk into segments: runs of consecutive
-// rows keyed in one leaf. A sweep over the part starts at row Start and
-// wraps to row 0, so its position i is row (i+Start) mod rows. Segment
-// returns the segment at position i of a chunk that ends at position end:
-// rows [rlo, rhi), keyed in leaf o, as far as the chunk's end, the next
-// owner boundary or the wrap.
-func (pt *Part) Segment(i, end int) (o, rlo, rhi int) {
-	if rlo = i + pt.Start; rlo >= pt.Len() {
-		rlo -= pt.Len()
+// ChunkKeys is the key span of a chunk of a part with an agent index: 256
+// keys, so a chunk holds at most 256 rows and its row numbers fit a byte
+// (Agents.Row). On the serving layer's power-law graph at small scale a
+// 32-edit commit touches about 6 % of the (part, chunk) pairs.
+const (
+	ChunkShift = 8
+	ChunkKeys  = 1 << ChunkShift
+)
+
+// OneChunk is the flat part holding rs as its one chunk, cut by owner at
+// owners.
+func OneChunk(rs Rows, owners []int) Part {
+	return Part{Flat: &rs, ChunkRows: []int{0, rs.Len()}, OwnerRows: owners}
+}
+
+// Chunk returns chunk c of the part: a range of its flat rows, or its own
+// Rows.
+func (pt *Part) Chunk(c int) Rows {
+	if f := pt.Flat; f != nil {
+		lo, hi := pt.ChunkRows[c], pt.ChunkRows[c+1]
+		rs := Rows{Idx: f.Idx[lo : hi+1], Cols: f.Cols, Wts: f.Wts}
+		if f.IDs != nil {
+			rs.IDs = f.IDs[lo:hi]
+		}
+		return rs
 	}
-	for pt.OwnerRows[o+1] <= rlo {
-		o++
+	return pt.Chunks[c]
+}
+
+// Len returns the part's row count.
+func (pt *Part) Len() int { return pt.ChunkRows[len(pt.ChunkRows)-1] }
+
+// Segments returns a cursor over the segments of the part's stretches: a
+// dense sweep's schedule hands a thread stretches of consecutive sweep
+// positions, and the cursor cuts each into runs of consecutive rows keyed
+// in one leaf, of Flat or, without it, of one chunk. A sweep over the part
+// starts at row Start and wraps to row 0, so its position i is row
+// (i+Start) mod rows. The cursor steps forward from the row it was last
+// at, so a thread that keeps one cursor for its stretches, which ascend,
+// finds each owner and chunk boundary once a sweep. When wts is false and
+// the part carries weights, the segments' rows are a view without them,
+// written to *view: a phase that streams none hands its kernel none.
+func (pt *Part) Segments(view *Rows, wts bool) Segments {
+	s := Segments{pt: pt, view: view, wts: wts, flat: pt.Flat}
+	if s.flat != nil && !wts && s.flat.Wts != nil {
+		*view = *s.flat
+		view.Wts = nil
+		s.flat = view
 	}
-	return o, rlo, min(rlo+end-i, pt.OwnerRows[o+1])
+	return s
+}
+
+// Segments is a cursor over the segments of a part's stretches
+// (Part.Segments). Stretch moves it to a stretch; then each Next that
+// reports true moves it to the stretch's next segment, rows [Lo, Hi) of
+// Rows, keyed in leaf Owner, as far as the stretch's end, the next owner
+// boundary, the wrap, or, on a part without Flat, the next chunk
+// boundary. A chunk boundary only splits a segment: the rows a sweep
+// visits, and their order, are the part's.
+type Segments struct {
+	Owner  int
+	Rows   *Rows
+	Lo, Hi int
+
+	pt      *Part
+	view    *Rows
+	flat    *Rows // the rows of every segment when the part is flat
+	wts     bool
+	left    int // positions of the stretch not yet in a segment
+	r, o, c int // the row the next segment starts at, and an owner and a chunk at or before its own
+}
+
+// Stretch moves the cursor to the stretch of sweep positions [i, end),
+// i < end.
+func (s *Segments) Stretch(i, end int) {
+	r := i + s.pt.Start
+	if r >= s.pt.Len() {
+		r -= s.pt.Len()
+	}
+	if r < s.r {
+		s.o, s.c = 0, 0
+	}
+	s.r, s.left = r, end-i
+}
+
+// Next moves to the stretch's next segment and reports whether there was
+// one.
+func (s *Segments) Next() bool {
+	if s.left == 0 {
+		return false
+	}
+	pt := s.pt
+	for pt.OwnerRows[s.o+1] <= s.r {
+		s.o++
+	}
+	hi := min(s.r+s.left, pt.OwnerRows[s.o+1])
+	rs, first := s.flat, 0
+	if rs == nil {
+		for pt.ChunkRows[s.c+1] <= s.r {
+			s.c++
+		}
+		rs, first = &pt.Chunks[s.c], pt.ChunkRows[s.c]
+		hi = min(hi, pt.ChunkRows[s.c+1])
+		if !s.wts && rs.Wts != nil {
+			*s.view = *rs
+			s.view.Wts = nil
+			rs = s.view
+		}
+	}
+	s.Owner, s.Rows, s.Lo, s.Hi = s.o, rs, s.r-first, hi-first
+	s.left -= hi - s.r
+	if s.r = hi; hi == pt.Len() {
+		s.r, s.o, s.c = 0, 0, 0 // the wrap
+	}
+	return true
 }
 
 // Agents is a push layout's agent index: vertex v's agents, the rows keyed
 // by v, at most one a part, are entries [Off[v], Off[v+1]) in ascending
-// part order, entry i being row Row[i] of part Part[i]. A part is one byte
-// beside a four-byte row, five bytes an entry: on a graph whose vertices
-// have rows in few of the parts the index is a fraction of one n-entry
-// row table per part.
+// part order, entry i being row Row[i] of chunk v/ChunkKeys of part
+// Part[i]. A part and a chunk row are a byte each, two bytes an entry: on a
+// graph whose vertices have rows in few of the parts the index is a
+// fraction of one n-entry row table per part.
 type Agents struct {
 	Off  []int32
 	Part []uint8
-	Row  []int32
+	Row  []uint8
 }
 
 // A Layout is one direction's parts with their row schedules. Row counts
 // are fixed once the parts exist, so each part's schedule is made here,
-// not per phase; maxChunk is the longest chunk of any of them, the most
-// rows a segment can hold.
+// not per phase; maxStretch is the longest stretch of any of them, the
+// most rows a segment can hold.
 type Layout struct {
 	Parts []Part
 	// Agents is the index a sparse phase finds an active vertex's rows
-	// through. It is nil when the layout is one part whose row v is vertex
-	// v's (IDs nil: Ligra's CSR), and in pull layouts, which sparse phases
-	// do not sweep.
-	Agents   *Agents
-	strides  []par.Strided
-	maxChunk int
+	// through. It is nil when the layout is one part of one chunk whose
+	// row v is vertex v's (IDs nil: Ligra's CSR), and in pull layouts,
+	// which sparse phases do not sweep.
+	Agents *Agents
+	// Unweighted hides the parts' weights: every phase reads the rows as
+	// if Wts were nil (an engine on an Unweighted view of a weighted
+	// build).
+	Unweighted bool
+
+	strides    []par.Strided
+	maxStretch int
+	// shift finds a sparse phase's rows: vertex v's are in chunk v>>shift.
+	// With an agent index it is ChunkShift, the index giving the row in
+	// the chunk; without one it is 32, v's row being row v of the one
+	// chunk.
+	shift uint
 }
 
 // NewLayout schedules each part's rows over slots threads; agents is the
 // layout's agent index, or nil (Layout.Agents).
 func NewLayout(parts []Part, agents *Agents, slots int) Layout {
-	l := Layout{Parts: parts, Agents: agents, strides: make([]par.Strided, len(parts))}
+	l := Layout{Parts: parts, Agents: agents, strides: make([]par.Strided, len(parts)), shift: 32}
+	if agents != nil {
+		l.shift = ChunkShift
+	}
 	for p := range parts {
 		rows := int64(parts[p].Len())
 		l.strides[p] = par.MakeStrided(rows, par.ChunkSize(rows, slots), slots)
-		l.maxChunk = max(l.maxChunk, int(l.strides[p].MaxChunk()))
+		l.maxStretch = max(l.maxStretch, int(l.strides[p].MaxChunk()))
 	}
 	return l
 }
@@ -218,7 +352,7 @@ func (c *SweepConfig) EdgeMode(active int64, degree func() int64, edges int64, h
 //
 // A phase runs its threads one after another on the caller's goroutine
 // (par.Pool.Run), so the sweep's scratch — the phase epoch, the per-part
-// counts, the frontier builder, the rows views, the hit list and the
+// counts, the frontier builder, the segment view, the hit list and the
 // sparse queues — is reused between phases without synchronisation. What
 // must not be reused are the dense bitmap leaves handed to a returned
 // Subset.
@@ -233,19 +367,21 @@ type Sweep struct {
 	bs       state.BuilderScratch
 	degreeOf func(v uint32) int64
 
-	// rows[p] is part p's rows as a phase hands them to the kernel (see
-	// phaseRows); hits is a pull segment's list of updated rows, sized
-	// once to the longest chunk.
-	rows []Rows
+	// view is a dense segment's rows without their weights (Segments);
+	// hits is a pull segment's list of updated rows, sized once to the
+	// longest stretch. Both live in the sweep, so handing them to a kernel
+	// allocates nothing: a phase runs on one goroutine and a kernel holds
+	// no segment past its call.
+	view Rows
 	hits []int32
 	// words[p] is dense VertexMap's schedule over leaf p's bitmap words.
 	words []par.Strided
 
-	// A sparse phase's queues (scatter): queues[p] holds the rows of part
-	// p's agents of the frontier vertices, in frontier order, and
-	// starts[p*(chunks+1)+c] is where frontier chunk c begins in it. spill
-	// is what a phase whose frontier is discarded (NoOutput) appends its
-	// targets to.
+	// A sparse phase's queues (scatter): queues[p] holds the frontier
+	// vertices with an agent in part p, in frontier order, each followed by
+	// its agent's chunk row, and starts[p*(chunks+1)+c] is where frontier
+	// chunk c begins in it, in entries of two. spill is what a phase whose
+	// frontier is discarded (NoOutput) appends its targets to.
 	queues [][]uint32
 	starts []int32
 	spill  []graph.Vertex
@@ -261,7 +397,6 @@ func (s *Sweep) InitSweep(bounds []int, cfg SweepConfig) {
 	for p := range s.counts {
 		s.counts[p] = Counts{RowsByOwner: make([]int64, parts), ActiveByOwner: make([]int64, parts)}
 	}
-	s.rows = make([]Rows, parts)
 	s.words = make([]par.Strided, parts)
 	for p := range s.words {
 		s.words[p] = par.MakeStrided(int64(bounds[p+1]-bounds[p]+63)/64, 64, s.slots)
@@ -332,26 +467,25 @@ func edgeMap[K EdgeKernel](s *Sweep, a *state.Subset, k K, h Hints) *state.Subse
 }
 
 // densePush sweeps each part's source-keyed rows from its Start: active
-// sources push updates to the part's targets. Each chunk goes to the
-// kernel a segment at a time, tested against the leaf of the segment's
-// keys, in one PushRows call when the kernel has the segment form
-// (RowKernel), else edge by edge (PushRowsPerEdge); the counts are the
-// same.
+// sources push updates to the part's targets. Each stretch of the schedule
+// goes to the kernel a segment at a time, tested against the leaf of the
+// segment's keys, in one PushRows call when the kernel has the segment
+// form (RowKernel), else edge by edge (PushRowsPerEdge); the counts are
+// the same.
 func densePush[K EdgeKernel](s *Sweep, a *state.Subset, k K, h Hints) *state.Subset {
 	l := s.cfg.Layout(true)
 	rk := RowKernelOf(k, h)
 	b := s.output(h, true)
 	ep := s.begin()
 	full := a.Count() == int64(s.G.NumVertices())
-	rows := s.phaseRows(l, h.Weighted)
+	wts := h.Weighted && !l.Unweighted
 
 	s.RunPhase(func(th int) {
 		p := th / s.slots
-		pt, c, rs := &l.Parts[p], &s.counts[p], &rows[p]
+		c, seg := &s.counts[p], l.Parts[p].Segments(&s.view, wts)
 		l.strides[p].Do(th%s.slots, func(lo, hi int64) {
-			for i := int(lo); i < int(hi); {
-				o, rlo, rhi := pt.Segment(i, int(hi))
-				i += rhi - rlo
+			for seg.Stretch(int(lo), int(hi)); seg.Next(); {
+				o, rs, rlo, rhi := seg.Owner, seg.Rows, seg.Lo, seg.Hi
 				var active []uint64 // nil: every source is active
 				if !full {
 					active = a.Words(o)
@@ -375,34 +509,33 @@ func densePush[K EdgeKernel](s *Sweep, a *state.Subset, k K, h Hints) *state.Sub
 
 // densePull sweeps each part's target-keyed rows from its Start: every
 // target gathers from the part's sources, so the only leaf a thread tests
-// is its own part's. Each chunk goes to the kernel a segment at a time —
-// rows whose targets one leaf owns — in one PullRows call when the kernel
-// has the segment form (PullRowKernel), else edge by edge
-// (PullRowsPerEdge); the rows it updated come back as hits, which set the
-// targets in their owner's leaf. The counts are the same.
+// is its own part's. Each stretch of the schedule goes to the kernel a
+// segment at a time — rows whose targets one leaf owns — in one PullRows
+// call when the kernel has the segment form (PullRowKernel), else edge by
+// edge (PullRowsPerEdge); the rows it updated come back as hits, which set
+// the targets in their owner's leaf. The counts are the same.
 func densePull[K EdgeKernel](s *Sweep, a *state.Subset, k K, h Hints) *state.Subset {
 	l := s.cfg.Layout(false)
 	pk := PullRowKernelOf(k)
 	b := s.output(h, true)
 	ep := s.begin()
 	full := a.Count() == int64(s.G.NumVertices())
-	if cap(s.hits) < l.maxChunk {
-		s.hits = make([]int32, 0, l.maxChunk) // once per engine: a segment is at most a chunk
+	if cap(s.hits) < l.maxStretch {
+		s.hits = make([]int32, 0, l.maxStretch) // once per engine: a segment is at most a stretch
 	}
-	rows := s.phaseRows(l, h.Weighted)
+	wts := h.Weighted && !l.Unweighted
 
 	s.RunPhase(func(th int) {
 		p := th / s.slots
-		pt, c, rs := &l.Parts[p], &s.counts[p], &rows[p]
+		c, seg := &s.counts[p], l.Parts[p].Segments(&s.view, wts)
 		var active []uint64 // nil: every source is active
 		if !full {
 			active = a.Words(p)
 		}
 		base := s.bounds[p]
 		l.strides[p].Do(th%s.slots, func(lo, hi int64) {
-			for i := int(lo); i < int(hi); {
-				o, rlo, rhi := pt.Segment(i, int(hi))
-				i += rhi - rlo
+			for seg.Stretch(int(lo), int(hi)); seg.Next(); {
+				o, rs, rlo, rhi := seg.Owner, seg.Rows, seg.Lo, seg.Hi
 				var edges int64
 				if pk != nil {
 					edges, s.hits = pk.PullRows(rs, rlo, rhi, active, base, s.hits[:0])
@@ -439,18 +572,21 @@ func sparsePush[K EdgeKernel](s *Sweep, a *state.Subset, k K, h Hints) *state.Su
 	b := s.output(h, false)
 	ep := s.begin()
 	chunks := s.scatter(l, a)
-	rows := s.phaseRows(l, h.Weighted)
+	wts := h.Weighted && !l.Unweighted
+	shift := l.shift
 
 	s.RunPhase(func(th int) {
 		p, slot := th/s.slots, th%s.slots
 		if slot >= chunks {
 			return // no chunk of the frontier falls to this slot
 		}
-		c, rs := &s.counts[p], &rows[p]
-		ids, idx, cols, wts := rs.IDs, rs.Idx, rs.Cols, rs.Wts
-		queue := a.List(0) // without an index, the frontier: row v is vertex v's
+		c, pt := &s.counts[p], &l.Parts[p]
+		flat, rows, firsts := pt.Flat, pt.Chunks, pt.ChunkRows
+		// A queue entry is a vertex and its chunk row, or, without an
+		// index, the frontier's vertex v alone, row v of the one chunk.
+		queue, width := a.List(0), 1
 		if l.Agents != nil {
-			queue = s.queues[p]
+			queue, width = s.queues[p], 2
 		}
 		starts := s.starts[p*(chunks+1) : (p+1)*(chunks+1)]
 		q := s.spill[:0]
@@ -459,22 +595,25 @@ func sparsePush[K EdgeKernel](s *Sweep, a *state.Subset, k K, h Hints) *state.Su
 		}
 		var edges, condChecks, updates int64
 		for ch := slot; ch < chunks; ch += s.slots {
-			for _, r := range queue[starts[ch]:starts[ch+1]] {
-				v := graph.Vertex(r)
-				if ids != nil {
-					v = ids[r]
+			for i := width * int(starts[ch]); i < width*int(starts[ch+1]); i += width {
+				v, r := queue[i], int(queue[i+width-1])
+				rs := flat
+				if rs != nil {
+					r += firsts[v>>shift]
+				} else {
+					rs = &rows[v>>shift]
 				}
-				first, end := idx[r], idx[r+1]
+				first, end := rs.Idx[r], rs.Idx[r+1]
 				var w []float32
-				if wts != nil {
-					w = wts[first:end]
+				if wts && rs.Wts != nil {
+					w = rs.Wts[first:end]
 				}
 				at := len(q)
 				var checks int64
 				if sk != nil {
-					checks, q = sk.PushRow(v, cols[first:end], w, q)
+					checks, q = sk.PushRow(v, rs.Cols[first:end], w, q)
 				} else {
-					checks, q = PushRowPerEdge(k, v, cols[first:end], w, q)
+					checks, q = PushRowPerEdge(k, v, rs.Cols[first:end], w, q)
 				}
 				edges += end - first
 				condChecks += checks
@@ -499,10 +638,10 @@ func sparsePush[K EdgeKernel](s *Sweep, a *state.Subset, k K, h Hints) *state.Su
 
 // scatter lays frontier a out for sparsePush over layout l and returns its
 // chunk count. With an agent index it walks the frontier once, in order,
-// appending each vertex's row to the queue of every part it has an agent
-// in, and notes where each chunk starts in every queue; without one the
-// queue is the frontier's one list. It also takes the counts the frontier
-// alone decides: every part reads every frontier vertex (RowsByOwner) and
+// appending each vertex and its chunk row to the queue of every part it
+// has an agent in, and notes where each frontier chunk starts in every
+// queue, in entries of two; without one the queue is the frontier's one
+// list. It also takes the counts the frontier alone decides: every part reads every frontier vertex (RowsByOwner) and
 // probes for its agent (Lookups), and the vertices with an agent in the
 // part are its ActiveByOwner.
 func (s *Sweep) scatter(l *Layout, a *state.Subset) int {
@@ -540,27 +679,27 @@ func (s *Sweep) scatter(l *Layout, a *state.Subset) int {
 	pos, next := 0, 0 // frontier position, and where the next chunk starts
 	for o := range s.counts {
 		for p := range queues {
-			s.counts[p].ActiveByOwner[o] = -int64(len(queues[p]))
+			s.counts[p].ActiveByOwner[o] = -int64(len(queues[p]) / 2)
 		}
 		for _, v := range a.List(o) {
 			if pos == next {
 				for p := range queues {
-					s.starts[p*width+pos/chunk] = int32(len(queues[p]))
+					s.starts[p*width+pos/chunk] = int32(len(queues[p]) / 2)
 				}
 				next += chunk
 			}
 			pos++
 			for e := ag.Off[v]; e < ag.Off[v+1]; e++ {
 				p := ag.Part[e]
-				queues[p] = append(queues[p], uint32(ag.Row[e]))
+				queues[p] = append(queues[p], v, uint32(ag.Row[e]))
 			}
 		}
 		for p := range queues {
-			s.counts[p].ActiveByOwner[o] += int64(len(queues[p]))
+			s.counts[p].ActiveByOwner[o] += int64(len(queues[p]) / 2)
 		}
 	}
 	for p := range queues {
-		s.starts[p*width+chunks] = int32(len(queues[p]))
+		s.starts[p*width+chunks] = int32(len(queues[p]) / 2)
 	}
 	return chunks
 }
@@ -572,8 +711,35 @@ func (s *Sweep) VertexMap(a *state.Subset, f VertexFunc) *state.Subset {
 	if a.IsEmpty() || s.Err() != nil {
 		return state.NewEmpty(s.bounds)
 	}
+	b := s.bs.Builder(s.bounds, s.M.Threads(), a.Dense(), s.degreeOf)
+	s.vertexMap(a, f, b)
+	if s.Err() != nil {
+		return state.NewEmpty(s.bounds)
+	}
+	return b.Build()
+}
+
+// VertexMapDiscard applies f to every vertex of a, as VertexMap does, for a
+// caller that discards the returned subset (PageRank, SpMV and BP apply
+// over a fixed full frontier). On an engine that embeds a Sweep it builds
+// no frontier, as an edge phase under Hints.NoOutput builds none; the
+// phase is charged and recorded as VertexMap's. Any other engine runs its
+// VertexMap.
+func VertexMapDiscard(e Engine, a *state.Subset, f VertexFunc) {
+	sw, ok := e.(sweeper)
+	if !ok {
+		e.VertexMap(a, f)
+		return
+	}
+	if s := sw.sweep(); !a.IsEmpty() && s.Err() == nil {
+		s.vertexMap(a, f, nil)
+	}
+}
+
+// vertexMap runs VertexMap's phase over a, non-empty, setting the vertices
+// f keeps in b when b is non-nil.
+func (s *Sweep) vertexMap(a *state.Subset, f VertexFunc, b *state.Builder) {
 	dense := a.Dense()
-	b := s.bs.Builder(s.bounds, s.M.Threads(), dense, s.degreeOf)
 	ep := s.begin()
 
 	s.RunPhase(func(th int) {
@@ -587,7 +753,7 @@ func (s *Sweep) VertexMap(a *state.Subset, f VertexFunc) *state.Subset {
 					for w := leaf[wi]; w != 0; w &= w - 1 {
 						v := graph.Vertex(base + int(wi)*64 + bits.TrailingZeros64(w))
 						visited++
-						if f(v) {
+						if f(v) && b != nil {
 							b.SetIn(p, v) // leaf p covers part p's vertices
 						}
 					}
@@ -598,7 +764,7 @@ func (s *Sweep) VertexMap(a *state.Subset, f VertexFunc) *state.Subset {
 			par.MakeStrided(int64(len(list)), 64, s.slots).Do(slot, func(lo, hi int64) {
 				for _, v := range list[lo:hi] {
 					visited++
-					if f(v) {
+					if f(v) && b != nil {
 						b.Add(th, v)
 					}
 				}
@@ -606,11 +772,9 @@ func (s *Sweep) VertexMap(a *state.Subset, f VertexFunc) *state.Subset {
 		}
 		s.cfg.ChargeVertices(ep, th, p, dense, words, visited)
 	})
-	if s.Err() != nil {
-		return state.NewEmpty(s.bounds)
+	if s.Err() == nil {
+		s.end(ep, "vertexmap", dense, false, a.Count())
 	}
-	s.end(ep, "vertexmap", dense, false, a.Count())
-	return b.Build()
 }
 
 // begin resets the phase scratch and returns the phase epoch.
@@ -629,20 +793,6 @@ func (s *Sweep) output(h Hints, dense bool) *state.Builder {
 		return nil
 	}
 	return s.bs.Builder(s.bounds, s.M.Threads(), dense, s.degreeOf)
-}
-
-// phaseRows returns the rows of l's parts as a phase hands them to its
-// kernel, part p's at index p: without the weights when the phase streams
-// none. The views live in the sweep, so handing their addresses to a
-// kernel allocates nothing.
-func (s *Sweep) phaseRows(l *Layout, weighted bool) []Rows {
-	for p := range s.rows {
-		s.rows[p] = l.Parts[p].Rows
-		if !weighted {
-			s.rows[p].Wts = nil
-		}
-	}
-	return s.rows
 }
 
 // balance turns each part's summed counts into one thread's share, once

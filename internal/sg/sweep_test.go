@@ -45,9 +45,11 @@ func TestBalanceFloorsPartTotals(t *testing.T) {
 			parts := make([]Part, len(s.counts))
 			var totalEdges int64
 			for p := range parts {
-				if p != 1 { // the middle node of three holds no rows
-					parts[p].Idx = []int64{0, 1}
+				rs := Rows{Idx: []int64{0, 1}}
+				if p == 1 { // the middle node of three holds no rows
+					rs.Idx = rs.Idx[:1]
 				}
+				parts[p] = OneChunk(rs, nil)
 				for i, f := range counted(&s.counts[p]) {
 					*f = tc.slots*int64(10*p+i) + tc.slots - 1
 				}
