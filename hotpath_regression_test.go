@@ -12,11 +12,13 @@ package polymer_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"polymer/internal/algorithms"
 	"polymer/internal/bench"
 	"polymer/internal/core"
+	"polymer/internal/engines/galois"
 	"polymer/internal/engines/ligra"
 	"polymer/internal/engines/xstream"
 	"polymer/internal/gen"
@@ -283,6 +285,60 @@ func TestLigraPullSuperstepAllocs(t *testing.T) {
 	})
 	if bfs > ligraPullSuperstepAllocBudget || sssp > ligraPullSuperstepAllocBudget {
 		t.Fatalf("dense pull superstep allocated %.0f (BFS) and %.0f (SSSP) objects, budget %d", bfs, sssp, ligraPullSuperstepAllocBudget)
+	}
+}
+
+// TestPRRerunAllocs bounds the bytes a PageRank rerun allocates on a
+// reused engine of each family. The first run hands its vertex arrays back
+// (sg.NewArray, Galois's kept second buffer), so the second allocates the
+// n ranks it returns and little else: the budget is those n x 8 bytes plus
+// 10 %. An engine that allocates its arrays afresh on every run takes
+// about three times that.
+// rerunIters is the paper's PageRank iteration count.
+const rerunIters = 5
+
+func TestPRRerunAllocs(t *testing.T) {
+	n, edges := gen.RMAT(14, 8, 7)
+	g := graph.FromEdges(n, edges, false)
+	budget := uint64(n) * 8 * 11 / 10
+	engines := map[string]func(m *numa.Machine) (run func() []float64, close func()){
+		"polymer": func(m *numa.Machine) (func() []float64, func()) {
+			opt := core.DefaultOptions()
+			opt.Mode = core.Push
+			e := core.MustNew(g, m, opt)
+			return func() []float64 { return algorithms.PageRank(e, rerunIters, 0.85) }, e.Close
+		},
+		"ligra": func(m *numa.Machine) (func() []float64, func()) {
+			e := ligra.MustNew(g, m, ligra.DefaultOptions())
+			return func() []float64 { return algorithms.PageRank(e, rerunIters, 0.85) }, e.Close
+		},
+		"xstream": func(m *numa.Machine) (func() []float64, func()) {
+			e := xstream.MustNew(g, m, xstream.DefaultOptions(), algorithms.PRHints())
+			return func() []float64 { return algorithms.XSPageRank(e, rerunIters, 0.85) }, e.Close
+		},
+		"galois": func(m *numa.Machine) (func() []float64, func()) {
+			e := galois.MustNew(g, m, galois.DefaultOptions())
+			return func() []float64 { return e.PageRank(rerunIters, 0.85) }, e.Close
+		},
+	}
+	for name, build := range engines {
+		t.Run(name, func(t *testing.T) {
+			run, closeEngine := build(regressionMachine())
+			defer closeEngine()
+			run() // lays the engine out and fills its free list
+			got := uint64(math.MaxUint64)
+			for range 3 { // the least of three reruns: the runtime allocates beside the test too
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				run()
+				runtime.ReadMemStats(&after)
+				got = min(got, after.TotalAlloc-before.TotalAlloc)
+			}
+			t.Logf("rerun allocated %d bytes (n x 8 = %d, budget %d)", got, n*8, budget)
+			if got > budget {
+				t.Fatalf("PageRank rerun allocated %d bytes, budget %d (n x 8 + 10 %%)", got, budget)
+			}
+		})
 	}
 }
 

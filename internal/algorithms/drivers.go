@@ -119,7 +119,9 @@ func fixedIters(st stepper, sess *fault.Session, iters int, name string, in, out
 // five iterations as in Section 6.2), seeded with an existing rank vector
 // when init is non-nil.
 func PageRankFrom(e sg.Engine, iters int, damping float64, init []float64, sess *fault.Session) ([]float64, error) {
-	k := newPRKernel(e, damping, init)
+	r := newRun(e)
+	defer r.release()
+	k := newPRKernel(r, damping, init)
 	return fixedIters(sgStepper(e, k, prHints), sess, iters, "pagerank", &k.curr, &k.next, k.apply)
 }
 
@@ -135,7 +137,9 @@ func PageRank(e sg.Engine, iters int, damping float64) []float64 {
 
 // XSPageRankE runs iters push-based PageRank iterations on X-Stream.
 func XSPageRankE(e *xstream.Engine, iters int, damping float64, sess *fault.Session) ([]float64, error) {
-	k := newPRKernel(e, damping, nil)
+	r := newRun(e)
+	defer r.release()
+	k := newPRKernel(r, damping, nil)
 	return fixedIters(xsStepper(e, k), sess, iters, "pagerank", &k.curr, &k.next, k.apply)
 }
 
@@ -155,26 +159,34 @@ func must[T any](out T, err error) T {
 // SpMV multiplies the weighted adjacency matrix with a dense vector iters
 // times (y[v] = sum over in-edges (u,v) of w * x[u]; then x <- y).
 func SpMV(e sg.Engine, iters int, x0 []float64, sess *fault.Session) ([]float64, error) {
-	k := newSpMVKernel(e, x0)
+	r := newRun(e)
+	defer r.release()
+	k := newSpMVKernel(r, x0)
 	return fixedIters(sgStepper(e, k, spmvHints), sess, iters, "spmv", &k.x, &k.y, k.apply)
 }
 
 // XSSpMV is SpMV on X-Stream.
 func XSSpMV(e *xstream.Engine, iters int, x0 []float64, sess *fault.Session) ([]float64, error) {
-	k := newSpMVKernel(e, x0)
+	r := newRun(e)
+	defer r.release()
+	k := newSpMVKernel(r, x0)
 	return fixedIters(xsStepper(e, k), sess, iters, "spmv", &k.x, &k.y, k.apply)
 }
 
 // BP runs iters rounds of Bayesian belief propagation along weighted
 // edges and returns per-vertex beliefs in [0, 1].
 func BP(e sg.Engine, iters int, sess *fault.Session) ([]float64, error) {
-	k := newBPKernel(e)
+	r := newRun(e)
+	defer r.release()
+	k := newBPKernel(r)
 	return fixedIters(sgStepper(e, k, bpHints), sess, iters, "bp", &k.curr, &k.acc, k.apply)
 }
 
 // XSBP is BP on X-Stream.
 func XSBP(e *xstream.Engine, iters int, sess *fault.Session) ([]float64, error) {
-	k := newBPKernel(e)
+	r := newRun(e)
+	defer r.release()
+	k := newBPKernel(r)
 	return fixedIters(xsStepper(e, k), sess, iters, "bp", &k.curr, &k.acc, k.apply)
 }
 
@@ -228,7 +240,9 @@ func BFSE(e sg.Engine, src graph.Vertex, sess *fault.Session) ([]int64, error) {
 	if len(levels) == 0 {
 		return levels, nil
 	}
-	k := &bfsKernel{parent: e.NewData32("bfs/parent").Data}
+	r := newRun(e)
+	defer r.release()
+	k := &bfsKernel{parent: r.u32("bfs/parent")}
 	for i := range k.parent {
 		k.parent[i] = unvisited
 	}
@@ -260,7 +274,9 @@ func SSSP(e sg.Engine, src graph.Vertex, sess *fault.Session) ([]float64, error)
 	if e.Graph().NumVertices() == 0 {
 		return nil, nil
 	}
-	k := &ssspKernel{dist: e.NewData("sssp/dist").Data}
+	r := newRun(e)
+	defer r.release()
+	k := &ssspKernel{dist: r.f64("sssp/dist")}
 	for i := range k.dist {
 		k.dist[i] = infinity
 	}
@@ -281,7 +297,9 @@ func SSSP(e sg.Engine, src graph.Vertex, sess *fault.Session) ([]float64, error)
 // g.Symmetrized()); it returns, for every vertex, the smallest vertex id
 // in its component.
 func CC(e sg.Engine, sess *fault.Session) ([]graph.Vertex, error) {
-	k := &ccKernel{labels: e.NewData32("cc/labels").Data}
+	r := newRun(e)
+	defer r.release()
+	k := &ccKernel{labels: r.u32("cc/labels")}
 	for v := range k.labels {
 		k.labels[v] = uint32(v)
 	}
@@ -306,13 +324,13 @@ func xsConverge(e *xstream.Engine, k xstream.Kernel) {
 }
 
 // xsRelax relaxes distances from src to their fixed point on X-Stream,
-// along unit or weighted edges, and returns the engine's array of them
-// (+Inf when unreachable).
-func xsRelax(e *xstream.Engine, label string, src graph.Vertex, weighted bool) []float64 {
+// along unit or weighted edges, and returns run r's array of them (+Inf
+// when unreachable): the caller copies its answer out before r's release.
+func xsRelax(r *runArrays, e *xstream.Engine, label string, src graph.Vertex, weighted bool) []float64 {
 	if e.Graph().NumVertices() == 0 {
 		return nil
 	}
-	k := &xsLevel{dist: e.NewData(label).Data, weighted: weighted}
+	k := &xsLevel{dist: r.f64(label), weighted: weighted}
 	for i := range k.dist {
 		k.dist[i] = infinity
 	}
@@ -325,7 +343,9 @@ func xsRelax(e *xstream.Engine, label string, src graph.Vertex, weighted bool) [
 // XSBFS runs BFS on X-Stream (levels via unit-distance relaxation) and
 // returns levels (-1 when unreachable).
 func XSBFS(e *xstream.Engine, src graph.Vertex) []int64 {
-	dist := xsRelax(e, "bfs/dist", src, false)
+	r := newRun(e)
+	defer r.release()
+	dist := xsRelax(r, e, "bfs/dist", src, false)
 	if dist == nil {
 		return nil
 	}
@@ -341,13 +361,17 @@ func XSBFS(e *xstream.Engine, src graph.Vertex) []int64 {
 
 // XSSSSP runs single-source shortest paths on X-Stream.
 func XSSSSP(e *xstream.Engine, src graph.Vertex) []float64 {
-	return slices.Clone(xsRelax(e, "sssp/dist", src, true))
+	r := newRun(e)
+	defer r.release()
+	return slices.Clone(xsRelax(r, e, "sssp/dist", src, true))
 }
 
 // XSCC computes connected components by label propagation on X-Stream
 // (the engine must be built on the symmetrized graph).
 func XSCC(e *xstream.Engine) []graph.Vertex {
-	k := &xsCC{labels: e.NewData("cc/labels").Data}
+	r := newRun(e)
+	defer r.release()
+	k := &xsCC{labels: r.f64("cc/labels")}
 	for v := range k.labels {
 		k.labels[v] = float64(v)
 	}

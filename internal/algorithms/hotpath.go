@@ -20,7 +20,7 @@ func PRHints() sg.Hints { return prHints }
 // the step PageRankFrom loops over: the engines' per-phase sg.RowKernel
 // lookup is part of what the allocation budgets bound.
 func PRIteration(e sg.Engine, damping float64) func() {
-	k := newPRKernel(e, damping, nil)
+	k := newPRKernel(newRun(e), damping, nil)
 	step, apply := sgStepper(e, k, prHints).step, k.apply
 	return func() {
 		step(apply, false)
@@ -32,7 +32,7 @@ func PRIteration(e sg.Engine, damping float64) func() {
 // alone, as PageRankFrom runs it: the push EdgeMap over the full frontier,
 // kernel and hints included. The sweep benchmarks time it per edge.
 func PRSweep(e sg.Engine) func() {
-	k, all := newPRKernel(e, 0.85, nil), state.NewAll(e.Bounds())
+	k, all := newPRKernel(newRun(e), 0.85, nil), state.NewAll(e.Bounds())
 	return func() { sg.EdgeMapK(e, all, k, prHints) }
 }
 
@@ -49,7 +49,8 @@ type XSKernel struct {
 // drive xstream.Engine.Iterate with exactly those kernels (block loops
 // against per-edge loops, the steady-state allocation budget).
 func NewXSKernels(e *xstream.Engine) map[string]XSKernel {
-	pr, spmv, bp := newPRKernel(e, 0.85, nil), newSpMVKernel(e, nil), newBPKernel(e)
+	r := newRun(e)
+	pr, spmv, bp := newPRKernel(r, 0.85, nil), newSpMVKernel(r, nil), newBPKernel(r)
 	return map[string]XSKernel{
 		"pr":   {pr, pr.curr, pr.next},
 		"spmv": {spmv, spmv.x, spmv.y},

@@ -23,6 +23,43 @@ import (
 type dataEngine interface {
 	Graph() *graph.Graph
 	NewData(label string) *mem.Array[float64]
+	NewData32(label string) *mem.Array[uint32]
+}
+
+// runArrays is one driver run's per-vertex state on its engine. release,
+// which a driver defers, hands every array back (mem.Array.Release): the
+// simulated ledger sees it freed, and the engine's next run takes it back
+// into service instead of allocating (sg.NewArray). A driver therefore
+// returns copies of these arrays, never the arrays. State kept across
+// calls (DynamicSSSP's distances, the closures hotpath.go exports) is
+// never released.
+type runArrays struct {
+	e    dataEngine
+	held []interface{ Release() }
+}
+
+func newRun(e dataEngine) *runArrays { return &runArrays{e: e} }
+
+// f64 allocates a float64 per-vertex array for the run.
+func (r *runArrays) f64(label string) []float64 {
+	a := r.e.NewData(label)
+	r.held = append(r.held, a)
+	return a.Data
+}
+
+// u32 allocates a uint32 per-vertex array for the run.
+func (r *runArrays) u32(label string) []uint32 {
+	a := r.e.NewData32(label)
+	r.held = append(r.held, a)
+	return a.Data
+}
+
+// release hands the run's arrays back to the engine.
+func (r *runArrays) release() {
+	for _, a := range r.held {
+		a.Release()
+	}
+	r.held = nil
 }
 
 // unvisited marks an unclaimed BFS parent slot.
@@ -43,13 +80,13 @@ type prKernel struct {
 	base, damping float64 // apply's constants
 }
 
-// newPRKernel allocates PageRank state on e: zero sums, and the ranks of
-// init when it is non-nil (the degradation harness continues a run on a
+// newPRKernel allocates PageRank state for run r: zero sums, and the ranks
+// of init when it is non-nil (the degradation harness continues a run on a
 // rebuilt engine with it), else uniform.
-func newPRKernel(e dataEngine, damping float64, init []float64) *prKernel {
-	g := e.Graph()
+func newPRKernel(r *runArrays, damping float64, init []float64) *prKernel {
+	g := r.e.Graph()
 	n := float64(g.NumVertices())
-	k := &prKernel{curr: e.NewData("pr/curr").Data, next: e.NewData("pr/next").Data,
+	k := &prKernel{curr: r.f64("pr/curr"), next: r.f64("pr/next"),
 		invOut: g.InvOutDegrees(), base: (1 - damping) / n, damping: damping}
 	for v := range k.curr {
 		k.curr[v] = 1 / n
@@ -198,9 +235,9 @@ func (k *prKernel) GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (
 // edgeWeight — all engines and the reference must agree on it.
 type spmvKernel struct{ x, y []float64 }
 
-// newSpMVKernel allocates SpMV state on e: x0 in, zero sums.
-func newSpMVKernel(e dataEngine, x0 []float64) *spmvKernel {
-	k := &spmvKernel{x: e.NewData("spmv/x").Data, y: e.NewData("spmv/y").Data}
+// newSpMVKernel allocates SpMV state for run r: x0 in, zero sums.
+func newSpMVKernel(r *runArrays, x0 []float64) *spmvKernel {
+	k := &spmvKernel{x: r.f64("spmv/x"), y: r.f64("spmv/y")}
 	copy(k.x, x0)
 	return k
 }
@@ -301,10 +338,10 @@ func (k *spmvKernel) GatherRun(ds []graph.Vertex, vals []float64, next []uint64)
 // accumulator: acc[d] *= 1 - (w/100) * curr[s].
 type bpKernel struct{ curr, acc []float64 }
 
-// newBPKernel allocates belief-propagation state on e: beliefs 0.5, unit
-// accumulators.
-func newBPKernel(e dataEngine) *bpKernel {
-	k := &bpKernel{curr: e.NewData("bp/curr").Data, acc: e.NewData("bp/acc").Data}
+// newBPKernel allocates belief-propagation state for run r: beliefs 0.5,
+// unit accumulators.
+func newBPKernel(r *runArrays) *bpKernel {
+	k := &bpKernel{curr: r.f64("bp/curr"), acc: r.f64("bp/acc")}
 	for v := range k.curr {
 		k.curr[v] = 0.5
 		k.acc[v] = 1

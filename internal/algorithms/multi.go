@@ -184,9 +184,11 @@ func MultiSSSP(e sg.Engine, srcs []graph.Vertex) ([][]float64, error) {
 	if err := checkSources(srcs, n); err != nil {
 		return nil, err
 	}
+	r := newRun(e)
+	defer r.release()
 	dist := make([][]float64, len(srcs))
 	for i := range dist {
-		dist[i] = e.NewData(fmt.Sprintf("msssp/dist%d", i)).Data
+		dist[i] = r.f64(fmt.Sprintf("msssp/dist%d", i))
 		for v := range dist[i] {
 			dist[i][v] = infinity
 		}

@@ -17,12 +17,12 @@ type prDeltaKernel struct {
 	invOut           []float64
 }
 
-// newPRDeltaKernel allocates delta-PageRank state on e, starting from the
-// ranks in prev and from the uniform 1/n beyond them.
-func newPRDeltaKernel(e dataEngine, prev []float64) *prDeltaKernel {
-	g := e.Graph()
-	k := &prDeltaKernel{rank: e.NewData("prd/rank").Data, delta: e.NewData("prd/delta").Data,
-		acc: e.NewData("prd/acc").Data, invOut: g.InvOutDegrees()}
+// newPRDeltaKernel allocates delta-PageRank state for run r, starting from
+// the ranks in prev and from the uniform 1/n beyond them.
+func newPRDeltaKernel(r *runArrays, prev []float64) *prDeltaKernel {
+	g := r.e.Graph()
+	k := &prDeltaKernel{rank: r.f64("prd/rank"), delta: r.f64("prd/delta"),
+		acc: r.f64("prd/acc"), invOut: g.InvOutDegrees()}
 	for v := range k.rank {
 		k.rank[v] = 1 / float64(g.NumVertices())
 	}
@@ -90,7 +90,9 @@ func (k *prDeltaKernel) converge(st stepper, eps float64, maxIter int) ([]float6
 // from ranks computed on a previous snapshot is exact — it just converges
 // in far fewer rounds when the snapshots are close.
 func PageRankDelta(e sg.Engine, eps float64, maxIter int, prev []float64) ([]float64, int) {
-	k := newPRDeltaKernel(e, prev)
+	r := newRun(e)
+	defer r.release()
+	k := newPRDeltaKernel(r, prev)
 	return k.converge(sgStepper(e, k, prHints), eps, maxIter)
 }
 
@@ -98,6 +100,8 @@ func PageRankDelta(e sg.Engine, eps float64, maxIter int, prev []float64) ([]flo
 // every iteration still streams all edges (scattering only from active
 // sources), which is exactly the engine's cost model.
 func XSPageRankDelta(e *xstream.Engine, eps float64, maxIter int) ([]float64, int) {
-	k := newPRDeltaKernel(e, nil)
+	r := newRun(e)
+	defer r.release()
+	k := newPRDeltaKernel(r, nil)
 	return k.converge(xsStepper(e, k), eps, maxIter)
 }

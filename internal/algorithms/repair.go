@@ -66,7 +66,9 @@ func RepairSSSP(e sg.Engine, src graph.Vertex, prior []float64, deleted, appende
 	if err := checkPrior(e, src, prior); err != nil {
 		return nil, err
 	}
-	k := &ssspKernel{dist: e.NewData("sssp/dist").Data}
+	r := newRun(e)
+	defer r.release()
+	k := &ssspKernel{dist: r.f64("sssp/dist")}
 	copy(k.dist, prior)
 	if err := repair(e, src, k, deleted, appended, ssspHints); err != nil {
 		return nil, err
@@ -84,7 +86,9 @@ func RepairBFS(e sg.Engine, src graph.Vertex, prior []int64, deleted, appended [
 	if err := checkPrior(e, src, prior); err != nil {
 		return nil, err
 	}
-	k := &ssspKernel{dist: e.NewData("bfs/dist").Data}
+	r := newRun(e)
+	defer r.release()
+	k := &ssspKernel{dist: r.f64("bfs/dist")}
 	for v, l := range prior {
 		k.dist[v] = infinity
 		if l >= 0 {

@@ -55,8 +55,13 @@ type Engine struct {
 	recipe Recipe
 
 	topoB  int64
-	dataB  int64
+	dataB  int64 // the running run's galois/data (trackData)
 	closed bool
+
+	// prNext is the buffer pullRounds did not return last time: the next
+	// call's second buffer, so a PageRank, SpMV or BP run allocates only
+	// the vector it returns. Host-only, like the round scratch below.
+	prNext []float64
 
 	// Round-scoped scratch, reset between parallel rounds so steady-state
 	// iterations reuse the epoch, counters and worklist buffers instead of
@@ -114,20 +119,27 @@ func (e *Engine) Close() {
 	}
 	e.closed = true
 	e.M.Alloc().Release("galois/topology", e.topoB)
-	if e.dataB > 0 {
-		e.M.Alloc().Release("galois/data", e.dataB)
-	}
 }
 
-// trackData registers per-run application data (released at Close). An
-// injected allocation failure panics; fault.Catch recovers it into the
-// session error so the run can restart.
+// trackData registers the run's application data; the run defers
+// releaseData, so every run's data is freed when it ends, as the
+// scatter-gather drivers hand their arrays back. An injected allocation
+// failure panics; fault.Catch recovers it into the session error so the
+// run can restart.
 func (e *Engine) trackData(bytes int64) {
 	if err := e.M.Alloc().Grow("galois/data", bytes); err != nil {
 		panic(err)
 	}
 	e.dataB += bytes
 	e.Tier.State.GrowDemandEven(bytes)
+}
+
+// releaseData frees what trackData registered, on the ledger and in the
+// state class's tier demand.
+func (e *Engine) releaseData() {
+	e.M.Alloc().Release("galois/data", e.dataB)
+	e.Tier.State.ShrinkDemandEven(e.dataB)
+	e.dataB = 0
 }
 
 // counters accumulates per-thread work.
@@ -237,12 +249,22 @@ func (e *Engine) roundLists() (next, far [][]graph.Vertex) {
 // the edges it read. Each round is one fault.Step and one charged round,
 // so an injected fault rolls back the round's simulated charges and
 // per-vertex state and replays it to a bit-identical result; a nil session
-// runs fault-free with plain panic recovery. It returns the last result.
+// runs fault-free with plain panic recovery. It returns the last result;
+// the other buffer stays with the engine for the next call (every round
+// writes all of next before it is read).
 func (e *Engine) pullRounds(sess *fault.Session, iters int, name string, width int, curr []float64,
 	rows func(curr, next []float64, lo, hi int64) (edges int64)) ([]float64, error) {
 	n := int64(len(curr))
-	next := make([]float64, n)
+	next := e.prNext
+	if int64(len(next)) != n {
+		next = make([]float64, n)
+	}
+	e.prNext = nil
 	e.trackData(n * 2 * int64(width))
+	defer func() {
+		e.prNext = next
+		e.releaseData()
+	}()
 	ck := par.MakeStrided(n, 64, e.M.Threads())
 	if sess != nil {
 		sess.TrackF64(curr, next)
@@ -375,6 +397,7 @@ func (e *Engine) BFS(src graph.Vertex) []int64 {
 		return dist
 	}
 	e.trackData(int64(n) * 8)
+	defer e.releaseData()
 	for i := range dist {
 		dist[i] = unreached
 	}
@@ -427,6 +450,7 @@ func (e *Engine) CC() []graph.Vertex {
 	n := g.NumVertices()
 	parent := make([]uint32, n)
 	e.trackData(int64(n) * 4)
+	defer e.releaseData()
 	for i := range parent {
 		parent[i] = uint32(i)
 	}
@@ -509,6 +533,7 @@ func (e *Engine) SSSP(src graph.Vertex) []float64 {
 		return dist
 	}
 	e.trackData(int64(n) * 8)
+	defer e.releaseData()
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}

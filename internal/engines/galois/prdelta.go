@@ -24,6 +24,7 @@ func (e *Engine) PageRankDelta(eps float64, maxIter int) ([]float64, int) {
 	acc := make([]float64, n)
 	active := make([]bool, n)
 	e.trackData(int64(n) * 25)
+	defer e.releaseData()
 	invOut := g.InvOutDegrees()
 	for v := 0; v < n; v++ {
 		rank[v] = 1 / float64(n)

@@ -17,6 +17,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"unsafe"
 
@@ -148,18 +149,25 @@ func (a *Array[T]) Tier() *TierClass { return a.tier }
 // class's demand: partition bytes for co-located arrays, an even spread
 // for interleaved ones, node 0 for centralized. No-op when untiered.
 func (a *Array[T]) GrowTierDemand() *Array[T] {
+	a.addTierDemand(1)
+	return a
+}
+
+// addTierDemand adds sign times the array's per-node footprint to its tier
+// class's demand. Integer division truncates toward zero, so the even
+// spread of -b is exactly the negation of b's.
+func (a *Array[T]) addTierDemand(sign int64) {
 	switch {
 	case a.tier == nil:
 	case a.place == CoLocated:
 		for p := 0; p < a.m.Nodes; p++ {
-			a.tier.GrowDemand(p, a.elemBytes*int64(a.bounds[p+1]-a.bounds[p]))
+			a.tier.GrowDemand(p, sign*a.elemBytes*int64(a.bounds[p+1]-a.bounds[p]))
 		}
 	case a.place == Centralized:
-		a.tier.GrowDemand(0, a.Bytes())
+		a.tier.GrowDemand(0, sign*a.Bytes())
 	default:
-		a.tier.GrowDemandEven(a.Bytes())
+		a.tier.GrowDemandEven(sign * a.Bytes())
 	}
-	return a
 }
 
 // NodeOf returns the simulated node owning index i. Out-of-range indices
@@ -264,4 +272,36 @@ func (a *Array[T]) Free() {
 	}
 	a.freed = true
 	a.m.Alloc().Release(a.label, a.Bytes())
+}
+
+// Release hands the array back to whoever allocated it: Free, and exactly
+// what GrowTierDemand added taken back, so the tier class's demand keeps
+// mirroring the tracker. The host storage stays, for Reuse. A released or
+// freed array is not released again.
+func (a *Array[T]) Release() {
+	if a.freed {
+		return
+	}
+	a.Free()
+	a.addTierDemand(-1)
+}
+
+// Reusable reports whether a is released and would serve a New of label,
+// place and bounds on its machine.
+func (a *Array[T]) Reusable(label string, place Placement, bounds []int) bool {
+	return a.freed && a.label == label && a.place == place && slices.Equal(a.bounds, bounds)
+}
+
+// Reuse takes a released array back into service, as New would hand out a
+// fresh one: it records the same Grow under the same label and bytes, then
+// zeroes the data and grows the tier demand again. A failed Grow (fault
+// injection) records nothing and leaves the array released.
+func (a *Array[T]) Reuse() error {
+	if err := a.m.Alloc().Grow(a.label, a.Bytes()); err != nil {
+		return err
+	}
+	a.freed = false
+	clear(a.Data)
+	a.GrowTierDemand()
+	return nil
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -123,5 +124,42 @@ func TestChargeZeroCountsNoop(t *testing.T) {
 func TestPlacementString(t *testing.T) {
 	if CoLocated.String() != "co-located" || Interleaved.String() != "interleaved" || Centralized.String() != "centralized" {
 		t.Fatal("Placement.String mismatch")
+	}
+}
+
+// TestReleaseReuse: a released array leaves the tracker and its tier class
+// exactly as they stood before it was allocated, for every placement (an
+// interleaved array of 1,001 bytes spreads unevenly over four nodes), and
+// Reuse takes it back into service zeroed, under the same label and bytes
+// and with the same demand. A failed Grow leaves it released and the
+// tracker untouched.
+func TestReleaseReuse(t *testing.T) {
+	m := tieredMachine(t, 4000, numa.TierHot, 0)
+	tp := NewTierPlan(m)
+	cls := tp.AddClass(ClassSpec{Label: "state", BytesPerNode: make([]int64, m.Nodes)})
+	bounds := map[Placement][]int{CoLocated: {0, 100, 300, 600, 1001}}
+	for _, place := range Placements() {
+		demand, classes := tp.Demand(), tp.Classes()
+		a := New[uint8](m, "x", 1001, place, bounds[place]).BindTier(cls).GrowTierDemand()
+		grown := tp.Demand()
+		a.Data[7] = 3
+		a.Release()
+		if m.Alloc().Current() != 0 || tp.Demand() != demand || !reflect.DeepEqual(tp.Classes(), classes) {
+			t.Fatalf("%s: released array left %d tracked bytes and demand %d (was %d)", place, m.Alloc().Current(), tp.Demand(), demand)
+		}
+		if !a.Reusable("x", place, bounds[place]) || a.Reusable("y", place, bounds[place]) {
+			t.Fatalf("%s: Reusable wrong for the array's own shape or another label", place)
+		}
+		m.Alloc().FailNext("x")
+		if err := a.Reuse(); err == nil || m.Alloc().Current() != 0 || !a.Reusable("x", place, bounds[place]) {
+			t.Fatalf("%s: failed Reuse: err %v, %d tracked bytes", place, err, m.Alloc().Current())
+		}
+		if err := a.Reuse(); err != nil {
+			t.Fatal(err)
+		}
+		if m.Alloc().Label("x") != 1001 || a.Data[7] != 0 || tp.Demand() != grown || a.Reusable("x", place, bounds[place]) {
+			t.Fatalf("%s: reused array tracks %d bytes, data[7] %v, demand %d (%d when new)", place, m.Alloc().Label("x"), a.Data[7], tp.Demand(), grown)
+		}
+		a.Release()
 	}
 }

@@ -212,8 +212,9 @@ func (c *TierClass) refreshHit() {
 
 // GrowDemand adds bytes to the class's demand on one node and refills the
 // plan in the static order (a later promotion pass re-ranks by observed
-// traffic). Engines call it as structures are allocated, so class
-// demand mirrors the allocation tracker. Nil-safe.
+// traffic). Engines call it as structures are allocated, and with
+// negative bytes as they are released, so class demand mirrors the
+// allocation tracker. Nil-safe.
 func (c *TierClass) GrowDemand(node int, bytes int64) {
 	if c == nil || bytes == 0 {
 		return
@@ -233,6 +234,9 @@ func (c *TierClass) GrowDemandEven(bytes int64) {
 	}
 	c.plan.fill(c.plan.order())
 }
+
+// ShrinkDemandEven takes back what GrowDemandEven(bytes) added. Nil-safe.
+func (c *TierClass) ShrinkDemandEven(bytes int64) { c.GrowDemandEven(-bytes) }
 
 // SetHotMass installs (or replaces) the class's hot-mass curve once the
 // degree distribution is known. Nil-safe.

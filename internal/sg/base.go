@@ -42,6 +42,8 @@ type Base struct {
 	// simulated seconds; fixed at Init (barrier.SyncCost is a math.Pow).
 	syncCost [barrier.N + 1]float64
 
+	// arrays is every array NewArray made. The released ones are the
+	// free list: NewArray reuses one before it allocates.
 	arrays []interface{ Free() }
 	err    error           // first execution failure (see Fail/Err)
 	ctx    context.Context // optional cancellation; nil means background
@@ -151,9 +153,24 @@ func (b *Base) ThreadSeconds() []float64 {
 	return out
 }
 
-// NewArray allocates a per-vertex array on the engine's machine, binds it
-// to the state demand class and registers it for FreeArrays.
+// NewArray hands out a zeroed per-vertex array on the engine's machine,
+// bound to the state demand class. A driver's arrays are run-scoped: it
+// hands back (mem.Array.Release) every one it does not return or keep,
+// and NewArray takes a released array of the same element type, label,
+// placement and bounds back into service (mem.Array.Reuse) before it
+// allocates and registers a new one for FreeArrays. Either way the tracker
+// sees the same Grow under the same label and bytes, and an injected
+// allocation failure panics with the *numa.AllocFailure, leaving a reused
+// array released.
 func NewArray[T any](b *Base, label string, place mem.Placement, bounds []int) *mem.Array[T] {
+	for _, h := range b.arrays {
+		if a, ok := h.(*mem.Array[T]); ok && a.Reusable(label, place, bounds) {
+			if err := a.Reuse(); err != nil {
+				panic(err)
+			}
+			return a
+		}
+	}
 	a := mem.New[T](b.M, label, b.G.NumVertices(), place, bounds)
 	a.BindTier(b.Tier.State).GrowTierDemand()
 	b.arrays = append(b.arrays, a)

@@ -52,7 +52,8 @@ go test -race -run 'TestFaultMatrix|TestPolymerDegraded|TestResilientRanks' .
 echo "==> determinism gate (a run is a function of its input: same bits at any GOMAXPROCS, five times over)"
 # Whole packages, every engine: re-run identity over the conform matrix,
 # row/block kernels against the per-edge loops, fault replay, tracing,
-# planned-vs-explicit, cached-vs-recomputed.
+# planned-vs-explicit, cached-vs-recomputed, and the bytes a PageRank
+# rerun allocates on a reused engine (TestPRRerunAllocs).
 go test -count=5 -cpu 1,2,8 . ./internal/conform/ ./internal/obs/ ./internal/plan/ ./internal/serve/
 # The per-node charge against the per-thread loop it replaced, for one
 # phase and over whole runs of shared and split rows.
