@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// TestRun executes the full example — incremental maintenance, the
-// /mutatez-driven server, and the recovery restart — so the example is
+// TestRun executes the full example — incremental repair, the
+// /mutatez-driven server with its repaired read, and the recovery
+// restart — so the example is
 // behavior-checked, not just compiled.
 func TestRun(t *testing.T) {
 	var out strings.Builder
@@ -16,6 +17,7 @@ func TestRun(t *testing.T) {
 	for _, want := range []string{
 		"verified against full recomputation",
 		"committed mutation batch: seq 1, generation 1",
+		"repaired from the previous answer",
 		"restart recovered the mutated snapshot bit-identically",
 	} {
 		if !strings.Contains(out.String(), want) {

@@ -31,8 +31,7 @@ type dataEngine interface {
 // simulated ledger sees it freed, and the engine's next run takes it back
 // into service instead of allocating (sg.NewArray). A driver therefore
 // returns copies of these arrays, never the arrays. State kept across
-// calls (DynamicSSSP's distances, the closures hotpath.go exports) is
-// never released.
+// calls (the closures hotpath.go exports) is never released.
 type runArrays struct {
 	e    dataEngine
 	held []interface{ Release() }

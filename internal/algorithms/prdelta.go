@@ -18,15 +18,14 @@ type prDeltaKernel struct {
 }
 
 // newPRDeltaKernel allocates delta-PageRank state for run r, starting from
-// the ranks in prev and from the uniform 1/n beyond them.
-func newPRDeltaKernel(r *runArrays, prev []float64) *prDeltaKernel {
+// the uniform 1/n.
+func newPRDeltaKernel(r *runArrays) *prDeltaKernel {
 	g := r.e.Graph()
 	k := &prDeltaKernel{rank: r.f64("prd/rank"), delta: r.f64("prd/delta"),
 		acc: r.f64("prd/acc"), invOut: g.InvOutDegrees()}
 	for v := range k.rank {
 		k.rank[v] = 1 / float64(g.NumVertices())
 	}
-	copy(k.rank, prev)
 	copy(k.delta, k.rank) // first round propagates r_0 itself
 	return k
 }
@@ -83,16 +82,11 @@ func (k *prDeltaKernel) converge(st stepper, eps float64, maxIter int) ([]float6
 	return slices.Clone(k.rank), iter
 }
 
-// PageRankDelta runs the delta iteration on a scatter-gather engine from
-// the ranks in prev (nil: a cold start). Power iteration contracts toward
-// the topology's fixed point from any start vector, and the first round's
-// delta_1 = r_1 - r_0 algebra holds for arbitrary r_0, so warm-starting
-// from ranks computed on a previous snapshot is exact — it just converges
-// in far fewer rounds when the snapshots are close.
-func PageRankDelta(e sg.Engine, eps float64, maxIter int, prev []float64) ([]float64, int) {
+// PageRankDelta runs the delta iteration on a scatter-gather engine.
+func PageRankDelta(e sg.Engine, eps float64, maxIter int) ([]float64, int) {
 	r := newRun(e)
 	defer r.release()
-	k := newPRDeltaKernel(r, prev)
+	k := newPRDeltaKernel(r)
 	return k.converge(sgStepper(e, k, prHints), eps, maxIter)
 }
 
@@ -102,6 +96,6 @@ func PageRankDelta(e sg.Engine, eps float64, maxIter int, prev []float64) ([]flo
 func XSPageRankDelta(e *xstream.Engine, eps float64, maxIter int) ([]float64, int) {
 	r := newRun(e)
 	defer r.release()
-	k := newPRDeltaKernel(r, nil)
+	k := newPRDeltaKernel(r)
 	return k.converge(xsStepper(e, k), eps, maxIter)
 }

@@ -70,7 +70,7 @@ func rerunCases(t *testing.T) map[string]rerunCase {
 		"spmv": {g, func(e sg.Engine, v int) (any, error) { return SpMV(e, 2, x0[v], nil) }},
 		"bp":   {g, func(e sg.Engine, v int) (any, error) { return BP(e, 2+v, nil) }},
 		"prdelta": {g, func(e sg.Engine, v int) (any, error) {
-			r, _ := PageRankDelta(e, 1e-6, 3+v, nil)
+			r, _ := PageRankDelta(e, 1e-6, 3+v)
 			return r, e.Err()
 		}},
 		"bfs":  {unit, func(e sg.Engine, v int) (any, error) { return BFSE(e, rerunSources[v], nil) }},

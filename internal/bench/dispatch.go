@@ -156,7 +156,7 @@ var cells = map[Algo][3]cell{
 	},
 	PRDelta: {
 		plain(func(e sg.Engine, _ *spec) Output {
-			return prDelta(algorithms.PageRankDelta(e, prDeltaEps, prDeltaMaxIter, nil))
+			return prDelta(algorithms.PageRankDelta(e, prDeltaEps, prDeltaMaxIter))
 		}),
 		plain(func(e *xstream.Engine, _ *spec) Output {
 			return prDelta(algorithms.XSPageRankDelta(e, prDeltaEps, prDeltaMaxIter))
