@@ -359,3 +359,68 @@ func TestEpochTimeDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// patchBench is the serving layer's weighted power-law graph at small
+// scale (16,000 vertices) and one 32-edit batch on it: 16 deletions of
+// existing edges and 16 insertions, endpoints drawn uniformly.
+func patchBench(t *testing.T) (g *graph.Graph, deleted, appended []graph.Edge) {
+	t.Helper()
+	g, err := gen.Load(gen.PowerLaw, gen.Small, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := gen.NewRNG(11)
+	n := g.NumVertices()
+	for len(deleted) < 16 {
+		s := graph.Vertex(rng.Intn(n))
+		if nbrs := g.OutNeighbors(s); len(nbrs) > 0 {
+			deleted = append(deleted, graph.Edge{Src: s, Dst: nbrs[rng.Intn(len(nbrs))]})
+		}
+		appended = append(appended, graph.Edge{Src: graph.Vertex(rng.Intn(n)), Dst: graph.Vertex(rng.Intn(n)), Wt: 1})
+	}
+	return g, deleted, appended
+}
+
+// TestPatchAllocatesTouchedChunks: a commit's Patch rewrites only the
+// chunks its edits touch, so one 32-edit batch on a graph already patched
+// once, as in a serving lineage, allocates at most a fifth of the graph's
+// TopologyBytes (a whole copy of the CSR is all of it, and is what the
+// first patch of a FromEdges graph makes).
+func TestPatchAllocatesTouchedChunks(t *testing.T) {
+	g, deleted, appended := patchBench(t)
+	g = g.Patch(nil, nil)
+	got := testing.Benchmark(func(b *testing.B) {
+		for range b.N {
+			g.Patch(deleted, appended)
+		}
+	}).AllocedBytesPerOp()
+	t.Logf("Patch allocated %d bytes of a %d-byte topology", got, g.TopologyBytes())
+	if got*5 > g.TopologyBytes() {
+		t.Fatalf("one 32-edit Patch allocated %d bytes, over a fifth of the %d-byte topology", got, g.TopologyBytes())
+	}
+}
+
+// TestLigraNewOnPatchedSnapshot: Ligra sweeps a patched snapshot's chunks
+// as it sweeps a FromEdges graph's, so building an engine on the snapshot
+// allocates no more than on its FromEdges twin. One engine stays open on
+// each graph, so the graph's parts are built once (graph.Derived) and
+// every measured New reuses them.
+func TestLigraNewOnPatchedSnapshot(t *testing.T) {
+	g, deleted, appended := patchBench(t)
+	snap := g.Patch(deleted, appended)
+	twin := graph.FromEdges(snap.NumVertices(), snap.Edges(), true)
+	newBytes := func(h *graph.Graph) int64 {
+		keep := ligra.MustNew(h, regressionMachine(), ligra.DefaultOptions())
+		defer keep.Close()
+		return testing.Benchmark(func(b *testing.B) {
+			for range b.N {
+				ligra.MustNew(h, regressionMachine(), ligra.DefaultOptions()).Close()
+			}
+		}).AllocedBytesPerOp()
+	}
+	onSnap, onTwin := newBytes(snap), newBytes(twin)
+	t.Logf("ligra.New: %d bytes on the patched snapshot, %d on its FromEdges twin", onSnap, onTwin)
+	if onSnap > onTwin {
+		t.Fatalf("ligra.New allocated %d bytes on a patched snapshot, %d on its FromEdges twin", onSnap, onTwin)
+	}
+}

@@ -40,7 +40,10 @@ func Repairable(g *graph.Graph) bool {
 }
 
 func buildRepairable(g *graph.Graph) *bool {
-	ok := !slices.ContainsFunc(g.OutWts, badWeight)
+	ok := true
+	for v := graph.Vertex(0); ok && int(v) < g.NumVertices(); v++ {
+		ok = !slices.ContainsFunc(g.OutWeights(v), badWeight)
+	}
 	return &ok
 }
 

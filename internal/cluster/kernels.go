@@ -75,7 +75,7 @@ func (c *Cluster) prPhase(mi int, owned []int) {
 			// In-edge stream and the shard's next-rank rewrite are
 			// sequential; locally owned rank gathers are random reads
 			// against the full rank vector.
-			m.round.Access(th, numa.Seq, numa.Load, node, c.g.InIndex[hi]-c.g.InIndex[lo], 4, 0)
+			m.round.Access(th, numa.Seq, numa.Load, node, c.g.InEdgesBefore(hi)-c.g.InEdgesBefore(lo), 4, 0)
 			m.round.Access(th, numa.Seq, numa.Store, node, int64(hi-lo), 8, 0)
 			for nd, cnt := range local {
 				if cnt > 0 {

@@ -38,16 +38,18 @@ func (e perEdgeEngine) EdgeMap(a *state.Subset, k sg.EdgeKernel, h sg.Hints) *st
 // row and this one starts at row 0. Chunks of one thread are never
 // adjacent, and those of two threads only on a node with one chunk each,
 // so neither case arises between chunks on the graphs below. The rows are
-// told apart by their columns array, one a part: the engines here sweep
-// fresh builds, whose parts are laid out flat, and a phase that streams no
-// weights hands every part's rows over in one scratch view.
+// told apart by their offsets array: one a part for Polymer, whose fresh
+// builds are laid out flat, and one a graph chunk for Ligra, whose
+// schedule's chunks on wrappingGraph are graph chunks. A phase that
+// streams no weights hands the rows over in a scratch view with the same
+// offsets.
 type segmentLog struct {
-	last                map[*graph.Vertex]int // each part's previous segment end
+	last                map[*int64]int // each part's previous segment end
 	ownerCuts, wrapCuts int
 }
 
 func (l *segmentLog) note(rs *sg.Rows, lo, hi int) {
-	part := unsafe.SliceData(rs.Cols)
+	part := unsafe.SliceData(rs.Idx)
 	if end, ok := l.last[part]; ok && lo < hi {
 		switch {
 		case lo == end:
@@ -176,7 +178,7 @@ func (sys rowSystem) run(t *testing.T, g *graph.Graph, rows bool,
 		t.Fatal(err)
 	}
 	sess := fault.NewSession(e, fault.NewInjector(evs))
-	log := &segmentLog{last: map[*graph.Vertex]int{}}
+	log := &segmentLog{last: map[*int64]int{}}
 	var driven sg.Engine = segmentEngine{e, log}
 	if !rows {
 		driven = perEdgeEngine{e}

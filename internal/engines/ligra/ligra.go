@@ -2,8 +2,9 @@
 // scatter-gather engine with direction-optimizing push/pull switching
 // (Shun & Blelloch, PPoPP'13), exactly as the paper characterises it in
 // Sections 2.1 and 3.2. Its EdgeMap and VertexMap are the shared sweep's
-// (sg.Sweep) with one part: the CSR, swept by every thread. What is
-// Ligra's own is its placement and its charge recipes.
+// (sg.Sweep) with one part: the CSR in the graph's own chunks, swept by
+// every thread. What is Ligra's own is its placement and its charge
+// recipes.
 //
 // Placement: Ligra is NUMA-oblivious. Its long-term arrays (topology and
 // application data) end up interleaved across nodes by construction-stage
@@ -19,6 +20,8 @@
 package ligra
 
 import (
+	"sync"
+
 	"polymer/internal/barrier"
 	"polymer/internal/graph"
 	"polymer/internal/mem"
@@ -51,9 +54,10 @@ type Engine struct {
 	sg.Sweep
 
 	// push and pull are the CSR by out- and by in-edges as the sweep's one
-	// part of one chunk: row v is vertex v, and the frontier is one flat
-	// leaf.
+	// part, in the graph's chunks (csrParts, which rows holds), and the
+	// frontier is one flat leaf.
 	push, pull sg.Layout
+	rows       *csrParts
 	closed     bool
 }
 
@@ -75,12 +79,11 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	n := g.NumVertices()
 	e.InitTier(g.TopologyBytes(), FrontierDemand(n))
 	r := NewRecipe(opt, n, e.Tier)
-	whole := []int{0, n}
-	onePart := func(idx []int64, cols []graph.Vertex, wts []float32) sg.Layout {
-		return sg.NewLayout([]sg.Part{sg.OneChunk(sg.Rows{Idx: idx, Cols: cols, Wts: wts}, whole)}, nil, m.Threads())
-	}
-	e.push, e.pull = onePart(g.OutIndex, g.OutNbrs, g.OutWts), onePart(g.InIndex, g.InNbrs, g.InWts)
-	e.InitSweep(whole, sg.SweepConfig{
+	e.rows = graph.Derived(g, "ligra/parts", buildParts, nil)
+	e.push = sg.NewLayout(e.rows.push, nil, m.Threads())
+	e.pull = sg.NewLayout(e.rows.pull, nil, m.Threads())
+	e.push.Unweighted, e.pull.Unweighted = !g.Weighted(), !g.Weighted()
+	e.InitSweep([]int{0, n}, sg.SweepConfig{
 		Adaptive: opt.Adaptive, Threshold: opt.Threshold, Barrier: Barrier,
 		Layout: func(push bool) *sg.Layout {
 			if push {
@@ -95,6 +98,52 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 		return nil, err
 	}
 	return e, nil
+}
+
+// csrParts are a graph's rows as Ligra's push and pull parts, one each:
+// its out- and in-rows' chunks (graph.OutChunks), graph.ChunkSize rows a
+// chunk, every row keyed in the one leaf. A chunk's rows carry their
+// vertices (IDs), a slice of the shared identity. The parts are shared by
+// every Ligra engine on the graph and its Unweighted view (graph.Derived),
+// and a snapshot's parts share the arrays of every chunk its commit left
+// alone.
+type csrParts struct{ push, pull []sg.Part }
+
+func buildParts(root *graph.Graph) *csrParts {
+	n := root.NumVertices()
+	ids := identity(n)
+	chunkRows := make([]int, len(root.OutChunks())+1)
+	for c := range chunkRows {
+		chunkRows[c] = min(c*graph.ChunkSize, n)
+	}
+	part := func(chunks []graph.Chunk) []sg.Part {
+		rows := make([]sg.Rows, len(chunks))
+		for c, ch := range chunks {
+			rows[c] = sg.Rows{IDs: ids[chunkRows[c]:chunkRows[c+1]], Idx: ch.Idx, Cols: ch.Cols, Wts: ch.Wts}
+		}
+		return []sg.Part{{Chunks: rows, ChunkRows: chunkRows, OwnerRows: []int{0, n}}}
+	}
+	return &csrParts{push: part(root.OutChunks()), pull: part(root.InChunks())}
+}
+
+// ids is 0, 1, 2, …, as long as the largest graph any Ligra engine has
+// run on; it is replaced, never written, when a larger one comes.
+var ids struct {
+	sync.Mutex
+	v []graph.Vertex
+}
+
+// identity returns the vertices 0 to n−1 in order (do not modify).
+func identity(n int) []graph.Vertex {
+	ids.Lock()
+	defer ids.Unlock()
+	if len(ids.v) < n {
+		ids.v = make([]graph.Vertex, n)
+		for i := range ids.v {
+			ids.v[i] = graph.Vertex(i)
+		}
+	}
+	return ids.v[:n]
 }
 
 // MustNew is New panicking on error, for statically valid configurations.

@@ -235,21 +235,23 @@ func (e *Engine) buildTiles(tileVerts int) {
 		t.loVertex = min(ti*tileVerts, n)
 		t.hiVertex = min(t.loVertex+tileVerts, n)
 		first, last := graph.Vertex(t.loVertex), graph.Vertex(t.hiVertex)
-		edges := g.OutNbrs[g.OutIndex[first]:g.OutIndex[last]]
+		edges := g.OutEdgesBefore(t.hiVertex) - g.OutEdgesBefore(t.loVertex)
 
 		clear(next)
-		for _, d := range edges {
-			next[int(d)/tileVerts]++
+		for v := first; v < last; v++ {
+			for _, d := range g.OutNeighbors(v) {
+				next[int(d)/tileVerts]++
+			}
 		}
 		t.blk = make([]int, nTiles+1)
 		for u, c := range next {
 			next[u] = t.blk[u]
 			t.blk[u+1] = t.blk[u] + c
 		}
-		t.src = make([]graph.Vertex, len(edges))
-		t.dst = make([]graph.Vertex, len(edges))
+		t.src = make([]graph.Vertex, edges)
+		t.dst = make([]graph.Vertex, edges)
 		if g.Weighted() {
-			t.wts = make([]float32, len(edges))
+			t.wts = make([]float32, edges)
 		}
 		for v := first; v < last; v++ {
 			wts := g.OutWeights(v)

@@ -191,7 +191,7 @@ func TestDerivedIsBuiltOnceAndHeldWeakly(t *testing.T) {
 		if root != w {
 			t.Error("build did not get the root graph")
 		}
-		wts := slices.Clone(root.OutWts)
+		wts := slices.Clone(root.OutWeights(0))
 		return &wts
 	}
 	got := make(chan *[]float32, 8)
@@ -229,8 +229,10 @@ func TestDerivedIsBuiltOnceAndHeldWeakly(t *testing.T) {
 // TestLineageHoldsAtMostTwoGenerations: along 50 patched generations, each
 // a lineage head with one reader, every value after the first is patched
 // from its predecessor's; after a GC at most two generations' values are
-// reachable, the head's among them. A base graph still holds its values
-// weakly.
+// reachable, the head's among them. A value built afresh on every
+// generation (no patch) is released by the predecessor as soon as the head
+// derives its own, so only the head's is reachable. A base graph still
+// holds its values weakly.
 func TestLineageHoldsAtMostTwoGenerations(t *testing.T) {
 	type val struct {
 		edges   int64
@@ -244,7 +246,7 @@ func TestLineageHoldsAtMostTwoGenerations(t *testing.T) {
 	const n = 5
 	g := FromEdges(n, []Edge{{0, 1, 0}, {1, 2, 0}}, false)
 	g.MarkHead(1)
-	var ptrs []weak.Pointer[val]
+	var ptrs, builtPtrs []weak.Pointer[val]
 	for gen := 1; gen <= 50; gen++ {
 		if gen > 1 {
 			g = g.Patch(nil, []Edge{{Src: Vertex(gen % n), Dst: Vertex(gen * 3 % n)}})
@@ -255,18 +257,25 @@ func TestLineageHoldsAtMostTwoGenerations(t *testing.T) {
 			t.Fatalf("generation %d: patched %t, %d edges of %d, seq %d", gen, v.patched, v.edges, g.NumEdges(), g.Seq())
 		}
 		ptrs = append(ptrs, weak.Make(v))
+		builtPtrs = append(builtPtrs, weak.Make(Derived(g, "built", build, nil)))
 	}
 	runtime.GC()
 	runtime.GC()
-	live := 0
-	for _, p := range ptrs {
-		if p.Value() != nil {
-			live++
+	reachable := func(ptrs []weak.Pointer[val]) (live int) {
+		for _, p := range ptrs {
+			if p.Value() != nil {
+				live++
+			}
 		}
+		return live
 	}
-	if live > 2 || ptrs[len(ptrs)-1].Value() == nil {
+	if live := reachable(ptrs); live > 2 || ptrs[len(ptrs)-1].Value() == nil {
 		t.Fatalf("%d generations' values reachable (head's: %t), want at most 2 with the head's",
 			live, ptrs[len(ptrs)-1].Value() != nil)
+	}
+	if live := reachable(builtPtrs); live != 1 || builtPtrs[len(builtPtrs)-1].Value() == nil {
+		t.Fatalf("%d generations' built values reachable (head's: %t), want the head's alone",
+			live, builtPtrs[len(builtPtrs)-1].Value() != nil)
 	}
 	runtime.KeepAlive(g)
 

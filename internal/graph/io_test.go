@@ -58,7 +58,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		n, edges := randomEdges(7)
 		slices.SortStableFunc(edges, func(a, b Edge) int { return cmp.Compare(a.Src, b.Src) })
 		g := FromEdges(n, edges, weighted)
-		sameArrays(t, FromEdges(n, g.Edges(), g.Weighted()), g)
+		sameGraph(t, FromEdges(n, g.Edges(), g.Weighted()), g)
 	}
 }
 

@@ -127,8 +127,8 @@ func Derived[T any](g *Graph, key string, build func(root *Graph) *T, patch func
 	parent, deleted, appended, head := m.parent, m.deleted, m.appended, m.head
 	m.mu.Unlock()
 	var v *T
-	if patch != nil && parent != nil {
-		if prev := handOver[T](parent, key); prev != nil {
+	if parent != nil {
+		if prev := handOver[T](parent, key); prev != nil && patch != nil {
 			v = patch(prev, g, deleted, appended)
 		}
 	}

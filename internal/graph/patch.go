@@ -10,32 +10,29 @@ import (
 	"slices"
 )
 
-// Unweighted returns g without its weights: a graph over the same index
-// and neighbour arrays (shared, not copied) whose weight slices are nil, so
-// Weighted, TopologyBytes and every byte an engine charges read what a
-// graph built by FromEdges(..., false) from the same edge list reads. It is
-// built once per graph, on first use (like InvOutDegrees), and is g itself
-// when g has no weights; safe for concurrent callers.
+// Unweighted returns g without its weights: a graph over the same chunks
+// (shared, not copied) that hides their weights, so Weighted,
+// TopologyBytes and every byte an engine charges read what a graph built
+// by FromEdges(..., false) from the same edge list reads. It is built once
+// per graph, on first use (like InvOutDegrees), and is g itself when g has
+// no weights; safe for concurrent callers.
 func (g *Graph) Unweighted() *Graph {
 	if !g.Weighted() {
 		return g
 	}
 	g.unweightedOnce.Do(func() {
-		g.unweighted = &Graph{
-			n: g.n, m: g.m,
-			OutIndex: g.OutIndex, OutNbrs: g.OutNbrs,
-			InIndex: g.InIndex, InNbrs: g.InNbrs,
-			root: g,
-		}
+		g.unweighted = &Graph{n: g.n, m: g.m, out: g.out, in: g.in, root: g}
 	})
 	return g.unweighted
 }
 
 // Patch returns g's successor as a new graph: every edge whose (Src, Dst)
 // pair is in deleted is removed (all copies; Wt is ignored), then the edges
-// of appended are added in order. Untouched rows are copied in runs; only
-// the rows a pair or an edge names are filtered and extended, so the cost
-// is a memory copy of g plus work proportional to the touched rows.
+// of appended are added in order. Only the chunks whose rows a pair or an
+// edge names are rewritten, their rows filtered and extended; every other
+// chunk is g's, shared by header copy. The cost is the touched chunks plus
+// one chunk header a chunk, not a copy of g — except on a graph FromEdges
+// built, whose chunks the first patch copies out of its flat arrays.
 //
 // Each row of the result is the surviving entries of g's row in g's order,
 // followed by the row's appended edges in appended's order. That is the row
@@ -45,7 +42,7 @@ func (g *Graph) Unweighted() *Graph {
 // generated dataset is not — its in-rows are in generation order, not the
 // source-major order of mutate.Flatten — so the first snapshot over a base
 // must be folded (mutate.Store.GraphAt does); patching that snapshot and
-// every one after it then equals the clean fold array for array.
+// every one after it then equals the clean fold row for row.
 // Weights of appended are kept iff g is weighted.
 //
 // The result is g's successor in g's lineage (lineage.go): a value it
@@ -59,12 +56,10 @@ func (g *Graph) Patch(deleted, appended []Edge) *Graph {
 			}
 		}
 	}
-	p := &Graph{n: g.n}
-	p.OutIndex, p.OutNbrs, p.OutWts = patchCSR(g.n, g.OutIndex, g.OutNbrs, g.OutWts,
-		rowEdits(deleted, false), rowEdits(appended, false))
-	p.InIndex, p.InNbrs, p.InWts = patchCSR(g.n, g.InIndex, g.InNbrs, g.InWts,
-		rowEdits(deleted, true), rowEdits(appended, true))
-	p.m = int64(len(p.OutNbrs))
+	p := &Graph{n: g.n, weighted: g.weighted}
+	p.out = g.out.patch(rowEdits(deleted, false), rowEdits(appended, false), g.weighted)
+	p.in = g.in.patch(rowEdits(deleted, true), rowEdits(appended, true), g.weighted)
+	p.m = p.out.before[len(p.out.chunks)]
 	g.link(p, deleted, appended)
 	return p
 }
@@ -90,64 +85,74 @@ func rowEdits(edges []Edge, byDst bool) []rowEdit {
 	return out
 }
 
-// patchCSR builds one direction of Patch's result. del and add are grouped
-// by ascending row (rowEdits); rows are visited ascending, the runs between
-// touched rows copied whole.
-func patchCSR(n int, index []int64, nbrs []Vertex, wts []float32, del, add []rowEdit) ([]int64, []Vertex, []float32) {
-	newIndex := make([]int64, n+1)
-	newNbrs := make([]Vertex, 0, len(nbrs)+len(add))
-	var newWts []float32
-	if wts != nil {
-		newWts = make([]float32, 0, cap(newNbrs))
+// cut removes and returns the leading edits of *eds whose row is at most
+// last.
+func cut(eds *[]rowEdit, last Vertex) []rowEdit {
+	k := 0
+	for k < len(*eds) && (*eds)[k].row <= last {
+		k++
 	}
-	// copyRows emits rows [from, to) unchanged: their offsets move by
-	// however much the rows before them grew or shrank.
-	copyRows := func(from, to int) {
-		shift := int64(len(newNbrs)) - index[from]
-		for v := from; v < to; v++ {
-			newIndex[v] = index[v] + shift
-		}
-		newNbrs = append(newNbrs, nbrs[index[from]:index[to]]...)
-		if wts != nil {
-			newWts = append(newWts, wts[index[from]:index[to]]...)
-		}
-	}
-	next := 0 // first row not emitted yet
-	for len(del) > 0 || len(add) > 0 {
-		var r Vertex
-		if len(add) == 0 || (len(del) > 0 && del[0].row < add[0].row) {
-			r = del[0].row
-		} else {
-			r = add[0].row
-		}
-		copyRows(next, int(r))
-		next = int(r) + 1
-		newIndex[r] = int64(len(newNbrs))
+	head := (*eds)[:k]
+	*eds = (*eds)[k:]
+	return head
+}
 
-		k := 0
-		for k < len(del) && del[k].row == r {
-			k++
+// patch returns the direction d with del's pairs removed and add's edges
+// appended, both grouped by ascending row (rowEdits): the chunks they name
+// are rewritten (patchChunk), the others are d's. When d's chunks view
+// FromEdges' flat arrays, every chunk is copied out of them, so that no
+// descendant keeps the flat arrays alive for the few chunks no edit has
+// reached yet; from then on the chunks are their own.
+func (d *csr) patch(del, add []rowEdit, weighted bool) csr {
+	p := csr{chunks: slices.Clone(d.chunks), before: make([]int64, len(d.before))}
+	for c := range p.chunks {
+		first := Vertex(c << ChunkShift)
+		dc, ac := cut(&del, first|chunkMask), cut(&add, first|chunkMask)
+		if len(dc) > 0 || len(ac) > 0 || d.flat {
+			p.chunks[c] = patchChunk(&d.chunks[c], first, dc, ac, weighted)
 		}
-		gone := del[:k]
-		del = del[k:]
-		slices.SortFunc(gone, func(a, b rowEdit) int { return cmp.Compare(a.far, b.far) })
-		for j := index[r]; j < index[r+1]; j++ {
-			if _, hit := slices.BinarySearchFunc(gone, nbrs[j], func(d rowEdit, far Vertex) int { return cmp.Compare(d.far, far) }); hit {
-				continue
+		p.before[c+1] = p.before[c] + p.chunks[c].edges()
+	}
+	return p
+}
+
+// patchChunk returns chunk old, whose first row is vertex first's, in
+// arrays of its own with del's pairs removed and add's edges appended,
+// both its rows' edits grouped by ascending row.
+func patchChunk(old *Chunk, first Vertex, del, add []rowEdit, weighted bool) Chunk {
+	rows := len(old.Idx) - 1
+	nc := Chunk{Idx: make([]int64, rows+1), Cols: make([]Vertex, 0, old.edges()+int64(len(add)))}
+	if weighted {
+		nc.Wts = make([]float32, 0, cap(nc.Cols))
+	}
+	for r := range rows {
+		v := first + Vertex(r)
+		nc.Idx[r] = int64(len(nc.Cols))
+		lo, hi := old.Idx[r], old.Idx[r+1]
+		if gone := cut(&del, v); len(gone) == 0 { // the row is copied whole
+			nc.Cols = append(nc.Cols, old.Cols[lo:hi]...)
+			if weighted {
+				nc.Wts = append(nc.Wts, old.Wts[lo:hi]...)
 			}
-			newNbrs = append(newNbrs, nbrs[j])
-			if wts != nil {
-				newWts = append(newWts, wts[j])
+		} else {
+			slices.SortFunc(gone, func(a, b rowEdit) int { return cmp.Compare(a.far, b.far) })
+			for j := lo; j < hi; j++ {
+				if _, hit := slices.BinarySearchFunc(gone, old.Cols[j], func(d rowEdit, far Vertex) int { return cmp.Compare(d.far, far) }); hit {
+					continue
+				}
+				nc.Cols = append(nc.Cols, old.Cols[j])
+				if weighted {
+					nc.Wts = append(nc.Wts, old.Wts[j])
+				}
 			}
 		}
-		for ; len(add) > 0 && add[0].row == r; add = add[1:] {
-			newNbrs = append(newNbrs, add[0].far)
-			if wts != nil {
-				newWts = append(newWts, add[0].wt)
+		for _, a := range cut(&add, v) {
+			nc.Cols = append(nc.Cols, a.far)
+			if weighted {
+				nc.Wts = append(nc.Wts, a.wt)
 			}
 		}
 	}
-	copyRows(next, n)
-	newIndex[n] = int64(len(newNbrs))
-	return newIndex, newNbrs, newWts
+	nc.Idx[rows] = int64(len(nc.Cols))
+	return nc
 }

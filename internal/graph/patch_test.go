@@ -4,23 +4,14 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
-// sameArrays asserts two graphs are equal array for array.
-func sameArrays(t *testing.T, got, want *Graph) {
+// sameGraph asserts two graphs are equal row for row (Equal).
+func sameGraph(t *testing.T, got, want *Graph) {
 	t.Helper()
-	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
-		t.Fatalf("shape %v, want %v", got, want)
-	}
-	if !slices.Equal(got.OutIndex, want.OutIndex) || !slices.Equal(got.OutNbrs, want.OutNbrs) ||
-		!slices.Equal(got.InIndex, want.InIndex) || !slices.Equal(got.InNbrs, want.InNbrs) {
-		t.Fatalf("topology differs:\n got out %v %v in %v %v\nwant out %v %v in %v %v",
-			got.OutIndex, got.OutNbrs, got.InIndex, got.InNbrs,
-			want.OutIndex, want.OutNbrs, want.InIndex, want.InNbrs)
-	}
-	if !slices.Equal(got.OutWts, want.OutWts) || !slices.Equal(got.InWts, want.InWts) ||
-		(got.OutWts == nil) != (want.OutWts == nil) || (got.InWts == nil) != (want.InWts == nil) {
-		t.Fatalf("weights differ: got %v %v, want %v %v", got.OutWts, got.InWts, want.OutWts, want.InWts)
+	if !Equal(got, want) {
+		t.Fatalf("graphs differ:\n got %v %v\nwant %v %v", got, got.Edges(), want, want.Edges())
 	}
 }
 
@@ -37,7 +28,7 @@ func editList(list, deleted, appended []Edge) []Edge {
 }
 
 // TestPatchMatchesFromEdges: patching FromEdges(list) equals FromEdges of
-// the edited list, every array, weighted and not, one edit after another.
+// the edited list, row for row, weighted and not, one edit after another.
 func TestPatchMatchesFromEdges(t *testing.T) {
 	const n = 6
 	// Not source-major on purpose: in-rows keep the list's order, not the
@@ -69,22 +60,32 @@ func TestPatchMatchesFromEdges(t *testing.T) {
 			if next == g {
 				t.Fatalf("%s: Patch returned its receiver", s.name)
 			}
-			t.Run(s.name, func(t *testing.T) { sameArrays(t, next, FromEdges(n, list, weighted)) })
+			t.Run(s.name, func(t *testing.T) { sameGraph(t, next, FromEdges(n, list, weighted)) })
 			g = next
 		}
 	}
-	sameArrays(t, FromEdges(0, nil, true).Patch(nil, nil), FromEdges(0, nil, true))
+	sameGraph(t, FromEdges(0, nil, true).Patch(nil, nil), FromEdges(0, nil, true))
 }
+
+// boundaryVertices are the vertices on either side of the chunk boundaries
+// of a graph of 3·ChunkSize+5 vertices, and its partial last chunk's.
+var boundaryVertices = []Vertex{0, ChunkSize - 1, ChunkSize, ChunkSize + 1, 2*ChunkSize - 1, 2 * ChunkSize, 3*ChunkSize - 1, 3 * ChunkSize, 3*ChunkSize + 4}
 
 // TestPatchMatchesFromEdgesRandomized: the same property on seeded random
 // streams, with enough deletes per patch that rows with several removed
-// endpoints and hub rows occur.
+// endpoints and hub rows occur, on single-chunk graphs and on edits that
+// land on either side of chunk boundaries.
 func TestPatchMatchesFromEdgesRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 70; trial++ {
 		n := 1 + rng.Intn(12)
+		vertex := func() Vertex { return Vertex(rng.Intn(n)) }
+		if trial >= 50 { // three chunks and a partial one, edits on their boundaries
+			n = 3*ChunkSize + 5
+			vertex = func() Vertex { return boundaryVertices[rng.Intn(len(boundaryVertices))] }
+		}
 		randEdge := func() Edge {
-			return Edge{Src: Vertex(rng.Intn(n)), Dst: Vertex(rng.Intn(n)), Wt: float32(rng.Intn(9) + 1)}
+			return Edge{Src: vertex(), Dst: vertex(), Wt: float32(rng.Intn(9) + 1)}
 		}
 		var list []Edge
 		for i := rng.Intn(4 * n); i > 0; i-- {
@@ -102,7 +103,7 @@ func TestPatchMatchesFromEdgesRandomized(t *testing.T) {
 			}
 			list = editList(list, deleted, appended)
 			g = g.Patch(deleted, appended)
-			sameArrays(t, g, FromEdges(n, list, weighted))
+			sameGraph(t, g, FromEdges(n, list, weighted))
 		}
 	}
 }
@@ -117,14 +118,14 @@ func TestPatchKeepsThePredecessorsRowOrder(t *testing.T) {
 	fold := FromEdges(3, editList(generated.Edges(), nil, appended), true) // in-row 0 = [1 2]
 
 	direct := generated.Patch(nil, appended)
-	if !slices.Equal(direct.OutNbrs, fold.OutNbrs) {
-		t.Fatalf("out-rows differ: %v vs %v", direct.OutNbrs, fold.OutNbrs)
+	if !slices.Equal(direct.Edges(), fold.Edges()) {
+		t.Fatalf("out-rows differ: %v vs %v", direct.Edges(), fold.Edges())
 	}
-	if slices.Equal(direct.InNbrs, fold.InNbrs) {
-		t.Fatalf("patching a base in generation order gave the fold's in-rows %v; the precondition on Patch is vacuous", fold.InNbrs)
+	if slices.Equal(direct.InNeighbors(0), fold.InNeighbors(0)) {
+		t.Fatalf("patching a base in generation order gave the fold's in-row %v; the precondition on Patch is vacuous", fold.InNeighbors(0))
 	}
 	canonical := FromEdges(3, generated.Edges(), true)
-	sameArrays(t, canonical.Patch(nil, appended), fold)
+	sameGraph(t, canonical.Patch(nil, appended), fold)
 }
 
 func TestPatchPanicsOutOfRange(t *testing.T) {
@@ -144,7 +145,7 @@ func TestPatchPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestUnweightedViewSharesTopology: the view is the same arrays minus the
+// TestUnweightedViewSharesTopology: the view is the same chunks minus the
 // weights, reports what an unweighted build reports, and is built once.
 func TestUnweightedViewSharesTopology(t *testing.T) {
 	edges := []Edge{{0, 1, 2}, {1, 2, 3}, {2, 0, 4}, {0, 2, 5}}
@@ -166,11 +167,10 @@ func TestUnweightedViewSharesTopology(t *testing.T) {
 	if u.Weighted() || u.OutWeights(0) != nil || u.InWeights(0) != nil {
 		t.Fatal("the view has weights")
 	}
-	if &u.OutNbrs[0] != &w.OutNbrs[0] || &u.InNbrs[0] != &w.InNbrs[0] ||
-		&u.OutIndex[0] != &w.OutIndex[0] || &u.InIndex[0] != &w.InIndex[0] {
-		t.Fatal("the view copied an array")
+	if &u.OutChunks()[0] != &w.OutChunks()[0] || &u.InChunks()[0] != &w.InChunks()[0] {
+		t.Fatal("the view copied its chunks")
 	}
-	sameArrays(t, u, plain)
+	sameGraph(t, u, plain)
 	if u.TopologyBytes() != plain.TopologyBytes() || u.String() != plain.String() {
 		t.Fatalf("view reports %d bytes %v, unweighted build %d bytes %v",
 			u.TopologyBytes(), u, plain.TopologyBytes(), plain)
@@ -178,4 +178,74 @@ func TestUnweightedViewSharesTopology(t *testing.T) {
 	if !w.Weighted() || w.TopologyBytes() <= u.TopologyBytes() {
 		t.Fatal("taking the view changed the weighted graph")
 	}
+}
+
+// FuzzPatch decodes its input into a chain of patch batches on a graph of
+// 3·ChunkSize+5 vertices, three bytes an op: insert, delete, a duplicate
+// of a live edge, a self-loop, a delete and re-insert of one pair in one
+// batch, or the end of a batch. Every patched graph, weighted and not,
+// must equal FromEdges of the edited list row for row; every chunk no
+// edit touched must be its predecessor's, the same arrays, and every other
+// chunk arrays of its own — all of them on the first patch, which copies
+// the chunks out of FromEdges' flat arrays.
+func FuzzPatch(f *testing.F) {
+	f.Add([]byte{0, 63, 64, 0, 64, 65, 1, 3, 4, 5, 0, 0, 3, 196, 0, 4, 63, 64})
+	f.Add([]byte{1, 0, 1, 2, 63, 0, 5, 0, 0, 4, 64, 63, 3, 128, 0, 1, 127, 128, 0, 195, 192})
+	f.Add([]byte{4, 65, 196, 2, 9, 0, 2, 1, 0, 5, 0, 0, 1, 65, 196, 1, 196, 65})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		const n = 3*ChunkSize + 5
+		in = in[:min(len(in), 3*64)] // editList is quadratic
+		var base []Edge
+		for v := range Vertex(n) {
+			base = append(base, Edge{Src: v, Dst: (v*7 + 1) % n, Wt: float32(v%5) + 1}, Edge{Src: v, Dst: (v + ChunkSize) % n, Wt: 2})
+		}
+		var batches [][2][]Edge
+		var del, add []Edge
+		live := base
+		for ; len(in) >= 3; in = in[3:] {
+			s, d := Vertex(in[1])%n, Vertex(in[2])%n
+			e := Edge{Src: s, Dst: d, Wt: float32(in[0] >> 3)}
+			switch in[0] % 6 {
+			case 0:
+				add = append(add, e)
+			case 1:
+				del = append(del, e)
+			case 2:
+				add = append(add, live[(int(in[1])<<8|int(in[2]))%len(live)])
+			case 3:
+				add = append(add, Edge{Src: s, Dst: s, Wt: e.Wt})
+			case 4:
+				del, add = append(del, e), append(add, e)
+			case 5:
+				batches = append(batches, [2][]Edge{del, add})
+				live = editList(live, del, add)
+				del, add = nil, nil
+			}
+		}
+		batches = append(batches, [2][]Edge{del, add})
+		for _, weighted := range []bool{false, true} {
+			list, g := base, FromEdges(n, base, weighted)
+			for _, b := range batches {
+				list = editList(list, b[0], b[1])
+				next := g.Patch(b[0], b[1])
+				sameGraph(t, next, FromEdges(n, list, weighted))
+				touched := [2]map[Vertex]bool{{}, {}}
+				for _, e := range append(slices.Clone(b[0]), b[1]...) {
+					touched[0][e.Src>>ChunkShift], touched[1][e.Dst>>ChunkShift] = true, true
+				}
+				for dir, pair := range [2][2]*csr{{&g.out, &next.out}, {&g.in, &next.in}} {
+					for c := range pair[0].chunks {
+						was, now := &pair[0].chunks[c], &pair[1].chunks[c]
+						shared := &was.Idx[0] == &now.Idx[0] && unsafe.SliceData(was.Cols) == unsafe.SliceData(now.Cols)
+						if want := !touched[dir][Vertex(c)] && !pair[0].flat; shared != want {
+							t.Fatalf("direction %d, chunk %d: shared %t, want %t (touched %t, predecessor flat %t)",
+								dir, c, shared, want, touched[dir][Vertex(c)], pair[0].flat)
+						}
+					}
+				}
+				g = next
+			}
+		}
+	})
 }

@@ -44,54 +44,11 @@ func edgesEqual(t *testing.T, got, want []graph.Edge) {
 	}
 }
 
-// graphEqual asserts two graphs are bit-identical: every CSR array in
-// both directions, weights, and the derived degrees.
+// graphEqual asserts two graphs are equal row for row (graph.Equal).
 func graphEqual(t *testing.T, got, want *graph.Graph) {
 	t.Helper()
-	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
-		t.Fatalf("shape %d/%d, want %d/%d", got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
-	}
-	cmpI64 := func(name string, a, b []int64) {
-		if len(a) != len(b) {
-			t.Fatalf("%s length %d, want %d", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s[%d] = %d, want %d", name, i, a[i], b[i])
-			}
-		}
-	}
-	cmpV := func(name string, a, b []graph.Vertex) {
-		if len(a) != len(b) {
-			t.Fatalf("%s length %d, want %d", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s[%d] = %d, want %d", name, i, a[i], b[i])
-			}
-		}
-	}
-	cmpF := func(name string, a, b []float32) {
-		if len(a) != len(b) {
-			t.Fatalf("%s length %d, want %d", name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s[%d] = %v, want %v", name, i, a[i], b[i])
-			}
-		}
-	}
-	cmpI64("OutIndex", got.OutIndex, want.OutIndex)
-	cmpI64("InIndex", got.InIndex, want.InIndex)
-	cmpV("OutNbrs", got.OutNbrs, want.OutNbrs)
-	cmpV("InNbrs", got.InNbrs, want.InNbrs)
-	cmpF("OutWts", got.OutWts, want.OutWts)
-	cmpF("InWts", got.InWts, want.InWts)
-	for v := 0; v < got.NumVertices(); v++ {
-		if got.OutDegree(graph.Vertex(v)) != want.OutDegree(graph.Vertex(v)) ||
-			got.InDegree(graph.Vertex(v)) != want.InDegree(graph.Vertex(v)) {
-			t.Fatalf("degree cache diverges at vertex %d", v)
-		}
+	if !graph.Equal(got, want) {
+		t.Fatalf("graph %v differs from %v", got, want)
 	}
 }
 

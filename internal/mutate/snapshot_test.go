@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
@@ -42,14 +41,6 @@ func streamOps(rng *rand.Rand, base []graph.Edge, n, count int) []Op {
 // cleanApply is the oracle graph of an op prefix over base.
 func cleanApply(base *graph.Graph, ops []Op) *graph.Graph {
 	return graph.FromEdges(base.NumVertices(), naiveApply(Flatten(base), ops), base.Weighted())
-}
-
-// sameGraph is graphEqual as a predicate, for goroutines that may not
-// call t.Fatal.
-func sameGraph(a, b *graph.Graph) bool {
-	return a.NumVertices() == b.NumVertices() && a.NumEdges() == b.NumEdges() &&
-		slices.Equal(a.OutIndex, b.OutIndex) && slices.Equal(a.OutNbrs, b.OutNbrs) && slices.Equal(a.OutWts, b.OutWts) &&
-		slices.Equal(a.InIndex, b.InIndex) && slices.Equal(a.InNbrs, b.InNbrs) && slices.Equal(a.InWts, b.InWts)
 }
 
 func TestPatchedSnapshotEqualsCleanApply(t *testing.T) {
@@ -232,7 +223,7 @@ func TestGraphAtConcurrentWithCommit(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if !sameGraph(g, want[seq]) {
+				if !graph.Equal(g, want[seq]) {
 					t.Errorf("seq %d: concurrent GraphAt differs from the clean apply", seq)
 					return
 				}

@@ -152,15 +152,15 @@ func Sticky(g *graph.Graph, parts int, dir Direction) (b *Balanced, inherited, b
 }
 
 // heaviest returns the largest degree sum in direction dir of any range:
-// a difference of two index entries per range.
+// a difference of two degree prefix sums per range.
 func heaviest(g *graph.Graph, ranges []Range, dir Direction) int64 {
-	index := g.OutIndex
+	before := g.OutEdgesBefore
 	if dir == In {
-		index = g.InIndex
+		before = g.InEdgesBefore
 	}
 	var most int64
 	for _, r := range ranges {
-		most = max(most, index[r.Hi]-index[r.Lo])
+		most = max(most, before(r.Hi)-before(r.Lo))
 	}
 	return most
 }

@@ -115,8 +115,7 @@ func Profile(g *graph.Graph) Features {
 
 // sampleEdges checks deterministically sampled edge positions for a
 // reciprocal edge and for endpoints in one eighth of the id range
-// (Directedness, Locality). The source of edge position e is found by
-// binary search over the (sorted) out-index.
+// (Directedness, Locality).
 func sampleEdges(g *graph.Graph) (directedness, locality float64) {
 	m, n := g.NumEdges(), int64(g.NumVertices())
 	if m == 0 {
@@ -126,8 +125,7 @@ func sampleEdges(g *graph.Graph) (directedness, locality float64) {
 	oneWay, near := 0, 0
 	for i := int64(0); i < samples; i++ {
 		pos := int64(splitmix64(uint64(i)) % uint64(m))
-		src := edgeSource(g, pos)
-		dst := g.OutNbrs[pos]
+		src, dst := g.OutEdge(pos)
 		if !hasEdge(g, dst, src) {
 			oneWay++
 		}
@@ -137,21 +135,6 @@ func sampleEdges(g *graph.Graph) (directedness, locality float64) {
 	}
 	s := float64(samples)
 	return float64(oneWay) / s, max(0, (float64(near)/s-1.0/8)/(1-1.0/8))
-}
-
-// edgeSource finds the vertex owning out-edge position pos via binary
-// search over the CSR row index.
-func edgeSource(g *graph.Graph, pos int64) graph.Vertex {
-	lo, hi := 0, g.NumVertices() // invariant: OutIndex[lo] <= pos < OutIndex[hi]
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if g.OutIndex[mid] <= pos {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return graph.Vertex(lo)
 }
 
 // hasEdge scans from's out-neighbors for to, capped at hubScanCap.

@@ -48,8 +48,9 @@ const (
 // (Layout.Agents) has one chunk per ChunkKeys keys, chunk c holding the
 // rows keyed in [c·ChunkKeys, (c+1)·ChunkKeys), some of them empty: a
 // commit that edits a few rows rewrites only their chunks and shares the
-// rest with its predecessor (core's layoutBuild.Patch). Ligra's part is one
-// chunk, the CSR (OneChunk).
+// rest with its predecessor (core's layoutBuild.Patch). Ligra's part is the
+// graph's own chunks (graph.Chunk), graph.ChunkSize rows each, row v being
+// vertex v's, which graph.Patch shares between snapshots the same way.
 //
 // A part is laid out one of two ways. A build lays it out flat, all its
 // rows one Rows (Flat), and its chunks are ranges of those rows; a patch
@@ -82,12 +83,6 @@ const (
 	ChunkShift = 8
 	ChunkKeys  = 1 << ChunkShift
 )
-
-// OneChunk is the flat part holding rs as its one chunk, cut by owner at
-// owners.
-func OneChunk(rs Rows, owners []int) Part {
-	return Part{Flat: &rs, ChunkRows: []int{0, rs.Len()}, OwnerRows: owners}
-}
 
 // Chunk returns chunk c of the part: a range of its flat rows, or its own
 // Rows.
@@ -210,9 +205,9 @@ type Agents struct {
 type Layout struct {
 	Parts []Part
 	// Agents is the index a sparse phase finds an active vertex's rows
-	// through. It is nil when the layout is one part of one chunk whose
-	// row v is vertex v's (IDs nil: Ligra's CSR), and in pull layouts,
-	// which sparse phases do not sweep.
+	// through. It is nil when the layout is one part whose row v is vertex
+	// v's (IDs nil: Ligra's CSR, in the graph's chunks), and in pull
+	// layouts, which sparse phases do not sweep.
 	Agents *Agents
 	// Unweighted hides the parts' weights: every phase reads the rows as
 	// if Wts were nil (an engine on an Unweighted view of a weighted
@@ -223,15 +218,15 @@ type Layout struct {
 	maxStretch int
 	// shift finds a sparse phase's rows: vertex v's are in chunk v>>shift.
 	// With an agent index it is ChunkShift, the index giving the row in
-	// the chunk; without one it is 32, v's row being row v of the one
-	// chunk.
+	// the chunk; without one it is graph.ChunkShift, v's row being row
+	// v&(graph.ChunkSize−1) of its chunk.
 	shift uint
 }
 
 // NewLayout schedules each part's rows over slots threads; agents is the
 // layout's agent index, or nil (Layout.Agents).
 func NewLayout(parts []Part, agents *Agents, slots int) Layout {
-	l := Layout{Parts: parts, Agents: agents, strides: make([]par.Strided, len(parts)), shift: 32}
+	l := Layout{Parts: parts, Agents: agents, strides: make([]par.Strided, len(parts)), shift: graph.ChunkShift}
 	if agents != nil {
 		l.shift = ChunkShift
 	}
@@ -346,8 +341,8 @@ func (c *SweepConfig) EdgeMode(active int64, degree func() int64, edges int64, h
 // push and dense and sparse VertexMap, over P parts of S threads each. The
 // engines differ in what SweepConfig holds, not in the loops: Polymer is
 // P = nodes parts of S = cores per node, each part a node's grouped rows
-// with its agents; Ligra is P = 1 part of S = all threads whose rows are a
-// zero-copy view of the CSR (IDs nil, no agent index, Start 0, one leaf at
+// with its agents; Ligra is P = 1 part of S = all threads whose rows are
+// the graph's own chunks (IDs nil, no agent index, Start 0, one leaf at
 // base 0).
 //
 // A phase runs its threads one after another on the caller's goroutine
@@ -580,10 +575,12 @@ func sparsePush[K EdgeKernel](s *Sweep, a *state.Subset, k K, h Hints) *state.Su
 		if slot >= chunks {
 			return // no chunk of the frontier falls to this slot
 		}
+		mask := uint32(1)<<shift - 1
 		c, pt := &s.counts[p], &l.Parts[p]
 		flat, rows, firsts := pt.Flat, pt.Chunks, pt.ChunkRows
 		// A queue entry is a vertex and its chunk row, or, without an
-		// index, the frontier's vertex v alone, row v of the one chunk.
+		// index, the frontier's vertex v alone, whose row in its chunk is
+		// v's low bits. Either way the entry's last word masked is the row.
 		queue, width := a.List(0), 1
 		if l.Agents != nil {
 			queue, width = s.queues[p], 2
@@ -596,7 +593,7 @@ func sparsePush[K EdgeKernel](s *Sweep, a *state.Subset, k K, h Hints) *state.Su
 		var edges, condChecks, updates int64
 		for ch := slot; ch < chunks; ch += s.slots {
 			for i := width * int(starts[ch]); i < width*int(starts[ch+1]); i += width {
-				v, r := queue[i], int(queue[i+width-1])
+				v, r := queue[i], int(queue[i+width-1]&mask)
 				rs := flat
 				if rs != nil {
 					r += firsts[v>>shift]

@@ -49,7 +49,7 @@ func TestBalanceFloorsPartTotals(t *testing.T) {
 				if p == 1 { // the middle node of three holds no rows
 					rs.Idx = rs.Idx[:1]
 				}
-				parts[p] = OneChunk(rs, nil)
+				parts[p] = Part{Flat: &rs, ChunkRows: []int{0, rs.Len()}}
 				for i, f := range counted(&s.counts[p]) {
 					*f = tc.slots*int64(10*p+i) + tc.slots - 1
 				}
