@@ -11,6 +11,7 @@ package polymer_test
 //     degrees) must never leak into the simulated clock.
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -422,5 +423,54 @@ func TestLigraNewOnPatchedSnapshot(t *testing.T) {
 	t.Logf("ligra.New: %d bytes on the patched snapshot, %d on its FromEdges twin", onSnap, onTwin)
 	if onSnap > onTwin {
 		t.Fatalf("ligra.New allocated %d bytes on a patched snapshot, %d on its FromEdges twin", onSnap, onTwin)
+	}
+}
+
+// TestFaultFreeRunCarriesNoSession: with no injector, RunResilientCtx is
+// one plain run — no fault session checkpointing the vertex arrays before
+// every superstep — so it allocates what RunWith allocates on the same
+// cell, within 5 %. A session on the fault-free path about doubles it.
+// After one warm-up run of each, each side's figure is the least of five
+// runs, the two sides alternating.
+func TestFaultFreeRunCarriesNoSession(t *testing.T) {
+	g, err := bench.LoadDataset(gen.PowerLaw, gen.Small, bench.PR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An open engine keeps Polymer's layouts for g alive (graph.Derived
+	// holds them weakly), so no measured run rebuilds them after a GC.
+	opt := core.DefaultOptions()
+	opt.Mode = core.Push
+	keep := core.MustNew(g, regressionMachine(), opt)
+	defer keep.Close()
+	runs := [2]func() error{
+		func() error {
+			_, err := bench.RunWith(bench.Polymer, bench.PR, g, regressionMachine(), bench.Options{})
+			return err
+		},
+		func() error {
+			_, _, err := bench.RunResilientCtx(context.Background(), bench.Polymer, bench.PR, g, regressionMachine, nil,
+				bench.ResilientOptions{SessionRetries: -1})
+			return err
+		},
+	}
+	least := [2]uint64{math.MaxUint64, math.MaxUint64}
+	for i := range 6 {
+		for side, run := range runs {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			if i > 0 { // the first is the warm-up
+				least[side] = min(least[side], after.TotalAlloc-before.TotalAlloc)
+			}
+		}
+	}
+	plain, resilient := least[0], least[1]
+	t.Logf("fault-free RunResilientCtx allocated %d bytes a run, RunWith %d", resilient, plain)
+	if resilient*100 > plain*105 {
+		t.Fatalf("fault-free RunResilientCtx allocated %d bytes a run, over 1.05 x RunWith's %d", resilient, plain)
 	}
 }

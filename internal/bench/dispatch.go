@@ -94,7 +94,7 @@ type cell struct {
 	session bool
 	// multi, when non-nil, answers several sources in one sweep.
 	multi func(e engine, srcs []graph.Vertex) ([]Output, error)
-	// warm, when non-nil, repairs an earlier answer (spec.warm).
+	// warm, when non-nil, repairs an earlier answer (Options.Warm).
 	warm func(e engine, s *spec) (Output, error)
 }
 
@@ -135,7 +135,7 @@ func withMulti[T any](c cell, sweep func(sg.Engine, []graph.Vertex) ([][]T, erro
 
 // withWarm attaches a scatter-gather warm run to a cell.
 func withWarm(c cell, repair func(e sg.Engine, s *spec, w *Warm) (Output, error)) cell {
-	c.warm = func(e engine, s *spec) (Output, error) { return repair(e.(sg.Engine), s, s.warm) }
+	c.warm = func(e engine, s *spec) (Output, error) { return repair(e.(sg.Engine), s, s.opt.Warm) }
 	return c
 }
 

@@ -28,7 +28,8 @@ func (r ResilienceReport) Format() string {
 	return s
 }
 
-// ResilientOptions tunes one resilient execution.
+// ResilientOptions tunes one resilient execution. MaxRestarts and
+// SessionRetries act only on a run with an injector.
 type ResilientOptions struct {
 	// MaxRestarts caps whole-run restarts (setup faults, steps that
 	// exhausted their replay budget). 0 means fail on the first
@@ -41,30 +42,37 @@ type ResilientOptions struct {
 	Options
 }
 
-// RunResilientCtx executes one system x algorithm cell under an injected
-// fault schedule (nil: none) and a cancellation context, recovering
-// transient faults via checkpoint/restart so the committed simulated
-// result is bit-identical to a fault-free run. A fault.Session is always
-// attached, so only session-capable cells run (SessionCapable); any other
-// is ErrUnsupported with zero restarts and no machine built. mk builds a
-// fresh machine per attempt: a setup-time allocation failure (spec
-// "alloc@-1") is recovered by whole-run restart, which discards the
-// partially charged machine. The context is installed on the engine so
-// every parallel phase observes it, and a cancellation mid-run stops
-// charging the simulated clock at the superstep boundary (the partial
-// step's charges are rolled back). A context error is terminal — it is
+// RunResilientCtx is the context-aware run: one system x algorithm cell
+// (or, through opt, a multi-source sweep or a warm repair) under a
+// cancellation context and, when inj is non-nil, an injected fault
+// schedule. Only session-capable cells run (SessionCapable), injector or
+// not; any other is ErrUnsupported with zero restarts and no machine
+// built. The context is installed on the engine so every parallel phase
+// observes it, and a cancellation mid-run stops charging the simulated
+// clock at the superstep boundary. A context error is terminal — it is
 // never retried by restart.
+//
+// With a nil injector the run is one attempt on one machine from mk, with
+// no fault session: nothing but a cancellation can fail it that would not
+// fail the same way again (DESIGN.md §8). With an injector, transient
+// faults are recovered via checkpoint/restart so the committed simulated
+// result is bit-identical to a fault-free run, and mk builds a fresh
+// machine per attempt: a setup-time allocation failure (spec "alloc@-1")
+// is recovered by whole-run restart, which discards the partially charged
+// machine.
 func RunResilientCtx(ctx context.Context, sys System, alg Algo, g *graph.Graph, mk func() *numa.Machine, inj *fault.Injector, opt ResilientOptions) (RunResult, ResilienceReport, error) {
-	if inj == nil {
-		inj = fault.NewInjector(nil)
-	}
 	var rep ResilienceReport
-	s, err := newSpec(sys, alg, g, opt.Options)
-	if err == nil {
-		err = s.withSession(ctx, inj, opt.SessionRetries)
+	s, err := newSpec(sys, alg, g, opt.Options, inj)
+	if err == nil && !s.cell.session {
+		err = fmt.Errorf("bench: resilient %s on %s: %w", alg, sys, ErrUnsupported)
 	}
 	if err != nil {
 		return RunResult{}, rep, err
+	}
+	s.ctx, s.retries = ctx, opt.SessionRetries
+	if inj == nil {
+		r, _, err := run(s, mk())
+		return r, rep, err
 	}
 	for restart := 0; ; restart++ {
 		m := mk()
@@ -123,7 +131,7 @@ func RunPolymerDegraded(g *graph.Graph, topo *numa.Topology, nodes, coresPerNode
 		return DegradedResult{}, fmt.Errorf("bench: fail step %d out of range [0,%d]", failStep, DefaultIters)
 	}
 	failNode %= nodes
-	s, err := newSpec(Polymer, PR, g, Options{})
+	s, err := newSpec(Polymer, PR, g, Options{}, nil)
 	if err != nil {
 		return DegradedResult{}, err
 	}

@@ -162,6 +162,18 @@ type RunResult struct {
 type Options struct {
 	// Src is the traversal source for BFS and SSSP.
 	Src graph.Vertex
+	// Sources, when non-empty, replaces Src with one multi-source BFS or
+	// SSSP sweep on a scatter-gather engine: Out.PerSource holds one answer
+	// per source, each bit-identical to that source's own run, and the
+	// accounting is the sweep's.
+	Sources []graph.Vertex
+	// Warm, when non-nil, answers Src's BFS or SSSP on Polymer or Ligra by
+	// repairing an earlier answer instead of traversing from scratch: the
+	// output is bit-identical to a cold run's, and the accounting is the
+	// repair's own. A graph with a negative or NaN weight cannot be
+	// repaired (algorithms.Repairable). A warm BFS reads the graph's
+	// unweighted view, as its levels count edges.
+	Warm *Warm
 	// Tracer, when non-nil, is installed on the engine (of every attempt,
 	// so the flight recorder sees checkpoints, rollbacks and replays too).
 	// A traced run's simulated output is bit-identical to an untraced one.
@@ -174,9 +186,10 @@ type Options struct {
 }
 
 // ErrUnsupported marks a run the dispatch table has no cell for: an
-// unknown system or algorithm, a fault session or a multi-source sweep on
-// a cell whose driver has none, a placement the engine cannot execute.
-// It is a static configuration error, never retried or restarted.
+// unknown system or algorithm, a fault session, a multi-source sweep or a
+// warm repair on a cell whose driver has none (or any two of them at
+// once), a placement the engine cannot execute. It is a static
+// configuration error, never retried or restarted.
 var ErrUnsupported = errors.New("unsupported")
 
 // spec is everything that defines one run. Every entry point builds one
@@ -190,9 +203,6 @@ type spec struct {
 
 	iters int       // fixed-iteration count (PR, SpMV, BP)
 	init  []float64 // PageRank warm start (the degraded path's segment 2)
-	multi bool      // one multi-source sweep over srcs instead of opt.Src
-	srcs  []graph.Vertex
-	warm  *Warm // repair warm.Prior instead of computing from scratch
 
 	// inj non-nil attaches a fault.Session — the one bit that separates
 	// the resilient path from the plain one.
@@ -204,8 +214,11 @@ type spec struct {
 	cell   cell
 }
 
-func newSpec(sys System, alg Algo, g *graph.Graph, opt Options) (*spec, error) {
-	s := &spec{sys: sys, alg: alg, g: g, opt: opt, iters: DefaultIters, retries: -1}
+// newSpec resolves the cell of one run and refuses, before any machine
+// exists, what the cell cannot run: a warm repair or a multi-source sweep
+// it has no driver for, both at once, or either under injected faults.
+func newSpec(sys System, alg Algo, g *graph.Graph, opt Options, inj *fault.Injector) (*spec, error) {
+	s := &spec{sys: sys, alg: alg, g: g, opt: opt, iters: DefaultIters, inj: inj}
 	var ok bool
 	if s.system, ok = systems[sys]; !ok {
 		return nil, fmt.Errorf("bench: unknown system %q: %w", sys, ErrUnsupported)
@@ -213,28 +226,33 @@ func newSpec(sys System, alg Algo, g *graph.Graph, opt Options) (*spec, error) {
 	if s.cell = cells[alg][s.system.family]; s.cell.drive == nil {
 		return nil, fmt.Errorf("bench: unknown algorithm %q: %w", alg, ErrUnsupported)
 	}
+	multi, warm := len(opt.Sources) > 0, opt.Warm != nil
+	switch {
+	case multi && s.cell.multi == nil:
+		return nil, fmt.Errorf("bench: multi-source %s on %s: %w", alg, sys, ErrUnsupported)
+	case warm && s.cell.warm == nil:
+		return nil, fmt.Errorf("bench: warm %s on %s: %w", alg, sys, ErrUnsupported)
+	case multi && warm:
+		return nil, fmt.Errorf("bench: warm multi-source %s: %w", alg, ErrUnsupported)
+	case (multi || warm) && inj != nil:
+		return nil, fmt.Errorf("bench: injected faults on a warm or multi-source %s: %w", alg, ErrUnsupported)
+	}
 	if opt.LayoutSet && sys != Polymer && opt.Layout != mem.Interleaved {
 		return nil, fmt.Errorf("bench: %s only supports interleaved placement (got %s): %w", sys, opt.Layout, ErrUnsupported)
 	}
-	if alg == CC {
+	switch {
+	case alg == CC:
 		s.g = g.Symmetrized()
+	case alg == BFS && warm:
+		s.g = g.Unweighted()
 	}
 	return s, nil
 }
 
-// withSession attaches the injector; it fails on cells whose driver
-// cannot roll a superstep back.
-func (s *spec) withSession(ctx context.Context, inj *fault.Injector, retries int) error {
-	if !s.cell.session {
-		return fmt.Errorf("bench: resilient %s on %s: %w", s.alg, s.sys, ErrUnsupported)
-	}
-	s.ctx, s.inj, s.retries = ctx, inj, retries
-	return nil
-}
-
 // run is the one place a run is defined: build the engine the table names
 // on m, wire tracer, context and (when an injector is attached) a fault
-// session, call the cell's driver, and read the accounting back. It
+// session, call the cell's driver — its multi-source sweep or warm repair
+// when the options ask for one — and read the accounting back. It
 // returns the session's rollback count beside the result. Panics —
 // including a setup allocation failure surfacing inside NewData — are
 // contained and reported as the error.
@@ -248,9 +266,7 @@ func run(s *spec, m *numa.Machine) (RunResult, int, error) {
 		}
 		defer e.Close()
 		e.SetTracer(s.opt.Tracer)
-		if s.ctx != nil {
-			e.SetContext(s.ctx)
-		}
+		e.SetContext(s.ctx)
 		var sess *fault.Session
 		if s.inj != nil {
 			sess = fault.NewSession(e, s.inj)
@@ -259,9 +275,9 @@ func run(s *spec, m *numa.Machine) (RunResult, int, error) {
 			}
 		}
 		switch {
-		case s.multi:
-			r.Out.PerSource, err = s.cell.multi(e, s.srcs)
-		case s.warm != nil:
+		case len(s.opt.Sources) > 0:
+			r.Out.PerSource, err = s.cell.multi(e, s.opt.Sources)
+		case s.opt.Warm != nil:
 			r.Out, err = s.cell.warm(e, s)
 		default:
 			r.Out, err = s.cell.drive(e, s, sess)
@@ -294,7 +310,7 @@ func run(s *spec, m *numa.Machine) (RunResult, int, error) {
 // table cells — under the shared options. The graph must carry weights if
 // the algorithm needs them; CC is symmetrized internally.
 func RunWith(sys System, alg Algo, g *graph.Graph, m *numa.Machine, opt Options) (RunResult, error) {
-	s, err := newSpec(sys, alg, g, opt)
+	s, err := newSpec(sys, alg, g, opt, nil)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -309,28 +325,6 @@ func RunWith(sys System, alg Algo, g *graph.Graph, m *numa.Machine, opt Options)
 type Warm struct {
 	Prior             Output
 	Deleted, Appended []graph.Edge
-}
-
-// RunWarmCtx answers opt.Src's BFS or SSSP on g by repairing w on an
-// engine the table builds on m, instead of traversing from scratch: the
-// output is bit-identical to a cold run's, and the accounting is the warm
-// run's own. Only the scatter-gather systems have warm cells; a graph with
-// a negative or NaN weight cannot be repaired (algorithms.Repairable).
-// BFS reads g's unweighted view, as its levels count edges.
-func RunWarmCtx(ctx context.Context, sys System, alg Algo, g *graph.Graph, m *numa.Machine, w Warm, opt Options) (RunResult, error) {
-	s, err := newSpec(sys, alg, g, opt)
-	if err != nil {
-		return RunResult{}, err
-	}
-	if s.cell.warm == nil {
-		return RunResult{}, fmt.Errorf("bench: warm %s on %s: %w", alg, sys, ErrUnsupported)
-	}
-	if alg == BFS {
-		s.g = g.Unweighted()
-	}
-	s.ctx, s.warm = ctx, &w
-	r, _, err := run(s, m)
-	return r, err
 }
 
 // RunFrom is RunWith with only a traversal source, panicking on error:

@@ -8,6 +8,7 @@ import (
 
 	"polymer/internal/fault"
 	"polymer/internal/gen"
+	"polymer/internal/graph"
 	"polymer/internal/mem"
 	"polymer/internal/numa"
 	"polymer/internal/obs"
@@ -99,7 +100,7 @@ func TestFailedEngineIsNotASuccess(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sys := range Systems() {
-			s, err := newSpec(sys, alg, g, Options{})
+			s, err := newSpec(sys, alg, g, Options{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,6 +152,72 @@ func TestUnweightedViewRunsLikeUnweightedLoad(t *testing.T) {
 						want.SimSeconds, want.Stats, want.PeakBytes, want.Checksum)
 				}
 			}
+		}
+	}
+}
+
+// TestWarmOptionIsHonoured: a warm run with no edits between its prior and
+// its graph repairs nothing, so it returns the cold run's bits and charges
+// strictly less simulated time than traversing from scratch. Comparing
+// outputs alone (conform.CheckWarm) cannot tell a repair from a cold run
+// that ignored Options.Warm; the clock can.
+func TestWarmOptionIsHonoured(t *testing.T) {
+	for _, alg := range []Algo{BFS, SSSP} {
+		g, err := LoadDataset(gen.PowerLaw, gen.Tiny, alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sys := range []System{Polymer, Ligra} {
+			cold, err := RunWith(sys, alg, g, tinyMachine(), Options{Src: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := RunWith(sys, alg, g, tinyMachine(), Options{Src: 1, Warm: &Warm{Prior: cold.Out}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(warm.Checksum) != math.Float64bits(cold.Checksum) {
+				t.Errorf("%s/%s: warm checksum %x, cold %x", sys, alg, warm.Checksum, cold.Checksum)
+			}
+			if !(warm.SimSeconds < cold.SimSeconds) {
+				t.Errorf("%s/%s: zero-edit warm run charged %g s, cold run %g s", sys, alg, warm.SimSeconds, cold.SimSeconds)
+			}
+		}
+	}
+}
+
+// TestRunOptionsRefused: a warm repair or a multi-source sweep on a cell
+// with no driver for it, both at once, or either under injected faults,
+// is ErrUnsupported before any machine is built.
+func TestRunOptionsRefused(t *testing.T) {
+	g, err := LoadDataset(gen.PowerLaw, gen.Tiny, BFS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := &Warm{Prior: RunFrom(Polymer, BFS, g, tinyMachine(), 0).Out}
+	srcs := []graph.Vertex{0, 1}
+	cases := []struct {
+		name string
+		sys  System
+		alg  Algo
+		opt  Options
+		inj  *fault.Injector
+	}{
+		{"warm PR", Polymer, PR, Options{Warm: warm}, nil},
+		{"warm X-Stream", XStream, BFS, Options{Warm: warm}, nil},
+		{"multi-source PR", Ligra, PR, Options{Sources: srcs}, nil},
+		{"multi-source Galois", Galois, BFS, Options{Sources: srcs}, nil},
+		{"warm and multi-source", Polymer, BFS, Options{Warm: warm, Sources: srcs}, nil},
+		{"injected warm", Polymer, BFS, Options{Warm: warm}, fault.NewInjector(nil)},
+		{"injected multi-source", Ligra, BFS, Options{Sources: srcs}, fault.NewInjector(nil)},
+	}
+	for _, c := range cases {
+		built := 0
+		mk := func() *numa.Machine { built++; return tinyMachine() }
+		_, rep, err := RunResilientCtx(context.Background(), c.sys, c.alg, g, mk, c.inj,
+			ResilientOptions{MaxRestarts: 3, SessionRetries: -1, Options: c.opt})
+		if !errors.Is(err, ErrUnsupported) || built != 0 || rep.Restarts != 0 {
+			t.Errorf("%s: err %v, %d machine(s) built, %d restart(s)", c.name, err, built, rep.Restarts)
 		}
 	}
 }

@@ -8,7 +8,7 @@
 package conform
 
 import (
-	"context"
+	"errors"
 
 	"polymer/internal/bench"
 	"polymer/internal/graph"
@@ -17,14 +17,18 @@ import (
 // RunMultiSource executes one multi-source sweep on a scatter-gather
 // engine (the only engines that serve traversal point queries) and
 // returns the normalized per-source outputs, index-aligned with srcs.
+// An empty source list is refused: it is no sweep at all.
 func RunMultiSource(eng Engine, alg Algo, topo Topo, g *graph.Graph, srcs []graph.Vertex) ([][]float64, error) {
+	if len(srcs) == 0 {
+		return nil, errors.New("conform: multi-source run needs at least one source")
+	}
 	c := Case{Engine: eng, Algo: alg, Topo: topo}
-	mr, err := bench.RunMultiSourceCtx(context.Background(), benchSystems[eng], benchAlgos[alg], g, c.Machine, srcs, nil)
+	r, err := bench.RunWith(benchSystems[eng], benchAlgos[alg], g, c.Machine(), bench.Options{Sources: srcs})
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]float64, len(srcs))
-	for i, o := range mr.Outs {
+	for i, o := range r.Out.PerSource {
 		out[i] = o.Widen()
 	}
 	return out, nil

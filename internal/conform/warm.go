@@ -1,6 +1,6 @@
 // Warm-run conformance: after a commit the serving layer answers a BFS or
 // SSSP miss by repairing an earlier answer for the edits in between
-// (bench.RunWarmCtx), so a warm response is only indistinguishable from a
+// (bench.Options.Warm), so a warm response is only indistinguishable from a
 // cold one if the repair equals the cold run bit for bit. CheckWarm
 // asserts exactly that over a batch stream, from every earlier snapshot's
 // answer to every later snapshot.
@@ -8,7 +8,6 @@
 package conform
 
 import (
-	"context"
 	"fmt"
 
 	"polymer/internal/bench"
@@ -127,8 +126,8 @@ func CheckWarm(st *mutate.Store, name string, c Case, base *graph.Graph, batches
 			if err != nil {
 				return err
 			}
-			warm, err := bench.RunWarmCtx(context.Background(), sys, alg, g, c.Machine(),
-				bench.Warm{Prior: prior, Deleted: deleted, Appended: appended}, opt)
+			warm, err := bench.RunWith(sys, alg, g, c.Machine(), bench.Options{Src: c.Src,
+				Warm: &bench.Warm{Prior: prior, Deleted: deleted, Appended: appended}})
 			if err != nil {
 				return fmt.Errorf("%s: warm from snapshot %d at %d: %w", c, from, seq, err)
 			}

@@ -245,7 +245,7 @@ func TestSessionLinkPerturbationReplays(t *testing.T) {
 // the step instead of looping forever.
 func TestSessionRetryBound(t *testing.T) {
 	eng := newFakeEngine()
-	sess := NewSession(eng, nil)
+	sess := NewSession(eng, NewInjector(nil))
 	sess.SetMaxRetries(2)
 	runs := 0
 	err := sess.Step(0, func() error { runs++; panic("always broken") })

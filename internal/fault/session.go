@@ -56,12 +56,10 @@ type Session struct {
 	rollbacks  int
 }
 
-// NewSession pairs an engine with an injector. A nil injector yields a
-// session that only provides panic containment (no snapshots, no faults).
+// NewSession pairs an engine with an injector, which must be non-nil: a
+// run with no faults to inject runs its steps with no session at all
+// (Step with a nil session).
 func NewSession(eng Engine, inj *Injector) *Session {
-	if inj == nil {
-		inj = NewInjector(nil)
-	}
 	return &Session{eng: eng, inj: inj, ck: state.NewCheckpoint(), maxRetries: 3}
 }
 

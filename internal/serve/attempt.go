@@ -41,10 +41,11 @@ type clusterStatus struct {
 //     NUMA node, the migration charged) and refuses anything else with
 //     503; a multi-source run is refused whole.
 //   - Anything else goes through lease -> machine factory -> retry with
-//     backoff: one source warm when warmFor finds an answer to repair,
-//     else on the resilient path, and k on one fused multi-source sweep.
-//     A planned run's lease is left on t for finish to read; finish
-//     releases it before it publishes.
+//     backoff around one bench.RunResilientCtx call: one source warm when
+//     warmFor finds an answer to repair, else cold, and k on one fused
+//     multi-source sweep; a fault session only when the request injects
+//     faults. A planned run's lease is left on t for finish to read;
+//     finish releases it before it publishes.
 func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Response) (resKind, int, []float64, []bench.Output) {
 	v := t.v
 	tr := s.cfg.Tracer
@@ -117,16 +118,23 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 	opt := bench.ResilientOptions{
 		MaxRestarts:    restartMax,
 		SessionRetries: v.req.SessionRetries,
-		Options:        bench.Options{Tracer: tr, Layout: v.layout, LayoutSet: v.layoutSet},
+		Options: bench.Options{Tracer: tr, Layout: v.layout, LayoutSet: v.layoutSet,
+			Warm: s.warmFor(v, g, srcs)},
 	}
 	if v.req.Restarts >= 0 {
 		opt.MaxRestarts = v.req.Restarts
+	}
+	// One source is the plain run, so a shared run of one is
+	// indistinguishable from a private one; k run as one fused sweep.
+	if len(srcs) == 1 {
+		opt.Src = srcs[0]
+	} else {
+		opt.Sources = srcs
 	}
 	maxRetries := s.cfg.RetryMax
 	if v.req.Retries >= 0 {
 		maxRetries = v.req.Retries
 	}
-	warm := s.warmFor(v, g, srcs)
 
 	var err error
 	for attempt := 0; attempt <= maxRetries; attempt++ {
@@ -140,31 +148,11 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 			}
 		}
 		resp.Attempts = attempt + 1
-		var r bench.RunResult
-		var sums []float64
-		var outs []bench.Output
-		switch {
-		case warm != nil:
-			opt.Src = srcs[0]
-			r, err = bench.RunWarmCtx(t.ctx, v.sys, v.alg, g, mk(), *warm, opt.Options)
-			sums, outs = []float64{r.Checksum}, []bench.Output{r.Out}
-		case len(srcs) == 1:
-			// One source is the plain resilient run, so a shared run of one
-			// is indistinguishable from a private one.
-			var rep bench.ResilienceReport
-			opt.Src = srcs[0]
-			r, rep, err = bench.RunResilientCtx(t.ctx, v.sys, v.alg, g, mk, v.injector(), opt)
-			resp.Rollbacks += rep.Rollbacks
-			resp.Restarts += rep.Restarts
-			sums, outs = []float64{r.Checksum}, []bench.Output{r.Out}
-		default:
-			var mr bench.MultiResult
-			mr, err = bench.RunMultiSourceCtx(t.ctx, v.sys, v.alg, g, mk, srcs, tr)
-			r.SimSeconds, r.PeakBytes, r.BoundsSeq, r.Lineage = mr.SimSeconds, mr.PeakBytes, mr.BoundsSeq, mr.Lineage
-			sums, outs = mr.PerSource, mr.Outs
-		}
+		r, rep, runErr := bench.RunResilientCtx(t.ctx, v.sys, v.alg, g, mk, v.injector(), opt)
+		resp.Rollbacks += rep.Rollbacks
+		resp.Restarts += rep.Restarts
 		s.lineage.add(r.Lineage)
-		if err == nil {
+		if err = runErr; err == nil {
 			br.Success()
 			resp.SimSeconds, resp.PeakBytes, resp.BoundsSeq = r.SimSeconds, r.PeakBytes, r.BoundsSeq
 			if v.tier.Tiered() {
@@ -174,7 +162,7 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 			case len(srcs) > 1:
 				// Provenance: the accounting fields describe the fused sweep.
 				resp.BatchSize = len(srcs)
-			case warm != nil:
+			case opt.Warm != nil:
 				// Provenance too: the accounting describes the repair. Its
 				// cost is not a cold run's, so it teaches the learner nothing.
 				resp.Warm = true
@@ -185,6 +173,14 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 				// predicted, so it may teach the learner. Fused sweeps may
 				// not: their cost covers k sources at once.
 				s.observePlan(v, t.lease, r.SimSeconds)
+			}
+			outs := []bench.Output{r.Out}
+			if len(srcs) > 1 {
+				outs = r.Out.PerSource
+			}
+			sums := make([]float64, len(outs))
+			for i, o := range outs {
+				sums[i] = o.Checksum()
 			}
 			if !s.retains(v) {
 				outs = nil

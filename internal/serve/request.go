@@ -68,16 +68,19 @@ type Request struct {
 	FaultSeed uint64 `json:"fault_seed"`
 	// Retries caps server-level whole-run retries (backoff + jitter) on
 	// top of the fault session's per-step replays. -1 (and an absent
-	// field) means the server default; 0 disables retries.
+	// field) means the server default; 0 disables retries. Unlike the
+	// next two, it acts on every request.
 	Retries int `json:"retries"`
-	// SessionRetries caps per-superstep replays inside the fault session.
-	// -1 (absent) keeps the session default of 3; 0 fails a step on its
-	// first faulted attempt — chaos requests use it to make injected
-	// faults unrecoverable so the circuit breaker's failure path is
-	// exercisable end to end.
+	// SessionRetries caps per-superstep replays inside the fault session,
+	// which only a request with Fault or FaultSeed gets; on any other it
+	// has no effect. -1 (absent) keeps the session default of 3; 0 fails
+	// a step on its first faulted attempt — chaos requests use it to make
+	// injected faults unrecoverable so the circuit breaker's failure path
+	// is exercisable end to end.
 	SessionRetries int `json:"session_retries"`
 	// Restarts caps whole-run restarts for setup-time faults within one
-	// execution attempt. -1 (absent) means the server default.
+	// execution attempt; like SessionRetries it acts only with Fault or
+	// FaultSeed. -1 (absent) means the server default.
 	Restarts int `json:"restarts"`
 	// DramBytes > 0 arms tiered memory on the simulated machine: each
 	// node gets that many bytes of DRAM and spills the rest of its
@@ -446,20 +449,18 @@ func (v *resolved) armTier(m *numa.Machine) *numa.Machine {
 	return m
 }
 
-// injector builds a fresh injector for one execution attempt. Event state
-// (fired/repaired) is per-run, so each attempt needs its own schedule.
+// injector builds a fresh injector for one execution attempt, or returns
+// nil for a fault-free request, whose run then has no fault session.
+// Event state (fired/repaired) is per-run, so each attempt needs its own
+// schedule.
 func (v *resolved) injector() *fault.Injector {
 	switch {
 	case v.req.Fault != "":
-		evs, err := fault.ParseSpec(v.req.Fault) // validated in resolve
-		if err != nil {
-			return fault.NewInjector(nil)
-		}
+		evs, _ := fault.ParseSpec(v.req.Fault) // validated in resolve
 		return fault.NewInjector(evs)
 	case v.req.FaultSeed != 0:
 		threads := v.nodes * v.cores
 		return fault.NewInjector(fault.Schedule(v.req.FaultSeed, 5, threads, v.nodes))
-	default:
-		return fault.NewInjector(nil)
 	}
+	return nil
 }

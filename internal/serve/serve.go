@@ -7,10 +7,11 @@
 // while the circuit is open.
 //
 // The serving layer reuses the repo's whole stack unchanged: requests
-// execute through bench.RunResilientCtx, so an injected or genuine fault
-// inside a run is first handled by superstep rollback/replay, then by
-// whole-run restart, and only then surfaces as a request failure that the
-// breaker and the retry loop see.
+// execute through bench.RunResilientCtx, so an injected fault inside a
+// run is first handled by superstep rollback/replay, then by whole-run
+// restart, and only then surfaces as a request failure that the breaker
+// and the retry loop see. A fault-free request's run has no session: a
+// genuine failure goes straight to the breaker and the retry loop.
 package serve
 
 import (
