@@ -170,101 +170,6 @@ func (a *Array[T]) addTierDemand(sign int64) {
 	}
 }
 
-// NodeOf returns the simulated node owning index i. Out-of-range indices
-// clamp to the nearest partition, so speculative probes near array edges
-// stay charge-safe.
-func (a *Array[T]) NodeOf(i int) int {
-	if i < 0 {
-		i = 0
-	} else if i >= len(a.Data) {
-		i = len(a.Data) - 1
-		if i < 0 {
-			return 0
-		}
-	}
-	switch a.place {
-	case Centralized:
-		return 0
-	case Interleaved:
-		// Page-granular striping; 4 KiB pages.
-		page := int64(i) * a.elemBytes >> 12
-		return int(page % int64(a.m.Nodes))
-	default:
-		// Binary search over partition bounds.
-		lo, hi := 0, a.m.Nodes
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if a.bounds[mid+1] <= i {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
-	}
-}
-
-// ChargeSeq records a sequential scan of count elements in partition-order
-// starting conceptually at index lo by thread th. For co-located arrays the
-// traffic is charged against the owning node(s); for interleaved and
-// centralized arrays against the corresponding policy. The range is
-// clamped to [0, Len()), so out-of-range descriptors charge only the
-// overlapping part. On a tiered array the co-located path splits each
-// partition's segment at its DRAM-resident boundary — the prefix charges
-// DRAM, the tail the slow tier — so a range straddling the tier boundary
-// charges each side exactly once.
-func (a *Array[T]) ChargeSeq(e *numa.Epoch, th int, op numa.Op, lo, count int64) {
-	if n := int64(len(a.Data)); true {
-		if lo < 0 {
-			count += lo
-			lo = 0
-		}
-		if lo > n {
-			lo = n
-		}
-		if count > n-lo {
-			count = n - lo
-		}
-	}
-	if count <= 0 {
-		return
-	}
-	switch a.place {
-	case Interleaved:
-		a.tier.AccessInterleaved(e, th, numa.Seq, op, count, int(a.elemBytes), 0)
-	case Centralized:
-		a.tier.Access(e, th, numa.Seq, op, 0, count, int(a.elemBytes), 0)
-	default:
-		// Split [lo, lo+count) across partition bounds.
-		if a.tier != nil {
-			a.tier.record(e, count*a.elemBytes)
-		}
-		rem := count
-		i := int(lo)
-		for rem > 0 {
-			p := a.NodeOf(i)
-			end := a.bounds[p+1]
-			take := int64(end - i)
-			if take > rem {
-				take = rem
-			}
-			// DRAM-resident prefix of the partition, slow-tier tail.
-			b0, b1 := a.bounds[p], end
-			boundary := b0 + int(a.tier.DRAMFrac(p)*float64(b1-b0))
-			dram := int64(boundary - i)
-			if dram < 0 {
-				dram = 0
-			} else if dram > take {
-				dram = take
-			}
-			e.Access(th, numa.Seq, op, p, dram, int(a.elemBytes), 0)
-			e.AccessSlow(th, numa.Seq, op, p, take-dram, int(a.elemBytes), 0)
-			i += int(take)
-			rem -= take
-		}
-	}
-}
-
 // Free releases the simulated allocation. Double-free is a no-op.
 func (a *Array[T]) Free() {
 	if a.freed {

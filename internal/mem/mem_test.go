@@ -3,7 +3,6 @@ package mem
 import (
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"polymer/internal/numa"
 )
@@ -28,51 +27,6 @@ func TestNewRegistersAllocation(t *testing.T) {
 	}
 }
 
-func TestCoLocatedNodeOf(t *testing.T) {
-	m := testMachine()
-	bounds := []int{0, 10, 30, 60, 100}
-	a := New[int64](m, "x", 100, CoLocated, bounds)
-	cases := map[int]int{0: 0, 9: 0, 10: 1, 29: 1, 30: 2, 59: 2, 60: 3, 99: 3}
-	for i, want := range cases {
-		if got := a.NodeOf(i); got != want {
-			t.Fatalf("NodeOf(%d) = %d, want %d", i, got, want)
-		}
-	}
-}
-
-func TestCoLocatedNodeOfProperty(t *testing.T) {
-	m := testMachine()
-	bounds := []int{0, 25, 50, 75, 100}
-	a := New[float64](m, "p", 100, CoLocated, bounds)
-	f := func(i uint8) bool {
-		idx := int(i) % 100
-		p := a.NodeOf(idx)
-		return idx >= bounds[p] && idx < bounds[p+1]
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInterleavedNodeOfStripes(t *testing.T) {
-	m := testMachine()
-	a := New[float64](m, "il", 1<<16, Interleaved, nil)
-	// 4 KiB pages of float64 = 512 elements per page.
-	if a.NodeOf(0) != 0 || a.NodeOf(512) != 1 || a.NodeOf(1024) != 2 || a.NodeOf(2048) != 0 {
-		t.Fatal("interleaved striping wrong")
-	}
-}
-
-func TestCentralizedNodeOf(t *testing.T) {
-	m := testMachine()
-	a := New[uint32](m, "c", 100, Centralized, nil)
-	for i := 0; i < 100; i += 17 {
-		if a.NodeOf(i) != 0 {
-			t.Fatal("centralized arrays live on node 0")
-		}
-	}
-}
-
 func TestNewPanicsOnBadBounds(t *testing.T) {
 	m := testMachine()
 	for _, bounds := range [][]int{
@@ -93,32 +47,6 @@ func TestNewPanicsOnBadBounds(t *testing.T) {
 		New[int](m, "bad", 100, Interleaved, []int{0, 100})
 		t.Fatal("bounds with interleaved placement should panic")
 	}()
-}
-
-func TestChargeSeqSplitsAcrossPartitions(t *testing.T) {
-	m := testMachine()
-	bounds := []int{0, 100, 200, 300, 400}
-	a := New[float64](m, "d", 400, CoLocated, bounds)
-	e := m.NewEpoch()
-	a.ChargeSeq(e, 0, numa.Load, 50, 200) // spans partitions 0,1,2
-	s := e.Stats()
-	if s.LocalCount+s.RemoteCount != 200 {
-		t.Fatalf("charged %d accesses, want 200", s.LocalCount+s.RemoteCount)
-	}
-	// Thread 0 is on node 0: 50 local (50..100), 150 remote (100..250).
-	if s.LocalCount != 50 || s.RemoteCount != 150 {
-		t.Fatalf("local/remote = %d/%d, want 50/150", s.LocalCount, s.RemoteCount)
-	}
-}
-
-func TestChargeZeroCountsNoop(t *testing.T) {
-	m := testMachine()
-	a := New[float64](m, "z", 100, Centralized, nil)
-	e := m.NewEpoch()
-	a.ChargeSeq(e, 0, numa.Load, 0, 0)
-	if e.Time() != 0 {
-		t.Fatal("zero-count charges must not advance time")
-	}
 }
 
 func TestPlacementString(t *testing.T) {

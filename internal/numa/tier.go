@@ -22,24 +22,6 @@ import (
 // the untiered substrate, including the clock — the conformance suite
 // asserts exactly that.
 
-// Tier identifies a memory tier.
-type Tier uint8
-
-const (
-	// TierDRAM is the fast tier: the paper's measured tables.
-	TierDRAM Tier = iota
-	// TierSlow is the capacity tier (CXL/PMem-class).
-	TierSlow
-)
-
-// String returns "dram" or "slow".
-func (t Tier) String() string {
-	if t == TierDRAM {
-		return "dram"
-	}
-	return "slow"
-}
-
 // TierPolicy names a tier-aware placement policy. The semantics live in
 // package mem (which computes residency); the machine records the
 // policy so reports and provenance can name it.

@@ -104,7 +104,7 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 		// charging when it doesn't. A sole tenant gets the deterministic
 		// prefix, so its machine — and therefore its result — is
 		// bit-identical to an explicitly configured run's. (A run's waiters
-		// agreed on the plan: it is part of the key.)
+		// agreed on the plan: it is part of the identity.)
 		t.lease = s.plannerFor(v).Scheduler().Acquire(v.nodes)
 		explicit := mk
 		mk = func() *numa.Machine {
@@ -140,8 +140,10 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
 			s.counters.Retried.Add(1)
-			tr.HostInstant("serve", "retry", obs.PidServe, obs.NowMicros(), attempt,
-				fmt.Sprintf("run %d (%d sources): %v", t.id, len(srcs), err))
+			if tr != nil {
+				tr.HostInstant("serve", "retry", obs.PidServe, obs.NowMicros(), attempt,
+					fmt.Sprintf("run %d (%d sources): %v", t.id, len(srcs), err))
+			}
 			if !sleepBackoff(t.ctx, retryBase, attempt, uint64(t.id)) {
 				err = t.ctx.Err()
 				break
@@ -228,14 +230,14 @@ func (s *Server) retains(v *resolved) bool {
 // Polymer or Ligra; when the result cache holds an answer under its key
 // from a snapshot no newer than g, and the store still has the batches in
 // between; and when g can be repaired at all (no negative or NaN weight,
-// algorithms.Repairable). Priors are keyed by the full request key,
-// system included, so an answer never crosses engines.
+// algorithms.Repairable). Priors are keyed by the run identity, system
+// included, so an answer never crosses engines.
 func (s *Server) warmFor(v *resolved, g *graph.Graph, srcs []graph.Vertex) *bench.Warm {
 	if !s.retains(v) || len(srcs) != 1 || !v.reusable() || v.hedge || v.clustered() ||
 		v.sys != bench.Polymer && v.sys != bench.Ligra {
 		return nil
 	}
-	out, seq, ok := s.results.prior(v.keyFor(srcs[0]))
+	out, seq, ok := s.results.prior(v.id(srcs[0]))
 	if !ok || seq > g.Seq() || !algorithms.Repairable(g) {
 		return nil
 	}

@@ -1,4 +1,4 @@
-// The graph cache: per-key singleflight so concurrent requests for the
+// The graph cache: per-graph singleflight so concurrent requests for the
 // same dataset trigger exactly one load (without holding any lock across
 // it), plus a memory-budgeted LRU with refcounting — in-flight requests
 // pin their graph, pinned entries are never evicted, and eviction removes
@@ -8,20 +8,26 @@ package serve
 
 import (
 	"container/list"
-	"fmt"
-	"strings"
 	"sync"
 
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 )
 
-// cacheEntry is one slot: a generated base (dataset, scale) or
-// the snapshot of one committed mutation prefix (dataset, scale, seq).
-// ready is closed when the load finishes; g/err/bytes are immutable
-// afterwards. refs counts waiting or executing requests pinning the entry.
+// graphID identifies one cached graph: the generated base of (data,
+// scale) at seq 0, else the snapshot of that dataset's committed
+// mutation prefix seq.
+type graphID struct {
+	data  gen.Dataset
+	scale gen.Scale
+	seq   uint64
+}
+
+// cacheEntry is one slot. ready is closed when the load finishes;
+// g/err/bytes are immutable afterwards. refs counts waiting or executing
+// requests pinning the entry.
 type cacheEntry struct {
-	key   string
+	id    graphID
 	ready chan struct{}
 	g     *graph.Graph
 	err   error
@@ -30,7 +36,7 @@ type cacheEntry struct {
 	elem  *list.Element // position in the LRU order while resident
 	// doomed marks an entry invalidated while pinned: a superseded
 	// snapshot that in-flight requests still read. The last release frees
-	// it immediately — its key carries a stale mutation sequence, so no
+	// it immediately — its id carries a stale mutation sequence, so no
 	// future request can ever hit it and LRU aging would never reclaim it.
 	doomed bool
 }
@@ -49,31 +55,31 @@ type cacheStats struct {
 type graphCache struct {
 	mu      sync.Mutex
 	budget  int64
-	entries map[string]*cacheEntry
+	entries map[graphID]*cacheEntry
 	lru     *list.List // front = most recently used
 	bytes   int64
 	hits    int64
 	misses  int64
 	evicted int64
-	onEvict func(key string, bytes int64)
+	onEvict func(id graphID, bytes int64)
 }
 
-func newGraphCache(budget int64, onEvict func(key string, bytes int64)) *graphCache {
+func newGraphCache(budget int64, onEvict func(id graphID, bytes int64)) *graphCache {
 	return &graphCache{
 		budget:  budget,
-		entries: make(map[string]*cacheEntry),
+		entries: make(map[graphID]*cacheEntry),
 		lru:     list.New(),
 		onEvict: onEvict,
 	}
 }
 
-// get returns the graph for key, loading it via load at most once across
+// get returns the graph named id, loading it via load at most once across
 // concurrent callers. On success the entry is pinned: the caller must
 // invoke release once done with the graph. Failed loads are not cached —
 // the entry is removed so the next request retries.
-func (c *graphCache) get(key string, load func() (*graph.Graph, error)) (*graph.Graph, func(), error) {
+func (c *graphCache) get(id graphID, load func() (*graph.Graph, error)) (*graph.Graph, func(), error) {
 	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
+	if e, ok := c.entries[id]; ok {
 		e.refs++
 		c.mu.Unlock()
 		<-e.ready
@@ -92,8 +98,8 @@ func (c *graphCache) get(key string, load func() (*graph.Graph, error)) (*graph.
 		c.mu.Unlock()
 		return e.g, c.releaseFunc(e), nil
 	}
-	e := &cacheEntry{key: key, ready: make(chan struct{}), refs: 1}
-	c.entries[key] = e
+	e := &cacheEntry{id: id, ready: make(chan struct{}), refs: 1}
+	c.entries[id] = e
 	c.misses++
 	c.mu.Unlock()
 
@@ -102,7 +108,7 @@ func (c *graphCache) get(key string, load func() (*graph.Graph, error)) (*graph.
 	c.mu.Lock()
 	e.g, e.err = g, err
 	if err != nil {
-		delete(c.entries, key)
+		delete(c.entries, id)
 		e.refs--
 		close(e.ready)
 		c.mu.Unlock()
@@ -139,11 +145,11 @@ func (c *graphCache) releaseFunc(e *cacheEntry) func() {
 func (c *graphCache) removeLocked(e *cacheEntry) {
 	c.lru.Remove(e.elem)
 	e.elem = nil
-	delete(c.entries, e.key)
+	delete(c.entries, e.id)
 	c.bytes -= e.bytes
 	c.evicted++
 	if c.onEvict != nil {
-		c.onEvict(e.key, e.bytes)
+		c.onEvict(e.id, e.bytes)
 	}
 }
 
@@ -164,33 +170,22 @@ func (c *graphCache) evictLocked() {
 	}
 }
 
-// baseKeySuffix ends the key of a generated base dataset (mutation
-// sequence 0); every other key is a committed-prefix snapshot.
-const baseKeySuffix = "|m0"
-
-// baseKey is the graph-cache key of the generated (weighted) base of
-// (data, scale).
-func baseKey(data gen.Dataset, scale gen.Scale) string {
-	return fmt.Sprintf("%s|%d%s", data, scale, baseKeySuffix)
-}
-
-// invalidate drops every resident unpinned entry whose dataset matches
-// and dooms the pinned ones, leaving alone the entries keep reports true
-// for (nil keeps none). Pinned entries (a run in progress) and in-flight
+// invalidate drops every resident unpinned entry of the dataset and
+// dooms the pinned ones, leaving alone its generated bases when
+// keepBases is set. Pinned entries (a run in progress) and in-flight
 // loads finish against the snapshot they started with — the result-cache
 // version bump guarantees their outputs are never served as fresh — and
 // the doom mark makes the last release drop them instead of leaving
-// superseded snapshots resident under keys nobody will ask for again.
+// superseded snapshots resident under ids nobody will ask for again.
 // Returns the number of entries dropped immediately.
-func (c *graphCache) invalidate(dataset string, keep func(key string) bool) int {
-	prefix := dataset + "|"
+func (c *graphCache) invalidate(data gen.Dataset, keepBases bool) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
 	for el := c.lru.Back(); el != nil; {
 		e := el.Value.(*cacheEntry)
 		prev := el.Prev()
-		if strings.HasPrefix(e.key, prefix) && (keep == nil || !keep(e.key)) {
+		if e.id.data == data && !(keepBases && e.id.seq == 0) {
 			if e.refs == 0 {
 				c.removeLocked(e)
 				n++

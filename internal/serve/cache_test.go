@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/obs"
 )
@@ -42,7 +43,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			g, release, err := c.get("k", load)
+			g, release, err := c.get(graphID{data: "k"}, load)
 			if err != nil {
 				t.Errorf("get: %v", err)
 				return
@@ -70,31 +71,31 @@ func TestCacheSingleflight(t *testing.T) {
 func TestCacheLRUEviction(t *testing.T) {
 	g := testGraph(16)
 	per := g.TopologyBytes()
-	var evicted []string
+	var evicted []gen.Dataset
 	// Budget fits two graphs but not three.
-	c := newGraphCache(2*per+per/2, func(key string, bytes int64) {
-		evicted = append(evicted, key)
+	c := newGraphCache(2*per+per/2, func(id graphID, bytes int64) {
+		evicted = append(evicted, id.data)
 		if bytes != per {
-			t.Errorf("evicted %q with %d bytes, want %d", key, bytes, per)
+			t.Errorf("evicted %+v with %d bytes, want %d", id, bytes, per)
 		}
 	})
 	load := func() (*graph.Graph, error) { return testGraph(16), nil }
 
-	for _, k := range []string{"a", "b"} {
-		_, release, err := c.get(k, load)
+	for _, k := range []gen.Dataset{"a", "b"} {
+		_, release, err := c.get(graphID{data: k}, load)
 		if err != nil {
 			t.Fatal(err)
 		}
 		release()
 	}
 	// Touch "a" so "b" becomes least recently used.
-	_, release, err := c.get("a", load)
+	_, release, err := c.get(graphID{data: "a"}, load)
 	if err != nil {
 		t.Fatal(err)
 	}
 	release()
 
-	if _, release, err = c.get("c", load); err != nil {
+	if _, release, err = c.get(graphID{data: "c"}, load); err != nil {
 		t.Fatal(err)
 	}
 	release()
@@ -111,7 +112,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	// "a" survived; re-getting it is a hit, "b" reloads.
 	before := st.Misses
-	_, release, _ = c.get("a", load)
+	_, release, _ = c.get(graphID{data: "a"}, load)
 	release()
 	if c.stats().Misses != before {
 		t.Error("touching surviving entry reloaded it")
@@ -124,12 +125,12 @@ func TestCachePinnedNeverEvicted(t *testing.T) {
 	c := newGraphCache(per, nil) // budget: one graph
 	load := func() (*graph.Graph, error) { return testGraph(16), nil }
 
-	gA, releaseA, err := c.get("a", load)
+	gA, releaseA, err := c.get(graphID{data: "a"}, load)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// "a" is pinned; loading "b" overflows the budget but must not evict it.
-	_, releaseB, err := c.get("b", load)
+	_, releaseB, err := c.get(graphID{data: "b"}, load)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +138,14 @@ func TestCachePinnedNeverEvicted(t *testing.T) {
 	if c.stats().Entries == 0 {
 		t.Fatal("cache emptied itself")
 	}
-	if gACheck, release, _ := c.get("a", load); gACheck != gA {
+	if gACheck, release, _ := c.get(graphID{data: "a"}, load); gACheck != gA {
 		t.Fatal("pinned graph was evicted and reloaded")
 	} else {
 		release()
 	}
 	releaseA()
 	// With the pin gone, the cache can shrink back under budget.
-	_, release, _ := c.get("b", load)
+	_, release, _ := c.get(graphID{data: "b"}, load)
 	release()
 	if st := c.stats(); st.Bytes > per {
 		t.Errorf("cache stayed over budget after release: %d > %d", st.Bytes, per)
@@ -160,11 +161,11 @@ func TestCacheFailedLoadNotCached(t *testing.T) {
 	c := newGraphCache(0, nil)
 	boom := errors.New("dataset unavailable")
 	calls := 0
-	_, _, err := c.get("k", func() (*graph.Graph, error) { calls++; return nil, boom })
+	_, _, err := c.get(graphID{data: "k"}, func() (*graph.Graph, error) { calls++; return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
-	g, release, err := c.get("k", func() (*graph.Graph, error) { calls++; return testGraph(4), nil })
+	g, release, err := c.get(graphID{data: "k"}, func() (*graph.Graph, error) { calls++; return testGraph(4), nil })
 	if err != nil || g == nil {
 		t.Fatalf("retry failed: %v", err)
 	}
@@ -237,12 +238,12 @@ func TestServeEvictionCounter(t *testing.T) {
 	roomy := NewServer(Config{Workers: 1, QueueDepth: 4})
 	defer roomy.Shutdown(context.Background())
 	load := func() (*graph.Graph, error) { return testGraph(16), nil }
-	_, release, err := roomy.cache.get("powerlaw|0|m1", load)
+	_, release, err := roomy.cache.get(graphID{data: "powerlaw", seq: 1}, load)
 	if err != nil {
 		t.Fatal(err)
 	}
 	release()
-	_, releasePinned, err := roomy.cache.get("powerlaw|0|m2", load)
+	_, releasePinned, err := roomy.cache.get(graphID{data: "powerlaw", seq: 2}, load)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 // answer routes one validated request through the cheapest path that can
 // satisfy it: the versioned result cache, then a run — shared when one
-// for its key is open (or opened here), private for fault-carrying
+// for its identity is open (or opened here), private for fault-carrying
 // requests or with sharing off. Cluster requests hedge instead.
 func (s *Server) answer(v *resolved, clientCtx context.Context) (outcome, bool, error) {
 	// A draining server refuses everything up front — even requests the
@@ -94,18 +94,20 @@ func (s *Server) answer(v *resolved, clientCtx context.Context) (outcome, bool, 
 	}
 	// Auto engine/placement resolve before anything keys on them: the
 	// result cache and the run registry must both see the concrete pick so
-	// planned and explicit spellings of the same run collide.
+	// planned and explicit spellings of the same run share an identity.
 	if err := s.planFor(v); err != nil {
 		return outcome{}, false, err
 	}
 	if v.reusable() {
-		v.ver = s.results.version(string(v.data))
+		v.ver = s.results.version(v.data)
 		if resp, ok := s.results.get(v); ok {
 			// A hit is a completed request that cost nothing: it is
 			// accounted both ways.
 			s.counters.ResultHits.Add(1)
 			s.counters.Completed.Add(1)
-			s.cfg.Tracer.HostInstant("serve", "result-hit", obs.PidServe, obs.NowMicros(), -1, v.key())
+			if tr := s.cfg.Tracer; tr != nil {
+				tr.HostInstant("serve", "result-hit", obs.PidServe, obs.NowMicros(), -1, fmt.Sprintf("%+v", v.id(v.src)))
+			}
 			resp.ID = s.ids.Add(1)
 			resp.Cached = true
 			resp.Breaker = string(s.breakers[v.sys].State())

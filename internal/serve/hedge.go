@@ -78,7 +78,7 @@ func (h *hedgeTracker) delay() time.Duration {
 // surviving leg still gets its chance before the failure is reported.
 func (s *Server) hedged(v *resolved, clientCtx context.Context) (outcome, bool, error) {
 	start := time.Now()
-	prim, shed, err := s.submit(v, "", clientCtx)
+	prim, shed, err := s.submit(v, runKey{}, clientCtx)
 	if err != nil {
 		return outcome{}, shed, err
 	}
@@ -107,7 +107,7 @@ func (s *Server) hedged(v *resolved, clientCtx context.Context) (outcome, bool, 
 	// still running and will answer alone.
 	hv := *v
 	hv.hedge = true
-	hedge, _, err := s.submit(&hv, "", clientCtx)
+	hedge, _, err := s.submit(&hv, runKey{}, clientCtx)
 	if err != nil {
 		return primary()
 	}

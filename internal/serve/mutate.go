@@ -157,7 +157,7 @@ func (s *Server) submitMutation(m *mutation, clientCtx context.Context) (*task, 
 		ctx:      ctx,
 		cancel:   cancel,
 		admitted: obs.NowMicros(),
-		run:      newRun("", nil, cancel),
+		run:      newRun(runKey{}, nil, cancel),
 	}
 	if shed, err := s.enqueue(t); err != nil {
 		cancel()
@@ -185,9 +185,11 @@ func (s *Server) executeMutate(t *task) {
 	}
 	finish := func(kind resKind, status int, out Response) {
 		out.WallMs = float64(time.Since(start).Microseconds()) / 1000
-		tr.Span("serve", "request", obs.PidServe, startMicros, obs.NowMicros()-startMicros, -1, out.ID,
-			fmt.Sprintf("mutate %s/%s ops=%d seq=%d gen=%d status=%d err=%s",
-				out.Graph, out.Scale, len(m.ops), out.Seq, out.Generation, status, out.Error))
+		if tr != nil {
+			tr.Span("serve", "request", obs.PidServe, startMicros, obs.NowMicros()-startMicros, -1, out.ID,
+				fmt.Sprintf("mutate %s/%s ops=%d seq=%d gen=%d status=%d err=%s",
+					out.Graph, out.Scale, len(m.ops), out.Seq, out.Generation, status, out.Error))
+		}
 		s.log.LogAttrs(context.Background(), slog.LevelInfo, "mutation",
 			slog.Int64("id", out.ID),
 			slog.String("graph", out.Graph),
@@ -223,11 +225,11 @@ func (s *Server) executeMutate(t *task) {
 	// into the new generation's cache. The generated bases are not
 	// retired: no commit changes them, and the next snapshot is derived
 	// from this scale's.
-	ver, purged := s.invalidate(string(m.data), func(key string) bool {
-		return strings.HasSuffix(key, baseKeySuffix)
-	})
-	tr.HostInstant("serve", "commit", obs.PidServe, obs.NowMicros(), -1,
-		fmt.Sprintf("%s@%d seq=%d gen=%d (%d purged)", m.data, m.scale, seq, ver, purged))
+	ver, purged := s.invalidate(m.data, true)
+	if tr != nil {
+		tr.HostInstant("serve", "commit", obs.PidServe, obs.NowMicros(), -1,
+			fmt.Sprintf("%s@%d seq=%d gen=%d (%d purged)", m.data, m.scale, seq, ver, purged))
+	}
 	resp.Seq = seq
 	resp.Generation = ver
 	finish(kindCompleted, 200, resp)

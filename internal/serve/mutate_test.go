@@ -319,10 +319,10 @@ func TestCommitRetiresSnapshotsNotTheBase(t *testing.T) {
 	unweighted := mustResolve(t, `{"algo":"pr","system":"polymer","graph":"powerlaw"}`)
 	weighted := mustResolve(t, `{"algo":"sssp","system":"polymer","graph":"powerlaw"}`)
 	otherScale := mustResolve(t, `{"algo":"pr","system":"polymer","graph":"powerlaw","scale":"small"}`)
-	resident := func(key string) (ok, doomed bool) {
+	resident := func(id graphID) (ok, doomed bool) {
 		srv.cache.mu.Lock()
 		defer srv.cache.mu.Unlock()
-		e, ok := srv.cache.entries[key]
+		e, ok := srv.cache.entries[id]
 		return ok, ok && e.doomed
 	}
 
@@ -348,7 +348,7 @@ func TestCommitRetiresSnapshotsNotTheBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	releaseOther()
-	base := baseKey(unweighted.data, unweighted.scale)
+	base := graphID{data: unweighted.data, scale: unweighted.scale}
 
 	const commits = 3
 	for i := 1; i <= commits; i++ {
@@ -386,7 +386,7 @@ func TestCommitRetiresSnapshotsNotTheBase(t *testing.T) {
 		t.Fatalf("graph cache %+v, want %d misses (each scale's base once, a snapshot per commit), %d hits, "+
 			"base + newest snapshot + the other scale's base resident", cs, 2+commits, 1+2*commits)
 	}
-	if ok, _ := resident(baseKey(otherScale.data, otherScale.scale)); !ok {
+	if ok, _ := resident(graphID{data: otherScale.data, scale: otherScale.scale}); !ok {
 		t.Fatal("a commit at one scale retired another scale's base")
 	}
 	if ms := store.Stats(); ms.Folded != 1 || ms.Patched != commits-1 {
@@ -562,7 +562,7 @@ func TestCommitSplitsInFlightCoalescedRead(t *testing.T) {
 	// A reader samples generation 0 and opens a shared run; its task
 	// sits in the queue — the read is in flight when the commit lands.
 	stale := mustResolve(t, body)
-	stale.ver = srv.results.version(string(stale.data))
+	stale.ver = srv.results.version(stale.data)
 	staleOut := make(chan outcome, 1)
 	go func() {
 		out, _ := share(srv, stale, context.Background())
@@ -594,7 +594,7 @@ func TestCommitSplitsInFlightCoalescedRead(t *testing.T) {
 	// A post-commit reader samples the new generation and must open its
 	// own run rather than ride the stale one.
 	fresh := mustResolve(t, body)
-	fresh.ver = srv.results.version(string(fresh.data))
+	fresh.ver = srv.results.version(fresh.data)
 	if fresh.ver != 1 {
 		t.Fatalf("fresh generation %d, want 1", fresh.ver)
 	}

@@ -15,6 +15,7 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
 
 	"polymer/internal/bench"
 	"polymer/internal/gen"
@@ -166,8 +167,10 @@ func (s *Server) profileFor(v *resolved) (plan.Features, error) {
 	f := plan.Profile(g)
 	release()
 	s.lineage.profilesComputed.Add(1)
-	s.cfg.Tracer.Span("serve", "profile", obs.PidPlan, start, obs.NowMicros()-start, -1, 0,
-		fmt.Sprintf("%s/%d m%d: %s", v.data, v.scale, seq, f))
+	if tr := s.cfg.Tracer; tr != nil {
+		tr.Span("serve", "profile", obs.PidPlan, start, obs.NowMicros()-start, -1, 0,
+			fmt.Sprintf("%s/%d m%d: %s", v.data, v.scale, seq, f))
+	}
 	s.profMu.Lock()
 	old, had := s.profiles[k]
 	retire := false
@@ -258,8 +261,10 @@ func (s *Server) observePlan(v *resolved, lease *plan.Lease, simSeconds float64)
 		return
 	}
 	s.plannerFor(v).Observe(v.planned, simSeconds)
-	s.cfg.Tracer.HostInstant("serve", "plan-observe", obs.PidPlan, obs.NowMicros(), -1,
-		fmt.Sprintf("%s predicted=%.3gs observed=%.3gs", v.planned.Pick, v.planned.Raw, simSeconds))
+	if tr := s.cfg.Tracer; tr != nil {
+		tr.HostInstant("serve", "plan-observe", obs.PidPlan, obs.NowMicros(), -1,
+			fmt.Sprintf("%s predicted=%.3gs observed=%.3gs", v.planned.Pick, v.planned.Raw, simSeconds))
+	}
 }
 
 // plannerStats snapshots every live planner for /metricsz, keyed by
@@ -272,7 +277,7 @@ func (s *Server) plannerStats() map[string]plan.Stats {
 	}
 	out := make(map[string]plan.Stats, len(s.planners))
 	for k, p := range s.planners {
-		out[fmt.Sprintf("%s/x%d", k.mach, k.cores)] = p.Snapshot()
+		out[k.mach+"/x"+strconv.Itoa(k.cores)] = p.Snapshot()
 	}
 	return out
 }

@@ -252,7 +252,7 @@ func resolve(req Request) (*resolved, error) {
 	v.src = graph.Vertex(req.Src)
 	if !v.batchable() {
 		// src is dead weight for pr/spmv/bp: normalize it to 0 here so the
-		// reuse key, execute's source bounds check and the cached result
+		// run identity, execute's source bounds check and the cached result
 		// all see the same request no matter what the client sent. Without
 		// this, an out-of-range src on a pr request would 400 on a direct
 		// run but could 200 via a cache or coalesce hit (and vice versa).
@@ -290,7 +290,7 @@ func resolve(req Request) (*resolved, error) {
 			return nil, badReq("replicas %d out of range [0,%d]", req.Replicas, req.Machines)
 		}
 		// Normalize the cluster default here so identical requests
-		// collide on one reuse key regardless of spelling.
+		// share one run identity regardless of spelling.
 		v.machines, v.replicas = req.Machines, cluster.ReplicasFor(req.Machines, req.Replicas)
 	}
 	if req.DramBytes < 0 {
@@ -351,88 +351,81 @@ func resolve(req Request) (*resolved, error) {
 // clustered reports whether the request runs on the cluster substrate.
 func (v *resolved) clustered() bool { return v.machines > 0 }
 
-// effPlacement is the data placement the execution will actually use:
-// the explicit (or planner-chosen) layout when one was set, else the
-// engine's native default. Keys use it so an auto-planned run and an
-// explicitly-configured identical run collide on one result-cache entry.
-func (v *resolved) effPlacement() mem.Placement {
+// runID is the canonical identity of a run: engine, algorithm, dataset,
+// scale, effective placement, machine and its nodes x cores, tier
+// config and cluster shape, plus the traversal source for point queries.
+// resolve already normalized aliases ("x-stream", mixed case),
+// default-filled scale/machine/sockets/cores, zeroed src for
+// non-traversals and the cluster's default replica count, and planFor
+// resolved auto engine/placement to concrete picks, so semantically
+// identical requests share one identity no matter how they were spelled.
+// The zero tier config is untiered and zero machines single-machine.
+// QoS knobs (budget, retries, restarts) don't affect the computed result
+// and stay out of it; fault-carrying requests are never keyed (see
+// reusable). Cluster runs key per shape: their committed output is
+// bit-identical for any shape, but SimSeconds/NetBytes are not.
+type runID struct {
+	sys          bench.System
+	alg          bench.Algo
+	data         gen.Dataset
+	scale        gen.Scale
+	place        mem.Placement
+	mach         string
+	nodes, cores int
+	tier         numa.TierConfig
+	machines     int
+	replicas     int
+	src          graph.Vertex
+	// group marks a run group's identity: src is wildcarded, and the
+	// requests that share it differ only in their source, so one
+	// multi-source sweep can answer them all.
+	group bool
+}
+
+// id is the identity of the request's run from src. The placement is
+// the one the execution will actually use — the explicit (or
+// planner-chosen) layout when one was set, else the engine's native
+// default — so an auto-planned run and an explicitly configured
+// identical run share one result-cache entry. execute caches each
+// source of a multi-source run under the identity the equivalent
+// single-source request looks up.
+func (v *resolved) id(src graph.Vertex) runID {
+	place := mem.Interleaved
 	if v.sys == bench.Polymer {
+		place = mem.CoLocated
 		if v.layoutSet {
-			return v.layout
+			place = v.layout
 		}
-		return mem.CoLocated
 	}
-	return mem.Interleaved
+	return runID{
+		sys: v.sys, alg: v.alg, data: v.data, scale: v.scale, place: place,
+		mach: v.mach, nodes: v.nodes, cores: v.cores, tier: v.tier,
+		machines: v.machines, replicas: v.replicas, src: src,
+	}
 }
 
-// key is the canonical execution identity of a request: engine,
-// algorithm, dataset, scale, placement and machine shape, plus the
-// traversal source for point queries. resolve already normalized aliases
-// ("x-stream", mixed case), default-filled scale/machine/sockets/cores
-// and zeroed src for non-traversals, and planFor resolved auto
-// engine/placement to concrete picks, so semantically identical requests
-// collide on one key no matter how they were spelled. QoS knobs (budget,
-// retries, restarts) don't affect the computed result and stay out of
-// the key; fault-carrying requests are never keyed (see reusable).
-func (v *resolved) key() string { return v.keyFor(v.src) }
-
-// keyFor is key with an explicit source: execute caches each source's
-// result of a multi-source run under the key the equivalent
-// single-source request would look up.
-func (v *resolved) keyFor(src graph.Vertex) string {
-	k := fmt.Sprintf("%s|%s|%s|%d|%s|%s|%dx%d|%d",
-		v.sys, v.alg, v.data, v.scale, v.effPlacement(), v.mach, v.nodes, v.cores, src)
-	if v.tier.Tiered() {
-		// Appended only when armed, so every untiered key (the entire
-		// pre-tiering key population) is byte-identical to before.
-		k += fmt.Sprintf("|t:%s:%d:%d", v.tier.Policy, v.tier.DRAMPerNode, v.tier.PromoteEvery)
-	}
-	if v.clustered() {
-		// The committed output is bit-identical for any cluster shape, but
-		// SimSeconds/NetBytes are not: cluster requests key separately per
-		// shape so cached timings stay honest.
-		k += fmt.Sprintf("|c%d|r%d", v.machines, v.replicas)
-	}
-	return k
-}
-
-// groupKey is key with the source slot wildcarded: requests that agree on
-// it differ only in src and can share one multi-source sweep.
-func (v *resolved) groupKey() string {
-	return fmt.Sprintf("%s|%s|%s|%d|%s|%s|%dx%d|*",
-		v.sys, v.alg, v.data, v.scale, v.effPlacement(), v.mach, v.nodes, v.cores)
+// groupID is the request's identity with the source wildcarded.
+func (v *resolved) groupID() runID {
+	id := v.id(0)
+	id.group = true
+	return id
 }
 
 // reusable reports whether the request's result is a pure function of
-// its key: fault-injected (chaos) runs are intentionally nondeterministic
-// in accounting and must never be coalesced, batched or cached.
+// its identity: fault-injected (chaos) runs are intentionally
+// nondeterministic in accounting and must never be coalesced, batched or
+// cached.
 func (v *resolved) reusable() bool {
 	return v.req.Fault == "" && v.req.FaultSeed == 0
 }
 
 // batchable reports whether the request is a traversal point query that
 // a multi-source sweep can absorb. Cluster runs never batch: the sweep
-// engines are single-machine. Non-native placements don't batch either —
-// the fused sweep always runs the engine's native layout, and caching
-// its timings under a different placement's key would lie.
+// engines are single-machine. A fused sweep is the same run as a solo
+// one, with the same tiered machines and layout, so tier and placement
+// only split groups (they are part of the group identity).
 func (v *resolved) batchable() bool {
-	if v.alg != bench.BFS && v.alg != bench.SSSP || v.clustered() {
-		return false
-	}
-	// Tiered runs stay solo: the fused sweep's machines are untiered, so
-	// caching its timings under a tiered key would lie about slow-tier
-	// stalls.
-	if v.tier.Tiered() {
-		return false
-	}
-	if v.layoutSet {
-		native := mem.Interleaved
-		if v.sys == bench.Polymer {
-			native = mem.CoLocated
-		}
-		return v.layout == native
-	}
-	return true
+	return (v.alg == bench.BFS || v.alg == bench.SSSP) && !v.clustered()
 }
 
 // armTier applies the request's tiered-memory config to a freshly built

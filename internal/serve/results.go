@@ -1,5 +1,5 @@
 // The versioned result cache: full-fidelity responses keyed by the
-// request's canonical identity (request.go's key()), each stamped with the
+// request's run identity (request.go's runID), each stamped with the
 // dataset's cache generation it was computed under. InvalidateGraph bumps
 // the generation, so results computed against a stale snapshot can never
 // be served again — even if the run that computed them is still in flight
@@ -14,7 +14,7 @@
 // With a mutation store, a BFS or SSSP entry also keeps its typed answer
 // and the snapshot sequence its run read. A commit turns such entries
 // into priors instead of dropping them: a prior is never served, but the
-// next miss of its key repairs it into the new snapshot's answer (a warm
+// next miss of its identity repairs it into the new snapshot's answer (a warm
 // run, attempt.go). A dataset refresh (InvalidateGraph) drops priors with
 // everything else.
 
@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"polymer/internal/bench"
+	"polymer/internal/gen"
 	"polymer/internal/obs"
 )
 
@@ -33,11 +34,10 @@ import (
 // strings + retained answer) used for budget accounting, not a precise
 // heap measure.
 type resultEntry struct {
-	key  string
-	data string // dataset name, for invalidation purges
-	ver  uint64 // the generation it was computed under
+	id  runID
+	ver uint64 // the generation it was computed under
 	// prior marks an entry a commit retired: never a hit, but out (from
-	// snapshot seq) may seed a warm run of key.
+	// snapshot seq) may seed a warm run of id.
 	prior bool
 	bytes int64
 	resp  Response
@@ -46,43 +46,38 @@ type resultEntry struct {
 	elem  *list.Element
 }
 
-// resultCache is a memory-budgeted LRU over canonical request keys.
+// resultCache is a memory-budgeted LRU over run identities.
 // budget < 0 disables the cache entirely (every get misses silently,
 // every put is a no-op); budget == 0 is decided by Config.withDefaults.
 type resultCache struct {
 	mu       sync.Mutex
 	disabled bool
 	budget   int64
-	entries  map[string]*resultEntry
+	entries  map[runID]*resultEntry
 	lru      *list.List // front = most recently used
 	bytes    int64
 	hits     int64
 	misses   int64
 	evicted  int64
-	versions map[string]uint64 // dataset -> current generation
+	versions map[gen.Dataset]uint64 // current generation
 }
 
 func newResultCache(budget int64) *resultCache {
 	return &resultCache{
 		disabled: budget < 0,
 		budget:   budget,
-		entries:  make(map[string]*resultEntry),
+		entries:  make(map[runID]*resultEntry),
 		lru:      list.New(),
-		versions: make(map[string]uint64),
+		versions: make(map[gen.Dataset]uint64),
 	}
 }
 
 // version returns the dataset's current generation. Requests sample it
 // once, before their cache lookup, and carry it for the life of the run.
-func (c *resultCache) version(data string) uint64 {
+func (c *resultCache) version(data gen.Dataset) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.versions[data]
-}
-
-// verKey qualifies a key with a generation: the identity of a shared run.
-func verKey(ver uint64, key string) string {
-	return fmt.Sprintf("g%d|%s", ver, key)
 }
 
 // get looks the request up under its sampled generation.
@@ -90,10 +85,10 @@ func (c *resultCache) get(v *resolved) (Response, bool) {
 	if c.disabled {
 		return Response{}, false
 	}
-	k := v.key()
+	id := v.id(v.src)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[k]
+	e, ok := c.entries[id]
 	if !ok || e.prior || e.ver != v.ver {
 		c.misses++
 		return Response{}, false
@@ -103,9 +98,9 @@ func (c *resultCache) get(v *resolved) (Response, bool) {
 	return e.resp, true
 }
 
-// put stores one full-fidelity response under an explicit canonical key
-// (a multi-source sweep inserts per-source entries whose keys differ
-// only in the source slot), with the typed answer out when the caller
+// put stores one full-fidelity response under an explicit identity (a
+// multi-source sweep inserts per-source entries whose identities differ
+// only in the source), with the typed answer out when the caller
 // retains it (F64 or I64; the zero Output otherwise) and the sequence
 // number of the snapshot it was computed on. Per-request provenance is
 // stripped so a hit replays only the deterministic payload; BatchSize and
@@ -114,8 +109,8 @@ func (c *resultCache) get(v *resolved) (Response, bool) {
 // Attempts), which for a batched insert describes the fused sweep rather
 // than a solo run, and for a warm one the repair. Inserts against a stale
 // generation are dropped — the invalidation already won. An insert
-// replaces a prior under its key.
-func (c *resultCache) put(v *resolved, key string, resp Response, out bench.Output, seq uint64) {
+// replaces a prior under its identity.
+func (c *resultCache) put(v *resolved, id runID, resp Response, out bench.Output, seq uint64) {
 	if c.disabled {
 		return
 	}
@@ -129,26 +124,25 @@ func (c *resultCache) put(v *resolved, key string, resp Response, out bench.Outp
 	resp.Plan = nil
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if v.ver != c.versions[string(v.data)] {
+	if v.ver != c.versions[v.data] {
 		return
 	}
-	if old, ok := c.entries[key]; ok {
+	if old, ok := c.entries[id]; ok {
 		if !old.prior {
 			return // first writer wins; a racing writer computed the same bits
 		}
 		c.removeLocked(old)
 	}
 	e := &resultEntry{
-		key:   key,
-		data:  string(v.data),
+		id:    id,
 		ver:   v.ver,
-		bytes: int64(len(key)+len(resp.System)+len(resp.Algo)+len(resp.Graph)+len(resp.Scale)+8*(len(out.F64)+len(out.I64))) + 160,
+		bytes: int64(len(resp.System)+len(resp.Algo)+len(resp.Graph)+len(resp.Scale)+8*(len(out.F64)+len(out.I64))) + 160,
 		resp:  resp,
 		out:   out,
 		seq:   seq,
 	}
 	e.elem = c.lru.PushFront(e)
-	c.entries[key] = e
+	c.entries[id] = e
 	c.bytes += e.bytes
 	for c.budget > 0 && c.bytes > c.budget {
 		el := c.lru.Back()
@@ -160,12 +154,12 @@ func (c *resultCache) put(v *resolved, key string, resp Response, out bench.Outp
 	}
 }
 
-// prior returns the answer retained under key and the sequence number of
+// prior returns the answer retained under id and the sequence number of
 // the snapshot it was computed on.
-func (c *resultCache) prior(key string) (bench.Output, uint64, bool) {
+func (c *resultCache) prior(id runID) (bench.Output, uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
+	e, ok := c.entries[id]
 	if !ok || !e.retained() {
 		return bench.Output{}, 0, false
 	}
@@ -177,7 +171,7 @@ func (e *resultEntry) retained() bool { return e.out.F64 != nil || e.out.I64 != 
 
 func (c *resultCache) removeLocked(e *resultEntry) {
 	c.lru.Remove(e.elem)
-	delete(c.entries, e.key)
+	delete(c.entries, e.id)
 	c.bytes -= e.bytes
 }
 
@@ -185,7 +179,7 @@ func (c *resultCache) removeLocked(e *resultEntry) {
 // entries: a commit (keepPriors) keeps those with a retained answer as
 // priors and drops the rest, a refresh drops them all. It returns the new
 // generation and the count of entries no longer servable.
-func (c *resultCache) invalidate(data string, keepPriors bool) (uint64, int) {
+func (c *resultCache) invalidate(data gen.Dataset, keepPriors bool) (uint64, int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.versions[data]++
@@ -193,7 +187,7 @@ func (c *resultCache) invalidate(data string, keepPriors bool) (uint64, int) {
 	for el := c.lru.Back(); el != nil; {
 		e := el.Value.(*resultEntry)
 		prev := el.Prev()
-		if e.data == data {
+		if e.id.data == data {
 			if !e.prior {
 				n++
 			}
@@ -230,16 +224,19 @@ func (c *resultCache) stats() cacheStats {
 // the new generation and how many cached results plus resident graphs
 // were purged.
 func (s *Server) InvalidateGraph(id string) (version uint64, purged int) {
-	return s.invalidate(id, nil)
+	return s.invalidate(gen.Dataset(id), false)
 }
 
-// invalidate is InvalidateGraph, or with keep a commit's retirement: the
-// same generation bump, but the graph-cache entries keep names stay, and
-// so do the results that can seed a warm run, as priors.
-func (s *Server) invalidate(id string, keep func(key string) bool) (version uint64, purged int) {
-	version, purged = s.results.invalidate(id, keep != nil)
-	purged += s.cache.invalidate(id, keep)
-	s.cfg.Tracer.HostInstant("serve", "invalidate", obs.PidServe, obs.NowMicros(), -1,
-		fmt.Sprintf("%s -> generation %d (%d purged)", id, version, purged))
+// invalidate is InvalidateGraph, or with commit a commit's retirement:
+// the same generation bump, but the generated bases stay in the graph
+// cache (no commit changes them), and so do the results that can seed a
+// warm run, as priors.
+func (s *Server) invalidate(data gen.Dataset, commit bool) (version uint64, purged int) {
+	version, purged = s.results.invalidate(data, commit)
+	purged += s.cache.invalidate(data, commit)
+	if tr := s.cfg.Tracer; tr != nil {
+		tr.HostInstant("serve", "invalidate", obs.PidServe, obs.NowMicros(), -1,
+			fmt.Sprintf("%s -> generation %d (%d purged)", data, version, purged))
+	}
 	return version, purged
 }

@@ -30,9 +30,12 @@ func mustResolve(t *testing.T, body string) *resolved {
 	return v
 }
 
+// ownID is the identity of the request's own run.
+func ownID(v *resolved) runID { return v.id(v.src) }
+
 func TestCanonicalKeyEquivalence(t *testing.T) {
 	// Default-filled and explicit spellings of the same request must
-	// collide on one key; QoS knobs must not split it.
+	// share one identity; QoS knobs must not split it.
 	variants := []string{
 		`{"algo":"pr","system":"polymer","graph":"powerlaw"}`,
 		`{"algo":"PR","system":"Polymer","graph":"powerlaw","scale":"tiny"}`,
@@ -40,13 +43,13 @@ func TestCanonicalKeyEquivalence(t *testing.T) {
 		`{"algo":"pr","system":"polymer","graph":"powerlaw","budget_ms":5000,"retries":3,"restarts":2}`,
 		`{"algo":"pr","system":"polymer","graph":"powerlaw","src":42}`, // src is dead weight for pr
 	}
-	want := mustResolve(t, variants[0]).key()
+	want := ownID(mustResolve(t, variants[0]))
 	for _, body := range variants[1:] {
-		if got := mustResolve(t, body).key(); got != want {
-			t.Fatalf("key(%s) = %q, want %q", body, got, want)
+		if got := ownID(mustResolve(t, body)); got != want {
+			t.Fatalf("id(%s) = %+v, want %+v", body, got, want)
 		}
 	}
-	// Things that change the computation must change the key.
+	// Things that change the computation must change the identity.
 	for _, body := range []string{
 		`{"algo":"pr","system":"ligra","graph":"powerlaw"}`,
 		`{"algo":"spmv","system":"polymer","graph":"powerlaw"}`,
@@ -55,25 +58,25 @@ func TestCanonicalKeyEquivalence(t *testing.T) {
 		`{"algo":"pr","system":"polymer","graph":"powerlaw","machine":"amd"}`,
 		`{"algo":"pr","system":"polymer","graph":"powerlaw","sockets":2}`,
 	} {
-		if got := mustResolve(t, body).key(); got == want {
-			t.Fatalf("key(%s) collided with %q", body, want)
+		if got := ownID(mustResolve(t, body)); got == want {
+			t.Fatalf("id(%s) collided with %+v", body, want)
 		}
 	}
-	// For traversals the source is live in key() but wildcarded in
-	// groupKey(): different sources, one group.
+	// For traversals the source is live in the identity but wildcarded
+	// in the group's: different sources, one group.
 	a := mustResolve(t, `{"algo":"bfs","system":"ligra","graph":"powerlaw","src":3}`)
 	b := mustResolve(t, `{"algo":"bfs","system":"ligra","graph":"powerlaw","src":7}`)
-	if a.key() == b.key() {
-		t.Fatal("bfs keys ignore src")
+	if ownID(a) == ownID(b) {
+		t.Fatal("bfs identities ignore src")
 	}
-	if a.groupKey() != b.groupKey() {
-		t.Fatalf("groupKey split traversal shapes: %q vs %q", a.groupKey(), b.groupKey())
+	if a.groupID() != b.groupID() {
+		t.Fatalf("groupID split traversal shapes: %+v vs %+v", a.groupID(), b.groupID())
 	}
 	// sssp is a servable algorithm now, and weighted runs must not share
-	// keys with bfs.
+	// identities with bfs.
 	c := mustResolve(t, `{"algo":"sssp","system":"ligra","graph":"powerlaw","src":3}`)
-	if c.key() == a.key() {
-		t.Fatal("sssp and bfs share a key")
+	if ownID(c) == ownID(a) {
+		t.Fatal("sssp and bfs share an identity")
 	}
 	// Fault-carrying requests never reuse.
 	if mustResolve(t, `{"algo":"pr","system":"polymer","graph":"powerlaw","fault":"panic@1:t1"}`).reusable() {
@@ -89,8 +92,8 @@ func TestCanonicalKeyEquivalence(t *testing.T) {
 
 // FuzzCanonicalKey asserts the canonicalizer is a pure function of the
 // resolved request: re-resolving the same wire request reproduces the
-// same key, the group key is the key with the source slot wildcarded,
-// and keys never collide across algorithms or engines.
+// same identity, and the group identity is the identity with its source
+// wildcarded — tier and cluster shape included.
 func FuzzCanonicalKey(f *testing.F) {
 	f.Add(`{"algo":"pr","system":"polymer","graph":"powerlaw"}`)
 	f.Add(`{"algo":"bfs","system":"ligra","graph":"powerlaw","src":3}`)
@@ -100,6 +103,8 @@ func FuzzCanonicalKey(f *testing.F) {
 	f.Add(`{"algo":"spmv","system":"polymer","graph":"rmat27","scale":"small","machine":"amd"}`)
 	f.Add(`{"algo":"bp","system":"ligra","graph":"twitter","retries":3}`)
 	f.Add(`{"algo":"bfs","system":"ligra","graph":"powerlaw","src":4294967295}`)
+	f.Add(`{"algo":"bfs","system":"polymer","graph":"powerlaw","src":1,"dram_bytes":100000,"tier":"hot"}`)
+	f.Add(`{"algo":"sssp","system":"polymer","graph":"powerlaw","src":2,"machines":3}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		v, err := DecodeRequest(strings.NewReader(body))
 		if err != nil {
@@ -109,21 +114,18 @@ func FuzzCanonicalKey(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-resolve of accepted request failed: %v", err)
 		}
-		if v.key() != v2.key() || v.groupKey() != v2.groupKey() {
-			t.Fatalf("canonical key unstable: %q vs %q", v.key(), v2.key())
+		if ownID(v) != ownID(v2) || v.groupID() != v2.groupID() {
+			t.Fatalf("canonical identity unstable: %+v vs %+v", ownID(v), ownID(v2))
 		}
-		if v.key() != v.keyFor(v.src) {
-			t.Fatalf("key %q != keyFor(src) %q", v.key(), v.keyFor(v.src))
-		}
-		// groupKey == key with the last |-field replaced by *.
-		ki, gi := strings.LastIndexByte(v.key(), '|'), strings.LastIndexByte(v.groupKey(), '|')
-		if v.key()[:ki] != v.groupKey()[:gi] || v.groupKey()[gi:] != "|*" {
-			t.Fatalf("groupKey %q does not wildcard key %q", v.groupKey(), v.key())
+		wild := ownID(v)
+		wild.src, wild.group = 0, true
+		if v.groupID() != wild {
+			t.Fatalf("groupID %+v does not wildcard id %+v", v.groupID(), ownID(v))
 		}
 		// resolve normalizes src itself for non-traversals, so every
-		// downstream consumer (key, bounds check, cache) agrees.
-		if !v.batchable() && v.src != 0 {
-			t.Fatalf("non-traversal resolved with a live source: %q", v.key())
+		// downstream consumer (identity, bounds check, cache) agrees.
+		if v.alg != bench.BFS && v.alg != bench.SSSP && v.src != 0 {
+			t.Fatalf("non-traversal resolved with a live source: %+v", ownID(v))
 		}
 	})
 }
@@ -134,7 +136,7 @@ func TestResultCacheUnit(t *testing.T) {
 	if _, ok := c.get(v); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.put(v, v.key(), Response{Checksum: 42, WallMs: 9, ID: 7, Breaker: "closed"}, bench.Output{}, 0)
+	c.put(v, ownID(v), Response{Checksum: 42, WallMs: 9, ID: 7, Breaker: "closed"}, bench.Output{}, 0)
 	got, ok := c.get(v)
 	if !ok || got.Checksum != 42 {
 		t.Fatalf("miss after put: %+v ok=%t", got, ok)
@@ -145,7 +147,7 @@ func TestResultCacheUnit(t *testing.T) {
 	// Fill until the budget forces evictions; the oldest key goes first.
 	for src := 2; src < 12; src++ {
 		vi := mustResolve(t, `{"algo":"bfs","system":"ligra","graph":"powerlaw","src":`+itoa(src)+`}`)
-		c.put(vi, vi.key(), Response{Checksum: float64(src)}, bench.Output{}, 0)
+		c.put(vi, ownID(vi), Response{Checksum: float64(src)}, bench.Output{}, 0)
 	}
 	st := c.stats()
 	if st.Evictions == 0 || st.Bytes > 600 {
@@ -168,7 +170,7 @@ func TestResultCacheUnit(t *testing.T) {
 	if _, ok := c.get(vLive); ok {
 		t.Fatal("hit across an invalidation")
 	}
-	c.put(&stale, stale.key(), Response{Checksum: 1}, bench.Output{}, 0) // computed pre-invalidation
+	c.put(&stale, ownID(&stale), Response{Checksum: 1}, bench.Output{}, 0) // computed pre-invalidation
 	fresh := *vLive
 	fresh.ver = c.version("powerlaw")
 	if _, ok := c.get(&fresh); ok {
@@ -176,12 +178,29 @@ func TestResultCacheUnit(t *testing.T) {
 	}
 	// Disabled cache: everything misses, nothing is stored.
 	d := newResultCache(-1)
-	d.put(vLive, vLive.key(), Response{Checksum: 1}, bench.Output{}, 0)
+	d.put(vLive, ownID(vLive), Response{Checksum: 1}, bench.Output{}, 0)
 	if _, ok := d.get(vLive); ok {
 		t.Fatal("disabled cache served a hit")
 	}
 	if st := d.stats(); st.Entries != 0 {
 		t.Fatalf("disabled cache stored entries: %+v", st)
+	}
+}
+
+// TestResultHitAllocsNothing: a result-cache hit of an explicit request
+// on a server without a tracer is a lookup — it formats no key and no
+// trace detail, and allocates nothing.
+func TestResultHitAllocsNothing(t *testing.T) {
+	srv := NewServer(Config{noWorkers: true})
+	v := mustResolve(t, `{"algo":"bfs","system":"ligra","graph":"powerlaw","src":3}`)
+	srv.results.put(v, ownID(v), Response{Checksum: 1}, bench.Output{}, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		if out, _, err := srv.answer(v, nil); err != nil || !out.resp.Cached {
+			t.Fatalf("not a hit: %+v %v", out, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a result-cache hit allocates %v times", allocs)
 	}
 }
 
@@ -452,7 +471,7 @@ func TestBatchDemux(t *testing.T) {
 	// The demultiplexed result must equal an independent single-source
 	// run: execute src 3 through a private run and compare bit-for-bit.
 	v := mustResolve(t, mkBody("3"))
-	r, _, err := srv.submit(v, "", context.Background())
+	r, _, err := srv.submit(v, runKey{}, context.Background())
 	if err != nil {
 		t.Fatalf("private submit: %v", err)
 	}
@@ -485,7 +504,7 @@ func TestBatchDemux(t *testing.T) {
 	}
 	// Per-source results landed in the cache under single-source keys.
 	v3 := mustResolve(t, mkBody("3"))
-	v3.ver = srv.results.version(string(v3.data))
+	v3.ver = srv.results.version(v3.data)
 	if resp, ok := srv.results.get(v3); !ok || resp.Checksum != direct.resp.Checksum {
 		t.Fatalf("batched result not cached per-source: ok=%t %+v", ok, resp)
 	}
@@ -505,7 +524,7 @@ func TestInvalidationSplitsInFlightReuse(t *testing.T) {
 	// A post-invalidation request samples the new generation (as answer()
 	// does) and must open its own run, not ride the stale one.
 	fresh := mustResolve(t, body)
-	fresh.ver = srv.results.version(string(fresh.data))
+	fresh.ver = srv.results.version(fresh.data)
 	go func() { _, _ = share(srv, fresh, context.Background()) }()
 	waitFor(t, "fresh run published", func() bool { return openRuns(srv) == 2 })
 	if got := srv.Counters().Coalesced.Load(); got != 0 {
@@ -518,7 +537,7 @@ func TestInvalidationSplitsInFlightReuse(t *testing.T) {
 	waitFor(t, "stale traversal run open", func() bool { return openRuns(srv) == 3 })
 	srv.InvalidateGraph("rmat24")
 	freshT := mustResolve(t, tBody)
-	freshT.ver = srv.results.version(string(freshT.data))
+	freshT.ver = srv.results.version(freshT.data)
 	go func() { _, _ = share(srv, freshT, context.Background()) }()
 	waitFor(t, "fresh traversal run open", func() bool { return openRuns(srv) == 4 })
 	if got := srv.Counters().Batched.Load(); got != 0 {
@@ -540,7 +559,7 @@ func TestNonTraversalSrcNormalized(t *testing.T) {
 	if v.src != 0 {
 		t.Fatalf("pr src not normalized: %d", v.src)
 	}
-	r, _, err := srv.submit(v, "", context.Background())
+	r, _, err := srv.submit(v, runKey{}, context.Background())
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}

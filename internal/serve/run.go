@@ -1,9 +1,10 @@
 // Serving reuse: every admitted request is answered by a run — one queue
 // slot, one execution, one publish. A fault-free request first tries to
-// join the open run for its generation-qualified key (verKey): any
+// join the open run for its generation-qualified identity (runKey): any
 // request shares slot 0 of an identical run, and a traversal point query
-// (bfs/sssp, keyed with the source wildcarded) may add its source to an
-// open run so k point queries share one fused multi-source sweep. The
+// (bfs/sssp, identified as its group, with the source wildcarded) may
+// add its source to an open run so k point queries share one fused
+// multi-source sweep. The
 // queue wait is the join window for new sources: the worker seals the run
 // when it dequeues it (or when it reaches maxRunSources), and later
 // arrivals whose source it already sweeps still ride it until it
@@ -31,11 +32,19 @@ import (
 // kernels take up to algorithms.MaxMultiSources).
 const maxRunSources = 16
 
+// runKey is the identity of a shared run: a run identity (a group's,
+// for a traversal) qualified by the dataset generation it reads. The
+// zero runKey names no run; a private run has it.
+type runKey struct {
+	ver uint64
+	id  runID
+}
+
 // run is one admitted execution and everything waiting on it. srcs grows
 // only while the run is open and under Server.runMu; outs and tenants are
 // written once, before done is closed, and are immutable afterwards.
 type run struct {
-	key    string    // verKey of a shared run; "" for a private one
+	key    runKey    // zero for a private one
 	v      *resolved // the opener's request: graph, engine, QoS knobs
 	cancel context.CancelFunc
 	srcs   []graph.Vertex // distinct sources, slot order; srcs[0] is the opener's
@@ -48,13 +57,16 @@ type run struct {
 	tenants int
 }
 
-func newRun(key string, v *resolved, cancel context.CancelFunc) *run {
+func newRun(key runKey, v *resolved, cancel context.CancelFunc) *run {
 	r := &run{key: key, v: v, cancel: cancel, refs: 1, done: make(chan struct{})}
 	if v != nil {
 		r.srcs = []graph.Vertex{v.src}
 	}
 	return r
 }
+
+// private reports whether the run is private: nobody can join it.
+func (r *run) private() bool { return r.key == runKey{} }
 
 // slotOf reports src's slot in the run, or -1.
 func (r *run) slotOf(src graph.Vertex) int {
@@ -70,14 +82,13 @@ func (r *run) slotOf(src graph.Vertex) int {
 // shed/err mirror enqueue's contract.
 func (s *Server) join(v *resolved, clientCtx context.Context) (r *run, slot int, shed bool, err error) {
 	if !v.reusable() || v.hedge || s.cfg.DisableSharing {
-		r, shed, err = s.submit(v, "", clientCtx)
+		r, shed, err = s.submit(v, runKey{}, clientCtx)
 		return r, 0, shed, err
 	}
-	key := v.key()
+	key := runKey{ver: v.ver, id: v.id(v.src)}
 	if v.batchable() {
-		key = v.groupKey()
+		key.id = v.groupID()
 	}
-	key = verKey(v.ver, key)
 	s.runMu.Lock()
 	if r = s.runs[key]; r != nil {
 		slot = r.slotOf(v.src)
@@ -90,13 +101,18 @@ func (s *Server) join(v *resolved, clientCtx context.Context) (r *run, slot int,
 		if slot >= 0 {
 			r.refs++
 			s.runMu.Unlock()
+			tr := s.cfg.Tracer
 			if v.batchable() {
 				s.counters.Batched.Add(1)
-				s.cfg.Tracer.HostInstant("serve", "batch-join", obs.PidServe, obs.NowMicros(), -1,
-					fmt.Sprintf("%s src=%d (slot %d)", key, v.src, slot))
+				if tr != nil {
+					tr.HostInstant("serve", "batch-join", obs.PidServe, obs.NowMicros(), -1,
+						fmt.Sprintf("%+v src=%d (slot %d)", key, v.src, slot))
+				}
 			} else {
 				s.counters.Coalesced.Add(1)
-				s.cfg.Tracer.HostInstant("serve", "coalesce", obs.PidServe, obs.NowMicros(), -1, key)
+				if tr != nil {
+					tr.HostInstant("serve", "coalesce", obs.PidServe, obs.NowMicros(), -1, fmt.Sprintf("%+v", key))
+				}
 			}
 			return r, slot, false, nil
 		}
@@ -106,18 +122,18 @@ func (s *Server) join(v *resolved, clientCtx context.Context) (r *run, slot int,
 	return r, 0, shed, err
 }
 
-// submit opens a run for v and enqueues its task. With key "" the run is
-// private: its task context carries v's budget and the client's cancel,
+// submit opens a run for v and enqueues its task. With the zero key the
+// run is private: its task context carries v's budget and the client's cancel,
 // exactly as the deadline starts at admission. Otherwise the run is
 // shared: its context ends only when its last waiter leaves, and it is
 // published under key only after admission succeeded, so nobody can join
 // a run that was shed. If the worker already finished it, or a concurrent
 // opener for the key won the publish race, it stays private in effect:
 // it answers only its own waiter and never clobbers the registered run.
-func (s *Server) submit(v *resolved, key string, clientCtx context.Context) (*run, bool, error) {
+func (s *Server) submit(v *resolved, key runKey, clientCtx context.Context) (*run, bool, error) {
 	var ctx context.Context
 	var cancel context.CancelFunc
-	if key == "" {
+	if key == (runKey{}) {
 		ctx, cancel = s.budgetCtx(v.budget, clientCtx)
 	} else {
 		ctx, cancel = context.WithCancel(s.baseCtx)
@@ -128,7 +144,7 @@ func (s *Server) submit(v *resolved, key string, clientCtx context.Context) (*ru
 		cancel()
 		return nil, shed, err
 	}
-	if key != "" {
+	if !r.private() {
 		s.runMu.Lock()
 		if cur := s.runs[key]; (cur == nil || cur.sealed) && r.outs == nil {
 			s.runs[key] = r
@@ -158,7 +174,7 @@ func (s *Server) budgetCtx(budget time.Duration, clientCtx context.Context) (con
 // opener takes its slot verbatim; a joiner gets its own id, wall time and
 // plan, and a joiner of a non-traversal run is marked coalesced.
 func (s *Server) wait(r *run, slot int, v *resolved, clientCtx context.Context) outcome {
-	if r.key == "" {
+	if r.private() {
 		<-r.done
 		return r.outs[slot]
 	}
@@ -232,7 +248,7 @@ func (s *Server) publish(r *run, outs []outcome, tenants int) {
 	}
 	r.outs, r.tenants = outs, tenants
 	s.runMu.Unlock()
-	if r.key == "" {
+	if r.private() {
 		s.recordKind(outs[0].kind)
 	}
 	close(r.done)

@@ -277,9 +277,9 @@ type Server struct {
 	results *resultCache
 	mut     *mutate.Store
 
-	// runs indexes the open shared runs by verKey (see run.go).
+	// runs indexes the open shared runs (see run.go).
 	runMu sync.Mutex
-	runs  map[string]*run
+	runs  map[runKey]*run
 
 	// planners holds one cost-model planner per machine shape; profiles
 	// caches one feature vector per lineage (see planner.go).
@@ -313,16 +313,18 @@ func NewServer(cfg Config) *Server {
 		cancel:   cancel,
 		breakers: make(map[bench.System]*Breaker),
 		results:  newResultCache(cfg.ResultCacheBytes),
-		runs:     make(map[string]*run),
+		runs:     make(map[runKey]*run),
 		mut:      cfg.Mutations,
 		hedges:   newHedgeTracker(64),
 		planners: make(map[plannerKey]*plan.Planner),
 		profiles: make(map[profileKey]profile),
 	}
-	s.cache = newGraphCache(cfg.GraphCacheBytes, func(key string, bytes int64) {
+	s.cache = newGraphCache(cfg.GraphCacheBytes, func(id graphID, bytes int64) {
 		s.counters.Evicted.Add(1)
-		cfg.Tracer.HostInstant("serve", "evict", obs.PidServe, obs.NowMicros(), -1,
-			fmt.Sprintf("%s (%d bytes)", key, bytes))
+		if tr := cfg.Tracer; tr != nil {
+			tr.HostInstant("serve", "evict", obs.PidServe, obs.NowMicros(), -1,
+				fmt.Sprintf("%s@%d m%d (%d bytes)", id.data, id.scale, id.seq, bytes))
+		}
 	})
 	for _, sys := range bench.Systems() {
 		s.breakers[sys] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now)
@@ -367,12 +369,13 @@ func (s *Server) enqueue(t *task) (shed bool, err error) {
 			return true, errors.New("serve: queue full")
 		}
 		s.counters.Shed.Add(1)
-		label := "mutation"
-		if t.v != nil {
-			label = fmt.Sprintf("%s/%s", t.v.sys, t.v.alg)
+		if tr := s.cfg.Tracer; tr != nil {
+			label := "mutation"
+			if t.v != nil {
+				label = fmt.Sprintf("%s/%s", t.v.sys, t.v.alg)
+			}
+			tr.HostInstant("serve", "shed", obs.PidServe, obs.NowMicros(), -1, "queue full ("+label+")")
 		}
-		s.cfg.Tracer.HostInstant("serve", "shed", obs.PidServe, obs.NowMicros(), -1,
-			"queue full ("+label+")")
 		return true, errors.New("serve: queue full")
 	}
 }
@@ -487,11 +490,12 @@ func (s *Server) execute(t *task) {
 			tenants = t.lease.Tenants()
 		}
 		// Full-fidelity fault-free results feed the versioned cache, each
-		// under the key the equivalent single-source request looks up.
-		// Hedge legs don't: their standby-replica placement skews the
-		// timing fields, and the key carries no hedge bit. Non-default
-		// leases don't either: a run on non-prefix or shared sockets is
-		// not bit-identical to the canonical machine the key names.
+		// under the identity the equivalent single-source request looks
+		// up. Hedge legs don't: their standby-replica placement skews the
+		// timing fields, and the identity carries no hedge bit.
+		// Non-default leases don't either: a run on non-prefix or shared
+		// sockets is not bit-identical to the canonical machine the
+		// identity names.
 		cache := v.reusable() && !v.hedge && (t.lease == nil || t.lease.Default())
 		t.lease.Release()
 		for i := range outs {
@@ -501,16 +505,18 @@ func (s *Server) execute(t *task) {
 			o := &outs[i].resp
 			o.WallMs, o.Breaker = wall, breaker
 			if cache && outs[i].status == 200 && !o.Degraded {
-				s.results.put(v, v.keyFor(srcs[i]), *o, answers[i], seq)
+				s.results.put(v, v.id(srcs[i]), *o, answers[i], seq)
 			}
 		}
 		// Slot 0 is the opener's; joiners stamp their own plan in wait.
 		outs[0].resp.Plan = v.planWith(tenants, outs[0].resp.SimSeconds)
 		out.WallMs, out.Breaker = wall, breaker
-		tr.Span("serve", "request", obs.PidServe, startMicros, obs.NowMicros()-startMicros, -1, t.id,
-			fmt.Sprintf("%s/%s on %s sources=%d status=%d attempts=%d rollbacks=%d restarts=%d degraded=%t warm=%t breaker=%s err=%s",
-				out.Algo, out.Graph, out.System, len(srcs), status, out.Attempts, out.Rollbacks,
-				out.Restarts, out.Degraded, out.Warm, out.Breaker, out.Error))
+		if tr != nil {
+			tr.Span("serve", "request", obs.PidServe, startMicros, obs.NowMicros()-startMicros, -1, t.id,
+				fmt.Sprintf("%s/%s on %s sources=%d status=%d attempts=%d rollbacks=%d restarts=%d degraded=%t warm=%t breaker=%s err=%s",
+					out.Algo, out.Graph, out.System, len(srcs), status, out.Attempts, out.Rollbacks,
+					out.Restarts, out.Degraded, out.Warm, out.Breaker, out.Error))
+		}
 		s.log.LogAttrs(context.Background(), slog.LevelInfo, "request",
 			slog.Int64("id", t.id),
 			slog.String("system", out.System),
@@ -612,45 +618,44 @@ func sleepBackoff(ctx context.Context, base time.Duration, attempt int, seed uin
 }
 
 // graphFor returns the request's dataset through the singleflight cache:
-// concurrent requests for the same key share one load without any request
-// holding a lock across gen.Load, so a slow dataset build never blocks
-// requests for other graphs. The returned release unpins the graph; graphs
-// are immutable after construction, so concurrent runs share them freely.
+// concurrent requests for the same graph share one load without any
+// request holding a lock across gen.Load, so a slow dataset build never
+// blocks requests for other graphs. The returned release unpins the
+// graph; graphs are immutable after construction, so concurrent runs
+// share them freely.
 //
 // A dataset has one graph at every sequence number: the weighted one. At
-// sequence 0 it is the generated base, under baseKey. With a mutation
-// store attached, the dataset's committed sequence number is sampled here,
-// and after a commit there is one entry per (dataset, scale, seq): the
-// snapshot the store derives from the base, which stays resident (a commit
-// does not invalidate it). An unweighted algorithm reads either through
+// sequence 0 it is the generated base. With a mutation store attached,
+// the dataset's committed sequence number is sampled here, and after a
+// commit there is one entry per (dataset, scale, seq): the snapshot the
+// store derives from the base, which stays resident (a commit does not
+// invalidate it). An unweighted algorithm reads either through
 // graph.Unweighted, the same index and neighbour arrays without the
 // weights. Each commit so publishes one immutable snapshot under a
-// distinct key, requests that sampled before the commit keep their pinned
-// pre-commit snapshot (snapshot isolation), and the commit's invalidation
-// dooms the old entry so the last release frees it.
+// distinct graphID, requests that sampled before the commit keep their
+// pinned pre-commit snapshot (snapshot isolation), and the commit's
+// invalidation dooms the old entry so the last release frees it.
 func (s *Server) graphFor(v *resolved) (*graph.Graph, func(), error) {
-	var seq uint64
+	id := graphID{data: v.data, scale: v.scale}
 	if s.mut != nil {
 		var err error
-		if seq, err = s.mut.Seq(string(v.data), int(v.scale)); err != nil {
+		if id.seq, err = s.mut.Seq(string(v.data), int(v.scale)); err != nil {
 			return nil, nil, err
 		}
 	}
-	key := baseKey(v.data, v.scale)
 	load := func() (*graph.Graph, error) { return gen.Load(v.data, v.scale, true) }
-	if seq > 0 {
-		base, loadBase := key, load
-		key = fmt.Sprintf("%s|%d|m%d", v.data, v.scale, seq)
+	if id.seq > 0 {
+		base, loadBase := graphID{data: v.data, scale: v.scale}, load
 		load = func() (*graph.Graph, error) {
 			b, releaseBase, err := s.cache.get(base, loadBase)
 			if err != nil {
 				return nil, err
 			}
 			defer releaseBase()
-			return s.mut.GraphAt(string(v.data), int(v.scale), seq, b)
+			return s.mut.GraphAt(string(v.data), int(v.scale), id.seq, b)
 		}
 	}
-	g, release, err := s.cache.get(key, load)
+	g, release, err := s.cache.get(id, load)
 	if err == nil && !v.alg.Weighted() && !gen.AlwaysWeighted(v.data) {
 		g = g.Unweighted()
 	}

@@ -102,7 +102,7 @@ func TestServeShedsWhenQueueFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, shed, err := srv.submit(v, "", context.Background())
+	queued, shed, err := srv.submit(v, runKey{}, context.Background())
 	if err != nil || shed {
 		t.Fatalf("first submit refused: shed=%t err=%v", shed, err)
 	}
@@ -138,7 +138,7 @@ func TestServeDeadlineExpiredInQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, shed, err := srv.submit(v, "", context.Background())
+	r, shed, err := srv.submit(v, runKey{}, context.Background())
 	if err != nil || shed {
 		t.Fatalf("submit refused: shed=%t err=%v", shed, err)
 	}
@@ -165,7 +165,7 @@ func TestServeClientDisconnectCancels(t *testing.T) {
 		t.Fatal(err)
 	}
 	clientCtx, clientCancel := context.WithCancel(context.Background())
-	r, shed, err := srv.submit(v, "", clientCtx)
+	r, shed, err := srv.submit(v, runKey{}, clientCtx)
 	if err != nil || shed {
 		t.Fatalf("submit refused: shed=%t err=%v", shed, err)
 	}

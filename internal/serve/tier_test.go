@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -24,15 +25,14 @@ func TestDecodeRequestTiered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.key() == plain.key() {
-		t.Fatal("tiered and untiered requests share a result-cache key")
+	if ownID(v) == ownID(plain) || v.groupID() == plain.groupID() {
+		t.Fatal("tiered and untiered requests share an identity")
 	}
-	if !strings.Contains(v.key(), "|t:hot:20000:1") {
-		t.Fatalf("tiered key %q missing the tier suffix", v.key())
+	if ownID(v).tier != want {
+		t.Fatalf("tiered identity %+v lacks the tier config", ownID(v))
 	}
-	// Untiered keys must be byte-identical to the pre-tiering population.
-	if strings.Contains(plain.key(), "|t:") {
-		t.Fatalf("untiered key %q grew a tier suffix", plain.key())
+	if ownID(plain).tier != (numa.TierConfig{}) {
+		t.Fatalf("untiered identity %+v carries a tier config", ownID(plain))
 	}
 
 	// Interleave has no promotion passes unless asked.
@@ -44,8 +44,76 @@ func TestDecodeRequestTiered(t *testing.T) {
 	if v.tier.PromoteEvery != 0 {
 		t.Fatalf("interleave promote_every = %d, want 0", v.tier.PromoteEvery)
 	}
-	if v.batchable() {
-		t.Fatal("tiered traversal joined the multi-source batch path")
+	// A fused sweep runs on the same tiered machines as a solo run, and
+	// the group identity carries the tier: tiered traversals batch.
+	if !v.batchable() {
+		t.Fatal("tiered traversal kept off the multi-source batch path")
+	}
+}
+
+// TestTieredTraversalsBatch: two tiered BFS reads of one shape from
+// different sources join one fused sweep on tiered machines, and each
+// gets the payload its solo tiered run computes; an untiered read of the
+// same shape opens a run of its own.
+func TestTieredTraversalsBatch(t *testing.T) {
+	srv := NewServer(Config{noWorkers: true})
+	const shape = `"algo":"bfs","system":"polymer","graph":"powerlaw","scale":"tiny"`
+	tiered := func(src string) string {
+		return `{` + shape + `,"src":` + src + `,"dram_bytes":20000,"tier":"hot"}`
+	}
+	type res struct {
+		name string
+		out  outcome
+	}
+	outs := make(chan res, 3)
+	read := func(name, body string) {
+		go func() {
+			out, err := share(srv, mustResolve(t, body), context.Background())
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			outs <- res{name, out}
+		}()
+	}
+	read("a", tiered("3"))
+	fused := dequeue(t, srv)
+	waitFor(t, "tiered run open", func() bool { return openRuns(srv) == 1 })
+	read("b", tiered("5"))
+	waitFor(t, "second source joined", func() bool { return srv.Counters().Batched.Load() == 1 })
+	read("plain", `{`+shape+`,"src":7}`)
+	plain := dequeue(t, srv)
+	if n, b := openRuns(srv), srv.Counters().Batched.Load(); n != 2 || b != 1 {
+		t.Fatalf("untiered read: %d open runs, %d batched; want its own run", n, b)
+	}
+	srv.execute(fused)
+	srv.execute(plain)
+	got := map[string]Response{}
+	for i := 0; i < 3; i++ {
+		r := <-outs
+		if r.out.status != 200 {
+			t.Fatalf("%s: status %d (%s)", r.name, r.out.status, r.out.resp.Error)
+		}
+		got[r.name] = r.out.resp
+	}
+	if got["plain"].BatchSize != 0 || got["plain"].Tier != "" {
+		t.Fatalf("untiered read rode a tiered run: %+v", got["plain"])
+	}
+	for name, src := range map[string]string{"a": "3", "b": "5"} {
+		if got[name].BatchSize != 2 || got[name].Tier != "hot" || got[name].SlowRate <= 0 {
+			t.Fatalf("%s: batch %d tier %q slow rate %v, want a fused tiered sweep of 2",
+				name, got[name].BatchSize, got[name].Tier, got[name].SlowRate)
+		}
+		v := mustResolve(t, tiered(src))
+		r, _, err := srv.submit(v, runKey{}, context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.execute(dequeue(t, srv))
+		solo := srv.wait(r, 0, v, nil)
+		if solo.status != 200 || math.Float64bits(solo.resp.Checksum) != math.Float64bits(got[name].Checksum) {
+			t.Fatalf("%s: fused checksum %x, solo tiered run %x (status %d)",
+				name, got[name].Checksum, solo.resp.Checksum, solo.status)
+		}
 	}
 }
 

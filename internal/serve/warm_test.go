@@ -36,8 +36,8 @@ func private(t *testing.T, srv *Server, body string) Response {
 	if err := srv.planFor(v); err != nil {
 		t.Fatal(err)
 	}
-	v.ver = srv.results.version(string(v.data))
-	r, _, err := srv.submit(v, "", context.Background())
+	v.ver = srv.results.version(v.data)
+	r, _, err := srv.submit(v, runKey{}, context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestWarmNeverForFaultsOrSweeps(t *testing.T) {
 	outs := make([]outcome, 2)
 	for i, src := range []int{3, 5} {
 		v := mustResolve(t, body(src, ""))
-		v.ver = srv.results.version(string(v.data))
+		v.ver = srv.results.version(v.data)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

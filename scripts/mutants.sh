@@ -54,7 +54,7 @@ for p in "$cat"/*.patch; do
 	dir=$tmp/$name
 	mkdir "$dir"
 	git ls-files -z --cached --others --exclude-standard |
-		while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
+		while IFS= read -r -d '' f; do if [ -e "$f" ]; then printf '%s\0' "$f"; fi; done |
 		tar --null -T - -cf - | tar -xf - -C "$dir"
 	log=$tmp/$name.log
 	# shellcheck disable=SC2086 # Packages is a list
