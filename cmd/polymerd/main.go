@@ -55,7 +55,6 @@ func main() {
 	workersFlag := flag.Int("workers", 4, "concurrent request executions")
 	budgetFlag := flag.Duration("budget", 30*time.Second, "default per-request wall-clock budget")
 	drainFlag := flag.Duration("drain", 5*time.Second, "graceful drain deadline on SIGTERM")
-	retriesFlag := flag.Int("retries", 2, "default whole-run retries per request")
 	breakerFlag := flag.Int("breaker-threshold", 3, "consecutive failures that trip an engine's circuit")
 	cooldownFlag := flag.Duration("breaker-cooldown", 2*time.Second, "open-circuit period before a half-open probe")
 	cacheFlag := flag.Int64("graph-cache-bytes", 0, "graph cache budget in topology bytes (0 = 1 GiB default, negative = unbounded)")
@@ -111,7 +110,6 @@ func main() {
 		Workers:          *workersFlag,
 		DefaultBudget:    *budgetFlag,
 		DrainTimeout:     *drainFlag,
-		RetryMax:         *retriesFlag,
 		BreakerThreshold: *breakerFlag,
 		BreakerCooldown:  *cooldownFlag,
 		GraphCacheBytes:  *cacheFlag,

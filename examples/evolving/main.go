@@ -134,7 +134,6 @@ func runServed(w io.Writer) error {
 			Workers:          2,
 			DefaultBudget:    time.Minute,
 			DrainTimeout:     2 * time.Second,
-			RetryMax:         1,
 			BreakerThreshold: 3,
 			BreakerCooldown:  time.Second,
 			Mutations:        st,

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -220,4 +221,65 @@ func TestRunOptionsRefused(t *testing.T) {
 			t.Errorf("%s: err %v, %d machine(s) built, %d restart(s)", c.name, err, built, rep.Restarts)
 		}
 	}
+}
+
+// TestInjectedRunRepeats: an injected run is a deterministic function of
+// its cell, graph, machine and fault schedule, so a second run with a
+// fresh injector from the same schedule ends exactly as the first did —
+// the same error text, or the same checksum and clock bits, with the same
+// rollbacks and restarts. This is why polymerd runs a request once: a
+// whole-run retry of a failed run can only repeat its failure.
+func TestInjectedRunRepeats(t *testing.T) {
+	var schedules []func() []*fault.Event
+	for _, spec := range []string{"panic@0:t0", "stall@1:t1,offline@2:n1", "link@1:n0-n1*0.25", "alloc@-1,alloc@0"} {
+		schedules = append(schedules, func() []*fault.Event {
+			evs, err := fault.ParseSpec(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return evs
+		})
+	}
+	for _, seed := range []uint64{3, 11} {
+		schedules = append(schedules, func() []*fault.Event { return fault.Schedule(seed, 5, 4, 2) })
+	}
+	failed, recovered := 0, 0
+	for _, alg := range Algos() {
+		g, err := LoadDataset(gen.PowerLaw, gen.Tiny, alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sys := range Systems() {
+			if !SessionCapable(sys, alg) {
+				continue
+			}
+			for i, schedule := range schedules {
+				for _, retries := range []int{0, -1} {
+					for _, restarts := range []int{0, 1} {
+						opt := ResilientOptions{MaxRestarts: restarts, SessionRetries: retries}
+						run := func() (string, error) {
+							r, rep, err := RunResilientCtx(context.Background(), sys, alg, g, tinyMachine,
+								fault.NewInjector(schedule()), opt)
+							return fmt.Sprintf("err %v checksum %x sim %x rollbacks %d restarts %d",
+								err, math.Float64bits(r.Checksum), math.Float64bits(r.SimSeconds), rep.Rollbacks, rep.Restarts), err
+						}
+						first, err := run()
+						if second, _ := run(); second != first {
+							t.Errorf("%s/%s schedule %d session_retries %d restarts %d:\n first  %s\n second %s",
+								sys, alg, i, retries, restarts, first, second)
+						}
+						if err != nil {
+							failed++
+						} else {
+							recovered++
+						}
+					}
+				}
+			}
+		}
+	}
+	if failed == 0 || recovered == 0 {
+		t.Fatalf("%d failed and %d recovered runs: the matrix must hold both", failed, recovered)
+	}
+	t.Logf("%d failed and %d recovered configurations, each run twice", failed, recovered)
 }

@@ -72,8 +72,8 @@ type Event struct {
 	Ts  float64 `json:"ts"`
 	Dur float64 `json:"dur,omitempty"`
 
-	// Step is the superstep index for engine events, the attempt number
-	// for retry events, -1 when not applicable.
+	// Step is the superstep index for engine events, -1 when not
+	// applicable.
 	Step int `json:"step"`
 	// Active is the phase's input frontier size (engine events) or a
 	// request id (serve spans); 0 when not applicable.
@@ -192,7 +192,7 @@ func (t *Tracer) Instant(cat, name string, step int, simTs float64, detail strin
 }
 
 // HostInstant records a point event on a host-clock lane (load shedding,
-// retries, cache evictions); ts is wall microseconds (see NowMicros).
+// cache evictions, invalidations); ts is wall microseconds (see NowMicros).
 func (t *Tracer) HostInstant(cat, name string, pid int, ts float64, step int, detail string) {
 	if t == nil {
 		return

@@ -66,7 +66,7 @@ func TestDisabledPathAllocsNothing(t *testing.T) {
 		tr.Superstep("polymer", 0, 0, 1, nil)
 		tr.Instant("fault", "rollback", 1, 0.5, "")
 		tr.Span("serve", "request", PidServe, 0, 1, -1, 7, "")
-		tr.HostInstant("serve", "retry", PidServe, 1, 0, "")
+		tr.HostInstant("serve", "shed", PidServe, 1, 0, "")
 		sp := BeginStep(src, 3)
 		sp.End()
 	}); allocs != 0 {

@@ -9,7 +9,6 @@ import (
 	"polymer/internal/fault"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
-	"polymer/internal/obs"
 )
 
 // clusterChaosSteps is the window (in supersteps) a fault_seed chaos
@@ -33,19 +32,20 @@ type clusterStatus struct {
 // and, when the result cache retains answers (retains), one typed answer
 // per source.
 //
-//   - A cluster request runs once on the cluster substrate. It bypasses
-//     the breaker and the retries: the substrate has its own health
-//     tracking and fails shards over to replicas itself.
+//   - A cluster request runs on the cluster substrate. It bypasses the
+//     breaker: the substrate has its own health tracking and fails
+//     shards over to replicas itself.
 //   - An engine whose circuit is open serves PageRank on the honest
 //     degraded path (the run is re-provisioned on a machine that lost a
 //     NUMA node, the migration charged) and refuses anything else with
 //     503; a multi-source run is refused whole.
-//   - Anything else goes through lease -> machine factory -> retry with
-//     backoff around one bench.RunResilientCtx call: one source warm when
-//     warmFor finds an answer to repair, else cold, and k on one fused
-//     multi-source sweep; a fault session only when the request injects
-//     faults. A planned run's lease is left on t for finish to read;
-//     finish releases it before it publishes.
+//   - Anything else goes through lease -> machine factory -> one
+//     bench.RunResilientCtx call: one source warm when warmFor finds an
+//     answer to repair, else cold, and k on one fused multi-source sweep;
+//     a fault session only when the request injects faults. A failed run
+//     is not repeated (it would fail the same way, DESIGN.md §8) and
+//     counts once against the breaker. A planned run's lease is left on t
+//     for finish to read; finish releases it before it publishes.
 func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Response) (resKind, int, []float64, []bench.Output) {
 	v := t.v
 	tr := s.cfg.Tracer
@@ -74,7 +74,7 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 			Machines: res.Machines, Healthy: res.Healthy(), Total: v.machines,
 			Failovers: res.Failovers, NetBytes: res.NetBytes, Links: res.Links,
 		})
-		resp.Attempts, resp.SimSeconds = 1, res.SimSeconds
+		resp.SimSeconds = res.SimSeconds
 		resp.Machines, resp.Replicas, resp.Hedged = v.machines, v.replicas, v.hedge
 		resp.Supersteps, resp.Failovers, resp.NetBytes = res.Supersteps, res.Failovers, res.NetBytes
 		return kindCompleted, 200, []float64{res.Checksum}, nil
@@ -92,7 +92,7 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 			return failure(err, resp)
 		}
 		s.lineage.add(dr.Result.Lineage)
-		resp.Degraded, resp.LostNode, resp.Attempts = true, dr.FailedNode, 1
+		resp.Degraded, resp.LostNode = true, dr.FailedNode
 		resp.SimSeconds, resp.PeakBytes, resp.BoundsSeq = dr.Result.SimSeconds, dr.Result.PeakBytes, dr.Result.BoundsSeq
 		return kindDegraded, 200, []float64{dr.Result.Checksum}, nil
 	}
@@ -131,78 +131,52 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 	} else {
 		opt.Sources = srcs
 	}
-	maxRetries := s.cfg.RetryMax
-	if v.req.Retries >= 0 {
-		maxRetries = v.req.Retries
-	}
-
-	var err error
-	for attempt := 0; attempt <= maxRetries; attempt++ {
-		if attempt > 0 {
-			s.counters.Retried.Add(1)
-			if tr != nil {
-				tr.HostInstant("serve", "retry", obs.PidServe, obs.NowMicros(), attempt,
-					fmt.Sprintf("run %d (%d sources): %v", t.id, len(srcs), err))
-			}
-			if !sleepBackoff(t.ctx, retryBase, attempt, uint64(t.id)) {
-				err = t.ctx.Err()
-				break
-			}
-		}
-		resp.Attempts = attempt + 1
-		r, rep, runErr := bench.RunResilientCtx(t.ctx, v.sys, v.alg, g, mk, v.injector(), opt)
-		resp.Rollbacks += rep.Rollbacks
-		resp.Restarts += rep.Restarts
-		s.lineage.add(r.Lineage)
-		if err = runErr; err == nil {
-			br.Success()
-			resp.SimSeconds, resp.PeakBytes, resp.BoundsSeq = r.SimSeconds, r.PeakBytes, r.BoundsSeq
-			if v.tier.Tiered() {
-				resp.SlowRate = r.Stats.SlowRate
-			}
-			switch {
-			case len(srcs) > 1:
-				// Provenance: the accounting fields describe the fused sweep.
-				resp.BatchSize = len(srcs)
-			case opt.Warm != nil:
-				// Provenance too: the accounting describes the repair. Its
-				// cost is not a cold run's, so it teaches the learner nothing.
-				resp.Warm = true
-				s.counters.Warm.Add(1)
-			default:
-				// A cold run of one source is indistinguishable from a direct
-				// run — its simulated time is exactly what the model
-				// predicted, so it may teach the learner. Fused sweeps may
-				// not: their cost covers k sources at once.
-				s.observePlan(v, t.lease, r.SimSeconds)
-			}
-			outs := []bench.Output{r.Out}
-			if len(srcs) > 1 {
-				outs = r.Out.PerSource
-			}
-			sums := make([]float64, len(outs))
-			for i, o := range outs {
-				sums[i] = o.Checksum()
-			}
-			if !s.retains(v) {
-				outs = nil
-			}
-			return kindCompleted, 200, sums, outs
-		}
-		if ctxErr(err) {
+	r, rep, err := bench.RunResilientCtx(t.ctx, v.sys, v.alg, g, mk, v.injector(), opt)
+	resp.Rollbacks, resp.Restarts = rep.Rollbacks, rep.Restarts
+	s.lineage.add(r.Lineage)
+	if err != nil {
+		if !ctxErr(err) {
+			br.Failure()
+		} else if probe {
 			// The client's deadline, not the engine's health: release a
 			// half-open probe without closing or re-opening the circuit.
-			if probe {
-				br.cancelProbe()
-			}
-			break
+			br.cancelProbe()
 		}
-		br.Failure()
-		if probe {
-			break // the failed probe re-opened the circuit; stop here
-		}
+		return failure(err, resp)
 	}
-	return failure(err, resp)
+	br.Success()
+	resp.SimSeconds, resp.PeakBytes, resp.BoundsSeq = r.SimSeconds, r.PeakBytes, r.BoundsSeq
+	if v.tier.Tiered() {
+		resp.SlowRate = r.Stats.SlowRate
+	}
+	switch {
+	case len(srcs) > 1:
+		// Provenance: the accounting fields describe the fused sweep.
+		resp.BatchSize = len(srcs)
+	case opt.Warm != nil:
+		// Provenance too: the accounting describes the repair. Its
+		// cost is not a cold run's, so it teaches the learner nothing.
+		resp.Warm = true
+		s.counters.Warm.Add(1)
+	default:
+		// A cold run of one source is indistinguishable from a direct
+		// run — its simulated time is exactly what the model
+		// predicted, so it may teach the learner. Fused sweeps may
+		// not: their cost covers k sources at once.
+		s.observePlan(v, t.lease, r.SimSeconds)
+	}
+	outs := []bench.Output{r.Out}
+	if len(srcs) > 1 {
+		outs = r.Out.PerSource
+	}
+	sums := make([]float64, len(outs))
+	for i, o := range outs {
+		sums[i] = o.Checksum()
+	}
+	if !s.retains(v) {
+		outs = nil
+	}
+	return kindCompleted, 200, sums, outs
 }
 
 // failure stamps a run's error on resp and turns it into its outcome: a

@@ -282,7 +282,7 @@ func TestShutdownTimeoutStillClosesStore(t *testing.T) {
 	// exactly like an execution wedged past every cancellation point.
 	srv := NewServer(Config{QueueDepth: 4, DrainTimeout: 20 * time.Millisecond, Mutations: store, noWorkers: true})
 	v, err := resolve(Request{Algo: "pr", System: "polymer", Graph: "powerlaw",
-		Retries: -1, SessionRetries: -1, Restarts: -1})
+		SessionRetries: -1, Restarts: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -266,7 +266,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, _ *http.Request) {
 
 // String renders the config for startup logs.
 func (c Config) String() string {
-	return fmt.Sprintf("queue=%d workers=%d budget=%v drain=%v retries=%d breaker=%d/%v",
-		c.QueueDepth, c.Workers, c.DefaultBudget, c.DrainTimeout, c.RetryMax,
+	return fmt.Sprintf("queue=%d workers=%d budget=%v drain=%v breaker=%d/%v",
+		c.QueueDepth, c.Workers, c.DefaultBudget, c.DrainTimeout,
 		c.BreakerThreshold, c.BreakerCooldown)
 }

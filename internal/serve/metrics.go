@@ -3,8 +3,8 @@
 // identical run), batched (joined a traversal run), result-hit
 // (answered from the versioned result cache) or shed — and every
 // non-shed request resolves to exactly one of completed / degraded /
-// broken / failed / expired / cancelled. Retried and evicted count
-// additional events along the way. The soak suite asserts the identity
+// broken / failed / expired / cancelled. Warm, evicted, mutations and
+// the hedge counts are events outside it. The soak suite asserts the identity
 //
 //	completed+degraded+broken+failed+expired+cancelled ==
 //	    admitted + coalesced + batched + result_hits
@@ -41,13 +41,10 @@ type Counters struct {
 	// returned the honest degraded-mode result while a circuit was open.
 	Completed atomic.Int64
 	Degraded  atomic.Int64
-	// Retried counts whole-run retry attempts (backoff + jitter) beyond
-	// each request's first execution.
-	Retried atomic.Int64
 	// Broken counts requests refused (503) because a circuit was open and
 	// no degraded route applied.
 	Broken atomic.Int64
-	// Failed requests exhausted their retries; Expired hit their deadline;
+	// Failed requests' runs failed; Expired hit their deadline;
 	// Cancelled were abandoned by the client or a drain.
 	Failed    atomic.Int64
 	Expired   atomic.Int64
@@ -55,14 +52,14 @@ type Counters struct {
 	// Evicted counts graphs dropped from the memory-budgeted cache.
 	Evicted atomic.Int64
 	// Mutations counts committed mutation batches (each one a durable WAL
-	// record, a new snapshot and a generation bump). Like Retried and
-	// Evicted it is an event counter outside the resolution identity —
-	// mutation requests themselves resolve as completed/failed/etc.
+	// record, a new snapshot and a generation bump). Like Evicted it is
+	// an event counter outside the resolution identity — mutation
+	// requests themselves resolve as completed/failed/etc.
 	Mutations atomic.Int64
 	// Hedged counts hedge legs launched for cluster reads; HedgeWins
 	// counts the subset that answered before (or instead of) the primary.
 	// Both are event counters: each leg is also a full admission that
-	// resolves once, so they sit outside the identity like Retried.
+	// resolves once, so they sit outside the identity like Evicted.
 	Hedged    atomic.Int64
 	HedgeWins atomic.Int64
 }
@@ -77,7 +74,6 @@ type CounterSnapshot struct {
 	Warm       int64 `json:"warm"`
 	Completed  int64 `json:"completed"`
 	Degraded   int64 `json:"degraded"`
-	Retried    int64 `json:"retried"`
 	Broken     int64 `json:"broken"`
 	Failed     int64 `json:"failed"`
 	Expired    int64 `json:"expired"`
@@ -99,7 +95,6 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		Warm:       c.Warm.Load(),
 		Completed:  c.Completed.Load(),
 		Degraded:   c.Degraded.Load(),
-		Retried:    c.Retried.Load(),
 		Broken:     c.Broken.Load(),
 		Failed:     c.Failed.Load(),
 		Expired:    c.Expired.Load(),

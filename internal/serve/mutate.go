@@ -206,8 +206,7 @@ func (s *Server) executeMutate(t *task) {
 
 	// Expired or abandoned while queued: nothing was committed.
 	if err := t.ctx.Err(); err != nil {
-		resp.Error = err.Error()
-		kind, status := classifyCtxErr(err)
+		kind, status, _, _ := failure(err, &resp)
 		finish(kind, status, resp)
 		return
 	}

@@ -66,11 +66,6 @@ type Request struct {
 	// instead. Fault wins when both are set.
 	Fault     string `json:"fault"`
 	FaultSeed uint64 `json:"fault_seed"`
-	// Retries caps server-level whole-run retries (backoff + jitter) on
-	// top of the fault session's per-step replays. -1 (and an absent
-	// field) means the server default; 0 disables retries. Unlike the
-	// next two, it acts on every request.
-	Retries int `json:"retries"`
 	// SessionRetries caps per-superstep replays inside the fault session,
 	// which only a request with Fault or FaultSeed gets; on any other it
 	// has no effect. -1 (absent) keeps the session default of 3; 0 fails
@@ -78,9 +73,9 @@ type Request struct {
 	// injected faults unrecoverable so the circuit breaker's failure path
 	// is exercisable end to end.
 	SessionRetries int `json:"session_retries"`
-	// Restarts caps whole-run restarts for setup-time faults within one
-	// execution attempt; like SessionRetries it acts only with Fault or
-	// FaultSeed. -1 (absent) means the server default.
+	// Restarts caps whole-run restarts for setup-time faults and steps
+	// that spent their replay budget; like SessionRetries it acts only
+	// with Fault or FaultSeed. -1 (absent) means the server default.
 	Restarts int `json:"restarts"`
 	// DramBytes > 0 arms tiered memory on the simulated machine: each
 	// node gets that many bytes of DRAM and spills the rest of its
@@ -162,7 +157,7 @@ func DecodeRequest(r io.Reader) (*resolved, error) {
 	dec := json.NewDecoder(io.LimitReader(r, MaxBodyBytes+1))
 	dec.DisallowUnknownFields()
 	// Absent knobs mean "server default", not zero.
-	req := Request{Retries: -1, SessionRetries: -1, Restarts: -1}
+	req := Request{SessionRetries: -1, Restarts: -1}
 	if err := dec.Decode(&req); err != nil {
 		return nil, badReq("bad JSON: %v", err)
 	}
@@ -239,9 +234,6 @@ func resolve(req Request) (*resolved, error) {
 	}
 	if v.cores == 0 {
 		v.cores = v.topo.CoresPerSocket
-	}
-	if req.Retries < -1 || req.Retries > 10 {
-		return nil, badReq("retries %d out of range [-1,10]", req.Retries)
 	}
 	if req.SessionRetries < -1 || req.SessionRetries > 10 {
 		return nil, badReq("session_retries %d out of range [-1,10]", req.SessionRetries)
@@ -360,8 +352,8 @@ func (v *resolved) clustered() bool { return v.machines > 0 }
 // resolved auto engine/placement to concrete picks, so semantically
 // identical requests share one identity no matter how they were spelled.
 // The zero tier config is untiered and zero machines single-machine.
-// QoS knobs (budget, retries, restarts) don't affect the computed result
-// and stay out of it; fault-carrying requests are never keyed (see
+// QoS knobs (budget, session_retries, restarts) don't affect the computed
+// result and stay out of it; fault-carrying requests are never keyed (see
 // reusable). Cluster runs key per shape: their committed output is
 // bit-identical for any shape, but SimSeconds/NetBytes are not.
 type runID struct {

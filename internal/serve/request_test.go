@@ -22,9 +22,9 @@ func TestDecodeRequestValid(t *testing.T) {
 			v.nodes, v.cores, v.topo.Sockets, v.topo.CoresPerSocket)
 	}
 	// Absent knobs must mean "server default", not zero.
-	if v.req.Retries != -1 || v.req.SessionRetries != -1 || v.req.Restarts != -1 {
-		t.Fatalf("absent knobs decoded to (%d,%d,%d), want (-1,-1,-1)",
-			v.req.Retries, v.req.SessionRetries, v.req.Restarts)
+	if v.req.SessionRetries != -1 || v.req.Restarts != -1 {
+		t.Fatalf("absent knobs decoded to (%d,%d), want (-1,-1)",
+			v.req.SessionRetries, v.req.Restarts)
 	}
 	if v.budget != 0 {
 		t.Fatalf("absent budget decoded to %v, want 0 (server default)", v.budget)
@@ -61,7 +61,8 @@ func TestDecodeRequestRejections(t *testing.T) {
 		{"cores-range", `{"algo":"pr","system":"polymer","graph":"powerlaw","cores":-1}`, "cores -1 out of range"},
 		{"negative-budget", `{"algo":"pr","system":"polymer","graph":"powerlaw","budget_ms":-5}`, "negative"},
 		{"absurd-budget", `{"algo":"pr","system":"polymer","graph":"powerlaw","budget_ms":86400000}`, "exceeds"},
-		{"retries-range", `{"algo":"pr","system":"polymer","graph":"powerlaw","retries":11}`, "retries 11 out of range"},
+		// A request runs once: the whole-run retry knob is gone from the wire.
+		{"retries-field", `{"algo":"pr","system":"polymer","graph":"powerlaw","retries":1}`, `unknown field "retries"`},
 		{"session-retries-range", `{"algo":"pr","system":"polymer","graph":"powerlaw","session_retries":-2}`, "session_retries -2 out of range"},
 		{"restarts-range", `{"algo":"pr","system":"polymer","graph":"powerlaw","restarts":99}`, "restarts 99 out of range"},
 		{"bad-fault-spec", `{"algo":"pr","system":"polymer","graph":"powerlaw","fault":"meteor@3"}`, "bad fault spec"},
@@ -112,6 +113,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		`{"algo":"pr","system":"polymer","graph":"powerlaw","budget_ms":-9223372036854775808}`,
 		`{"algo":"pr","system":"polymer","graph":"powerlaw","fault":"panic@2:t3,stall@1:t0,offline@1:n1"}`,
 		`{"algo":"pr","system":"polymer","graph":"powerlaw","fault":"link@3:n0-n1*0.25,alloc@-1"}`,
+		`{"algo":"pr","system":"xstream","graph":"powerlaw","fault":"panic@0:t0","session_retries":0,"restarts":0,"retries":2}`,
 		`{"algo":"pr","system":"polymer","graph":"powerlaw","fault":"` + "\x00\xff" + `"}`,
 		`{"algo":"PR","system":"POLYMER","graph":"powerlaw","sockets":8,"cores":10}`,
 		`{"algo":"犬","system":"polymer","graph":"powerlaw"}`,

@@ -24,14 +24,15 @@ import (
 	"container/list"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"polymer/internal/bench"
 	"polymer/internal/gen"
 	"polymer/internal/obs"
 )
 
-// resultEntry is one cached response. bytes is an estimate (struct +
-// strings + retained answer) used for budget accounting, not a precise
+// resultEntry is one cached response. bytes is an estimate (entryOverhead
+// + strings + retained answer) used for budget accounting, not a precise
 // heap measure.
 type resultEntry struct {
 	id  runID
@@ -45,6 +46,11 @@ type resultEntry struct {
 	seq   uint64
 	elem  *list.Element
 }
+
+// entryOverhead is what an entry costs beside its strings and answer: the
+// entry (its Response held by value), its identity again as the map key,
+// and its LRU element; map slots and size-class rounding are left out.
+const entryOverhead = int64(unsafe.Sizeof(resultEntry{}) + unsafe.Sizeof(runID{}) + unsafe.Sizeof(list.Element{}))
 
 // resultCache is a memory-budgeted LRU over run identities.
 // budget < 0 disables the cache entirely (every get misses silently,
@@ -105,9 +111,9 @@ func (c *resultCache) get(v *resolved) (Response, bool) {
 // number of the snapshot it was computed on. Per-request provenance is
 // stripped so a hit replays only the deterministic payload; BatchSize and
 // Warm survive because they describe how the payload was computed, not who
-// asked — and with them the run's accounting (SimSeconds, PeakBytes,
-// Attempts), which for a batched insert describes the fused sweep rather
-// than a solo run, and for a warm one the repair. Inserts against a stale
+// asked — and with them the run's accounting (SimSeconds, PeakBytes),
+// which for a batched insert describes the fused sweep rather than a solo
+// run, and for a warm one the repair. Inserts against a stale
 // generation are dropped — the invalidation already won. An insert
 // replaces a prior under its identity.
 func (c *resultCache) put(v *resolved, id runID, resp Response, out bench.Output, seq uint64) {
@@ -136,7 +142,7 @@ func (c *resultCache) put(v *resolved, id runID, resp Response, out bench.Output
 	e := &resultEntry{
 		id:    id,
 		ver:   v.ver,
-		bytes: int64(len(resp.System)+len(resp.Algo)+len(resp.Graph)+len(resp.Scale)+8*(len(out.F64)+len(out.I64))) + 160,
+		bytes: entryOverhead + int64(len(resp.System)+len(resp.Algo)+len(resp.Graph)+len(resp.Scale)+8*(len(out.F64)+len(out.I64))),
 		resp:  resp,
 		out:   out,
 		seq:   seq,

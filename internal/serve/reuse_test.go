@@ -13,12 +13,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"polymer/internal/bench"
+	"polymer/internal/graph"
 )
 
 func mustResolve(t *testing.T, body string) *resolved {
@@ -40,7 +42,7 @@ func TestCanonicalKeyEquivalence(t *testing.T) {
 		`{"algo":"pr","system":"polymer","graph":"powerlaw"}`,
 		`{"algo":"PR","system":"Polymer","graph":"powerlaw","scale":"tiny"}`,
 		`{"algo":"pr","system":"polymer","graph":"powerlaw","machine":"intel","sockets":8,"cores":10}`,
-		`{"algo":"pr","system":"polymer","graph":"powerlaw","budget_ms":5000,"retries":3,"restarts":2}`,
+		`{"algo":"pr","system":"polymer","graph":"powerlaw","budget_ms":5000,"session_retries":3,"restarts":2}`,
 		`{"algo":"pr","system":"polymer","graph":"powerlaw","src":42}`, // src is dead weight for pr
 	}
 	want := ownID(mustResolve(t, variants[0]))
@@ -101,7 +103,7 @@ func FuzzCanonicalKey(f *testing.F) {
 	f.Add(`{"algo":"SSSP","system":"polymer","graph":"roadUS","sockets":4,"cores":4}`)
 	f.Add(`{"algo":"pr","system":"x-stream","graph":"powerlaw","budget_ms":100}`)
 	f.Add(`{"algo":"spmv","system":"polymer","graph":"rmat27","scale":"small","machine":"amd"}`)
-	f.Add(`{"algo":"bp","system":"ligra","graph":"twitter","retries":3}`)
+	f.Add(`{"algo":"bp","system":"ligra","graph":"twitter","session_retries":3}`)
 	f.Add(`{"algo":"bfs","system":"ligra","graph":"powerlaw","src":4294967295}`)
 	f.Add(`{"algo":"bfs","system":"polymer","graph":"powerlaw","src":1,"dram_bytes":100000,"tier":"hot"}`)
 	f.Add(`{"algo":"sssp","system":"polymer","graph":"powerlaw","src":2,"machines":3}`)
@@ -131,7 +133,8 @@ func FuzzCanonicalKey(f *testing.F) {
 }
 
 func TestResultCacheUnit(t *testing.T) {
-	c := newResultCache(600) // a few entries' worth
+	budget := 4 * entryOverhead // a few entries' worth
+	c := newResultCache(budget)
 	v := mustResolve(t, `{"algo":"bfs","system":"ligra","graph":"powerlaw","src":1}`)
 	if _, ok := c.get(v); ok {
 		t.Fatal("hit on empty cache")
@@ -150,7 +153,7 @@ func TestResultCacheUnit(t *testing.T) {
 		c.put(vi, ownID(vi), Response{Checksum: float64(src)}, bench.Output{}, 0)
 	}
 	st := c.stats()
-	if st.Evictions == 0 || st.Bytes > 600 {
+	if st.Evictions == 0 || st.Bytes > budget {
 		t.Fatalf("budget not enforced: %+v", st)
 	}
 	if _, ok := c.get(v); ok {
@@ -184,6 +187,37 @@ func TestResultCacheUnit(t *testing.T) {
 	}
 	if st := d.stats(); st.Entries != 0 {
 		t.Fatalf("disabled cache stored entries: %+v", st)
+	}
+}
+
+// TestResultCacheChargesItsHeap: the bytes a full result cache charges
+// against its budget are the heap its entries hold, so
+// -result-cache-bytes bounds what the cache keeps. Twenty thousand BFS
+// entries are put into a cache whose budget holds them all; after a GC
+// the heap they hold, per entry, must sit within a quarter of the bytes
+// charged per entry.
+func TestResultCacheChargesItsHeap(t *testing.T) {
+	const n = 20000
+	v := mustResolve(t, `{"algo":"bfs","system":"ligra","graph":"powerlaw","scale":"tiny"}`)
+	resp := Response{System: "ligra", Algo: "bfs", Graph: "powerlaw", Scale: "tiny", Checksum: 1}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := newResultCache(1 << 30)
+	for src := range n {
+		c.put(v, v.id(graph.Vertex(src)), resp, bench.Output{}, 0)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	st := c.stats()
+	runtime.KeepAlive(c)
+	if st.Entries != n {
+		t.Fatalf("cache holds %d entries, want %d", st.Entries, n)
+	}
+	heap := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	charged := float64(st.Bytes) / n
+	if r := heap / charged; r < 0.75 || r > 1.25 {
+		t.Fatalf("an entry holds %.0f B of heap but is charged %.0f B (ratio %.2f)", heap, charged, r)
 	}
 }
 

@@ -1,17 +1,16 @@
 // Package serve is polymerd's overload-safe serving layer: a bounded
 // admission queue with load shedding in front of a fixed worker pool,
 // per-request deadlines propagated as contexts through every engine
-// superstep, retry with exponential backoff and jitter layered over the
-// fault session's checkpoint/rollback recovery, and a per-engine circuit
-// breaker that routes PageRank-class requests to the honest degraded path
-// while the circuit is open.
+// superstep, and a per-engine circuit breaker that routes PageRank-class
+// requests to the honest degraded path while the circuit is open.
 //
 // The serving layer reuses the repo's whole stack unchanged: requests
 // execute through bench.RunResilientCtx, so an injected fault inside a
 // run is first handled by superstep rollback/replay, then by whole-run
 // restart, and only then surfaces as a request failure that the breaker
-// and the retry loop see. A fault-free request's run has no session: a
-// genuine failure goes straight to the breaker and the retry loop.
+// sees. A fault-free request's run has no session: a genuine failure goes
+// straight to the breaker. A request runs once: a run is a deterministic
+// function of its inputs, so a second run could only repeat a failure.
 package serve
 
 import (
@@ -45,10 +44,6 @@ type Config struct {
 	// DrainTimeout bounds graceful drain: in-flight work past the
 	// deadline is cancelled through its context (default 5s).
 	DrainTimeout time.Duration
-	// RetryMax is the default number of whole-run retries after a failed
-	// execution (default 2); each retry waits retryBase * 2^attempt
-	// +/- 50% deterministic jitter.
-	RetryMax int
 	// BreakerThreshold trips an engine's circuit after that many
 	// consecutive failed executions (default 3); BreakerCooldown is the
 	// open period before a half-open probe (default 2s).
@@ -100,13 +95,9 @@ type Config struct {
 	noWorkers bool
 }
 
-// retryBase is the first retry's backoff, and restartMax caps whole-run
-// restarts for setup-time faults inside one execution attempt (a request's
+// restartMax caps an injected run's whole-run restarts (a request's
 // restarts field overrides it).
-const (
-	retryBase  = 10 * time.Millisecond
-	restartMax = 3
-)
+const restartMax = 3
 
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
@@ -120,11 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
-	}
-	if c.RetryMax < 0 {
-		c.RetryMax = 0
-	} else if c.RetryMax == 0 {
-		c.RetryMax = 2
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
@@ -167,7 +153,6 @@ type Response struct {
 	PeakBytes  int64   `json:"peak_bytes"`
 	Rollbacks  int     `json:"rollbacks"`
 	Restarts   int     `json:"restarts"`
-	Attempts   int     `json:"attempts"`
 	Degraded   bool    `json:"degraded"`
 	// LostNode is the simulated node sacrificed on the degraded path.
 	LostNode int     `json:"lost_node,omitempty"`
@@ -181,16 +166,16 @@ type Response struct {
 	// bit-identical to a cold single-request run's — the conformance
 	// suite asserts exactly that. Accounting fields are provenance-like
 	// too: on a response marked with BatchSize (including one replayed
-	// from the cache), sim_seconds/peak_bytes/attempts describe the fused
-	// sweep that computed the payload, not the solo run a direct request
-	// would have made.
+	// from the cache), sim_seconds/peak_bytes describe the fused sweep
+	// that computed the payload, not the solo run a direct request would
+	// have made.
 	Cached    bool `json:"cached,omitempty"`
 	Coalesced bool `json:"coalesced,omitempty"`
 	BatchSize int  `json:"batch,omitempty"`
 	// Warm marks a payload a warm run computed: an earlier answer of the
 	// same request, repaired for the edits committed since, bit-identical
 	// to a cold run's. Like BatchSize it survives a cache replay, and
-	// sim_seconds/peak_bytes/attempts describe the repair.
+	// sim_seconds/peak_bytes describe the repair.
 	Warm bool `json:"warm,omitempty"`
 	// Seq and Generation are mutation-commit provenance (POST /mutatez):
 	// the committed batch's sequence number — the snapshot version that
@@ -513,8 +498,8 @@ func (s *Server) execute(t *task) {
 		out.WallMs, out.Breaker = wall, breaker
 		if tr != nil {
 			tr.Span("serve", "request", obs.PidServe, startMicros, obs.NowMicros()-startMicros, -1, t.id,
-				fmt.Sprintf("%s/%s on %s sources=%d status=%d attempts=%d rollbacks=%d restarts=%d degraded=%t warm=%t breaker=%s err=%s",
-					out.Algo, out.Graph, out.System, len(srcs), status, out.Attempts, out.Rollbacks,
+				fmt.Sprintf("%s/%s on %s sources=%d status=%d rollbacks=%d restarts=%d degraded=%t warm=%t breaker=%s err=%s",
+					out.Algo, out.Graph, out.System, len(srcs), status, out.Rollbacks,
 					out.Restarts, out.Degraded, out.Warm, out.Breaker, out.Error))
 		}
 		s.log.LogAttrs(context.Background(), slog.LevelInfo, "request",
@@ -524,7 +509,6 @@ func (s *Server) execute(t *task) {
 			slog.String("graph", out.Graph),
 			slog.Int("sources", len(srcs)),
 			slog.Int("status", status),
-			slog.Int("attempts", out.Attempts),
 			slog.Int("rollbacks", out.Rollbacks),
 			slog.Int("restarts", out.Restarts),
 			slog.Bool("degraded", out.Degraded),
@@ -539,8 +523,7 @@ func (s *Server) execute(t *task) {
 
 	// Expired or abandoned while queued: answer without burning a run.
 	if err := t.ctx.Err(); err != nil {
-		resp.Error = err.Error()
-		kind, status := classifyCtxErr(err)
+		kind, status, _, _ := failure(err, &resp)
 		finish(kind, status, resp)
 		return
 	}
@@ -589,32 +572,6 @@ func (b *Breaker) cancelProbe() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.probing = false
-}
-
-// sleepBackoff waits base * 2^(attempt-1), capped at one second,
-// +/- 50% deterministic jitter derived from (seed, attempt) so retry
-// storms decorrelate without nondeterministic tests. It reports false if
-// the context expired first.
-func sleepBackoff(ctx context.Context, base time.Duration, attempt int, seed uint64) bool {
-	d := base << uint(attempt-1)
-	if d > time.Second {
-		d = time.Second
-	}
-	// splitmix64 finalizer over (seed, attempt) for platform-stable jitter.
-	z := seed + uint64(attempt)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	frac := float64(z%1024) / 1024 // [0,1)
-	jittered := time.Duration(float64(d) * (0.5 + frac))
-	timer := time.NewTimer(jittered)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-timer.C:
-		return true
-	}
 }
 
 // graphFor returns the request's dataset through the singleflight cache:

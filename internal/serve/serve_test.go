@@ -261,9 +261,9 @@ func TestServeBreakerTripDegradeRecover(t *testing.T) {
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())
 
-	// An injected panic with no replay budget, no restarts and no retries
-	// is unrecoverable by construction: the failure reaches the breaker.
-	chaos := `"fault":"panic@0:t0","session_retries":0,"restarts":0,"retries":0`
+	// An injected panic with no replay budget and no restarts is
+	// unrecoverable by construction: the failure reaches the breaker.
+	chaos := `"fault":"panic@0:t0","session_retries":0,"restarts":0`
 	for i := 0; i < 2; i++ {
 		st, resp, _ := postRun(t, ts.URL, body("xstream", chaos))
 		if st != 500 {
@@ -319,6 +319,31 @@ func TestServeBreakerTripDegradeRecover(t *testing.T) {
 	}
 	if got := srv.Breaker(bench.XStream).State(); got != BreakerClosed {
 		t.Fatalf("xstream breaker after probe success = %s, want closed", got)
+	}
+}
+
+// TestServeFailedRequestCountsOnce: a request runs once, so one failed
+// request is one failure against its engine's breaker. Under the default
+// threshold (3) two unrecoverable chaos requests leave the circuit
+// closed for every other client, and the third opens it.
+func TestServeFailedRequestCountsOnce(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	srv := NewServer(Config{Workers: 1, QueueDepth: 8, Now: clk.now})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Shutdown(context.Background())
+
+	chaos := body("xstream", `"fault":"panic@0:t0","session_retries":0,"restarts":0`)
+	for i, want := range []BreakerState{BreakerClosed, BreakerClosed, BreakerOpen} {
+		if st, resp, _ := postRun(t, ts.URL, chaos); st != 500 {
+			t.Fatalf("chaos request %d: status %d (%s), want 500", i+1, st, resp.Error)
+		}
+		if got := srv.Breaker(bench.XStream).State(); got != want {
+			t.Fatalf("xstream breaker = %s after %d failed request(s), want %s", got, i+1, want)
+		}
+	}
+	if got := srv.Counters().Failed.Load(); got != 3 {
+		t.Fatalf("Failed = %d, want 3", got)
 	}
 }
 

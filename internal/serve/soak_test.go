@@ -62,7 +62,7 @@ func TestServeSoakUnderChaos(t *testing.T) {
 		case 3:
 			profile, reqBody = "seeded", body("polymer", `"fault_seed":7`)
 		case 5:
-			profile, reqBody = "chaos", body("xstream", `"fault":"panic@0:t0","session_retries":0,"restarts":0,"retries":0`)
+			profile, reqBody = "chaos", body("xstream", `"fault":"panic@0:t0","session_retries":0,"restarts":0`)
 		case 6:
 			profile, reqBody = "starved", body("ligra", `"budget_ms":1`)
 		case 7:
