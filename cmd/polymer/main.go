@@ -90,7 +90,7 @@ func run(args []string) {
 	breakdownFlag := fs.Bool("breakdown", false, "print the per-superstep NUMA traffic breakdown")
 	faultFlag := fs.String("fault", "", "inject a fault spec, e.g. panic@2:t3,stall@1:t0,offline@1:n1,link@3:n0-n1*0.25,alloc@-1")
 	faultSeedFlag := fs.Uint64("fault-seed", 0, "generate a deterministic fault schedule from this seed (overridden by -fault)")
-	faultRetriesFlag := fs.Int("fault-retries", 3, "whole-run restarts allowed for setup-time faults")
+	restartsFlag := fs.Int("restarts", 3, "whole-run restarts allowed under -fault or -fault-seed, for setup-time faults and steps that spent their replay budget (polymerd's restarts)")
 	machinesFlag := fs.Int("machines", 0, "replicated cluster run across this many simulated machines (0 = single machine)")
 	replicasFlag := fs.Int("replicas", 0, "replicas per shard for cluster runs (0 = min(2, machines))")
 	dramBytesFlag := fs.Int64("dram-bytes", 0, "per-node DRAM budget in bytes (0 = untiered; demand beyond it spills to the simulated slow tier)")
@@ -303,7 +303,7 @@ func run(args []string) {
 			}
 			return fm
 		}
-		ropt := bench.ResilientOptions{MaxRestarts: *faultRetriesFlag, SessionRetries: -1, Options: opt}
+		ropt := bench.ResilientOptions{MaxRestarts: *restartsFlag, SessionRetries: -1, Options: opt}
 		var rr bench.ResilienceReport
 		r, rr, err = bench.RunResilientCtx(context.Background(), sys, alg, g, mk, fault.NewInjector(evs), ropt)
 		if err != nil {

@@ -390,11 +390,10 @@ func patchBench(t *testing.T) (g *graph.Graph, deleted, appended []graph.Edge) {
 func TestPatchAllocatesTouchedChunks(t *testing.T) {
 	g, deleted, appended := patchBench(t)
 	g = g.Patch(nil, nil)
-	got := testing.Benchmark(func(b *testing.B) {
-		for range b.N {
-			g.Patch(deleted, appended)
-		}
-	}).AllocedBytesPerOp()
+	got := int64(leastAllocs(t, func() error {
+		g.Patch(deleted, appended)
+		return nil
+	})[0])
 	t.Logf("Patch allocated %d bytes of a %d-byte topology", got, g.TopologyBytes())
 	if got*5 > g.TopologyBytes() {
 		t.Fatalf("one 32-edit Patch allocated %d bytes, over a fifth of the %d-byte topology", got, g.TopologyBytes())
@@ -410,51 +409,35 @@ func TestLigraNewOnPatchedSnapshot(t *testing.T) {
 	g, deleted, appended := patchBench(t)
 	snap := g.Patch(deleted, appended)
 	twin := graph.FromEdges(snap.NumVertices(), snap.Edges(), true)
-	newBytes := func(h *graph.Graph) int64 {
+	newOn := func(h *graph.Graph) func() error {
+		return func() error {
+			ligra.MustNew(h, regressionMachine(), ligra.DefaultOptions()).Close()
+			return nil
+		}
+	}
+	for _, h := range []*graph.Graph{snap, twin} {
 		keep := ligra.MustNew(h, regressionMachine(), ligra.DefaultOptions())
 		defer keep.Close()
-		return testing.Benchmark(func(b *testing.B) {
-			for range b.N {
-				ligra.MustNew(h, regressionMachine(), ligra.DefaultOptions()).Close()
-			}
-		}).AllocedBytesPerOp()
 	}
-	onSnap, onTwin := newBytes(snap), newBytes(twin)
+	least := leastAllocs(t, newOn(snap), newOn(twin))
+	onSnap, onTwin := least[0], least[1]
 	t.Logf("ligra.New: %d bytes on the patched snapshot, %d on its FromEdges twin", onSnap, onTwin)
 	if onSnap > onTwin {
 		t.Fatalf("ligra.New allocated %d bytes on a patched snapshot, %d on its FromEdges twin", onSnap, onTwin)
 	}
 }
 
-// TestFaultFreeRunCarriesNoSession: with no injector, RunResilientCtx is
-// one plain run — no fault session checkpointing the vertex arrays before
-// every superstep — so it allocates what RunWith allocates on the same
-// cell, within 5 %. A session on the fault-free path about doubles it.
-// After one warm-up run of each, each side's figure is the least of five
-// runs, the two sides alternating.
-func TestFaultFreeRunCarriesNoSession(t *testing.T) {
-	g, err := bench.LoadDataset(gen.PowerLaw, gen.Small, bench.PR)
-	if err != nil {
-		t.Fatal(err)
+// leastAllocs measures the bytes each of runs allocates: after one
+// warm-up call of each, each figure is the least of five calls, the runs
+// taking turns. The least of a few calls is exact from run to run where
+// testing.Benchmark's mean over a timed loop is not, and costs a few
+// calls instead of a second of them.
+func leastAllocs(t *testing.T, runs ...func() error) []uint64 {
+	t.Helper()
+	least := make([]uint64, len(runs))
+	for i := range least {
+		least[i] = math.MaxUint64
 	}
-	// An open engine keeps Polymer's layouts for g alive (graph.Derived
-	// holds them weakly), so no measured run rebuilds them after a GC.
-	opt := core.DefaultOptions()
-	opt.Mode = core.Push
-	keep := core.MustNew(g, regressionMachine(), opt)
-	defer keep.Close()
-	runs := [2]func() error{
-		func() error {
-			_, err := bench.RunWith(bench.Polymer, bench.PR, g, regressionMachine(), bench.Options{})
-			return err
-		},
-		func() error {
-			_, _, err := bench.RunResilientCtx(context.Background(), bench.Polymer, bench.PR, g, regressionMachine, nil,
-				bench.ResilientOptions{SessionRetries: -1})
-			return err
-		},
-	}
-	least := [2]uint64{math.MaxUint64, math.MaxUint64}
 	for i := range 6 {
 		for side, run := range runs {
 			var before, after runtime.MemStats
@@ -468,6 +451,36 @@ func TestFaultFreeRunCarriesNoSession(t *testing.T) {
 			}
 		}
 	}
+	return least
+}
+
+// TestFaultFreeRunCarriesNoSession: with no injector, RunResilientCtx is
+// one plain run — no fault session checkpointing the vertex arrays before
+// every superstep — so it allocates what RunWith allocates on the same
+// cell, within 5 % (leastAllocs's figures). A session on the fault-free
+// path about doubles it.
+func TestFaultFreeRunCarriesNoSession(t *testing.T) {
+	g, err := bench.LoadDataset(gen.PowerLaw, gen.Small, bench.PR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An open engine keeps Polymer's layouts for g alive (graph.Derived
+	// holds them weakly), so no measured run rebuilds them after a GC.
+	opt := core.DefaultOptions()
+	opt.Mode = core.Push
+	keep := core.MustNew(g, regressionMachine(), opt)
+	defer keep.Close()
+	least := leastAllocs(t,
+		func() error {
+			_, err := bench.RunWith(bench.Polymer, bench.PR, g, regressionMachine(), bench.Options{})
+			return err
+		},
+		func() error {
+			_, _, err := bench.RunResilientCtx(context.Background(), bench.Polymer, bench.PR, g, regressionMachine, nil,
+				bench.ResilientOptions{SessionRetries: -1})
+			return err
+		},
+	)
 	plain, resilient := least[0], least[1]
 	t.Logf("fault-free RunResilientCtx allocated %d bytes a run, RunWith %d", resilient, plain)
 	if resilient*100 > plain*105 {

@@ -306,14 +306,23 @@ func AMDOpteron64() *Topology {
 	}
 }
 
-// TopologyByName returns the machine named intel (IntelXeon80) or amd
-// (AMDOpteron64); matching is case-insensitive.
+// The tables TopologyByName hands out, built once. They are shared by
+// every caller and immutable: nothing may write a field or a table entry
+// of either. A caller that wants an edited machine builds its own with
+// IntelXeon80 or AMDOpteron64.
+var (
+	sharedIntel = IntelXeon80()
+	sharedAMD   = AMDOpteron64()
+)
+
+// TopologyByName returns the shared, immutable table of the machine named
+// intel (IntelXeon80) or amd (AMDOpteron64); matching is case-insensitive.
 func TopologyByName(name string) (*Topology, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "intel":
-		return IntelXeon80(), nil
+		return sharedIntel, nil
 	case "amd":
-		return AMDOpteron64(), nil
+		return sharedAMD, nil
 	}
 	return nil, fmt.Errorf("numa: unknown machine %q (want intel or amd)", name)
 }

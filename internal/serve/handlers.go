@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"polymer/internal/bench"
 	"polymer/internal/mutate"
@@ -57,6 +58,20 @@ func refuse(w http.ResponseWriter, err error, shed bool) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// writeHit writes a result-cache hit: the entry's rendered bytes stamped
+// with the request's provenance, the bytes writeJSON would write.
+func writeHit(w http.ResponseWriter, status int, r *hitReply) {
+	buf := hitBufs.Get().(*[]byte)
+	*buf = r.appendTo((*buf)[:0])
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(*buf)
+	hitBufs.Put(buf)
+}
+
+// hitBufs pools the buffers hits are rendered into.
+var hitBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	v, err := DecodeRequest(r.Body)
 	if err != nil {
@@ -79,6 +94,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", "1")
 		}
 	}
+	if out.hit.body != nil {
+		writeHit(w, out.status, &out.hit)
+		return
+	}
 	writeJSON(w, out.status, out.resp)
 }
 
@@ -100,7 +119,7 @@ func (s *Server) answer(v *resolved, clientCtx context.Context) (outcome, bool, 
 	}
 	if v.reusable() {
 		v.ver = s.results.version(v.data)
-		if resp, ok := s.results.get(v); ok {
+		if h, ok := s.results.get(v); ok {
 			// A hit is a completed request that cost nothing: it is
 			// accounted both ways.
 			s.counters.ResultHits.Add(1)
@@ -108,15 +127,18 @@ func (s *Server) answer(v *resolved, clientCtx context.Context) (outcome, bool, 
 			if tr := s.cfg.Tracer; tr != nil {
 				tr.HostInstant("serve", "result-hit", obs.PidServe, obs.NowMicros(), -1, fmt.Sprintf("%+v", v.id(v.src)))
 			}
-			resp.ID = s.ids.Add(1)
-			resp.Cached = true
-			resp.Breaker = string(s.breakers[v.sys].State())
-			// Plan provenance is per-request, like ID and Breaker: the
-			// cached payload carries none (put strips it), and the hit is
-			// stamped with this request's own decision — nil when it was
-			// explicit, even if a planned run populated the entry.
-			resp.Plan = v.planInfo()
-			return outcome{status: http.StatusOK, resp: resp}, false, nil
+			// The payload is the entry's rendered bytes, stamped as they are
+			// written with this request's provenance. Plan is per-request,
+			// like ID and Breaker: the cached payload carries none (put
+			// strips it), and the hit is stamped with this request's own
+			// decision — nil when it was explicit, even if a planned run
+			// populated the entry.
+			return outcome{status: http.StatusOK, hit: hitReply{
+				hit:     h,
+				id:      s.ids.Add(1),
+				breaker: string(s.breakers[v.sys].State()),
+				plan:    v.planInfo(),
+			}}, false, nil
 		}
 	}
 	if v.clustered() {

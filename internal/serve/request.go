@@ -119,7 +119,6 @@ type resolved struct {
 	cores  int
 	src    graph.Vertex
 	budget time.Duration // 0 = server default
-	events []*fault.Event
 	// machines/replicas place the request on the cluster substrate
 	// (0 machines = single-machine execution). hedge is not wire state:
 	// the hedged-read path sets it on the secondary leg so the cluster
@@ -251,11 +250,9 @@ func resolve(req Request) (*resolved, error) {
 		v.src = 0
 	}
 	if req.Fault != "" {
-		evs, err := fault.ParseSpec(req.Fault)
-		if err != nil {
+		if _, err := fault.ParseSpec(req.Fault); err != nil {
 			return nil, badReq("bad fault spec: %v", err)
 		}
-		v.events = evs
 	}
 	if req.Machines < 0 || req.Machines > MaxMachines {
 		return nil, badReq("machines %d out of range [0,%d]", req.Machines, MaxMachines)

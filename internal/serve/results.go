@@ -1,7 +1,8 @@
 // The versioned result cache: full-fidelity responses keyed by the
 // request's run identity (request.go's runID), each stamped with the
-// dataset's cache generation it was computed under. InvalidateGraph bumps
-// the generation, so results computed against a stale snapshot can never
+// dataset's cache generation it was computed under and rendered to JSON
+// once, at put, so a hit writes stored bytes. InvalidateGraph bumps the
+// generation, so results computed against a stale snapshot can never
 // be served again — even if the run that computed them is still in flight
 // when the invalidation lands, because each request samples its
 // generation before executing and inserts under that sample.
@@ -21,8 +22,11 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
+	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 	"unsafe"
 
@@ -32,8 +36,8 @@ import (
 )
 
 // resultEntry is one cached response. bytes is an estimate (entryOverhead
-// + strings + retained answer) used for budget accounting, not a precise
-// heap measure.
+// + rendered bytes + retained answer) used for budget accounting, not a
+// precise heap measure.
 type resultEntry struct {
 	id  runID
 	ver uint64 // the generation it was computed under
@@ -41,16 +45,78 @@ type resultEntry struct {
 	// snapshot seq) may seed a warm run of id.
 	prior bool
 	bytes int64
-	resp  Response
+	hit   hit
 	out   bench.Output
 	seq   uint64
 	elem  *list.Element
 }
 
-// entryOverhead is what an entry costs beside its strings and answer: the
-// entry (its Response held by value), its identity again as the map key,
-// and its LRU element; map slots and size-class rounding are left out.
+// entryOverhead is what an entry costs beside its rendered bytes and
+// answer: the entry, its identity again as the map key, and its LRU
+// element; map slots and size-class rounding are left out.
 const entryOverhead = int64(unsafe.Sizeof(resultEntry{}) + unsafe.Sizeof(runID{}) + unsafe.Sizeof(list.Element{}))
+
+// hit is a cached response as put rendered it: encoding/json's bytes for
+// the stripped payload with Cached set, so with ID 0 and no breaker, wall
+// time or plan, and the offset of its wall_ms field, which is where the
+// breaker field goes. No string field before wall_ms can hold that key
+// unescaped, so the offset is the field's.
+type hit struct {
+	body []byte
+	cut  int
+}
+
+// hitHead is how every rendered payload starts; a hit writes its own ID
+// in place of the 0.
+const hitHead = `{"id":0`
+
+// renderHit renders the stripped resp as a hit replays it. It fails only for
+// a payload encoding/json cannot write (a NaN or infinite float).
+func renderHit(resp Response) (hit, error) {
+	resp.Cached = true
+	b, err := json.Marshal(resp)
+	if err != nil {
+		return hit{}, err
+	}
+	return hit{body: b, cut: bytes.Index(b, []byte(`,"wall_ms":`))}, nil
+}
+
+// hitReply is a result-cache hit as one request receives it: the entry's
+// rendered payload and the request's own provenance (its ID, its engine's
+// breaker state and its plan), which are stamped on the payload as it is
+// written.
+type hitReply struct {
+	hit
+	id      int64
+	breaker string
+	plan    *PlanInfo
+}
+
+// appendTo appends what json.NewEncoder(w).Encode writes for the cached
+// payload stamped with the reply's provenance: the ID, the payload up to
+// wall_ms, the breaker, the rest of the payload and the plan, which is the
+// last field. A breaker is one of the three BreakerState words, so it
+// needs no escaping. A plan with no JSON form (a non-finite predicted
+// cost) fails the whole encode, as it fails Encode: nothing is appended.
+func (r *hitReply) appendTo(b []byte) []byte {
+	var plan []byte
+	if r.plan != nil {
+		var err error
+		if plan, err = json.Marshal(r.plan); err != nil {
+			return b
+		}
+	}
+	b = strconv.AppendInt(append(b, `{"id":`...), r.id, 10)
+	b = append(b, r.body[len(hitHead):r.cut]...)
+	if r.breaker != "" {
+		b = append(append(append(b, `,"breaker":"`...), r.breaker...), '"')
+	}
+	b = append(b, r.body[r.cut:len(r.body)-1]...)
+	if plan != nil {
+		b = append(append(b, `,"plan":`...), plan...)
+	}
+	return append(b, "}\n"...)
+}
 
 // resultCache is a memory-budgeted LRU over run identities.
 // budget < 0 disables the cache entirely (every get misses silently,
@@ -87,9 +153,9 @@ func (c *resultCache) version(data gen.Dataset) uint64 {
 }
 
 // get looks the request up under its sampled generation.
-func (c *resultCache) get(v *resolved) (Response, bool) {
+func (c *resultCache) get(v *resolved) (hit, bool) {
 	if c.disabled {
-		return Response{}, false
+		return hit{}, false
 	}
 	id := v.id(v.src)
 	c.mu.Lock()
@@ -97,11 +163,11 @@ func (c *resultCache) get(v *resolved) (Response, bool) {
 	e, ok := c.entries[id]
 	if !ok || e.prior || e.ver != v.ver {
 		c.misses++
-		return Response{}, false
+		return hit{}, false
 	}
 	c.hits++
 	c.lru.MoveToFront(e.elem)
-	return e.resp, true
+	return e.hit, true
 }
 
 // put stores one full-fidelity response under an explicit identity (a
@@ -113,9 +179,10 @@ func (c *resultCache) get(v *resolved) (Response, bool) {
 // Warm survive because they describe how the payload was computed, not who
 // asked — and with them the run's accounting (SimSeconds, PeakBytes),
 // which for a batched insert describes the fused sweep rather than a solo
-// run, and for a warm one the repair. Inserts against a stale
-// generation are dropped — the invalidation already won. An insert
-// replaces a prior under its identity.
+// run, and for a warm one the repair. The stripped payload is rendered
+// here, once (renderHit), and the entry keeps only those bytes. Inserts
+// against a stale generation are dropped — the invalidation already won.
+// An insert replaces a prior under its identity.
 func (c *resultCache) put(v *resolved, id runID, resp Response, out bench.Output, seq uint64) {
 	if c.disabled {
 		return
@@ -128,6 +195,10 @@ func (c *resultCache) put(v *resolved, id runID, resp Response, out bench.Output
 	// Planner provenance is per-request too: a hit is re-stamped with the
 	// asking request's own decision (or none, if it was explicit).
 	resp.Plan = nil
+	h, err := renderHit(resp)
+	if err != nil {
+		return // a payload with no JSON form is never replayed
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if v.ver != c.versions[v.data] {
@@ -142,8 +213,8 @@ func (c *resultCache) put(v *resolved, id runID, resp Response, out bench.Output
 	e := &resultEntry{
 		id:    id,
 		ver:   v.ver,
-		bytes: entryOverhead + int64(len(resp.System)+len(resp.Algo)+len(resp.Graph)+len(resp.Scale)+8*(len(out.F64)+len(out.I64))),
-		resp:  resp,
+		bytes: entryOverhead + int64(len(h.body)+8*(len(out.F64)+len(out.I64))),
+		hit:   h,
 		out:   out,
 		seq:   seq,
 	}

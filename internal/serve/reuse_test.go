@@ -35,6 +35,21 @@ func mustResolve(t *testing.T, body string) *resolved {
 // ownID is the identity of the request's own run.
 func ownID(v *resolved) runID { return v.id(v.src) }
 
+// cachedResp is the response a hit of v replays, decoded from the bytes
+// the cache rendered at put.
+func cachedResp(t *testing.T, c *resultCache, v *resolved) (Response, bool) {
+	t.Helper()
+	h, ok := c.get(v)
+	if !ok {
+		return Response{}, false
+	}
+	var resp Response
+	if err := json.Unmarshal(h.body, &resp); err != nil {
+		t.Fatalf("cached payload %q: %v", h.body, err)
+	}
+	return resp, true
+}
+
 func TestCanonicalKeyEquivalence(t *testing.T) {
 	// Default-filled and explicit spellings of the same request must
 	// share one identity; QoS knobs must not split it.
@@ -140,7 +155,7 @@ func TestResultCacheUnit(t *testing.T) {
 		t.Fatal("hit on empty cache")
 	}
 	c.put(v, ownID(v), Response{Checksum: 42, WallMs: 9, ID: 7, Breaker: "closed"}, bench.Output{}, 0)
-	got, ok := c.get(v)
+	got, ok := cachedResp(t, c, v)
 	if !ok || got.Checksum != 42 {
 		t.Fatalf("miss after put: %+v ok=%t", got, ok)
 	}
@@ -229,7 +244,7 @@ func TestResultHitAllocsNothing(t *testing.T) {
 	v := mustResolve(t, `{"algo":"bfs","system":"ligra","graph":"powerlaw","src":3}`)
 	srv.results.put(v, ownID(v), Response{Checksum: 1}, bench.Output{}, 0)
 	allocs := testing.AllocsPerRun(100, func() {
-		if out, _, err := srv.answer(v, nil); err != nil || !out.resp.Cached {
+		if out, _, err := srv.answer(v, nil); err != nil || out.hit.body == nil {
 			t.Fatalf("not a hit: %+v %v", out, err)
 		}
 	})
@@ -539,7 +554,7 @@ func TestBatchDemux(t *testing.T) {
 	// Per-source results landed in the cache under single-source keys.
 	v3 := mustResolve(t, mkBody("3"))
 	v3.ver = srv.results.version(v3.data)
-	if resp, ok := srv.results.get(v3); !ok || resp.Checksum != direct.resp.Checksum {
+	if resp, ok := cachedResp(t, srv.results, v3); !ok || resp.Checksum != direct.resp.Checksum {
 		t.Fatalf("batched result not cached per-source: ok=%t %+v", ok, resp)
 	}
 }

@@ -212,11 +212,14 @@ type Response struct {
 }
 
 // outcome is one request's answer: its response, HTTP status and the
-// resolution kind it is accounted as.
+// resolution kind it is accounted as. A result-cache hit is answered by
+// hit alone (the entry's rendered bytes and the request's provenance), and
+// its resp stays zero.
 type outcome struct {
 	kind   resKind
 	status int
 	resp   Response
+	hit    hitReply
 }
 
 // task is one admitted request travelling through the queue.
