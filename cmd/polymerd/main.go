@@ -65,7 +65,6 @@ func main() {
 	pprofFlag := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	walDirFlag := flag.String("wal-dir", "", "mutation write-ahead log directory (empty disables POST /mutatez)")
 	ckptFlag := flag.Int("checkpoint-every", 0, "commits per key between WAL checkpoints (0 = default, negative disables)")
-	hedgeFlag := flag.Duration("hedge-delay", 0, "wait before hedging a cluster read to a replica (0 = adaptive p90, negative disables)")
 	noLearnFlag := flag.Bool("no-learn", false, "freeze the planner's online learner (engine=auto still plans, but stops adapting to observed traffic)")
 	flag.Parse()
 
@@ -115,7 +114,6 @@ func main() {
 		GraphCacheBytes:  *cacheFlag,
 		ResultCacheBytes: *resultCacheFlag,
 		DisableSharing:   *noShareFlag,
-		HedgeDelay:       *hedgeFlag,
 		DisableLearning:  *noLearnFlag,
 		Tracer:           tr,
 		Recorder:         rec,

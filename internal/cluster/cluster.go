@@ -103,11 +103,6 @@ type Config struct {
 	// Events is the seeded cluster fault schedule (see
 	// fault.ClusterSchedule / fault.ClusterChaos).
 	Events []*fault.ClusterEvent
-	// PreferReplica starts every shard on its first replica instead of
-	// its home machine — the serve layer's hedged reads use it so the
-	// hedge leg exercises a different placement (the answer is
-	// bit-identical either way; only the charged placement differs).
-	PreferReplica bool
 	// Tracer, when non-nil, receives one superstep event per committed
 	// round with the cluster's extended traffic matrix (machine × hop
 	// level, the wire as the last level).
@@ -158,7 +153,7 @@ const (
 	Isolated
 )
 
-// String names the state for /metricsz and reports.
+// String names the state for reports.
 func (h Health) String() string {
 	switch h {
 	case Healthy:
@@ -190,7 +185,7 @@ type shard struct {
 	owner    int
 }
 
-// MachineHealth is the per-member view exposed in results and /metricsz.
+// MachineHealth is the per-member view exposed in results.
 type MachineHealth struct {
 	ID     int    `json:"id"`
 	State  string `json:"state"`
@@ -325,12 +320,8 @@ func New(g *graph.Graph, cfg Config) (*Cluster, error) {
 		for r := 0; r < cfg.Replicas; r++ {
 			reps[r] = (i + r) % cfg.Machines
 		}
-		sh := &shard{rng: rng, replicas: reps}
-		if cfg.PreferReplica && cfg.Replicas > 1 {
-			sh.owner = 1
-		}
-		c.shards[i] = sh
-		c.owner[i] = reps[sh.owner]
+		c.shards[i] = &shard{rng: rng, replicas: reps}
+		c.owner[i] = reps[0]
 	}
 
 	// Placement maps.

@@ -67,22 +67,6 @@ func TestMachineCountInvariance(t *testing.T) {
 	}
 }
 
-// TestPreferReplicaPlacement: a hedged run starting every shard on its
-// replica must answer bit-identically (only the charged placement moves).
-func TestPreferReplicaPlacement(t *testing.T) {
-	g := testGraph(t, gen.PowerLaw, false)
-	a := run(t, g, Config{Machines: 4, Replicas: 2}, PR, 0)
-	b := run(t, g, Config{Machines: 4, Replicas: 2, PreferReplica: true}, PR, 0)
-	bitIdentical(t, "pr", a.Out, b.Out)
-	for i, m := range b.Machines {
-		for _, si := range m.Shards {
-			if si == i {
-				t.Fatalf("machine %d still owns its home shard under PreferReplica", i)
-			}
-		}
-	}
-}
-
 // TestFailoverRecovers: crash a machine and require a failover, the
 // fault-free answer, and a crashed entry in the health report.
 func TestFailoverRecovers(t *testing.T) {

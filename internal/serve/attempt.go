@@ -5,26 +5,9 @@ import (
 
 	"polymer/internal/algorithms"
 	"polymer/internal/bench"
-	"polymer/internal/cluster"
-	"polymer/internal/fault"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
 )
-
-// clusterChaosSteps is the window (in supersteps) a fault_seed chaos
-// schedule lands its events in on cluster requests.
-const clusterChaosSteps = 3
-
-// clusterStatus is the /metricsz and /readyz view of the most recent
-// cluster run: member health, shard placement and cumulative link bytes.
-type clusterStatus struct {
-	Machines  []cluster.MachineHealth `json:"machines"`
-	Healthy   int                     `json:"healthy"`
-	Total     int                     `json:"total"`
-	Failovers int                     `json:"failovers"`
-	NetBytes  float64                 `json:"net_bytes"`
-	Links     [][]float64             `json:"links"`
-}
 
 // attempt is where every run is chosen: it runs the task's live sources
 // to an outcome, stamps resp with what the run produced and returns the
@@ -32,9 +15,6 @@ type clusterStatus struct {
 // and, when the result cache retains answers (retains), one typed answer
 // per source.
 //
-//   - A cluster request runs on the cluster substrate. It bypasses the
-//     breaker: the substrate has its own health tracking and fails
-//     shards over to replicas itself.
 //   - An engine whose circuit is open serves PageRank on the honest
 //     degraded path (the run is re-provisioned on a machine that lost a
 //     NUMA node, the migration charged) and refuses anything else with
@@ -49,37 +29,6 @@ type clusterStatus struct {
 func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Response) (resKind, int, []float64, []bench.Output) {
 	v := t.v
 	tr := s.cfg.Tracer
-	if v.clustered() {
-		cfg := cluster.Config{
-			Machines: v.machines, Replicas: v.replicas,
-			Topo: v.topo, Nodes: v.nodes, Cores: v.cores,
-			// The hedge leg serves every shard from a standby replica, so a
-			// primary wedged on its home machines doesn't wedge the hedge.
-			PreferReplica: v.hedge,
-			Tracer:        tr,
-		}
-		if v.req.FaultSeed != 0 {
-			cfg.Events = fault.ClusterChaos(v.req.FaultSeed, clusterChaosSteps, v.machines)
-		}
-		c, err := cluster.New(g, cfg)
-		if err != nil {
-			return failure(err, resp)
-		}
-		calg, _ := cluster.ParseAlgo(string(v.alg)) // resolve admitted it
-		res, err := c.Run(t.ctx, calg, srcs[0])
-		if err != nil {
-			return failure(err, resp)
-		}
-		s.lastCluster.Store(&clusterStatus{
-			Machines: res.Machines, Healthy: res.Healthy(), Total: v.machines,
-			Failovers: res.Failovers, NetBytes: res.NetBytes, Links: res.Links,
-		})
-		resp.SimSeconds = res.SimSeconds
-		resp.Machines, resp.Replicas, resp.Hedged = v.machines, v.replicas, v.hedge
-		resp.Supersteps, resp.Failovers, resp.NetBytes = res.Supersteps, res.Failovers, res.NetBytes
-		return kindCompleted, 200, []float64{res.Checksum}, nil
-	}
-
 	br := s.breakers[v.sys]
 	admit, probe := br.Allow()
 	if !admit {
@@ -199,15 +148,14 @@ func (s *Server) retains(v *resolved) bool {
 }
 
 // warmFor returns what a warm run of v's one source on g repairs, or nil
-// when the run goes cold. A run goes warm when it is fault-free, not a
-// hedge leg, not clustered and of one source; when it is BFS or SSSP on
-// Polymer or Ligra; when the result cache holds an answer under its key
+// when the run goes cold. A run goes warm when it is fault-free and of
+// one source; when it is BFS or SSSP on Polymer or Ligra; when the result cache holds an answer under its key
 // from a snapshot no newer than g, and the store still has the batches in
 // between; and when g can be repaired at all (no negative or NaN weight,
 // algorithms.Repairable). Priors are keyed by the run identity, system
 // included, so an answer never crosses engines.
 func (s *Server) warmFor(v *resolved, g *graph.Graph, srcs []graph.Vertex) *bench.Warm {
-	if !s.retains(v) || len(srcs) != 1 || !v.reusable() || v.hedge || v.clustered() ||
+	if !s.retains(v) || len(srcs) != 1 || !v.reusable() ||
 		v.sys != bench.Polymer && v.sys != bench.Ligra {
 		return nil
 	}

@@ -104,7 +104,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // answer routes one validated request through the cheapest path that can
 // satisfy it: the versioned result cache, then a run — shared when one
 // for its identity is open (or opened here), private for fault-carrying
-// requests or with sharing off. Cluster requests hedge instead.
+// requests or with sharing off.
 func (s *Server) answer(v *resolved, clientCtx context.Context) (outcome, bool, error) {
 	// A draining server refuses everything up front — even requests the
 	// result cache could answer — so load balancers converge fast.
@@ -140,14 +140,6 @@ func (s *Server) answer(v *resolved, clientCtx context.Context) (outcome, bool, 
 				plan:    v.planInfo(),
 			}}, false, nil
 		}
-	}
-	if v.clustered() {
-		// Cluster requests hedge instead of sharing a run: the win they
-		// need is tail-latency insurance against a slow or failing machine,
-		// and attaching waiters to one run would put every rider behind the
-		// same slow primary. Repeats are still absorbed by the result cache
-		// above.
-		return s.hedged(v, clientCtx)
 	}
 	r, slot, shed, err := s.join(v, clientCtx)
 	if err != nil {
@@ -191,11 +183,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "recovering: mutation store replaying WAL"})
 		return
 	}
-	body := map[string]any{"status": "ready"}
-	if cs := s.lastCluster.Load(); cs != nil {
-		body["cluster"] = fmt.Sprintf("%d/%d machines healthy", cs.Healthy, cs.Total)
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // RecoverInBackground marks the server not-ready and replays the
@@ -225,9 +213,6 @@ type metricsBody struct {
 	// attached.
 	Mutations *mutate.StoreStats `json:"mutations,omitempty"`
 	Lineage   *LineageStats      `json:"lineage,omitempty"`
-	// Cluster is the most recent cluster run's health snapshot, present
-	// once a cluster request has executed.
-	Cluster *clusterStatus `json:"cluster,omitempty"`
 	// Planner holds per-machine-shape planner counters (decisions, cache
 	// hits, fallbacks) and learner regret stats, present once an auto
 	// request has been planned.
@@ -255,7 +240,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 		body.Mutations = &st
 		body.Lineage = s.lineage.stats()
 	}
-	body.Cluster = s.lastCluster.Load()
 	body.Planner = s.plannerStats()
 	writeJSON(w, http.StatusOK, body)
 }

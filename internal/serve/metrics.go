@@ -3,8 +3,8 @@
 // identical run), batched (joined a traversal run), result-hit
 // (answered from the versioned result cache) or shed — and every
 // non-shed request resolves to exactly one of completed / degraded /
-// broken / failed / expired / cancelled. Warm, evicted, mutations and
-// the hedge counts are events outside it. The soak suite asserts the identity
+// broken / failed / expired / cancelled. Warm, evicted and mutations are
+// events outside it. The soak suite asserts the identity
 //
 //	completed+degraded+broken+failed+expired+cancelled ==
 //	    admitted + coalesced + batched + result_hits
@@ -56,12 +56,6 @@ type Counters struct {
 	// an event counter outside the resolution identity — mutation
 	// requests themselves resolve as completed/failed/etc.
 	Mutations atomic.Int64
-	// Hedged counts hedge legs launched for cluster reads; HedgeWins
-	// counts the subset that answered before (or instead of) the primary.
-	// Both are event counters: each leg is also a full admission that
-	// resolves once, so they sit outside the identity like Evicted.
-	Hedged    atomic.Int64
-	HedgeWins atomic.Int64
 }
 
 // CounterSnapshot is the JSON form of Counters.
@@ -80,8 +74,6 @@ type CounterSnapshot struct {
 	Cancelled  int64 `json:"cancelled"`
 	Evicted    int64 `json:"evicted"`
 	Mutations  int64 `json:"mutations"`
-	Hedged     int64 `json:"hedged"`
-	HedgeWins  int64 `json:"hedge_wins"`
 }
 
 // Snapshot reads every counter.
@@ -101,8 +93,6 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		Cancelled:  c.Cancelled.Load(),
 		Evicted:    c.Evicted.Load(),
 		Mutations:  c.Mutations.Load(),
-		Hedged:     c.Hedged.Load(),
-		HedgeWins:  c.HedgeWins.Load(),
 	}
 }
 

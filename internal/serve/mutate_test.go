@@ -1,14 +1,17 @@
 // Tests for the streaming-mutation surface: commit-driven generation
 // bumps end to end over HTTP (stale cached results unreachable after a
 // commit), concurrent reads sharing one snapshot's layouts, a commit
-// racing an in-flight coalesced read, validation, and serve-level crash
-// recovery verified against a clean-apply oracle server.
+// racing an in-flight coalesced read, validation, serve-level crash
+// recovery verified against a clean-apply oracle server, readiness gating
+// during WAL recovery, and the shutdown-with-hung-request regression for
+// the mutation store.
 
 package serve
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -734,5 +737,126 @@ func TestDoomedSnapshotDropsOnRelease(t *testing.T) {
 	defer release2()
 	if g2.NumEdges() != g.NumEdges()+1 {
 		t.Fatalf("post-commit snapshot has %d edges, want %d", g2.NumEdges(), g.NumEdges()+1)
+	}
+}
+
+func TestReadyzGatedDuringWALRecovery(t *testing.T) {
+	dir := t.TempDir()
+	// Seed the WAL with committed work so recovery has something to replay.
+	seedStore, err := mutate.Open(dir, mutate.Options{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seedStore.Commit("roadUS", 0, 10, []mutate.Op{{Kind: mutate.OpInsert, Src: 0, Dst: 1, Wt: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := seedStore.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	entered := make(chan string, 1)
+	release := make(chan struct{})
+	store, err := mutate.Open(dir, mutate.Options{
+		CheckpointEvery: -1,
+		RecoverHook: func(key string) {
+			entered <- key
+			<-release
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv := NewServer(Config{Workers: 1, QueueDepth: 4, Mutations: store})
+	defer shutdown(t, srv)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	srv.RecoverInBackground()
+
+	// Recovery is now parked mid-replay: readiness must be 503 with a
+	// Retry-After, while liveness stays 200.
+	key := <-entered
+	if key != "roadUS@0" {
+		t.Fatalf("recovering key %q, want roadUS@0", key)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("mid-recovery /readyz = %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("mid-recovery /readyz has no Retry-After")
+	}
+	resp, err = ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("mid-recovery /healthz = %d, want 200 (liveness is not readiness)", resp.StatusCode)
+	}
+
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := ts.Client().Get(ts.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/readyz still %d after recovery released", resp.StatusCode)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// The replayed batch is visible without any further recovery work.
+	if seq, err := store.Seq("roadUS", 0); err != nil || seq != 1 {
+		t.Fatalf("recovered seq = %d (%v), want 1", seq, err)
+	}
+}
+
+// TestShutdownTimeoutStillClosesStore is the polymerd regression: a hung
+// in-flight request makes the graceful drain miss its deadline, and the
+// shutdown path must still be able to close the mutation store — with
+// the close fencing any commit that lost the race.
+func TestShutdownTimeoutStillClosesStore(t *testing.T) {
+	store, err := mutate.Open(t.TempDir(), mutate.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No workers: the admitted request below hangs in the queue forever,
+	// exactly like an execution wedged past every cancellation point.
+	srv := NewServer(Config{QueueDepth: 4, DrainTimeout: 20 * time.Millisecond, Mutations: store, noWorkers: true})
+	v, err := resolve(Request{Algo: "pr", System: "polymer", Graph: "powerlaw",
+		SessionRetries: -1, Restarts: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.submit(v, runKey{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err == nil {
+		t.Fatal("Shutdown reported success with a hung in-flight request")
+	}
+	// polymerd closes the store unconditionally after a failed drain.
+	if err := store.Close(); err != nil {
+		t.Fatalf("Close after failed drain: %v", err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatalf("Close is not idempotent: %v", err)
+	}
+	if _, err := store.Commit("roadUS", 0, 10, []mutate.Op{{Kind: mutate.OpInsert, Src: 0, Dst: 1}}); !errors.Is(err, mutate.ErrClosed) {
+		t.Fatalf("post-close commit error = %v, want ErrClosed", err)
+	}
+	if _, err := store.Seq("roadUS", 0); !errors.Is(err, mutate.ErrClosed) {
+		t.Fatalf("post-close Seq error = %v, want ErrClosed", err)
 	}
 }

@@ -51,7 +51,7 @@ type PlanInfo struct {
 }
 
 // planInfo builds the provenance block for this request's decision; nil
-// when the request was never planned (fully explicit or cluster).
+// when the request was never planned (fully explicit).
 func (v *resolved) planInfo() *PlanInfo {
 	d := v.planned
 	if d == nil {
@@ -212,11 +212,11 @@ func (s *Server) vetoMask() uint8 {
 }
 
 // planFor resolves the request's auto knobs through the planner and
-// binds the pick. Fully explicit requests and cluster runs pass through
-// untouched; planning errors (an unloadable dataset) surface to the
-// caller before any queue slot is spent.
+// binds the pick. Fully explicit requests pass through untouched;
+// planning errors (an unloadable dataset) surface to the caller before
+// any queue slot is spent.
 func (s *Server) planFor(v *resolved) error {
-	if v.clustered() || (!v.autoEngine && !v.autoPlace) {
+	if !v.autoEngine && !v.autoPlace {
 		return nil
 	}
 	f, err := s.profileFor(v)

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"polymer/internal/bench"
-	"polymer/internal/cluster"
 	"polymer/internal/fault"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
@@ -81,19 +80,10 @@ type Request struct {
 	// node gets that many bytes of DRAM and spills the rest of its
 	// footprint to the slow tier under the Tier policy ("hot" or
 	// "interleave"). PromoteEvery sets the phases between promotion
-	// passes for the hot policy (0 = the substrate default). Tiering is
-	// single-machine only.
+	// passes for the hot policy (0 = the substrate default).
 	DramBytes    int64  `json:"dram_bytes"`
 	Tier         string `json:"tier"`
 	PromoteEvery int    `json:"promote_every"`
-	// Machines > 0 runs the request on the replicated sharded cluster
-	// substrate (polymer engine; pr, bfs or sssp) instead of a single
-	// simulated machine. Replicas sets the shard replication factor
-	// (0 = the cluster default). For cluster runs fault_seed selects a
-	// deterministic chaos schedule (crash/partition/slow-link); the
-	// single-machine fault spec grammar does not apply.
-	Machines int `json:"machines"`
-	Replicas int `json:"replicas"`
 }
 
 // BadRequest is a client error: the request never reached the admission
@@ -119,13 +109,6 @@ type resolved struct {
 	cores  int
 	src    graph.Vertex
 	budget time.Duration // 0 = server default
-	// machines/replicas place the request on the cluster substrate
-	// (0 machines = single-machine execution). hedge is not wire state:
-	// the hedged-read path sets it on the secondary leg so the cluster
-	// serves from standby replicas while the primary leg runs home shards.
-	machines int
-	replicas int
-	hedge    bool
 	// tier is the validated tiered-memory config; the zero value means
 	// untiered. Every machine the execution path builds is armed with it
 	// before the engine charges an epoch.
@@ -146,9 +129,6 @@ type resolved struct {
 	layoutSet  bool
 	planned    *plan.Decision
 }
-
-// MaxMachines bounds the simulated cluster size a request may ask for.
-const MaxMachines = 16
 
 // DecodeRequest reads and validates one request body. Every error it
 // returns is a *BadRequest; it never panics on hostile input.
@@ -254,34 +234,6 @@ func resolve(req Request) (*resolved, error) {
 			return nil, badReq("bad fault spec: %v", err)
 		}
 	}
-	if req.Machines < 0 || req.Machines > MaxMachines {
-		return nil, badReq("machines %d out of range [0,%d]", req.Machines, MaxMachines)
-	}
-	if req.Machines == 0 && req.Replicas != 0 {
-		return nil, badReq("replicas requires machines > 0")
-	}
-	if req.Machines > 0 {
-		if v.autoEngine {
-			// The cluster substrate is polymer-only, so auto resolves
-			// trivially and no planning is needed.
-			v.sys, v.autoEngine = bench.Polymer, false
-		}
-		if v.sys != bench.Polymer {
-			return nil, badReq("cluster runs are polymer-only (got %s)", v.sys)
-		}
-		if _, err := cluster.ParseAlgo(string(v.alg)); err != nil {
-			return nil, badReq("%s is not served on the cluster substrate (want pr, bfs or sssp)", v.alg)
-		}
-		if req.Fault != "" {
-			return nil, badReq("fault specs don't apply to cluster runs; use fault_seed for cluster chaos")
-		}
-		if req.Replicas < 0 || req.Replicas > req.Machines {
-			return nil, badReq("replicas %d out of range [0,%d]", req.Replicas, req.Machines)
-		}
-		// Normalize the cluster default here so identical requests
-		// share one run identity regardless of spelling.
-		v.machines, v.replicas = req.Machines, cluster.ReplicasFor(req.Machines, req.Replicas)
-	}
 	if req.DramBytes < 0 {
 		return nil, badReq("dram_bytes %d is negative", req.DramBytes)
 	}
@@ -296,9 +248,6 @@ func resolve(req Request) (*resolved, error) {
 		if pol == numa.TierNone {
 			return nil, badReq("dram_bytes needs a tier policy: set tier to hot or interleave")
 		}
-		if v.clustered() {
-			return nil, badReq("tiering applies to single-machine runs only (machines > 0)")
-		}
 		if len(v.topo.SlowSeqBW) == 0 {
 			return nil, badReq("machine %q has no slow-tier cost tables", v.mach)
 		}
@@ -310,49 +259,37 @@ func resolve(req Request) (*resolved, error) {
 	} else if pol != numa.TierNone || req.PromoteEvery > 0 {
 		return nil, badReq("tier and promote_every need dram_bytes > 0")
 	}
-	if v.clustered() {
-		if strings.TrimSpace(req.Placement) != "" {
-			return nil, badReq("placement does not apply to cluster runs (shards are co-located per machine)")
+	switch pl := strings.ToLower(strings.TrimSpace(req.Placement)); pl {
+	case "":
+		// An unspecified placement follows the engine: explicit engines
+		// keep their native layout, an auto engine frees the planner to
+		// choose the placement too.
+		v.autoPlace = v.autoEngine
+	case "auto":
+		v.autoPlace = true
+	default:
+		p, err := mem.ParsePlacement(pl)
+		if err != nil {
+			return nil, badReq("unknown placement %q (want colocated, interleaved, centralized or auto)", req.Placement)
 		}
-	} else {
-		switch pl := strings.ToLower(strings.TrimSpace(req.Placement)); pl {
-		case "":
-			// An unspecified placement follows the engine: explicit engines
-			// keep their native layout, an auto engine frees the planner to
-			// choose the placement too.
-			v.autoPlace = v.autoEngine
-		case "auto":
-			v.autoPlace = true
-		default:
-			p, err := mem.ParsePlacement(pl)
-			if err != nil {
-				return nil, badReq("unknown placement %q (want colocated, interleaved, centralized or auto)", req.Placement)
-			}
-			if !v.autoEngine && v.sys != bench.Polymer && p != mem.Interleaved {
-				return nil, badReq("placement %s needs polymer; %s is interleaved-native", p, v.sys)
-			}
-			v.layout, v.layoutSet = p, true
+		if !v.autoEngine && v.sys != bench.Polymer && p != mem.Interleaved {
+			return nil, badReq("placement %s needs polymer; %s is interleaved-native", p, v.sys)
 		}
+		v.layout, v.layoutSet = p, true
 	}
 	return v, nil
 }
 
-// clustered reports whether the request runs on the cluster substrate.
-func (v *resolved) clustered() bool { return v.machines > 0 }
-
 // runID is the canonical identity of a run: engine, algorithm, dataset,
-// scale, effective placement, machine and its nodes x cores, tier
-// config and cluster shape, plus the traversal source for point queries.
-// resolve already normalized aliases ("x-stream", mixed case),
-// default-filled scale/machine/sockets/cores, zeroed src for
-// non-traversals and the cluster's default replica count, and planFor
-// resolved auto engine/placement to concrete picks, so semantically
-// identical requests share one identity no matter how they were spelled.
-// The zero tier config is untiered and zero machines single-machine.
-// QoS knobs (budget, session_retries, restarts) don't affect the computed
-// result and stay out of it; fault-carrying requests are never keyed (see
-// reusable). Cluster runs key per shape: their committed output is
-// bit-identical for any shape, but SimSeconds/NetBytes are not.
+// scale, effective placement, machine and its nodes x cores and tier
+// config, plus the traversal source for point queries. resolve already
+// normalized aliases ("x-stream", mixed case), default-filled
+// scale/machine/sockets/cores and zeroed src for non-traversals, and
+// planFor resolved auto engine/placement to concrete picks, so
+// semantically identical requests share one identity no matter how they
+// were spelled. The zero tier config is untiered. QoS knobs (budget,
+// session_retries, restarts) don't affect the computed result and stay
+// out of it; fault-carrying requests are never keyed (see reusable).
 type runID struct {
 	sys          bench.System
 	alg          bench.Algo
@@ -362,8 +299,6 @@ type runID struct {
 	mach         string
 	nodes, cores int
 	tier         numa.TierConfig
-	machines     int
-	replicas     int
 	src          graph.Vertex
 	// group marks a run group's identity: src is wildcarded, and the
 	// requests that share it differ only in their source, so one
@@ -388,8 +323,7 @@ func (v *resolved) id(src graph.Vertex) runID {
 	}
 	return runID{
 		sys: v.sys, alg: v.alg, data: v.data, scale: v.scale, place: place,
-		mach: v.mach, nodes: v.nodes, cores: v.cores, tier: v.tier,
-		machines: v.machines, replicas: v.replicas, src: src,
+		mach: v.mach, nodes: v.nodes, cores: v.cores, tier: v.tier, src: src,
 	}
 }
 
@@ -409,12 +343,11 @@ func (v *resolved) reusable() bool {
 }
 
 // batchable reports whether the request is a traversal point query that
-// a multi-source sweep can absorb. Cluster runs never batch: the sweep
-// engines are single-machine. A fused sweep is the same run as a solo
-// one, with the same tiered machines and layout, so tier and placement
-// only split groups (they are part of the group identity).
+// a multi-source sweep can absorb. A fused sweep is the same run as a
+// solo one, with the same tiered machines and layout, so tier and
+// placement only split groups (they are part of the group identity).
 func (v *resolved) batchable() bool {
-	return (v.alg == bench.BFS || v.alg == bench.SSSP) && !v.clustered()
+	return v.alg == bench.BFS || v.alg == bench.SSSP
 }
 
 // armTier applies the request's tiered-memory config to a freshly built

@@ -110,7 +110,7 @@ func TestCanonicalKeyEquivalence(t *testing.T) {
 // FuzzCanonicalKey asserts the canonicalizer is a pure function of the
 // resolved request: re-resolving the same wire request reproduces the
 // same identity, and the group identity is the identity with its source
-// wildcarded — tier and cluster shape included.
+// wildcarded.
 func FuzzCanonicalKey(f *testing.F) {
 	f.Add(`{"algo":"pr","system":"polymer","graph":"powerlaw"}`)
 	f.Add(`{"algo":"bfs","system":"ligra","graph":"powerlaw","src":3}`)
@@ -121,7 +121,7 @@ func FuzzCanonicalKey(f *testing.F) {
 	f.Add(`{"algo":"bp","system":"ligra","graph":"twitter","session_retries":3}`)
 	f.Add(`{"algo":"bfs","system":"ligra","graph":"powerlaw","src":4294967295}`)
 	f.Add(`{"algo":"bfs","system":"polymer","graph":"powerlaw","src":1,"dram_bytes":100000,"tier":"hot"}`)
-	f.Add(`{"algo":"sssp","system":"polymer","graph":"powerlaw","src":2,"machines":3}`)
+	f.Add(`{"algo":"sssp","system":"polymer","graph":"powerlaw","src":2,"placement":"interleaved"}`)
 	f.Fuzz(func(t *testing.T, body string) {
 		v, err := DecodeRequest(strings.NewReader(body))
 		if err != nil {

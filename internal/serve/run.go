@@ -8,8 +8,8 @@
 // queue wait is the join window for new sources: the worker seals the run
 // when it dequeues it (or when it reaches maxRunSources), and later
 // arrivals whose source it already sweeps still ride it until it
-// publishes. A fault-carrying request, a hedge leg or a server with
-// DisableSharing opens a private run instead, which nobody can join.
+// publishes. A fault-carrying request or a server with DisableSharing
+// opens a private run instead, which nobody can join.
 //
 // A shared run's waiters each keep their own budget and detach on their
 // own (504/503); the last one out cancels the run. A private run's single
@@ -81,7 +81,7 @@ func (r *run) slotOf(src graph.Vertex) int {
 // join attaches v to the open run for its key, or opens one. The returned
 // shed/err mirror enqueue's contract.
 func (s *Server) join(v *resolved, clientCtx context.Context) (r *run, slot int, shed bool, err error) {
-	if !v.reusable() || v.hedge || s.cfg.DisableSharing {
+	if !v.reusable() || s.cfg.DisableSharing {
 		r, shed, err = s.submit(v, runKey{}, clientCtx)
 		return r, 0, shed, err
 	}

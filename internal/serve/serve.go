@@ -62,11 +62,6 @@ type Config struct {
 	// private execution even when an identical run, or a traversal run
 	// that could sweep its source too, is already admitted.
 	DisableSharing bool
-	// HedgeDelay tunes hedged cluster reads: how long the primary leg may
-	// run before a second leg is raced from standby replicas. 0 (the
-	// default) adapts to the p90 of recent primary latencies; a negative
-	// value disables hedging.
-	HedgeDelay time.Duration
 	// DisableLearning freezes the planner's online learner: decisions
 	// still come from the analytic cost model, but observed runs no longer
 	// adjust its correction factors (reproducible benchmarking).
@@ -187,15 +182,6 @@ type Response struct {
 	// partition was balanced on — the run's own, or an earlier one whose
 	// partition its lineage kept (partition.Sticky).
 	BoundsSeq uint64 `json:"bounds_seq,omitempty"`
-	// Machines/Replicas/Supersteps/Failovers/NetBytes describe a cluster
-	// run; Hedged marks a response produced by the hedge leg (served from
-	// standby replicas) rather than the primary.
-	Machines   int     `json:"machines,omitempty"`
-	Replicas   int     `json:"replicas,omitempty"`
-	Supersteps int     `json:"supersteps,omitempty"`
-	Failovers  int     `json:"failovers,omitempty"`
-	NetBytes   float64 `json:"net_bytes,omitempty"`
-	Hedged     bool    `json:"hedged,omitempty"`
 	// Tier/DramBytes/SlowRate are tiered-memory provenance, present when
 	// the request armed a DRAM budget: the policy, the per-node DRAM
 	// bytes, and the slow tier's share of all simulated accesses in the
@@ -279,13 +265,9 @@ type Server struct {
 	// from a predecessor snapshot.
 	lineage lineageCounters
 
-	// hedges tracks recent primary cluster latencies for the adaptive
-	// hedge delay; lastCluster is the most recent run's health snapshot,
-	// surfaced at /metricsz and /readyz. recovering gates readiness while
-	// the mutation store replays its WALs at startup.
-	hedges      *hedgeTracker
-	lastCluster atomic.Pointer[clusterStatus]
-	recovering  atomic.Bool
+	// recovering gates readiness while the mutation store replays its
+	// WALs at startup.
+	recovering atomic.Bool
 }
 
 // NewServer builds and starts a server (workers spawn immediately).
@@ -303,7 +285,6 @@ func NewServer(cfg Config) *Server {
 		results:  newResultCache(cfg.ResultCacheBytes),
 		runs:     make(map[runKey]*run),
 		mut:      cfg.Mutations,
-		hedges:   newHedgeTracker(64),
 		planners: make(map[plannerKey]*plan.Planner),
 		profiles: make(map[profileKey]profile),
 	}
@@ -350,12 +331,6 @@ func (s *Server) enqueue(t *task) (shed bool, err error) {
 		return false, nil
 	default:
 		s.inflight.Add(-1)
-		if t.v != nil && t.v.hedge {
-			// A shed hedge leg is not a refused client request — the
-			// primary leg is still running and will answer — so it stays
-			// out of the shed count (which mirrors client-visible 429s).
-			return true, errors.New("serve: queue full")
-		}
 		s.counters.Shed.Add(1)
 		if tr := s.cfg.Tracer; tr != nil {
 			label := "mutation"
@@ -479,12 +454,10 @@ func (s *Server) execute(t *task) {
 		}
 		// Full-fidelity fault-free results feed the versioned cache, each
 		// under the identity the equivalent single-source request looks
-		// up. Hedge legs don't: their standby-replica placement skews the
-		// timing fields, and the identity carries no hedge bit.
-		// Non-default leases don't either: a run on non-prefix or shared
+		// up. Non-default leases don't: a run on non-prefix or shared
 		// sockets is not bit-identical to the canonical machine the
 		// identity names.
-		cache := v.reusable() && !v.hedge && (t.lease == nil || t.lease.Default())
+		cache := v.reusable() && (t.lease == nil || t.lease.Default())
 		t.lease.Release()
 		for i := range outs {
 			if outs[i].status == 0 {

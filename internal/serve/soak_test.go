@@ -34,10 +34,6 @@ func TestServeSoakUnderChaos(t *testing.T) {
 		DrainTimeout:     5 * time.Second,
 		BreakerThreshold: 3,
 		BreakerCooldown:  20 * time.Millisecond,
-		// Hedge cluster reads almost immediately so the soak exercises the
-		// hedged outcomes (winner, cancelled loser, shed hedge legs) under
-		// real contention, not just the happy path.
-		HedgeDelay: 10 * time.Microsecond,
 	})
 	ts := httptest.NewServer(srv.Handler())
 	client := ts.Client()
@@ -71,18 +67,6 @@ func TestServeSoakUnderChaos(t *testing.T) {
 			// Distinct sources over one shape: the batcher's fodder.
 			profile = "bfs-multi"
 			reqBody = fmt.Sprintf(`{"algo":"bfs","system":"ligra","graph":"powerlaw","scale":"tiny","sockets":2,"cores":2,"src":%d}`, i)
-		case 9:
-			// Cluster requests: hedged reads under load, and every fifth one
-			// carries a chaos schedule (crash + partition + slow link +
-			// crash-during-failover) whose committed output must still be
-			// bit-identical to the fault-free cluster runs.
-			if i%20 == 19 {
-				profile = "cluster-chaos"
-				reqBody = `{"algo":"pr","system":"polymer","graph":"powerlaw","scale":"tiny","sockets":1,"cores":2,"machines":6,"replicas":4,"fault_seed":11}`
-			} else {
-				profile = "cluster"
-				reqBody = `{"algo":"pr","system":"polymer","graph":"powerlaw","scale":"tiny","sockets":2,"cores":2,"machines":3}`
-			}
 		}
 		wg.Add(1)
 		go func(profile, reqBody string) {
@@ -136,16 +120,9 @@ func TestServeSoakUnderChaos(t *testing.T) {
 		shedTotal += r.sheds
 		counts[r.profile]++
 		switch r.profile {
-		case "clean-polymer", "clean-ligra", "bfs", "bfs-multi", "cluster":
+		case "clean-polymer", "clean-ligra", "bfs", "bfs-multi":
 			if r.status != 200 {
 				t.Fatalf("%s: status %d (%s), want 200", r.profile, r.status, r.resp.Error)
-			}
-		case "cluster-chaos":
-			if r.status != 200 {
-				t.Fatalf("cluster-chaos: status %d (%s), want 200 (faults must be survived in-run)", r.status, r.resp.Error)
-			}
-			if r.resp.Failovers == 0 {
-				t.Fatalf("cluster-chaos: committed with 0 failovers (chaos schedule never bit)")
 			}
 		case "recovered", "seeded":
 			if r.status != 200 {
@@ -174,13 +151,7 @@ func TestServeSoakUnderChaos(t *testing.T) {
 		if r.profile == "recovered" || r.profile == "seeded" {
 			key = "clean-polymer"
 		}
-		// Chaos cluster runs share the fault-free cluster bucket: the
-		// replicated substrate's contract is a bit-identical committed
-		// answer regardless of machine count, hedging or fault history.
-		if r.profile == "cluster-chaos" {
-			key = "cluster"
-		}
-		if r.status == 200 && !r.resp.Degraded && (key == "clean-polymer" || key == "clean-ligra" || key == "bfs" || key == "cluster") {
+		if r.status == 200 && !r.resp.Degraded && (key == "clean-polymer" || key == "clean-ligra" || key == "bfs") {
 			if want, ok := checksums[key]; !ok {
 				checksums[key] = r.resp.Checksum
 			} else if r.resp.Checksum != want {
@@ -192,8 +163,8 @@ func TestServeSoakUnderChaos(t *testing.T) {
 		t.Errorf("a %d-request burst against a %d-slot queue shed nothing", totalRequests, cap(srv.queue))
 	}
 
-	// Drain first: a hedged read answers its client as soon as one leg
-	// wins, and the cancelled loser resolves on its worker afterwards.
+	// Drain first, so every admitted run has resolved before the
+	// accounting is read.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
@@ -216,15 +187,6 @@ func TestServeSoakUnderChaos(t *testing.T) {
 	// burst of identical requests cannot all miss.
 	if snap.Coalesced+snap.Batched+snap.ResultHits == 0 {
 		t.Errorf("no request was coalesced, batched or cache-answered (%+v)", snap)
-	}
-	// With a near-zero hedge delay, cluster cache misses must have hedged —
-	// and since the identity above balanced, every hedge leg resolved
-	// exactly once (completed or cancelled), never as a double answer.
-	if snap.Hedged == 0 {
-		t.Errorf("no cluster request hedged despite the forced delay (%+v)", snap)
-	}
-	if snap.HedgeWins > snap.Hedged {
-		t.Errorf("hedge wins %d exceed hedges %d", snap.HedgeWins, snap.Hedged)
 	}
 
 	// Verify nothing leaks: workers, tasks and HTTP plumbing all exit.

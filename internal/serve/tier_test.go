@@ -127,7 +127,6 @@ func TestDecodeRequestTieredRejections(t *testing.T) {
 		{"negative-dram", `{"algo":"pr","system":"polymer","graph":"powerlaw","dram_bytes":-1}`, "negative"},
 		{"negative-promote", `{"algo":"pr","system":"polymer","graph":"powerlaw","dram_bytes":1000,"tier":"hot","promote_every":-1}`, "negative"},
 		{"unknown-tier", `{"algo":"pr","system":"polymer","graph":"powerlaw","dram_bytes":1000,"tier":"cold"}`, "unknown tier"},
-		{"cluster-tiered", `{"algo":"pr","system":"polymer","graph":"powerlaw","machines":2,"dram_bytes":1000,"tier":"hot"}`, "single-machine"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
