@@ -1,7 +1,7 @@
 // Command polymerd serves graph-analytics requests over HTTP/JSON with
 // production robustness: bounded admission with load shedding, per-request
-// deadlines, retry with backoff over checkpoint/rollback recovery, a
-// per-engine circuit breaker with degraded-mode fallback, graceful drain
+// deadlines, in-run rollback and replay with restarts of fault-injected
+// runs, a per-engine circuit breaker with degraded-mode fallback, graceful drain
 // on SIGTERM/SIGINT, and an execution-reuse layer — identical in-flight
 // requests coalesce into one run, traversal point queries batch into
 // multi-source sweeps, and full-fidelity results replay from a versioned

@@ -187,9 +187,9 @@ type shard struct {
 
 // MachineHealth is the per-member view exposed in results.
 type MachineHealth struct {
-	ID     int    `json:"id"`
-	State  string `json:"state"`
-	Shards []int  `json:"shards"` // shards currently owned
+	ID     int
+	State  string
+	Shards []int // shards currently owned
 }
 
 // Result is one committed cluster run.

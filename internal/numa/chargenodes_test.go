@@ -101,23 +101,14 @@ func tierClasses(m *numa.Machine) (*mem.TierPlan, [3]*mem.TierClass) {
 	return tp, cs
 }
 
-// randomMachine draws one machine of the test matrix: CoresPerNode 1, 2
-// or 10; the default socket pick or a leased socket set; sometimes a
-// degraded link; tiered (hot or interleave) or untiered.
+// randomMachine draws one machine of the test matrix: 1-8 nodes on the
+// default socket pick; CoresPerNode 1, 2 or 10; sometimes a degraded
+// link; tiered (hot or interleave) or untiered.
 func randomMachine(t *testing.T, rng *rand.Rand) *numa.Machine {
 	t.Helper()
 	topo := numa.IntelXeon80()
-	sockets := [][]int{nil, {0}, {1, 4, 6}, {7, 2, 5, 0, 3}}
 	cpn := []int{1, 2, 10}[rng.Intn(3)]
-	var m *numa.Machine
-	if set := sockets[rng.Intn(len(sockets))]; set == nil {
-		m = numa.NewMachine(topo, 1+rng.Intn(topo.Sockets), cpn)
-	} else {
-		var err error
-		if m, err = numa.NewMachineOnSockets(topo, set, cpn); err != nil {
-			t.Fatal(err)
-		}
-	}
+	m := numa.NewMachine(topo, 1+rng.Intn(topo.Sockets), cpn)
 	if m.Nodes > 1 && rng.Intn(3) == 0 {
 		if err := m.DegradeLink(0, m.Nodes-1, 0.5); err != nil {
 			t.Fatal(err)

@@ -50,35 +50,6 @@ func NewMachine(t *Topology, nodes, coresPerNode int) *Machine {
 // for callers building machines from user-supplied configuration (cmd
 // flags).
 func NewMachineChecked(t *Topology, nodes, coresPerNode int) (*Machine, error) {
-	return newMachineOn(t, nil, nodes, coresPerNode)
-}
-
-// NewMachineOnSockets configures a machine on an explicit physical socket
-// set instead of the default minimum-distance pick. The multi-tenant
-// scheduler uses it to place concurrent requests on disjoint node sets;
-// when sockets equals PickOrder's prefix of the same length, the machine
-// is indistinguishable from NewMachine's, so a sole-tenant scheduled run
-// stays bit-identical to an unscheduled one.
-func NewMachineOnSockets(t *Topology, sockets []int, coresPerNode int) (*Machine, error) {
-	if len(sockets) == 0 {
-		return nil, fmt.Errorf("numa: empty socket set")
-	}
-	seen := make(map[int]bool, len(sockets))
-	for _, s := range sockets {
-		if s < 0 || s >= t.Sockets {
-			return nil, fmt.Errorf("numa: socket %d outside topology %q [0,%d)", s, t.Name, t.Sockets)
-		}
-		if seen[s] {
-			return nil, fmt.Errorf("numa: duplicate socket %d in set", s)
-		}
-		seen[s] = true
-	}
-	phys := make([]int, len(sockets))
-	copy(phys, sockets)
-	return newMachineOn(t, phys, len(phys), coresPerNode)
-}
-
-func newMachineOn(t *Topology, physical []int, nodes, coresPerNode int) (*Machine, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
@@ -88,14 +59,11 @@ func newMachineOn(t *Topology, physical []int, nodes, coresPerNode int) (*Machin
 	if coresPerNode < 1 || coresPerNode > t.CoresPerSocket {
 		return nil, fmt.Errorf("numa: %d cores/node requested, topology %q has %d cores/socket", coresPerNode, t.Name, t.CoresPerSocket)
 	}
-	if physical == nil {
-		physical = pickSockets(t, nodes)
-	}
 	m := &Machine{
 		Topo:         t,
 		Nodes:        nodes,
 		CoresPerNode: coresPerNode,
-		physical:     physical,
+		physical:     pickSockets(t, nodes),
 		alloc:        NewAllocTracker(),
 	}
 	m.levels = make([]int, nodes*nodes)
@@ -123,19 +91,6 @@ func newMachineOn(t *Topology, physical []int, nodes, coresPerNode int) (*Machin
 // thread on the given node sees against interleaved pages.
 func (m *Machine) InterleavedBW(node int) (seq, rand float64) {
 	return m.ilSeqBW[node], m.ilRandBW[node]
-}
-
-// PickOrder returns the topology's default socket selection order: the
-// greedy minimum-pairwise-distance sequence NewMachine places n nodes on.
-// Each step of the greedy walk depends only on the sockets already chosen,
-// so PickOrder(k) is a prefix of PickOrder(n) for k <= n — the property
-// the planner's multi-tenant scheduler relies on to keep a sole tenant's
-// socket set identical to the default machine's.
-func (t *Topology) PickOrder(n int) []int {
-	if n < 1 || n > t.Sockets {
-		return nil
-	}
-	return pickSockets(t, n)
 }
 
 // pickSockets greedily selects n sockets minimising the sum of pairwise hop

@@ -118,14 +118,13 @@ type cacheKey struct {
 	gen      uint64
 }
 
-// Planner owns the cost model, learner, scheduler and decision cache
-// for one topology. Safe for concurrent use.
+// Planner owns the cost model, learner and decision cache for one
+// topology. Safe for concurrent use.
 type Planner struct {
 	topo  *numa.Topology
 	cores int
 
 	learner *Learner
-	sched   *Scheduler
 
 	mu    sync.RWMutex
 	cache map[cacheKey]*Decision
@@ -142,7 +141,6 @@ func New(topo *numa.Topology, coresPerNode int) *Planner {
 		topo:    topo,
 		cores:   coresPerNode,
 		learner: NewLearner(),
-		sched:   NewScheduler(topo),
 		cache:   make(map[cacheKey]*Decision),
 	}
 }
@@ -150,9 +148,6 @@ func New(topo *numa.Topology, coresPerNode int) *Planner {
 // Learner exposes the online learner (for observation feeding and
 // stats).
 func (p *Planner) Learner() *Learner { return p.learner }
-
-// Scheduler exposes the multi-tenant socket scheduler.
-func (p *Planner) Scheduler() *Scheduler { return p.sched }
 
 // Topology returns the planner's topology.
 func (p *Planner) Topology() *numa.Topology { return p.topo }

@@ -19,13 +19,13 @@ import (
 //     degraded path (the run is re-provisioned on a machine that lost a
 //     NUMA node, the migration charged) and refuses anything else with
 //     503; a multi-source run is refused whole.
-//   - Anything else goes through lease -> machine factory -> one
-//     bench.RunResilientCtx call: one source warm when warmFor finds an
+//   - Anything else is one bench.RunResilientCtx call on the machine
+//     factory mk: one source warm when warmFor finds an
 //     answer to repair, else cold, and k on one fused multi-source sweep;
 //     a fault session only when the request injects faults. A failed run
 //     is not repeated (it would fail the same way, DESIGN.md §8) and
-//     counts once against the breaker. A planned run's lease is left on t
-//     for finish to read; finish releases it before it publishes.
+//     counts once against the breaker. A planned run builds the machine
+//     an explicit request naming its pick would build.
 func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Response) (resKind, int, []float64, []bench.Output) {
 	v := t.v
 	tr := s.cfg.Tracer
@@ -47,23 +47,6 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 	}
 
 	mk := func() *numa.Machine { return v.armTier(numa.NewMachine(v.topo, v.nodes, v.cores)) }
-	if v.planned != nil {
-		// Planned runs go through the multi-tenant scheduler: disjoint
-		// simulated sockets while capacity lasts, honest co-location
-		// charging when it doesn't. A sole tenant gets the deterministic
-		// prefix, so its machine — and therefore its result — is
-		// bit-identical to an explicitly configured run's. (A run's waiters
-		// agreed on the plan: it is part of the identity.)
-		t.lease = s.plannerFor(v).Scheduler().Acquire(v.nodes)
-		explicit := mk
-		mk = func() *numa.Machine {
-			m, err := t.lease.Machine(v.cores)
-			if err != nil {
-				return explicit()
-			}
-			return v.armTier(m)
-		}
-	}
 	opt := bench.ResilientOptions{
 		MaxRestarts:    restartMax,
 		SessionRetries: v.req.SessionRetries,
@@ -112,7 +95,7 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 		// run — its simulated time is exactly what the model
 		// predicted, so it may teach the learner. Fused sweeps may
 		// not: their cost covers k sources at once.
-		s.observePlan(v, t.lease, r.SimSeconds)
+		s.observePlan(v, r.SimSeconds)
 	}
 	outs := []bench.Output{r.Out}
 	if len(srcs) > 1 {

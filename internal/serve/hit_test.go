@@ -103,7 +103,7 @@ func TestHitBytesMatchEncodingJSON(t *testing.T) {
 	setEveryField(t, reflect.ValueOf(&full).Elem())
 	plan := &PlanInfo{
 		Version: 3, Engine: "polymer", Placement: "colocated", Nodes: 8, Predicted: 2.5e-3,
-		AutoEngine: true, AutoPlacement: true, Fallback: true, SharedTenants: 2, ChargedSimSeconds: 5e-3,
+		AutoEngine: true, AutoPlacement: true, Fallback: true,
 	}
 	unencodable := &PlanInfo{Version: 1, Engine: "polymer", Predicted: math.Inf(1)}
 	for name, payload := range map[string]Response{"every field set": full, "every field zero": {}} {

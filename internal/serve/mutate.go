@@ -201,7 +201,7 @@ func (s *Server) executeMutate(t *task) {
 			slog.Float64("wall_ms", out.WallMs),
 			slog.String("error", out.Error),
 		)
-		s.publish(t.run, []outcome{{kind: kind, status: status, resp: out}}, 0)
+		s.publish(t.run, []outcome{{kind: kind, status: status, resp: out}})
 	}
 
 	// Expired or abandoned while queued: nothing was committed.

@@ -43,11 +43,6 @@ type PlanInfo struct {
 	// Fallback marks a decision made with every engine's circuit open; the
 	// breaker, not the planner, then decides the outcome.
 	Fallback bool `json:"fallback,omitempty"`
-	// SharedTenants is the scheduler's co-tenancy degree when the run had
-	// to share sockets; ChargedSimSeconds is the honest wall-clock-style
-	// charge (sim_seconds x tenants). Both absent for an isolated run.
-	SharedTenants     int     `json:"shared_tenants,omitempty"`
-	ChargedSimSeconds float64 `json:"charged_sim_seconds,omitempty"`
 }
 
 // planInfo builds the provenance block for this request's decision; nil
@@ -69,21 +64,9 @@ func (v *resolved) planInfo() *PlanInfo {
 	}
 }
 
-// planWith is planInfo stamped with the run's co-tenancy: a run that
-// shared its sockets with tenants-1 others reports them and is charged
-// sim x tenants. nil, like planInfo, for an unplanned request.
-func (v *resolved) planWith(tenants int, sim float64) *PlanInfo {
-	pi := v.planInfo()
-	if pi != nil && tenants > 1 {
-		pi.SharedTenants = tenants
-		pi.ChargedSimSeconds = sim * float64(tenants)
-	}
-	return pi
-}
-
 // plannerKey identifies one planner instance: the serving layer keeps
-// one per (topology, cores-per-socket) shape, so its scheduler's socket
-// accounting matches the machines requests actually build.
+// one per (topology, cores-per-socket) shape, so its cost model prices
+// the machines requests actually build.
 type plannerKey struct {
 	mach  string
 	cores int
@@ -250,14 +233,10 @@ func (s *Server) planFor(v *resolved) error {
 }
 
 // observePlan feeds one completed run's simulated time back into the
-// learner. Only clean, isolated, full-fidelity runs teach the model:
-// fault-injected, degraded or socket-sharing runs have simulated costs
-// the model was never predicting.
-func (s *Server) observePlan(v *resolved, lease *plan.Lease, simSeconds float64) {
+// learner. Only clean, full-fidelity runs teach the model: fault-injected
+// or degraded runs have simulated costs the model was never predicting.
+func (s *Server) observePlan(v *resolved, simSeconds float64) {
 	if v.planned == nil || s.cfg.DisableLearning || !v.reusable() {
-		return
-	}
-	if lease != nil && !lease.Default() {
 		return
 	}
 	s.plannerFor(v).Observe(v.planned, simSeconds)

@@ -697,10 +697,11 @@ func TestServeResultCacheEndToEnd(t *testing.T) {
 }
 
 // TestRunAnswerIsAFunctionOfTheBody is determinism as a client sees it: one
-// /run body answered by a cold engine run, by the result cache and by a
-// second server started from scratch carries the same checksum and the
-// same sim_seconds / charged_sim_seconds bits, at any GOMAXPROCS — a
-// cached answer never disagrees with its own recomputation.
+// /run body answered by a cold engine run, by the result cache, by a
+// second server started from scratch and by a third server running all
+// five bodies at once carries the same checksum and the same sim_seconds
+// bits, at any GOMAXPROCS — neither the cache nor what else is running
+// changes an answer.
 func TestRunAnswerIsAFunctionOfTheBody(t *testing.T) {
 	const machine = `"graph":"powerlaw","scale":"tiny","sockets":4,"cores":2`
 	bodies := []string{
@@ -710,16 +711,25 @@ func TestRunAnswerIsAFunctionOfTheBody(t *testing.T) {
 		`{"algo":"sssp","system":"ligra","src":3,` + machine + `}`,
 		`{"algo":"pr","system":"auto",` + machine + `}`, // planned: carries the plan block
 	}
-	serve := func() (*httptest.Server, func()) {
-		srv := NewServer(Config{Workers: 2, QueueDepth: 8})
+	serve := func(workers int) (*httptest.Server, func()) {
+		srv := NewServer(Config{Workers: workers, QueueDepth: 8})
 		ts := httptest.NewServer(srv.Handler())
 		return ts, func() { ts.Close(); shutdown(t, srv) }
 	}
-	first, stopFirst := serve()
+	same := func(body, leg string, r, cold Response) {
+		t.Helper()
+		if math.Float64bits(r.Checksum) != math.Float64bits(cold.Checksum) ||
+			math.Float64bits(r.SimSeconds) != math.Float64bits(cold.SimSeconds) {
+			t.Errorf("%s: %s answered checksum %x sim %x, cold run %x %x", body, leg,
+				r.Checksum, r.SimSeconds, cold.Checksum, cold.SimSeconds)
+		}
+	}
+	first, stopFirst := serve(2)
 	defer stopFirst()
-	second, stopSecond := serve()
+	second, stopSecond := serve(2)
 	defer stopSecond()
-	for _, b := range bodies {
+	colds := make([]Response, len(bodies))
+	for i, b := range bodies {
 		answers := map[string]Response{}
 		for _, leg := range []struct {
 			name   string
@@ -736,18 +746,51 @@ func TestRunAnswerIsAFunctionOfTheBody(t *testing.T) {
 		if cold.Checksum == 0 || cold.SimSeconds == 0 {
 			t.Fatalf("%s: empty result %+v", b, cold)
 		}
-		charged := func(r Response) uint64 {
-			if r.Plan == nil {
-				return 0
-			}
-			return math.Float64bits(r.Plan.ChargedSimSeconds)
-		}
 		for name, r := range answers {
-			if math.Float64bits(r.Checksum) != math.Float64bits(cold.Checksum) ||
-				math.Float64bits(r.SimSeconds) != math.Float64bits(cold.SimSeconds) || charged(r) != charged(cold) {
-				t.Errorf("%s: %s answered checksum %x sim %x charged %x, cold run %x %x %x", b, name,
-					r.Checksum, r.SimSeconds, charged(r), cold.Checksum, cold.SimSeconds, charged(cold))
-			}
+			same(b, name, r, cold)
 		}
+		colds[i] = cold
+	}
+
+	// Concurrent leg: a fresh server gets every body at once, so planned
+	// and explicit runs overlap on its workers.
+	third, stopThird := serve(4)
+	defer stopThird()
+	type answer struct {
+		status int
+		r      Response
+		err    error
+	}
+	got := make([]answer, len(bodies))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, b := range bodies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			httpResp, err := third.Client().Post(third.URL+"/run", "application/json", strings.NewReader(b))
+			if err != nil {
+				got[i].err = err
+				return
+			}
+			defer httpResp.Body.Close()
+			got[i].status = httpResp.StatusCode
+			got[i].err = json.NewDecoder(httpResp.Body).Decode(&got[i].r)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, b := range bodies {
+		a := got[i]
+		if a.err != nil || a.status != 200 || a.r.Cached {
+			t.Fatalf("%s, concurrent: status %d cached=%v err %v (%s)", b, a.status, a.r.Cached, a.err, a.r.Error)
+		}
+		same(b, "concurrent", a.r, colds[i])
+		st, r := postJSON(t, third, "/run", b)
+		if st != 200 || !r.Cached {
+			t.Fatalf("%s, re-posted after the concurrent leg: status %d cached=%v (%s)", b, st, r.Cached, r.Error)
+		}
+		same(b, "re-posted", r, colds[i])
 	}
 }

@@ -41,8 +41,8 @@ type runKey struct {
 }
 
 // run is one admitted execution and everything waiting on it. srcs grows
-// only while the run is open and under Server.runMu; outs and tenants are
-// written once, before done is closed, and are immutable afterwards.
+// only while the run is open and under Server.runMu; outs is written
+// once, before done is closed, and is immutable afterwards.
 type run struct {
 	key    runKey    // zero for a private one
 	v      *resolved // the opener's request: graph, engine, QoS knobs
@@ -52,9 +52,6 @@ type run struct {
 	sealed bool           // no new sources
 	done   chan struct{}
 	outs   []outcome // one per source
-	// tenants is the co-tenancy of the planned run's lease (0 when the
-	// machine was not shared), so every waiter can stamp its own plan.
-	tenants int
 }
 
 func newRun(key runKey, v *resolved, cancel context.CancelFunc) *run {
@@ -190,7 +187,7 @@ func (s *Server) wait(r *run, slot int, v *resolved, clientCtx context.Context) 
 			out.resp.ID = s.ids.Add(1)
 			out.resp.Coalesced = !v.batchable()
 			out.resp.WallMs = float64(time.Since(start).Microseconds()) / 1000
-			out.resp.Plan = v.planWith(r.tenants, out.resp.SimSeconds)
+			out.resp.Plan = v.planInfo()
 		}
 		return out
 	case <-wctx.Done():
@@ -241,12 +238,12 @@ func (s *Server) seal(r *run) []graph.Vertex {
 // publish retires the run and answers everything waiting on it. Removal
 // happens under the registry lock before done is closed, so nobody can
 // join a finished run. A private run's one request is resolved here.
-func (s *Server) publish(r *run, outs []outcome, tenants int) {
+func (s *Server) publish(r *run, outs []outcome) {
 	s.runMu.Lock()
 	if s.runs[r.key] == r {
 		delete(s.runs, r.key)
 	}
-	r.outs, r.tenants = outs, tenants
+	r.outs = outs
 	s.runMu.Unlock()
 	if r.private() {
 		s.recordKind(outs[0].kind)

@@ -222,9 +222,6 @@ type task struct {
 	// mut, when non-nil, is the mutation batch this task commits; the
 	// worker routes it through executeMutate (and v is nil).
 	mut *mutation
-	// lease is a planned run's socket assignment, taken by attempt; nil
-	// for explicit requests.
-	lease *plan.Lease
 }
 
 // Server owns the admission queue, the worker pool, the per-engine
@@ -438,27 +435,14 @@ func (s *Server) execute(t *task) {
 	var seq uint64
 	answers := make([]bench.Output, len(srcs))
 	// finish gives every slot not already resolved on its own the run-wide
-	// outcome, caches the full-fidelity results, releases a planned run's
-	// lease and publishes: a client that sends its next request as soon as
-	// it reads the response finds the sockets free.
+	// outcome, caches the full-fidelity results and publishes.
 	finish := func(kind resKind, status int, out Response) {
 		wall := float64(time.Since(start).Microseconds()) / 1000
 		breaker := string(s.breakers[v.sys].State())
-		tenants := 0
-		if t.lease != nil && t.lease.Tenants() > 1 {
-			// The machine was shared: every waiter reports the co-tenancy
-			// and the honest wall-clock-style charge. The payload itself is
-			// untouched — sharing simulated sockets never changes what was
-			// computed, only what it cost.
-			tenants = t.lease.Tenants()
-		}
 		// Full-fidelity fault-free results feed the versioned cache, each
 		// under the identity the equivalent single-source request looks
-		// up. Non-default leases don't: a run on non-prefix or shared
-		// sockets is not bit-identical to the canonical machine the
-		// identity names.
-		cache := v.reusable() && (t.lease == nil || t.lease.Default())
-		t.lease.Release()
+		// up.
+		cache := v.reusable()
 		for i := range outs {
 			if outs[i].status == 0 {
 				outs[i] = outcome{kind: kind, status: status, resp: out}
@@ -470,7 +454,7 @@ func (s *Server) execute(t *task) {
 			}
 		}
 		// Slot 0 is the opener's; joiners stamp their own plan in wait.
-		outs[0].resp.Plan = v.planWith(tenants, outs[0].resp.SimSeconds)
+		outs[0].resp.Plan = v.planInfo()
 		out.WallMs, out.Breaker = wall, breaker
 		if tr != nil {
 			tr.Span("serve", "request", obs.PidServe, startMicros, obs.NowMicros()-startMicros, -1, t.id,
@@ -494,7 +478,7 @@ func (s *Server) execute(t *task) {
 			slog.Float64("wall_ms", out.WallMs),
 			slog.String("error", out.Error),
 		)
-		s.publish(r, outs, tenants)
+		s.publish(r, outs)
 	}
 
 	// Expired or abandoned while queued: answer without burning a run.

@@ -40,8 +40,8 @@ go test -race \
 	./internal/cluster/... \
 	./internal/plan/...
 
-echo "==> go test -race -count=10 (shared runs: join, seal, detach and publish races; degraded and warm runs through the one attempt)"
-go test -race -count=10 -run 'Coalesce|Batch|Invalidation|Drain|Deadline|Disconnect|SharedLease|Degrade|Warm' ./internal/serve/
+echo "==> go test -race -count=10 (shared runs: join, seal, detach and publish races; concurrent runs answer as a lone one does; degraded and warm runs through the one attempt)"
+go test -race -count=10 -run 'Coalesce|Batch|Invalidation|Drain|Deadline|Disconnect|AFunctionOfTheBody|Degrade|Warm' ./internal/serve/
 
 echo "==> go test -race -count=5 (concurrent reads of a fresh successor: one layout patch, shared)"
 go test -race -count=5 -run 'TestConcurrentReadsShareSnapshotLayouts' ./internal/serve/
