@@ -2,10 +2,10 @@ package polymer_test
 
 // Regression guards for the hot-path overhaul:
 //
-//   - steady-state EdgeMap/VertexMap iterations must stay within a small
-//     fixed allocation budget (the phase-scoped scratch arenas make the
-//     loop body allocation-free apart from the frontier bitmap words the
-//     builder donates to the returned Subset);
+//   - steady-state EdgeMap/VertexMap iterations allocate nothing: the
+//     phase-scoped scratch arenas are reused, phase closures stay on the
+//     stack (par.Pool.Run), and a frontier handed back to its engine
+//     (sg.ReleaseFrontier) lends its storage to the next one built;
 //   - two identical runs must produce bit-identical simulated times — the
 //     host-side optimisations (scratch reuse, row kernels, cached
 //     degrees) must never leak into the simulated clock.
@@ -14,6 +14,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"polymer/internal/algorithms"
@@ -30,12 +31,12 @@ import (
 )
 
 // allocBudgetPerIteration bounds the steady-state allocations of one full
-// PageRank iteration (EdgeMap + VertexMap). The remaining allocations are
-// the dense frontier bitmap words — one slice per NUMA node, donated to
-// the returned Subset so they cannot be pooled — plus the Subset headers;
-// before the scratch arenas the same loop allocated several hundred
-// objects per iteration.
-const allocBudgetPerIteration = 32
+// PageRank iteration (EdgeMap + VertexMap). Nothing is left: the phase
+// closures stay on the stack, and the empty subset a NoOutput EdgeMap
+// returns is handed back and reused. Before the scratch arenas the same
+// loop allocated several hundred objects per iteration, and before the
+// hand-back 32 were allowed.
+const allocBudgetPerIteration = 0
 
 func regressionMachine() *numa.Machine {
 	topo := numa.IntelXeon80()
@@ -83,8 +84,8 @@ func TestLigraPRIterationAllocs(t *testing.T) {
 
 // TestXStreamPRIterationAllocs bounds a warm X-Stream iteration: the
 // shuffle buffers keep their capacity and the active bitmaps double-buffer,
-// so one more Iterate over the full frontier allocates only the phase
-// closures. Narrow tiles make a return to per-iteration buffers cost two
+// and the phase closures stay on the stack, so one more Iterate over the
+// full frontier allocates nothing. Narrow tiles make a return to per-iteration buffers cost two
 // growing arrays per (thread, tile) pair in use, far over the budget.
 func TestXStreamPRIterationAllocs(t *testing.T) {
 	g := regressionGraph(t)
@@ -184,24 +185,27 @@ func sparseSuperstepAllocs(t *testing.T, k sg.EdgeKernel, newEngine func(*graph.
 	}
 	frontier := state.FromVertices(e.Bounds(), vs)
 	step := func() {
-		if out := e.EdgeMap(frontier, k, sg.Hints{DataBytes: 4}); out.Dense() || out.IsEmpty() {
+		out := e.EdgeMap(frontier, k, sg.Hints{DataBytes: 4})
+		if out.Dense() || out.IsEmpty() {
 			t.Fatalf("superstep built a dense or empty frontier (%d active)", out.Count())
 		}
+		sg.ReleaseFrontier(e, out)
 	}
 	step() // warm up: layouts, scratch arenas, queue capacity
 	step()
 	return testing.AllocsPerRun(10, step)
 }
 
-// sparseSuperstepAllocBudget bounds one sparse superstep: the returned
-// Subset (header, per-node list table, one backing array) and the phase
-// closure. The builder, its per-thread queue table and degree counters
-// come from the engine's scratch, the per-part queues and chunk starts of
-// the frontier's scatter too, and the phase epoch folds in place; a queue
-// table allocated per phase — 2 KB at 80 threads, once for each of a
-// road-grid BFS's ~400 supersteps — is one object over. Finding the row
+// sparseSuperstepAllocBudget bounds one sparse superstep whose returned
+// Subset is handed back: nothing. The builder, its per-thread queue table
+// and degree counters come from the engine's scratch, the per-part queues
+// and chunk starts of the frontier's scatter too, the returned Subset's
+// header, list table and backing array from the subset handed back, and
+// the phase epoch folds in place; the phase closure stays on the stack. A
+// queue table allocated per phase — 2 KB at 80 threads, once for each of
+// a road-grid BFS's ~400 supersteps — is one object over. Finding the row
 // form (claimRows) must add nothing either.
-const sparseSuperstepAllocBudget = 4
+const sparseSuperstepAllocBudget = 0
 
 // sparseKernels are the sparse superstep's kernels: per edge, and through
 // the row form.
@@ -248,9 +252,11 @@ func pullSuperstepAllocs(t *testing.T, newEngine func(*graph.Graph) sg.Engine) (
 	measure := func(sssp bool) float64 {
 		superstep := algorithms.TraversalSuperstep(e, sssp, sources)
 		step := func() {
-			if out := superstep(); !out.Dense() || out.IsEmpty() {
+			out := superstep()
+			if !out.Dense() || out.IsEmpty() {
 				t.Fatalf("sssp=%v: superstep built a sparse or empty frontier (%d active)", sssp, out.Count())
 			}
+			sg.ReleaseFrontier(e, out)
 		}
 		step() // warm up: pull layout, scratch arenas
 		step()
@@ -259,16 +265,16 @@ func pullSuperstepAllocs(t *testing.T, newEngine func(*graph.Graph) sg.Engine) (
 	return measure(false), measure(true)
 }
 
-// The pull superstep budgets are what the per-edge loops allocated before
-// the kernels had a segment form: the returned Subset, its leaf table and
-// bitmap leaves (one per NUMA node on Polymer, one on Ligra) and the phase
-// closure. Finding sg.PullRowKernel must add nothing — a struct-valued
-// kernel would be boxed once per phase (sg.RowKernelOf), one object over —
-// and neither may the hit list a segment returns, which the engine sizes
-// once.
+// The pull superstep budgets are nothing: the returned Subset, its leaf
+// table and bitmap leaves (one per NUMA node on Polymer, one on Ligra) are
+// the storage of the subset handed back, and the phase closure stays on
+// the stack; before the hand-back they were 11 and 4 objects. Finding
+// sg.PullRowKernel must add nothing — a struct-valued kernel would be
+// boxed once per phase (sg.RowKernelOf), one object over — and neither may
+// the hit list a segment returns, which the engine sizes once.
 const (
-	polymerPullSuperstepAllocBudget = 11
-	ligraPullSuperstepAllocBudget   = 4
+	polymerPullSuperstepAllocBudget = 0
+	ligraPullSuperstepAllocBudget   = 0
 )
 
 func TestPolymerPullSuperstepAllocs(t *testing.T) {
@@ -338,6 +344,61 @@ func TestPRRerunAllocs(t *testing.T) {
 			t.Logf("rerun allocated %d bytes (n x 8 = %d, budget %d)", got, n*8, budget)
 			if got > budget {
 				t.Fatalf("PageRank rerun allocated %d bytes, budget %d (n x 8 + 10 %%)", got, budget)
+			}
+		})
+	}
+}
+
+// TestBFSRerunAllocs bounds the bytes a whole BFS rerun allocates on a
+// reused engine, on the road grid whose ~400 supersteps engine-sparse
+// times. A run's frontiers go back to the engine that built them
+// (sg.ReleaseFrontier), whose next builds reuse their storage, and the
+// phase closures stay on the stack, so a second BFS allocates the n levels
+// it returns and little else: the budget is those n x 8 bytes plus 10 %.
+// Handing no frontier back takes Polymer's and Ligra's reruns to nearly
+// twice the levels, and a phase closure on the heap, one a superstep,
+// takes all three over the margin.
+func TestBFSRerunAllocs(t *testing.T) {
+	const side = 200
+	n, edges := gen.RoadGrid(side, side, 7)
+	g := graph.FromEdges(n, edges, true)
+	budget := uint64(n) * 8 * 11 / 10
+	engines := []struct {
+		name  string
+		build func(m *numa.Machine) (run func() []int64, close func())
+	}{
+		{"polymer", func(m *numa.Machine) (func() []int64, func()) {
+			e := core.MustNew(g, m, core.DefaultOptions())
+			return func() []int64 { return algorithms.BFS(e, side-1) }, e.Close
+		}},
+		{"ligra", func(m *numa.Machine) (func() []int64, func()) {
+			e := ligra.MustNew(g, m, ligra.DefaultOptions())
+			return func() []int64 { return algorithms.BFS(e, side-1) }, e.Close
+		}},
+		{"galois", func(m *numa.Machine) (func() []int64, func()) {
+			e := galois.MustNew(g, m, galois.DefaultOptions())
+			return func() []int64 { return e.BFS(side - 1) }, e.Close
+		}},
+	}
+	for _, eng := range engines {
+		t.Run(eng.name, func(t *testing.T) {
+			run, closeEngine := eng.build(regressionMachine())
+			defer closeEngine()
+			want := run() // lays the engine out and grows its scratch
+			got := uint64(math.MaxUint64)
+			for range 3 { // the least of three reruns: the runtime allocates beside the test too
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				levels := run()
+				runtime.ReadMemStats(&after)
+				got = min(got, after.TotalAlloc-before.TotalAlloc)
+				if !slices.Equal(levels, want) {
+					t.Fatal("a rerun's levels differ from the first run's")
+				}
+			}
+			t.Logf("rerun allocated %d bytes (n x 8 = %d, budget %d)", got, n*8, budget)
+			if got > budget {
+				t.Fatalf("BFS rerun allocated %d bytes, budget %d (n x 8 + 10 %%)", got, budget)
 			}
 		})
 	}

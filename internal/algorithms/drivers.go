@@ -40,12 +40,13 @@ type stepper struct {
 // sgStepper steps kernel k on a scatter-gather engine: EdgeMap out of the
 // active subset (the one persistent full frontier until a step keeps
 // less), then VertexMap over the full frontier, building the kept subset
-// only when the step keeps it.
+// only when the step keeps it. The subsets it drops, the EdgeMap's and a
+// retired kept one, go back to the engine.
 func sgStepper[K sg.EdgeKernel](e sg.Engine, k K, h sg.Hints) stepper {
 	all := state.NewAll(e.Bounds())
 	active := all
 	return stepper{eng: e, span: e, step: func(apply func(graph.Vertex) bool, keep bool) int64 {
-		sg.EdgeMapK(e, active, k, h)
+		sg.ReleaseFrontier(e, sg.EdgeMapK(e, active, k, h))
 		if e.Err() != nil {
 			return 0
 		}
@@ -53,7 +54,11 @@ func sgStepper[K sg.EdgeKernel](e sg.Engine, k K, h sg.Hints) stepper {
 			sg.VertexMapDiscard(e, all, apply)
 			return 0
 		}
+		old := active
 		active = e.VertexMap(all, apply)
+		if old != all {
+			sg.ReleaseFrontier(e, old)
+		}
 		return active.Count()
 	}}
 }
@@ -193,7 +198,11 @@ func XSBP(e *xstream.Engine, iters int, sess *fault.Session) ([]float64, error) 
 // untilEmpty runs step over a frontier until it comes back empty, one
 // fault.Step per superstep. The new frontier is adopted only after the
 // step committed, and adopted (when non-nil) then sees the step number,
-// the retired frontier and the new one. A step budget bounds the loop:
+// the retired frontier and the new one. Only then does the retired
+// frontier go back to the engine (sg.ReleaseFrontier): a rolled-back step
+// replays over it, and a fault.Session's saved frontier is it until the
+// next step's save. The frontier untilEmpty is handed becomes its own,
+// and so does the empty one it ends on. A step budget bounds the loop:
 // every step of a traversal settles at least one vertex for good, so more
 // than n steps means a runaway.
 func untilEmpty(e sg.Engine, sess *fault.Session, frontier *state.Subset,
@@ -223,10 +232,12 @@ func untilEmpty(e sg.Engine, sess *fault.Session, frontier *state.Subset,
 				return err
 			}
 		}
+		sg.ReleaseFrontier(e, old)
 		if err := wd.Tick(frontier.Count()); err != nil {
 			return err
 		}
 	}
+	sg.ReleaseFrontier(e, frontier)
 	return nil
 }
 

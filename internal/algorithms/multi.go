@@ -130,10 +130,11 @@ var (
 
 // rearm retires the old frontier's active masks, then arms the new one's.
 // A vertex in both frontiers is cleared first and re-armed with exactly
-// the searches that claimed it this step.
+// the searches that claimed it this step. Each is a VertexMap whose subset
+// nothing reads, so neither builds one.
 func rearm(e sg.Engine, old, next *state.Subset, active, claimed []uint64) {
-	e.VertexMap(old, func(v graph.Vertex) bool { active[v] = 0; return true })
-	e.VertexMap(next, func(v graph.Vertex) bool { active[v] = claimed[v]; claimed[v] = 0; return true })
+	sg.VertexMapDiscard(e, old, func(v graph.Vertex) bool { active[v] = 0; return true })
+	sg.VertexMapDiscard(e, next, func(v graph.Vertex) bool { active[v] = claimed[v]; claimed[v] = 0; return true })
 }
 
 // MultiBFS runs k breadth-first searches in one union-frontier sweep and

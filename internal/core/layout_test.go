@@ -108,12 +108,20 @@ func TestLayoutColumnsAreLocal(t *testing.T) {
 	}
 }
 
+// A namedPartition is one partition the owner tests cut a graph into.
+type namedPartition struct {
+	name  string
+	parts []partition.Range
+}
+
 // ownerPartitions are the partitions the owner tests cut a graph of n
-// vertices into: balanced, and with an empty node in the middle.
-func ownerPartitions(n int) map[string][]partition.Range {
-	return map[string][]partition.Range{
-		"balanced":    partition.VertexBalanced(n, 4),
-		"empty-node1": {{Lo: 0, Hi: n / 3}, {Lo: n / 3, Hi: n / 3}, {Lo: n / 3, Hi: n / 2}, {Lo: n / 2, Hi: n}},
+// vertices into, in a fixed order, so that a test drawing from one random
+// stream across them draws the same inputs on every run: balanced, and
+// with an empty node in the middle.
+func ownerPartitions(n int) []namedPartition {
+	return []namedPartition{
+		{"balanced", partition.VertexBalanced(n, 4)},
+		{"empty-node1", []partition.Range{{Lo: 0, Hi: n / 3}, {Lo: n / 3, Hi: n / 3}, {Lo: n / 3, Hi: n / 2}, {Lo: n / 2, Hi: n}}},
 	}
 }
 
@@ -124,7 +132,8 @@ func ownerPartitions(n int) map[string][]partition.Range {
 func TestLayoutRowsAscendingAndOwners(t *testing.T) {
 	n, edges := gen.Powerlaw(1000, 6, 2.0, 8)
 	g := graph.FromEdges(n, edges, false)
-	for name, parts := range ownerPartitions(n) {
+	for _, np := range ownerPartitions(n) {
+		name, parts := np.name, np.parts
 		for _, push := range []bool{true, false} {
 			l := buildLayout(g, parts, push)
 			for p := range l.perNode {
@@ -180,7 +189,8 @@ func TestLayoutSegmentsCoverTheSweep(t *testing.T) {
 	gen.AddRandomWeights(edges, 13)
 	g := graph.FromEdges(n, edges, true)
 	rng := gen.NewRNG(5)
-	for name, parts := range ownerPartitions(n) {
+	for _, np := range ownerPartitions(n) {
+		name, parts := np.name, np.parts
 		built := buildLayout(g, parts, false)
 		del, app := randomBatch(rng, g, 40)
 		for _, l := range []*layoutBuild{built, built.Patch(del, app)} {
@@ -279,7 +289,8 @@ func TestLayoutBytesPinned(t *testing.T) {
 func TestLayoutAgentIndex(t *testing.T) {
 	n, edges := gen.RMAT(8, 4, 6)
 	g := graph.FromEdges(n, edges, false)
-	for name, parts := range ownerPartitions(n) {
+	for _, np := range ownerPartitions(n) {
+		name, parts := np.name, np.parts
 		if b := buildLayout(g, parts, false); b.agents != nil {
 			t.Fatalf("%s: a pull build carries an agent index", name)
 		}
@@ -504,9 +515,9 @@ func TestLayoutPatchMatchesBuild(t *testing.T) {
 	gen.AddRandomWeights(edges, 18)
 	for _, weighted := range []bool{false, true} {
 		base := graph.FromEdges(n, edges, weighted)
-		partitions := ownerPartitions(n)
-		partitions["edge-balanced"] = partition.EdgeBalanced(base, 4, partition.In)
-		for name, parts := range partitions {
+		partitions := append(ownerPartitions(n), namedPartition{"edge-balanced", partition.EdgeBalanced(base, 4, partition.In)})
+		for _, np := range partitions {
+			name, parts := np.name, np.parts
 			for _, push := range []bool{true, false} {
 				rng := gen.NewRNG(uint64(len(name)) + 7)
 				g, l := base, buildLayout(base, parts, push)

@@ -132,63 +132,73 @@ func (p *Pool) setErr(err error) {
 // failure wins) so one crashing thread cannot take down the process;
 // every thread after it still runs. Thread bodies must not wait on each
 // other: a body that waits for a later thread never returns (see
-// RunConcurrent).
-func (p *Pool) Run(fn func(th int)) error { return p.phase(fn, false) }
+// RunConcurrent). fn does not escape: a phase closure the caller builds
+// stays on the caller's stack.
+func (p *Pool) Run(fn func(th int)) error {
+	hook, tr, dispatched := p.begin()
+	for th := 0; th < p.Threads(); th++ {
+		p.runThread(th, hook, fn)
+	}
+	return p.end(tr, dispatched)
+}
 
 // RunCtx is Run honouring context cancellation: a context already
 // cancelled skips the phase entirely, and a cancellation that arrives
 // during the phase is reported after the last thread (thread bodies are
 // cooperative; they are never preempted mid-phase).
 func (p *Pool) RunCtx(ctx context.Context, fn func(th int)) error {
-	return p.phaseCtx(ctx, fn, false)
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return ctxErr(ctx, p.Run(fn))
 }
 
 // RunConcurrent is RunCtx with one goroutine per simulated thread, spawned
 // for this phase only and joined before it returns. It is the entry point
 // for bodies that wait on each other mid-phase, which must then
 // synchronise whatever they share; bench.measureBarrier, a real
-// barrier.Wait per thread, is the only one.
+// barrier.Wait per thread, is the only one. It has its own loop so that
+// only its fn, which the goroutines capture, escapes to the heap.
 func (p *Pool) RunConcurrent(ctx context.Context, fn func(th int)) error {
-	return p.phaseCtx(ctx, fn, true)
-}
-
-func (p *Pool) phaseCtx(ctx context.Context, fn func(th int), concurrent bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	runErr := p.phase(fn, concurrent)
+	hook, tr, dispatched := p.begin()
+	p.wg.Add(p.Threads() - 1)
+	for th := 1; th < p.Threads(); th++ {
+		go func(th int) {
+			defer p.wg.Done()
+			p.runThread(th, hook, fn)
+		}(th)
+	}
+	p.runThread(0, hook, fn)
+	p.wg.Wait()
+	return ctxErr(ctx, p.end(tr, dispatched))
+}
+
+// ctxErr is a finished phase's error: its own failure, else the context's
+// cancellation.
+func ctxErr(ctx context.Context, runErr error) error {
 	if err := ctx.Err(); err != nil && runErr == nil {
 		return err
 	}
 	return runErr
 }
 
-// phase runs every thread's hook and body: in a loop on the caller, or,
-// when concurrent, thread 0 on the caller and each other thread on a
-// goroutine of its own.
-func (p *Pool) phase(fn func(th int), concurrent bool) error {
+// begin starts a phase: it clears the phase's error and loads the hook
+// and the tracer, with the host time of the dispatch when tracing.
+func (p *Pool) begin() (hook *func(th int) error, tr *obs.Tracer, dispatched float64) {
 	p.runErr = nil
-	hook := p.hook.Load()
-	tr := p.trace.Load()
-	var dispatched float64
+	hook, tr = p.hook.Load(), p.trace.Load()
 	if tr != nil {
 		dispatched = obs.NowMicros()
 	}
-	if concurrent {
-		p.wg.Add(p.Threads() - 1)
-		for th := 1; th < p.Threads(); th++ {
-			go func(th int) {
-				defer p.wg.Done()
-				p.runThread(th, hook, fn)
-			}(th)
-		}
-		p.runThread(0, hook, fn)
-		p.wg.Wait()
-	} else {
-		for th := 0; th < p.Threads(); th++ {
-			p.runThread(th, hook, fn)
-		}
-	}
+	return hook, tr, dispatched
+}
+
+// end finishes a phase whose threads have all returned and reports its
+// first failure.
+func (p *Pool) end(tr *obs.Tracer, dispatched float64) error {
 	// The end of a phase is a scheduling point: without it a run of
 	// phases is one unbroken loop, and on a single P the GC's fractional
 	// mark worker waits for the 10 ms preemption tick while the mutator

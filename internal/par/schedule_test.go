@@ -127,17 +127,41 @@ func TestRunFailureDoesNotSkipFollowers(t *testing.T) {
 	}
 }
 
+// TestRunDoesNotAllocate: Run and RunCtx keep their fn off the heap, so a
+// phase closure that captures the caller's locals, as every engine phase
+// does, stays on the caller's stack. Only RunConcurrent, whose goroutines
+// capture fn, may move it to the heap.
 func TestRunDoesNotAllocate(t *testing.T) {
 	p, err := NewNodePool(8, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := p.Run(func(int) {}); err != nil {
-			t.Fatal(err)
+	ctx := context.Background()
+	counts := make([]int64, p.Threads())
+	var phases, sum int64
+	for _, c := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Run", func() error {
+			phases++
+			return p.Run(func(th int) { counts[th] += phases; sum += int64(th) })
+		}},
+		{"RunCtx", func() error {
+			phases++
+			return p.RunCtx(ctx, func(th int) { counts[th] -= phases; sum -= int64(th) })
+		}},
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Pool.%s allocates %v times per dispatch of a capturing closure, want 0", c.name, n)
 		}
-	}); n != 0 {
-		t.Fatalf("Pool.Run allocates %v times per dispatch, want 0", n)
+	}
+	if sum != 0 {
+		t.Fatalf("the two phases' closures summed to %d, want 0", sum)
 	}
 }
 

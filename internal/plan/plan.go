@@ -101,6 +101,14 @@ type Decision struct {
 	// degraded or refused response rather than the planner guessing).
 	Fallback bool
 	LearnGen uint64
+
+	// Memo keeps what a caller derives from the decision alone and would
+	// otherwise derive on every use, so that it lives and dies with the
+	// decision: the serving layer keeps a planned hit's rendered plan
+	// block here, one for each combination of the request's two auto
+	// flags. Safe for concurrent use; the other fields are not written
+	// once the decision is shared.
+	Memo [4]atomic.Value
 }
 
 // cacheKey is comparable: the exact feature vector plus everything else

@@ -133,11 +133,13 @@ func (s *Server) answer(v *resolved, clientCtx context.Context) (outcome, bool, 
 			// strips it), and the hit is stamped with this request's own
 			// decision — nil when it was explicit, even if a planned run
 			// populated the entry.
+			info, rendered := v.hitPlan()
 			return outcome{status: http.StatusOK, hit: hitReply{
-				hit:     h,
-				id:      s.ids.Add(1),
-				breaker: string(s.breakers[v.sys].State()),
-				plan:    v.planInfo(),
+				hit:      h,
+				id:       s.ids.Add(1),
+				breaker:  string(s.breakers[v.sys].State()),
+				plan:     info,
+				rendered: rendered,
 			}}, false, nil
 		}
 	}

@@ -191,45 +191,60 @@ type hitBody struct{ bytes.Reader }
 
 func (*hitBody) Close() error { return nil }
 
-// TestHitRequestAllocs: an explicit body whose answer is cached, posted
-// through Handler(), is a decode, a cache lookup and a write of stored
-// bytes: no machine table is built and no Response is encoded. Beside the
-// request copy the caller makes, what it allocates is DecodeRequest's
-// (the decoder and its buffer, the Request's strings and the resolved
-// request) and the header value, 16 objects in all (under -race, up to
-// two more a run: the race detector's pool drops some hit buffers).
+// TestHitRequestAllocs: a body whose answer is cached, posted through
+// Handler(), is a decode, a cache lookup and a write of stored bytes: no
+// machine table is built and no Response is encoded. Beside the request
+// copy the caller makes, what an explicit body allocates is
+// DecodeRequest's (the decoder and its buffer, the Request's strings and
+// the resolved request) and the header value, 16 objects in all (under
+// -race, up to two more a run: the race detector's pool drops some hit
+// buffers). A planned body is held to the same count: its plan and the
+// plan's JSON are made once for its decision (resolved.hitPlan), not
+// rendered again for every hit.
 func TestHitRequestAllocs(t *testing.T) {
-	srv := NewServer(Config{noWorkers: true})
-	defer srv.Shutdown(context.Background())
-	const body = `{"algo":"bfs","system":"ligra","graph":"powerlaw","src":3}`
-	v := mustResolve(t, body)
-	payload := Response{System: "ligra", Algo: "bfs", Graph: "powerlaw", Scale: "tiny", Checksum: 1}
-	srv.results.put(v, ownID(v), payload, bench.Output{}, 0)
-	h := srv.Handler()
-	tmpl := httptest.NewRequest(http.MethodPost, "/run", nil)
-	var rd hitBody
-	w := &hitWriter{hdr: make(http.Header)}
-	post := func() {
-		r := *tmpl
-		rd.Reset([]byte(body))
-		r.Body = &rd
-		clear(w.hdr)
-		w.buf.Reset()
-		h.ServeHTTP(w, &r)
-	}
-	post() // fills the server's pools
-	allocs := testing.AllocsPerRun(200, post)
-	want := httptest.NewRecorder()
-	writeJSON(want, http.StatusOK, hitResponse(payload, &Response{ID: srv.ids.Load(), Breaker: string(BreakerClosed)}))
-	if w.status != http.StatusOK || !bytes.Equal(w.buf.Bytes(), want.Body.Bytes()) {
-		t.Fatalf("not the hit's bytes: status %d %s", w.status, w.buf.Bytes())
-	}
-	t.Logf("a cached /run allocates %.1f objects", allocs)
-	bound := 16.0
-	if raceEnabled {
-		bound += 2 // a dropped hit buffer is allocated again and grown
-	}
-	if allocs > bound {
-		t.Fatalf("a cached /run allocates %.1f objects, want at most %.0f", allocs, bound)
+	for _, tc := range []struct{ name, body string }{
+		{"explicit", `{"algo":"bfs","system":"ligra","graph":"powerlaw","src":3}`},
+		{"planned", `{"algo":"bfs","graph":"powerlaw","src":3}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := NewServer(Config{noWorkers: true})
+			defer srv.Shutdown(context.Background())
+			v := mustResolve(t, tc.body)
+			if err := srv.planFor(v); err != nil { // binds a planned body's pick
+				t.Fatal(err)
+			}
+			if (v.planned != nil) != (tc.name == "planned") {
+				t.Fatalf("planned = %v", v.planned)
+			}
+			payload := Response{System: string(v.sys), Algo: "bfs", Graph: "powerlaw", Scale: "tiny", Checksum: 1}
+			srv.results.put(v, ownID(v), payload, bench.Output{}, 0)
+			h := srv.Handler()
+			tmpl := httptest.NewRequest(http.MethodPost, "/run", nil)
+			var rd hitBody
+			w := &hitWriter{hdr: make(http.Header)}
+			post := func() {
+				r := *tmpl
+				rd.Reset([]byte(tc.body))
+				r.Body = &rd
+				clear(w.hdr)
+				w.buf.Reset()
+				h.ServeHTTP(w, &r)
+			}
+			post() // fills the server's pools and the decision's plan
+			allocs := testing.AllocsPerRun(200, post)
+			want := httptest.NewRecorder()
+			writeJSON(want, http.StatusOK, hitResponse(payload, &Response{ID: srv.ids.Load(), Breaker: string(BreakerClosed), Plan: v.planInfo()}))
+			if w.status != http.StatusOK || !bytes.Equal(w.buf.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("not the hit's bytes: status %d %s\nwant %s", w.status, w.buf.Bytes(), want.Body.Bytes())
+			}
+			t.Logf("a cached /run allocates %.1f objects", allocs)
+			bound := 16.0
+			if raceEnabled {
+				bound += 2 // a dropped hit buffer is allocated again and grown
+			}
+			if allocs > bound {
+				t.Fatalf("a cached /run allocates %.1f objects, want at most %.0f", allocs, bound)
+			}
+		})
 	}
 }

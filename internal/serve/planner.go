@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"strconv"
 
@@ -62,6 +63,41 @@ func (v *resolved) planInfo() *PlanInfo {
 		AutoPlacement: v.autoPlace,
 		Fallback:      d.Fallback,
 	}
+}
+
+// hitPlan returns the request's provenance block and its JSON, the block
+// and the bytes a hit stamps: nil and nil when the request was never
+// planned, and nil bytes when the block has no JSON form (a non-finite
+// predicted cost). Both are made once for each decision and combination
+// of auto flags, and kept on the decision (plan.Decision.Memo), which the
+// planner shares between the requests it answers alike.
+func (v *resolved) hitPlan() (*PlanInfo, []byte) {
+	d := v.planned
+	if d == nil {
+		return nil, nil
+	}
+	slot := &d.Memo[flagIndex(v.autoEngine)<<1|flagIndex(v.autoPlace)]
+	if m, ok := slot.Load().(*renderedPlan); ok {
+		return m.info, m.json
+	}
+	m := &renderedPlan{info: v.planInfo()}
+	m.json, _ = json.Marshal(m.info)
+	slot.Store(m)
+	return m.info, m.json
+}
+
+// A renderedPlan is a planned hit's provenance block and its JSON, or nil
+// JSON when the block has none.
+type renderedPlan struct {
+	info *PlanInfo
+	json []byte
+}
+
+func flagIndex(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // plannerKey identifies one planner instance: the serving layer keeps

@@ -90,6 +90,9 @@ type hitReply struct {
 	id      int64
 	breaker string
 	plan    *PlanInfo
+	// rendered is plan's JSON when the request's decision keeps it
+	// (resolved.hitPlan); when it is nil, appendTo renders plan itself.
+	rendered []byte
 }
 
 // appendTo appends what json.NewEncoder(w).Encode writes for the cached
@@ -99,8 +102,8 @@ type hitReply struct {
 // needs no escaping. A plan with no JSON form (a non-finite predicted
 // cost) fails the whole encode, as it fails Encode: nothing is appended.
 func (r *hitReply) appendTo(b []byte) []byte {
-	var plan []byte
-	if r.plan != nil {
+	plan := r.rendered
+	if plan == nil && r.plan != nil {
 		var err error
 		if plan, err = json.Marshal(r.plan); err != nil {
 			return b

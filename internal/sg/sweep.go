@@ -2,6 +2,7 @@ package sg
 
 import (
 	"math/bits"
+	"slices"
 
 	"polymer/internal/barrier"
 	"polymer/internal/graph"
@@ -348,9 +349,9 @@ func (c *SweepConfig) EdgeMode(active int64, degree func() int64, edges int64, h
 // A phase runs its threads one after another on the caller's goroutine
 // (par.Pool.Run), so the sweep's scratch — the phase epoch, the per-part
 // counts, the frontier builder, the segment view, the hit list and the
-// sparse queues — is reused between phases without synchronisation. What
-// must not be reused are the dense bitmap leaves handed to a returned
-// Subset.
+// sparse queues — is reused between phases without synchronisation. A
+// returned Subset is the caller's until the caller hands it back
+// (ReleaseFrontier); only then does a later phase reuse its storage.
 type Sweep struct {
 	Base
 	cfg    SweepConfig
@@ -439,6 +440,21 @@ func EdgeMapK[K EdgeKernel](e Engine, a *state.Subset, k K, h Hints) *state.Subs
 	return e.EdgeMap(a, k, h)
 }
 
+// ReleaseFrontier hands f, a subset e returned or one the caller made over
+// e's bounds, back to e: on an engine that embeds a Sweep its storage goes
+// to the frontiers later phases build, and on any other engine, or for a
+// subset over other bounds, it does nothing. The caller must be done with
+// f and hold no other reference to it; a driver hands a frontier back only
+// once the step that read it has committed (fault.Step) and nothing will
+// read it again.
+func ReleaseFrontier(e Engine, f *state.Subset) {
+	if sw, ok := e.(sweeper); ok {
+		if s := sw.sweep(); slices.Equal(f.Bounds(), s.bounds) {
+			s.bs.Release(f)
+		}
+	}
+}
+
 // EdgeMap applies k to every edge whose source is active in a and returns
 // the set of destinations that reported an update (the paper's Section
 // 4.1). A phase is sparse when the adaptive policy says so, else a dense
@@ -450,15 +466,24 @@ func (s *Sweep) EdgeMap(a *state.Subset, k EdgeKernel, h Hints) *state.Subset {
 func edgeMap[K EdgeKernel](s *Sweep, a *state.Subset, k K, h Hints) *state.Subset {
 	h = h.Normalize()
 	if a.IsEmpty() || s.Err() != nil {
-		return state.NewEmpty(s.bounds)
+		return s.bs.Empty(s.bounds)
 	}
+	var in, out *state.Subset
 	switch s.cfg.EdgeMode(a.Count(), func() int64 { return ActiveDegree(s.G, a) }, s.G.NumEdges(), h) {
 	case SparsePush:
-		return sparsePush(s, a.ToSparse(), k, h)
+		in = s.bs.ToSparse(a)
+		out = sparsePush(s, in, k, h)
 	case DensePush:
-		return densePush(s, a.ToDense(), k, h)
+		in = s.bs.ToDense(a)
+		out = densePush(s, in, k, h)
+	default:
+		in = s.bs.ToDense(a)
+		out = densePull(s, in, k, h)
 	}
-	return densePull(s, a.ToDense(), k, h)
+	if in != a {
+		s.bs.Release(in) // the view of a the phase read, built here
+	}
+	return out
 }
 
 // densePush sweeps each part's source-keyed rows from its Start: active
@@ -706,12 +731,12 @@ func (s *Sweep) scatter(l *Layout, a *state.Subset) int {
 // bitmap words or list entries.
 func (s *Sweep) VertexMap(a *state.Subset, f VertexFunc) *state.Subset {
 	if a.IsEmpty() || s.Err() != nil {
-		return state.NewEmpty(s.bounds)
+		return s.bs.Empty(s.bounds)
 	}
 	b := s.bs.Builder(s.bounds, s.M.Threads(), a.Dense(), s.degreeOf)
 	s.vertexMap(a, f, b)
 	if s.Err() != nil {
-		return state.NewEmpty(s.bounds)
+		return s.bs.Empty(s.bounds)
 	}
 	return b.Build()
 }
@@ -812,7 +837,7 @@ func (s *Sweep) balance(l *Layout) {
 // frontier. A failed phase charges nothing and returns the empty set.
 func (s *Sweep) endEdges(m EdgeMode, ep *numa.Epoch, l *Layout, h Hints, a *state.Subset, b *state.Builder) *state.Subset {
 	if s.Err() != nil {
-		return state.NewEmpty(s.bounds)
+		return s.bs.Empty(s.bounds)
 	}
 	s.balance(l)
 	ep.ChargeNodes(func(th, _ int) {
@@ -822,7 +847,7 @@ func (s *Sweep) endEdges(m EdgeMode, ep *numa.Epoch, l *Layout, h Hints, a *stat
 	})
 	s.end(ep, "edgemap", m != SparsePush, m != DensePull, a.Count())
 	if b == nil {
-		return state.NewEmpty(s.bounds)
+		return s.bs.Empty(s.bounds)
 	}
 	return b.Build()
 }

@@ -26,6 +26,7 @@ type Subset struct {
 	dense  bool
 	words  [][]uint64 // dense: per-node bitmap; bit i = vertex bounds[p]+i
 	lists  [][]uint32 // sparse: per-node ascending vertex ids (global)
+	buf    []uint32   // sparse: the array the lists are carved from, or nil
 }
 
 // NewAll returns the dense subset containing every vertex.
@@ -174,38 +175,10 @@ func (s *Subset) ForEach(fn func(v uint32)) {
 }
 
 // ToDense returns a dense view of the subset (itself if already dense).
-func (s *Subset) ToDense() *Subset {
-	if s.dense {
-		return s
-	}
-	nodes := s.Nodes()
-	d := &Subset{bounds: s.bounds, dense: true, count: s.count, degree: s.degree, words: make([][]uint64, nodes)}
-	for p := 0; p < nodes; p++ {
-		ln := s.bounds[p+1] - s.bounds[p]
-		w := make([]uint64, (ln+63)/64)
-		for _, v := range s.lists[p] {
-			i := int(v) - s.bounds[p]
-			w[i/64] |= 1 << (i % 64)
-		}
-		d.words[p] = w
-	}
-	return d
-}
+func (s *Subset) ToDense() *Subset { return new(BuilderScratch).ToDense(s) }
 
 // ToSparse returns a sparse view of the subset (itself if already sparse).
-func (s *Subset) ToSparse() *Subset {
-	if !s.dense {
-		return s
-	}
-	nodes := s.Nodes()
-	d := &Subset{bounds: s.bounds, count: s.count, degree: s.degree, lists: make([][]uint32, nodes)}
-	for p := 0; p < nodes; p++ {
-		l := make([]uint32, 0, 16)
-		s.ForEachInNode(p, func(v uint32) { l = append(l, v) })
-		d.lists[p] = l
-	}
-	return d
-}
+func (s *Subset) ToSparse() *Subset { return new(BuilderScratch).ToSparse(s) }
 
 // Builder accumulates the next iteration's active set. It supports both
 // collection styles: Set for dense bitmap leaves, and Add for per-thread
@@ -223,28 +196,46 @@ type Builder struct {
 	words    [][]uint64
 	queues   [][]uint32
 	degreeOf func(v uint32) int64
-	degree   int64 // out-degree sum of the vertices collected so far
+	degree   int64   // out-degree sum of the vertices collected so far
+	into     *Subset // the subset Build fills, reusing its storage; nil: a new one
 }
 
-// BuilderScratch holds a reusable builder and its per-thread buffers. An
+// BuilderScratch holds a reusable builder, its per-thread buffers and the
+// storage of the subsets handed back to it, all over one partition. An
 // engine keeps one per instance and takes every phase's builder from it
 // (Builder), so steady-state iterations reuse the builder and the queue
-// table instead of reallocating them. The dense bitmap
-// leaves are NOT pooled: Build hands them to the returned Subset, whose
-// lifetime the engine does not control.
+// table instead of reallocating them. A subset the engine returns belongs to its caller
+// until the caller hands it back (Release); from then on Build, ToDense,
+// ToSparse and Empty reuse its header, its leaf table and its leaves —
+// the bitmap words of a dense subset, the backing array of a sparse one.
 type BuilderScratch struct {
 	b      Builder
 	queues [][]uint32
+	// free holds the handed-back subsets, emptied: sparse ones at 0,
+	// dense ones at 1.
+	free [2][]*Subset
 }
+
+// maxFree bounds each of a scratch's free lists. A driver holds two
+// frontiers at a time, the one a phase reads and the one it builds, so a
+// steady-state loop hands back one subset a step; but a run also hands
+// back the subset it started from, which no build took from the list, so
+// runs on one engine would grow an unbounded list by one each, and a full
+// list would drop the grown subsets a run ends with for the small ones it
+// started from.
+const maxFree = 4
 
 // Builder returns the scratch's builder, emptied and set up like
 // NewBuilder(bounds, threads, dense).WithDegrees(degreeOf). It is valid
 // until the next call: an engine runs one phase at a time and seals each
 // phase's builder (Build) before it starts the next.
 func (s *BuilderScratch) Builder(bounds []int, threads int, dense bool, degreeOf func(v uint32) int64) *Builder {
-	s.b = Builder{bounds: bounds, dense: dense, degreeOf: degreeOf}
+	s.b = Builder{bounds: bounds, dense: dense, degreeOf: degreeOf, into: s.take(dense)}
 	if dense {
-		s.b.words = denseWords(bounds)
+		s.b.words = s.b.into.words
+		if s.b.words == nil {
+			s.b.words = denseWords(bounds)
+		}
 		return &s.b
 	}
 	if len(s.queues) < threads {
@@ -257,6 +248,129 @@ func (s *BuilderScratch) Builder(bounds []int, threads int, dense bool, degreeOf
 		s.b.queues[i] = s.b.queues[i][:0]
 	}
 	return &s.b
+}
+
+// Release hands subset f, over the scratch's partition, back to the
+// scratch: f is emptied, and its storage goes to a later Build, ToDense,
+// ToSparse or Empty. The caller must hold no other reference to f, and
+// nothing may read f's contents again: a released subset reads as empty
+// until the scratch hands it out anew.
+func (s *BuilderScratch) Release(f *Subset) {
+	if f.dense {
+		for _, w := range f.words {
+			clear(w)
+		}
+	} else {
+		for p := range f.lists {
+			f.lists[p] = f.lists[p][:0]
+		}
+	}
+	f.count, f.degree = 0, 0
+	free := s.free[b2i(f.dense)]
+	if len(free) < maxFree {
+		s.free[b2i(f.dense)] = append(free, f)
+		return
+	}
+	// A full list keeps the largest backing arrays, the ones take prefers.
+	least := 0
+	for i, g := range free {
+		if cap(g.buf) < cap(free[least].buf) {
+			least = i
+		}
+	}
+	if cap(f.buf) > cap(free[least].buf) {
+		free[least] = f
+	}
+}
+
+// take returns a handed-back subset of the given style, emptied, or a new
+// subset with no storage. Of the sparse ones it takes the one with the
+// largest backing array, so that a subset handed back with little storage
+// (NewSingle's, say) does not displace a grown one from a loop's cycle.
+func (s *BuilderScratch) take(dense bool) *Subset {
+	free := s.free[b2i(dense)]
+	if len(free) == 0 {
+		return &Subset{}
+	}
+	best := 0
+	for i, f := range free {
+		if cap(f.buf) > cap(free[best].buf) {
+			best = i
+		}
+	}
+	f := free[best]
+	free[best] = free[len(free)-1]
+	s.free[b2i(dense)] = free[:len(free)-1]
+	return f
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// Empty returns an empty sparse subset over bounds, NewEmpty's set, made
+// from handed-back storage when the scratch has some.
+func (s *BuilderScratch) Empty(bounds []int) *Subset {
+	e := s.take(false)
+	*e = Subset{bounds: bounds, lists: leafTable(e.lists, len(bounds)-1), buf: e.buf}
+	return e
+}
+
+// leafTable returns lists resized to nodes leaves, each empty, reusing its
+// array when it has room.
+func leafTable(lists [][]uint32, nodes int) [][]uint32 {
+	if cap(lists) < nodes {
+		return make([][]uint32, nodes)
+	}
+	lists = lists[:nodes]
+	for p := range lists {
+		lists[p] = lists[p][:0]
+	}
+	return lists
+}
+
+// ToDense returns a dense view of a: a itself if already dense, else a
+// new subset, made from handed-back storage when the scratch has some,
+// that belongs to the caller as a built subset does.
+func (s *BuilderScratch) ToDense(a *Subset) *Subset {
+	if a.dense {
+		return a
+	}
+	d := s.take(true)
+	words := d.words
+	if words == nil {
+		words = denseWords(a.bounds)
+	}
+	for p, l := range a.lists {
+		for _, v := range l {
+			i := int(v) - a.bounds[p]
+			words[p][i/64] |= 1 << (i % 64)
+		}
+	}
+	*d = Subset{bounds: a.bounds, dense: true, count: a.count, degree: a.degree, words: words}
+	return d
+}
+
+// ToSparse returns a sparse view of a: a itself if already sparse, else a
+// new subset, made from handed-back storage when the scratch has some,
+// that belongs to the caller as a built subset does.
+func (s *BuilderScratch) ToSparse(a *Subset) *Subset {
+	if !a.dense {
+		return a
+	}
+	d := s.take(false)
+	buf := slices.Grow(d.buf[:0], int(a.count))
+	lists := leafTable(d.lists, a.Nodes())
+	for p := range lists {
+		lo := len(buf)
+		a.ForEachInNode(p, func(v uint32) { buf = append(buf, v) })
+		lists[p] = buf[lo:len(buf):len(buf)]
+	}
+	*d = Subset{bounds: a.bounds, count: a.count, degree: a.degree, lists: lists, buf: buf}
+	return d
 }
 
 // NewBuilder returns a builder over the partition for the given number of
@@ -345,8 +459,12 @@ func (b *Builder) Build() *Subset {
 	if b.degreeOf != nil {
 		degree = b.degree
 	}
+	s := b.into
+	if s == nil {
+		s = new(Subset)
+	}
 	if b.dense {
-		s := &Subset{bounds: b.bounds, degree: degree, dense: true, words: b.words}
+		*s = Subset{bounds: b.bounds, degree: degree, dense: true, words: b.words}
 		for p := 0; p < nodes; p++ {
 			for _, w := range b.words[p] {
 				s.count += int64(bits.OnesCount64(w))
@@ -361,7 +479,7 @@ func (b *Builder) Build() *Subset {
 	for _, q := range b.queues {
 		total += len(q)
 	}
-	all := make([]uint32, 0, total)
+	all := slices.Grow(s.buf[:0], total)
 	for _, q := range b.queues {
 		all = append(all, q...)
 	}
@@ -376,7 +494,7 @@ func (b *Builder) Build() *Subset {
 			degree -= b.degreeOf(v)
 		}
 	}
-	s := &Subset{bounds: b.bounds, degree: degree, count: int64(len(out)), lists: make([][]uint32, nodes)}
+	*s = Subset{bounds: b.bounds, degree: degree, count: int64(len(out)), lists: leafTable(s.lists, nodes), buf: all}
 	lo := 0
 	for p := range s.lists {
 		hi := lo

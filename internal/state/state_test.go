@@ -264,3 +264,60 @@ func TestEmptyLeafIteration(t *testing.T) {
 		t.Fatal("empty dense count")
 	}
 }
+
+// TestScratchReusesReleasedSubsets: a subset handed back to a scratch reads
+// as empty, and the next Build, ToDense, ToSparse or Empty of its style
+// takes its storage, holding exactly the new set with no vertex of the old
+// one left in a reused leaf.
+func TestScratchReusesReleasedSubsets(t *testing.T) {
+	var sc BuilderScratch
+	members := func(s *Subset) []uint32 {
+		var vs []uint32
+		s.ForEach(func(v uint32) { vs = append(vs, v) })
+		return vs
+	}
+	build := func(dense bool, vs ...uint32) *Subset {
+		b := sc.Builder(testBounds, 2, dense, nil)
+		for i, v := range vs {
+			if dense {
+				b.Set(i%2, v)
+			} else {
+				b.Add(i%2, v)
+			}
+		}
+		return b.Build()
+	}
+	for _, dense := range []bool{false, true} {
+		old := build(dense, 3, 30, 60, 99)
+		sc.Release(old)
+		if !old.IsEmpty() || len(members(old)) != 0 {
+			t.Fatalf("dense=%t: a released subset reads %v", dense, members(old))
+		}
+		next := build(dense, 99, 4)
+		if next != old {
+			t.Fatalf("dense=%t: the build did not take the released subset", dense)
+		}
+		if got := members(next); !slices.Equal(got, []uint32{4, 99}) || next.Count() != 2 {
+			t.Fatalf("dense=%t: reused subset holds %v (count %d), want [4 99]", dense, got, next.Count())
+		}
+		sc.Release(next)
+		view := sc.ToSparse(NewAll(testBounds))
+		if dense {
+			view = sc.ToDense(FromVertices(testBounds, []uint32{7, 51}))
+		}
+		if view != next {
+			t.Fatalf("dense=%t: the conversion did not take the released subset", dense)
+		}
+		want := []uint32{7, 51}
+		if !dense {
+			want = members(NewAll(testBounds))
+		}
+		if got := members(view); !slices.Equal(got, want) || view.Count() != int64(len(want)) {
+			t.Fatalf("dense=%t: reused conversion holds %v, want %v", dense, got, want)
+		}
+	}
+	sc.Release(build(false, 5))
+	if e := sc.Empty(testBounds); !e.IsEmpty() || len(members(e)) != 0 || e.Nodes() != len(testBounds)-1 {
+		t.Fatalf("Empty over released storage holds %v", members(e))
+	}
+}
