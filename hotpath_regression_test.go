@@ -404,6 +404,72 @@ func TestBFSRerunAllocs(t *testing.T) {
 	}
 }
 
+// TestOneShotRunAllocs bounds the bytes a one-shot run allocates, as
+// polymerd runs a miss: a fresh machine and engine per run through
+// bench.RunWith, closed when it returns. A closed engine hands its
+// per-vertex arrays and ledgers to the next engine of the same shape
+// (sg.Base.Close), so after a warm-up run a run allocates its n x 8-byte
+// answer and what building and closing the engine costs (measured beside
+// it, layouts kept alive by an open engine), plus 10 %, and less than one
+// per-vertex array beyond those. Arrays made afresh for every engine take
+// PageRank's run two rank vectors over and BFS's a parent array over.
+func TestOneShotRunAllocs(t *testing.T) {
+	pn, pe := gen.RMAT(14, 8, 7)
+	prGraph := graph.FromEdges(pn, pe, false)
+	const side = 200
+	bn, be := gen.RoadGrid(side, side, 7)
+	bfsGraph := graph.FromEdges(bn, be, true)
+	for _, c := range []struct {
+		sys bench.System
+		alg bench.Algo
+		g   *graph.Graph
+		src graph.Vertex
+	}{
+		{bench.Polymer, bench.PR, prGraph, 0},
+		{bench.Ligra, bench.PR, prGraph, 0},
+		{bench.Polymer, bench.BFS, bfsGraph, side - 1},
+		{bench.Ligra, bench.BFS, bfsGraph, side - 1},
+	} {
+		t.Run(string(c.sys)+"/"+string(c.alg), func(t *testing.T) {
+			build := func() sg.Engine { // as bench's dispatch table builds it
+				if c.sys == bench.Ligra {
+					return ligra.MustNew(c.g, regressionMachine(), ligra.DefaultOptions())
+				}
+				opt := core.DefaultOptions()
+				if c.alg == bench.PR {
+					opt.Mode = core.Push
+				}
+				return core.MustNew(c.g, regressionMachine(), opt)
+			}
+			keep := build()
+			defer keep.Close()
+			sg.MakeLayouts(keep)
+			least := leastAllocs(t,
+				func() error {
+					e := build()
+					sg.MakeLayouts(e)
+					e.Close()
+					return nil
+				},
+				func() error {
+					_, err := bench.RunWith(c.sys, c.alg, c.g, regressionMachine(), bench.Options{Src: c.src})
+					return err
+				})
+			built, got := least[0], least[1]
+			n := uint64(c.g.NumVertices())
+			answer := n * 8
+			budget := (answer + built) * 11 / 10
+			t.Logf("one-shot run allocated %d bytes (answer %d, build %d, budget %d)", got, answer, built, budget)
+			if got > budget {
+				t.Fatalf("one-shot run allocated %d bytes, budget %d (answer + build + 10 %%)", got, budget)
+			}
+			if extra := int64(got) - int64(answer+built); extra >= int64(n)*4 {
+				t.Fatalf("one-shot run allocated %d bytes beyond its answer and build: a per-vertex array", extra)
+			}
+		})
+	}
+}
+
 // TestEpochTimeDoesNotAllocate: Time() runs once per phase, hundreds of
 // times per traversal; it folds the ledger in place.
 func TestEpochTimeDoesNotAllocate(t *testing.T) {

@@ -32,11 +32,35 @@ type rerunDriver func(v int) (any, error)
 // front, so the ledger stands where every run must leave it.
 type rerunCase func(m *numa.Machine) (run rerunDriver, close func())
 
+// rerunEngine is what the tests read of an engine beside a driver's
+// result: every engine family's sg.Base.
+type rerunEngine interface {
+	SimSeconds() float64
+	RunStats() numa.Stats
+	Close()
+}
+
+// engineCase is a rerunCase that returns the engine itself.
+type engineCase func(m *numa.Machine) (run rerunDriver, e rerunEngine)
+
 var rerunSources = [2]graph.Vertex{0, 5}
 
 // rerunCases lists every driver that allocates vertex state, on every
 // engine family it runs on.
 func rerunCases(t *testing.T) map[string]rerunCase {
+	t.Helper()
+	out := map[string]rerunCase{}
+	for name, c := range engineCases(t) {
+		out[name] = func(m *numa.Machine) (rerunDriver, func()) {
+			run, e := c(m)
+			return run, e.Close
+		}
+	}
+	return out
+}
+
+// engineCases is rerunCases with the engines.
+func engineCases(t *testing.T) map[string]engineCase {
 	t.Helper()
 	g, err := gen.Load(gen.Twitter, gen.Tiny, true)
 	if err != nil {
@@ -53,7 +77,7 @@ func rerunCases(t *testing.T) map[string]rerunCase {
 		sssp[i], bfs[i] = RefSSSP(g, s), RefBFS(unit, s)
 	}
 
-	out := map[string]rerunCase{}
+	out := map[string]engineCase{}
 	sgEngine := map[string]func(*graph.Graph, *numa.Machine) sg.Engine{
 		"polymer": func(g *graph.Graph, m *numa.Machine) sg.Engine {
 			return core.MustNew(g, m, core.DefaultOptions())
@@ -88,10 +112,10 @@ func rerunCases(t *testing.T) map[string]rerunCase {
 	}
 	for en, build := range sgEngine {
 		for dn, d := range sgDrivers {
-			out[en+"/"+dn] = func(m *numa.Machine) (rerunDriver, func()) {
+			out[en+"/"+dn] = func(m *numa.Machine) (rerunDriver, rerunEngine) {
 				e := build(d.g, m)
 				sg.MakeLayouts(e)
-				return func(v int) (any, error) { return d.run(e, v) }, e.Close
+				return func(v int) (any, error) { return d.run(e, v) }, e
 			}
 		}
 	}
@@ -112,9 +136,9 @@ func rerunCases(t *testing.T) map[string]rerunCase {
 		"cc":   {sym, func(e *xstream.Engine, v int) any { return XSCC(e) }},
 	}
 	for dn, d := range xsDrivers {
-		out["xstream/"+dn] = func(m *numa.Machine) (rerunDriver, func()) {
+		out["xstream/"+dn] = func(m *numa.Machine) (rerunDriver, rerunEngine) {
 			e := xstream.MustNew(d.g, m, xstream.DefaultOptions(), sg.Hints{DataBytes: 8, Weighted: d.g.Weighted()})
-			return func(v int) (any, error) { r := d.run(e, v); return r, e.Err() }, e.Close
+			return func(v int) (any, error) { r := d.run(e, v); return r, e.Err() }, e
 		}
 	}
 
@@ -134,9 +158,9 @@ func rerunCases(t *testing.T) map[string]rerunCase {
 		"cc":   {sym, func(e *galois.Engine, v int) (any, error) { return e.CC(), e.Err() }},
 	}
 	for dn, d := range galoisDrivers {
-		out["galois/"+dn] = func(m *numa.Machine) (rerunDriver, func()) {
+		out["galois/"+dn] = func(m *numa.Machine) (rerunDriver, rerunEngine) {
 			e := galois.MustNew(d.g, m, galois.DefaultOptions())
-			return func(v int) (any, error) { return d.run(e, v) }, e.Close
+			return func(v int) (any, error) { return d.run(e, v) }, e
 		}
 	}
 	return out
@@ -228,6 +252,64 @@ func TestRunsOnOneEngineDoNotShareResults(t *testing.T) {
 			scribble(a2)
 			if !slices.Equal(resultBits(t, a), wantA) || !slices.Equal(resultBits(t, b), wantB) {
 				t.Fatal("the rerun's result shares memory with an earlier run's")
+			}
+		})
+	}
+}
+
+// TestClosedEnginesDoNotShareResults is TestRunsOnOneEngineDoNotShareResults
+// across one-shot engines, as polymerd runs them: each run on a fresh
+// machine and engine of the same shape, closed when it returns, so the
+// next engine takes the closed one's arrays and ledgers (sg.Base.Close).
+// Run A's kept result must not change when B runs on the storage A's
+// engine handed over; A again, on a third engine, must be bit-identical
+// to the first A in its result, simulated clock and access statistics;
+// writing over either A's result must not reach the other's or B's; and
+// Close must leave nothing on a machine's tracker.
+func TestClosedEnginesDoNotShareResults(t *testing.T) {
+	for name, c := range engineCases(t) {
+		t.Run(name, func(t *testing.T) {
+			type reading struct {
+				r     any
+				sim   uint64
+				stats numa.Stats
+			}
+			oneShot := func(what string, v int) reading {
+				t.Helper()
+				m := testMachine()
+				run, e := c(m)
+				r, err := run(v)
+				if err != nil {
+					t.Fatalf("run %s: %v", what, err)
+				}
+				got := reading{r, math.Float64bits(e.SimSeconds()), e.RunStats()}
+				e.Close()
+				if live := m.Alloc().Current(); live != 0 {
+					t.Fatalf("closing run %s's engine left %d bytes on the tracker", what, live)
+				}
+				return got
+			}
+			a := oneShot("A", 0)
+			wantA := resultBits(t, a.r)
+			b := oneShot("B", 1)
+			wantB := resultBits(t, b.r)
+			if !slices.Equal(resultBits(t, a.r), wantA) {
+				t.Fatal("run B changed run A's kept result")
+			}
+			a2 := oneShot("A again", 0)
+			if !slices.Equal(resultBits(t, a2.r), wantA) {
+				t.Fatal("A on a third engine is not bit-identical to A")
+			}
+			if a2.sim != a.sim || a2.stats != a.stats {
+				t.Fatalf("A on a third engine charged %x %+v, on the first %x %+v", a2.sim, a2.stats, a.sim, a.stats)
+			}
+			scribble(a2.r)
+			if !slices.Equal(resultBits(t, a.r), wantA) || !slices.Equal(resultBits(t, b.r), wantB) {
+				t.Fatal("the second A's result shares memory with an earlier run's")
+			}
+			scribble(a.r)
+			if !slices.Equal(resultBits(t, b.r), wantB) {
+				t.Fatal("the first A's result shares memory with B's")
 			}
 		})
 	}

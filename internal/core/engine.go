@@ -250,14 +250,15 @@ func newArray[T any](e *Engine, label string) *mem.Array[T] {
 	return sg.NewArray[T](&e.Base, label, e.opt.Layout, nil)
 }
 
-// Close releases simulated allocations.
+// Close releases simulated allocations and hands the engine's arrays and
+// ledgers to the next engine (sg.Base.Close): nothing reads them after.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
 	e.M.Alloc().Release("polymer/graph", e.G.TopologyBytes())
-	e.FreeArrays()
+	e.Base.Close()
 	if e.topoBytes > 0 {
 		e.M.Alloc().Release("polymer/topology", e.topoBytes)
 	}

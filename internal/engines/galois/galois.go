@@ -70,6 +70,8 @@ type Engine struct {
 	scrCnt    *counters
 	nextLists [][]graph.Vertex
 	farLists  [][]graph.Vertex
+	// frontier is BFS's worklist, kept at the widest level it reached.
+	frontier []graph.Vertex
 }
 
 // New builds a Galois engine for g on m.
@@ -87,7 +89,7 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	if err := e.Init("galois", g, m, nil); err != nil {
 		return nil, err
 	}
-	e.scrEp = m.NewEpoch()
+	e.scrEp = e.NewEpoch()
 	e.scrCnt = newCounters(m.Threads())
 	e.nextLists = make([][]graph.Vertex, m.Threads())
 	e.farLists = make([][]graph.Vertex, m.Threads())
@@ -112,12 +114,14 @@ func MustNew(g *graph.Graph, m *numa.Machine, opt Options) *Engine {
 	return e
 }
 
-// Close releases simulated allocations.
+// Close releases simulated allocations and hands the engine's arrays and
+// ledgers to the next engine (sg.Base.Close): nothing reads them after.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
+	e.Base.Close()
 	e.M.Alloc().Release("galois/topology", e.topoB)
 }
 
@@ -402,7 +406,7 @@ func (e *Engine) BFS(src graph.Vertex) []int64 {
 		dist[i] = unreached
 	}
 	dist[src] = 0
-	frontier := []graph.Vertex{src}
+	frontier := append(e.frontier[:0], src)
 	for len(frontier) > 0 {
 		nextLists, _ := e.roundLists()
 		ck := par.MakeStrided(int64(len(frontier)), 16, e.M.Threads())
@@ -434,6 +438,7 @@ func (e *Engine) BFS(src graph.Vertex) []int64 {
 			frontier = append(frontier, l...)
 		}
 	}
+	e.frontier = frontier
 	for i := range dist {
 		if dist[i] == unreached {
 			dist[i] = -1

@@ -166,13 +166,14 @@ func (e *Engine) NewData32(label string) *mem.Array[uint32] {
 	return sg.NewArray[uint32](&e.Base, label, mem.Interleaved, nil)
 }
 
-// Close releases simulated allocations.
+// Close releases simulated allocations and hands the engine's arrays and
+// ledgers to the next engine (sg.Base.Close): nothing reads them after.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	e.FreeArrays()
+	e.Base.Close()
 	e.M.Alloc().Release("ligra/topology", e.G.TopologyBytes())
 }
 

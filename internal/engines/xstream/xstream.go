@@ -151,7 +151,7 @@ func New(g *graph.Graph, m *numa.Machine, opt Options, h sg.Hints) (*Engine, err
 	}
 	e.buildTiles(tileVertices(opt, m.Topo.LLCBytes, h.DataBytes))
 	e.active = make([]uint64, (g.NumVertices()+63)/64)
-	e.scrEp = m.NewEpoch()
+	e.scrEp = e.NewEpoch()
 	e.out = make([][]updates, m.Threads())
 	for th := range e.out {
 		e.out[th] = make([]updates, len(e.tiles))
@@ -286,13 +286,14 @@ func (e *Engine) NewData32(label string) *mem.Array[uint32] {
 	return sg.NewArray[uint32](&e.Base, label, mem.Interleaved, nil)
 }
 
-// Close releases simulated allocations.
+// Close releases simulated allocations and hands the engine's arrays and
+// ledgers to the next engine (sg.Base.Close): nothing reads them after.
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	e.FreeArrays()
+	e.Base.Close()
 	e.M.Alloc().Release("xstream/topology", e.topoB)
 }
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"unsafe"
 
 	"polymer/internal/numa"
@@ -86,7 +87,9 @@ type Array[T any] struct {
 // placement, bounds must hold Nodes+1 monotonically non-decreasing offsets
 // with bounds[0] == 0 and bounds[Nodes] == n (partition p owns
 // [bounds[p], bounds[p+1])). For other placements bounds must be nil.
-// The allocation is registered with the machine's tracker under label.
+// The allocation is registered with the machine's tracker under label. The
+// host storage is a retired array's of the same element type and length
+// (Retire), zeroed, when the spare list holds one.
 func New[T any](m *numa.Machine, label string, n int, place Placement, bounds []int) *Array[T] {
 	if place == CoLocated {
 		if len(bounds) != m.Nodes+1 {
@@ -105,7 +108,7 @@ func New[T any](m *numa.Machine, label string, n int, place Placement, bounds []
 	}
 	var zero T
 	a := &Array[T]{
-		Data:      make([]T, n),
+		Data:      spare[T](n),
 		m:         m,
 		place:     place,
 		bounds:    bounds,
@@ -119,6 +122,42 @@ func New[T any](m *numa.Machine, label string, n int, place Placement, bounds []
 		panic(err)
 	}
 	return a
+}
+
+// spares is the process-wide spare list of array storage, one sync.Pool
+// per element type and length: Retire puts a slice there and New takes one
+// out before it makes a new one. A pool keeps what it holds only until the
+// garbage collector empties it, and starts no goroutine.
+var spares struct {
+	mu    sync.Mutex
+	pools map[any]*sync.Pool
+}
+
+// spareKey keys spares: one type per element type, one value per length.
+type spareKey[T any] struct{ n int }
+
+func sparePool[T any](n int) *sync.Pool {
+	spares.mu.Lock()
+	defer spares.mu.Unlock()
+	p := spares.pools[spareKey[T]{n}]
+	if p == nil {
+		if spares.pools == nil {
+			spares.pools = make(map[any]*sync.Pool)
+		}
+		p = new(sync.Pool)
+		spares.pools[spareKey[T]{n}] = p
+	}
+	return p
+}
+
+// spare returns n zeroed elements: a retired array's storage, cleared, or
+// a new slice.
+func spare[T any](n int) []T {
+	if s, ok := sparePool[T](n).Get().(*[]T); ok {
+		clear(*s)
+		return *s
+	}
+	return make([]T, n)
 }
 
 // Len returns the element count.
@@ -177,6 +216,16 @@ func (a *Array[T]) Free() {
 	}
 	a.freed = true
 	a.m.Alloc().Release(a.label, a.Bytes())
+}
+
+// Retire is Free, then hands the array's host storage to the spare list
+// for the next New of its element type and length. Nothing may read or
+// write the array afterwards: its Data is nil.
+func (a *Array[T]) Retire() {
+	a.Free()
+	s := a.Data
+	a.Data = nil
+	sparePool[T](len(s)).Put(&s)
 }
 
 // Release hands the array back to whoever allocated it: Free, and exactly

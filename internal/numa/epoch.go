@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // Epoch is the traffic ledger for one parallel phase (e.g. one EdgeMap).
@@ -84,9 +85,55 @@ const (
 )
 
 func newEpoch(m *Machine) *Epoch {
+	e := new(Epoch)
+	e.bind(m)
+	return e
+}
+
+// epochShape is what a ledger's storage depends on: the machine's nodes,
+// cores per node and hop levels, and whether it is tiered. Two machines of
+// one shape take ledgers of the same strides and lengths.
+type epochShape struct {
+	nodes, cores, levels int
+	tiered               bool
+}
+
+func (m *Machine) epochShape() epochShape {
+	return epochShape{m.Nodes, m.CoresPerNode, m.Topo.MaxLevel() + 1, m.Tiered()}
+}
+
+// spareEpochs is the process-wide spare list of ledgers, one sync.Pool per
+// shape: Recycle puts a closed engine's ledgers there and NewEpoch takes
+// one out before it makes a new one. A pool keeps what it holds only until
+// the garbage collector empties it, and starts no goroutine.
+var spareEpochs struct {
+	mu    sync.Mutex
+	pools map[epochShape]*sync.Pool
+}
+
+func epochPool(s epochShape) *sync.Pool {
+	spareEpochs.mu.Lock()
+	defer spareEpochs.mu.Unlock()
+	p := spareEpochs.pools[s]
+	if p == nil {
+		if spareEpochs.pools == nil {
+			spareEpochs.pools = make(map[epochShape]*sync.Pool)
+		}
+		p = &sync.Pool{New: func() any { return new(Epoch) }}
+		spareEpochs.pools[s] = p
+	}
+	return p
+}
+
+// bind ties e to m and makes it what a new ledger is: m's strides, every
+// row zero, every node shared, outside ChargeNodes. It is the one routine
+// for a ledger made afresh and for one a closed engine recycled; storage
+// of the right length is cleared rather than made, so a ledger of any
+// shape binds correctly.
+func (e *Epoch) bind(m *Machine) {
 	n := m.Nodes
 	levels := m.Topo.MaxLevel() + 1
-	e := &Epoch{m: m, charging: -1}
+	e.m, e.charging = m, -1
 	e.offNode = fScalars
 	e.offPort = e.offNode + n
 	e.offClass = e.offPort + n
@@ -95,13 +142,30 @@ func newEpoch(m *Machine) *Epoch {
 	if m.Tiered() {
 		e.fs += n
 	}
-	e.f = make([]float64, m.Threads()*e.fs)
-	e.c = make([]int64, m.Threads()*cs)
-	e.shared = make([]bool, n)
+	e.f = zeroed(e.f, m.Threads()*e.fs)
+	e.c = zeroed(e.c, m.Threads()*cs)
+	e.shared = zeroed(e.shared, n)
 	for i := range e.shared {
 		e.shared[i] = true
 	}
-	return e
+}
+
+// zeroed returns s cleared if it holds n elements, else a new slice of n.
+func zeroed[T any](s []T, n int) []T {
+	if len(s) != n {
+		return make([]T, n)
+	}
+	clear(s)
+	return s
+}
+
+// Recycle hands the ledger to the spare list, for a later NewEpoch on a
+// machine of its shape. Nothing may read or charge it afterwards: it is
+// no longer bound to a machine.
+func (e *Epoch) Recycle() {
+	p := epochPool(e.m.epochShape())
+	e.m = nil
+	p.Put(e)
 }
 
 // rows returns the float vector and access counts stored for thread th.

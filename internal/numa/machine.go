@@ -137,8 +137,14 @@ func (m *Machine) Alloc() *AllocTracker { return m.alloc }
 // LLCTotal returns the aggregate modelled LLC capacity across active nodes.
 func (m *Machine) LLCTotal() int64 { return int64(m.Nodes) * m.Topo.LLCBytes }
 
-// NewEpoch returns a fresh traffic ledger for one parallel phase.
-func (m *Machine) NewEpoch() *Epoch { return newEpoch(m) }
+// NewEpoch returns a fresh traffic ledger for one parallel phase: a
+// recycled one of m's shape (Epoch.Recycle) if the spare list holds one,
+// else a new one, bound to m and cleared alike.
+func (m *Machine) NewEpoch() *Epoch {
+	e := epochPool(m.epochShape()).Get().(*Epoch)
+	e.bind(m)
+	return e
+}
 
 // String describes the configuration, e.g. "intel80[4x10]".
 func (m *Machine) String() string {

@@ -43,8 +43,10 @@ type Base struct {
 	syncCost [barrier.N + 1]float64
 
 	// arrays is every array NewArray made. The released ones are the
-	// free list: NewArray reuses one before it allocates.
-	arrays []interface{ Free() }
+	// free list: NewArray reuses one before it allocates. epochs is every
+	// ledger NewEpoch made. Close retires both.
+	arrays []interface{ Retire() }
+	epochs []*numa.Epoch
 	err    error           // first execution failure (see Fail/Err)
 	ctx    context.Context // optional cancellation; nil means background
 	snap   *simSnapshot    // single slot for SnapshotSim/RestoreSim
@@ -79,7 +81,7 @@ func (b *Base) Init(cat string, g *graph.Graph, m *numa.Machine, extra SnapExtra
 		return err
 	}
 	b.G, b.M, b.Pool, b.cat, b.extra = g, m, pool, cat, extra
-	b.Ledger = m.NewEpoch()
+	b.Ledger = b.NewEpoch()
 	for kind := range b.syncCost {
 		b.syncCost[kind] = barrier.SyncCost(barrier.Kind(kind), m.Nodes) / m.Topo.SyncScale
 	}
@@ -158,7 +160,7 @@ func (b *Base) ThreadSeconds() []float64 {
 // hands back (mem.Array.Release) every one it does not return or keep,
 // and NewArray takes a released array of the same element type, label,
 // placement and bounds back into service (mem.Array.Reuse) before it
-// allocates and registers a new one for FreeArrays. Either way the tracker
+// allocates and registers a new one for Close. Either way the tracker
 // sees the same Grow under the same label and bytes, and an injected
 // allocation failure panics with the *numa.AllocFailure, leaving a reused
 // array released.
@@ -177,11 +179,36 @@ func NewArray[T any](b *Base, label string, place mem.Placement, bounds []int) *
 	return a
 }
 
-// FreeArrays releases every array NewArray handed out.
-func (b *Base) FreeArrays() {
+// NewEpoch returns a ledger on the engine's machine (numa.Machine.NewEpoch)
+// that Close recycles: the run ledger, the snapshot slot's, and an
+// engine's phase epochs.
+func (b *Base) NewEpoch() *numa.Epoch {
+	ep := b.M.NewEpoch()
+	b.epochs = append(b.epochs, ep)
+	return ep
+}
+
+// Close hands the engine's host storage to the next engine of the same
+// shape: every array NewArray handed out is freed on the tracker, which
+// sees the same Release a Free records, and its storage goes to the spare
+// list (mem.Array.Retire); every ledger NewEpoch made goes back to the
+// spare list of ledgers (numa.Epoch.Recycle). An engine's own Close calls
+// it once, beside releasing what is its own.
+//
+// The contract: nothing reads an engine's arrays or epochs after Close. A
+// driver returns copies of its arrays, never the arrays (algorithms'
+// runArrays), and a caller takes every reading it wants (RunStats,
+// ThreadSeconds, TrafficSnapshot) before it closes the engine; the next
+// engine may already be writing the storage.
+func (b *Base) Close() {
 	for _, a := range b.arrays {
-		a.Free()
+		a.Retire()
 	}
+	for _, ep := range b.epochs {
+		ep.Recycle()
+	}
+	b.arrays, b.epochs = nil, nil
+	b.Ledger, b.snap = nil, nil
 }
 
 // ChargePhase folds one phase epoch into the run ledger and clock,
@@ -252,7 +279,7 @@ func (b *Base) RunPhase(fn func(th int)) bool {
 // partial charges are discarded before replay.
 func (b *Base) SnapshotSim() {
 	if b.snap == nil {
-		b.snap = &simSnapshot{ledger: b.M.NewEpoch()}
+		b.snap = &simSnapshot{ledger: b.NewEpoch()}
 	}
 	b.snap.clock = b.Clock
 	b.snap.ledger.CopyFrom(b.Ledger)

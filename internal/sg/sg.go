@@ -382,7 +382,9 @@ type Engine interface {
 	Err() error
 	// ClearErr resets the failure so a rolled-back step can be replayed.
 	ClearErr()
-	// Close releases the engine's workers and simulated allocations.
+	// Close releases the engine's workers and simulated allocations, and
+	// hands its host arrays and ledgers to the next engine (Base.Close):
+	// nothing may read them after.
 	Close()
 }
 

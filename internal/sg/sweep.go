@@ -388,7 +388,7 @@ type Sweep struct {
 func (s *Sweep) InitSweep(bounds []int, cfg SweepConfig) {
 	parts := len(bounds) - 1
 	s.cfg, s.bounds, s.slots = cfg, bounds, s.M.Threads()/parts
-	s.ep = s.M.NewEpoch()
+	s.ep = s.NewEpoch()
 	s.counts = make([]Counts, parts)
 	for p := range s.counts {
 		s.counts[p] = Counts{RowsByOwner: make([]int64, parts), ActiveByOwner: make([]int64, parts)}
