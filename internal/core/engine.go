@@ -258,7 +258,7 @@ func (e *Engine) Close() {
 	}
 	e.closed = true
 	e.M.Alloc().Release("polymer/graph", e.G.TopologyBytes())
-	e.Base.Close()
+	e.Sweep.Close()
 	if e.topoBytes > 0 {
 		e.M.Alloc().Release("polymer/topology", e.topoBytes)
 	}

@@ -41,10 +41,11 @@ import (
 // chunks that replaced most of them.
 // OwnerRows cuts the rows by the partition of their keys, so a dense sweep
 // counts rows per owner a segment at a time; Start is the first row keyed
-// in the node's own partition, where the rolling-order sweep begins. A push build also carries the agent index (sg.Agents),
-// vertex → (node, chunk row) across all nodes, through which sparse phases
-// find an active vertex's rows; they read only push builds, so pull builds
-// carry none.
+// in the node's own partition, where the rolling-order sweep begins. A
+// push build also carries the agent index (sg.Agents), vertex → (node,
+// chunk row) across all nodes in one agent chunk per key chunk, through
+// which sparse phases find an active vertex's rows; they read only push
+// builds, so pull builds carry none.
 type layoutBuild struct {
 	perNode    []sg.Part
 	agents     *sg.Agents // nil in a pull build
@@ -68,7 +69,7 @@ type layout struct {
 }
 
 // A build counts a node's edges in int32 and names a node in a byte
-// (sg.Agents.Part), so New refuses graphs and machines beyond these.
+// (sg.AgentChunk.Part), so New refuses graphs and machines beyond these.
 const (
 	maxLayoutEdges = math.MaxInt32
 	maxLayoutNodes = math.MaxUint8 + 1
@@ -84,13 +85,6 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuil
 	n := g.NumVertices()
 	chunks := (n + sg.ChunkKeys - 1) >> sg.ChunkShift
 	l := &layoutBuild{perNode: make([]sg.Part, len(parts)), n: n, weighted: g.Weighted(), parts: parts, push: push}
-	// agentCounts[k] = Off[k+1] counts the nodes with a row keyed by k
-	// until fillAgents; nil in a pull build.
-	var agentCounts []int32
-	if push {
-		l.agents = &sg.Agents{Off: make([]int32, n+1)}
-		agentCounts = l.agents.Off[1:]
-	}
 	// cnt is the build's counting scratch: per node, first the edges of
 	// each key vertex, then the fill position inside the node's columns;
 	// int32 halves its cache footprint. keyedBits marks a node's keys with
@@ -114,8 +108,7 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuil
 		// Collect non-empty rows in ascending key order. The keys with edges
 		// are marked in keyedBits without a branch, and the placement visits
 		// only the marked ones: on a skewed graph about half a node's keys
-		// have edges, at random, and a branch on each key mispredicts. A
-		// push build counts each key's agents on the way.
+		// have edges, at random, and a branch on each key mispredicts.
 		rows := 0
 		for w := range keyedBits {
 			var word uint64
@@ -133,9 +126,6 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuil
 				k := w*64 + bits.TrailingZeros64(word)
 				flat.IDs[r], flat.Idx[r] = graph.Vertex(k), off
 				off, cnt[k] = off+int64(cnt[k]), int32(off) // the row's first free slot
-				if agentCounts != nil {
-					agentCounts[k]++
-				}
 				r++
 			}
 		}
@@ -166,7 +156,10 @@ func buildLayout(g *graph.Graph, parts []partition.Range, push bool) *layoutBuil
 		l.agentBytes += agentBytes(nl, p)
 	}
 	if push {
-		fillAgents(l.agents, l.perNode)
+		l.agents = &sg.Agents{Chunks: make([]*sg.AgentChunk, chunks)}
+		for c := range chunks {
+			l.agents.Chunks[c] = agentChunk(l.perNode, c)
+		}
 	}
 	return l
 }
@@ -229,36 +222,33 @@ type layoutEdit struct {
 // rewritten, their untouched rows copied; every other chunk is the old
 // one, unless the node is a build's, laid out flat, whose chunks are all
 // copied out (layoutBuild); a node no edit reaches shares its old part.
-// When rows appear or vanish the agent index is refilled from the patched
-// parts, otherwise shared.
+// The agent index copies its predecessor's chunk pointers and rebuilds the
+// agent chunk of every key chunk where some node's row appeared or
+// vanished (agentChunk); an agent chunk whose rows only changed columns
+// names the same rows as before and is shared. With no row moved the whole
+// index is shared.
 func (l *layoutBuild) Patch(deleted, appended []graph.Edge) *layoutBuild {
 	out := &layoutBuild{perNode: make([]sg.Part, len(l.parts)), n: l.n, weighted: l.weighted, parts: l.parts, push: l.push,
 		agents: l.agents, edges: l.edges}
 	dels, adds := l.editsByNode(deleted), l.editsByNode(appended)
-	moved := false
+	moved := make([]bool, (l.n+sg.ChunkKeys-1)>>sg.ChunkShift) // by key chunk: a row appeared or vanished
 	for p := range l.parts {
 		nl := &out.perNode[p]
 		if len(dels[p]) == 0 && len(adds[p]) == 0 {
 			*nl = l.perNode[p]
 		} else {
-			m, edges := patchPart(nl, &l.perNode[p], dels[p], adds[p], l.weighted)
-			moved = moved || m
-			out.edges += edges
+			out.edges += patchPart(nl, &l.perNode[p], dels[p], adds[p], l.weighted, moved)
 			ownRows(nl, l.parts, p)
 		}
 		out.agentBytes += agentBytes(nl, p)
 	}
-	if l.agents != nil && moved {
-		out.agents = &sg.Agents{Off: make([]int32, l.n+1)}
-		for p := range out.perNode {
-			pt := &out.perNode[p]
-			for c := range len(pt.ChunkRows) - 1 {
-				for _, k := range pt.Chunk(c).IDs {
-					out.agents.Off[k+1]++
-				}
+	if l.agents != nil && slices.Contains(moved, true) {
+		out.agents = &sg.Agents{Chunks: slices.Clone(l.agents.Chunks)}
+		for c, m := range moved {
+			if m {
+				out.agents.Chunks[c] = agentChunk(out.perNode, c)
 			}
 		}
-		fillAgents(out.agents, out.perNode)
 	}
 	return out
 }
@@ -290,14 +280,14 @@ func (l *layoutBuild) editsByNode(edges []graph.Edge) [][]layoutEdit {
 // appended, both ordered by (key, column) (editsByNode), in chunks of its
 // own: the chunks the edits key into are rewritten (patchRows), the
 // others are prev's, or, when prev is laid out flat, copies of them. It
-// reports whether a row appeared or vanished, and by how many edges the
-// part grew. Chunks and ChunkRows are set; OwnerRows and Start are the
-// caller's (ownRows).
-func patchPart(nl, prev *sg.Part, dels, adds []layoutEdit, weighted bool) (moved bool, edges int64) {
+// sets moved[c] when a row of chunk c appeared or vanished, and reports by
+// how many edges the part grew. Chunks and ChunkRows are set; OwnerRows
+// and Start are the caller's (ownRows).
+func patchPart(nl, prev *sg.Part, dels, adds []layoutEdit, weighted bool, moved []bool) (edges int64) {
 	if prev.Flat == nil {
 		nl.Chunks = slices.Clone(prev.Chunks)
 	} else {
-		nl.Chunks = make([]sg.Rows, len(prev.ChunkRows)-1)
+		nl.Chunks = make([]*sg.Rows, len(prev.ChunkRows)-1)
 	}
 	for c := range nl.Chunks {
 		last := graph.Vertex(c<<sg.ChunkShift | (sg.ChunkKeys - 1)) // the chunk's last key
@@ -305,15 +295,18 @@ func patchPart(nl, prev *sg.Part, dels, adds []layoutEdit, weighted bool) (moved
 		if len(d) == 0 && len(a) == 0 && prev.Flat == nil {
 			continue
 		}
-		old, ch := prev.Chunk(c), &nl.Chunks[c]
-		moved = patchRows(ch, &old, d, a, weighted) || moved
+		old, ch := prev.Chunk(c), new(sg.Rows)
+		nl.Chunks[c] = ch
+		if patchRows(ch, &old, d, a, weighted) {
+			moved[c] = true
+		}
 		edges += ch.Edges() - old.Edges()
 	}
 	nl.ChunkRows = make([]int, len(nl.Chunks)+1)
-	for c := range nl.Chunks {
-		nl.ChunkRows[c+1] = nl.ChunkRows[c] + nl.Chunks[c].Len()
+	for c, ch := range nl.Chunks {
+		nl.ChunkRows[c+1] = nl.ChunkRows[c] + ch.Len()
 	}
-	return moved, edges
+	return edges
 }
 
 // patchRows writes into nl fresh arrays holding the rows of prev with
@@ -419,30 +412,38 @@ func copyRows(nl, prev *sg.Rows, from, to int) {
 	}
 }
 
-// fillAgents fills the agent index from its counts, Off[k+1] the number of
-// nodes with a row keyed by k. A prefix sum turns the counts into each
-// key's first entry, one place up (Off[k+1] = the entries of keys below
-// k), so placing the rows node by node, each advancing its key's Off[k+1],
-// leaves Off[k+1] at the key's end and Off[k] at its first entry: entries
-// come out in node order per key, with no scratch beside the index.
-func fillAgents(ag *sg.Agents, perNode []sg.Part) {
-	off := ag.Off
-	var entries int32
-	for k := 1; k < len(off); k++ {
-		off[k], entries = entries, entries+off[k]
-	}
-	part, row := make([]uint8, entries), make([]uint8, entries)
+// agentChunk returns the agents of key chunk c over the nodes' parts: the
+// build fills every chunk of its index with it, and a patch the chunks
+// whose rows moved. Off[k+1] first counts the nodes with a row keyed by
+// the chunk's key k; a prefix sum turns the counts into each key's first
+// entry, one place up (Off[k+1] = the entries of keys below k), so placing
+// the rows node by node, each advancing its key's Off[k+1], leaves
+// Off[k+1] at the key's end and Off[k] at its first entry: entries come
+// out in node order per key, with no scratch beside the chunk.
+func agentChunk(perNode []sg.Part, c int) *sg.AgentChunk {
+	ac := new(sg.AgentChunk)
+	base := graph.Vertex(c << sg.ChunkShift)
+	off := ac.Off[1:]
 	for p := range perNode {
-		pt := &perNode[p]
-		for c := range len(pt.ChunkRows) - 1 {
-			for r, k := range pt.Chunk(c).IDs {
-				i := off[k+1]
-				off[k+1] = i + 1
-				part[i], row[i] = uint8(p), uint8(r)
-			}
+		for _, k := range perNode[p].Chunk(c).IDs {
+			off[k-base]++
 		}
 	}
-	ag.Part, ag.Row = part, row
+	var entries int32
+	for k := range off {
+		off[k], entries = entries, entries+off[k]
+	}
+	buf := make([]uint8, 2*entries)
+	part, row := buf[:entries:entries], buf[entries:]
+	for p := range perNode {
+		for r, k := range perNode[p].Chunk(c).IDs {
+			i := off[k-base]
+			off[k-base] = i + 1
+			part[i], row[i] = uint8(p), uint8(r)
+		}
+	}
+	ac.Part, ac.Row = part, row
+	return ac
 }
 
 // keysOf returns the far-side vertices of v's local edges: in-neighbours

@@ -117,9 +117,10 @@ func buildParts(root *graph.Graph) *csrParts {
 		chunkRows[c] = min(c*graph.ChunkSize, n)
 	}
 	part := func(chunks []graph.Chunk) []sg.Part {
-		rows := make([]sg.Rows, len(chunks))
+		rows, backing := make([]*sg.Rows, len(chunks)), make([]sg.Rows, len(chunks))
 		for c, ch := range chunks {
-			rows[c] = sg.Rows{IDs: ids[chunkRows[c]:chunkRows[c+1]], Idx: ch.Idx, Cols: ch.Cols, Wts: ch.Wts}
+			backing[c] = sg.Rows{IDs: ids[chunkRows[c]:chunkRows[c+1]], Idx: ch.Idx, Cols: ch.Cols, Wts: ch.Wts}
+			rows[c] = &backing[c]
 		}
 		return []sg.Part{{Chunks: rows, ChunkRows: chunkRows, OwnerRows: []int{0, n}}}
 	}
@@ -173,7 +174,7 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	e.Base.Close()
+	e.Sweep.Close()
 	e.M.Alloc().Release("ligra/topology", e.G.TopologyBytes())
 }
 

@@ -3,6 +3,7 @@ package sg
 import (
 	"math/bits"
 	"slices"
+	"sync"
 
 	"polymer/internal/barrier"
 	"polymer/internal/graph"
@@ -56,12 +57,14 @@ const (
 // A part is laid out one of two ways. A build lays it out flat, all its
 // rows one Rows (Flat), and its chunks are ranges of those rows; a patch
 // gives each chunk an ordinary Rows of its own, whose offsets index its
-// own columns (Chunks). Chunk returns chunk c either way.
+// own columns (Chunks). Chunk returns chunk c either way. Chunks are held
+// by pointer, so a patch that shares most of a part's chunks copies a
+// pointer for each, not its slice headers.
 type Part struct {
 	// Flat is the part's rows laid out flat, or nil.
 	Flat *Rows
 	// Chunks are the part's chunks when it is not flat.
-	Chunks []Rows
+	Chunks []*Rows
 	// ChunkRows[c] is the part's number of chunk c's first row, and its
 	// last entry the part's row count.
 	ChunkRows []int
@@ -76,10 +79,13 @@ type Part struct {
 	Start int
 }
 
-// ChunkKeys is the key span of a chunk of a part with an agent index: 256
-// keys, so a chunk holds at most 256 rows and its row numbers fit a byte
-// (Agents.Row). On the serving layer's power-law graph at small scale a
-// 32-edit commit touches about 6 % of the (part, chunk) pairs.
+// ChunkKeys is the key span of a chunk of a part with an agent index, and
+// of an agent chunk: 256 keys, so a chunk holds at most 256 rows and its
+// row numbers fit a byte (AgentChunk.Row). On the serving layer's
+// power-law graph at small scale (63 key chunks, 8 nodes) a 32-edit commit
+// touches about 6 % of the (part, chunk) pairs and moves a row in about 15
+// of the 63 key chunks, whose agent chunks it rebuilds; its edits are
+// 0.3 % of the columns its chunk rewrites copy.
 const (
 	ChunkShift = 8
 	ChunkKeys  = 1 << ChunkShift
@@ -96,7 +102,7 @@ func (pt *Part) Chunk(c int) Rows {
 		}
 		return rs
 	}
-	return pt.Chunks[c]
+	return *pt.Chunks[c]
 }
 
 // Len returns the part's row count.
@@ -171,7 +177,7 @@ func (s *Segments) Next() bool {
 		for pt.ChunkRows[s.c+1] <= s.r {
 			s.c++
 		}
-		rs, first = &pt.Chunks[s.c], pt.ChunkRows[s.c]
+		rs, first = pt.Chunks[s.c], pt.ChunkRows[s.c]
 		hi = min(hi, pt.ChunkRows[s.c+1])
 		if !s.wts && rs.Wts != nil {
 			*s.view = *rs
@@ -187,14 +193,24 @@ func (s *Segments) Next() bool {
 	return true
 }
 
-// Agents is a push layout's agent index: vertex v's agents, the rows keyed
-// by v, at most one a part, are entries [Off[v], Off[v+1]) in ascending
-// part order, entry i being row Row[i] of chunk v/ChunkKeys of part
-// Part[i]. A part and a chunk row are a byte each, two bytes an entry: on a
-// graph whose vertices have rows in few of the parts the index is a
-// fraction of one n-entry row table per part.
+// Agents is a push layout's agent index, one AgentChunk per ChunkKeys
+// keys: vertex v's agents, the rows keyed by v, at most one a part, are in
+// chunk v/ChunkKeys, the agents of the same key chunk as v's rows. The
+// chunks are held by pointer, so a commit rebuilds only the agent chunks
+// of key chunks where some part's row appeared or vanished and shares the
+// rest with its predecessor (core's layoutBuild.Patch).
 type Agents struct {
-	Off  []int32
+	Chunks []*AgentChunk
+}
+
+// An AgentChunk is the agents of one key chunk. Key k of the chunk, vertex
+// c·ChunkKeys+k, has entries [Off[k], Off[k+1]) in ascending part order,
+// entry i being row Row[i] of chunk c of part Part[i]. A part and a chunk
+// row are a byte each, two bytes an entry: on a graph whose vertices have
+// rows in few of the parts the index is a fraction of one n-entry row
+// table per part.
+type AgentChunk struct {
+	Off  [ChunkKeys + 1]int32
 	Part []uint8
 	Row  []uint8
 }
@@ -360,19 +376,33 @@ type Sweep struct {
 
 	ep       *numa.Epoch
 	counts   []Counts // per part
-	bs       state.BuilderScratch
 	degreeOf func(v uint32) int64
 
-	// view is a dense segment's rows without their weights (Segments);
-	// hits is a pull segment's list of updated rows, sized once to the
-	// longest stretch. Both live in the sweep, so handing them to a kernel
+	// view is a dense segment's rows without their weights (Segments). It
+	// lives in the sweep, as hits does, so handing it to a kernel
 	// allocates nothing: a phase runs on one goroutine and a kernel holds
 	// no segment past its call.
 	view Rows
-	hits []int32
 	// words[p] is dense VertexMap's schedule over leaf p's bitmap words.
 	words []par.Strided
 
+	// The scratch the sweep's phases grow; Close hands it to the next sweep
+	// of the same shape.
+	*scratch
+}
+
+// scratch is what a sweep's phases grow as its frontiers grow: the
+// frontier builder with the subsets handed back to it, the sparse queues
+// and the hit list. It depends only on the sweep's part and thread counts
+// and on the sizes of its frontier leaves, so a closed sweep hands it to
+// the next sweep of the same part and thread counts (the spare list,
+// spareScratch), and reset makes it what a new one is: a one-shot engine
+// then finds it grown instead of growing it during its only run.
+type scratch struct {
+	bs state.BuilderScratch
+	// hits is a pull segment's list of updated rows, sized to the longest
+	// stretch.
+	hits []int32
 	// A sparse phase's queues (scatter): queues[p] holds the frontier
 	// vertices with an agent in part p, in frontier order, each followed by
 	// its agent's chunk row, and starts[p*(chunks+1)+c] is where frontier
@@ -383,11 +413,56 @@ type Sweep struct {
 	spill  []graph.Vertex
 }
 
+// reset makes sc, new or another sweep's, the scratch of a sweep over the
+// frontier leaves bounds: every queue and list empty, one queue a part,
+// and of the subsets handed back to its builder only those whose leaves
+// fit bounds (state.BuilderScratch.Rebind).
+func (sc *scratch) reset(bounds []int) {
+	sc.bs.Rebind(bounds)
+	if parts := len(bounds) - 1; len(sc.queues) != parts {
+		sc.queues = make([][]uint32, parts)
+	}
+	for p := range sc.queues {
+		sc.queues[p] = sc.queues[p][:0]
+	}
+	sc.hits, sc.starts, sc.spill = sc.hits[:0], sc.starts[:0], sc.spill[:0]
+}
+
+// scratchShape keys the spare list of sweep scratch: the part and thread
+// counts the queues and the builder's per-thread queues are sized by.
+type scratchShape struct{ parts, threads int }
+
+// spareScratch is the process-wide spare list of sweep scratch, one
+// sync.Pool per shape, as mem's spare arrays and numa's spare ledgers are:
+// Close puts a sweep's scratch there and InitSweep takes it out. A pool
+// keeps what it holds only until the garbage collector empties it, and
+// starts no goroutine.
+var spareScratch struct {
+	mu    sync.Mutex
+	pools map[scratchShape]*sync.Pool
+}
+
+func scratchPool(k scratchShape) *sync.Pool {
+	spareScratch.mu.Lock()
+	defer spareScratch.mu.Unlock()
+	p := spareScratch.pools[k]
+	if p == nil {
+		if spareScratch.pools == nil {
+			spareScratch.pools = make(map[scratchShape]*sync.Pool)
+		}
+		p = &sync.Pool{New: func() any { return new(scratch) }}
+		spareScratch.pools[k] = p
+	}
+	return p
+}
+
 // InitSweep sets the sweep up, after Init, over the frontier leaves bounds:
 // P = len(bounds)−1 parts of S = threads/P threads each.
 func (s *Sweep) InitSweep(bounds []int, cfg SweepConfig) {
 	parts := len(bounds) - 1
 	s.cfg, s.bounds, s.slots = cfg, bounds, s.M.Threads()/parts
+	s.scratch = scratchPool(scratchShape{parts, s.M.Threads()}).Get().(*scratch) // a closed sweep's, or new
+	s.scratch.reset(bounds)
 	s.ep = s.NewEpoch()
 	s.counts = make([]Counts, parts)
 	for p := range s.counts {
@@ -397,9 +472,22 @@ func (s *Sweep) InitSweep(bounds []int, cfg SweepConfig) {
 	for p := range s.words {
 		s.words[p] = par.MakeStrided(int64(bounds[p+1]-bounds[p]+63)/64, 64, s.slots)
 	}
-	s.queues = make([][]uint32, parts)
 	g := s.G
 	s.degreeOf = func(v uint32) int64 { return g.OutDegree(graph.Vertex(v)) }
+}
+
+// Close is Base.Close, and hands the sweep's scratch to the spare list for
+// the next sweep of its shape, reset first so that the list holds nothing
+// of the closed engine's graph (the last phase's builder reads its
+// degrees). An engine that embeds a Sweep calls it once from its own
+// Close; no phase may run after it.
+func (s *Sweep) Close() {
+	s.Base.Close()
+	if s.scratch != nil {
+		s.scratch.reset(s.bounds)
+		scratchPool(scratchShape{len(s.bounds) - 1, s.M.Threads()}).Put(s.scratch)
+		s.scratch = nil
+	}
 }
 
 // Bounds returns the vertex offsets of the frontier leaves, one per part.
@@ -623,7 +711,7 @@ func sparsePush[K EdgeKernel](s *Sweep, a *state.Subset, k K, h Hints) *state.Su
 				if rs != nil {
 					r += firsts[v>>shift]
 				} else {
-					rs = &rows[v>>shift]
+					rs = rows[v>>shift]
 				}
 				first, end := rs.Idx[r], rs.Idx[r+1]
 				var w []float32
@@ -711,9 +799,10 @@ func (s *Sweep) scatter(l *Layout, a *state.Subset) int {
 				next += chunk
 			}
 			pos++
-			for e := ag.Off[v]; e < ag.Off[v+1]; e++ {
-				p := ag.Part[e]
-				queues[p] = append(queues[p], v, uint32(ag.Row[e]))
+			ac, k := ag.Chunks[v>>ChunkShift], v&(ChunkKeys-1)
+			for e := ac.Off[k]; e < ac.Off[k+1]; e++ {
+				p := ac.Part[e]
+				queues[p] = append(queues[p], v, uint32(ac.Row[e]))
 			}
 		}
 		for p := range queues {

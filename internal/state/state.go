@@ -216,6 +216,39 @@ type BuilderScratch struct {
 	free [2][]*Subset
 }
 
+// Rebind readies the scratch for subsets over bounds, as a new scratch
+// is: the builder lets go of the last phase's subset, and of the subsets
+// handed back only those whose leaves fit bounds stay for reuse — every
+// sparse one, whose leaves are cut from one array of any size, and the
+// dense ones with bounds' node count and leaf word counts. A handed-back
+// subset is empty already (Release). An engine that takes over another
+// engine's scratch rebinds it before its first phase.
+func (s *BuilderScratch) Rebind(bounds []int) {
+	s.b = Builder{}
+	dense := s.free[1][:0]
+	for _, f := range s.free[1] {
+		if fitsDense(f.words, bounds) {
+			dense = append(dense, f)
+		}
+	}
+	clear(s.free[1][len(dense):])
+	s.free[1] = dense
+}
+
+// fitsDense reports whether words has one leaf of the right word count
+// for each node of bounds.
+func fitsDense(words [][]uint64, bounds []int) bool {
+	if len(words) != len(bounds)-1 {
+		return false
+	}
+	for p, w := range words {
+		if len(w) != (bounds[p+1]-bounds[p]+63)/64 {
+			return false
+		}
+	}
+	return true
+}
+
 // maxFree bounds each of a scratch's free lists. A driver holds two
 // frontiers at a time, the one a phase reads and the one it builds, so a
 // steady-state loop hands back one subset a step; but a run also hands

@@ -321,3 +321,31 @@ func TestScratchReusesReleasedSubsets(t *testing.T) {
 		t.Fatalf("Empty over released storage holds %v", members(e))
 	}
 }
+
+// TestRebindKeepsFittingSubsets: a scratch rebound to other bounds keeps
+// the handed-back subsets whose leaves fit them, every sparse one and the
+// dense ones of the same leaf sizes, and drops the rest, so a dense build
+// over the new bounds gets leaves of their sizes.
+func TestRebindKeepsFittingSubsets(t *testing.T) {
+	wider := slices.Clone(testBounds)
+	wider[len(wider)-1] += 64 // the last leaf one word longer
+	for _, tc := range []struct {
+		bounds []int
+		dense  bool // the dense subset stays
+	}{{testBounds, true}, {wider, false}} {
+		var sc BuilderScratch
+		dense, sparse := sc.ToDense(NewSingle(testBounds, 3)), sc.ToSparse(NewAll(testBounds))
+		sc.Release(dense)
+		sc.Release(sparse)
+		sc.Rebind(tc.bounds)
+		if got := sc.Empty(tc.bounds); got != sparse {
+			t.Fatalf("bounds %v: the sparse subset was not kept", tc.bounds)
+		}
+		b := sc.Builder(tc.bounds, 1, true, nil)
+		b.Set(0, uint32(tc.bounds[len(tc.bounds)-1]-1))
+		got := b.Build()
+		if (got == dense) != tc.dense || got.Count() != 1 || !fitsDense(got.words, tc.bounds) {
+			t.Fatalf("bounds %v: dense build reused the old subset %t, want %t; count %d", tc.bounds, got == dense, tc.dense, got.Count())
+		}
+	}
+}

@@ -65,7 +65,7 @@ go test -count=5 -cpu 1,2,8 -run 'TestPatchedSnapshotEqualsCleanApply' ./interna
 # A layout patched from its predecessor's against buildLayout on the
 # patched snapshot, chunk for chunk: every part's arrays, the agent index
 # and agent bytes; and the bytes one serving commit's patch allocates,
-# against its bounds (pull 15 %, push 25 % of a whole copy).
+# against its bounds (pull 10 %, push 10 % of a whole copy).
 go test -count=5 -cpu 1,2,8 -run 'TestLayoutPatchMatchesBuild|TestLayoutPatchAllocation' ./internal/core/
 # The push and pull segment forms (push by row or by edge with a row
 # cursor, CC and SSSP pull by edge, BFS pull by row) against the per-edge
