@@ -82,30 +82,49 @@ func TestLigraPRIterationAllocs(t *testing.T) {
 	}
 }
 
-// TestXStreamPRIterationAllocs bounds a warm X-Stream iteration: the
-// shuffle buffers keep their capacity and the active bitmaps double-buffer,
-// and the phase closures stay on the stack, so one more Iterate over the
-// full frontier allocates nothing. Narrow tiles make a return to per-iteration buffers cost two
-// growing arrays per (thread, tile) pair in use, far over the budget.
+// perEdgeXS hides a kernel's block loops: embedding the interface
+// promotes only Scatter and Gather.
+type perEdgeXS struct{ xstream.Kernel }
+
+// TestXStreamPRIterationAllocs bounds a warm X-Stream PageRank iteration
+// over the full frontier on narrow tiles, in both of Iterate's paths; the
+// active bitmaps double-buffer and the phase closures stay on the stack in
+// both, so one more Iterate allocates nothing.
+//   - per-edge (the kernel behind perEdgeXS): the shuffle buffers are
+//     made by the first iteration and keep their capacity, so a return to
+//     per-iteration buffers costs two growing arrays per (thread, tile)
+//     pair in use, far over the budget;
+//   - block: StreamBlock gathers each block as it streams it, so an
+//     update list or a closure made per block or per tile would show.
 func TestXStreamPRIterationAllocs(t *testing.T) {
 	g := regressionGraph(t)
-	opt := xstream.DefaultOptions()
-	opt.TileVertices = 64
-	e := xstream.MustNew(g, regressionMachine(), opt, algorithms.PRHints())
-	defer e.Close()
-	if e.Tiles() < 4 {
-		t.Fatalf("%d tiles: too few for the budget to notice reallocated buffers", e.Tiles())
-	}
-	k := algorithms.NewXSKernels(e)["pr"].Kernel
-	iterate := func() {
-		e.SetAllActive()
-		e.Iterate(k, nil)
-	}
-	iterate() // warm up: buffers grow to the full frontier's updates
-	iterate() // the second active bitmap
-	if allocs := testing.AllocsPerRun(10, iterate); allocs > allocBudgetPerIteration {
-		t.Fatalf("steady-state X-Stream iteration allocated %.0f objects, budget %d",
-			allocs, allocBudgetPerIteration)
+	for _, block := range []bool{false, true} {
+		t.Run(map[bool]string{false: "per-edge", true: "block"}[block], func(t *testing.T) {
+			opt := xstream.DefaultOptions()
+			opt.TileVertices = 64
+			e := xstream.MustNew(g, regressionMachine(), opt, algorithms.PRHints())
+			defer e.Close()
+			if e.Tiles() < 4 {
+				t.Fatalf("%d tiles: too few for the budget to notice reallocated buffers", e.Tiles())
+			}
+			k := algorithms.NewXSKernels(e)["pr"].Kernel
+			if !block {
+				k = perEdgeXS{k}
+			}
+			if _, ok := k.(xstream.BlockKernel); ok != block {
+				t.Fatalf("the kernel has block loops: %v, want %v", ok, block)
+			}
+			iterate := func() {
+				e.SetAllActive()
+				e.Iterate(k, nil)
+			}
+			iterate() // warm up: buffers grow to the full frontier's updates
+			iterate() // the second active bitmap
+			if allocs := testing.AllocsPerRun(10, iterate); allocs > allocBudgetPerIteration {
+				t.Fatalf("steady-state X-Stream iteration allocated %.0f objects, budget %d",
+					allocs, allocBudgetPerIteration)
+			}
+		})
 	}
 }
 
@@ -418,7 +437,9 @@ func TestBFSRerunAllocs(t *testing.T) {
 // most 4 KB beyond its answer and the build, the answer counted at what
 // allocating it takes: the allocator rounds a 320,000-byte answer up to
 // 327,680. Growing the scratch afresh took 23 KB on Polymer and 16.7 KB on
-// Ligra.
+// Ligra. X-Stream's build is its tile grid; its PageRank kernel streams
+// each edge block into its gather and holds no update lists, which a
+// one-shot run would otherwise grow afresh (6.4 MB on this graph).
 func TestOneShotRunAllocs(t *testing.T) {
 	pn, pe := gen.RMAT(14, 8, 7)
 	prGraph := graph.FromEdges(pn, pe, false)
@@ -433,13 +454,17 @@ func TestOneShotRunAllocs(t *testing.T) {
 	}{
 		{bench.Polymer, bench.PR, prGraph, 0},
 		{bench.Ligra, bench.PR, prGraph, 0},
+		{bench.XStream, bench.PR, prGraph, 0},
 		{bench.Polymer, bench.BFS, bfsGraph, side - 1},
 		{bench.Ligra, bench.BFS, bfsGraph, side - 1},
 	} {
 		t.Run(string(c.sys)+"/"+string(c.alg), func(t *testing.T) {
-			build := func() sg.Engine { // as bench's dispatch table builds it
-				if c.sys == bench.Ligra {
+			build := func() interface{ Close() } { // as bench's dispatch table builds it
+				switch c.sys {
+				case bench.Ligra:
 					return ligra.MustNew(c.g, regressionMachine(), ligra.DefaultOptions())
+				case bench.XStream:
+					return xstream.MustNew(c.g, regressionMachine(), xstream.DefaultOptions(), algorithms.PRHints())
 				}
 				opt := core.DefaultOptions()
 				if c.alg == bench.PR {
@@ -447,13 +472,18 @@ func TestOneShotRunAllocs(t *testing.T) {
 				}
 				return core.MustNew(c.g, regressionMachine(), opt)
 			}
+			layouts := func(e interface{ Close() }) {
+				if se, ok := e.(sg.Engine); ok {
+					sg.MakeLayouts(se)
+				}
+			}
 			keep := build()
 			defer keep.Close()
-			sg.MakeLayouts(keep)
+			layouts(keep)
 			least := leastAllocs(t,
 				func() error {
 					e := build()
-					sg.MakeLayouts(e)
+					layouts(e)
 					e.Close()
 					return nil
 				},

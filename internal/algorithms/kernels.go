@@ -191,8 +191,12 @@ func pushCounts(rs *sg.Rows, lo, hi int, active []uint64, base int) (activeRows,
 }
 
 // PR, SpMV and BP also implement xstream.BlockKernel: Iterate's per-edge
-// loops with Scatter and Gather written into them (all three always emit
-// and always activate), over the engine's own bitmap helpers.
+// scatter and gather of one block fused into one loop, over the engine's
+// own bitmap helpers. All three always emit and always activate, and
+// their scatters read only the array their gathers do not write (curr, x,
+// curr; the gathers write next, y, acc). Each addend is rounded by an
+// explicit conversion, as the per-edge path rounds it by storing it in an
+// update.
 
 // weightAt is edge i's weight, 0 on an unweighted block.
 func weightAt(wts []float32, i int) float32 {
@@ -211,22 +215,17 @@ func (k *prKernel) Gather(d graph.Vertex, val float64) bool {
 	return true
 }
 
-func (k *prKernel) ScatterBlock(active []uint64, src, dst []graph.Vertex, _ []float32, ds []graph.Vertex, vals []float64) ([]graph.Vertex, []float64, int64) {
-	at := len(ds)
+func (k *prKernel) StreamBlock(active []uint64, src, dst []graph.Vertex, _ []float32, next []uint64) (emitted, fresh int64) {
+	curr, invOut, sums := k.curr, k.invOut, k.next
 	for i, s := range src {
 		if xstream.IsActive(active, s) {
-			ds, vals = append(ds, dst[i]), append(vals, k.curr[s]*k.invOut[s])
+			d := dst[i]
+			sums[d] += float64(curr[s] * invOut[s])
+			fresh += xstream.Activate(next, d)
+			emitted++
 		}
 	}
-	return ds, vals, int64(len(ds) - at)
-}
-
-func (k *prKernel) GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (activated, fresh int64) {
-	for i, d := range ds {
-		k.next[d] += vals[i]
-		fresh += xstream.Activate(next, d)
-	}
-	return int64(len(ds)), fresh
+	return emitted, fresh
 }
 
 // spmvKernel accumulates w * x[s] into y[d]. Unweighted graphs use the
@@ -315,22 +314,17 @@ func (k *spmvKernel) Gather(d graph.Vertex, val float64) bool {
 	return true
 }
 
-func (k *spmvKernel) ScatterBlock(active []uint64, src, dst []graph.Vertex, wts []float32, ds []graph.Vertex, vals []float64) ([]graph.Vertex, []float64, int64) {
-	at := len(ds)
+func (k *spmvKernel) StreamBlock(active []uint64, src, dst []graph.Vertex, wts []float32, next []uint64) (emitted, fresh int64) {
+	x, y := k.x, k.y
 	for i, s := range src {
 		if xstream.IsActive(active, s) {
-			ds, vals = append(ds, dst[i]), append(vals, edgeWeight(weightAt(wts, i))*k.x[s])
+			d := dst[i]
+			y[d] += float64(edgeWeight(weightAt(wts, i)) * x[s])
+			fresh += xstream.Activate(next, d)
+			emitted++
 		}
 	}
-	return ds, vals, int64(len(ds) - at)
-}
-
-func (k *spmvKernel) GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (activated, fresh int64) {
-	for i, d := range ds {
-		k.y[d] += vals[i]
-		fresh += xstream.Activate(next, d)
-	}
-	return int64(len(ds)), fresh
+	return emitted, fresh
 }
 
 // bpKernel multiplies damped messages into the target's belief
@@ -427,22 +421,17 @@ func (k *bpKernel) Gather(d graph.Vertex, val float64) bool {
 	return true
 }
 
-func (k *bpKernel) ScatterBlock(active []uint64, src, dst []graph.Vertex, wts []float32, ds []graph.Vertex, vals []float64) ([]graph.Vertex, []float64, int64) {
-	at := len(ds)
+func (k *bpKernel) StreamBlock(active []uint64, src, dst []graph.Vertex, wts []float32, next []uint64) (emitted, fresh int64) {
+	curr, acc := k.curr, k.acc
 	for i, s := range src {
 		if xstream.IsActive(active, s) {
-			ds, vals = append(ds, dst[i]), append(vals, bpMessage(k.curr[s], weightAt(wts, i)))
+			d := dst[i]
+			acc[d] *= float64(bpMessage(curr[s], weightAt(wts, i)))
+			fresh += xstream.Activate(next, d)
+			emitted++
 		}
 	}
-	return ds, vals, int64(len(ds) - at)
-}
-
-func (k *bpKernel) GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (activated, fresh int64) {
-	for i, d := range ds {
-		k.acc[d] *= vals[i]
-		fresh += xstream.Activate(next, d)
-	}
-	return int64(len(ds)), fresh
+	return emitted, fresh
 }
 
 // bfsKernel claims unvisited vertices (direction-optimizing BFS). BFS, CC

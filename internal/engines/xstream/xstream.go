@@ -10,6 +10,13 @@
 // the extra shuffle traffic and — fatally for traversal algorithms on
 // high-diameter graphs — the full edge scan per iteration even when only a
 // handful of vertices is active (paper Table 3: 557 s for BFS on roadUS).
+//
+// The simulated engine pays for its update lists (Uout, Uin) in every
+// phase; the host builds them only for a kernel without block loops. A
+// BlockKernel (PageRank, SpMV, BP) streams each edge block straight into
+// its gather, so its iterations hold no update on the host: the scatter
+// phase then only counts, and every charge is taken from the same counts
+// as before.
 package xstream
 
 import (
@@ -34,29 +41,34 @@ type Kernel interface {
 	Gather(d graph.Vertex, val float64) bool
 }
 
-// BlockKernel is an optional interface of a Kernel: the scatter and gather
-// loops over one run of edges or updates, written by the kernel itself so
-// they compile to plain array loops (an interface method is never
-// inlined, and the per-edge path pays one call an edge in each phase).
-// Iterate looks for it once. Both methods must leave the kernel's data,
-// the update arrays and the next-active bits bit for bit, and in order,
-// as the per-edge loops below leave them.
+// BlockKernel is an optional interface of a Kernel: the scatter and the
+// gather of one edge block fused into one loop, written by the kernel
+// itself so it compiles to a plain array loop (an interface method is
+// never inlined, and the per-edge path pays one call an edge in each
+// phase, plus the update lists between the phases). Iterate looks for it
+// once. A kernel may implement it only if
+//
+//   - its scatter reads no datum its gather writes, so gathering an edge
+//     before the next edge is scattered changes no value;
+//   - it always emits and always activates: Scatter's ok and Gather's
+//     verdict are true for every edge;
+//   - its per-source value is rounded by an explicit conversion, as
+//     float64(curr[s]*invOut[s]), so no fused multiply-add spans the
+//     scatter and the gather the per-edge path keeps apart.
+//
+// Iterate then leaves the kernel's data and the next-active bits bit for
+// bit as the per-edge loops leave them.
 type BlockKernel interface {
-	// ScatterBlock streams the edges (src[i], dst[i]) of one block, with
+	// StreamBlock streams the edges (src[i], dst[i]) of one block, with
 	// weight wts[i], or 0 for every edge when wts is nil. For each edge
 	// whose source is set in active, in order, it does what
 	//
-	//	if val, ok := Scatter(src[i], w); ok { append (dst[i], val) }
+	//	val, _ := Scatter(src[i], w); Gather(dst[i], val); set dst[i] in next
 	//
-	// does, appending to ds and vals (of equal length). It returns the
-	// extended arrays and the number of edges with an active source.
-	ScatterBlock(active []uint64, src, dst []graph.Vertex, wts []float32,
-		ds []graph.Vertex, vals []float64) ([]graph.Vertex, []float64, int64)
-	// GatherRun applies the updates (ds[i], vals[i]) in order: wherever
-	// Gather(ds[i], vals[i]) would report true it sets ds[i]'s bit in
-	// next. It returns how many updates reported true and how many bits
-	// they newly set.
-	GatherRun(ds []graph.Vertex, vals []float64, next []uint64) (activated, fresh int64)
+	// does. It returns the number of edges with an active source, which
+	// is the number of updates emitted, applied and activating, and how
+	// many bits of next they newly set.
+	StreamBlock(active []uint64, src, dst []graph.Vertex, wts []float32, next []uint64) (emitted, fresh int64)
 }
 
 // IsActive reports whether v's bit is set in an active bitmap: the
@@ -89,8 +101,9 @@ type Options struct {
 // DefaultOptions returns the evaluation configuration.
 func DefaultOptions() Options { return Options{OverheadNsPerEdge: 1.5} }
 
-// updates is one shuffle buffer: the targets and values of the updates one
-// thread emitted into one tile, as parallel arrays in emission order.
+// updates is one shuffle buffer of the per-edge path: the targets and
+// values of the updates one thread emitted into one tile, as parallel
+// arrays in emission order.
 type updates struct {
 	d   []graph.Vertex
 	val []float64
@@ -125,12 +138,13 @@ type Engine struct {
 	snapNActive int64
 
 	// Iteration-scoped scratch: the phase epoch is reset (after each fold
-	// into the ledger) rather than reallocated, the shuffle buffers keep
-	// their capacity between iterations, and the next-active bitmap
-	// double-buffers with the current one. Host-only reuse; the charged
-	// traffic and the simulated shuffle-buffer footprint are unchanged.
+	// into the ledger) rather than reallocated, the per-edge path's
+	// shuffle buffers are made by its first iteration and keep their
+	// capacity after, and the next-active bitmap double-buffers with the
+	// current one. Host-only reuse; the charged traffic and the simulated
+	// shuffle-buffer footprint are unchanged.
 	scrEp         *numa.Epoch
-	out           [][]updates // [thread][tile] update buffers
+	out           [][]updates // [thread][tile] update buffers, nil until a per-edge Iterate
 	spare         []uint64    // retired active bitmap, recycled as next
 	scatterCounts [][2]int64
 	gatherCounts  [][3]int64
@@ -152,10 +166,6 @@ func New(g *graph.Graph, m *numa.Machine, opt Options, h sg.Hints) (*Engine, err
 	e.buildTiles(tileVertices(opt, m.Topo.LLCBytes, h.DataBytes))
 	e.active = make([]uint64, (g.NumVertices()+63)/64)
 	e.scrEp = e.NewEpoch()
-	e.out = make([][]updates, m.Threads())
-	for th := range e.out {
-		e.out[th] = make([]updates, len(e.tiles))
-	}
 	e.scatterCounts = make([][2]int64, m.Threads())
 	e.gatherCounts = make([][3]int64, m.Threads())
 	e.applyCounts = make([]int64, m.Threads())
@@ -342,55 +352,41 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	}
 	ep := e.scrEp
 	ep.Reset()
-	// Nil for a kernel without block loops: every block and update run
-	// then goes through the per-edge loops.
+	// Nil for a kernel without block loops: its updates then go through
+	// the shuffle buffers, out[th][tile] being thread th's updates
+	// destined for each tile.
 	bk, _ := k.(BlockKernel)
-
-	// out[th][tile] are thread th's updates destined for each tile; the
-	// buffers keep their capacity between iterations.
-	out := e.out
-	for th := range out {
-		for ti := range out[th] {
-			q := &out[th][ti]
-			q.d, q.val = q.d[:0], q.val[:0]
-		}
+	var out [][]updates
+	if bk == nil {
+		out = e.updateBuffers()
 	}
 
 	// Scatter: stream every tile's edges; emit updates for active sources.
-	// The charge is balanced across all workers: X-Stream sizes its
-	// streaming partitions to the thread count at full scale, so per-tile
-	// skew does not serialise it.
+	// A block kernel emits in the gather phase, so here its sources are
+	// only counted. The charge is balanced across all workers: X-Stream
+	// sizes its streaming partitions to the thread count at full scale,
+	// so per-tile skew does not serialise it.
 	ck := par.MakeStrided(int64(nTiles), 1, threads)
 	scatterCounts := e.scatterCounts
 	e.RunPhase(func(th int) {
 		var scanned, activeEdges int64
-		// Loaded once a thread, not once an edge; locals of the body, so
-		// the phase closure captures nothing more for them.
-		active, mine := e.active, out[th]
+		// Loaded once a thread, not once an edge; a local of the body, so
+		// the phase closure captures nothing more for it.
+		active := e.active
 		ck.Do(th, func(lo, hi int64) {
 			for ti := lo; ti < hi; ti++ {
 				t := &e.tiles[ti]
 				scanned += int64(len(t.src))
+				if bk != nil {
+					activeEdges += e.activeOutEdges(t, active)
+					continue
+				}
 				// Block u's updates all land in tile u: thread th's buffer
 				// for u receives them in the tile's CSR order, tile after
 				// tile, exactly as routing each edge by its target would.
-				for u := range mine {
-					b0, b1 := t.blk[u], t.blk[u+1]
-					if b0 == b1 {
-						continue
-					}
-					q := &mine[u]
-					src, dst := t.src[b0:b1], t.dst[b0:b1]
-					var wts []float32
-					if t.wts != nil {
-						wts = t.wts[b0:b1]
-					}
-					if bk != nil {
-						var n int64
-						q.d, q.val, n = bk.ScatterBlock(active, src, dst, wts, q.d, q.val)
-						activeEdges += n
-						continue
-					}
+				for u := range out[th] {
+					q := &out[th][u]
+					src, dst, wts := t.block(u)
 					for i, s := range src {
 						if !IsActive(active, s) {
 							continue
@@ -430,10 +426,14 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	// Shuffle accounting: every update is read from Uout and written to
 	// its target tile's Uin across the machine (SEQ|W|G), plus transient
 	// buffer memory (Table 5's "additional buffers in the shuffle phase").
-	var totalUpdates int64
-	for th := range out {
-		for ti := range out[th] {
-			totalUpdates += int64(len(out[th][ti].d))
+	// A block kernel emits one update an active edge.
+	totalUpdates := activeT
+	if bk == nil {
+		totalUpdates = 0
+		for th := range out {
+			for ti := range out[th] {
+				totalUpdates += int64(len(out[th][ti].d))
+			}
 		}
 	}
 	// X-Stream streams updates partition by partition, so only about one
@@ -449,24 +449,25 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	e.chargePhase(ep, "shuffle", totalUpdates)
 	ep.Reset() // gather phase reuses the same epoch
 
-	// Gather: each tile applies its incoming updates; one thread per tile
-	// so destination writes need no atomics.
+	// Gather: each tile applies its incoming updates; one thread per tile,
+	// on the scatter's schedule, so destination writes need no atomics.
 	next := e.takeSpare()
-	ck2 := par.MakeStrided(int64(nTiles), 1, threads)
 	gatherCounts := e.gatherCounts
 	e.RunPhase(func(th int) {
 		var applied, activated, fresh int64
-		ck2.Do(th, func(lo, hi int64) {
+		active := e.active
+		ck.Do(th, func(lo, hi int64) {
 			for ti := lo; ti < hi; ti++ {
+				if bk != nil {
+					emitted, f := e.streamInto(bk, ck, int(ti), active, next)
+					applied += emitted
+					activated += emitted
+					fresh += f
+					continue
+				}
 				for src := 0; src < threads; src++ {
 					q := &out[src][ti]
 					applied += int64(len(q.d))
-					if bk != nil {
-						a, f := bk.GatherRun(q.d, q.val, next)
-						activated += a
-						fresh += f
-						continue
-					}
 					vals := q.val
 					for i, d := range q.d {
 						if k.Gather(d, vals[i]) {
@@ -514,6 +515,75 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	}
 	e.Round++
 	return e.nActive
+}
+
+// block returns the edges of block (t, u): t's edges into tile u, in CSR
+// order, with their weights (nil on an unweighted graph).
+func (t *tile) block(u int) (src, dst []graph.Vertex, wts []float32) {
+	b0, b1 := t.blk[u], t.blk[u+1]
+	if t.wts != nil {
+		wts = t.wts[b0:b1]
+	}
+	return t.src[b0:b1], t.dst[b0:b1], wts
+}
+
+// updateBuffers returns the per-edge path's shuffle buffers, emptied,
+// making them on the first per-edge iteration: an engine that runs only
+// block kernels holds none.
+func (e *Engine) updateBuffers() [][]updates {
+	if e.out == nil {
+		e.out = make([][]updates, e.M.Threads())
+		for th := range e.out {
+			e.out[th] = make([]updates, len(e.tiles))
+		}
+	}
+	for th := range e.out {
+		for ti := range e.out[th] {
+			q := &e.out[th][ti]
+			q.d, q.val = q.d[:0], q.val[:0]
+		}
+	}
+	return e.out
+}
+
+// activeOutEdges counts the out-edges of t's sources that are set in
+// active: a block kernel's scatter count, the edges the per-edge scatter
+// finds active. Tiles start on word boundaries, so t owns whole words of
+// the bitmap; a full word counts its 64 rows at once.
+func (e *Engine) activeOutEdges(t *tile, active []uint64) int64 {
+	g := e.G
+	var edges int64
+	for lo := t.loVertex; lo < t.hiVertex; lo += 64 {
+		w := active[lo/64]
+		if w == ^uint64(0) {
+			edges += g.OutEdgesBefore(lo+64) - g.OutEdgesBefore(lo)
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			edges += g.OutDegree(graph.Vertex(lo + bits.TrailingZeros64(w)))
+		}
+	}
+	return edges
+}
+
+// streamInto gathers every block into destination tile u through bk,
+// walking the source tiles in the order the scatter schedule sc hands
+// them out: thread by thread, each thread's tiles ascending. That is the
+// order the per-edge path's buffers out[0..threads)[u] receive their
+// updates in, each block in CSR order, so every destination gets the same
+// float additions in the same order, whatever the tile and thread counts.
+func (e *Engine) streamInto(bk BlockKernel, sc par.Strided, u int, active, next []uint64) (emitted, fresh int64) {
+	for th := range e.M.Threads() {
+		sc.Do(th, func(lo, hi int64) {
+			for ti := lo; ti < hi; ti++ {
+				src, dst, wts := e.tiles[ti].block(u)
+				em, f := bk.StreamBlock(active, src, dst, wts, next)
+				emitted += em
+				fresh += f
+			}
+		})
+	}
+	return emitted, fresh
 }
 
 // takeSpare returns a zeroed bitmap for the next active set, recycling the
