@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check trace conform conform-nightly mutate-soak cluster-soak cluster-sweep plan plan-sweep
+.PHONY: build test check trace conform conform-nightly mutate-soak plan plan-sweep
 
 build:
 	$(GO) build ./...
@@ -38,22 +38,6 @@ conform-nightly:
 mutate-soak:
 	MUTATE_SOAK_SEEDS=$${MUTATE_SOAK_SEEDS:-16} $(GO) test -race -count=1 \
 		-run 'TestCrashRecoveryMatrix' ./internal/mutate/
-
-# Cluster chaos soak: the {machine crash, link partition, slow replica,
-# crash-during-failover} matrix under -race with an enlarged seed budget
-# (CLUSTER_SOAK_SEEDS per kind, default 4 in plain test runs). Every cell
-# asserts the committed output is bit-identical to the single-machine
-# conform oracle; failing cells append a minimized repro line to
-# CLUSTER_REPRO_FILE when set.
-cluster-soak:
-	CLUSTER_SOAK_SEEDS=$${CLUSTER_SOAK_SEEDS:-8} $(GO) test -race -count=1 \
-		-run 'TestChaosMatrix' ./internal/cluster/
-
-# Figure-4 lifted to the cluster: the scaling sweep at gen.Huge (4x the
-# single-box evaluation size) across 1..8 machines, with the per-link
-# and per-hop traffic evidence from each kernel's largest run.
-cluster-sweep:
-	$(GO) run ./cmd/polymer experiments -exp cluster -scale huge
 
 # Planner demo: profile a graph, print the full scored decision table,
 # and run the pick. -system auto hands the choice to the cost model.

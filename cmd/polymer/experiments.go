@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"polymer/internal/bench"
-	"polymer/internal/cluster"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
@@ -20,16 +18,15 @@ import (
 )
 
 // paperExps are the ids of the paper's evaluation, in the order -exp all
-// runs them; beyondExps run only when named: cluster (Figure 4 lifted to
-// 1, 2, 4 and 8 replicated machines on powerlaw), tier (hot-vertex
-// tiering vs naive interleave on powerlaw, gated on its ordering), profile
+// runs them; beyondExps run only when named: tier (hot-vertex tiering vs
+// naive interleave on powerlaw, gated on its ordering), profile
 // (the planner's feature vector for every corpus graph) and plan (the
 // planner against the exhaustive oracle on that corpus, cold and after
 // two learning passes).
 var (
 	paperExps = []string{"fig3b", "fig4", "fig5", "table3", "fig7", "fig8", "fig9", "table4",
 		"table5", "fig10a", "fig10b", "table6a", "table6b", "fn6", "fig11"}
-	beyondExps = []string{"cluster", "tier", "profile", "plan"}
+	beyondExps = []string{"tier", "profile", "plan"}
 )
 
 // parseExps reads a comma-separated -exp list into the set of ids to run;
@@ -57,7 +54,7 @@ func parseExps(list string) (map[string]bool, error) {
 // sweep as Chrome trace_event JSON and prints its traffic breakdown.
 func experiments(args []string) {
 	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
-	scaleFlag := fs.String("scale", "default", "dataset scale: tiny, small, default or huge")
+	scaleFlag := fs.String("scale", "default", "dataset scale: tiny, small or default")
 	machineFlag := fs.String("machine", "intel", "topology for single-machine experiments: intel or amd")
 	expFlag := fs.String("exp", "all", "experiment ids, comma separated: all, "+strings.Join(slices.Concat(paperExps, beyondExps), ", "))
 	csvDir := fs.String("csv", "", "also write raw CSV files for plotting into this directory")
@@ -188,20 +185,6 @@ func experiments(args []string) {
 		h, rows := bench.Fig11CSV(r)
 		csvOut("fig11", h, rows)
 	}
-	if want["cluster"] {
-		// One weighted load serves all three kernels; pr and bfs ignore
-		// the weights, sssp needs them.
-		g, err := gen.Load(gen.PowerLaw, sc, true)
-		check(err)
-		rows, err := cluster.Sweep(context.Background(), g, cluster.Config{}, cluster.Algos(), []int{1, 2, 4, 8}, 0)
-		check(err)
-		fmt.Println(cluster.FormatSweep(cluster.SweepGraphLabel(string(gen.PowerLaw), g), rows))
-		for _, row := range rows {
-			fmt.Printf("%s @ %d machines\n", row.Algo, row.Points[len(row.Points)-1].Machines)
-			fmt.Println(cluster.FormatLinks(row.Largest.Links))
-			fmt.Println(cluster.FormatTraffic(row.Largest.Traffic))
-		}
-	}
 	if want["tier"] {
 		g, err := gen.Load(gen.PowerLaw, sc, false)
 		check(err)
@@ -236,7 +219,7 @@ func experiments(args []string) {
 // time. internal/bench/testdata holds the tiny and small captures.
 func dump(args []string) {
 	fs := flag.NewFlagSet("dump", flag.ExitOnError)
-	scaleFlag := fs.String("scale", "tiny", "dataset scale: tiny, small, default or huge")
+	scaleFlag := fs.String("scale", "tiny", "dataset scale: tiny, small or default")
 	fs.Parse(args)
 	check(bench.DumpCells(parseScale(*scaleFlag), func(sys bench.System, alg bench.Algo, g *graph.Graph, mk func() *numa.Machine) error {
 		_, err := io.WriteString(os.Stdout, bench.DumpLine(bench.RunFrom(sys, alg, g, mk(), 0)))

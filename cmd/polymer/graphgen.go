@@ -20,7 +20,7 @@ func graphgen(args []string) {
 	fs := flag.NewFlagSet("graphgen", flag.ExitOnError)
 	dataset := fs.String("dataset", "", "emit a named Table 2 dataset: twitter, rmat24, rmat27, powerlaw or roadUS")
 	kind := fs.String("kind", "", "custom generator: twitter, powerlaw, rmat, road or uniform")
-	scaleFlag := fs.String("scale", "small", "named dataset scale: tiny, small, default or huge")
+	scaleFlag := fs.String("scale", "small", "named dataset scale: tiny, small or default")
 	n := fs.Int("n", 10000, "vertex count (twitter, powerlaw, uniform)")
 	m := fs.Int("m", 100000, "edge count (uniform)")
 	avgDeg := fs.Float64("avgdeg", 10, "average degree (powerlaw)")

@@ -19,8 +19,6 @@
 //	polymer -algo pr -graph powerlaw -scale tiny -fault "panic@2:t3,offline@1:n1"
 //	polymer -algo pr -graph powerlaw -scale tiny -fault-seed 7
 //	polymer -algo pr -graph powerlaw -scale tiny -trace trace.json -breakdown
-//	polymer -algo pr -graph powerlaw -scale huge -machines 4 -replicas 2
-//	polymer -algo bfs -graph rmat24 -machines 6 -replicas 4 -fault-seed 11
 //	polymer experiments -scale tiny -exp table3,fig7
 //	polymer dump -scale small
 //	polymer graphgen -dataset twitter -scale small -o twitter.txt
@@ -37,7 +35,6 @@ import (
 	"time"
 
 	"polymer/internal/bench"
-	"polymer/internal/cluster"
 	"polymer/internal/fault"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
@@ -80,7 +77,7 @@ func run(args []string) {
 	fileFlag := fs.String("file", "", "load an edge-list file instead of a generated dataset")
 	systemFlag := fs.String("system", "polymer", "engine: polymer, ligra, xstream, galois or auto (cost-model planner chooses)")
 	planFlag := fs.Bool("plan", false, "print the planner's scored decision table before running")
-	scaleFlag := fs.String("scale", "default", "dataset scale: tiny, small, default or huge")
+	scaleFlag := fs.String("scale", "default", "dataset scale: tiny, small or default")
 	machineFlag := fs.String("machine", "intel", "topology: intel or amd")
 	socketsFlag := fs.Int("sockets", 0, "sockets to use (0 = all)")
 	coresFlag := fs.Int("cores", 0, "cores per socket (0 = all)")
@@ -91,8 +88,6 @@ func run(args []string) {
 	faultFlag := fs.String("fault", "", "inject a fault spec, e.g. panic@2:t3,stall@1:t0,offline@1:n1,link@3:n0-n1*0.25,alloc@-1")
 	faultSeedFlag := fs.Uint64("fault-seed", 0, "generate a deterministic fault schedule from this seed (overridden by -fault)")
 	restartsFlag := fs.Int("restarts", 3, "whole-run restarts allowed under -fault or -fault-seed, for setup-time faults and steps that spent their replay budget (polymerd's restarts)")
-	machinesFlag := fs.Int("machines", 0, "replicated cluster run across this many simulated machines (0 = single machine)")
-	replicasFlag := fs.Int("replicas", 0, "replicas per shard for cluster runs (0 = min(2, machines))")
 	dramBytesFlag := fs.Int64("dram-bytes", 0, "per-node DRAM budget in bytes (0 = untiered; demand beyond it spills to the simulated slow tier)")
 	tierFlag := fs.String("tier", "hot", "tier placement policy when -dram-bytes is set: hot (degree-ranked residency) or interleave (uniform spill)")
 	promoteEveryFlag := fs.Int("promote-every", 1, "phases between hot-policy promotion passes (0 = static placement)")
@@ -163,67 +158,6 @@ func run(args []string) {
 	var tr *obs.Tracer
 	if len(sinks) > 0 {
 		tr = obs.New(sinks)
-	}
-
-	// Cluster runs replace the single simulated machine with N replicated
-	// ones behind the network cost model; everything after this branch is
-	// the single-machine path.
-	if *machinesFlag > 0 {
-		if *planFlag {
-			fail("-plan does not apply to cluster runs (the substrate is polymer-only)")
-		}
-		if tierCfg.Tiered() {
-			fail("-dram-bytes applies to single-machine runs only (cluster machines are untiered)")
-		}
-		calg, err := cluster.ParseAlgo(string(alg))
-		check(err)
-		if *faultFlag != "" {
-			fail("single-machine fault specs don't apply to cluster runs; use -fault-seed for cluster chaos")
-		}
-		cfg := cluster.Config{
-			Machines: *machinesFlag, Replicas: *replicasFlag,
-			Topo: topo, Nodes: sockets, Cores: cores, Tracer: tr,
-		}
-		if *faultSeedFlag != 0 {
-			cfg.Events = fault.ClusterChaos(*faultSeedFlag, 3, *machinesFlag)
-		}
-		cl, err := cluster.New(g, cfg)
-		check(err)
-		wall := time.Now()
-		res, err := cl.Run(context.Background(), calg, src)
-		check(err)
-		elapsed := time.Since(wall)
-
-		fmt.Printf("algorithm  : %s\n", alg)
-		fmt.Printf("graph      : %s\n", g)
-		fmt.Printf("cluster    : %d machines x (%d nodes x %d cores), %d replicas/shard\n",
-			*machinesFlag, sockets, cores, cluster.ReplicasFor(*machinesFlag, *replicasFlag))
-		fmt.Printf("sim time   : %.6f s\n", res.SimSeconds)
-		fmt.Printf("wall time  : %v\n", elapsed.Round(time.Millisecond))
-		fmt.Printf("supersteps : %d\n", res.Supersteps)
-		fmt.Printf("failovers  : %d\n", res.Failovers)
-		fmt.Printf("health     : %d/%d machines healthy\n", res.Healthy(), len(res.Machines))
-		fmt.Printf("net traffic: %.2f MB\n", res.NetBytes/1e6)
-		fmt.Printf("remote rate: %.1f%%  (%.1fM remote accesses)\n", res.Stats.RemoteRate*100, float64(res.Stats.RemoteCount)/1e6)
-		fmt.Printf("checksum   : %g\n", res.Checksum)
-		for _, mh := range res.Machines {
-			fmt.Printf("  m%-3d %-8s shards %v\n", mh.ID, mh.State, mh.Shards)
-		}
-		if len(res.Protocol) > 0 {
-			fmt.Printf("\nfailover protocol:\n")
-			for _, line := range res.Protocol {
-				fmt.Printf("  %s\n", line)
-			}
-		}
-		fmt.Printf("\n%s", cluster.FormatLinks(res.Links))
-		if *breakdownFlag && res.Traffic != nil {
-			fmt.Printf("\n%s", cluster.FormatTraffic(res.Traffic))
-		}
-		if bd != nil {
-			fmt.Printf("\n%s", bd.Format())
-		}
-		writeTrace(chrome, *traceFlag)
-		return
 	}
 
 	// -system auto hands the (engine, placement, width) choice to the

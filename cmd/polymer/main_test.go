@@ -25,7 +25,7 @@ func TestParseExps(t *testing.T) {
 	if want, err := parseExps("table3, fig7 ,plan"); err != nil || len(want) != 3 || !want["table3"] || !want["fig7"] || !want["plan"] {
 		t.Errorf("comma list with spaces: %v, %v", want, err)
 	}
-	for _, list := range []string{"fig44", "fig4,fig44", "fig4,", ""} {
+	for _, list := range []string{"fig44", "fig4,fig44", "fig4,", "", "cluster"} {
 		if _, err := parseExps(list); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 			t.Errorf("%q: err %v, want an unknown experiment", list, err)
 		}

@@ -18,13 +18,9 @@ const (
 	Small
 	// Default is the laptop-scale evaluation size (millions of edges).
 	Default
-	// Huge is 4x Default (tens of millions of edges) — the cluster
-	// sweep size, sharded across >=4 simulated machines rather than run
-	// on one.
-	Huge
 )
 
-// ParseScale maps a scale's name (tiny, small, default or huge) to the
+// ParseScale maps a scale's name (tiny, small or default) to the
 // Scale; matching is case-insensitive.
 func ParseScale(name string) (Scale, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
@@ -34,10 +30,8 @@ func ParseScale(name string) (Scale, error) {
 		return Small, nil
 	case "default":
 		return Default, nil
-	case "huge":
-		return Huge, nil
 	}
-	return Tiny, fmt.Errorf("gen: unknown scale %q (want tiny, small, default or huge)", name)
+	return Tiny, fmt.Errorf("gen: unknown scale %q (want tiny, small or default)", name)
 }
 
 // Dataset names one of the paper's five inputs.
@@ -60,11 +54,11 @@ func Datasets() []Dataset {
 // Per-dataset size tables, shared by Load and NumVertices so the two can
 // never disagree on a dataset's vertex count.
 var (
-	twitterSizes = map[Scale]int{Tiny: 600, Small: 20_000, Default: 120_000, Huge: 480_000}
-	rmat24Scales = map[Scale]int{Tiny: 9, Small: 13, Default: 16, Huge: 18}
-	rmat27Scales = map[Scale]int{Tiny: 10, Small: 14, Default: 18, Huge: 20}
-	powerSizes   = map[Scale]int{Tiny: 500, Small: 16_000, Default: 100_000, Huge: 400_000}
-	roadSides    = map[Scale]int{Tiny: 24, Small: 120, Default: 300, Huge: 600}
+	twitterSizes = map[Scale]int{Tiny: 600, Small: 20_000, Default: 120_000}
+	rmat24Scales = map[Scale]int{Tiny: 9, Small: 13, Default: 16}
+	rmat27Scales = map[Scale]int{Tiny: 10, Small: 14, Default: 18}
+	powerSizes   = map[Scale]int{Tiny: 500, Small: 16_000, Default: 100_000}
+	roadSides    = map[Scale]int{Tiny: 24, Small: 120, Default: 300}
 )
 
 // NumVertices reports the vertex count of (name, sc) without generating

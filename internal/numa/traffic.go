@@ -42,15 +42,6 @@ func (t *TrafficMatrix) add(node, level int, p Pattern, bytes float64) {
 	t.Cells[(node*t.Levels+level)*2+int(p)] += bytes
 }
 
-// Accumulate adds bytes to one cell. It is the entry point for layers
-// above the epoch ledger — the cluster substrate charges inter-machine
-// network transfers here, at a hop level past the topology's own maximum
-// ("hop level 3+"), so one matrix shape carries the whole memory
-// hierarchy from local DRAM to the wire.
-func (t *TrafficMatrix) Accumulate(node, level int, p Pattern, bytes float64) {
-	t.add(node, level, p, bytes)
-}
-
 // Sub subtracts o cell-wise; used to turn two cumulative snapshots into a
 // per-superstep delta. Both matrices must have the same shape.
 func (t *TrafficMatrix) Sub(o *TrafficMatrix) {
@@ -132,9 +123,9 @@ func (t *TrafficMatrix) RemoteFraction() float64 {
 // attribute traffic to individual supersteps.
 //
 // On a tiered machine the matrix carries one extra bank of levels: level
-// MaxLevel()+1+l is the slow-tier traffic at hop level l, following the
-// same convention the cluster substrate uses for its wire level. Untiered
-// machines keep the historical shape exactly.
+// MaxLevel()+1+l is the slow-tier traffic at hop level l: levels past the
+// topology's own maximum are the memory below DRAM. Untiered machines keep
+// the historical shape exactly.
 func (e *Epoch) Traffic(dst *TrafficMatrix) {
 	levels := (e.m.Topo.MaxLevel() + 1) * e.m.tiers()
 	dst.Resize(e.m.Nodes, levels)

@@ -1,6 +1,6 @@
 // Edge-case tests for the partitioners: empty shards, single-vertex and
 // empty graphs, more shards than vertices, and byte-for-byte determinism
-// across runs — the properties the cluster substrate's sharding leans on.
+// across runs — the properties engine layouts and their rebuilds lean on.
 
 package partition
 
@@ -101,9 +101,9 @@ func TestEmptyGraph(t *testing.T) {
 }
 
 func TestPartitionDeterminism(t *testing.T) {
-	// Same dataset, two independent loads: the cluster replicates shard
-	// layouts by recomputing them, so the split must be a pure function
-	// of the graph.
+	// Same dataset, two independent loads: a restarted run and a cold
+	// engine recompute their layouts, so the split must be a pure
+	// function of the graph for their bits to match.
 	g1, err := gen.Load(gen.PowerLaw, gen.Tiny, false)
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ type Request struct {
 	// Graph is the dataset name (twitter, rmat24, rmat27, powerlaw,
 	// roadUS).
 	Graph string `json:"graph"`
-	// Scale is the dataset scale: tiny, small, default or huge.
+	// Scale is the dataset scale: tiny, small or default.
 	Scale string `json:"scale"`
 	// Machine is the simulated topology: intel or amd.
 	Machine string `json:"machine"`

@@ -56,6 +56,7 @@ func TestDecodeRequestRejections(t *testing.T) {
 		{"unsupported-pair", `{"algo":"bfs","system":"xstream","graph":"powerlaw"}`, "not served"},
 		{"unknown-graph", `{"algo":"pr","system":"polymer","graph":"friendster"}`, "unknown dataset"},
 		{"unknown-scale", `{"algo":"pr","system":"polymer","graph":"powerlaw","scale":"galactic"}`, "unknown scale"},
+		{"huge-scale", `{"algo":"pr","system":"polymer","graph":"powerlaw","scale":"huge"}`, "unknown scale"},
 		{"unknown-machine", `{"algo":"pr","system":"polymer","graph":"powerlaw","machine":"sparc"}`, "unknown machine"},
 		{"sockets-range", `{"algo":"pr","system":"polymer","graph":"powerlaw","sockets":99}`, "sockets 99 out of range"},
 		{"cores-range", `{"algo":"pr","system":"polymer","graph":"powerlaw","cores":-1}`, "cores -1 out of range"},

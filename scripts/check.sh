@@ -4,7 +4,7 @@
 # goroutine and kernels, builders and chargers use plain loads and stores
 # (internal/par), so the race pass is the proof that no second goroutine
 # reaches them -- and that what several goroutines do share (serve,
-# cluster, mutate, graph's memoised views and derived layouts, plan) is
+# mutate, graph's memoised views and derived layouts, plan) is
 # synchronised. The plain test pass covers the rest.
 set -eu
 
@@ -24,7 +24,7 @@ fi
 echo "==> errcheck (error-returning APIs in statement position)"
 sh scripts/errcheck.sh
 
-echo "==> go test -race (engines, core, state, par, fault, numa, graph, serve, mutate, obs, conform, cluster, plan)"
+echo "==> go test -race (engines, core, state, par, fault, numa, graph, serve, mutate, obs, conform, plan)"
 go test -race \
 	./internal/core/... \
 	./internal/engines/... \
@@ -37,7 +37,6 @@ go test -race \
 	./internal/mutate/... \
 	./internal/obs/... \
 	./internal/conform/... \
-	./internal/cluster/... \
 	./internal/plan/...
 
 echo "==> go test -race -count=10 (shared runs: join, seal, detach and publish races; concurrent runs answer as a lone one does; degraded and warm runs through the one attempt)"
@@ -97,11 +96,8 @@ go test -shuffle=on ./...
 echo "==> mutate soak smoke (crash-point matrix under -race, small seed budget)"
 MUTATE_SOAK_SEEDS=4 go test -race -count=1 -run 'TestCrashRecoveryMatrix' ./internal/mutate/ >/dev/null
 
-echo "==> cluster chaos smoke (fault matrix vs conform oracle under -race, small seed budget)"
-CLUSTER_SOAK_SEEDS=2 go test -race -count=1 -run 'TestChaosMatrix' ./internal/cluster/ >/dev/null
-
-echo "==> experiments smoke (the ids beyond the paper: cluster sweep, tier sweep and its ordering gate, planner profiles, planner vs oracle)"
-go run ./cmd/polymer experiments -scale tiny -exp cluster,tier,profile,plan >/dev/null
+echo "==> experiments smoke (the ids beyond the paper: tier sweep and its ordering gate, planner profiles, planner vs oracle)"
+go run ./cmd/polymer experiments -scale tiny -exp tier,profile,plan >/dev/null
 
 echo "==> dump through the sub-command dispatcher, byte for byte against the tiny golden"
 go run ./cmd/polymer dump -scale tiny | cmp - internal/bench/testdata/tiny.golden
