@@ -3,6 +3,7 @@ package algorithms
 import (
 	"errors"
 	"math"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -220,7 +221,15 @@ func scribble(r any) {
 // rerun must be bit-identical to it, and after every run the tracker must
 // be back at its post-build value. Writing over the rerun's result must
 // not reach A's or B's either.
+//
+// A run's first arrays may be storage an earlier subtest's engine handed
+// to mem's spare list at Close, and a spare handed out uncleared shows
+// here as a rerun that differs from run A. The spare list is a sync.Pool,
+// which a GC empties, so automatic GC is off for the whole test: whether
+// a subtest sees its predecessor's spares does not depend on GC timing.
 func TestRunsOnOneEngineDoNotShareResults(t *testing.T) {
+	gc := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(gc) })
 	for name, c := range rerunCases(t) {
 		t.Run(name, func(t *testing.T) {
 			m := testMachine()

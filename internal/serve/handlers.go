@@ -73,12 +73,12 @@ func writeHit(w http.ResponseWriter, status int, r *hitReply) {
 var hitBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	v, err := DecodeRequest(r.Body)
-	if err != nil {
+	var v resolved
+	if err := v.decode(r.Body); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	out, shed, err := s.answer(v, r.Context())
+	out, shed, err := s.answer(&v, r.Context())
 	if err != nil {
 		refuse(w, err, shed)
 		return
@@ -143,11 +143,14 @@ func (s *Server) answer(v *resolved, clientCtx context.Context) (outcome, bool, 
 			}}, false, nil
 		}
 	}
-	r, slot, shed, err := s.join(v, clientCtx)
+	// The run keeps the request past this call, so it gets a heap copy
+	// and the caller's can stay in the caller's frame.
+	kept := *v
+	r, slot, shed, err := s.join(&kept, clientCtx)
 	if err != nil {
 		return outcome{}, shed, err
 	}
-	return s.wait(r, slot, v, clientCtx), false, nil
+	return s.wait(r, slot, &kept, clientCtx), false, nil
 }
 
 // handleInvalidate is the dataset-refresh hook: POST /invalidatez?graph=X

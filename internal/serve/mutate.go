@@ -13,8 +13,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -28,7 +26,8 @@ import (
 	"polymer/internal/obs"
 )
 
-// MaxMutationBodyBytes bounds a /mutatez request body.
+// MaxMutationBodyBytes bounds a /mutatez request body; a longer body is
+// a 400 that names the limit.
 const MaxMutationBodyBytes = 1 << 20
 
 // MaxMutationOps bounds one mutation batch at the HTTP surface (the
@@ -70,14 +69,14 @@ type mutation struct {
 // DecodeMutation reads and validates one mutation body. Every error is a
 // *BadRequest; nothing is admitted before validation passes.
 func DecodeMutation(r io.Reader) (*mutation, error) {
-	dec := json.NewDecoder(io.LimitReader(r, MaxMutationBodyBytes+1))
-	dec.DisallowUnknownFields()
-	var req MutationRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, badReq("bad JSON: %v", err)
+	buf, err := readBody(r, MaxMutationBodyBytes)
+	if err != nil {
+		return nil, err
 	}
-	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
-		return nil, badReq("trailing data after mutation object")
+	defer bodyBufs.Put(buf)
+	var req MutationRequest
+	if err := decodeJSON(*buf, &req, "mutation"); err != nil {
+		return nil, err
 	}
 	return resolveMutation(req)
 }

@@ -455,6 +455,22 @@ func TestMutateValidation(t *testing.T) {
 	}
 }
 
+// TestDecodeMutationOversizedBody: a /mutatez body longer than
+// MaxMutationBodyBytes is a 400 naming the limit, also when the excess is
+// whitespace after a valid batch; at the limit exactly it is decoded.
+func TestDecodeMutationOversizedBody(t *testing.T) {
+	valid := `{"graph":"roadUS","scale":"tiny","ops":[{"op":"insert","src":0,"dst":1}]}`
+	_, err := DecodeMutation(strings.NewReader(valid + strings.Repeat(" ", 2*MaxMutationBodyBytes)))
+	wantLimitError(t, err, MaxMutationBodyBytes)
+	long := `{"graph":"roadUS","scale":"tiny","ops":[` +
+		strings.Repeat(`{"op":"insert","src":0,"dst":1},`, MaxMutationBodyBytes/32) + `{"op":"insert","src":0,"dst":1}]}`
+	_, err = DecodeMutation(strings.NewReader(long))
+	wantLimitError(t, err, MaxMutationBodyBytes)
+	if _, err := DecodeMutation(strings.NewReader(valid + strings.Repeat(" ", MaxMutationBodyBytes-len(valid)))); err != nil {
+		t.Fatalf("a body of exactly MaxMutationBodyBytes: %v", err)
+	}
+}
+
 func TestMutateDisabledWithoutStore(t *testing.T) {
 	srv := NewServer(Config{Workers: 1, QueueDepth: 4})
 	defer shutdown(t, srv)

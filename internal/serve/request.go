@@ -7,12 +7,15 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"polymer/internal/bench"
@@ -24,8 +27,8 @@ import (
 	"polymer/internal/plan"
 )
 
-// MaxBodyBytes bounds a /run request body; larger bodies are rejected
-// before JSON decoding starts.
+// MaxBodyBytes bounds a /run request body; a longer body is a 400 that
+// names the limit, and none of it is decoded.
 const MaxBodyBytes = 1 << 16
 
 // MaxBudget bounds the per-request wall-clock budget a client may ask
@@ -133,19 +136,291 @@ type resolved struct {
 // DecodeRequest reads and validates one request body. Every error it
 // returns is a *BadRequest; it never panics on hostile input.
 func DecodeRequest(r io.Reader) (*resolved, error) {
-	dec := json.NewDecoder(io.LimitReader(r, MaxBodyBytes+1))
-	dec.DisallowUnknownFields()
+	v := new(resolved)
+	if err := v.decode(r); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// decode is DecodeRequest into v, which the caller may keep in its
+// frame: handleRun's stays there when the request is a cache hit.
+//
+// The body is read once, into a pooled buffer. A flat object of exact
+// field names, escape-free ASCII strings and plain integers — what
+// clients send — is decoded by decodeFlat; any other body by
+// encoding/json over the same bytes, which gives every non-canonical
+// body its accepted Request and its error text.
+func (v *resolved) decode(r io.Reader) error {
+	buf, err := readBody(r, MaxBodyBytes)
+	if err != nil {
+		return err
+	}
+	defer bodyBufs.Put(buf)
 	// Absent knobs mean "server default", not zero.
 	req := Request{SessionRetries: -1, Restarts: -1}
-	if err := dec.Decode(&req); err != nil {
-		return nil, badReq("bad JSON: %v", err)
+	if !decodeFlat(*buf, &req) {
+		// A separate Request, so that only this path's escapes to the heap.
+		ref := &Request{SessionRetries: -1, Restarts: -1}
+		if err := decodeJSON(*buf, ref, "request"); err != nil {
+			return err
+		}
+		req = *ref
+	}
+	return v.bind(req)
+}
+
+// bodyBufs pools the buffers request bodies are read into.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBody reads all of r into a buffer from bodyBufs, which the caller
+// puts back once it has decoded the body: nothing decoded points into
+// it. A body longer than limit is a 400 naming the limit; it is read no
+// further than its first byte past the limit.
+func readBody(r io.Reader, limit int) (*[]byte, error) {
+	buf := bodyBufs.Get().(*[]byte)
+	b := (*buf)[:0]
+	if cap(b) == 0 {
+		b = make([]byte, 0, 512)
+	}
+	var err error
+	for len(b) <= limit && err == nil {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		var n int
+		n, err = r.Read(b[len(b):min(cap(b), limit+1)])
+		b = b[:len(b)+n]
+	}
+	*buf = b
+	switch {
+	case len(b) > limit:
+		err = badReq("body exceeds the %d-byte limit", limit)
+	case err == io.EOF:
+		return buf, nil
+	default:
+		err = badReq("bad JSON: %v", err)
+	}
+	bodyBufs.Put(buf)
+	return nil, err
+}
+
+// decodeJSON is the reference decoder: one JSON object of known fields
+// into v, then nothing but whitespace.
+func decodeJSON(b []byte, v any, what string) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return badReq("bad JSON: %v", err)
 	}
 	// A second document (or trailing garbage) is malformed too.
 	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
-		return nil, badReq("trailing data after request object")
+		return badReq("trailing data after %s object", what)
 	}
-	return resolve(req)
+	return nil
 }
+
+// decodeFlat decodes b into req and reports true when b is one flat
+// object whose every key is a Request field's exact JSON name, every
+// string value printable ASCII with no escape, and every number an
+// in-range integer with no sign on an unsigned field, no fraction, no
+// exponent, no leading zero and no "-0", followed by whitespace only.
+// encoding/json decodes such a body to the same Request. On any other
+// body it reports false and leaves req partly written.
+func decodeFlat(b []byte, req *Request) bool {
+	s := flatScanner{b: b}
+	if !s.take('{') {
+		return false
+	}
+	if s.take('}') {
+		return s.end()
+	}
+	for {
+		key, ok := s.str()
+		if !ok || !s.take(':') {
+			return false
+		}
+		switch string(key) {
+		case "algo":
+			ok = s.word(&req.Algo)
+		case "system":
+			ok = s.word(&req.System)
+		case "placement":
+			ok = s.word(&req.Placement)
+		case "graph":
+			ok = s.word(&req.Graph)
+		case "scale":
+			ok = s.word(&req.Scale)
+		case "machine":
+			ok = s.word(&req.Machine)
+		case "fault":
+			ok = s.word(&req.Fault)
+		case "tier":
+			ok = s.word(&req.Tier)
+		case "sockets":
+			ok = flatInt(&s, &req.Sockets, math.MaxInt)
+		case "cores":
+			ok = flatInt(&s, &req.Cores, math.MaxInt)
+		case "session_retries":
+			ok = flatInt(&s, &req.SessionRetries, math.MaxInt)
+		case "restarts":
+			ok = flatInt(&s, &req.Restarts, math.MaxInt)
+		case "promote_every":
+			ok = flatInt(&s, &req.PromoteEvery, math.MaxInt)
+		case "budget_ms":
+			ok = flatInt(&s, &req.BudgetMs, math.MaxInt64)
+		case "dram_bytes":
+			ok = flatInt(&s, &req.DramBytes, math.MaxInt64)
+		case "src":
+			ok = flatUint(&s, &req.Src, math.MaxUint32)
+		case "fault_seed":
+			ok = flatUint(&s, &req.FaultSeed, math.MaxUint64)
+		default:
+			return false
+		}
+		if !ok {
+			return false
+		}
+		if s.take('}') {
+			return s.end()
+		}
+		if !s.take(',') {
+			return false
+		}
+	}
+}
+
+// flatScanner walks a body for decodeFlat; i is the next unread byte.
+type flatScanner struct {
+	b []byte
+	i int
+}
+
+// skip passes JSON whitespace.
+func (s *flatScanner) skip() {
+	for s.i < len(s.b) && (s.b[s.i] == ' ' || s.b[s.i] == '\t' || s.b[s.i] == '\n' || s.b[s.i] == '\r') {
+		s.i++
+	}
+}
+
+// take consumes c, after whitespace, if it is next.
+func (s *flatScanner) take(c byte) bool {
+	s.skip()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// end reports whether only whitespace is left.
+func (s *flatScanner) end() bool {
+	s.skip()
+	return s.i == len(s.b)
+}
+
+// str consumes a string of printable ASCII with no escape and returns
+// its contents, which alias the body.
+func (s *flatScanner) str() ([]byte, bool) {
+	if !s.take('"') {
+		return nil, false
+	}
+	for j := s.i; j < len(s.b); j++ {
+		switch c := s.b[j]; {
+		case c == '"':
+			v := s.b[s.i:j]
+			s.i = j + 1
+			return v, true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// word consumes a string value into *dst: a vocabulary word as its
+// constant, anything else as a copy of its bytes.
+func (s *flatScanner) word(dst *string) bool {
+	v, ok := s.str()
+	if !ok {
+		return false
+	}
+	if w, known := vocabulary[string(v)]; known {
+		*dst = w
+	} else {
+		*dst = string(v)
+	}
+	return true
+}
+
+// digits consumes a magnitude with no leading zero that fits in uint64.
+func (s *flatScanner) digits() (uint64, bool) {
+	start := s.i
+	var n uint64
+	for ; s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9'; s.i++ {
+		d := uint64(s.b[s.i] - '0')
+		if n > (math.MaxUint64-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	// A leading zero is valid only alone: "0", not "01".
+	return n, s.i > start && (s.b[start] != '0' || s.i == start+1)
+}
+
+// flatUint consumes an unsigned integer no greater than hi.
+func flatUint[T uint32 | uint64](s *flatScanner, dst *T, hi uint64) bool {
+	s.skip()
+	n, ok := s.digits()
+	if !ok || n > hi {
+		return false
+	}
+	*dst = T(n)
+	return true
+}
+
+// flatInt consumes a signed integer in [-hi-1, hi]; "-0" is refused.
+func flatInt[T int | int64](s *flatScanner, dst *T, hi int64) bool {
+	s.skip()
+	neg := s.i < len(s.b) && s.b[s.i] == '-'
+	if neg {
+		s.i++
+	}
+	n, ok := s.digits()
+	switch {
+	case !ok:
+		return false
+	case neg && n != 0 && n-1 <= uint64(hi):
+		*dst = T(-int64(n-1) - 1)
+	case !neg && n <= uint64(hi):
+		*dst = T(n)
+	default:
+		return false
+	}
+	return true
+}
+
+// vocabulary maps each name a well-formed request spells to one constant
+// string, so that decodeFlat allocates nothing for it.
+var vocabulary = func() map[string]string {
+	words := []string{"auto", "tiny", "small", "default", "intel", "amd",
+		"colocated", "interleaved", "centralized", "hot", "interleave"}
+	for _, a := range bench.Algos() {
+		words = append(words, strings.ToLower(string(a)))
+	}
+	for _, s := range bench.Systems() {
+		name := strings.ToLower(string(s))
+		words = append(words, name, strings.ReplaceAll(name, "-", ""))
+	}
+	for _, d := range gen.Datasets() {
+		words = append(words, string(d))
+	}
+	m := make(map[string]string, len(words))
+	for _, w := range words {
+		m[w] = w
+	}
+	return m
+}()
 
 // resolveTarget checks what /run and /mutatez both address: the dataset,
 // its scale (empty means tiny) and budget_ms (0 means the server default).
@@ -172,12 +447,13 @@ func resolveTarget(name, scale string, budgetMs int64) (gen.Dataset, gen.Scale, 
 	return data, sc, time.Duration(budgetMs) * time.Millisecond, nil
 }
 
-func resolve(req Request) (*resolved, error) {
-	v := &resolved{req: req}
+// bind validates req and sets v to it bound to concrete types.
+func (v *resolved) bind(req Request) error {
+	*v = resolved{req: req}
 	var err error
 	// polymerd serves cells with a resilient driver, and CC has none.
 	if v.alg, err = bench.ParseAlgo(req.Algo); err != nil || v.alg == bench.CC {
-		return nil, badReq("unknown algorithm %q (want pr, spmv, bp, bfs or sssp)", req.Algo)
+		return badReq("unknown algorithm %q (want pr, spmv, bp, bfs or sssp)", req.Algo)
 	}
 	switch sysName := strings.ToLower(strings.TrimSpace(req.System)); sysName {
 	case "", "auto":
@@ -186,26 +462,26 @@ func resolve(req Request) (*resolved, error) {
 		v.autoEngine = true
 	default:
 		if v.sys, err = bench.ParseSystem(sysName); err != nil {
-			return nil, badReq("unknown system %q (want polymer, ligra, xstream, galois or auto)", req.System)
+			return badReq("unknown system %q (want polymer, ligra, xstream, galois or auto)", req.System)
 		}
 		if !bench.SessionCapable(v.sys, v.alg) {
-			return nil, badReq("%s is not served on %s (PR runs everywhere; spmv/bp/bfs/sssp need polymer or ligra)", v.alg, v.sys)
+			return badReq("%s is not served on %s (PR runs everywhere; spmv/bp/bfs/sssp need polymer or ligra)", v.alg, v.sys)
 		}
 	}
 	if v.data, v.scale, v.budget, err = resolveTarget(req.Graph, req.Scale, req.BudgetMs); err != nil {
-		return nil, err
+		return err
 	}
 	if v.mach = strings.ToLower(strings.TrimSpace(req.Machine)); v.mach == "" {
 		v.mach = "intel"
 	}
 	if v.topo, err = numa.TopologyByName(v.mach); err != nil {
-		return nil, badReq("%v", err)
+		return badReq("%v", err)
 	}
 	if req.Sockets < 0 || req.Sockets > v.topo.Sockets {
-		return nil, badReq("sockets %d out of range [0,%d]", req.Sockets, v.topo.Sockets)
+		return badReq("sockets %d out of range [0,%d]", req.Sockets, v.topo.Sockets)
 	}
 	if req.Cores < 0 || req.Cores > v.topo.CoresPerSocket {
-		return nil, badReq("cores %d out of range [0,%d]", req.Cores, v.topo.CoresPerSocket)
+		return badReq("cores %d out of range [0,%d]", req.Cores, v.topo.CoresPerSocket)
 	}
 	v.nodes, v.cores = req.Sockets, req.Cores
 	if v.nodes == 0 {
@@ -215,10 +491,10 @@ func resolve(req Request) (*resolved, error) {
 		v.cores = v.topo.CoresPerSocket
 	}
 	if req.SessionRetries < -1 || req.SessionRetries > 10 {
-		return nil, badReq("session_retries %d out of range [-1,10]", req.SessionRetries)
+		return badReq("session_retries %d out of range [-1,10]", req.SessionRetries)
 	}
 	if req.Restarts < -1 || req.Restarts > 10 {
-		return nil, badReq("restarts %d out of range [-1,10]", req.Restarts)
+		return badReq("restarts %d out of range [-1,10]", req.Restarts)
 	}
 	v.src = graph.Vertex(req.Src)
 	if !v.batchable() {
@@ -231,25 +507,25 @@ func resolve(req Request) (*resolved, error) {
 	}
 	if req.Fault != "" {
 		if _, err := fault.ParseSpec(req.Fault); err != nil {
-			return nil, badReq("bad fault spec: %v", err)
+			return badReq("bad fault spec: %v", err)
 		}
 	}
 	if req.DramBytes < 0 {
-		return nil, badReq("dram_bytes %d is negative", req.DramBytes)
+		return badReq("dram_bytes %d is negative", req.DramBytes)
 	}
 	if req.PromoteEvery < 0 {
-		return nil, badReq("promote_every %d is negative", req.PromoteEvery)
+		return badReq("promote_every %d is negative", req.PromoteEvery)
 	}
 	pol, err := numa.ParseTierPolicy(req.Tier)
 	if err != nil {
-		return nil, badReq("unknown tier %q (want hot or interleave)", req.Tier)
+		return badReq("unknown tier %q (want hot or interleave)", req.Tier)
 	}
 	if req.DramBytes > 0 {
 		if pol == numa.TierNone {
-			return nil, badReq("dram_bytes needs a tier policy: set tier to hot or interleave")
+			return badReq("dram_bytes needs a tier policy: set tier to hot or interleave")
 		}
 		if len(v.topo.SlowSeqBW) == 0 {
-			return nil, badReq("machine %q has no slow-tier cost tables", v.mach)
+			return badReq("machine %q has no slow-tier cost tables", v.mach)
 		}
 		every := req.PromoteEvery
 		if every == 0 && pol == numa.TierHot {
@@ -257,7 +533,7 @@ func resolve(req Request) (*resolved, error) {
 		}
 		v.tier = numa.TierConfig{DRAMPerNode: req.DramBytes, Policy: pol, PromoteEvery: every}
 	} else if pol != numa.TierNone || req.PromoteEvery > 0 {
-		return nil, badReq("tier and promote_every need dram_bytes > 0")
+		return badReq("tier and promote_every need dram_bytes > 0")
 	}
 	switch pl := strings.ToLower(strings.TrimSpace(req.Placement)); pl {
 	case "":
@@ -270,19 +546,19 @@ func resolve(req Request) (*resolved, error) {
 	default:
 		p, err := mem.ParsePlacement(pl)
 		if err != nil {
-			return nil, badReq("unknown placement %q (want colocated, interleaved, centralized or auto)", req.Placement)
+			return badReq("unknown placement %q (want colocated, interleaved, centralized or auto)", req.Placement)
 		}
 		if !v.autoEngine && v.sys != bench.Polymer && p != mem.Interleaved {
-			return nil, badReq("placement %s needs polymer; %s is interleaved-native", p, v.sys)
+			return badReq("placement %s needs polymer; %s is interleaved-native", p, v.sys)
 		}
 		v.layout, v.layoutSet = p, true
 	}
-	return v, nil
+	return nil
 }
 
 // runID is the canonical identity of a run: engine, algorithm, dataset,
 // scale, effective placement, machine and its nodes x cores and tier
-// config, plus the traversal source for point queries. resolve already
+// config, plus the traversal source for point queries. bind already
 // normalized aliases ("x-stream", mixed case), default-filled
 // scale/machine/sockets/cores and zeroed src for non-traversals, and
 // planFor resolved auto engine/placement to concrete picks, so
@@ -351,7 +627,7 @@ func (v *resolved) batchable() bool {
 }
 
 // armTier applies the request's tiered-memory config to a freshly built
-// machine and returns it. resolve validated the policy and the
+// machine and returns it. bind validated the policy and the
 // topology's slow-tier tables, and the machines the execution path
 // builds have no epochs yet, so a failure here is an invariant
 // violation, not a client error.
@@ -371,7 +647,7 @@ func (v *resolved) armTier(m *numa.Machine) *numa.Machine {
 func (v *resolved) injector() *fault.Injector {
 	switch {
 	case v.req.Fault != "":
-		evs, _ := fault.ParseSpec(v.req.Fault) // validated in resolve
+		evs, _ := fault.ParseSpec(v.req.Fault) // validated in bind
 		return fault.NewInjector(evs)
 	case v.req.FaultSeed != 0:
 		threads := v.nodes * v.cores

@@ -1,6 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -87,20 +93,73 @@ func TestDecodeRequestRejections(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestOversizedBody: a body longer than MaxBodyBytes is a
+// 400 naming the limit, whether the excess is inside the object or is
+// whitespace after a valid one, which a decoder reading through a
+// truncating reader would never see.
 func TestDecodeRequestOversizedBody(t *testing.T) {
-	big := `{"algo":"pr","system":"polymer","graph":"powerlaw","fault":"` +
-		strings.Repeat("x", MaxBodyBytes) + `"}`
-	_, err := DecodeRequest(strings.NewReader(big))
+	valid := `{"algo":"pr","system":"polymer","graph":"powerlaw"}`
+	for name, body := range map[string]string{
+		"long-string": `{"algo":"pr","system":"polymer","graph":"powerlaw","fault":"` +
+			strings.Repeat("x", MaxBodyBytes) + `"}`,
+		"padded":   valid + strings.Repeat(" ", 2*MaxBodyBytes),
+		"one-over": valid + strings.Repeat(" ", MaxBodyBytes+1-len(valid)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, err := DecodeRequest(strings.NewReader(body))
+			wantLimitError(t, err, MaxBodyBytes)
+		})
+	}
+	// At the limit exactly, the body is decoded.
+	if _, err := DecodeRequest(strings.NewReader(valid + strings.Repeat(" ", MaxBodyBytes-len(valid)))); err != nil {
+		t.Fatalf("a body of exactly MaxBodyBytes: %v", err)
+	}
+}
+
+// wantLimitError fails unless err is the 400 for a body over limit bytes.
+func wantLimitError(t *testing.T, err error, limit int) {
+	t.Helper()
 	if err == nil {
 		t.Fatal("oversized body accepted")
 	}
 	if _, ok := err.(*BadRequest); !ok {
 		t.Fatalf("error type %T, want *BadRequest", err)
 	}
+	if want := fmt.Sprintf("body exceeds the %d-byte limit", limit); err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
 }
 
-// FuzzDecodeRequest asserts the decoder's contract on hostile input: it
-// returns (*resolved, nil) or (nil, *BadRequest) and never panics.
+// resolve binds req as DecodeRequest does after decoding it.
+func resolve(req Request) (*resolved, error) {
+	v := new(resolved)
+	if err := v.bind(req); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// referenceRequest is the encoding/json decode DecodeRequest must agree
+// with on every body of at most MaxBodyBytes: a Request with its absent
+// knobs at -1, one object of known fields, then nothing but whitespace.
+func referenceRequest(body string) (Request, error) {
+	dec := json.NewDecoder(strings.NewReader(body))
+	dec.DisallowUnknownFields()
+	req := Request{SessionRetries: -1, Restarts: -1}
+	if err := dec.Decode(&req); err != nil {
+		return req, badReq("bad JSON: %v", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
+		return req, badReq("trailing data after request object")
+	}
+	return req, nil
+}
+
+// FuzzDecodeRequest holds DecodeRequest to its contract on hostile
+// input — (*resolved, nil) or (nil, *BadRequest), never a panic — and to
+// the encoding/json reference: the same resolved request, or an error
+// with the same text. A body the fast path takes must decode under the
+// reference to the same Request.
 func FuzzDecodeRequest(f *testing.F) {
 	seeds := []string{
 		`{"algo":"pr","system":"polymer","graph":"powerlaw","scale":"tiny"}`,
@@ -123,12 +182,64 @@ func FuzzDecodeRequest(f *testing.F) {
 		`[{"algo":"pr"}]`,
 		`{}`,
 		``,
+		// Bodies only encoding/json decodes. Keys it matches case-insensitively,
+		// "ſ" (U+017F) folding to "s" and the Kelvin sign (U+212A) to "k":
+		`{"ALGO":"pr","System":"polymer","graph":"powerlaw"}`,
+		`{"algo":"pr","graph":"powerlaw","` + "\u017f" + `cale":"small"}`,
+		`{"algo":"pr","system":"polymer","graph":"powerlaw","soc` + "\u212a" + `ets":2}`,
+		// Escapes, in values and keys.
+		`{"algo":"p\u0072","system":"polymer","graph":"powerlaw"}`,
+		`{"algo":"bfs","system":"ligra","graph":"power\u006caw","src":3}`,
+		`{"algo":"pr","system":"polymer","graph":"powerlaw","fault":"panic@1:t0\n"}`,
+		`{"algo":"pr","system":"polymer","graph":"powerlaw","fault":"pa\"nic@1:t0"}`,
+		`{"\u0061lgo":"pr","system":"polymer","graph":"powerlaw"}`,
+		// null keeps a field's value; duplicate keys keep the last.
+		`{"algo":"pr","system":null,"graph":"powerlaw","src":null}`,
+		`{"algo":"bfs","algo":"pr","graph":"powerlaw","src":5,"src":7,"budget_ms":9,"budget_ms":3}`,
+		// Numbers an integer field refuses, or takes only through encoding/json.
+		`{"algo":"bfs","graph":"powerlaw","src":1e2}`,
+		`{"algo":"bfs","graph":"powerlaw","src":01}`,
+		`{"algo":"bfs","graph":"powerlaw","src":3.0}`,
+		`{"algo":"bfs","graph":"powerlaw","src":-0}`,
+		`{"algo":"pr","graph":"powerlaw","budget_ms":-0,"sockets":-0}`,
+		`{"algo":"pr","graph":"powerlaw","budget_ms":-}`,
+		`{"algo":"bfs","graph":"powerlaw","src":"3"}`,
+		`{"algo":"bfs","graph":"powerlaw","src":4294967296}`,
+		`{"algo":"bfs","graph":"powerlaw","src":-1}`,
+		`{"algo":"pr","graph":"powerlaw","budget_ms":9223372036854775808}`,
+		`{"algo":"pr","graph":"powerlaw","budget_ms":-9223372036854775809}`,
+		`{"algo":"pr","graph":"powerlaw","fault_seed":18446744073709551616}`,
+		`{"algo":"pr","graph":"powerlaw","fault_seed":18446744073709551615,"dram_bytes":-9223372036854775808}`,
+		// Non-ASCII and control bytes in values.
+		`{"algo":"pr","system":"polymer","graph":"powérlaw"}`,
+		`{"algo":"pr","system":"polymer","graph":"powerlaw","fault":"` + "\x7f" + `"}`,
+		`{"algo":"pr","system":"polymer","graph":"powerlaw","fault":"` + "\t" + `"}`,
+		// Bodies the fast path takes (whitespace wherever JSON allows it,
+		// every field, words outside the vocabulary), and a flat object
+		// with trailing garbage, which it refuses.
+		" \t{ \"algo\" : \"bfs\" ,\n\"graph\":\"powerlaw\",\r\"src\" :3 } \n",
+		`{"algo":"sssp","system":"polymer","placement":"interleaved","graph":"roadUS","scale":"small","machine":"amd","sockets":4,"cores":2,"src":9,"budget_ms":500,"fault":"panic@1:t1","fault_seed":7,"session_retries":0,"restarts":2,"dram_bytes":20000,"tier":"hot","promote_every":3}`,
+		`{"algo":"pr","system":"Polymer ","graph":"PowerLaw","scale":"TINY"}`,
+		`{"algo":"pr","graph":"powerlaw"} x`,
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body string) {
 		v, err := DecodeRequest(strings.NewReader(body))
+		req := Request{SessionRetries: -1, Restarts: -1}
+		if decodeFlat([]byte(body), &req) {
+			if ref, refErr := referenceRequest(body); refErr != nil || ref != req {
+				t.Fatalf("fast path decoded %q to %+v; encoding/json to %+v (%v)", body, req, ref, refErr)
+			}
+		}
+		var want *resolved
+		wantErr := badReq("body exceeds the %d-byte limit", MaxBodyBytes)
+		if len(body) <= MaxBodyBytes {
+			if req, wantErr = referenceRequest(body); wantErr == nil {
+				want, wantErr = resolve(req)
+			}
+		}
 		if err != nil {
 			if v != nil {
 				t.Fatal("non-nil resolved alongside an error")
@@ -136,7 +247,16 @@ func FuzzDecodeRequest(f *testing.F) {
 			if _, ok := err.(*BadRequest); !ok {
 				t.Fatalf("error type %T for %q, want *BadRequest", err, body)
 			}
+			if wantErr == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("%q: error %q, reference %v", body, err, wantErr)
+			}
 			return
+		}
+		if wantErr != nil {
+			t.Fatalf("%q: accepted, reference refuses it: %v", body, wantErr)
+		}
+		if !reflect.DeepEqual(v, want) {
+			t.Fatalf("%q: resolved %+v\nreference %+v", body, v, want)
 		}
 		if v == nil {
 			t.Fatal("nil resolved with nil error")
@@ -149,4 +269,60 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("resolved budget %v escaped validation", v.budget)
 		}
 	})
+}
+
+// TestDecodeFlatTakesClientBodies: the bodies clients send — the
+// benchmark's, the README's — take the fast path, and the ones that need
+// encoding/json do not. A fast path that turned every body away would
+// still decode correctly, but at encoding/json's cost.
+func TestDecodeFlatTakesClientBodies(t *testing.T) {
+	for _, body := range []string{
+		`{"algo":"bfs","graph":"roadUS","scale":"tiny","src":577,"system":"ligra"}`,
+		`{"algo":"pr","graph":"powerlaw","scale":"tiny","src":0}`,
+		"{\n  \"algo\": \"pr\", \"system\": \"polymer\", \"graph\": \"powerlaw\",\n  \"scale\": \"tiny\", \"sockets\": 4, \"cores\": 2, \"budget_ms\": 5000\n}\n",
+		`{"algo":"pr","system":"polymer","graph":"powerlaw","scale":"tiny","fault":"panic@1:t1,stall@0:t0"}`,
+		`{}`,
+	} {
+		req := Request{SessionRetries: -1, Restarts: -1}
+		if !decodeFlat([]byte(body), &req) {
+			t.Errorf("fast path refused %q", body)
+		}
+	}
+	for _, body := range []string{
+		`{"algo":"pr","system":null}`,
+		`{"Algo":"pr"}`,
+		`{"algo":"p\u0072"}`,
+		`{"src":-0}`,
+		`{"budget_ms":1.0}`,
+		`{"algo":"pr"}{}`,
+		`{"algo":"pr",}`,
+		`{"algo":"pr"`,
+	} {
+		req := Request{SessionRetries: -1, Restarts: -1}
+		if decodeFlat([]byte(body), &req) {
+			t.Errorf("fast path took %q", body)
+		}
+	}
+}
+
+// BenchmarkDecodeRequest reports B/op and allocs/op of one decode: a
+// canonical body, as the benchmark clients send, and the same body with
+// an escaped string, which only encoding/json decodes.
+func BenchmarkDecodeRequest(b *testing.B) {
+	for _, bc := range []struct{ name, body string }{
+		{"canonical", `{"algo":"bfs","graph":"powerlaw","scale":"tiny","src":3,"system":"ligra"}`},
+		{"escaped", `{"algo":"bfs","graph":"power\u006caw","scale":"tiny","src":3,"system":"ligra"}`},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			body := []byte(bc.body)
+			var rd bytes.Reader
+			b.ReportAllocs()
+			for b.Loop() {
+				rd.Reset(body)
+				if _, err := DecodeRequest(&rd); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
