@@ -182,15 +182,8 @@ func run(args []string) {
 				if s.Candidate == d.Pick {
 					mark = "*"
 				}
-				note := ""
-				if s.Vetoed {
-					note = "  vetoed"
-				}
-				fmt.Printf("  %s %-30s cost %10.6f s   raw %10.6f s%s\n",
-					mark, s.Candidate, s.Cost, s.Raw, note)
-			}
-			if d.Fallback {
-				fmt.Printf("  (every candidate vetoed: fallback pick)\n")
+				fmt.Printf("  %s %-30s cost %10.6f s   raw %10.6f s\n",
+					mark, s.Candidate, s.Cost, s.Raw)
 			}
 		}
 		if autoSys {

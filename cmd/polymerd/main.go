@@ -1,11 +1,12 @@
 // Command polymerd serves graph-analytics requests over HTTP/JSON with
 // production robustness: bounded admission with load shedding, per-request
 // deadlines, in-run rollback and replay with restarts of fault-injected
-// runs, a per-engine circuit breaker with degraded-mode fallback, graceful drain
-// on SIGTERM/SIGINT, and an execution-reuse layer — identical in-flight
-// requests coalesce into one run, traversal point queries batch into
-// multi-source sweeps, and full-fidelity results replay from a versioned
-// cache until the dataset is invalidated.
+// runs, graceful drain on SIGTERM/SIGINT, and an execution-reuse layer —
+// identical in-flight requests coalesce into one run, traversal point
+// queries batch into multi-source sweeps, and results replay from a
+// versioned cache until the dataset is invalidated. A response is a
+// function of its body: a failed run is a 500 for the request that sent
+// it and for no other.
 //
 // Requests that omit "system" (or say "auto") hand the engine, placement
 // and width choice to the cost-model planner, which learns online from
@@ -55,8 +56,6 @@ func main() {
 	workersFlag := flag.Int("workers", 4, "concurrent request executions")
 	budgetFlag := flag.Duration("budget", 30*time.Second, "default per-request wall-clock budget")
 	drainFlag := flag.Duration("drain", 5*time.Second, "graceful drain deadline on SIGTERM")
-	breakerFlag := flag.Int("breaker-threshold", 3, "consecutive failures that trip an engine's circuit")
-	cooldownFlag := flag.Duration("breaker-cooldown", 2*time.Second, "open-circuit period before a half-open probe")
 	cacheFlag := flag.Int64("graph-cache-bytes", 0, "graph cache budget in topology bytes (0 = 1 GiB default, negative = unbounded)")
 	resultCacheFlag := flag.Int64("result-cache-bytes", 0, "result cache budget in bytes (0 = 64 MiB default, negative disables)")
 	noShareFlag := flag.Bool("no-share", false, "disable run sharing: no coalescing onto identical runs, no multi-source traversal sweeps")
@@ -109,8 +108,6 @@ func main() {
 		Workers:          *workersFlag,
 		DefaultBudget:    *budgetFlag,
 		DrainTimeout:     *drainFlag,
-		BreakerThreshold: *breakerFlag,
-		BreakerCooldown:  *cooldownFlag,
 		GraphCacheBytes:  *cacheFlag,
 		ResultCacheBytes: *resultCacheFlag,
 		DisableSharing:   *noShareFlag,

@@ -130,13 +130,11 @@ func runServed(w io.Writer) error {
 			return nil, nil, nil, err
 		}
 		srv := serve.NewServer(serve.Config{
-			QueueDepth:       16,
-			Workers:          2,
-			DefaultBudget:    time.Minute,
-			DrainTimeout:     2 * time.Second,
-			BreakerThreshold: 3,
-			BreakerCooldown:  time.Second,
-			Mutations:        st,
+			QueueDepth:    16,
+			Workers:       2,
+			DefaultBudget: time.Minute,
+			DrainTimeout:  2 * time.Second,
+			Mutations:     st,
 		})
 		return srv, httptest.NewServer(srv.Handler()), st, nil
 	}

@@ -119,32 +119,26 @@ func fixedIters(st stepper, sess *fault.Session, iters int, name string, in, out
 	return slices.Clone(*in), nil
 }
 
-// PageRankFrom is the PageRank driver on a scatter-gather engine (the
+// PageRankE is the PageRank driver on a scatter-gather engine (the
 // paper's Algorithm 4.1: synchronous, push-based, measured over the first
-// five iterations as in Section 6.2), seeded with an existing rank vector
-// when init is non-nil.
-func PageRankFrom(e sg.Engine, iters int, damping float64, init []float64, sess *fault.Session) ([]float64, error) {
+// five iterations as in Section 6.2), from the uniform start.
+func PageRankE(e sg.Engine, iters int, damping float64, sess *fault.Session) ([]float64, error) {
 	r := newRun(e)
 	defer r.release()
-	k := newPRKernel(r, damping, init)
+	k := newPRKernel(r, damping)
 	return fixedIters(sgStepper(e, k, prHints), sess, iters, "pagerank", &k.curr, &k.next, k.apply)
-}
-
-// PageRankE is PageRankFrom from the uniform start.
-func PageRankE(e sg.Engine, iters int, damping float64, sess *fault.Session) ([]float64, error) {
-	return PageRankFrom(e, iters, damping, nil, sess)
 }
 
 // PageRank is PageRankE without a session, panicking on failure.
 func PageRank(e sg.Engine, iters int, damping float64) []float64 {
-	return must(PageRankFrom(e, iters, damping, nil, nil))
+	return must(PageRankE(e, iters, damping, nil))
 }
 
 // XSPageRankE runs iters push-based PageRank iterations on X-Stream.
 func XSPageRankE(e *xstream.Engine, iters int, damping float64, sess *fault.Session) ([]float64, error) {
 	r := newRun(e)
 	defer r.release()
-	k := newPRKernel(r, damping, nil)
+	k := newPRKernel(r, damping)
 	return fixedIters(xsStepper(e, k), sess, iters, "pagerank", &k.curr, &k.next, k.apply)
 }
 

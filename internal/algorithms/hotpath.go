@@ -17,10 +17,10 @@ func PRHints() sg.Hints { return prHints }
 // PRIteration allocates PageRank state on e and returns one full PageRank
 // iteration — the push EdgeMap over the full frontier, the normalisation
 // VertexMap, and the array swap — built from the kernel constructor and
-// the step PageRankFrom loops over: the engines' per-phase sg.RowKernel
+// the step PageRankE loops over: the engines' per-phase sg.RowKernel
 // lookup is part of what the allocation budgets bound.
 func PRIteration(e sg.Engine, damping float64) func() {
-	k := newPRKernel(newRun(e), damping, nil)
+	k := newPRKernel(newRun(e), damping)
 	step, apply := sgStepper(e, k, prHints).step, k.apply
 	return func() {
 		step(apply, false)
@@ -29,10 +29,10 @@ func PRIteration(e sg.Engine, damping float64) func() {
 }
 
 // PRSweep allocates PageRank state on e and returns PageRank's edge phase
-// alone, as PageRankFrom runs it: the push EdgeMap over the full frontier,
+// alone, as PageRankE runs it: the push EdgeMap over the full frontier,
 // kernel and hints included. The sweep benchmarks time it per edge.
 func PRSweep(e sg.Engine) func() {
-	k, all := newPRKernel(newRun(e), 0.85, nil), state.NewAll(e.Bounds())
+	k, all := newPRKernel(newRun(e), 0.85), state.NewAll(e.Bounds())
 	return func() { sg.EdgeMapK(e, all, k, prHints) }
 }
 
@@ -50,7 +50,7 @@ type XSKernel struct {
 // against per-edge loops, the steady-state allocation budget).
 func NewXSKernels(e *xstream.Engine) map[string]XSKernel {
 	r := newRun(e)
-	pr, spmv, bp := newPRKernel(r, 0.85, nil), newSpMVKernel(r, nil), newBPKernel(r)
+	pr, spmv, bp := newPRKernel(r, 0.85), newSpMVKernel(r, nil), newBPKernel(r)
 	return map[string]XSKernel{
 		"pr":   {pr, pr.curr, pr.next},
 		"spmv": {spmv, spmv.x, spmv.y},

@@ -79,10 +79,9 @@ type prKernel struct {
 	base, damping float64 // apply's constants
 }
 
-// newPRKernel allocates PageRank state for run r: zero sums, and the ranks
-// of init when it is non-nil (the degradation harness continues a run on a
-// rebuilt engine with it), else uniform.
-func newPRKernel(r *runArrays, damping float64, init []float64) *prKernel {
+// newPRKernel allocates PageRank state for run r: zero sums and uniform
+// ranks.
+func newPRKernel(r *runArrays, damping float64) *prKernel {
 	g := r.e.Graph()
 	n := float64(g.NumVertices())
 	k := &prKernel{curr: r.f64("pr/curr"), next: r.f64("pr/next"),
@@ -90,7 +89,6 @@ func newPRKernel(r *runArrays, damping float64, init []float64) *prKernel {
 	for v := range k.curr {
 		k.curr[v] = 1 / n
 	}
-	copy(k.curr, init)
 	return k
 }
 

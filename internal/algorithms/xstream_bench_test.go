@@ -22,7 +22,7 @@ func BenchmarkXStreamIterate(b *testing.B) {
 	topo := numa.IntelXeon80()
 	e := xstream.MustNew(g, numa.NewMachine(topo, topo.Sockets, topo.CoresPerSocket), xstream.DefaultOptions(), prHints)
 	defer e.Close()
-	k := newPRKernel(newRun(e), 0.85, nil)
+	k := newPRKernel(newRun(e), 0.85)
 	step, apply := xsStepper(e, k).step, k.apply
 	b.ReportAllocs()
 	b.ResetTimer()

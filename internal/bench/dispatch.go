@@ -145,7 +145,7 @@ func withWarm(c cell, repair func(e sg.Engine, s *spec, w *Warm) (Output, error)
 var cells = map[Algo][3]cell{
 	PR: {
 		stepped(true, func(e sg.Engine, s *spec, sess *fault.Session) (Output, error) {
-			return f64(algorithms.PageRankFrom(e, s.iters, defaultDamping, s.init, sess))
+			return f64(algorithms.PageRankE(e, s.iters, defaultDamping, sess))
 		}),
 		stepped(true, func(e *xstream.Engine, s *spec, sess *fault.Session) (Output, error) {
 			return f64(algorithms.XSPageRankE(e, s.iters, defaultDamping, sess))

@@ -95,88 +95,3 @@ func RunResilientCtx(ctx context.Context, sys System, alg Algo, g *graph.Graph, 
 		}
 	}
 }
-
-// DegradedResult reports a Polymer run that lost a NUMA node permanently
-// mid-run and finished on the survivors.
-type DegradedResult struct {
-	Result RunResult
-	// FailedNode and FailStep locate the permanent failure.
-	FailedNode int
-	FailStep   int
-	// MigratedBytes is the vertex state re-read from the checkpoint and
-	// redistributed over the surviving nodes' memories.
-	MigratedBytes int64
-	// MigrationSeconds is the honestly charged simulated cost of that
-	// redistribution.
-	MigrationSeconds float64
-}
-
-// RunPolymerDegraded runs PageRank on Polymer with a permanent node
-// failure after failStep iterations: the run is rebuilt on a machine with
-// one node fewer (core.New re-partitions the vertex space edge-balanced
-// across the survivors), the failed node's vertex state — the part the
-// first segment's engine gave it, which on a mutated snapshot may be one
-// its lineage inherited — is restored from the superstep checkpoint and
-// its redistribution charged as interleaved remote traffic, and the
-// remaining iterations continue from the checkpointed ranks. The returned SimSeconds is the sum of both segments
-// plus the migration cost; the checksum matches a fault-free run within
-// floating-point tolerance (the re-partitioned engine schedules additions
-// differently, so bit-identity is not preserved — unlike transient
-// recovery).
-func RunPolymerDegraded(g *graph.Graph, topo *numa.Topology, nodes, coresPerNode, failNode, failStep int) (DegradedResult, error) {
-	if nodes < 2 {
-		return DegradedResult{}, fmt.Errorf("bench: degraded run needs >= 2 nodes, got %d", nodes)
-	}
-	if failStep < 0 || failStep > DefaultIters {
-		return DegradedResult{}, fmt.Errorf("bench: fail step %d out of range [0,%d]", failStep, DefaultIters)
-	}
-	failNode %= nodes
-	s, err := newSpec(Polymer, PR, g, Options{}, nil)
-	if err != nil {
-		return DegradedResult{}, err
-	}
-
-	// Segment 1: the full machine up to the failure.
-	s.iters = failStep
-	seg1, _, err := run(s, numa.NewMachine(topo, nodes, coresPerNode))
-	if err != nil {
-		return DegradedResult{}, err
-	}
-
-	// Node failNode is now gone. The lost partition's per-vertex state
-	// (curr+next ranks) is re-read from the checkpoint and written to its
-	// new owners: one interleaved sequential read + write per vertex,
-	// spread over the survivors.
-	m2 := numa.NewMachine(topo, nodes-1, coresPerNode)
-	lost := int64(seg1.Bounds[failNode+1] - seg1.Bounds[failNode])
-	const bytesPerVertex = 16 // two float64 rank arrays
-	ep := m2.NewEpoch()
-	threads := m2.Threads()
-	per := (lost + int64(threads) - 1) / int64(threads)
-	for th := 0; th < threads; th++ {
-		ep.AccessInterleaved(th, numa.Seq, numa.Load, per, bytesPerVertex, 0)
-		ep.AccessInterleaved(th, numa.Seq, numa.Store, per, bytesPerVertex, 0)
-	}
-	migSecs := ep.Time()
-
-	// Segment 2: continue from the checkpointed ranks on the survivors;
-	// the engine re-partitions the vertex space edge-balanced over them.
-	s.iters, s.init = DefaultIters-failStep, seg1.Out.F64
-	r, _, err := run(s, m2)
-	if err != nil {
-		return DegradedResult{}, err
-	}
-	r.SimSeconds += seg1.SimSeconds + migSecs
-	stats := seg1.Stats
-	stats.Merge(r.Stats)
-	r.Stats = stats
-	r.PeakBytes = max(seg1.PeakBytes, r.PeakBytes)
-	r.Lineage = r.Lineage.Plus(seg1.Lineage)
-	return DegradedResult{
-		Result:           r,
-		FailedNode:       failNode,
-		FailStep:         failStep,
-		MigratedBytes:    lost * bytesPerVertex,
-		MigrationSeconds: migSecs,
-	}, nil
-}

@@ -201,8 +201,7 @@ type spec struct {
 	g   *graph.Graph
 	opt Options
 
-	iters int       // fixed-iteration count (PR, SpMV, BP)
-	init  []float64 // PageRank warm start (the degraded path's segment 2)
+	iters int // fixed-iteration count (PR, SpMV, BP)
 
 	// inj non-nil attaches a fault.Session — the one bit that separates
 	// the resilient path from the plain one.

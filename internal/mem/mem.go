@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"unsafe"
 
 	"polymer/internal/numa"
@@ -124,36 +123,24 @@ func New[T any](m *numa.Machine, label string, n int, place Placement, bounds []
 	return a
 }
 
-// spares is the process-wide spare list of array storage, one sync.Pool
-// per element type and length: Retire puts a slice there and New takes one
-// out before it makes a new one. A pool keeps what it holds only until the
-// garbage collector empties it, and starts no goroutine.
-var spares struct {
-	mu    sync.Mutex
-	pools map[any]*sync.Pool
+// spares is the spare list of array storage, by element type and length:
+// Retire puts a slice there and New takes one out before it makes a new
+// one.
+var spares numa.Spares[spareKey]
+
+// spareKey keys spares: elem is a nil *T, so that each element type keys
+// apart without boxing anything on the heap, and n is the length.
+type spareKey struct {
+	elem any
+	n    int
 }
 
-// spareKey keys spares: one type per element type, one value per length.
-type spareKey[T any] struct{ n int }
-
-func sparePool[T any](n int) *sync.Pool {
-	spares.mu.Lock()
-	defer spares.mu.Unlock()
-	p := spares.pools[spareKey[T]{n}]
-	if p == nil {
-		if spares.pools == nil {
-			spares.pools = make(map[any]*sync.Pool)
-		}
-		p = new(sync.Pool)
-		spares.pools[spareKey[T]{n}] = p
-	}
-	return p
-}
+func keyOf[T any](n int) spareKey { return spareKey{(*T)(nil), n} }
 
 // spare returns n zeroed elements: a retired array's storage, cleared, or
 // a new slice.
 func spare[T any](n int) []T {
-	if s, ok := sparePool[T](n).Get().(*[]T); ok {
+	if s, ok := spares.Get(keyOf[T](n)).(*[]T); ok {
 		clear(*s)
 		return *s
 	}
@@ -225,7 +212,7 @@ func (a *Array[T]) Retire() {
 	a.Free()
 	s := a.Data
 	a.Data = nil
-	sparePool[T](len(s)).Put(&s)
+	spares.Put(keyOf[T](len(s)), &s)
 }
 
 // Release hands the array back to whoever allocated it: Free, and exactly

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 )
 
 // Epoch is the traffic ledger for one parallel phase (e.g. one EdgeMap).
@@ -102,28 +101,10 @@ func (m *Machine) epochShape() epochShape {
 	return epochShape{m.Nodes, m.CoresPerNode, m.Topo.MaxLevel() + 1, m.Tiered()}
 }
 
-// spareEpochs is the process-wide spare list of ledgers, one sync.Pool per
-// shape: Recycle puts a closed engine's ledgers there and NewEpoch takes
-// one out before it makes a new one. A pool keeps what it holds only until
-// the garbage collector empties it, and starts no goroutine.
-var spareEpochs struct {
-	mu    sync.Mutex
-	pools map[epochShape]*sync.Pool
-}
-
-func epochPool(s epochShape) *sync.Pool {
-	spareEpochs.mu.Lock()
-	defer spareEpochs.mu.Unlock()
-	p := spareEpochs.pools[s]
-	if p == nil {
-		if spareEpochs.pools == nil {
-			spareEpochs.pools = make(map[epochShape]*sync.Pool)
-		}
-		p = &sync.Pool{New: func() any { return new(Epoch) }}
-		spareEpochs.pools[s] = p
-	}
-	return p
-}
+// spareEpochs is the spare list of ledgers, by shape: Recycle puts a
+// closed engine's ledgers there and NewEpoch takes one out before it makes
+// a new one.
+var spareEpochs Spares[epochShape]
 
 // bind ties e to m and makes it what a new ledger is: m's strides, every
 // row zero, every node shared, outside ChargeNodes. It is the one routine
@@ -163,9 +144,9 @@ func zeroed[T any](s []T, n int) []T {
 // machine of its shape. Nothing may read or charge it afterwards: it is
 // no longer bound to a machine.
 func (e *Epoch) Recycle() {
-	p := epochPool(e.m.epochShape())
+	s := e.m.epochShape()
 	e.m = nil
-	p.Put(e)
+	spareEpochs.Put(s, e)
 }
 
 // rows returns the float vector and access counts stored for thread th.
@@ -599,9 +580,8 @@ func (e *Epoch) Stats() Stats {
 }
 
 // Merge folds another summary into this one, recomputing the rates as
-// weighted averages over the combined access counts. It aggregates runs
-// that span more than one machine (e.g. a degraded run rebuilt on fewer
-// nodes), where the raw epochs cannot be added.
+// weighted averages over the combined access counts: summaries of runs on
+// different machines, whose raw epochs cannot be added.
 func (s *Stats) Merge(o Stats) {
 	t1 := s.LocalCount + s.RemoteCount
 	t2 := o.LocalCount + o.RemoteCount

@@ -141,7 +141,10 @@ func (m *Machine) LLCTotal() int64 { return int64(m.Nodes) * m.Topo.LLCBytes }
 // recycled one of m's shape (Epoch.Recycle) if the spare list holds one,
 // else a new one, bound to m and cleared alike.
 func (m *Machine) NewEpoch() *Epoch {
-	e := epochPool(m.epochShape()).Get().(*Epoch)
+	e, _ := spareEpochs.Get(m.epochShape()).(*Epoch)
+	if e == nil {
+		e = new(Epoch)
+	}
 	e.bind(m)
 	return e
 }

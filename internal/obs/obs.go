@@ -82,8 +82,7 @@ type Event struct {
 	// direction.
 	Dense bool `json:"dense,omitempty"`
 	Push  bool `json:"push,omitempty"`
-	// Detail is free-form context: fault error text, request status,
-	// breaker state.
+	// Detail is free-form context: fault error text, request status.
 	Detail string `json:"detail,omitempty"`
 	// Traffic is the per-node × per-hop × SEQ/RAND byte attribution of a
 	// superstep event; nil for other events. Sinks must treat it as

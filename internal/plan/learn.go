@@ -52,7 +52,7 @@ func BucketOf(f Features, alg bench.Algo) Bucket {
 }
 
 // Correction clamps and smoothing constants: a single wild observation
-// (say, a degraded run that slipped through) cannot move a
+// (say, a run the model could not price) cannot move a
 // factor outside [minFactor, maxFactor], and the EWMA forgets old
 // traffic with weight learnAlpha per observation. genEpsilon is the
 // relative factor change below which the decision cache is not

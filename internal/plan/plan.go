@@ -1,5 +1,5 @@
 // The chooser: score every viable candidate with the cost model, apply
-// the learner's corrections, prune vetoed engines, and pick the argmin.
+// the learner's corrections, and pick the argmin.
 // Decisions are memoized in a cache keyed by the exact feature vector
 // plus the query's constraints and the learner generation, so resolving
 // a repeated workload is a single map lookup with zero allocations.
@@ -26,30 +26,6 @@ const Version = 1
 // the planner only does it when the model is confident.
 const deviationMargin = 1.25
 
-// Veto bits, one per engine, for pruning candidates whose circuit
-// breaker is open or degraded.
-const (
-	VetoPolymer uint8 = 1 << iota
-	VetoLigra
-	VetoXStream
-	VetoGalois
-)
-
-// VetoBit maps an engine to its veto-mask bit.
-func VetoBit(sys bench.System) uint8 {
-	switch sys {
-	case bench.Polymer:
-		return VetoPolymer
-	case bench.Ligra:
-		return VetoLigra
-	case bench.XStream:
-		return VetoXStream
-	case bench.Galois:
-		return VetoGalois
-	}
-	return 0
-}
-
 // Query is one planning request.
 type Query struct {
 	Features Features
@@ -64,9 +40,6 @@ type Query struct {
 	// PlacementFixed pins the placement when PlacementSet is true.
 	PlacementFixed mem.Placement
 	PlacementSet   bool
-	// Veto is the open/degraded-breaker engine mask; vetoed engines are
-	// pruned from the candidate set.
-	Veto uint8
 	// Tier describes the target machine's tiered-memory arming; the zero
 	// value (untiered) predicts against unbounded DRAM. A tiered query
 	// re-ranks candidates under the slow tier's bandwidth penalties —
@@ -83,9 +56,6 @@ type Scored struct {
 	Cost float64 `json:"cost"`
 	// Raw is the uncorrected model prediction.
 	Raw float64 `json:"raw"`
-	// Vetoed marks candidates pruned by the breaker mask (still listed so
-	// -plan shows the full table).
-	Vetoed bool `json:"vetoed,omitempty"`
 }
 
 // Decision is the planner's answer: the pick, its predicted cost, and
@@ -96,11 +66,7 @@ type Decision struct {
 	Raw       float64 // uncorrected model prediction of the pick
 	Bucket    Bucket
 	Table     []Scored
-	// Fallback is set when every candidate was vetoed: the pick ignores
-	// the veto mask (the serving layer's breaker then produces an honest
-	// degraded or refused response rather than the planner guessing).
-	Fallback bool
-	LearnGen uint64
+	LearnGen  uint64
 
 	// Memo keeps what a caller derives from the decision alone and would
 	// otherwise derive on every use, so that it lives and dies with the
@@ -121,7 +87,6 @@ type cacheKey struct {
 	engine   bench.System
 	place    mem.Placement
 	placeSet bool
-	veto     uint8
 	tier     numa.TierConfig
 	gen      uint64
 }
@@ -139,7 +104,6 @@ type Planner struct {
 
 	decisions atomic.Int64
 	hits      atomic.Int64
-	fallbacks atomic.Int64
 }
 
 // New creates a planner for one machine shape (topology and cores per
@@ -172,7 +136,7 @@ func (p *Planner) Resolve(q Query) *Decision {
 	k := cacheKey{
 		f: q.Features, alg: q.Alg, nodes: q.Nodes, nodesFix: q.NodesFixed,
 		engine: q.EngineFixed, place: q.PlacementFixed, placeSet: q.PlacementSet,
-		veto: q.Veto, tier: q.Tier, gen: p.learner.Gen(),
+		tier: q.Tier, gen: p.learner.Gen(),
 	}
 	p.mu.RLock()
 	d := p.cache[k]
@@ -183,9 +147,6 @@ func (p *Planner) Resolve(q Query) *Decision {
 	}
 	d = p.decide(q, k.gen)
 	p.decisions.Add(1)
-	if d.Fallback {
-		p.fallbacks.Add(1)
-	}
 	p.mu.Lock()
 	if prev := p.cache[k]; prev != nil {
 		d = prev
@@ -203,7 +164,6 @@ func (p *Planner) decide(q Query, gen uint64) *Decision {
 	table := make([]Scored, 0, len(cands))
 	best, bestRaw := -1, 0.0
 	bestCost := inf
-	allVetoed := true
 	for _, c := range cands {
 		if q.EngineFixed != "" && c.Engine != q.EngineFixed {
 			continue
@@ -219,22 +179,14 @@ func (p *Planner) decide(q Query, gen uint64) *Decision {
 		if c.Nodes != q.Nodes {
 			cost *= deviationMargin
 		}
-		vetoed := q.Veto&VetoBit(c.Engine) != 0
-		table = append(table, Scored{Candidate: c, Cost: cost, Raw: raw, Vetoed: vetoed})
-		if vetoed {
-			continue
-		}
-		allVetoed = false
+		table = append(table, Scored{Candidate: c, Cost: cost, Raw: raw})
 		if cost < bestCost {
 			best, bestCost, bestRaw = len(table)-1, cost, raw
 		}
 	}
 	d := &Decision{Bucket: b, Table: table, LearnGen: gen}
 	if best < 0 {
-		// Every viable candidate vetoed (or none viable at all): fall back
-		// to the cheapest candidate ignoring the veto and let the serving
-		// layer's breaker answer honestly.
-		d.Fallback = allVetoed && len(table) > 0
+		// No candidate priced below inf: the cheapest all the same.
 		for i, s := range table {
 			if best < 0 || s.Cost < bestCost {
 				best, bestCost, bestRaw = i, s.Cost, s.Raw
@@ -283,9 +235,8 @@ type Stats struct {
 	Decisions int64 `json:"decisions"`
 	CacheHits int64 `json:"cache_hits"`
 	// Cached is the number of decisions the cache holds.
-	Cached    int          `json:"cached"`
-	Fallbacks int64        `json:"fallbacks"`
-	Learner   LearnerStats `json:"learner"`
+	Cached  int          `json:"cached"`
+	Learner LearnerStats `json:"learner"`
 }
 
 // Snapshot returns current planner counters.
@@ -297,7 +248,6 @@ func (p *Planner) Snapshot() Stats {
 		Decisions: p.decisions.Load(),
 		CacheHits: p.hits.Load(),
 		Cached:    cached,
-		Fallbacks: p.fallbacks.Load(),
 		Learner:   p.learner.Stats(),
 	}
 }

@@ -26,37 +26,6 @@ func testFeatures() Features {
 	return Profile(graph.FromEdges(n, edges, false))
 }
 
-// A vetoed engine must never be picked, whatever the cost model thinks
-// of it — this is the open-circuit-breaker regression test.
-func TestResolveNeverPicksVetoedEngine(t *testing.T) {
-	p := testPlanner()
-	f := testFeatures()
-	for _, sys := range bench.Systems() {
-		d := p.Resolve(Query{Features: f, Alg: bench.PR, Nodes: 8, Veto: VetoBit(sys)})
-		if d.Pick.Engine == sys {
-			t.Fatalf("planner picked vetoed engine %s", sys)
-		}
-		if d.Fallback {
-			t.Fatalf("single veto of %s must not trigger fallback", sys)
-		}
-	}
-}
-
-// With every engine vetoed the planner falls back (it cannot conjure a
-// healthy engine) and says so, so the serving layer's breaker produces
-// the honest degraded/refused answer.
-func TestResolveAllVetoedFallsBack(t *testing.T) {
-	p := testPlanner()
-	all := VetoPolymer | VetoLigra | VetoXStream | VetoGalois
-	d := p.Resolve(Query{Features: testFeatures(), Alg: bench.PR, Nodes: 8, Veto: all})
-	if !d.Fallback {
-		t.Fatal("all-vetoed query must report Fallback")
-	}
-	if d.Pick.Engine == "" {
-		t.Fatal("fallback must still pick an engine")
-	}
-}
-
 // Pinning the engine or placement restricts the search space.
 func TestResolveHonorsPins(t *testing.T) {
 	p := testPlanner()
@@ -225,7 +194,7 @@ func TestDecisionTable(t *testing.T) {
 				t.Fatalf("pick cost mismatch: %f vs %f", s.Cost, d.Predicted)
 			}
 		}
-		if !s.Vetoed && s.Cost < d.Predicted {
+		if s.Cost < d.Predicted {
 			t.Fatalf("%s is cheaper (%g) than the pick (%g)", s.Candidate, s.Cost, d.Predicted)
 		}
 	}

@@ -1,13 +1,12 @@
 // Package plan is the cost-model-driven planner: it profiles loaded
 // graphs into deterministic feature vectors, predicts the simulated cost
 // of every viable (engine, placement, partition count) candidate from the
-// numa access-class tables, picks the argmin, learns correction factors
-// online from observed traffic, and places concurrent requests on
-// disjoint simulated node sets.
+// numa access-class tables, picks the argmin, and learns correction
+// factors online from observed traffic.
 //
 // The package deliberately sits below the serving layer: it knows
 // engines, placements and topologies, but nothing about HTTP, queues or
-// circuit breakers beyond an opaque "these engines are vetoed" mask.
+// what other requests did: a decision is a function of its query.
 package plan
 
 // sketchBuckets is one bucket per log2 magnitude of a 63-bit value plus

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"fmt"
-
 	"polymer/internal/algorithms"
 	"polymer/internal/bench"
 	"polymer/internal/graph"
@@ -15,37 +13,15 @@ import (
 // and, when the result cache retains answers (retains), one typed answer
 // per source.
 //
-//   - An engine whose circuit is open serves PageRank on the honest
-//     degraded path (the run is re-provisioned on a machine that lost a
-//     NUMA node, the migration charged) and refuses anything else with
-//     503; a multi-source run is refused whole.
-//   - Anything else is one bench.RunResilientCtx call on the machine
-//     factory mk: one source warm when warmFor finds an
-//     answer to repair, else cold, and k on one fused multi-source sweep;
-//     a fault session only when the request injects faults. A failed run
-//     is not repeated (it would fail the same way, DESIGN.md §8) and
-//     counts once against the breaker. A planned run builds the machine
-//     an explicit request naming its pick would build.
+// The run is one bench.RunResilientCtx call on the machine factory mk:
+// one source warm when warmFor finds an answer to repair, else cold, and
+// k on one fused multi-source sweep; a fault session only when the
+// request injects faults. A failed run is not repeated (it would fail the
+// same way, DESIGN.md §8). A planned run builds the machine an explicit
+// request naming its pick would build.
 func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Response) (resKind, int, []float64, []bench.Output) {
 	v := t.v
 	tr := s.cfg.Tracer
-	br := s.breakers[v.sys]
-	admit, probe := br.Allow()
-	if !admit {
-		if v.alg != bench.PR || v.nodes < 2 {
-			resp.Error = fmt.Sprintf("circuit open for %s", v.sys)
-			return kindBroken, 503, nil, nil
-		}
-		dr, err := bench.RunPolymerDegraded(g, v.topo, v.nodes, v.cores, 0, 0)
-		if err != nil {
-			return failure(err, resp)
-		}
-		s.lineage.add(dr.Result.Lineage)
-		resp.Degraded, resp.LostNode = true, dr.FailedNode
-		resp.SimSeconds, resp.PeakBytes, resp.BoundsSeq = dr.Result.SimSeconds, dr.Result.PeakBytes, dr.Result.BoundsSeq
-		return kindDegraded, 200, []float64{dr.Result.Checksum}, nil
-	}
-
 	mk := func() *numa.Machine { return v.armTier(numa.NewMachine(v.topo, v.nodes, v.cores)) }
 	opt := bench.ResilientOptions{
 		MaxRestarts:    restartMax,
@@ -67,16 +43,8 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 	resp.Rollbacks, resp.Restarts = rep.Rollbacks, rep.Restarts
 	s.lineage.add(r.Lineage)
 	if err != nil {
-		if !ctxErr(err) {
-			br.Failure()
-		} else if probe {
-			// The client's deadline, not the engine's health: release a
-			// half-open probe without closing or re-opening the circuit.
-			br.cancelProbe()
-		}
 		return failure(err, resp)
 	}
-	br.Success()
 	resp.SimSeconds, resp.PeakBytes, resp.BoundsSeq = r.SimSeconds, r.PeakBytes, r.BoundsSeq
 	if v.tier.Tiered() {
 		resp.SlowRate = r.Stats.SlowRate

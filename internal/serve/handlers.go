@@ -2,7 +2,7 @@
 // admission queue; GET /healthz reports liveness with counters; GET
 // /readyz flips to 503 the moment a drain starts (so load balancers stop
 // routing before in-flight work finishes); GET /metricsz exposes the
-// counters and breaker states.
+// counters, queue, caches and planners.
 
 package serve
 
@@ -12,10 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 
-	"polymer/internal/bench"
 	"polymer/internal/mutate"
 	"polymer/internal/obs"
 	"polymer/internal/plan"
@@ -84,15 +82,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if out.status == http.StatusServiceUnavailable {
-		if br := s.breakers[v.sys]; br == nil {
-			// An auto request that never got planned (e.g. refused while
-			// draining) has no concrete engine to consult.
-			w.Header().Set("Retry-After", "1")
-		} else if ra := br.RetryAfter(); ra > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(int(ra.Seconds())+1))
-		} else {
-			w.Header().Set("Retry-After", "1")
-		}
+		// A cancelled run (the client gone or the server draining).
+		w.Header().Set("Retry-After", "1")
 	}
 	if out.hit.body != nil {
 		writeHit(w, out.status, &out.hit)
@@ -129,15 +120,14 @@ func (s *Server) answer(v *resolved, clientCtx context.Context) (outcome, bool, 
 			}
 			// The payload is the entry's rendered bytes, stamped as they are
 			// written with this request's provenance. Plan is per-request,
-			// like ID and Breaker: the cached payload carries none (put
-			// strips it), and the hit is stamped with this request's own
-			// decision — nil when it was explicit, even if a planned run
-			// populated the entry.
+			// like ID: the cached payload carries none (put strips it),
+			// and the hit is stamped with this request's own decision —
+			// nil when it was explicit, even if a planned run populated
+			// the entry.
 			info, rendered := v.hitPlan()
 			return outcome{status: http.StatusOK, hit: hitReply{
 				hit:      h,
 				id:       s.ids.Add(1),
-				breaker:  string(s.breakers[v.sys].State()),
 				plan:     info,
 				rendered: rendered,
 			}}, false, nil
@@ -209,29 +199,23 @@ func (s *Server) RecoverInBackground() {
 }
 
 type metricsBody struct {
-	Counters CounterSnapshot   `json:"counters"`
-	Breakers map[string]string `json:"breakers"`
-	Queue    map[string]int64  `json:"queue"`
-	Cache    cacheStats        `json:"graph_cache"`
-	Results  cacheStats        `json:"result_cache"`
+	Counters CounterSnapshot  `json:"counters"`
+	Queue    map[string]int64 `json:"queue"`
+	Cache    cacheStats       `json:"graph_cache"`
+	Results  cacheStats       `json:"result_cache"`
 	// Mutations and Lineage are present only when the mutation store is
 	// attached.
 	Mutations *mutate.StoreStats `json:"mutations,omitempty"`
 	Lineage   *LineageStats      `json:"lineage,omitempty"`
-	// Planner holds per-machine-shape planner counters (decisions, cache
-	// hits, fallbacks) and learner regret stats, present once an auto
-	// request has been planned.
+	// Planner holds per-machine-shape planner counters (decisions and
+	// cache hits) and learner regret stats, present once an auto request
+	// has been planned.
 	Planner map[string]plan.Stats `json:"planner,omitempty"`
 }
 
 func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
-	brs := make(map[string]string, len(s.breakers))
-	for _, sys := range bench.Systems() {
-		brs[string(sys)] = string(s.breakers[sys].State())
-	}
 	body := metricsBody{
 		Counters: s.counters.Snapshot(),
-		Breakers: brs,
 		Queue: map[string]int64{
 			"depth":    int64(cap(s.queue)),
 			"length":   int64(len(s.queue)),
@@ -277,7 +261,6 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, _ *http.Request) {
 
 // String renders the config for startup logs.
 func (c Config) String() string {
-	return fmt.Sprintf("queue=%d workers=%d budget=%v drain=%v breaker=%d/%v",
-		c.QueueDepth, c.Workers, c.DefaultBudget, c.DrainTimeout,
-		c.BreakerThreshold, c.BreakerCooldown)
+	return fmt.Sprintf("queue=%d workers=%d budget=%v drain=%v",
+		c.QueueDepth, c.Workers, c.DefaultBudget, c.DrainTimeout)
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // hitReplyFor puts payload into a fresh cache and returns its hit as a
-// request with stamp's provenance (ID, Breaker, Plan) receives it.
+// request with stamp's provenance (ID, Plan) receives it.
 func hitReplyFor(t *testing.T, payload Response, stamp *Response) *hitReply {
 	t.Helper()
 	v := mustResolve(t, `{"algo":"bfs","system":"ligra","graph":"powerlaw","src":3}`)
@@ -30,15 +30,15 @@ func hitReplyFor(t *testing.T, payload Response, stamp *Response) *hitReply {
 	if !ok {
 		t.Fatalf("payload %+v not cached", payload)
 	}
-	return &hitReply{hit: h, id: stamp.ID, breaker: stamp.Breaker, plan: stamp.Plan}
+	return &hitReply{hit: h, id: stamp.ID, plan: stamp.Plan}
 }
 
 // hitResponse is the Response a hit of payload stands for under stamp's
-// provenance: put's stripping, Cached set, and stamp's ID, Breaker and Plan.
+// provenance: put's stripping, Cached set, and stamp's ID and Plan.
 func hitResponse(payload Response, stamp *Response) Response {
 	resp := payload
 	resp.ID, resp.WallMs, resp.Error, resp.Coalesced = stamp.ID, 0, "", false
-	resp.Cached, resp.Breaker, resp.Plan = true, stamp.Breaker, stamp.Plan
+	resp.Cached, resp.Plan = true, stamp.Plan
 	return resp
 }
 
@@ -85,33 +85,27 @@ func setEveryField(t *testing.T, v reflect.Value) {
 
 // TestHitBytesMatchEncodingJSON: a hit writes the bytes encoding/json
 // writes for the same Response, with every payload field set and with
-// every one zero, with and without a plan, in each breaker state. The
-// payload's own provenance (ID, breaker, wall time, error, coalesced,
-// plan) never reaches a hit. A plan with no JSON form writes no body, as
+// every one zero, with and without a plan. The payload's own provenance
+// (ID, wall time, error, coalesced, plan) never reaches a hit. A plan with no JSON form writes no body, as
 // writeJSON writes none.
 func TestHitBytesMatchEncodingJSON(t *testing.T) {
-	// appendTo splices the ID in first, the breaker just before wall_ms
-	// and the plan last: Response's field order must stay so.
+	// appendTo splices the ID in first and the plan last: Response's
+	// field order must stay so.
 	rt := reflect.TypeFor[Response]()
 	if rt.Field(0).Name != "ID" || rt.Field(rt.NumField()-1).Name != "Plan" {
 		t.Fatalf("Response's first field is %s and last %s, want ID and Plan", rt.Field(0).Name, rt.Field(rt.NumField()-1).Name)
-	}
-	if br, _ := rt.FieldByName("Breaker"); rt.Field(br.Index[0]+1).Name != "WallMs" {
-		t.Fatalf("Response's field after Breaker is %s, want WallMs", rt.Field(br.Index[0]+1).Name)
 	}
 	var full Response
 	setEveryField(t, reflect.ValueOf(&full).Elem())
 	plan := &PlanInfo{
 		Version: 3, Engine: "polymer", Placement: "colocated", Nodes: 8, Predicted: 2.5e-3,
-		AutoEngine: true, AutoPlacement: true, Fallback: true,
+		AutoEngine: true, AutoPlacement: true,
 	}
 	unencodable := &PlanInfo{Version: 1, Engine: "polymer", Predicted: math.Inf(1)}
 	for name, payload := range map[string]Response{"every field set": full, "every field zero": {}} {
-		for _, breaker := range []BreakerState{BreakerClosed, BreakerOpen, BreakerHalfOpen} {
-			for _, pi := range []*PlanInfo{nil, plan, unencodable} {
-				stamp := Response{ID: 1 << 40, Breaker: string(breaker), Plan: pi}
-				checkHit(t, fmt.Sprintf("%s, breaker %s, plan %+v", name, breaker, pi), payload, &stamp)
-			}
+		for _, pi := range []*PlanInfo{nil, plan, unencodable} {
+			stamp := Response{ID: 1 << 40, Plan: pi}
+			checkHit(t, fmt.Sprintf("%s, plan %+v", name, pi), payload, &stamp)
 		}
 	}
 }
@@ -119,27 +113,27 @@ func TestHitBytesMatchEncodingJSON(t *testing.T) {
 // FuzzHitBytes: for any payload encoding/json can write, a hit's bytes
 // are encoding/json's.
 func FuzzHitBytes(f *testing.F) {
-	f.Add("ligra", "bfs", "powerlaw", "tiny", 0.25, 17.5, int64(4096), 1, 0, false, 0, "", 0, false,
-		uint64(0), uint64(0), uint64(0), "", int64(0), 0.0, int64(1), uint8(0), false, 0.0)
-	f.Add("polymer", "pr", "<g&\"\\>", "\x00\xff", -1e-9, math.MaxFloat64, int64(-1), -2, 3, true, 7, "err\n", 9, true,
+	f.Add("ligra", "bfs", "powerlaw", "tiny", 0.25, 17.5, int64(4096), 1, 0, "", 0, false,
+		uint64(0), uint64(0), uint64(0), "", int64(0), 0.0, int64(1), false, 0, 0.0)
+	f.Add("polymer", "pr", "<g&\"\\>", "\x00\xff", -1e-9, math.MaxFloat64, int64(-1), -2, 3, "err\n", 9, true,
 		uint64(math.MaxUint64), uint64(2), uint64(3), "interleave", int64(1<<30), 0.5, int64(math.MaxInt64),
-		uint8(2), true, 1e-7)
+		true, 7, 1e-7)
 	f.Fuzz(func(t *testing.T, system, algo, graph, scale string, sim, checksum float64, peak int64,
-		rollbacks, restarts int, degraded bool, lost int, errText string, batch int, warm bool,
-		seq, generation, boundsSeq uint64, tier string, dram int64, slow float64, id int64, breaker uint8,
-		planned bool, predicted float64) {
+		rollbacks, restarts int, errText string, batch int, warm bool,
+		seq, generation, boundsSeq uint64, tier string, dram int64, slow float64, id int64,
+		planned bool, nodes int, predicted float64) {
 		payload := Response{
 			System: system, Algo: algo, Graph: graph, Scale: scale, SimSeconds: sim, Checksum: checksum,
-			PeakBytes: peak, Rollbacks: rollbacks, Restarts: restarts, Degraded: degraded, LostNode: lost,
+			PeakBytes: peak, Rollbacks: rollbacks, Restarts: restarts,
 			Error: errText, BatchSize: batch, Warm: warm, Seq: seq, Generation: generation, BoundsSeq: boundsSeq,
 			Tier: tier, DramBytes: dram, SlowRate: slow,
 		}
 		if _, err := json.Marshal(payload); err != nil {
 			t.Skip("no JSON form (a NaN or infinite float)")
 		}
-		stamp := Response{ID: id, Breaker: string([]BreakerState{BreakerClosed, BreakerOpen, BreakerHalfOpen}[breaker%3])}
+		stamp := Response{ID: id}
 		if planned {
-			stamp.Plan = &PlanInfo{Version: 1, Engine: system, Placement: tier, Nodes: lost, Predicted: predicted}
+			stamp.Plan = &PlanInfo{Version: 1, Engine: system, Placement: tier, Nodes: nodes, Predicted: predicted}
 		}
 		checkHit(t, "hit", payload, &stamp)
 	})
@@ -234,7 +228,7 @@ func TestHitRequestAllocs(t *testing.T) {
 			post() // fills the server's pools and the decision's plan
 			allocs := testing.AllocsPerRun(200, post)
 			want := httptest.NewRecorder()
-			writeJSON(want, http.StatusOK, hitResponse(payload, &Response{ID: srv.ids.Load(), Breaker: string(BreakerClosed), Plan: v.planInfo()}))
+			writeJSON(want, http.StatusOK, hitResponse(payload, &Response{ID: srv.ids.Load(), Plan: v.planInfo()}))
 			if w.status != http.StatusOK || !bytes.Equal(w.buf.Bytes(), want.Body.Bytes()) {
 				t.Fatalf("not the hit's bytes: status %d %s\nwant %s", w.status, w.buf.Bytes(), want.Body.Bytes())
 			}

@@ -2,11 +2,11 @@
 // admitted (own queue slot), coalesced (attached to an in-flight
 // identical run), batched (joined a traversal run), result-hit
 // (answered from the versioned result cache) or shed — and every
-// non-shed request resolves to exactly one of completed / degraded /
-// broken / failed / expired / cancelled. Warm, evicted and mutations are
-// events outside it. The soak suite asserts the identity
+// non-shed request resolves to exactly one of completed / failed /
+// expired / cancelled. Warm, evicted and mutations are events outside
+// it. The soak suite asserts the identity
 //
-//	completed+degraded+broken+failed+expired+cancelled ==
+//	completed+failed+expired+cancelled ==
 //	    admitted + coalesced + batched + result_hits
 
 package serve
@@ -37,15 +37,10 @@ type Counters struct {
 	// their request (a warm run) instead of traversing from scratch. It is
 	// an event counter outside the identity: each such run was admitted.
 	Warm atomic.Int64
-	// Completed requests returned a full-fidelity result; Degraded
-	// returned the honest degraded-mode result while a circuit was open.
+	// Completed requests returned a result; Failed requests' runs failed;
+	// Expired hit their deadline; Cancelled were abandoned by the client
+	// or a drain.
 	Completed atomic.Int64
-	Degraded  atomic.Int64
-	// Broken counts requests refused (503) because a circuit was open and
-	// no degraded route applied.
-	Broken atomic.Int64
-	// Failed requests' runs failed; Expired hit their deadline;
-	// Cancelled were abandoned by the client or a drain.
 	Failed    atomic.Int64
 	Expired   atomic.Int64
 	Cancelled atomic.Int64
@@ -67,8 +62,6 @@ type CounterSnapshot struct {
 	ResultHits int64 `json:"result_hits"`
 	Warm       int64 `json:"warm"`
 	Completed  int64 `json:"completed"`
-	Degraded   int64 `json:"degraded"`
-	Broken     int64 `json:"broken"`
 	Failed     int64 `json:"failed"`
 	Expired    int64 `json:"expired"`
 	Cancelled  int64 `json:"cancelled"`
@@ -86,8 +79,6 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		ResultHits: c.ResultHits.Load(),
 		Warm:       c.Warm.Load(),
 		Completed:  c.Completed.Load(),
-		Degraded:   c.Degraded.Load(),
-		Broken:     c.Broken.Load(),
 		Failed:     c.Failed.Load(),
 		Expired:    c.Expired.Load(),
 		Cancelled:  c.Cancelled.Load(),

@@ -114,8 +114,8 @@ func resolveMutation(req MutationRequest) (*mutation, error) {
 				i, op.Src, op.Dst, n, req.Graph, req.Scale)
 		}
 		// A negative cycle would send every SSSP on the dataset into its
-		// step budget (and each failure against the engine's breaker);
-		// NaN and infinities have no shortest path at all. 0 is unit.
+		// step budget; NaN and infinities have no shortest path at all.
+		// 0 is unit.
 		if kind == mutate.OpInsert && !(op.Wt >= 0 && op.Wt <= math.MaxFloat32) {
 			return nil, badReq("op %d: weight %v is not a finite non-negative number", i, op.Wt)
 		}

@@ -128,7 +128,7 @@ func TestMutateEndToEnd(t *testing.T) {
 	// Mutation requests resolve inside the standard counter identity.
 	snap := srv.Counters().Snapshot()
 	entered := snap.Admitted + snap.Coalesced + snap.Batched + snap.ResultHits
-	resolvedN := snap.Completed + snap.Degraded + snap.Broken + snap.Failed + snap.Expired + snap.Cancelled
+	resolvedN := snap.Completed + snap.Failed + snap.Expired + snap.Cancelled
 	if entered != resolvedN {
 		t.Fatalf("entered %d != resolved %d (%+v)", entered, resolvedN, snap)
 	}

@@ -41,9 +41,6 @@ type PlanInfo struct {
 	// AutoEngine/AutoPlacement record which knobs the client delegated.
 	AutoEngine    bool `json:"auto_engine"`
 	AutoPlacement bool `json:"auto_placement"`
-	// Fallback marks a decision made with every engine's circuit open; the
-	// breaker, not the planner, then decides the outcome.
-	Fallback bool `json:"fallback,omitempty"`
 }
 
 // planInfo builds the provenance block for this request's decision; nil
@@ -61,7 +58,6 @@ func (v *resolved) planInfo() *PlanInfo {
 		Predicted:     d.Predicted,
 		AutoEngine:    v.autoEngine,
 		AutoPlacement: v.autoPlace,
-		Fallback:      d.Fallback,
 	}
 }
 
@@ -217,19 +213,6 @@ func (s *Server) retireProfile(f plan.Features) {
 	}
 }
 
-// vetoMask folds the circuit breakers into candidate pruning: an engine
-// whose circuit is open is vetoed outright. Half-open circuits stay
-// plannable — the probe that closes them has to come from somewhere.
-func (s *Server) vetoMask() uint8 {
-	var m uint8
-	for sys, br := range s.breakers {
-		if br.State() == BreakerOpen {
-			m |= plan.VetoBit(sys)
-		}
-	}
-	return m
-}
-
 // planFor resolves the request's auto knobs through the planner and
 // binds the pick. Fully explicit requests pass through untouched;
 // planning errors (an unloadable dataset) surface to the caller before
@@ -247,7 +230,6 @@ func (s *Server) planFor(v *resolved) error {
 		Alg:        v.alg,
 		Nodes:      v.nodes,
 		NodesFixed: v.req.Sockets != 0,
-		Veto:       s.vetoMask(),
 		Tier:       v.tier,
 	}
 	if !v.autoEngine {
@@ -269,8 +251,8 @@ func (s *Server) planFor(v *resolved) error {
 }
 
 // observePlan feeds one completed run's simulated time back into the
-// learner. Only clean, full-fidelity runs teach the model: fault-injected
-// or degraded runs have simulated costs the model was never predicting.
+// learner. Only clean runs teach the model: fault-injected runs have
+// simulated costs the model was never predicting.
 func (s *Server) observePlan(v *resolved, simSeconds float64) {
 	if v.planned == nil || s.cfg.DisableLearning || !v.reusable() {
 		return

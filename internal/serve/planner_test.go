@@ -6,8 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"polymer/internal/bench"
 )
 
 // autoBody builds a /run body with no system field: the planner chooses.
@@ -59,36 +57,6 @@ func TestPlannedRunBitIdenticalToExplicit(t *testing.T) {
 	if exp.Checksum != auto.Checksum || exp.SimSeconds != auto.SimSeconds {
 		t.Fatalf("planned run not bit-identical to explicit: (%v,%v) vs (%v,%v)",
 			auto.Checksum, auto.SimSeconds, exp.Checksum, exp.SimSeconds)
-	}
-}
-
-// An engine whose circuit is open must never be chosen by engine=auto,
-// whatever the cost model prefers — the open-breaker veto regression.
-func TestOpenBreakerNeverPlanned(t *testing.T) {
-	srv := NewServer(Config{Workers: 2, QueueDepth: 8, BreakerCooldown: 1 << 40})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Shutdown(context.Background())
-
-	for _, sys := range bench.Systems() {
-		br := srv.Breaker(sys)
-		for i := 0; i < 3; i++ {
-			br.Failure()
-		}
-		if br.State() != BreakerOpen {
-			t.Fatalf("%s breaker not open after threshold failures", sys)
-		}
-		st, resp, _ := postRun(t, ts.URL, autoBody(""))
-		if st != 200 {
-			t.Fatalf("auto run with %s open: status %d (%s)", sys, st, resp.Error)
-		}
-		if resp.Plan == nil {
-			t.Fatal("auto run carries no plan provenance")
-		}
-		if resp.Plan.Engine == string(sys) {
-			t.Fatalf("planner chose %s while its circuit was open", sys)
-		}
-		br.Success() // close again for the next round
 	}
 }
 

@@ -72,8 +72,8 @@ type Request struct {
 	// which only a request with Fault or FaultSeed gets; on any other it
 	// has no effect. -1 (absent) keeps the session default of 3; 0 fails
 	// a step on its first faulted attempt — chaos requests use it to make
-	// injected faults unrecoverable so the circuit breaker's failure path
-	// is exercisable end to end.
+	// injected faults unrecoverable, so the failure path (a 500) is
+	// exercisable end to end.
 	SessionRetries int `json:"session_retries"`
 	// Restarts caps whole-run restarts for setup-time faults and steps
 	// that spent their replay budget; like SessionRetries it acts only

@@ -8,8 +8,8 @@
 // generation before executing and inserts under that sample.
 //
 // Only pure results are cached: fault-injected runs are excluded at the
-// reuse-path gate (resolved.reusable), and degraded or failed outcomes
-// are excluded at insert. A hit therefore replays exactly the payload a
+// reuse-path gate (resolved.reusable), and failed outcomes are excluded
+// at insert. A hit therefore replays exactly the payload a
 // cold run would compute.
 //
 // With a mutation store, a BFS or SSSP entry also keeps its typed answer
@@ -22,7 +22,6 @@
 package serve
 
 import (
-	"bytes"
 	"container/list"
 	"encoding/json"
 	"fmt"
@@ -57,13 +56,10 @@ type resultEntry struct {
 const entryOverhead = int64(unsafe.Sizeof(resultEntry{}) + unsafe.Sizeof(runID{}) + unsafe.Sizeof(list.Element{}))
 
 // hit is a cached response as put rendered it: encoding/json's bytes for
-// the stripped payload with Cached set, so with ID 0 and no breaker, wall
-// time or plan, and the offset of its wall_ms field, which is where the
-// breaker field goes. No string field before wall_ms can hold that key
-// unescaped, so the offset is the field's.
+// the stripped payload with Cached set, so with ID 0 and no wall time or
+// plan.
 type hit struct {
 	body []byte
-	cut  int
 }
 
 // hitHead is how every rendered payload starts; a hit writes its own ID
@@ -75,32 +71,26 @@ const hitHead = `{"id":0`
 func renderHit(resp Response) (hit, error) {
 	resp.Cached = true
 	b, err := json.Marshal(resp)
-	if err != nil {
-		return hit{}, err
-	}
-	return hit{body: b, cut: bytes.Index(b, []byte(`,"wall_ms":`))}, nil
+	return hit{body: b}, err
 }
 
 // hitReply is a result-cache hit as one request receives it: the entry's
-// rendered payload and the request's own provenance (its ID, its engine's
-// breaker state and its plan), which are stamped on the payload as it is
-// written.
+// rendered payload and the request's own provenance (its ID and its
+// plan), which are stamped on the payload as it is written.
 type hitReply struct {
 	hit
-	id      int64
-	breaker string
-	plan    *PlanInfo
+	id   int64
+	plan *PlanInfo
 	// rendered is plan's JSON when the request's decision keeps it
 	// (resolved.hitPlan); when it is nil, appendTo renders plan itself.
 	rendered []byte
 }
 
 // appendTo appends what json.NewEncoder(w).Encode writes for the cached
-// payload stamped with the reply's provenance: the ID, the payload up to
-// wall_ms, the breaker, the rest of the payload and the plan, which is the
-// last field. A breaker is one of the three BreakerState words, so it
-// needs no escaping. A plan with no JSON form (a non-finite predicted
-// cost) fails the whole encode, as it fails Encode: nothing is appended.
+// payload stamped with the reply's provenance: the ID, the rest of the
+// payload and the plan, which is the last field. A plan with no JSON form
+// (a non-finite predicted cost) fails the whole encode, as it fails
+// Encode: nothing is appended.
 func (r *hitReply) appendTo(b []byte) []byte {
 	plan := r.rendered
 	if plan == nil && r.plan != nil {
@@ -110,11 +100,7 @@ func (r *hitReply) appendTo(b []byte) []byte {
 		}
 	}
 	b = strconv.AppendInt(append(b, `{"id":`...), r.id, 10)
-	b = append(b, r.body[len(hitHead):r.cut]...)
-	if r.breaker != "" {
-		b = append(append(append(b, `,"breaker":"`...), r.breaker...), '"')
-	}
-	b = append(b, r.body[r.cut:len(r.body)-1]...)
+	b = append(b, r.body[len(hitHead):len(r.body)-1]...)
 	if plan != nil {
 		b = append(append(b, `,"plan":`...), plan...)
 	}
@@ -192,7 +178,6 @@ func (c *resultCache) put(v *resolved, id runID, resp Response, out bench.Output
 	}
 	resp.ID = 0
 	resp.WallMs = 0
-	resp.Breaker = ""
 	resp.Error = ""
 	resp.Cached, resp.Coalesced = false, false
 	// Planner provenance is per-request too: a hit is re-stamped with the

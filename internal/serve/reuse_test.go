@@ -21,6 +21,7 @@ import (
 
 	"polymer/internal/bench"
 	"polymer/internal/graph"
+	"polymer/internal/mutate"
 )
 
 func mustResolve(t *testing.T, body string) *resolved {
@@ -154,12 +155,12 @@ func TestResultCacheUnit(t *testing.T) {
 	if _, ok := c.get(v); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.put(v, ownID(v), Response{Checksum: 42, WallMs: 9, ID: 7, Breaker: "closed"}, bench.Output{}, 0)
+	c.put(v, ownID(v), Response{Checksum: 42, WallMs: 9, ID: 7}, bench.Output{}, 0)
 	got, ok := cachedResp(t, c, v)
 	if !ok || got.Checksum != 42 {
 		t.Fatalf("miss after put: %+v ok=%t", got, ok)
 	}
-	if got.ID != 0 || got.WallMs != 0 || got.Breaker != "" {
+	if got.ID != 0 || got.WallMs != 0 {
 		t.Fatalf("provenance not stripped: %+v", got)
 	}
 	// Fill until the budget forces evictions; the oldest key goes first.
@@ -400,18 +401,18 @@ func TestCoalesceShareAndDetach(t *testing.T) {
 func TestCoalesceLeaderFailurePropagates(t *testing.T) {
 	for _, tc := range []struct {
 		name, body string
-		trip       bool // open the engine's circuit first
+		closed     bool // attach a mutation store that is already closed
 		status     int
 		errPart    string
 		joined     func(CounterSnapshot) int64
 		resolved   func(CounterSnapshot) int64
 	}{
-		// An open circuit with no degraded route (one socket) refuses the
-		// whole run.
+		// A closed mutation store cannot say which snapshot the run
+		// reads: the graph load fails the whole run.
 		{"coalesced", `{"algo":"pr","system":"polymer","graph":"powerlaw","sockets":1}`, true,
-			http.StatusServiceUnavailable, "circuit open",
+			http.StatusInternalServerError, "store closed",
 			func(c CounterSnapshot) int64 { return c.Coalesced },
-			func(c CounterSnapshot) int64 { return c.Broken }},
+			func(c CounterSnapshot) int64 { return c.Failed }},
 		// An out-of-range source fails in execute after graph load.
 		{"batched", `{"algo":"bfs","system":"ligra","graph":"powerlaw","src":4294967295}`, false,
 			http.StatusBadRequest, "outside",
@@ -419,10 +420,18 @@ func TestCoalesceLeaderFailurePropagates(t *testing.T) {
 			func(c CounterSnapshot) int64 { return c.Failed }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv := NewServer(Config{noWorkers: true, BreakerThreshold: 1})
-			if tc.trip {
-				srv.Breaker(mustResolve(t, tc.body).sys).Failure()
+			cfg := Config{noWorkers: true}
+			if tc.closed {
+				st, err := mutate.Open(t.TempDir(), mutate.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				cfg.Mutations = st
 			}
+			srv := NewServer(cfg)
 			outs := make(chan outcome, 2)
 			go func() {
 				out, _ := share(srv, mustResolve(t, tc.body), context.Background())
@@ -547,7 +556,7 @@ func TestBatchDemux(t *testing.T) {
 
 	snap := srv.Counters().Snapshot()
 	entered := snap.Admitted + snap.Coalesced + snap.Batched + snap.ResultHits
-	resolved := snap.Completed + snap.Degraded + snap.Broken + snap.Failed + snap.Expired + snap.Cancelled
+	resolved := snap.Completed + snap.Failed + snap.Expired + snap.Cancelled
 	if entered != resolved {
 		t.Fatalf("entered %d != resolved %d (%+v)", entered, resolved, snap)
 	}
@@ -779,8 +788,37 @@ func TestRunAnswerIsAFunctionOfTheBody(t *testing.T) {
 			got[i].err = json.NewDecoder(httpResp.Body).Decode(&got[i].r)
 		}()
 	}
+	// Failing chaos bodies, one per engine, each posted three times among
+	// the clean ones: a failure is its own body's answer and no other's.
+	chaos := map[string]*[3]int{}
+	for _, sys := range []string{"polymer", "ligra", "xstream", "galois"} {
+		b := `{"algo":"pr","system":"` + sys + `","fault":"panic@0:t0","session_retries":0,"restarts":0,` + machine + `}`
+		statuses := new([3]int)
+		chaos[b] = statuses
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for k := range statuses {
+				httpResp, err := third.Client().Post(third.URL+"/run", "application/json", strings.NewReader(b))
+				if err != nil {
+					statuses[k] = -1
+					continue
+				}
+				statuses[k] = httpResp.StatusCode
+				httpResp.Body.Close()
+			}
+		}()
+	}
 	close(start)
 	wg.Wait()
+	for b, statuses := range chaos {
+		for k, st := range statuses {
+			if st != http.StatusInternalServerError {
+				t.Errorf("%s, concurrent post %d: status %d, want 500", b, k+1, st)
+			}
+		}
+	}
 	for i, b := range bodies {
 		a := got[i]
 		if a.err != nil || a.status != 200 || a.r.Cached {

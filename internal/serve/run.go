@@ -202,7 +202,6 @@ func (s *Server) wait(r *run, slot int, v *resolved, clientCtx context.Context) 
 			Scale:     v.req.Scale,
 			Coalesced: joined && !v.batchable(),
 			Error:     wctx.Err().Error(),
-			Breaker:   string(s.breakers[v.sys].State()),
 			WallMs:    float64(time.Since(start).Microseconds()) / 1000,
 		}}
 	}

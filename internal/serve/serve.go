@@ -1,16 +1,16 @@
 // Package serve is polymerd's overload-safe serving layer: a bounded
-// admission queue with load shedding in front of a fixed worker pool,
+// admission queue with load shedding in front of a fixed worker pool, and
 // per-request deadlines propagated as contexts through every engine
-// superstep, and a per-engine circuit breaker that routes PageRank-class
-// requests to the honest degraded path while the circuit is open.
+// superstep.
 //
 // The serving layer reuses the repo's whole stack unchanged: requests
 // execute through bench.RunResilientCtx, so an injected fault inside a
 // run is first handled by superstep rollback/replay, then by whole-run
-// restart, and only then surfaces as a request failure that the breaker
-// sees. A fault-free request's run has no session: a genuine failure goes
-// straight to the breaker. A request runs once: a run is a deterministic
-// function of its inputs, so a second run could only repeat a failure.
+// restart, and only then surfaces as a request failure (500). A
+// fault-free request's run has no session. A request runs once: a run is
+// a deterministic function of its inputs, so a second run could only
+// repeat a failure, and a response is a function of its body alone —
+// what other clients sent never changes it.
 package serve
 
 import (
@@ -44,11 +44,6 @@ type Config struct {
 	// DrainTimeout bounds graceful drain: in-flight work past the
 	// deadline is cancelled through its context (default 5s).
 	DrainTimeout time.Duration
-	// BreakerThreshold trips an engine's circuit after that many
-	// consecutive failed executions (default 3); BreakerCooldown is the
-	// open period before a half-open probe (default 2s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// GraphCacheBytes budgets the graph cache (topology bytes of resident
 	// datasets). 0 means the 1 GiB default; negative disables eviction.
 	// Graphs pinned by in-flight requests are never evicted, so the cache
@@ -83,8 +78,6 @@ type Config struct {
 	// Logger receives one structured record per request outcome; nil
 	// discards.
 	Logger *slog.Logger
-	// Now overrides the clock (tests).
-	Now func() time.Time
 	// noWorkers skips spawning the worker pool so tests can exercise
 	// admission and queue mechanics in isolation.
 	noWorkers bool
@@ -107,12 +100,6 @@ func (c Config) withDefaults() Config {
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 5 * time.Second
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
 	if c.GraphCacheBytes == 0 {
 		c.GraphCacheBytes = 1 << 30
 	}
@@ -121,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(discardHandler{})
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	return c
 }
@@ -148,12 +132,8 @@ type Response struct {
 	PeakBytes  int64   `json:"peak_bytes"`
 	Rollbacks  int     `json:"rollbacks"`
 	Restarts   int     `json:"restarts"`
-	Degraded   bool    `json:"degraded"`
-	// LostNode is the simulated node sacrificed on the degraded path.
-	LostNode int     `json:"lost_node,omitempty"`
-	Breaker  string  `json:"breaker,omitempty"`
-	WallMs   float64 `json:"wall_ms"`
-	Error    string  `json:"error,omitempty"`
+	WallMs     float64 `json:"wall_ms"`
+	Error      string  `json:"error,omitempty"`
 	// Cached, Coalesced and BatchSize are provenance: how the serving
 	// layer produced the answer (result-cache replay, attachment to an
 	// in-flight identical run, or a BatchSize-source fused sweep). The
@@ -185,8 +165,7 @@ type Response struct {
 	// Tier/DramBytes/SlowRate are tiered-memory provenance, present when
 	// the request armed a DRAM budget: the policy, the per-node DRAM
 	// bytes, and the slow tier's share of all simulated accesses in the
-	// run that produced the payload. A degraded fallback omits SlowRate —
-	// the sacrificial rerun is untiered.
+	// run that produced the payload.
 	Tier      string  `json:"tier,omitempty"`
 	DramBytes int64   `json:"dram_bytes,omitempty"`
 	SlowRate  float64 `json:"slow_rate,omitempty"`
@@ -224,8 +203,8 @@ type task struct {
 	mut *mutation
 }
 
-// Server owns the admission queue, the worker pool, the per-engine
-// circuit breakers and the graph cache.
+// Server owns the admission queue, the worker pool, the graph and result
+// caches and the planners.
 type Server struct {
 	cfg Config
 	log *slog.Logger
@@ -241,7 +220,6 @@ type Server struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 
-	breakers map[bench.System]*Breaker
 	counters Counters
 
 	cache   *graphCache
@@ -278,7 +256,6 @@ func NewServer(cfg Config) *Server {
 		stop:     make(chan struct{}),
 		baseCtx:  base,
 		cancel:   cancel,
-		breakers: make(map[bench.System]*Breaker),
 		results:  newResultCache(cfg.ResultCacheBytes),
 		runs:     make(map[runKey]*run),
 		mut:      cfg.Mutations,
@@ -292,9 +269,6 @@ func NewServer(cfg Config) *Server {
 				fmt.Sprintf("%s@%d m%d (%d bytes)", id.data, id.scale, id.seq, bytes))
 		}
 	})
-	for _, sys := range bench.Systems() {
-		s.breakers[sys] = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Now)
-	}
 	if !cfg.noWorkers {
 		for i := 0; i < cfg.Workers; i++ {
 			s.workers.Add(1)
@@ -303,9 +277,6 @@ func NewServer(cfg Config) *Server {
 	}
 	return s
 }
-
-// Breaker exposes an engine's circuit (tests and /metricsz).
-func (s *Server) Breaker(sys bench.System) *Breaker { return s.breakers[sys] }
 
 // Counters exposes the service counters.
 func (s *Server) Counters() *Counters { return &s.counters }
@@ -370,8 +341,6 @@ type resKind int
 
 const (
 	kindCompleted resKind = iota
-	kindDegraded
-	kindBroken
 	kindFailed
 	kindExpired
 	kindCancelled
@@ -382,10 +351,6 @@ func (s *Server) recordKind(k resKind) {
 	switch k {
 	case kindCompleted:
 		s.counters.Completed.Add(1)
-	case kindDegraded:
-		s.counters.Degraded.Add(1)
-	case kindBroken:
-		s.counters.Broken.Add(1)
 	case kindFailed:
 		s.counters.Failed.Add(1)
 	case kindExpired:
@@ -438,29 +403,27 @@ func (s *Server) execute(t *task) {
 	// outcome, caches the full-fidelity results and publishes.
 	finish := func(kind resKind, status int, out Response) {
 		wall := float64(time.Since(start).Microseconds()) / 1000
-		breaker := string(s.breakers[v.sys].State())
-		// Full-fidelity fault-free results feed the versioned cache, each
-		// under the identity the equivalent single-source request looks
-		// up.
+		// Fault-free answers (200) feed the versioned cache, each under
+		// the identity the equivalent single-source request looks up.
 		cache := v.reusable()
 		for i := range outs {
 			if outs[i].status == 0 {
 				outs[i] = outcome{kind: kind, status: status, resp: out}
 			}
 			o := &outs[i].resp
-			o.WallMs, o.Breaker = wall, breaker
-			if cache && outs[i].status == 200 && !o.Degraded {
+			o.WallMs = wall
+			if cache && outs[i].status == 200 {
 				s.results.put(v, v.id(srcs[i]), *o, answers[i], seq)
 			}
 		}
 		// Slot 0 is the opener's; joiners stamp their own plan in wait.
 		outs[0].resp.Plan = v.planInfo()
-		out.WallMs, out.Breaker = wall, breaker
+		out.WallMs = wall
 		if tr != nil {
 			tr.Span("serve", "request", obs.PidServe, startMicros, obs.NowMicros()-startMicros, -1, t.id,
-				fmt.Sprintf("%s/%s on %s sources=%d status=%d rollbacks=%d restarts=%d degraded=%t warm=%t breaker=%s err=%s",
+				fmt.Sprintf("%s/%s on %s sources=%d status=%d rollbacks=%d restarts=%d warm=%t err=%s",
 					out.Algo, out.Graph, out.System, len(srcs), status, out.Rollbacks,
-					out.Restarts, out.Degraded, out.Warm, out.Breaker, out.Error))
+					out.Restarts, out.Warm, out.Error))
 		}
 		s.log.LogAttrs(context.Background(), slog.LevelInfo, "request",
 			slog.Int64("id", t.id),
@@ -471,9 +434,7 @@ func (s *Server) execute(t *task) {
 			slog.Int("status", status),
 			slog.Int("rollbacks", out.Rollbacks),
 			slog.Int("restarts", out.Restarts),
-			slog.Bool("degraded", out.Degraded),
 			slog.Bool("warm", out.Warm),
-			slog.String("breaker", out.Breaker),
 			slog.Float64("sim_seconds", out.SimSeconds),
 			slog.Float64("wall_ms", out.WallMs),
 			slog.String("error", out.Error),
@@ -524,14 +485,6 @@ func (s *Server) execute(t *task) {
 		answers[liveSlot[j]] = a
 	}
 	finish(kind, status, resp)
-}
-
-// cancelProbe releases a half-open probe slot without judging the engine
-// (the probe was cut short by the request's own deadline).
-func (b *Breaker) cancelProbe() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.probing = false
 }
 
 // graphFor returns the request's dataset through the singleflight cache:

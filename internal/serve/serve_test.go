@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"polymer/internal/bench"
+	"polymer/internal/obs"
 )
 
 // small is a request body template: tiny graph, 2x2 simulated machine, so
@@ -61,9 +61,6 @@ func TestServeRunSuccessDeterministic(t *testing.T) {
 	if r1.Checksum != r2.Checksum || r1.SimSeconds != r2.SimSeconds {
 		t.Fatalf("identical requests disagree: (%v,%v) vs (%v,%v)",
 			r1.Checksum, r1.SimSeconds, r2.Checksum, r2.SimSeconds)
-	}
-	if r1.Degraded || r2.Degraded {
-		t.Fatal("healthy run marked degraded")
 	}
 	if got := srv.Counters().Completed.Load(); got != 2 {
 		t.Fatalf("Completed = %d, want 2", got)
@@ -245,101 +242,30 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestServeBreakerTripDegradeRecover drives the full circuit lifecycle
-// through the HTTP surface: unrecoverable chaos requests trip an engine's
-// circuit, PageRank requests are then served by the honest degraded path,
-// non-PR requests are refused, and after the cooldown a half-open probe
-// closes the circuit again.
-func TestServeBreakerTripDegradeRecover(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	srv := NewServer(Config{
-		Workers: 1, QueueDepth: 8,
-		BreakerThreshold: 2, BreakerCooldown: time.Hour,
-		Now: clk.now,
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Shutdown(context.Background())
-
-	// An injected panic with no replay budget and no restarts is
-	// unrecoverable by construction: the failure reaches the breaker.
-	chaos := `"fault":"panic@0:t0","session_retries":0,"restarts":0`
-	for i := 0; i < 2; i++ {
-		st, resp, _ := postRun(t, ts.URL, body("xstream", chaos))
-		if st != 500 {
-			t.Fatalf("chaos request %d: status %d (%s), want 500", i, st, resp.Error)
-		}
-	}
-	if got := srv.Breaker(bench.XStream).State(); got != BreakerOpen {
-		t.Fatalf("xstream breaker = %s after %d failures, want open", got, 2)
-	}
-
-	// PageRank-class requests ride the degraded path while the circuit is
-	// open: 200, honest result, marked degraded.
-	st, resp, _ := postRun(t, ts.URL, body("xstream", ""))
-	if st != 200 || !resp.Degraded {
-		t.Fatalf("open-circuit PR: status %d degraded=%t (%s), want 200 degraded", st, resp.Degraded, resp.Error)
-	}
-	if resp.Checksum == 0 || resp.SimSeconds == 0 {
-		t.Fatalf("degraded result is empty: %+v", resp)
-	}
-	if got := srv.Counters().Degraded.Load(); got != 1 {
-		t.Fatalf("Degraded = %d, want 1", got)
-	}
-
-	// Non-PR requests have no degraded route: trip ligra, then watch a BFS
-	// request get refused with Retry-After.
-	for i := 0; i < 2; i++ {
-		postRun(t, ts.URL, body("ligra", chaos))
-	}
-	if got := srv.Breaker(bench.Ligra).State(); got != BreakerOpen {
-		t.Fatalf("ligra breaker = %s, want open", got)
-	}
-	st, resp, hdr := postRun(t, ts.URL,
-		`{"algo":"bfs","system":"ligra","graph":"powerlaw","scale":"tiny","sockets":2,"cores":2}`)
-	if st != http.StatusServiceUnavailable {
-		t.Fatalf("open-circuit BFS: status %d (%s), want 503", st, resp.Error)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("open-circuit 503 without Retry-After")
-	}
-	if got := srv.Counters().Broken.Load(); got != 1 {
-		t.Fatalf("Broken = %d, want 1", got)
-	}
-
-	// After the cooldown the first fault-free request is the half-open
-	// probe; its success closes the circuit for everyone.
-	clk.advance(time.Hour)
-	if got := srv.Breaker(bench.XStream).State(); got != BreakerHalfOpen {
-		t.Fatalf("xstream breaker after cooldown = %s, want half-open", got)
-	}
-	st, resp, _ = postRun(t, ts.URL, body("xstream", ""))
-	if st != 200 || resp.Degraded {
-		t.Fatalf("probe request: status %d degraded=%t (%s), want full-fidelity 200", st, resp.Degraded, resp.Error)
-	}
-	if got := srv.Breaker(bench.XStream).State(); got != BreakerClosed {
-		t.Fatalf("xstream breaker after probe success = %s, want closed", got)
-	}
-}
-
-// TestServeFailedRequestCountsOnce: a request runs once, so one failed
-// request is one failure against its engine's breaker. Under the default
-// threshold (3) two unrecoverable chaos requests leave the circuit
-// closed for every other client, and the third opens it.
-func TestServeFailedRequestCountsOnce(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	srv := NewServer(Config{Workers: 1, QueueDepth: 8, Now: clk.now})
+// TestServeFailedRequestRunsOnce: a request runs once. An unrecoverable
+// chaos request is one run of its engine on one machine, whose fault
+// session checkpoints step 0 once, and one 500; the next one alike is
+// again one run and one 500, however many failed before it.
+func TestServeFailedRequestRunsOnce(t *testing.T) {
+	rec := obs.NewRecorder(16, 4096)
+	srv := NewServer(Config{Workers: 1, QueueDepth: 8, Tracer: obs.New(rec)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Shutdown(context.Background())
 
 	chaos := body("xstream", `"fault":"panic@0:t0","session_retries":0,"restarts":0`)
-	for i, want := range []BreakerState{BreakerClosed, BreakerClosed, BreakerOpen} {
+	for i := 1; i <= 3; i++ {
 		if st, resp, _ := postRun(t, ts.URL, chaos); st != 500 {
-			t.Fatalf("chaos request %d: status %d (%s), want 500", i+1, st, resp.Error)
+			t.Fatalf("chaos request %d: status %d (%s), want 500", i, st, resp.Error)
 		}
-		if got := srv.Breaker(bench.XStream).State(); got != want {
-			t.Fatalf("xstream breaker = %s after %d failed request(s), want %s", got, i+1, want)
+		runs := 0
+		for _, ev := range rec.Steps.Snapshot() {
+			if ev.Cat == "fault" && ev.Name == "checkpoint" && ev.Step == 0 {
+				runs++
+			}
+		}
+		if runs != i {
+			t.Fatalf("%d failed request(s) ran the engine %d time(s), want %d", i, runs, i)
 		}
 	}
 	if got := srv.Counters().Failed.Load(); got != 3 {
@@ -360,23 +286,14 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	}
 	defer httpResp.Body.Close()
 	var m struct {
-		Counters CounterSnapshot   `json:"counters"`
-		Breakers map[string]string `json:"breakers"`
-		Queue    map[string]int64  `json:"queue"`
+		Counters CounterSnapshot  `json:"counters"`
+		Queue    map[string]int64 `json:"queue"`
 	}
 	if err := json.NewDecoder(httpResp.Body).Decode(&m); err != nil {
 		t.Fatalf("metricsz JSON: %v", err)
 	}
 	if m.Counters.Completed != 1 || m.Counters.Admitted != 1 {
 		t.Fatalf("counters %+v, want 1 admitted / 1 completed", m.Counters)
-	}
-	if len(m.Breakers) != 4 {
-		t.Fatalf("breakers %v, want all four engines", m.Breakers)
-	}
-	for sysName, state := range m.Breakers {
-		if state != string(BreakerClosed) {
-			t.Fatalf("idle breaker %s = %s, want closed", sysName, state)
-		}
 	}
 	if m.Queue["depth"] != 2 {
 		t.Fatalf("queue depth %d, want 2", m.Queue["depth"])

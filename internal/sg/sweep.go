@@ -3,7 +3,6 @@ package sg
 import (
 	"math/bits"
 	"slices"
-	"sync"
 
 	"polymer/internal/barrier"
 	"polymer/internal/graph"
@@ -432,36 +431,19 @@ func (sc *scratch) reset(bounds []int) {
 // counts the queues and the builder's per-thread queues are sized by.
 type scratchShape struct{ parts, threads int }
 
-// spareScratch is the process-wide spare list of sweep scratch, one
-// sync.Pool per shape, as mem's spare arrays and numa's spare ledgers are:
-// Close puts a sweep's scratch there and InitSweep takes it out. A pool
-// keeps what it holds only until the garbage collector empties it, and
-// starts no goroutine.
-var spareScratch struct {
-	mu    sync.Mutex
-	pools map[scratchShape]*sync.Pool
-}
-
-func scratchPool(k scratchShape) *sync.Pool {
-	spareScratch.mu.Lock()
-	defer spareScratch.mu.Unlock()
-	p := spareScratch.pools[k]
-	if p == nil {
-		if spareScratch.pools == nil {
-			spareScratch.pools = make(map[scratchShape]*sync.Pool)
-		}
-		p = &sync.Pool{New: func() any { return new(scratch) }}
-		spareScratch.pools[k] = p
-	}
-	return p
-}
+// spareScratch is the spare list of sweep scratch, by shape: Close puts a
+// sweep's scratch there and InitSweep takes it out.
+var spareScratch numa.Spares[scratchShape]
 
 // InitSweep sets the sweep up, after Init, over the frontier leaves bounds:
 // P = len(bounds)−1 parts of S = threads/P threads each.
 func (s *Sweep) InitSweep(bounds []int, cfg SweepConfig) {
 	parts := len(bounds) - 1
 	s.cfg, s.bounds, s.slots = cfg, bounds, s.M.Threads()/parts
-	s.scratch = scratchPool(scratchShape{parts, s.M.Threads()}).Get().(*scratch) // a closed sweep's, or new
+	s.scratch, _ = spareScratch.Get(scratchShape{parts, s.M.Threads()}).(*scratch) // a closed sweep's
+	if s.scratch == nil {
+		s.scratch = new(scratch)
+	}
 	s.scratch.reset(bounds)
 	s.ep = s.NewEpoch()
 	s.counts = make([]Counts, parts)
@@ -485,7 +467,7 @@ func (s *Sweep) Close() {
 	s.Base.Close()
 	if s.scratch != nil {
 		s.scratch.reset(s.bounds)
-		scratchPool(scratchShape{len(s.bounds) - 1, s.M.Threads()}).Put(s.scratch)
+		spareScratch.Put(scratchShape{len(s.bounds) - 1, s.M.Threads()}, s.scratch)
 		s.scratch = nil
 	}
 }

@@ -4,9 +4,6 @@ package polymer_test
 // worker stall, a node-offline window, a degraded link and a setup-time
 // allocation failure in a single run, and the recovered run's committed
 // simulated output must be hex-exact identical to the fault-free run.
-// Permanent node loss (RunPolymerDegraded) is the one exception: the
-// re-partitioned survivors schedule floating-point additions differently,
-// so it is checked to tolerance instead.
 
 import (
 	"context"
@@ -20,7 +17,6 @@ import (
 	"polymer/internal/gen"
 	"polymer/internal/graph"
 	"polymer/internal/numa"
-	"polymer/internal/partition"
 )
 
 const (
@@ -135,83 +131,6 @@ func TestFaultMatrixSeeded(t *testing.T) {
 	}
 	if rep.Rollbacks == 0 {
 		t.Error("seeded schedule injected nothing")
-	}
-}
-
-// TestPolymerDegraded loses node 1 permanently after two iterations and
-// finishes on the survivors. Bit-identity is impossible here (the
-// re-partitioned engine schedules additions differently), so the checksum
-// is compared to tolerance and the migration must be charged.
-func TestPolymerDegraded(t *testing.T) {
-	topo := numa.IntelXeon80()
-	g, err := bench.LoadDataset(gen.PowerLaw, gen.Tiny, bench.PR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := bench.RunFrom(bench.Polymer, bench.PR, g, numa.NewMachine(topo, matrixSockets, matrixCores), 0)
-	deg, err := bench.RunPolymerDegraded(g, topo, matrixSockets, matrixCores, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := math.Abs(deg.Result.Checksum-full.Checksum) / math.Abs(full.Checksum)
-	if rel > 1e-9 {
-		t.Errorf("degraded checksum %g vs full %g (rel err %g)", deg.Result.Checksum, full.Checksum, rel)
-	}
-	if deg.MigratedBytes <= 0 || deg.MigrationSeconds <= 0 {
-		t.Errorf("migration not charged: %d bytes, %g s", deg.MigratedBytes, deg.MigrationSeconds)
-	}
-	if deg.Result.SimSeconds <= deg.MigrationSeconds {
-		t.Errorf("total %g s not greater than migration alone %g s", deg.Result.SimSeconds, deg.MigrationSeconds)
-	}
-	if _, err := bench.RunPolymerDegraded(g, topo, 1, matrixCores, 0, 2); err == nil {
-		t.Error("single-node degraded run accepted")
-	}
-	if _, err := bench.RunPolymerDegraded(g, topo, matrixSockets, matrixCores, 0, 99); err == nil {
-		t.Error("out-of-range fail step accepted")
-	}
-}
-
-// TestPolymerDegradedOnInheritedPartition: on a mutated snapshot that
-// inherited its lineage's partition, the lost node's range is the one the
-// engine ran on, not a fresh split's: MigratedBytes is that range's length
-// times the 16 bytes of two ranks.
-func TestPolymerDegradedOnInheritedPartition(t *testing.T) {
-	topo := numa.IntelXeon80()
-	g, err := bench.LoadDataset(gen.PowerLaw, gen.Tiny, bench.PR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.MarkHead(1)
-	first, _, _ := partition.Sticky(g, matrixSockets, partition.In)
-	rng := gen.NewRNG(9)
-	hot := first.Ranges[2]
-	for seq := uint64(2); ; seq++ {
-		if seq > 50 {
-			t.Fatal("no snapshot inherited a partition that differs from a fresh split")
-		}
-		batch := make([]graph.Edge, 4)
-		for i := range batch {
-			batch[i] = graph.Edge{Src: graph.Vertex(rng.Intn(g.NumVertices())), Dst: graph.Vertex(hot.Lo + rng.Intn(hot.Len()))}
-		}
-		g = g.Patch(nil, batch)
-		g.MarkHead(seq)
-		own, _, _ := partition.Sticky(g, matrixSockets, partition.In)
-		if own.Seq != 1 {
-			t.Fatalf("seq %d re-balanced before the inherited split drifted from a fresh one", seq)
-		}
-		if partition.EdgeBalanced(g, matrixSockets, partition.In)[1] != own.Ranges[1] {
-			break
-		}
-	}
-	own, _, _ := partition.Sticky(g, matrixSockets, partition.In)
-	fresh := partition.EdgeBalanced(g, matrixSockets, partition.In)
-	deg, err := bench.RunPolymerDegraded(g, topo, matrixSockets, matrixCores, 1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(own.Ranges[1].Len()) * 16; deg.MigratedBytes != want || want == int64(fresh[1].Len())*16 {
-		t.Fatalf("migrated %d bytes; the engine's part %v holds %d, a fresh split's %v %d",
-			deg.MigratedBytes, own.Ranges[1], want, fresh[1], int64(fresh[1].Len())*16)
 	}
 }
 

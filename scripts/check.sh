@@ -39,14 +39,14 @@ go test -race \
 	./internal/conform/... \
 	./internal/plan/...
 
-echo "==> go test -race -count=10 (shared runs: join, seal, detach and publish races; concurrent runs answer as a lone one does; degraded and warm runs through the one attempt)"
-go test -race -count=10 -run 'Coalesce|Batch|Invalidation|Drain|Deadline|Disconnect|AFunctionOfTheBody|Degrade|Warm' ./internal/serve/
+echo "==> go test -race -count=10 (shared runs: join, seal, detach and publish races; concurrent runs answer as a lone one does; warm runs through the one attempt)"
+go test -race -count=10 -run 'Coalesce|Batch|Invalidation|Drain|Deadline|Disconnect|AFunctionOfTheBody|Warm' ./internal/serve/
 
 echo "==> go test -race -count=5 (concurrent reads of a fresh successor: one layout patch, shared)"
 go test -race -count=5 -run 'TestConcurrentReadsShareSnapshotLayouts' ./internal/serve/
 
 echo "==> go test -race fault matrix (rollback/replay across all engines)"
-go test -race -run 'TestFaultMatrix|TestPolymerDegraded|TestResilientRanks' .
+go test -race -run 'TestFaultMatrix|TestResilientRanks' .
 
 echo "==> determinism gate (a run is a function of its input: same bits at any GOMAXPROCS, five times over)"
 # Whole packages, every engine: re-run identity over the conform matrix,
