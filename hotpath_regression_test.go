@@ -12,9 +12,14 @@ package polymer_test
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"slices"
+	"strings"
 	"testing"
 
 	"polymer/internal/algorithms"
@@ -25,7 +30,9 @@ import (
 	"polymer/internal/engines/xstream"
 	"polymer/internal/gen"
 	"polymer/internal/graph"
+	"polymer/internal/mutate"
 	"polymer/internal/numa"
+	"polymer/internal/serve"
 	"polymer/internal/sg"
 	"polymer/internal/state"
 )
@@ -516,6 +523,73 @@ func TestOneShotRunAllocs(t *testing.T) {
 // answerSink keeps TestOneShotRunAllocs's measured answer allocation.
 var answerSink []float64
 
+// TestServedMissReusesItsAnswer: polymerd hands a PageRank answer it does
+// not cache back to the spare list, so the next miss of the same body
+// takes its answer storage from there. A miss is served, a commit retires
+// its result, and the same miss is served again; the commit is on the
+// dataset's tiny scale, so the generation bump retires the small-scale
+// entry while the small graph, its InvOutDegrees and its layouts stay
+// (the collector is off, so nothing weakly held is dropped). The second
+// miss allocates what building and closing the engine costs (measured
+// beside it) plus the request's own bytes, which must stay under one
+// n x 8-byte answer: an answer made afresh for every miss takes it over.
+func TestServedMissReusesItsAnswer(t *testing.T) {
+	gc := debug.SetGCPercent(-1)
+	defer debug.SetGCPercent(gc)
+	store, err := mutate.Open(t.TempDir(), mutate.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	srv := serve.NewServer(serve.Config{Workers: 1, Mutations: store})
+	defer func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Error(err)
+		}
+	}()
+	post := func(path, body string) error {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			return fmt.Errorf("POST %s %s: status %d: %s", path, body, rec.Code, rec.Body)
+		}
+		return nil
+	}
+	const miss = `{"algo":"pr","system":"polymer","graph":"powerlaw","scale":"small"}`
+	commits := 0
+	g, err := gen.Load(gen.PowerLaw, gen.Small, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = g.Unweighted() // as polymerd runs PageRank
+	opt := core.DefaultOptions()
+	opt.Mode = core.Push
+	keep := core.MustNew(g, regressionMachine(), opt)
+	defer keep.Close()
+	sg.MakeLayouts(keep)
+	if err := post("/run", miss); err != nil {
+		t.Fatal(err)
+	}
+	least := leastAllocs(t,
+		func() error {
+			commits++
+			return post("/mutatez", fmt.Sprintf(`{"graph":"powerlaw","scale":"tiny","ops":[{"op":"insert","src":%d,"dst":1,"wt":1}]}`, commits))
+		},
+		func() error { return post("/run", miss) },
+		func() error {
+			e := core.MustNew(g, regressionMachine(), opt)
+			sg.MakeLayouts(e)
+			e.Close()
+			return nil
+		})
+	served, built := least[1], least[2]
+	n := uint64(g.NumVertices())
+	t.Logf("a served PageRank miss allocated %d bytes, building and closing its engine %d (n x 8 = %d)", served, built, n*8)
+	if served >= built+n*8 {
+		t.Fatalf("a served PageRank miss allocated %d bytes beyond building and closing its engine: its answer was made afresh", served-built)
+	}
+}
+
 // TestEpochTimeDoesNotAllocate: Time() runs once per phase, hundreds of
 // times per traversal; it folds the ledger in place.
 func TestEpochTimeDoesNotAllocate(t *testing.T) {
@@ -631,7 +705,12 @@ func leastAllocs(t *testing.T, runs ...func() error) []uint64 {
 // one plain run — no fault session checkpointing the vertex arrays before
 // every superstep — so it allocates what RunWith allocates on the same
 // cell, within 5 % (leastAllocs's figures). A session on the fault-free
-// path about doubles it.
+// path adds a fresh save buffer per tracked vertex array, many times the
+// run's own bytes. Each side hands its answer back to the spare list, as
+// its sole holder may (bench.Output.Recycle): the answer's storage then
+// comes from that list on both sides, as the engine's arrays do, and
+// neither side's figure hangs on whether the list happened to hold a
+// spare answer from elsewhere.
 func TestFaultFreeRunCarriesNoSession(t *testing.T) {
 	g, err := bench.LoadDataset(gen.PowerLaw, gen.Small, bench.PR)
 	if err != nil {
@@ -645,12 +724,14 @@ func TestFaultFreeRunCarriesNoSession(t *testing.T) {
 	defer keep.Close()
 	least := leastAllocs(t,
 		func() error {
-			_, err := bench.RunWith(bench.Polymer, bench.PR, g, regressionMachine(), bench.Options{})
+			r, err := bench.RunWith(bench.Polymer, bench.PR, g, regressionMachine(), bench.Options{})
+			r.Out.Recycle()
 			return err
 		},
 		func() error {
-			_, _, err := bench.RunResilientCtx(context.Background(), bench.Polymer, bench.PR, g, regressionMachine, nil,
+			r, _, err := bench.RunResilientCtx(context.Background(), bench.Polymer, bench.PR, g, regressionMachine, nil,
 				bench.ResilientOptions{SessionRetries: -1})
+			r.Out.Recycle()
 			return err
 		},
 	)

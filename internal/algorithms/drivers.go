@@ -12,11 +12,10 @@
 package algorithms
 
 import (
-	"slices"
-
 	"polymer/internal/engines/xstream"
 	"polymer/internal/fault"
 	"polymer/internal/graph"
+	"polymer/internal/mem"
 	"polymer/internal/obs"
 	"polymer/internal/sg"
 	"polymer/internal/state"
@@ -98,7 +97,8 @@ func (st stepper) superstep(sess *fault.Session, i int, body func() error) error
 // fixedIters runs iters supersteps of a float kernel over the full
 // frontier: each step reads *in and leaves its finite result in *out, and
 // the two arrays are swapped only after the step committed, so a replay
-// reruns over the same input buffer. It returns a copy of the last result.
+// reruns over the same input buffer. It returns a copy of the last
+// result, made by answer.
 func fixedIters(st stepper, sess *fault.Session, iters int, name string, in, out *[]float64, apply func(graph.Vertex) bool) ([]float64, error) {
 	if len(*in) == 0 {
 		return nil, nil
@@ -116,7 +116,17 @@ func fixedIters(st stepper, sess *fault.Session, iters int, name string, in, out
 		}
 		*in, *out = *out, *in
 	}
-	return slices.Clone(*in), nil
+	return answer(*in), nil
+}
+
+// answer returns a copy of a run's array, in storage from mem's spare
+// list: the copy is the caller's, and its last holder may hand it back
+// there (mem.Recycle, bench.Output.Recycle) for the next answer of its
+// length.
+func answer[T any](s []T) []T {
+	out := mem.Spare[T](len(s))
+	copy(out, s)
+	return out
 }
 
 // PageRankE is the PageRank driver on a scatter-gather engine (the
@@ -238,7 +248,7 @@ func untilEmpty(e sg.Engine, sess *fault.Session, frontier *state.Subset,
 // BFSE runs a direction-optimizing breadth-first search from src and
 // returns the level of every vertex (-1 if unreachable).
 func BFSE(e sg.Engine, src graph.Vertex, sess *fault.Session) ([]int64, error) {
-	levels := make([]int64, e.Graph().NumVertices())
+	levels := mem.Spare[int64](e.Graph().NumVertices())
 	for i := range levels {
 		levels[i] = -1
 	}
@@ -294,7 +304,7 @@ func SSSP(e sg.Engine, src graph.Vertex, sess *fault.Session) ([]float64, error)
 	if err != nil {
 		return nil, err
 	}
-	return slices.Clone(k.dist), nil
+	return answer(k.dist), nil
 }
 
 // CC computes connected components by label propagation over the
@@ -316,7 +326,7 @@ func CC(e sg.Engine, sess *fault.Session) ([]graph.Vertex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return slices.Clone(k.labels), nil
+	return answer(k.labels), nil
 }
 
 // xsConverge iterates k until no vertex is active. A failed phase leaves
@@ -354,7 +364,7 @@ func XSBFS(e *xstream.Engine, src graph.Vertex) []int64 {
 	if dist == nil {
 		return nil
 	}
-	out := make([]int64, len(dist))
+	out := mem.Spare[int64](len(dist))
 	for v, d := range dist {
 		out[v] = -1
 		if d != infinity {
@@ -368,7 +378,7 @@ func XSBFS(e *xstream.Engine, src graph.Vertex) []int64 {
 func XSSSSP(e *xstream.Engine, src graph.Vertex) []float64 {
 	r := newRun(e)
 	defer r.release()
-	return slices.Clone(xsRelax(r, e, "sssp/dist", src, true))
+	return answer(xsRelax(r, e, "sssp/dist", src, true))
 }
 
 // XSCC computes connected components by label propagation on X-Stream
@@ -382,7 +392,7 @@ func XSCC(e *xstream.Engine) []graph.Vertex {
 	}
 	e.SetAllActive()
 	xsConverge(e, k)
-	out := make([]graph.Vertex, len(k.labels))
+	out := mem.Spare[graph.Vertex](len(k.labels))
 	for v := range out {
 		out[v] = graph.Vertex(k.labels[v])
 	}

@@ -13,9 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"polymer/internal/graph"
+	"polymer/internal/mem"
 	"polymer/internal/sg"
 	"polymer/internal/state"
 )
@@ -147,7 +147,7 @@ func MultiBFS(e sg.Engine, srcs []graph.Vertex) ([][]int64, error) {
 	}
 	out := make([][]int64, len(srcs))
 	for i := range out {
-		out[i] = make([]int64, n)
+		out[i] = mem.Spare[int64](n)
 		for v := range out[i] {
 			out[i][v] = -1
 		}
@@ -209,7 +209,7 @@ func MultiSSSP(e sg.Engine, srcs []graph.Vertex) ([][]float64, error) {
 	}
 	out := make([][]float64, len(srcs))
 	for i := range out {
-		out[i] = slices.Clone(dist[i])
+		out[i] = answer(dist[i])
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package algorithms
 
 import (
 	"math"
-	"slices"
 
 	"polymer/internal/engines/xstream"
 	"polymer/internal/graph"
@@ -79,7 +78,7 @@ func (k *prDeltaKernel) converge(st stepper, eps float64, maxIter int) ([]float6
 			return math.Abs(nd) > eps
 		}, true)
 	}
-	return slices.Clone(k.rank), iter
+	return answer(k.rank), iter
 }
 
 // PageRankDelta runs the delta iteration on a scatter-gather engine.

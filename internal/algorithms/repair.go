@@ -18,6 +18,7 @@ import (
 	"slices"
 
 	"polymer/internal/graph"
+	"polymer/internal/mem"
 	"polymer/internal/sg"
 	"polymer/internal/state"
 )
@@ -76,7 +77,7 @@ func RepairSSSP(e sg.Engine, src graph.Vertex, prior []float64, deleted, appende
 	if err := repair(e, src, k, deleted, appended, ssspHints); err != nil {
 		return nil, err
 	}
-	return slices.Clone(k.dist), nil
+	return answer(k.dist), nil
 }
 
 // RepairBFS is RepairSSSP for BFS levels (-1 when unreachable): levels are
@@ -101,7 +102,7 @@ func RepairBFS(e sg.Engine, src graph.Vertex, prior []int64, deleted, appended [
 	if err := repair(e, src, k, deleted, appended, unitHints); err != nil {
 		return nil, err
 	}
-	levels := make([]int64, len(k.dist))
+	levels := mem.Spare[int64](len(k.dist))
 	for v, d := range k.dist {
 		levels[v] = -1
 		if d != infinity {

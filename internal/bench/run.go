@@ -100,6 +100,21 @@ type Output struct {
 	PerSource []Output
 }
 
+// Recycle hands the answer's arrays, every source's of a sweep included,
+// to mem's spare list, where the next driver run of their length takes
+// its answer storage (mem.Spare). Only the answer's sole holder may call
+// it, and nothing may read the arrays afterwards: a run's caller owns its
+// answer, and a caller that hands the answer on (a cache, a prior) hands
+// the duty to recycle it along with it.
+func (o Output) Recycle() {
+	mem.Recycle(o.F64)
+	mem.Recycle(o.I64)
+	mem.Recycle(o.V)
+	for _, p := range o.PerSource {
+		p.Recycle()
+	}
+}
+
 // Checksum is the result fingerprint used to confirm engines computed the
 // same answer: the sum of the finite entries.
 func (o Output) Checksum() float64 {

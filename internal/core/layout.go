@@ -69,10 +69,12 @@ type layout struct {
 }
 
 // A build counts a node's edges in int32 and names a node in a byte
-// (sg.AgentChunk.Part), so New refuses graphs and machines beyond these.
+// (sg.AgentChunk.Part), and an agent chunk's entries, at most ChunkKeys a
+// node, are counted in 16 bits (sg.AgentChunk.Off), so New refuses graphs
+// and machines beyond these.
 const (
 	maxLayoutEdges = math.MaxInt32
-	maxLayoutNodes = math.MaxUint8 + 1
+	maxLayoutNodes = math.MaxUint16 / sg.ChunkKeys
 )
 
 // buildLayout groups each node's incident edges by the far-side vertex.
@@ -429,11 +431,11 @@ func agentChunk(perNode []sg.Part, c int) *sg.AgentChunk {
 			off[k-base]++
 		}
 	}
-	var entries int32
+	var entries uint16
 	for k := range off {
 		off[k], entries = entries, entries+off[k]
 	}
-	buf := make([]uint8, 2*entries)
+	buf := make([]uint8, 2*int(entries))
 	part, row := buf[:entries:entries], buf[entries:]
 	for p := range perNode {
 		for r, k := range perNode[p].Chunk(c).IDs {

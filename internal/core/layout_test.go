@@ -9,6 +9,7 @@ import (
 
 	"polymer/internal/gen"
 	"polymer/internal/graph"
+	"polymer/internal/numa"
 	"polymer/internal/partition"
 	"polymer/internal/sg"
 )
@@ -808,5 +809,64 @@ func BenchmarkLayoutPatch(b *testing.B) {
 				l.Patch(del, app)
 			}
 		})
+	}
+}
+
+// An agent chunk counts its entries in 16 bits (sg.AgentChunk.Off), at
+// most ChunkKeys a node, so New refuses a machine of 256 nodes and builds
+// on 255. There the complete graph on ChunkKeys vertices with self-loops,
+// one part a vertex (the last part two), has every node key every key of
+// the one chunk: 255 x 256 = 65,280 entries, each key's 255 agents in
+// node order.
+func TestNewRefusesMoreNodesThanAgentOffsetsCount(t *testing.T) {
+	const keys = sg.ChunkKeys
+	edges := make([]graph.Edge, 0, keys*keys)
+	for s := range keys {
+		for d := range keys {
+			edges = append(edges, graph.Edge{Src: graph.Vertex(s), Dst: graph.Vertex(d)})
+		}
+	}
+	g := graph.FromEdges(keys, edges, false)
+	machine := func(nodes int) *numa.Machine {
+		topo := numa.IntelXeon80()
+		topo.Sockets = nodes
+		topo.Levels = make([][]int, nodes)
+		for i := range topo.Levels {
+			topo.Levels[i] = make([]int, nodes)
+			for j := range topo.Levels[i] {
+				if i != j {
+					topo.Levels[i][j] = 1
+				}
+			}
+		}
+		return numa.NewMachine(topo, nodes, 1)
+	}
+	if _, err := New(g, machine(maxLayoutNodes+1), DefaultOptions()); err == nil {
+		t.Fatalf("New built on %d nodes", maxLayoutNodes+1)
+	}
+	e, err := New(g, machine(maxLayoutNodes), DefaultOptions())
+	if err != nil {
+		t.Fatalf("New refused %d nodes: %v", maxLayoutNodes, err)
+	}
+	e.Close()
+	parts := make([]partition.Range, maxLayoutNodes)
+	for p := range parts {
+		parts[p] = partition.Range{Lo: p, Hi: p + 1}
+	}
+	parts[len(parts)-1].Hi = keys
+	ac := buildLayout(g, parts, true).agents.Chunks[0]
+	if int(ac.Off[keys]) != keys*maxLayoutNodes || len(ac.Part) != keys*maxLayoutNodes {
+		t.Fatalf("%d entries (%d parts listed), want %d", ac.Off[keys], len(ac.Part), keys*maxLayoutNodes)
+	}
+	for k := range keys {
+		if int(ac.Off[k]) != k*maxLayoutNodes {
+			t.Fatalf("key %d's agents start at entry %d, want %d", k, ac.Off[k], k*maxLayoutNodes)
+		}
+		for i := ac.Off[k]; i < ac.Off[k+1]; i++ {
+			// Every part keys every source, so its row r is keyed by r.
+			if p := int(i - ac.Off[k]); int(ac.Part[i]) != p || int(ac.Row[i]) != k {
+				t.Fatalf("key %d's agent %d is part %d row %d, want part %d row %d", k, p, ac.Part[i], ac.Row[i], p, k)
+			}
+		}
 	}
 }

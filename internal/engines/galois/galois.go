@@ -315,7 +315,7 @@ func (e *Engine) PageRank(iters int, damping float64) []float64 {
 func (e *Engine) PageRankE(iters int, damping float64, sess *fault.Session) ([]float64, error) {
 	g := e.G
 	n := g.NumVertices()
-	curr := make([]float64, n)
+	curr := mem.Spare[float64](n)
 	for i := range curr {
 		curr[i] = 1 / float64(n)
 	}
@@ -338,7 +338,7 @@ func (e *Engine) PageRankE(iters int, damping float64, sess *fault.Session) ([]f
 // iters times (y = A x, then x <- y), returning the final vector.
 func (e *Engine) SpMV(iters int, x0 []float64, sess *fault.Session) ([]float64, error) {
 	g := e.G
-	x := make([]float64, g.NumVertices())
+	x := mem.Spare[float64](g.NumVertices())
 	copy(x, x0)
 	return e.pullRounds(sess, iters, "galois/spmv", 8, x,
 		func(x, y []float64, lo, hi int64) (edges int64) {
@@ -365,7 +365,7 @@ func (e *Engine) SpMV(iters int, x0 []float64, sess *fault.Session) ([]float64, 
 // beliefs. Beliefs are wider than ranks (message tables).
 func (e *Engine) BP(iters int, sess *fault.Session) ([]float64, error) {
 	g := e.G
-	curr := make([]float64, g.NumVertices())
+	curr := mem.Spare[float64](g.NumVertices())
 	for i := range curr {
 		curr[i] = 0.5
 	}
@@ -396,7 +396,7 @@ func (e *Engine) BFS(src graph.Vertex) []int64 {
 	g := e.G
 	n := g.NumVertices()
 	const unreached = math.MaxInt64
-	dist := make([]int64, n)
+	dist := mem.Spare[int64](n)
 	if n == 0 {
 		return dist
 	}
@@ -500,7 +500,7 @@ func (e *Engine) CC() []graph.Vertex {
 		})
 		cnt.add(th, edges, tasks)
 	})
-	out := make([]graph.Vertex, n)
+	out := mem.Spare[graph.Vertex](n)
 	if e.Err() != nil {
 		return out
 	}
@@ -533,7 +533,7 @@ func (e *Engine) SSSP(src graph.Vertex) []float64 {
 	g := e.G
 	n := g.NumVertices()
 	delta := e.opt.Delta
-	dist := make([]float64, n)
+	dist := mem.Spare[float64](n)
 	if n == 0 {
 		return dist
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"polymer/internal/graph"
+	"polymer/internal/mem"
 	"polymer/internal/par"
 )
 
@@ -19,7 +20,7 @@ func (e *Engine) PageRankDelta(eps float64, maxIter int) ([]float64, int) {
 	if n == 0 {
 		return nil, 0
 	}
-	rank := make([]float64, n)
+	rank := mem.Spare[float64](n)
 	delta := make([]float64, n)
 	acc := make([]float64, n)
 	active := make([]bool, n)

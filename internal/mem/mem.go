@@ -87,8 +87,7 @@ type Array[T any] struct {
 // with bounds[0] == 0 and bounds[Nodes] == n (partition p owns
 // [bounds[p], bounds[p+1])). For other placements bounds must be nil.
 // The allocation is registered with the machine's tracker under label. The
-// host storage is a retired array's of the same element type and length
-// (Retire), zeroed, when the spare list holds one.
+// host storage comes from Spare.
 func New[T any](m *numa.Machine, label string, n int, place Placement, bounds []int) *Array[T] {
 	if place == CoLocated {
 		if len(bounds) != m.Nodes+1 {
@@ -107,7 +106,7 @@ func New[T any](m *numa.Machine, label string, n int, place Placement, bounds []
 	}
 	var zero T
 	a := &Array[T]{
-		Data:      spare[T](n),
+		Data:      Spare[T](n),
 		m:         m,
 		place:     place,
 		bounds:    bounds,
@@ -123,9 +122,9 @@ func New[T any](m *numa.Machine, label string, n int, place Placement, bounds []
 	return a
 }
 
-// spares is the spare list of array storage, by element type and length:
-// Retire puts a slice there and New takes one out before it makes a new
-// one.
+// spares is the spare list of host storage, by element type and length:
+// Recycle (and Retire through it) puts a slice there, and Spare (and New
+// through it) takes one out before it makes a new one.
 var spares numa.Spares[spareKey]
 
 // spareKey keys spares: elem is a nil *T, so that each element type keys
@@ -137,9 +136,9 @@ type spareKey struct {
 
 func keyOf[T any](n int) spareKey { return spareKey{(*T)(nil), n} }
 
-// spare returns n zeroed elements: a retired array's storage, cleared, or
-// a new slice.
-func spare[T any](n int) []T {
+// Spare returns n zeroed elements: a recycled slice of T's of length n,
+// cleared, or a new slice.
+func Spare[T any](n int) []T {
 	if s, ok := spares.Get(keyOf[T](n)).(*[]T); ok {
 		clear(*s)
 		return *s
@@ -210,9 +209,17 @@ func (a *Array[T]) Free() {
 // write the array afterwards: its Data is nil.
 func (a *Array[T]) Retire() {
 	a.Free()
-	s := a.Data
+	Recycle(a.Data)
 	a.Data = nil
-	spares.Put(keyOf[T](len(s)), &s)
+}
+
+// Recycle hands s to the spare list for the next Spare (or New) of its
+// element type and length. Only s's last holder may recycle it: nothing
+// may read or write s afterwards. An empty s is dropped.
+func Recycle[T any](s []T) {
+	if len(s) > 0 {
+		spares.Put(keyOf[T](len(s)), &s)
+	}
 }
 
 // Release hands the array back to whoever allocated it: Free, and exactly

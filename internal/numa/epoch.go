@@ -579,23 +579,6 @@ func (e *Epoch) Stats() Stats {
 	return s
 }
 
-// Merge folds another summary into this one, recomputing the rates as
-// weighted averages over the combined access counts: summaries of runs on
-// different machines, whose raw epochs cannot be added.
-func (s *Stats) Merge(o Stats) {
-	t1 := s.LocalCount + s.RemoteCount
-	t2 := o.LocalCount + o.RemoteCount
-	s.LocalCount += o.LocalCount
-	s.RemoteCount += o.RemoteCount
-	s.MissCount += o.MissCount
-	s.SlowCount += o.SlowCount
-	if total := t1 + t2; total > 0 {
-		s.RemoteRate = float64(s.RemoteCount) / float64(total)
-		s.RemoteMissRate = (s.RemoteMissRate*float64(t1) + o.RemoteMissRate*float64(t2)) / float64(total)
-		s.SlowRate = float64(s.SlowCount) / float64(total)
-	}
-}
-
 // Add accumulates another epoch's raw ledger into this one. Both must
 // belong to the same machine. It is used to aggregate per-phase ledgers
 // into whole-run statistics. A node shared on both sides stays shared and

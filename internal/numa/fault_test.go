@@ -150,28 +150,6 @@ func TestNewMachineChecked(t *testing.T) {
 	}
 }
 
-func TestStatsMerge(t *testing.T) {
-	a := Stats{LocalCount: 60, RemoteCount: 40, RemoteRate: 0.4, RemoteMissRate: 0.2}
-	b := Stats{LocalCount: 90, RemoteCount: 10, RemoteRate: 0.1, RemoteMissRate: 0.1}
-	a.Merge(b)
-	if a.LocalCount != 150 || a.RemoteCount != 50 {
-		t.Fatalf("counts not summed: %+v", a)
-	}
-	if a.RemoteRate != 0.25 {
-		t.Fatalf("RemoteRate = %g, want 0.25", a.RemoteRate)
-	}
-	// Weighted average: (0.2*100 + 0.1*100) / 200 = 0.15.
-	if a.RemoteMissRate != 0.15 {
-		t.Fatalf("RemoteMissRate = %g, want 0.15", a.RemoteMissRate)
-	}
-	// Merging an empty Stats is a no-op.
-	c := Stats{LocalCount: 5, RemoteCount: 5, RemoteRate: 0.5}
-	c.Merge(Stats{})
-	if c.RemoteRate != 0.5 || c.LocalCount != 5 {
-		t.Fatalf("empty merge changed stats: %+v", c)
-	}
-}
-
 // TestEpochCopyFrom checks the snapshot/rollback primitive the resilience
 // layer uses: CopyFrom must make charges after the snapshot disappear.
 func TestEpochCopyFrom(t *testing.T) {

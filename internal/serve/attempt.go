@@ -11,7 +11,8 @@ import (
 // to an outcome, stamps resp with what the run produced and returns the
 // outcome with one checksum per source (nil when the run did not answer)
 // and, when the result cache retains answers (retains), one typed answer
-// per source.
+// per source, which the caller then holds. An answer the cache does not
+// retain is recycled here, its last holder.
 //
 // The run is one bench.RunResilientCtx call on the machine factory mk:
 // one source warm when warmFor finds an answer to repair, else cold, and
@@ -23,11 +24,11 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 	v := t.v
 	tr := s.cfg.Tracer
 	mk := func() *numa.Machine { return v.armTier(numa.NewMachine(v.topo, v.nodes, v.cores)) }
+	warm, prior := s.warmFor(v, g, srcs)
 	opt := bench.ResilientOptions{
 		MaxRestarts:    restartMax,
 		SessionRetries: v.req.SessionRetries,
-		Options: bench.Options{Tracer: tr, Layout: v.layout, LayoutSet: v.layoutSet,
-			Warm: s.warmFor(v, g, srcs)},
+		Options:        bench.Options{Tracer: tr, Layout: v.layout, LayoutSet: v.layoutSet, Warm: warm},
 	}
 	if v.req.Restarts >= 0 {
 		opt.MaxRestarts = v.req.Restarts
@@ -40,6 +41,9 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 		opt.Sources = srcs
 	}
 	r, rep, err := bench.RunResilientCtx(t.ctx, v.sys, v.alg, g, mk, v.injector(), opt)
+	if prior != nil {
+		s.results.unread(prior)
+	}
 	resp.Rollbacks, resp.Restarts = rep.Rollbacks, rep.Restarts
 	s.lineage.add(r.Lineage)
 	if err != nil {
@@ -74,6 +78,7 @@ func (s *Server) attempt(t *task, g *graph.Graph, srcs []graph.Vertex, resp *Res
 		sums[i] = o.Checksum()
 	}
 	if !s.retains(v) {
+		r.Out.Recycle()
 		outs = nil
 	}
 	return kindCompleted, 200, sums, outs
@@ -98,25 +103,29 @@ func (s *Server) retains(v *resolved) bool {
 	return s.mut != nil && (v.alg == bench.BFS || v.alg == bench.SSSP)
 }
 
-// warmFor returns what a warm run of v's one source on g repairs, or nil
-// when the run goes cold. A run goes warm when it is fault-free and of
-// one source; when it is BFS or SSSP on Polymer or Ligra; when the result cache holds an answer under its key
+// warmFor returns what a warm run of v's one source on g repairs and the
+// result-cache entry it reads, whose read the caller ends (unread) once
+// the run is over; both are nil when the run goes cold. A run goes warm
+// when it is fault-free and of one source; when it is BFS or SSSP on Polymer or Ligra; when the result cache holds an answer under its key
 // from a snapshot no newer than g, and the store still has the batches in
 // between; and when g can be repaired at all (no negative or NaN weight,
 // algorithms.Repairable). Priors are keyed by the run identity, system
 // included, so an answer never crosses engines.
-func (s *Server) warmFor(v *resolved, g *graph.Graph, srcs []graph.Vertex) *bench.Warm {
+func (s *Server) warmFor(v *resolved, g *graph.Graph, srcs []graph.Vertex) (*bench.Warm, *resultEntry) {
 	if !s.retains(v) || len(srcs) != 1 || !v.reusable() ||
 		v.sys != bench.Polymer && v.sys != bench.Ligra {
-		return nil
+		return nil, nil
 	}
-	out, seq, ok := s.results.prior(v.id(srcs[0]))
-	if !ok || seq > g.Seq() || !algorithms.Repairable(g) {
-		return nil
+	e := s.results.prior(v.id(srcs[0]))
+	if e == nil {
+		return nil, nil
 	}
-	deleted, appended, err := s.mut.Edits(string(v.data), int(v.scale), seq, g.Seq())
-	if err != nil {
-		return nil // older than the recovered checkpoint: cold
+	if e.seq <= g.Seq() && algorithms.Repairable(g) {
+		deleted, appended, err := s.mut.Edits(string(v.data), int(v.scale), e.seq, g.Seq())
+		if err == nil { // else older than the recovered checkpoint: cold
+			return &bench.Warm{Prior: e.out, Deleted: deleted, Appended: appended}, e
+		}
 	}
-	return &bench.Warm{Prior: out, Deleted: deleted, Appended: appended}
+	s.results.unread(e)
+	return nil, nil
 }

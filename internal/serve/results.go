@@ -18,6 +18,13 @@
 // next miss of its identity repairs it into the new snapshot's answer (a warm
 // run, attempt.go). A dataset refresh (InvalidateGraph) drops priors with
 // everything else.
+//
+// A retained answer has one owner at a time: the cache from put until it
+// replaces, evicts or drops the entry, when it hands the answer's storage
+// back to mem's spare list (bench.Output.Recycle) for the next run's
+// answer. A warm run reading the answer as its prior counts as a reader
+// of the entry; an entry removed while it is read stays intact until its
+// last reader ends, and that reader recycles the answer.
 
 package serve
 
@@ -48,6 +55,11 @@ type resultEntry struct {
 	out   bench.Output
 	seq   uint64
 	elem  *list.Element
+	// readers counts the warm runs reading out as their prior (prior adds
+	// one, unread takes it away); gone marks an entry removed from the
+	// cache, whose out the last of them recycles.
+	readers int
+	gone    bool
 }
 
 // entryOverhead is what an entry costs beside its rendered bytes and
@@ -171,10 +183,12 @@ func (c *resultCache) get(v *resolved) (hit, bool) {
 // run, and for a warm one the repair. The stripped payload is rendered
 // here, once (renderHit), and the entry keeps only those bytes. Inserts
 // against a stale generation are dropped — the invalidation already won.
-// An insert replaces a prior under its identity.
-func (c *resultCache) put(v *resolved, id runID, resp Response, out bench.Output, seq uint64) {
+// An insert replaces a prior under its identity. put reports whether it
+// inserted the entry: only then is out the cache's, and otherwise its
+// caller still holds it.
+func (c *resultCache) put(v *resolved, id runID, resp Response, out bench.Output, seq uint64) bool {
 	if c.disabled {
-		return
+		return false
 	}
 	resp.ID = 0
 	resp.WallMs = 0
@@ -185,16 +199,16 @@ func (c *resultCache) put(v *resolved, id runID, resp Response, out bench.Output
 	resp.Plan = nil
 	h, err := renderHit(resp)
 	if err != nil {
-		return // a payload with no JSON form is never replayed
+		return false // a payload with no JSON form is never replayed
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if v.ver != c.versions[v.data] {
-		return
+		return false
 	}
 	if old, ok := c.entries[id]; ok {
 		if !old.prior {
-			return // first writer wins; a racing writer computed the same bits
+			return false // first writer wins; a racing writer computed the same bits
 		}
 		c.removeLocked(old)
 	}
@@ -217,27 +231,48 @@ func (c *resultCache) put(v *resolved, id runID, resp Response, out bench.Output
 		c.removeLocked(el.Value.(*resultEntry))
 		c.evicted++
 	}
+	return true
 }
 
-// prior returns the answer retained under id and the sequence number of
-// the snapshot it was computed on.
-func (c *resultCache) prior(id runID) (bench.Output, uint64, bool) {
+// prior returns the entry under id when it retains its answer, with one
+// more reader: its out (computed on snapshot seq) stays intact until the
+// caller ends its read with unread. It returns nil when no entry under id
+// retains an answer.
+func (c *resultCache) prior(id runID) *resultEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[id]
 	if !ok || !e.retained() {
-		return bench.Output{}, 0, false
+		return nil
 	}
-	return e.out, e.seq, true
+	e.readers++
+	return e
+}
+
+// unread ends one read of e's answer that prior began. The last reader of
+// an entry the cache has removed recycles its answer.
+func (c *resultCache) unread(e *resultEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e.readers--
+	if e.readers == 0 && e.gone {
+		e.out.Recycle()
+	}
 }
 
 // retained reports whether the entry kept its typed answer.
 func (e *resultEntry) retained() bool { return e.out.F64 != nil || e.out.I64 != nil }
 
+// removeLocked takes e out of the cache and recycles its answer, unless a
+// warm run is reading it: then its last reader does (unread).
 func (c *resultCache) removeLocked(e *resultEntry) {
 	c.lru.Remove(e.elem)
 	delete(c.entries, e.id)
 	c.bytes -= e.bytes
+	e.gone = true
+	if e.readers == 0 {
+		e.out.Recycle()
+	}
 }
 
 // invalidate bumps the dataset's generation and retires its resident

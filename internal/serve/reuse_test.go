@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -21,6 +22,7 @@ import (
 
 	"polymer/internal/bench"
 	"polymer/internal/graph"
+	"polymer/internal/mem"
 	"polymer/internal/mutate"
 )
 
@@ -203,6 +205,50 @@ func TestResultCacheUnit(t *testing.T) {
 	}
 	if st := d.stats(); st.Entries != 0 {
 		t.Fatalf("disabled cache stored entries: %+v", st)
+	}
+}
+
+// TestPriorReadOutlivesItsEntry: a warm run reading an entry's answer as
+// its prior counts as a reader, so a put that replaces the entry mid-read
+// leaves the prior intact; the read's end (unread) hands its storage back
+// to the spare list, where the next answer of its length takes it. The
+// length is one no engine in this package makes.
+func TestPriorReadOutlivesItsEntry(t *testing.T) {
+	const n = 777
+	c := newResultCache(1 << 20)
+	v := mustResolve(t, `{"algo":"bfs","system":"polymer","graph":"powerlaw","src":1}`)
+	levels := mem.Spare[int64](n)
+	for i := range levels {
+		levels[i] = int64(i) + 1
+	}
+	want := slices.Clone(levels)
+	if !c.put(v, ownID(v), Response{Checksum: 1}, bench.Output{I64: levels}, 1) {
+		t.Fatal("put into an empty cache did not insert")
+	}
+	c.invalidate("powerlaw", true) // a commit: the entry becomes a prior
+	e := c.prior(ownID(v))
+	if e == nil {
+		t.Fatal("no prior after a commit")
+	}
+	// The read's own run finishes first and replaces the entry.
+	next := *v
+	next.ver = c.version("powerlaw")
+	if !c.put(&next, ownID(v), Response{Checksum: 2}, bench.Output{I64: mem.Spare[int64](n)}, 2) {
+		t.Fatal("put did not replace a prior")
+	}
+	// Storage recycled by now goes, cleared, to the next answers of its
+	// length.
+	for range 4 {
+		mem.Spare[int64](n)
+	}
+	if !slices.Equal(e.out.I64, want) {
+		t.Fatal("a prior's answer was recycled while a warm run read it")
+	}
+	c.unread(e)
+	// Under the race detector sync.Pool drops puts at random, so only a
+	// plain build can see the storage come back.
+	if got := mem.Spare[int64](n); !raceEnabled && &got[0] != &levels[0] {
+		t.Fatal("the last reader of a replaced entry did not recycle its answer")
 	}
 }
 

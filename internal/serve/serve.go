@@ -396,7 +396,8 @@ func (s *Server) execute(t *task) {
 		resp.DramBytes = v.tier.DRAMPerNode
 	}
 	// The snapshot the run read, and the typed answer per slot when the
-	// result cache retains them, for warm runs to come.
+	// result cache retains them, for warm runs to come. An answer the cache
+	// does not take is recycled here, its last holder.
 	var seq uint64
 	answers := make([]bench.Output, len(srcs))
 	// finish gives every slot not already resolved on its own the run-wide
@@ -412,8 +413,8 @@ func (s *Server) execute(t *task) {
 			}
 			o := &outs[i].resp
 			o.WallMs = wall
-			if cache && outs[i].status == 200 {
-				s.results.put(v, v.id(srcs[i]), *o, answers[i], seq)
+			if !cache || outs[i].status != 200 || !s.results.put(v, v.id(srcs[i]), *o, answers[i], seq) {
+				answers[i].Recycle()
 			}
 		}
 		// Slot 0 is the opener's; joiners stamp their own plan in wait.

@@ -116,6 +116,57 @@ func TestWarmReadAfterCommit(t *testing.T) {
 	}
 }
 
+// TestWarmReadRacingACommit: a warm read and a commit run at once. The
+// read's put lands before the commit (its entry becomes the next prior)
+// or after it (a stale generation, dropped, so the prior it read stays),
+// and the commit may retire the entry while the read repairs it. Either
+// way both the racing read and the read after the commit run warm, to a
+// cold run's checksum on their snapshot.
+func TestWarmReadRacingACommit(t *testing.T) {
+	store := openStore(t, t.TempDir(), mutate.Options{})
+	defer store.Close()
+	srv := NewServer(Config{noWorkers: true, Mutations: store})
+	const q = `{"algo":"sssp","system":"polymer","graph":"powerlaw","src":3}`
+	coldSum := func() float64 {
+		v := mustResolve(t, q)
+		g, release, err := srv.graphFor(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		cold, err := bench.RunWith(v.sys, v.alg, g, numa.NewMachine(v.topo, v.nodes, v.cores), bench.Options{Src: v.src})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cold.Checksum
+	}
+	private(t, srv, q)
+	commit(t, srv, "powerlaw", "tiny", warmCommit)
+	for round := range 4 {
+		v := mustResolve(t, q)
+		v.ver = srv.results.version(v.data)
+		r, _, err := srv.submit(v, runKey{}, context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := <-srv.queue
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.execute(read)
+		}()
+		commit(t, srv, "powerlaw", "tiny", []MutationOp{{Op: "insert", Src: uint32(5 + round), Dst: 6, Wt: 1}})
+		<-done
+		if out := srv.wait(r, 0, v, nil); out.status != 200 || !out.resp.Warm {
+			t.Fatalf("round %d: the read racing a commit: status %d warm=%t (%s)", round, out.status, out.resp.Warm, out.resp.Error)
+		}
+		got := private(t, srv, q)
+		if want := coldSum(); !got.Warm || math.Float64bits(got.Checksum) != math.Float64bits(want) {
+			t.Fatalf("round %d: the read after the race: warm=%t checksum %v, cold %v", round, got.Warm, got.Checksum, want)
+		}
+	}
+}
+
 // TestWarmPriorsDroppedByInvalidateGraph: a dataset refresh drops the
 // priors with everything else, so the read after it runs cold; priors
 // kept across a commit alone make it warm.

@@ -207,9 +207,12 @@ type Agents struct {
 // entry i being row Row[i] of chunk c of part Part[i]. A part and a chunk
 // row are a byte each, two bytes an entry: on a graph whose vertices have
 // rows in few of the parts the index is a fraction of one n-entry row
-// table per part.
+// table per part. An offset is 16 bits: a chunk holds at most ChunkKeys
+// entries a part, and a layout build at most 255 parts (core refuses
+// more), so at most 65,280 entries; the chunk is then 562 bytes, in the
+// allocator's 576-byte class.
 type AgentChunk struct {
-	Off  [ChunkKeys + 1]int32
+	Off  [ChunkKeys + 1]uint16
 	Part []uint8
 	Row  []uint8
 }

@@ -39,8 +39,8 @@ go test -race \
 	./internal/conform/... \
 	./internal/plan/...
 
-echo "==> go test -race -count=10 (shared runs: join, seal, detach and publish races; concurrent runs answer as a lone one does; warm runs through the one attempt)"
-go test -race -count=10 -run 'Coalesce|Batch|Invalidation|Drain|Deadline|Disconnect|AFunctionOfTheBody|Warm' ./internal/serve/
+echo "==> go test -race -count=10 (shared runs: join, seal, detach and publish races; concurrent runs answer as a lone one does; warm runs through the one attempt, one racing a commit; a prior read while its entry is replaced)"
+go test -race -count=10 -run 'Coalesce|Batch|Invalidation|Drain|Deadline|Disconnect|AFunctionOfTheBody|PriorReadOutlivesItsEntry|Warm' ./internal/serve/
 
 echo "==> go test -race -count=5 (concurrent reads of a fresh successor: one layout patch, shared)"
 go test -race -count=5 -run 'TestConcurrentReadsShareSnapshotLayouts' ./internal/serve/
