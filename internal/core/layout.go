@@ -68,13 +68,14 @@ type layout struct {
 	sg.Layout
 }
 
-// A build counts a node's edges in int32 and names a node in a byte
-// (sg.AgentChunk.Part), and an agent chunk's entries, at most ChunkKeys a
-// node, are counted in 16 bits (sg.AgentChunk.Off), so New refuses graphs
-// and machines beyond these.
+// A build counts a node's edges in int32, and New refuses graphs and
+// machines beyond the build's two node limits: the agent index names a
+// node in a byte (sg.AgentChunk.Part), so at most MaxUint8 nodes, and an
+// agent chunk's entries, at most ChunkKeys a node, are counted in 16 bits
+// (sg.AgentChunk.Off), so at most MaxUint16/ChunkKeys nodes.
 const (
 	maxLayoutEdges = math.MaxInt32
-	maxLayoutNodes = math.MaxUint16 / sg.ChunkKeys
+	maxLayoutNodes = min(math.MaxUint8, math.MaxUint16/sg.ChunkKeys)
 )
 
 // buildLayout groups each node's incident edges by the far-side vertex.

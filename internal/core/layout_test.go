@@ -813,20 +813,22 @@ func BenchmarkLayoutPatch(b *testing.B) {
 }
 
 // An agent chunk counts its entries in 16 bits (sg.AgentChunk.Off), at
-// most ChunkKeys a node, so New refuses a machine of 256 nodes and builds
-// on 255. There the complete graph on ChunkKeys vertices with self-loops,
-// one part a vertex (the last part two), has every node key every key of
-// the one chunk: 255 x 256 = 65,280 entries, each key's 255 agents in
-// node order.
+// most ChunkKeys a node, and names a node in a byte, so New refuses a
+// machine of maxLayoutNodes+1 nodes and builds on maxLayoutNodes (255 at
+// 256 keys a chunk). There a graph whose first ChunkKeys vertices reach
+// every vertex, one part a vertex (the last part the rest), has every node
+// key every key of the first chunk: 255 x 256 = 65,280 entries, each
+// key's agents in node order.
 func TestNewRefusesMoreNodesThanAgentOffsetsCount(t *testing.T) {
 	const keys = sg.ChunkKeys
-	edges := make([]graph.Edge, 0, keys*keys)
+	n := max(keys, maxLayoutNodes)
+	edges := make([]graph.Edge, 0, keys*n)
 	for s := range keys {
-		for d := range keys {
+		for d := range n {
 			edges = append(edges, graph.Edge{Src: graph.Vertex(s), Dst: graph.Vertex(d)})
 		}
 	}
-	g := graph.FromEdges(keys, edges, false)
+	g := graph.FromEdges(n, edges, false)
 	machine := func(nodes int) *numa.Machine {
 		topo := numa.IntelXeon80()
 		topo.Sockets = nodes
@@ -853,7 +855,7 @@ func TestNewRefusesMoreNodesThanAgentOffsetsCount(t *testing.T) {
 	for p := range parts {
 		parts[p] = partition.Range{Lo: p, Hi: p + 1}
 	}
-	parts[len(parts)-1].Hi = keys
+	parts[len(parts)-1].Hi = n
 	ac := buildLayout(g, parts, true).agents.Chunks[0]
 	if int(ac.Off[keys]) != keys*maxLayoutNodes || len(ac.Part) != keys*maxLayoutNodes {
 		t.Fatalf("%d entries (%d parts listed), want %d", ac.Off[keys], len(ac.Part), keys*maxLayoutNodes)

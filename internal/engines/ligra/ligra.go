@@ -20,7 +20,9 @@
 package ligra
 
 import (
+	"slices"
 	"sync"
+	"unsafe"
 
 	"polymer/internal/barrier"
 	"polymer/internal/graph"
@@ -79,7 +81,7 @@ func New(g *graph.Graph, m *numa.Machine, opt Options) (*Engine, error) {
 	n := g.NumVertices()
 	e.InitTier(g.TopologyBytes(), FrontierDemand(n))
 	r := NewRecipe(opt, n, e.Tier)
-	e.rows = graph.Derived(g, "ligra/parts", buildParts, nil)
+	e.rows = graph.Derived(g, "ligra/parts", buildParts, patchParts)
 	e.push = sg.NewLayout(e.rows.push, nil, m.Threads())
 	e.pull = sg.NewLayout(e.rows.pull, nil, m.Threads())
 	e.push.Unweighted, e.pull.Unweighted = !g.Weighted(), !g.Weighted()
@@ -125,6 +127,30 @@ func buildParts(root *graph.Graph) *csrParts {
 		return []sg.Part{{Chunks: rows, ChunkRows: chunkRows, OwnerRows: []int{0, n}}}
 	}
 	return &csrParts{push: part(root.OutChunks()), pull: part(root.InChunks())}
+}
+
+// patchParts carries prev, a predecessor's parts, to its successor root:
+// each direction's chunk list is copied, and a chunk whose arrays
+// graph.Patch replaced gets a wrapper of its own, while every other chunk
+// keeps prev's. Chunks are told apart by their arrays, not by the edit
+// list, because the first patch of a FromEdges graph copies every chunk.
+func patchParts(prev *csrParts, root *graph.Graph, _, _ []graph.Edge) *csrParts {
+	part := func(prev []sg.Part, chunks []graph.Chunk) []sg.Part {
+		p := prev[0]
+		p.Chunks = slices.Clone(p.Chunks)
+		for c, ch := range chunks {
+			if old := p.Chunks[c]; !sameArray(old.Idx, ch.Idx) || !sameArray(old.Cols, ch.Cols) || !sameArray(old.Wts, ch.Wts) {
+				p.Chunks[c] = &sg.Rows{IDs: old.IDs, Idx: ch.Idx, Cols: ch.Cols, Wts: ch.Wts}
+			}
+		}
+		return []sg.Part{p}
+	}
+	return &csrParts{push: part(prev.push, root.OutChunks()), pull: part(prev.pull, root.InChunks())}
+}
+
+// sameArray reports whether a and b are the same view of the same array.
+func sameArray[T any](a, b []T) bool {
+	return len(a) == len(b) && unsafe.SliceData(a) == unsafe.SliceData(b)
 }
 
 // ids is 0, 1, 2, …, as long as the largest graph any Ligra engine has

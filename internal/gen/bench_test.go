@@ -2,9 +2,14 @@ package gen
 
 import "testing"
 
+// BenchmarkRMAT generates engine-dense's input, RMAT(15,16,·): 2^19
+// edges, 15 quadrant draws each.
 func BenchmarkRMAT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		RMAT(14, 16, uint64(i))
+	b.ReportAllocs()
+	var seed uint64
+	for b.Loop() {
+		RMAT(15, 16, seed)
+		seed++
 	}
 }
 

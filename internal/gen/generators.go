@@ -10,27 +10,35 @@ import (
 // RMAT generates an R-MAT graph with 2^scale vertices and edgeFactor
 // edges per vertex, using the Graph500 partition probabilities
 // (a,b,c,d) = (0.57, 0.19, 0.19, 0.05) as the paper does for rMat24/rMat27.
+//
+// Each level draws one Uint64 and picks the quadrant by comparing
+// k = Uint64()>>11 with the cumulative probabilities scaled by 2^53. The
+// float draw Float64() is exactly k/2^53, and each cumulative probability
+// (as a float64) lies in [0.5, 1), so scaled by 2^53 it is an exact
+// integer (the constant conversions to uint64 would not compile
+// otherwise) and Float64() < p exactly when k < p·2^53: the graph is the
+// one a chain of float compares picks, bit for bit, without its
+// mispredicted branches.
 func RMAT(scale int, edgeFactor int, seed uint64) (int, []graph.Edge) {
 	const a, b, c = 0.57, 0.19, 0.19
+	const (
+		ta   = uint64(float64(a) * (1 << 53))
+		tab  = uint64(float64(a+b) * (1 << 53))
+		tabc = uint64(float64(a+b+c) * (1 << 53))
+	)
 	n := 1 << scale
 	m := n * edgeFactor
 	rng := NewRNG(seed)
 	edges := make([]graph.Edge, m)
 	for i := range edges {
-		var src, dst int
-		for bit := scale - 1; bit >= 0; bit-- {
-			p := rng.Float64()
-			switch {
-			case p < a:
-				// top-left: no bits set
-			case p < a+b:
-				dst |= 1 << bit
-			case p < a+b+c:
-				src |= 1 << bit
-			default:
-				src |= 1 << bit
-				dst |= 1 << bit
-			}
+		var src, dst uint64
+		for range scale {
+			k := rng.Uint64() >> 11
+			// (t-1-k)>>63 is 1 when k >= t, else 0 (k < 2^53 and t >= 1).
+			// Quadrant a sets no bit, b dst, c src and d both.
+			s := (tab - 1 - k) >> 63
+			d := (ta-1-k)>>63 ^ s ^ (tabc-1-k)>>63
+			src, dst = src<<1|s, dst<<1|d
 		}
 		edges[i] = graph.Edge{Src: graph.Vertex(src), Dst: graph.Vertex(dst)}
 	}

@@ -81,7 +81,7 @@ go test -count=20 -cpu 1,2,8 -run 'TestWarmDifferential|TestWarmVanishingWeights
 # load.
 go test -count=5 -cpu 1,2,8 -run 'TestGolden|TestTierSweepGolden|TestUnweightedViewRunsLikeUnweightedLoad' ./internal/bench/
 
-echo "==> sweep, segment-shape, X-Stream iteration, sparse-BFS, layout-patch, phase-fold and cold-decision benchmark smoke (host ns/edge of the shared sweep on both engines, of both segment loop shapes and of an X-Stream PageRank iteration; ns per road-grid BFS; one 32-op layout patch; ns per phase folded; one planner decision; one iteration a case)"
+echo "==> sweep, segment-shape, X-Stream iteration, sparse-BFS, layout-patch, phase-fold, cold-decision and R-MAT benchmark smoke (host ns/edge of the shared sweep on both engines, of both segment loop shapes and of an X-Stream PageRank iteration; ns per road-grid BFS; one 32-op layout patch; ns per phase folded; one planner decision; engine-dense's RMAT(15,16) input; one iteration a case)"
 go test -run '^$' -bench BenchmarkSweepNsPerEdge -benchtime 1x ./internal/core/ >/dev/null
 go test -run '^$' -bench BenchmarkSegmentShape -benchtime 1x ./internal/algorithms/ >/dev/null
 go test -run '^$' -bench BenchmarkXStreamIterate -benchtime 1x ./internal/algorithms/ >/dev/null
@@ -89,6 +89,7 @@ go test -run '^$' -bench BenchmarkLayoutPatch -benchtime 1x ./internal/core/ >/d
 go test -run '^$' -bench BenchmarkSparseBFS -benchtime 1x ./internal/core/ >/dev/null
 go test -run '^$' -bench BenchmarkPhaseFold -benchtime 1x ./internal/numa/ >/dev/null
 go test -run '^$' -bench BenchmarkResolveCold -benchtime 1x ./internal/plan/ >/dev/null
+go test -run '^$' -bench BenchmarkRMAT -benchtime 1x ./internal/gen/ >/dev/null
 
 echo "==> go test -shuffle=on ./..."
 go test -shuffle=on ./...
