@@ -17,23 +17,19 @@ import (
 
 // CheckStorageBlind commits batches to st under the dataset name (scale 0,
 // a fresh name per call) and materializes the snapshot over base after
-// every commit — the first folded, the rest patched — and holds each to
-// its twin, graph.FromEdges of its edge list. The two must be equal row for
-// row and have equal plan profiles, and every engine must run PR, BFS (on
-// the unweighted view) and SSSP from src on both, on a 4x2 Intel machine,
-// with the same output bits, SimSeconds bits and Stats.
-//
-// The engines run twice over the snapshots. Oldest first, each snapshot
-// derives what it can from its predecessor's values (graph.Derived's
-// lineage path), so a patch function must give what a fresh build gives;
-// Polymer sits this pass out, since its layouts follow a lineage's
-// partition (partition.Sticky), which may differ from a fresh split by
-// design. Newest first, no snapshot inherits what a run derived on its
-// predecessor, and every engine runs: what is compared is the storage
-// alone. It returns the first difference, or the error that stopped the
-// check.
+// every commit — the first folded, the rest patched — and then, newest
+// first, holds each to its twin, graph.FromEdges of its edge list. The two
+// must be equal row for row and have equal plan profiles, and every engine
+// must run PR, BFS (on the unweighted view) and SSSP from src on both, on
+// a 4x2 Intel machine, with the same output bits, SimSeconds bits and
+// Stats. Newest first, no snapshot inherits what a run derived on its
+// predecessor (graph.Derived's lineage path), which may differ from a
+// fresh build by design (partition.Sticky): what is compared is the
+// storage alone. Then checkLineage commits the same batches under its own
+// name and holds the patch functions to fresh builds. It returns the first
+// difference, or the error that stopped the check.
 func CheckStorageBlind(st *mutate.Store, name string, base *graph.Graph, batches [][]mutate.Op, src graph.Vertex) error {
-	snaps, twins := make([]*graph.Graph, len(batches)), make([]*graph.Graph, len(batches))
+	snaps := make([]*graph.Graph, len(batches))
 	for i, b := range batches {
 		if _, err := st.Commit(name, 0, base.NumVertices(), b); err != nil {
 			return err
@@ -43,37 +39,72 @@ func CheckStorageBlind(st *mutate.Store, name string, base *graph.Graph, batches
 			return err
 		}
 	}
-	for i, snap := range snaps {
-		edges, err := st.EdgesAt(name, 0, uint64(i+1), mutate.Flatten(base))
+	for i := len(snaps) - 1; i >= 0; i-- {
+		seq, snap := i+1, snaps[i]
+		twin, err := twinAt(st, name, seq, base)
 		if err != nil {
 			return err
 		}
-		twins[i] = graph.FromEdges(base.NumVertices(), edges, base.Weighted())
-		if !graph.Equal(snap, twins[i]) {
-			return fmt.Errorf("snapshot %d differs from FromEdges of its edge list", i+1)
+		if !graph.Equal(snap, twin) {
+			return fmt.Errorf("snapshot %d differs from FromEdges of its edge list", seq)
 		}
-		if ps, pt := plan.Profile(snap), plan.Profile(twins[i]); ps != pt {
-			return fmt.Errorf("snapshot %d: profile %+v, FromEdges twin %+v", i+1, ps, pt)
+		if ps, pt := plan.Profile(snap), plan.Profile(twin); ps != pt {
+			return fmt.Errorf("snapshot %d: profile %+v, FromEdges twin %+v", seq, ps, pt)
 		}
-	}
-	for i := range snaps {
 		for _, eng := range Engines() {
-			if eng == Polymer {
-				continue
-			}
-			if err := runsAlike(eng, i+1, snaps[i], twins[i], src); err != nil {
-				return fmt.Errorf("lineage pass: %w", err)
-			}
-		}
-	}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		for _, eng := range Engines() {
-			if err := runsAlike(eng, i+1, snaps[i], twins[i], src); err != nil {
+			if err := runsAlike(eng, seq, snap, twin, src); err != nil {
 				return err
 			}
 		}
 	}
+	return checkLineage(st, name+"-lineage", base, batches, src)
+}
+
+// lineageEngines are the engines that patch what they derive on a
+// snapshot from its predecessor's value (graph.Derived's patch function)
+// and must give what a fresh build gives; the list grows when an engine
+// gains a patch function. Polymer patches its layouts too, but they follow
+// the lineage's partition (partition.Sticky), which may differ from a
+// fresh split by design.
+var lineageEngines = []Engine{Ligra}
+
+// checkLineage commits batches to st under name, on snapshots of its own,
+// and runs each lineage engine on every snapshot as soon as it is made,
+// while its predecessor, the lineage head, still holds its values: each
+// patched snapshot derives its values by patching its predecessor's. The
+// runs must match those on the snapshot's FromEdges twin as in
+// CheckStorageBlind.
+func checkLineage(st *mutate.Store, name string, base *graph.Graph, batches [][]mutate.Op, src graph.Vertex) error {
+	for i, b := range batches {
+		seq := i + 1
+		if _, err := st.Commit(name, 0, base.NumVertices(), b); err != nil {
+			return err
+		}
+		snap, err := st.GraphAt(name, 0, uint64(seq), base)
+		if err != nil {
+			return err
+		}
+		twin, err := twinAt(st, name, seq, base)
+		if err != nil {
+			return err
+		}
+		for _, eng := range lineageEngines {
+			if err := runsAlike(eng, seq, snap, twin, src); err != nil {
+				return fmt.Errorf("lineage: %w", err)
+			}
+		}
+	}
 	return nil
+}
+
+// twinAt returns graph.FromEdges of the edge list committed under name
+// through seq over base.
+func twinAt(st *mutate.Store, name string, seq int, base *graph.Graph) (*graph.Graph, error) {
+	edges, err := st.EdgesAt(name, 0, uint64(seq), mutate.Flatten(base))
+	if err != nil {
+		return nil, err
+	}
+	return graph.FromEdges(base.NumVertices(), edges, base.Weighted()), nil
 }
 
 // runsAlike runs PR, BFS and SSSP from src on eng over snapshot seq and
