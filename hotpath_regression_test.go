@@ -89,50 +89,34 @@ func TestLigraPRIterationAllocs(t *testing.T) {
 	}
 }
 
-// perEdgeXS hides a kernel's block loops: embedding the interface
-// promotes only Scatter and Gather.
-type perEdgeXS struct{ xstream.Kernel }
-
 // TestXStreamPRIterationAllocs bounds a warm X-Stream PageRank iteration
-// over the full frontier on narrow tiles, in both of Iterate's paths; the
-// active bitmaps double-buffer and the phase closures stay on the stack in
-// both, so one more Iterate allocates nothing.
-//   - per-edge (the kernel behind perEdgeXS): the shuffle buffers are
-//     made by the first iteration and keep their capacity, so a return to
-//     per-iteration buffers costs two growing arrays per (thread, tile)
-//     pair in use, far over the budget;
-//   - block: StreamBlock gathers each block as it streams it, so an
-//     update list or a closure made per block or per tile would show.
+// over the full frontier on narrow tiles: the active bitmaps
+// double-buffer and the phase closures stay on the stack, and StreamBlock
+// gathers each block as it streams it, so an update list or a closure
+// made per block or per tile would show. One more Iterate allocates
+// nothing.
 func TestXStreamPRIterationAllocs(t *testing.T) {
 	g := regressionGraph(t)
-	for _, block := range []bool{false, true} {
-		t.Run(map[bool]string{false: "per-edge", true: "block"}[block], func(t *testing.T) {
-			opt := xstream.DefaultOptions()
-			opt.TileVertices = 64
-			e := xstream.MustNew(g, regressionMachine(), opt, algorithms.PRHints())
-			defer e.Close()
-			if e.Tiles() < 4 {
-				t.Fatalf("%d tiles: too few for the budget to notice reallocated buffers", e.Tiles())
-			}
-			k := algorithms.NewXSKernels(e)["pr"].Kernel
-			if !block {
-				k = perEdgeXS{k}
-			}
-			if _, ok := k.(xstream.BlockKernel); ok != block {
-				t.Fatalf("the kernel has block loops: %v, want %v", ok, block)
-			}
-			iterate := func() {
-				e.SetAllActive()
-				e.Iterate(k, nil)
-			}
-			iterate() // warm up: buffers grow to the full frontier's updates
-			iterate() // the second active bitmap
-			if allocs := testing.AllocsPerRun(10, iterate); allocs > allocBudgetPerIteration {
-				t.Fatalf("steady-state X-Stream iteration allocated %.0f objects, budget %d",
-					allocs, allocBudgetPerIteration)
-			}
-		})
-	}
+	t.Run("block", func(t *testing.T) {
+		opt := xstream.DefaultOptions()
+		opt.TileVertices = 64
+		e := xstream.MustNew(g, regressionMachine(), opt, algorithms.PRHints())
+		defer e.Close()
+		if e.Tiles() < 4 {
+			t.Fatalf("%d tiles: too few for the budget to notice per-tile allocations", e.Tiles())
+		}
+		k := algorithms.NewXSKernels(e)["pr"].Kernel
+		iterate := func() {
+			e.SetAllActive()
+			e.Iterate(k, nil)
+		}
+		iterate()
+		iterate() // the second active bitmap
+		if allocs := testing.AllocsPerRun(10, iterate); allocs > allocBudgetPerIteration {
+			t.Fatalf("steady-state X-Stream iteration allocated %.0f objects, budget %d",
+				allocs, allocBudgetPerIteration)
+		}
+	})
 }
 
 // TestSimSecondsDeterministic runs the same workload on fresh engines —

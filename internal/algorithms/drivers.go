@@ -329,13 +329,21 @@ func CC(e sg.Engine, sess *fault.Session) ([]graph.Vertex, error) {
 	return answer(k.labels), nil
 }
 
-// xsConverge iterates k until no vertex is active. A failed phase leaves
-// the active set as it was, so the loop leaves on the engine's failure:
-// it would otherwise scatter from the same set forever.
-func xsConverge(e *xstream.Engine, k xstream.Kernel) {
+// xsConverge iterates k, which relaxes live in place and scatters from
+// *from, until no vertex is active; before each iteration it copies live
+// into *from, a host-only array taken from the spare list and recycled
+// after (the simulated engine's updates carry those values, so it is
+// never charged). A failed phase leaves the active set as it was, so the
+// loop leaves on the engine's failure: it would otherwise scatter from the
+// same set forever.
+func xsConverge(e *xstream.Engine, k xstream.Kernel, live []float64, from *[]float64) {
+	*from = mem.Spare[float64](len(live))
 	for e.ActiveCount() > 0 && e.Err() == nil {
+		copy(*from, live)
 		e.Iterate(k, nil)
 	}
+	mem.Recycle(*from)
+	*from = nil
 }
 
 // xsRelax relaxes distances from src to their fixed point on X-Stream,
@@ -351,7 +359,7 @@ func xsRelax(r *runArrays, e *xstream.Engine, label string, src graph.Vertex, we
 	}
 	k.dist[src] = 0
 	e.SetActive([]graph.Vertex{src})
-	xsConverge(e, k)
+	xsConverge(e, k, k.dist, &k.from)
 	return k.dist
 }
 
@@ -391,7 +399,7 @@ func XSCC(e *xstream.Engine) []graph.Vertex {
 		k.labels[v] = float64(v)
 	}
 	e.SetAllActive()
-	xsConverge(e, k)
+	xsConverge(e, k, k.labels, &k.from)
 	out := mem.Spare[graph.Vertex](len(k.labels))
 	for v := range out {
 		out[v] = graph.Vertex(k.labels[v])

@@ -8,8 +8,8 @@ import (
 )
 
 // This file exports pieces of the float drivers so the allocation-budget
-// and kernel-equivalence tests can drive exactly what the drivers run,
-// one iteration at a time.
+// and digest tests can drive exactly what the drivers run, one iteration
+// at a time.
 
 // PRHints returns the Hints PageRank passes to EdgeMap.
 func PRHints() sg.Hints { return prHints }
@@ -37,8 +37,8 @@ func PRSweep(e sg.Engine) func() {
 }
 
 // XSKernel is one of the float kernels over state allocated on an X-Stream
-// engine: Scatter reads In, Gather writes Out. The embedded Kernel is the
-// one the drivers pass to Iterate, block loops included.
+// engine: its scatter reads In, its gather writes Out. The embedded Kernel
+// is the one the drivers pass to Iterate.
 type XSKernel struct {
 	xstream.Kernel
 	In, Out []float64
@@ -46,8 +46,8 @@ type XSKernel struct {
 
 // NewXSKernels allocates state on e and returns the kernels XSPageRankE,
 // XSSpMV and XSBP iterate, keyed "pr", "spmv" and "bp", so tests can
-// drive xstream.Engine.Iterate with exactly those kernels (block loops
-// against per-edge loops, the steady-state allocation budget).
+// drive xstream.Engine.Iterate with exactly those kernels (the recorded
+// digests, the steady-state allocation budget).
 func NewXSKernels(e *xstream.Engine) map[string]XSKernel {
 	r := newRun(e)
 	pr, spmv, bp := newPRKernel(r, 0.85), newSpMVKernel(r, nil), newBPKernel(r)

@@ -188,13 +188,12 @@ func pushCounts(rs *sg.Rows, lo, hi int, active []uint64, base int) (activeRows,
 	return activeRows, edges
 }
 
-// PR, SpMV and BP also implement xstream.BlockKernel: Iterate's per-edge
-// scatter and gather of one block fused into one loop, over the engine's
-// own bitmap helpers. All three always emit and always activate, and
-// their scatters read only the array their gathers do not write (curr, x,
-// curr; the gathers write next, y, acc). Each addend is rounded by an
-// explicit conversion, as the per-edge path rounds it by storing it in an
-// update.
+// PR, SpMV and BP are also xstream.Kernels: one edge block's scatter and
+// gather in one loop, over the engine's own bitmap helpers. Each
+// activates every target it gathers into, and its scatter reads only the
+// array its gather does not write (curr, x, curr; the gathers write next,
+// y, acc). Each addend is rounded by an explicit conversion, as storing it
+// in an update would round it.
 
 // weightAt is edge i's weight, 0 on an unweighted block.
 func weightAt(wts []float32, i int) float32 {
@@ -204,26 +203,17 @@ func weightAt(wts []float32, i int) float32 {
 	return wts[i]
 }
 
-func (k *prKernel) Scatter(s graph.Vertex, w float32) (float64, bool) {
-	return k.curr[s] * k.invOut[s], true
-}
-
-func (k *prKernel) Gather(d graph.Vertex, val float64) bool {
-	k.next[d] += val
-	return true
-}
-
-func (k *prKernel) StreamBlock(active []uint64, src, dst []graph.Vertex, _ []float32, next []uint64) (emitted, fresh int64) {
+func (k *prKernel) StreamBlock(active []uint64, src, dst []graph.Vertex, _ []float32, next []uint64) (activated, fresh int64) {
 	curr, invOut, sums := k.curr, k.invOut, k.next
 	for i, s := range src {
 		if xstream.IsActive(active, s) {
 			d := dst[i]
 			sums[d] += float64(curr[s] * invOut[s])
 			fresh += xstream.Activate(next, d)
-			emitted++
+			activated++
 		}
 	}
-	return emitted, fresh
+	return activated, fresh
 }
 
 // spmvKernel accumulates w * x[s] into y[d]. Unweighted graphs use the
@@ -303,26 +293,17 @@ func (k *spmvKernel) pushByRow(rs *sg.Rows, lo, hi int, active []uint64, base in
 	return activeRows, edges
 }
 
-func (k *spmvKernel) Scatter(s graph.Vertex, w float32) (float64, bool) {
-	return edgeWeight(w) * k.x[s], true
-}
-
-func (k *spmvKernel) Gather(d graph.Vertex, val float64) bool {
-	k.y[d] += val
-	return true
-}
-
-func (k *spmvKernel) StreamBlock(active []uint64, src, dst []graph.Vertex, wts []float32, next []uint64) (emitted, fresh int64) {
+func (k *spmvKernel) StreamBlock(active []uint64, src, dst []graph.Vertex, wts []float32, next []uint64) (activated, fresh int64) {
 	x, y := k.x, k.y
 	for i, s := range src {
 		if xstream.IsActive(active, s) {
 			d := dst[i]
 			y[d] += float64(edgeWeight(weightAt(wts, i)) * x[s])
 			fresh += xstream.Activate(next, d)
-			emitted++
+			activated++
 		}
 	}
-	return emitted, fresh
+	return activated, fresh
 }
 
 // bpKernel multiplies damped messages into the target's belief
@@ -410,26 +391,17 @@ func (k *bpKernel) pushByRow(rs *sg.Rows, lo, hi int, active []uint64, base int)
 	return activeRows, edges
 }
 
-func (k *bpKernel) Scatter(s graph.Vertex, w float32) (float64, bool) {
-	return bpMessage(k.curr[s], w), true
-}
-
-func (k *bpKernel) Gather(d graph.Vertex, val float64) bool {
-	k.acc[d] *= val
-	return true
-}
-
-func (k *bpKernel) StreamBlock(active []uint64, src, dst []graph.Vertex, wts []float32, next []uint64) (emitted, fresh int64) {
+func (k *bpKernel) StreamBlock(active []uint64, src, dst []graph.Vertex, wts []float32, next []uint64) (activated, fresh int64) {
 	curr, acc := k.curr, k.acc
 	for i, s := range src {
 		if xstream.IsActive(active, s) {
 			d := dst[i]
 			acc[d] *= float64(bpMessage(curr[s], weightAt(wts, i)))
 			fresh += xstream.Activate(next, d)
-			emitted++
+			activated++
 		}
 	}
-	return emitted, fresh
+	return activated, fresh
 }
 
 // bfsKernel claims unvisited vertices (direction-optimizing BFS). BFS, CC
@@ -583,39 +555,58 @@ func (k *ssspKernel) PullRows(rs *sg.Rows, lo, hi int, active []uint64, base int
 
 // xsLevel is X-Stream's traversal kernel: it relaxes integer levels (BFS)
 // or weighted distances (SSSP), the Bellman-Ford-style formulation
-// edge-centric engines use.
+// edge-centric engines use. It relaxes dist in place, so it scatters from
+// from, the copy of dist xsConverge takes before each iteration: an
+// update carries its source's distance as the iteration found it.
 type xsLevel struct {
-	dist     []float64
-	weighted bool
+	dist, from []float64
+	weighted   bool
 }
 
-func (k *xsLevel) Scatter(s graph.Vertex, w float32) (float64, bool) {
+func (k *xsLevel) StreamBlock(active []uint64, src, dst []graph.Vertex, wts []float32, next []uint64) (activated, fresh int64) {
+	for i, s := range src {
+		if xstream.IsActive(active, s) {
+			a, f := k.relax(s, dst[i], weightAt(wts, i), next)
+			activated += a
+			fresh += f
+		}
+	}
+	return activated, fresh
+}
+
+// relax is one active edge of StreamBlock, kept out of its loop (it is
+// over the inliner's budget): written inline, its register spills landed
+// on the inactive-source path too, and X-Stream BFS across
+// RoadGrid(100,100) ran about 1.5 times as slow.
+func (k *xsLevel) relax(s, d graph.Vertex, w float32, next []uint64) (activated, fresh int64) {
 	step := 1.0
 	if k.weighted {
 		step = edgeWeight(w)
 	}
-	return k.dist[s] + step, true
-}
-
-func (k *xsLevel) Gather(d graph.Vertex, val float64) bool {
-	if val < k.dist[d] {
+	if val := k.from[s] + step; val < k.dist[d] {
 		k.dist[d] = val
-		return true
+		return 1, xstream.Activate(next, d)
 	}
-	return false
+	return 0, 0
 }
 
-// xsCC propagates minimum labels on X-Stream.
-type xsCC struct{ labels []float64 }
+// xsCC propagates minimum labels on X-Stream, in place: like xsLevel it
+// scatters from from, xsConverge's copy of labels.
+type xsCC struct{ labels, from []float64 }
 
-func (k *xsCC) Scatter(s graph.Vertex, w float32) (float64, bool) { return k.labels[s], true }
-
-func (k *xsCC) Gather(d graph.Vertex, val float64) bool {
-	if val < k.labels[d] {
-		k.labels[d] = val
-		return true
+func (k *xsCC) StreamBlock(active []uint64, src, dst []graph.Vertex, _ []float32, next []uint64) (activated, fresh int64) {
+	from, labels := k.from, k.labels
+	for i, s := range src {
+		if !xstream.IsActive(active, s) {
+			continue
+		}
+		if d := dst[i]; from[s] < labels[d] {
+			labels[d] = from[s]
+			fresh += xstream.Activate(next, d)
+			activated++
+		}
 	}
-	return false
+	return activated, fresh
 }
 
 // edgeWeight treats unweighted edges as unit weight.

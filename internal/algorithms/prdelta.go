@@ -10,7 +10,8 @@ import (
 
 // prDeltaKernel propagates rank deltas: acc[d] accumulates the scaled
 // deltas of active in-neighbours. On X-Stream the apply phase overwrites
-// the next active set, so Gather's verdict is irrelevant.
+// the next active set, so the gather's activations count only toward the
+// gather's charge.
 type prDeltaKernel struct {
 	rank, delta, acc []float64
 	invOut           []float64
@@ -36,13 +37,20 @@ func (k *prDeltaKernel) Update(s, d graph.Vertex, w float32) bool {
 
 func (k *prDeltaKernel) Cond(graph.Vertex) bool { return true }
 
-func (k *prDeltaKernel) Scatter(s graph.Vertex, w float32) (float64, bool) {
-	return k.delta[s] * k.invOut[s], true
-}
-
-func (k *prDeltaKernel) Gather(d graph.Vertex, val float64) bool {
-	k.acc[d] += val
-	return true
+// StreamBlock is the xstream.Kernel: it scatters from delta and gathers
+// into acc, activating every target, each addend rounded as an update
+// would round it.
+func (k *prDeltaKernel) StreamBlock(active []uint64, src, dst []graph.Vertex, _ []float32, next []uint64) (activated, fresh int64) {
+	delta, invOut, acc := k.delta, k.invOut, k.acc
+	for i, s := range src {
+		if xstream.IsActive(active, s) {
+			d := dst[i]
+			acc[d] += float64(delta[s] * invOut[s])
+			fresh += xstream.Activate(next, d)
+			activated++
+		}
+	}
+	return activated, fresh
 }
 
 // converge is the convergence-driven PageRank the paper's Algorithm 4.1

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,8 +118,13 @@ func TestXStreamDigests(t *testing.T) {
 		return e, phases
 	}
 
-	var got bytes.Buffer
-	line := func(name, digest string) { fmt.Fprintf(&got, "%s %s\n", name, digest) }
+	// A cell is one line of the file: its name and how to compute the
+	// rest.
+	type cell struct {
+		name   string
+		digest func(t *testing.T) string
+	}
+	var cells []cell
 
 	hints := []struct {
 		algo string
@@ -133,30 +139,31 @@ func TestXStreamDigests(t *testing.T) {
 		for _, gr := range graphs {
 			for _, tl := range tiles {
 				for _, start := range []string{"all", "subset"} {
-					name := "iterate/" + a.algo + "/" + gr.name + "/" + tl.name + "/" + start
-					e, phases := newEngine(gr.g, tl.verts, a.h)
-					ks := algorithms.NewXSKernels(e)[a.algo]
-					rng := gen.NewRNG(77)
-					for v := range ks.In {
-						ks.In[v] = rng.Float64()
-					}
-					if start == "all" {
-						e.SetAllActive()
-					} else {
-						e.SetActive(subset)
-					}
-					active := make([]int64, rounds)
-					for r := range active {
-						active[r] = e.Iterate(ks.Kernel, nil)
-					}
-					if err := e.Err(); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if start == "subset" && active[0] == int64(n) {
-						t.Fatalf("%s: the subset start activated every vertex: no partial active set was scattered", name)
-					}
-					line(name, xsDigest(e, active, phases, append(f64Bits(ks.In), f64Bits(ks.Out)...)))
-					e.Close()
+					cells = append(cells, cell{"iterate/" + a.algo + "/" + gr.name + "/" + tl.name + "/" + start, func(t *testing.T) string {
+						e, phases := newEngine(gr.g, tl.verts, a.h)
+						defer e.Close()
+						ks := algorithms.NewXSKernels(e)[a.algo]
+						rng := gen.NewRNG(77)
+						for v := range ks.In {
+							ks.In[v] = rng.Float64()
+						}
+						if start == "all" {
+							e.SetAllActive()
+						} else {
+							e.SetActive(subset)
+						}
+						active := make([]int64, rounds)
+						for r := range active {
+							active[r] = e.Iterate(ks.Kernel, nil)
+						}
+						if err := e.Err(); err != nil {
+							t.Fatal(err)
+						}
+						if start == "subset" && active[0] == int64(n) {
+							t.Fatal("the subset start activated every vertex: no partial active set was scattered")
+						}
+						return xsDigest(e, active, phases, append(f64Bits(ks.In), f64Bits(ks.Out)...))
+					}})
 				}
 			}
 		}
@@ -192,43 +199,57 @@ func TestXStreamDigests(t *testing.T) {
 	for _, d := range drivers {
 		for _, gr := range graphs {
 			for _, tl := range tiles {
-				name := "driver/" + d.name + "/" + gr.name + "/" + tl.name
-				g := gr.g
-				if d.sym {
-					g = g.Symmetrized()
-				}
-				e, phases := newEngine(g, tl.verts, sg.Hints{DataBytes: 8, Weighted: g.Weighted()})
-				values := d.run(e)
-				if err := e.Err(); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				line(name, xsDigest(e, nil, phases, values))
-				e.Close()
+				cells = append(cells, cell{"driver/" + d.name + "/" + gr.name + "/" + tl.name, func(t *testing.T) string {
+					g := gr.g
+					if d.sym {
+						g = g.Symmetrized()
+					}
+					e, phases := newEngine(g, tl.verts, sg.Hints{DataBytes: 8, Weighted: g.Weighted()})
+					defer e.Close()
+					values := d.run(e)
+					if err := e.Err(); err != nil {
+						t.Fatal(err)
+					}
+					return xsDigest(e, nil, phases, values)
+				}})
 			}
 		}
 	}
 
 	path := filepath.Join("testdata", "xstream.digests")
 	if *updateDigests {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
+		var buf bytes.Buffer
+		for _, c := range cells {
+			fmt.Fprintf(&buf, "%s %s\n", c.name, c.digest(t))
 		}
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(path)
+	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	if len(gotLines) != len(wantLines) {
-		t.Fatalf("%d lines, want %d", len(gotLines), len(wantLines))
+	want := map[string]string{}
+	var recorded []string
+	for _, l := range strings.Split(strings.TrimSuffix(string(file), "\n"), "\n") {
+		name, digest, _ := strings.Cut(l, " ")
+		want[name] = digest
+		recorded = append(recorded, name)
 	}
-	for i := range gotLines {
-		if gotLines[i] != wantLines[i] {
-			t.Errorf("got  %s\nwant %s", gotLines[i], wantLines[i])
-		}
+	var names []string
+	for _, c := range cells {
+		names = append(names, c.name)
+	}
+	if !slices.Equal(names, recorded) {
+		t.Fatalf("cells %v, recorded %v", names, recorded)
+	}
+	for _, c := range cells {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.digest(t); got != want[c.name] {
+				t.Errorf("got  %s\nwant %s", got, want[c.name])
+			}
+		})
 	}
 }

@@ -105,12 +105,6 @@ type Lineage struct {
 	PartitionsInherited, PartitionsRebalanced int
 }
 
-// Plus returns the sum of two counts.
-func (l Lineage) Plus(o Lineage) Lineage {
-	return Lineage{l.LayoutsPatched + o.LayoutsPatched, l.LayoutsBuilt + o.LayoutsBuilt,
-		l.PartitionsInherited + o.PartitionsInherited, l.PartitionsRebalanced + o.PartitionsRebalanced}
-}
-
 // Metrics counts engine activity — committed phases — for the experiment
 // harness.
 type Metrics struct {

@@ -12,11 +12,10 @@
 // handful of vertices is active (paper Table 3: 557 s for BFS on roadUS).
 //
 // The simulated engine pays for its update lists (Uout, Uin) in every
-// phase; the host builds them only for a kernel without block loops. A
-// BlockKernel (PageRank, SpMV, BP) streams each edge block straight into
-// its gather, so its iterations hold no update on the host: the scatter
-// phase then only counts, and every charge is taken from the same counts
-// as before.
+// phase; the host holds none. A Kernel streams each edge block straight
+// into its gather, so the host's scatter phase only counts the edges with
+// an active source, and the scatter, shuffle and gather are all charged
+// from that count.
 package xstream
 
 import (
@@ -30,45 +29,27 @@ import (
 	"polymer/internal/sg"
 )
 
-// Kernel is X-Stream's edge-centric program interface.
-type Kernel interface {
-	// Scatter produces the update value to send along an out-edge of s
-	// (already known to be active); ok=false suppresses the update.
-	Scatter(s graph.Vertex, w float32) (val float64, ok bool)
-	// Gather applies an update to d and reports whether d becomes active
-	// in the next iteration. Each destination is gathered by exactly one
-	// thread.
-	Gather(d graph.Vertex, val float64) bool
-}
-
-// BlockKernel is an optional interface of a Kernel: the scatter and the
-// gather of one edge block fused into one loop, written by the kernel
-// itself so it compiles to a plain array loop (an interface method is
-// never inlined, and the per-edge path pays one call an edge in each
-// phase, plus the update lists between the phases). Iterate looks for it
-// once. A kernel may implement it only if
+// Kernel is X-Stream's edge-centric program: the scatter and the gather
+// of one edge block fused into one loop, written by the kernel itself so
+// it compiles to a plain array loop (an interface method is never
+// inlined). The model's scatter emits every update of an iteration before
+// its gather applies any; a kernel streams them one edge at a time, so
 //
 //   - its scatter reads no datum its gather writes, so gathering an edge
-//     before the next edge is scattered changes no value;
-//   - it always emits and always activates: Scatter's ok and Gather's
-//     verdict are true for every edge;
-//   - its per-source value is rounded by an explicit conversion, as
-//     float64(curr[s]*invOut[s]), so no fused multiply-add spans the
-//     scatter and the gather the per-edge path keeps apart.
-//
-// Iterate then leaves the kernel's data and the next-active bits bit for
-// bit as the per-edge loops leave them.
-type BlockKernel interface {
+//     before the next edge is scattered changes no value (a kernel that
+//     relaxes in place scatters from a copy taken before the iteration);
+//   - the value an update carries is rounded by an explicit conversion,
+//     as float64(curr[s]*invOut[s]), as storing it in Uout would round
+//     it: no fused multiply-add spans the scatter and the gather.
+type Kernel interface {
 	// StreamBlock streams the edges (src[i], dst[i]) of one block, with
 	// weight wts[i], or 0 for every edge when wts is nil. For each edge
-	// whose source is set in active, in order, it does what
-	//
-	//	val, _ := Scatter(src[i], w); Gather(dst[i], val); set dst[i] in next
-	//
-	// does. It returns the number of edges with an active source, which
-	// is the number of updates emitted, applied and activating, and how
-	// many bits of next they newly set.
-	StreamBlock(active []uint64, src, dst []graph.Vertex, wts []float32, next []uint64) (emitted, fresh int64)
+	// whose source is set in active, in order, it scatters the update of
+	// src[i] along the edge and gathers it into dst[i], and when the
+	// update activates dst[i] it sets dst[i] in next. It returns how many
+	// updates activated their target and how many bits of next they newly
+	// set. Each destination is gathered by exactly one thread.
+	StreamBlock(active []uint64, src, dst []graph.Vertex, wts []float32, next []uint64) (activated, fresh int64)
 }
 
 // IsActive reports whether v's bit is set in an active bitmap: the
@@ -101,14 +82,6 @@ type Options struct {
 // DefaultOptions returns the evaluation configuration.
 func DefaultOptions() Options { return Options{OverheadNsPerEdge: 1.5} }
 
-// updates is one shuffle buffer of the per-edge path: the targets and
-// values of the updates one thread emitted into one tile, as parallel
-// arrays in emission order.
-type updates struct {
-	d   []graph.Vertex
-	val []float64
-}
-
 // tile is one streaming partition: the out-edges of the sources in
 // [loVertex, hiVertex), grouped by the tile of their destination. Which
 // tile an update lands in is a property of the graph, so the shuffle's
@@ -138,16 +111,13 @@ type Engine struct {
 	snapNActive int64
 
 	// Iteration-scoped scratch: the phase epoch is reset (after each fold
-	// into the ledger) rather than reallocated, the per-edge path's
-	// shuffle buffers are made by its first iteration and keep their
-	// capacity after, and the next-active bitmap double-buffers with the
-	// current one. Host-only reuse; the charged traffic and the simulated
-	// shuffle-buffer footprint are unchanged.
+	// into the ledger) rather than reallocated, and the next-active bitmap
+	// double-buffers with the current one. Host-only reuse; the charged
+	// traffic and the simulated shuffle-buffer footprint are unchanged.
 	scrEp         *numa.Epoch
-	out           [][]updates // [thread][tile] update buffers, nil until a per-edge Iterate
-	spare         []uint64    // retired active bitmap, recycled as next
+	spare         []uint64 // retired active bitmap, recycled as next
 	scatterCounts [][2]int64
-	gatherCounts  [][3]int64
+	gatherCounts  [][2]int64
 	applyCounts   []int64
 }
 
@@ -167,7 +137,7 @@ func New(g *graph.Graph, m *numa.Machine, opt Options, h sg.Hints) (*Engine, err
 	e.active = make([]uint64, (g.NumVertices()+63)/64)
 	e.scrEp = e.NewEpoch()
 	e.scatterCounts = make([][2]int64, m.Threads())
-	e.gatherCounts = make([][3]int64, m.Threads())
+	e.gatherCounts = make([][2]int64, m.Threads())
 	e.applyCounts = make([]int64, m.Threads())
 	if err := m.Alloc().Grow("xstream/topology", e.topoB); err != nil {
 		return nil, err
@@ -352,20 +322,12 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	}
 	ep := e.scrEp
 	ep.Reset()
-	// Nil for a kernel without block loops: its updates then go through
-	// the shuffle buffers, out[th][tile] being thread th's updates
-	// destined for each tile.
-	bk, _ := k.(BlockKernel)
-	var out [][]updates
-	if bk == nil {
-		out = e.updateBuffers()
-	}
 
-	// Scatter: stream every tile's edges; emit updates for active sources.
-	// A block kernel emits in the gather phase, so here its sources are
-	// only counted. The charge is balanced across all workers: X-Stream
-	// sizes its streaming partitions to the thread count at full scale,
-	// so per-tile skew does not serialise it.
+	// Scatter: stream every tile's edges, counting those with an active
+	// source; the kernel emits their updates in the gather phase. The
+	// charge is balanced across all workers: X-Stream sizes its streaming
+	// partitions to the thread count at full scale, so per-tile skew does
+	// not serialise it.
 	ck := par.MakeStrided(int64(nTiles), 1, threads)
 	scatterCounts := e.scatterCounts
 	e.RunPhase(func(th int) {
@@ -377,30 +339,7 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 			for ti := lo; ti < hi; ti++ {
 				t := &e.tiles[ti]
 				scanned += int64(len(t.src))
-				if bk != nil {
-					activeEdges += e.activeOutEdges(t, active)
-					continue
-				}
-				// Block u's updates all land in tile u: thread th's buffer
-				// for u receives them in the tile's CSR order, tile after
-				// tile, exactly as routing each edge by its target would.
-				for u := range out[th] {
-					q := &out[th][u]
-					src, dst, wts := t.block(u)
-					for i, s := range src {
-						if !IsActive(active, s) {
-							continue
-						}
-						activeEdges++
-						var w float32
-						if wts != nil {
-							w = wts[i]
-						}
-						if val, ok := k.Scatter(s, w); ok {
-							q.d, q.val = append(q.d, dst[i]), append(q.val, val)
-						}
-					}
-				}
+				activeEdges += e.activeOutEdges(t, active)
 			}
 		})
 		scatterCounts[th] = [2]int64{scanned, activeEdges}
@@ -423,30 +362,21 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	e.chargePhase(ep, "scatter", activeIn)
 	ep.Reset() // shuffle phase reuses the same epoch
 
-	// Shuffle accounting: every update is read from Uout and written to
-	// its target tile's Uin across the machine (SEQ|W|G), plus transient
-	// buffer memory (Table 5's "additional buffers in the shuffle phase").
-	// A block kernel emits one update an active edge.
-	totalUpdates := activeT
-	if bk == nil {
-		totalUpdates = 0
-		for th := range out {
-			for ti := range out[th] {
-				totalUpdates += int64(len(out[th][ti].d))
-			}
-		}
-	}
-	// X-Stream streams updates partition by partition, so only about one
-	// tile's worth of Uout/Uin is in flight at a time (the paper's
-	// Table 5 shows the shuffle buffers add ~8% over Ligra's footprint).
-	bufBytes := totalUpdates * 16 * 2 / int64(nTiles)
+	// Shuffle accounting: every update (one an active edge) is read from
+	// Uout and written to its target tile's Uin across the machine
+	// (SEQ|W|G), plus transient buffer memory (Table 5's "additional
+	// buffers in the shuffle phase"). X-Stream streams updates partition
+	// by partition, so only about one tile's worth of Uout/Uin is in
+	// flight at a time (the paper's Table 5 shows the shuffle buffers add
+	// ~8% over Ligra's footprint).
+	bufBytes := activeT * 16 * 2 / int64(nTiles)
 	if err := e.M.Alloc().Grow("xstream/buffers", bufBytes); err != nil {
 		e.Fail(err)
 		return e.nActive
 	}
-	perThread := totalUpdates / int64(threads)
+	perThread := activeT / int64(threads)
 	ep.ChargeNodes(func(th, node int) { e.recipe.Shuffle(ep, th, node, perThread) })
-	e.chargePhase(ep, "shuffle", totalUpdates)
+	e.chargePhase(ep, "shuffle", activeT)
 	ep.Reset() // gather phase reuses the same epoch
 
 	// Gather: each tile applies its incoming updates; one thread per tile,
@@ -454,47 +384,32 @@ func (e *Engine) Iterate(k Kernel, apply Applier) int64 {
 	next := e.takeSpare()
 	gatherCounts := e.gatherCounts
 	e.RunPhase(func(th int) {
-		var applied, activated, fresh int64
+		var activated, fresh int64
 		active := e.active
 		ck.Do(th, func(lo, hi int64) {
 			for ti := lo; ti < hi; ti++ {
-				if bk != nil {
-					emitted, f := e.streamInto(bk, ck, int(ti), active, next)
-					applied += emitted
-					activated += emitted
-					fresh += f
-					continue
-				}
-				for src := 0; src < threads; src++ {
-					q := &out[src][ti]
-					applied += int64(len(q.d))
-					vals := q.val
-					for i, d := range q.d {
-						if k.Gather(d, vals[i]) {
-							fresh += Activate(next, d)
-							activated++
-						}
-					}
-				}
+				a, f := e.streamInto(k, ck, int(ti), active, next)
+				activated += a
+				fresh += f
 			}
 		})
-		gatherCounts[th] = [3]int64{applied, activated, fresh}
+		gatherCounts[th] = [2]int64{activated, fresh}
 	})
 	if e.Err() != nil {
 		e.M.Alloc().Release("xstream/buffers", bufBytes)
 		e.spare = next
 		return e.nActive
 	}
-	var appliedT, activatedT, nextCount int64
+	var activatedT, nextCount int64
 	for _, c := range gatherCounts {
-		appliedT += c[0]
-		activatedT += c[1]
-		nextCount += c[2]
+		activatedT += c[0]
+		nextCount += c[1]
 	}
+	// Every update is applied: one an active edge.
 	ep.ChargeNodes(func(th, node int) {
-		e.recipe.Gather(ep, th, node, appliedT/int64(threads), activatedT/int64(threads))
+		e.recipe.Gather(ep, th, node, activeT/int64(threads), activatedT/int64(threads))
 	})
-	e.chargePhase(ep, "gather", appliedT)
+	e.chargePhase(ep, "gather", activeT)
 	e.M.Alloc().Release("xstream/buffers", bufBytes)
 
 	if apply != nil {
@@ -527,28 +442,8 @@ func (t *tile) block(u int) (src, dst []graph.Vertex, wts []float32) {
 	return t.src[b0:b1], t.dst[b0:b1], wts
 }
 
-// updateBuffers returns the per-edge path's shuffle buffers, emptied,
-// making them on the first per-edge iteration: an engine that runs only
-// block kernels holds none.
-func (e *Engine) updateBuffers() [][]updates {
-	if e.out == nil {
-		e.out = make([][]updates, e.M.Threads())
-		for th := range e.out {
-			e.out[th] = make([]updates, len(e.tiles))
-		}
-	}
-	for th := range e.out {
-		for ti := range e.out[th] {
-			q := &e.out[th][ti]
-			q.d, q.val = q.d[:0], q.val[:0]
-		}
-	}
-	return e.out
-}
-
 // activeOutEdges counts the out-edges of t's sources that are set in
-// active: a block kernel's scatter count, the edges the per-edge scatter
-// finds active. Tiles start on word boundaries, so t owns whole words of
+// active: the scatter's count, one update an edge. Tiles start on word boundaries, so t owns whole words of
 // the bitmap; a full word counts its 64 rows at once.
 func (e *Engine) activeOutEdges(t *tile, active []uint64) int64 {
 	g := e.G
@@ -566,24 +461,26 @@ func (e *Engine) activeOutEdges(t *tile, active []uint64) int64 {
 	return edges
 }
 
-// streamInto gathers every block into destination tile u through bk,
+// streamInto gathers every block into destination tile u through k,
 // walking the source tiles in the order the scatter schedule sc hands
 // them out: thread by thread, each thread's tiles ascending. That is the
-// order the per-edge path's buffers out[0..threads)[u] receive their
-// updates in, each block in CSR order, so every destination gets the same
-// float additions in the same order, whatever the tile and thread counts.
-func (e *Engine) streamInto(bk BlockKernel, sc par.Strided, u int, active, next []uint64) (emitted, fresh int64) {
+// order the model's Uin for u receives its updates in, thread th's Uout
+// after thread th-1's, each block in CSR order, so every destination gets
+// its updates in the same order whatever the tile and thread counts: the
+// order a float sum is taken in is a property of the layout and the
+// machine, not of the host.
+func (e *Engine) streamInto(k Kernel, sc par.Strided, u int, active, next []uint64) (activated, fresh int64) {
 	for th := range e.M.Threads() {
 		sc.Do(th, func(lo, hi int64) {
 			for ti := lo; ti < hi; ti++ {
 				src, dst, wts := e.tiles[ti].block(u)
-				em, f := bk.StreamBlock(active, src, dst, wts, next)
-				emitted += em
+				a, f := k.StreamBlock(active, src, dst, wts, next)
+				activated += a
 				fresh += f
 			}
 		})
 	}
-	return emitted, fresh
+	return activated, fresh
 }
 
 // takeSpare returns a zeroed bitmap for the next active set, recycling the

@@ -17,10 +17,33 @@ func testMachine(nodes, cores int) *numa.Machine {
 // always activate.
 type sumKernel struct{ next []float64 }
 
-func (k *sumKernel) Scatter(s graph.Vertex, w float32) (float64, bool) { return 1, true }
-func (k *sumKernel) Gather(d graph.Vertex, val float64) bool {
-	k.next[d] += val
-	return true
+func (k *sumKernel) StreamBlock(active []uint64, src, dst []graph.Vertex, wts []float32, next []uint64) (activated, fresh int64) {
+	return kernelFunc(func(_, d graph.Vertex, _ float32) bool {
+		k.next[d] += 1
+		return true
+	}).StreamBlock(active, src, dst, wts, next)
+}
+
+// kernelFunc is a Kernel written one edge at a time: it is called for
+// each edge with an active source, in order, and reports whether the edge
+// activates its target.
+type kernelFunc func(s, d graph.Vertex, w float32) bool
+
+func (f kernelFunc) StreamBlock(active []uint64, src, dst []graph.Vertex, wts []float32, next []uint64) (activated, fresh int64) {
+	for i, s := range src {
+		if !IsActive(active, s) {
+			continue
+		}
+		var w float32
+		if wts != nil {
+			w = wts[i]
+		}
+		if f(s, dst[i], w) {
+			fresh += Activate(next, dst[i])
+			activated++
+		}
+	}
+	return activated, fresh
 }
 
 func TestIterateCountsInDegrees(t *testing.T) {
@@ -113,22 +136,11 @@ func TestWeightedScatter(t *testing.T) {
 	defer e.Close()
 	e.SetAllActive()
 	got := make([]float64, 3)
-	e.Iterate(kernelFunc{
-		scatter: func(s graph.Vertex, w float32) (float64, bool) { return float64(w), true },
-		gather:  func(d graph.Vertex, v float64) bool { got[d] += v; return false },
-	}, nil)
+	e.Iterate(kernelFunc(func(_, d graph.Vertex, w float32) bool { got[d] += float64(w); return false }), nil)
 	if got[1] != 2 || got[2] != 3 {
 		t.Fatalf("weights not delivered: %v", got)
 	}
 }
-
-type kernelFunc struct {
-	scatter func(graph.Vertex, float32) (float64, bool)
-	gather  func(graph.Vertex, float64) bool
-}
-
-func (k kernelFunc) Scatter(s graph.Vertex, w float32) (float64, bool) { return k.scatter(s, w) }
-func (k kernelFunc) Gather(d graph.Vertex, v float64) bool             { return k.gather(d, v) }
 
 func TestSimTimeAndMemory(t *testing.T) {
 	n, edges := gen.RMAT(8, 8, 3)

@@ -310,16 +310,6 @@ func buildCSR(n int, edges []Edge, weighted, byDst bool) ([]int64, []Vertex, []f
 	return index, nbrs, wts
 }
 
-// Symmetrize returns the undirected view of g: each edge is present in
-// both directions (the paper's treatment of undirected graphs).
-func Symmetrize(n int, edges []Edge, weighted bool) *Graph {
-	sym := make([]Edge, 0, 2*len(edges))
-	for _, e := range edges {
-		sym = append(sym, e, Edge{Src: e.Dst, Dst: e.Src, Wt: e.Wt})
-	}
-	return FromEdges(n, sym, weighted)
-}
-
 // Symmetrized returns the undirected view of g as a new graph: every edge
 // appears in both directions (weights preserved). Label-propagation
 // connected components runs on this view, as in the evaluated systems.

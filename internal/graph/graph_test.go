@@ -137,16 +137,6 @@ func TestFromEdgesPanicsOutOfRange(t *testing.T) {
 	FromEdges(2, []Edge{{0, 5, 0}}, false)
 }
 
-func TestSymmetrize(t *testing.T) {
-	g := Symmetrize(3, []Edge{{0, 1, 1}, {1, 2, 2}}, true)
-	if g.NumEdges() != 4 {
-		t.Fatalf("symmetrized edges = %d, want 4", g.NumEdges())
-	}
-	if g.OutDegree(1) != 2 || g.InDegree(1) != 2 {
-		t.Fatal("vertex 1 must have degree 2 both ways")
-	}
-}
-
 func TestMaxOutDegree(t *testing.T) {
 	g := paperSample()
 	if got := g.MaxOutDegree(); got != 4 {

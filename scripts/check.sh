@@ -50,7 +50,8 @@ go test -race -run 'TestFaultMatrix|TestResilientRanks' .
 
 echo "==> determinism gate (a run is a function of its input: same bits at any GOMAXPROCS, five times over)"
 # Whole packages, every engine: re-run identity over the conform matrix,
-# row/block kernels against the per-edge loops, fault replay, tracing,
+# row kernels against the per-edge loops, X-Stream against its recorded
+# digests, fault replay, tracing,
 # planned-vs-explicit, cached-vs-recomputed, and the bytes a PageRank
 # rerun allocates on a reused engine (TestPRRerunAllocs).
 go test -count=5 -cpu 1,2,8 . ./internal/conform/ ./internal/obs/ ./internal/plan/ ./internal/serve/
@@ -81,10 +82,11 @@ go test -count=20 -cpu 1,2,8 -run 'TestWarmDifferential|TestWarmVanishingWeights
 # load.
 go test -count=5 -cpu 1,2,8 -run 'TestGolden|TestTierSweepGolden|TestUnweightedViewRunsLikeUnweightedLoad' ./internal/bench/
 
-echo "==> sweep, segment-shape, X-Stream iteration, sparse-BFS, layout-patch, phase-fold, cold-decision and R-MAT benchmark smoke (host ns/edge of the shared sweep on both engines, of both segment loop shapes and of an X-Stream PageRank iteration; ns per road-grid BFS; one 32-op layout patch; ns per phase folded; one planner decision; engine-dense's RMAT(15,16) input; one iteration a case)"
+echo "==> sweep, segment-shape, X-Stream iteration and traversal, sparse-BFS, layout-patch, phase-fold, cold-decision and R-MAT benchmark smoke (host ns/edge of the shared sweep on both engines, of both segment loop shapes and of an X-Stream PageRank iteration; ns per X-Stream BFS, SSSP and CC; ns per road-grid BFS; one 32-op layout patch; ns per phase folded; one planner decision; engine-dense's RMAT(15,16) input; one iteration a case)"
 go test -run '^$' -bench BenchmarkSweepNsPerEdge -benchtime 1x ./internal/core/ >/dev/null
 go test -run '^$' -bench BenchmarkSegmentShape -benchtime 1x ./internal/algorithms/ >/dev/null
 go test -run '^$' -bench BenchmarkXStreamIterate -benchtime 1x ./internal/algorithms/ >/dev/null
+go test -run '^$' -bench BenchmarkXStreamTraversal -benchtime 1x ./internal/algorithms/ >/dev/null
 go test -run '^$' -bench BenchmarkLayoutPatch -benchtime 1x ./internal/core/ >/dev/null
 go test -run '^$' -bench BenchmarkSparseBFS -benchtime 1x ./internal/core/ >/dev/null
 go test -run '^$' -bench BenchmarkPhaseFold -benchtime 1x ./internal/numa/ >/dev/null
